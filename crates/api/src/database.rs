@@ -7,8 +7,8 @@ use std::sync::Arc;
 use ids_chase::ChaseConfig;
 use ids_core::{ChaseMaintainer, FdOnlyMaintainer, InsertOutcome, LocalMaintainer};
 use ids_relational::{
-    join_all, AttrId, AttrSet, DatabaseState, Predicate, Projection, Relation, RelationalError,
-    SchemeId, Tuple, Value, ValuePool,
+    AttrId, AttrSet, DatabaseState, Predicate, Projection, ReadPlan, ReadReply, ReadShape,
+    Relation, RelationalError, SchemeId, Tuple, Value, ValuePool,
 };
 use ids_store::{DurableConfig, OpOutcome, Store, StoreOp};
 use ids_wal::NameLog;
@@ -466,7 +466,7 @@ impl Database {
     ) -> Result<Rows, Error> {
         let plan = plan_query(&self.schema, &self.pool, relation, filters, select)?;
         let tuples = if plan.satisfiable {
-            self.engine.as_dyn().query(plan.id, &plan.predicate)?
+            self.engine.as_dyn().read(plan.id, &plan.read)?.rows
         } else {
             Vec::new()
         };
@@ -480,18 +480,19 @@ impl Database {
         relation: &str,
         filters: &[(String, Cond)],
     ) -> Result<usize, Error> {
-        let plan = plan_query(&self.schema, &self.pool, relation, filters, None)?;
+        let mut plan = plan_query(&self.schema, &self.pool, relation, filters, None)?;
         if !plan.satisfiable {
             return Ok(0);
         }
-        self.engine.as_dyn().count_where(plan.id, &plan.predicate)
+        plan.read.shape = ReadShape::Count;
+        Ok(self.engine.as_dyn().read(plan.id, &plan.read)?.count)
     }
 
-    /// Typed-level query for callers holding canonical predicates — the
-    /// raw counterpart of [`Database::query`], returning the matching
-    /// tuples exactly as the engine shipped them.
-    pub fn query_raw(&self, id: SchemeId, predicate: &Predicate) -> Result<Vec<Tuple>, Error> {
-        self.engine.as_dyn().query(id, predicate)
+    /// Typed-level read for callers holding a canonical [`ReadPlan`] —
+    /// the raw counterpart of [`Database::query`], returning the reply
+    /// exactly as the engine shipped it.
+    pub fn query_raw(&self, id: SchemeId, plan: &ReadPlan) -> Result<ReadReply, Error> {
+        self.engine.as_dyn().read(id, plan)
     }
 
     /// The natural join of the named relations, computed from
@@ -622,38 +623,20 @@ impl Database {
         ))
     }
 
-    /// Typed-level natural join over scheme ids — the raw counterpart of
-    /// [`Database::join`]: the plain fold over barrier-free reads (no
-    /// planner, no filters), returning the joined [`Relation`].
-    ///
-    /// Repeated ids are deduplicated (first mention wins), so a
-    /// self-join reads its relation **once** — see the self-join
-    /// contract on [`Database::join`].
-    pub fn join_raw(&self, ids: &[SchemeId]) -> Result<Relation, Error> {
-        let mut distinct: Vec<SchemeId> = Vec::with_capacity(ids.len());
-        for &id in ids {
-            if !distinct.contains(&id) {
-                distinct.push(id);
-            }
-        }
-        let mut rels = Vec::with_capacity(distinct.len());
-        for &id in &distinct {
-            rels.push(self.engine.as_dyn().read(id)?);
-        }
-        join_all(rels.iter()).ok_or(Error::EmptyJoin)
-    }
-
     /// Reads one relation without a global barrier, as raw typed data.
     pub fn read(&self, relation: &str) -> Result<Relation, Error> {
         let id = self.schema.scheme_id(relation)?;
-        self.engine.as_dyn().read(id)
+        let all = ReadPlan::tuples(Predicate::new());
+        let tuples = self.engine.as_dyn().read(id, &all)?.rows;
+        crate::planner::relation_of(self.schema.definition.attrs(id), tuples)
     }
 
     /// Number of rows currently in a relation (barrier-free, and cheap:
     /// no engine ships tuples to answer it).
     pub fn count(&self, relation: &str) -> Result<usize, Error> {
         let id = self.schema.scheme_id(relation)?;
-        self.engine.as_dyn().count(id)
+        let all = ReadPlan::count(Predicate::new());
+        Ok(self.engine.as_dyn().read(id, &all)?.count)
     }
 
     /// A consistent cut of the whole database — the barrier read.  On an
@@ -668,11 +651,6 @@ impl Database {
     /// [`Database::intern`].
     pub fn insert_raw(&mut self, id: SchemeId, tuple: Vec<Value>) -> Result<InsertOutcome, Error> {
         self.engine.as_dyn_mut().insert(id, tuple)
-    }
-
-    /// Typed-level remove, the counterpart of [`Database::insert_raw`].
-    pub fn remove_raw(&mut self, id: SchemeId, tuple: &[Value]) -> Result<bool, Error> {
-        self.engine.as_dyn_mut().remove(id, tuple)
     }
 
     /// Typed-level batch application; outcomes align with the input and
@@ -717,29 +695,28 @@ pub(crate) fn resolve_row<S: AsRef<str>>(
     let id = schema.scheme_id(relation)?;
     let layout = schema.layout(id);
     let arity = layout.columns.len();
-    let mut tuple = vec![Value::int(0); arity];
-    let mut supplied = 0usize;
-    let mut all_known = true;
-    for (j, value) in values.into_iter().enumerate() {
-        if j < arity {
-            let resolved = if intern {
-                Some(intern_name(pool, pool_log, value.as_ref())?)
-            } else {
-                pool.get(value.as_ref())
-            };
-            match resolved {
-                Some(v) => tuple[layout.perm[j]] = v,
-                None => all_known = false,
-            }
-        }
-        supplied += 1;
-    }
-    if supplied != arity {
+    // Arity before anything else: a refused row must not intern — and on
+    // a durable database append and fsync — a single name.
+    let values: Vec<S> = values.into_iter().collect();
+    if values.len() != arity {
         return Err(RelationalError::ArityMismatch {
             expected: arity,
-            found: supplied,
+            found: values.len(),
         }
         .into());
+    }
+    let mut tuple = vec![Value::int(0); arity];
+    let mut all_known = true;
+    for (j, value) in values.iter().enumerate() {
+        let resolved = if intern {
+            Some(intern_name(pool, pool_log, value.as_ref())?)
+        } else {
+            pool.get(value.as_ref())
+        };
+        match resolved {
+            Some(v) => tuple[layout.perm[j]] = v,
+            None => all_known = false,
+        }
     }
     Ok((id, all_known.then_some(tuple)))
 }
@@ -750,7 +727,9 @@ pub(crate) fn resolve_row<S: AsRef<str>>(
 /// without holding any name state.
 pub(crate) struct QueryPlan {
     pub(crate) id: SchemeId,
-    pub(crate) predicate: Predicate,
+    /// What the engine is asked: the filters as a typed predicate, in
+    /// the tuples shape (a count flips the shape, nothing else).
+    pub(crate) read: ReadPlan,
     /// False when a filter names a value this database never interned:
     /// nothing stored can match, so the engine is not consulted at all.
     pub(crate) satisfiable: bool,
@@ -804,7 +783,7 @@ pub(crate) fn plan_query(
     }
     Ok(QueryPlan {
         id,
-        predicate,
+        read: ReadPlan::tuples(predicate),
         satisfiable,
         projection: Projection::Columns(selected),
         columns: columns.into(),
@@ -1133,6 +1112,20 @@ mod tests {
                 "{label}"
             );
             assert!(
+                matches!(
+                    db.insert("CT", ["one", "two", "three"]),
+                    Err(Error::Relational(RelationalError::ArityMismatch {
+                        expected: 2,
+                        found: 3,
+                    }))
+                ),
+                "{label}"
+            );
+            // A refused row interned nothing.
+            for name in ["only-one", "one", "two", "three"] {
+                assert_eq!(db.pool().get(name), None, "{label}: {name}");
+            }
+            assert!(
                 matches!(db.rows("nope"), Err(Error::UnknownRelation(_))),
                 "{label}"
             );
@@ -1270,7 +1263,6 @@ mod tests {
             let ct = db.schema().scheme_id("CT").unwrap();
             let chr = db.schema().scheme_id("CHR").unwrap();
             let expected = snap.relation(ct).natural_join(snap.relation(chr));
-            assert!(db.join_raw(&[ct, chr]).unwrap().set_eq(&expected));
             let mut got = rows.into_string_rows();
             got.sort();
             let mut rendered: Vec<Vec<String>> = expected
@@ -1295,8 +1287,8 @@ mod tests {
     }
 
     /// The self-join contract: a repeated relation is read once, so the
-    /// join equals that relation (at the string and typed levels), and a
-    /// repeat inside a larger join changes nothing.
+    /// join equals that relation, and a repeat inside a larger join
+    /// changes nothing.
     #[test]
     fn self_join_reads_one_cut() {
         for kind in all_kinds() {
@@ -1322,12 +1314,6 @@ mod tests {
             a.sort();
             b.sort();
             assert_eq!(a, b, "{label}");
-
-            let ct = db.schema().scheme_id("CT").unwrap();
-            assert!(db
-                .join_raw(&[ct, ct])
-                .unwrap()
-                .set_eq(&db.read("CT").unwrap()));
         }
     }
 
@@ -1509,10 +1495,10 @@ mod tests {
         let ct = db.schema().scheme_id("CT").unwrap();
         let course = db.schema().definition().universe().attr("course").unwrap();
         let v = db.intern("CS402").unwrap();
-        let tuples = db
-            .query_raw(ct, &ids_relational::Predicate::new().and_eq(course, v))
-            .unwrap();
-        assert_eq!(tuples.len(), 1);
+        let pin = Predicate::new().and_eq(course, v);
+        let tuples = db.query_raw(ct, &ReadPlan::tuples(pin.clone())).unwrap();
+        assert_eq!(tuples.rows.len(), 1);
+        assert_eq!(db.query_raw(ct, &ReadPlan::count(pin)).unwrap().count, 1);
         assert_eq!(
             db.query("CT")
                 .filter("course", crate::eq("CS402"))

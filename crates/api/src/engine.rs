@@ -1,13 +1,13 @@
 //! The unified [`Engine`] trait and the [`EngineKind`] selector.
+//!
+//! An engine is three things: apply a batch of writes, answer a
+//! [`ReadPlan`] against one relation, take a snapshot.  Single-tuple
+//! `insert`/`remove` are one-op batches; every per-relation read —
+//! whole relation, filtered, distinct join keys, count — is one
+//! [`Engine::read`] with the shape the caller chose.
 
-use std::collections::HashSet;
-
-use ids_core::{
-    ChaseMaintainer, FdOnlyMaintainer, InsertOutcome, LocalMaintainer, Maintainer, MaintenanceError,
-};
-use ids_relational::{
-    AttrId, DatabaseState, Predicate, Projection, Relation, SchemeId, Tuple, Value,
-};
+use ids_core::{ChaseMaintainer, FdOnlyMaintainer, InsertOutcome, LocalMaintainer, Maintainer};
+use ids_relational::{DatabaseState, ReadPlan, ReadReply, SchemeId, Value};
 use ids_store::{OpOutcome, Store, StoreConfig, StoreOp};
 
 use crate::error::Error;
@@ -36,20 +36,21 @@ pub enum EngineKind {
     Sharded(StoreConfig),
 }
 
-/// The one interface every maintenance engine speaks — uniformly
-/// fallible, so no engine swallows errors another surfaces:
+/// The one interface every maintenance engine speaks — three required
+/// methods, uniformly fallible, so no engine swallows errors another
+/// surfaces:
 ///
-/// * [`insert`](Engine::insert) / [`remove`](Engine::remove) — single
-///   tuple modifications; FD violations are *outcomes*
+/// * [`apply_batch`](Engine::apply_batch) — the write path; the whole
+///   batch is validated before anything is applied, so a malformed batch
+///   mutates nothing.  FD violations are *outcomes*
 ///   ([`InsertOutcome::Rejected`]), malformed operations are errors.
-/// * [`apply_batch`](Engine::apply_batch) — many operations at once; the
-///   whole batch is validated before anything is applied, so a malformed
-///   batch mutates nothing.  The sharded engine additionally pipelines
-///   the batch across its workers.
-/// * [`read`](Engine::read) — one relation, **without** a global
-///   barrier.  Freshness per relation, no cross-relation cut.
-/// * [`query`](Engine::query) — a filtered read with the same model:
-///   the predicate travels down, only matching tuples travel back.
+///   The sharded engine additionally pipelines the batch across its
+///   workers.  [`insert`](Engine::insert) / [`remove`](Engine::remove)
+///   are provided one-op batches.
+/// * [`read`](Engine::read) — the read path: one relation, **without** a
+///   global barrier (freshness per relation, no cross-relation cut).
+///   The [`ReadPlan`]'s predicate travels down to whatever owns the
+///   tuples; only its shape of the matches travels back.
 /// * [`snapshot`](Engine::snapshot) — the whole state as one consistent
 ///   (and, on an independent schema, globally satisfying) cut.
 ///
@@ -57,13 +58,6 @@ pub enum EngineKind {
 /// [`FdOnlyMaintainer`] and [`Store`]; custom engines can implement it
 /// and plug into [`crate::Database::with_engine`].
 pub trait Engine: Send {
-    /// Attempts to insert `tuple` (canonical scheme order) into `id`.
-    fn insert(&mut self, id: SchemeId, tuple: Vec<Value>) -> Result<InsertOutcome, Error>;
-
-    /// Removes a tuple; `Ok(true)` when it was present.  Always
-    /// satisfaction-preserving under weak-instance semantics.
-    fn remove(&mut self, id: SchemeId, tuple: &[Value]) -> Result<bool, Error>;
-
     /// Applies a batch, outcomes aligned with the input.  Scheme ids and
     /// arities are validated up front, so a *malformed* batch mutates
     /// nothing on any engine.  An engine-level error mid-batch (e.g. the
@@ -72,108 +66,62 @@ pub trait Engine: Send {
     /// remain applied — batches are not transactions.
     fn apply_batch(&mut self, ops: Vec<StoreOp>) -> Result<Vec<OpOutcome>, Error>;
 
-    /// Reads one relation without a global barrier.
-    fn read(&self, id: SchemeId) -> Result<Relation, Error>;
-
-    /// Evaluates an equality predicate against one relation, returning
-    /// only the matching tuples — the pushed-down filtered read, same
-    /// barrier-free consistency model as [`Engine::read`].
-    ///
-    /// The default implementation is the honest fallback — read the whole
-    /// relation, filter client-side — so custom engines work unchanged.
-    /// The built-in engines all override it: the sequential engines
-    /// filter their owned state without the intermediate whole-relation
-    /// clone (the local engine answering key point lookups in O(1) from
-    /// its enforcement indexes), and the sharded store pushes the
-    /// predicate to the owning shard so only matching tuples cross the
-    /// channel.
-    fn query(&self, id: SchemeId, predicate: &Predicate) -> Result<Vec<Tuple>, Error> {
-        let rel = self.read(id)?;
-        predicate.validate_against(rel.attrs())?;
-        Ok(rel.filter_tuples(predicate))
-    }
-
-    /// The *distinct* projection of the matching tuples onto `columns`
-    /// (select-list order), first occurrence first — the semijoin-reducer
-    /// primitive of the join planner: a relation ships only its distinct
-    /// join-key rows, never whole tuples, so a neighbor can be narrowed
-    /// with an `In` set before anything larger crosses a channel.
-    ///
-    /// The default reads the whole relation and projects client-side;
-    /// the sharded store overrides it so the projection and dedup happen
-    /// on the owning shard and only the distinct rows come back.
-    fn distinct(
-        &self,
-        id: SchemeId,
-        predicate: &Predicate,
-        columns: &[AttrId],
-    ) -> Result<Vec<Vec<Value>>, Error> {
-        let rel = self.read(id)?;
-        predicate.validate_against(rel.attrs())?;
-        let projection = Projection::Columns(columns.to_vec());
-        projection.validate_against(rel.attrs())?;
-        let mut seen = HashSet::new();
-        let mut out = Vec::new();
-        for t in rel.iter() {
-            if !predicate.matches(rel.attrs(), t) {
-                continue;
-            }
-            let row = projection.apply(rel.attrs(), t);
-            if seen.insert(row.clone()) {
-                out.push(row);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Number of tuples matching a predicate — the filtered counterpart
-    /// of [`Engine::count`].  The default ships the matches and counts
-    /// client-side; the sharded store overrides it so only the count
-    /// crosses the channel.
-    fn count_where(&self, id: SchemeId, predicate: &Predicate) -> Result<usize, Error> {
-        Ok(self.query(id, predicate)?.len())
-    }
-
-    /// Number of tuples in one relation — the barrier-free cardinality
-    /// probe; no engine ships tuples to answer it.
-    fn count(&self, id: SchemeId) -> Result<usize, Error>;
+    /// Answers a [`ReadPlan`] against relation `id` without a global
+    /// barrier.  The id and the plan are checked once, at this boundary:
+    /// a foreign id is [`Error::UnknownScheme`], a predicate attribute or
+    /// projection column outside the scheme is
+    /// [`ids_relational::RelationalError::SchemaMismatch`] under
+    /// [`Error::Relational`] — on every engine.  The reply must equal
+    /// [`ids_relational::Relation::read`] on the relation's current
+    /// contents; engines differ only in how little work that takes (the
+    /// local engine and the store answer key point lookups in O(1) from
+    /// their enforcement indexes, and the store ships only the shaped
+    /// reply across its channel).
+    fn read(&self, id: SchemeId, plan: &ReadPlan) -> Result<ReadReply, Error>;
 
     /// The whole state as one consistent cut.
     fn snapshot(&self) -> Result<DatabaseState, Error>;
-}
 
-/// Validates a batch against an engine's schema via the shared
-/// [`ids_core::validate_op`] contract, so the sequential engines reject
-/// a malformed batch exactly like the store's router: before any op is
-/// applied.
-fn validate_batch(schema: &ids_relational::DatabaseSchema, ops: &[StoreOp]) -> Result<(), Error> {
-    for op in ops {
-        let (StoreOp::Insert { scheme, tuple } | StoreOp::Remove { scheme, tuple }) = op;
-        ids_core::validate_op(schema, *scheme, tuple)?;
+    /// Attempts to insert `tuple` (canonical scheme order) into `id` — a
+    /// one-op [`Engine::apply_batch`].
+    fn insert(&mut self, id: SchemeId, tuple: Vec<Value>) -> Result<InsertOutcome, Error> {
+        match self
+            .apply_batch(vec![StoreOp::Insert { scheme: id, tuple }])?
+            .pop()
+        {
+            Some(OpOutcome::Insert(outcome)) => Ok(outcome),
+            other => unreachable!("apply_batch answered one insert with {other:?}"),
+        }
     }
-    Ok(())
+
+    /// Removes a tuple; `Ok(true)` when it was present.  Always
+    /// satisfaction-preserving under weak-instance semantics — a one-op
+    /// [`Engine::apply_batch`].
+    fn remove(&mut self, id: SchemeId, tuple: &[Value]) -> Result<bool, Error> {
+        let tuple = tuple.to_vec();
+        match self
+            .apply_batch(vec![StoreOp::Remove { scheme: id, tuple }])?
+            .pop()
+        {
+            Some(OpOutcome::Remove(present)) => Ok(present),
+            other => unreachable!("apply_batch answered one remove with {other:?}"),
+        }
+    }
 }
 
-/// Implements [`Engine`] for a sequential [`Maintainer`]: per-op calls
-/// delegate, batches validate-then-loop, reads clone one relation from
+/// Implements [`Engine`] for a sequential [`Maintainer`]: batches
+/// validate (via the shared [`ids_core::validate_op`] contract, so a
+/// malformed batch is rejected exactly like the store's router does:
+/// before any op is applied) then loop; reads and snapshots come from
 /// the owned state (trivially barrier-free — there is only one thread).
 macro_rules! impl_engine_for_maintainer {
     ($($engine:ty),+ $(,)?) => {$(
         impl Engine for $engine {
-            fn insert(
-                &mut self,
-                id: SchemeId,
-                tuple: Vec<Value>,
-            ) -> Result<InsertOutcome, Error> {
-                Maintainer::insert(self, id, tuple).map_err(Into::into)
-            }
-
-            fn remove(&mut self, id: SchemeId, tuple: &[Value]) -> Result<bool, Error> {
-                Maintainer::remove(self, id, tuple).map_err(Into::into)
-            }
-
             fn apply_batch(&mut self, ops: Vec<StoreOp>) -> Result<Vec<OpOutcome>, Error> {
-                validate_batch(self.schema(), &ops)?;
+                for op in &ops {
+                    let (StoreOp::Insert { scheme, tuple } | StoreOp::Remove { scheme, tuple }) = op;
+                    ids_core::validate_op(self.schema(), *scheme, tuple)?;
+                }
                 ops.into_iter()
                     .map(|op| match op {
                         StoreOp::Insert { scheme, tuple } => Maintainer::insert(self, scheme, tuple)
@@ -188,25 +136,8 @@ macro_rules! impl_engine_for_maintainer {
                     .collect()
             }
 
-            fn read(&self, id: SchemeId) -> Result<Relation, Error> {
-                self.state()
-                    .get_relation(id)
-                    .cloned()
-                    .ok_or_else(|| MaintenanceError::UnknownScheme(id).into())
-            }
-
-            fn query(&self, id: SchemeId, predicate: &Predicate) -> Result<Vec<Tuple>, Error> {
-                // The engines' inherent query filters the owned state in
-                // place — no whole-relation clone, and the local engine
-                // answers key point lookups from its hash indexes.
-                <$engine>::query(self, id, predicate).map_err(Into::into)
-            }
-
-            fn count(&self, id: SchemeId) -> Result<usize, Error> {
-                self.state()
-                    .get_relation(id)
-                    .map(Relation::len)
-                    .ok_or_else(|| MaintenanceError::UnknownScheme(id).into())
+            fn read(&self, id: SchemeId, plan: &ReadPlan) -> Result<ReadReply, Error> {
+                Maintainer::read(self, id, plan).map_err(Into::into)
             }
 
             fn snapshot(&self) -> Result<DatabaseState, Error> {
@@ -219,45 +150,12 @@ macro_rules! impl_engine_for_maintainer {
 impl_engine_for_maintainer!(LocalMaintainer, ChaseMaintainer, FdOnlyMaintainer);
 
 impl Engine for Store {
-    fn insert(&mut self, id: SchemeId, tuple: Vec<Value>) -> Result<InsertOutcome, Error> {
-        Store::insert(self, id, tuple).map_err(Into::into)
-    }
-
-    fn remove(&mut self, id: SchemeId, tuple: &[Value]) -> Result<bool, Error> {
-        Store::remove(self, id, tuple.to_vec()).map_err(Into::into)
-    }
-
     fn apply_batch(&mut self, ops: Vec<StoreOp>) -> Result<Vec<OpOutcome>, Error> {
         Store::apply_batch(self, ops).map_err(Into::into)
     }
 
-    fn read(&self, id: SchemeId) -> Result<Relation, Error> {
-        Store::read(self, id).map_err(Into::into)
-    }
-
-    fn query(&self, id: SchemeId, predicate: &Predicate) -> Result<Vec<Tuple>, Error> {
-        // True pushdown: only the owning shard evaluates, only matching
-        // tuples come back over the channel.
-        Store::query(self, id, predicate).map_err(Into::into)
-    }
-
-    fn distinct(
-        &self,
-        id: SchemeId,
-        predicate: &Predicate,
-        columns: &[AttrId],
-    ) -> Result<Vec<Vec<Value>>, Error> {
-        // The owning shard projects and dedups; only distinct join-key
-        // rows cross the channel.
-        Store::distinct(self, id, predicate, columns).map_err(Into::into)
-    }
-
-    fn count_where(&self, id: SchemeId, predicate: &Predicate) -> Result<usize, Error> {
-        Store::count_where(self, id, predicate).map_err(Into::into)
-    }
-
-    fn count(&self, id: SchemeId) -> Result<usize, Error> {
-        Store::count(self, id).map_err(Into::into)
+    fn read(&self, id: SchemeId, plan: &ReadPlan) -> Result<ReadReply, Error> {
+        Store::read(self, id, plan).map_err(Into::into)
     }
 
     fn snapshot(&self) -> Result<DatabaseState, Error> {
@@ -271,7 +169,7 @@ mod tests {
     use ids_chase::ChaseConfig;
     use ids_core::analyze;
     use ids_deps::FdSet;
-    use ids_relational::{DatabaseSchema, Universe};
+    use ids_relational::{DatabaseSchema, Predicate, RelationalError, Universe};
 
     fn v(n: u64) -> Value {
         Value::int(n)
@@ -352,41 +250,67 @@ mod tests {
                 "{name}"
             );
             assert_eq!(outcomes[2], OpOutcome::Remove(true), "{name}");
-            // The query path agrees with read on current contents:
-            // C is CT's key, so the pin takes each engine's fast path.
+            // One read entry, every shape; C is CT's key, so the pin
+            // takes each engine's fast path.
             let u = schema.universe();
-            let c = u.attr("C").unwrap();
-            let hit = engine.query(ct, &Predicate::new().and_eq(c, v(1))).unwrap();
-            assert_eq!(hit.len(), 1, "{name}");
-            assert_eq!(&*hit[0], &[v(1), v(10)], "{name}");
+            let (c, s) = (u.attr("C").unwrap(), u.attr("S").unwrap());
+            let pin = |n| Predicate::new().and_eq(c, v(n));
+            let hit = engine.read(ct, &ReadPlan::tuples(pin(1))).unwrap();
+            assert_eq!(hit.count, 1, "{name}");
+            assert_eq!(&*hit.rows[0], &[v(1), v(10)], "{name}");
+            for plan in [
+                ReadPlan::tuples(pin(9)),
+                ReadPlan::distinct_columns(pin(9), vec![c]),
+                ReadPlan::count(pin(9)),
+            ] {
+                assert_eq!(
+                    engine.read(ct, &plan).unwrap(),
+                    ReadReply::default(),
+                    "{name}"
+                );
+            }
+            let counted = engine.read(ct, &ReadPlan::count(Predicate::new())).unwrap();
+            assert_eq!((counted.rows.len(), counted.count), (0, 1), "{name}");
+            let keys = engine
+                .read(ct, &ReadPlan::distinct_columns(Predicate::new(), vec![c]))
+                .unwrap();
+            assert_eq!(keys.rows, vec![vec![v(1)].into_boxed_slice()], "{name}");
+            // One mistake, one typed error, whichever engine is asked: a
+            // bogus id, a foreign predicate attribute, a foreign
+            // projection column.
+            let bogus = SchemeId(99);
             assert!(
-                engine
-                    .query(ct, &Predicate::new().and_eq(c, v(9)))
-                    .unwrap()
-                    .is_empty(),
-                "{name}"
-            );
-            // The reducer primitives agree with the query path.
-            assert_eq!(
-                engine.count_where(ct, &Predicate::new()).unwrap(),
-                1,
-                "{name}"
-            );
-            assert_eq!(
-                engine.distinct(ct, &Predicate::new(), &[c]).unwrap(),
-                vec![vec![v(1)]],
+                matches!(
+                    engine.read(bogus, &ReadPlan::count(Predicate::new())),
+                    Err(Error::UnknownScheme(id)) if id == bogus
+                ),
                 "{name}"
             );
             assert!(
-                engine
-                    .distinct(ct, &Predicate::new().and_eq(c, v(9)), &[c])
-                    .unwrap()
-                    .is_empty(),
+                matches!(
+                    engine.insert(bogus, vec![v(1)]),
+                    Err(Error::UnknownScheme(id)) if id == bogus
+                ),
                 "{name}"
             );
+            for plan in [
+                ReadPlan::tuples(Predicate::new().and_eq(s, v(0))),
+                ReadPlan::distinct_columns(Predicate::new(), vec![c, s]),
+            ] {
+                assert!(
+                    matches!(
+                        engine.read(ct, &plan),
+                        Err(Error::Relational(RelationalError::SchemaMismatch(_)))
+                    ),
+                    "{name}: {plan:?}"
+                );
+            }
             assert!(engine.remove(ct, &[v(1), v(10)]).unwrap(), "{name}");
             // Both read paths agree on the final (empty) state.
-            assert_eq!(engine.read(ct).unwrap().len(), 0, "{name}");
+            let all = engine
+                .read(ct, &ReadPlan::tuples(Predicate::new()))
+                .unwrap();
+            assert_eq!(all, ReadReply::default(), "{name}");
             assert_eq!(engine.snapshot().unwrap().total_tuples(), 0, "{name}");
         }
     }

@@ -3,7 +3,7 @@
 use ids_chase::ChaseError;
 use ids_core::{MaintenanceError, NotIndependentReason, Witness};
 use ids_evolve::EvolveError;
-use ids_relational::RelationalError;
+use ids_relational::{RelationalError, SchemeId};
 use ids_store::StoreError;
 use ids_wal::WalError;
 
@@ -43,6 +43,9 @@ pub enum Error {
     },
     /// A relation name that is not part of the schema.
     UnknownRelation(String),
+    /// A typed-level operation named a [`SchemeId`] outside the schema —
+    /// one variant, whichever engine surfaced it.
+    UnknownScheme(SchemeId),
     /// A column name that is not part of the named relation — surfaced by
     /// the query builder before anything is pushed to an engine.
     UnknownColumn {
@@ -121,6 +124,7 @@ impl std::fmt::Display for Error {
                 "schema is not independent (refused, with counterexample): {reason:?}"
             ),
             Error::UnknownRelation(name) => write!(f, "unknown relation `{name}`"),
+            Error::UnknownScheme(id) => write!(f, "operation references unknown scheme {id:?}"),
             Error::UnknownColumn { relation, column } => {
                 write!(f, "relation `{relation}` has no column `{column}`")
             }
@@ -182,6 +186,7 @@ impl From<MaintenanceError> for Error {
             // Substrate errors are normalized to the one canonical
             // variant, whichever layer surfaced them.
             MaintenanceError::Relational(e) => Error::Relational(e),
+            MaintenanceError::UnknownScheme(id) => Error::UnknownScheme(id),
             MaintenanceError::Chase(e) => Error::Chase(e),
             other => Error::Maintenance(other),
         }
@@ -195,6 +200,7 @@ impl From<StoreError> for Error {
                 Error::NotIndependent { reason, witness }
             }
             StoreError::Relational(e) => Error::Relational(e),
+            StoreError::UnknownScheme(id) => Error::UnknownScheme(id),
             // Durability failures normalize to the one canonical
             // variant no matter which layer surfaced them.
             StoreError::Wal(e) => Error::Wal(e),

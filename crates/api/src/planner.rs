@@ -10,11 +10,11 @@
 //!    relation — one with a user filter, or with reducers already
 //!    received from its own children — ships the **distinct projection**
 //!    of its matching tuples onto the attributes it shares with its
-//!    parent.  Join keys, not tuples ([`Engine::distinct`]); the keys
+//!    parent.  Join keys, not tuples ([`ReadShape::Distinct`]); the keys
 //!    narrow the parent as per-column `In` guards.  Unconstrained
 //!    relations ship nothing in this pass.
-//! 2. **Top-down** (root first): each relation is fetched through
-//!    [`Engine::query`], children narrowed by `In` reducers computed
+//! 2. **Top-down** (root first): each relation is fetched
+//!    ([`ReadShape::Tuples`]), children narrowed by `In` reducers computed
 //!    from their parent's already-fetched tuples.  The fetched relations
 //!    are assembled client-side by folding each child into its parent in
 //!    elimination order — the standard join-tree evaluation.
@@ -40,11 +40,23 @@
 //! natural join of the fetch cuts.
 
 use ids_acyclic::join_tree;
-use ids_relational::{join_all, AttrId, AttrSet, Predicate, Relation, SchemeId, Value};
+use ids_relational::{
+    join_all, AttrId, AttrSet, Predicate, ReadPlan, ReadShape, Relation, SchemeId, Tuple, Value,
+};
 
 use crate::engine::Engine;
 use crate::error::Error;
 use crate::query::JoinReport;
+
+/// Rebuilds a [`Relation`] over `attrs` from the rows a
+/// [`ReadShape::Tuples`] read shipped.
+pub(crate) fn relation_of(attrs: AttrSet, tuples: Vec<Tuple>) -> Result<Relation, Error> {
+    let mut rel = Relation::new(attrs);
+    for t in tuples {
+        rel.insert(t.into_vec())?;
+    }
+    Ok(rel)
+}
 
 /// Executes a join over the **distinct** relations `ids` (attribute sets
 /// in `attrs`, pushed-down per-relation predicates in `filters`; all
@@ -63,25 +75,24 @@ pub(crate) fn execute_join(
     if ids.is_empty() {
         return Err(Error::EmptyJoin);
     }
-    let fetch = |pred: &Predicate, i: usize, report: &mut JoinReport| -> Result<Relation, Error> {
-        let tuples = engine.query(ids[i], pred)?;
+    // One plan per relation: its predicate only ever narrows, its shape
+    // flips from join keys (pass 1) to tuples (the fetch).
+    let mut plans: Vec<ReadPlan> = filters.iter().cloned().map(ReadPlan::tuples).collect();
+    let fetch = |plan: &ReadPlan, i: usize, report: &mut JoinReport| -> Result<Relation, Error> {
+        let tuples = engine.read(ids[i], plan)?.rows;
         report.tuples_shipped += tuples.len();
-        let mut rel = Relation::new(attrs[i]);
-        for t in tuples {
-            rel.insert(t.to_vec())?;
-        }
-        Ok(rel)
+        relation_of(attrs[i], tuples)
     };
     if ids.len() == 1 {
         // A single relation needs no plan: one filtered read is the join.
-        let rel = fetch(&filters[0], 0, &mut report)?;
+        let rel = fetch(&plans[0], 0, &mut report)?;
         return Ok((rel, report));
     }
     let Some(tree) = join_tree(attrs) else {
         // Cyclic: the naive fold over one filtered read per relation.
         let mut rels = Vec::with_capacity(ids.len());
-        for (i, pred) in filters.iter().enumerate() {
-            rels.push(fetch(pred, i, &mut report)?);
+        for (i, plan) in plans.iter().enumerate() {
+            rels.push(fetch(plan, i, &mut report)?);
         }
         let joined = join_all(rels.iter()).expect("non-empty relation list");
         return Ok((joined, report));
@@ -90,8 +101,7 @@ pub(crate) fn execute_join(
 
     // Pass 1, bottom-up: constrained relations ship distinct join keys
     // into their parents.
-    let mut preds: Vec<Predicate> = filters.to_vec();
-    let mut constrained: Vec<bool> = preds.iter().map(|p| !p.is_true()).collect();
+    let mut constrained: Vec<bool> = plans.iter().map(|p| !p.predicate.is_true()).collect();
     for &i in &tree.elimination_order {
         let Some(p) = tree.parent[i] else { continue };
         if !constrained[i] {
@@ -101,11 +111,12 @@ pub(crate) fn execute_join(
         if shared.is_empty() {
             continue;
         }
-        let keys = engine.distinct(ids[i], &preds[i], &shared)?;
+        plans[i].shape = ReadShape::Distinct(shared.clone());
+        let keys = engine.read(ids[i], &plans[i])?.rows;
         report.keys_shipped += keys.len();
         for (k, &attr) in shared.iter().enumerate() {
             let vals: Vec<Value> = keys.iter().map(|row| row[k]).collect();
-            preds[p] = std::mem::take(&mut preds[p]).and_in(attr, vals);
+            plans[p].predicate = std::mem::take(&mut plans[p].predicate).and_in(attr, vals);
         }
         constrained[p] = true;
     }
@@ -122,10 +133,11 @@ pub(crate) fn execute_join(
                 vals.sort_unstable();
                 vals.dedup();
                 report.keys_shipped += vals.len();
-                preds[i] = std::mem::take(&mut preds[i]).and_in(attr, vals);
+                plans[i].predicate = std::mem::take(&mut plans[i].predicate).and_in(attr, vals);
             }
         }
-        fetched[i] = Some(fetch(&preds[i], i, &mut report)?);
+        plans[i].shape = ReadShape::Tuples;
+        fetched[i] = Some(fetch(&plans[i], i, &mut report)?);
     }
 
     // Assemble: fold each child into its parent in elimination order;
@@ -195,8 +207,7 @@ mod tests {
         let empty = vec![Predicate::new(); 3];
         let (planned, report) = execute_join(engine, &ids, &attrs, &empty).unwrap();
         assert!(report.planned);
-        let rels: Vec<Relation> = ids.iter().map(|&id| engine.read(id).unwrap()).collect();
-        let naive = join_all(rels.iter()).unwrap();
+        let naive = join_all(ids.iter().map(|&id| m.state().relation(id))).unwrap();
         assert!(planned.set_eq(&naive));
         assert_eq!(planned.len(), 2);
 

@@ -25,7 +25,7 @@
 use std::sync::{Arc, Mutex, RwLock};
 
 use ids_core::InsertOutcome;
-use ids_relational::{DatabaseState, ValuePool};
+use ids_relational::{DatabaseState, Predicate, ReadPlan, ValuePool};
 use ids_store::Store;
 use ids_wal::NameLog;
 
@@ -245,7 +245,7 @@ impl SharedDatabase {
         let schema = self.schema();
         let plan = plan_query(&schema, &self.names().pool, relation, filters, select)?;
         let tuples = if plan.satisfiable {
-            self.store.query(plan.id, &plan.predicate)?
+            self.store.read(plan.id, &plan.read)?.rows
         } else {
             Vec::new()
         };
@@ -286,7 +286,8 @@ impl SharedDatabase {
     /// no tuples shipped).
     pub fn count(&self, relation: &str) -> Result<usize, Error> {
         let id = self.schema().scheme_id(relation)?;
-        self.store.count(id).map_err(Into::into)
+        let all = ReadPlan::count(Predicate::new());
+        Ok(self.store.read(id, &all)?.count)
     }
 
     /// A consistent cut of the whole database — the barrier read; see

@@ -157,6 +157,33 @@ fn double_checkpoint_and_clean_shutdown_recovery_are_noops() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A refused row leaves the durable name log untouched: arity is checked
+/// before the first name is interned (and fsync'd) — reachable by any
+/// wire client through `SharedDatabase::insert`.
+#[test]
+fn refused_rows_append_nothing_to_the_name_log() {
+    let root = tmp_dir("refused-row");
+    let shared = Database::open_at(&root, example2(), DurableConfig::default())
+        .unwrap()
+        .into_shared()
+        .unwrap();
+    shared.insert("CT", ["CS402", "Jones"]).unwrap();
+    let log = shared.store().pool_log_path().unwrap();
+    let before = std::fs::metadata(&log).unwrap().len();
+    assert!(before > 0, "the accepted row's names were logged");
+    for row in [&["too-short"][..], &["too", "long", "row"][..]] {
+        assert!(matches!(
+            shared.insert("CT", row),
+            Err(ids_api::Error::Relational(
+                ids_relational::RelationalError::ArityMismatch { expected: 2, .. }
+            ))
+        ));
+    }
+    assert_eq!(std::fs::metadata(&log).unwrap().len(), before);
+    drop(shared);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// `checkpoint()` on an in-memory engine is a typed error, and
 /// durable databases default to the sharded engine with a reachable
 /// store handle.

@@ -7,12 +7,15 @@
 //! the semantics they claim: *filtering/projecting a consistent
 //! snapshot*.  So: replay random interleaved traces through the
 //! string-level `Database` on **every** `EngineKind` (including the
-//! sharded store at 1/2/default shards) **and** through a
-//! durable-recovered store, then demand
+//! sharded store at 1/2/default shards), through a durable-recovered
+//! store **and** through a file-tail replica, then demand
 //!
 //! * `query(pred, proj)` ≡ filtering + projecting the relation of a full
-//!   `snapshot()`, compared through the rendered-string surface, and
-//! * `join(relations)` ≡ the natural join of the snapshot's relations.
+//!   `snapshot()`, compared through the rendered-string surface,
+//! * `join(relations)` ≡ the natural join of the snapshot's relations, and
+//! * at the typed level, the one read entry under a generated guard and
+//!   [`ids_relational::ReadShape`] ≡ `Relation::read` on the snapshot —
+//!   also on a replica following the durable store.
 //!
 //! The comparison oracle re-implements filter/select at the string level
 //! with none of the pushed-down machinery, so an index bug, a stale
@@ -22,7 +25,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ids_api::{eq, Database, EngineKind, Schema};
-use ids_relational::{DatabaseState, SchemeId};
+use ids_relational::{AttrId, DatabaseState, Predicate, ReadPlan, SchemeId, Value};
+use ids_replica::Replica;
 use ids_store::{DurableConfig, StoreConfig};
 use ids_workloads::families::{key_chain, key_star, FamilyInstance};
 use ids_workloads::traces::{interleaved_trace, TraceKind, TraceOp, TraceParams};
@@ -47,6 +51,12 @@ fn schema_via_builder(inst: &FamilyInstance) -> Schema {
     for fd in inst.fds.iter() {
         b = b.fd(format!("{} -> {}", names(fd.lhs), names(fd.rhs)));
     }
+    // One ordered index, on the first relation's last column: the typed
+    // differential's guards then meet a hash-indexed key column, an
+    // ordered-indexed column and plain unindexed ones.
+    let (_, first) = inst.schema.iter().next().expect("families are non-empty");
+    let last = first.attrs.iter().last().expect("schemes are non-empty");
+    b = b.index(&first.name, u.name(last));
     b.build().expect("family certified independent")
 }
 
@@ -87,10 +97,27 @@ fn oracle_rows(
     out
 }
 
-/// Every engine kind under test, including the durable store marker.
+/// Every engine kind under test, including the durable store and the
+/// replica markers.
 enum Kind {
     Mem(EngineKind),
     Durable,
+    Replica,
+}
+
+/// A built database: owned, or lent by the replica that follows it.
+enum Built {
+    Own(Box<Database>),
+    Follower(Box<Replica>),
+}
+
+impl Built {
+    fn db(&self) -> &Database {
+        match self {
+            Built::Own(db) => db,
+            Built::Follower(replica) => replica.database(),
+        }
+    }
 }
 
 fn kinds() -> Vec<(String, Kind)> {
@@ -119,6 +146,7 @@ fn kinds() -> Vec<(String, Kind)> {
             Kind::Mem(EngineKind::Sharded(StoreConfig::default())),
         ),
         ("Durable-recovered".into(), Kind::Durable),
+        ("Replica".into(), Kind::Replica),
     ]
 }
 
@@ -135,46 +163,60 @@ fn scratch_dir() -> std::path::PathBuf {
 
 /// Builds the database for one kind, replaying `trace` into it.  The
 /// durable case writes a WAL, drops the handle (clean shutdown), and
-/// recovers from the directory alone — the recovered store must answer
-/// queries exactly like every in-memory engine.
+/// recovers from the directory alone; the replica case bootstraps a
+/// file-tail follower from half the trace and tails the rest — both must
+/// answer queries exactly like every in-memory engine.
 fn build_db(
     inst: &FamilyInstance,
     trace: &[TraceOp],
     kind: Kind,
-) -> (Database, Option<std::path::PathBuf>) {
+) -> (Built, Option<std::path::PathBuf>) {
+    let durable = |dir: &std::path::Path| {
+        let _ = std::fs::remove_dir_all(dir);
+        Database::open_at(dir, schema_via_builder(inst), DurableConfig::default()).unwrap()
+    };
     match kind {
         Kind::Mem(k) => {
             let mut db = Database::open(schema_via_builder(inst), k).unwrap();
             replay(inst, &mut db, trace);
-            (db, None)
+            (Built::Own(Box::new(db)), None)
         }
         Kind::Durable => {
             let dir = scratch_dir();
-            let _ = std::fs::remove_dir_all(&dir);
-            {
-                let mut db =
-                    Database::open_at(&dir, schema_via_builder(inst), DurableConfig::default())
-                        .unwrap();
-                replay(inst, &mut db, trace);
-            }
+            replay(inst, &mut durable(&dir), trace);
             let db = Database::recover(&dir).unwrap();
-            (db, Some(dir))
+            (Built::Own(Box::new(db)), Some(dir))
+        }
+        Kind::Replica => {
+            let dir = scratch_dir();
+            let mut primary = durable(&dir);
+            let (head, tail) = trace.split_at(trace.len() / 2);
+            replay(inst, &mut primary, head);
+            let mut replica = Box::new(Replica::open(&dir).unwrap());
+            replay(inst, &mut primary, tail);
+            let caught_up = replica.wait_caught_up(std::time::Duration::from_secs(10));
+            assert!(caught_up.unwrap(), "the follower never caught up");
+            (Built::Follower(replica), Some(dir))
         }
     }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    // Enough cases for the guard × shape grid to meet every engine kind.
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// query(pred, proj) ≡ filter/project of a snapshot, and
-    /// join ≡ the natural join of snapshot relations — on every engine
-    /// kind and on a durable-recovered store.
+    /// query(pred, proj) ≡ filter/project of a snapshot, join ≡ the
+    /// natural join of snapshot relations, and the typed read under a
+    /// generated guard and shape ≡ `Relation::read` on the snapshot — on
+    /// every engine kind, a durable-recovered store and a replica.
     #[test]
     fn query_and_join_match_the_snapshot_oracle(
         pick in 0usize..2,
         size in 0usize..3,
         seed in 0u64..1_000_000,
         probe in 0u64..6,
+        guard in 0usize..3,
+        shape in 0usize..3,
     ) {
         let inst = match pick {
             0 => key_chain(2 + size),
@@ -188,7 +230,8 @@ proptest! {
         let probe_s = probe.to_string();
 
         for (label, kind) in kinds() {
-            let (db, dir) = build_db(&inst, &trace, kind);
+            let (built, dir) = build_db(&inst, &trace, kind);
+            let db = built.db();
             let snapshot = db.snapshot().unwrap();
 
             for (id, scheme) in inst.schema.iter() {
@@ -203,7 +246,7 @@ proptest! {
                 got.sort();
                 prop_assert_eq!(
                     &got,
-                    &oracle_rows(&db, &snapshot, id, &[], &all),
+                    &oracle_rows(db, &snapshot, id, &[], &all),
                     "unfiltered query diverges on {} / {} (seed {})", label, name, seed
                 );
 
@@ -216,7 +259,7 @@ proptest! {
                 got.sort();
                 prop_assert_eq!(
                     &got,
-                    &oracle_rows(&db, &snapshot, id, &[(0, &probe_s)], &all),
+                    &oracle_rows(db, &snapshot, id, &[(0, &probe_s)], &all),
                     "filtered query diverges on {} / {} (seed {})", label, name, seed
                 );
                 let mut got = db.query(name)
@@ -236,12 +279,50 @@ proptest! {
                 got.sort();
                 prop_assert_eq!(
                     &got,
-                    &oracle_rows(&db, &snapshot, id, &[(width - 1, &probe_s)], &rev),
+                    &oracle_rows(db, &snapshot, id, &[(width - 1, &probe_s)], &rev),
                     "projected query diverges on {} / {} (seed {})", label, name, seed
                 );
             }
 
-            // (d) join ≡ natural join of the snapshot's relations — all
+            // (d) The typed level: one read entry, the generated guard
+            // (eq / In / range, by `Value` order) on the first column
+            // (hash-indexed key) and on the last (ordered-indexed on
+            // the first relation, unindexed elsewhere), in the generated
+            // shape.  Rows come back in insertion order and distinct
+            // keys first-occurrence first, exactly as the linear
+            // reference on the snapshot produces them.
+            for (id, scheme) in inst.schema.iter() {
+                let attrs: Vec<AttrId> = db.schema().definition().attrs(id).iter().collect();
+                let (first, last) = (attrs[0], attrs[attrs.len() - 1]);
+                // A never-interned probe becomes a value nothing stores.
+                let value = |n: u64| db.pool().get(&n.to_string()).unwrap_or(Value(u64::MAX));
+                let (v, w) = (value(probe), value(probe + 1));
+                for attr in [first, last] {
+                    let pred = match guard {
+                        0 => Predicate::new().and_eq(attr, v),
+                        1 => Predicate::new().and_in(attr, vec![v, w]),
+                        _ => Predicate::new().and_range(attr, v.min(w), v.max(w)),
+                    };
+                    let plan = match shape {
+                        0 => ReadPlan::tuples(pred.clone()),
+                        1 => ReadPlan::distinct_columns(pred.clone(), vec![last, first]),
+                        _ => ReadPlan::count(pred.clone()),
+                    };
+                    let got = db.query_raw(id, &plan).unwrap();
+                    prop_assert_eq!(
+                        &got,
+                        &snapshot.relation(id).read(&plan),
+                        "typed read diverges on {} / {} / {:?} (seed {})",
+                        label, scheme.name, plan, seed
+                    );
+                    // The shapes agree with each other, not only with
+                    // the oracle: every count is the tuples shape's length.
+                    let tuples = db.query_raw(id, &ReadPlan::tuples(pred)).unwrap();
+                    prop_assert_eq!(got.count, tuples.rows.len());
+                }
+            }
+
+            // (e) join ≡ natural join of the snapshot's relations — all
             // relations, and a two-relation prefix.
             let names: Vec<String> = inst.schema.iter().map(|(_, s)| s.name.clone()).collect();
             for take in [2.min(names.len()), names.len()] {
@@ -265,7 +346,7 @@ proptest! {
             }
 
             if let Some(dir) = dir {
-                drop(db);
+                drop(built);
                 let _ = std::fs::remove_dir_all(dir);
             }
         }

@@ -10,35 +10,35 @@ use ids_bench::queries::{build, probe_predicate, QueryBench};
 
 fn bench_queries(c: &mut Criterion) {
     // Criterion-sized workload: one mid-size configuration.
-    let QueryBench { store, lookups, .. } = build(8, 2_000, 64);
+    let bench = build(8, 2_000, 64);
+    let QueryBench { store, lookups, .. } = &bench;
     let mut g = c.benchmark_group("e10_queries");
     let mut next = {
         let mut i = 0usize;
         move || {
             let op = &lookups[i % lookups.len()];
             i += 1;
-            (op.scheme, probe_predicate(op))
+            (op, probe_predicate(op))
         }
     };
 
     g.bench_function("pushed_down_point_query", |b| {
         b.iter(|| {
-            let (scheme, pred) = next();
-            std::hint::black_box(store.query(scheme, &pred).unwrap());
+            let (op, pred) = next();
+            std::hint::black_box(store.query(op.scheme, &pred).unwrap());
         })
     });
     g.bench_function("read_plus_client_filter", |b| {
         b.iter(|| {
-            let (scheme, pred) = next();
-            let rel = store.read(scheme).unwrap();
-            std::hint::black_box(rel.filter_tuples(&pred));
+            let (op, pred) = next();
+            std::hint::black_box(bench.read_then_filter(op, &pred));
         })
     });
     g.bench_function("snapshot_plus_filter", |b| {
         b.iter(|| {
-            let (scheme, pred) = next();
+            let (op, pred) = next();
             let snap = store.snapshot().unwrap();
-            std::hint::black_box(snap.relation(scheme).filter_tuples(&pred));
+            std::hint::black_box(snap.relation(op.scheme).filter_tuples(&pred));
         })
     });
     g.finish();

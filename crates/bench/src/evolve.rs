@@ -140,7 +140,7 @@ fn run_phase(phase: &'static str, ops: u64, preload: u64, churn: Option<Duration
         std::thread::sleep(churn.unwrap_or_default());
     }
     // Leave the schema where it started: finish the cycle.
-    while churn.is_some() && alters % 4 != 0 {
+    while churn.is_some() && !alters.is_multiple_of(4) {
         generation = shared
             .alter(&churn_cycle(alters))
             .expect("cycle completion is accepted");

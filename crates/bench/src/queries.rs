@@ -21,7 +21,7 @@
 
 use std::time::{Duration, Instant};
 
-use ids_relational::{DatabaseSchema, DatabaseState, Predicate, Value};
+use ids_relational::{DatabaseSchema, DatabaseState, Predicate, Tuple, Value};
 use ids_store::{Store, StoreConfig};
 use ids_workloads::families::key_chain;
 use ids_workloads::states::{lookup_stream, LookupOp};
@@ -40,6 +40,18 @@ pub struct QueryBench {
 /// The equality predicate of one probe.
 pub fn probe_predicate(op: &LookupOp) -> Predicate {
     Predicate::new().and_eq(op.attr, op.value)
+}
+
+impl QueryBench {
+    /// The client-side path for one probe: ship the whole relation, then
+    /// filter here.  Returns the tuples shipped and the matches.
+    pub fn read_then_filter(&self, op: &LookupOp, pred: &Predicate) -> (usize, Vec<Tuple>) {
+        let whole = self.store.query(op.scheme, &Predicate::new()).unwrap();
+        let attrs = self.schema.attrs(op.scheme);
+        let shipped = whole.len();
+        let hits = whole.into_iter().filter(|t| pred.matches(attrs, t));
+        (shipped, hits.collect())
+    }
 }
 
 /// Builds a `key-chain(relations)` store at 4 shards with exactly
@@ -97,11 +109,8 @@ pub struct QueryRow {
 
 /// Measures one configuration.
 pub fn query_vs_read(relations: usize, per_relation: usize, probes: usize) -> QueryRow {
-    let QueryBench {
-        store,
-        schema,
-        lookups,
-    } = build(relations, per_relation, probes);
+    let bench = build(relations, per_relation, probes);
+    let QueryBench { store, lookups, .. } = &bench;
 
     // Pushed-down path: the shard evaluates, only matches come back.
     let mut pushed_times = Vec::with_capacity(lookups.len());
@@ -109,7 +118,7 @@ pub fn query_vs_read(relations: usize, per_relation: usize, probes: usize) -> Qu
     let _ = store
         .query(lookups[0].scheme, &probe_predicate(&lookups[0]))
         .unwrap(); // warmup
-    for op in &lookups {
+    for op in lookups {
         let pred = probe_predicate(op);
         let t = Instant::now();
         let hits = store.query(op.scheme, &pred).unwrap();
@@ -120,17 +129,16 @@ pub fn query_vs_read(relations: usize, per_relation: usize, probes: usize) -> Qu
     pushed_times.sort();
     let pushed = pushed_times[pushed_times.len() / 2];
 
-    // Client-side path: clone the whole relation, then filter.
+    // Client-side path: ship the whole relation, then filter.
     let mut read_times = Vec::with_capacity(lookups.len());
     let mut shipped_read = 0usize;
-    let _ = store.read(lookups[0].scheme).unwrap(); // warmup
-    for op in &lookups {
+    let _ = bench.read_then_filter(&lookups[0], &Predicate::new()); // warmup
+    for op in lookups {
         let pred = probe_predicate(op);
         let t = Instant::now();
-        let rel = store.read(op.scheme).unwrap();
-        let hits = rel.filter_tuples(&pred);
+        let (shipped, hits) = bench.read_then_filter(op, &pred);
         read_times.push(t.elapsed());
-        shipped_read += rel.len();
+        shipped_read += shipped;
         std::hint::black_box(hits);
     }
     read_times.sort();
@@ -150,7 +158,6 @@ pub fn query_vs_read(relations: usize, per_relation: usize, probes: usize) -> Qu
     snap_times.sort();
     let snapshot_filter = snap_times[snap_times.len() / 2];
 
-    let _ = schema;
     QueryRow {
         relations,
         per_relation,
@@ -191,12 +198,11 @@ mod tests {
     // pattern); here only the correctness property the timings rest on.
     #[test]
     fn pushed_down_results_match_the_client_side_filter() {
-        let QueryBench { store, lookups, .. } = build(4, 100, 32);
-        for op in &lookups {
+        let bench = build(4, 100, 32);
+        for op in &bench.lookups {
             let pred = probe_predicate(op);
-            let pushed = store.query(op.scheme, &pred).unwrap();
-            let client = store.read(op.scheme).unwrap().filter_tuples(&pred);
-            assert_eq!(pushed, client);
+            let pushed = bench.store.query(op.scheme, &pred).unwrap();
+            assert_eq!(pushed, bench.read_then_filter(op, &pred).1);
         }
     }
 }

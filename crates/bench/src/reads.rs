@@ -5,8 +5,8 @@
 //! `tests/smoke.rs`, so the reported numbers come from one code path.
 //!
 //! The claim under measurement is the API-design payoff of independence:
-//! a per-relation read consults **one** shard and clones **one**
-//! relation, so its latency is flat in the number of relations, while a
+//! a per-relation read consults **one** shard and ships **one**
+//! relation's tuples, so its latency is flat in the number of relations, while a
 //! snapshot pays a barrier across every shard plus a copy of the whole
 //! database.  On an independent schema the cheap read is still *sound*
 //! (the relation it returns is one some barrier snapshot also contains)
@@ -20,7 +20,7 @@
 
 use std::time::{Duration, Instant};
 
-use ids_relational::SchemeId;
+use ids_relational::{Predicate, ReadPlan, SchemeId};
 use ids_store::{Store, StoreConfig};
 use ids_workloads::families::key_chain;
 use ids_workloads::states::random_satisfying_state;
@@ -59,12 +59,13 @@ pub fn read_vs_snapshot(relations: usize, preloaded: usize, reps: usize) -> Read
     .expect("key-chain is independent");
 
     let n = inst.schema.len();
-    let _ = store.read(SchemeId(0)).unwrap(); // warmup
+    let whole = ReadPlan::tuples(Predicate::new());
+    let _ = store.read(SchemeId(0), &whole).unwrap(); // warmup
     let mut reads = Vec::with_capacity(reps);
     for i in 0..reps {
         let id = SchemeId::from_index(i % n);
         let t = Instant::now();
-        let rel = store.read(id).unwrap();
+        let rel = store.read(id, &whole).unwrap();
         reads.push(t.elapsed());
         std::hint::black_box(rel);
     }

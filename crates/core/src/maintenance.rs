@@ -16,7 +16,7 @@
 use ids_chase::{ChaseConfig, ChaseError};
 use ids_deps::FdSet;
 use ids_relational::{
-    DatabaseSchema, DatabaseState, Predicate, RelationalError, SchemeId, Tuple, Value,
+    DatabaseSchema, DatabaseState, ReadPlan, ReadReply, RelationalError, SchemeId, Value,
 };
 
 use crate::shard::RelationShard;
@@ -54,8 +54,8 @@ impl InsertOutcome {
 
 /// Common interface of the sequential maintenance engines.
 ///
-/// All three operations are *uniformly fallible*: a tuple of the wrong
-/// arity or an id outside the schema is a typed error from `remove`
+/// Every operation is *uniformly fallible*: a tuple of the wrong arity
+/// or an id outside the schema is a typed error from `remove` and `read`
 /// exactly as it is from `insert` — no engine silently swallows a
 /// malformed operation.  FD violations remain *outcomes*
 /// ([`InsertOutcome::Rejected`]), never errors.
@@ -76,6 +76,20 @@ pub trait Maintainer {
 
     /// The current state.
     fn state(&self) -> &DatabaseState;
+
+    /// Answers a [`ReadPlan`] against relation `id`.  A foreign id or a
+    /// plan naming attributes outside the scheme is a typed error.  The
+    /// default is one linear pass over the owned state (the whole-state
+    /// engines keep no per-relation indexes); [`LocalMaintainer`]
+    /// answers from its shards' indexes — see [`RelationShard::read`].
+    fn read(&self, id: SchemeId, plan: &ReadPlan) -> Result<ReadReply, MaintenanceError> {
+        let scheme = self
+            .schema()
+            .get_scheme(id)
+            .ok_or(MaintenanceError::UnknownScheme(id))?;
+        plan.validate_against(scheme.attrs)?;
+        Ok(self.state().relation(id).read(plan))
+    }
 }
 
 /// Errors of the maintenance engines.
@@ -233,18 +247,6 @@ impl LocalMaintainer {
         shard.remove(self.state.relation_mut(id), tuple)
     }
 
-    /// Evaluates an equality predicate against one relation, returning
-    /// only the matching tuples.  Point lookups on a key FD's left-hand
-    /// side are answered in O(1) from the enforcement hash indexes the
-    /// engine already maintains — see [`RelationShard::scan`].
-    pub fn query(&self, id: SchemeId, pred: &Predicate) -> Result<Vec<Tuple>, MaintenanceError> {
-        let shard = self
-            .shards
-            .get(id.index())
-            .ok_or(MaintenanceError::UnknownScheme(id))?;
-        shard.scan(self.state.relation(id), pred)
-    }
-
     /// The current state.
     pub fn state(&self) -> &DatabaseState {
         &self.state
@@ -274,6 +276,14 @@ impl Maintainer for LocalMaintainer {
     fn state(&self) -> &DatabaseState {
         LocalMaintainer::state(self)
     }
+
+    fn read(&self, id: SchemeId, plan: &ReadPlan) -> Result<ReadReply, MaintenanceError> {
+        let shard = self
+            .shards
+            .get(id.index())
+            .ok_or(MaintenanceError::UnknownScheme(id))?;
+        shard.read(self.state.relation(id), plan)
+    }
 }
 
 /// Validates an operation against a schema before an engine touches any
@@ -301,22 +311,6 @@ pub fn validate_op(
         .into());
     }
     Ok(())
-}
-
-/// Shared linear-filter query for the whole-state engines (which keep no
-/// per-relation indexes): validate the predicate at the boundary, then one
-/// pass over the relation, cloning only the matching tuples.
-fn filter_query(
-    schema: &DatabaseSchema,
-    state: &DatabaseState,
-    id: SchemeId,
-    pred: &Predicate,
-) -> Result<Vec<Tuple>, MaintenanceError> {
-    let scheme = schema
-        .get_scheme(id)
-        .ok_or(MaintenanceError::UnknownScheme(id))?;
-    pred.validate_against(scheme.attrs)?;
-    Ok(state.relation(id).filter_tuples(pred))
 }
 
 /// The general baseline: validate every insert by re-chasing the whole
@@ -384,12 +378,6 @@ impl ChaseMaintainer {
         Ok(self.state.relation_mut(id).remove(tuple))
     }
 
-    /// Evaluates an equality predicate against one relation (linear scan;
-    /// the baseline keeps no per-relation indexes).
-    pub fn query(&self, id: SchemeId, pred: &Predicate) -> Result<Vec<Tuple>, MaintenanceError> {
-        filter_query(&self.schema, &self.state, id, pred)
-    }
-
     /// The schema handle the engine carries.
     pub fn schema(&self) -> &DatabaseSchema {
         &self.schema
@@ -427,7 +415,7 @@ impl Maintainer for ChaseMaintainer {
 mod tests {
     use super::*;
     use crate::analyze;
-    use ids_relational::Universe;
+    use ids_relational::{Predicate, Universe};
 
     fn v(n: u64) -> Value {
         Value::int(n)
@@ -630,7 +618,7 @@ mod tests {
     }
 
     #[test]
-    fn query_agrees_across_engines_and_with_the_state() {
+    fn read_agrees_across_engines_and_with_the_state() {
         let (schema, fds) = independent_setup();
         let analysis = analyze(&schema, &fds);
         let mut local =
@@ -655,24 +643,37 @@ mod tests {
             fd_only.insert(id, t).unwrap();
         }
         let c = schema.universe().attr("C").unwrap();
-        for pred in [Predicate::new(), Predicate::new().and_eq(c, v(1))] {
-            let expected = local.state().relation(ct).filter_tuples(&pred);
-            assert_eq!(local.query(ct, &pred).unwrap(), expected, "{pred:?}");
-            assert_eq!(chase.query(ct, &pred).unwrap(), expected, "{pred:?}");
-            assert_eq!(fd_only.query(ct, &pred).unwrap(), expected, "{pred:?}");
-        }
-        // Foreign ids and foreign predicate attributes are typed errors.
-        assert!(matches!(
-            local.query(SchemeId(99), &Predicate::new()),
-            Err(MaintenanceError::UnknownScheme(_))
-        ));
         let s = schema.universe().attr("S").unwrap();
-        assert!(matches!(
-            chase.query(ct, &Predicate::new().and_eq(s, v(0))),
-            Err(MaintenanceError::Relational(
-                RelationalError::SchemaMismatch(_)
-            ))
-        ));
+        let engines: [&dyn Maintainer; 3] = [&local, &chase, &fd_only];
+        for m in engines {
+            for pred in [Predicate::new(), Predicate::new().and_eq(c, v(1))] {
+                for plan in [
+                    ReadPlan::tuples(pred.clone()),
+                    ReadPlan::distinct_columns(pred.clone(), vec![c]),
+                    ReadPlan::count(pred),
+                ] {
+                    let expected = local.state().relation(ct).read(&plan);
+                    assert_eq!(m.read(ct, &plan).unwrap(), expected, "{plan:?}");
+                }
+            }
+            // Foreign ids, predicate attributes and projection columns
+            // are typed errors.
+            assert!(matches!(
+                m.read(SchemeId(99), &ReadPlan::count(Predicate::new())),
+                Err(MaintenanceError::UnknownScheme(_))
+            ));
+            for plan in [
+                ReadPlan::tuples(Predicate::new().and_eq(s, v(0))),
+                ReadPlan::distinct_columns(Predicate::new(), vec![s]),
+            ] {
+                assert!(matches!(
+                    m.read(ct, &plan),
+                    Err(MaintenanceError::Relational(
+                        RelationalError::SchemaMismatch(_)
+                    ))
+                ));
+            }
+        }
     }
 
     #[test]
@@ -754,12 +755,6 @@ impl FdOnlyMaintainer {
     pub fn remove(&mut self, id: SchemeId, tuple: &[Value]) -> Result<bool, MaintenanceError> {
         validate_op(&self.schema, id, tuple)?;
         Ok(self.state.relation_mut(id).remove(tuple))
-    }
-
-    /// Evaluates an equality predicate against one relation (linear scan;
-    /// this engine keeps no per-relation indexes).
-    pub fn query(&self, id: SchemeId, pred: &Predicate) -> Result<Vec<Tuple>, MaintenanceError> {
-        filter_query(&self.schema, &self.state, id, pred)
     }
 
     /// The schema handle the engine carries.

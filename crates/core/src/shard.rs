@@ -24,7 +24,8 @@ use std::ops::Bound;
 
 use ids_deps::{Fd, FdSet};
 use ids_relational::{
-    AttrId, DatabaseSchema, Guard, Predicate, Relation, RelationalError, SchemeId, Tuple, Value,
+    AttrId, DatabaseSchema, Guard, Predicate, ReadPlan, ReadReply, Relation, RelationalError,
+    SchemeId, Tuple, Value,
 };
 
 use crate::maintenance::{InsertOutcome, MaintenanceError};
@@ -295,8 +296,27 @@ impl RelationShard {
     /// The indexes are maintained by the write path for free, so the
     /// point-lookup fast path adds zero cost to inserts and removes.
     pub fn scan(&self, rel: &Relation, pred: &Predicate) -> Result<Vec<Tuple>, MaintenanceError> {
+        pred.validate_against(self.schema.attrs(self.id))?;
+        Ok(self.scan_valid(rel, pred))
+    }
+
+    /// Answers a [`ReadPlan`] against `rel`: the index-aware
+    /// [`RelationShard::scan`] plus the plan's shape, so only what the
+    /// shape promises leaves the owner.  The true predicate needs no
+    /// index and goes straight to [`Relation::read`] (an O(1) count).
+    pub fn read(&self, rel: &Relation, plan: &ReadPlan) -> Result<ReadReply, MaintenanceError> {
         let attrs = self.schema.attrs(self.id);
-        pred.validate_against(attrs)?;
+        plan.validate_against(attrs)?;
+        if plan.predicate.is_true() {
+            return Ok(rel.read(plan));
+        }
+        Ok(plan.shape(attrs, self.scan_valid(rel, &plan.predicate)))
+    }
+
+    /// [`RelationShard::scan`] for a predicate already validated against
+    /// the scheme.
+    fn scan_valid(&self, rel: &Relation, pred: &Predicate) -> Vec<Tuple> {
+        let attrs = self.schema.attrs(self.id);
         // Only *equality* conjuncts pin a value the hash index can be
         // probed with — guards constrain without pinning.
         let pinned: ids_relational::AttrSet = pred.conjuncts().iter().map(|&(a, _)| a).collect();
@@ -314,7 +334,7 @@ impl RelationShard {
                 .map(|a| pred.value_of(a).expect("lhs ⊆ pinned"))
                 .collect();
             let Some((image, _)) = self.indexes[k].get(&key) else {
-                return Ok(Vec::new());
+                return Vec::new();
             };
             let mut t = vec![Value::int(0); attrs.len()];
             for (&p, &v) in self.lhs_pos[k].iter().zip(key.iter()) {
@@ -326,16 +346,14 @@ impl RelationShard {
             // The remaining conjuncts (pins outside lhs, or contradictory
             // duplicates) and any guards still apply to the reconstructed
             // tuple.
-            return Ok(if pred.matches(attrs, &t) {
+            return if pred.matches(attrs, &t) {
                 vec![t.into_boxed_slice()]
             } else {
                 Vec::new()
-            });
+            };
         }
-        if let Some(hits) = self.scan_ordered(attrs, pred) {
-            return Ok(hits);
-        }
-        Ok(rel.filter_tuples(pred))
+        self.scan_ordered(attrs, pred)
+            .unwrap_or_else(|| rel.filter_tuples(pred))
     }
 
     /// The ordered-index scan path: when the predicate constrains an
@@ -458,6 +476,23 @@ mod tests {
         Value::int(n)
     }
 
+    /// Every path out of the shard — `scan`, and `read` in each shape —
+    /// agrees with the linear reference on the relation itself.
+    fn assert_reads_agree(shard: &RelationShard, rel: &Relation, pred: &Predicate, col: AttrId) {
+        assert_eq!(
+            shard.scan(rel, pred).unwrap(),
+            rel.filter_tuples(pred),
+            "pred {pred:?}"
+        );
+        for plan in [
+            ReadPlan::tuples(pred.clone()),
+            ReadPlan::distinct_columns(pred.clone(), vec![col]),
+            ReadPlan::count(pred.clone()),
+        ] {
+            assert_eq!(shard.read(rel, &plan).unwrap(), rel.read(&plan), "{plan:?}");
+        }
+    }
+
     fn setup() -> (DatabaseSchema, FdSet) {
         let u = Universe::from_names(["C", "T"]).unwrap();
         let schema = DatabaseSchema::parse(u, &[("CT", "CT")]).unwrap();
@@ -547,9 +582,7 @@ mod tests {
             Predicate::new().and_eq(c, v(7)).and_eq(t, v(9)),   // indexed, extra pin fails
             Predicate::new().and_eq(c, v(7)).and_eq(c, v(8)),   // contradictory pins
         ] {
-            let got = shard.scan(&rel, &pred).unwrap();
-            let expected = rel.filter_tuples(&pred);
-            assert_eq!(got, expected, "pred {pred:?}");
+            assert_reads_agree(&shard, &rel, &pred, t);
         }
         // Removes keep the index honest: a freed key stops matching.
         assert!(shard.remove(&mut rel, &[v(7), v(107)]).unwrap());
@@ -579,11 +612,7 @@ mod tests {
             Predicate::new().and_in(c, vec![v(1), v(4), v(99)]),
             Predicate::new().and_ge(c, v(15)),
         ] {
-            assert_eq!(
-                shard.scan(&rel, &pred).unwrap(),
-                rel.filter_tuples(&pred),
-                "pred {pred:?}"
-            );
+            assert_reads_agree(&shard, &rel, &pred, c);
         }
     }
 
@@ -631,11 +660,7 @@ mod tests {
             Predicate::new().and_eq(c, v(1)).and_gt(a, v(10)), // index + residual
             Predicate::new().and_ne(c, v(1)),          // Ne: no index help, linear
         ] {
-            assert_eq!(
-                shard.scan(&rel, &pred).unwrap(),
-                rel.filter_tuples(&pred),
-                "pred {pred:?}"
-            );
+            assert_reads_agree(&shard, &rel, &pred, a);
         }
     }
 
@@ -654,6 +679,17 @@ mod tests {
                 RelationalError::SchemaMismatch(_)
             ))
         ));
+        for plan in [
+            ReadPlan::count(Predicate::new().and_eq(x, v(1))),
+            ReadPlan::distinct_columns(Predicate::new(), vec![x]),
+        ] {
+            assert!(matches!(
+                shard.read(&rel, &plan),
+                Err(MaintenanceError::Relational(
+                    RelationalError::SchemaMismatch(_)
+                ))
+            ));
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Dependency theory for the reproduction of Graham & Yannakakis,
 //! *Independent Database Schemas*: functional dependencies, closures,
-//! covers, derivations, keys, normal forms, join dependencies, and the
+//! covers, derivations, keys, join dependencies, and the
 //! \[MSY\] polynomial FD-inference from `F ∪ {*D}` (the primitive Section 3
 //! of the paper builds on).
 
@@ -16,8 +16,6 @@ mod fdset;
 mod jd;
 mod jd_closure;
 mod keys;
-mod mvd;
-mod normal_forms;
 
 pub use derivation::{derive, Derivation};
 pub use embedded::{closed_under_projection, partition_embedded, projection_cover};
@@ -25,8 +23,3 @@ pub use fd::Fd;
 pub use fdset::{closure_linear, closure_of, FdSet};
 pub use jd::JoinDependency;
 pub use jd_closure::{block_of, closure_with_jd, dependency_basis, implies_with_jd, jd_blocks};
-pub use mvd::{
-    binary_jd_as_mvd, closure_with_mvds, dependency_basis_mvds, fd_implied_with_mvds, implied_mvds,
-    mvd_implied, Mvd,
-};
-pub use normal_forms::{is_3nf, is_bcnf, synthesize_3nf};

@@ -14,8 +14,8 @@
 //!   semijoin and per-instance FD checking;
 //! * [`DatabaseState`] — states `p`, join consistency, dangling tuples;
 //! * [`Value`] / [`ValuePool`] — opaque domain values with optional names;
-//! * [`Predicate`] / [`Projection`] — the query-pushdown primitives higher
-//!   layers ship to whatever owns a relation's tuples.
+//! * [`Predicate`] / [`Projection`] / [`ReadPlan`] — the query-pushdown
+//!   primitives higher layers ship to whatever owns a relation's tuples.
 //!
 //! Higher layers build dependency theory (`ids-deps`), the chase
 //! (`ids-chase`), acyclicity tooling (`ids-acyclic`) and the independence
@@ -38,7 +38,7 @@ mod value;
 pub use attr::AttrId;
 pub use attrset::{AttrSet, AttrSetIter, MAX_ATTRS};
 pub use error::RelationalError;
-pub use query::{Guard, Predicate, Projection};
+pub use query::{Guard, Predicate, Projection, ReadPlan, ReadReply, ReadShape};
 pub use relation::{join_all, Relation, Tuple};
 pub use scheme::{DatabaseSchema, RelationScheme, SchemeId};
 pub use state::DatabaseState;

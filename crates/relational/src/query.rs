@@ -9,12 +9,17 @@
 //! [`Predicate`] travels *down* to whatever owns the relation's tuples
 //! (a shard thread, a sequential engine's state) so that only matching
 //! tuples travel back *up*, and a [`Projection`] names the columns the
-//! caller wants of them.
+//! caller wants of them.  A [`ReadPlan`] pairs the predicate with the
+//! [`ReadShape`] of the answer (tuples, distinct join keys, or a count)
+//! — the one read every engine answers, validated and shaped here and
+//! nowhere else.
 //!
-//! Both types are deliberately tiny and engine-agnostic: an equality
+//! The types are deliberately tiny and engine-agnostic: an equality
 //! conjunction plus a column list covers point lookups, filtered scans
 //! and select-lists, while staying cheap to evaluate per tuple and
 //! trivially safe to hand across threads.
+
+use std::collections::HashSet;
 
 use crate::attr::AttrId;
 use crate::attrset::AttrSet;
@@ -236,15 +241,7 @@ impl Projection {
     pub fn validate_against(&self, attrs: AttrSet) -> Result<(), RelationalError> {
         match self {
             Projection::All => Ok(()),
-            Projection::Columns(cols) => {
-                if cols.iter().all(|&a| attrs.contains(a)) {
-                    Ok(())
-                } else {
-                    Err(RelationalError::SchemaMismatch(
-                        "projection columns outside the relation scheme",
-                    ))
-                }
-            }
+            Projection::Columns(cols) => validate_columns(cols, attrs),
         }
     }
 
@@ -265,6 +262,112 @@ impl Projection {
     }
 }
 
+/// Checks that every selected column belongs to the scheme `attrs`.
+fn validate_columns(cols: &[AttrId], attrs: AttrSet) -> Result<(), RelationalError> {
+    if cols.iter().all(|&a| attrs.contains(a)) {
+        Ok(())
+    } else {
+        Err(RelationalError::SchemaMismatch(
+            "projection columns outside the relation scheme",
+        ))
+    }
+}
+
+/// What a read ships back of the tuples matching its predicate.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ReadShape {
+    /// The matching tuples themselves, in insertion order.
+    Tuples,
+    /// The distinct projections of the matching tuples onto the given
+    /// columns (select-list order), first occurrence first — the
+    /// semijoin-reducer shape: join keys travel, never whole tuples.
+    Distinct(Vec<AttrId>),
+    /// Only the number of matching tuples.
+    Count,
+}
+
+/// The one read every engine answers: evaluate `predicate` against one
+/// relation, wherever its tuples live, and ship back `shape` of the
+/// matches.  A whole-relation read is `Tuples` under the true predicate.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ReadPlan {
+    /// Which tuples match.
+    pub predicate: Predicate,
+    /// What travels back of them.
+    pub shape: ReadShape,
+}
+
+/// The reply to a [`ReadPlan`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ReadReply {
+    /// The shipped rows: the matches for [`ReadShape::Tuples`], their
+    /// distinct projections for [`ReadShape::Distinct`], nothing for
+    /// [`ReadShape::Count`].
+    pub rows: Vec<Tuple>,
+    /// How many tuples matched the predicate, whatever the shape.
+    pub count: usize,
+}
+
+impl ReadPlan {
+    /// The matching tuples.
+    pub fn tuples(predicate: Predicate) -> Self {
+        ReadPlan {
+            predicate,
+            shape: ReadShape::Tuples,
+        }
+    }
+
+    /// The distinct projections of the matching tuples onto `columns`.
+    pub fn distinct_columns(predicate: Predicate, columns: Vec<AttrId>) -> Self {
+        ReadPlan {
+            predicate,
+            shape: ReadShape::Distinct(columns),
+        }
+    }
+
+    /// The number of matching tuples.
+    pub fn count(predicate: Predicate) -> Self {
+        ReadPlan {
+            predicate,
+            shape: ReadShape::Count,
+        }
+    }
+
+    /// Checks the predicate's attributes and the shape's columns against
+    /// the scheme `attrs` — the one validation every engine applies at
+    /// its boundary before evaluating (or shipping) the plan.
+    pub fn validate_against(&self, attrs: AttrSet) -> Result<(), RelationalError> {
+        self.predicate.validate_against(attrs)?;
+        match &self.shape {
+            ReadShape::Distinct(cols) => validate_columns(cols, attrs),
+            ReadShape::Tuples | ReadShape::Count => Ok(()),
+        }
+    }
+
+    /// Shapes the tuples matching the predicate (laid out in the scheme
+    /// order of `attrs`) into the reply.
+    pub fn shape(&self, attrs: AttrSet, matches: Vec<Tuple>) -> ReadReply {
+        let count = matches.len();
+        let rows = match &self.shape {
+            ReadShape::Tuples => matches,
+            ReadShape::Distinct(cols) => {
+                let ranks: Vec<usize> = cols.iter().map(|&a| attrs.rank(a)).collect();
+                let mut seen = HashSet::new();
+                let mut rows = Vec::new();
+                for t in &matches {
+                    let row: Tuple = ranks.iter().map(|&p| t[p]).collect();
+                    if seen.insert(row.clone()) {
+                        rows.push(row);
+                    }
+                }
+                rows
+            }
+            ReadShape::Count => Vec::new(),
+        };
+        ReadReply { rows, count }
+    }
+}
+
 impl Relation {
     /// The tuples of this instance matching `pred`, cloned in insertion
     /// order — the client-side evaluation every pushed-down path must
@@ -275,6 +378,21 @@ impl Relation {
             .filter(|t| pred.matches(attrs, t))
             .cloned()
             .collect()
+    }
+
+    /// Answers a plan by one linear pass — the unindexed read path, and
+    /// the reference every engine's `read` must agree with.  The plan
+    /// must be valid against this relation's attributes (see
+    /// [`ReadPlan::validate_against`]).  Counting under the true
+    /// predicate is the O(1) cardinality.
+    pub fn read(&self, plan: &ReadPlan) -> ReadReply {
+        if plan.shape == ReadShape::Count && plan.predicate.is_true() {
+            return ReadReply {
+                rows: Vec::new(),
+                count: self.len(),
+            };
+        }
+        plan.shape(self.attrs(), self.filter_tuples(&plan.predicate))
     }
 }
 
@@ -414,6 +532,46 @@ mod tests {
             p.validate_against(ab),
             Err(RelationalError::SchemaMismatch(_))
         ));
+    }
+
+    #[test]
+    fn read_plans_shape_the_matches_and_validate_both_halves() {
+        let (u, r) = setup();
+        let (a, b, c) = (
+            u.attr("A").unwrap(),
+            u.attr("B").unwrap(),
+            u.attr("C").unwrap(),
+        );
+        let a1 = Predicate::new().and_eq(a, v(1));
+        let tuples = r.read(&ReadPlan::tuples(a1.clone()));
+        assert_eq!(tuples.rows, r.filter_tuples(&a1));
+        assert_eq!(tuples.count, 2);
+        // Select-list order, first occurrence first; count is of matches.
+        let keys = r.read(&ReadPlan::distinct_columns(Predicate::new(), vec![b, a]));
+        let rows: Vec<&[Value]> = keys.rows.iter().map(|t| &**t).collect();
+        assert_eq!(
+            rows,
+            [&[v(10), v(1)][..], &[v(11), v(1)][..], &[v(10), v(2)][..]]
+        );
+        let by_b = r.read(&ReadPlan::distinct_columns(Predicate::new(), vec![b]));
+        assert_eq!((by_b.rows.len(), by_b.count), (2, 3));
+        for pred in [Predicate::new(), a1] {
+            let n = r.read(&ReadPlan::count(pred.clone()));
+            assert!(n.rows.is_empty());
+            assert_eq!(n.count, r.filter_tuples(&pred).len());
+        }
+        // A foreign attribute in either half is the same typed error.
+        let ab = u.parse_set("A B").unwrap();
+        for plan in [
+            ReadPlan::count(Predicate::new().and_eq(c, v(1))),
+            ReadPlan::distinct_columns(Predicate::new(), vec![a, c]),
+        ] {
+            assert!(matches!(
+                plan.validate_against(ab),
+                Err(RelationalError::SchemaMismatch(_))
+            ));
+            assert!(plan.validate_against(u.all()).is_ok());
+        }
     }
 
     #[test]

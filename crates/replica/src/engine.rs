@@ -3,7 +3,7 @@
 //! The engine shares the replica's relation state (relations plus their
 //! enforcement shards) behind one mutex: the apply loop holds it for
 //! the duration of one record's probe/commit, reads hold it for one
-//! clone or scan.  Reads are therefore per-relation-consistent — each
+//! [`RelationShard::read`].  Reads are therefore per-relation-consistent — each
 //! read sees a prefix of that relation's log — with no cross-relation
 //! barrier, exactly the primary's barrier-free read model.
 //!
@@ -15,10 +15,8 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use ids_api::{Engine, Error};
-use ids_core::{InsertOutcome, RelationShard};
-use ids_relational::{
-    DatabaseSchema, DatabaseState, Predicate, Relation, RelationalError, SchemeId, Tuple, Value,
-};
+use ids_core::RelationShard;
+use ids_relational::{DatabaseSchema, DatabaseState, ReadPlan, ReadReply, Relation, SchemeId};
 use ids_store::{OpOutcome, StoreOp};
 
 /// The replica's mutable relation state: one relation + enforcement
@@ -50,47 +48,26 @@ impl ReplicaEngine {
             .lock()
             .expect("replica state mutex poisoned: the apply loop panicked mid-record")
     }
-
-    fn check(&self, id: SchemeId) -> Result<usize, Error> {
-        if id.index() < self.schema.len() {
-            Ok(id.index())
-        } else {
-            Err(RelationalError::SchemaMismatch("scheme id").into())
-        }
-    }
 }
 
 impl Engine for ReplicaEngine {
-    fn insert(&mut self, _id: SchemeId, _tuple: Vec<Value>) -> Result<InsertOutcome, Error> {
-        Err(Error::ReplicaReadOnly)
-    }
-
-    fn remove(&mut self, _id: SchemeId, _tuple: &[Value]) -> Result<bool, Error> {
-        Err(Error::ReplicaReadOnly)
-    }
-
+    /// Refused — and with it the provided `insert`/`remove`, which are
+    /// one-op batches.
     fn apply_batch(&mut self, _ops: Vec<StoreOp>) -> Result<Vec<OpOutcome>, Error> {
         Err(Error::ReplicaReadOnly)
     }
 
-    fn read(&self, id: SchemeId) -> Result<Relation, Error> {
-        let i = self.check(id)?;
-        Ok(self.state().relations[i].clone())
-    }
-
-    fn query(&self, id: SchemeId, predicate: &Predicate) -> Result<Vec<Tuple>, Error> {
-        let i = self.check(id)?;
+    fn read(&self, id: SchemeId, plan: &ReadPlan) -> Result<ReadReply, Error> {
         let state = self.state();
-        // The shard's scan filters in place (using its key index for
-        // point lookups), so only matching tuples are cloned out.
-        state.shards[i]
-            .scan(&state.relations[i], predicate)
+        let shard = state
+            .shards
+            .get(id.index())
+            .ok_or(Error::UnknownScheme(id))?;
+        // The shard answers in place (using its key index for point
+        // lookups), so only the plan's shape of the matches is cloned out.
+        shard
+            .read(&state.relations[id.index()], plan)
             .map_err(Into::into)
-    }
-
-    fn count(&self, id: SchemeId) -> Result<usize, Error> {
-        let i = self.check(id)?;
-        Ok(self.state().relations[i].len())
     }
 
     fn snapshot(&self) -> Result<DatabaseState, Error> {
@@ -103,6 +80,7 @@ impl Engine for ReplicaEngine {
 mod tests {
     use super::*;
     use ids_api::Schema;
+    use ids_relational::{Predicate, Value};
 
     fn engine() -> (ReplicaEngine, SchemeId) {
         let schema = Schema::builder()
@@ -143,14 +121,22 @@ mod tests {
             Err(Error::ReplicaReadOnly)
         ));
         // And the refusals left the read surface untouched.
-        assert_eq!(engine.count(id).unwrap(), 0);
+        let all = ReadPlan::tuples(Predicate::new());
+        assert_eq!(engine.read(id, &all).unwrap(), ReadReply::default());
     }
 
     #[test]
     fn reads_check_the_scheme_id() {
         let (engine, _) = engine();
         let bogus = SchemeId::from_index(7);
-        assert!(engine.read(bogus).is_err());
-        assert!(engine.count(bogus).is_err());
+        for plan in [
+            ReadPlan::tuples(Predicate::new()),
+            ReadPlan::count(Predicate::new()),
+        ] {
+            assert!(matches!(
+                engine.read(bogus, &plan),
+                Err(Error::UnknownScheme(id)) if id == bogus
+            ));
+        }
     }
 }

@@ -55,13 +55,16 @@
 //!   the result is one globally-satisfying state, cross-relation
 //!   consistent.  Cost scales with the whole database and stalls all
 //!   shards for the copy.
-//! * [`Store::read`] — **barrier-free**: only the owning shard answers;
-//!   the other shards never notice.  Per relation it is exactly as fresh
-//!   as a snapshot (FIFO read-your-writes), and because independent
-//!   relations share no enforcement state, the returned relation is one a
-//!   barrier snapshot could also have contained.  Two reads of different
-//!   relations, however, may observe cuts no single snapshot contains —
-//!   that is the (only) consistency you trade for not stopping the world.
+//! * [`Store::read`] — **barrier-free**, and the *only* per-relation read:
+//!   a [`ReadPlan`] (predicate + shape of the answer) travels to the owning
+//!   shard, which evaluates it where the tuples live and ships back only the
+//!   tuples, distinct join keys, or count the plan asked for; the other
+//!   shards never notice.  Per relation it is exactly as fresh as a
+//!   snapshot (FIFO read-your-writes), and because independent relations
+//!   share no enforcement state, the answer is one a barrier snapshot could
+//!   also have produced.  Two reads of different relations, however, may
+//!   observe cuts no single snapshot contains — that is the (only)
+//!   consistency you trade for not stopping the world.
 //!
 //! ## Durability
 //!
@@ -92,8 +95,8 @@ use ids_core::{InsertOutcome, MaintenanceError, NotIndependentReason, RelationSh
 use ids_deps::{Fd, FdSet};
 use ids_obs::{Counter, Event, EventLog, Gauge, LatencyHistogram, MetricsSnapshot, Registry};
 use ids_relational::{
-    AttrId, DatabaseSchema, DatabaseState, Predicate, Relation, RelationalError, SchemeId, Tuple,
-    Value,
+    AttrId, DatabaseSchema, DatabaseState, Predicate, ReadPlan, ReadReply, Relation,
+    RelationalError, SchemeId, Tuple, Value,
 };
 use ids_wal::{Manifest, WalDir, WalError, WalMetrics, WalOp, WalWriter};
 
@@ -284,47 +287,15 @@ enum Command {
         ops: Vec<(u32, StoreOp)>,
         reply: Sender<Vec<(u32, OpOutcome)>>,
     },
-    /// Reply with a clone of one owned relation — the barrier-free
-    /// per-relation read.  Only the owning shard ever sees this command.
+    /// Answer a [`ReadPlan`] against one owned relation — the one
+    /// barrier-free read.  The shard evaluates the predicate where the
+    /// tuples live (see [`RelationShard::read`]) and only the plan's shape
+    /// of the matches crosses the channel.  Only the owning shard ever
+    /// sees this command.
     Read {
         scheme: SchemeId,
-        reply: Sender<Relation>,
-    },
-    /// Reply with one owned relation's cardinality — the O(1) probe
-    /// behind [`Store::count`]; no tuples cross the channel.
-    Count {
-        scheme: SchemeId,
-        reply: Sender<usize>,
-    },
-    /// Evaluate an equality predicate against one owned relation and
-    /// reply with **only** the matching tuples — the pushed-down query.
-    /// Point lookups on a key FD's lhs are answered from the shard's
-    /// enforcement hash index in O(1); only the owning shard ever sees
-    /// this command.
-    Query {
-        scheme: SchemeId,
-        predicate: Predicate,
-        reply: Sender<Vec<Tuple>>,
-    },
-    /// Evaluate a predicate against one owned relation and reply with the
-    /// **distinct** projections of the matching tuples onto the given
-    /// columns — the semijoin-reduction probe of the join planner: only
-    /// the deduplicated join-key set ever crosses the channel, never the
-    /// matching tuples themselves.  Only the owning shard ever sees this
-    /// command.
-    Distinct {
-        scheme: SchemeId,
-        predicate: Predicate,
-        columns: Vec<AttrId>,
-        reply: Sender<Vec<Vec<Value>>>,
-    },
-    /// Evaluate a predicate against one owned relation and reply with the
-    /// match count only — the aggregate pushdown behind `count_where`:
-    /// one `usize` crosses the channel, no tuples.
-    CountWhere {
-        scheme: SchemeId,
-        predicate: Predicate,
-        reply: Sender<usize>,
+        plan: ReadPlan,
+        reply: Sender<ReadReply>,
     },
     /// Reply with a clone of every owned relation — the shard's part of a
     /// consistent snapshot barrier.
@@ -534,71 +505,19 @@ impl Worker {
                 // A client that hung up no longer needs the reply.
                 let _ = reply.send(out);
             }
-            Command::Read { scheme, reply } => {
+            Command::Read {
+                scheme,
+                plan,
+                reply,
+            } => {
                 let si =
                     self.slot_of[scheme.index()].expect("router sent a read for a foreign scheme");
-                let _ = reply.send(self.slots[si].rel.clone());
-            }
-            Command::Count { scheme, reply } => {
-                let si =
-                    self.slot_of[scheme.index()].expect("router sent a count for a foreign scheme");
-                let _ = reply.send(self.slots[si].rel.len());
-            }
-            Command::Query {
-                scheme,
-                predicate,
-                reply,
-            } => {
-                let si =
-                    self.slot_of[scheme.index()].expect("router sent a query for a foreign scheme");
                 let slot = &self.slots[si];
-                let tuples = slot
+                let answer = slot
                     .shard
-                    .scan(&slot.rel, &predicate)
-                    .expect("predicate validated by the router");
-                let _ = reply.send(tuples);
-            }
-            Command::Distinct {
-                scheme,
-                predicate,
-                columns,
-                reply,
-            } => {
-                let si = self.slot_of[scheme.index()]
-                    .expect("router sent a distinct for a foreign scheme");
-                let slot = &self.slots[si];
-                let attrs = slot.shard.schema().attrs(scheme);
-                let ranks: Vec<usize> = columns.iter().map(|&a| attrs.rank(a)).collect();
-                let matches = slot
-                    .shard
-                    .scan(&slot.rel, &predicate)
-                    .expect("predicate validated by the router");
-                // Dedup preserving first occurrence, so the reply is
-                // deterministic for a given relation history.
-                let mut seen = std::collections::HashSet::new();
-                let mut keys = Vec::new();
-                for t in &matches {
-                    let key: Vec<Value> = ranks.iter().map(|&p| t[p]).collect();
-                    if seen.insert(key.clone()) {
-                        keys.push(key);
-                    }
-                }
-                let _ = reply.send(keys);
-            }
-            Command::CountWhere {
-                scheme,
-                predicate,
-                reply,
-            } => {
-                let si = self.slot_of[scheme.index()]
-                    .expect("router sent a count_where for a foreign scheme");
-                let slot = &self.slots[si];
-                let n = slot
-                    .shard
-                    .scan(&slot.rel, &predicate)
-                    .expect("predicate validated by the router")
-                    .len();
-                let _ = reply.send(n);
+                    .read(&slot.rel, &plan)
+                    .expect("plan validated by the router");
+                let _ = reply.send(answer);
             }
             Command::Snapshot { reply } => {
                 let _ = reply.send(self.slots.iter().map(|s| (s.id, s.rel.clone())).collect());
@@ -1409,7 +1328,7 @@ impl Store {
     ///    after any crash; until here a crash recovers the old schema.
     /// 3. **Switch** (topology write lock): workers for added relations
     ///    spawn, every pre-existing worker receives a
-    ///    [`Command::Transition`] (drop released slots, retarget +
+    ///    `Command::Transition` (drop released slots, retarget +
     ///    rotate surviving ones onto the new generation), and the
     ///    routing topology is swapped.  Channel FIFO order means every
     ///    command sent before the swap ran under the old schema and
@@ -1745,153 +1664,53 @@ impl Store {
             .collect())
     }
 
-    /// Reads one relation **without a barrier**: only the owning shard is
-    /// consulted, so no other shard pauses, queues, or copies anything.
+    /// Answers a [`ReadPlan`] against one relation **without a barrier**:
+    /// only the owning shard is consulted, so no other shard pauses,
+    /// queues, or copies anything.  The shard evaluates the predicate
+    /// where the tuples live — a point lookup on a key FD's left-hand side
+    /// is O(1) against the enforcement hash index, see
+    /// [`RelationShard::scan`] — and only the plan's shape of the matches
+    /// (tuples, distinct join keys, or a count) crosses the channel.
     ///
     /// This is sound precisely because the schema is independent:
     /// relations share no enforcement state, so the cut "this relation at
     /// its current point in its own FIFO, all others untouched" is a
-    /// prefix of a valid serialization — the returned relation is exactly
-    /// what some barrier snapshot would also contain for this scheme.
-    /// What you give up versus [`Store::snapshot`] is *cross-relation*
-    /// consistency: two `read` calls on different relations may observe
-    /// cuts no single snapshot contains.  Per relation you still get
-    /// read-your-writes: the owning shard drains every operation submitted
-    /// before the read (its command channel is FIFO).
-    pub fn read(&self, id: SchemeId) -> Result<Relation, StoreError> {
+    /// prefix of a valid serialization — the answer is computed from
+    /// exactly what some barrier snapshot would also contain for this
+    /// scheme.  What you give up versus [`Store::snapshot`] is
+    /// *cross-relation* consistency: two `read` calls on different
+    /// relations may observe cuts no single snapshot contains.  Per
+    /// relation you still get read-your-writes: the owning shard drains
+    /// every operation submitted before the read (its command channel is
+    /// FIFO).
+    ///
+    /// The id and the plan are validated here, at the router boundary, so
+    /// a foreign scheme, predicate attribute or projection column is a
+    /// typed error and never a worker panic.
+    pub fn read(&self, id: SchemeId, plan: &ReadPlan) -> Result<ReadReply, StoreError> {
         let topo = self.topology();
-        let _ = topo
+        let scheme = topo
             .schema
             .get_scheme(id)
             .ok_or(StoreError::UnknownScheme(id))?;
+        plan.validate_against(scheme.attrs)?;
         let (reply_tx, reply_rx) = channel();
         self.send(
             &topo,
             topo.assignment[id.index()],
             Command::Read {
                 scheme: id,
+                plan: plan.clone(),
                 reply: reply_tx,
             },
         )?;
         reply_rx.recv().map_err(|_| self.fail())
     }
 
-    /// Evaluates an equality predicate against one relation **on its
-    /// owning shard**, shipping back only the matching tuples — the
-    /// pushed-down counterpart of [`Store::read`]`+`client-side filter.
-    ///
-    /// Same barrier-free consistency model as `read` (per-relation FIFO
-    /// freshness, no cross-relation cut), with two additional savings:
-    /// the shard evaluates the predicate where the tuples live (a point
-    /// lookup on a key FD's left-hand side is O(1) against the
-    /// enforcement hash index, see [`RelationShard::scan`]), and only
-    /// matching tuples cross the channel instead of a clone of the whole
-    /// relation.  The predicate is validated against the scheme here, at
-    /// the router boundary, so a foreign attribute is a typed error and
-    /// never a worker panic.
+    /// The tuples of one relation matching `predicate` — [`Store::read`]
+    /// with the tuples shape.
     pub fn query(&self, id: SchemeId, predicate: &Predicate) -> Result<Vec<Tuple>, StoreError> {
-        let topo = self.topology();
-        let scheme = topo
-            .schema
-            .get_scheme(id)
-            .ok_or(StoreError::UnknownScheme(id))?;
-        predicate.validate_against(scheme.attrs)?;
-        let (reply_tx, reply_rx) = channel();
-        self.send(
-            &topo,
-            topo.assignment[id.index()],
-            Command::Query {
-                scheme: id,
-                predicate: predicate.clone(),
-                reply: reply_tx,
-            },
-        )?;
-        reply_rx.recv().map_err(|_| self.fail())
-    }
-
-    /// The **distinct** projections of one relation's matching tuples
-    /// onto `columns`, computed on the owning shard — the semijoin-
-    /// reduction probe of the acyclic join planner.  Only the
-    /// deduplicated key set crosses the channel (first-occurrence
-    /// order), never the matching tuples; same barrier-free consistency
-    /// model as [`Store::query`].  Foreign schemes, predicate attributes
-    /// or projection columns are typed errors at the router boundary.
-    pub fn distinct(
-        &self,
-        id: SchemeId,
-        predicate: &Predicate,
-        columns: &[AttrId],
-    ) -> Result<Vec<Vec<Value>>, StoreError> {
-        let topo = self.topology();
-        let scheme = topo
-            .schema
-            .get_scheme(id)
-            .ok_or(StoreError::UnknownScheme(id))?;
-        predicate.validate_against(scheme.attrs)?;
-        if columns.iter().any(|&a| !scheme.attrs.contains(a)) {
-            return Err(RelationalError::SchemaMismatch(
-                "projection columns outside the relation scheme",
-            )
-            .into());
-        }
-        let (reply_tx, reply_rx) = channel();
-        self.send(
-            &topo,
-            topo.assignment[id.index()],
-            Command::Distinct {
-                scheme: id,
-                predicate: predicate.clone(),
-                columns: columns.to_vec(),
-                reply: reply_tx,
-            },
-        )?;
-        reply_rx.recv().map_err(|_| self.fail())
-    }
-
-    /// Number of tuples of one relation matching a predicate, counted on
-    /// the owning shard — the aggregate pushdown to [`Store::query`]:
-    /// one `usize` crosses the channel, no tuples.  Same consistency
-    /// model and validation boundary as `query`.
-    pub fn count_where(&self, id: SchemeId, predicate: &Predicate) -> Result<usize, StoreError> {
-        let topo = self.topology();
-        let scheme = topo
-            .schema
-            .get_scheme(id)
-            .ok_or(StoreError::UnknownScheme(id))?;
-        predicate.validate_against(scheme.attrs)?;
-        let (reply_tx, reply_rx) = channel();
-        self.send(
-            &topo,
-            topo.assignment[id.index()],
-            Command::CountWhere {
-                scheme: id,
-                predicate: predicate.clone(),
-                reply: reply_tx,
-            },
-        )?;
-        reply_rx.recv().map_err(|_| self.fail())
-    }
-
-    /// Number of tuples currently in one relation, consulting only the
-    /// owning shard — the cardinality probe to [`Store::read`]'s full
-    /// read.  No tuples are cloned or shipped; same consistency model as
-    /// `read` (per-relation FIFO freshness, no cross-relation cut).
-    pub fn count(&self, id: SchemeId) -> Result<usize, StoreError> {
-        let topo = self.topology();
-        let _ = topo
-            .schema
-            .get_scheme(id)
-            .ok_or(StoreError::UnknownScheme(id))?;
-        let (reply_tx, reply_rx) = channel();
-        self.send(
-            &topo,
-            topo.assignment[id.index()],
-            Command::Count {
-                scheme: id,
-                reply: reply_tx,
-            },
-        )?;
-        reply_rx.recv().map_err(|_| self.fail())
+        Ok(self.read(id, &ReadPlan::tuples(predicate.clone()))?.rows)
     }
 
     /// Takes a consistent snapshot: a barrier across all shards (each
@@ -2396,34 +2215,37 @@ mod tests {
             store.insert(ct, vec![v(1), v(10)]).unwrap();
             store.insert(cs, vec![v(1), v(50)]).unwrap();
             // Read-your-writes per relation, regardless of shard layout.
-            let rel = store.read(ct).unwrap();
-            assert_eq!(rel.len(), 1);
-            assert!(rel.contains(&[v(1), v(10)]));
+            let all = Predicate::new();
+            let rows = store.query(ct, &all).unwrap();
+            assert_eq!(rows.len(), 1);
+            assert_eq!(&*rows[0], &[v(1), v(10)]);
             // The read is an independent copy: later writes don't leak in.
             store.insert(ct, vec![v(2), v(20)]).unwrap();
-            assert_eq!(rel.len(), 1);
-            assert_eq!(store.read(ct).unwrap().len(), 2);
+            assert_eq!(rows.len(), 1);
+            assert_eq!(store.query(ct, &all).unwrap().len(), 2);
             // Agreement with the barrier path, relation by relation.
             let snap = store.snapshot().unwrap();
-            assert!(store.read(cs).unwrap().set_eq(snap.relation(cs)));
+            assert_eq!(
+                store.query(cs, &all).unwrap(),
+                snap.relation(cs).filter_tuples(&all)
+            );
             // The cardinality probe agrees without shipping tuples.
-            assert_eq!(store.count(ct).unwrap(), 2);
-            assert_eq!(store.count(cs).unwrap(), 1);
-            // Foreign ids are typed errors, not worker panics.
-            assert!(matches!(
-                store.read(SchemeId(99)),
-                Err(StoreError::UnknownScheme(_))
-            ));
-            assert!(matches!(
-                store.count(SchemeId(99)),
-                Err(StoreError::UnknownScheme(_))
-            ));
+            let count = |id| store.read(id, &ReadPlan::count(all.clone())).unwrap();
+            assert_eq!((count(ct).count, count(ct).rows.len()), (2, 0));
+            assert_eq!(count(cs).count, 1);
         }
     }
 
+    /// One read path, three shapes: each ships only what it promises,
+    /// agrees with the linear reference on a snapshot, and refuses foreign
+    /// ids, predicate attributes and projection columns at the router.
     #[test]
-    fn pushed_down_query_ships_only_matching_tuples() {
+    fn every_read_shape_ships_only_what_it_promises() {
         let (schema, fds) = independent_setup();
+        let attr = |name| schema.universe().attr(name).unwrap();
+        let (c, t, s) = (attr("C"), attr("T"), attr("S"));
+        let ct = schema.scheme_by_name("CT").unwrap();
+        let cs = schema.scheme_by_name("CS").unwrap();
         for shards in 1..=3 {
             let store = Store::open_with(
                 &schema,
@@ -2435,92 +2257,63 @@ mod tests {
                 },
             )
             .unwrap();
-            let ct = schema.scheme_by_name("CT").unwrap();
+            // CT is keyed by C; CS holds many students per course, so
+            // distinct courses ≪ tuples.
             for i in 0..20u64 {
                 store.insert(ct, vec![v(i), v(100 + i)]).unwrap();
             }
-            let c = schema.universe().attr("C").unwrap();
-            let t = schema.universe().attr("T").unwrap();
-            // Indexed point lookup (C is CT's key), linear filter (on T),
-            // miss, and the unfiltered query — all agree with read().
-            let whole = store.read(ct).unwrap();
-            for pred in [
-                Predicate::new(),
-                Predicate::new().and_eq(c, v(7)),
-                Predicate::new().and_eq(t, v(107)),
-                Predicate::new().and_eq(c, v(999)),
-            ] {
-                let got = store.query(ct, &pred).unwrap();
-                assert_eq!(got, whole.filter_tuples(&pred), "{shards} shards, {pred:?}");
-            }
-            // The matching result is strictly smaller than the full read.
-            let hit = store.query(ct, &Predicate::new().and_eq(c, v(7))).unwrap();
-            assert_eq!(hit.len(), 1);
-            assert!(whole.len() > hit.len());
-            // Foreign ids and foreign predicate attributes: typed errors.
-            assert!(matches!(
-                store.query(SchemeId(99), &Predicate::new()),
-                Err(StoreError::UnknownScheme(_))
-            ));
-            let s = schema.universe().attr("S").unwrap();
-            assert!(matches!(
-                store.query(ct, &Predicate::new().and_eq(s, v(0))),
-                Err(StoreError::Relational(RelationalError::SchemaMismatch(_)))
-            ));
-        }
-    }
-
-    #[test]
-    fn distinct_and_count_where_ship_only_what_they_promise() {
-        let (schema, fds) = independent_setup();
-        for shards in 1..=3 {
-            let store = Store::open_with(
-                &schema,
-                &fds,
-                StoreConfig {
-                    shards,
-                    initial_state: None,
-                    ordered_indexes: Vec::new(),
-                },
-            )
-            .unwrap();
-            let cs = schema.scheme_by_name("CS").unwrap();
-            // Many students per course: distinct courses ≪ tuples.
             for course in 0..5u64 {
                 for student in 0..10u64 {
                     store.insert(cs, vec![v(course), v(100 + student)]).unwrap();
                 }
             }
-            let c = schema.universe().attr("C").unwrap();
-            let s = schema.universe().attr("S").unwrap();
-            let keys = store.distinct(cs, &Predicate::new(), &[c]).unwrap();
-            assert_eq!(keys, (0..5u64).map(|i| vec![v(i)]).collect::<Vec<_>>());
-            // With a predicate, the key set narrows accordingly.
-            let keys = store
-                .distinct(cs, &Predicate::new().and_eq(s, v(103)), &[c])
-                .unwrap();
-            assert_eq!(keys.len(), 5);
-            assert_eq!(
-                store
-                    .count_where(cs, &Predicate::new().and_eq(c, v(2)))
-                    .unwrap(),
-                10
-            );
-            assert_eq!(store.count_where(cs, &Predicate::new()).unwrap(), 50);
-            // Typed errors at the router boundary.
-            let t = schema.universe().attr("T").unwrap();
-            assert!(matches!(
-                store.distinct(cs, &Predicate::new(), &[t]),
-                Err(StoreError::Relational(RelationalError::SchemaMismatch(_)))
-            ));
-            assert!(matches!(
-                store.distinct(SchemeId(99), &Predicate::new(), &[c]),
-                Err(StoreError::UnknownScheme(_))
-            ));
-            assert!(matches!(
-                store.count_where(cs, &Predicate::new().and_eq(t, v(0))),
-                Err(StoreError::Relational(RelationalError::SchemaMismatch(_)))
-            ));
+            let snap = store.snapshot().unwrap();
+            // (relation, predicate, distinct column, matches, distinct rows)
+            let table = [
+                (ct, Predicate::new(), c, 20, 20),
+                (ct, Predicate::new().and_eq(c, v(7)), c, 1, 1), // key index hit
+                (ct, Predicate::new().and_eq(t, v(107)), c, 1, 1), // linear filter
+                (ct, Predicate::new().and_eq(c, v(999)), c, 0, 0), // miss
+                (cs, Predicate::new(), c, 50, 5),
+                (cs, Predicate::new().and_eq(s, v(103)), c, 5, 5),
+                (cs, Predicate::new().and_eq(c, v(2)), c, 10, 1),
+            ];
+            for (id, pred, col, matches, keys) in table {
+                for (plan, shipped) in [
+                    (ReadPlan::tuples(pred.clone()), matches),
+                    (ReadPlan::distinct_columns(pred.clone(), vec![col]), keys),
+                    (ReadPlan::count(pred.clone()), 0),
+                ] {
+                    let got = store.read(id, &plan).unwrap();
+                    assert_eq!(
+                        got,
+                        snap.relation(id).read(&plan),
+                        "{shards} shards, {plan:?}"
+                    );
+                    assert_eq!((got.rows.len(), got.count), (shipped, matches), "{plan:?}");
+                }
+                assert_eq!(store.query(id, &pred).unwrap().len(), matches);
+            }
+            for plan in [
+                ReadPlan::tuples(Predicate::new()),
+                ReadPlan::distinct_columns(Predicate::new(), vec![c]),
+                ReadPlan::count(Predicate::new()),
+            ] {
+                assert!(matches!(
+                    store.read(SchemeId(99), &plan),
+                    Err(StoreError::UnknownScheme(_))
+                ));
+            }
+            for plan in [
+                ReadPlan::tuples(Predicate::new().and_eq(t, v(0))),
+                ReadPlan::count(Predicate::new().and_eq(t, v(0))),
+                ReadPlan::distinct_columns(Predicate::new(), vec![c, t]),
+            ] {
+                assert!(matches!(
+                    store.read(cs, &plan),
+                    Err(StoreError::Relational(RelationalError::SchemaMismatch(_)))
+                ));
+            }
         }
     }
 
@@ -2544,9 +2337,12 @@ mod tests {
         for i in 0..30u64 {
             store.insert(cs, vec![v(i % 3), v(i)]).unwrap();
         }
-        let whole = store.read(cs).unwrap();
+        let whole = store.snapshot().unwrap();
         let pred = Predicate::new().and_range(s, v(10), v(19));
-        assert_eq!(store.query(cs, &pred).unwrap(), whole.filter_tuples(&pred));
+        assert_eq!(
+            store.query(cs, &pred).unwrap(),
+            whole.relation(cs).filter_tuples(&pred)
+        );
         drop(store);
 
         // A spec naming a foreign column is refused at open.
@@ -2598,8 +2394,11 @@ mod tests {
             },
         )
         .unwrap();
-        let whole = store.read(cs).unwrap();
-        assert_eq!(store.query(cs, &pred).unwrap(), whole.filter_tuples(&pred));
+        let whole = store.snapshot().unwrap();
+        assert_eq!(
+            store.query(cs, &pred).unwrap(),
+            whole.relation(cs).filter_tuples(&pred)
+        );
         assert_eq!(store.query(cs, &pred).unwrap().len(), 10);
         store.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(&root);
@@ -2827,7 +2626,7 @@ mod tests {
             )
         };
         let store = preloaded_open().unwrap();
-        assert_eq!(store.count(ct).unwrap(), 1);
+        assert_eq!(store.query(ct, &Predicate::new()).unwrap().len(), 1);
         store.shutdown().unwrap();
         // Once the store has history the same call is refused again.
         assert!(preloaded_open().is_err());

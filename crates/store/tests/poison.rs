@@ -8,7 +8,7 @@
 //! while shards that did not fail keep serving their relations.
 
 use ids_deps::FdSet;
-use ids_relational::{DatabaseSchema, Universe, Value};
+use ids_relational::{DatabaseSchema, Predicate, ReadPlan, Universe, Value};
 use ids_store::{DurableConfig, Store, StoreConfig, StoreError, SyncPolicy};
 
 fn v(n: u64) -> Value {
@@ -95,16 +95,15 @@ fn every_later_op_and_the_shutdown_report_the_preserved_reason() {
         Err(StoreError::ShardPoisoned { .. })
     ));
     // Everything routed to the worker afterwards — writes, barrier-free
-    // reads, counts, queries, the snapshot barrier, the checkpoint —
+    // reads in any shape, the snapshot barrier, the checkpoint —
     // reports the same preserved reason, not `Disconnected`.
     for err in [
         store.insert(cs, vec![v(1), v(50)]).unwrap_err(),
         store.remove(ct, vec![v(1), v(10)]).unwrap_err(),
-        store.read(ct).unwrap_err(),
-        store.count(cs).unwrap_err(),
         store
-            .query(ct, &ids_relational::Predicate::new())
+            .read(cs, &ReadPlan::count(Predicate::new()))
             .unwrap_err(),
+        store.query(ct, &Predicate::new()).unwrap_err(),
         store.snapshot().unwrap_err(),
         store.checkpoint().unwrap_err(),
     ] {
@@ -143,12 +142,13 @@ fn healthy_shards_keep_serving_after_one_poisons() {
     // Theorem 3's graceful degradation: relations share no enforcement
     // state, so the healthy shard neither notices nor suffers.
     store.insert(cs, vec![v(1), v(50)]).unwrap();
-    assert_eq!(store.read(cs).unwrap().len(), 1);
-    assert_eq!(store.count(cs).unwrap(), 1);
+    assert_eq!(store.query(cs, &Predicate::new()).unwrap().len(), 1);
+    let counted = store.read(cs, &ReadPlan::count(Predicate::new())).unwrap();
+    assert_eq!(counted.count, 1);
     // But anything touching the poisoned shard — including the
     // store-wide snapshot barrier — reports the preserved reason.
     assert!(matches!(
-        store.read(ct),
+        store.query(ct, &Predicate::new()),
         Err(StoreError::ShardPoisoned { .. })
     ));
     assert!(matches!(

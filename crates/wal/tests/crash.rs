@@ -264,7 +264,8 @@ fn recovery_after_recovery_from_a_torn_tail_keeps_working() {
     // clean shutdown — the torn bytes remain in gen 1.
     {
         let store = open(&root);
-        assert_eq!(store.count(r0).unwrap(), 1, "prefix recovered");
+        let recovered = store.query(r0, &ids_relational::Predicate::new()).unwrap();
+        assert_eq!(recovered.len(), 1, "prefix recovered");
         store
             .insert(
                 r0,

@@ -15,11 +15,11 @@ use independent_schemas::prelude::{
     Database, DatabaseSchema, DatabaseState, DurableConfig, Engine, EngineKind, Event, EventRecord,
     Fd, FdOnlyMaintainer, FdSet, FrameError, FrameReader, HistogramSnapshot, IndependenceAnalysis,
     InsertOutcome, JoinDependency, LocalMaintainer, Maintainer, MaintenanceError, MetricsSnapshot,
-    NotIndependentReason, OpOutcome, Predicate, Projection, Query, Relation, RelationScheme,
-    RelationShard, Reply, Request, Row, RowSet, Rows, Satisfaction, Schema, SchemaBuilder,
-    SchemeId, Server, ServerConfig, SharedDatabase, Store, StoreConfig, StoreError, StoreOp,
-    SyncPolicy, Tuple, Universe, Value, ValuePool, Verdict, WalDir, WalError, WireError,
-    WireOutcome, Witness, WIRE_VERSION,
+    NotIndependentReason, OpOutcome, Predicate, Projection, Query, ReadPlan, ReadReply, ReadShape,
+    Relation, RelationScheme, RelationShard, Reply, Request, Row, RowSet, Rows, Satisfaction,
+    Schema, SchemaBuilder, SchemeId, Server, ServerConfig, SharedDatabase, Store, StoreConfig,
+    StoreError, StoreOp, SyncPolicy, Tuple, Universe, Value, ValuePool, Verdict, WalDir, WalError,
+    WireError, WireOutcome, Witness, WIRE_VERSION,
 };
 
 // Crate-module paths the test files reach around the prelude for.
@@ -84,21 +84,30 @@ fn entry_point_signatures_are_stable() {
     // the store's per-relation read is part of the contract.
     let _remove: fn(&mut LocalMaintainer, SchemeId, &[Value]) -> Result<bool, MaintenanceError> =
         LocalMaintainer::remove;
-    let _read: fn(&Store, SchemeId) -> Result<Relation, StoreError> = Store::read;
-    let _count: fn(&Store, SchemeId) -> Result<usize, StoreError> = Store::count;
-    // The query subsystem: predicates push down through every layer.
+    let _read: fn(&Store, SchemeId, &ReadPlan) -> Result<ReadReply, StoreError> = Store::read;
+    // The one read plan: a predicate plus a shape, pushed down through
+    // every layer and answered by one entry per layer.
+    let _plan: fn(Predicate) -> ReadPlan = ReadPlan::tuples;
+    let _shape: ReadShape = ReadPlan::count(Predicate::new()).shape;
+    let _rel_read: fn(&Relation, &ReadPlan) -> ReadReply = Relation::read;
     let _scan: fn(&RelationShard, &Relation, &Predicate) -> Result<Vec<Tuple>, MaintenanceError> =
         RelationShard::scan;
-    let _local_query: fn(
+    let _shard_read: fn(
+        &RelationShard,
+        &Relation,
+        &ReadPlan,
+    ) -> Result<ReadReply, MaintenanceError> = RelationShard::read;
+    let _local_read: fn(
         &LocalMaintainer,
         SchemeId,
-        &Predicate,
-    ) -> Result<Vec<Tuple>, MaintenanceError> = LocalMaintainer::query;
+        &ReadPlan,
+    ) -> Result<ReadReply, MaintenanceError> = <LocalMaintainer as Maintainer>::read;
+    let _engine_read: fn(&Store, SchemeId, &ReadPlan) -> Result<ReadReply, ApiError> =
+        <Store as Engine>::read;
     let _store_query: fn(&Store, SchemeId, &Predicate) -> Result<Vec<Tuple>, StoreError> =
         Store::query;
-    let _db_query_raw: fn(&Database, SchemeId, &Predicate) -> Result<Vec<Tuple>, ApiError> =
+    let _db_query_raw: fn(&Database, SchemeId, &ReadPlan) -> Result<ReadReply, ApiError> =
         Database::query_raw;
-    let _db_join_raw: fn(&Database, &[SchemeId]) -> Result<Relation, ApiError> = Database::join_raw;
     let _eq = |v: &str| -> Cond { eq(v) };
     let _pred_matches: fn(&Predicate, AttrSet, &[Value]) -> bool = Predicate::matches;
     let _proj_apply: fn(&Projection, AttrSet, &[Value]) -> Vec<Value> = Projection::apply;
