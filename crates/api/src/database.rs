@@ -67,9 +67,9 @@ impl EngineBox {
 ///
 /// [`Database::rows`] / [`Database::read`] consult **one** relation
 /// without a global barrier — on the sharded engine only the owning
-/// shard answers, every other shard keeps streaming.  Per relation the
-/// result is exactly as fresh as a snapshot (operations submitted
-/// before the read are visible); what it does *not* give you is a
+/// shard is locked, every other shard keeps streaming.  Per relation the
+/// result is exactly as fresh as a snapshot (operations that returned
+/// before the read started are visible); what it does *not* give you is a
 /// cross-relation cut: two `rows` calls may observe states no single
 /// moment contained.  [`Database::snapshot`] is the barrier that does —
 /// one globally-satisfying [`DatabaseState`] across all relations.
@@ -265,8 +265,14 @@ impl Database {
     /// 3. Only then is a generation manifest appended to the log — the
     ///    durability point — and the live topology switched.
     ///
-    /// On *any* error the current schema keeps serving, untouched.
-    /// Requires the durable sharded engine: [`Error::NotSharded`] on
+    /// On any error *before* the durability point the current schema
+    /// keeps serving, untouched.  A failure after it (an I/O error while
+    /// the relations' logs switch onto the new generation) cannot be
+    /// undone — recovery will load the new schema — so it poisons the
+    /// store instead of forking it: the alter and every later operation
+    /// report [`ids_store::StoreError::ShardPoisoned`] with the reason,
+    /// and [`Database::recover`] lands on the new schema with every
+    /// acknowledged write.  Requires the durable sharded engine: [`Error::NotSharded`] on
     /// sequential engines, [`ids_store::StoreError::NotDurable`] on an
     /// in-memory sharded store.
     pub fn alter(&mut self, op: &Alter) -> Result<u64, Error> {
@@ -443,7 +449,7 @@ impl Database {
     /// sharded engine only the owning shard runs it — a filter pinning a
     /// key column (an enforcement FD's left-hand side) is answered in
     /// O(1) from the hash index the shard already maintains, and only
-    /// matching tuples cross the channel.  Same barrier-free
+    /// matching tuples are copied out.  Same barrier-free
     /// consistency model as [`Database::rows`].
     pub fn query(&self, relation: impl Into<String>) -> Query<'_> {
         Query {
@@ -502,7 +508,7 @@ impl Database {
     /// ## Why this is sound without a barrier
     ///
     /// Each read returns its relation at some point of that relation's
-    /// own FIFO.  Because the schema is independent, relations share no
+    /// own history.  Because the schema is independent, relations share no
     /// enforcement state, so the combination of those per-relation cuts
     /// is a state some valid serialization of the submitted operations
     /// passes through — and every such state is **globally satisfying**
@@ -522,7 +528,7 @@ impl Database {
     /// A relation listed more than once is read **exactly once** — the
     /// repeated mention joins that single cut with itself (a no-op for
     /// the natural join).  Reading a repeated relation once per mention
-    /// would intersect two barrier-free cuts of the *same* FIFO, a
+    /// would intersect two barrier-free cuts of the *same* history, a
     /// result corresponding to no cut of that relation's history; the
     /// per-relation soundness argument above covers only combinations
     /// of one cut per relation.

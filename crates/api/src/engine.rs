@@ -44,9 +44,9 @@ pub enum EngineKind {
 ///   batch is validated before anything is applied, so a malformed batch
 ///   mutates nothing.  FD violations are *outcomes*
 ///   ([`InsertOutcome::Rejected`]), malformed operations are errors.
-///   The sharded engine additionally pipelines the batch across its
-///   workers.  [`insert`](Engine::insert) / [`remove`](Engine::remove)
-///   are provided one-op batches.
+///   The sharded engine runs each touched relation's part inside that
+///   relation's own lock.  [`insert`](Engine::insert) /
+///   [`remove`](Engine::remove) are provided one-op batches.
 /// * [`read`](Engine::read) — the read path: one relation, **without** a
 ///   global barrier (freshness per relation, no cross-relation cut).
 ///   The [`ReadPlan`]'s predicate travels down to whatever owns the
@@ -75,8 +75,8 @@ pub trait Engine: Send {
     /// [`ids_relational::Relation::read`] on the relation's current
     /// contents; engines differ only in how little work that takes (the
     /// local engine and the store answer key point lookups in O(1) from
-    /// their enforcement indexes, and the store ships only the shaped
-    /// reply across its channel).
+    /// their enforcement indexes, and the store builds only the shaped
+    /// reply under the relation's lock).
     fn read(&self, id: SchemeId, plan: &ReadPlan) -> Result<ReadReply, Error>;
 
     /// The whole state as one consistent cut.

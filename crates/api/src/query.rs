@@ -22,7 +22,7 @@
 //! once, hands the engine a typed [`ids_relational::Predicate`], and on
 //! the sharded engine only the owning shard evaluates it — a point
 //! lookup on a key column is O(1) against the enforcement hash index,
-//! and only matching tuples ever cross a channel.  See
+//! and only matching tuples are ever copied out.  See
 //! [`crate::Database::query`] for the consistency model.
 
 use std::fmt;
@@ -209,7 +209,8 @@ impl Query<'_> {
 
     /// Number of matching rows, counted where the tuples live — no row
     /// is shipped or rendered to answer it (on the sharded engine the
-    /// owning shard counts and only the integer crosses the channel).
+    /// count is taken under the owning shard's lock and only the integer
+    /// leaves it).
     pub fn count(self) -> Result<usize, Error> {
         self.db.run_count(&self.relation, &self.filters)
     }

@@ -15,10 +15,11 @@
 //! The mutex guards *name resolution only*: the string→[`ids_relational::Value`]
 //! interning table and the rendering table back.  Every actual
 //! operation — FD probe, commit, WAL append, query evaluation — runs
-//! on the store's shard workers **after the lock is released**, so
-//! Theorem 3's shard-per-relation concurrency is untouched: two
-//! clients writing different relations still proceed with zero shared
-//! enforcement state.  The critical sections are O(row) hash lookups
+//! on the calling thread inside the one relation's own lock in the
+//! store, **after the name lock is released**, so Theorem 3's
+//! relation-by-relation concurrency is untouched: two clients writing
+//! different relations still proceed with zero shared enforcement
+//! state, and never wait on each other past name resolution.  The critical sections are O(row) hash lookups
 //! (plus, on a durable database, the name-log append for a never-seen
 //! string — the fsync that must precede any tuple referencing it).
 
@@ -128,7 +129,9 @@ impl SharedDatabase {
     /// Applies one `ALTER`-class schema transition to the running
     /// database — the `&self` counterpart of [`crate::Database::alter`]
     /// (same validation ladder, same typed refusals, same guarantee
-    /// that on any error the current schema keeps serving).  Concurrent
+    /// that on any error before the durability point the current schema
+    /// keeps serving, and that a failure after it poisons the store
+    /// rather than forking it).  Concurrent
     /// traffic on unaffected relations keeps flowing throughout;
     /// concurrent `alter` calls serialize.
     pub fn alter(&self, op: &Alter) -> Result<u64, Error> {
@@ -153,7 +156,7 @@ impl SharedDatabase {
 
     /// A typed snapshot of the store's metric families, event ring, and
     /// preserved poison reason — see [`Store::metrics`].  Purely
-    /// read-side: no shard round trip, works even after a poison.
+    /// read-side: no relation is locked, works even after a poison.
     pub fn metrics(&self) -> ids_obs::MetricsSnapshot {
         self.store.metrics()
     }
@@ -282,8 +285,8 @@ impl SharedDatabase {
         Ok(self.query(relation, &[], None)?.into_string_rows())
     }
 
-    /// Number of rows currently in a relation (barrier-free; no lock,
-    /// no tuples shipped).
+    /// Number of rows currently in a relation (barrier-free; no name
+    /// lock, no tuples shipped).
     pub fn count(&self, relation: &str) -> Result<usize, Error> {
         let id = self.schema().scheme_id(relation)?;
         let all = ReadPlan::count(Predicate::new());

@@ -112,11 +112,6 @@ fn engine_kinds() -> Vec<EngineKind> {
         EngineKind::Local,
         EngineKind::Chase,
         EngineKind::FdOnly,
-        EngineKind::Sharded(StoreConfig {
-            shards: 2,
-            initial_state: None,
-            ordered_indexes: Vec::new(),
-        }),
         EngineKind::Sharded(StoreConfig::default()),
     ]
 }

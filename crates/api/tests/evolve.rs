@@ -5,13 +5,14 @@
 //! append in a post-transition segment.
 //!
 //! The differential proptest at the bottom is the correctness anchor:
-//! a random interleaving of alters and write traffic on the
-//! multi-shard engine must agree op-for-op (and state-for-state,
-//! before *and* after recovery) with a single-shard sequential oracle
-//! replaying the same schedule.
+//! through a random interleaving of alters and write traffic, every
+//! per-op outcome must agree with the rows the live database serves,
+//! and `recover(log(S)) = S` must hold at every era boundary and at
+//! the end — schema, rows and enforcement.
 
 use ids_api::{Alter, Database, EngineKind, Error, Schema};
 use ids_store::{DurableConfig, StoreConfig, StoreError, SyncPolicy};
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
@@ -252,6 +253,55 @@ fn torn_tail_after_a_transition_recovers_the_acknowledged_prefix() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A switch that fails *after* the durability point must not return
+/// with the old schema still serving: `MANIFEST-g2` is already durable,
+/// so recovery will load the new schema, and a store that kept
+/// acknowledging writes under the old one would be a silent fork.  The
+/// failure poisons the store instead — the failing alter and every
+/// later operation report the I/O reason — and recovery lands on the
+/// new schema with every acknowledged row.
+#[test]
+fn a_switch_failing_after_the_durability_point_poisons_instead_of_forking() {
+    let root = tmp_dir("post-durability");
+    let mut db = Database::open_at(&root, example2(), DurableConfig::default()).unwrap();
+    db.insert("CT", ["CS402", "Jones"]).unwrap();
+    let next_gen = db.store().unwrap().generation().unwrap() + 1;
+    // SR becomes scheme 3; squat on its first segment's name with a
+    // directory so the added relation's log writer cannot be created.
+    let squatter = root
+        .join("wal")
+        .join(ids_wal::segment_file_name(3, next_gen));
+    std::fs::create_dir(&squatter).unwrap();
+
+    let is_poisoned = |e: Error| match e {
+        Error::Store(StoreError::ShardPoisoned { reason }) => {
+            assert!(reason.contains("r00003-g"), "not the I/O reason: {reason}");
+        }
+        other => panic!("expected ShardPoisoned, got {other}"),
+    };
+    is_poisoned(db.alter(&add_sr()).unwrap_err());
+    // No relation keeps serving the schema recovery will not load.
+    is_poisoned(db.insert("CT", ["CS101", "Reed"]).unwrap_err());
+    is_poisoned(db.insert("CS", ["CS402", "Ann"]).unwrap_err());
+    is_poisoned(db.remove("CT", ["CS402", "Jones"]).unwrap_err());
+    is_poisoned(db.count("CHR").unwrap_err());
+    is_poisoned(db.checkpoint().unwrap_err());
+    drop(db);
+
+    // The manifest was durable, so the transition *is* in effect after
+    // recovery — with the acknowledged row and nothing else.
+    std::fs::remove_dir(&squatter).unwrap();
+    let mut db = Database::recover(&root).unwrap();
+    assert_eq!(db.schema().columns("SR").unwrap(), ["student", "room"]);
+    assert_eq!(
+        db.rows("CT").unwrap(),
+        vec![vec!["CS402".to_string(), "Jones".to_string()]]
+    );
+    assert_eq!(db.count("CS").unwrap(), 0);
+    db.insert("SR", ["Ann", "R128"]).unwrap();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 // ---------------------------------------------------------------------
 // Differential proptest: alters interleaved with write traffic.
 // ---------------------------------------------------------------------
@@ -315,31 +365,64 @@ fn err_kind(e: &Error) -> &'static str {
     }
 }
 
-fn durable_with_shards(root: &std::path::Path, shards: usize) -> Database {
-    Database::open_at(
-        root,
-        example2(),
-        DurableConfig {
-            store: StoreConfig {
-                shards,
-                initial_state: None,
-                ordered_indexes: Vec::new(),
-            },
-            ..DurableConfig::default()
-        },
-    )
-    .unwrap()
+/// The observable state: each served relation's rows, as a set.
+type Rendered = BTreeMap<String, BTreeSet<Vec<String>>>;
+
+fn rendered(db: &Database) -> Rendered {
+    let names: Vec<String> = db.schema().relation_names().map(String::from).collect();
+    names
+        .into_iter()
+        .map(|name| {
+            let rows = db.rows(&name).unwrap().into_iter().collect();
+            (name, rows)
+        })
+        .collect()
+}
+
+/// Recursive directory copy — the image a crash would leave behind.
+fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let target = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_dir(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), target).unwrap();
+        }
+    }
+}
+
+/// `recover(log(S)) = S`, checked without stopping `S`: what a crash at
+/// this instant would leave behind — a copy of the directory the live
+/// database is writing — recovers to the same relations with the same
+/// rows.  (A copy, because recovery opens fresh segments.)
+fn assert_recovers_to(root: &std::path::Path, live: &Database, at: &str) {
+    let copy = root.with_extension("crashed");
+    let _ = std::fs::remove_dir_all(&copy);
+    copy_dir(root, &copy);
+    let recovered = Database::recover(&copy).unwrap();
+    assert_eq!(
+        rendered(&recovered),
+        rendered(live),
+        "recovery diverges {at}"
+    );
+    drop(recovered);
+    let _ = std::fs::remove_dir_all(&copy);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// A random schedule of alters + writes behaves identically on the
-    /// multi-shard engine and the single-shard sequential oracle —
-    /// per-op outcomes, final rendered state, and the state both
-    /// recover to after an unclean drop.
+    /// A random schedule of alters + writes on one durable database:
+    /// every per-op outcome is the one the live rows dictate (an insert
+    /// is a duplicate iff its row was served, accepted or rejected rows
+    /// do or do not appear, a remove reports presence, a refused alter
+    /// changes nothing), and the directory recovers to the live state
+    /// after every accepted alter — i.e. across each era boundary — and
+    /// after a final unclean drop.
     #[test]
-    fn altered_traffic_matches_single_shard_oracle(
+    fn altered_traffic_recovers_to_the_live_state(
         picks in proptest::collection::vec((0usize..10, 0usize..4, 0usize..3, 0usize..3), 10..40),
         seed in 0u64..1_000_000,
     ) {
@@ -363,46 +446,54 @@ proptest! {
             })
             .collect();
 
-        let root_a = tmp_dir(&format!("diff-a-{seed}"));
-        let root_b = tmp_dir(&format!("diff-b-{seed}"));
-        let mut db_a = durable_with_shards(&root_a, 4);
-        let mut db_b = durable_with_shards(&root_b, 1);
-
+        let root = tmp_dir(&format!("diff-{seed}"));
+        let mut db = Database::open_at(&root, example2(), DurableConfig::default()).unwrap();
         for (n, op) in schedule.iter().enumerate() {
-            let got = apply(&mut db_a, op);
-            let want = apply(&mut db_b, op);
-            prop_assert_eq!(got, want, "op {} diverges: {:?}", n, op);
+            let before = rendered(&db);
+            let got = apply(&mut db, op);
+            let after = rendered(&db);
+            let (held, holds) = match op {
+                Op::Insert(rel, row) | Op::Remove(rel, row) => (
+                    before.get(*rel).is_some_and(|rows| rows.contains(row)),
+                    after.get(*rel).is_some_and(|rows| rows.contains(row)),
+                ),
+                Op::Alter(_) => (false, false),
+            };
+            let changed = before != after;
+            let consistent = match got.as_str() {
+                "insert:Accepted" => !held && holds,
+                "insert:Duplicate" => held && !changed,
+                "remove:true" => held && !holds,
+                "remove:false" => !held && !changed,
+                "insert-err:unknown-relation" | "remove-err:unknown-relation" => {
+                    let (Op::Insert(rel, _) | Op::Remove(rel, _)) = op else { unreachable!() };
+                    !before.contains_key(*rel) && !changed
+                }
+                // An FD refusal, or a refused alter: nothing moved.
+                other if other.starts_with("insert:Rejected") => !held && !changed,
+                other if other.starts_with("alter-err:") => !changed,
+                other if other.starts_with("altered:g") => {
+                    // Rows of surviving relations are untouched; an
+                    // added relation starts empty.
+                    assert_recovers_to(&root, &db, &format!("after op {n} ({op:?})"));
+                    after.iter().all(|(name, rows)| match before.get(name) {
+                        Some(old) => old == rows,
+                        None => rows.is_empty(),
+                    })
+                }
+                other => panic!("op {n} ({op:?}): unexpected outcome {other}"),
+            };
+            prop_assert!(consistent, "op {} ({:?}) answered {} against {:?}", n, op, got, before);
         }
 
-        // Final schemas and states agree, compared through the same
-        // rendered surface a user reads.
-        let names_a: Vec<String> =
-            db_a.schema().relation_names().map(String::from).collect();
-        let names_b: Vec<String> =
-            db_b.schema().relation_names().map(String::from).collect();
-        prop_assert_eq!(&names_a, &names_b);
-        for name in &names_a {
-            let mut ra = db_a.rows(name).unwrap();
-            let mut rb = db_b.rows(name).unwrap();
-            ra.sort();
-            rb.sort();
-            prop_assert_eq!(ra, rb, "rows diverge in {}", name);
-        }
-
-        // Crash both (unclean drop) and recover: per-era replay lands
-        // on the same state again.
-        drop(db_a);
-        drop(db_b);
-        let db_a = Database::recover(&root_a).unwrap();
-        let db_b = Database::recover(&root_b).unwrap();
-        for name in &names_a {
-            let mut ra = db_a.rows(name).unwrap();
-            let mut rb = db_b.rows(name).unwrap();
-            ra.sort();
-            rb.sort();
-            prop_assert_eq!(&ra, &rb, "recovered rows diverge in {}", name);
-        }
-        let _ = std::fs::remove_dir_all(&root_a);
-        let _ = std::fs::remove_dir_all(&root_b);
+        // Crash (unclean drop) and recover: per-era replay lands on the
+        // live state, and keeps enforcing what the live database did.
+        let live = rendered(&db);
+        let schema_fds = db.schema().fds().iter().count();
+        drop(db);
+        let db = Database::recover(&root).unwrap();
+        prop_assert_eq!(rendered(&db), live);
+        prop_assert_eq!(db.schema().fds().iter().count(), schema_fds);
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

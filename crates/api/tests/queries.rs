@@ -7,8 +7,8 @@
 //! the semantics they claim: *filtering/projecting a consistent
 //! snapshot*.  So: replay random interleaved traces through the
 //! string-level `Database` on **every** `EngineKind` (including the
-//! sharded store at 1/2/default shards), through a durable-recovered
-//! store **and** through a file-tail replica, then demand
+//! sharded store), through a durable-recovered store **and** through a
+//! file-tail replica, then demand
 //!
 //! * `query(pred, proj)` ≡ filtering + projecting the relation of a full
 //!   `snapshot()`, compared through the rendered-string surface,
@@ -126,23 +126,7 @@ fn kinds() -> Vec<(String, Kind)> {
         ("Chase".into(), Kind::Mem(EngineKind::Chase)),
         ("FdOnly".into(), Kind::Mem(EngineKind::FdOnly)),
         (
-            "Sharded(1)".into(),
-            Kind::Mem(EngineKind::Sharded(StoreConfig {
-                shards: 1,
-                initial_state: None,
-                ordered_indexes: Vec::new(),
-            })),
-        ),
-        (
-            "Sharded(2)".into(),
-            Kind::Mem(EngineKind::Sharded(StoreConfig {
-                shards: 2,
-                initial_state: None,
-                ordered_indexes: Vec::new(),
-            })),
-        ),
-        (
-            "Sharded(default)".into(),
+            "Sharded".into(),
             Kind::Mem(EngineKind::Sharded(StoreConfig::default())),
         ),
         ("Durable-recovered".into(), Kind::Durable),

@@ -22,7 +22,7 @@ fn bench_durability(c: &mut Criterion) {
     let mut g = c.benchmark_group("e9_durability");
 
     g.bench_function("store_memory", |b| {
-        b.iter_custom(|iters| (0..iters).map(|_| run_store(&w, 4, 1_024)).sum());
+        b.iter_custom(|iters| (0..iters).map(|_| run_store(&w, 1, 1_024)).sum());
     });
     for (label, sync) in [
         ("wal_never", SyncPolicy::Never),
@@ -34,7 +34,7 @@ fn bench_durability(c: &mut Criterion) {
                 (0..iters)
                     .map(|_| {
                         let root = scratch(label);
-                        let d = run_store_durable(&w, 4, 1_024, sync, &root);
+                        let d = run_store_durable(&w, 1_024, sync, &root);
                         let _ = std::fs::remove_dir_all(&root);
                         d
                     })
@@ -47,7 +47,7 @@ fn bench_durability(c: &mut Criterion) {
             (0..iters)
                 .map(|_| {
                     let root = scratch("recovery");
-                    let _ = run_store_durable(&w, 4, 1_024, SyncPolicy::Batch(4_096), &root);
+                    let _ = run_store_durable(&w, 1_024, SyncPolicy::Batch(4_096), &root);
                     let row = run_recovery(&w, &root);
                     let _ = std::fs::remove_dir_all(&root);
                     row.elapsed

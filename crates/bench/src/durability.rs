@@ -76,7 +76,6 @@ impl Drop for ScratchDir {
 /// [`run_store`]).
 pub fn run_store_durable(
     w: &ThroughputWorkload,
-    shards: usize,
     batch: usize,
     sync: SyncPolicy,
     root: &std::path::Path,
@@ -87,12 +86,10 @@ pub fn run_store_durable(
         &w.inst.fds,
         DurableConfig {
             store: StoreConfig {
-                shards,
                 initial_state: Some(w.base.clone()),
-                ordered_indexes: Vec::new(),
+                ..Default::default()
             },
             sync,
-            app: Vec::new(),
             ..Default::default()
         },
     )
@@ -134,11 +131,10 @@ pub fn sweep(smoke: bool) -> (Vec<DurabilityRow>, RecoveryRow) {
     let (relations, preload, n_ops) = workload_sizes(smoke);
     let w = build_workload(relations, preload, n_ops);
     let batch = if smoke { 256 } else { 4_096 };
-    let shards = 4;
     let n = w.ops.len();
     let mut rows = Vec::new();
 
-    let base = run_store(&w, shards, batch);
+    let base = run_store(&w, 1, batch);
     let base_secs = base.as_secs_f64();
     rows.push(DurabilityRow {
         mode: "store (memory)",
@@ -153,7 +149,7 @@ pub fn sweep(smoke: bool) -> (Vec<DurabilityRow>, RecoveryRow) {
         ("wal-always", SyncPolicy::Always),
     ] {
         let scratch = ScratchDir::new(mode);
-        let d = run_store_durable(&w, shards, batch, sync, &scratch.0);
+        let d = run_store_durable(&w, batch, sync, &scratch.0);
         let secs = d.as_secs_f64();
         rows.push(DurabilityRow {
             mode,
@@ -166,7 +162,7 @@ pub fn sweep(smoke: bool) -> (Vec<DurabilityRow>, RecoveryRow) {
     // Recovery of the batch-policy directory (freshly rebuilt so the
     // timing includes a realistic log tail).
     let scratch = ScratchDir::new("recovery");
-    let _ = run_store_durable(&w, shards, batch, SyncPolicy::Batch(4_096), &scratch.0);
+    let _ = run_store_durable(&w, batch, SyncPolicy::Batch(4_096), &scratch.0);
     let recovery = run_recovery(&w, &scratch.0);
     (rows, recovery)
 }
@@ -181,7 +177,7 @@ mod tests {
         // same work: equal final states, op for op.
         let w = build_workload(4, 32, 400);
         let scratch = ScratchDir::new("agree");
-        let _ = run_store_durable(&w, 2, 64, SyncPolicy::Batch(64), &scratch.0);
+        let _ = run_store_durable(&w, 64, SyncPolicy::Batch(64), &scratch.0);
         let durable = Store::open_durable(&scratch.0, &w.inst.schema, &w.inst.fds)
             .unwrap()
             .shutdown()
@@ -191,9 +187,8 @@ mod tests {
             &w.inst.schema,
             &w.inst.fds,
             StoreConfig {
-                shards: 2,
                 initial_state: Some(w.base.clone()),
-                ordered_indexes: Vec::new(),
+                ..Default::default()
             },
         )
         .unwrap();

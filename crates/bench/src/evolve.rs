@@ -10,7 +10,10 @@
 //! swaps the topology — and none of that holds up writers on shards
 //! the transition does not touch.  The hot relation keeps its own
 //! shard and its own log (Theorem 3), so the only contention an alter
-//! can impose on it is the brief topology swap.  The baseline phase
+//! can impose on it is the brief switch under the topology write lock
+//! (O(1) retargets plus one log rotation per surviving relation; every
+//! O(rows) step runs under the altered relation's own lock).  The
+//! baseline phase
 //! runs the identical write stream with no alters; the churn phase
 //! runs it while the main thread cycles add-FD (with a real backfill
 //! over a preloaded relation), drop-FD, add-relation, drop-relation

@@ -46,14 +46,10 @@ pub fn chain_schema(relations: usize) -> Schema {
 
 /// Opens the shared database the server front-ends: `key-chain`
 /// relations on a sharded store.
-pub fn shared_db(relations: usize, shards: usize) -> Arc<SharedDatabase> {
+pub fn shared_db(relations: usize) -> Arc<SharedDatabase> {
     let db = Database::open(
         chain_schema(relations),
-        EngineKind::Sharded(StoreConfig {
-            shards,
-            initial_state: None,
-            ordered_indexes: Vec::new(),
-        }),
+        EngineKind::Sharded(StoreConfig::default()),
     )
     .expect("independent schema opens sharded");
     Arc::new(db.into_shared().expect("sharded engines share"))
@@ -79,7 +75,7 @@ pub struct NetRow {
 /// with unique keys, so every reply must be `Accepted` — asserted, so
 /// the measured path is the full typed round trip.
 pub fn fleet_throughput(clients: usize, per_client: usize, window: usize) -> NetRow {
-    let shared = shared_db(clients.max(1), clients.clamp(1, 8));
+    let shared = shared_db(clients.max(1));
     let server = Server::serve(Arc::clone(&shared), "127.0.0.1:0").expect("bind loopback");
     let addr = server.local_addr();
 
@@ -162,7 +158,7 @@ pub fn overload_burst(
     preloaded: usize,
     queue_depth: usize,
 ) -> OverloadRow {
-    let shared = shared_db(clients.max(1), clients.clamp(1, 8));
+    let shared = shared_db(clients.max(1));
     for c in 0..clients {
         for i in 0..preloaded {
             shared

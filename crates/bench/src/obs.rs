@@ -28,7 +28,7 @@
 use std::time::Duration;
 
 use ids_core::InsertOutcome;
-use ids_store::{OpOutcome, Store, StoreConfig, StoreOp};
+use ids_store::{OpOutcome, Store, StoreOp};
 use ids_workloads::families::key_chain;
 use ids_workloads::traces::{interleaved_trace, TraceKind, TraceParams};
 
@@ -64,16 +64,15 @@ pub fn overhead_sweep(
     let (relations, preload, n_ops) = workload_sizes(smoke);
     let w = build_workload(relations, preload, n_ops);
     let batch = if smoke { 256 } else { 4_096 };
-    let shards = 4;
 
     let mut best: Option<(Duration, Duration)> = None;
     for _ in 0..attempts.max(1) {
         let (mut on, mut off) = (Duration::MAX, Duration::MAX);
         for _ in 0..reps.max(1) {
             ids_obs::set_recording(true);
-            on = on.min(run_store(&w, shards, batch));
+            on = on.min(run_store(&w, 1, batch));
             ids_obs::set_recording(false);
-            off = off.min(run_store(&w, shards, batch));
+            off = off.min(run_store(&w, 1, batch));
         }
         ids_obs::set_recording(true);
         let better = match &best {
@@ -107,8 +106,9 @@ pub fn overhead_sweep(
 pub struct ConservationReport {
     /// Operations in the trace.
     pub ops: usize,
-    /// Shards the store ran.
-    pub shards: usize,
+    /// Relations (one `store.shard{i}` metric family each) the totals
+    /// are summed over.
+    pub relations: usize,
     /// Inserts acknowledged `Accepted`.
     pub accepted: u64,
     /// Inserts acknowledged `Duplicate`.
@@ -120,7 +120,7 @@ pub struct ConservationReport {
 }
 
 /// Pushes a mixed insert/remove trace through a sharded store, tallies
-/// the *acknowledged* outcomes, and asserts the quiesced per-shard
+/// the *acknowledged* outcomes, and asserts the quiesced per-relation
 /// counter totals equal them exactly — conservation, in the kernel
 /// itself so every caller inherits the check.
 pub fn conservation_check(smoke: bool) -> ConservationReport {
@@ -135,17 +135,7 @@ pub fn conservation_check(smoke: bool) -> ConservationReport {
         },
         0xE12,
     );
-    let shards = 3;
-    let store = Store::open_with(
-        &inst.schema,
-        &inst.fds,
-        StoreConfig {
-            shards,
-            initial_state: None,
-            ordered_indexes: Vec::new(),
-        },
-    )
-    .expect("key-chain is independent");
+    let store = Store::open(&inst.schema, &inst.fds).expect("key-chain is independent");
     let ops: Vec<StoreOp> = trace
         .iter()
         .map(|op| match op.kind {
@@ -183,13 +173,10 @@ pub fn conservation_check(smoke: bool) -> ConservationReport {
         (accepted, duplicate, rejected, removed),
         "counter totals must equal the acknowledged outcomes"
     );
-    for (name, depth) in &snap.gauges {
-        assert_eq!(*depth, 0, "{name} did not quiesce");
-    }
     store.shutdown().expect("clean shutdown");
     ConservationReport {
         ops: n,
-        shards,
+        relations: inst.schema.len(),
         accepted,
         duplicate,
         rejected,

@@ -26,10 +26,10 @@ use ids_store::{Store, StoreConfig};
 use ids_workloads::families::key_chain;
 use ids_workloads::states::{lookup_stream, LookupOp};
 
-/// A prepared query workload: a 4-shard key-chain store preloaded with
-/// an exact per-relation tuple count, plus a read-heavy probe stream.
+/// A prepared query workload: a key-chain store preloaded with an exact
+/// per-relation tuple count, plus a read-heavy probe stream.
 pub struct QueryBench {
-    /// The running store (4 shards).
+    /// The running store.
     pub store: Store,
     /// Its schema handle.
     pub schema: DatabaseSchema,
@@ -54,7 +54,7 @@ impl QueryBench {
     }
 }
 
-/// Builds a `key-chain(relations)` store at 4 shards with exactly
+/// Builds a `key-chain(relations)` store with exactly
 /// `per_relation` tuples in every relation (`Ri` gets `(v, v)` for
 /// `v < per_relation`, trivially satisfying `Ai → Ai+1` and globally
 /// consistent), plus `probes` point lookups from the read-heavy
@@ -74,9 +74,8 @@ pub fn build(relations: usize, per_relation: usize, probes: usize) -> QueryBench
         &inst.schema,
         &inst.fds,
         StoreConfig {
-            shards: 4,
             initial_state: Some(state),
-            ordered_indexes: Vec::new(),
+            ..Default::default()
         },
     )
     .expect("key-chain is independent");

@@ -1,22 +1,22 @@
-//! E8 kernel: barrier-free per-relation [`Store::read`] vs the full
-//! [`Store::snapshot`] barrier.
+//! E8 kernel: one-relation [`Store::read`] vs the whole-store
+//! [`Store::snapshot`].
 //!
 //! Shared by the `experiments e8` section and the `--smoke` gate in
 //! `tests/smoke.rs`, so the reported numbers come from one code path.
 //!
 //! The claim under measurement is the API-design payoff of independence:
-//! a per-relation read consults **one** shard and ships **one**
+//! a per-relation read locks **one** shard and copies **one**
 //! relation's tuples, so its latency is flat in the number of relations, while a
-//! snapshot pays a barrier across every shard plus a copy of the whole
+//! snapshot locks every shard and copies the whole
 //! database.  On an independent schema the cheap read is still *sound*
-//! (the relation it returns is one some barrier snapshot also contains)
+//! (the relation it returns is one some snapshot also contains)
 //! — a dependent schema would offer no such shortcut, since global
 //! consistency there is not a per-relation property.
 //!
-//! Like E7, shard overlap is capped by host CPUs; unlike E7 the read
-//! advantage does **not** depend on parallelism — it comes from touching
-//! `1/n` of the data and `1` of `s` shards — so the gap shows even on a
-//! single-CPU host.  CPUs are printed alongside for interpretability.
+//! Unlike E7's caller overlap, the read advantage does **not** depend
+//! on parallelism — it comes from touching `1/n` of the data and `1` of
+//! `n` locks — so the gap shows even on a single-CPU host.  CPUs are
+//! printed alongside for interpretability.
 
 use std::time::{Duration, Instant};
 
@@ -27,7 +27,7 @@ use ids_workloads::states::random_satisfying_state;
 
 /// One row of the E8 sweep: read and snapshot latency on one store.
 pub struct ReadRow {
-    /// Relations in the schema (= shards offered work).
+    /// Relations in the schema.
     pub relations: usize,
     /// Tuples preloaded across the whole store.
     pub preloaded: usize,
@@ -51,9 +51,8 @@ pub fn read_vs_snapshot(relations: usize, preloaded: usize, reps: usize) -> Read
         &inst.schema,
         &inst.fds,
         StoreConfig {
-            shards: 4,
             initial_state: Some(base),
-            ordered_indexes: Vec::new(),
+            ..Default::default()
         },
     )
     .expect("key-chain is independent");

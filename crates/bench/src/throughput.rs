@@ -6,16 +6,19 @@
 //! they report come from the same code path.
 //!
 //! The workload is a multi-relation insert stream over `key-chain(n)` —
-//! `n` relations, one key FD each — the shape where shard-per-relation
-//! parallelism has work to distribute.  The baseline is the sequential
+//! `n` relations, one key FD each.  The baseline is the sequential
 //! [`LocalMaintainer`]; the store runs the identical ops through
-//! [`Store::apply_batch`] at increasing shard counts.
+//! [`Store::apply_batch`] from 1, 2, 4 and 8 caller threads, each owning
+//! a disjoint set of relations.  The claim is Theorem 3's: N callers on
+//! N relations never meet — a relation is a lock its caller runs, and no
+//! two callers here ever want the same one.
 //!
-//! **Interpreting speedups:** shard workers only overlap when the host
-//! exposes more than one CPU ([`available_cpus`] is printed alongside the
-//! tables).  On a single-CPU host the store pays channel overhead with no
-//! overlap and lands below 1×; the ≥ 2× target for 4 shards assumes ≥ 4
-//! CPUs.
+//! **Interpreting speedups:** callers only overlap when the host exposes
+//! more than one CPU ([`available_cpus`] is printed alongside the
+//! tables).  The 1-caller row is the store's whole per-op overhead over
+//! the sequential engine (batch grouping, one lock scope per relation,
+//! metrics); on a single-CPU host the multi-caller rows add only
+//! time-slicing, so they should sit level with it, not below it.
 
 use std::time::{Duration, Instant};
 
@@ -81,37 +84,30 @@ pub fn run_local(w: &ThroughputWorkload) -> Duration {
     t.elapsed()
 }
 
-/// Runs the ops through a fresh [`Store`] at the given shard count,
-/// batched `batch` ops at a time from one client thread; returns the
-/// elapsed time of the batched apply loop alone (open/shutdown and op
-/// cloning excluded).
-pub fn run_store(w: &ThroughputWorkload, shards: usize, batch: usize) -> Duration {
-    let store = open_store(w, shards);
-    let chunks: Vec<Vec<StoreOp>> = w.ops.chunks(batch).map(|c| c.to_vec()).collect();
-    let t = Instant::now();
-    for chunk in chunks {
-        let _ = std::hint::black_box(store.apply_batch(chunk).unwrap());
+/// Runs the ops through a fresh [`Store`] from `callers` threads: thread
+/// `i` owns the relations with `scheme % callers == i` and submits their
+/// ops, in stream order, `batch` at a time.  Returns the elapsed time of
+/// the apply phase alone (open/shutdown, partitioning and op cloning
+/// excluded).
+pub fn run_store(w: &ThroughputWorkload, callers: usize, batch: usize) -> Duration {
+    let store = Store::open_with(
+        &w.inst.schema,
+        &w.inst.fds,
+        StoreConfig {
+            initial_state: Some(w.base.clone()),
+            ..Default::default()
+        },
+    )
+    .expect("family is independent");
+    let callers = callers.max(1);
+    let mut owned: Vec<Vec<StoreOp>> = vec![Vec::new(); callers];
+    for op in &w.ops {
+        owned[op.scheme().index() % callers].push(op.clone());
     }
-    let elapsed = t.elapsed();
-    drop(store);
-    elapsed
-}
-
-/// Runs the ops through a fresh [`Store`], submitted by `clients`
-/// concurrent threads (ops dealt round-robin, so routing work overlaps
-/// with shard work); returns the elapsed time of the concurrent apply
-/// phase alone.
-pub fn run_store_concurrent(
-    w: &ThroughputWorkload,
-    shards: usize,
-    clients: usize,
-    batch: usize,
-) -> Duration {
-    let store = open_store(w, shards);
-    let mut scripts: Vec<Vec<Vec<StoreOp>>> = vec![Vec::new(); clients.max(1)];
-    for (i, chunk) in w.ops.chunks(batch).enumerate() {
-        scripts[i % clients.max(1)].push(chunk.to_vec());
-    }
+    let scripts: Vec<Vec<Vec<StoreOp>>> = owned
+        .iter()
+        .map(|ops| ops.chunks(batch).map(<[StoreOp]>::to_vec).collect())
+        .collect();
     let t = Instant::now();
     std::thread::scope(|s| {
         for script in scripts {
@@ -128,26 +124,12 @@ pub fn run_store_concurrent(
     elapsed
 }
 
-fn open_store(w: &ThroughputWorkload, shards: usize) -> Store {
-    Store::open_with(
-        &w.inst.schema,
-        &w.inst.fds,
-        StoreConfig {
-            shards,
-            initial_state: Some(w.base.clone()),
-            ordered_indexes: Vec::new(),
-        },
-    )
-    .expect("family is independent")
-}
-
 /// One row of the E7 sweep.
 pub struct ThroughputRow {
-    /// Engine label (`local`, `store`, or `store-mt` for the
-    /// multi-client submission mode).
+    /// Engine label (`local` or `store`).
     pub engine: &'static str,
-    /// Shard count (1 for the sequential engine).
-    pub shards: usize,
+    /// Caller threads (1 for the sequential engine).
+    pub callers: usize,
     /// Operations pushed.
     pub ops: usize,
     /// Wall-clock time of the op loop.
@@ -158,14 +140,15 @@ pub struct ThroughputRow {
     pub speedup: f64,
 }
 
-/// CPUs the host exposes — the hard ceiling on shard overlap.
+/// CPUs the host exposes — the hard ceiling on caller overlap.
 pub fn available_cpus() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
 }
 
-/// The full sweep: sequential baseline, then the store at 1/2/4/8 shards.
+/// The full sweep: sequential baseline, then the store from 1/2/4/8
+/// caller threads.
 pub fn sweep(smoke: bool) -> Vec<ThroughputRow> {
     let (relations, preload, n_ops) = workload_sizes(smoke);
     let w = build_workload(relations, preload, n_ops);
@@ -177,35 +160,24 @@ pub fn sweep(smoke: bool) -> Vec<ThroughputRow> {
     let base_secs = local.as_secs_f64();
     rows.push(ThroughputRow {
         engine: "local",
-        shards: 1,
+        callers: 1,
         ops: n,
         elapsed: local,
         ops_per_sec: n as f64 / base_secs,
         speedup: 1.0,
     });
-    for shards in [1usize, 2, 4, 8] {
-        let d = run_store(&w, shards, batch);
+    for callers in [1usize, 2, 4, 8] {
+        let d = run_store(&w, callers, batch);
         let secs = d.as_secs_f64();
         rows.push(ThroughputRow {
             engine: "store",
-            shards,
+            callers,
             ops: n,
             elapsed: d,
             ops_per_sec: n as f64 / secs,
             speedup: base_secs / secs,
         });
     }
-    // Multi-client submission at 4 shards: routing overlaps shard work.
-    let d = run_store_concurrent(&w, 4, 4, batch);
-    let secs = d.as_secs_f64();
-    rows.push(ThroughputRow {
-        engine: "store-mt",
-        shards: 4,
-        ops: n,
-        elapsed: d,
-        ops_per_sec: n as f64 / secs,
-        speedup: base_secs / secs,
-    });
     rows
 }
 
@@ -245,9 +217,8 @@ mod tests {
             &w.inst.schema,
             &w.inst.fds,
             StoreConfig {
-                shards: 3,
                 initial_state: Some(w.base.clone()),
-                ordered_indexes: Vec::new(),
+                ..Default::default()
             },
         )
         .unwrap();

@@ -34,19 +34,20 @@ fn experiments_smoke_covers_all_sections() {
 }
 
 /// The throughput kernel itself (shared by the Criterion bench and E7)
-/// must run end to end at smoke sizes: baseline plus every shard count,
-/// store rows reaching the same op count as the sequential engine.
+/// must run end to end at smoke sizes: baseline plus every caller
+/// count, store rows reaching the same op count as the sequential
+/// engine.
 #[test]
-fn throughput_smoke_covers_all_shard_counts() {
+fn throughput_smoke_covers_all_caller_counts() {
     let rows = ids_bench::throughput::sweep(true);
-    assert_eq!(rows.len(), 6, "local + 4 store rows + store-mt");
+    assert_eq!(rows.len(), 5, "local + 4 store rows");
     assert_eq!(rows[0].engine, "local");
-    let shard_counts: Vec<usize> = rows
+    let caller_counts: Vec<usize> = rows
         .iter()
         .filter(|r| r.engine == "store")
-        .map(|r| r.shards)
+        .map(|r| r.callers)
         .collect();
-    assert_eq!(shard_counts, vec![1, 2, 4, 8]);
+    assert_eq!(caller_counts, vec![1, 2, 4, 8]);
     for r in &rows {
         assert_eq!(r.ops, rows[0].ops, "every engine pushes the same ops");
         assert!(r.ops_per_sec > 0.0);
@@ -146,7 +147,7 @@ fn network_smoke_conserves_requests_under_overload() {
 fn observability_smoke_conserves_acknowledged_outcomes() {
     let report = ids_bench::obs::conservation_check(true);
     assert_eq!(report.ops, 200);
-    assert!(report.shards >= 2, "conservation must span shards");
+    assert!(report.relations >= 2, "conservation must span relations");
     assert!(report.accepted > 0);
     assert!(
         report.accepted + report.duplicate + report.rejected + report.removed <= report.ops as u64

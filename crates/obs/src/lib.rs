@@ -13,7 +13,7 @@
 //! an independent schema a *per-relation-shard local* decision — and
 //! the same locality argument applies to telemetry.  Each shard records
 //! into its **own** counter family, so the hot path never contends with
-//! another shard on a cache line, exactly as the store's workers never
+//! another shard on a cache line, exactly as the store's relations never
 //! coordinate on enforcement state.  Aggregation happens only at read
 //! time, in [`Registry::snapshot`] — the observability mirror of the
 //! store's barrier-free read path.
@@ -290,10 +290,11 @@ fn bucket_upper_ns(i: usize) -> u64 {
 /// bump: rare, high-information state transitions.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Event {
-    /// A shard worker hit a durability failure and shut itself down;
-    /// carries the preserved first-failure reason.
+    /// A relation's log hit a durability failure and the relation
+    /// stopped serving; carries the preserved first-failure reason.
     ShardPoisoned {
-        /// Index of the poisoned shard worker.
+        /// Index of the poisoned relation's metric family
+        /// (`store.shard{i}`).
         shard: u64,
         /// Rendered reason of the first durability failure.
         reason: String,

@@ -18,8 +18,9 @@
 //!   requests still complete, and the accept loop never blocks on a
 //!   slow connection.
 //! * The **worker** executes jobs in order against the
-//!   [`SharedDatabase`]; the store's shard workers provide the actual
-//!   concurrency across connections.
+//!   [`SharedDatabase`], running each operation itself inside the
+//!   touched relation's lock in the store; connections working on
+//!   different relations never wait on each other there.
 //! * The **writer** owns the write half.  When a client drops
 //!   mid-batch the writer's `write_all` fails, it shuts the socket
 //!   down (waking a blocked reader) and exits; the closed reply

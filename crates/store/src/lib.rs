@@ -1,81 +1,99 @@
 //! # ids-store
 //!
-//! A sharded, concurrent maintenance store that turns schema independence
-//! into parallelism.
+//! A concurrent maintenance store that turns schema independence into
+//! uncoordinated writers.
 //!
 //! Theorem 3 of Graham & Yannakakis proves that on an **independent**
 //! schema every insert is validated by probing only the touched relation's
 //! enforcement cover `Fi`.  Read as a systems statement, that is a
 //! *soundness proof for sharding*: relations share no enforcement state,
-//! so each one can live on its own shard/thread with **zero cross-shard
-//! coordination** — no locks, no two-phase commit, no validation traffic
-//! between shards.  A dependent schema offers no such decomposition (a
-//! single insert may need the whole-state chase, Theorem 1), which is why
-//! [`Store::open`] refuses non-independent inputs with a typed error
-//! carrying the analysis's counterexample.
+//! so each one is its own unit of concurrency with **zero cross-relation
+//! coordination** — no shared lock, no two-phase commit, no validation
+//! traffic between relations.  A dependent schema offers no such
+//! decomposition (a single insert may need the whole-state chase,
+//! Theorem 1), which is why [`Store::open`] refuses non-independent inputs
+//! with a typed error carrying the analysis's counterexample.
 //!
 //! ## Architecture
 //!
 //! ```text
 //!            clients (any number of threads, &Store is Sync)
-//!                │ insert / remove / apply_batch / snapshot
+//!                │ insert / remove / apply_batch / read / snapshot
 //!                ▼
-//!        ┌─ route by relation ─┐        commands over std::sync::mpsc
-//!        ▼                     ▼
-//!   ┌─────────┐           ┌─────────┐
-//!   │ shard 0 │    ...    │ shard S │   one OS thread per shard
-//!   │ worker  │           │ worker  │
+//!        ┌─ index by relation ─┐        no threads, no queues: the
+//!        ▼                     ▼        caller locks the slot and runs
+//!   ┌─────────┐           ┌─────────┐   the operation itself
+//!   │ Mutex   │    ...    │ Mutex   │
+//!   │ slot R0 │           │ slot Rn │   one slot per relation
 //!   └─────────┘           └─────────┘
-//!     owns R0,R2,…          owns R1,R3,…   (round-robin assignment)
 //!     tuples + Fi           tuples + Fi
 //!     hash indexes          hash indexes
+//!     own log writer        own log writer
 //! ```
 //!
-//! Each worker owns its relations' tuples plus one
-//! [`ids_core::RelationShard`] per relation — the same probe/commit
-//! machinery the sequential [`ids_core::LocalMaintainer`] drives, which is
-//! exactly why differential tests can replay any trace sequentially and
-//! demand identical outcomes.  [`Store::snapshot`] performs a barrier
-//! across shards (every shard answers after draining the commands sent
-//! before it) and reassembles a consistent [`DatabaseState`];
-//! independence guarantees that state is **globally** satisfying, not just
-//! locally (`LSAT = WSAT`).
+//! The theorem licenses *independence*, not *threads*: a relation the
+//! calling thread locks and runs itself is exactly as uncoordinated as
+//! one it would message, and two callers on two relations still never
+//! meet.  So a relation is a mutex-guarded **slot** — its tuples, its
+//! [`ids_core::RelationShard`] and, on a durable store, its log writer —
+//! and every [`Store`] method does its work on the calling thread inside
+//! that one lock.  The shard is the same probe/commit machinery the
+//! sequential [`ids_core::LocalMaintainer`] drives, which is exactly why
+//! differential tests can replay any trace sequentially and demand
+//! identical outcomes.
 //!
 //! ## Consistency model
 //!
-//! Per relation, operations are applied in submission order (each shard's
-//! command channel is FIFO).  Across relations there is no ordering — and
-//! independence is what makes that safe: every per-relation-order-
+//! Per relation the store is **linearizable**: an operation takes effect
+//! inside its slot's lock scope, so it is visible to every operation on
+//! that relation that starts after it returns (read-your-writes is the
+//! special case of one caller).  Across relations there is no ordering —
+//! and independence is what makes that safe: every per-relation-order-
 //! preserving interleaving of a trace is a serialization the sequential
 //! engines would also accept, with the same outcomes and final state.
 //!
 //! Two read paths follow from that model:
 //!
-//! * [`Store::snapshot`] — a **barrier**: every shard pauses to answer,
-//!   the result is one globally-satisfying state, cross-relation
-//!   consistent.  Cost scales with the whole database and stalls all
-//!   shards for the copy.
-//! * [`Store::read`] — **barrier-free**, and the *only* per-relation read:
-//!   a [`ReadPlan`] (predicate + shape of the answer) travels to the owning
-//!   shard, which evaluates it where the tuples live and ships back only the
-//!   tuples, distinct join keys, or count the plan asked for; the other
-//!   shards never notice.  Per relation it is exactly as fresh as a
-//!   snapshot (FIFO read-your-writes), and because independent relations
-//!   share no enforcement state, the answer is one a barrier snapshot could
-//!   also have produced.  Two reads of different relations, however, may
-//!   observe cuts no single snapshot contains — that is the (only)
-//!   consistency you trade for not stopping the world.
+//! * [`Store::snapshot`] — a **cut**: every slot is locked, in ascending
+//!   scheme order, and held while the relations are cloned, so the result
+//!   is one state the store actually passed through — globally
+//!   satisfying, because each relation enforced its `Fi` and
+//!   `LSAT = WSAT`.  Cost scales with the whole database and stalls every
+//!   writer for the copy.
+//! * [`Store::read`] — the *only* per-relation read: a [`ReadPlan`]
+//!   (predicate + shape of the answer) is evaluated under the one
+//!   relation's lock, where the tuples and indexes live, and only the
+//!   tuples, distinct join keys, or count the plan asked for are built;
+//!   no other relation notices.  Because independent relations share no
+//!   enforcement state, the answer is one a snapshot could also have
+//!   produced.  Two reads of different relations, however, may observe
+//!   cuts no single snapshot contains — that is the (only) consistency
+//!   you trade for not stopping the world.
+//!
+//! ## Lock order
+//!
+//! Generation mutex (checkpoints and schema transitions) → topology
+//! guard (read for every operation, write only for a transition's
+//! switch) → slot mutexes in ascending scheme id.  No slot lock is ever
+//! held while taking another, except in [`Store::snapshot`], which takes
+//! them all in that order.  Every operation holds the topology read
+//! guard for its whole duration, so the write guard is a barrier: when a
+//! transition holds it, no operation is in flight.
 //!
 //! ## Durability
 //!
 //! [`Store::open_durable`] adds a write-ahead log (`ids-wal`) *inside*
-//! each shard: Theorem 3 makes every accepted operation a local decision
+//! each slot: Theorem 3 makes every accepted operation a local decision
 //! of one relation's cover `Fi`, so each relation gets its own
 //! append-only log with its own sequence numbers and **no ordering
-//! between logs** — the shard appends its acknowledged ops, group-fsyncs
-//! them per its [`SyncPolicy`], and never coordinates with any other
-//! shard.  [`Store::checkpoint`] rotates every log onto a fresh
-//! generation, writes one snapshot, and truncates the covered
+//! between logs** — a lock scope appends the ops it accepted,
+//! group-fsyncs them per the [`SyncPolicy`] before anything is
+//! acknowledged, and never touches another relation's log.  A log
+//! failure poisons *that relation only*: the failing call and every later
+//! operation on it report [`StoreError::ShardPoisoned`] with the first
+//! failure's reason, as does every store-wide operation, while the other
+//! relations keep serving.  [`Store::checkpoint`] rotates every log onto
+//! a fresh generation, writes one snapshot, and truncates the covered
 //! generations.  Reopening the same path replays snapshot + log tails
 //! through the same [`RelationShard`] probe/commit machinery the live
 //! store runs — replay is per-relation, embarrassingly parallel in
@@ -86,14 +104,12 @@
 #![warn(missing_docs)]
 
 use std::path::Path;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 use std::time::Instant;
 
 use ids_core::{InsertOutcome, MaintenanceError, NotIndependentReason, RelationShard, Witness};
 use ids_deps::{Fd, FdSet};
-use ids_obs::{Counter, Event, EventLog, Gauge, LatencyHistogram, MetricsSnapshot, Registry};
+use ids_obs::{Counter, Event, LatencyHistogram, MetricsSnapshot, Registry};
 use ids_relational::{
     AttrId, DatabaseSchema, DatabaseState, Predicate, ReadPlan, ReadReply, Relation,
     RelationalError, SchemeId, Tuple, Value,
@@ -102,7 +118,7 @@ use ids_wal::{Manifest, WalDir, WalError, WalMetrics, WalOp, WalWriter};
 
 pub use ids_wal::SyncPolicy;
 
-/// One operation of a store workload, routed to its relation's shard.
+/// One operation of a store workload, run inside its relation's slot.
 #[derive(Clone, Debug)]
 pub enum StoreOp {
     /// Insert a tuple (scheme order) into a relation.
@@ -163,14 +179,16 @@ pub enum StoreError {
     UnknownScheme(SchemeId),
     /// An operation's tuple arity does not match its scheme.
     Relational(RelationalError),
-    /// A shard worker is gone (panicked or already shut down) and left
-    /// no recorded reason behind.
+    /// A lock guarding the store's state is poisoned: a thread panicked
+    /// while holding it, so what it guards can no longer be trusted.
     Disconnected,
-    /// A shard worker hit a durability failure (WAL append, sync or
-    /// rotate), refused to acknowledge what it could not log, and shut
-    /// itself down.  The first failure's reason is preserved in a shared
-    /// poison cell and reported — verbatim — by every later operation,
-    /// instead of being lost to a worker panic on stderr.
+    /// A relation's log hit a durability failure (WAL append, sync or
+    /// rotate): the failing call was not acknowledged and the relation
+    /// serves nothing any more.  The first failure's reason is preserved
+    /// in a poison cell and reported — verbatim — by every later
+    /// operation on that relation and every store-wide one.  A schema
+    /// switch that fails after its durability point poisons every
+    /// relation this way.
     ShardPoisoned {
         /// Rendered reason of the first durability failure.
         reason: String,
@@ -210,7 +228,7 @@ impl std::fmt::Display for StoreError {
             ),
             Self::UnknownScheme(id) => write!(f, "operation references unknown scheme {id:?}"),
             Self::Relational(e) => write!(f, "{e}"),
-            Self::Disconnected => write!(f, "shard worker disconnected"),
+            Self::Disconnected => write!(f, "a store lock was poisoned by a panicking thread"),
             Self::ShardPoisoned { reason } => {
                 write!(f, "shard poisoned by a durability failure: {reason}")
             }
@@ -243,10 +261,9 @@ impl From<WalError> for StoreError {
 /// Configuration of [`Store::open_with`].
 #[derive(Debug, Default)]
 pub struct StoreConfig {
-    /// Number of shard worker threads.  Clamped to `1..=schema.len()`
-    /// (more shards than relations cannot help: a relation is never
-    /// split).  `0` (the default) picks `min(schema.len(), available
-    /// parallelism)`.
+    /// Inert: every relation is its own slot, run by its caller, so
+    /// there is nothing to size.  Kept only for source compatibility;
+    /// nothing reads it.
     pub shards: usize,
     /// Initial state to load; every relation must satisfy its cover.
     pub initial_state: Option<DatabaseState>,
@@ -279,83 +296,53 @@ pub struct DurableConfig {
     pub fail_appends_after: Option<u64>,
 }
 
-/// Commands a shard worker processes in FIFO order.
-enum Command {
-    /// Apply a run of operations; reply with per-op outcomes tagged by the
-    /// caller's indexes.
-    Apply {
-        ops: Vec<(u32, StoreOp)>,
-        reply: Sender<Vec<(u32, OpOutcome)>>,
-    },
-    /// Answer a [`ReadPlan`] against one owned relation — the one
-    /// barrier-free read.  The shard evaluates the predicate where the
-    /// tuples live (see [`RelationShard::read`]) and only the plan's shape
-    /// of the matches crosses the channel.  Only the owning shard ever
-    /// sees this command.
-    Read {
-        scheme: SchemeId,
-        plan: ReadPlan,
-        reply: Sender<ReadReply>,
-    },
-    /// Reply with a clone of every owned relation — the shard's part of a
-    /// consistent snapshot barrier.
-    Snapshot {
-        reply: Sender<Vec<(SchemeId, Relation)>>,
-    },
-    /// Seal every owned relation's current log segment and open a fresh
-    /// one at `new_gen`; reply with the relation clones and the sealed
-    /// sequence numbers — the shard's part of a checkpoint.  Only sent
-    /// to durable stores.
-    Rotate {
-        new_gen: u64,
-        reply: Sender<Vec<(SchemeId, Relation, u64)>>,
-    },
-    /// Re-validate one owned relation under `cover` and, on success,
-    /// install it as the relation's enforcement cover — the **backfill**
-    /// phase of a schema transition.  During an alter the cover is the
-    /// union of the old and new covers, so traffic accepted between the
-    /// backfill and the transition satisfies both schemas; during a
-    /// rollback it is the exact old cover.  On violation nothing is
-    /// installed and the reply carries the violated FD plus a violating
-    /// pair of tuples.  Only the owning shard ever sees this command.
-    Prepare {
-        scheme: SchemeId,
-        cover: FdSet,
-        reply: Sender<Result<u64, (Fd, Vec<Tuple>)>>,
-    },
-    /// Switch this worker onto a new schema generation: dropped slots
-    /// are released (their writers sync on drop), surviving slots are
-    /// retargeted to their new [`SchemeId`] (same attribute set — the
-    /// universe is append-only), rebuilt when their exact enforcement
-    /// cover changed, and their logs rotated onto `new_gen` under the
-    /// new scheme index.  Sent to every pre-existing worker while the
-    /// router holds the topology write lock, so channel FIFO order
-    /// cleanly splits old-schema from new-schema commands.
-    Transition {
-        new_gen: u64,
-        schema: Arc<DatabaseSchema>,
-        enforcement: Arc<Vec<FdSet>>,
-        /// Old scheme index → new id; `None` means dropped.
-        remap: Arc<Vec<Option<SchemeId>>>,
-    },
+/// The one mapping from the enforcement kernel's errors to the store's.
+impl From<MaintenanceError> for StoreError {
+    fn from(e: MaintenanceError) -> Self {
+        match e {
+            MaintenanceError::Relational(e) => Self::Relational(e),
+            MaintenanceError::UnknownScheme(id) => Self::UnknownScheme(id),
+            MaintenanceError::BaseStateViolation { scheme, violated } => {
+                Self::InvalidBaseState { scheme, violated }
+            }
+            MaintenanceError::NotIndependent { reason, witness } => {
+                Self::NotIndependent { reason, witness }
+            }
+            // Only the whole-state `ChaseMaintainer` runs the chase; the
+            // store calls `validate_op` and `RelationShard`, which never do.
+            MaintenanceError::Chase(e) => unreachable!("a relation shard ran the chase: {e}"),
+        }
+    }
 }
 
-/// One relation a worker owns: its enforcement shard, its tuples, and —
-/// on a durable store — its write-ahead log writer.
+/// One relation of the store: its enforcement shard, its tuples, its
+/// metric family and — on a durable store — its write-ahead log writer.
+/// Lives behind its own mutex in [`Topology::slots`]; whoever holds the
+/// lock runs the operation.
+#[derive(Debug)]
 struct Slot {
     id: SchemeId,
     shard: RelationShard,
     rel: Relation,
     wal: Option<WalWriter>,
+    metrics: ShardMetrics,
+    /// Set by a durability failure on this relation's log (or by a schema
+    /// switch that failed after its durability point): the slot serves
+    /// nothing any more, and [`Store::poison`] holds the reason.
+    dead: bool,
 }
 
-/// Metric handles of one shard, interned in the store's registry under
+/// Metric handles of one slot, interned in the store's registry under
 /// `store.shard{i}.*` names.  Per Theorem 3's locality argument, each
-/// shard records only into its **own** family — telemetry never makes
-/// two shards share a cache line, just as enforcement never makes them
+/// relation records only into its **own** family — telemetry never makes
+/// two relations share a cache line, just as enforcement never makes them
 /// share state.
 #[derive(Debug)]
 struct ShardMetrics {
+    /// The `{i}` of the family's names, also what
+    /// [`Event::ShardPoisoned`] reports.  A relation keeps its family
+    /// for life, however a schema transition renumbers its scheme.
+    index: u64,
     /// Inserts committed (`InsertOutcome::Accepted`).
     accepted: Arc<Counter>,
     /// Inserts that found the tuple already present.
@@ -364,258 +351,141 @@ struct ShardMetrics {
     rejected: Arc<Counter>,
     /// Removes of a present tuple.
     removed: Arc<Counter>,
-    /// Commands sent to this shard and not yet picked up by its worker.
-    queue_depth: Arc<Gauge>,
-    /// Wall-clock latency of each `Apply` batch (probe + commit + WAL
-    /// append + group fsync), recorded once per batch.
+    /// Wall-clock latency of each write lock scope (probe + commit + WAL
+    /// append + group fsync), recorded once per scope.
     apply_ns: Arc<LatencyHistogram>,
 }
 
 impl ShardMetrics {
-    fn new(registry: &Registry, shard: usize) -> Self {
-        let name = |what: &str| format!("store.shard{shard}.{what}");
+    fn new(registry: &Registry, index: usize) -> Self {
+        let name = |what: &str| format!("store.shard{index}.{what}");
         ShardMetrics {
+            index: index as u64,
             accepted: registry.counter(&name("accepted")),
             duplicate: registry.counter(&name("duplicate")),
             rejected: registry.counter(&name("rejected")),
             removed: registry.counter(&name("removed")),
-            queue_depth: registry.gauge(&name("queue_depth")),
             apply_ns: registry.histogram(&name("apply_ns")),
         }
     }
 }
 
-/// The state a worker thread owns: its relations and their shards.
-struct Worker {
-    /// This worker's shard index (for poison events).
-    shard: usize,
-    slots: Vec<Slot>,
-    /// scheme index → slot index (dense, `None` for foreign schemes).
-    slot_of: Vec<Option<usize>>,
-    /// Sync cadence for the slots' logs (irrelevant without logs).
-    sync: SyncPolicy,
-    /// Shared with the [`Store`] front-end: the first durability failure
-    /// of *any* shard lands here, and every later caller-side channel
-    /// failure is upgraded to [`StoreError::ShardPoisoned`] with it.
-    poison: Arc<OnceLock<String>>,
-    /// This shard's metric family (shared with the front-end, which
-    /// increments `queue_depth` on send).
-    metrics: Arc<ShardMetrics>,
-    /// The store-wide event ring (poison events land here).
-    events: Arc<EventLog>,
+/// Outcome counts of one write lock scope.  Instrumentation is amortized
+/// over the scope: the per-op tallies are plain integers, flushed with
+/// four relaxed adds (plus one histogram sample) when the scope ends —
+/// the hot loop itself touches no atomics.
+#[derive(Default)]
+struct Tally {
+    accepted: u64,
+    duplicate: u64,
+    rejected: u64,
+    removed: u64,
 }
 
-impl Worker {
-    fn run(mut self, rx: Receiver<Command>) -> Vec<(SchemeId, Relation)> {
-        // Scratch: which slots the current Apply touched with logged ops.
-        let mut dirty: Vec<usize> = Vec::new();
-        while let Ok(cmd) = rx.recv() {
-            self.metrics.queue_depth.dec();
-            if self.step(cmd, &mut dirty).is_err() {
-                // A durability failure: the reason is already in the
-                // poison cell (recorded *before* the un-acked reply
-                // sender dropped, so no caller can observe the hangup
-                // without the reason being readable).  Stop serving —
-                // queued and future commands surface `ShardPoisoned`.
-                return self.slots.into_iter().map(|s| (s.id, s.rel)).collect();
-            }
+impl Slot {
+    fn new(
+        id: SchemeId,
+        shard: RelationShard,
+        rel: Relation,
+        wal: Option<WalWriter>,
+        metrics: ShardMetrics,
+    ) -> Self {
+        Slot {
+            id,
+            shard,
+            rel,
+            wal,
+            metrics,
+            dead: false,
         }
-        // All senders dropped: shutdown.  Dropping a writer syncs its
-        // tail (best effort); hand the relations back.
-        self.slots.into_iter().map(|s| (s.id, s.rel)).collect()
     }
 
-    /// Processes one command; `Err` means a WAL failure was recorded in
-    /// the poison cell and the worker must stop **without replying** to
-    /// the failing command (an op that could not be logged is not
-    /// acknowledged).
-    fn step(&mut self, cmd: Command, dirty: &mut Vec<usize>) -> Result<(), WalError> {
-        match cmd {
-            Command::Apply { ops, reply } => {
-                // Instrumentation is amortized over the batch: the
-                // per-op tallies are plain locals, flushed with four
-                // relaxed adds (plus one histogram sample) per batch —
-                // the hot loop itself touches no atomics.
-                let start = ids_obs::recording().then(Instant::now);
-                let (mut accepted, mut duplicate, mut rejected, mut removed) =
-                    (0u64, 0u64, 0u64, 0u64);
-                let mut out = Vec::with_capacity(ops.len());
-                dirty.clear();
-                for (idx, op) in ops {
-                    let si = self.slot_of[op.scheme().index()]
-                        .expect("router sent an op for a foreign scheme");
-                    let slot = &mut self.slots[si];
-                    let outcome = match op {
-                        StoreOp::Insert { tuple, .. } => {
-                            // Clone for the log only when there is
-                            // one: the in-memory fast path stays
-                            // allocation-free per op.
-                            let to_log = slot.wal.is_some().then(|| tuple.clone());
-                            let outcome = slot
-                                .shard
-                                .insert(&mut slot.rel, tuple)
-                                .expect("arity validated by the router");
-                            match outcome {
-                                InsertOutcome::Accepted => {
-                                    accepted += 1;
-                                    if let Some(t) = to_log {
-                                        slot.log(WalOp::Insert(t), dirty, si).map_err(|e| {
-                                            record_poison(&self.poison, &self.events, self.shard, e)
-                                        })?;
-                                    }
-                                }
-                                InsertOutcome::Duplicate => duplicate += 1,
-                                InsertOutcome::Rejected { .. } => rejected += 1,
-                            }
-                            OpOutcome::Insert(outcome)
-                        }
-                        StoreOp::Remove { tuple, .. } => {
-                            let present = slot
-                                .shard
-                                .remove(&mut slot.rel, &tuple)
-                                .expect("arity validated by the router");
-                            if present {
-                                removed += 1;
-                                slot.log(WalOp::Remove(tuple), dirty, si).map_err(|e| {
-                                    record_poison(&self.poison, &self.events, self.shard, e)
-                                })?;
-                            }
-                            OpOutcome::Remove(present)
-                        }
-                    };
-                    out.push((idx, outcome));
-                }
-                // Group fsync: one pass over the touched logs per
-                // batch, before anything is acknowledged.
-                for &si in dirty.iter() {
-                    if let Some(w) = &mut self.slots[si].wal {
-                        w.maybe_sync(self.sync).map_err(|e| {
-                            record_poison(&self.poison, &self.events, self.shard, e)
-                        })?;
-                    }
-                }
-                let m = &self.metrics;
-                m.accepted.add(accepted);
-                m.duplicate.add(duplicate);
-                m.rejected.add(rejected);
-                m.removed.add(removed);
-                if let Some(start) = start {
-                    m.apply_ns.record(start.elapsed());
-                }
-                // A client that hung up no longer needs the reply.
-                let _ = reply.send(out);
-            }
-            Command::Read {
-                scheme,
-                plan,
-                reply,
-            } => {
-                let si =
-                    self.slot_of[scheme.index()].expect("router sent a read for a foreign scheme");
-                let slot = &self.slots[si];
-                let answer = slot
-                    .shard
-                    .read(&slot.rel, &plan)
-                    .expect("plan validated by the router");
-                let _ = reply.send(answer);
-            }
-            Command::Snapshot { reply } => {
-                let _ = reply.send(self.slots.iter().map(|s| (s.id, s.rel.clone())).collect());
-            }
-            Command::Rotate { new_gen, reply } => {
-                let mut out = Vec::with_capacity(self.slots.len());
-                for slot in &mut self.slots {
-                    let wal = slot
-                        .wal
-                        .as_mut()
-                        .expect("rotate sent to a store without logs");
-                    let sealed = wal
-                        .rotate(new_gen)
-                        .map_err(|e| record_poison(&self.poison, &self.events, self.shard, e))?;
-                    out.push((slot.id, slot.rel.clone(), sealed));
-                }
-                let _ = reply.send(out);
-            }
-            Command::Prepare {
-                scheme,
-                cover,
-                reply,
-            } => {
-                let si = self.slot_of[scheme.index()]
-                    .expect("router sent a prepare for a foreign scheme");
-                let slot = &mut self.slots[si];
-                let schema = slot.shard.schema().clone();
-                match RelationShard::with_relation(&schema, scheme, cover, &slot.rel) {
-                    Ok(mut shard) => {
-                        // The rebuilt shard revalidated the relation
-                        // under the candidate cover; carry the ordered
-                        // secondary indexes over before installing it.
-                        let ordered: Vec<AttrId> = slot.shard.ordered_columns().collect();
-                        for attr in ordered {
-                            shard
-                                .add_ordered_index(attr, &slot.rel)
-                                .expect("an existing ordered index re-adds cleanly");
-                        }
-                        slot.shard = shard;
-                        let _ = reply.send(Ok(slot.rel.len() as u64));
-                    }
-                    Err(MaintenanceError::BaseStateViolation { violated, .. }) => {
-                        let witness = violating_pair(&schema, scheme, &slot.rel, violated);
-                        let _ = reply.send(Err((violated, witness)));
-                    }
-                    Err(e) => unreachable!("with_relation cannot fail with {e}"),
+    /// Probes and commits one insert, logging it when accepted.  An op
+    /// the slot cannot log must not be acknowledged: the `Wal` error
+    /// ends the lock scope, which poisons the slot (see [`Store::write`]).
+    fn insert(
+        &mut self,
+        tuple: Vec<Value>,
+        tally: &mut Tally,
+    ) -> Result<InsertOutcome, StoreError> {
+        // Clone for the log only when there is one: the in-memory fast
+        // path stays allocation-free per op.
+        let to_log = self.wal.is_some().then(|| tuple.clone());
+        let outcome = self.shard.insert(&mut self.rel, tuple)?;
+        match outcome {
+            InsertOutcome::Accepted => {
+                tally.accepted += 1;
+                if let (Some(w), Some(t)) = (&mut self.wal, to_log) {
+                    w.append(WalOp::Insert(t))?;
                 }
             }
-            Command::Transition {
-                new_gen,
-                schema,
-                enforcement,
-                remap,
-            } => {
-                let slots = std::mem::take(&mut self.slots);
-                for mut slot in slots {
-                    let Some(nid) = remap[slot.id.index()] else {
-                        // Dropped relation: releasing the slot drops its
-                        // writer, which syncs the tail.  Its segments
-                        // stay on disk; recovery skips them by name.
-                        continue;
-                    };
-                    slot.shard
-                        .retarget(&schema, nid)
-                        .expect("a surviving relation keeps its attribute set");
-                    if !slot.shard.enforcement().same_fds(&enforcement[nid.index()]) {
-                        let mut shard = RelationShard::with_relation(
-                            &schema,
-                            nid,
-                            enforcement[nid.index()].clone(),
-                            &slot.rel,
-                        )
-                        .expect("the transition cover was union-validated by Prepare");
-                        let ordered: Vec<AttrId> = slot.shard.ordered_columns().collect();
-                        for attr in ordered {
-                            shard
-                                .add_ordered_index(attr, &slot.rel)
-                                .expect("an existing ordered index re-adds cleanly");
-                        }
-                        slot.shard = shard;
-                    }
-                    if let Some(w) = slot.wal.as_mut() {
-                        // Rotate onto the new generation under the new
-                        // scheme index, so every post-transition record
-                        // lands in a segment its era's manifest governs.
-                        w.rotate_as(nid.index() as u16, new_gen).map_err(|e| {
-                            record_poison(&self.poison, &self.events, self.shard, e)
-                        })?;
-                    }
-                    slot.id = nid;
-                    self.slots.push(slot);
-                }
-                self.slot_of = vec![None; schema.len()];
-                for (i, slot) in self.slots.iter().enumerate() {
-                    self.slot_of[slot.id.index()] = Some(i);
-                }
+            InsertOutcome::Duplicate => tally.duplicate += 1,
+            InsertOutcome::Rejected { .. } => tally.rejected += 1,
+        }
+        Ok(outcome)
+    }
+
+    /// Removes one tuple, logging the remove when it was present.
+    fn remove(&mut self, tuple: Vec<Value>, tally: &mut Tally) -> Result<bool, StoreError> {
+        let present = self.shard.remove(&mut self.rel, &tuple)?;
+        if present {
+            tally.removed += 1;
+            if let Some(w) = &mut self.wal {
+                w.append(WalOp::Remove(tuple))?;
             }
         }
+        Ok(present)
+    }
+
+    /// Re-validates the relation under `cover` and, on success, installs
+    /// it as the enforcement cover, returning the tuple count — the
+    /// **backfill** step of a schema transition, and O(rows).  During an
+    /// alter the cover is first the union of the old and new covers, so
+    /// traffic accepted between the backfill and the switch satisfies
+    /// both schemas, and then the exact new cover; during a rollback it
+    /// is the exact old cover.  On violation nothing is installed and the
+    /// error carries the violated FD plus a violating pair of tuples.
+    fn install_cover(&mut self, cover: FdSet) -> Result<u64, StoreError> {
+        let schema = self.shard.schema().clone();
+        match RelationShard::with_relation(&schema, self.id, cover, &self.rel) {
+            Ok(mut shard) => {
+                // The rebuilt shard revalidated the relation under the
+                // candidate cover; carry the ordered secondary indexes
+                // over before installing it.
+                let ordered: Vec<AttrId> = self.shard.ordered_columns().collect();
+                for attr in ordered {
+                    shard.add_ordered_index(attr, &self.rel)?;
+                }
+                self.shard = shard;
+                Ok(self.rel.len() as u64)
+            }
+            Err(MaintenanceError::BaseStateViolation { violated, .. }) => {
+                Err(StoreError::BackfillViolation {
+                    scheme: self.id,
+                    violated,
+                    witness: violating_pair(&schema, self.id, &self.rel, violated),
+                })
+            }
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// This relation's half of a schema switch: the shard is retargeted
+    /// to its new [`SchemeId`] (same attribute set — the universe is
+    /// append-only, so this is O(1)) and the log rotated onto `new_gen`
+    /// under the new scheme index, so every post-transition record lands
+    /// in a segment its era's manifest governs.
+    fn retarget(
+        &mut self,
+        schema: &DatabaseSchema,
+        id: SchemeId,
+        new_gen: u64,
+    ) -> Result<(), StoreError> {
+        self.shard.retarget(schema, id)?;
+        if let Some(w) = &mut self.wal {
+            w.rotate_as(id.index() as u16, new_gen)?;
+        }
+        self.id = id;
         Ok(())
     }
 }
@@ -645,65 +515,23 @@ fn violating_pair(schema: &DatabaseSchema, id: SchemeId, rel: &Relation, fd: Fd)
     Vec::new()
 }
 
-/// Records a durability failure in the shared poison cell (first error
-/// wins) *before* the failing command's reply sender is dropped, so no
-/// caller can observe the hangup without the reason being readable.  The
-/// first failure is also published as an [`Event::ShardPoisoned`] in the
-/// store's event ring, so a stats poll discovers the reason without
-/// issuing a (failing) operation.  A free function so worker closures
-/// borrow only these fields, not the whole worker.
-fn record_poison(
-    cell: &OnceLock<String>,
-    events: &EventLog,
-    shard: usize,
-    e: WalError,
-) -> WalError {
-    let reason = e.to_string();
-    if cell.set(reason.clone()).is_ok() {
-        events.record(Event::ShardPoisoned {
-            shard: shard as u64,
-            reason,
-        });
-    }
-    e
-}
-
-impl Slot {
-    /// Appends an effective op to the slot's log (no-op without one)
-    /// and marks the slot dirty for the end-of-batch sync pass.
-    fn log(&mut self, op: WalOp, dirty: &mut Vec<usize>, si: usize) -> Result<(), WalError> {
-        if let Some(w) = &mut self.wal {
-            // An op the shard cannot log must not be acknowledged: the
-            // caller (the worker loop) records the reason in the poison
-            // cell and shuts the shard down without replying.
-            w.append(op)?;
-            if !dirty.contains(&si) {
-                dirty.push(si);
-            }
-        }
-        Ok(())
-    }
-}
-
-/// The concurrent maintenance store: one worker thread per shard, each
-/// exclusively owning a subset of the relations.
+/// The concurrent maintenance store: one mutex-guarded slot per relation,
+/// run by whichever thread calls in.
 ///
 /// `&Store` is `Send + Sync`: any number of client threads may call
 /// [`Store::insert`] / [`Store::apply_batch`] / [`Store::snapshot`]
 /// concurrently.  See the crate docs for the consistency model.
 #[derive(Debug)]
 pub struct Store {
-    /// The routing state an operation consults: schema, covers, shard
-    /// assignment, command channels, per-shard metric handles.  Behind
-    /// a read-write lock so [`Store::apply_transition`] can swap the
-    /// whole set atomically while normal traffic takes cheap,
-    /// uncontended read guards.
+    /// The state an operation consults: schema, covers, and the slots
+    /// themselves.  Behind a read-write lock so
+    /// [`Store::apply_transition`] can swap the whole set atomically
+    /// while normal traffic takes cheap, uncontended read guards.
     topology: RwLock<Topology>,
-    handles: Mutex<Vec<WorkerHandle>>,
-    /// Shared with every worker: the first durability failure's reason.
-    /// Set exactly once, read by [`Store::fail`] to upgrade an opaque
-    /// channel hangup into [`StoreError::ShardPoisoned`].
-    poison: Arc<OnceLock<String>>,
+    /// The first durability failure's reason.  Set exactly once, before
+    /// any slot is marked dead, and reported — verbatim — by every
+    /// operation that meets a dead slot.
+    poison: OnceLock<String>,
     /// Present on durable stores: the directory handle plus the current
     /// segment generation, serialized under a mutex so checkpoints and
     /// schema transitions cannot interleave.
@@ -713,20 +541,19 @@ pub struct Store {
     obs: StoreObs,
 }
 
-/// The hot routing state of a [`Store`], swapped wholesale by a schema
+/// The serving state of a [`Store`], swapped wholesale by a schema
 /// transition.  Everything an operation needs between "caller thread"
-/// and "owning shard's channel" lives here, so one read guard answers
-/// every routing question consistently.
+/// and "the relation's tuples" lives here, so one read guard answers
+/// every question consistently.
 #[derive(Debug)]
 struct Topology {
     schema: Arc<DatabaseSchema>,
     enforcement: Arc<Vec<FdSet>>,
-    /// scheme index → shard index.
-    assignment: Vec<usize>,
-    senders: Vec<Sender<Command>>,
-    /// Per-shard metric handles, indexed by shard (queue-depth gauges
-    /// the front-end touches on send).
-    shard: Vec<Arc<ShardMetrics>>,
+    /// One slot per relation, indexed by scheme.
+    slots: Vec<Mutex<Slot>>,
+    /// Metric families minted so far; a relation added by a transition
+    /// takes the next index.
+    families: usize,
 }
 
 /// The observability half of a [`Store`].
@@ -742,19 +569,35 @@ struct Durability {
     /// Generation the live segments are on; advanced by checkpoints and
     /// schema transitions, which serialize on this mutex.
     gen: Mutex<u64>,
-    /// Sync cadence, kept so transition-spawned workers inherit it.
+    /// Sync cadence of every relation's log.
     sync: SyncPolicy,
-    /// Fault injection carried to writers created after open.
+    /// Fault injection carried to every writer, including those created
+    /// after open.
     fail_appends_after: Option<u64>,
-    /// The store-wide WAL metric family, attached to every writer —
-    /// including those created for relations added by a transition.
-    wal_metrics: Option<WalMetrics>,
+    /// The store-wide WAL metric family (aggregated across relations —
+    /// per-relation fan-out is per-slot already), attached to every
+    /// writer — including those created for relations added by a
+    /// transition.
+    wal_metrics: WalMetrics,
+}
+
+impl Durability {
+    /// Opens relation `id`'s log segment at `gen`, continuing its
+    /// sequence numbering from `last_seq`, wired to the store's fault
+    /// injection and WAL metric family.
+    fn writer(&self, id: SchemeId, gen: u64, last_seq: u64) -> Result<WalWriter, WalError> {
+        let mut writer = self.dir.segment_writer(id.index() as u16, gen, last_seq)?;
+        if let Some(n) = self.fail_appends_after {
+            writer.fail_appends_after(n);
+        }
+        writer.set_metrics(self.wal_metrics.clone());
+        Ok(writer)
+    }
 }
 
 impl Store {
     /// Opens a store over `schema`, enforcing `fds ∪ {*D}`, with one
-    /// shard per relation (capped by available parallelism), starting
-    /// from the empty state.
+    /// slot per relation, starting from the empty state.
     ///
     /// Runs the full independence analysis first and refuses
     /// non-independent schemas with [`StoreError::NotIndependent`].
@@ -762,7 +605,7 @@ impl Store {
         Self::open_with(schema, fds, StoreConfig::default())
     }
 
-    /// Opens a store with an explicit shard count and/or initial state.
+    /// Opens a store with an explicit initial state and/or ordered indexes.
     pub fn open_with(
         schema: &DatabaseSchema,
         fds: &FdSet,
@@ -780,51 +623,15 @@ impl Store {
         config: StoreConfig,
     ) -> Result<Self, StoreError> {
         let enforcement = extract_enforcement(schema, analysis)?;
-        // Tear the initial state into per-scheme relations.  Roundtrip
-        // through `from_relations` to revalidate the full shape — the
-        // state may come from a different schema handle, and a mismatched
-        // relation must be a typed error, not a worker panic.
-        let relations: Vec<Relation> = match config.initial_state {
-            Some(state) => {
-                DatabaseState::from_relations(schema, state.into_relations())?.into_relations()
-            }
-            None => schema
-                .ids()
-                .map(|id| Relation::new(schema.attrs(id)))
-                .collect(),
-        };
-
-        // Build each relation's shard (indexing + validating the preload).
-        for &(sid, _) in &config.ordered_indexes {
-            if schema.get_scheme(sid).is_none() {
-                return Err(StoreError::UnknownScheme(sid));
-            }
-        }
-        let mut parts = Vec::with_capacity(schema.len());
-        for (id, rel) in schema.ids().zip(relations) {
-            let fi = enforcement[id.index()].clone();
-            let mut shard =
-                RelationShard::with_relation(schema, id, fi, &rel).map_err(base_state_error)?;
-            for &(sid, attr) in &config.ordered_indexes {
-                if sid == id {
-                    shard.add_ordered_index(attr, &rel).map_err(index_error)?;
-                }
-            }
-            parts.push(Slot {
-                id,
-                shard,
-                rel,
-                wal: None,
-            });
-        }
-        Ok(Self::spawn(
+        let (relations, shards) = build_parts(
             schema,
-            enforcement,
-            parts,
-            config.shards,
-            SyncPolicy::Never,
-            None,
-        ))
+            &enforcement,
+            config.initial_state,
+            &config.ordered_indexes,
+        )?;
+        let parts = relations.into_iter().zip(shards).map(|(r, s)| (r, s, None));
+        let registry = Arc::new(Registry::new());
+        Ok(Self::assemble(schema, enforcement, parts, None, registry))
     }
 
     /// Opens a durable store at `path` with the default configuration:
@@ -895,7 +702,6 @@ impl Store {
             shards,
             last_seqs,
             1,
-            store.shards,
             sync,
             fail_appends_after,
         )
@@ -947,7 +753,6 @@ impl Store {
                 shards,
                 last_seqs,
                 next_gen,
-                config.store.shards,
                 config.sync,
                 config.fail_appends_after,
             );
@@ -973,7 +778,6 @@ impl Store {
             shards,
             last_seqs,
             next_gen,
-            config.store.shards,
             config.sync,
             config.fail_appends_after,
         )?;
@@ -1002,7 +806,7 @@ impl Store {
     }
 
     /// Shared tail of the durable opens: attach one segment writer per
-    /// relation and spawn the workers.
+    /// relation and assemble the store.
     #[allow(clippy::too_many_arguments)]
     fn finish_durable(
         dir: WalDir,
@@ -1012,162 +816,140 @@ impl Store {
         shards: Vec<RelationShard>,
         last_seqs: Vec<u64>,
         next_gen: u64,
-        shard_count: usize,
         sync: SyncPolicy,
         fail_appends_after: Option<u64>,
     ) -> Result<Self, StoreError> {
-        let mut parts = Vec::with_capacity(schema.len());
-        for ((id, rel), shard) in schema.ids().zip(relations).zip(shards) {
-            let mut writer =
-                dir.segment_writer(id.index() as u16, next_gen, last_seqs[id.index()])?;
-            if let Some(n) = fail_appends_after {
-                writer.fail_appends_after(n);
-            }
-            parts.push(Slot {
-                id,
-                shard,
-                rel,
-                wal: Some(writer),
-            });
-        }
+        let registry = Arc::new(Registry::new());
+        let wal_metrics = WalMetrics::new();
+        registry.register_counter("wal.appends", Arc::clone(&wal_metrics.appends));
+        registry.register_counter("wal.append_bytes", Arc::clone(&wal_metrics.append_bytes));
+        registry.register_counter("wal.fsyncs", Arc::clone(&wal_metrics.fsyncs));
+        registry.register_histogram("wal.fsync_ns", Arc::clone(&wal_metrics.fsync_ns));
+        registry.register_counter("wal.rotations", Arc::clone(&wal_metrics.rotations));
         let durability = Durability {
             dir,
             gen: Mutex::new(next_gen),
             sync,
             fail_appends_after,
-            wal_metrics: None,
+            wal_metrics,
         };
-        Ok(Self::spawn(
+        let mut parts = Vec::with_capacity(schema.len());
+        for ((id, rel), shard) in schema.ids().zip(relations).zip(shards) {
+            let writer = durability.writer(id, next_gen, last_seqs[id.index()])?;
+            parts.push((rel, shard, Some(writer)));
+        }
+        Ok(Self::assemble(
             schema,
             enforcement,
-            parts,
-            shard_count,
-            sync,
+            parts.into_iter(),
             Some(durability),
+            registry,
         ))
     }
 
-    /// Distributes prepared slots round-robin over worker threads and
-    /// starts them.
-    fn spawn(
+    /// Wraps each relation's parts (scheme order) in its slot.
+    fn assemble(
         schema: &DatabaseSchema,
         enforcement: Vec<FdSet>,
-        mut parts: Vec<Slot>,
-        shards: usize,
-        sync: SyncPolicy,
-        mut durability: Option<Durability>,
+        parts: impl Iterator<Item = (Relation, RelationShard, Option<WalWriter>)>,
+        durability: Option<Durability>,
+        registry: Arc<Registry>,
     ) -> Store {
-        let shard_count = if shards == 0 {
-            schema.len().min(
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1),
-            )
-        } else {
-            shards.min(schema.len())
-        }
-        .max(1);
-        let registry = Arc::new(Registry::new());
-        if let Some(d) = durability.as_mut() {
-            // One WAL metric family for the whole store (aggregated
-            // across relations — per-relation fan-out is per-shard
-            // already), attached to every slot's writer and interned
-            // under stable names.
-            let wal_metrics = WalMetrics::new();
-            registry.register_counter("wal.appends", Arc::clone(&wal_metrics.appends));
-            registry.register_counter("wal.append_bytes", Arc::clone(&wal_metrics.append_bytes));
-            registry.register_counter("wal.fsyncs", Arc::clone(&wal_metrics.fsyncs));
-            registry.register_histogram("wal.fsync_ns", Arc::clone(&wal_metrics.fsync_ns));
-            registry.register_counter("wal.rotations", Arc::clone(&wal_metrics.rotations));
-            for slot in &mut parts {
-                if let Some(w) = slot.wal.as_mut() {
-                    w.set_metrics(wal_metrics.clone());
-                }
-            }
-            d.wal_metrics = Some(wal_metrics);
-        }
-        let shard_metrics: Vec<Arc<ShardMetrics>> = (0..shard_count)
-            .map(|i| Arc::new(ShardMetrics::new(&registry, i)))
-            .collect();
-        let assignment: Vec<usize> = (0..schema.len()).map(|i| i % shard_count).collect();
-        let poison: Arc<OnceLock<String>> = Arc::new(OnceLock::new());
-        let mut workers: Vec<Worker> = (0..shard_count)
-            .map(|i| Worker {
-                shard: i,
-                slots: Vec::new(),
-                slot_of: vec![None; schema.len()],
-                sync,
-                poison: Arc::clone(&poison),
-                metrics: Arc::clone(&shard_metrics[i]),
-                events: Arc::clone(registry.events()),
+        let slots = schema
+            .ids()
+            .zip(parts)
+            .map(|(id, (rel, shard, wal))| {
+                let metrics = ShardMetrics::new(&registry, id.index());
+                Mutex::new(Slot::new(id, shard, rel, wal, metrics))
             })
             .collect();
-        for slot in parts {
-            let w = &mut workers[assignment[slot.id.index()]];
-            w.slot_of[slot.id.index()] = Some(w.slots.len());
-            w.slots.push(slot);
-        }
-        let mut senders = Vec::with_capacity(shard_count);
-        let mut handles = Vec::with_capacity(shard_count);
-        for (i, worker) in workers.into_iter().enumerate() {
-            let (tx, rx) = channel();
-            senders.push(tx);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("ids-shard-{i}"))
-                    .spawn(move || worker.run(rx))
-                    .expect("spawn shard worker"),
-            );
-        }
         Store {
             topology: RwLock::new(Topology {
                 schema: Arc::new(schema.clone()),
                 enforcement: Arc::new(enforcement),
-                assignment,
-                senders,
-                shard: shard_metrics,
+                slots,
+                families: schema.len(),
             }),
-            handles: Mutex::new(handles),
-            poison,
+            poison: OnceLock::new(),
             durability,
             obs: StoreObs { registry },
         }
     }
 
-    /// Takes the topology read guard, treating lock poisoning (a panic
-    /// on another thread mid-swap) as survivable: routing state is
-    /// swapped atomically, so the inner value is always consistent.
-    fn topology(&self) -> RwLockReadGuard<'_, Topology> {
-        self.topology.read().unwrap_or_else(|e| e.into_inner())
+    /// Takes the topology read guard every operation holds for its whole
+    /// duration.  The lock is poisoned only by a panic inside a schema
+    /// switch, which may have left the slots half-switched: nothing can
+    /// be served from that.
+    fn topology(&self) -> Result<RwLockReadGuard<'_, Topology>, StoreError> {
+        self.topology.read().map_err(|_| StoreError::Disconnected)
     }
 
-    /// Routes one command to a shard, keeping its queue-depth gauge in
-    /// step: incremented on send, decremented by the worker on receipt
-    /// (and re-decremented here if the send itself fails).
-    fn send(&self, topo: &Topology, shard: usize, cmd: Command) -> Result<(), StoreError> {
-        topo.shard[shard].queue_depth.inc();
-        topo.senders[shard].send(cmd).map_err(|_| {
-            topo.shard[shard].queue_depth.dec();
-            self.fail()
-        })
+    /// Locks relation `id`'s slot, refusing a dead one with the preserved
+    /// reason.  `id` must have been validated against `topo.schema`.
+    fn lock<'t>(
+        &self,
+        topo: &'t Topology,
+        id: SchemeId,
+    ) -> Result<MutexGuard<'t, Slot>, StoreError> {
+        let slot = topo.slots[id.index()]
+            .lock()
+            .map_err(|_| StoreError::Disconnected)?;
+        if slot.dead {
+            return Err(self.poisoned());
+        }
+        Ok(slot)
     }
 
-    /// The error behind a failed channel round trip: a poisoned shard
-    /// reports the preserved reason of the first durability failure;
-    /// only a genuinely reasonless hangup stays [`StoreError::Disconnected`].
-    fn fail(&self) -> StoreError {
-        match self.poison.get() {
-            Some(reason) => StoreError::ShardPoisoned {
-                reason: reason.clone(),
-            },
-            None => StoreError::Disconnected,
+    /// The error every operation that meets a dead slot reports: the
+    /// preserved reason of the first durability failure.  (A slot is
+    /// marked dead only after the cell is set, so the default is never
+    /// seen.)
+    fn poisoned(&self) -> StoreError {
+        StoreError::ShardPoisoned {
+            reason: self.poison.get().cloned().unwrap_or_default(),
         }
     }
 
-    /// The preserved reason of the first shard durability failure, when
-    /// one has poisoned this store.  Shards that did not fail keep
-    /// serving their relations; every operation that *does* touch the
-    /// poisoned shard (and any store-wide barrier) reports
+    /// Refuses a store-wide operation on a poisoned store up front, so it
+    /// cannot leave the healthy relations half-way through it.
+    fn healthy(&self) -> Result<(), StoreError> {
+        match self.poison.get() {
+            Some(_) => Err(self.poisoned()),
+            None => Ok(()),
+        }
+    }
+
+    /// Records a durability failure in the poison cell (first error
+    /// wins) and returns the error the failing call reports.  The first
+    /// failure is also published as an [`Event::ShardPoisoned`] in the
+    /// store's event ring, so a stats poll discovers the reason without
+    /// issuing a (failing) operation.  The caller marks the slot dead
+    /// *after* this returns and before it releases the slot's lock, so
+    /// no operation can find a dead slot without the reason being
+    /// readable.
+    fn record_poison(&self, shard: u64, e: &dyn std::fmt::Display) -> StoreError {
+        let reason = e.to_string();
+        if self.poison.set(reason.clone()).is_ok() {
+            self.obs
+                .registry
+                .events()
+                .record(Event::ShardPoisoned { shard, reason });
+        }
+        self.poisoned()
+    }
+
+    /// A relation's log failed inside a lock scope: record the reason and
+    /// mark the slot dead.  Nothing the scope did is acknowledged.
+    fn poison_slot(&self, slot: &mut Slot, e: WalError) -> StoreError {
+        let err = self.record_poison(slot.metrics.index, &e);
+        slot.dead = true;
+        err
+    }
+
+    /// The preserved reason of the first durability failure, when one has
+    /// poisoned this store.  Relations whose logs did not fail keep
+    /// serving; every operation that *does* touch the poisoned relation
+    /// (and any store-wide operation) reports
     /// [`StoreError::ShardPoisoned`] with this reason.
     pub fn poison_reason(&self) -> Option<&str> {
         self.poison.get().map(String::as_str)
@@ -1177,18 +959,20 @@ impl Store {
     /// swaps the shared handle; holders of a previous `Arc` keep a
     /// consistent (if stale) view.
     pub fn schema(&self) -> Arc<DatabaseSchema> {
-        Arc::clone(&self.topology().schema)
+        Arc::clone(&self.routing().schema)
     }
 
-    /// The per-scheme enforcement covers `Fi` the shards probe, aligned
+    /// The per-scheme enforcement covers `Fi` the slots probe, aligned
     /// with the current schema.
     pub fn enforcement(&self) -> Arc<Vec<FdSet>> {
-        Arc::clone(&self.topology().enforcement)
+        Arc::clone(&self.routing().enforcement)
     }
 
-    /// Number of shard worker threads.
-    pub fn shards(&self) -> usize {
-        self.topology().senders.len()
+    /// The topology for the two infallible handle getters, surviving
+    /// lock poisoning: a switch assigns schema and covers together in its
+    /// last, panic-free step, so the pair is always consistent.
+    fn routing(&self) -> RwLockReadGuard<'_, Topology> {
+        self.topology.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// True when the store was opened with a write-ahead log.
@@ -1225,60 +1009,48 @@ impl Store {
             .map(|d| *d.gen.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
-    /// Checkpoints a durable store: every shard seals its relations'
-    /// current log segments (fsync'd) and hands back a per-relation cut;
-    /// the cut is written as one snapshot (atomically, temp + rename)
-    /// and the covered segments are deleted — the log truncation.
+    /// Checkpoints a durable store: every relation's current log segment
+    /// is sealed (fsync'd) under its slot's lock and its tuples cloned —
+    /// a per-relation cut; the cut is written as one snapshot
+    /// (atomically, temp + rename) and the covered segments are deleted —
+    /// the log truncation.
     ///
-    /// Like [`Store::snapshot`], the cut is per-relation consistent,
-    /// which independence makes globally satisfying.  Safe to call
-    /// repeatedly (a checkpoint with no new records just rewrites an
-    /// identical snapshot) and concurrently (checkpoints serialize on an
-    /// internal lock).  A crash between the snapshot write and the
-    /// pruning leaves only covered segments behind, which recovery
-    /// skips.
+    /// Unlike [`Store::snapshot`], the cut is only per-relation
+    /// consistent (slots are visited one at a time), which independence
+    /// makes globally satisfying.  Safe to call repeatedly (a checkpoint
+    /// with no new records just rewrites an identical snapshot) and
+    /// concurrently (checkpoints serialize on an internal lock).  A crash
+    /// between the snapshot write and the pruning leaves only covered
+    /// segments behind, which recovery skips.
     pub fn checkpoint(&self) -> Result<(), StoreError> {
         let d = self.durability.as_ref().ok_or(StoreError::NotDurable)?;
-        let mut gen = d.gen.lock().map_err(|_| self.fail())?;
-        let topo = self.topology();
+        let mut gen = d.gen.lock().map_err(|_| StoreError::Disconnected)?;
+        self.healthy()?;
+        let topo = self.topology()?;
         let old_gen = *gen;
         let new_gen = old_gen + 1;
         let start = ids_obs::recording().then(Instant::now);
         self.obs.registry.events().record(Event::CheckpointStarted {
             generation: new_gen,
         });
-        let (reply_tx, reply_rx) = channel();
-        for shard in 0..topo.senders.len() {
-            self.send(
-                &topo,
-                shard,
-                Command::Rotate {
-                    new_gen,
-                    reply: reply_tx.clone(),
-                },
-            )?;
-        }
-        drop(reply_tx);
-        let mut parts: Vec<Option<(Relation, u64)>> = vec![None; topo.schema.len()];
-        for _ in 0..topo.senders.len() {
-            for (id, rel, sealed) in reply_rx.recv().map_err(|_| self.fail())? {
-                parts[id.index()] = Some((rel, sealed));
+        let mut relations = Vec::with_capacity(topo.schema.len());
+        let mut seqs = Vec::with_capacity(topo.schema.len());
+        for id in topo.schema.ids() {
+            let mut slot = self.lock(&topo, id)?;
+            let wal = slot.wal.as_mut().ok_or(StoreError::NotDurable)?;
+            match wal.rotate(new_gen) {
+                Ok(sealed) => seqs.push(sealed),
+                Err(e) => return Err(self.poison_slot(&mut slot, e)),
             }
+            relations.push(slot.rel.clone());
         }
-        // The workers are on `new_gen` now, whatever happens below:
+        // The logs are on `new_gen` now, whatever happens below:
         // advance the counter immediately so a snapshot/prune failure
         // leaves the checkpoint *retryable* (the retry rotates onto yet
         // another generation and its snapshot covers everything the
         // failed attempt left behind) instead of colliding with the
         // already-created segment files.
         *gen = new_gen;
-        let mut relations = Vec::with_capacity(parts.len());
-        let mut seqs = Vec::with_capacity(parts.len());
-        for p in parts {
-            let (rel, sealed) = p.expect("every scheme lives on exactly one shard");
-            relations.push(rel);
-            seqs.push(sealed);
-        }
         let state = DatabaseState::from_relations(&topo.schema, relations)?;
         d.dir.write_snapshot(&state, &seqs, old_gen)?;
         d.dir.prune_segments(old_gen)?;
@@ -1309,31 +1081,44 @@ impl Store {
     /// new manifest's application bytes (the `ids-api` layer keeps its
     /// column layouts there).
     ///
-    /// The transition runs in three phases, serialized with checkpoints
-    /// on the generation mutex:
+    /// The transition runs in three phases on the calling thread,
+    /// serialized with checkpoints on the generation mutex:
     ///
     /// 1. **Backfill** (topology read lock — traffic keeps flowing):
     ///    every surviving relation whose new enforcement cover is not
     ///    implied by its old one revalidates its tuples under the
-    ///    *union* of both covers on its owning shard, and installs the
-    ///    union on success.  A violation rolls the already-prepared
-    ///    shards back to their exact old covers and refuses the
-    ///    transition with [`StoreError::BackfillViolation`] — violated
-    ///    FD plus a violating pair of tuples.  Traffic accepted between
-    ///    backfill and switch satisfies both schemas, which is what
-    ///    makes the crash window sound in both directions.
+    ///    *union* of both covers, inside its own slot's lock, and
+    ///    installs the union on success.  A violation rolls the
+    ///    already-prepared relations back to their exact old covers and
+    ///    refuses the transition with [`StoreError::BackfillViolation`] —
+    ///    violated FD plus a violating pair of tuples.  Traffic accepted
+    ///    between backfill and switch satisfies both schemas, which is
+    ///    what makes the crash window sound in both directions.
     /// 2. **Durability point**: a generation-numbered manifest
     ///    (`MANIFEST-g{n}`) is staged and renamed into the log
     ///    directory.  From here the transition *will* be in effect
-    ///    after any crash; until here a crash recovers the old schema.
-    /// 3. **Switch** (topology write lock): workers for added relations
-    ///    spawn, every pre-existing worker receives a
-    ///    `Command::Transition` (drop released slots, retarget +
-    ///    rotate surviving ones onto the new generation), and the
-    ///    routing topology is swapped.  Channel FIFO order means every
-    ///    command sent before the swap ran under the old schema and
-    ///    everything after runs under the new — shards that own only
-    ///    untouched relations never stop serving.
+    ///    after any crash; until here a crash recovers the old schema,
+    ///    and any error leaves the current schema serving, untouched.
+    /// 3. **Switch**: each surviving relation, inside its own slot's
+    ///    lock, is retargeted to its new scheme id (O(1): same attribute
+    ///    set) and its log rotated onto the new generation — sound ahead
+    ///    of the swap, because the manifest already governs that
+    ///    generation and what the relation accepts meanwhile satisfies
+    ///    both schemas; added relations get fresh slots.  All the I/O
+    ///    happens there, so a relation waits for its own log only.  Then,
+    ///    under the topology **write lock**, dropped slots are released
+    ///    and the topology is swapped — memory only.  Every operation
+    ///    holds the read guard for its duration, so none is in flight:
+    ///    the write lock cleanly splits old-schema from new-schema
+    ///    operations.  Finally a relation still enforcing a union (or
+    ///    otherwise stale) cover is rebuilt under its exact new cover,
+    ///    again inside its own slot's lock, so untouched relations keep
+    ///    serving through every O(rows) step.  An error in the switch
+    ///    cannot be returned with the old schema still serving —
+    ///    recovery would load the new one — so it **poisons the whole
+    ///    store**: every slot is marked dead and the failing call, like
+    ///    every later operation, reports [`StoreError::ShardPoisoned`]
+    ///    with the reason.
     pub fn apply_transition(
         &self,
         new_schema: &DatabaseSchema,
@@ -1342,23 +1127,22 @@ impl Store {
         app: Vec<u8>,
     ) -> Result<u64, StoreError> {
         let d = self.durability.as_ref().ok_or(StoreError::NotDurable)?;
-        let new_enforcement = match extract_enforcement(new_schema, analysis) {
-            Ok(e) => e,
-            Err(e) => {
-                self.obs.registry.counter("evolve.rejected").inc();
-                self.obs.registry.events().record(Event::AlterRejected {
-                    reason: e.to_string(),
-                });
-                return Err(e);
-            }
+        let reject = |e: StoreError| {
+            self.obs.registry.counter("evolve.rejected").inc();
+            self.obs.registry.events().record(Event::AlterRejected {
+                reason: e.to_string(),
+            });
+            e
         };
+        let new_enforcement = extract_enforcement(new_schema, analysis).map_err(reject)?;
         // Serialize with checkpoints and other transitions.
-        let mut gen = d.gen.lock().map_err(|_| self.fail())?;
+        let mut gen = d.gen.lock().map_err(|_| StoreError::Disconnected)?;
+        self.healthy()?;
         let new_gen = *gen + 1;
 
         // Phase 1: remap + backfill under a topology *read* lock.
         let remap = {
-            let topo = self.topology();
+            let topo = self.topology()?;
             let mut remap: Vec<Option<SchemeId>> = Vec::with_capacity(topo.schema.len());
             for id in topo.schema.ids() {
                 let name = &topo.schema.scheme(id).name;
@@ -1377,7 +1161,7 @@ impl Store {
             // does not already imply every FD of the new one.
             let mut prepared: Vec<(SchemeId, u64)> = Vec::new();
             let backfill_start = Instant::now();
-            let mut violation: Option<(SchemeId, Fd, Vec<Tuple>)> = None;
+            let mut refusal: Option<StoreError> = None;
             for (i, nid) in remap.iter().enumerate() {
                 let Some(nid) = nid else { continue };
                 let old_id = SchemeId::from_index(i);
@@ -1390,53 +1174,26 @@ impl Store {
                 for fd in new.iter() {
                     union.insert(*fd);
                 }
-                let (reply_tx, reply_rx) = channel();
-                self.send(
-                    &topo,
-                    topo.assignment[i],
-                    Command::Prepare {
-                        scheme: old_id,
-                        cover: union,
-                        reply: reply_tx,
-                    },
-                )?;
-                match reply_rx.recv().map_err(|_| self.fail())? {
+                let installed = self
+                    .lock(&topo, old_id)
+                    .and_then(|mut slot| slot.install_cover(union));
+                match installed {
                     Ok(tuples) => prepared.push((old_id, tuples)),
-                    Err((violated, witness)) => {
-                        violation = Some((old_id, violated, witness));
+                    Err(e) => {
+                        refusal = Some(e);
                         break;
                     }
                 }
             }
-            if let Some((scheme, violated, witness)) = violation {
-                // Roll the already-prepared shards back to their exact
-                // old covers; the store keeps serving the old schema.
+            if let Some(e) = refusal {
+                // Roll the already-prepared relations back to their
+                // exact old covers (which re-validate the data they
+                // accepted); the store keeps serving the old schema.
                 for &(old_id, _) in &prepared {
-                    let (reply_tx, reply_rx) = channel();
-                    self.send(
-                        &topo,
-                        topo.assignment[old_id.index()],
-                        Command::Prepare {
-                            scheme: old_id,
-                            cover: topo.enforcement[old_id.index()].clone(),
-                            reply: reply_tx,
-                        },
-                    )?;
-                    reply_rx
-                        .recv()
-                        .map_err(|_| self.fail())?
-                        .expect("the old cover re-validates the data it accepted");
+                    let old = topo.enforcement[old_id.index()].clone();
+                    self.lock(&topo, old_id)?.install_cover(old)?;
                 }
-                let err = StoreError::BackfillViolation {
-                    scheme,
-                    violated,
-                    witness,
-                };
-                self.obs.registry.counter("evolve.rejected").inc();
-                self.obs.registry.events().record(Event::AlterRejected {
-                    reason: err.to_string(),
-                });
-                return Err(err);
+                return Err(reject(e));
             }
             if !prepared.is_empty() {
                 let duration = backfill_start.elapsed();
@@ -1466,100 +1223,98 @@ impl Store {
             },
         )?;
 
-        // Phase 3: swap the topology and fan the transition out.
-        let mut topo = self.topology.write().unwrap_or_else(|e| e.into_inner());
-        let schema = Arc::new(new_schema.clone());
-        let enforcement = Arc::new(new_enforcement);
-        let remap = Arc::new(remap);
-        let mut assignment = vec![usize::MAX; new_schema.len()];
-        for (i, nid) in remap.iter().enumerate() {
-            if let Some(nid) = nid {
-                assignment[nid.index()] = topo.assignment[i];
+        // Phase 3: switch, then settle the covers.
+        if let Err((shard, e)) = self.switch(d, new_schema, new_enforcement, &remap, new_gen) {
+            // Memory must not go on acknowledging writes under a schema
+            // recovery will no longer load.
+            let err = self.record_poison(shard, &format_args!("schema switch failed: {e}"));
+            for slot in &self.topology()?.slots {
+                if let Ok(mut slot) = slot.lock() {
+                    slot.dead = true;
+                }
             }
+            return Err(err);
         }
-        let mut senders = topo.senders.clone();
-        let mut shard_metrics = topo.shard.clone();
-        let mut new_handles = Vec::new();
-        for id in new_schema.ids() {
-            if assignment[id.index()] != usize::MAX {
-                continue;
-            }
-            // An added relation: a fresh shard worker of its own, so no
-            // existing relation's traffic is disturbed.
-            let shard_idx = senders.len();
-            let rel = Relation::new(new_schema.attrs(id));
-            let shard =
-                RelationShard::with_relation(&schema, id, enforcement[id.index()].clone(), &rel)
-                    .map_err(base_state_error)?;
-            let mut writer = d.dir.segment_writer(id.index() as u16, new_gen, 0)?;
-            if let Some(n) = d.fail_appends_after {
-                writer.fail_appends_after(n);
-            }
-            if let Some(m) = &d.wal_metrics {
-                writer.set_metrics(m.clone());
-            }
-            let metrics = Arc::new(ShardMetrics::new(&self.obs.registry, shard_idx));
-            let mut worker = Worker {
-                shard: shard_idx,
-                slots: vec![Slot {
-                    id,
-                    shard,
-                    rel,
-                    wal: Some(writer),
-                }],
-                slot_of: vec![None; new_schema.len()],
-                sync: d.sync,
-                poison: Arc::clone(&self.poison),
-                metrics: Arc::clone(&metrics),
-                events: Arc::clone(self.obs.registry.events()),
-            };
-            worker.slot_of[id.index()] = Some(0);
-            let (tx, rx) = channel();
-            senders.push(tx);
-            shard_metrics.push(metrics);
-            assignment[id.index()] = shard_idx;
-            new_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("ids-shard-{shard_idx}"))
-                    .spawn(move || worker.run(rx))
-                    .expect("spawn shard worker"),
-            );
-        }
-        // Fan out while holding the write lock: every command a shard
-        // received before its Transition ran under the old schema, and
-        // no new-schema command can be sent until the lock drops.
-        for shard in 0..topo.senders.len() {
-            self.send(
-                &topo,
-                shard,
-                Command::Transition {
-                    new_gen,
-                    schema: Arc::clone(&schema),
-                    enforcement: Arc::clone(&enforcement),
-                    remap: Arc::clone(&remap),
-                },
-            )?;
-        }
-        let relations = new_schema.len() as u64;
-        *topo = Topology {
-            schema,
-            enforcement,
-            assignment,
-            senders,
-            shard: shard_metrics,
-        };
-        drop(topo);
-        self.handles
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .extend(new_handles);
         *gen = new_gen;
+        let topo = self.topology()?;
+        for (slot, cover) in topo.slots.iter().zip(topo.enforcement.iter()) {
+            // A slot lost to a panicking caller has nothing to settle.
+            let Ok(mut slot) = slot.lock() else { continue };
+            if !slot.shard.enforcement().same_fds(cover) {
+                // Cannot be refused: since its backfill the relation has
+                // enforced a superset of this cover.
+                slot.install_cover(cover.clone())?;
+            }
+        }
         self.obs.registry.counter("evolve.alters").inc();
         self.obs.registry.events().record(Event::SchemaAltered {
             generation: new_gen,
-            relations,
+            relations: topo.schema.len() as u64,
         });
         Ok(new_gen)
+    }
+
+    /// Phase 3 of [`Store::apply_transition`].  On error the caller
+    /// poisons the store; the error names the metric family of the
+    /// relation that failed.
+    fn switch(
+        &self,
+        d: &Durability,
+        new_schema: &DatabaseSchema,
+        new_enforcement: Vec<FdSet>,
+        remap: &[Option<SchemeId>],
+        new_gen: u64,
+    ) -> Result<(), (u64, StoreError)> {
+        // Survivors, one slot lock at a time: this is where the I/O is.
+        let topo = self.topology().map_err(|e| (0, e))?;
+        for (id, nid) in topo.schema.ids().zip(remap) {
+            let Some(nid) = *nid else { continue };
+            let mut slot = self.lock(&topo, id).map_err(|e| (id.index() as u64, e))?;
+            let shard = slot.metrics.index;
+            slot.retarget(new_schema, nid, new_gen)
+                .map_err(|e| (shard, e))?;
+        }
+        // An added relation: a fresh, empty slot with a metric family of
+        // its own.
+        let mut families = topo.families;
+        drop(topo);
+        let mut placed = Vec::with_capacity(new_schema.len());
+        for id in new_schema.ids().filter(|id| !remap.contains(&Some(*id))) {
+            let writer = d
+                .writer(id, new_gen, 0)
+                .map_err(|e| (families as u64, e.into()))?;
+            let slot = Slot::new(
+                id,
+                RelationShard::new(new_schema, id, new_enforcement[id.index()].clone()),
+                Relation::new(new_schema.attrs(id)),
+                Some(writer),
+                ShardMetrics::new(&self.obs.registry, families),
+            );
+            placed.push((id, Mutex::new(slot)));
+            families += 1;
+        }
+        // The swap: memory only, nothing can fail.  The mutexes move as
+        // they are, so one a panicking caller poisoned stays poisoned.
+        let mut topo = self
+            .topology
+            .write()
+            .map_err(|_| (0, StoreError::Disconnected))?;
+        for (slot, nid) in std::mem::take(&mut topo.slots).into_iter().zip(remap) {
+            // Releasing a dropped relation's slot drops its writer, which
+            // syncs the tail.  Its segments stay on disk; recovery skips
+            // them by name.
+            if let Some(nid) = *nid {
+                placed.push((nid, slot));
+            }
+        }
+        placed.sort_by_key(|(id, _)| *id);
+        *topo = Topology {
+            schema: Arc::new(new_schema.clone()),
+            enforcement: Arc::new(new_enforcement),
+            slots: placed.into_iter().map(|(_, slot)| slot).collect(),
+            families,
+        };
+        Ok(())
     }
 
     /// A typed snapshot of every metric family the store (and its WAL
@@ -1568,8 +1323,8 @@ impl Store {
     /// in [`MetricsSnapshot::poisoned`], readable **without issuing a
     /// failing operation**.
     ///
-    /// Purely read-side: no worker round trip, no barrier, works even
-    /// after every shard has shut down.  See the `ids-obs` crate docs
+    /// Purely read-side: no slot is locked, and it works even after
+    /// every relation has been poisoned.  See the `ids-obs` crate docs
     /// for the relaxed-ordering read semantics.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.obs.registry.snapshot();
@@ -1577,134 +1332,156 @@ impl Store {
         snap
     }
 
-    /// Validates an operation's scheme and arity before it is routed, so
-    /// an out-of-range [`SchemeId`] is a typed error at the router
-    /// boundary rather than an index panic inside a worker.  Delegates to
-    /// [`ids_core::validate_op`] — the one validation contract every
-    /// engine shares.
-    fn validate(topo: &Topology, op: &StoreOp) -> Result<(), StoreError> {
-        let (StoreOp::Insert { scheme, tuple } | StoreOp::Remove { scheme, tuple }) = op;
-        ids_core::validate_op(&topo.schema, *scheme, tuple).map_err(|e| match e {
-            MaintenanceError::UnknownScheme(id) => StoreError::UnknownScheme(id),
-            MaintenanceError::Relational(e) => StoreError::Relational(e),
-            other => unreachable!("validate_op cannot fail with {other}"),
-        })
+    /// Validates an operation's scheme and arity before any slot is
+    /// locked, so an out-of-range [`SchemeId`] is a typed error at the
+    /// store's boundary rather than an index panic under a lock.
+    /// Delegates to [`ids_core::validate_op`] — the one validation
+    /// contract every engine shares.
+    fn validate(topo: &Topology, id: SchemeId, tuple: &[Value]) -> Result<(), StoreError> {
+        ids_core::validate_op(&topo.schema, id, tuple).map_err(Into::into)
     }
 
-    /// Attempts to insert `tuple` (scheme order) into relation `id`,
-    /// blocking until the owning shard answers.
-    ///
-    /// For throughput, prefer [`Store::apply_batch`]: a per-op round trip
-    /// pays one channel rendezvous per operation.
-    pub fn insert(&self, id: SchemeId, tuple: Vec<Value>) -> Result<InsertOutcome, StoreError> {
-        let outcomes = self.apply_batch(vec![StoreOp::Insert { scheme: id, tuple }])?;
-        match outcomes.into_iter().next() {
-            Some(OpOutcome::Insert(outcome)) => Ok(outcome),
-            _ => Err(self.fail()),
+    /// The one write scope: lock relation `id`, run `body` against its
+    /// slot, apply the sync policy to its log — once, before anything is
+    /// acknowledged — and flush the scope's tallies.  A log failure
+    /// anywhere in the scope poisons the slot instead of acknowledging.
+    fn write<T>(
+        &self,
+        topo: &Topology,
+        id: SchemeId,
+        body: impl FnOnce(&mut Slot, &mut Tally) -> Result<T, StoreError>,
+    ) -> Result<T, StoreError> {
+        let mut slot = self.lock(topo, id)?;
+        let start = ids_obs::recording().then(Instant::now);
+        let mut tally = Tally::default();
+        let done = body(&mut slot, &mut tally).and_then(|out| {
+            if let (Some(w), Some(d)) = (&mut slot.wal, &self.durability) {
+                w.maybe_sync(d.sync)?;
+            }
+            Ok(out)
+        });
+        match done {
+            Ok(out) => {
+                let m = &slot.metrics;
+                m.accepted.add(tally.accepted);
+                m.duplicate.add(tally.duplicate);
+                m.rejected.add(tally.rejected);
+                m.removed.add(tally.removed);
+                if let Some(start) = start {
+                    m.apply_ns.record(start.elapsed());
+                }
+                Ok(out)
+            }
+            Err(StoreError::Wal(e)) => Err(self.poison_slot(&mut slot, e)),
+            Err(e) => Err(e),
         }
+    }
+
+    /// Attempts to insert `tuple` (scheme order) into relation `id`, on
+    /// the calling thread, inside the relation's lock.
+    pub fn insert(&self, id: SchemeId, tuple: Vec<Value>) -> Result<InsertOutcome, StoreError> {
+        let topo = self.topology()?;
+        Self::validate(&topo, id, &tuple)?;
+        self.write(&topo, id, |slot, tally| slot.insert(tuple, tally))
     }
 
     /// Removes a tuple from relation `id`; `true` when it was present.
     /// Always satisfaction-preserving under weak-instance semantics.
     pub fn remove(&self, id: SchemeId, tuple: Vec<Value>) -> Result<bool, StoreError> {
-        let outcomes = self.apply_batch(vec![StoreOp::Remove { scheme: id, tuple }])?;
-        match outcomes.into_iter().next() {
-            Some(OpOutcome::Remove(present)) => Ok(present),
-            _ => Err(self.fail()),
-        }
+        let topo = self.topology()?;
+        Self::validate(&topo, id, &tuple)?;
+        self.write(&topo, id, |slot, tally| slot.remove(tuple, tally))
     }
 
-    /// Applies a batch of operations, pipelined across shards: the batch
-    /// is partitioned by relation, each shard processes its part in
-    /// parallel, and the per-op outcomes come back aligned with the input.
+    /// Applies a batch of operations: the batch is partitioned by
+    /// relation, each touched relation's operations run in submission
+    /// order inside one lock scope (one slot at a time, never two held,
+    /// one group fsync per relation), and the per-op outcomes come back
+    /// aligned with the input.
     ///
-    /// The whole batch is validated (scheme + arity) before anything is
-    /// sent, so a malformed batch mutates nothing.  Per-relation order
+    /// The whole batch is validated (scheme + arity) before any slot is
+    /// locked, so a malformed batch mutates nothing.  Per-relation order
     /// within the batch is preserved; FD violations are *outcomes*
     /// ([`InsertOutcome::Rejected`]), not errors.
-    pub fn apply_batch(&self, ops: Vec<StoreOp>) -> Result<Vec<OpOutcome>, StoreError> {
-        let topo = self.topology();
+    pub fn apply_batch(&self, mut ops: Vec<StoreOp>) -> Result<Vec<OpOutcome>, StoreError> {
+        let topo = self.topology()?;
         for op in &ops {
-            Self::validate(&topo, op)?;
+            let (StoreOp::Insert { scheme, tuple } | StoreOp::Remove { scheme, tuple }) = op;
+            Self::validate(&topo, *scheme, tuple)?;
         }
-        let total = ops.len();
-        let mut per_shard: Vec<Vec<(u32, StoreOp)>> = (0..topo.senders.len())
-            .map(|_| Vec::with_capacity(total / topo.senders.len() + 1))
-            .collect();
-        for (idx, op) in ops.into_iter().enumerate() {
-            per_shard[topo.assignment[op.scheme().index()]].push((idx as u32, op));
+        // Group the batch by relation with a counting sort of its indexes:
+        // O(n), and stable, so each relation's run keeps submission order.
+        let mut ends = vec![0usize; topo.slots.len()];
+        for op in &ops {
+            ends[op.scheme().index()] += 1;
         }
-        let (reply_tx, reply_rx) = channel();
-        let mut involved = 0usize;
-        for (shard, ops) in per_shard.into_iter().enumerate() {
-            if ops.is_empty() {
+        let mut total = 0;
+        for end in &mut ends {
+            total += *end;
+            *end = total - *end; // the run's start, for now
+        }
+        let mut order = vec![0usize; ops.len()];
+        for (i, op) in ops.iter().enumerate() {
+            let at = &mut ends[op.scheme().index()];
+            order[*at] = i;
+            *at += 1;
+        }
+        // `order` is a permutation of the batch's indexes, so every
+        // placeholder below is overwritten by its op's real outcome.
+        let mut out = vec![OpOutcome::Remove(false); ops.len()];
+        let mut start = 0;
+        for (scheme, &end) in ends.iter().enumerate() {
+            let run = &order[start..end];
+            start = end;
+            if run.is_empty() {
                 continue;
             }
-            involved += 1;
-            self.send(
-                &topo,
-                shard,
-                Command::Apply {
-                    ops,
-                    reply: reply_tx.clone(),
-                },
-            )?;
+            self.write(&topo, SchemeId::from_index(scheme), |slot, tally| {
+                for &i in run {
+                    out[i] = match &mut ops[i] {
+                        StoreOp::Insert { tuple, .. } => {
+                            OpOutcome::Insert(slot.insert(std::mem::take(tuple), tally)?)
+                        }
+                        StoreOp::Remove { tuple, .. } => {
+                            OpOutcome::Remove(slot.remove(std::mem::take(tuple), tally)?)
+                        }
+                    };
+                }
+                Ok(())
+            })?;
         }
-        drop(reply_tx);
-        let mut out: Vec<Option<OpOutcome>> = vec![None; total];
-        for _ in 0..involved {
-            let part = reply_rx.recv().map_err(|_| self.fail())?;
-            for (idx, outcome) in part {
-                out[idx as usize] = Some(outcome);
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|o| o.expect("every op was routed to exactly one shard"))
-            .collect())
+        Ok(out)
     }
 
-    /// Answers a [`ReadPlan`] against one relation **without a barrier**:
-    /// only the owning shard is consulted, so no other shard pauses,
-    /// queues, or copies anything.  The shard evaluates the predicate
-    /// where the tuples live — a point lookup on a key FD's left-hand side
-    /// is O(1) against the enforcement hash index, see
-    /// [`RelationShard::scan`] — and only the plan's shape of the matches
-    /// (tuples, distinct join keys, or a count) crosses the channel.
+    /// Answers a [`ReadPlan`] against one relation: only that relation's
+    /// slot is locked, so no other relation pauses or copies anything.
+    /// The predicate is evaluated where the tuples live — a point lookup
+    /// on a key FD's left-hand side is O(1) against the enforcement hash
+    /// index, see [`RelationShard::scan`] — and only the plan's shape of
+    /// the matches (tuples, distinct join keys, or a count) is built.
     ///
     /// This is sound precisely because the schema is independent:
-    /// relations share no enforcement state, so the cut "this relation at
-    /// its current point in its own FIFO, all others untouched" is a
-    /// prefix of a valid serialization — the answer is computed from
-    /// exactly what some barrier snapshot would also contain for this
-    /// scheme.  What you give up versus [`Store::snapshot`] is
-    /// *cross-relation* consistency: two `read` calls on different
-    /// relations may observe cuts no single snapshot contains.  Per
-    /// relation you still get read-your-writes: the owning shard drains
-    /// every operation submitted before the read (its command channel is
-    /// FIFO).
+    /// relations share no enforcement state, so the cut "this relation
+    /// as of now, all others untouched" is a prefix of a valid
+    /// serialization — the answer is computed from exactly what some
+    /// snapshot would also contain for this scheme.  What you give up
+    /// versus [`Store::snapshot`] is *cross-relation* consistency: two
+    /// `read` calls on different relations may observe cuts no single
+    /// snapshot contains.  Per relation the read is linearizable: it
+    /// sees every operation that returned before it started.
     ///
-    /// The id and the plan are validated here, at the router boundary, so
-    /// a foreign scheme, predicate attribute or projection column is a
-    /// typed error and never a worker panic.
+    /// The id and the plan are validated here, before the slot is
+    /// locked, so a foreign scheme, predicate attribute or projection
+    /// column is a typed error.
     pub fn read(&self, id: SchemeId, plan: &ReadPlan) -> Result<ReadReply, StoreError> {
-        let topo = self.topology();
+        let topo = self.topology()?;
         let scheme = topo
             .schema
             .get_scheme(id)
             .ok_or(StoreError::UnknownScheme(id))?;
         plan.validate_against(scheme.attrs)?;
-        let (reply_tx, reply_rx) = channel();
-        self.send(
-            &topo,
-            topo.assignment[id.index()],
-            Command::Read {
-                scheme: id,
-                plan: plan.clone(),
-                reply: reply_tx,
-            },
-        )?;
-        reply_rx.recv().map_err(|_| self.fail())
+        let slot = self.lock(&topo, id)?;
+        Ok(slot.shard.read(&slot.rel, plan)?)
     }
 
     /// The tuples of one relation matching `predicate` — [`Store::read`]
@@ -1713,105 +1490,51 @@ impl Store {
         Ok(self.read(id, &ReadPlan::tuples(predicate.clone()))?.rows)
     }
 
-    /// Takes a consistent snapshot: a barrier across all shards (each
-    /// answers after draining every command sent before the barrier), then
-    /// reassembles the relation clones into a [`DatabaseState`].
+    /// Takes a consistent snapshot: every slot is locked, in ascending
+    /// scheme order, and all are held while the relations are cloned
+    /// into a [`DatabaseState`] — a true cut, a state the store actually
+    /// passed through.
     ///
     /// On an independent schema the snapshot is globally satisfying — each
-    /// shard enforced its `Fi`, and `LSAT = WSAT` does the rest.
+    /// relation enforced its `Fi`, and `LSAT = WSAT` does the rest.
     pub fn snapshot(&self) -> Result<DatabaseState, StoreError> {
-        let topo = self.topology();
-        let (reply_tx, reply_rx) = channel();
-        for shard in 0..topo.senders.len() {
-            self.send(
-                &topo,
-                shard,
-                Command::Snapshot {
-                    reply: reply_tx.clone(),
-                },
-            )?;
-        }
-        drop(reply_tx);
-        let mut parts: Vec<Option<Relation>> = vec![None; topo.schema.len()];
-        for _ in 0..topo.senders.len() {
-            for (id, rel) in reply_rx.recv().map_err(|_| self.fail())? {
-                parts[id.index()] = Some(rel);
-            }
-        }
-        let relations = parts
-            .into_iter()
-            .map(|r| r.expect("every scheme lives on exactly one shard"))
-            .collect();
+        let topo = self.topology()?;
+        let slots = topo
+            .schema
+            .ids()
+            .map(|id| self.lock(&topo, id))
+            .collect::<Result<Vec<_>, _>>()?;
+        let relations = slots.iter().map(|slot| slot.rel.clone()).collect();
+        drop(slots);
         DatabaseState::from_relations(&topo.schema, relations).map_err(Into::into)
     }
 
-    /// Shuts the store down: closes every command channel, joins the
-    /// workers, and hands back the final state.
+    /// Shuts the store down and hands back the final state.  Dropping a
+    /// slot's log writer syncs its tail (best effort), as does dropping
+    /// the store without calling this.  A poisoned store refuses: it
+    /// holds operations that were applied but never acknowledged, so
+    /// its final state is not the callers' view, and shutdown reports
+    /// the preserved reason instead.
     pub fn shutdown(self) -> Result<DatabaseState, StoreError> {
-        let schema = self.schema();
-        let parts = self.shutdown_inner()?;
-        DatabaseState::from_relations(&schema, parts).map_err(Into::into)
-    }
-
-    /// Drains channels and joins workers; idempotent (a second call — the
-    /// `Drop` after an explicit `shutdown()` — is a no-op).  Returns the
-    /// final relations in scheme order.
-    fn shutdown_inner(&self) -> Result<Vec<Relation>, StoreError> {
-        let mut handles = self.handles.lock().unwrap_or_else(|e| e.into_inner());
-        if handles.is_empty() {
-            return Ok(Vec::new());
+        self.healthy()?;
+        let topo = self
+            .topology
+            .into_inner()
+            .map_err(|_| StoreError::Disconnected)?;
+        let mut relations = Vec::with_capacity(topo.slots.len());
+        for slot in topo.slots {
+            relations.push(slot.into_inner().map_err(|_| StoreError::Disconnected)?.rel);
         }
-        let schema_len = {
-            let mut topo = self.topology.write().unwrap_or_else(|e| e.into_inner());
-            topo.senders.clear(); // closing the channels stops the workers
-            topo.schema.len()
-        };
-        let mut parts: Vec<Option<Relation>> = vec![None; schema_len];
-        let mut lost = false;
-        for handle in handles.drain(..) {
-            match handle.join() {
-                Ok(slots) => {
-                    for (id, rel) in slots {
-                        parts[id.index()] = Some(rel);
-                    }
-                }
-                Err(_) => lost = true,
-            }
-        }
-        if let Some(reason) = self.poison.get() {
-            // A poisoned shard exited without acknowledging everything it
-            // was sent: the final state is not the callers' view, so
-            // shutdown reports the preserved reason instead of a state.
-            return Err(StoreError::ShardPoisoned {
-                reason: reason.clone(),
-            });
-        }
-        if lost {
-            return Err(StoreError::Disconnected);
-        }
-        Ok(parts
-            .into_iter()
-            .map(|r| r.expect("every scheme lives on exactly one shard"))
-            .collect())
+        DatabaseState::from_relations(&topo.schema, relations).map_err(Into::into)
     }
 }
 
-impl Drop for Store {
-    fn drop(&mut self) {
-        // Best-effort: stop the workers even when the caller skipped
-        // `shutdown()`.  Panics in workers surface there, not here.
-        let _ = self.shutdown_inner();
-    }
-}
-
-/// Prepares the starting relations + shards of a durable store from an
-/// optional preload: the state is revalidated against the schema and
-/// every cover (typed errors, never worker panics), and a nonempty
-/// preload — which lives in no log — is pinned in an initial snapshot
-/// so recovery starts from it.  Shared by the fresh-create path and the
-/// repeat of a create that crashed before its snapshot landed.
-fn preload_parts(
-    dir: &WalDir,
+/// Builds the starting relations + shards of a store from an optional
+/// preload: the state is roundtripped through `from_relations` to
+/// revalidate its full shape — it may come from a different schema
+/// handle, and a mismatched relation must be a typed error — and every
+/// relation is indexed and validated against its cover.
+fn build_parts(
     schema: &DatabaseSchema,
     enforcement: &[FdSet],
     initial_state: Option<DatabaseState>,
@@ -1829,9 +1552,24 @@ fn preload_parts(
     let mut shards = Vec::with_capacity(schema.len());
     for (id, rel) in schema.ids().zip(relations.iter()) {
         let fi = enforcement[id.index()].clone();
-        shards.push(RelationShard::with_relation(schema, id, fi, rel).map_err(base_state_error)?);
+        shards.push(RelationShard::with_relation(schema, id, fi, rel)?);
     }
     apply_ordered_indexes(schema, &mut shards, &relations, ordered_indexes)?;
+    Ok((relations, shards))
+}
+
+/// [`build_parts`] for a durable store: a nonempty preload — which lives
+/// in no log — is pinned in an initial snapshot so recovery starts from
+/// it.  Shared by the fresh-create path and the repeat of a create that
+/// crashed before its snapshot landed.
+fn preload_parts(
+    dir: &WalDir,
+    schema: &DatabaseSchema,
+    enforcement: &[FdSet],
+    initial_state: Option<DatabaseState>,
+    ordered_indexes: &[(SchemeId, AttrId)],
+) -> Result<(Vec<Relation>, Vec<RelationShard>), StoreError> {
+    let (relations, shards) = build_parts(schema, enforcement, initial_state, ordered_indexes)?;
     if relations.iter().any(|r| !r.is_empty()) {
         let state = DatabaseState::from_relations(schema, relations.clone())?;
         dir.write_snapshot(&state, &vec![0; schema.len()], 0)?;
@@ -1853,19 +1591,9 @@ fn apply_ordered_indexes(
         if schema.get_scheme(id).is_none() {
             return Err(StoreError::UnknownScheme(id));
         }
-        shards[id.index()]
-            .add_ordered_index(attr, &relations[id.index()])
-            .map_err(index_error)?;
+        shards[id.index()].add_ordered_index(attr, &relations[id.index()])?;
     }
     Ok(())
-}
-
-/// Maps secondary-index declaration failures to typed store errors.
-fn index_error(e: MaintenanceError) -> StoreError {
-    match e {
-        MaintenanceError::Relational(e) => StoreError::Relational(e),
-        other => unreachable!("add_ordered_index cannot fail with {other}"),
-    }
 }
 
 /// Pulls the per-scheme enforcement covers out of an analysis verdict:
@@ -1891,26 +1619,9 @@ fn extract_enforcement(
     Ok(enforcement)
 }
 
-/// Maps shard-construction failures (preload validation) to typed
-/// store errors.
-fn base_state_error(e: MaintenanceError) -> StoreError {
-    match e {
-        MaintenanceError::BaseStateViolation { scheme, violated } => {
-            StoreError::InvalidBaseState { scheme, violated }
-        }
-        MaintenanceError::Relational(e) => StoreError::Relational(e),
-        other => unreachable!("with_relation cannot fail with {other}"),
-    }
-}
-
 /// What [`replay_recovered`] rebuilds: each relation's state, its
 /// enforcement shard, and how many tail records it replayed.
 type Replayed = (Vec<Relation>, Vec<RelationShard>, Vec<u64>);
-
-/// A shard worker thread; joining one yields the relation states it
-/// owned, keyed by scheme, so a transition can re-seed the new
-/// topology.
-type WorkerHandle = JoinHandle<Vec<(SchemeId, Relation)>>;
 
 /// Replays a recovery result through the normal probe/commit machinery:
 /// the snapshot base builds each relation's shard (which validates it
@@ -1949,30 +1660,35 @@ fn replay_recovered(
         let name = schema.scheme(id).name.clone();
         let mut cur: Option<(usize, RelationShard)> = None;
         for (era, record) in records {
-            if cur.as_ref().map(|(e, _)| *e) != Some(era) {
-                let shard = if era == last_era {
-                    RelationShard::with_relation(schema, id, enforcement[id.index()].clone(), &rel)
-                } else {
-                    let m = &chain[era].1;
-                    let eid = m.schema.scheme_by_name(&name).ok_or_else(|| {
-                        StoreError::Wal(WalError::Corrupt {
-                            path: root.to_path_buf(),
-                            detail: format!(
-                                "records of {name:?} map to a generation whose schema lacks it"
-                            ),
-                        })
-                    })?;
-                    if era_enf[era].is_none() {
-                        let analysis = ids_core::analyze(&m.schema, &m.fds);
-                        era_enf[era] = Some(extract_enforcement(&m.schema, &analysis)?);
-                    }
-                    let cover = era_enf[era].as_ref().expect("just filled")[eid.index()].clone();
-                    RelationShard::with_relation(&m.schema, eid, cover, &rel)
+            let shard = match &mut cur {
+                Some((e, shard)) if *e == era => shard,
+                stale => {
+                    let shard = if era == last_era {
+                        let cover = enforcement[id.index()].clone();
+                        RelationShard::with_relation(schema, id, cover, &rel)?
+                    } else {
+                        let m = &chain[era].1;
+                        let eid = m.schema.scheme_by_name(&name).ok_or_else(|| {
+                            StoreError::Wal(WalError::Corrupt {
+                                path: root.to_path_buf(),
+                                detail: format!(
+                                    "records of {name:?} map to a generation whose schema lacks it"
+                                ),
+                            })
+                        })?;
+                        let covers = match &mut era_enf[era] {
+                            Some(covers) => covers,
+                            unfilled => {
+                                let analysis = ids_core::analyze(&m.schema, &m.fds);
+                                unfilled.insert(extract_enforcement(&m.schema, &analysis)?)
+                            }
+                        };
+                        let cover = covers[eid.index()].clone();
+                        RelationShard::with_relation(&m.schema, eid, cover, &rel)?
+                    };
+                    &mut stale.insert((era, shard)).1
                 }
-                .map_err(base_state_error)?;
-                cur = Some((era, shard));
-            }
-            let (_, shard) = cur.as_mut().expect("just installed");
+            };
             let seq = record.seq;
             replayed_per_relation[id.index()] += 1;
             let replayed = match record.op {
@@ -1995,8 +1711,7 @@ fn replay_recovered(
         // the last era's shard when it already is that.
         let shard = match cur {
             Some((era, shard)) if era == last_era => shard,
-            _ => RelationShard::with_relation(schema, id, enforcement[id.index()].clone(), &rel)
-                .map_err(base_state_error)?,
+            _ => RelationShard::with_relation(schema, id, enforcement[id.index()].clone(), &rel)?,
         };
         relations.push(rel);
         shards.push(shard);
@@ -2079,67 +1794,55 @@ mod tests {
     }
 
     #[test]
-    fn batch_outcomes_align_with_input_across_shards() {
+    fn batch_outcomes_align_with_input_across_relations() {
         let (schema, fds) = independent_setup();
-        for shards in 1..=3 {
-            let store = Store::open_with(
-                &schema,
-                &fds,
-                StoreConfig {
-                    shards,
-                    initial_state: None,
-                    ordered_indexes: Vec::new(),
+        let store = Store::open(&schema, &fds).unwrap();
+        let ct = schema.scheme_by_name("CT").unwrap();
+        let cs = schema.scheme_by_name("CS").unwrap();
+        let chr = schema.scheme_by_name("CHR").unwrap();
+        let outcomes = store
+            .apply_batch(vec![
+                StoreOp::Insert {
+                    scheme: ct,
+                    tuple: vec![v(1), v(20)],
                 },
-            )
+                StoreOp::Insert {
+                    scheme: chr,
+                    tuple: vec![v(1), v(30), v(40)],
+                },
+                StoreOp::Insert {
+                    scheme: chr,
+                    tuple: vec![v(1), v(30), v(41)], // violates CH→R
+                },
+                StoreOp::Insert {
+                    scheme: cs,
+                    tuple: vec![v(1), v(50)],
+                },
+                StoreOp::Insert {
+                    scheme: ct,
+                    tuple: vec![v(1), v(21)], // violates C→T
+                },
+                StoreOp::Remove {
+                    scheme: cs,
+                    tuple: vec![v(1), v(50)],
+                },
+            ])
             .unwrap();
-            assert_eq!(store.shards(), shards);
-            let ct = schema.scheme_by_name("CT").unwrap();
-            let cs = schema.scheme_by_name("CS").unwrap();
-            let chr = schema.scheme_by_name("CHR").unwrap();
-            let outcomes = store
-                .apply_batch(vec![
-                    StoreOp::Insert {
-                        scheme: ct,
-                        tuple: vec![v(1), v(20)],
-                    },
-                    StoreOp::Insert {
-                        scheme: chr,
-                        tuple: vec![v(1), v(30), v(40)],
-                    },
-                    StoreOp::Insert {
-                        scheme: chr,
-                        tuple: vec![v(1), v(30), v(41)], // violates CH→R
-                    },
-                    StoreOp::Insert {
-                        scheme: cs,
-                        tuple: vec![v(1), v(50)],
-                    },
-                    StoreOp::Insert {
-                        scheme: ct,
-                        tuple: vec![v(1), v(21)], // violates C→T
-                    },
-                    StoreOp::Remove {
-                        scheme: cs,
-                        tuple: vec![v(1), v(50)],
-                    },
-                ])
-                .unwrap();
-            assert_eq!(outcomes.len(), 6);
-            assert_eq!(outcomes[0], OpOutcome::Insert(InsertOutcome::Accepted));
-            assert_eq!(outcomes[1], OpOutcome::Insert(InsertOutcome::Accepted));
-            assert!(matches!(
-                outcomes[2],
-                OpOutcome::Insert(InsertOutcome::Rejected { .. })
-            ));
-            assert_eq!(outcomes[3], OpOutcome::Insert(InsertOutcome::Accepted));
-            assert!(matches!(
-                outcomes[4],
-                OpOutcome::Insert(InsertOutcome::Rejected { .. })
-            ));
-            assert_eq!(outcomes[5], OpOutcome::Remove(true));
-            let state = store.shutdown().unwrap();
-            assert_eq!(state.total_tuples(), 2);
-        }
+        assert_eq!(outcomes.len(), 6);
+        assert_eq!(outcomes[0], OpOutcome::Insert(InsertOutcome::Accepted));
+        assert_eq!(outcomes[1], OpOutcome::Insert(InsertOutcome::Accepted));
+        assert!(matches!(
+            outcomes[2],
+            OpOutcome::Insert(InsertOutcome::Rejected { .. })
+        ));
+        assert_eq!(outcomes[3], OpOutcome::Insert(InsertOutcome::Accepted));
+        assert!(matches!(
+            outcomes[4],
+            OpOutcome::Insert(InsertOutcome::Rejected { .. })
+        ));
+        assert_eq!(outcomes[5], OpOutcome::Remove(true));
+        let state = store.shutdown().unwrap();
+        assert_eq!(state.total_tuples(), 2);
     }
 
     #[test]
@@ -2199,41 +1902,30 @@ mod tests {
     #[test]
     fn barrier_free_read_sees_prior_writes_on_its_relation() {
         let (schema, fds) = independent_setup();
-        for shards in 1..=3 {
-            let store = Store::open_with(
-                &schema,
-                &fds,
-                StoreConfig {
-                    shards,
-                    initial_state: None,
-                    ordered_indexes: Vec::new(),
-                },
-            )
-            .unwrap();
-            let ct = schema.scheme_by_name("CT").unwrap();
-            let cs = schema.scheme_by_name("CS").unwrap();
-            store.insert(ct, vec![v(1), v(10)]).unwrap();
-            store.insert(cs, vec![v(1), v(50)]).unwrap();
-            // Read-your-writes per relation, regardless of shard layout.
-            let all = Predicate::new();
-            let rows = store.query(ct, &all).unwrap();
-            assert_eq!(rows.len(), 1);
-            assert_eq!(&*rows[0], &[v(1), v(10)]);
-            // The read is an independent copy: later writes don't leak in.
-            store.insert(ct, vec![v(2), v(20)]).unwrap();
-            assert_eq!(rows.len(), 1);
-            assert_eq!(store.query(ct, &all).unwrap().len(), 2);
-            // Agreement with the barrier path, relation by relation.
-            let snap = store.snapshot().unwrap();
-            assert_eq!(
-                store.query(cs, &all).unwrap(),
-                snap.relation(cs).filter_tuples(&all)
-            );
-            // The cardinality probe agrees without shipping tuples.
-            let count = |id| store.read(id, &ReadPlan::count(all.clone())).unwrap();
-            assert_eq!((count(ct).count, count(ct).rows.len()), (2, 0));
-            assert_eq!(count(cs).count, 1);
-        }
+        let store = Store::open(&schema, &fds).unwrap();
+        let ct = schema.scheme_by_name("CT").unwrap();
+        let cs = schema.scheme_by_name("CS").unwrap();
+        store.insert(ct, vec![v(1), v(10)]).unwrap();
+        store.insert(cs, vec![v(1), v(50)]).unwrap();
+        // Read-your-writes per relation.
+        let all = Predicate::new();
+        let rows = store.query(ct, &all).unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(&*rows[0], &[v(1), v(10)]);
+        // The read is an independent copy: later writes don't leak in.
+        store.insert(ct, vec![v(2), v(20)]).unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(store.query(ct, &all).unwrap().len(), 2);
+        // Agreement with the barrier path, relation by relation.
+        let snap = store.snapshot().unwrap();
+        assert_eq!(
+            store.query(cs, &all).unwrap(),
+            snap.relation(cs).filter_tuples(&all)
+        );
+        // The cardinality probe agrees without shipping tuples.
+        let count = |id| store.read(id, &ReadPlan::count(all.clone())).unwrap();
+        assert_eq!((count(ct).count, count(ct).rows.len()), (2, 0));
+        assert_eq!(count(cs).count, 1);
     }
 
     /// One read path, three shapes: each ships only what it promises,
@@ -2246,74 +1938,59 @@ mod tests {
         let (c, t, s) = (attr("C"), attr("T"), attr("S"));
         let ct = schema.scheme_by_name("CT").unwrap();
         let cs = schema.scheme_by_name("CS").unwrap();
-        for shards in 1..=3 {
-            let store = Store::open_with(
-                &schema,
-                &fds,
-                StoreConfig {
-                    shards,
-                    initial_state: None,
-                    ordered_indexes: Vec::new(),
-                },
-            )
-            .unwrap();
-            // CT is keyed by C; CS holds many students per course, so
-            // distinct courses ≪ tuples.
-            for i in 0..20u64 {
-                store.insert(ct, vec![v(i), v(100 + i)]).unwrap();
+        let store = Store::open(&schema, &fds).unwrap();
+        // CT is keyed by C; CS holds many students per course, so
+        // distinct courses ≪ tuples.
+        for i in 0..20u64 {
+            store.insert(ct, vec![v(i), v(100 + i)]).unwrap();
+        }
+        for course in 0..5u64 {
+            for student in 0..10u64 {
+                store.insert(cs, vec![v(course), v(100 + student)]).unwrap();
             }
-            for course in 0..5u64 {
-                for student in 0..10u64 {
-                    store.insert(cs, vec![v(course), v(100 + student)]).unwrap();
-                }
-            }
-            let snap = store.snapshot().unwrap();
-            // (relation, predicate, distinct column, matches, distinct rows)
-            let table = [
-                (ct, Predicate::new(), c, 20, 20),
-                (ct, Predicate::new().and_eq(c, v(7)), c, 1, 1), // key index hit
-                (ct, Predicate::new().and_eq(t, v(107)), c, 1, 1), // linear filter
-                (ct, Predicate::new().and_eq(c, v(999)), c, 0, 0), // miss
-                (cs, Predicate::new(), c, 50, 5),
-                (cs, Predicate::new().and_eq(s, v(103)), c, 5, 5),
-                (cs, Predicate::new().and_eq(c, v(2)), c, 10, 1),
-            ];
-            for (id, pred, col, matches, keys) in table {
-                for (plan, shipped) in [
-                    (ReadPlan::tuples(pred.clone()), matches),
-                    (ReadPlan::distinct_columns(pred.clone(), vec![col]), keys),
-                    (ReadPlan::count(pred.clone()), 0),
-                ] {
-                    let got = store.read(id, &plan).unwrap();
-                    assert_eq!(
-                        got,
-                        snap.relation(id).read(&plan),
-                        "{shards} shards, {plan:?}"
-                    );
-                    assert_eq!((got.rows.len(), got.count), (shipped, matches), "{plan:?}");
-                }
-                assert_eq!(store.query(id, &pred).unwrap().len(), matches);
-            }
-            for plan in [
-                ReadPlan::tuples(Predicate::new()),
-                ReadPlan::distinct_columns(Predicate::new(), vec![c]),
-                ReadPlan::count(Predicate::new()),
+        }
+        let snap = store.snapshot().unwrap();
+        // (relation, predicate, distinct column, matches, distinct rows)
+        let table = [
+            (ct, Predicate::new(), c, 20, 20),
+            (ct, Predicate::new().and_eq(c, v(7)), c, 1, 1), // key index hit
+            (ct, Predicate::new().and_eq(t, v(107)), c, 1, 1), // linear filter
+            (ct, Predicate::new().and_eq(c, v(999)), c, 0, 0), // miss
+            (cs, Predicate::new(), c, 50, 5),
+            (cs, Predicate::new().and_eq(s, v(103)), c, 5, 5),
+            (cs, Predicate::new().and_eq(c, v(2)), c, 10, 1),
+        ];
+        for (id, pred, col, matches, keys) in table {
+            for (plan, shipped) in [
+                (ReadPlan::tuples(pred.clone()), matches),
+                (ReadPlan::distinct_columns(pred.clone(), vec![col]), keys),
+                (ReadPlan::count(pred.clone()), 0),
             ] {
-                assert!(matches!(
-                    store.read(SchemeId(99), &plan),
-                    Err(StoreError::UnknownScheme(_))
-                ));
+                let got = store.read(id, &plan).unwrap();
+                assert_eq!(got, snap.relation(id).read(&plan), "{plan:?}");
+                assert_eq!((got.rows.len(), got.count), (shipped, matches), "{plan:?}");
             }
-            for plan in [
-                ReadPlan::tuples(Predicate::new().and_eq(t, v(0))),
-                ReadPlan::count(Predicate::new().and_eq(t, v(0))),
-                ReadPlan::distinct_columns(Predicate::new(), vec![c, t]),
-            ] {
-                assert!(matches!(
-                    store.read(cs, &plan),
-                    Err(StoreError::Relational(RelationalError::SchemaMismatch(_)))
-                ));
-            }
+            assert_eq!(store.query(id, &pred).unwrap().len(), matches);
+        }
+        for plan in [
+            ReadPlan::tuples(Predicate::new()),
+            ReadPlan::distinct_columns(Predicate::new(), vec![c]),
+            ReadPlan::count(Predicate::new()),
+        ] {
+            assert!(matches!(
+                store.read(SchemeId(99), &plan),
+                Err(StoreError::UnknownScheme(_))
+            ));
+        }
+        for plan in [
+            ReadPlan::tuples(Predicate::new().and_eq(t, v(0))),
+            ReadPlan::count(Predicate::new().and_eq(t, v(0))),
+            ReadPlan::distinct_columns(Predicate::new(), vec![c, t]),
+        ] {
+            assert!(matches!(
+                store.read(cs, &plan),
+                Err(StoreError::Relational(RelationalError::SchemaMismatch(_)))
+            ));
         }
     }
 
@@ -2328,9 +2005,9 @@ mod tests {
             &schema,
             &fds,
             StoreConfig {
-                shards: 2,
                 initial_state: None,
                 ordered_indexes: specs.clone(),
+                ..Default::default()
             },
         )
         .unwrap();
@@ -2351,9 +2028,9 @@ mod tests {
             &schema,
             &fds,
             StoreConfig {
-                shards: 2,
                 initial_state: None,
                 ordered_indexes: vec![(cs, x_free)],
+                ..Default::default()
             },
         )
         .is_err());
@@ -2367,9 +2044,9 @@ mod tests {
                 &fds,
                 DurableConfig {
                     store: StoreConfig {
-                        shards: 2,
                         initial_state: None,
                         ordered_indexes: specs.clone(),
+                        ..Default::default()
                     },
                     ..DurableConfig::default()
                 },
@@ -2386,9 +2063,9 @@ mod tests {
             &fds,
             DurableConfig {
                 store: StoreConfig {
-                    shards: 2,
                     initial_state: None,
                     ordered_indexes: specs,
+                    ..Default::default()
                 },
                 ..DurableConfig::default()
             },
@@ -2447,9 +2124,9 @@ mod tests {
             &schema,
             &fds,
             StoreConfig {
-                shards: 2,
                 initial_state: Some(base.clone()),
                 ordered_indexes: Vec::new(),
+                ..Default::default()
             },
         )
         .unwrap();
@@ -2464,9 +2141,9 @@ mod tests {
             &schema,
             &fds,
             StoreConfig {
-                shards: 2,
                 initial_state: Some(base),
                 ordered_indexes: Vec::new(),
+                ..Default::default()
             },
         )
         .unwrap_err();
@@ -2489,9 +2166,9 @@ mod tests {
             &schema,
             &fds,
             StoreConfig {
-                shards: 2,
                 initial_state: Some(foreign),
                 ordered_indexes: Vec::new(),
+                ..Default::default()
             },
         )
         .unwrap_err();
@@ -2582,9 +2259,9 @@ mod tests {
             &fds,
             DurableConfig {
                 store: StoreConfig {
-                    shards: 0,
                     initial_state: Some(DatabaseState::empty(&schema)),
                     ordered_indexes: Vec::new(),
+                    ..Default::default()
                 },
                 ..DurableConfig::default()
             },
@@ -2617,9 +2294,9 @@ mod tests {
                 &fds,
                 DurableConfig {
                     store: StoreConfig {
-                        shards: 2,
                         initial_state: Some(base.clone()),
                         ordered_indexes: Vec::new(),
+                        ..Default::default()
                     },
                     ..DurableConfig::default()
                 },
@@ -2647,9 +2324,9 @@ mod tests {
                 &fds,
                 DurableConfig {
                     store: StoreConfig {
-                        shards: 2,
                         initial_state: Some(base),
                         ordered_indexes: Vec::new(),
+                        ..Default::default()
                     },
                     sync: SyncPolicy::Always,
                     app: Vec::new(),
@@ -2665,6 +2342,27 @@ mod tests {
         assert_eq!(state.relation(ct).len(), 2);
         assert!(state.relation(ct).contains(&[v(9), v(90)]));
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Threads per shard: 0.  Opening a store, writing to it and
+    /// snapshotting it starts no thread — the callers are the only
+    /// threads there are.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_store_spawns_no_threads() {
+        let inst = ids_workloads::families::key_chain(8);
+        assert_eq!(inst.schema.len(), 8);
+        let store = Store::open(&inst.schema, &inst.fds).unwrap();
+        for id in inst.schema.ids() {
+            store.insert(id, vec![v(1), v(2)]).unwrap();
+        }
+        assert_eq!(store.snapshot().unwrap().total_tuples(), 8);
+        for task in std::fs::read_dir("/proc/self/task").unwrap() {
+            let comm = std::fs::read_to_string(task.unwrap().path().join("comm"));
+            // A task may exit between the listing and the read.
+            let Ok(comm) = comm else { continue };
+            assert!(!comm.starts_with("ids-shard"), "shard thread {comm:?}");
+        }
     }
 
     #[test]

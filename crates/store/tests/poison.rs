@@ -1,22 +1,22 @@
-//! Regression suite for the shard poison cell: a WAL failure inside a
-//! shard worker used to `panic!` the thread, so the reason was visible
-//! only on stderr and every subsequent caller got an opaque
-//! `StoreError::Disconnected`.  Now the first failure's reason is
-//! captured in a shared poison cell and surfaced as a typed
-//! [`StoreError::ShardPoisoned`] — on the failing call, on every later
-//! op touching that shard, on store-wide barriers, and at shutdown —
-//! while shards that did not fail keep serving their relations.
+//! Regression suite for the poison cell: a WAL failure inside a
+//! relation's lock scope is never acknowledged and never a panic.  The
+//! first failure's reason is captured in the store's poison cell and
+//! surfaced as a typed [`StoreError::ShardPoisoned`] — on the failing
+//! call, on every later op touching that relation, on store-wide
+//! operations, and at shutdown — while relations whose logs did not
+//! fail keep serving, whatever the configuration: failure isolation is
+//! per relation by construction.
 
 use ids_deps::FdSet;
 use ids_relational::{DatabaseSchema, Predicate, ReadPlan, Universe, Value};
-use ids_store::{DurableConfig, Store, StoreConfig, StoreError, SyncPolicy};
+use ids_store::{DurableConfig, Store, StoreError, SyncPolicy};
 
 fn v(n: u64) -> Value {
     Value::int(n)
 }
 
 /// Two relations with disjoint enforcement: CT gets poisoned, CS must
-/// keep serving when it lives on its own shard.
+/// keep serving.
 fn setup() -> (DatabaseSchema, FdSet) {
     let u = Universe::from_names(["C", "T", "S"]).unwrap();
     let schema = DatabaseSchema::parse(u, &[("CT", "CT"), ("CS", "CS")]).unwrap();
@@ -34,7 +34,6 @@ fn durable_with_fault(
     root: &std::path::Path,
     schema: &DatabaseSchema,
     fds: &FdSet,
-    shards: usize,
     fail_appends_after: Option<u64>,
 ) -> Store {
     Store::open_durable_with(
@@ -42,14 +41,9 @@ fn durable_with_fault(
         schema,
         fds,
         DurableConfig {
-            store: StoreConfig {
-                shards,
-                initial_state: None,
-                ordered_indexes: Vec::new(),
-            },
             sync: SyncPolicy::Always,
-            app: Vec::new(),
             fail_appends_after,
+            ..DurableConfig::default()
         },
     )
     .unwrap()
@@ -64,7 +58,7 @@ const INJECTED: &str = "injected append failure";
 fn injected_append_failure_surfaces_reason_on_the_failing_call() {
     let root = unique_root("failing-call");
     let (schema, fds) = setup();
-    let store = durable_with_fault(&root, &schema, &fds, 1, Some(2));
+    let store = durable_with_fault(&root, &schema, &fds, Some(2));
     let ct = schema.scheme_by_name("CT").unwrap();
     store.insert(ct, vec![v(1), v(10)]).unwrap();
     store.insert(ct, vec![v(2), v(20)]).unwrap();
@@ -86,22 +80,21 @@ fn injected_append_failure_surfaces_reason_on_the_failing_call() {
 fn every_later_op_and_the_shutdown_report_the_preserved_reason() {
     let root = unique_root("later-ops");
     let (schema, fds) = setup();
-    let store = durable_with_fault(&root, &schema, &fds, 1, Some(0));
+    let store = durable_with_fault(&root, &schema, &fds, Some(0));
     let ct = schema.scheme_by_name("CT").unwrap();
-    let cs = schema.scheme_by_name("CS").unwrap();
-    // First logged op poisons the single shard.
+    // CT's first logged op poisons CT.
     assert!(matches!(
         store.insert(ct, vec![v(1), v(10)]),
         Err(StoreError::ShardPoisoned { .. })
     ));
-    // Everything routed to the worker afterwards — writes, barrier-free
-    // reads in any shape, the snapshot barrier, the checkpoint —
-    // reports the same preserved reason, not `Disconnected`.
+    // Everything that touches CT afterwards — writes, reads in any
+    // shape — and every store-wide operation — the snapshot, the
+    // checkpoint — reports the same preserved reason.
     for err in [
-        store.insert(cs, vec![v(1), v(50)]).unwrap_err(),
+        store.insert(ct, vec![v(2), v(20)]).unwrap_err(),
         store.remove(ct, vec![v(1), v(10)]).unwrap_err(),
         store
-            .read(cs, &ReadPlan::count(Predicate::new()))
+            .read(ct, &ReadPlan::count(Predicate::new()))
             .unwrap_err(),
         store.query(ct, &Predicate::new()).unwrap_err(),
         store.snapshot().unwrap_err(),
@@ -126,11 +119,9 @@ fn every_later_op_and_the_shutdown_report_the_preserved_reason() {
 fn healthy_shards_keep_serving_after_one_poisons() {
     let root = unique_root("degradation");
     let (schema, fds) = setup();
-    // Two shards ⇒ CT and CS live on different workers.  The fault
-    // budget is per-writer, so CS's log still has appends left after
-    // CT's shard poisons itself.
-    let store = durable_with_fault(&root, &schema, &fds, 2, Some(2));
-    assert_eq!(store.shards(), 2);
+    // The fault budget is per-writer, so CS's log still has appends
+    // left after CT's poisons it.
+    let store = durable_with_fault(&root, &schema, &fds, Some(2));
     let ct = schema.scheme_by_name("CT").unwrap();
     let cs = schema.scheme_by_name("CS").unwrap();
     store.insert(ct, vec![v(1), v(10)]).unwrap();
@@ -140,13 +131,14 @@ fn healthy_shards_keep_serving_after_one_poisons() {
         Err(StoreError::ShardPoisoned { .. })
     ));
     // Theorem 3's graceful degradation: relations share no enforcement
-    // state, so the healthy shard neither notices nor suffers.
+    // state — and no thread, queue or log — so the healthy relation
+    // neither notices nor suffers.
     store.insert(cs, vec![v(1), v(50)]).unwrap();
     assert_eq!(store.query(cs, &Predicate::new()).unwrap().len(), 1);
     let counted = store.read(cs, &ReadPlan::count(Predicate::new())).unwrap();
     assert_eq!(counted.count, 1);
-    // But anything touching the poisoned shard — including the
-    // store-wide snapshot barrier — reports the preserved reason.
+    // But anything touching the poisoned relation — including the
+    // store-wide snapshot — reports the preserved reason.
     assert!(matches!(
         store.query(ct, &Predicate::new()),
         Err(StoreError::ShardPoisoned { .. })
@@ -162,7 +154,7 @@ fn healthy_shards_keep_serving_after_one_poisons() {
 fn organic_rotate_failure_poisons_the_checkpoint() {
     let root = unique_root("rotate");
     let (schema, fds) = setup();
-    let store = durable_with_fault(&root, &schema, &fds, 1, None);
+    let store = durable_with_fault(&root, &schema, &fds, None);
     let ct = schema.scheme_by_name("CT").unwrap();
     store.insert(ct, vec![v(1), v(10)]).unwrap();
     store.checkpoint().unwrap();
@@ -191,7 +183,7 @@ fn organic_rotate_failure_poisons_the_checkpoint() {
 fn a_stats_poll_discovers_the_poison_without_mutating() {
     let root = unique_root("stats-poll");
     let (schema, fds) = setup();
-    let store = durable_with_fault(&root, &schema, &fds, 1, Some(0));
+    let store = durable_with_fault(&root, &schema, &fds, Some(0));
     let ct = schema.scheme_by_name("CT").unwrap();
     assert!(store.metrics().poisoned.is_none());
     assert!(matches!(
@@ -200,7 +192,7 @@ fn a_stats_poll_discovers_the_poison_without_mutating() {
     ));
     // `poison_reason()` used to be the only way to the reason, and the
     // failure itself was only discoverable by issuing a failing op.  The
-    // metrics snapshot is pure read-side: no command is sent, yet it
+    // metrics snapshot is pure read-side: no slot is locked, yet it
     // carries the preserved reason...
     let snap = store.metrics();
     let reason = snap

@@ -371,9 +371,7 @@ impl RelationTailer {
             let Some((scheme, gen)) = name.to_str().and_then(parse_segment_file_name) else {
                 continue;
             };
-            if gen > self.gen
-                && scheme == self.scheme_at(gen)
-                && next.is_none_or(|(n, _)| gen < n)
+            if gen > self.gen && scheme == self.scheme_at(gen) && next.is_none_or(|(n, _)| gen < n)
             {
                 next = Some((gen, scheme));
             }

@@ -20,7 +20,7 @@
 use ids_chase::{satisfies, ChaseConfig};
 use ids_core::{InsertOutcome, LocalMaintainer};
 use ids_relational::{DatabaseState, SchemeId};
-use ids_store::{DurableConfig, Store, StoreConfig, StoreOp, SyncPolicy};
+use ids_store::{DurableConfig, Store, StoreOp, SyncPolicy};
 use ids_wal::WalDir;
 use ids_workloads::families::{bcnf_tree, key_chain, key_star, FamilyInstance};
 use ids_workloads::traces::{
@@ -97,14 +97,13 @@ proptest! {
 
     /// For every truncation point: recovered state ≡ sequential replay
     /// of the acknowledged prefix, and the recovered state satisfies
-    /// the dependencies under the full chase — across shard counts and
-    /// with or without a mid-stream checkpoint.
+    /// the dependencies under the full chase — with or without a
+    /// mid-stream checkpoint.
     #[test]
     fn truncated_wal_recovers_exactly_the_acknowledged_prefix(
         pick in 0usize..3,
         size in 0usize..5,
         seed in 0u64..1_000_000,
-        shards in 1usize..5,
         checkpoint_mid in 0u8..2,
         victim_pick in 0usize..64,
         cut_millis in 0u32..1000,
@@ -118,7 +117,7 @@ proptest! {
         let effective = effective_ops_per_relation(&inst.schema, &inst.fds, &trace).unwrap();
         let totals: Vec<u64> = effective.iter().map(|v| v.len() as u64).collect();
 
-        let root = unique_root(&format!("{pick}-{size}-{seed}-{shards}-{checkpoint_mid}-{victim_pick}-{cut_millis}"));
+        let root = unique_root(&format!("{pick}-{size}-{seed}-{checkpoint_mid}-{victim_pick}-{cut_millis}"));
         // Run the trace durably; Always-sync makes ack ⇒ on disk.
         {
             let store = Store::open_durable_with(
@@ -126,9 +125,7 @@ proptest! {
                 &inst.schema,
                 &inst.fds,
                 DurableConfig {
-                    store: StoreConfig { shards, initial_state: None, ordered_indexes: Vec::new() },
                     sync: SyncPolicy::Always,
-                    app: Vec::new(),
                     ..Default::default()
                 },
             ).unwrap();
@@ -184,9 +181,7 @@ proptest! {
             &inst.schema,
             &inst.fds,
             DurableConfig {
-                store: StoreConfig { shards, initial_state: None, ordered_indexes: Vec::new() },
                 sync: SyncPolicy::Always,
-                app: Vec::new(),
                 ..Default::default()
             },
         ).unwrap();
@@ -227,13 +222,7 @@ fn recovery_after_recovery_from_a_torn_tail_keeps_working() {
             &inst.schema,
             &inst.fds,
             DurableConfig {
-                store: StoreConfig {
-                    shards: 2,
-                    initial_state: None,
-                    ordered_indexes: Vec::new(),
-                },
                 sync: SyncPolicy::Always,
-                app: Vec::new(),
                 ..Default::default()
             },
         )
@@ -340,13 +329,7 @@ fn acknowledged_ops_survive_an_unclean_drop() {
             &inst.schema,
             &inst.fds,
             DurableConfig {
-                store: StoreConfig {
-                    shards: 2,
-                    initial_state: None,
-                    ordered_indexes: Vec::new(),
-                },
                 sync: SyncPolicy::Always,
-                app: Vec::new(),
                 ..Default::default()
             },
         )

@@ -53,15 +53,7 @@ fn main() {
     }
 
     // ── 3. Reading: barrier-free rows vs snapshot barrier. ───────────
-    let mut db = Database::open(
-        schema,
-        EngineKind::Sharded(StoreConfig {
-            shards: 3,
-            initial_state: None,
-            ordered_indexes: Vec::new(),
-        }),
-    )
-    .unwrap();
+    let mut db = Database::open(schema, EngineKind::Sharded(StoreConfig::default())).unwrap();
     db.insert("CT", ["CS402", "Jones"]).unwrap();
     db.insert("CS", ["CS402", "Ada"]).unwrap();
     db.insert("CS", ["CS402", "Alan"]).unwrap();

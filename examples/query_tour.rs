@@ -18,17 +18,9 @@ fn main() {
         .build()
         .expect("Example 2 is independent");
 
-    // Run on the sharded store: every relation lives on its own shard
-    // thread, and every read below is answered by one shard alone.
-    let mut db = Database::open(
-        schema,
-        EngineKind::Sharded(StoreConfig {
-            shards: 3,
-            initial_state: None,
-            ordered_indexes: Vec::new(),
-        }),
-    )
-    .unwrap();
+    // Run on the sharded store: every relation is its own lock-guarded
+    // shard, and every read below is answered by one shard alone.
+    let mut db = Database::open(schema, EngineKind::Sharded(StoreConfig::default())).unwrap();
     for (course, teacher) in [("CS402", "Jones"), ("CS500", "Curie"), ("EE110", "Ohm")] {
         db.insert("CT", [course, teacher]).unwrap();
     }

@@ -3,8 +3,10 @@
 //!
 //! Theorem 3's systems payoff: on an independent schema, relations share
 //! no enforcement state, so the store gives every relation its own
-//! shard/thread and lets any number of clients hammer it concurrently —
-//! no locks, no cross-shard coordination.  The example declares the
+//! mutex-guarded slot and lets any number of clients hammer it
+//! concurrently — each runs its operation itself, inside the one
+//! relation's lock, with no cross-relation coordination and no store
+//! threads.  The example declares the
 //! schema fluently (analysis runs once, in `build`), opens the sharded
 //! engine via `Database::open`, spawns a fleet of client threads
 //! submitting interleaved insert/remove batches through the exposed
@@ -44,22 +46,14 @@ fn main() {
     );
 
     let clients = 6usize;
-    let db = Database::open(
-        schema,
-        EngineKind::Sharded(StoreConfig {
-            shards: 4,
-            initial_state: None,
-            ordered_indexes: Vec::new(),
-        }),
-    )
-    .expect("build() already certified independence");
+    let db = Database::open(schema, EngineKind::Sharded(StoreConfig::default()))
+        .expect("build() already certified independence");
     // The concurrent-submission escape hatch: `&Store` is Sync, so the
     // client fleet shares it directly.
     let store = db.store().expect("sharded engine");
     println!(
-        "\nstore open: {} relations on {} shard threads, {} clients\n",
+        "\nstore open: {} relations, each its own lock — no store threads; {} clients\n",
         db.schema().definition().len(),
-        store.shards(),
         clients
     );
 
@@ -124,10 +118,10 @@ fn main() {
                 r0.len()
             );
         }
-        // The barrier, for contrast: a consistent cut across all shards.
+        // The snapshot, for contrast: every relation locked, one true cut.
         let snap = db.snapshot().unwrap();
         println!(
-            "mid-flight snapshot: {} tuples (consistent cut across shards)",
+            "mid-flight snapshot: {} tuples (consistent cut across relations)",
             snap.total_tuples()
         );
         for h in handles {
