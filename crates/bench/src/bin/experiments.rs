@@ -933,7 +933,7 @@ fn e10_query_pushdown(smoke: bool, rep: &mut Reporter) {
 }
 
 /// E11 — the TCP front-end: pipelined loopback fleets, then deliberate
-/// overload against bounded per-connection queues.  The structural
+/// overload against a bounded per-connection backlog.  The structural
 /// claims (every request answered exactly once, sheds typed, sessions
 /// alive afterwards) are asserted inside the kernel itself.
 fn e11_network_front_end(smoke: bool, rep: &mut Reporter) {
@@ -978,12 +978,12 @@ fn e11_network_front_end(smoke: bool, rep: &mut Reporter) {
         })
         .collect();
     rep.table(
-        "E11b — deliberate overload: full-scan bursts against bounded per-connection queues \
+        "E11b — deliberate overload: full-scan bursts against a bounded per-connection backlog \
          (claim: graceful degradation — excess requests shed with typed Overloaded replies, \
          accepted work completes, every session answers a ping afterwards)",
         &[
             "clients",
-            "queue depth",
+            "backlog bound",
             "requests",
             "served",
             "shed (typed)",
@@ -1057,7 +1057,7 @@ fn e12_observability_overhead(smoke: bool, rep: &mut Reporter) {
             ],
             vec![
                 format!(
-                    "server: {} queries burst at queue depth {}",
+                    "server: {} queries burst at backlog bound {}",
                     burst.clients * burst.burst,
                     burst.queue_depth
                 ),

@@ -12,11 +12,13 @@
 //!    with zero cross-shard state (Theorem 3), so N clients hammering
 //!    N different relations contend only on sockets and the name
 //!    mutex — the wire protocol's pipelining keeps each connection's
-//!    round-trip cost amortized across a window of in-flight requests.
-//! 2. **Overload is shed, not absorbed.**  Each connection's job queue
-//!    is bounded; a burst beyond it gets typed `Overloaded` replies
-//!    while everything accepted still completes — no stall, no
-//!    unbounded buffering, and the session stays usable afterwards.
+//!    round-trip cost amortized across a window of in-flight requests
+//!    (one `write` per window on each end, one thread per connection).
+//! 2. **Overload is shed, not absorbed.**  A session runs at most
+//!    `queue_depth` of the requests it finds waiting together; the rest
+//!    of a burst gets typed `Overloaded` replies while everything
+//!    accepted still completes — no unbounded buffering, and the
+//!    session stays usable afterwards.
 //!
 //! Like E7, absolute ops/s on a 1-CPU host measures the protocol stack
 //! more than shard parallelism; the structural claims (every request
@@ -130,7 +132,8 @@ pub struct OverloadRow {
     pub burst: usize,
     /// Rows preloaded into the scanned relation (per relation).
     pub preloaded: usize,
-    /// The per-connection queue depth.
+    /// `ServerConfig::queue_depth`: the bound on one connection's
+    /// backlog of unread requests, past which they are shed.
     pub queue_depth: usize,
     /// Queries that returned rows.
     pub served: usize,
@@ -146,12 +149,12 @@ pub struct OverloadRow {
 }
 
 /// Drives deliberate overload: every relation preloaded with
-/// `preloaded` rows, a `queue_depth`-deep job queue, and each client
+/// `preloaded` rows, a backlog bound of `queue_depth`, and each client
 /// bursting `burst` pipelined full scans.  The invariant asserted is
 /// graceful degradation: **every** request gets exactly one reply —
 /// rows or a typed `Overloaded` — and afterwards every session still
-/// answers a ping.  (How *many* shed depends on scheduling; that the
-/// total is conserved and nothing stalls does not.)
+/// answers a ping.  (How *many* shed depends on how the burst is cut
+/// into reads; that the total is conserved and nothing stalls does not.)
 pub fn overload_burst(
     clients: usize,
     burst: usize,

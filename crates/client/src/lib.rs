@@ -5,11 +5,23 @@
 //!
 //! Every convenience method ([`Client::insert`], [`Client::query`],
 //! ...) is one request / one reply.  The lower-level pair
-//! [`Client::send`] / [`Client::recv`] lets a caller put many requests
-//! on the wire before reading any reply; replies are matched by the
-//! request id the server echoes, so they may be consumed in any order
-//! — including typed [`WireError::Overloaded`] replies for requests
-//! the server shed under backpressure, which can overtake queued work.
+//! [`Client::send`] / [`Client::recv`] lets a caller keep a window of
+//! requests in flight; replies are matched by the request id the
+//! server echoes, so they may be consumed in any order — including the
+//! typed [`WireError::Overloaded`] replies for requests the server
+//! shed because more than its `queue_depth` were waiting.
+//!
+//! ## When bytes move
+//!
+//! The client writes only when it is about to block, mirroring the
+//! server's session loop.  [`Client::send`] appends to a buffer; the
+//! buffer is written when [`Client::recv`] would otherwise wait on the
+//! socket (nothing stashed, no complete reply buffered), when it
+//! passes 64 KiB, on [`Client::flush`], and best-effort on drop — so a
+//! window of requests costs one `write`, and "send, then vanish" still
+//! puts the bytes on the wire.  The server answers in request order
+//! and stops executing while its replies go unread (TCP flow control),
+//! so read replies as they come rather than sending without bound.
 //!
 //! ```no_run
 //! use ids_client::Client;
@@ -97,11 +109,17 @@ pub struct RowSet {
     pub rows: Vec<Vec<String>>,
 }
 
+/// Queued requests are written once this many bytes are pending, even
+/// with no `recv` waiting — the same mark the server's reply buffer uses.
+const FLUSH_BYTES: usize = 64 * 1024;
+
 /// A blocking connection to an `ids-server`, already past the Hello
 /// handshake.
 pub struct Client {
     write_half: TcpStream,
     frames: FrameReader<TcpStream>,
+    /// Encoded requests not yet written.
+    out: Vec<u8>,
     next_id: u64,
     /// Replies that arrived while awaiting a different id.
     stash: HashMap<u64, Reply>,
@@ -113,10 +131,14 @@ impl Client {
     /// that knows the server's relation catalog.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
         let write_half = TcpStream::connect(addr)?;
+        // Requests are coalesced here, in `out`; Nagle on top of that
+        // could only add a delayed-ACK stall.
+        write_half.set_nodelay(true)?;
         let read_half = write_half.try_clone()?;
         let mut client = Client {
             write_half,
             frames: FrameReader::new(read_half),
+            out: Vec::new(),
             next_id: 0,
             stash: HashMap::new(),
             catalog: Vec::new(),
@@ -142,27 +164,50 @@ impl Client {
         &self.catalog
     }
 
-    /// Puts one request on the wire without waiting, returning its id —
-    /// the pipelining primitive.  Collect ids, then [`Client::recv`]
-    /// each.
+    /// Queues one request without waiting, returning its id — the
+    /// pipelining primitive.  Collect ids, then [`Client::recv`] each.
+    /// The bytes leave when a `recv` is about to block, once 64 KiB
+    /// are pending, or on [`Client::flush`].
     pub fn send(&mut self, req: Request) -> Result<u64, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        self.write_half.write_all(&encode_request(id, &req))?;
+        self.out.extend_from_slice(&encode_request(id, &req));
+        if self.out.len() > FLUSH_BYTES {
+            self.flush()?;
+        }
         Ok(id)
+    }
+
+    /// Writes every queued request now.  Only needed by a caller that
+    /// sends and then waits on something other than [`Client::recv`].
+    pub fn flush(&mut self) -> Result<(), ClientError> {
+        self.write_half.write_all(&self.out)?;
+        self.out.clear();
+        Ok(())
+    }
+
+    /// The next reply off the stream.  Queued requests are written
+    /// first if — and only if — this is about to block on the socket.
+    fn next_reply(&mut self) -> Result<(u64, Reply), ClientError> {
+        let payload = match self.frames.next_buffered()? {
+            Some(payload) => payload,
+            None => {
+                self.flush()?;
+                self.frames.next_payload()?.ok_or(ClientError::Closed)?
+            }
+        };
+        decode_reply(&payload).map_err(|(_, e)| ClientError::Corrupt(e.to_string()))
     }
 
     /// Blocks until the reply for `id` arrives.  Replies for other
     /// in-flight ids encountered on the way are stashed and returned
-    /// by their own `recv` calls — out-of-order arrival is fine.
+    /// by their own `recv` calls — consuming out of order is fine.
     pub fn recv(&mut self, id: u64) -> Result<Reply, ClientError> {
         if let Some(reply) = self.stash.remove(&id) {
             return Ok(reply);
         }
         loop {
-            let payload = self.frames.next_payload()?.ok_or(ClientError::Closed)?;
-            let (got, reply) =
-                decode_reply(&payload).map_err(|(_, e)| ClientError::Corrupt(e.to_string()))?;
+            let (got, reply) = self.next_reply()?;
             if got == id {
                 return Ok(reply);
             }
@@ -178,8 +223,7 @@ impl Client {
             let reply = self.stash.remove(&id).expect("key just listed");
             return Ok((id, reply));
         }
-        let payload = self.frames.next_payload()?.ok_or(ClientError::Closed)?;
-        decode_reply(&payload).map_err(|(_, e)| ClientError::Corrupt(e.to_string()))
+        self.next_reply()
     }
 
     /// One request, one reply.
@@ -375,6 +419,17 @@ impl Client {
     }
 }
 
+impl Drop for Client {
+    /// Best-effort: requests queued by [`Client::send`] still reach the
+    /// wire when the client is dropped without a `recv`.  Non-blocking,
+    /// so dropping a client whose peer has stalled cannot hang.
+    fn drop(&mut self) {
+        if !self.out.is_empty() && self.write_half.set_nonblocking(true).is_ok() {
+            let _ = self.write_half.write(&self.out);
+        }
+    }
+}
+
 /// One shipped batch from a [`Subscription`]: frame payloads of one
 /// relation's log (or the name pool, when `relation` is
 /// [`ids_server::wire::POOL_STREAM`]), exactly as the primary stored
@@ -485,8 +540,9 @@ impl Subscription {
         }
     }
 
-    /// Puts a sync-barrier ping on the stream without waiting, returning
-    /// its request id.  Keep calling [`Subscription::next_event`]
+    /// Queues a sync-barrier ping on the stream without waiting, returning
+    /// its request id; it is written when [`Subscription::next_event`]
+    /// next has to wait.  Keep calling [`Subscription::next_event`]
     /// (applying the `Frames` it yields) until the matching
     /// [`StreamEvent::Pong`] arrives: at that point the follower holds
     /// everything that was durable on the primary when the ping was

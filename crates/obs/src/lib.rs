@@ -311,8 +311,8 @@ pub enum Event {
         /// Wall-clock duration of the whole checkpoint.
         duration: Duration,
     },
-    /// A request was shed with a typed `Overloaded` reply because the
-    /// connection's job queue was full.
+    /// A request was shed with a typed `Overloaded` reply because more
+    /// than the connection's backlog bound were waiting unread.
     OverloadShed {
         /// The shedding connection's id.
         connection: u64,
@@ -398,7 +398,7 @@ impl std::fmt::Display for Event {
                 "checkpoint completed (generation {generation}, {duration:?})"
             ),
             Self::OverloadShed { connection } => {
-                write!(f, "connection {connection} shed a request (queue full)")
+                write!(f, "connection {connection} shed a request (backlog full)")
             }
             Self::RecoveryReplayed { records, duration } => {
                 write!(f, "recovery replayed {records} records in {duration:?}")

@@ -1,43 +1,54 @@
-//! The TCP front-end: an accept loop plus three threads per
-//! connection, driving one shared database.
+//! The TCP front-end: an accept loop plus **one thread per
+//! connection**, each a loop that reads, runs and replies against one
+//! shared database.
 //!
-//! ## Per-connection pipeline
+//! ## The session loop
 //!
 //! ```text
-//! socket ─read→ [reader] ─try_send→ bounded job queue ─recv→ [worker]
-//!                  │                                            │
-//!                  └────── Overloaded / handshake replies ──┐   │
-//!                                                           ▼   ▼
-//!                                   socket ←write─ [writer] ←─ replies
+//!            ┌────────────────────── one thread ──────────────────────┐
+//! socket ─read→ frames already buffered ─→ execute inline ─→ reply buffer ─write→ socket
+//!            │   (first `queue_depth`)      (the rest: Overloaded)    │
+//!            └── flush when the input is drained, or past 64 KiB ─────┘
 //! ```
 //!
-//! * The **reader** decodes frames and `try_send`s jobs into a queue
-//!   bounded by [`ServerConfig::queue_depth`].  A full queue **sheds**
-//!   the request with a typed [`WireError::Overloaded`] reply instead
-//!   of queueing without bound or stalling the socket — accepted
-//!   requests still complete, and the accept loop never blocks on a
-//!   slow connection.
-//! * The **worker** executes jobs in order against the
-//!   [`SharedDatabase`], running each operation itself inside the
-//!   touched relation's lock in the store; connections working on
-//!   different relations never wait on each other there.
-//! * The **writer** owns the write half.  When a client drops
-//!   mid-batch the writer's `write_all` fails, it shuts the socket
-//!   down (waking a blocked reader) and exits; the closed reply
-//!   channel then unwinds the worker and reader.  No thread is ever
-//!   left blocked on a dead connection — see
-//!   `crates/server/tests/e2e.rs` for the regression test.
+//! * **Read.**  The loop blocks for one frame, then takes every further
+//!   complete frame *already in its buffer* — no syscall.  That backlog
+//!   is the unit of admission.
+//! * **Run.**  The first [`ServerConfig::queue_depth`] requests of a
+//!   backlog execute inline against the [`SharedDatabase`], each inside
+//!   the touched relation's lock in the store; nothing between the
+//!   socket and that lock is shared, so connections working on
+//!   different relations never wait on each other.  The rest are
+//!   **shed** with a typed [`WireError::Overloaded`] — a bound on unread
+//!   input, not a queue.  Handshake and malformed payloads are answered
+//!   in place and count against nothing.
+//! * **Reply.**  Every reply is appended to one buffer, in **request
+//!   order** (sheds included; ids are still echoed), and written when
+//!   the buffered input is drained or the buffer passes 64 KiB.
 //!
-//! Replies are matched to requests by id, not position: shed
-//! `Overloaded` replies go straight to the writer and can overtake
-//! queued work, which is exactly why the protocol echoes request ids.
+//! ## The flow-control contract
+//!
+//! A session holds at most one reply buffer (64 KiB plus the reply
+//! that crossed the mark) and one input buffer, so server memory per
+//! connection is bounded.  A peer that stops reading its replies is
+//! stalled by TCP once that buffer and the socket buffers are full —
+//! it stalls **itself only**: its thread blocks in `write`, executes
+//! nothing further, and no other connection notices.  The supported
+//! pipelining envelope is therefore *at most `queue_depth` requests in
+//! flight, replies read as they come*; beyond it requests are shed.
+//!
+//! Teardown is a drop guard: however the loop ends — EOF, a corrupt
+//! frame, a failed write, a panic under `execute` — the socket is shut
+//! down, so the peer sees EOF and no thread is ever left blocked on a
+//! dead connection (see `crates/server/tests/e2e.rs`).
 
-use std::io::{Read, Write};
+use std::convert::Infallible;
+use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use ids_api::{eq, Alter, Cond, Error, SharedDatabase};
 use ids_core::InsertOutcome;
@@ -47,9 +58,33 @@ use ids_store::StoreError;
 use ids_wal::{Cursor, NameTailer, RelationPoll, RelationTailer, WalDir};
 
 use crate::wire::{
-    decode_request, encode_reply, AlterOp, FrameReader, Reply, Request, WireError, WireOutcome,
-    POOL_STREAM, WIRE_VERSION,
+    decode_request, encode_reply, AlterOp, FrameError, FrameReader, Reply, Request, WireError,
+    WireOutcome, POOL_STREAM, WIRE_VERSION,
 };
+
+/// Replies are written once this many bytes are pending, even with
+/// input still buffered — the bound on a session's reply memory.
+const FLUSH_BYTES: usize = 64 * 1024;
+
+/// How long an idle replication stream waits for a ping before it
+/// polls the logs again.
+const IDLE_WAIT: Duration = Duration::from_millis(10);
+
+/// Request kinds, in the order [`ServerObs::executed`] indexes them.
+const REQUEST_KINDS: [&str; 12] = [
+    "hello",
+    "ping",
+    "insert",
+    "remove",
+    "query",
+    "count",
+    "snapshot",
+    "checkpoint",
+    "stats",
+    "subscribe",
+    "join",
+    "alter",
+];
 
 /// The connection layer's metric families, interned under `server.*`
 /// names in their own [`Registry`] — merged with the database's
@@ -68,6 +103,9 @@ struct ServerObs {
     bytes_in: Arc<Counter>,
     /// Bytes written to peers, across all connections.
     bytes_out: Arc<Counter>,
+    /// `server.requests.{kind}`, one handle per [`REQUEST_KINDS`] entry
+    /// — interned here so executing a request takes no registry lock.
+    requests: [Arc<Counter>; 12],
 }
 
 impl ServerObs {
@@ -80,49 +118,31 @@ impl ServerObs {
             malformed: registry.counter("server.malformed"),
             bytes_in: registry.counter("server.bytes_in"),
             bytes_out: registry.counter("server.bytes_out"),
+            requests: REQUEST_KINDS
+                .map(|kind| registry.counter(&format!("server.requests.{kind}"))),
             registry,
         }
     }
 
     /// The per-kind **executed**-request counter.  Executed means the
-    /// worker ran it: shed and malformed requests are counted by their
+    /// session ran it: shed and malformed requests are counted by their
     /// own families, which is what makes `served + shed == sent`
     /// conservation checkable from counters alone.
-    fn request_counter(&self, req: &Request) -> Arc<Counter> {
-        let kind = match req {
-            Request::Hello { .. } => "hello",
-            Request::Ping => "ping",
-            Request::Insert { .. } => "insert",
-            Request::Remove { .. } => "remove",
-            Request::Query { .. } => "query",
-            Request::Count { .. } => "count",
-            Request::Snapshot => "snapshot",
-            Request::Checkpoint => "checkpoint",
-            Request::Stats => "stats",
-            Request::Subscribe { .. } => "subscribe",
-            Request::Join { .. } => "join",
-            Request::Alter { .. } => "alter",
-        };
-        self.registry.counter(&format!("server.requests.{kind}"))
-    }
-}
-
-/// A [`Read`] adapter tallying bytes into the server's `bytes_in`
-/// counter and the connection's own total (for the close event).
-struct CountingReader<R> {
-    inner: R,
-    total: Arc<Counter>,
-    conn: Arc<AtomicU64>,
-}
-
-impl<R: Read> Read for CountingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.total.add(n as u64);
-        // The per-connection tally feeds the ConnectionClosed event and
-        // is ungated: one relaxed add per syscall is noise.
-        self.conn.fetch_add(n as u64, Ordering::Relaxed);
-        Ok(n)
+    fn executed(&self, req: &Request) -> &Counter {
+        &self.requests[match req {
+            Request::Hello { .. } => 0,
+            Request::Ping => 1,
+            Request::Insert { .. } => 2,
+            Request::Remove { .. } => 3,
+            Request::Query { .. } => 4,
+            Request::Count { .. } => 5,
+            Request::Snapshot => 6,
+            Request::Checkpoint => 7,
+            Request::Stats => 8,
+            Request::Subscribe { .. } => 9,
+            Request::Join { .. } => 10,
+            Request::Alter { .. } => 11,
+        }]
     }
 }
 
@@ -133,10 +153,10 @@ type ConnRegistry = Arc<Mutex<Vec<(TcpStream, JoinHandle<()>)>>>;
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Depth of each connection's job queue.  A request arriving while
-    /// the queue holds this many is shed with
-    /// [`WireError::Overloaded`] — backpressure by typed refusal, not
-    /// by unbounded buffering or socket stall.
+    /// How many pipelined requests a connection may have waiting.  The
+    /// session runs at most this many of the requests it finds buffered
+    /// together and sheds the rest with [`WireError::Overloaded`] —
+    /// backpressure by typed refusal of unread input, not by queueing.
     pub queue_depth: usize,
 }
 
@@ -191,6 +211,7 @@ impl Server {
         let stop = Arc::new(AtomicBool::new(false));
         let conns: ConnRegistry = Arc::default();
         let obs = Arc::new(ServerObs::new());
+        let depth = config.queue_depth.max(1);
         let accept = {
             let stop = Arc::clone(&stop);
             let conns = Arc::clone(&conns);
@@ -209,9 +230,11 @@ impl Server {
                     let registered = stream.try_clone().ok();
                     let shared = Arc::clone(&shared);
                     let obs = Arc::clone(&obs);
-                    let config = config.clone();
-                    let handle =
-                        std::thread::spawn(move || serve_connection(stream, shared, obs, config));
+                    let handle = std::thread::spawn(move || {
+                        // However the loop ends, the session's drop
+                        // guard is the whole response.
+                        let _ = Session::open(&stream, &shared, &obs).run(depth);
+                    });
                     if let Some(registered) = registered {
                         conns.push((registered, handle));
                     }
@@ -264,481 +287,429 @@ impl Server {
     }
 }
 
-/// One connection: this thread is the reader; worker and writer are
-/// spawned and joined before it returns.
-fn serve_connection(
-    stream: TcpStream,
-    shared: Arc<SharedDatabase>,
-    obs: Arc<ServerObs>,
-    config: ServerConfig,
-) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let conn_id = obs.conn_seq.fetch_add(1, Ordering::Relaxed);
-    let conn_bytes_in = Arc::new(AtomicU64::new(0));
-    let conn_bytes_out = Arc::new(AtomicU64::new(0));
-    obs.connections.inc();
-    obs.registry.events().record(Event::ConnectionOpened {
-        connection: conn_id,
-    });
-    let (reply_tx, reply_rx) = mpsc::channel::<(u64, Reply)>();
-    let (job_tx, job_rx) = mpsc::sync_channel::<(u64, Request)>(config.queue_depth.max(1));
-
-    let writer = {
-        let bytes_out = Arc::clone(&obs.bytes_out);
-        let conn_bytes_out = Arc::clone(&conn_bytes_out);
-        std::thread::spawn(move || write_replies(stream, reply_rx, bytes_out, conn_bytes_out))
-    };
-    let worker = {
-        let shared = Arc::clone(&shared);
-        let obs = Arc::clone(&obs);
-        let reply_tx = reply_tx.clone();
-        std::thread::spawn(move || run_jobs(shared, obs, job_rx, reply_tx))
-    };
-
-    read_requests(
-        &read_half,
-        &shared,
-        &obs,
-        conn_id,
-        &conn_bytes_in,
-        &job_tx,
-        &reply_tx,
-    );
-
-    // Unwind: closing the job queue drains the worker, and once both
-    // reply senders are gone the writer drains and exits.
-    drop(job_tx);
-    drop(reply_tx);
-    let _ = worker.join();
-    let _ = writer.join();
-    // The accept loop's registry holds a clone of this socket (for
-    // forced shutdown), so dropping our halves is not enough to close
-    // the connection — shut it down explicitly so the peer sees EOF.
-    let _ = read_half.shutdown(Shutdown::Both);
-    obs.connections.dec();
-    obs.registry.events().record(Event::ConnectionClosed {
-        connection: conn_id,
-        bytes_in: conn_bytes_in.load(Ordering::Relaxed),
-        bytes_out: conn_bytes_out.load(Ordering::Relaxed),
-    });
+/// One connection, on its one thread: the socket, its input and reply
+/// buffers, and — as the `Drop` impl — its teardown.
+struct Session<'a> {
+    stream: &'a TcpStream,
+    frames: FrameReader<&'a TcpStream>,
+    /// Encoded replies not yet written, in request order.
+    out: Vec<u8>,
+    shared: &'a SharedDatabase,
+    obs: &'a ServerObs,
+    conn_id: u64,
+    bytes_out: u64,
 }
 
-/// The reader loop: frames in, jobs (or direct replies) out.
-fn read_requests(
-    read_half: &TcpStream,
-    shared: &SharedDatabase,
-    obs: &ServerObs,
-    conn_id: u64,
-    conn_bytes_in: &Arc<AtomicU64>,
-    job_tx: &SyncSender<(u64, Request)>,
-    reply_tx: &Sender<(u64, Reply)>,
-) {
-    let mut frames = FrameReader::new(CountingReader {
-        inner: read_half,
-        total: Arc::clone(&obs.bytes_in),
-        conn: Arc::clone(conn_bytes_in),
-    });
-    let mut greeted = false;
-    loop {
-        let payload = match frames.next_payload() {
-            Ok(Some(payload)) => payload,
-            // Clean EOF, corruption, or I/O error: drop the
-            // connection.  After a corrupt frame the stream cannot be
-            // trusted to be in sync, so there is nothing to reply to.
-            Ok(None) | Err(_) => return,
-        };
-        match decode_request(&payload) {
-            Ok((id, Request::Hello { version })) => {
-                if version != WIRE_VERSION {
-                    let err = WireError::UnsupportedVersion {
-                        server: WIRE_VERSION,
-                        client: version,
-                    };
-                    let _ = reply_tx.send((id, Reply::Error(err)));
-                    return;
-                }
-                greeted = true;
-                if reply_tx.send((id, hello_reply(shared))).is_err() {
-                    return;
-                }
-            }
-            Ok((id, req)) => {
-                if !greeted {
-                    let _ = reply_tx.send((id, Reply::Error(WireError::HandshakeRequired)));
-                    return;
-                }
-                match job_tx.try_send((id, req)) {
-                    Ok(()) => {}
-                    // Shed: the typed refusal goes straight to the
-                    // writer, overtaking queued work — the reader
-                    // never blocks on a full queue.
-                    Err(TrySendError::Full(_)) => {
-                        obs.shed.inc();
-                        obs.registry.events().record(Event::OverloadShed {
-                            connection: conn_id,
+impl Drop for Session<'_> {
+    /// The accept loop's registry holds a clone of this socket (for
+    /// forced shutdown), so dropping ours is not enough to close the
+    /// connection — shut it down explicitly so the peer sees EOF, even
+    /// when a panic is what ended the loop.
+    fn drop(&mut self) {
+        let _ = self.stream.shutdown(Shutdown::Both);
+        self.obs.connections.dec();
+        self.obs.registry.events().record(Event::ConnectionClosed {
+            connection: self.conn_id,
+            bytes_in: self.frames.bytes_read(),
+            bytes_out: self.bytes_out,
+        });
+    }
+}
+
+impl<'a> Session<'a> {
+    fn open(stream: &'a TcpStream, shared: &'a SharedDatabase, obs: &'a ServerObs) -> Self {
+        // Replies are coalesced here, in `out`; Nagle on top of that
+        // could only add a delayed-ACK stall.
+        let _ = stream.set_nodelay(true);
+        let conn_id = obs.conn_seq.fetch_add(1, Ordering::Relaxed);
+        obs.connections.inc();
+        obs.registry.events().record(Event::ConnectionOpened {
+            connection: conn_id,
+        });
+        Session {
+            stream,
+            frames: FrameReader::new(stream),
+            out: Vec::new(),
+            shared,
+            obs,
+            conn_id,
+            bytes_out: 0,
+        }
+    }
+
+    /// Reads the next frame off the socket (in whatever blocking mode
+    /// it is in), tallying what the read moved.
+    fn read_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
+        let before = self.frames.bytes_read();
+        let frame = self.frames.next_payload();
+        self.obs.bytes_in.add(self.frames.bytes_read() - before);
+        frame
+    }
+
+    /// Appends one reply to the buffer, writing it out past
+    /// [`FLUSH_BYTES`].
+    fn reply(&mut self, id: u64, reply: &Reply) -> Result<(), FrameError> {
+        self.out.extend_from_slice(&encode_reply(id, reply));
+        if self.out.len() > FLUSH_BYTES {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Writes every pending reply.  Blocks for as long as the peer does
+    /// not read — the flow-control contract in the module docs.
+    fn flush(&mut self) -> Result<(), FrameError> {
+        self.stream.write_all(&self.out)?;
+        self.obs.bytes_out.add(self.out.len() as u64);
+        self.bytes_out += self.out.len() as u64;
+        self.out.clear();
+        Ok(())
+    }
+
+    /// The session loop: every intact frame gets exactly one reply, in
+    /// order.  Returns on clean EOF or a refused handshake, and with the
+    /// error on a corrupt frame (the stream cannot be trusted to be in
+    /// sync, so there is nothing to reply to) or a dead socket.
+    fn run(&mut self, depth: usize) -> Result<(), FrameError> {
+        let mut greeted = false;
+        while let Some(first) = self.read_frame()? {
+            // Requests admitted from this backlog: the frame just read
+            // plus every complete frame buffered behind it.
+            let mut admitted = 0;
+            let mut next = Some(first);
+            while let Some(payload) = next {
+                let mut refused = false;
+                let (id, reply) = match decode_request(&payload) {
+                    Ok((id, Request::Hello { version })) if version != WIRE_VERSION => {
+                        refused = true;
+                        let err = WireError::UnsupportedVersion {
+                            server: WIRE_VERSION,
+                            client: version,
+                        };
+                        (id, Reply::Error(err))
+                    }
+                    Ok((id, Request::Hello { .. })) => {
+                        greeted = true;
+                        (id, hello_reply(self.shared))
+                    }
+                    Ok((id, _)) if !greeted => {
+                        refused = true;
+                        (id, Reply::Error(WireError::HandshakeRequired))
+                    }
+                    Ok((id, _)) if admitted == depth => {
+                        self.obs.shed.inc();
+                        self.obs.registry.events().record(Event::OverloadShed {
+                            connection: self.conn_id,
                         });
-                        if reply_tx
-                            .send((id, Reply::Error(WireError::Overloaded)))
-                            .is_err()
-                        {
-                            return;
+                        (id, Reply::Error(WireError::Overloaded))
+                    }
+                    Ok((id, req)) => {
+                        admitted += 1;
+                        self.obs.executed(&req).inc();
+                        match req {
+                            // A subscribe turns this connection into a
+                            // replication stream until the client
+                            // disconnects (or the stream hits a typed
+                            // error, after which ordinary requests are
+                            // served again).
+                            Request::Subscribe { cursors, names } => {
+                                match self.subscribe(id, cursors, names) {
+                                    Err(StreamEnd::Refused(err)) => (id, Reply::Error(err)),
+                                    Err(StreamEnd::Hangup(e)) => return Err(e),
+                                }
+                            }
+                            req => (id, execute(self.shared, self.obs, req)),
                         }
                     }
-                    Err(TrySendError::Disconnected(_)) => return,
+                    // The frame was intact, so the stream is still in
+                    // sync: answer the malformed payload and keep
+                    // serving.
+                    Err((id, err)) => {
+                        self.obs.malformed.inc();
+                        (id, Reply::Error(err))
+                    }
+                };
+                self.reply(id, &reply)?;
+                if refused {
+                    return self.flush();
                 }
+                next = self.frames.next_buffered()?;
             }
-            // The frame was intact, so the stream is still in sync:
-            // answer the malformed payload and keep serving.
-            Err((id, err)) => {
-                obs.malformed.inc();
-                if reply_tx.send((id, Reply::Error(err))).is_err() {
-                    return;
-                }
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// One read that gives up instead of blocking — at once, or after
+    /// `wait` — with `Ok(None)` for "nothing yet".  A partial frame stays
+    /// buffered in `frames` across the give-up.
+    fn poll_frame(&mut self, wait: Option<Duration>) -> Result<Option<Vec<u8>>, FrameError> {
+        // Both settings live on the socket, not on this borrow of it:
+        // they are in force only around this read, so a flush always
+        // blocks.
+        self.stream.set_nonblocking(wait.is_none())?;
+        self.stream.set_read_timeout(wait)?;
+        let frame = self.read_frame();
+        self.stream.set_nonblocking(false)?;
+        self.stream.set_read_timeout(None)?;
+        match frame {
+            Ok(None) => Err(FrameError::Io(ErrorKind::UnexpectedEof.into())),
+            Err(FrameError::Io(e))
+                if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+            {
+                Ok(None)
             }
+            other => other,
         }
     }
-}
 
-/// The worker loop: jobs in order, replies by id.
-fn run_jobs(
-    shared: Arc<SharedDatabase>,
-    obs: Arc<ServerObs>,
-    job_rx: Receiver<(u64, Request)>,
-    reply_tx: Sender<(u64, Reply)>,
-) {
-    while let Ok((id, req)) = job_rx.recv() {
-        // A subscribe turns this connection into a replication stream:
-        // the worker dedicates itself to shipping frames until the
-        // client disconnects (or the stream hits a typed error, after
-        // which ordinary requests are served again).
-        if let Request::Subscribe { cursors, names } = req {
-            run_subscribe(&shared, &obs, id, cursors, names, &job_rx, &reply_tx);
-            continue;
+    /// Ships one batch of verbatim frame payloads as a [`Reply::Frames`],
+    /// recording the shipment in the event log.
+    fn ship_frames(
+        &mut self,
+        id: u64,
+        relation: u16,
+        gen: u64,
+        tip: u64,
+        frames: Vec<Vec<u8>>,
+    ) -> Result<(), FrameError> {
+        if frames.is_empty() {
+            return Ok(());
         }
-        if reply_tx.send((id, execute(&shared, &obs, req))).is_err() {
-            // Writer gone: the connection is dead, stop executing.
-            return;
-        }
+        self.obs.registry.events().record(Event::SegmentShipped {
+            relation,
+            generation: gen,
+            records: frames.len() as u64,
+        });
+        let batch = Reply::Frames {
+            relation,
+            gen,
+            tip,
+            frames,
+        };
+        self.reply(id, &batch)
     }
-}
 
-/// Ships one batch of verbatim frame payloads as a [`Reply::Frames`],
-/// recording the shipment in the event log.  `Err(())` means the writer
-/// is gone — the client disconnected.
-#[allow(clippy::too_many_arguments)]
-fn ship_frames(
-    reply_tx: &Sender<(u64, Reply)>,
-    obs: &ServerObs,
-    id: u64,
-    relation: u16,
-    gen: u64,
-    tip: u64,
-    frames: Vec<Vec<u8>>,
-) -> Result<(), ()> {
-    if frames.is_empty() {
-        return Ok(());
-    }
-    obs.registry.events().record(Event::SegmentShipped {
-        relation,
-        generation: gen,
-        records: frames.len() as u64,
-    });
-    reply_tx
-        .send((
-            id,
-            Reply::Frames {
-                relation,
-                gen,
-                tip,
-                frames,
-            },
-        ))
-        .map_err(|_| ())
-}
-
-/// The replication ship loop behind [`Request::Subscribe`].
-///
-/// Tails the primary's own segment files (and name log) read-only and
-/// forwards every new frame payload **verbatim** — the bytes a follower
-/// applies are the bytes the primary made durable, so replication
-/// inherits the on-disk format's golden-fixture byte stability.  Names
-/// always ship before the records that reference them, mirroring the
-/// primary's fsync order.  Each `Frames` reply carries one generation,
-/// so a poll that crosses a checkpoint rotation is split and the
-/// follower's cursor stays exact.
-///
-/// Schema transitions ship the same way: each generation manifest the
-/// primary commits is forwarded **verbatim** as a [`Reply::Manifest`]
-/// before any frame of that generation (the rename happens-before the
-/// first new-generation segment, and TCP preserves reply order), so
-/// the follower applies the transition under exactly the boundary the
-/// primary crossed, then keeps consuming frames under the new schema.
-///
-/// When a full round finds nothing new, one empty `POOL_STREAM` reply
-/// is sent as a heartbeat: it tells the follower "you have everything I
-/// can see" (frames are ordered in-channel, so an empty round after the
-/// queue drains means caught-up) and doubles as the liveness probe that
-/// ends this loop once the writer thread dies after a disconnect.
-///
-/// A subscribed connection still answers one request: `Ping`.  Pings
-/// are drained *before* a poll round and answered *after* it, so the
-/// `Pong` is a sync barrier — every record durable before the ping was
-/// sent has been shipped by the time the follower sees the answer.
-/// Any other request on a replication stream gets a typed error.
-fn run_subscribe(
-    shared: &SharedDatabase,
-    obs: &ServerObs,
-    id: u64,
-    cursors: Vec<(u64, u64)>,
-    names: u64,
-    job_rx: &Receiver<(u64, Request)>,
-    reply_tx: &Sender<(u64, Reply)>,
-) {
-    obs.registry.counter("server.requests.subscribe").inc();
-    let Some(root) = shared.store().wal_root() else {
-        let _ = reply_tx.send((id, Reply::Error(WireError::NotDurable)));
-        return;
-    };
-    let dir = match WalDir::open(&root) {
-        Ok(dir) => dir,
-        Err(e) => {
-            let _ = reply_tx.send((id, Reply::Error(wire_error(e.into()))));
-            return;
-        }
-    };
-    // The follower's cursor indexes are scheme indexes under the
-    // manifest *governing its position* — the latest one with
-    // generation ≤ its cursors — which may be older than the schema
-    // this server currently serves.  Start the era there; every later
-    // transition is shipped below (manifest before frames), so the
-    // follower catches up through the same boundaries the primary
-    // crossed.
-    let start_gen = cursors.iter().map(|&(gen, _)| gen).max().unwrap_or(0);
-    let disk_manifests = match dir.generation_manifests_after(0) {
-        Ok(m) => m,
-        Err(e) => {
-            let _ = reply_tx.send((id, Reply::Error(wire_error(e.into()))));
-            return;
-        }
-    };
-    let mut era_schema: DatabaseSchema = disk_manifests
-        .iter()
-        .rev()
-        .find(|(g, ..)| *g <= start_gen)
-        .map(|(_, m, _)| m.schema.clone())
-        .unwrap_or_else(|| dir.manifest().schema.clone());
-    let relations = era_schema.len();
-    if cursors.len() != relations {
-        let _ = reply_tx.send((
-            id,
-            Reply::Error(WireError::Internal(format!(
+    /// The replication ship loop behind [`Request::Subscribe`].
+    ///
+    /// Tails the primary's own segment files (and name log) read-only and
+    /// forwards every new frame payload **verbatim** — the bytes a follower
+    /// applies are the bytes the primary made durable, so replication
+    /// inherits the on-disk format's golden-fixture byte stability.  Names
+    /// always ship before the records that reference them, mirroring the
+    /// primary's fsync order.  Each `Frames` reply carries one generation,
+    /// so a poll that crosses a checkpoint rotation is split and the
+    /// follower's cursor stays exact.
+    ///
+    /// Schema transitions ship the same way: each generation manifest the
+    /// primary commits is forwarded **verbatim** as a [`Reply::Manifest`]
+    /// before any frame of that generation (the rename happens-before the
+    /// first new-generation segment, and this one thread writes the socket
+    /// in program order), so the follower applies the transition under
+    /// exactly the boundary the primary crossed, then keeps consuming
+    /// frames under the new schema.
+    ///
+    /// When a full round finds nothing new, one empty `POOL_STREAM` reply
+    /// is sent as a heartbeat: it tells the follower "you have everything I
+    /// can see" (frames are ordered in-channel, so an empty round after
+    /// everything shipped means caught-up).  The round then waits for a
+    /// ping in a timed read of [`IDLE_WAIT`], so a barrier ping ends the
+    /// wait at once — and so does the follower hanging up.
+    ///
+    /// A subscribed connection still answers one request: `Ping`.  Pings
+    /// are drained *before* a poll round and answered *after* it, so the
+    /// `Pong` is a sync barrier — every record durable before the ping was
+    /// sent has been shipped by the time the follower sees the answer.
+    /// Any other request on a replication stream gets a typed error.
+    fn subscribe(
+        &mut self,
+        id: u64,
+        cursors: Vec<(u64, u64)>,
+        names: u64,
+    ) -> Result<Infallible, StreamEnd> {
+        let root =
+            (self.shared.store().wal_root()).ok_or(StreamEnd::Refused(WireError::NotDurable))?;
+        let dir = WalDir::open(&root)?;
+        // The follower's cursor indexes are scheme indexes under the
+        // manifest *governing its position* — the latest one with
+        // generation ≤ its cursors — which may be older than the schema
+        // this server currently serves.  Start the era there; every later
+        // transition is shipped below (manifest before frames), so the
+        // follower catches up through the same boundaries the primary
+        // crossed.
+        let start_gen = cursors.iter().map(|&(gen, _)| gen).max().unwrap_or(0);
+        let disk_manifests = dir.generation_manifests_after(0)?;
+        let mut era_schema: DatabaseSchema = disk_manifests
+            .iter()
+            .rev()
+            .find(|(g, ..)| *g <= start_gen)
+            .map(|(_, m, _)| m.schema.clone())
+            .unwrap_or_else(|| dir.manifest().schema.clone());
+        let relations = era_schema.len();
+        if cursors.len() != relations {
+            return Err(StreamEnd::Refused(WireError::Internal(format!(
                 "subscribe carries {} cursors but the schema has {relations} relations",
                 cursors.len()
-            ))),
-        ));
-        return;
-    }
-    let fingerprint = dir.fingerprint();
-    let mut tailers: Vec<RelationTailer> = cursors
-        .iter()
-        .enumerate()
-        .map(|(i, &(gen, seq))| {
-            RelationTailer::new(dir.root(), fingerprint, i as u16, Cursor { gen, seq })
-        })
-        .collect();
-    let mut name_tailer = NameTailer::new(&dir.pool_log_path(), fingerprint, names);
-    // Highest manifest generation already shipped (or known to the
-    // follower, whose cursors can only have reached `start_gen` with
-    // every manifest ≤ it applied).  Anything newer found on disk ships
-    // verbatim, and the tailer set is remapped to the new schema.
-    let mut shipped_gen = start_gen;
-    loop {
-        // Drain pings BEFORE this round's polls: a ping in hand means
-        // everything durable before it was sent is visible to the polls
-        // below, so answering after them makes `Pong` a true barrier.
-        let mut pings = Vec::new();
+            ))));
+        }
+        let fingerprint = dir.fingerprint();
+        let mut tailers: Vec<RelationTailer> = cursors
+            .iter()
+            .enumerate()
+            .map(|(i, &(gen, seq))| {
+                RelationTailer::new(dir.root(), fingerprint, i as u16, Cursor { gen, seq })
+            })
+            .collect();
+        let mut name_tailer = NameTailer::new(&dir.pool_log_path(), fingerprint, names);
+        // Highest manifest generation already shipped (or known to the
+        // follower, whose cursors can only have reached `start_gen` with
+        // every manifest ≤ it applied).  Anything newer found on disk ships
+        // verbatim, and the tailer set is remapped to the new schema.
+        let mut shipped_gen = start_gen;
+        // How long this round's first read may wait: after an idle round,
+        // [`IDLE_WAIT`]; otherwise not at all.
+        let mut wait = None;
         loop {
-            match job_rx.try_recv() {
-                Ok((rid, Request::Ping)) => pings.push(rid),
-                Ok((rid, _)) => {
-                    let err = WireError::Internal(
-                        "connection is a replication stream: only ping is served".into(),
-                    );
-                    if reply_tx.send((rid, Reply::Error(err))).is_err() {
-                        return;
+            // Drain pings BEFORE this round's polls: a ping in hand means
+            // everything durable before it was sent is visible to the polls
+            // below, so answering after them makes `Pong` a true barrier.
+            let mut pings = Vec::new();
+            while let Some(payload) = self.poll_frame(wait.take())? {
+                match decode_request(&payload) {
+                    Ok((rid, Request::Ping)) => pings.push(rid),
+                    Ok((rid, _)) => {
+                        let err = WireError::Internal(
+                            "connection is a replication stream: only ping is served".into(),
+                        );
+                        self.reply(rid, &Reply::Error(err))?;
+                    }
+                    Err((rid, err)) => {
+                        self.obs.malformed.inc();
+                        self.reply(rid, &Reply::Error(err))?;
                     }
                 }
-                Err(std::sync::mpsc::TryRecvError::Empty) => break,
-                Err(std::sync::mpsc::TryRecvError::Disconnected) => return,
             }
-        }
-        let mut shipped = false;
-        // Manifests first: a schema transition must reach the follower
-        // before any frame written under it.  The primary renames the
-        // manifest into place *before* the first new-generation segment
-        // exists, and TCP delivers replies in order, so shipping the
-        // manifest here — before this round's polls — preserves that
-        // happens-before on the follower.  After shipping, the tailer
-        // set is remapped by relation (name + attributes): survivors
-        // are retargeted to their scheme index under the new schema,
-        // dropped relations fall away, added relations start tailing
-        // at `(gen, 0)` — their logs begin at the transition.
-        match dir.generation_manifests_after(shipped_gen) {
-            Ok(manifests) => {
-                for (g, m, payload) in manifests {
-                    shipped = true;
-                    if reply_tx
-                        .send((
-                            id,
-                            Reply::Manifest {
-                                generation: g,
-                                payload,
-                            },
-                        ))
-                        .is_err()
-                    {
-                        return;
-                    }
-                    let mut old: Vec<Option<RelationTailer>> =
-                        tailers.drain(..).map(Some).collect();
-                    for (jid, scheme) in m.schema.iter() {
-                        let j = jid.index() as u16;
-                        let prev = era_schema
-                            .iter()
-                            .find(|&(iid, s)| {
-                                s.name == scheme.name
-                                    && era_schema.attrs(iid) == m.schema.attrs(jid)
-                            })
-                            .map(|(iid, _)| iid.index());
-                        match prev.and_then(|i| old[i].take()) {
-                            Some(mut t) => {
-                                t.retarget(g, j);
-                                tailers.push(t);
-                            }
-                            None => tailers.push(RelationTailer::new(
-                                dir.root(),
-                                fingerprint,
-                                j,
-                                Cursor { gen: g, seq: 0 },
-                            )),
+            let mut shipped = false;
+            // Manifests first: a schema transition must reach the follower
+            // before any frame written under it.  The primary renames the
+            // manifest into place *before* the first new-generation segment
+            // exists, and replies leave in the order they are appended, so
+            // shipping the manifest here — before this round's polls —
+            // preserves that happens-before on the follower.  After
+            // shipping, the tailer set is remapped by relation (name +
+            // attributes): survivors are retargeted to their scheme index
+            // under the new schema, dropped relations fall away, added
+            // relations start tailing at `(gen, 0)` — their logs begin at
+            // the transition.
+            for (g, m, payload) in dir.generation_manifests_after(shipped_gen)? {
+                shipped = true;
+                let manifest = Reply::Manifest {
+                    generation: g,
+                    payload,
+                };
+                self.reply(id, &manifest)?;
+                let mut old: Vec<Option<RelationTailer>> = tailers.drain(..).map(Some).collect();
+                for (jid, scheme) in m.schema.iter() {
+                    let j = jid.index() as u16;
+                    let prev = era_schema
+                        .iter()
+                        .find(|&(iid, s)| {
+                            s.name == scheme.name && era_schema.attrs(iid) == m.schema.attrs(jid)
+                        })
+                        .map(|(iid, _)| iid.index());
+                    match prev.and_then(|i| old[i].take()) {
+                        Some(mut t) => {
+                            t.retarget(g, j);
+                            tailers.push(t);
                         }
-                    }
-                    era_schema = m.schema;
-                    shipped_gen = g;
-                }
-            }
-            Err(e) => {
-                let _ = reply_tx.send((id, Reply::Error(wire_error(e.into()))));
-                return;
-            }
-        }
-        // Names next: the primary fsyncs a name before any record
-        // referencing its value, and the follower needs the same order.
-        match name_tailer.poll() {
-            Ok(new_names) => {
-                if !new_names.is_empty() {
-                    shipped = true;
-                    let frames: Vec<Vec<u8>> = new_names.into_iter().map(|n| n.payload).collect();
-                    let tip = name_tailer.emitted();
-                    if ship_frames(reply_tx, obs, id, POOL_STREAM, 0, tip, frames).is_err() {
-                        return;
+                        None => tailers.push(RelationTailer::new(
+                            dir.root(),
+                            fingerprint,
+                            j,
+                            Cursor { gen: g, seq: 0 },
+                        )),
                     }
                 }
+                era_schema = m.schema;
+                shipped_gen = g;
             }
-            Err(e) => {
-                let _ = reply_tx.send((id, Reply::Error(wire_error(e.into()))));
-                return;
+            // Names next: the primary fsyncs a name before any record
+            // referencing its value, and the follower needs the same order.
+            let new_names = name_tailer.poll()?;
+            if !new_names.is_empty() {
+                shipped = true;
+                let frames: Vec<Vec<u8>> = new_names.into_iter().map(|n| n.payload).collect();
+                self.ship_frames(id, POOL_STREAM, 0, name_tailer.emitted(), frames)?;
             }
-        }
-        for tailer in &mut tailers {
-            match tailer.poll() {
-                Ok(RelationPoll::Records(records)) if !records.is_empty() => {
-                    shipped = true;
-                    let tip = tailer.cursor().seq;
-                    let mut batch: Vec<Vec<u8>> = Vec::new();
-                    let mut batch_gen = records[0].gen;
-                    // Per-record scheme, not the tailer's current one: a
-                    // poll that crosses a transition boundary carries
-                    // records under two scheme indexes, and each batch
-                    // must be labeled with the index its frames were
-                    // written under (splits align with gen splits).
-                    let mut batch_scheme = records[0].scheme;
-                    for rec in records {
-                        if rec.gen != batch_gen || rec.scheme != batch_scheme {
-                            let frames = std::mem::take(&mut batch);
-                            if ship_frames(reply_tx, obs, id, batch_scheme, batch_gen, tip, frames)
-                                .is_err()
-                            {
-                                return;
+            for tailer in &mut tailers {
+                match tailer.poll()? {
+                    RelationPoll::Records(records) if !records.is_empty() => {
+                        shipped = true;
+                        let tip = tailer.cursor().seq;
+                        let mut batch: Vec<Vec<u8>> = Vec::new();
+                        let mut batch_gen = records[0].gen;
+                        // Per-record scheme, not the tailer's current one: a
+                        // poll that crosses a transition boundary carries
+                        // records under two scheme indexes, and each batch
+                        // must be labeled with the index its frames were
+                        // written under (splits align with gen splits).
+                        let mut batch_scheme = records[0].scheme;
+                        for rec in records {
+                            if rec.gen != batch_gen || rec.scheme != batch_scheme {
+                                let frames = std::mem::take(&mut batch);
+                                self.ship_frames(id, batch_scheme, batch_gen, tip, frames)?;
+                                batch_gen = rec.gen;
+                                batch_scheme = rec.scheme;
                             }
-                            batch_gen = rec.gen;
-                            batch_scheme = rec.scheme;
+                            batch.push(rec.payload);
                         }
-                        batch.push(rec.payload);
+                        self.ship_frames(id, batch_scheme, batch_gen, tip, batch)?;
                     }
-                    if ship_frames(reply_tx, obs, id, batch_scheme, batch_gen, tip, batch).is_err()
-                    {
-                        return;
-                    }
-                }
-                Ok(RelationPoll::Records(_)) => {}
-                Ok(RelationPoll::Behind) => {
-                    let _ = reply_tx.send((
-                        id,
-                        Reply::Error(WireError::Durability(
+                    RelationPoll::Records(_) => {}
+                    RelationPoll::Behind => {
+                        return Err(StreamEnd::Refused(WireError::Durability(
                             "subscribe cursor is behind pruned segments: \
                              re-seed the replica from a newer snapshot"
                                 .into(),
-                        )),
-                    ));
-                    return;
-                }
-                Err(e) => {
-                    let _ = reply_tx.send((id, Reply::Error(wire_error(e.into()))));
-                    return;
+                        )));
+                    }
                 }
             }
-        }
-        let idle = !shipped;
-        for rid in pings {
-            if reply_tx.send((rid, Reply::Pong)).is_err() {
-                return;
+            for rid in pings {
+                self.reply(rid, &Reply::Pong)?;
             }
-        }
-        if idle {
-            let tip = name_tailer.emitted();
-            let heartbeat = Reply::Frames {
-                relation: POOL_STREAM,
-                gen: 0,
-                tip,
-                frames: Vec::new(),
-            };
-            if reply_tx.send((id, heartbeat)).is_err() {
-                return;
+            if !shipped {
+                let heartbeat = Reply::Frames {
+                    relation: POOL_STREAM,
+                    gen: 0,
+                    tip: name_tailer.emitted(),
+                    frames: Vec::new(),
+                };
+                self.reply(id, &heartbeat)?;
+                wait = Some(IDLE_WAIT);
             }
-            std::thread::sleep(std::time::Duration::from_millis(10));
+            self.flush()?;
         }
     }
 }
 
-/// The writer loop: owns the write half; on failure shuts the socket
-/// down so a blocked reader wakes, then drains nothing further.
-fn write_replies(
-    mut stream: TcpStream,
-    reply_rx: Receiver<(u64, Reply)>,
-    bytes_out: Arc<Counter>,
-    conn_bytes_out: Arc<AtomicU64>,
-) {
-    while let Ok((id, reply)) = reply_rx.recv() {
-        let frame = encode_reply(id, &reply);
-        if stream.write_all(&frame).is_err() {
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
-        }
-        bytes_out.add(frame.len() as u64);
-        conn_bytes_out.fetch_add(frame.len() as u64, Ordering::Relaxed);
+/// Why a replication stream ended.
+enum StreamEnd {
+    /// With a typed error for the follower; the session serves on.
+    Refused(WireError),
+    /// With the connection itself.
+    Hangup(FrameError),
+}
+
+impl From<ids_wal::WalError> for StreamEnd {
+    fn from(e: ids_wal::WalError) -> Self {
+        StreamEnd::Refused(wire_error(e.into()))
+    }
+}
+
+impl From<FrameError> for StreamEnd {
+    fn from(e: FrameError) -> Self {
+        StreamEnd::Hangup(e)
     }
 }
 
@@ -762,9 +733,8 @@ fn hello_reply(shared: &SharedDatabase) -> Reply {
 }
 
 /// Executes one request against the shared database.  Every failure
-/// becomes a typed [`Reply::Error`]; nothing here panics the worker.
+/// becomes a typed [`Reply::Error`]; nothing here panics the session.
 fn execute(shared: &SharedDatabase, obs: &ServerObs, req: Request) -> Reply {
-    obs.request_counter(&req).inc();
     match req {
         // A repeated Hello is answered idempotently.
         Request::Hello { .. } => hello_reply(shared),
@@ -839,10 +809,10 @@ fn execute(shared: &SharedDatabase, obs: &ServerObs, req: Request) -> Reply {
             snap.merge(obs.registry.snapshot());
             Reply::Stats(snap)
         }
-        // Intercepted in `run_jobs` (it owns the reply channel for the
-        // stream); reaching this arm would be a dispatch bug.
+        // Intercepted in `Session::run` (a stream needs the socket, not
+        // one reply); reaching this arm would be a dispatch bug.
         Request::Subscribe { .. } => Reply::Error(WireError::Internal(
-            "subscribe must be handled by the connection worker".into(),
+            "subscribe must be handled by the session loop".into(),
         )),
         Request::Alter { op } => {
             let op = match op {

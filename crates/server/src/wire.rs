@@ -26,9 +26,10 @@
 //! encoded with [`ids_relational::codec`] — the same length-prefixed
 //! primitives as every on-disk structure.  Request ids are chosen by
 //! the client and echoed verbatim in the matching reply, which is what
-//! makes pipelining safe: a client may have any number of requests in
-//! flight and match replies by id, in whatever order they arrive
-//! (shed [`WireError::Overloaded`] replies can overtake queued work).
+//! makes pipelining safe: a client may have requests in flight and
+//! consume their replies in any order, matching by id.  The server
+//! itself answers one connection strictly in request order — shed
+//! [`WireError::Overloaded`] replies included.
 //!
 //! Decoding is **total**: any byte sequence yields a value or a typed
 //! error, never a panic, and allocation is capped by the decoder's
@@ -301,9 +302,10 @@ pub enum WireError {
     Durability(String),
     /// Checkpoint was requested of a database with no write-ahead log.
     NotDurable,
-    /// The connection's request queue is full: the request was **shed,
-    /// not executed** — backpressure instead of an unbounded queue.
-    /// Requests accepted before it still complete; retry later.
+    /// More than the server's `queue_depth` requests were waiting on
+    /// this connection: the request was **shed, not executed** —
+    /// backpressure instead of an unbounded queue.  Requests accepted
+    /// before it still complete; retry later.
     Overloaded,
     /// The peer's frame was valid but its payload did not decode.
     Malformed(String),
@@ -1177,19 +1179,30 @@ fn decode_wire_error(d: &mut Decoder<'_>) -> Result<WireError, WireError> {
 // Stream framing.
 
 /// Pulls CRC frames off a byte stream — the shared reading loop of the
-/// server's connection reader and the blocking client.
+/// server's connection loop and the blocking client.
 ///
 /// A torn buffer keeps reading; EOF on a frame boundary is a clean
 /// close (`Ok(None)`); EOF mid-frame, a CRC mismatch, or an oversize
 /// length is a typed [`FrameError`].  Corruption is unrecoverable by
 /// design: framing is what keeps a pipelined stream in sync, so after
 /// a bad frame the only safe move is to drop the connection.
+///
+/// An I/O error loses nothing: bytes already read stay buffered, so a
+/// stream in non-blocking or timed mode can return `WouldBlock` /
+/// `TimedOut` mid-frame and the next call resumes where it stopped.
 pub struct FrameReader<R> {
     inner: R,
+    /// `buf[start..end]` is read but not yet returned; `buf[end..]` is
+    /// the (initialized, reused) target of the next read.
     buf: Vec<u8>,
-    /// Bytes before `start` have been consumed by returned frames.
     start: usize,
+    end: usize,
+    bytes_read: u64,
 }
+
+/// The least room a read is offered; the buffer doubles only when one
+/// frame outgrows it.
+const READ_CHUNK: usize = 16 * 1024;
 
 /// Why a [`FrameReader`] stopped.
 #[derive(Debug)]
@@ -1212,6 +1225,12 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+impl From<std::io::Error> for FrameError {
+    fn from(e: std::io::Error) -> Self {
+        FrameError::Io(e)
+    }
+}
+
 impl<R: std::io::Read> FrameReader<R> {
     /// Wraps a readable stream.
     pub fn new(inner: R) -> Self {
@@ -1219,41 +1238,60 @@ impl<R: std::io::Read> FrameReader<R> {
             inner,
             buf: Vec::new(),
             start: 0,
+            end: 0,
+            bytes_read: 0,
+        }
+    }
+
+    /// Total bytes read off the stream so far, returned or not.
+    pub fn bytes_read(&self) -> u64 {
+        self.bytes_read
+    }
+
+    /// The next frame's payload if it is **already buffered** — never
+    /// touches the stream, so it cannot block.  `Ok(None)` means the
+    /// buffer holds at most a partial frame.
+    pub fn next_buffered(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
+        match read_frame(&self.buf[self.start..self.end]) {
+            FrameOutcome::Complete { payload, rest } => {
+                let payload = payload.to_vec();
+                self.start = self.end - rest.len();
+                Ok(Some(payload))
+            }
+            FrameOutcome::CrcMismatch => Err(FrameError::Corrupt("crc mismatch")),
+            FrameOutcome::Oversize => Err(FrameError::Corrupt("oversize frame")),
+            FrameOutcome::Torn => Ok(None),
         }
     }
 
     /// Reads the next complete frame's payload, `Ok(None)` on a clean
     /// EOF at a frame boundary.
     pub fn next_payload(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
-        let mut chunk = [0u8; 16 * 1024];
         loop {
-            match read_frame(&self.buf[self.start..]) {
-                FrameOutcome::Complete { payload, rest } => {
-                    let payload = payload.to_vec();
-                    self.start = self.buf.len() - rest.len();
-                    // Reclaim consumed bytes once they dominate the
-                    // buffer, keeping memory proportional to in-flight
-                    // data.
-                    if self.start > 64 * 1024 && self.start * 2 > self.buf.len() {
-                        self.buf.drain(..self.start);
-                        self.start = 0;
-                    }
-                    return Ok(Some(payload));
-                }
-                FrameOutcome::CrcMismatch => return Err(FrameError::Corrupt("crc mismatch")),
-                FrameOutcome::Oversize => return Err(FrameError::Corrupt("oversize frame")),
-                FrameOutcome::Torn => {
-                    let n = self.inner.read(&mut chunk).map_err(FrameError::Io)?;
-                    if n == 0 {
-                        return if self.start == self.buf.len() {
-                            Ok(None)
-                        } else {
-                            Err(FrameError::Corrupt("eof mid-frame"))
-                        };
-                    }
-                    self.buf.extend_from_slice(&chunk[..n]);
+            if let Some(payload) = self.next_buffered()? {
+                return Ok(Some(payload));
+            }
+            // Out of room: slide the partial frame over the consumed
+            // bytes, keeping memory proportional to in-flight data, and
+            // grow only if that one frame still does not fit.
+            if self.buf.len() - self.end < READ_CHUNK {
+                self.buf.copy_within(self.start..self.end, 0);
+                self.end -= self.start;
+                self.start = 0;
+                if self.buf.len() - self.end < READ_CHUNK {
+                    self.buf.resize((self.buf.len() * 2).max(READ_CHUNK), 0);
                 }
             }
+            let n = self.inner.read(&mut self.buf[self.end..])?;
+            if n == 0 {
+                return if self.start == self.end {
+                    Ok(None)
+                } else {
+                    Err(FrameError::Corrupt("eof mid-frame"))
+                };
+            }
+            self.end += n;
+            self.bytes_read += n as u64;
         }
     }
 }
@@ -1549,6 +1587,20 @@ mod tests {
         assert!(matches!(err, WireError::Malformed(_)));
     }
 
+    /// A stream that replays a script of `read` results, then EOF.
+    struct Script(std::collections::VecDeque<std::io::Result<Vec<u8>>>);
+
+    impl std::io::Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let Some(step) = self.0.pop_front() else {
+                return Ok(0);
+            };
+            let bytes = step?;
+            buf[..bytes.len()].copy_from_slice(&bytes);
+            Ok(bytes.len())
+        }
+    }
+
     #[test]
     fn frame_reader_reassembles_split_frames() {
         let mut bytes = encode_request(1, &Request::Ping);
@@ -1559,22 +1611,37 @@ mod tests {
             },
         ));
         // Deliver one byte at a time: every read is torn.
-        struct Trickle(Vec<u8>, usize);
-        impl std::io::Read for Trickle {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                if self.1 >= self.0.len() {
-                    return Ok(0);
-                }
-                buf[0] = self.0[self.1];
-                self.1 += 1;
-                Ok(1)
-            }
-        }
-        let mut reader = FrameReader::new(Trickle(bytes, 0));
+        let script = bytes.iter().map(|&b| Ok(vec![b])).collect();
+        let mut reader = FrameReader::new(Script(script));
         let first = reader.next_payload().unwrap().unwrap();
         assert_eq!(decode_request(&first).unwrap().0, 1);
         let second = reader.next_payload().unwrap().unwrap();
         assert_eq!(decode_request(&second).unwrap().0, 2);
+        assert!(reader.next_payload().unwrap().is_none());
+    }
+
+    #[test]
+    fn a_would_block_mid_frame_loses_nothing() {
+        // Half a frame, then WouldBlock, then the rest: what a socket in
+        // non-blocking or timed mode does to the subscribe loop's ping
+        // drain.
+        let req = Request::Count {
+            relation: "CT".into(),
+        };
+        let framed = encode_request(9, &req);
+        let (head, tail) = framed.split_at(framed.len() / 2);
+        let blocked = std::io::ErrorKind::WouldBlock;
+        let script = [Ok(head.to_vec()), Err(blocked.into()), Ok(tail.to_vec())];
+        let mut reader = FrameReader::new(Script(script.into()));
+        match reader.next_payload() {
+            Err(FrameError::Io(e)) => assert_eq!(e.kind(), blocked),
+            other => panic!("expected the WouldBlock to surface, got {other:?}"),
+        }
+        // The half already read is still there, and still only a half.
+        assert!(reader.next_buffered().unwrap().is_none());
+        let payload = reader.next_payload().unwrap().unwrap();
+        assert_eq!(decode_request(&payload).unwrap(), (9, req));
+        assert_eq!(reader.bytes_read(), framed.len() as u64);
         assert!(reader.next_payload().unwrap().is_none());
     }
 

@@ -11,7 +11,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 
 use ids_api::{Database, EngineKind, Schema, SharedDatabase};
-use ids_client::{Client, ClientError};
+use ids_client::{Client, ClientError, StreamEvent};
 use ids_server::wire::{
     decode_reply, encode_request, AlterOp, FrameReader, Reply, Request, WireError, WireOutcome,
     WIRE_VERSION,
@@ -623,6 +623,156 @@ fn alters_cross_the_wire_with_witnessed_refusals() {
         .iter()
         .any(|r| matches!(r.event, ids_obs::Event::AlterRejected { .. })));
 
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Tasks of this process that carry the calling thread's name.  Linux
+/// hands a new thread its creator's name until someone sets another,
+/// and the server names none of its threads — so the accept loop and
+/// every connection thread started under *this* test carry this test's
+/// name, and the other tests running in this process are not counted.
+#[cfg(target_os = "linux")]
+fn threads_of_this_test() -> usize {
+    let me = std::fs::read_to_string("/proc/thread-self/comm").unwrap();
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        // A task may exit between the listing and the read.
+        .filter_map(|task| std::fs::read_to_string(task.unwrap().path().join("comm")).ok())
+        .filter(|comm| *comm == me)
+        .count()
+}
+
+/// Threads per connection: 1.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_connection_costs_one_thread() {
+    let server = serve(shared());
+    let baseline = threads_of_this_test();
+
+    let mut clients: Vec<Client> = (0..8)
+        .map(|_| Client::connect(server.local_addr()).unwrap())
+        .collect();
+    for client in &mut clients {
+        client.ping().unwrap();
+    }
+    assert_eq!(threads_of_this_test() - baseline, 8);
+
+    // And the thread goes when the connection does.
+    drop(clients);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while server.metrics().gauge("server.connections") != Some(0)
+        || threads_of_this_test() != baseline
+    {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "connection threads outlived their connections"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+
+    server.shutdown();
+}
+
+#[test]
+fn a_peer_that_does_not_read_cannot_make_the_server_buffer() {
+    let shared = shared();
+    for i in 0..20_000 {
+        shared
+            .insert(
+                "CS",
+                [format!("course-{i:012}"), format!("student-{i:012}")],
+            )
+            .unwrap();
+    }
+    let server = serve(Arc::clone(&shared));
+    let scan = Request::Query {
+        relation: "CS".into(),
+        filters: vec![],
+        select: None,
+    };
+
+    // Within the pipelining envelope (64 in flight) but reading nothing:
+    // ~1 MB of reply per request has nowhere to go.
+    const SCANS: u64 = 64;
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let hello = Request::Hello {
+        version: WIRE_VERSION,
+    };
+    let mut burst = encode_request(0, &hello);
+    for id in 1..=SCANS {
+        burst.extend(encode_request(id, &scan));
+    }
+    stream.write_all(&burst).unwrap();
+
+    // The session runs until its replies stop fitting in the socket
+    // buffers, then blocks in `write` — it does not run ahead.
+    let mut watcher = Client::connect(server.local_addr()).unwrap();
+    let mut executed = || {
+        let snap = watcher.stats().unwrap();
+        snap.counter("server.requests.query").unwrap_or(0)
+    };
+    let (mut settled, mut since) = (executed(), std::time::Instant::now());
+    while since.elapsed() < std::time::Duration::from_millis(500) {
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let now = executed();
+        if now != settled {
+            (settled, since) = (now, std::time::Instant::now());
+        }
+    }
+    assert!(
+        settled < SCANS,
+        "all {SCANS} scans ran while the peer read nothing: the replies are buffered somewhere"
+    );
+
+    // Once the peer reads, everything it asked for arrives, in order.
+    let mut frames = FrameReader::new(stream);
+    let payload = frames.next_payload().unwrap().unwrap();
+    assert!(matches!(
+        decode_reply(&payload).unwrap(),
+        (0, Reply::Hello { .. })
+    ));
+    for id in 1..=SCANS {
+        let payload = frames.next_payload().unwrap().unwrap();
+        match decode_reply(&payload).unwrap() {
+            (got, Reply::Rows { rows, .. }) => assert_eq!((got, rows.len()), (id, 20_000)),
+            other => panic!("expected the rows of scan {id}, got {other:?}"),
+        }
+    }
+    assert_eq!(executed(), SCANS);
+
+    server.shutdown();
+}
+
+#[test]
+fn a_barrier_ping_on_an_idle_stream_does_not_wait_out_a_sleep() {
+    let root = std::env::temp_dir().join(format!("ids-server-idle-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let one = Schema::builder()
+        .relation("CT", ["course", "teacher"])
+        .fd("course -> teacher")
+        .build()
+        .unwrap();
+    let db = Database::open_at(&root, one, DurableConfig::default()).unwrap();
+    let server = serve(Arc::new(db.into_shared().unwrap()));
+
+    let client = Client::connect(server.local_addr()).unwrap();
+    let mut stream = client.subscribe(vec![(0, 0)], 0).unwrap();
+    // The first heartbeat: nothing to ship, the stream is idle.
+    while !stream.next_frames().unwrap().frames.is_empty() {}
+
+    let start = std::time::Instant::now();
+    for _ in 0..20 {
+        let ping = stream.ping().unwrap();
+        while stream.next_event().unwrap() != (StreamEvent::Pong { id: ping }) {}
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_millis(100),
+        "20 barrier pings on an idle stream took {elapsed:?}"
+    );
+
+    drop(stream);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -6,10 +6,10 @@
 //! Theorem 3 is what makes the server almost boring: on an independent
 //! schema each relation's shard maintains itself with zero cross-shard
 //! coordination, so the network layer only has to keep sockets fed.
-//! The interesting part is what happens at the edges — a full
-//! connection queue is answered with a typed `Overloaded` reply (shed,
-//! not stalled), and every failure crosses the wire as data, not as a
-//! dropped connection.
+//! The interesting part is what happens at the edges — a burst past
+//! the connection's `queue_depth` is answered with typed `Overloaded`
+//! replies (shed, not buffered), and every failure crosses the wire as
+//! data, not as a dropped connection.
 //!
 //! Run with: `cargo run --release --example server_tour`
 
@@ -98,9 +98,9 @@ fn main() {
     println!("\npipelined 8 inserts + count; CS now has {n} rows");
 
     // -- Session 3: graceful overload ---------------------------------
-    // A depth-1 queue and a burst of full scans: the reader sheds what
-    // the worker can't keep up with, as typed replies — accepted work
-    // completes, nothing stalls, the session stays usable.
+    // `queue_depth: 1` and a burst of full scans: the session runs one
+    // request of each backlog it finds waiting and sheds the rest as
+    // typed replies — accepted work completes, the session stays usable.
     drop(client);
     server.shutdown();
     for i in 0..2000 {
@@ -137,7 +137,7 @@ fn main() {
         }
     }
     let rtt = client.ping().unwrap();
-    println!("overload burst of {burst} scans against a depth-1 queue:");
+    println!("overload burst of {burst} scans against `queue_depth: 1`:");
     println!("  served {served}, shed {shed} (typed Overloaded replies), session alive");
     println!("  ping round-trip after the burst: {rtt:?}");
 
