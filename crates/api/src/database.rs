@@ -2,7 +2,7 @@
 //! rows out — the interning [`ValuePool`] lives inside.
 
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use ids_chase::ChaseConfig;
 use ids_core::{ChaseMaintainer, FdOnlyMaintainer, InsertOutcome, LocalMaintainer};
@@ -10,36 +10,101 @@ use ids_relational::{
     AttrId, AttrSet, DatabaseState, Predicate, Projection, ReadPlan, ReadReply, ReadShape,
     Relation, RelationalError, SchemeId, Tuple, Value, ValuePool,
 };
-use ids_store::{DurableConfig, OpOutcome, Store, StoreOp};
+use ids_store::{DurableConfig, OpOutcome, Store, StoreError, StoreOp};
 use ids_wal::NameLog;
 
 use crate::engine::{Engine, EngineKind};
 use crate::error::Error;
+use crate::planner::execute_join;
 use crate::query::{Cond, JoinQuery, JoinReport, Query, Row, Rows};
 use crate::schema::{Alter, Schema};
 
-/// The engine a database runs on.  Only the sharded store stays
-/// concrete — so [`Database::store`] can hand it out for concurrent
-/// submission; every other engine (built-in or user-supplied) lives
-/// behind the one trait object.
+/// The engine a database runs on.  The concurrent [`Store`] is `Sync`
+/// and is driven through its inherent `&self` methods — no lock of ours
+/// and no trait object between a caller and the relation's own lock.
+/// Every other engine (the sequential maintainers, a replica's engine,
+/// anything handed to [`Database::with_engine`]) is a `&mut`
+/// [`Engine`] behind one mutex, taken once per public operation.
 enum EngineBox {
     Sharded(Box<Store>),
-    Boxed(Box<dyn Engine>),
+    Sequential(Mutex<Box<dyn Engine>>),
 }
 
 impl EngineBox {
-    fn as_dyn(&self) -> &dyn Engine {
+    fn sequential(engine: Box<dyn Engine>) -> Self {
+        EngineBox::Sequential(Mutex::new(engine))
+    }
+
+    /// Locks a sequential engine.  Poison propagates: a panic mid-write
+    /// may have left the maintainer's state and its FD indexes out of
+    /// step, and serving from that would be a silent fork.
+    fn lock(engine: &Mutex<Box<dyn Engine>>) -> MutexGuard<'_, Box<dyn Engine>> {
+        engine
+            .lock()
+            .expect("engine mutex poisoned: a thread panicked inside a sequential engine")
+    }
+
+    fn insert(&self, id: SchemeId, tuple: Vec<Value>) -> Result<InsertOutcome, Error> {
         match self {
-            EngineBox::Sharded(e) => e.as_ref(),
-            EngineBox::Boxed(e) => e.as_ref(),
+            EngineBox::Sharded(store) => store.insert(id, tuple).map_err(Into::into),
+            EngineBox::Sequential(engine) => Self::lock(engine).insert(id, tuple),
         }
     }
 
-    fn as_dyn_mut(&mut self) -> &mut dyn Engine {
+    fn remove(&self, id: SchemeId, tuple: Vec<Value>) -> Result<bool, Error> {
         match self {
-            EngineBox::Sharded(e) => e.as_mut(),
-            EngineBox::Boxed(e) => e.as_mut(),
+            EngineBox::Sharded(store) => store.remove(id, tuple).map_err(Into::into),
+            EngineBox::Sequential(engine) => Self::lock(engine).remove(id, &tuple),
         }
+    }
+
+    fn apply_batch(&self, ops: Vec<StoreOp>) -> Result<Vec<OpOutcome>, Error> {
+        match self {
+            EngineBox::Sharded(store) => store.apply_batch(ops).map_err(Into::into),
+            EngineBox::Sequential(engine) => Self::lock(engine).apply_batch(ops),
+        }
+    }
+
+    fn read(&self, id: SchemeId, plan: &ReadPlan) -> Result<ReadReply, Error> {
+        match self {
+            EngineBox::Sharded(store) => store.read(id, plan).map_err(Into::into),
+            EngineBox::Sequential(engine) => Self::lock(engine).read(id, plan),
+        }
+    }
+
+    /// Runs a multi-read `body` (a join, a snapshot) against the engine.
+    /// A sequential engine is locked once for all of it, so what `body`
+    /// reads is one cut; the store arm is barrier-free per relation.
+    fn with<R>(&self, body: impl FnOnce(&dyn Engine) -> R) -> R {
+        match self {
+            EngineBox::Sharded(store) => body(store.as_ref()),
+            EngineBox::Sequential(engine) => body(Self::lock(engine).as_ref()),
+        }
+    }
+}
+
+/// The name state guarded by one mutex: the interning pool and, on a
+/// durable database, the log that makes it crash-safe (names are
+/// fsync'd *before* any tuple referencing their values, see
+/// `ids_wal::NameLog`).
+struct Names {
+    pool: ValuePool,
+    log: Option<NameLog>,
+}
+
+impl Names {
+    /// Interns a name, writing it through the durable name log first when
+    /// one exists: the name must be stable *before* any operation that
+    /// references its value can be logged, otherwise a crash could re-assign
+    /// the id to a different string and alias stored tuples.
+    fn intern(&mut self, name: &str) -> Result<Value, Error> {
+        if let Some(v) = self.pool.get(name) {
+            return Ok(v);
+        }
+        if let Some(log) = self.log.as_mut() {
+            log.append(name)?;
+        }
+        Ok(self.pool.value(name))
     }
 }
 
@@ -55,7 +120,7 @@ impl EngineBox {
 ///     .relation("CS", ["course", "student"])
 ///     .fd("course -> teacher")
 ///     .build()?;
-/// let mut db = Database::open(schema, EngineKind::Local)?;
+/// let db = Database::open(schema, EngineKind::Local)?;
 ///
 /// db.insert("CT", ["CS402", "Jones"])?;
 /// assert!(db.insert("CT", ["CS402", "Smith"])?.is_rejected()); // C → T
@@ -63,27 +128,108 @@ impl EngineBox {
 /// # Ok::<(), ids_api::Error>(())
 /// ```
 ///
+/// ## One handle, shared
+///
+/// Every operation takes `&self` and the type is `Send + Sync` on every
+/// engine, so one `Database` (behind a reference or an `Arc`) serves as
+/// many threads as you like — a network server's connection threads
+/// included:
+///
+/// ```
+/// use ids_api::{Database, EngineKind, Schema};
+/// use ids_store::StoreConfig;
+///
+/// let schema = Schema::builder()
+///     .relation("CT", ["course", "teacher"])
+///     .relation("CS", ["course", "student"])
+///     .fd("course -> teacher")
+///     .build()?;
+/// let db = Database::open(schema, EngineKind::Sharded(StoreConfig::default()))?;
+///
+/// std::thread::scope(|s| {
+///     for i in 0..4 {
+///         let db = &db;
+///         s.spawn(move || db.insert("CS", [format!("CS{i}"), "Riley".into()]).unwrap());
+///     }
+/// });
+/// assert_eq!(db.count("CS")?, 4);
+/// # Ok::<(), ids_api::Error>(())
+/// ```
+///
+/// On the sharded engine two callers writing different relations share
+/// no enforcement state (Theorem 3) and never wait on each other past
+/// name resolution.  The sequential engines ([`EngineKind::Local`],
+/// [`EngineKind::Chase`], [`EngineKind::FdOnly`], anything given to
+/// [`Database::with_engine`]) are shareable too, but serialize: they sit
+/// behind one mutex taken once per operation.
+///
 /// ## Reading: `rows` vs `snapshot`
 ///
 /// [`Database::rows`] / [`Database::read`] consult **one** relation
-/// without a global barrier — on the sharded engine only the owning
-/// shard is locked, every other shard keeps streaming.  Per relation the
+/// without a global barrier — on the sharded engine only that
+/// relation's lock is taken, every other keeps streaming.  Per relation the
 /// result is exactly as fresh as a snapshot (operations that returned
 /// before the read started are visible); what it does *not* give you is a
 /// cross-relation cut: two `rows` calls may observe states no single
 /// moment contained.  [`Database::snapshot`] is the barrier that does —
 /// one globally-satisfying [`DatabaseState`] across all relations.
+///
+/// ## Locks
+///
+/// Three pieces of state sit behind locks, and **no two of them are ever
+/// held together**: an operation captures the schema, resolves its names,
+/// releases, runs the engine, releases, renders.
+///
+/// * **Schema** (`RwLock<Arc<Schema>>`): an operation clones the `Arc`
+///   once and runs wholly under the schema it captured, so one racing
+///   [`Database::alter`] behaves exactly as if submitted before or after
+///   the transition.  The lock only ever guards swapping one complete
+///   `Arc` for another, so a poisoned lock is recovered (`into_inner`).
+/// * **Names** (`Mutex` over the pool and its durable log): O(row) hash
+///   lookups, plus on a durable database the log append for a never-seen
+///   string.  Poison **propagates** as a panic: a thread that died
+///   mid-intern may have assigned a value whose name never reached the
+///   log, and writing tuples against it would alias them after a crash.
+/// * **Engine**: the store's own per-relation locks on the sharded
+///   engine; the one engine mutex on the others, whose poison
+///   propagates as well (a half-applied write is not a state to serve).
+///
+/// Only the private lock that serializes [`Database::alter`] callers
+/// spans any of these; it guards no data, so its poison is recovered.
+///
+/// ## What `&mut` still means
+///
+/// [`Database::intern`] and [`Database::adopt_engine`] need exclusive
+/// ownership.  Interning order *is* value assignment (value `n` names
+/// the `n`-th interned string), so a replication follower feeds the
+/// primary's names in through `intern` on the handle it owns and lends
+/// readers only `&Database` — which can read, and whose writes the
+/// follower's engine refuses **before** they intern anything
+/// ([`Engine::read_only`]).
 pub struct Database {
-    schema: Schema,
-    pool: ValuePool,
+    schema: RwLock<Arc<Schema>>,
+    names: Mutex<Names>,
+    /// Serializes [`Database::alter`] callers end to end (build target
+    /// → backfill → switch), so two concurrent alters cannot both
+    /// derive their target from the same stale schema.
+    alter_lock: Mutex<()>,
     engine: EngineBox,
-    /// On a durable database: the append-only log that makes the
-    /// interning pool itself crash-safe (names are fsync'd *before*
-    /// any tuple referencing their values, see `ids_wal::NameLog`).
-    pool_log: Option<NameLog>,
+    /// [`Engine::read_only`], asked once when the engine is installed.
+    read_only: bool,
 }
 
 impl Database {
+    fn assemble(schema: Schema, engine: EngineBox, pool: ValuePool, log: Option<NameLog>) -> Self {
+        let read_only = engine.with(|engine| engine.read_only());
+        Database {
+            schema: RwLock::new(Arc::new(schema)),
+            names: Mutex::new(Names { pool, log }),
+            alter_lock: Mutex::new(()),
+            engine,
+            read_only,
+        }
+    }
+
     /// Opens a database over a built [`Schema`] on the selected engine.
     ///
     /// No analysis runs here: the handle carries the verdict from build
@@ -93,42 +239,36 @@ impl Database {
     /// [`Error::NotIndependent`].
     pub fn open(schema: Schema, kind: EngineKind) -> Result<Self, Error> {
         let empty = DatabaseState::empty(&schema.definition);
-        let engine = match kind {
-            EngineKind::Local => EngineBox::Boxed(Box::new(LocalMaintainer::from_analysis(
-                &schema.definition,
-                &schema.analysis,
-                empty,
-            )?)),
-            EngineKind::Chase => EngineBox::Boxed(Box::new(ChaseMaintainer::new(
-                &schema.definition,
-                &schema.fds,
-                empty,
-                ChaseConfig::default(),
-            ))),
-            EngineKind::FdOnly => EngineBox::Boxed(Box::new(FdOnlyMaintainer::new(
-                &schema.definition,
-                &schema.fds,
-                empty,
-            ))),
-            EngineKind::Sharded(mut config) => {
-                // Indexes declared on the schema ride along with any the
-                // caller already configured (re-declares are no-ops).
-                config
-                    .ordered_indexes
-                    .extend(schema.ordered_indexes.iter().copied());
-                EngineBox::Sharded(Box::new(Store::from_analysis(
+        let engine =
+            match kind {
+                EngineKind::Local => EngineBox::sequential(Box::new(
+                    LocalMaintainer::from_analysis(&schema.definition, &schema.analysis, empty)?,
+                )),
+                EngineKind::Chase => EngineBox::sequential(Box::new(ChaseMaintainer::new(
                     &schema.definition,
-                    &schema.analysis,
-                    config,
-                )?))
-            }
-        };
-        Ok(Database {
-            schema,
-            pool: ValuePool::new(),
-            engine,
-            pool_log: None,
-        })
+                    &schema.fds,
+                    empty,
+                    ChaseConfig::default(),
+                ))),
+                EngineKind::FdOnly => EngineBox::sequential(Box::new(FdOnlyMaintainer::new(
+                    &schema.definition,
+                    &schema.fds,
+                    empty,
+                ))),
+                EngineKind::Sharded(mut config) => {
+                    // Indexes declared on the schema ride along with any the
+                    // caller already configured (re-declares are no-ops).
+                    config
+                        .ordered_indexes
+                        .extend(schema.ordered_indexes.iter().copied());
+                    EngineBox::Sharded(Box::new(Store::from_analysis(
+                        &schema.definition,
+                        &schema.analysis,
+                        config,
+                    )?))
+                }
+            };
+        Ok(Self::assemble(schema, engine, ValuePool::new(), None))
     }
 
     /// Opens (or reopens) a **durable** database at `path`, always on
@@ -208,27 +348,21 @@ impl Database {
     /// Shared tail of the durable constructors: replay the name log
     /// into a fresh pool and assemble the handle.
     fn attach_pool_log(schema: Schema, store: Store) -> Result<Self, Error> {
-        let pool_path = store
-            .pool_log_path()
-            .expect("open_durable always yields a durable store");
         // The name log carries the *directory's* fingerprint — the base
         // manifest's, fixed for the directory's whole life.  Recomputing
         // from the current schema would diverge after the first schema
         // transition bumps the manifest chain.
-        let fingerprint = store
-            .wal_fingerprint()
-            .expect("open_durable always yields a durable store");
+        let (Some(pool_path), Some(fingerprint)) = (store.pool_log_path(), store.wal_fingerprint())
+        else {
+            return Err(StoreError::NotDurable.into());
+        };
         let (pool_log, names) = NameLog::open(&pool_path, fingerprint)?;
         let mut pool = ValuePool::new();
         for name in names {
             pool.value(name);
         }
-        Ok(Database {
-            schema,
-            pool,
-            engine: EngineBox::Sharded(Box::new(store)),
-            pool_log: Some(pool_log),
-        })
+        let engine = EngineBox::Sharded(Box::new(store));
+        Ok(Self::assemble(schema, engine, pool, Some(pool_log)))
     }
 
     /// Checkpoints a durable database: seals every relation's log
@@ -236,15 +370,13 @@ impl Database {
     /// see [`Store::checkpoint`].  A typed error
     /// ([`ids_store::StoreError::NotDurable`]) on in-memory engines.
     pub fn checkpoint(&self) -> Result<(), Error> {
-        match &self.engine {
-            EngineBox::Sharded(store) => store.checkpoint().map_err(Into::into),
-            EngineBox::Boxed(_) => Err(ids_store::StoreError::NotDurable.into()),
-        }
+        let store = self.store().ok_or(StoreError::NotDurable)?;
+        store.checkpoint().map_err(Into::into)
     }
 
     /// True when this database persists through a write-ahead log.
     pub fn is_durable(&self) -> bool {
-        self.pool_log.is_some()
+        self.store().is_some_and(Store::is_durable)
     }
 
     /// Applies one `ALTER`-class schema transition to a **running**
@@ -272,41 +404,38 @@ impl Database {
     /// store instead of forking it: the alter and every later operation
     /// report [`ids_store::StoreError::ShardPoisoned`] with the reason,
     /// and [`Database::recover`] lands on the new schema with every
-    /// acknowledged write.  Requires the durable sharded engine: [`Error::NotSharded`] on
-    /// sequential engines, [`ids_store::StoreError::NotDurable`] on an
-    /// in-memory sharded store.
-    pub fn alter(&mut self, op: &Alter) -> Result<u64, Error> {
-        let store = match &self.engine {
-            EngineBox::Sharded(store) => store,
-            EngineBox::Boxed(_) => return Err(Error::NotSharded),
-        };
-        let (next, _stats) = self.schema.evolved(op)?;
+    /// acknowledged write.  Concurrent traffic on unaffected relations
+    /// keeps flowing throughout; concurrent `alter` calls serialize.
+    /// Requires a log to append the generation to:
+    /// [`ids_store::StoreError::NotDurable`] on every in-memory engine.
+    pub fn alter(&self, op: &Alter) -> Result<u64, Error> {
+        let store = self.store().ok_or(StoreError::NotDurable)?;
+        let _serialized = self.alter_lock.lock().unwrap_or_else(|e| e.into_inner());
+        let (next, _stats) = self.schema().evolved(op)?;
         let generation = store.apply_transition(
             &next.definition,
             &next.fds,
             &next.analysis,
             next.encode_layouts(),
         )?;
-        self.schema = next;
+        *self.schema.write().unwrap_or_else(|e| e.into_inner()) = Arc::new(next);
         Ok(generation)
     }
 
-    /// A typed snapshot of the engine's metric families — see
-    /// [`Store::metrics`].  `None` on the boxed sequential engines,
-    /// which have no instrumented runtime (they exist for differential
-    /// baselines, not production serving).
-    pub fn metrics(&self) -> Option<ids_obs::MetricsSnapshot> {
-        self.store().map(Store::metrics)
+    /// A typed snapshot of the engine's metric families, event ring, and
+    /// preserved poison reason — see [`Store::metrics`].  Purely
+    /// read-side: no relation is locked, works even after a poison.
+    /// Empty on the sequential engines, which have no instrumented
+    /// runtime (they exist for differential baselines, not production
+    /// serving).
+    pub fn metrics(&self) -> ids_obs::MetricsSnapshot {
+        self.store().map(Store::metrics).unwrap_or_default()
     }
 
     /// Opens a database on a caller-supplied [`Engine`] implementation.
     pub fn with_engine(schema: Schema, engine: Box<dyn Engine>) -> Self {
-        Database {
-            schema,
-            pool: ValuePool::new(),
-            engine: EngineBox::Boxed(engine),
-            pool_log: None,
-        }
+        let engine = EngineBox::sequential(engine);
+        Self::assemble(schema, engine, ValuePool::new(), None)
     }
 
     /// Replaces the schema and engine **in place**, keeping the
@@ -320,24 +449,59 @@ impl Database {
     /// invariant that `engine` holds state expressed in this pool's
     /// values.
     pub fn adopt_engine(&mut self, schema: Schema, engine: Box<dyn Engine>) {
-        self.schema = schema;
-        self.engine = EngineBox::Boxed(engine);
+        *self.schema.get_mut().unwrap_or_else(|e| e.into_inner()) = Arc::new(schema);
+        self.read_only = engine.read_only();
+        self.engine = EngineBox::sequential(engine);
     }
 
-    /// The schema handle the database serves.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
+    /// The schema handle the database **currently** serves.  Cheap (one
+    /// read lock, one `Arc` clone); the returned handle is a consistent
+    /// view that stays valid — and stale — across any concurrent
+    /// [`Database::alter`].
+    pub fn schema(&self) -> Arc<Schema> {
+        self.schema
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone()
     }
 
-    /// The interning pool (for rendering raw [`Value`]s a caller pulled
-    /// out of [`Database::snapshot`] or [`Database::read`]).
+    /// Locks the name state (see the type-level docs for why a poisoned
+    /// lock propagates).
+    fn names(&self) -> MutexGuard<'_, Names> {
+        self.names
+            .lock()
+            .expect("name-state mutex poisoned: a thread panicked while interning")
+    }
+
+    /// Renders a raw [`Value`] a caller pulled out of
+    /// [`Database::snapshot`] or [`Database::read`] back to its string.
     ///
     /// Note on mixing levels: raw values that were never interned render
     /// through their numeric id and are invisible to string-level
     /// [`Database::remove`].  Code that mixes the raw and string APIs on
     /// one database should obtain its values via [`Database::intern`].
-    pub fn pool(&self) -> &ValuePool {
-        &self.pool
+    pub fn render(&self, value: Value) -> String {
+        self.names().pool.render(value)
+    }
+
+    /// The [`Value`] a string was interned as, if it ever was — the
+    /// read-only half of [`Database::intern`].
+    pub fn lookup(&self, name: &str) -> Option<Value> {
+        self.names().pool.get(name)
+    }
+
+    /// Renders interned tuples back through the live value pool — e.g.
+    /// the violating-pair witness of a refused [`Database::alter`]
+    /// backfill, so a front-end can ship the evidence as strings.
+    pub fn render_tuples(&self, tuples: &[Tuple]) -> Vec<String> {
+        let names = self.names();
+        tuples
+            .iter()
+            .map(|t| {
+                let vals: Vec<String> = t.iter().map(|&v| names.pool.render(v)).collect();
+                format!("({})", vals.join(", "))
+            })
+            .collect()
     }
 
     /// Interns a string value, returning the stable [`Value`] the
@@ -348,55 +512,91 @@ impl Database {
     /// Fallible because on a durable database a never-seen name is
     /// appended to the on-disk name log (and fsync'd) before its value
     /// exists anywhere — the order that keeps values from being
-    /// re-assigned to different strings after a crash.
+    /// re-assigned to different strings after a crash.  Takes `&mut
+    /// self` because interning assigns values: whoever may intern at
+    /// will decides what every later string is numbered (see the
+    /// type-level docs).
     pub fn intern(&mut self, value: impl AsRef<str>) -> Result<Value, Error> {
-        intern_name(&mut self.pool, &mut self.pool_log, value.as_ref())
+        self.names
+            .get_mut()
+            .expect("name-state mutex poisoned: a thread panicked while interning")
+            .intern(value.as_ref())
     }
 
     /// The underlying concurrent [`Store`], when the database runs on
-    /// [`EngineKind::Sharded`] — the escape hatch for many client
-    /// threads submitting batches concurrently (`&Store` is `Sync`;
-    /// the name-level `Database` methods need `&mut self` because they
-    /// intern).
+    /// [`EngineKind::Sharded`] or is durable — for typed-level callers
+    /// (batch submission, raw predicates) that bypass the name layer.
     pub fn store(&self) -> Option<&Store> {
         match &self.engine {
             EngineBox::Sharded(store) => Some(store),
-            _ => None,
+            EngineBox::Sequential(_) => None,
         }
     }
 
     /// Resolves a relation name and a declaration-order value row into
-    /// `(id, canonical tuple)`.  With `intern: true` unknown values are
-    /// added to the pool (writes); with `intern: false` a row mentioning
+    /// `(id, canonical tuple)` under the schema it captures.  With
+    /// `intern: true` unknown values are added to the pool (writes) and
+    /// the tuple is always `Some`; with `intern: false` a row mentioning
     /// a never-seen value resolves to `None` (it cannot name a stored
     /// tuple, so a remove of it is vacuously absent).
-    fn resolve<S: AsRef<str>>(
-        &mut self,
+    fn resolve_row<S: AsRef<str>>(
+        &self,
         relation: &str,
         values: impl IntoIterator<Item = S>,
         intern: bool,
     ) -> Result<(SchemeId, Option<Vec<Value>>), Error> {
-        resolve_row(
-            &self.schema,
-            &mut self.pool,
-            &mut self.pool_log,
-            relation,
-            values,
-            intern,
-        )
+        // A read-only engine (a replication follower's) refuses the write
+        // anyway; refusing here, first, keeps the refusal from interning:
+        // one stray name would shift every later streamed name onto a
+        // different `Value` — a silent fork from the primary.
+        if self.read_only {
+            return Err(Error::ReplicaReadOnly);
+        }
+        let schema = self.schema();
+        let id = schema.scheme_id(relation)?;
+        let layout = schema.layout(id);
+        let arity = layout.columns.len();
+        // Arity before anything else: a refused row must not intern — and on
+        // a durable database append and fsync — a single name.
+        let values: Vec<S> = values.into_iter().collect();
+        if values.len() != arity {
+            return Err(RelationalError::ArityMismatch {
+                expected: arity,
+                found: values.len(),
+            }
+            .into());
+        }
+        let mut tuple = vec![Value::int(0); arity];
+        let mut all_known = true;
+        let names = &mut *self.names();
+        for (j, value) in values.iter().enumerate() {
+            let resolved = if intern {
+                Some(names.intern(value.as_ref())?)
+            } else {
+                names.pool.get(value.as_ref())
+            };
+            match resolved {
+                Some(v) => tuple[layout.perm[j]] = v,
+                None => all_known = false,
+            }
+        }
+        Ok((id, all_known.then_some(tuple)))
     }
 
     /// Inserts a row into a relation, values in the column order the
     /// relation was declared with.  FD violations are outcomes
-    /// ([`InsertOutcome::Rejected`]), not errors.
+    /// ([`InsertOutcome::Rejected`]), not errors.  Names are interned
+    /// under the name lock; the FD probe and commit run after it is
+    /// released.
     pub fn insert<S: AsRef<str>>(
-        &mut self,
+        &self,
         relation: &str,
         values: impl IntoIterator<Item = S>,
     ) -> Result<InsertOutcome, Error> {
-        let (id, tuple) = self.resolve(relation, values, true)?;
+        let (id, tuple) = self.resolve_row(relation, values, true)?;
+        // `resolve_row` yields `None` only for a value it may not intern.
         let tuple = tuple.expect("interning resolves every value");
-        self.engine.as_dyn_mut().insert(id, tuple)
+        self.engine.insert(id, tuple)
     }
 
     /// Removes a row; `Ok(true)` when it was present.  A row mentioning
@@ -408,12 +608,12 @@ impl Database {
     /// space: remove them through the same raw paths (or bridge with
     /// [`Database::intern`]).
     pub fn remove<S: AsRef<str>>(
-        &mut self,
+        &self,
         relation: &str,
         values: impl IntoIterator<Item = S>,
     ) -> Result<bool, Error> {
-        match self.resolve(relation, values, false)? {
-            (id, Some(tuple)) => self.engine.as_dyn_mut().remove(id, &tuple),
+        match self.resolve_row(relation, values, false)? {
+            (id, Some(tuple)) => self.engine.remove(id, tuple),
             (_, None) => Ok(false),
         }
     }
@@ -434,7 +634,7 @@ impl Database {
     /// # let schema = Schema::builder()
     /// #     .relation("CT", ["course", "teacher"])
     /// #     .fd("course -> teacher").build()?;
-    /// # let mut db = Database::open(schema, EngineKind::Local)?;
+    /// # let db = Database::open(schema, EngineKind::Local)?;
     /// # db.insert("CT", ["CS402", "Jones"])?;
     /// let rows = db.query("CT")
     ///     .filter("course", eq("CS402"))
@@ -462,21 +662,28 @@ impl Database {
         }
     }
 
-    /// Executes a built [`Query`]: resolve names once, push the
-    /// predicate down, render only the shipped tuples.
-    pub(crate) fn run_query(
+    /// Executes a string-level query in one call — what a built
+    /// [`Query`] runs, and what a front-end holding already-parsed
+    /// filters (the wire server) calls directly: resolve names once,
+    /// push the predicate down, render only the shipped tuples.
+    /// `select` picks output columns (`None` = declaration order).  The
+    /// engine round trip runs between two short name-lock sections
+    /// (plan, then render) — tuples are shipped and filtered with no
+    /// lock of the database's held.
+    pub fn run_query(
         &self,
         relation: &str,
         filters: &[(String, Cond)],
         select: Option<Vec<String>>,
     ) -> Result<Rows, Error> {
-        let plan = plan_query(&self.schema, &self.pool, relation, filters, select)?;
+        let schema = self.schema();
+        let plan = plan_query(&schema, &self.names().pool, relation, filters, select)?;
         let tuples = if plan.satisfiable {
-            self.engine.as_dyn().read(plan.id, &plan.read)?.rows
+            self.engine.read(plan.id, &plan.read)?.rows
         } else {
             Vec::new()
         };
-        Ok(render_rows(&self.schema, &self.pool, &plan, &tuples))
+        Ok(render_rows(&schema, &self.names().pool, &plan, &tuples))
     }
 
     /// Executes a built [`Query`]'s count: same planning as
@@ -486,19 +693,20 @@ impl Database {
         relation: &str,
         filters: &[(String, Cond)],
     ) -> Result<usize, Error> {
-        let mut plan = plan_query(&self.schema, &self.pool, relation, filters, None)?;
+        let schema = self.schema();
+        let mut plan = plan_query(&schema, &self.names().pool, relation, filters, None)?;
         if !plan.satisfiable {
             return Ok(0);
         }
         plan.read.shape = ReadShape::Count;
-        Ok(self.engine.as_dyn().read(plan.id, &plan.read)?.count)
+        Ok(self.engine.read(plan.id, &plan.read)?.count)
     }
 
     /// Typed-level read for callers holding a canonical [`ReadPlan`] —
     /// the raw counterpart of [`Database::query`], returning the reply
     /// exactly as the engine shipped it.
     pub fn query_raw(&self, id: SchemeId, plan: &ReadPlan) -> Result<ReadReply, Error> {
-        self.engine.as_dyn().read(id, plan)
+        self.engine.read(id, plan)
     }
 
     /// The natural join of the named relations, computed from
@@ -521,7 +729,8 @@ impl Database {
     /// skew — relation `A` read after a client's insert, relation `B`
     /// from before it — i.e. the cut may be one no single barrier
     /// [`Database::snapshot`] took; use the snapshot when you need one
-    /// global moment.
+    /// global moment.  (A sequential engine is locked once for the whole
+    /// join, so there the cut *is* one moment.)
     ///
     /// ## Self-joins: one relation, one cut
     ///
@@ -570,7 +779,7 @@ impl Database {
     /// #     .relation("CHR", ["course", "hour", "room"])
     /// #     .fd("course -> teacher")
     /// #     .fd("course hour -> room").build()?;
-    /// # let mut db = Database::open(schema, EngineKind::Local)?;
+    /// # let db = Database::open(schema, EngineKind::Local)?;
     /// # db.insert("CT", ["CS402", "Jones"])?;
     /// # db.insert("CHR", ["CS402", "9am", "R128"])?;
     /// let rows = db.join_query(["CT", "CHR"])
@@ -596,157 +805,99 @@ impl Database {
 
     /// Executes a built [`JoinQuery`]: compile the per-relation filters,
     /// run the planner, render under the declared-layout column
-    /// contract.
+    /// contract.  The planner's engine round trips all run with no name
+    /// lock held.
     pub(crate) fn run_join(
         &self,
         relations: &[String],
         filters: &[(String, String, Cond)],
     ) -> Result<(Rows, JoinReport), Error> {
-        let plan = plan_join(&self.schema, &self.pool, relations, filters)?;
-        if !plan.satisfiable {
+        let schema = self.schema();
+        let plan = plan_join(&schema, &self.names().pool, relations, filters)?;
+        let (joined, report) = if plan.satisfiable {
+            self.engine
+                .with(|engine| execute_join(engine, &plan.ids, &plan.attrs, &plan.preds))?
+        } else {
             // Some filter names a never-interned value: nothing stored
             // can match, so no engine is consulted — but the output
             // columns still follow the contract.
-            let empty = Relation::new(
-                plan.attrs
-                    .iter()
-                    .fold(AttrSet::new(), |acc, a| acc.union(*a)),
-            );
-            return Ok((
-                render_join_rows(&self.schema, &self.pool, &plan.ids, &empty),
-                JoinReport::default(),
-            ));
-        }
-        let (joined, report) = crate::planner::execute_join(
-            self.engine.as_dyn(),
-            &plan.ids,
-            &plan.attrs,
-            &plan.preds,
-        )?;
-        Ok((
-            render_join_rows(&self.schema, &self.pool, &plan.ids, &joined),
-            report,
-        ))
+            let attrs = plan
+                .attrs
+                .iter()
+                .fold(AttrSet::new(), |acc, a| acc.union(*a));
+            (Relation::new(attrs), JoinReport::default())
+        };
+        let rows = render_join_rows(&schema, &self.names().pool, &plan.ids, &joined);
+        Ok((rows, report))
     }
 
     /// Reads one relation without a global barrier, as raw typed data.
     pub fn read(&self, relation: &str) -> Result<Relation, Error> {
-        let id = self.schema.scheme_id(relation)?;
+        let schema = self.schema();
+        let id = schema.scheme_id(relation)?;
         let all = ReadPlan::tuples(Predicate::new());
-        let tuples = self.engine.as_dyn().read(id, &all)?.rows;
-        crate::planner::relation_of(self.schema.definition.attrs(id), tuples)
+        let tuples = self.engine.read(id, &all)?.rows;
+        crate::planner::relation_of(schema.definition.attrs(id), tuples)
     }
 
     /// Number of rows currently in a relation (barrier-free, and cheap:
-    /// no engine ships tuples to answer it).
+    /// no name lock, and no engine ships tuples to answer it).
     pub fn count(&self, relation: &str) -> Result<usize, Error> {
-        let id = self.schema.scheme_id(relation)?;
+        let id = self.schema().scheme_id(relation)?;
         let all = ReadPlan::count(Predicate::new());
-        Ok(self.engine.as_dyn().read(id, &all)?.count)
+        Ok(self.engine.read(id, &all)?.count)
     }
 
     /// A consistent cut of the whole database — the barrier read.  On an
     /// independent schema the result is globally satisfying.
     pub fn snapshot(&self) -> Result<DatabaseState, Error> {
-        self.engine.as_dyn().snapshot()
+        self.engine.with(|engine| engine.snapshot())
     }
 
     /// Typed-level insert for callers that already hold canonical
     /// tuples (trace replay, migration tools).  To keep such rows
     /// addressable by the string-level API, obtain the values through
     /// [`Database::intern`].
-    pub fn insert_raw(&mut self, id: SchemeId, tuple: Vec<Value>) -> Result<InsertOutcome, Error> {
-        self.engine.as_dyn_mut().insert(id, tuple)
+    pub fn insert_raw(&self, id: SchemeId, tuple: Vec<Value>) -> Result<InsertOutcome, Error> {
+        self.engine.insert(id, tuple)
     }
 
     /// Typed-level batch application; outcomes align with the input and
     /// a *malformed* batch (bad scheme id or arity) mutates nothing, on
     /// every engine.  See [`Engine::apply_batch`] for the behavior on
     /// engine-level errors mid-batch — batches are not transactions.
-    pub fn apply_batch(&mut self, ops: Vec<StoreOp>) -> Result<Vec<OpOutcome>, Error> {
-        self.engine.as_dyn_mut().apply_batch(ops)
+    pub fn apply_batch(&self, ops: Vec<StoreOp>) -> Result<Vec<OpOutcome>, Error> {
+        self.engine.apply_batch(ops)
     }
 
-    /// Converts this database into a [`crate::SharedDatabase`] — the
-    /// `&self` front-end many threads (e.g. a network server's
-    /// connection handlers) share directly.  Only the concurrent sharded
-    /// engine can back it (`&Store` is `Sync`; the sequential engines
-    /// are not), so any other engine is refused with
-    /// [`Error::NotSharded`].
+    /// Wraps this database in the [`crate::SharedDatabase`] shim — a
+    /// move, infallible on every engine.  New code shares `&Database`
+    /// (or an `Arc<Database>`) directly; this survives only until the
+    /// pinned callers of the old name are gone.
     pub fn into_shared(self) -> Result<crate::SharedDatabase, Error> {
-        match self.engine {
-            EngineBox::Sharded(store) => Ok(crate::SharedDatabase::assemble(
-                self.schema,
-                *store,
-                self.pool,
-                self.pool_log,
-            )),
-            EngineBox::Boxed(_) => Err(Error::NotSharded),
-        }
+        Ok(crate::SharedDatabase(self))
     }
-}
-
-/// The name-resolution core shared by [`Database`] and
-/// [`crate::SharedDatabase`]: a relation name plus a declaration-order
-/// value row become `(id, canonical tuple)`.  See
-/// [`Database::resolve`][Database::insert] for the `intern` semantics.
-pub(crate) fn resolve_row<S: AsRef<str>>(
-    schema: &Schema,
-    pool: &mut ValuePool,
-    pool_log: &mut Option<NameLog>,
-    relation: &str,
-    values: impl IntoIterator<Item = S>,
-    intern: bool,
-) -> Result<(SchemeId, Option<Vec<Value>>), Error> {
-    let id = schema.scheme_id(relation)?;
-    let layout = schema.layout(id);
-    let arity = layout.columns.len();
-    // Arity before anything else: a refused row must not intern — and on
-    // a durable database append and fsync — a single name.
-    let values: Vec<S> = values.into_iter().collect();
-    if values.len() != arity {
-        return Err(RelationalError::ArityMismatch {
-            expected: arity,
-            found: values.len(),
-        }
-        .into());
-    }
-    let mut tuple = vec![Value::int(0); arity];
-    let mut all_known = true;
-    for (j, value) in values.iter().enumerate() {
-        let resolved = if intern {
-            Some(intern_name(pool, pool_log, value.as_ref())?)
-        } else {
-            pool.get(value.as_ref())
-        };
-        match resolved {
-            Some(v) => tuple[layout.perm[j]] = v,
-            None => all_known = false,
-        }
-    }
-    Ok((id, all_known.then_some(tuple)))
 }
 
 /// A compiled string-level query: the pushed-down predicate plus the
 /// projection and output columns for rendering — everything that needs
 /// the pool, computed up front, so the engine round trip itself can run
 /// without holding any name state.
-pub(crate) struct QueryPlan {
-    pub(crate) id: SchemeId,
+struct QueryPlan {
+    id: SchemeId,
     /// What the engine is asked: the filters as a typed predicate, in
     /// the tuples shape (a count flips the shape, nothing else).
-    pub(crate) read: ReadPlan,
+    read: ReadPlan,
     /// False when a filter names a value this database never interned:
     /// nothing stored can match, so the engine is not consulted at all.
-    pub(crate) satisfiable: bool,
-    pub(crate) projection: Projection,
-    pub(crate) columns: Arc<[String]>,
+    satisfiable: bool,
+    projection: Projection,
+    columns: Arc<[String]>,
 }
 
 /// Compiles a string-level query against the schema and pool — the
-/// planning half of [`Database::run_query`], shared with
-/// [`crate::SharedDatabase`].
-pub(crate) fn plan_query(
+/// planning half of [`Database::run_query`].
+fn plan_query(
     schema: &Schema,
     pool: &ValuePool,
     relation: &str,
@@ -797,14 +948,8 @@ pub(crate) fn plan_query(
 }
 
 /// Renders engine-shipped tuples through a compiled plan — the other
-/// half of [`Database::run_query`], shared with
-/// [`crate::SharedDatabase`].
-pub(crate) fn render_rows(
-    schema: &Schema,
-    pool: &ValuePool,
-    plan: &QueryPlan,
-    tuples: &[Tuple],
-) -> Rows {
+/// half of [`Database::run_query`].
+fn render_rows(schema: &Schema, pool: &ValuePool, plan: &QueryPlan, tuples: &[Tuple]) -> Rows {
     let attrs = schema.definition.attrs(plan.id);
     let rows = tuples
         .iter()
@@ -884,20 +1029,19 @@ fn apply_cond(
 /// A compiled multi-relation join: the deduped relations (first mention
 /// wins — the self-join contract), their attribute sets, and the
 /// pushed-down per-relation predicates, aligned by index.
-pub(crate) struct JoinPlan {
-    pub(crate) ids: Vec<SchemeId>,
-    pub(crate) attrs: Vec<AttrSet>,
-    pub(crate) preds: Vec<Predicate>,
+struct JoinPlan {
+    ids: Vec<SchemeId>,
+    attrs: Vec<AttrSet>,
+    preds: Vec<Predicate>,
     /// False when some filter names a value this database never
     /// interned: the join is empty without consulting any engine.
-    pub(crate) satisfiable: bool,
+    satisfiable: bool,
 }
 
 /// Compiles a string-level join against the schema and pool — the
-/// planning half of [`Database::run_join`], shared with
-/// [`crate::SharedDatabase`].  A filter naming a relation that is not
+/// planning half of [`Database::run_join`].  A filter naming a relation that is not
 /// part of the join is [`Error::UnknownRelation`].
-pub(crate) fn plan_join(
+fn plan_join(
     schema: &Schema,
     pool: &ValuePool,
     relations: &[String],
@@ -952,7 +1096,7 @@ pub(crate) fn plan_join(
 /// Renders a joined relation under the declared-layout column contract
 /// of [`Database::join`]: relations in listed (deduped) order, each in
 /// its declared column order, attributes already emitted skipped.
-pub(crate) fn render_join_rows(
+fn render_join_rows(
     schema: &Schema,
     pool: &ValuePool,
     ids: &[SchemeId],
@@ -987,26 +1131,6 @@ pub(crate) fn render_join_rows(
     Rows::new(columns, rows)
 }
 
-/// Interns a name, writing it through the durable name log first when
-/// one exists: the name must be stable *before* any operation that
-/// references its value can be logged, otherwise a crash could re-assign
-/// the id to a different string and alias stored tuples.  A free
-/// function (not a method) so callers holding a layout borrow on the
-/// schema can still reach the disjoint pool fields.
-pub(crate) fn intern_name(
-    pool: &mut ValuePool,
-    pool_log: &mut Option<NameLog>,
-    name: &str,
-) -> Result<Value, Error> {
-    if let Some(v) = pool.get(name) {
-        return Ok(v);
-    }
-    if let Some(log) = pool_log {
-        log.append(name)?;
-    }
-    Ok(pool.value(name))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1037,7 +1161,7 @@ mod tests {
     fn string_level_roundtrip_on_every_engine() {
         for kind in all_kinds() {
             let label = format!("{kind:?}");
-            let mut db = Database::open(example2(), kind).unwrap();
+            let db = Database::open(example2(), kind).unwrap();
             assert_eq!(
                 db.insert("CT", ["CS402", "Jones"]).unwrap(),
                 InsertOutcome::Accepted,
@@ -1079,7 +1203,7 @@ mod tests {
             .relation("TR", ["room", "teacher"])
             .build()
             .unwrap();
-        let mut db = Database::open(schema, EngineKind::Local).unwrap();
+        let db = Database::open(schema, EngineKind::Local).unwrap();
         db.insert("TR", ["R128", "Jones"]).unwrap();
         assert_eq!(
             db.rows("TR").unwrap(),
@@ -1092,7 +1216,7 @@ mod tests {
     fn error_paths_are_typed_on_every_engine() {
         for kind in all_kinds() {
             let label = format!("{kind:?}");
-            let mut db = Database::open(example2(), kind).unwrap();
+            let db = Database::open(example2(), kind).unwrap();
             assert!(
                 matches!(
                     db.insert("Enrollment", ["a", "b"]),
@@ -1129,7 +1253,7 @@ mod tests {
             );
             // A refused row interned nothing.
             for name in ["only-one", "one", "two", "three"] {
-                assert_eq!(db.pool().get(name), None, "{label}: {name}");
+                assert_eq!(db.lookup(name), None, "{label}: {name}");
             }
             assert!(
                 matches!(db.rows("nope"), Err(Error::UnknownRelation(_))),
@@ -1161,7 +1285,7 @@ mod tests {
         ));
         // The chase engine serves it — and catches the cross-relation
         // contradiction no local check can see (the paper's Example 1).
-        let mut db = Database::open(schema, EngineKind::Chase).unwrap();
+        let db = Database::open(schema, EngineKind::Chase).unwrap();
         db.insert("CD", ["CS402", "CS"]).unwrap();
         db.insert("CT", ["CS402", "Jones"]).unwrap();
         let out = db.insert("TD", ["Jones", "EE"]).unwrap();
@@ -1191,7 +1315,7 @@ mod tests {
         use crate::query::eq;
         for kind in all_kinds() {
             let label = format!("{kind:?}");
-            let mut db = Database::open(example2(), kind).unwrap();
+            let db = Database::open(example2(), kind).unwrap();
             db.insert("CT", ["CS402", "Jones"]).unwrap();
             db.insert("CT", ["CS500", "Curie"]).unwrap();
             db.insert("CHR", ["CS402", "9am", "R128"]).unwrap();
@@ -1248,7 +1372,7 @@ mod tests {
     fn barrier_free_join_matches_the_snapshot_join() {
         for kind in all_kinds() {
             let label = format!("{kind:?}");
-            let mut db = Database::open(example2(), kind).unwrap();
+            let db = Database::open(example2(), kind).unwrap();
             db.insert("CT", ["CS402", "Jones"]).unwrap();
             db.insert("CT", ["CS500", "Curie"]).unwrap();
             db.insert("CHR", ["CS402", "9am", "R128"]).unwrap();
@@ -1273,7 +1397,7 @@ mod tests {
             got.sort();
             let mut rendered: Vec<Vec<String>> = expected
                 .iter()
-                .map(|t| t.iter().map(|&v| db.pool().render(v)).collect())
+                .map(|t| t.iter().map(|&v| db.render(v)).collect())
                 .collect();
             rendered.sort();
             assert_eq!(got, rendered, "{label}");
@@ -1299,7 +1423,7 @@ mod tests {
     fn self_join_reads_one_cut() {
         for kind in all_kinds() {
             let label = format!("{kind:?}");
-            let mut db = Database::open(example2(), kind).unwrap();
+            let db = Database::open(example2(), kind).unwrap();
             db.insert("CT", ["CS402", "Jones"]).unwrap();
             db.insert("CT", ["CS500", "Curie"]).unwrap();
             db.insert("CHR", ["CS402", "9am", "R128"]).unwrap();
@@ -1339,7 +1463,7 @@ mod tests {
                 .fd("course -> teacher")
                 .build()
                 .unwrap();
-            let mut db = Database::open(schema, kind).unwrap();
+            let db = Database::open(schema, kind).unwrap();
             db.insert("CT", ["CS402", "Jones"]).unwrap();
             db.insert("TR", ["R128", "Jones"]).unwrap();
 
@@ -1372,7 +1496,7 @@ mod tests {
     fn join_query_pushes_filters_through_the_planner() {
         for kind in all_kinds() {
             let label = format!("{kind:?}");
-            let mut db = Database::open(example2(), kind).unwrap();
+            let db = Database::open(example2(), kind).unwrap();
             db.insert("CT", ["CS402", "Jones"]).unwrap();
             db.insert("CT", ["CS500", "Curie"]).unwrap();
             db.insert("CHR", ["CS402", "9am", "R128"]).unwrap();
@@ -1423,7 +1547,7 @@ mod tests {
     fn conditions_ordering_and_aggregates() {
         for kind in all_kinds() {
             let label = format!("{kind:?}");
-            let mut db = Database::open(example2(), kind).unwrap();
+            let db = Database::open(example2(), kind).unwrap();
             for (c, t) in [("101", "Ada"), ("205", "Ada"), ("309", "Curie")] {
                 db.insert("CT", [c, t]).unwrap();
             }
@@ -1518,7 +1642,7 @@ mod tests {
     #[test]
     fn sharded_store_stays_reachable_for_concurrent_clients() {
         let schema = example2();
-        let mut db = Database::open(schema, EngineKind::Sharded(StoreConfig::default())).unwrap();
+        let db = Database::open(schema, EngineKind::Sharded(StoreConfig::default())).unwrap();
         db.insert("CT", ["CS402", "Jones"]).unwrap();
         let store = db.store().expect("sharded engine exposes its store");
         std::thread::scope(|s| {
@@ -1527,7 +1651,7 @@ mod tests {
             });
         });
         assert!(db.store().is_some());
-        let mut local = Database::open(example2(), EngineKind::Local).unwrap();
+        let local = Database::open(example2(), EngineKind::Local).unwrap();
         assert!(local.store().is_none());
         local.insert("CT", ["a", "b"]).unwrap();
     }

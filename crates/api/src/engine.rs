@@ -22,7 +22,7 @@ use crate::error::Error;
 /// | `Local` | touched relation's cover `Fi`, O(1) hash probes | yes |
 /// | `Chase` | whole-state re-chase under `F ∪ {*D}` | no |
 /// | `FdOnly` | FD-only chase (sound, incomplete \[H\]) | no |
-/// | `Sharded` | `Fi` on the owning shard thread | yes |
+/// | `Sharded` | `Fi` under the touched relation's own lock | yes |
 #[derive(Debug, Default)]
 pub enum EngineKind {
     /// The independent-schema fast path ([`LocalMaintainer`]).
@@ -82,6 +82,14 @@ pub trait Engine: Send {
     /// The whole state as one consistent cut.
     fn snapshot(&self) -> Result<DatabaseState, Error>;
 
+    /// True for an engine that refuses every write with
+    /// [`Error::ReplicaReadOnly`] (a replication follower's).
+    /// [`crate::Database`] asks before it resolves a write's names, so a
+    /// refused write interns nothing.
+    fn read_only(&self) -> bool {
+        false
+    }
+
     /// Attempts to insert `tuple` (canonical scheme order) into `id` — a
     /// one-op [`Engine::apply_batch`].
     fn insert(&mut self, id: SchemeId, tuple: Vec<Value>) -> Result<InsertOutcome, Error> {
@@ -90,6 +98,7 @@ pub trait Engine: Send {
             .pop()
         {
             Some(OpOutcome::Insert(outcome)) => Ok(outcome),
+            // The trait's contract: outcomes align with the input.
             other => unreachable!("apply_batch answered one insert with {other:?}"),
         }
     }
@@ -104,6 +113,7 @@ pub trait Engine: Send {
             .pop()
         {
             Some(OpOutcome::Remove(present)) => Ok(present),
+            // As above: one remove in, one remove outcome out.
             other => unreachable!("apply_batch answered one remove with {other:?}"),
         }
     }

@@ -57,10 +57,6 @@ pub enum Error {
     /// [`crate::Database::join`] was called with an empty relation list
     /// (the natural join has no neutral element over an unknown scheme).
     EmptyJoin,
-    /// [`crate::Database::into_shared`] was called on a database whose
-    /// engine is not the concurrent sharded store — only the store is
-    /// `Sync`, so only it can back a [`crate::SharedDatabase`].
-    NotSharded,
     /// A write (insert or remove) was attempted against a read-only
     /// replica engine.  Replicas apply state only by re-running the
     /// primary's shipped log records; direct writes would fork the
@@ -129,10 +125,6 @@ impl std::fmt::Display for Error {
                 write!(f, "relation `{relation}` has no column `{column}`")
             }
             Error::EmptyJoin => write!(f, "join requires at least one relation"),
-            Error::NotSharded => write!(
-                f,
-                "operation requires the concurrent sharded engine (EngineKind::Sharded or a durable open)"
-            ),
             Error::ReplicaReadOnly => write!(
                 f,
                 "replica is read-only: writes must go to the primary it follows"

@@ -1,6 +1,8 @@
 //! # ids-api
 //!
-//! One typed `Database` front-end over every maintenance engine.
+//! One typed `Database` front-end over every maintenance engine — one
+//! `&self`, `Send + Sync` handle that an embedding thread, a fleet of
+//! threads and a network server all share.
 //!
 //! The paper's point is that an independent schema lets each relation be
 //! maintained through one uniform local interface; this crate is that
@@ -25,7 +27,7 @@
 //!     .build()?;                       // refused, with witness, if dependent
 //!
 //! // Open on any engine — here the independent-schema fast path.
-//! let mut db = Database::open(schema, EngineKind::Local)?;
+//! let db = Database::open(schema, EngineKind::Local)?;
 //! db.insert("CT", ["CS402", "Jones"])?;
 //! assert!(db.insert("CT", ["CS402", "Smith"])?.is_rejected());   // course → teacher
 //! assert_eq!(db.rows("CT")?, vec![vec!["CS402".to_string(), "Jones".to_string()]]);
@@ -43,7 +45,11 @@
 //!   `snapshot`, all fallible, FD violations always *outcomes*.
 //! * [`Database`]: owns the interning `ValuePool`; string values in,
 //!   rendered rows out; `rows`/`read` are barrier-free per-relation
-//!   reads, `snapshot` is the consistent cross-relation barrier.
+//!   reads, `snapshot` is the consistent cross-relation barrier.  Every
+//!   operation is `&self` on every engine (the store is driven directly,
+//!   a sequential engine behind one mutex); its type-level docs state the
+//!   lock discipline once.  [`SharedDatabase`] is its old second name,
+//!   kept as a `Deref` shim for pinned callers.
 //! * [`Query`] + [`Rows`]/[`Row`]: the fluent read side —
 //!   `db.query("CT").filter("course", eq("CS402")).select(["teacher"]).run()`
 //!   pushes a typed predicate down to whatever owns the tuples (on the
@@ -59,8 +65,8 @@
 //!   self-join joins a single cut with itself.
 //! * [`Error`]: the `#[non_exhaustive]` top-level error every layer
 //!   converts into.
-//! * [`Alter`] + [`Database::alter`] / [`SharedDatabase::alter`]:
-//!   online schema evolution — add/drop a relation or a dependency on a
+//! * [`Alter`] + [`Database::alter`]: online schema evolution —
+//!   add/drop a relation or a dependency on a
 //!   running durable database, independence re-decided incrementally
 //!   (`ids-evolve`), dependent targets and violated new FDs refused
 //!   with typed witnesses while the current schema keeps serving.

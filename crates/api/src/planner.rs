@@ -94,7 +94,7 @@ pub(crate) fn execute_join(
         for (i, plan) in plans.iter().enumerate() {
             rels.push(fetch(plan, i, &mut report)?);
         }
-        let joined = join_all(rels.iter()).expect("non-empty relation list");
+        let joined = join_all(rels.iter()).ok_or(Error::EmptyJoin)?;
         return Ok((joined, report));
     };
     report.planned = true;
@@ -126,6 +126,7 @@ pub(crate) fn execute_join(
     let mut fetched: Vec<Option<Relation>> = vec![None; ids.len()];
     for &i in tree.elimination_order.iter().rev() {
         if let Some(p) = tree.parent[i] {
+            // Reversed elimination order visits a parent before its children.
             let parent = fetched[p].as_ref().expect("parents fetch first");
             for attr in attrs[i].intersect(attrs[p]).iter() {
                 let pos = attrs[p].rank(attr);
@@ -144,10 +145,13 @@ pub(crate) fn execute_join(
     // the root accumulates the full join.
     for &i in &tree.elimination_order {
         let Some(p) = tree.parent[i] else { continue };
+        // Pass 2 filled every slot; elimination order removes a node only
+        // after all its children, and each node appears in it once.
         let child = fetched[i].take().expect("each edge folds exactly once");
         let parent = fetched[p].take().expect("parent folds after its children");
         fetched[p] = Some(parent.natural_join(&child));
     }
+    // The root has no parent, so no fold above took it.
     let joined = fetched[tree.root()].take().expect("root holds the join");
     Ok((joined, report))
 }

@@ -8,7 +8,7 @@
 //!     .relation("CS", ["course", "student"])
 //!     .fd("course -> teacher")
 //!     .build()?;
-//! let mut db = Database::open(schema, EngineKind::Local)?;
+//! let db = Database::open(schema, EngineKind::Local)?;
 //! db.insert("CT", ["CS402", "Jones"])?;
 //! db.insert("CT", ["CS500", "Curie"])?;
 //!
@@ -248,11 +248,7 @@ impl Query<'_> {
     fn column_values(mut self, column: impl Into<String>) -> Result<Vec<String>, Error> {
         self.select = Some(vec![column.into()]);
         let rows = self.run()?;
-        Ok(rows
-            .rows
-            .into_iter()
-            .map(|r| r.values.into_iter().next().expect("one-column select"))
-            .collect())
+        Ok(rows.rows.into_iter().flat_map(|r| r.values).collect())
     }
 }
 

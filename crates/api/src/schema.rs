@@ -27,7 +27,7 @@ pub(crate) struct RelationLayout {
 }
 
 /// One `ALTER`-class schema transition, as accepted by
-/// [`crate::Database::alter`] and [`crate::SharedDatabase::alter`].
+/// [`crate::Database::alter`].
 ///
 /// Each operation names its target at the string level — relation and
 /// column names, FD specs in the same `"lhs -> rhs"` syntax as
@@ -175,6 +175,8 @@ impl Schema {
     pub fn indexed_columns(&self) -> impl Iterator<Item = (&str, &str)> {
         self.ordered_indexes.iter().map(|&(id, attr)| {
             (
+                // Index ids are resolved against this definition by the
+                // builder, and renumbered with it by `evolved`.
                 self.definition
                     .get_scheme(id)
                     .expect("resolved at build")
@@ -203,6 +205,7 @@ impl Schema {
         e.put_u16(self.ordered_indexes.len() as u16);
         for &(id, attr) in &self.ordered_indexes {
             e.put_str(
+                // As in `indexed_columns`: ids follow the definition.
                 &self
                     .definition
                     .get_scheme(id)
@@ -329,6 +332,8 @@ impl Schema {
             Alter::AddRelation { name, columns } => {
                 let def = ids_evolve::add_relation(&self.definition, name, columns)?;
                 let mut layouts = self.layouts.clone();
+                // `add_relation` succeeded, so `def` holds `name` over
+                // exactly `columns` (it extends the universe to cover them).
                 let id = def.scheme_by_name(name).expect("just added");
                 let attrs = def.attrs(id);
                 layouts.push(RelationLayout {
@@ -517,6 +522,7 @@ impl SchemaBuilder {
         for (name, columns) in &self.relations {
             let mut attrs = AttrSet::new();
             for column in columns {
+                // The loop above added every declared column to `universe`.
                 let id = universe.attr(column).expect("collected above");
                 if !attrs.insert(id) {
                     return Err(RelationalError::DuplicateAttribute(column.clone()).into());

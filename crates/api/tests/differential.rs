@@ -72,9 +72,13 @@ fn raw_replay(inst: &FamilyInstance, trace: &[TraceOp]) -> (Vec<&'static str>, D
 }
 
 /// Replays the same trace through the string-level `Database`.
-fn facade_replay(inst: &FamilyInstance, db: &mut Database, trace: &[TraceOp]) -> Vec<&'static str> {
+fn facade_replay<'a>(
+    inst: &FamilyInstance,
+    db: &Database,
+    trace: impl IntoIterator<Item = &'a TraceOp>,
+) -> Vec<&'static str> {
     trace
-        .iter()
+        .into_iter()
         .map(|op| {
             let name = &inst.schema.scheme(op.scheme).name;
             let row: Vec<String> = op.tuple.iter().map(|&v| render(v)).collect();
@@ -140,8 +144,8 @@ proptest! {
 
         for kind in engine_kinds() {
             let label = format!("{kind:?} (seed {seed})");
-            let mut db = Database::open(schema_via_builder(&inst), kind).unwrap();
-            let got = facade_replay(&inst, &mut db, &trace);
+            let db = Database::open(schema_via_builder(&inst), kind).unwrap();
+            let got = facade_replay(&inst, &db, &trace);
             prop_assert_eq!(&got, &expected_outcomes, "outcomes diverge on {}", label);
             // Final states, compared through the reading surface: both
             // the barrier-free per-relation path and the snapshot.
@@ -163,6 +167,74 @@ proptest! {
     }
 }
 
+/// One `&Database`, four threads, every engine: each thread replays the
+/// trace's operations on its own relations (scheme index mod 4), in
+/// trace order.  Relations of an independent schema share no enforcement
+/// state, so however the threads interleave, every operation must get
+/// the outcome the single-threaded replay gave it, the final rows must
+/// be that replay's, and the final snapshot must pass the full chase.
+/// (Interning order — which `Value` a string gets — does depend on the
+/// interleaving; everything is compared as rendered rows.)
+#[test]
+fn four_threads_share_one_database_on_every_engine() {
+    const THREADS: usize = 4;
+    for (inst, seed) in [(key_chain(5), 7u64), (key_star(4), 11)] {
+        let trace = interleaved_trace(
+            &inst.schema,
+            TraceParams {
+                clients: 4,
+                ops_per_client: 60,
+                domain: 5,
+                remove_percent: 20,
+            },
+            seed,
+        );
+        let (expected_outcomes, expected_state) = raw_replay(&inst, &trace);
+        let slice = |t: usize| {
+            (trace.iter().zip(&expected_outcomes))
+                .filter(move |(op, _)| op.scheme.index() % THREADS == t)
+        };
+        for kind in engine_kinds() {
+            let label = format!("{} on {kind:?}", inst.name);
+            let db = Database::open(schema_via_builder(&inst), kind).unwrap();
+            let start = std::sync::Barrier::new(THREADS);
+            std::thread::scope(|s| {
+                for t in 0..THREADS {
+                    let (db, inst, start, label) = (&db, &inst, &start, &label);
+                    s.spawn(move || {
+                        start.wait();
+                        let got = facade_replay(inst, db, slice(t).map(|(op, _)| op));
+                        let expected: Vec<_> = slice(t).map(|(_, outcome)| *outcome).collect();
+                        assert_eq!(got, expected, "thread {t} diverges: {label}");
+                    });
+                }
+            });
+            let schema = db.schema();
+            let snapshot = db.snapshot().unwrap();
+            for (id, scheme) in inst.schema.iter() {
+                let expected = raw_rows(&expected_state, id);
+                let mut rows = db.rows(&scheme.name).unwrap();
+                rows.sort();
+                assert_eq!(rows, expected, "rows diverge: {label}");
+                let facade_id = schema.scheme_id(&scheme.name).unwrap();
+                assert_eq!(
+                    snapshot.relation(facade_id).len(),
+                    expected.len(),
+                    "snapshot diverges: {label}"
+                );
+            }
+            let verdict = ids_chase::satisfies(
+                schema.definition(),
+                schema.fds(),
+                &snapshot,
+                &ids_chase::ChaseConfig::default(),
+            )
+            .unwrap();
+            assert!(verdict.is_satisfying(), "chase refuses: {label}");
+        }
+    }
+}
+
 /// Error paths through the integration surface, on every engine kind:
 /// unknown names, bad arities, and the independence gate.
 #[test]
@@ -170,7 +242,7 @@ fn facade_error_paths() {
     for kind in engine_kinds() {
         let label = format!("{kind:?}");
         let inst = key_chain(3);
-        let mut db = Database::open(schema_via_builder(&inst), kind).unwrap();
+        let db = Database::open(schema_via_builder(&inst), kind).unwrap();
         assert!(
             matches!(
                 db.insert("R99", ["0", "1"]),

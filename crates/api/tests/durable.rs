@@ -32,7 +32,7 @@ fn example2() -> Schema {
 fn open_at_then_recover_round_trips_the_string_level() {
     let root = tmp_dir("roundtrip");
     {
-        let mut db = Database::open_at(&root, example2(), DurableConfig::default()).unwrap();
+        let db = Database::open_at(&root, example2(), DurableConfig::default()).unwrap();
         assert!(db.is_durable());
         db.insert("CT", ["CS402", "Jones"]).unwrap();
         db.insert("CHR", ["CS402", "9am", "R128"]).unwrap();
@@ -79,7 +79,7 @@ fn open_at_then_recover_round_trips_the_string_level() {
 fn recovering_under_a_different_schema_or_fds_is_a_typed_mismatch() {
     let root = tmp_dir("mismatch");
     {
-        let mut db = Database::open_at(&root, example2(), DurableConfig::default()).unwrap();
+        let db = Database::open_at(&root, example2(), DurableConfig::default()).unwrap();
         db.insert("CT", ["CS402", "Jones"]).unwrap();
     }
     // Same relations, one FD dropped.
@@ -134,7 +134,7 @@ fn recovering_under_a_different_schema_or_fds_is_a_typed_mismatch() {
 fn double_checkpoint_and_clean_shutdown_recovery_are_noops() {
     let root = tmp_dir("noop");
     {
-        let mut db = Database::open_at(&root, example2(), DurableConfig::default()).unwrap();
+        let db = Database::open_at(&root, example2(), DurableConfig::default()).unwrap();
         db.insert("CT", ["CS402", "Jones"]).unwrap();
         db.checkpoint().unwrap();
         db.checkpoint().unwrap(); // nothing new: same snapshot again
@@ -145,7 +145,7 @@ fn double_checkpoint_and_clean_shutdown_recovery_are_noops() {
     for _ in 0..2 {
         // Recover twice in a row: clean shutdown each time, identical
         // state each time.
-        let mut db = Database::recover(&root).unwrap();
+        let db = Database::recover(&root).unwrap();
         assert_eq!(
             db.rows("CT").unwrap(),
             vec![vec!["CS402".to_string(), "Jones".to_string()]]
@@ -168,7 +168,7 @@ fn refused_rows_append_nothing_to_the_name_log() {
         .into_shared()
         .unwrap();
     shared.insert("CT", ["CS402", "Jones"]).unwrap();
-    let log = shared.store().pool_log_path().unwrap();
+    let log = shared.store().unwrap().pool_log_path().unwrap();
     let before = std::fs::metadata(&log).unwrap().len();
     assert!(before > 0, "the accepted row's names were logged");
     for row in [&["too-short"][..], &["too", "long", "row"][..]] {
@@ -189,7 +189,7 @@ fn refused_rows_append_nothing_to_the_name_log() {
 /// store handle.
 #[test]
 fn durability_misuse_is_typed() {
-    let mut db = Database::open(example2(), ids_api::EngineKind::Local).unwrap();
+    let db = Database::open(example2(), ids_api::EngineKind::Local).unwrap();
     assert!(!db.is_durable());
     assert!(matches!(
         db.checkpoint(),

@@ -50,7 +50,7 @@ fn accepted_alters_serve_immediately_and_survive_recovery() {
     let root = tmp_dir("accepted");
     let (g1, g2);
     {
-        let mut db = Database::open_at(&root, example2(), DurableConfig::default()).unwrap();
+        let db = Database::open_at(&root, example2(), DurableConfig::default()).unwrap();
         db.insert("CT", ["CS402", "Jones"]).unwrap();
         db.insert("CS", ["CS402", "Ann"]).unwrap();
         db.insert("CHR", ["CS402", "9am", "R128"]).unwrap();
@@ -76,8 +76,9 @@ fn accepted_alters_serve_immediately_and_survive_recovery() {
     // Unclean drop (no checkpoint): recovery must replay generation 1
     // records under the 3-relation schema and later ones under the
     // 4-relation schema, then serve the *latest* era.
-    let mut db = Database::recover(&root).unwrap();
-    let names: Vec<&str> = db.schema().relation_names().collect();
+    let db = Database::recover(&root).unwrap();
+    let schema = db.schema();
+    let names: Vec<&str> = schema.relation_names().collect();
     assert_eq!(names, ["CT", "CS", "CHR", "SR"]);
     assert_eq!(
         db.rows("CT").unwrap(),
@@ -105,7 +106,7 @@ fn accepted_alters_serve_immediately_and_survive_recovery() {
 #[test]
 fn dependent_target_is_refused_with_witness_and_serving_continues() {
     let root = tmp_dir("dependent");
-    let mut db = Database::open_at(&root, example2(), DurableConfig::default()).unwrap();
+    let db = Database::open_at(&root, example2(), DurableConfig::default()).unwrap();
     db.insert("CT", ["CS402", "Jones"]).unwrap();
 
     // "student hour -> room" is embedded in no relation: the chase
@@ -142,7 +143,8 @@ fn dependent_target_is_refused_with_witness_and_serving_continues() {
     db.alter(&add_sr()).unwrap();
     db.alter(&Alter::DropRelation { name: "CS".into() })
         .unwrap();
-    let names: Vec<&str> = db.schema().relation_names().collect();
+    let schema = db.schema();
+    let names: Vec<&str> = schema.relation_names().collect();
     assert_eq!(names, ["CT", "CHR", "SR"]);
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -157,7 +159,7 @@ fn violating_backfill_is_refused_with_witness_tuples() {
         .relation("CT", ["course", "teacher"])
         .build()
         .unwrap();
-    let mut db = Database::open_at(&root, schema, DurableConfig::default()).unwrap();
+    let db = Database::open_at(&root, schema, DurableConfig::default()).unwrap();
     // No FD yet: two teachers for one course are both accepted.
     db.insert("CT", ["CS402", "Jones"]).unwrap();
     db.insert("CT", ["CS402", "Smith"]).unwrap();
@@ -183,18 +185,21 @@ fn violating_backfill_is_refused_with_witness_tuples() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// Alter requires the durable sharded engine: sequential engines get
-/// `NotSharded`, an in-memory sharded store gets `NotDurable` — typed,
-/// and the database keeps working either way.
+/// Alter requires a log to append the generation to: every in-memory
+/// engine, sequential or sharded, gets `NotDurable` — typed, and the
+/// database keeps working either way.
 #[test]
 fn alter_on_non_durable_or_non_sharded_engines_is_typed() {
     for kind in [EngineKind::Local, EngineKind::Chase] {
-        let mut db = Database::open(example2(), kind).unwrap();
+        let db = Database::open(example2(), kind).unwrap();
         let err = db.alter(&add_sr()).unwrap_err();
-        assert!(matches!(err, Error::NotSharded), "got {err}");
+        assert!(
+            matches!(err, Error::Store(StoreError::NotDurable)),
+            "got {err}"
+        );
         db.insert("CT", ["a", "b"]).unwrap();
     }
-    let mut db = Database::open(example2(), EngineKind::Sharded(StoreConfig::default())).unwrap();
+    let db = Database::open(example2(), EngineKind::Sharded(StoreConfig::default())).unwrap();
     let err = db.alter(&add_sr()).unwrap_err();
     assert!(
         matches!(err, Error::Store(StoreError::NotDurable)),
@@ -211,7 +216,7 @@ fn torn_tail_after_a_transition_recovers_the_acknowledged_prefix() {
     let root = tmp_dir("torn");
     let sr_gen;
     {
-        let mut db = Database::open_at(
+        let db = Database::open_at(
             &root,
             example2(),
             DurableConfig {
@@ -237,7 +242,7 @@ fn torn_tail_after_a_transition_recovers_the_acknowledged_prefix() {
     f.set_len(len - 3).unwrap();
     drop(f);
 
-    let mut db = Database::recover(&root).unwrap();
+    let db = Database::recover(&root).unwrap();
     // The transition itself (manifest) and everything before the torn
     // record are intact; the torn record is gone, not corrupted.
     assert_eq!(db.schema().columns("SR").unwrap(), ["student", "room"]);
@@ -263,7 +268,7 @@ fn torn_tail_after_a_transition_recovers_the_acknowledged_prefix() {
 #[test]
 fn a_switch_failing_after_the_durability_point_poisons_instead_of_forking() {
     let root = tmp_dir("post-durability");
-    let mut db = Database::open_at(&root, example2(), DurableConfig::default()).unwrap();
+    let db = Database::open_at(&root, example2(), DurableConfig::default()).unwrap();
     db.insert("CT", ["CS402", "Jones"]).unwrap();
     let next_gen = db.store().unwrap().generation().unwrap() + 1;
     // SR becomes scheme 3; squat on its first segment's name with a
@@ -291,7 +296,7 @@ fn a_switch_failing_after_the_durability_point_poisons_instead_of_forking() {
     // The manifest was durable, so the transition *is* in effect after
     // recovery — with the acknowledged row and nothing else.
     std::fs::remove_dir(&squatter).unwrap();
-    let mut db = Database::recover(&root).unwrap();
+    let db = Database::recover(&root).unwrap();
     assert_eq!(db.schema().columns("SR").unwrap(), ["student", "room"]);
     assert_eq!(
         db.rows("CT").unwrap(),

@@ -89,7 +89,7 @@ fn oracle_rows(
     let mut out: Vec<Vec<String>> = snapshot
         .relation(id)
         .iter()
-        .map(|t| t.iter().map(|&v| db.pool().render(v)).collect::<Vec<_>>())
+        .map(|t| t.iter().map(|&v| db.render(v)).collect::<Vec<_>>())
         .filter(|row: &Vec<String>| filters.iter().all(|&(pos, val)| row[pos] == val))
         .map(|row| select.iter().map(|&pos| row[pos].clone()).collect())
         .collect();
@@ -220,7 +220,8 @@ proptest! {
 
             for (id, scheme) in inst.schema.iter() {
                 let name = &scheme.name;
-                let columns: Vec<&str> = db.schema().columns(name).unwrap()
+                let schema = db.schema();
+                let columns: Vec<&str> = schema.columns(name).unwrap()
                     .iter().map(|c| c.as_str()).collect();
                 let width = columns.len();
                 let all: Vec<usize> = (0..width).collect();
@@ -279,7 +280,7 @@ proptest! {
                 let attrs: Vec<AttrId> = db.schema().definition().attrs(id).iter().collect();
                 let (first, last) = (attrs[0], attrs[attrs.len() - 1]);
                 // A never-interned probe becomes a value nothing stores.
-                let value = |n: u64| db.pool().get(&n.to_string()).unwrap_or(Value(u64::MAX));
+                let value = |n: u64| db.lookup(&n.to_string()).unwrap_or(Value(u64::MAX));
                 let (v, w) = (value(probe), value(probe + 1));
                 for attr in [first, last] {
                     let pred = match guard {
@@ -320,7 +321,7 @@ proptest! {
                     ids.iter().map(|&i| snapshot.relation(i))
                 ).unwrap();
                 let mut expected: Vec<Vec<String>> = expected_rel.iter()
-                    .map(|t| t.iter().map(|&v| db.pool().render(v)).collect())
+                    .map(|t| t.iter().map(|&v| db.render(v)).collect())
                     .collect();
                 expected.sort();
                 prop_assert_eq!(
@@ -360,9 +361,9 @@ proptest! {
             }
             b.build().unwrap()
         };
-        let mut plain =
+        let plain =
             Database::open(build(false), EngineKind::Sharded(StoreConfig::default())).unwrap();
-        let mut fast =
+        let fast =
             Database::open(build(true), EngineKind::Sharded(StoreConfig::default())).unwrap();
         for &(kind, k, v) in &ops {
             let row = [k.to_string(), v.to_string()];
@@ -422,13 +423,13 @@ fn recovered_store_serves_indexed_queries_after_new_writes() {
             .unwrap()
     };
     {
-        let mut db = Database::open_at(&dir, schema(), DurableConfig::default()).unwrap();
+        let db = Database::open_at(&dir, schema(), DurableConfig::default()).unwrap();
         db.insert("CT", ["CS402", "Jones"]).unwrap();
         db.insert("CHR", ["CS402", "9am", "R128"]).unwrap();
         db.checkpoint().unwrap();
         db.insert("CT", ["CS500", "Curie"]).unwrap();
     }
-    let mut db = Database::recover(&dir).unwrap();
+    let db = Database::recover(&dir).unwrap();
     // Indexed point lookup through the recovered shard indexes.
     let rows = db.query("CT").filter("course", eq("CS500")).run().unwrap();
     assert_eq!(rows.len(), 1);

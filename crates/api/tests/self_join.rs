@@ -38,7 +38,7 @@ fn self_join_under_a_writer_fleet_is_a_single_cut() {
         .relation("R", ["a", "b"])
         .build()
         .expect("no FDs: trivially independent");
-    let mut db = Database::open(schema, EngineKind::Sharded(StoreConfig::default())).unwrap();
+    let db = Database::open(schema, EngineKind::Sharded(StoreConfig::default())).unwrap();
     // Pre-intern every value the writer will use, so writer threads
     // never race the reader for the name lock in a surprising order.
     for i in 0..4u64 {

@@ -77,7 +77,7 @@ fn schema() -> Schema {
 
 fn open_preloaded(name: &str, preload: u64) -> (std::path::PathBuf, Arc<SharedDatabase>) {
     let root = tmp_dir(name);
-    let mut db = Database::open_at(&root, schema(), DurableConfig::default()).expect("durable");
+    let db = Database::open_at(&root, schema(), DurableConfig::default()).expect("durable");
     for k in 0..preload {
         db.insert("WARM", [format!("w{k}"), format!("x{k}")])
             .expect("preload");

@@ -46,7 +46,7 @@ pub fn build(n: usize) -> JoinBench {
         .index("R1", "a")
         .build()
         .expect("the chain schema is independent (no FDs)");
-    let mut db = Database::open(schema, EngineKind::Sharded(StoreConfig::default()))
+    let db = Database::open(schema, EngineKind::Sharded(StoreConfig::default()))
         .expect("chain schema opens sharded");
     for i in 0..n {
         let row = [pad(i), pad(i)];

@@ -122,8 +122,7 @@ pub fn read_scaling(replicas: usize, ops_per_reader: usize, keys: u64) -> Replic
         .build()
         .expect("single-relation schema is independent");
     let root = tmp_dir(&format!("primary-{replicas}"));
-    let mut db =
-        Database::open_at(&root, schema, DurableConfig::default()).expect("durable primary");
+    let db = Database::open_at(&root, schema, DurableConfig::default()).expect("durable primary");
     for k in 0..keys {
         db.insert("KV", [format!("k{k}"), format!("v{k}")])
             .expect("preload");

@@ -461,7 +461,7 @@ fn range_candidates(
     buckets.range(bounds).flat_map(|(_, b)| b.iter()).collect()
 }
 
-// Compile-time guarantee that shards can move onto worker threads.
+// Compile-time guarantee that a shard can sit behind a lock any thread takes.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<RelationShard>();

@@ -7,7 +7,7 @@
 //! multi-relation joins of independent reads — need no barrier.  The
 //! types here are the wire-level representation of such reads: a
 //! [`Predicate`] travels *down* to whatever owns the relation's tuples
-//! (a shard thread, a sequential engine's state) so that only matching
+//! (a relation's lock holder, a sequential engine's state) so that only matching
 //! tuples travel back *up*, and a [`Projection`] names the columns the
 //! caller wants of them.  A [`ReadPlan`] pairs the predicate with the
 //! [`ReadShape`] of the answer (tuples, distinct join keys, or a count)

@@ -50,7 +50,7 @@ pub struct RelationScheme {
 ///
 /// A schema is immutable after construction and internally reference
 /// counted: `clone()` is a cheap `Arc` bump, so handles can be shared
-/// freely across maintenance engines, shard worker threads and snapshots
+/// freely across maintenance engines, caller threads and snapshots
 /// without copying the universe or scheme table.
 #[derive(Clone, Debug)]
 pub struct DatabaseSchema {

@@ -74,6 +74,10 @@ impl Engine for ReplicaEngine {
         let relations = self.state().relations.clone();
         DatabaseState::from_relations(&self.schema, relations).map_err(Into::into)
     }
+
+    fn read_only(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

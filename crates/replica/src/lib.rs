@@ -34,9 +34,10 @@
 //!
 //! The replica exposes the **read surface only** — `read` / `query` /
 //! `rows` / `count` / `join` through [`ids_api::Database`].  Its
-//! engine answers every write with [`ids_api::Error::ReplicaReadOnly`],
-//! and the [`Replica`] handle only ever lends `&Database`, so writes
-//! are unreachable at compile time too.  Per-relation lag (`(gen,
+//! engine is [`ids_api::Engine::read_only`], so the database refuses
+//! every write with [`ids_api::Error::ReplicaReadOnly`] before interning
+//! a single string: the pool's insertion order stays the primary's, fed
+//! only by the apply loop that owns the handle.  Per-relation lag (`(gen,
 //! seq)` delta), apply counters, and a staleness gauge are reported
 //! through [`ids_obs`].
 

@@ -284,10 +284,13 @@ struct Bootstrap {
 /// The replica is **pull-based**: call [`Replica::poll`] to ingest
 /// whatever the primary has appended since the last call (or
 /// [`Replica::wait_caught_up`] to poll until quiescent).  Reads go
-/// through [`Replica::database`] — and because that only ever lends
-/// `&Database`, the write half of the API (`&mut self`) is
-/// unreachable; the engine underneath refuses writes with the typed
-/// [`ApiError::ReplicaReadOnly`] besides.
+/// through [`Replica::database`].  That handle's write methods take
+/// `&self` too, so what keeps a follower from forking is not the
+/// borrow: its engine answers [`ids_api::Engine::read_only`], and the
+/// database refuses every write with the typed
+/// [`ApiError::ReplicaReadOnly`] *before* interning any of its strings
+/// — the name pool, whose insertion order is the primary's value
+/// assignment, is fed only by the apply loop, which owns the handle.
 pub struct Replica {
     db: Database,
     state: SharedState,
@@ -420,16 +423,17 @@ impl Replica {
     }
 
     /// The read surface: `read` / `query` / `rows` / `count` / `join`
-    /// on the replica's applied state.  Only a shared reference is ever
-    /// handed out, so the write half of the API cannot even be called;
-    /// the engine underneath would refuse it with
-    /// [`ApiError::ReplicaReadOnly`] regardless.
+    /// on the replica's applied state.  Writes through it (`insert`,
+    /// `remove`, `insert_raw`, `apply_batch`) are refused with
+    /// [`ApiError::ReplicaReadOnly`] and leave the name pool untouched;
+    /// `intern` needs the `&mut Database` only the apply loop has.
     pub fn database(&self) -> &Database {
         &self.db
     }
 
-    /// The schema recovered from the primary's manifest.
-    pub fn schema(&self) -> &Schema {
+    /// The schema the replica currently serves: recovered from the
+    /// primary's manifest, then advanced by each streamed transition.
+    pub fn schema(&self) -> Arc<Schema> {
         self.db.schema()
     }
 

@@ -88,7 +88,7 @@ type Effective = Vec<Vec<(bool, [String; 2])>>;
 /// relation.  Every effective op must re-accept — anything else means
 /// the log itself is not a valid sequential history.
 fn oracle_rows(effective: &Effective) -> Vec<Vec<Vec<String>>> {
-    let mut db = Database::open(schema(), EngineKind::Local).unwrap();
+    let db = Database::open(schema(), EngineKind::Local).unwrap();
     for (i, ops) in effective.iter().enumerate() {
         for (insert, t) in ops {
             if *insert {
@@ -139,7 +139,7 @@ fn assert_conservation(replica: &Replica) {
 /// frame size must be measurable.
 fn linear_primary(n: usize) -> PathBuf {
     let root = tmp_dir("linear");
-    let mut db = Database::open_at(&root, schema(), DurableConfig::default()).unwrap();
+    let db = Database::open_at(&root, schema(), DurableConfig::default()).unwrap();
     for i in 0..n {
         assert!(db
             .insert("CT", [format!("k{i}"), format!("v{i}")])
@@ -187,7 +187,7 @@ proptest! {
     ) {
         let steps = gen_steps(seed, 40);
         let root = tmp_dir("file");
-        let mut db = Database::open_at(&root, schema(), DurableConfig::default()).unwrap();
+        let db = Database::open_at(&root, schema(), DurableConfig::default()).unwrap();
         let mut replica = Replica::open(&root).unwrap();
         let mut effective: Effective = vec![Vec::new(); RELS.len()];
         for (i, &(rel, key, val, insert)) in steps.iter().enumerate() {
@@ -235,7 +235,7 @@ proptest! {
         let steps = gen_steps(seed, 40);
         let root = tmp_dir("wire");
         let seed_dir = tmp_dir("wire-seed");
-        let mut db = Database::open_at(&root, schema(), DurableConfig::default()).unwrap();
+        let db = Database::open_at(&root, schema(), DurableConfig::default()).unwrap();
         let mut effective: Effective = vec![Vec::new(); RELS.len()];
         for (i, &(rel, key, val, insert)) in steps[..20].iter().enumerate() {
             if do_ckpt == 1 && i == ckpt {
@@ -358,7 +358,7 @@ proptest! {
     fn wire_ships_corruption_as_a_typed_error(bit in 0usize..8) {
         let root = tmp_dir("wire-flip");
         let seed_dir = tmp_dir("wire-flip-seed");
-        let mut db = Database::open_at(&root, schema(), DurableConfig::default()).unwrap();
+        let db = Database::open_at(&root, schema(), DurableConfig::default()).unwrap();
         for i in 0..5 {
             db.insert("CT", [format!("k{i}"), format!("v{i}")]).unwrap();
         }

@@ -70,7 +70,7 @@ fn assert_converged(names: &[&str], rows_of: impl Fn(&str) -> Vec<Vec<String>>, 
 #[test]
 fn file_follower_applies_transitions_from_a_live_primary() {
     let root = tmp_dir("file-alter");
-    let mut db = Database::open_at(&root, schema(), DurableConfig::default()).unwrap();
+    let db = Database::open_at(&root, schema(), DurableConfig::default()).unwrap();
     db.insert("CT", ["CS402", "Jones"]).unwrap();
     db.insert("CS", ["CS402", "Riley"]).unwrap();
 
@@ -116,7 +116,7 @@ fn file_follower_applies_transitions_from_a_live_primary() {
 fn wire_follower_applies_a_streamed_transition() {
     let root = tmp_dir("wire-alter");
     let seed = tmp_dir("wire-alter-seed");
-    let mut db = Database::open_at(&root, schema(), DurableConfig::default()).unwrap();
+    let db = Database::open_at(&root, schema(), DurableConfig::default()).unwrap();
     db.insert("CT", ["CS402", "Jones"]).unwrap();
     db.insert("CS", ["CS402", "Riley"]).unwrap();
     copy_dir(&root, &seed);
@@ -156,7 +156,7 @@ fn wire_follower_applies_a_streamed_transition() {
 fn stale_seed_wire_follower_catches_up_through_a_transition() {
     let root = tmp_dir("wire-stale");
     let seed = tmp_dir("wire-stale-seed");
-    let mut db = Database::open_at(&root, schema(), DurableConfig::default()).unwrap();
+    let db = Database::open_at(&root, schema(), DurableConfig::default()).unwrap();
     db.insert("CT", ["CS402", "Jones"]).unwrap();
     copy_dir(&root, &seed);
 
@@ -181,7 +181,7 @@ fn stale_seed_wire_follower_catches_up_through_a_transition() {
 #[test]
 fn file_follower_applies_a_drop_transition() {
     let root = tmp_dir("file-drop");
-    let mut db = Database::open_at(&root, schema(), DurableConfig::default()).unwrap();
+    let db = Database::open_at(&root, schema(), DurableConfig::default()).unwrap();
     db.insert("CT", ["CS402", "Jones"]).unwrap();
     db.insert("CS", ["CS402", "Riley"]).unwrap();
 

@@ -64,7 +64,7 @@ fn assert_converged(primary: &Database, replica: &Replica) {
 #[test]
 fn file_follower_bootstraps_and_tails_a_live_primary() {
     let root = tmp_dir("file-tail");
-    let mut db = primary(&root);
+    let db = primary(&root);
     db.insert("CT", ["CS402", "Jones"]).unwrap();
     db.insert("CS", ["CS402", "Riley"]).unwrap();
 
@@ -118,7 +118,7 @@ fn file_follower_bootstraps_and_tails_a_live_primary() {
 #[test]
 fn file_follower_survives_a_checkpoint_rotation() {
     let root = tmp_dir("file-ckpt");
-    let mut db = primary(&root);
+    let db = primary(&root);
     db.insert("CT", ["CS402", "Jones"]).unwrap();
 
     let mut replica = Replica::open(&root).unwrap();
@@ -136,10 +136,67 @@ fn file_follower_survives_a_checkpoint_rotation() {
     assert!(replica.cursors()[0].gen >= 1);
 }
 
+/// A follower lends `&Database`, whose writes take `&self`: each is
+/// refused typed, and — the part that matters — **before** it interns.
+/// One stray name in the follower's pool would shift every later
+/// streamed name onto a different value: rows that render differently
+/// from the primary's, with no error anywhere.
+#[test]
+fn a_follower_refuses_writes_before_interning_and_still_converges() {
+    use ids_api::Error::ReplicaReadOnly;
+    use ids_store::StoreOp;
+
+    let root = tmp_dir("read-only");
+    let db = primary(&root);
+    db.insert("CT", ["CS402", "Jones"]).unwrap();
+    let mut replica = Replica::open(&root).unwrap();
+    assert!(replica.wait_caught_up(Duration::from_secs(5)).unwrap());
+
+    let follower = replica.database();
+    let ct = follower.schema().scheme_id("CT").unwrap();
+    let stored = vec![
+        follower.lookup("CS402").unwrap(),
+        follower.lookup("Jones").unwrap(),
+    ];
+    let fresh = ["never-seen-course", "never-seen-teacher"];
+    assert!(matches!(follower.insert("CT", fresh), Err(ReplicaReadOnly)));
+    assert!(matches!(follower.remove("CT", fresh), Err(ReplicaReadOnly)));
+    assert!(matches!(
+        follower.remove("CT", ["CS402", "Jones"]),
+        Err(ReplicaReadOnly)
+    ));
+    assert!(matches!(
+        follower.insert_raw(ct, stored.clone()),
+        Err(ReplicaReadOnly)
+    ));
+    let batch = vec![StoreOp::Remove {
+        scheme: ct,
+        tuple: stored,
+    }];
+    assert!(matches!(follower.apply_batch(batch), Err(ReplicaReadOnly)));
+    for name in fresh {
+        assert_eq!(
+            follower.lookup(name),
+            None,
+            "a refused write interned {name}"
+        );
+    }
+
+    // Two names the primary has never seen either: they must land on the
+    // follower under the primary's values, or the rows below differ.
+    db.insert("CT", ["CS101", "Smith"]).unwrap();
+    db.insert("CS", ["CS101", "Quinn"]).unwrap();
+    assert!(replica.wait_caught_up(Duration::from_secs(5)).unwrap());
+    assert_converged(&db, &replica);
+    for name in ["CS402", "Jones", "CS101", "Smith", "Quinn"] {
+        assert_eq!(replica.database().lookup(name), db.lookup(name), "{name}");
+    }
+}
+
 #[test]
 fn file_follower_pruned_past_its_cursor_is_typed_behind() {
     let root = tmp_dir("file-behind");
-    let mut db = primary(&root);
+    let db = primary(&root);
     db.insert("CT", ["CS402", "Jones"]).unwrap();
 
     let mut replica = Replica::open(&root).unwrap();
@@ -169,7 +226,7 @@ fn file_follower_pruned_past_its_cursor_is_typed_behind() {
 fn wire_follower_converges_over_loopback() {
     let root = tmp_dir("wire-primary");
     let seed = tmp_dir("wire-seed");
-    let mut db = primary(&root);
+    let db = primary(&root);
     db.insert("CT", ["CS402", "Jones"]).unwrap();
     db.insert("CS", ["CS402", "Riley"]).unwrap();
 
@@ -215,7 +272,7 @@ fn wire_follower_converges_over_loopback() {
 fn wire_follower_with_a_pruned_cursor_is_typed_behind() {
     let root = tmp_dir("wire-behind");
     let seed = tmp_dir("wire-behind-seed");
-    let mut db = primary(&root);
+    let db = primary(&root);
     db.insert("CT", ["CS402", "Jones"]).unwrap();
     copy_dir(&root, &seed);
 
@@ -265,7 +322,7 @@ fn a_non_durable_server_refuses_subscriptions() {
 fn two_wire_followers_stay_independent() {
     let root = tmp_dir("wire-two");
     let seed = tmp_dir("wire-two-seed");
-    let mut db = primary(&root);
+    let db = primary(&root);
     db.insert("CT", ["CS402", "Jones"]).unwrap();
     copy_dir(&root, &seed);
 

@@ -1,8 +1,10 @@
 //! # ids-server
 //!
-//! The network front-end: [`ids_api::SharedDatabase`] served over TCP
-//! with a CRC-framed, pipelined, typed wire protocol — `std::net`
-//! only, no async runtime.
+//! The network front-end: one [`ids_api::Database`], on any engine,
+//! served over TCP with a CRC-framed, pipelined, typed wire protocol —
+//! `std::net` only, no async runtime.  (`Server::serve` still takes the
+//! database under its old name, [`ids_api::SharedDatabase`] — a `Deref`
+//! shim; sessions run against the `&Database` inside.)
 //!
 //! The paper's Theorem 3 is what makes a *threaded* server the honest
 //! architecture here: an independent schema means each relation is

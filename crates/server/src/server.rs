@@ -15,10 +15,13 @@
 //!   complete frame *already in its buffer* — no syscall.  That backlog
 //!   is the unit of admission.
 //! * **Run.**  The first [`ServerConfig::queue_depth`] requests of a
-//!   backlog execute inline against the [`SharedDatabase`], each inside
-//!   the touched relation's lock in the store; nothing between the
-//!   socket and that lock is shared, so connections working on
-//!   different relations never wait on each other.  The rest are
+//!   backlog execute inline against the one [`Database`] (handed to
+//!   [`Server::serve`] under its old name, [`SharedDatabase`]), each
+//!   inside the touched relation's lock in the store; nothing between
+//!   the socket and that lock is shared but name resolution, so
+//!   connections working on different relations never wait on each other
+//!   past it (a sequential engine serializes behind its one mutex).
+//!   The rest are
 //!   **shed** with a typed [`WireError::Overloaded`] — a bound on unread
 //!   input, not a queue.  Handshake and malformed payloads are answered
 //!   in place and count against nothing.
@@ -50,11 +53,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ids_api::{eq, Alter, Cond, Error, SharedDatabase};
+use ids_api::{eq, Alter, Cond, Database, Error, SharedDatabase};
 use ids_core::InsertOutcome;
 use ids_obs::{Counter, Event, Gauge, MetricsSnapshot, Registry};
 use ids_relational::{DatabaseSchema, RelationalError};
-use ids_store::StoreError;
+use ids_store::{Store, StoreError};
 use ids_wal::{Cursor, NameTailer, RelationPoll, RelationTailer, WalDir};
 
 use crate::wire::{
@@ -166,7 +169,9 @@ impl Default for ServerConfig {
     }
 }
 
-/// A running TCP server over one [`SharedDatabase`].
+/// A running TCP server over one [`Database`] — any engine; alter,
+/// checkpoint and subscribe need a durable one and are otherwise refused
+/// with a typed [`WireError::NotDurable`].
 ///
 /// ```no_run
 /// use std::sync::Arc;
@@ -294,7 +299,7 @@ struct Session<'a> {
     frames: FrameReader<&'a TcpStream>,
     /// Encoded replies not yet written, in request order.
     out: Vec<u8>,
-    shared: &'a SharedDatabase,
+    db: &'a Database,
     obs: &'a ServerObs,
     conn_id: u64,
     bytes_out: u64,
@@ -317,7 +322,7 @@ impl Drop for Session<'_> {
 }
 
 impl<'a> Session<'a> {
-    fn open(stream: &'a TcpStream, shared: &'a SharedDatabase, obs: &'a ServerObs) -> Self {
+    fn open(stream: &'a TcpStream, db: &'a Database, obs: &'a ServerObs) -> Self {
         // Replies are coalesced here, in `out`; Nagle on top of that
         // could only add a delayed-ACK stall.
         let _ = stream.set_nodelay(true);
@@ -330,7 +335,7 @@ impl<'a> Session<'a> {
             stream,
             frames: FrameReader::new(stream),
             out: Vec::new(),
-            shared,
+            db,
             obs,
             conn_id,
             bytes_out: 0,
@@ -390,7 +395,7 @@ impl<'a> Session<'a> {
                     }
                     Ok((id, Request::Hello { .. })) => {
                         greeted = true;
-                        (id, hello_reply(self.shared))
+                        (id, hello_reply(self.db))
                     }
                     Ok((id, _)) if !greeted => {
                         refused = true;
@@ -418,7 +423,7 @@ impl<'a> Session<'a> {
                                     Err(StreamEnd::Hangup(e)) => return Err(e),
                                 }
                             }
-                            req => (id, execute(self.shared, self.obs, req)),
+                            req => (id, execute(self.db, self.obs, req)),
                         }
                     }
                     // The frame was intact, so the stream is still in
@@ -527,8 +532,8 @@ impl<'a> Session<'a> {
         cursors: Vec<(u64, u64)>,
         names: u64,
     ) -> Result<Infallible, StreamEnd> {
-        let root =
-            (self.shared.store().wal_root()).ok_or(StreamEnd::Refused(WireError::NotDurable))?;
+        let root = (self.db.store().and_then(Store::wal_root))
+            .ok_or(StreamEnd::Refused(WireError::NotDurable))?;
         let dir = WalDir::open(&root)?;
         // The follower's cursor indexes are scheme indexes under the
         // manifest *governing its position* — the latest one with
@@ -714,8 +719,8 @@ impl From<FrameError> for StreamEnd {
 }
 
 /// The handshake answer: version plus the relation catalog.
-fn hello_reply(shared: &SharedDatabase) -> Reply {
-    let schema = shared.schema();
+fn hello_reply(db: &Database) -> Reply {
+    let schema = db.schema();
     let relations = schema
         .relation_names()
         .map(|name| {
@@ -734,16 +739,16 @@ fn hello_reply(shared: &SharedDatabase) -> Reply {
 
 /// Executes one request against the shared database.  Every failure
 /// becomes a typed [`Reply::Error`]; nothing here panics the session.
-fn execute(shared: &SharedDatabase, obs: &ServerObs, req: Request) -> Reply {
+fn execute(db: &Database, obs: &ServerObs, req: Request) -> Reply {
     match req {
         // A repeated Hello is answered idempotently.
-        Request::Hello { .. } => hello_reply(shared),
+        Request::Hello { .. } => hello_reply(db),
         Request::Ping => Reply::Pong,
-        Request::Insert { relation, values } => match shared.insert(&relation, values) {
+        Request::Insert { relation, values } => match db.insert(&relation, values) {
             Ok(InsertOutcome::Accepted) => Reply::Insert(WireOutcome::Accepted),
             Ok(InsertOutcome::Duplicate) => Reply::Insert(WireOutcome::Duplicate),
             Ok(InsertOutcome::Rejected { violated }) => {
-                let schema = shared.schema();
+                let schema = db.schema();
                 let universe = schema.definition().universe();
                 Reply::Insert(WireOutcome::Rejected {
                     violated: violated.map(|fd| fd.render(universe)),
@@ -751,7 +756,7 @@ fn execute(shared: &SharedDatabase, obs: &ServerObs, req: Request) -> Reply {
             }
             Err(e) => Reply::Error(wire_error(e)),
         },
-        Request::Remove { relation, values } => match shared.remove(&relation, values) {
+        Request::Remove { relation, values } => match db.remove(&relation, values) {
             Ok(present) => Reply::Remove(present),
             Err(e) => Reply::Error(wire_error(e)),
         },
@@ -762,7 +767,7 @@ fn execute(shared: &SharedDatabase, obs: &ServerObs, req: Request) -> Reply {
         } => {
             let filters: Vec<(String, Cond)> =
                 filters.into_iter().map(|(c, v)| (c, eq(v))).collect();
-            match shared.query(&relation, &filters, select) {
+            match db.run_query(&relation, &filters, select) {
                 Ok(rows) => Reply::Rows {
                     columns: rows.columns().to_vec(),
                     rows: rows.into_string_rows(),
@@ -770,20 +775,20 @@ fn execute(shared: &SharedDatabase, obs: &ServerObs, req: Request) -> Reply {
                 Err(e) => Reply::Error(wire_error(e)),
             }
         }
-        Request::Join { relations } => match shared.join(&relations) {
+        Request::Join { relations } => match db.join(&relations) {
             Ok(rows) => Reply::Rows {
                 columns: rows.columns().to_vec(),
                 rows: rows.into_string_rows(),
             },
             Err(e) => Reply::Error(wire_error(e)),
         },
-        Request::Count { relation } => match shared.count(&relation) {
+        Request::Count { relation } => match db.count(&relation) {
             Ok(n) => Reply::Count(n as u64),
             Err(e) => Reply::Error(wire_error(e)),
         },
-        Request::Snapshot => match shared.snapshot() {
+        Request::Snapshot => match db.snapshot() {
             Ok(state) => {
-                let schema = shared.schema();
+                let schema = db.schema();
                 let counts = schema
                     .relation_names()
                     .map(|name| {
@@ -797,7 +802,7 @@ fn execute(shared: &SharedDatabase, obs: &ServerObs, req: Request) -> Reply {
             }
             Err(e) => Reply::Error(wire_error(e)),
         },
-        Request::Checkpoint => match shared.checkpoint() {
+        Request::Checkpoint => match db.checkpoint() {
             Ok(()) => Reply::Checkpointed,
             Err(e) => Reply::Error(wire_error(e)),
         },
@@ -805,7 +810,7 @@ fn execute(shared: &SharedDatabase, obs: &ServerObs, req: Request) -> Reply {
         // connection layer's and never touches a shard — a stats poll
         // still answers after a poison.
         Request::Stats => {
-            let mut snap = shared.metrics();
+            let mut snap = db.metrics();
             snap.merge(obs.registry.snapshot());
             Reply::Stats(snap)
         }
@@ -821,9 +826,9 @@ fn execute(shared: &SharedDatabase, obs: &ServerObs, req: Request) -> Reply {
                 AlterOp::AddFd { spec } => Alter::AddFd { spec },
                 AlterOp::DropFd { spec } => Alter::DropFd { spec },
             };
-            match shared.alter(&op) {
+            match db.alter(&op) {
                 Ok(generation) => Reply::Altered { generation },
-                Err(e) => Reply::Error(alter_wire_error(shared, e)),
+                Err(e) => Reply::Error(alter_wire_error(db, e)),
             }
         }
     }
@@ -835,7 +840,7 @@ fn execute(shared: &SharedDatabase, obs: &ServerObs, req: Request) -> Reply {
 /// backfill — so the refusal travels with its witness.  Failures that
 /// are not alter-specific (poisoned shard, I/O, ..) fall through to the
 /// ordinary [`wire_error`] mapping.
-fn alter_wire_error(shared: &SharedDatabase, e: Error) -> WireError {
+fn alter_wire_error(db: &Database, e: Error) -> WireError {
     match e {
         Error::NotIndependent { reason, witness } => WireError::AlterRejected {
             reason: format!("target schema is not independent: {reason:?}"),
@@ -846,14 +851,14 @@ fn alter_wire_error(shared: &SharedDatabase, e: Error) -> WireError {
             violated,
             witness,
         }) => {
-            let schema = shared.schema();
+            let schema = db.schema();
             let universe = schema.definition().universe();
             let relation = schema
                 .definition()
                 .get_scheme(scheme)
                 .map(|s| s.name.clone())
                 .unwrap_or_else(|| format!("{scheme:?}"));
-            let tuples = shared.render_tuples(&witness).join(", ");
+            let tuples = db.render_tuples(&witness).join(", ");
             WireError::AlterRejected {
                 reason: format!(
                     "existing tuples of {relation} violate {}",

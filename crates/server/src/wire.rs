@@ -116,7 +116,7 @@ pub enum Request {
     },
     /// Natural join over named relations, answered with
     /// [`Reply::Rows`].  Server-side this runs
-    /// `ids_api::SharedDatabase::join`: a repeated relation is read
+    /// `ids_api::Database::join`: a repeated relation is read
     /// once (the self-join contract), acyclic sets run through the
     /// semijoin planner, and columns follow the declared-layout
     /// contract of `ids_api::Database::join`.  An empty list is
@@ -126,7 +126,7 @@ pub enum Request {
         relations: Vec<String>,
     },
     /// One `ALTER`-class schema transition against the running
-    /// database (`ids_api::SharedDatabase::alter`).  Accepted
+    /// database (`ids_api::Database::alter`).  Accepted
     /// transitions answer [`Reply::Altered`] with the generation the
     /// new schema is effective from; refused ones answer a typed
     /// [`WireError::AlterRejected`] carrying the witness, and the
@@ -288,14 +288,15 @@ pub enum WireError {
         /// The number of values supplied.
         found: u32,
     },
-    /// A shard worker hit a durability failure; the first failure's
+    /// A relation's write hit a durability failure; the first failure's
     /// reason is preserved and reported verbatim (see
     /// `ids_store::StoreError::ShardPoisoned`).
     ShardPoisoned {
         /// Rendered reason of the first durability failure.
         reason: String,
     },
-    /// A shard worker is gone with no recorded reason.
+    /// A store lock was poisoned by a panicking thread; no reason was
+    /// recorded (see `ids_store::StoreError::Disconnected`).
     Disconnected,
     /// A rendered durability-layer error (I/O, corruption, schema
     /// mismatch).
@@ -351,7 +352,7 @@ impl std::fmt::Display for WireError {
             Self::ShardPoisoned { reason } => {
                 write!(f, "shard poisoned by a durability failure: {reason}")
             }
-            Self::Disconnected => write!(f, "shard worker disconnected"),
+            Self::Disconnected => write!(f, "a store lock was poisoned by a panicking thread"),
             Self::Durability(msg) => write!(f, "durability failure: {msg}"),
             Self::NotDurable => write!(f, "database has no write-ahead log"),
             Self::Overloaded => write!(f, "server overloaded: request shed, retry later"),

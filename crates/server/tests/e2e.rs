@@ -167,6 +167,100 @@ fn joins_cross_the_wire_with_typed_errors() {
     server.shutdown();
 }
 
+/// The server serves whatever engine the database runs on: the same
+/// script against the sequential local engine and the sharded store
+/// draws the same replies, frame for frame, and the operations that need
+/// a log are typed `NotDurable` on both — never `Internal`.
+#[test]
+fn any_engine_serves_the_same_replies() {
+    let relation = |r: &str| r.to_string();
+    let row = |a: &str, b: &str| vec![a.to_string(), b.to_string()];
+    let insert = |r: &str, a: &str, b: &str| Request::Insert {
+        relation: relation(r),
+        values: row(a, b),
+    };
+    let remove = |r: &str, a: &str, b: &str| Request::Remove {
+        relation: relation(r),
+        values: row(a, b),
+    };
+    let script = vec![
+        insert("CT", "CS402", "Jones"),
+        insert("CT", "CS402", "Jones"), // duplicate
+        insert("CT", "CS402", "Smith"), // rejected: course -> teacher
+        insert("CS", "CS402", "Riley"),
+        insert("CS", "CS402", "Morgan"),
+        insert("CS", "CS101", "Riley"),
+        insert("TD", "x", "y"), // unknown relation
+        remove("CS", "CS101", "Riley"),
+        remove("CS", "CS101", "Riley"), // absent
+        Request::Query {
+            relation: relation("CS"),
+            filters: vec![("course".into(), "CS402".into())],
+            select: Some(vec!["student".into()]),
+        },
+        Request::Join {
+            relations: vec![relation("CT"), relation("CS")],
+        },
+        Request::Count {
+            relation: relation("CS"),
+        },
+        Request::Snapshot,
+        Request::Checkpoint,
+        Request::Alter {
+            op: AlterOp::DropFd {
+                spec: "course -> teacher".into(),
+            },
+        },
+    ];
+    let no_log = Reply::Error(WireError::NotDurable);
+
+    let mut transcripts = Vec::new();
+    for kind in [
+        EngineKind::Local,
+        EngineKind::Sharded(StoreConfig::default()),
+    ] {
+        let label = format!("{kind:?}");
+        let db = Database::open(schema(), kind).unwrap();
+        let server = serve(Arc::new(db.into_shared().unwrap()));
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let replies: Vec<Reply> = script
+            .iter()
+            .map(|req| {
+                let id = client.send(req.clone()).unwrap();
+                client.recv(id).unwrap()
+            })
+            .collect();
+        assert_eq!(
+            replies[replies.len() - 2..],
+            [no_log.clone(), no_log.clone()]
+        );
+        assert!(client.stats().is_ok(), "{label}: Stats answers");
+        let mut stream = client.subscribe(vec![(0, 0), (0, 0)], 0).unwrap();
+        assert!(
+            matches!(
+                stream.next_frames(),
+                Err(ClientError::Server(WireError::NotDurable))
+            ),
+            "{label}: Subscribe needs a log"
+        );
+        server.shutdown();
+        transcripts.push(replies);
+    }
+    assert_eq!(transcripts[0], transcripts[1]);
+    // The script did what its comments say (on both, by the line above).
+    assert_eq!(
+        transcripts[0][..3],
+        [
+            Reply::Insert(WireOutcome::Accepted),
+            Reply::Insert(WireOutcome::Duplicate),
+            Reply::Insert(WireOutcome::Rejected {
+                violated: Some("course -> teacher".into())
+            }),
+        ]
+    );
+    assert_eq!(transcripts[0][11], Reply::Count(2));
+}
+
 #[test]
 fn pipelined_replies_match_by_id_in_any_order() {
     let server = serve(shared());

@@ -43,7 +43,7 @@ fn main() {
         ]
     };
     for (name, kind) in kinds() {
-        let mut db = Database::open(declare().build().unwrap(), kind).unwrap();
+        let db = Database::open(declare().build().unwrap(), kind).unwrap();
         let a = db.insert("CT", ["CS402", "Jones"]).unwrap();
         let b = db.insert("CT", ["CS402", "Jones"]).unwrap(); // duplicate
         let c = db.insert("CT", ["CS402", "Smith"]).unwrap(); // violates course → teacher
@@ -53,7 +53,7 @@ fn main() {
     }
 
     // ── 3. Reading: barrier-free rows vs snapshot barrier. ───────────
-    let mut db = Database::open(schema, EngineKind::Sharded(StoreConfig::default())).unwrap();
+    let db = Database::open(schema, EngineKind::Sharded(StoreConfig::default())).unwrap();
     db.insert("CT", ["CS402", "Jones"]).unwrap();
     db.insert("CS", ["CS402", "Ada"]).unwrap();
     db.insert("CS", ["CS402", "Alan"]).unwrap();
@@ -104,7 +104,7 @@ fn main() {
     println!("witness machine-checked (LSAT \\ WSAT): true");
 
     // Dependent schemas still get the honest engines.
-    let mut dependent = Database::open(extended, EngineKind::Chase).unwrap();
+    let dependent = Database::open(extended, EngineKind::Chase).unwrap();
     dependent.insert("CHR", ["CS402", "9am", "R128"]).unwrap();
     println!(
         "chase engine serves the dependent schema: {} tuple(s)",

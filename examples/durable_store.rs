@@ -26,7 +26,7 @@ fn main() -> Result<(), ApiError> {
             .fd("course -> teacher")
             .fd("course hour -> room")
             .build()?;
-        let mut db = Database::open_at(
+        let db = Database::open_at(
             &root,
             schema,
             DurableConfig {

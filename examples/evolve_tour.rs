@@ -37,7 +37,7 @@ fn copy_dir(from: &Path, to: &Path) {
     }
 }
 
-fn main() {
+fn main() -> Result<(), ApiError> {
     // The paper's Example 2, durable at a temp directory.
     let schema = Schema::builder()
         .relation("CT", ["course", "teacher"])
@@ -48,7 +48,7 @@ fn main() {
         .build()
         .expect("independent");
     let root = tmp_dir("primary");
-    let mut db = Database::open_at(&root, schema, DurableConfig::default()).expect("open durable");
+    let db = Database::open_at(&root, schema, DurableConfig::default()).expect("open durable");
     db.insert("CT", ["CS402", "Jones"]).unwrap();
     db.insert("CS", ["CS402", "Riley"]).unwrap();
     db.insert("CHR", ["CS402", "9am", "R128"]).unwrap();
@@ -58,7 +58,7 @@ fn main() {
     // transition: it will learn the new schemas over TCP.
     let seed = tmp_dir("seed");
     copy_dir(&root, &seed);
-    let shared = Arc::new(db.into_shared().expect("durable engine shares"));
+    let shared = Arc::new(db.into_shared()?);
     let server = Server::serve(Arc::clone(&shared), "127.0.0.1:0").expect("bind loopback");
     let mut follower = Replica::connect(&seed, server.local_addr()).expect("follower");
     assert!(follower.wait_caught_up(Duration::from_secs(5)).unwrap());
@@ -163,4 +163,5 @@ fn main() {
 
     let _ = std::fs::remove_dir_all(&root);
     let _ = std::fs::remove_dir_all(&seed);
+    Ok(())
 }

@@ -20,7 +20,7 @@ fn main() {
         .index("CHR", "hour")
         .build()
         .expect("Example 2 is independent");
-    let mut db = Database::open(schema, EngineKind::Sharded(StoreConfig::default())).unwrap();
+    let db = Database::open(schema, EngineKind::Sharded(StoreConfig::default())).unwrap();
 
     for (course, teacher) in [("CS402", "Jones"), ("CS500", "Curie"), ("EE110", "Ohm")] {
         db.insert("CT", [course, teacher]).unwrap();

@@ -30,7 +30,7 @@ fn main() {
 
     // A durable database: the WAL families (appends, fsync latency,
     // checkpoint durations) join the store's shard families.
-    let mut db =
+    let db =
         Database::open_at(&root, schema, DurableConfig::default()).expect("open durable database");
 
     // A small mixed workload so every counter family has something to
@@ -49,7 +49,7 @@ fn main() {
     // and logged as a start/complete event pair.
     db.checkpoint().unwrap();
 
-    let snap = db.metrics().expect("durable engines expose metrics");
+    let snap = db.metrics();
 
     // The typed surface: exact counter queries and conservation.
     println!("== typed queries ==");

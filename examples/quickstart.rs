@@ -55,7 +55,7 @@ fn main() {
     // Serve it on the honest whole-state chase engine.  The paper's
     // state: CS402 is a CS course, taught by Jones… and each relation
     // alone stays consistent.
-    let mut db = Database::open(schema, EngineKind::Chase).unwrap();
+    let db = Database::open(schema, EngineKind::Chase).unwrap();
     db.insert("CD", ["CS402", "CS"]).unwrap();
     db.insert("CT", ["CS402", "Jones"]).unwrap();
 

@@ -36,7 +36,7 @@ fn copy_dir(from: &Path, to: &Path) {
     }
 }
 
-fn assert_converged(primary: &SharedDatabase, follower: &Replica, who: &str) {
+fn assert_converged(primary: &Database, follower: &Replica, who: &str) {
     for relation in ["CT", "CS"] {
         let mut want = primary.rows(relation).expect("primary rows");
         let mut got = follower.database().rows(relation).expect("replica rows");
@@ -46,7 +46,7 @@ fn assert_converged(primary: &SharedDatabase, follower: &Replica, who: &str) {
     }
 }
 
-fn main() {
+fn main() -> Result<(), ApiError> {
     // Example 2's first two relations, durable at a temp directory.
     let schema = Schema::builder()
         .relation("CT", ["course", "teacher"])
@@ -55,7 +55,7 @@ fn main() {
         .build()
         .expect("independent");
     let root = tmp_dir("primary");
-    let mut db = Database::open_at(&root, schema, DurableConfig::default()).expect("open durable");
+    let db = Database::open_at(&root, schema, DurableConfig::default()).expect("open durable");
     db.insert("CT", ["CS402", "Jones"]).unwrap();
     db.insert("CS", ["CS402", "Riley"]).unwrap();
 
@@ -64,7 +64,7 @@ fn main() {
     let seed = tmp_dir("seed");
     copy_dir(&root, &seed);
 
-    let shared = Arc::new(db.into_shared().expect("durable engine shares"));
+    let shared = Arc::new(db.into_shared()?);
     let server = Server::serve(Arc::clone(&shared), "127.0.0.1:0").expect("bind loopback");
     let addr = server.local_addr();
     println!("primary listening on {addr}");
@@ -130,4 +130,5 @@ fn main() {
     );
     let _ = std::fs::remove_dir_all(&root);
     let _ = std::fs::remove_dir_all(&seed);
+    Ok(())
 }

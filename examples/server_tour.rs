@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use independent_schemas::prelude::*;
 
-fn main() {
+fn main() -> Result<(), ApiError> {
     // Example 2's schema: declared once, analysis in `build`.
     let schema = Schema::builder()
         .relation("CT", ["course", "teacher"])
@@ -28,10 +28,11 @@ fn main() {
         .build()
         .expect("Example 2 is independent");
 
-    // Sharded engine → `into_shared` → `&self` front-end → serve.
+    // Any engine serves (the database is `&self` throughout);
+    // `into_shared` moves it under the name `Server::serve` takes.
     let db = Database::open(schema, EngineKind::Sharded(StoreConfig::default()))
         .expect("independent schema opens sharded");
-    let shared = Arc::new(db.into_shared().expect("sharded engines share"));
+    let shared = Arc::new(db.into_shared()?);
     let server = Server::serve(Arc::clone(&shared), "127.0.0.1:0").expect("bind loopback");
     let addr = server.local_addr();
     println!("server listening on {addr}\n");
@@ -162,4 +163,5 @@ fn main() {
 
     server.shutdown();
     println!("\nserver shut down cleanly");
+    Ok(())
 }

@@ -9,8 +9,8 @@
 //! threads.  The example declares the
 //! schema fluently (analysis runs once, in `build`), opens the sharded
 //! engine via `Database::open`, spawns a fleet of client threads
-//! submitting interleaved insert/remove batches through the exposed
-//! `Store`, reads single relations barrier-free mid-flight, and proves
+//! submitting interleaved insert/remove batches through the one shared
+//! `&Database`, reads single relations barrier-free mid-flight, and proves
 //! the final state globally satisfying under the full chase.  (That the
 //! store reaches exactly the sequential engines' state is asserted by
 //! the differential suites in `crates/store/tests` and
@@ -48,9 +48,6 @@ fn main() {
     let clients = 6usize;
     let db = Database::open(schema, EngineKind::Sharded(StoreConfig::default()))
         .expect("build() already certified independence");
-    // The concurrent-submission escape hatch: `&Store` is Sync, so the
-    // client fleet shares it directly.
-    let store = db.store().expect("sharded engine");
     println!(
         "\nstore open: {} relations, each its own lock — no store threads; {} clients\n",
         db.schema().definition().len(),
@@ -86,7 +83,7 @@ fn main() {
         .collect();
     let total_ops: usize = scripts.iter().map(Vec::len).sum();
 
-    // The fleet: every client batches its script through the shared store;
+    // The fleet: every client batches its script through the shared `&db`;
     // one observer reads mid-flight — barrier-free single relations plus
     // one full snapshot barrier for contrast.
     let t0 = Instant::now();
@@ -95,11 +92,11 @@ fn main() {
         let handles: Vec<_> = scripts
             .iter()
             .map(|script| {
-                let store = &store;
+                let db = &db;
                 s.spawn(move || {
                     let mut accepted = 0usize;
                     for chunk in script.chunks(512) {
-                        for outcome in store.apply_batch(chunk.to_vec()).unwrap() {
+                        for outcome in db.apply_batch(chunk.to_vec()).unwrap() {
                             if matches!(outcome, OpOutcome::Insert(InsertOutcome::Accepted)) {
                                 accepted += 1;
                             }

@@ -32,7 +32,7 @@
 //!     .build()?;
 //!
 //! // Independent ⇒ every engine is sound; pick the O(1) local path.
-//! let mut db = Database::open(schema, EngineKind::Local)?;
+//! let db = Database::open(schema, EngineKind::Local)?;
 //! db.insert("CT", ["CS402", "Jones"])?;
 //! assert!(db.insert("CT", ["CS402", "Smith"])?.is_rejected()); // course → teacher
 //! assert_eq!(db.rows("CT")?,
@@ -69,7 +69,7 @@
 //! | [`obs`] | zero-cost metrics: relaxed-atomic counters/gauges, log₂ latency histograms, bounded event ring, typed snapshots |
 //! | [`wal`] | per-relation write-ahead log + snapshot checkpoints (independence ⇒ no cross-log ordering) |
 //! | [`store`] | sharded concurrent maintenance store (independence ⇒ parallelism), durable via [`wal`] |
-//! | [`api`] | `Schema` builder + typed `Database` over every engine; fluent queries, typed rows, barrier-free joins; durable via `open_at`/`recover`; `SharedDatabase` for many threads |
+//! | [`api`] | `Schema` builder + typed `Database` over every engine; fluent queries, typed rows, barrier-free joins; durable via `open_at`/`recover`; one `&self` handle, `Send + Sync` on every engine, shared by any number of threads |
 //! | [`server`] | TCP front-end: CRC-framed pipelined wire protocol, sessions, typed errors, bounded-queue backpressure |
 //! | [`client`] | blocking client for the wire protocol, with explicit pipelining |
 //! | [`replica`] | read replicas via per-relation log shipping: file-tail and wire-stream followers, lag-aware reads |

@@ -149,9 +149,14 @@ fn entry_point_signatures_are_stable() {
     // client.  Address-taking entry points use `impl ToSocketAddrs` (no
     // fn-pointer coercion), so typed closures pin their shapes.
     let _into_shared: fn(Database) -> Result<SharedDatabase, ApiError> = Database::into_shared;
-    let _shared_count: fn(&SharedDatabase, &str) -> Result<usize, ApiError> = SharedDatabase::count;
-    let _shared_snapshot: fn(&SharedDatabase) -> Result<DatabaseState, ApiError> =
-        SharedDatabase::snapshot;
+    let _shared_is_a_database: fn(&SharedDatabase) -> &Database =
+        <SharedDatabase as std::ops::Deref>::deref;
+    let _db_count: fn(&Database, &str) -> Result<usize, ApiError> = Database::count;
+    let _db_snapshot: fn(&Database) -> Result<DatabaseState, ApiError> = Database::snapshot;
+    // One handle, shared: every engine's database crosses threads.
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Database>();
+    assert_send_sync::<SharedDatabase>();
     let _serve = |s: std::sync::Arc<SharedDatabase>,
                   a: std::net::SocketAddr|
      -> std::io::Result<Server> { Server::serve(s, a) };
@@ -180,8 +185,7 @@ fn entry_point_signatures_are_stable() {
     // The observability surface: typed snapshots at every layer, the
     // stats poll over the wire, and the measured ping.
     let _store_metrics: fn(&Store) -> MetricsSnapshot = Store::metrics;
-    let _shared_metrics: fn(&SharedDatabase) -> MetricsSnapshot = SharedDatabase::metrics;
-    let _db_metrics: fn(&Database) -> Option<MetricsSnapshot> = Database::metrics;
+    let _db_metrics: fn(&Database) -> MetricsSnapshot = Database::metrics;
     let _server_metrics: fn(&Server) -> MetricsSnapshot = Server::metrics;
     let _ping: fn(&mut Client) -> Result<std::time::Duration, ClientError> = Client::ping;
     let _stats: fn(&mut Client) -> Result<MetricsSnapshot, ClientError> = Client::stats;
@@ -224,7 +228,7 @@ fn prelude_supports_the_database_quickstart() {
         .fd("course hour -> room")
         .build()
         .expect("Example 2 is independent");
-    let mut db = Database::open(schema, EngineKind::Local).unwrap();
+    let db = Database::open(schema, EngineKind::Local).unwrap();
     db.insert("CT", ["CS402", "Jones"]).unwrap();
     assert!(db.insert("CT", ["CS402", "Smith"]).unwrap().is_rejected());
     assert_eq!(
