@@ -41,7 +41,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 
 use ids_server::wire::{
     decode_reply, encode_request, AlterOp, FrameError, FrameReader, Reply, Request, WireError,
-    WireOutcome, WIRE_VERSION,
+    WireOutcome, MAX_FRAME_PAYLOAD, WIRE_VERSION,
 };
 
 /// Everything that can go wrong on the client side of the wire.
@@ -54,8 +54,10 @@ pub enum ClientError {
     Corrupt(String),
     /// The server answered with a typed error.
     Server(WireError),
-    /// The server violated the protocol (e.g. a non-Hello answer to
-    /// the handshake, or a reply kind that does not match the request).
+    /// The protocol was violated: by the server (e.g. a non-Hello answer
+    /// to the handshake, or a reply kind that does not match the
+    /// request), or by a request too large for one frame, refused before
+    /// a byte of it was written.
     Protocol(String),
     /// The connection closed while a reply was still awaited.
     Closed,
@@ -167,11 +169,22 @@ impl Client {
     /// Queues one request without waiting, returning its id — the
     /// pipelining primitive.  Collect ids, then [`Client::recv`] each.
     /// The bytes leave when a `recv` is about to block, once 64 KiB
-    /// are pending, or on [`Client::flush`].
+    /// are pending, or on [`Client::flush`].  A request too large for
+    /// one frame is refused here with [`ClientError::Protocol`], nothing
+    /// written, and the connection stays usable.
     pub fn send(&mut self, req: Request) -> Result<u64, ClientError> {
         let id = self.next_id;
+        let framed = encode_request(id, &req);
+        // The server's `read_frame` would take it for corruption and drop
+        // the connection.  (8 = the frame header, `[len: u32][crc: u32]`.)
+        let payload = framed.len() - 8;
+        if payload > MAX_FRAME_PAYLOAD as usize {
+            return Err(ClientError::Protocol(format!(
+                "request of {payload} bytes exceeds the 64 MiB frame bound"
+            )));
+        }
         self.next_id += 1;
-        self.out.extend_from_slice(&encode_request(id, &req));
+        self.out.extend_from_slice(&framed);
         if self.out.len() > FLUSH_BYTES {
             self.flush()?;
         }

@@ -61,8 +61,8 @@ use ids_store::{Store, StoreError};
 use ids_wal::{Cursor, NameTailer, RelationPoll, RelationTailer, WalDir};
 
 use crate::wire::{
-    decode_request, encode_reply, AlterOp, FrameError, FrameReader, Reply, Request, WireError,
-    WireOutcome, POOL_STREAM, WIRE_VERSION,
+    decode_request, encode_reply, AlterOp, FrameError, FrameReader, Reply, Request, Tagged,
+    WireError, WireOutcome, MAX_FRAME_PAYLOAD, POOL_STREAM, WIRE_VERSION,
 };
 
 /// Replies are written once this many bytes are pending, even with
@@ -73,7 +73,8 @@ const FLUSH_BYTES: usize = 64 * 1024;
 /// polls the logs again.
 const IDLE_WAIT: Duration = Duration::from_millis(10);
 
-/// Request kinds, in the order [`ServerObs::executed`] indexes them.
+/// Metric names of the request kinds, **indexed by wire tag** (the
+/// `Request` table in `wire.rs`): a new request appends its name here.
 const REQUEST_KINDS: [&str; 12] = [
     "hello",
     "ping",
@@ -127,25 +128,13 @@ impl ServerObs {
         }
     }
 
-    /// The per-kind **executed**-request counter.  Executed means the
-    /// session ran it: shed and malformed requests are counted by their
-    /// own families, which is what makes `served + shed == sent`
+    /// The per-kind **executed**-request counter, indexed by the
+    /// request's wire tag.  Executed means the session ran it: shed,
+    /// refused and malformed requests are counted by their own families
+    /// (or not at all), which is what makes `served + shed == sent`
     /// conservation checkable from counters alone.
     fn executed(&self, req: &Request) -> &Counter {
-        &self.requests[match req {
-            Request::Hello { .. } => 0,
-            Request::Ping => 1,
-            Request::Insert { .. } => 2,
-            Request::Remove { .. } => 3,
-            Request::Query { .. } => 4,
-            Request::Count { .. } => 5,
-            Request::Snapshot => 6,
-            Request::Checkpoint => 7,
-            Request::Stats => 8,
-            Request::Subscribe { .. } => 9,
-            Request::Join { .. } => 10,
-            Request::Alter { .. } => 11,
-        }]
+        &self.requests[usize::from(req.tag())]
     }
 }
 
@@ -354,7 +343,18 @@ impl<'a> Session<'a> {
     /// Appends one reply to the buffer, writing it out past
     /// [`FLUSH_BYTES`].
     fn reply(&mut self, id: u64, reply: &Reply) -> Result<(), FrameError> {
-        self.out.extend_from_slice(&encode_reply(id, reply));
+        let mut framed = encode_reply(id, reply);
+        // The peer's `read_frame` takes an oversize frame for corruption
+        // and drops the connection: refuse at write time, as the WAL
+        // does.  (8 = the frame header, `[len: u32][crc: u32]`.)
+        let payload = framed.len() - 8;
+        if payload > MAX_FRAME_PAYLOAD as usize {
+            let err = WireError::Internal(format!(
+                "reply of {payload} bytes exceeds the 64 MiB frame bound"
+            ));
+            framed = encode_reply(id, &Reply::Error(err));
+        }
+        self.out.extend_from_slice(&framed);
         if self.out.len() > FLUSH_BYTES {
             self.flush()?;
         }
@@ -393,8 +393,9 @@ impl<'a> Session<'a> {
                         };
                         (id, Reply::Error(err))
                     }
-                    Ok((id, Request::Hello { .. })) => {
+                    Ok((id, hello @ Request::Hello { .. })) => {
                         greeted = true;
+                        self.obs.executed(&hello).inc();
                         (id, hello_reply(self.db))
                     }
                     Ok((id, _)) if !greeted => {

@@ -32,8 +32,36 @@
 //! [`WireError::Overloaded`] replies included.
 //!
 //! Decoding is **total**: any byte sequence yields a value or a typed
-//! error, never a panic, and allocation is capped by the decoder's
-//! remaining input, so a hostile length prefix cannot balloon memory.
+//! error, never a panic.  A list reserves, up front, no more memory
+//! than the bytes still unread (its count is clamped to what fits, *in
+//! memory*, into the remaining input) and a string or blob is copied
+//! only once its bytes are known to be present, so no single
+//! allocation exceeds the payload and a hostile length prefix cannot
+//! balloon memory.
+//!
+//! Sending is bounded the same way: a message whose payload would
+//! exceed [`MAX_FRAME_PAYLOAD`] is refused by its sender — the server
+//! answers [`WireError::Internal`] in its place, the client returns an
+//! error without writing — because the peer's [`read_frame`] would take
+//! it for corruption and drop the connection.
+//!
+//! ## Adding a message
+//!
+//! The byte layout of every message is declared once, in the tables
+//! near the end of this module (`tag => Variant { fields in wire
+//! order }`); encoding and decoding are both generated from them.  A
+//! new message is:
+//!
+//! 1. the enum variant, with its doc comment;
+//! 2. one line in that enum's table, under the next free tag (the
+//!    append-never-renumber rule is stated there) — forgetting it is a
+//!    compile error;
+//! 3. for a request: an `execute` arm in `server.rs`, and its metric
+//!    name appended to `REQUEST_KINDS` (indexed by tag);
+//! 4. a typed method on `ids-client`'s `Client`;
+//! 5. one entry **appended** to the canonical lists in
+//!    `tests/golden_wire.rs`, then `regenerate_fixtures` — the old
+//!    fixture bytes must stay a strict prefix.
 
 use std::time::Duration;
 
@@ -374,459 +402,353 @@ impl std::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 // ---------------------------------------------------------------------
-// Kind bytes.  Stable on the wire: append, never renumber.
+// The codec.  A message's byte layout is stated once — a `Wire` impl
+// for each primitive, a field list per struct, a table per enum — and
+// both directions are generated from that one statement.
 
-const REQ_HELLO: u8 = 0;
-const REQ_PING: u8 = 1;
-const REQ_INSERT: u8 = 2;
-const REQ_REMOVE: u8 = 3;
-const REQ_QUERY: u8 = 4;
-const REQ_COUNT: u8 = 5;
-const REQ_SNAPSHOT: u8 = 6;
-const REQ_CHECKPOINT: u8 = 7;
-const REQ_STATS: u8 = 8;
-const REQ_SUBSCRIBE: u8 = 9;
-const REQ_JOIN: u8 = 10;
-const REQ_ALTER: u8 = 11;
+/// Why a payload did not decode.  Kept small and private — `get` runs
+/// in the inner loops, and a `Result<String, WireError>` there is
+/// several words wider than this (measured: +4–6 % on the codec layer);
+/// it is rendered into [`WireError::Malformed`] once, in [`decode`].
+enum Bad {
+    /// A primitive ran off the input or read invalid UTF-8.
+    Codec(RelationalError),
+    /// A tag byte outside its table: `(what, tag)`.
+    Tag(&'static str, u8),
+}
 
-// Operation tags inside a REQ_ALTER body.  Append-only.
-const ALTER_ADD_RELATION: u8 = 0;
-const ALTER_DROP_RELATION: u8 = 1;
-const ALTER_ADD_FD: u8 = 2;
-const ALTER_DROP_FD: u8 = 3;
-
-const REP_HELLO: u8 = 0;
-const REP_PONG: u8 = 1;
-const REP_INSERT: u8 = 2;
-const REP_REMOVE: u8 = 3;
-const REP_ROWS: u8 = 4;
-const REP_COUNT: u8 = 5;
-const REP_SNAPSHOT: u8 = 6;
-const REP_CHECKPOINTED: u8 = 7;
-const REP_ERROR: u8 = 8;
-const REP_STATS: u8 = 9;
-const REP_FRAMES: u8 = 10;
-const REP_ALTERED: u8 = 11;
-const REP_MANIFEST: u8 = 12;
-
-// Structured-event tags inside a REP_STATS body.  Append-only, like
-// the kind bytes.
-const EV_SHARD_POISONED: u8 = 0;
-const EV_CHECKPOINT_STARTED: u8 = 1;
-const EV_CHECKPOINT_COMPLETED: u8 = 2;
-const EV_OVERLOAD_SHED: u8 = 3;
-const EV_RECOVERY_REPLAYED: u8 = 4;
-const EV_CONNECTION_OPENED: u8 = 5;
-const EV_CONNECTION_CLOSED: u8 = 6;
-const EV_SEGMENT_SHIPPED: u8 = 7;
-const EV_REPLICA_CAUGHT_UP: u8 = 8;
-const EV_SCHEMA_ALTERED: u8 = 9;
-const EV_ALTER_REJECTED: u8 = 10;
-const EV_BACKFILL_COMPLETED: u8 = 11;
-
-const OUT_ACCEPTED: u8 = 0;
-const OUT_DUPLICATE: u8 = 1;
-const OUT_REJECTED: u8 = 2;
-
-const ERR_UNKNOWN_RELATION: u8 = 0;
-const ERR_UNKNOWN_COLUMN: u8 = 1;
-const ERR_ARITY: u8 = 2;
-const ERR_POISONED: u8 = 3;
-const ERR_DISCONNECTED: u8 = 4;
-const ERR_DURABILITY: u8 = 5;
-const ERR_NOT_DURABLE: u8 = 6;
-const ERR_OVERLOADED: u8 = 7;
-const ERR_MALFORMED: u8 = 8;
-const ERR_VERSION: u8 = 9;
-const ERR_HANDSHAKE: u8 = 10;
-const ERR_INTERNAL: u8 = 11;
-const ERR_EMPTY_JOIN: u8 = 12;
-const ERR_ALTER_REJECTED: u8 = 13;
-
-// ---------------------------------------------------------------------
-// Encoding.
-
-fn put_strs(e: &mut Encoder, items: &[String]) {
-    e.put_u32(items.len() as u32);
-    for s in items {
-        e.put_str(s);
+impl From<RelationalError> for Bad {
+    fn from(e: RelationalError) -> Self {
+        Bad::Codec(e)
     }
+}
+
+impl From<Bad> for WireError {
+    fn from(bad: Bad) -> Self {
+        WireError::Malformed(match bad {
+            Bad::Codec(e) => e.to_string(),
+            Bad::Tag(what, tag) => format!("bad {what} {tag}"),
+        })
+    }
+}
+
+/// A value with one byte layout: `get` reads back exactly what `put`
+/// wrote, and is total — any input yields a value or a [`Bad`].
+trait Wire: Sized {
+    fn put(&self, e: &mut Encoder);
+    fn get(d: &mut Decoder<'_>) -> Result<Self, Bad>;
+}
+
+/// An enum's tag byte — its line in its table.  What `put` writes
+/// first, and what the server's per-kind request counters index by.
+pub(crate) trait Tagged {
+    fn tag(&self) -> u8;
+}
+
+impl Wire for u16 {
+    fn put(&self, e: &mut Encoder) {
+        e.put_u16(*self);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self, Bad> {
+        Ok(d.get_u16()?)
+    }
+}
+
+impl Wire for u32 {
+    fn put(&self, e: &mut Encoder) {
+        e.put_u32(*self);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self, Bad> {
+        Ok(d.get_u32()?)
+    }
+}
+
+impl Wire for u64 {
+    fn put(&self, e: &mut Encoder) {
+        e.put_u64(*self);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self, Bad> {
+        Ok(d.get_u64()?)
+    }
+}
+
+/// Travels through its two's-complement bits.
+impl Wire for i64 {
+    fn put(&self, e: &mut Encoder) {
+        e.put_u64(*self as u64);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self, Bad> {
+        Ok(d.get_u64()? as i64)
+    }
+}
+
+impl Wire for bool {
+    fn put(&self, e: &mut Encoder) {
+        e.put_u8(u8::from(*self));
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self, Bad> {
+        match d.get_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(Bad::Tag("bool tag", tag)),
+        }
+    }
+}
+
+/// Whole nanoseconds, saturating — a ~585-year duration is not worth a
+/// wider encoding.
+impl Wire for Duration {
+    fn put(&self, e: &mut Encoder) {
+        e.put_u64(self.as_nanos().min(u64::MAX as u128) as u64);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self, Bad> {
+        Ok(Duration::from_nanos(d.get_u64()?))
+    }
+}
+
+impl Wire for String {
+    fn put(&self, e: &mut Encoder) {
+        e.put_str(self);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self, Bad> {
+        Ok(d.get_str()?)
+    }
+}
+
+/// An opaque blob: one length prefix, one `memcpy`.  `u8` itself is
+/// deliberately not `Wire` (tags are read directly), which is what lets
+/// this impl stand beside the blanket `Vec<T>` one.
+impl Wire for Vec<u8> {
+    fn put(&self, e: &mut Encoder) {
+        e.put_bytes(self);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self, Bad> {
+        Ok(d.get_bytes()?)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, e: &mut Encoder) {
+        match self {
+            None => e.put_u8(0),
+            Some(value) => {
+                e.put_u8(1);
+                value.put(e);
+            }
+        }
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self, Bad> {
+        match d.get_u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(d)?)),
+            tag => Err(Bad::Tag("option tag", tag)),
+        }
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, e: &mut Encoder) {
+        // Cannot truncate: both senders refuse a message whose payload
+        // exceeds `MAX_FRAME_PAYLOAD` (64 MiB), and every entry takes at
+        // least one byte of it, so a count that reaches the wire is far
+        // below `u32::MAX`.
+        e.put_u32(self.len() as u32);
+        for item in self {
+            item.put(e);
+        }
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self, Bad> {
+        let n = d.get_u32()? as usize;
+        // The one allocation guard: a count may lie, so reserve no more
+        // entries than fit — in memory — into the bytes still unread.
+        // Growth past that is paid for by input actually present.
+        let fit = d.remaining() / std::mem::size_of::<T>().max(1);
+        let mut items = Vec::with_capacity(n.min(fit));
+        for _ in 0..n {
+            items.push(T::get(d)?);
+        }
+        Ok(items)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, e: &mut Encoder) {
+        self.0.put(e);
+        self.1.put(e);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self, Bad> {
+        Ok((A::get(d)?, B::get(d)?))
+    }
+}
+
+/// A struct on the wire is its fields, in the order listed.
+macro_rules! wire_struct {
+    ($ty:ident { $($field:ident),* }) => {
+        impl Wire for $ty {
+            fn put(&self, e: &mut Encoder) {
+                $(self.$field.put(e);)*
+            }
+            fn get(d: &mut Decoder<'_>) -> Result<Self, Bad> {
+                Ok($ty { $($field: Wire::get(d)?),* })
+            }
+        }
+    };
+}
+
+/// An enum on the wire is a tag byte, then the variant's fields in the
+/// order listed.  Lines are `tag => Variant { fields }`,
+/// `tag => Variant(field)` or `tag => Variant`; `$what` names the tag
+/// in the "bad {what} {tag}" refusal.  The generated matches on `self`
+/// have no wildcard arm, so a variant missing from its table does not
+/// compile.
+macro_rules! wire_enum {
+    ($ty:ident, $what:literal {
+        $($tag:literal => $variant:ident $({ $($field:ident),* })? $(( $inner:ident ))?,)*
+    }) => {
+        impl Tagged for $ty {
+            fn tag(&self) -> u8 {
+                match self {
+                    $(Self::$variant { .. } => $tag,)*
+                }
+            }
+        }
+        impl Wire for $ty {
+            fn put(&self, e: &mut Encoder) {
+                e.put_u8(self.tag());
+                match self {
+                    $(Self::$variant $({ $($field),* })? $(( $inner ))? => {
+                        $($($field.put(e);)*)?
+                        $($inner.put(e);)?
+                    })*
+                }
+            }
+            fn get(d: &mut Decoder<'_>) -> Result<Self, Bad> {
+                Ok(match d.get_u8()? {
+                    $($tag => Self::$variant
+                        $({ $($field: Wire::get(d)?),* })?
+                        $(({ let $inner = Wire::get(d)?; $inner }))?,)*
+                    tag => return Err(Bad::Tag($what, tag)),
+                })
+            }
+        }
+    };
+}
+
+// The tables.  Tags are stable on the wire: **append, never renumber**
+// — a new variant takes the next free tag of its table, a retired one
+// keeps its number forever.
+
+wire_enum! { Request, "request kind" {
+    0 => Hello { version },
+    1 => Ping,
+    2 => Insert { relation, values },
+    3 => Remove { relation, values },
+    4 => Query { relation, filters, select },
+    5 => Count { relation },
+    6 => Snapshot,
+    7 => Checkpoint,
+    8 => Stats,
+    9 => Subscribe { cursors, names },
+    10 => Join { relations },
+    11 => Alter { op },
+}}
+
+wire_enum! { AlterOp, "alter tag" {
+    0 => AddRelation { name, columns },
+    1 => DropRelation { name },
+    2 => AddFd { spec },
+    3 => DropFd { spec },
+}}
+
+wire_enum! { Reply, "reply kind" {
+    0 => Hello { version, relations },
+    1 => Pong,
+    2 => Insert(outcome),
+    3 => Remove(present),
+    4 => Rows { columns, rows },
+    5 => Count(count),
+    6 => Snapshot { counts },
+    7 => Checkpointed,
+    8 => Error(error),
+    9 => Stats(snapshot),
+    10 => Frames { relation, gen, tip, frames },
+    11 => Altered { generation },
+    12 => Manifest { generation, payload },
+}}
+
+wire_enum! { WireOutcome, "outcome tag" {
+    0 => Accepted,
+    1 => Duplicate,
+    2 => Rejected { violated },
+}}
+
+wire_enum! { WireError, "error tag" {
+    0 => UnknownRelation(name),
+    1 => UnknownColumn { relation, column },
+    2 => ArityMismatch { expected, found },
+    3 => ShardPoisoned { reason },
+    4 => Disconnected,
+    5 => Durability(message),
+    6 => NotDurable,
+    7 => Overloaded,
+    8 => Malformed(message),
+    9 => UnsupportedVersion { server, client },
+    10 => HandshakeRequired,
+    11 => Internal(message),
+    12 => EmptyJoin,
+    13 => AlterRejected { reason, witness },
+}}
+
+// Inside a `Reply::Stats` body.
+wire_struct! { MetricsSnapshot { counters, gauges, histograms, events, poisoned } }
+wire_struct! { HistogramSnapshot { count, sum_ns, buckets } }
+wire_struct! { EventRecord { seq, at, event } }
+
+wire_enum! { Event, "event tag" {
+    0 => ShardPoisoned { shard, reason },
+    1 => CheckpointStarted { generation },
+    2 => CheckpointCompleted { generation, duration },
+    3 => OverloadShed { connection },
+    4 => RecoveryReplayed { records, duration },
+    5 => ConnectionOpened { connection },
+    6 => ConnectionClosed { connection, bytes_in, bytes_out },
+    7 => SegmentShipped { relation, generation, records },
+    8 => ReplicaCaughtUp { records },
+    9 => SchemaAltered { generation, relations },
+    10 => AlterRejected { reason },
+    11 => BackfillCompleted { relation, tuples, duration },
+}}
+
+/// One message as one ready-to-write CRC frame: `[id][message]`.
+fn encode<T: Wire>(id: u64, message: &T) -> Vec<u8> {
+    let mut e = Encoder::new();
+    e.put_u64(id);
+    message.put(&mut e);
+    frame(&e.into_bytes())
+}
+
+/// One frame payload back into `(id, message)`; `what` names the
+/// message in the trailing-bytes refusal.  The id is echoed on a body
+/// error, and is 0 when the id itself is unreadable.
+fn decode<T: Wire>(payload: &[u8], what: &str) -> Result<(u64, T), (u64, WireError)> {
+    let mut d = Decoder::new(payload);
+    let id = u64::get(&mut d).map_err(|bad| (0, bad.into()))?;
+    let message = T::get(&mut d).map_err(|bad| (id, bad.into()))?;
+    if !d.is_done() {
+        let trailing = format!("{} trailing bytes after {what}", d.remaining());
+        return Err((id, WireError::Malformed(trailing)));
+    }
+    Ok((id, message))
 }
 
 /// Encodes a request as one ready-to-write CRC frame.
 pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.put_u64(id);
-    match req {
-        Request::Hello { version } => {
-            e.put_u8(REQ_HELLO);
-            e.put_u16(*version);
-        }
-        Request::Ping => e.put_u8(REQ_PING),
-        Request::Insert { relation, values } => {
-            e.put_u8(REQ_INSERT);
-            e.put_str(relation);
-            put_strs(&mut e, values);
-        }
-        Request::Remove { relation, values } => {
-            e.put_u8(REQ_REMOVE);
-            e.put_str(relation);
-            put_strs(&mut e, values);
-        }
-        Request::Query {
-            relation,
-            filters,
-            select,
-        } => {
-            e.put_u8(REQ_QUERY);
-            e.put_str(relation);
-            e.put_u32(filters.len() as u32);
-            for (column, value) in filters {
-                e.put_str(column);
-                e.put_str(value);
-            }
-            match select {
-                None => e.put_u8(0),
-                Some(cols) => {
-                    e.put_u8(1);
-                    put_strs(&mut e, cols);
-                }
-            }
-        }
-        Request::Count { relation } => {
-            e.put_u8(REQ_COUNT);
-            e.put_str(relation);
-        }
-        Request::Snapshot => e.put_u8(REQ_SNAPSHOT),
-        Request::Checkpoint => e.put_u8(REQ_CHECKPOINT),
-        Request::Stats => e.put_u8(REQ_STATS),
-        Request::Subscribe { cursors, names } => {
-            e.put_u8(REQ_SUBSCRIBE);
-            e.put_u32(cursors.len() as u32);
-            for (gen, seq) in cursors {
-                e.put_u64(*gen);
-                e.put_u64(*seq);
-            }
-            e.put_u64(*names);
-        }
-        Request::Join { relations } => {
-            e.put_u8(REQ_JOIN);
-            put_strs(&mut e, relations);
-        }
-        Request::Alter { op } => {
-            e.put_u8(REQ_ALTER);
-            match op {
-                AlterOp::AddRelation { name, columns } => {
-                    e.put_u8(ALTER_ADD_RELATION);
-                    e.put_str(name);
-                    put_strs(&mut e, columns);
-                }
-                AlterOp::DropRelation { name } => {
-                    e.put_u8(ALTER_DROP_RELATION);
-                    e.put_str(name);
-                }
-                AlterOp::AddFd { spec } => {
-                    e.put_u8(ALTER_ADD_FD);
-                    e.put_str(spec);
-                }
-                AlterOp::DropFd { spec } => {
-                    e.put_u8(ALTER_DROP_FD);
-                    e.put_str(spec);
-                }
-            }
-        }
-    }
-    frame(&e.into_bytes())
-}
-
-/// Clamps a duration to whole nanoseconds for the wire (saturating —
-/// a ~585-year duration is not worth a wider encoding).
-fn duration_ns(d: Duration) -> u64 {
-    d.as_nanos().min(u64::MAX as u128) as u64
-}
-
-fn put_snapshot(e: &mut Encoder, snap: &MetricsSnapshot) {
-    e.put_u32(snap.counters.len() as u32);
-    for (name, value) in &snap.counters {
-        e.put_str(name);
-        e.put_u64(*value);
-    }
-    e.put_u32(snap.gauges.len() as u32);
-    for (name, value) in &snap.gauges {
-        e.put_str(name);
-        // i64 travels through its two's-complement bits.
-        e.put_u64(*value as u64);
-    }
-    e.put_u32(snap.histograms.len() as u32);
-    for (name, h) in &snap.histograms {
-        e.put_str(name);
-        e.put_u64(h.count);
-        e.put_u64(h.sum_ns);
-        e.put_u32(h.buckets.len() as u32);
-        for b in &h.buckets {
-            e.put_u64(*b);
-        }
-    }
-    e.put_u32(snap.events.len() as u32);
-    for record in &snap.events {
-        e.put_u64(record.seq);
-        e.put_u64(duration_ns(record.at));
-        match &record.event {
-            Event::ShardPoisoned { shard, reason } => {
-                e.put_u8(EV_SHARD_POISONED);
-                e.put_u64(*shard);
-                e.put_str(reason);
-            }
-            Event::CheckpointStarted { generation } => {
-                e.put_u8(EV_CHECKPOINT_STARTED);
-                e.put_u64(*generation);
-            }
-            Event::CheckpointCompleted {
-                generation,
-                duration,
-            } => {
-                e.put_u8(EV_CHECKPOINT_COMPLETED);
-                e.put_u64(*generation);
-                e.put_u64(duration_ns(*duration));
-            }
-            Event::OverloadShed { connection } => {
-                e.put_u8(EV_OVERLOAD_SHED);
-                e.put_u64(*connection);
-            }
-            Event::RecoveryReplayed { records, duration } => {
-                e.put_u8(EV_RECOVERY_REPLAYED);
-                e.put_u64(*records);
-                e.put_u64(duration_ns(*duration));
-            }
-            Event::ConnectionOpened { connection } => {
-                e.put_u8(EV_CONNECTION_OPENED);
-                e.put_u64(*connection);
-            }
-            Event::ConnectionClosed {
-                connection,
-                bytes_in,
-                bytes_out,
-            } => {
-                e.put_u8(EV_CONNECTION_CLOSED);
-                e.put_u64(*connection);
-                e.put_u64(*bytes_in);
-                e.put_u64(*bytes_out);
-            }
-            Event::SegmentShipped {
-                relation,
-                generation,
-                records,
-            } => {
-                e.put_u8(EV_SEGMENT_SHIPPED);
-                e.put_u16(*relation);
-                e.put_u64(*generation);
-                e.put_u64(*records);
-            }
-            Event::ReplicaCaughtUp { records } => {
-                e.put_u8(EV_REPLICA_CAUGHT_UP);
-                e.put_u64(*records);
-            }
-            Event::SchemaAltered {
-                generation,
-                relations,
-            } => {
-                e.put_u8(EV_SCHEMA_ALTERED);
-                e.put_u64(*generation);
-                e.put_u64(*relations);
-            }
-            Event::AlterRejected { reason } => {
-                e.put_u8(EV_ALTER_REJECTED);
-                e.put_str(reason);
-            }
-            Event::BackfillCompleted {
-                relation,
-                tuples,
-                duration,
-            } => {
-                e.put_u8(EV_BACKFILL_COMPLETED);
-                e.put_u64(*relation);
-                e.put_u64(*tuples);
-                e.put_u64(duration_ns(*duration));
-            }
-        }
-    }
-    match &snap.poisoned {
-        None => e.put_u8(0),
-        Some(reason) => {
-            e.put_u8(1);
-            e.put_str(reason);
-        }
-    }
+    encode(id, req)
 }
 
 /// Encodes a reply as one ready-to-write CRC frame.
 pub fn encode_reply(id: u64, reply: &Reply) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.put_u64(id);
-    match reply {
-        Reply::Hello { version, relations } => {
-            e.put_u8(REP_HELLO);
-            e.put_u16(*version);
-            e.put_u32(relations.len() as u32);
-            for (name, columns) in relations {
-                e.put_str(name);
-                put_strs(&mut e, columns);
-            }
-        }
-        Reply::Pong => e.put_u8(REP_PONG),
-        Reply::Insert(outcome) => {
-            e.put_u8(REP_INSERT);
-            match outcome {
-                WireOutcome::Accepted => e.put_u8(OUT_ACCEPTED),
-                WireOutcome::Duplicate => e.put_u8(OUT_DUPLICATE),
-                WireOutcome::Rejected { violated } => {
-                    e.put_u8(OUT_REJECTED);
-                    match violated {
-                        None => e.put_u8(0),
-                        Some(fd) => {
-                            e.put_u8(1);
-                            e.put_str(fd);
-                        }
-                    }
-                }
-            }
-        }
-        Reply::Remove(present) => {
-            e.put_u8(REP_REMOVE);
-            e.put_u8(u8::from(*present));
-        }
-        Reply::Rows { columns, rows } => {
-            e.put_u8(REP_ROWS);
-            put_strs(&mut e, columns);
-            e.put_u32(rows.len() as u32);
-            for row in rows {
-                put_strs(&mut e, row);
-            }
-        }
-        Reply::Count(n) => {
-            e.put_u8(REP_COUNT);
-            e.put_u64(*n);
-        }
-        Reply::Snapshot { counts } => {
-            e.put_u8(REP_SNAPSHOT);
-            e.put_u32(counts.len() as u32);
-            for (name, n) in counts {
-                e.put_str(name);
-                e.put_u64(*n);
-            }
-        }
-        Reply::Checkpointed => e.put_u8(REP_CHECKPOINTED),
-        Reply::Stats(snap) => {
-            e.put_u8(REP_STATS);
-            put_snapshot(&mut e, snap);
-        }
-        Reply::Frames {
-            relation,
-            gen,
-            tip,
-            frames,
-        } => {
-            e.put_u8(REP_FRAMES);
-            e.put_u16(*relation);
-            e.put_u64(*gen);
-            e.put_u64(*tip);
-            e.put_u32(frames.len() as u32);
-            for f in frames {
-                e.put_bytes(f);
-            }
-        }
-        Reply::Altered { generation } => {
-            e.put_u8(REP_ALTERED);
-            e.put_u64(*generation);
-        }
-        Reply::Manifest {
-            generation,
-            payload,
-        } => {
-            e.put_u8(REP_MANIFEST);
-            e.put_u64(*generation);
-            e.put_bytes(payload);
-        }
-        Reply::Error(err) => {
-            e.put_u8(REP_ERROR);
-            match err {
-                WireError::UnknownRelation(name) => {
-                    e.put_u8(ERR_UNKNOWN_RELATION);
-                    e.put_str(name);
-                }
-                WireError::UnknownColumn { relation, column } => {
-                    e.put_u8(ERR_UNKNOWN_COLUMN);
-                    e.put_str(relation);
-                    e.put_str(column);
-                }
-                WireError::ArityMismatch { expected, found } => {
-                    e.put_u8(ERR_ARITY);
-                    e.put_u32(*expected);
-                    e.put_u32(*found);
-                }
-                WireError::ShardPoisoned { reason } => {
-                    e.put_u8(ERR_POISONED);
-                    e.put_str(reason);
-                }
-                WireError::Disconnected => e.put_u8(ERR_DISCONNECTED),
-                WireError::Durability(msg) => {
-                    e.put_u8(ERR_DURABILITY);
-                    e.put_str(msg);
-                }
-                WireError::NotDurable => e.put_u8(ERR_NOT_DURABLE),
-                WireError::Overloaded => e.put_u8(ERR_OVERLOADED),
-                WireError::Malformed(msg) => {
-                    e.put_u8(ERR_MALFORMED);
-                    e.put_str(msg);
-                }
-                WireError::UnsupportedVersion { server, client } => {
-                    e.put_u8(ERR_VERSION);
-                    e.put_u16(*server);
-                    e.put_u16(*client);
-                }
-                WireError::HandshakeRequired => e.put_u8(ERR_HANDSHAKE),
-                WireError::Internal(msg) => {
-                    e.put_u8(ERR_INTERNAL);
-                    e.put_str(msg);
-                }
-                WireError::EmptyJoin => e.put_u8(ERR_EMPTY_JOIN),
-                WireError::AlterRejected { reason, witness } => {
-                    e.put_u8(ERR_ALTER_REJECTED);
-                    e.put_str(reason);
-                    match witness {
-                        None => e.put_u8(0),
-                        Some(w) => {
-                            e.put_u8(1);
-                            e.put_str(w);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    frame(&e.into_bytes())
-}
-
-// ---------------------------------------------------------------------
-// Decoding — total, allocation capped by the decoder's remaining input.
-
-/// `Vec::with_capacity` guard: a hostile count cannot reserve more
-/// entries than bytes actually present.
-fn cap(count: u32, d: &Decoder<'_>) -> usize {
-    (count as usize).min(d.remaining())
-}
-
-fn get_strs(d: &mut Decoder<'_>) -> Result<Vec<String>, RelationalError> {
-    let n = d.get_u32()?;
-    let mut out = Vec::with_capacity(cap(n, d));
-    for _ in 0..n {
-        out.push(d.get_str()?);
-    }
-    Ok(out)
-}
-
-fn malformed(e: RelationalError) -> WireError {
-    WireError::Malformed(e.to_string())
+    encode(id, reply)
 }
 
 /// Decodes one frame payload into `(request_id, Request)`.
@@ -836,344 +758,13 @@ fn malformed(e: RelationalError) -> WireError {
 /// allocation.  When even the request id is unreadable the returned
 /// error carries id 0.
 pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), (u64, WireError)> {
-    let mut d = Decoder::new(payload);
-    let id = d.get_u64().map_err(|e| (0, malformed(e)))?;
-    decode_request_body(&mut d)
-        .map(|req| (id, req))
-        .map_err(|err| (id, err))
-}
-
-fn decode_request_body(d: &mut Decoder<'_>) -> Result<Request, WireError> {
-    let kind = d.get_u8().map_err(malformed)?;
-    let req = match kind {
-        REQ_HELLO => Request::Hello {
-            version: d.get_u16().map_err(malformed)?,
-        },
-        REQ_PING => Request::Ping,
-        REQ_INSERT | REQ_REMOVE => {
-            let relation = d.get_str().map_err(malformed)?;
-            let values = get_strs(d).map_err(malformed)?;
-            if kind == REQ_INSERT {
-                Request::Insert { relation, values }
-            } else {
-                Request::Remove { relation, values }
-            }
-        }
-        REQ_QUERY => {
-            let relation = d.get_str().map_err(malformed)?;
-            let n = d.get_u32().map_err(malformed)?;
-            let mut filters = Vec::with_capacity(cap(n, d));
-            for _ in 0..n {
-                let column = d.get_str().map_err(malformed)?;
-                let value = d.get_str().map_err(malformed)?;
-                filters.push((column, value));
-            }
-            let select = match d.get_u8().map_err(malformed)? {
-                0 => None,
-                1 => Some(get_strs(d).map_err(malformed)?),
-                tag => return Err(WireError::Malformed(format!("bad select tag {tag}"))),
-            };
-            Request::Query {
-                relation,
-                filters,
-                select,
-            }
-        }
-        REQ_COUNT => Request::Count {
-            relation: d.get_str().map_err(malformed)?,
-        },
-        REQ_SNAPSHOT => Request::Snapshot,
-        REQ_CHECKPOINT => Request::Checkpoint,
-        REQ_STATS => Request::Stats,
-        REQ_SUBSCRIBE => {
-            let n = d.get_u32().map_err(malformed)?;
-            let mut cursors = Vec::with_capacity(cap(n, d));
-            for _ in 0..n {
-                let gen = d.get_u64().map_err(malformed)?;
-                let seq = d.get_u64().map_err(malformed)?;
-                cursors.push((gen, seq));
-            }
-            let names = d.get_u64().map_err(malformed)?;
-            Request::Subscribe { cursors, names }
-        }
-        REQ_JOIN => Request::Join {
-            relations: get_strs(d).map_err(malformed)?,
-        },
-        REQ_ALTER => {
-            let op = match d.get_u8().map_err(malformed)? {
-                ALTER_ADD_RELATION => AlterOp::AddRelation {
-                    name: d.get_str().map_err(malformed)?,
-                    columns: get_strs(d).map_err(malformed)?,
-                },
-                ALTER_DROP_RELATION => AlterOp::DropRelation {
-                    name: d.get_str().map_err(malformed)?,
-                },
-                ALTER_ADD_FD => AlterOp::AddFd {
-                    spec: d.get_str().map_err(malformed)?,
-                },
-                ALTER_DROP_FD => AlterOp::DropFd {
-                    spec: d.get_str().map_err(malformed)?,
-                },
-                tag => return Err(WireError::Malformed(format!("bad alter tag {tag}"))),
-            };
-            Request::Alter { op }
-        }
-        other => return Err(WireError::Malformed(format!("bad request kind {other}"))),
-    };
-    if !d.is_done() {
-        return Err(WireError::Malformed(format!(
-            "{} trailing bytes after request",
-            d.remaining()
-        )));
-    }
-    Ok(req)
+    decode(payload, "request")
 }
 
 /// Decodes one frame payload into `(request_id, Reply)`.  Total, like
 /// [`decode_request`].
 pub fn decode_reply(payload: &[u8]) -> Result<(u64, Reply), (u64, WireError)> {
-    let mut d = Decoder::new(payload);
-    let id = d.get_u64().map_err(|e| (0, malformed(e)))?;
-    decode_reply_body(&mut d)
-        .map(|rep| (id, rep))
-        .map_err(|err| (id, err))
-}
-
-fn decode_reply_body(d: &mut Decoder<'_>) -> Result<Reply, WireError> {
-    let kind = d.get_u8().map_err(malformed)?;
-    let reply = match kind {
-        REP_HELLO => {
-            let version = d.get_u16().map_err(malformed)?;
-            let n = d.get_u32().map_err(malformed)?;
-            let mut relations = Vec::with_capacity(cap(n, d));
-            for _ in 0..n {
-                let name = d.get_str().map_err(malformed)?;
-                let columns = get_strs(d).map_err(malformed)?;
-                relations.push((name, columns));
-            }
-            Reply::Hello { version, relations }
-        }
-        REP_PONG => Reply::Pong,
-        REP_INSERT => {
-            let outcome = match d.get_u8().map_err(malformed)? {
-                OUT_ACCEPTED => WireOutcome::Accepted,
-                OUT_DUPLICATE => WireOutcome::Duplicate,
-                OUT_REJECTED => WireOutcome::Rejected {
-                    violated: match d.get_u8().map_err(malformed)? {
-                        0 => None,
-                        1 => Some(d.get_str().map_err(malformed)?),
-                        tag => return Err(WireError::Malformed(format!("bad violated tag {tag}"))),
-                    },
-                },
-                tag => return Err(WireError::Malformed(format!("bad outcome tag {tag}"))),
-            };
-            Reply::Insert(outcome)
-        }
-        REP_REMOVE => Reply::Remove(match d.get_u8().map_err(malformed)? {
-            0 => false,
-            1 => true,
-            tag => return Err(WireError::Malformed(format!("bad bool tag {tag}"))),
-        }),
-        REP_ROWS => {
-            let columns = get_strs(d).map_err(malformed)?;
-            let n = d.get_u32().map_err(malformed)?;
-            let mut rows = Vec::with_capacity(cap(n, d));
-            for _ in 0..n {
-                rows.push(get_strs(d).map_err(malformed)?);
-            }
-            Reply::Rows { columns, rows }
-        }
-        REP_COUNT => Reply::Count(d.get_u64().map_err(malformed)?),
-        REP_SNAPSHOT => {
-            let n = d.get_u32().map_err(malformed)?;
-            let mut counts = Vec::with_capacity(cap(n, d));
-            for _ in 0..n {
-                let name = d.get_str().map_err(malformed)?;
-                let count = d.get_u64().map_err(malformed)?;
-                counts.push((name, count));
-            }
-            Reply::Snapshot { counts }
-        }
-        REP_CHECKPOINTED => Reply::Checkpointed,
-        REP_STATS => Reply::Stats(get_snapshot(d)?),
-        REP_FRAMES => {
-            let relation = d.get_u16().map_err(malformed)?;
-            let gen = d.get_u64().map_err(malformed)?;
-            let tip = d.get_u64().map_err(malformed)?;
-            let n = d.get_u32().map_err(malformed)?;
-            let mut frames = Vec::with_capacity(cap(n, d));
-            for _ in 0..n {
-                frames.push(d.get_bytes().map_err(malformed)?);
-            }
-            Reply::Frames {
-                relation,
-                gen,
-                tip,
-                frames,
-            }
-        }
-        REP_ALTERED => Reply::Altered {
-            generation: d.get_u64().map_err(malformed)?,
-        },
-        REP_MANIFEST => Reply::Manifest {
-            generation: d.get_u64().map_err(malformed)?,
-            payload: d.get_bytes().map_err(malformed)?,
-        },
-        REP_ERROR => Reply::Error(decode_wire_error(d)?),
-        other => return Err(WireError::Malformed(format!("bad reply kind {other}"))),
-    };
-    if !d.is_done() {
-        return Err(WireError::Malformed(format!(
-            "{} trailing bytes after reply",
-            d.remaining()
-        )));
-    }
-    Ok(reply)
-}
-
-/// Decodes a [`MetricsSnapshot`] — total, like everything else here:
-/// counts are capped by the remaining input, every tag is checked.
-fn get_snapshot(d: &mut Decoder<'_>) -> Result<MetricsSnapshot, WireError> {
-    let n = d.get_u32().map_err(malformed)?;
-    let mut counters = Vec::with_capacity(cap(n, d));
-    for _ in 0..n {
-        let name = d.get_str().map_err(malformed)?;
-        let value = d.get_u64().map_err(malformed)?;
-        counters.push((name, value));
-    }
-    let n = d.get_u32().map_err(malformed)?;
-    let mut gauges = Vec::with_capacity(cap(n, d));
-    for _ in 0..n {
-        let name = d.get_str().map_err(malformed)?;
-        let value = d.get_u64().map_err(malformed)? as i64;
-        gauges.push((name, value));
-    }
-    let n = d.get_u32().map_err(malformed)?;
-    let mut histograms = Vec::with_capacity(cap(n, d));
-    for _ in 0..n {
-        let name = d.get_str().map_err(malformed)?;
-        let count = d.get_u64().map_err(malformed)?;
-        let sum_ns = d.get_u64().map_err(malformed)?;
-        let nb = d.get_u32().map_err(malformed)?;
-        let mut buckets = Vec::with_capacity(cap(nb, d));
-        for _ in 0..nb {
-            buckets.push(d.get_u64().map_err(malformed)?);
-        }
-        histograms.push((
-            name,
-            HistogramSnapshot {
-                buckets,
-                count,
-                sum_ns,
-            },
-        ));
-    }
-    let n = d.get_u32().map_err(malformed)?;
-    let mut events = Vec::with_capacity(cap(n, d));
-    for _ in 0..n {
-        let seq = d.get_u64().map_err(malformed)?;
-        let at = Duration::from_nanos(d.get_u64().map_err(malformed)?);
-        let event = match d.get_u8().map_err(malformed)? {
-            EV_SHARD_POISONED => Event::ShardPoisoned {
-                shard: d.get_u64().map_err(malformed)?,
-                reason: d.get_str().map_err(malformed)?,
-            },
-            EV_CHECKPOINT_STARTED => Event::CheckpointStarted {
-                generation: d.get_u64().map_err(malformed)?,
-            },
-            EV_CHECKPOINT_COMPLETED => Event::CheckpointCompleted {
-                generation: d.get_u64().map_err(malformed)?,
-                duration: Duration::from_nanos(d.get_u64().map_err(malformed)?),
-            },
-            EV_OVERLOAD_SHED => Event::OverloadShed {
-                connection: d.get_u64().map_err(malformed)?,
-            },
-            EV_RECOVERY_REPLAYED => Event::RecoveryReplayed {
-                records: d.get_u64().map_err(malformed)?,
-                duration: Duration::from_nanos(d.get_u64().map_err(malformed)?),
-            },
-            EV_CONNECTION_OPENED => Event::ConnectionOpened {
-                connection: d.get_u64().map_err(malformed)?,
-            },
-            EV_CONNECTION_CLOSED => Event::ConnectionClosed {
-                connection: d.get_u64().map_err(malformed)?,
-                bytes_in: d.get_u64().map_err(malformed)?,
-                bytes_out: d.get_u64().map_err(malformed)?,
-            },
-            EV_SEGMENT_SHIPPED => Event::SegmentShipped {
-                relation: d.get_u16().map_err(malformed)?,
-                generation: d.get_u64().map_err(malformed)?,
-                records: d.get_u64().map_err(malformed)?,
-            },
-            EV_REPLICA_CAUGHT_UP => Event::ReplicaCaughtUp {
-                records: d.get_u64().map_err(malformed)?,
-            },
-            EV_SCHEMA_ALTERED => Event::SchemaAltered {
-                generation: d.get_u64().map_err(malformed)?,
-                relations: d.get_u64().map_err(malformed)?,
-            },
-            EV_ALTER_REJECTED => Event::AlterRejected {
-                reason: d.get_str().map_err(malformed)?,
-            },
-            EV_BACKFILL_COMPLETED => Event::BackfillCompleted {
-                relation: d.get_u64().map_err(malformed)?,
-                tuples: d.get_u64().map_err(malformed)?,
-                duration: Duration::from_nanos(d.get_u64().map_err(malformed)?),
-            },
-            tag => return Err(WireError::Malformed(format!("bad event tag {tag}"))),
-        };
-        events.push(EventRecord { seq, at, event });
-    }
-    let poisoned = match d.get_u8().map_err(malformed)? {
-        0 => None,
-        1 => Some(d.get_str().map_err(malformed)?),
-        tag => return Err(WireError::Malformed(format!("bad poisoned tag {tag}"))),
-    };
-    Ok(MetricsSnapshot {
-        counters,
-        gauges,
-        histograms,
-        events,
-        poisoned,
-    })
-}
-
-fn decode_wire_error(d: &mut Decoder<'_>) -> Result<WireError, WireError> {
-    Ok(match d.get_u8().map_err(malformed)? {
-        ERR_UNKNOWN_RELATION => WireError::UnknownRelation(d.get_str().map_err(malformed)?),
-        ERR_UNKNOWN_COLUMN => WireError::UnknownColumn {
-            relation: d.get_str().map_err(malformed)?,
-            column: d.get_str().map_err(malformed)?,
-        },
-        ERR_ARITY => WireError::ArityMismatch {
-            expected: d.get_u32().map_err(malformed)?,
-            found: d.get_u32().map_err(malformed)?,
-        },
-        ERR_POISONED => WireError::ShardPoisoned {
-            reason: d.get_str().map_err(malformed)?,
-        },
-        ERR_DISCONNECTED => WireError::Disconnected,
-        ERR_DURABILITY => WireError::Durability(d.get_str().map_err(malformed)?),
-        ERR_NOT_DURABLE => WireError::NotDurable,
-        ERR_OVERLOADED => WireError::Overloaded,
-        ERR_MALFORMED => WireError::Malformed(d.get_str().map_err(malformed)?),
-        ERR_VERSION => WireError::UnsupportedVersion {
-            server: d.get_u16().map_err(malformed)?,
-            client: d.get_u16().map_err(malformed)?,
-        },
-        ERR_HANDSHAKE => WireError::HandshakeRequired,
-        ERR_INTERNAL => WireError::Internal(d.get_str().map_err(malformed)?),
-        ERR_EMPTY_JOIN => WireError::EmptyJoin,
-        ERR_ALTER_REJECTED => WireError::AlterRejected {
-            reason: d.get_str().map_err(malformed)?,
-            witness: match d.get_u8().map_err(malformed)? {
-                0 => None,
-                1 => Some(d.get_str().map_err(malformed)?),
-                tag => return Err(WireError::Malformed(format!("bad witness tag {tag}"))),
-            },
-        },
-        other => return Err(WireError::Malformed(format!("bad error tag {other}"))),
-    })
+    decode(payload, "reply")
 }
 
 // ---------------------------------------------------------------------

@@ -581,6 +581,159 @@ fn malformed_payloads_get_typed_replies_and_the_session_survives() {
     server.shutdown();
 }
 
+/// A reply too large for one frame is refused by the server at write
+/// time with a typed error, and a request too large by the client before
+/// a byte is written — either way the session lives on.  (The peer's
+/// `read_frame` takes an oversize frame for corruption, which used to
+/// poison a healthy connection over a legal query.)
+#[test]
+fn a_message_too_large_for_a_frame_is_refused_not_fatal() {
+    let schema = Schema::builder()
+        .relation("KV", ["k", "v"])
+        .fd("k -> v")
+        .build()
+        .unwrap();
+    let db = Database::open(schema, EngineKind::Sharded(StoreConfig::default())).unwrap();
+    let server = serve(Arc::new(db.into_shared().unwrap()));
+    let mut client = Client::connect(server.local_addr()).unwrap();
+
+    // Nine 8 MiB values: each insert fits a frame, all rows together
+    // (72 MiB) do not.
+    for k in 0..9 {
+        let value = k.to_string().repeat(8 << 20);
+        assert_eq!(
+            client.insert("KV", [k.to_string(), value]).unwrap(),
+            WireOutcome::Accepted
+        );
+    }
+    match client.rows("KV") {
+        Err(ClientError::Server(WireError::Internal(msg))) => {
+            assert!(msg.contains("exceeds the 64 MiB frame bound"), "got {msg}");
+        }
+        other => panic!(
+            "expected a typed Internal refusal, got {:?}",
+            other.map(|r| r.len())
+        ),
+    }
+    // The stream is still in sync and the data still there.
+    client.ping().unwrap();
+    assert_eq!(client.count("KV").unwrap(), 9);
+    assert_eq!(
+        client.query("KV", &[("k", "3")], None).unwrap().rows.len(),
+        1
+    );
+
+    // A request over the bound never reaches the wire.
+    let oversize = "x".repeat((64 << 20) + 1);
+    match client.insert("KV", ["big".to_string(), oversize]) {
+        Err(ClientError::Protocol(msg)) => {
+            assert!(msg.contains("exceeds the 64 MiB frame bound"), "got {msg}");
+        }
+        other => panic!("expected a client-side refusal, got {other:?}"),
+    }
+    client.ping().unwrap();
+    assert_eq!(client.count("KV").unwrap(), 9);
+
+    server.shutdown();
+}
+
+/// Every request kind lands in its own `server.requests.{kind}`
+/// counter — refused-by-the-database and stream-refused ones included,
+/// since the session ran them.
+#[test]
+fn every_request_kind_is_counted_under_its_own_name() {
+    let server = serve(shared());
+    // The handshake is hello #1.
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let hello = client
+        .send(Request::Hello {
+            version: WIRE_VERSION,
+        })
+        .unwrap();
+    assert!(matches!(client.recv(hello).unwrap(), Reply::Hello { .. }));
+
+    for _ in 0..3 {
+        client.ping().unwrap();
+    }
+    for i in 0..5 {
+        client
+            .insert("CS", ["CS402".to_string(), format!("S{i}")])
+            .unwrap();
+    }
+    for i in 0..2 {
+        assert!(client
+            .remove("CS", ["CS402".to_string(), format!("S{i}")])
+            .unwrap());
+    }
+    for _ in 0..4 {
+        assert_eq!(client.rows("CS").unwrap().len(), 3);
+    }
+    for _ in 0..6 {
+        assert_eq!(client.count("CS").unwrap(), 3);
+    }
+    for _ in 0..2 {
+        client.snapshot().unwrap();
+    }
+    for _ in 0..7 {
+        client.join(["CT", "CS"]).unwrap();
+    }
+    // Not durable: checkpoint, alter and subscribe are refused — typed —
+    // after the session ran them.
+    for _ in 0..3 {
+        assert!(matches!(
+            client.checkpoint(),
+            Err(ClientError::Server(WireError::NotDurable))
+        ));
+    }
+    for _ in 0..2 {
+        let op = AlterOp::AddFd {
+            spec: "course -> student".into(),
+        };
+        assert!(matches!(
+            client.alter(op),
+            Err(ClientError::Server(WireError::NotDurable))
+        ));
+    }
+    let subscribe = client
+        .send(Request::Subscribe {
+            cursors: vec![(0, 0), (0, 0)],
+            names: 0,
+        })
+        .unwrap();
+    assert_eq!(
+        client.recv(subscribe).unwrap(),
+        Reply::Error(WireError::NotDurable)
+    );
+    client.stats().unwrap();
+
+    // The second poll counts itself before it snapshots.
+    let snap = client.stats().unwrap();
+    for (kind, sent) in [
+        ("hello", 2),
+        ("ping", 3),
+        ("insert", 5),
+        ("remove", 2),
+        ("query", 4),
+        ("count", 6),
+        ("snapshot", 2),
+        ("checkpoint", 3),
+        ("stats", 2),
+        ("subscribe", 1),
+        ("join", 7),
+        ("alter", 2),
+    ] {
+        assert_eq!(
+            snap.counter(&format!("server.requests.{kind}")),
+            Some(sent),
+            "server.requests.{kind}"
+        );
+    }
+    assert_eq!(snap.counter("server.shed"), Some(0));
+    assert_eq!(snap.counter("server.malformed"), Some(0));
+
+    server.shutdown();
+}
+
 #[test]
 fn shard_poison_reasons_cross_the_wire() {
     let root = std::env::temp_dir().join(format!("ids-server-poison-{}", std::process::id()));

@@ -440,6 +440,68 @@ fn fixtures_decode_to_the_canonical_messages() {
     assert!(rest.is_empty());
 }
 
+/// The payload inside one encoded frame.
+fn payload_of(framed: &[u8]) -> Vec<u8> {
+    let FrameOutcome::Complete { payload, rest } = read_frame(framed) else {
+        panic!("an encoder must emit one complete frame");
+    };
+    assert!(rest.is_empty());
+    payload.to_vec()
+}
+
+/// Walks one decoder's early exits over its canonical messages: every
+/// strict prefix, one byte too many, and a kind byte one past the
+/// table's last tag are all typed `Malformed` — never `Ok`, never a
+/// panic — with id 0 while the id itself is unreadable and the
+/// message's own id from there on.
+fn sweep<T: std::fmt::Debug>(
+    what: &str,
+    payloads: &[(u64, Vec<u8>)],
+    decode: impl Fn(&[u8]) -> Result<(u64, T), (u64, WireError)>,
+) {
+    let malformed = |bytes: &[u8], why: &str| match decode(bytes) {
+        Err((id, WireError::Malformed(msg))) => (id, msg),
+        other => panic!("{what} {why}: expected Malformed, got {other:?}"),
+    };
+    // The canonical lists hold every kind, so this is the table's last.
+    let last_kind = payloads.iter().map(|(_, p)| p[8]).max().unwrap();
+    for (id, payload) in payloads {
+        for cut in 0..payload.len() {
+            let (got, _) = malformed(&payload[..cut], &format!("{id} cut at {cut}"));
+            assert_eq!(
+                got,
+                if cut < 8 { 0 } else { *id },
+                "{what} {id} cut at {cut}"
+            );
+        }
+        let mut longer = payload.clone();
+        longer.push(0);
+        let (got, msg) = malformed(&longer, &format!("{id} plus one byte"));
+        assert_eq!(got, *id);
+        assert_eq!(msg, format!("1 trailing bytes after {what}"));
+
+        let mut unknown = payload.clone();
+        unknown[8] = last_kind + 1;
+        let (got, msg) = malformed(&unknown, &format!("{id} with an unknown kind"));
+        assert_eq!(got, *id);
+        assert_eq!(msg, format!("bad {what} kind {}", last_kind + 1));
+    }
+}
+
+#[test]
+fn truncated_extended_and_unknown_kind_payloads_are_malformed() {
+    let requests: Vec<(u64, Vec<u8>)> = canonical_requests()
+        .iter()
+        .map(|(id, req)| (*id, payload_of(&encode_request(*id, req))))
+        .collect();
+    sweep("request", &requests, decode_request);
+    let replies: Vec<(u64, Vec<u8>)> = canonical_replies()
+        .iter()
+        .map(|(id, reply)| (*id, payload_of(&encode_reply(*id, reply))))
+        .collect();
+    sweep("reply", &replies, decode_reply);
+}
+
 /// Writes the fixtures.  Ignored: run manually after an intentional
 /// protocol change, and bump `WIRE_VERSION` in the same commit.
 #[test]

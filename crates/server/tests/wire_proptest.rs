@@ -5,10 +5,193 @@
 
 use ids_server::wire::{
     decode_reply, decode_request, encode_reply, encode_request, read_frame, FrameOutcome, Reply,
-    Request, WireOutcome, WIRE_VERSION,
+    Request, WireError, WireOutcome, WIRE_VERSION,
 };
 
 use proptest::prelude::*;
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// The largest single allocation request made on this thread since
+    /// it was set to `Some(0)`; `None` = this thread is not measuring.
+    /// Per thread, so tests running concurrently in this binary cannot
+    /// pollute each other's reading.
+    static LARGEST_REQUEST: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// The system allocator, noting each request's size on a measuring
+/// thread — what lets this file check the bound its header promises.
+struct Counting;
+
+fn note(size: usize) {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = LARGEST_REQUEST.try_with(|largest| {
+        if let Some(seen) = largest.get() {
+            largest.set(Some(seen.max(size)));
+        }
+    });
+}
+
+// SAFETY: every method hands its arguments, unchanged, to `System` —
+// the caller's `GlobalAlloc` contract is exactly the one `System` needs
+// — and `note` only reads and writes a `Cell` (it never allocates).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: see the impl.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: see the impl.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: see the impl.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `f`, returning its result and the largest single allocation it
+/// requested.
+fn largest_request_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST_REQUEST.with(|largest| largest.set(Some(0)));
+    let result = f();
+    let largest = LARGEST_REQUEST.with(|largest| largest.take());
+    (result, largest.expect("measuring"))
+}
+
+/// A decoder reduced to its refusal, so requests and replies share a type.
+type Refusal = fn(&[u8]) -> Option<(u64, WireError)>;
+
+/// Every position of the protocol that carries a count, as `(name, its
+/// decoder, the payload bytes leading up to the count)` — request id 7
+/// first.
+fn count_positions() -> Vec<(&'static str, Refusal, Vec<u8>)> {
+    use ids_relational::codec::Encoder;
+    let lead = |kind: u8, body: &dyn Fn(&mut Encoder)| {
+        let mut e = Encoder::new();
+        e.put_u64(7);
+        e.put_u8(kind);
+        body(&mut e);
+        e.into_bytes()
+    };
+    let request: Refusal = |payload| decode_request(payload).err();
+    let reply: Refusal = |payload| decode_reply(payload).err();
+    vec![
+        ("Insert.values", request, lead(2, &|e| e.put_str("CT"))),
+        ("Remove.values", request, lead(3, &|e| e.put_str("CT"))),
+        ("Query.filters", request, lead(4, &|e| e.put_str(""))),
+        (
+            "Query.select",
+            request,
+            lead(4, &|e| {
+                e.put_str("");
+                e.put_u32(0);
+                e.put_u8(1);
+            }),
+        ),
+        ("Subscribe.cursors", request, lead(9, &|_| {})),
+        ("Join.relations", request, lead(10, &|_| {})),
+        (
+            "Alter.AddRelation.columns",
+            request,
+            lead(11, &|e| {
+                e.put_u8(0);
+                e.put_str("TD");
+            }),
+        ),
+        ("Hello.relations", reply, lead(0, &|e| e.put_u16(1))),
+        (
+            "Hello.relations.columns",
+            reply,
+            lead(0, &|e| {
+                e.put_u16(1);
+                e.put_u32(1);
+                e.put_str("CT");
+            }),
+        ),
+        ("Rows.columns", reply, lead(4, &|_| {})),
+        ("Rows.rows", reply, lead(4, &|e| e.put_u32(0))),
+        (
+            "Rows.rows.row",
+            reply,
+            lead(4, &|e| {
+                e.put_u32(0);
+                e.put_u32(1);
+            }),
+        ),
+        ("Snapshot.counts", reply, lead(6, &|_| {})),
+        (
+            "Frames.frames",
+            reply,
+            lead(10, &|e| {
+                e.put_u16(0);
+                e.put_u64(2);
+                e.put_u64(42);
+            }),
+        ),
+        ("Stats.counters", reply, lead(9, &|_| {})),
+        ("Stats.gauges", reply, lead(9, &|e| e.put_u32(0))),
+        (
+            "Stats.histograms",
+            reply,
+            lead(9, &|e| {
+                e.put_u32(0);
+                e.put_u32(0);
+            }),
+        ),
+        (
+            "Stats.histograms.buckets",
+            reply,
+            lead(9, &|e| {
+                e.put_u32(0);
+                e.put_u32(0);
+                e.put_u32(1);
+                e.put_str("wal.fsync_ns");
+                e.put_u64(5);
+                e.put_u64(999);
+            }),
+        ),
+        (
+            "Stats.events",
+            reply,
+            lead(9, &|e| {
+                e.put_u32(0);
+                e.put_u32(0);
+                e.put_u32(0);
+            }),
+        ),
+    ]
+}
+
+/// A count that lies — `u32::MAX` entries, then 1 MiB of padding — at
+/// every count-bearing position: decoding is refused as `Malformed`, and
+/// no single allocation on the way exceeds the payload itself.  (An
+/// entry of `Vec<(String, String)>` is 48 bytes in memory: a guard that
+/// bounds *entries* by *bytes* remaining reserves 48 MiB here.)
+#[test]
+fn a_lying_count_never_reserves_more_than_the_payload() {
+    for (position, decode, mut payload) in count_positions() {
+        payload.extend_from_slice(&u32::MAX.to_le_bytes());
+        payload.resize(payload.len() + (1 << 20), 0xff);
+        let (refusal, largest) = largest_request_during(|| decode(&payload));
+        assert!(
+            matches!(refusal, Some((7, WireError::Malformed(_)))),
+            "{position}: a lying count must be Malformed, got {refusal:?}"
+        );
+        assert!(
+            largest <= payload.len(),
+            "{position}: one allocation of {largest} bytes for a {}-byte payload",
+            payload.len()
+        );
+    }
+}
 
 /// A small pool of well-formed messages to mutate.
 fn seed_frames() -> Vec<Vec<u8>> {
