@@ -18,8 +18,16 @@
 //! [`ids_relational::DatabaseState`] (sequential engine: one state, many
 //! shards) and with a worker-owned `Relation` (concurrent store: each
 //! worker owns its relations outright).
+//!
+//! The relation is also where the tuples stay: an opt-in ordered
+//! secondary index keeps one `(value, slot)` pair per tuple — no tuple
+//! copy and no sequence stamp, because [`Relation`]'s slots already
+//! ascend in insertion order — so a remove is `O(|Fi|)` hash operations
+//! plus one `O(log n)` BTree deletion per index, and a scan reads the
+//! tuples back through [`Relation::get`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap};
 use std::ops::Bound;
 
 use ids_deps::{Fd, FdSet};
@@ -31,22 +39,40 @@ use ids_relational::{
 use crate::maintenance::{InsertOutcome, MaintenanceError};
 
 /// Per-FD hash index: lhs projection → (rhs projection, tuple count).
-type FdIndex = HashMap<Vec<Value>, (Vec<Value>, usize)>;
+type FdIndex = HashMap<Tuple, (Tuple, u32)>;
 
-/// An opt-in ordered secondary index on one column: value → the tuples
-/// carrying that value, each stamped with the shard's insertion
-/// sequence number so indexed scans can be returned in exact insertion
-/// order (the order [`Relation::filter_tuples`] produces — differential
-/// tests compare the two paths tuple-for-tuple).
+/// An opt-in ordered secondary index on one column: one `(value, slot)`
+/// entry per tuple of the relation, the slot being the tuple's position
+/// in [`Relation`]'s slot vector.  The index holds no tuple copies and
+/// no sequence stamps: a scan reads the tuples back through
+/// [`Relation::get`], and because slots ascend in insertion order, the
+/// entries of one value are already in the order
+/// [`Relation::filter_tuples`] produces (differential tests compare the
+/// two paths tuple-for-tuple).  A remove deletes one entry in
+/// `O(log n)`.  Slots are stable only within a relation epoch, so every
+/// write checks [`Relation::epoch`] and rebuilds the entries when the
+/// relation has compacted — amortised over the removes that caused it.
 #[derive(Debug)]
 struct OrderedIndex {
     /// The indexed attribute.
     attr: AttrId,
     /// Its column position (scheme rank), precomputed.
     pos: usize,
-    /// BTree over the column's values; each bucket holds `(seq, tuple)`
-    /// pairs in insertion order.
-    buckets: BTreeMap<Value, Vec<(u64, Tuple)>>,
+    /// The relation epoch the slots in `entries` belong to.
+    epoch: u32,
+    /// `(column value, slot)` of every tuple.
+    entries: BTreeSet<(Value, u32)>,
+}
+
+impl OrderedIndex {
+    /// Reads every entry afresh from `rel`.
+    fn rebuild(&mut self, rel: &Relation) {
+        self.epoch = rel.epoch();
+        self.entries = rel
+            .iter_slots()
+            .map(|(slot, t)| (t[self.pos], slot))
+            .collect();
+    }
 }
 
 /// The per-relation maintenance engine: probes and commits single-tuple
@@ -69,11 +95,9 @@ pub struct RelationShard {
     rhs_pos: Vec<Box<[usize]>>,
     /// Per-op scratch: the (key, value) projections computed by the probe
     /// pass, reused by the commit pass so nothing is projected twice.
-    scratch: Vec<(Vec<Value>, Vec<Value>)>,
+    scratch: Vec<(Tuple, Tuple)>,
     /// Opt-in ordered secondary indexes (see [`OrderedIndex`]).
     ordered: Vec<OrderedIndex>,
-    /// Monotone insertion sequence stamping ordered-index entries.
-    seq: u64,
 }
 
 impl RelationShard {
@@ -97,7 +121,6 @@ impl RelationShard {
             enforcement: fi,
             id,
             ordered: Vec::new(),
-            seq: 0,
         }
     }
 
@@ -139,8 +162,7 @@ impl RelationShard {
     }
 
     /// Declares an ordered (BTree) secondary index on `attr` and builds
-    /// it from the current contents of `rel` (iteration order is
-    /// insertion order, so sequence stamps reproduce it exactly).  From
+    /// it from the current contents of `rel`.  From
     /// then on the index is maintained by the same probe→commit write
     /// path as the FD hash indexes, and [`RelationShard::scan`] answers
     /// equality, `In` and range predicates on `attr` from it without a
@@ -161,16 +183,14 @@ impl RelationShard {
         if self.ordered.iter().any(|ix| ix.attr == attr) {
             return Ok(());
         }
-        let pos = attrs.rank(attr);
-        let mut buckets: BTreeMap<Value, Vec<(u64, Tuple)>> = BTreeMap::new();
-        for t in rel.iter() {
-            buckets
-                .entry(t[pos])
-                .or_default()
-                .push((self.seq, t.clone()));
-            self.seq += 1;
-        }
-        self.ordered.push(OrderedIndex { attr, pos, buckets });
+        let mut ix = OrderedIndex {
+            attr,
+            pos: attrs.rank(attr),
+            epoch: 0,
+            entries: BTreeSet::new(),
+        };
+        ix.rebuild(rel);
+        self.ordered.push(ix);
         Ok(())
     }
 
@@ -210,8 +230,8 @@ impl RelationShard {
     /// its projections contradict an already-indexed image.
     fn index_tuple(&mut self, tuple: &[Value]) -> Option<Fd> {
         for (k, fd) in self.enforcement.iter().enumerate() {
-            let key: Vec<Value> = self.lhs_pos[k].iter().map(|&p| tuple[p]).collect();
-            let val: Vec<Value> = self.rhs_pos[k].iter().map(|&p| tuple[p]).collect();
+            let key: Tuple = self.lhs_pos[k].iter().map(|&p| tuple[p]).collect();
+            let val: Tuple = self.rhs_pos[k].iter().map(|&p| tuple[p]).collect();
             if let Some((existing, n)) = self.indexes[k].get_mut(&key) {
                 if *existing != val {
                     return Some(*fd);
@@ -240,14 +260,13 @@ impl RelationShard {
             }
             .into());
         }
-        if rel.contains(&tuple) {
-            return Ok(InsertOutcome::Duplicate);
-        }
-        // Probe pass: project once per FD, check against the index.
+        // Probe pass: project once per FD, check against the index.  (A
+        // duplicate agrees with its own images and passes; the relation
+        // reports it at the commit.)
         self.scratch.clear();
         for (k, fd) in self.enforcement.iter().enumerate() {
-            let key: Vec<Value> = self.lhs_pos[k].iter().map(|&p| tuple[p]).collect();
-            let val: Vec<Value> = self.rhs_pos[k].iter().map(|&p| tuple[p]).collect();
+            let key: Tuple = self.lhs_pos[k].iter().map(|&p| tuple[p]).collect();
+            let val: Tuple = self.rhs_pos[k].iter().map(|&p| tuple[p]).collect();
             if let Some((existing, _)) = self.indexes[k].get(&key) {
                 if *existing != val {
                     return Ok(InsertOutcome::Rejected {
@@ -258,25 +277,21 @@ impl RelationShard {
             self.scratch.push((key, val));
         }
         // Commit: the relation first (it can still fail on a mismatched
-        // `rel`, and the indexes must never record a tuple the relation
-        // refused), then move the parked projections into the indexes.
-        let boxed: Option<Tuple> = (!self.ordered.is_empty()).then(|| tuple.clone().into());
-        rel.insert(tuple)?;
+        // or full `rel`, and the indexes must never record a tuple the
+        // relation refused), then move the parked projections into the
+        // indexes.
+        let Some(slot) = rel.insert_slot(tuple)? else {
+            return Ok(InsertOutcome::Duplicate);
+        };
         for (k, (key, val)) in self.scratch.drain(..).enumerate() {
-            if let Some((_, n)) = self.indexes[k].get_mut(&key) {
-                *n += 1;
-            } else {
-                self.indexes[k].insert(key, (val, 1));
-            }
+            self.indexes[k].entry(key).or_insert((val, 0)).1 += 1;
         }
-        if let Some(t) = boxed {
-            for ix in &mut self.ordered {
-                ix.buckets
-                    .entry(t[ix.pos])
-                    .or_default()
-                    .push((self.seq, t.clone()));
+        for ix in &mut self.ordered {
+            if ix.epoch != rel.epoch() {
+                ix.rebuild(rel);
+            } else if let Some(t) = rel.get(slot) {
+                ix.entries.insert((t[ix.pos], slot));
             }
-            self.seq += 1;
         }
         Ok(InsertOutcome::Accepted)
     }
@@ -333,7 +348,7 @@ impl RelationShard {
                 .iter()
                 .map(|a| pred.value_of(a).expect("lhs ⊆ pinned"))
                 .collect();
-            let Some((image, _)) = self.indexes[k].get(&key) else {
+            let Some((image, _)) = self.indexes[k].get(&key[..]) else {
                 return Vec::new();
             };
             let mut t = vec![Value::int(0); attrs.len()];
@@ -352,60 +367,51 @@ impl RelationShard {
                 Vec::new()
             };
         }
-        self.scan_ordered(attrs, pred)
+        self.scan_ordered(rel, pred)
             .unwrap_or_else(|| rel.filter_tuples(pred))
     }
 
     /// The ordered-index scan path: when the predicate constrains an
-    /// indexed column by equality, set membership or a range, collect the
-    /// candidate buckets from the BTree, apply the *full* predicate to
-    /// each candidate, and return survivors sorted by insertion sequence
-    /// — exactly the result (and order) of a linear
+    /// indexed column by equality, set membership or a range, take the
+    /// candidate slots from the BTree in slot order — which is insertion
+    /// order — read each tuple back from `rel` and apply the *full*
+    /// predicate: exactly the result (and order) of a linear
     /// [`Relation::filter_tuples`] pass.  `None` when no index applies.
-    fn scan_ordered(&self, attrs: ids_relational::AttrSet, pred: &Predicate) -> Option<Vec<Tuple>> {
+    fn scan_ordered(&self, rel: &Relation, pred: &Predicate) -> Option<Vec<Tuple>> {
         use Bound::{Excluded, Included, Unbounded};
         for ix in &self.ordered {
-            // An equality pin is the most selective handle: one bucket.
-            let candidates: Vec<&(u64, Tuple)> = if let Some(v) = pred.value_of(ix.attr) {
-                ix.buckets.get(&v).into_iter().flatten().collect()
-            } else {
-                // Otherwise the first usable guard on the column decides
-                // the BTree range (Ne excludes almost nothing — no help;
-                // an unconstrained column tries the next index).
-                let Some(guard) = pred
-                    .guards()
-                    .iter()
-                    .find(|(a, g)| *a == ix.attr && !matches!(g, Guard::Ne(_)))
-                else {
-                    continue;
-                };
-                match &guard.1 {
-                    Guard::In(set) => set
-                        .iter()
-                        .filter_map(|v| ix.buckets.get(v))
-                        .flatten()
-                        .collect(),
-                    Guard::Lt(x) => range_candidates(&ix.buckets, (Unbounded, Excluded(*x))),
-                    Guard::Le(x) => range_candidates(&ix.buckets, (Unbounded, Included(*x))),
-                    Guard::Gt(x) => range_candidates(&ix.buckets, (Excluded(*x), Unbounded)),
-                    Guard::Ge(x) => range_candidates(&ix.buckets, (Included(*x), Unbounded)),
-                    Guard::Range(lo, hi) => {
-                        if lo > hi {
-                            Vec::new()
-                        } else {
-                            range_candidates(&ix.buckets, (Included(*lo), Included(*hi)))
-                        }
-                    }
-                    Guard::Ne(_) => unreachable!("filtered above"),
-                }
+            let run = |lo, hi| ix.entries.range((lo, hi)).map(|&(_, slot)| slot);
+            let of = |v: Value| run(Included((v, 0)), Included((v, u32::MAX)));
+            // An equality pin is the most selective handle, and one
+            // value's slots already ascend: no buffer, no sort.
+            if let Some(v) = pred.value_of(ix.attr) {
+                return Some(fetch(rel, pred, of(v)));
+            }
+            // Otherwise the first usable guard on the column decides
+            // the BTree range (Ne excludes almost nothing — no help;
+            // an unconstrained column tries the next index).
+            let Some((_, guard)) = pred
+                .guards()
+                .iter()
+                .find(|(a, g)| *a == ix.attr && !matches!(g, Guard::Ne(_)))
+            else {
+                continue;
             };
-            let mut hits: Vec<(u64, &Tuple)> = candidates
-                .into_iter()
-                .filter(|(_, t)| pred.matches(attrs, t))
-                .map(|(s, t)| (*s, t))
-                .collect();
-            hits.sort_unstable_by_key(|&(s, _)| s);
-            return Some(hits.into_iter().map(|(_, t)| t.clone()).collect());
+            let mut slots: Vec<u32> = match guard {
+                Guard::In(set) => set.iter().flat_map(|&v| of(v)).collect(),
+                Guard::Lt(x) => run(Unbounded, Excluded((*x, 0))).collect(),
+                Guard::Le(x) => run(Unbounded, Included((*x, u32::MAX))).collect(),
+                Guard::Gt(x) => run(Excluded((*x, u32::MAX)), Unbounded).collect(),
+                Guard::Ge(x) => run(Included((*x, 0)), Unbounded).collect(),
+                Guard::Range(lo, hi) if lo > hi => Vec::new(),
+                Guard::Range(lo, hi) => {
+                    run(Included((*lo, 0)), Included((*hi, u32::MAX))).collect()
+                }
+                Guard::Ne(_) => unreachable!("filtered above"),
+            };
+            // Several values' runs interleave in the relation.
+            slots.sort_unstable();
+            return Some(fetch(rel, pred, slots.into_iter()));
         }
         None
     }
@@ -427,38 +433,38 @@ impl RelationShard {
             }
             .into());
         }
-        if !rel.remove(tuple) {
+        let Some(slot) = rel.remove_slot(tuple) else {
             return Ok(false);
-        }
+        };
         for k in 0..self.enforcement.len() {
-            let key: Vec<Value> = self.lhs_pos[k].iter().map(|&p| tuple[p]).collect();
-            if let Some((_, n)) = self.indexes[k].get_mut(&key) {
-                *n -= 1;
-                if *n == 0 {
-                    self.indexes[k].remove(&key);
+            let key: Tuple = self.lhs_pos[k].iter().map(|&p| tuple[p]).collect();
+            if let Entry::Occupied(mut e) = self.indexes[k].entry(key) {
+                e.get_mut().1 -= 1;
+                if e.get().1 == 0 {
+                    e.remove();
                 }
             }
         }
         for ix in &mut self.ordered {
-            if let Some(bucket) = ix.buckets.get_mut(&tuple[ix.pos]) {
-                if let Some(at) = bucket.iter().position(|(_, t)| &**t == tuple) {
-                    bucket.remove(at);
-                }
-                if bucket.is_empty() {
-                    ix.buckets.remove(&tuple[ix.pos]);
-                }
+            if ix.epoch != rel.epoch() {
+                ix.rebuild(rel);
+            } else {
+                ix.entries.remove(&(tuple[ix.pos], slot));
             }
         }
         Ok(true)
     }
 }
 
-/// Flattens the `(seq, tuple)` entries of every bucket in a BTree range.
-fn range_candidates(
-    buckets: &BTreeMap<Value, Vec<(u64, Tuple)>>,
-    bounds: (Bound<Value>, Bound<Value>),
-) -> Vec<&(u64, Tuple)> {
-    buckets.range(bounds).flat_map(|(_, b)| b.iter()).collect()
+/// Clones out of `rel` the tuples in `slots`, in the order given, that
+/// satisfy the whole of `pred`.
+fn fetch(rel: &Relation, pred: &Predicate, slots: impl Iterator<Item = u32>) -> Vec<Tuple> {
+    let attrs = rel.attrs();
+    slots
+        .filter_map(|slot| rel.get(slot))
+        .filter(|t| pred.matches(attrs, t))
+        .cloned()
+        .collect()
 }
 
 // Compile-time guarantee that a shard can sit behind a lock any thread takes.
@@ -662,6 +668,70 @@ mod tests {
         ] {
             assert_reads_agree(&shard, &rel, &pred, a);
         }
+    }
+
+    #[test]
+    fn ordered_index_scans_agree_with_linear_filters_across_compactions() {
+        // Same relation as above, driven until the relation compacts —
+        // twice — so the indexes are rebuilt from renumbered slots; a
+        // second index is declared on already-compacted slots.
+        let u = Universe::from_names(["A", "B", "C"]).unwrap();
+        let schema = DatabaseSchema::parse(u, &[("ABC", "ABC")]).unwrap();
+        let fds = FdSet::parse(schema.universe(), &["A -> B"]).unwrap();
+        let id = SchemeId(0);
+        let mut shard = RelationShard::new(&schema, id, fds);
+        let mut rel = Relation::new(schema.attrs(id));
+        let a = schema.universe().attr("A").unwrap();
+        let c = schema.universe().attr("C").unwrap();
+        shard.add_ordered_index(c, &rel).unwrap();
+        let row = |i: u64| vec![v(i), v(i), v(i % 5)];
+        let check = |shard: &RelationShard, rel: &Relation| {
+            for pred in [
+                Predicate::new().and_eq(c, v(2)),
+                Predicate::new().and_eq(c, v(7)), // absent value
+                Predicate::new().and_in(c, vec![v(4), v(0), v(9)]),
+                Predicate::new().and_in(c, vec![v(3)]),
+                Predicate::new().and_in(c, Vec::new()),
+                Predicate::new().and_lt(c, v(2)),
+                Predicate::new().and_le(c, v(2)),
+                Predicate::new().and_gt(c, v(1)),
+                Predicate::new().and_ge(c, v(3)),
+                Predicate::new().and_range(c, v(1), v(3)),
+                Predicate::new().and_range(c, v(3), v(1)), // inverted: empty
+                Predicate::new().and_eq(c, v(1)).and_gt(a, v(40)), // index + residual
+                Predicate::new().and_range(a, v(30), v(90)), // the later index
+                Predicate::new().and_in(a, vec![v(95), v(41), v(2)]),
+                Predicate::new().and_ge(a, v(50)).and_eq(c, v(0)),
+            ] {
+                assert_reads_agree(shard, rel, &pred, a);
+            }
+        };
+        for i in 0..60 {
+            shard.insert(&mut rel, row(i)).unwrap();
+        }
+        // Remove from the front and the middle, out of order, past the
+        // point where tombstones outnumber the live tuples.
+        for i in (0..60).filter(|i| i % 4 != 3).rev() {
+            assert!(shard.remove(&mut rel, &row(i)).unwrap());
+        }
+        assert_eq!(rel.epoch(), 1);
+        check(&shard, &rel);
+        shard.add_ordered_index(a, &rel).unwrap();
+        for i in 60..100 {
+            shard.insert(&mut rel, row(i)).unwrap();
+        }
+        check(&shard, &rel);
+        for i in (0..100).filter(|i| i % 3 != 0) {
+            shard.remove(&mut rel, &row(i)).unwrap();
+        }
+        assert!(rel.epoch() >= 2);
+        check(&shard, &rel);
+        // The rebuilt indexes keep absorbing writes.
+        for i in 100..130 {
+            shard.insert(&mut rel, row(i)).unwrap();
+        }
+        assert!(shard.remove(&mut rel, &row(101)).unwrap());
+        check(&shard, &rel);
     }
 
     #[test]

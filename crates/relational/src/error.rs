@@ -30,6 +30,9 @@ pub enum RelationalError {
         /// Number of values supplied.
         found: usize,
     },
+    /// A relation already holds the most tuples it can address
+    /// (`u32::MAX`).
+    RelationFull,
     /// An operation mixed objects from different universes or schemas.
     SchemaMismatch(&'static str),
     /// A binary payload could not be decoded (see [`crate::codec`]).
@@ -55,6 +58,7 @@ impl fmt::Display for RelationalError {
                     "tuple arity mismatch: expected {expected}, found {found}"
                 )
             }
+            Self::RelationFull => write!(f, "relation is full (max 2^32 - 1 tuples)"),
             Self::SchemaMismatch(what) => write!(f, "objects belong to different {what}"),
             Self::Codec(what) => write!(f, "malformed binary payload: {what}"),
         }

@@ -1,6 +1,6 @@
 //! Relation instances.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use crate::attr::AttrId;
 use crate::attrset::AttrSet;
@@ -13,13 +13,25 @@ pub type Tuple = Box<[Value]>;
 
 /// An instance of a relation scheme: a duplicate-free set of tuples.
 ///
-/// Tuples are stored in insertion order (deterministic iteration for
-/// reproducible tests and benchmarks) with a hash set for O(1) membership.
+/// Tuples live in a **slot vector** in insertion order (deterministic
+/// iteration for reproducible tests and benchmarks) beside a hash map
+/// from each tuple to its slot, so membership, insertion *and removal*
+/// are O(1): a remove takes the tuple out of the map and leaves a
+/// **tombstone** (`None`) in its slot, which iteration skips.  When
+/// tombstones outnumber live tuples the vector is compacted in place —
+/// order preserved, every surviving tuple renumbered — and
+/// [`Relation::epoch`] advances.  A slot therefore names its tuple only
+/// **within one epoch**: anything that remembers slots (the shard's
+/// ordered indexes) compares epochs and rebuilds when they differ.
 #[derive(Clone, Debug, Default)]
 pub struct Relation {
     attrs: AttrSet,
-    tuples: Vec<Tuple>,
-    present: HashSet<Tuple>,
+    /// Insertion order; `None` marks a removed tuple.
+    slots: Vec<Option<Tuple>>,
+    /// Tuple → its index in `slots`.
+    present: HashMap<Tuple, u32>,
+    /// Number of compactions so far (wrapping).
+    epoch: u32,
 }
 
 impl Relation {
@@ -27,8 +39,7 @@ impl Relation {
     pub fn new(attrs: AttrSet) -> Self {
         Relation {
             attrs,
-            tuples: Vec::new(),
-            present: HashSet::new(),
+            ..Relation::default()
         }
     }
 
@@ -44,16 +55,25 @@ impl Relation {
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.present.len()
     }
 
     /// True when the instance holds no tuples.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.present.is_empty()
     }
 
     /// Inserts a tuple given in scheme order; returns `true` when new.
     pub fn insert(&mut self, tuple: Vec<Value>) -> Result<bool, RelationalError> {
+        Ok(self.insert_slot(tuple)?.is_some())
+    }
+
+    /// [`Relation::insert`] that also says where the tuple went: the new
+    /// tuple's slot, or `None` for a duplicate.  A relation already
+    /// holding `u32::MAX` tuples refuses with
+    /// [`RelationalError::RelationFull`], so a count of a relation's
+    /// tuples always fits a `u32`.
+    pub fn insert_slot(&mut self, tuple: Vec<Value>) -> Result<Option<u32>, RelationalError> {
         if tuple.len() != self.arity() {
             return Err(RelationalError::ArityMismatch {
                 expected: self.arity(),
@@ -61,12 +81,24 @@ impl Relation {
             });
         }
         let t: Tuple = tuple.into_boxed_slice();
-        if self.present.contains(&t) {
-            return Ok(false);
+        if self.present.contains_key(&t) {
+            return Ok(None);
         }
-        self.present.insert(t.clone());
-        self.tuples.push(t);
-        Ok(true)
+        let slot = self.next_slot(u32::MAX - 1)?;
+        self.present.insert(t.clone(), slot);
+        self.slots.push(Some(t));
+        Ok(Some(slot))
+    }
+
+    /// The slot the next pushed tuple takes, none above `last`.  When the
+    /// slots run out the tombstones are compacted away first, so only a
+    /// relation whose every slot is live is full.
+    fn next_slot(&mut self, last: u32) -> Result<u32, RelationalError> {
+        let fits = |len: usize| u32::try_from(len).ok().filter(|&slot| slot <= last);
+        if fits(self.slots.len()).is_none() {
+            self.compact();
+        }
+        fits(self.slots.len()).ok_or(RelationalError::RelationFull)
     }
 
     /// Inserts a tuple described by a value function over the scheme's
@@ -81,26 +113,64 @@ impl Relation {
 
     /// Removes a tuple; returns `true` when it was present.
     pub fn remove(&mut self, tuple: &[Value]) -> bool {
-        if !self.present.remove(tuple) {
-            return false;
+        self.remove_slot(tuple).is_some()
+    }
+
+    /// [`Relation::remove`] that also says which slot the tuple held —
+    /// in the epoch before the call; compare [`Relation::epoch`] around
+    /// it to learn whether the remove compacted.
+    pub fn remove_slot(&mut self, tuple: &[Value]) -> Option<u32> {
+        let slot = self.present.remove(tuple)?;
+        self.slots[slot as usize] = None;
+        if self.slots.len() - self.present.len() > self.present.len() {
+            self.compact();
         }
-        let pos = self
-            .tuples
-            .iter()
-            .position(|t| &**t == tuple)
-            .expect("present-set and tuple list out of sync");
-        self.tuples.remove(pos);
-        true
+        Some(slot)
+    }
+
+    /// Drops every tombstone, keeping the survivors' order, renumbers
+    /// them and advances the epoch.
+    fn compact(&mut self) {
+        self.slots.retain(Option::is_some);
+        for (slot, t) in (0..=u32::MAX).zip(self.slots.iter().flatten()) {
+            if let Some(s) = self.present.get_mut(t) {
+                *s = slot;
+            }
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+    }
+
+    /// The slot holding `tuple`, if present.  Slots ascend along
+    /// [`Relation::iter`] and stay put until the epoch advances.
+    pub fn slot_of(&self, tuple: &[Value]) -> Option<u32> {
+        self.present.get(tuple).copied()
+    }
+
+    /// The tuple in `slot`; `None` for a tombstone or an unused slot.
+    pub fn get(&self, slot: u32) -> Option<&Tuple> {
+        self.slots.get(slot as usize)?.as_ref()
+    }
+
+    /// How many times the slots have been renumbered.
+    pub fn epoch(&self) -> u32 {
+        self.epoch
     }
 
     /// Membership test for a tuple in scheme order.
     pub fn contains(&self, tuple: &[Value]) -> bool {
-        self.present.contains(tuple)
+        self.present.contains_key(tuple)
     }
 
     /// Iterates over tuples in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.tuples.iter()
+        self.slots.iter().flatten()
+    }
+
+    /// [`Relation::iter`] with each tuple's slot beside it.
+    pub fn iter_slots(&self) -> impl Iterator<Item = (u32, &Tuple)> {
+        (0..=u32::MAX)
+            .zip(&self.slots)
+            .filter_map(|(slot, t)| Some((slot, t.as_ref()?)))
     }
 
     /// The value of `tuple` at `attr` (which must belong to the scheme).
@@ -120,7 +190,7 @@ impl Relation {
     pub fn project(&self, x: AttrSet) -> Relation {
         debug_assert!(x.is_subset(self.attrs));
         let mut out = Relation::new(x);
-        for t in &self.tuples {
+        for t in self.iter() {
             let projected = self.project_tuple(t, x);
             out.insert(projected).expect("projection preserves arity");
         }
@@ -136,14 +206,14 @@ impl Relation {
         // Index `other` by its projection onto the common attributes.
         let mut index: std::collections::HashMap<Vec<Value>, Vec<&Tuple>> =
             std::collections::HashMap::new();
-        for t in &other.tuples {
+        for t in other.iter() {
             index
                 .entry(other.project_tuple(t, common))
                 .or_default()
                 .push(t);
         }
 
-        for t in &self.tuples {
+        for t in self.iter() {
             let key = self.project_tuple(t, common);
             let Some(matches) = index.get(&key) else {
                 continue;
@@ -170,12 +240,11 @@ impl Relation {
     pub fn semijoin(&self, other: &Relation) -> Relation {
         let common = self.attrs.intersect(other.attrs);
         let keys: HashSet<Vec<Value>> = other
-            .tuples
             .iter()
             .map(|t| other.project_tuple(t, common))
             .collect();
         let mut out = Relation::new(self.attrs);
-        for t in &self.tuples {
+        for t in self.iter() {
             if keys.contains(&self.project_tuple(t, common)) {
                 out.insert(t.to_vec()).expect("same scheme");
             }
@@ -189,7 +258,7 @@ impl Relation {
         debug_assert!(lhs.union(rhs).is_subset(self.attrs));
         let mut seen: std::collections::HashMap<Vec<Value>, Vec<Value>> =
             std::collections::HashMap::new();
-        for t in &self.tuples {
+        for t in self.iter() {
             let key = self.project_tuple(t, lhs);
             let val = self.project_tuple(t, rhs);
             match seen.entry(key) {
@@ -211,12 +280,12 @@ impl Relation {
     pub fn set_eq(&self, other: &Relation) -> bool {
         self.attrs == other.attrs
             && self.len() == other.len()
-            && self.tuples.iter().all(|t| other.contains(t))
+            && self.iter().all(|t| other.contains(t))
     }
 
     /// True when every tuple of `self` appears in `other` (same scheme).
     pub fn is_subinstance_of(&self, other: &Relation) -> bool {
-        self.attrs == other.attrs && self.tuples.iter().all(|t| other.contains(t))
+        self.attrs == other.attrs && self.iter().all(|t| other.contains(t))
     }
 }
 
@@ -279,6 +348,98 @@ mod tests {
         assert!(!r.remove(&[v(2)]));
         let vals: Vec<u64> = r.iter().map(|t| t[0].0).collect();
         assert_eq!(vals, vec![1, 3]);
+    }
+
+    /// splitmix64, the seeded generator of the churn test.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (*state ^ (*state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Every read of `r` agrees with the naive model, and slots ascend
+    /// along the iteration.
+    fn assert_agrees_with_model(r: &Relation, model: &[Vec<Value>]) {
+        assert_eq!(r.len(), model.len());
+        assert_eq!(r.is_empty(), model.is_empty());
+        assert!(r.iter().map(|t| &t[..]).eq(model.iter().map(|t| &t[..])));
+        let mut last = None;
+        for ((slot, t), m) in r.iter_slots().zip(model) {
+            assert_eq!(&t[..], &m[..]);
+            assert!(r.contains(m));
+            assert_eq!(r.slot_of(m), Some(slot));
+            assert_eq!(r.get(slot), Some(t));
+            assert!(last < Some(slot), "slots ascend along iter()");
+            last = Some(slot);
+        }
+        assert_eq!(r.iter_slots().count(), model.len());
+        let absent = [v(u64::MAX), v(0)];
+        assert!(!r.contains(&absent));
+        assert_eq!(r.slot_of(&absent), None);
+    }
+
+    #[test]
+    fn slots_and_tombstones_agree_with_a_naive_vec_under_churn() {
+        let (_, a, b, _) = abc();
+        let mut r = Relation::new(a.union(b));
+        let mut model: Vec<Vec<Value>> = Vec::new();
+        let mut seed = 0x1D5;
+        let mut mid_churn = None;
+        for step in 0..10_000 {
+            let x = splitmix(&mut seed);
+            // Every other thousand steps drains: removes outnumber
+            // inserts three to one, so tombstones overtake the live
+            // tuples again and again.
+            let remove_percent = if (step / 1000) % 2 == 1 { 75 } else { 30 };
+            if x % 100 < remove_percent && !model.is_empty() {
+                let t = model.remove((x >> 8) as usize % model.len());
+                assert!(r.remove(&t));
+                assert!(!r.remove(&t));
+            } else {
+                let t = vec![v((x >> 8) % 500), v((x >> 40) % 3)];
+                let fresh = !model.contains(&t);
+                assert_eq!(r.insert(t.clone()).unwrap(), fresh);
+                if fresh {
+                    model.push(t);
+                }
+            }
+            if step % 500 == 499 {
+                assert_agrees_with_model(&r, &model);
+            }
+            if step == 5_250 {
+                let copy = r.clone();
+                assert!(copy.iter_slots().eq(r.iter_slots()));
+                mid_churn = Some((copy, model.clone()));
+            }
+        }
+        assert!(r.epoch() >= 2, "only {} compactions", r.epoch());
+        // The clone kept its own slots while the original churned on.
+        let (copy, model_then) = mid_churn.unwrap();
+        assert_agrees_with_model(&copy, &model_then);
+    }
+
+    #[test]
+    fn a_relation_out_of_slots_compacts_before_it_refuses() {
+        let (_, a, _, _) = abc();
+        let mut r = Relation::new(a);
+        for i in 0..4 {
+            r.insert(vec![v(i)]).unwrap();
+        }
+        // Were 3 the last slot, four live tuples would fill the relation.
+        assert_eq!(r.next_slot(3), Err(RelationalError::RelationFull));
+        assert_eq!(r.len(), 4);
+        // One tombstone among three live tuples is too few to compact on
+        // remove, so the slots are still used up — until an insert needs
+        // one.
+        let epoch = r.epoch();
+        assert!(r.remove(&[v(1)]));
+        assert_eq!(r.epoch(), epoch);
+        assert_eq!(r.next_slot(3), Ok(3));
+        assert_eq!(r.epoch(), epoch + 1);
+        let survivors: Vec<(u32, u64)> = r.iter_slots().map(|(s, t)| (s, t[0].0)).collect();
+        assert_eq!(survivors, vec![(0, 0), (1, 2), (2, 3)]);
+        assert_eq!(r.slot_of(&[v(3)]), Some(2));
     }
 
     #[test]

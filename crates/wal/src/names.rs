@@ -11,8 +11,13 @@
 //! Appends are fsync'd unconditionally, regardless of the store's
 //! [`crate::SyncPolicy`]: a name must be stable *before* any WAL record
 //! referencing its value, otherwise a crash could re-assign the id to a
-//! different string and silently alias stored tuples.  New names are
-//! rare after warmup, so the cost amortizes to nothing.
+//! different string and silently alias stored tuples.  That is one
+//! `sync_data` per *new* string, which is free only for a workload that
+//! keeps reusing a warm vocabulary: a keyed workload brings a fresh
+//! name with almost every insert (the benchmark's write mix reads
+//! `wal.fsyncs_per_kop` 848.6), and there the name log, not the
+//! relation's WAL, sets the durable write rate.  ROADMAP item 2
+//! (self-defining relation logs) retires this file for that reason.
 
 use std::fs::OpenOptions;
 use std::io::Write;
