@@ -448,9 +448,11 @@ impl Drop for Client {
 /// [`ids_server::wire::POOL_STREAM`]), exactly as the primary stored
 /// them on disk.
 ///
-/// `tip` is the last durable sequence number (total names for the pool
-/// stream) the primary's shipper had seen when it sent the batch — the
-/// follower's lag is `tip` minus what it has applied.  An **empty**
+/// `tip` is the last durable sequence number the primary's shipper had
+/// seen when it sent the batch — the follower's lag is `tip` minus what
+/// it has applied.  On the pool stream it counts names shipped since
+/// the subscription's starting point (`names` in
+/// [`Client::subscribe`]), not the primary's total.  An **empty**
 /// pool-stream batch is the server's idle heartbeat: every stream was
 /// fully shipped when it was sent, so a follower that has drained the
 /// connection up to it is caught up.

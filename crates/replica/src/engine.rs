@@ -1,54 +1,25 @@
 //! The read-only [`Engine`] a replica's [`ids_api::Database`] runs on.
 //!
-//! The engine shares the replica's relation state (relations plus their
-//! enforcement shards) behind one mutex: the apply loop holds it for
-//! the duration of one record's probe/commit, reads hold it for one
-//! [`RelationShard::read`].  Reads are therefore per-relation-consistent — each
-//! read sees a prefix of that relation's log — with no cross-relation
-//! barrier, exactly the primary's barrier-free read model.
+//! The engine is a window onto the replica's [`Store`] — the primary's
+//! own store type, which the apply loop drives through its
+//! `insert`/`remove`.  A read takes only its relation's slot lock, as on
+//! the primary, so reads are per-relation-consistent — each read sees a
+//! prefix of that relation's log — with no cross-relation barrier.
 //!
 //! Writes are refused with the typed
 //! [`ids_api::Error::ReplicaReadOnly`]: a replica's state may change
 //! only by re-applying the primary's shipped records, and a direct
 //! write would fork it from the log it follows.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use ids_api::{Engine, Error};
-use ids_core::RelationShard;
-use ids_relational::{DatabaseSchema, DatabaseState, ReadPlan, ReadReply, Relation, SchemeId};
-use ids_store::{OpOutcome, StoreOp};
+use ids_relational::{DatabaseState, ReadPlan, ReadReply, SchemeId};
+use ids_store::{OpOutcome, Store, StoreOp};
 
-/// The replica's mutable relation state: one relation + enforcement
-/// shard per scheme, in scheme order.
-pub(crate) struct ReplicaState {
-    pub(crate) relations: Vec<Relation>,
-    pub(crate) shards: Vec<RelationShard>,
-}
-
-pub(crate) type SharedState = Arc<Mutex<ReplicaState>>;
-
-/// The replica's [`Engine`]: reads served from the shared applied
-/// state, writes refused with [`Error::ReplicaReadOnly`].
-pub struct ReplicaEngine {
-    schema: DatabaseSchema,
-    state: SharedState,
-}
-
-impl ReplicaEngine {
-    pub(crate) fn new(schema: DatabaseSchema, state: SharedState) -> Self {
-        ReplicaEngine { schema, state }
-    }
-
-    /// Locks the applied state; a poisoned mutex means the apply loop
-    /// panicked mid-record, and serving reads from a half-applied
-    /// state would be a lie — propagate the panic.
-    fn state(&self) -> MutexGuard<'_, ReplicaState> {
-        self.state
-            .lock()
-            .expect("replica state mutex poisoned: the apply loop panicked mid-record")
-    }
-}
+/// The replica's [`Engine`]: reads served from the replica's store,
+/// writes refused with [`Error::ReplicaReadOnly`].
+pub struct ReplicaEngine(pub(crate) Arc<Store>);
 
 impl Engine for ReplicaEngine {
     /// Refused — and with it the provided `insert`/`remove`, which are
@@ -58,21 +29,11 @@ impl Engine for ReplicaEngine {
     }
 
     fn read(&self, id: SchemeId, plan: &ReadPlan) -> Result<ReadReply, Error> {
-        let state = self.state();
-        let shard = state
-            .shards
-            .get(id.index())
-            .ok_or(Error::UnknownScheme(id))?;
-        // The shard answers in place (using its key index for point
-        // lookups), so only the plan's shape of the matches is cloned out.
-        shard
-            .read(&state.relations[id.index()], plan)
-            .map_err(Into::into)
+        Engine::read(&*self.0, id, plan)
     }
 
     fn snapshot(&self) -> Result<DatabaseState, Error> {
-        let relations = self.state().relations.clone();
-        DatabaseState::from_relations(&self.schema, relations).map_err(Into::into)
+        Engine::snapshot(&*self.0)
     }
 
     fn read_only(&self) -> bool {
@@ -85,6 +46,7 @@ mod tests {
     use super::*;
     use ids_api::Schema;
     use ids_relational::{Predicate, Value};
+    use ids_store::StoreConfig;
 
     fn engine() -> (ReplicaEngine, SchemeId) {
         let schema = Schema::builder()
@@ -92,20 +54,10 @@ mod tests {
             .fd("course -> teacher")
             .build()
             .unwrap();
-        let definition = schema.definition().clone();
-        let enforcement = schema.enforcement().unwrap().to_vec();
-        let relations = DatabaseState::empty(&definition).into_relations();
-        let shards = definition
-            .ids()
-            .zip(&relations)
-            .map(|(id, rel)| {
-                RelationShard::with_relation(&definition, id, enforcement[id.index()].clone(), rel)
-                    .unwrap()
-            })
-            .collect();
+        let definition = schema.definition();
+        let store = Store::from_analysis(definition, schema.analysis(), StoreConfig::default());
         let id = definition.ids().next().unwrap();
-        let state = Arc::new(Mutex::new(ReplicaState { relations, shards }));
-        (ReplicaEngine::new(definition, state), id)
+        (ReplicaEngine(Arc::new(store.unwrap())), id)
     }
 
     #[test]

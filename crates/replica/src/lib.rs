@@ -14,23 +14,34 @@
 //! different relations may be at different points of the primary's
 //! history (cross-relation skew).
 //!
-//! A [`Replica`] bootstraps from the primary's snapshot + durable name
-//! log, then tails the per-relation segment files through the same CRC
-//! framing and [`ids_core::RelationShard`] probe/commit machinery as
-//! crash recovery.  Every shipped record was an accepted, effective
-//! operation on the primary, so it must re-accept on the replica —
-//! anything else is a typed [`ReplicaError::Diverged`], never a silent
-//! patch.  Two transports are provided:
+//! Replication reuses the primary's machinery end to end — **two
+//! transports, one follow loop, one store**:
 //!
-//! * **file-tail** ([`Replica::open`]) — primary and follower share a
-//!   directory; the follower polls the segment set read-only,
-//!   following checkpoint generation rotations with recovery's own
-//!   sequence-contiguity rules.
-//! * **wire-stream** ([`Replica::connect`]) — the follower seeds from
-//!   a directory copy (a base backup), then subscribes over TCP; the
-//!   server ships frame payloads *verbatim* from its segment files,
-//!   so replication inherits the on-disk format's golden-fixture byte
-//!   stability.
+//! * **One store.**  A follower *is* an [`ids_store::Store`]: bootstrap
+//!   is the store's own crash recovery ([`ids_store::Store::recover_from`]
+//!   — snapshot + per-relation log tails through the era-tagged replay
+//!   a durable reopen runs, opening no writer and writing no file), and
+//!   every shipped record is applied with the store's `insert`/`remove`,
+//!   i.e. the same slot and [`ids_core::RelationShard`] probe/commit as
+//!   the primary.  Every shipped record was an accepted, effective
+//!   operation on the primary, so it must re-accept on the replica —
+//!   anything else is a typed [`ReplicaError::Diverged`], never a
+//!   silent patch.  A shipped schema transition rebuilds the store
+//!   under the new manifest ([`ids_store::Store::from_analysis`] over
+//!   the surviving relations).
+//! * **One follow loop.**  [`ids_wal::Follower`] decides what ships and
+//!   in which order — manifests before the records written under them,
+//!   names before the records that use them, records batched per
+//!   `(generation, scheme index)` — and remaps its tailers at every
+//!   transition.
+//! * **Two transports** over it.  **file-tail** ([`Replica::open`]):
+//!   primary and follower share a directory and the replica runs the
+//!   follow loop itself, read-only.  **wire-stream**
+//!   ([`Replica::connect`]): the follower seeds from a directory copy
+//!   (a base backup), then subscribes over TCP; the server runs the
+//!   follow loop over its own files and ships frame payloads
+//!   *verbatim*, so replication inherits the on-disk format's
+//!   golden-fixture byte stability.
 //!
 //! The replica exposes the **read surface only** — `read` / `query` /
 //! `rows` / `count` / `join` through [`ids_api::Database`].  Its
@@ -55,10 +66,14 @@ pub use replica::{Replica, ReplicaLag, ReplicaProgress};
 #[non_exhaustive]
 pub enum ReplicaError {
     /// The primary's files were unreadable or corrupt (bad CRC on a
-    /// complete frame, a self-contradictory segment chain, I/O).
+    /// complete frame, a self-contradictory segment chain, I/O).  A
+    /// bootstrap whose replay fails arrives here too, as the store's
+    /// own recovery error (a logged record that does not replay is
+    /// [`ids_wal::WalError::Corrupt`]); a *shipped* record that does not
+    /// re-apply is [`ReplicaError::Diverged`].
     Wal(ids_wal::WalError),
-    /// A bootstrap-time facade error: the manifest's schema failed to
-    /// rebuild or is not independent.
+    /// A facade error: a manifest's schema failed to rebuild or is not
+    /// independent.
     Api(ids_api::Error),
     /// The wire transport failed: socket error, corrupt reply stream,
     /// or a typed server error.
@@ -69,8 +84,8 @@ pub enum ReplicaError {
     /// from the primary's current snapshot (a fresh [`Replica::open`],
     /// or a fresh seed copy + [`Replica::connect`]).
     Behind,
-    /// A shipped record did not re-apply cleanly: replaying it through
-    /// the relation's shard did not re-accept, or its sequence number
+    /// A shipped record did not re-apply cleanly: the store's
+    /// `insert`/`remove` did not re-accept it, or its sequence number
     /// left a gap.  The logs and the replica's state contradict each
     /// other, so the follower refuses to continue.
     Diverged {
@@ -119,6 +134,17 @@ impl std::error::Error for ReplicaError {
 impl From<ids_wal::WalError> for ReplicaError {
     fn from(e: ids_wal::WalError) -> Self {
         ReplicaError::Wal(e)
+    }
+}
+
+impl From<ids_store::StoreError> for ReplicaError {
+    fn from(e: ids_store::StoreError) -> Self {
+        match e {
+            // The follower's store recovery met bad files: keep the
+            // durability layer's own typed error.
+            ids_store::StoreError::Wal(e) => ReplicaError::Wal(e),
+            other => ReplicaError::Api(other.into()),
+        }
     }
 }
 

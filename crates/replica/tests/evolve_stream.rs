@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ids_api::{Alter, Database, Schema};
-use ids_replica::Replica;
+use ids_replica::{Replica, ReplicaLag};
 use ids_server::Server;
 use ids_store::DurableConfig;
 
@@ -205,4 +205,65 @@ fn file_follower_applies_a_drop_transition() {
     assert_eq!(names, ["CT", "SR"]);
     assert_converged(&["CT", "SR"], |r| db.rows(r).unwrap(), &replica);
     assert!(replica.database().rows("CS").is_err(), "CS is gone");
+}
+
+/// The two transports are two shells over one follow loop and one
+/// store, so over one trace — writes, a checkpoint, an added relation
+/// and an added FD — a file-tail and a wire-stream follower of the same
+/// live primary end in the same place: identical cursors, zero lag, the
+/// primary's rows, and `shipped == applied + pending` per relation.
+#[test]
+fn file_and_wire_followers_agree_over_one_trace() {
+    let root = tmp_dir("agree");
+    let seed = tmp_dir("agree-seed");
+    let db = Database::open_at(&root, schema(), DurableConfig::default()).unwrap();
+    db.insert("CT", ["CS402", "Jones"]).unwrap();
+    db.insert("CS", ["CS402", "Riley"]).unwrap();
+    copy_dir(&root, &seed);
+    let shared = Arc::new(db.into_shared().unwrap());
+    let server = Server::serve(Arc::clone(&shared), "127.0.0.1:0").unwrap();
+    let mut file = Replica::open(&root).unwrap();
+    let mut wire = Replica::connect(&seed, server.local_addr()).unwrap();
+    let mut catch_up = || {
+        for replica in [&mut file, &mut wire] {
+            assert!(replica.wait_caught_up(Duration::from_secs(5)).unwrap());
+        }
+    };
+
+    shared.insert("CT", ["CS101", "Smith"]).unwrap();
+    shared.remove("CS", ["CS402", "Riley"]).unwrap();
+    // Both followers consume the generation before it is pruned.
+    catch_up();
+    shared.checkpoint().unwrap();
+    shared.insert("CS", ["CS101", "Quinn"]).unwrap();
+    shared.alter(&add_sr()).unwrap();
+    shared.insert("SR", ["Quinn", "R128"]).unwrap();
+    shared.insert("CT", ["CS301", "Lee"]).unwrap();
+    shared
+        .alter(&Alter::AddFd {
+            spec: "student -> room".into(),
+        })
+        .unwrap();
+    shared.insert("SR", ["Riley", "R200"]).unwrap();
+    shared.insert("CS", ["CS301", "Riley"]).unwrap();
+    catch_up();
+
+    assert_eq!(file.cursors(), wire.cursors());
+    for replica in [&file, &wire] {
+        assert!(replica
+            .lag()
+            .iter()
+            .all(|lag| *lag == ReplicaLag::default()));
+        assert_converged(&["CT", "CS", "SR"], |r| shared.rows(r).unwrap(), replica);
+        let snap = replica.metrics();
+        for i in 0..replica.cursors().len() {
+            let shipped = snap.counter(&format!("replica.r{i}.shipped")).unwrap_or(0);
+            let applied = snap.counter(&format!("replica.r{i}.applied")).unwrap_or(0);
+            let pending = snap.gauge(&format!("replica.r{i}.pending")).unwrap_or(0);
+            assert_eq!(shipped, applied + pending as u64, "relation {i}");
+        }
+    }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+    let _ = std::fs::remove_dir_all(&seed);
 }

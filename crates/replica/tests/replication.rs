@@ -341,3 +341,47 @@ fn two_wire_followers_stay_independent() {
     }
     server.shutdown();
 }
+
+/// Every file under `root`, path → bytes.
+fn file_bytes(root: &Path) -> std::collections::BTreeMap<std::path::PathBuf, Vec<u8>> {
+    let mut files = std::collections::BTreeMap::new();
+    let mut stack = vec![root.to_path_buf()];
+    while let Some(dir) = stack.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                stack.push(path);
+            } else {
+                files.insert(path.clone(), std::fs::read(&path).unwrap());
+            }
+        }
+    }
+    files
+}
+
+/// A follower's bootstrap is the store's own recovery minus the log
+/// writers: against an idle primary it — and the polls after it —
+/// create, remove and change no file, with and without a checkpoint
+/// behind the directory.
+#[test]
+fn bootstrap_and_polls_leave_the_primary_directory_untouched() {
+    let root = tmp_dir("untouched");
+    let db = primary(&root);
+    db.insert("CT", ["CS402", "Jones"]).unwrap();
+    db.insert("CS", ["CS402", "Riley"]).unwrap();
+    for checkpointed in [false, true] {
+        if checkpointed {
+            db.checkpoint().unwrap();
+            db.insert("CT", ["CS101", "Smith"]).unwrap();
+        }
+        let before = file_bytes(&root);
+        let mut replica = Replica::open(&root).unwrap();
+        for _ in 0..3 {
+            replica.poll().unwrap();
+        }
+        assert!(replica.wait_caught_up(Duration::from_secs(5)).unwrap());
+        assert_converged(&db, &replica);
+        drop(replica);
+        assert_eq!(file_bytes(&root), before, "checkpointed: {checkpointed}");
+    }
+}

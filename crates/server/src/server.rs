@@ -56,9 +56,9 @@ use std::time::Duration;
 use ids_api::{eq, Alter, Cond, Database, Error, SharedDatabase};
 use ids_core::InsertOutcome;
 use ids_obs::{Counter, Event, Gauge, MetricsSnapshot, Registry};
-use ids_relational::{DatabaseSchema, RelationalError};
+use ids_relational::RelationalError;
 use ids_store::{Store, StoreError};
-use ids_wal::{Cursor, NameTailer, RelationPoll, RelationTailer, WalDir};
+use ids_wal::{Cursor, FollowPoll, Follower, Shipment, WalDir, WalError};
 
 use crate::wire::{
     decode_request, encode_reply, AlterOp, FrameError, FrameReader, Reply, Request, Tagged,
@@ -469,19 +469,36 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// Ships one batch of verbatim frame payloads as a [`Reply::Frames`],
-    /// recording the shipment in the event log.
-    fn ship_frames(
-        &mut self,
-        id: u64,
-        relation: u16,
-        gen: u64,
-        tip: u64,
-        frames: Vec<Vec<u8>>,
-    ) -> Result<(), FrameError> {
-        if frames.is_empty() {
-            return Ok(());
-        }
+    /// Maps one [`Shipment`] of the follow loop to its reply: a manifest
+    /// verbatim, names and records as [`Reply::Frames`] of their verbatim
+    /// payloads (recorded in the event log).
+    fn ship(&mut self, id: u64, shipment: Shipment) -> Result<(), FrameError> {
+        let (relation, gen, tip, frames): (u16, u64, u64, Vec<Vec<u8>>) = match shipment {
+            Shipment::Manifest { gen, payload, .. } => {
+                let manifest = Reply::Manifest {
+                    generation: gen,
+                    payload,
+                };
+                return self.reply(id, &manifest);
+            }
+            Shipment::Names { names, tip } => (
+                POOL_STREAM,
+                0,
+                tip,
+                names.into_iter().map(|n| n.payload).collect(),
+            ),
+            Shipment::Records {
+                relation,
+                gen,
+                tip,
+                records,
+            } => (
+                relation,
+                gen,
+                tip,
+                records.into_iter().map(|r| r.payload).collect(),
+            ),
+        };
         self.obs.registry.events().record(Event::SegmentShipped {
             relation,
             generation: gen,
@@ -498,26 +515,20 @@ impl<'a> Session<'a> {
 
     /// The replication ship loop behind [`Request::Subscribe`].
     ///
-    /// Tails the primary's own segment files (and name log) read-only and
-    /// forwards every new frame payload **verbatim** — the bytes a follower
-    /// applies are the bytes the primary made durable, so replication
-    /// inherits the on-disk format's golden-fixture byte stability.  Names
-    /// always ship before the records that reference them, mirroring the
-    /// primary's fsync order.  Each `Frames` reply carries one generation,
-    /// so a poll that crosses a checkpoint rotation is split and the
-    /// follower's cursor stays exact.
+    /// An [`ids_wal::Follower`] over the primary's own directory does the
+    /// following — manifests, then names, then records batched per
+    /// `(generation, scheme index)`, every tailer retargeted at every
+    /// manifest — and this loop forwards each [`Shipment`] as the
+    /// follower hands it over (one relation's backlog at a time),
+    /// payloads **verbatim**: the bytes a
+    /// follower applies are the bytes the primary made durable, so
+    /// replication inherits the on-disk format's golden-fixture byte
+    /// stability.  One thread writes the socket in program order, so a
+    /// manifest reaches the follower before any frame written under it.
     ///
-    /// Schema transitions ship the same way: each generation manifest the
-    /// primary commits is forwarded **verbatim** as a [`Reply::Manifest`]
-    /// before any frame of that generation (the rename happens-before the
-    /// first new-generation segment, and this one thread writes the socket
-    /// in program order), so the follower applies the transition under
-    /// exactly the boundary the primary crossed, then keeps consuming
-    /// frames under the new schema.
-    ///
-    /// When a full round finds nothing new, one empty `POOL_STREAM` reply
-    /// is sent as a heartbeat: it tells the follower "you have everything I
-    /// can see" (frames are ordered in-channel, so an empty round after
+    /// When a round ships nothing, one empty `POOL_STREAM` reply is sent
+    /// as a heartbeat: it tells the follower "you have everything I can
+    /// see" (frames are ordered in-channel, so an empty round after
     /// everything shipped means caught-up).  The round then waits for a
     /// ping in a timed read of [`IDLE_WAIT`], so a barrier ping ends the
     /// wait at once — and so does the follower hanging up.
@@ -535,50 +546,19 @@ impl<'a> Session<'a> {
     ) -> Result<Infallible, StreamEnd> {
         let root = (self.db.store().and_then(Store::wal_root))
             .ok_or(StreamEnd::Refused(WireError::NotDurable))?;
-        let dir = WalDir::open(&root)?;
-        // The follower's cursor indexes are scheme indexes under the
-        // manifest *governing its position* — the latest one with
-        // generation ≤ its cursors — which may be older than the schema
-        // this server currently serves.  Start the era there; every later
-        // transition is shipped below (manifest before frames), so the
-        // follower catches up through the same boundaries the primary
-        // crossed.
-        let start_gen = cursors.iter().map(|&(gen, _)| gen).max().unwrap_or(0);
-        let disk_manifests = dir.generation_manifests_after(0)?;
-        let mut era_schema: DatabaseSchema = disk_manifests
-            .iter()
-            .rev()
-            .find(|(g, ..)| *g <= start_gen)
-            .map(|(_, m, _)| m.schema.clone())
-            .unwrap_or_else(|| dir.manifest().schema.clone());
-        let relations = era_schema.len();
-        if cursors.len() != relations {
-            return Err(StreamEnd::Refused(WireError::Internal(format!(
-                "subscribe carries {} cursors but the schema has {relations} relations",
-                cursors.len()
-            ))));
-        }
-        let fingerprint = dir.fingerprint();
-        let mut tailers: Vec<RelationTailer> = cursors
-            .iter()
-            .enumerate()
-            .map(|(i, &(gen, seq))| {
-                RelationTailer::new(dir.root(), fingerprint, i as u16, Cursor { gen, seq })
-            })
+        let cursors: Vec<Cursor> = (cursors.into_iter())
+            .map(|(gen, seq)| Cursor { gen, seq })
             .collect();
-        let mut name_tailer = NameTailer::new(&dir.pool_log_path(), fingerprint, names);
-        // Highest manifest generation already shipped (or known to the
-        // follower, whose cursors can only have reached `start_gen` with
-        // every manifest ≤ it applied).  Anything newer found on disk ships
-        // verbatim, and the tailer set is remapped to the new schema.
-        let mut shipped_gen = start_gen;
+        let mut follower = Follower::new(&WalDir::open(&root)?, &cursors, names)?;
+        // The heartbeat's tip: the names tip last shipped.
+        let mut names_tip = 0;
         // How long this round's first read may wait: after an idle round,
         // [`IDLE_WAIT`]; otherwise not at all.
         let mut wait = None;
         loop {
-            // Drain pings BEFORE this round's polls: a ping in hand means
-            // everything durable before it was sent is visible to the polls
-            // below, so answering after them makes `Pong` a true barrier.
+            // Drain pings BEFORE this round's poll: a ping in hand means
+            // everything durable before it was sent is visible to the poll
+            // below, so answering after it makes `Pong` a true barrier.
             let mut pings = Vec::new();
             while let Some(payload) = self.poll_frame(wait.take())? {
                 match decode_request(&payload) {
@@ -595,100 +575,27 @@ impl<'a> Session<'a> {
                     }
                 }
             }
-            let mut shipped = false;
-            // Manifests first: a schema transition must reach the follower
-            // before any frame written under it.  The primary renames the
-            // manifest into place *before* the first new-generation segment
-            // exists, and replies leave in the order they are appended, so
-            // shipping the manifest here — before this round's polls —
-            // preserves that happens-before on the follower.  After
-            // shipping, the tailer set is remapped by relation (name +
-            // attributes): survivors are retargeted to their scheme index
-            // under the new schema, dropped relations fall away, added
-            // relations start tailing at `(gen, 0)` — their logs begin at
-            // the transition.
-            for (g, m, payload) in dir.generation_manifests_after(shipped_gen)? {
-                shipped = true;
-                let manifest = Reply::Manifest {
-                    generation: g,
-                    payload,
-                };
-                self.reply(id, &manifest)?;
-                let mut old: Vec<Option<RelationTailer>> = tailers.drain(..).map(Some).collect();
-                for (jid, scheme) in m.schema.iter() {
-                    let j = jid.index() as u16;
-                    let prev = era_schema
-                        .iter()
-                        .find(|&(iid, s)| {
-                            s.name == scheme.name && era_schema.attrs(iid) == m.schema.attrs(jid)
-                        })
-                        .map(|(iid, _)| iid.index());
-                    match prev.and_then(|i| old[i].take()) {
-                        Some(mut t) => {
-                            t.retarget(g, j);
-                            tailers.push(t);
-                        }
-                        None => tailers.push(RelationTailer::new(
-                            dir.root(),
-                            fingerprint,
-                            j,
-                            Cursor { gen: g, seq: 0 },
-                        )),
-                    }
+            let polled = follower.poll(|shipment| {
+                if let Shipment::Names { tip, .. } = &shipment {
+                    names_tip = *tip;
                 }
-                era_schema = m.schema;
-                shipped_gen = g;
-            }
-            // Names next: the primary fsyncs a name before any record
-            // referencing its value, and the follower needs the same order.
-            let new_names = name_tailer.poll()?;
-            if !new_names.is_empty() {
-                shipped = true;
-                let frames: Vec<Vec<u8>> = new_names.into_iter().map(|n| n.payload).collect();
-                self.ship_frames(id, POOL_STREAM, 0, name_tailer.emitted(), frames)?;
-            }
-            for tailer in &mut tailers {
-                match tailer.poll()? {
-                    RelationPoll::Records(records) if !records.is_empty() => {
-                        shipped = true;
-                        let tip = tailer.cursor().seq;
-                        let mut batch: Vec<Vec<u8>> = Vec::new();
-                        let mut batch_gen = records[0].gen;
-                        // Per-record scheme, not the tailer's current one: a
-                        // poll that crosses a transition boundary carries
-                        // records under two scheme indexes, and each batch
-                        // must be labeled with the index its frames were
-                        // written under (splits align with gen splits).
-                        let mut batch_scheme = records[0].scheme;
-                        for rec in records {
-                            if rec.gen != batch_gen || rec.scheme != batch_scheme {
-                                let frames = std::mem::take(&mut batch);
-                                self.ship_frames(id, batch_scheme, batch_gen, tip, frames)?;
-                                batch_gen = rec.gen;
-                                batch_scheme = rec.scheme;
-                            }
-                            batch.push(rec.payload);
-                        }
-                        self.ship_frames(id, batch_scheme, batch_gen, tip, batch)?;
-                    }
-                    RelationPoll::Records(_) => {}
-                    RelationPoll::Behind => {
-                        return Err(StreamEnd::Refused(WireError::Durability(
-                            "subscribe cursor is behind pruned segments: \
-                             re-seed the replica from a newer snapshot"
-                                .into(),
-                        )));
-                    }
-                }
-            }
+                Ok::<_, StreamEnd>(self.ship(id, shipment)?)
+            })?;
+            let FollowPoll::Shipped(shipped) = polled else {
+                return Err(StreamEnd::Refused(WireError::Durability(
+                    "subscribe cursor is behind pruned segments: \
+                     re-seed the replica from a newer snapshot"
+                        .into(),
+                )));
+            };
             for rid in pings {
                 self.reply(rid, &Reply::Pong)?;
             }
-            if !shipped {
+            if shipped == 0 {
                 let heartbeat = Reply::Frames {
                     relation: POOL_STREAM,
                     gen: 0,
-                    tip: name_tailer.emitted(),
+                    tip: names_tip,
                     frames: Vec::new(),
                 };
                 self.reply(id, &heartbeat)?;
@@ -707,9 +614,15 @@ enum StreamEnd {
     Hangup(FrameError),
 }
 
-impl From<ids_wal::WalError> for StreamEnd {
-    fn from(e: ids_wal::WalError) -> Self {
-        StreamEnd::Refused(wire_error(e.into()))
+impl From<WalError> for StreamEnd {
+    fn from(e: WalError) -> Self {
+        StreamEnd::Refused(match e {
+            // The subscriber's own input, not a durability failure.
+            WalError::CursorCount { cursors, relations } => WireError::Internal(format!(
+                "subscribe carries {cursors} cursors but the schema has {relations} relations"
+            )),
+            e => wire_error(e.into()),
+        })
     }
 }
 

@@ -244,9 +244,10 @@ pub enum Reply {
         /// stream, which has no generations).
         gen: u64,
         /// The primary's current tip for this stream when the batch
-        /// was cut: the last appended sequence number (or total name
-        /// count for [`POOL_STREAM`]).  `tip` minus the last frame's
-        /// sequence number is the follower's lag.
+        /// was cut: the last appended sequence number (for
+        /// [`POOL_STREAM`], the names shipped since the subscription's
+        /// starting point — [`ids_wal::Shipment::Names`]).  `tip` minus
+        /// the last frame's sequence number is the follower's lag.
         tip: u64,
         /// Raw frame payloads, exactly as stored on disk —
         /// [`ids_wal::WalRecord`] payloads, or name-log payloads for

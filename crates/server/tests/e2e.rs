@@ -1023,3 +1023,25 @@ fn a_barrier_ping_on_an_idle_stream_does_not_wait_out_a_sleep() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }
+
+#[test]
+fn a_subscribe_with_the_wrong_cursor_count_is_the_callers_error() {
+    let root = std::env::temp_dir().join(format!("ids-server-cursors-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let db = Database::open_at(&root, schema(), DurableConfig::default()).unwrap();
+    let server = serve(Arc::new(db.into_shared().unwrap()));
+
+    let client = Client::connect(server.local_addr()).unwrap();
+    let mut stream = client.subscribe(vec![(0, 0); 3], 0).unwrap();
+    match stream.next_event() {
+        Err(ClientError::Server(WireError::Internal(msg))) => assert_eq!(
+            msg,
+            "subscribe carries 3 cursors but the schema has 2 relations"
+        ),
+        other => panic!("expected a typed Internal refusal, got {other:?}"),
+    }
+
+    drop(stream);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}

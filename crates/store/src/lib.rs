@@ -99,7 +99,10 @@
 //! store runs — replay is per-relation, embarrassingly parallel in
 //! principle, and doubles as an integrity check (every logged op must
 //! re-accept).  A log written under a different schema or FD set is
-//! refused with a typed [`WalError::SchemaMismatch`].
+//! refused with a typed [`WalError::SchemaMismatch`].  That replay is
+//! one step and attaching the log writers another: [`Store::recover_from`]
+//! runs the replay alone, into an in-memory store that touches no file —
+//! which is how a replication follower (`ids-replica`) bootstraps.
 
 #![warn(missing_docs)]
 
@@ -114,7 +117,7 @@ use ids_relational::{
     AttrId, DatabaseSchema, DatabaseState, Predicate, ReadPlan, ReadReply, Relation,
     RelationalError, SchemeId, Tuple, Value,
 };
-use ids_wal::{Manifest, WalDir, WalError, WalMetrics, WalOp, WalWriter};
+use ids_wal::{Cursor, Manifest, WalDir, WalError, WalMetrics, WalOp, WalWriter};
 
 pub use ids_wal::SyncPolicy;
 
@@ -623,15 +626,12 @@ impl Store {
         config: StoreConfig,
     ) -> Result<Self, StoreError> {
         let enforcement = extract_enforcement(schema, analysis)?;
-        let (relations, shards) = build_parts(
+        Self::build(
             schema,
-            &enforcement,
+            enforcement,
             config.initial_state,
             &config.ordered_indexes,
-        )?;
-        let parts = relations.into_iter().zip(shards).map(|(r, s)| (r, s, None));
-        let registry = Arc::new(Registry::new());
-        Ok(Self::assemble(schema, enforcement, parts, None, registry))
+        )
     }
 
     /// Opens a durable store at `path` with the default configuration:
@@ -679,40 +679,18 @@ impl Store {
             );
         }
         let enforcement = extract_enforcement(schema, analysis)?;
-        let DurableConfig {
-            store,
-            sync,
-            app,
-            fail_appends_after,
-        } = config;
-        let dir = WalDir::create(path, schema, fds, app)?;
-        let (relations, shards) = preload_parts(
-            &dir,
-            schema,
-            &enforcement,
-            store.initial_state,
-            &store.ordered_indexes,
-        )?;
+        let dir = WalDir::create(path, schema, fds, config.app)?;
+        let store = Self::preload(&dir, schema, enforcement, config.store)?;
         let last_seqs = vec![0; schema.len()];
-        Self::finish_durable(
-            dir,
-            schema,
-            enforcement,
-            relations,
-            shards,
-            last_seqs,
-            1,
-            sync,
-            fail_appends_after,
-        )
+        store.attach_writers(dir, 1, &last_seqs, config.sync, config.fail_appends_after)
     }
 
     /// Durable reopen over an **already-open** directory handle — the
     /// entry point `Database::recover` uses after reading the manifest,
     /// so the manifest is decoded exactly once per open.  Refuses a
     /// handle whose manifest disagrees with `schema`/`fds`, then
-    /// recovers: per-relation log tails replay through the normal
-    /// probe/commit machinery on top of the snapshot base.
+    /// recovers exactly as [`Store::recover_from`] does and attaches one
+    /// log writer per relation on a fresh generation.
     pub fn recover_durable_from_analysis(
         dir: WalDir,
         schema: &DatabaseSchema,
@@ -723,7 +701,8 @@ impl Store {
         let enforcement = extract_enforcement(schema, analysis)?;
         dir.check_identity(schema, fds)?;
         let recovered = dir.recover()?;
-        if let Some(preload) = config.store.initial_state {
+        let next_gen = recovered.next_gen;
+        let (store, last_seqs) = if config.store.initial_state.is_some() {
             // The log *is* the state, so a preload is only accepted on a
             // directory with no history — which makes a create that
             // crashed between the manifest and the preload snapshot
@@ -736,91 +715,264 @@ impl Store {
                     RelationalError::SchemaMismatch("initial state for an existing log").into(),
                 );
             }
-            let (relations, shards) = preload_parts(
-                &dir,
-                schema,
-                &enforcement,
-                Some(preload),
-                &config.store.ordered_indexes,
-            )?;
-            let last_seqs = vec![0; schema.len()];
-            let next_gen = recovered.next_gen;
-            return Self::finish_durable(
-                dir,
-                schema,
-                enforcement,
-                relations,
-                shards,
-                last_seqs,
-                next_gen,
-                config.sync,
-                config.fail_appends_after,
-            );
-        }
-        let last_seqs = recovered.last_seqs();
-        let next_gen = recovered.next_gen;
-        // Replay is a cold path: time it unconditionally so the summary
-        // event carries a real duration even if recording was toggled.
-        let replay_start = Instant::now();
-        let (relations, shards, replayed_per_relation) = replay_recovered(
-            &dir,
-            schema,
-            &enforcement,
-            recovered,
-            &config.store.ordered_indexes,
-        )?;
-        let replay_elapsed = replay_start.elapsed();
-        let store = Self::finish_durable(
+            let store = Self::preload(&dir, schema, enforcement, config.store)?;
+            (store, vec![0; schema.len()])
+        } else {
+            let indexes = &config.store.ordered_indexes;
+            Self::replay(&dir, schema, enforcement, recovered, indexes)?
+        };
+        store.attach_writers(
             dir,
-            schema,
-            enforcement,
-            relations,
-            shards,
-            last_seqs,
             next_gen,
+            &last_seqs,
             config.sync,
             config.fail_appends_after,
-        )?;
-        // Replay progress is a per-relation fact (recovery of an
-        // independent schema is per-relation by construction), so it is
-        // surfaced as a family — replicas reuse the same names for
-        // their apply counts — with the aggregate kept for continuity.
-        let replayed: u64 = replayed_per_relation.iter().sum();
-        for (i, n) in replayed_per_relation.iter().enumerate() {
-            store
-                .obs
-                .registry
-                .counter(&format!("wal.r{i}.recovered_records"))
-                .add(*n);
+        )
+    }
+
+    /// Recovers the durable directory `dir` into an **in-memory** store:
+    /// snapshot plus per-relation log tails, replayed through the normal
+    /// probe/commit machinery by the one replay a durable reopen runs
+    /// too (which then attaches its log writers).  Read-only: no writer
+    /// is opened and no file is created or modified, so it may run
+    /// against a directory a live primary keeps appending to — a
+    /// replication follower's bootstrap.  `schema`/`fds` must be the
+    /// directory's latest manifest (a typed [`WalError::SchemaMismatch`]
+    /// otherwise).  The store declares no ordered indexes.
+    ///
+    /// Returns the store and, per relation in scheme order, the `(gen,
+    /// seq)` the replay reached — where a follower resumes tailing.
+    pub fn recover_from(
+        dir: &WalDir,
+        schema: &DatabaseSchema,
+        fds: &FdSet,
+        analysis: &ids_core::IndependenceAnalysis,
+    ) -> Result<(Self, Vec<Cursor>), StoreError> {
+        let enforcement = extract_enforcement(schema, analysis)?;
+        dir.check_identity(schema, fds)?;
+        let recovered = dir.recover()?;
+        let gen = recovered.next_gen - 1;
+        let (store, last_seqs) = Self::replay(dir, schema, enforcement, recovered, &[])?;
+        let cursors = last_seqs.into_iter().map(|seq| Cursor { gen, seq });
+        Ok((store, cursors.collect()))
+    }
+
+    /// An in-memory store over an optional preload: the state is
+    /// roundtripped through `from_relations` to revalidate its full
+    /// shape — it may come from a different schema handle, and a
+    /// mismatched relation must be a typed error — and every relation is
+    /// indexed and validated against its cover.
+    fn build(
+        schema: &DatabaseSchema,
+        enforcement: Vec<FdSet>,
+        initial_state: Option<DatabaseState>,
+        ordered_indexes: &[(SchemeId, AttrId)],
+    ) -> Result<Self, StoreError> {
+        let relations: Vec<Relation> = match initial_state {
+            Some(state) => {
+                DatabaseState::from_relations(schema, state.into_relations())?.into_relations()
+            }
+            None => schema
+                .ids()
+                .map(|id| Relation::new(schema.attrs(id)))
+                .collect(),
+        };
+        let mut shards = Vec::with_capacity(schema.len());
+        for (id, rel) in schema.ids().zip(relations.iter()) {
+            let fi = enforcement[id.index()].clone();
+            shards.push(RelationShard::with_relation(schema, id, fi, rel)?);
         }
-        store
-            .obs
-            .registry
-            .counter("wal.recovered_records")
-            .add(replayed);
-        store.obs.registry.events().record(Event::RecoveryReplayed {
-            records: replayed,
-            duration: replay_elapsed,
-        });
+        apply_ordered_indexes(schema, &mut shards, &relations, ordered_indexes)?;
+        Ok(Self::assemble(schema, enforcement, relations, shards))
+    }
+
+    /// [`Store::build`] for a durable store: a nonempty preload — which
+    /// lives in no log — is pinned in an initial snapshot so recovery
+    /// starts from it.  Shared by the fresh-create path and the repeat
+    /// of a create that crashed before its snapshot landed.
+    fn preload(
+        dir: &WalDir,
+        schema: &DatabaseSchema,
+        enforcement: Vec<FdSet>,
+        config: StoreConfig,
+    ) -> Result<Self, StoreError> {
+        let store = Self::build(
+            schema,
+            enforcement,
+            config.initial_state,
+            &config.ordered_indexes,
+        )?;
+        let state = store.snapshot()?;
+        if state.total_tuples() > 0 {
+            dir.write_snapshot(&state, &vec![0; schema.len()], 0)?;
+        }
         Ok(store)
     }
 
-    /// Shared tail of the durable opens: attach one segment writer per
-    /// relation and assemble the store.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_durable(
-        dir: WalDir,
+    /// Replays a recovery result through the normal probe/commit machinery:
+    /// the snapshot base builds each relation's shard (which validates it
+    /// against the enforcement cover `Fi`), then the relation's log tail
+    /// re-runs through the shard.  Every logged record was an accepted,
+    /// effective operation, so replay must re-accept each one — anything
+    /// else means the files contradict themselves and is reported as
+    /// corruption, never silently patched.  One relation never consults
+    /// another: recovery of an independent schema is per-relation by
+    /// construction.
+    ///
+    /// Each tail record is tagged with the **era** it was written in — the
+    /// index of the generation manifest governing its segment — and replays
+    /// under that era's schema and enforcement covers, so a record accepted
+    /// before an `ALTER` is re-judged by exactly the rules that accepted
+    /// it.  Era covers come from re-running the independence analysis on
+    /// the era manifest (a cold path, memoized per era); the final era
+    /// reuses the caller's already-extracted covers.  With a single-entry
+    /// manifest chain this degenerates to plain single-schema replay.
+    ///
+    /// Returns the in-memory store and each relation's last sequence
+    /// number; replay progress lands in the store's registry as the
+    /// `wal.r{i}.recovered_records` family (the per-relation fact —
+    /// replicas reuse the names for their bootstrap), the aggregate
+    /// `wal.recovered_records` and one [`Event::RecoveryReplayed`].
+    fn replay(
+        dir: &WalDir,
+        schema: &DatabaseSchema,
+        enforcement: Vec<FdSet>,
+        recovered: ids_wal::Recovered,
+        ordered_indexes: &[(SchemeId, AttrId)],
+    ) -> Result<(Self, Vec<u64>), StoreError> {
+        let last_seqs = recovered.last_seqs();
+        // Replay is a cold path: time it unconditionally so the summary
+        // event carries a real duration even if recording was toggled.
+        let start = Instant::now();
+        let chain = dir.manifests();
+        let last_era = chain.len() - 1;
+        let root = dir.root();
+        let mut era_enf: Vec<Option<Vec<FdSet>>> = vec![None; chain.len()];
+        let base = recovered.base.into_relations();
+        let mut relations = Vec::with_capacity(schema.len());
+        let mut shards = Vec::with_capacity(schema.len());
+        let mut replayed = vec![0u64; schema.len()];
+        for ((id, mut rel), records) in schema.ids().zip(base).zip(recovered.tail) {
+            let name = schema.scheme(id).name.clone();
+            let mut cur: Option<(usize, RelationShard)> = None;
+            for (era, record) in records {
+                let shard = match &mut cur {
+                    Some((e, shard)) if *e == era => shard,
+                    stale => {
+                        let shard = if era == last_era {
+                            let cover = enforcement[id.index()].clone();
+                            RelationShard::with_relation(schema, id, cover, &rel)?
+                        } else {
+                            let m = &chain[era].1;
+                            let eid = m.schema.scheme_by_name(&name).ok_or_else(|| {
+                                StoreError::Wal(WalError::Corrupt {
+                                    path: root.to_path_buf(),
+                                    detail: format!(
+                                        "records of {name:?} map to a generation whose schema lacks it"
+                                    ),
+                                })
+                            })?;
+                            let covers = match &mut era_enf[era] {
+                                Some(covers) => covers,
+                                unfilled => {
+                                    let analysis = ids_core::analyze(&m.schema, &m.fds);
+                                    unfilled.insert(extract_enforcement(&m.schema, &analysis)?)
+                                }
+                            };
+                            let cover = covers[eid.index()].clone();
+                            RelationShard::with_relation(&m.schema, eid, cover, &rel)?
+                        };
+                        &mut stale.insert((era, shard)).1
+                    }
+                };
+                let seq = record.seq;
+                replayed[id.index()] += 1;
+                let reapplied = match record.op {
+                    WalOp::Insert(t) => {
+                        matches!(shard.insert(&mut rel, t), Ok(InsertOutcome::Accepted))
+                    }
+                    WalOp::Remove(t) => matches!(shard.remove(&mut rel, &t), Ok(true)),
+                };
+                if !reapplied {
+                    return Err(WalError::Corrupt {
+                        path: root.to_path_buf(),
+                        detail: format!(
+                            "logged op did not replay cleanly (relation {id:?}, seq {seq})"
+                        ),
+                    }
+                    .into());
+                }
+            }
+            // The live shard runs under the final schema and cover; reuse
+            // the last era's shard when it already is that.
+            let shard = match cur {
+                Some((era, shard)) if era == last_era => shard,
+                _ => {
+                    RelationShard::with_relation(schema, id, enforcement[id.index()].clone(), &rel)?
+                }
+            };
+            relations.push(rel);
+            shards.push(shard);
+        }
+        // Indexes are declared only after replay, so they absorb the final
+        // recovered relations in their (replayed) insertion order.
+        apply_ordered_indexes(schema, &mut shards, &relations, ordered_indexes)?;
+        let duration = start.elapsed();
+        let store = Self::assemble(schema, enforcement, relations, shards);
+        let registry = &store.obs.registry;
+        for (i, n) in replayed.iter().enumerate() {
+            registry
+                .counter(&format!("wal.r{i}.recovered_records"))
+                .add(*n);
+        }
+        let records = replayed.iter().sum();
+        registry.counter("wal.recovered_records").add(records);
+        (registry.events()).record(Event::RecoveryReplayed { records, duration });
+        Ok((store, last_seqs))
+    }
+
+    /// Wraps each relation's tuples and shard (scheme order) in its slot:
+    /// an in-memory store.  [`Store::attach_writers`] makes it durable.
+    fn assemble(
         schema: &DatabaseSchema,
         enforcement: Vec<FdSet>,
         relations: Vec<Relation>,
         shards: Vec<RelationShard>,
-        last_seqs: Vec<u64>,
+    ) -> Store {
+        let registry = Arc::new(Registry::new());
+        let slots = (schema.ids().zip(relations).zip(shards))
+            .map(|((id, rel), shard)| {
+                let metrics = ShardMetrics::new(&registry, id.index());
+                Mutex::new(Slot::new(id, shard, rel, None, metrics))
+            })
+            .collect();
+        Store {
+            topology: RwLock::new(Topology {
+                schema: Arc::new(schema.clone()),
+                enforcement: Arc::new(enforcement),
+                slots,
+                families: schema.len(),
+            }),
+            poison: OnceLock::new(),
+            durability: None,
+            obs: StoreObs { registry },
+        }
+    }
+
+    /// Makes an in-memory store durable over `dir`: one segment writer
+    /// per relation on generation `next_gen`, continuing its sequence
+    /// numbering from `last_seqs`, all wired to the store-wide WAL
+    /// metric family.
+    fn attach_writers(
+        mut self,
+        dir: WalDir,
         next_gen: u64,
+        last_seqs: &[u64],
         sync: SyncPolicy,
         fail_appends_after: Option<u64>,
     ) -> Result<Self, StoreError> {
-        let registry = Arc::new(Registry::new());
         let wal_metrics = WalMetrics::new();
+        let registry = &self.obs.registry;
         registry.register_counter("wal.appends", Arc::clone(&wal_metrics.appends));
         registry.register_counter("wal.append_bytes", Arc::clone(&wal_metrics.append_bytes));
         registry.register_counter("wal.fsyncs", Arc::clone(&wal_metrics.fsyncs));
@@ -833,47 +985,16 @@ impl Store {
             fail_appends_after,
             wal_metrics,
         };
-        let mut parts = Vec::with_capacity(schema.len());
-        for ((id, rel), shard) in schema.ids().zip(relations).zip(shards) {
-            let writer = durability.writer(id, next_gen, last_seqs[id.index()])?;
-            parts.push((rel, shard, Some(writer)));
+        let topo = self
+            .topology
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        for (slot, &last_seq) in topo.slots.iter_mut().zip(last_seqs) {
+            let slot = slot.get_mut().unwrap_or_else(PoisonError::into_inner);
+            slot.wal = Some(durability.writer(slot.id, next_gen, last_seq)?);
         }
-        Ok(Self::assemble(
-            schema,
-            enforcement,
-            parts.into_iter(),
-            Some(durability),
-            registry,
-        ))
-    }
-
-    /// Wraps each relation's parts (scheme order) in its slot.
-    fn assemble(
-        schema: &DatabaseSchema,
-        enforcement: Vec<FdSet>,
-        parts: impl Iterator<Item = (Relation, RelationShard, Option<WalWriter>)>,
-        durability: Option<Durability>,
-        registry: Arc<Registry>,
-    ) -> Store {
-        let slots = schema
-            .ids()
-            .zip(parts)
-            .map(|(id, (rel, shard, wal))| {
-                let metrics = ShardMetrics::new(&registry, id.index());
-                Mutex::new(Slot::new(id, shard, rel, wal, metrics))
-            })
-            .collect();
-        Store {
-            topology: RwLock::new(Topology {
-                schema: Arc::new(schema.clone()),
-                enforcement: Arc::new(enforcement),
-                slots,
-                families: schema.len(),
-            }),
-            poison: OnceLock::new(),
-            durability,
-            obs: StoreObs { registry },
-        }
+        self.durability = Some(durability);
+        Ok(self)
     }
 
     /// Takes the topology read guard every operation holds for its whole
@@ -1529,54 +1650,6 @@ impl Store {
     }
 }
 
-/// Builds the starting relations + shards of a store from an optional
-/// preload: the state is roundtripped through `from_relations` to
-/// revalidate its full shape — it may come from a different schema
-/// handle, and a mismatched relation must be a typed error — and every
-/// relation is indexed and validated against its cover.
-fn build_parts(
-    schema: &DatabaseSchema,
-    enforcement: &[FdSet],
-    initial_state: Option<DatabaseState>,
-    ordered_indexes: &[(SchemeId, AttrId)],
-) -> Result<(Vec<Relation>, Vec<RelationShard>), StoreError> {
-    let relations: Vec<Relation> = match initial_state {
-        Some(state) => {
-            DatabaseState::from_relations(schema, state.into_relations())?.into_relations()
-        }
-        None => schema
-            .ids()
-            .map(|id| Relation::new(schema.attrs(id)))
-            .collect(),
-    };
-    let mut shards = Vec::with_capacity(schema.len());
-    for (id, rel) in schema.ids().zip(relations.iter()) {
-        let fi = enforcement[id.index()].clone();
-        shards.push(RelationShard::with_relation(schema, id, fi, rel)?);
-    }
-    apply_ordered_indexes(schema, &mut shards, &relations, ordered_indexes)?;
-    Ok((relations, shards))
-}
-
-/// [`build_parts`] for a durable store: a nonempty preload — which lives
-/// in no log — is pinned in an initial snapshot so recovery starts from
-/// it.  Shared by the fresh-create path and the repeat of a create that
-/// crashed before its snapshot landed.
-fn preload_parts(
-    dir: &WalDir,
-    schema: &DatabaseSchema,
-    enforcement: &[FdSet],
-    initial_state: Option<DatabaseState>,
-    ordered_indexes: &[(SchemeId, AttrId)],
-) -> Result<(Vec<Relation>, Vec<RelationShard>), StoreError> {
-    let (relations, shards) = build_parts(schema, enforcement, initial_state, ordered_indexes)?;
-    if relations.iter().any(|r| !r.is_empty()) {
-        let state = DatabaseState::from_relations(schema, relations.clone())?;
-        dir.write_snapshot(&state, &vec![0; schema.len()], 0)?;
-    }
-    Ok((relations, shards))
-}
-
 /// Builds the configured ordered secondary indexes on freshly
 /// constructed shards, each absorbing its relation's current tuples.  A
 /// spec naming a foreign scheme or column is a typed error at open, not
@@ -1617,109 +1690,6 @@ fn extract_enforcement(
         return Err(RelationalError::SchemaMismatch("enforcement covers").into());
     }
     Ok(enforcement)
-}
-
-/// What [`replay_recovered`] rebuilds: each relation's state, its
-/// enforcement shard, and how many tail records it replayed.
-type Replayed = (Vec<Relation>, Vec<RelationShard>, Vec<u64>);
-
-/// Replays a recovery result through the normal probe/commit machinery:
-/// the snapshot base builds each relation's shard (which validates it
-/// against the enforcement cover `Fi`), then the relation's log tail
-/// re-runs through the shard.  Every logged record was an accepted,
-/// effective operation, so replay must re-accept each one — anything
-/// else means the files contradict themselves and is reported as
-/// corruption, never silently patched.  One relation never consults
-/// another: recovery of an independent schema is per-relation by
-/// construction.
-///
-/// Each tail record is tagged with the **era** it was written in — the
-/// index of the generation manifest governing its segment — and replays
-/// under that era's schema and enforcement covers, so a record accepted
-/// before an `ALTER` is re-judged by exactly the rules that accepted
-/// it.  Era covers come from re-running the independence analysis on
-/// the era manifest (a cold path, memoized per era); the final era
-/// reuses the caller's already-extracted covers.  With a single-entry
-/// manifest chain this degenerates to plain single-schema replay.
-fn replay_recovered(
-    dir: &WalDir,
-    schema: &DatabaseSchema,
-    enforcement: &[FdSet],
-    recovered: ids_wal::Recovered,
-    ordered_indexes: &[(SchemeId, AttrId)],
-) -> Result<Replayed, StoreError> {
-    let chain = dir.manifests();
-    let last_era = chain.len() - 1;
-    let root = dir.root();
-    let mut era_enf: Vec<Option<Vec<FdSet>>> = vec![None; chain.len()];
-    let base = recovered.base.into_relations();
-    let mut relations = Vec::with_capacity(schema.len());
-    let mut shards = Vec::with_capacity(schema.len());
-    let mut replayed_per_relation = vec![0u64; schema.len()];
-    for ((id, mut rel), records) in schema.ids().zip(base).zip(recovered.tail) {
-        let name = schema.scheme(id).name.clone();
-        let mut cur: Option<(usize, RelationShard)> = None;
-        for (era, record) in records {
-            let shard = match &mut cur {
-                Some((e, shard)) if *e == era => shard,
-                stale => {
-                    let shard = if era == last_era {
-                        let cover = enforcement[id.index()].clone();
-                        RelationShard::with_relation(schema, id, cover, &rel)?
-                    } else {
-                        let m = &chain[era].1;
-                        let eid = m.schema.scheme_by_name(&name).ok_or_else(|| {
-                            StoreError::Wal(WalError::Corrupt {
-                                path: root.to_path_buf(),
-                                detail: format!(
-                                    "records of {name:?} map to a generation whose schema lacks it"
-                                ),
-                            })
-                        })?;
-                        let covers = match &mut era_enf[era] {
-                            Some(covers) => covers,
-                            unfilled => {
-                                let analysis = ids_core::analyze(&m.schema, &m.fds);
-                                unfilled.insert(extract_enforcement(&m.schema, &analysis)?)
-                            }
-                        };
-                        let cover = covers[eid.index()].clone();
-                        RelationShard::with_relation(&m.schema, eid, cover, &rel)?
-                    };
-                    &mut stale.insert((era, shard)).1
-                }
-            };
-            let seq = record.seq;
-            replayed_per_relation[id.index()] += 1;
-            let replayed = match record.op {
-                WalOp::Insert(t) => {
-                    matches!(shard.insert(&mut rel, t), Ok(InsertOutcome::Accepted))
-                }
-                WalOp::Remove(t) => matches!(shard.remove(&mut rel, &t), Ok(true)),
-            };
-            if !replayed {
-                return Err(WalError::Corrupt {
-                    path: root.to_path_buf(),
-                    detail: format!(
-                        "logged op did not replay cleanly (relation {id:?}, seq {seq})"
-                    ),
-                }
-                .into());
-            }
-        }
-        // The live shard runs under the final schema and cover; reuse
-        // the last era's shard when it already is that.
-        let shard = match cur {
-            Some((era, shard)) if era == last_era => shard,
-            _ => RelationShard::with_relation(schema, id, enforcement[id.index()].clone(), &rel)?,
-        };
-        relations.push(rel);
-        shards.push(shard);
-    }
-    // Indexes are declared only after replay, so they absorb the final
-    // recovered relations in their (replayed) insertion order.
-    apply_ordered_indexes(schema, &mut shards, &relations, ordered_indexes)?;
-    Ok((relations, shards, replayed_per_relation))
 }
 
 // The whole point: clients on many threads share one store.

@@ -44,7 +44,7 @@ const POOL_FILE: &str = "pool.log";
 /// A `WalDir` owns no file descriptors — it is the *layout*: where the
 /// manifest, snapshot and segments live, and how to read them back.
 /// Writers ([`WalWriter`]) and the recovery pass are created from it.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct WalDir {
     root: PathBuf,
     /// The manifest chain, sorted by effective generation: entry 0 is
@@ -226,7 +226,7 @@ impl WalDir {
     /// this scans the directory).  Each entry carries the raw manifest
     /// frame payload exactly as stored, so a replication shipper can
     /// forward the committed bytes verbatim.
-    pub fn generation_manifests_after(
+    pub(crate) fn generation_manifests_after(
         &self,
         after: u64,
     ) -> Result<Vec<(u64, Manifest, Vec<u8>)>, WalError> {
@@ -277,12 +277,6 @@ impl WalDir {
         self.root.join(POOL_FILE)
     }
 
-    /// The subdirectory holding the per-relation log segments (what a
-    /// [`crate::RelationTailer`] scans).
-    pub fn segments_dir(&self) -> PathBuf {
-        self.root.join(WAL_SUBDIR)
-    }
-
     /// Checks that a caller-supplied schema + FD set is the one the
     /// directory currently serves (the *latest* manifest of the chain);
     /// a disagreement is the typed [`WalError::SchemaMismatch`]
@@ -302,7 +296,7 @@ impl WalDir {
     /// Chain index of the manifest governing generation `g`: the latest
     /// entry whose effective generation is `≤ g`.  Always defined —
     /// entry 0 is effective from generation 0.
-    fn governing(&self, g: u64) -> usize {
+    pub(crate) fn governing(&self, g: u64) -> usize {
         self.chain
             .iter()
             .rposition(|(gen, _)| *gen <= g)

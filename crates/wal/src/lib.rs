@@ -63,7 +63,7 @@ mod dir;
 pub use dir::{generation_manifest_name, parse_generation_manifest_name, Recovered, WalDir};
 pub use names::NameLog;
 pub use records::{fingerprint, Manifest, SegmentHeader, Snapshot, WalOp, WalRecord};
-pub use tail::{Cursor, NameTailer, RelationPoll, RelationTailer, TailedName, TailedRecord};
+pub use tail::{Cursor, FollowPoll, Follower, NameTailer, Shipment, TailedName, TailedRecord};
 pub use writer::{parse_segment_file_name, segment_file_name, WalMetrics, WalWriter};
 
 use std::path::PathBuf;
@@ -141,6 +141,15 @@ pub enum WalError {
         /// Which part disagreed.
         detail: &'static str,
     },
+    /// A [`Follower`] was started with one cursor per relation of some
+    /// other schema than the one governing its position — a caller's
+    /// input error, not a property of the files.
+    CursorCount {
+        /// Cursors supplied.
+        cursors: usize,
+        /// Relations of the schema governing the cursors' generation.
+        relations: usize,
+    },
     /// A relational-substrate error while decoding or rebuilding state.
     Relational(RelationalError),
 }
@@ -165,6 +174,10 @@ impl std::fmt::Display for WalError {
             Self::SchemaMismatch { detail } => {
                 write!(f, "log was written under a different {detail}")
             }
+            Self::CursorCount { cursors, relations } => write!(
+                f,
+                "{cursors} follower cursors but the schema has {relations} relations"
+            ),
             Self::Relational(e) => write!(f, "{e}"),
         }
     }

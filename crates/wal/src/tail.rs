@@ -1,21 +1,38 @@
-//! Read-only, incremental tailing of a live durable directory.
+//! Read-only, incremental following of a live durable directory — the
+//! one follow loop every replication transport consumes.
 //!
 //! Recovery ([`crate::WalDir::recover`]) reads the whole log once; a
-//! *replica* needs to keep reading it while the primary appends.  This
-//! module provides that follower view:
+//! *follower* needs to keep reading it while the primary appends.
+//! [`Follower`] is that loop, and both transports are thin shells over
+//! it: the server's subscribe stream maps each [`Shipment`] to a wire
+//! reply, the replica's file transport applies it directly.  One
+//! [`Follower::poll`] hands everything new to its caller's sink, in
+//! protocol order:
 //!
-//! * [`RelationTailer`] — follows one relation's segment chain.  Each
-//!   [`RelationTailer::poll`] returns the records appended since the
-//!   last poll, following generation rotations (checkpoints) using the
-//!   same sequence-contiguity rules as recovery: a tailer only advances
-//!   to the next generation when that segment's header proves the
-//!   current one was fully consumed.
-//! * [`NameTailer`] — follows the value-pool name log
-//!   ([`crate::NameLog`]) without ever writing to it (the owning
-//!   `NameLog` truncates torn tails on open; a follower must not).
+//! 1. every generation manifest committed since the last poll
+//!    ([`Shipment::Manifest`]) — a transition before any record written
+//!    under it.  The follower remaps its per-relation tailers onto each
+//!    new schema by relation (name + attributes): survivors follow
+//!    their log to its new scheme index, dropped relations fall away,
+//!    added ones start at `(gen, 0)`;
+//! 2. new value-pool names ([`Shipment::Names`]) — the primary fsyncs a
+//!    name before any record referencing its value, and a follower
+//!    needs the same order;
+//! 3. each relation's new records ([`Shipment::Records`]), split into
+//!    batches of one `(generation, scheme index)` so a poll crossing a
+//!    checkpoint rotation or a renumbering keeps cursors — and the
+//!    era mapping of each record — exact.
 //!
-//! Both tailers are pull-based and crash-consistent by construction:
-//! a torn frame at the tail is "nothing new yet" (retried on the next
+//! Underneath, a private per-relation tailer follows one segment chain
+//! with recovery's sequence-contiguity rules (it advances to the next
+//! generation only when that segment's header proves the current one
+//! fully consumed, and never past a manifest boundary nobody has
+//! explained to it), and [`NameTailer`] follows the name log
+//! ([`crate::NameLog`]) without ever writing to it (the owning
+//! `NameLog` truncates torn tails on open; a follower must not).
+//!
+//! Everything is pull-based and crash-consistent by construction: a
+//! torn frame at the tail is "nothing new yet" (retried on the next
 //! poll, when the primary's append may have completed), while a
 //! checksum-valid-but-wrong frame is a typed [`WalError::Corrupt`].
 //! Because the primary only ever *appends* to segments and the pool
@@ -23,20 +40,21 @@
 //! and only of torn bytes no tailer has consumed), a byte offset past
 //! the last complete frame is always a stable resume point.
 //!
-//! A tailer can also discover it is **behind**: the primary checkpointed
-//! and pruned segments the tailer had not consumed yet.  That is not
-//! corruption — the missing records are folded into the snapshot — so
-//! [`RelationTailer::poll`] reports it as [`RelationPoll::Behind`] and
-//! the follower re-bootstraps from the snapshot, which is still a
+//! A follower can also discover it is **behind**: the primary
+//! checkpointed and pruned segments it had not consumed yet.  That is
+//! not corruption — the missing records are folded into the snapshot —
+//! so [`Follower::poll`] reports it as [`FollowPoll::Behind`] and the
+//! follower re-bootstraps from the snapshot, which is still a
 //! per-relation prefix of the primary's history.
 
 use std::path::{Path, PathBuf};
 
 use ids_relational::codec::Decoder;
+use ids_relational::DatabaseSchema;
 
-use crate::dir::{parse_generation_manifest_name, WAL_SUBDIR};
+use crate::dir::{parse_generation_manifest_name, WalDir, WAL_SUBDIR};
 use crate::format::{read_frame, FrameOutcome, FORMAT_VERSION, POOL_MAGIC};
-use crate::records::{SegmentHeader, WalRecord};
+use crate::records::{Manifest, SegmentHeader, WalRecord};
 use crate::writer::{parse_segment_file_name, segment_file_name};
 use crate::{corrupt, io_err, WalError};
 
@@ -50,10 +68,9 @@ pub struct Cursor {
     pub seq: u64,
 }
 
-/// One record a [`RelationTailer`] produced: the decoded record, the
-/// exact frame payload bytes it was decoded from (so a shipper can
-/// forward them verbatim, byte for byte), and the generation of the
-/// segment it came from.
+/// One record a follower read: the decoded record, the exact frame
+/// payload bytes it was decoded from (so a shipper can forward them
+/// verbatim, byte for byte), and the segment it came from.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TailedRecord {
     /// Generation of the segment the record was read from.
@@ -61,8 +78,7 @@ pub struct TailedRecord {
     /// Scheme index of the segment the record was read from — the
     /// relation's index *under the manifest governing `gen`*.  Constant
     /// within one generation; a schema transition that renumbers the
-    /// relation changes it at the generation boundary (see
-    /// [`RelationTailer::retarget`]).
+    /// relation changes it at the generation boundary.
     pub scheme: u16,
     /// The decoded record.
     pub record: WalRecord,
@@ -70,9 +86,189 @@ pub struct TailedRecord {
     pub payload: Vec<u8>,
 }
 
+/// One ordered unit of a [`Follower::poll`] — and, one for one, of the
+/// server's subscribe stream.
+#[derive(Debug)]
+pub enum Shipment {
+    /// A schema transition the primary committed.  Precedes every
+    /// record of a generation `≥ gen`.
+    Manifest {
+        /// The generation the manifest governs from.
+        gen: u64,
+        /// The decoded manifest.
+        manifest: Manifest,
+        /// Its committed frame payload, verbatim.
+        payload: Vec<u8>,
+    },
+    /// New value-pool names, in interning order.  Precedes every
+    /// record that references them.
+    Names {
+        /// The names, each with its verbatim frame payload.
+        names: Vec<TailedName>,
+        /// [`NameTailer::emitted`]: names shipped since the follower's
+        /// starting point — **not** the primary's total name count,
+        /// which also counts the names the follower started with.
+        tip: u64,
+    },
+    /// New records of one relation, all from one segment.
+    Records {
+        /// The relation's scheme index under the manifest governing
+        /// `gen` (the records' own label).
+        relation: u16,
+        /// Generation of the segment the records came from.
+        gen: u64,
+        /// The relation's last sequence number read by this poll —
+        /// the same on every batch one poll split.
+        tip: u64,
+        /// The records, in log order.
+        records: Vec<TailedRecord>,
+    },
+}
+
+/// What one [`Follower::poll`] found.
+#[derive(Debug, PartialEq, Eq)]
+pub enum FollowPoll {
+    /// How many shipments the poll handed over — everything new since
+    /// the previous poll; 0 means the follower has everything the
+    /// directory showed.
+    Shipped(usize),
+    /// The primary pruned segments a relation had not consumed: the
+    /// follower must re-bootstrap from the snapshot.  This `Follower`
+    /// is spent; discard it.
+    Behind,
+}
+
+/// The one follow loop: follows every relation's log, the name log and
+/// the generation manifests of a live durable directory, in protocol
+/// order (see the module docs).
+#[derive(Debug)]
+pub struct Follower {
+    dir: WalDir,
+    /// The schema the tailers are indexed by: the manifest governing
+    /// the newest generation the follower knows.
+    era: DatabaseSchema,
+    /// Effective generation of that manifest; anything newer on disk
+    /// ships on the next poll.
+    manifest_gen: u64,
+    tailers: Vec<RelationTailer>,
+    names: NameTailer,
+}
+
+impl Follower {
+    /// A follower of `dir` resuming exactly after `cursors` — one per
+    /// relation, indexed by the manifest governing the newest cursor
+    /// generation (what a recovery of the follower's own copy of the
+    /// directory reports) — with the first `names_applied` pool names
+    /// already in hand.  A cursor count that does not match that
+    /// manifest's schema is a typed [`WalError::CursorCount`].
+    pub fn new(dir: &WalDir, cursors: &[Cursor], names_applied: u64) -> Result<Self, WalError> {
+        let start = cursors.iter().map(|c| c.gen).max().unwrap_or(0);
+        let (manifest_gen, manifest) = &dir.manifests()[dir.governing(start)];
+        if cursors.len() != manifest.schema.len() {
+            return Err(WalError::CursorCount {
+                cursors: cursors.len(),
+                relations: manifest.schema.len(),
+            });
+        }
+        let tailers = (0..)
+            .zip(cursors)
+            .map(|(i, &cursor)| RelationTailer::new(dir.root(), dir.fingerprint(), i, cursor));
+        Ok(Follower {
+            era: manifest.schema.clone(),
+            manifest_gen: *manifest_gen,
+            tailers: tailers.collect(),
+            names: NameTailer::new(&dir.pool_log_path(), dir.fingerprint(), names_applied),
+            dir: dir.clone(),
+        })
+    }
+
+    /// Reads everything committed since the previous poll and hands it
+    /// to `ship` as it goes, in protocol order: manifests, then names,
+    /// then each relation's record batches (see the module docs).  A
+    /// relation's records are released once shipped, so a catch-up
+    /// round holds at most one relation's backlog.
+    ///
+    /// Corruption is a typed [`WalError`]; a cursor the primary pruned
+    /// past is [`FollowPoll::Behind`] (after the relations polled before
+    /// it shipped).  An error from `ship` ends the poll with this
+    /// follower already past the shipment that failed: discard it.
+    pub fn poll<E: From<WalError>>(
+        &mut self,
+        mut ship: impl FnMut(Shipment) -> Result<(), E>,
+    ) -> Result<FollowPoll, E> {
+        let mut shipped = 0;
+        for (gen, manifest, payload) in self.dir.generation_manifests_after(self.manifest_gen)? {
+            self.retarget(gen, &manifest.schema);
+            shipped += 1;
+            ship(Shipment::Manifest {
+                gen,
+                manifest,
+                payload,
+            })?;
+        }
+        let names = self.names.poll()?;
+        if !names.is_empty() {
+            let tip = self.names.emitted();
+            shipped += 1;
+            ship(Shipment::Names { names, tip })?;
+        }
+        for tailer in &mut self.tailers {
+            let RelationPoll::Records(records) = tailer.poll()? else {
+                return Ok(FollowPoll::Behind);
+            };
+            let tip = tailer.cursor().seq;
+            let mut records = records.into_iter().peekable();
+            while let Some(first) = records.next() {
+                let (gen, relation) = (first.gen, first.scheme);
+                let mut batch = vec![first];
+                while let Some(r) = records.next_if(|r| (r.gen, r.scheme) == (gen, relation)) {
+                    batch.push(r);
+                }
+                shipped += 1;
+                ship(Shipment::Records {
+                    relation,
+                    gen,
+                    tip,
+                    records: batch,
+                })?;
+            }
+        }
+        Ok(FollowPoll::Shipped(shipped))
+    }
+
+    /// Remaps the tailers onto the manifest committed at `gen`, by
+    /// relation (name + attributes — a same-name relation with other
+    /// columns is a new incarnation): survivors are retargeted to their
+    /// new index, dropped relations' tailers fall away, added relations
+    /// start tailing at `(gen, 0)`, where their logs begin.
+    fn retarget(&mut self, gen: u64, next: &DatabaseSchema) {
+        let mut old: Vec<Option<RelationTailer>> = self.tailers.drain(..).map(Some).collect();
+        for (jid, scheme) in next.iter() {
+            let j = jid.index() as u16;
+            let prev = (self.era.scheme_by_name(&scheme.name))
+                .filter(|&i| self.era.attrs(i) == next.attrs(jid))
+                .and_then(|i| old[i.index()].take());
+            self.tailers.push(match prev {
+                Some(mut tailer) => {
+                    tailer.retarget(gen, j);
+                    tailer
+                }
+                None => RelationTailer::new(
+                    self.dir.root(),
+                    self.dir.fingerprint(),
+                    j,
+                    Cursor { gen, seq: 0 },
+                ),
+            });
+        }
+        self.era = next.clone();
+        self.manifest_gen = gen;
+    }
+}
+
 /// What one [`RelationTailer::poll`] found.
 #[derive(Debug)]
-pub enum RelationPoll {
+pub(crate) enum RelationPoll {
     /// Records appended since the previous poll (possibly none).
     Records(Vec<TailedRecord>),
     /// The primary pruned segments the tailer had not consumed: the
@@ -86,14 +282,14 @@ pub enum RelationPoll {
 /// A tailer follows a *relation*, not a scheme index: a schema
 /// transition ([`crate::WalDir::append_generation_manifest`]) can
 /// renumber surviving relations, after which the same relation's log
-/// continues under a different index.  The managing loop announces each
+/// continues under a different index.  [`Follower`] announces each
 /// transition with [`RelationTailer::retarget`]; until a generation
 /// boundary introduced by a manifest has been explained that way, the
 /// tailer **refuses to advance past it** — otherwise it could silently
 /// start consuming a *different* relation's segments that inherited its
 /// old index.
 #[derive(Debug)]
-pub struct RelationTailer {
+pub(crate) struct RelationTailer {
     /// The directory root (where generation manifests live).
     root: PathBuf,
     wal_dir: PathBuf,
@@ -124,7 +320,7 @@ impl RelationTailer {
     /// pass ([`crate::Recovered::last_seqs`] and `next_gen - 1`) resumes
     /// exactly after the recovered prefix.  `scheme` is the relation's
     /// index under the manifest governing `cursor.gen`.
-    pub fn new(root: &Path, fingerprint: u32, scheme: u16, cursor: Cursor) -> Self {
+    pub(crate) fn new(root: &Path, fingerprint: u32, scheme: u16, cursor: Cursor) -> Self {
         RelationTailer {
             root: root.to_path_buf(),
             wal_dir: root.join(WAL_SUBDIR),
@@ -139,28 +335,23 @@ impl RelationTailer {
     }
 
     /// The tailer's current position.
-    pub fn cursor(&self) -> Cursor {
+    pub(crate) fn cursor(&self) -> Cursor {
         Cursor {
             gen: self.gen,
             seq: self.last_seq,
         }
     }
 
-    /// The relation's scheme index in the generation currently read.
-    pub fn scheme(&self) -> u16 {
-        self.scheme
-    }
-
     /// Announces a schema transition: from generation `gen` on, this
     /// relation's segments are written under scheme index `scheme`.
     ///
-    /// The managing loop must call this for **every** generation
-    /// manifest it observes — even when the index is unchanged — because
-    /// an unexplained manifest boundary is exactly what makes the tailer
+    /// [`Follower`] calls this for **every** generation manifest it
+    /// observes — even when the index is unchanged — because an
+    /// unexplained manifest boundary is exactly what makes the tailer
     /// hold position (see the type-level docs).  Calls are idempotent
     /// and may arrive out of order; a retarget at or before the current
     /// generation takes effect immediately.
-    pub fn retarget(&mut self, gen: u64, scheme: u16) {
+    pub(crate) fn retarget(&mut self, gen: u64, scheme: u16) {
         if gen <= self.gen {
             self.scheme = scheme;
             return;
@@ -211,7 +402,7 @@ impl RelationTailer {
     /// is not an error), [`RelationPoll::Behind`] when the cursor's
     /// segments were pruned before they were consumed, or a typed
     /// [`WalError`] on corruption.
-    pub fn poll(&mut self) -> Result<RelationPoll, WalError> {
+    pub(crate) fn poll(&mut self) -> Result<RelationPoll, WalError> {
         let mut out = Vec::new();
         loop {
             let path = self.wal_dir.join(segment_file_name(self.scheme, self.gen));
@@ -433,6 +624,16 @@ pub struct TailedName {
     pub payload: Vec<u8>,
 }
 
+impl TailedName {
+    /// Decodes one name-log frame payload read from `path` (a file, or
+    /// a stream that shipped it verbatim).
+    pub fn decode(path: &Path, payload: Vec<u8>) -> Result<Self, WalError> {
+        let name = (Decoder::new(&payload).get_str())
+            .map_err(|e| corrupt(path, format!("bad pool record: {e}")))?;
+        Ok(TailedName { name, payload })
+    }
+}
+
 /// Follows the value-pool name log read-only.
 ///
 /// Unlike [`crate::NameLog::open`], a `NameTailer` never truncates the
@@ -466,7 +667,8 @@ impl NameTailer {
         }
     }
 
-    /// Total names delivered so far (excluding the skipped prefix).
+    /// Names delivered so far, counted from the follower's starting
+    /// point (the skipped `already_applied` prefix is not included).
     pub fn emitted(&self) -> u64 {
         self.emitted
     }
@@ -505,17 +707,11 @@ impl NameTailer {
         loop {
             match read_frame(rest) {
                 FrameOutcome::Complete { payload, rest: r } => {
-                    let mut d = Decoder::new(payload);
-                    let name = d
-                        .get_str()
-                        .map_err(|e| corrupt(&self.path, format!("bad pool record: {e}")))?;
+                    let name = TailedName::decode(&self.path, payload.to_vec())?;
                     if self.skip > 0 {
                         self.skip -= 1;
                     } else {
-                        out.push(TailedName {
-                            name,
-                            payload: payload.to_vec(),
-                        });
+                        out.push(name);
                         self.emitted += 1;
                     }
                     self.offset += 8 + payload.len();
@@ -871,7 +1067,7 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec![(2, 0, 3)]
         );
-        assert_eq!(t_cs.scheme(), 0);
+        assert_eq!(t_cs.scheme, 0);
         assert_eq!(t_cs.cursor(), Cursor { gen: 2, seq: 3 });
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -916,6 +1112,218 @@ mod tests {
         assert_eq!(seqs(&t.poll().unwrap()), Vec::<u64>::new());
         let mut n = NameTailer::new(&dir.pool_log_path(), dir.fingerprint(), 0);
         assert!(n.poll().unwrap().is_empty());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// One poll, rendered compactly: `M{gen}` for a manifest,
+    /// `N[names]^{tip}` for names, `R{relation}@{gen}[seqs]^{tip}` for a
+    /// record batch — so one `assert_eq!` pins the order, the batch
+    /// splits and every label.
+    fn follow(f: &mut Follower) -> Vec<String> {
+        let mut shipments = Vec::new();
+        let polled = f.poll(|s| {
+            shipments.push(s);
+            Ok::<_, WalError>(())
+        });
+        assert_eq!(polled.unwrap(), FollowPoll::Shipped(shipments.len()));
+        (shipments.iter())
+            .map(|s| match s {
+                Shipment::Manifest {
+                    gen,
+                    manifest,
+                    payload,
+                } => {
+                    assert_eq!(*payload, manifest.encode(), "manifest payload is verbatim");
+                    format!("M{gen}")
+                }
+                Shipment::Names { names, tip } => {
+                    let names: Vec<&str> = names.iter().map(|n| n.name.as_str()).collect();
+                    format!("N[{}]^{tip}", names.join(","))
+                }
+                Shipment::Records {
+                    relation,
+                    gen,
+                    tip,
+                    records,
+                } => {
+                    for r in records {
+                        assert_eq!(
+                            (r.gen, r.scheme),
+                            (*gen, *relation),
+                            "one segment per batch"
+                        );
+                        assert_eq!(r.payload, r.record.encode(), "record payload is verbatim");
+                    }
+                    let seqs: Vec<String> =
+                        records.iter().map(|r| r.record.seq.to_string()).collect();
+                    format!("R{relation}@{gen}[{}]^{tip}", seqs.join(","))
+                }
+            })
+            .collect()
+    }
+
+    fn cursors(f: &Follower) -> Vec<(u64, u64)> {
+        f.tailers.iter().map(|t| (t.gen, t.last_seq)).collect()
+    }
+
+    fn insert(w: &mut crate::WalWriter, a: u64, b: u64) {
+        w.append(WalOp::Insert(vec![Value(a), Value(b)])).unwrap();
+    }
+
+    /// The follow loop alone, through writes, a checkpoint, an added
+    /// relation, a drop that renumbers a survivor and a torn name-log
+    /// tail: manifests ship before every record of their generation,
+    /// names before the records that use them, batches split on
+    /// `(gen, scheme)`, and cursors land exactly on what was shipped.
+    #[test]
+    fn follower_ships_in_protocol_order_through_every_transition() {
+        use crate::Manifest;
+        let root = tmp("follow-loop");
+        let (schema, fds) = setup();
+        let dir = WalDir::create(&root, &schema, &fds, Vec::new()).unwrap();
+        let pool = dir.pool_log_path();
+        let (mut names, _) = NameLog::open(&pool, dir.fingerprint()).unwrap();
+        let mut w_ct = dir.segment_writer(0, 1, 0).unwrap();
+        let mut w_cs = dir.segment_writer(1, 1, 0).unwrap();
+        let mut f = Follower::new(&dir, &[Cursor::default(); 2], 0).unwrap();
+        assert!(follow(&mut f).is_empty());
+
+        // 1. Writes: the names first, then each relation's records.
+        names.append("alpha").unwrap();
+        names.append("beta").unwrap();
+        insert(&mut w_ct, 0, 1);
+        insert(&mut w_cs, 0, 1);
+        insert(&mut w_ct, 1, 1);
+        assert_eq!(
+            follow(&mut f),
+            ["N[alpha,beta]^2", "R0@1[1,2]^2", "R1@1[1]^1"]
+        );
+        assert_eq!(cursors(&f), [(1, 2), (1, 1)]);
+
+        // 2. A checkpoint rotation inside one poll: CT's records split at
+        // the generation, both batches carrying the relation's tip; then
+        // the covered generation is pruned and nothing is lost.
+        insert(&mut w_ct, 2, 1);
+        w_ct.rotate(2).unwrap();
+        w_cs.rotate(2).unwrap();
+        insert(&mut w_ct, 3, 1);
+        assert_eq!(follow(&mut f), ["R0@1[3]^4", "R0@2[4]^4"]);
+        dir.write_snapshot(&ids_relational::DatabaseState::empty(&schema), &[4, 1], 1)
+            .unwrap();
+        dir.prune_segments(1).unwrap();
+        assert!(follow(&mut f).is_empty());
+        assert_eq!(cursors(&f), [(2, 4), (2, 1)]);
+
+        // 3. add_relation SR at generation 3: the manifest first, then the
+        // name SR's record uses, then records of the new era — SR tailed
+        // from (3, 0).
+        let u = Universe::from_names(["C", "T", "S", "R"]).unwrap();
+        let s3 =
+            DatabaseSchema::parse(u.clone(), &[("CT", "CT"), ("CS", "CS"), ("SR", "SR")]).unwrap();
+        let fds3 = FdSet::parse(s3.universe(), &["C -> T"]).unwrap();
+        let m3 = Manifest {
+            schema: s3,
+            fds: fds3,
+            app: Vec::new(),
+        };
+        dir.append_generation_manifest(3, &m3).unwrap();
+        w_ct.rotate_as(0, 3).unwrap();
+        w_cs.rotate_as(1, 3).unwrap();
+        let mut w_sr = dir.segment_writer(2, 3, 0).unwrap();
+        names.append("gamma").unwrap();
+        insert(&mut w_cs, 1, 0);
+        insert(&mut w_sr, 0, 2);
+        assert_eq!(
+            follow(&mut f),
+            ["M3", "N[gamma]^3", "R1@3[2]^2", "R2@3[1]^1"]
+        );
+        assert_eq!(cursors(&f), [(3, 4), (3, 2), (3, 1)]);
+
+        // 4. Dropping CT at generation 4 (TR keeps T covered): CS is
+        // renumbered 1 -> 0 and SR 2 -> 1.  CS's new segment is r0 — CT's
+        // old index — and the follower reads it as CS's, under its new
+        // label; TR is tailed from (4, 0).
+        let s4 = DatabaseSchema::parse(u, &[("CS", "CS"), ("SR", "SR"), ("TR", "TR")]).unwrap();
+        let m4 = Manifest {
+            schema: s4,
+            fds: FdSet::new(),
+            app: Vec::new(),
+        };
+        dir.append_generation_manifest(4, &m4).unwrap();
+        drop(w_ct);
+        w_cs.rotate_as(0, 4).unwrap();
+        w_sr.rotate_as(1, 4).unwrap();
+        insert(&mut w_cs, 2, 0);
+        assert_eq!(follow(&mut f), ["M4", "R0@4[3]^3"]);
+        assert_eq!(cursors(&f), [(4, 3), (4, 1), (4, 0)]);
+
+        // 5. A torn name-log tail is "nothing yet", even with the
+        // writer's tail complete; the completed frame ships before the
+        // record that uses it.
+        names.append("delta").unwrap();
+        let full = std::fs::read(&pool).unwrap();
+        std::fs::write(&pool, &full[..full.len() - 2]).unwrap();
+        assert!(follow(&mut f).is_empty());
+        std::fs::write(&pool, &full).unwrap();
+        insert(&mut w_sr, 2, 3);
+        assert_eq!(follow(&mut f), ["N[delta]^4", "R1@4[2]^2"]);
+        assert_eq!(cursors(&f), [(4, 3), (4, 2), (4, 0)]);
+        assert!(follow(&mut f).is_empty());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn follower_reports_behind_once_a_prune_passes_its_cursor() {
+        let root = tmp("follow-behind");
+        let (schema, fds) = setup();
+        let dir = WalDir::create(&root, &schema, &fds, Vec::new()).unwrap();
+        let mut w = dir.segment_writer(0, 1, 0).unwrap();
+        insert(&mut w, 1, 10);
+        let mut f = Follower::new(&dir, &[Cursor::default(); 2], 0).unwrap();
+        assert_eq!(follow(&mut f), ["R0@1[1]^1"]);
+
+        // Record 2 is checkpointed away before the follower looked.
+        insert(&mut w, 2, 20);
+        w.rotate(2).unwrap();
+        let state = ids_relational::DatabaseState::empty(&schema);
+        dir.write_snapshot(&state, &[2, 0], 1).unwrap();
+        dir.prune_segments(1).unwrap();
+        let mut shipped = 0;
+        let polled = f.poll(|_| {
+            shipped += 1;
+            Ok::<_, WalError>(())
+        });
+        assert_eq!((polled.unwrap(), shipped), (FollowPoll::Behind, 0));
+
+        // Cursors from another schema are refused up front, with both
+        // counts.
+        assert!(matches!(
+            Follower::new(&dir, &[Cursor::default(); 3], 0),
+            Err(WalError::CursorCount {
+                cursors: 3,
+                relations: 2
+            })
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_sink_error_ends_the_poll_at_that_shipment() {
+        let root = tmp("follow-sink");
+        let (schema, fds) = setup();
+        let dir = WalDir::create(&root, &schema, &fds, Vec::new()).unwrap();
+        let mut w_ct = dir.segment_writer(0, 1, 0).unwrap();
+        let mut w_cs = dir.segment_writer(1, 1, 0).unwrap();
+        insert(&mut w_ct, 1, 10);
+        insert(&mut w_cs, 1, 10);
+        let mut f = Follower::new(&dir, &[Cursor::default(); 2], 0).unwrap();
+        let mut seen = 0;
+        let polled = f.poll(|_| {
+            seen += 1;
+            Err(WalError::SchemaMismatch { detail: "sink" })
+        });
+        assert!(matches!(polled, Err(WalError::SchemaMismatch { .. })));
+        assert_eq!(seen, 1, "CS's batch is never read once CT's failed to ship");
         let _ = std::fs::remove_dir_all(&root);
     }
 }
