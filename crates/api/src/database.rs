@@ -7,8 +7,8 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use ids_chase::ChaseConfig;
 use ids_core::{ChaseMaintainer, FdOnlyMaintainer, InsertOutcome, LocalMaintainer};
 use ids_relational::{
-    AttrId, AttrSet, DatabaseState, Predicate, Projection, ReadPlan, ReadReply, ReadShape,
-    Relation, RelationalError, SchemeId, Tuple, Value, ValuePool,
+    AttrId, AttrSet, DatabaseState, Predicate, ReadPlan, ReadReply, ReadShape, Relation,
+    RelationalError, SchemeId, Tuple, Value, ValuePool,
 };
 use ids_store::{DurableConfig, OpOutcome, Store, StoreError, StoreOp};
 use ids_wal::NameLog;
@@ -16,7 +16,7 @@ use ids_wal::NameLog;
 use crate::engine::{Engine, EngineKind};
 use crate::error::Error;
 use crate::planner::execute_join;
-use crate::query::{Cond, JoinQuery, JoinReport, Query, Row, Rows};
+use crate::query::{Cond, JoinQuery, JoinReport, Query, RowSink, Rows};
 use crate::schema::{Alter, Schema};
 
 /// The engine a database runs on.  The concurrent [`Store`] is `Sync`
@@ -174,6 +174,16 @@ impl Names {
 /// moment contained.  [`Database::snapshot`] is the barrier that does —
 /// one globally-satisfying [`DatabaseState`] across all relations.
 ///
+/// Every string-level read — [`Database::query`], [`Database::join`],
+/// [`Database::rows`] — ends in one row visitor: the engine copies the
+/// matching tuples out of the relation once, and the visitor hands each
+/// row's values, as names borrowed from the pool, to a [`RowSink`].
+/// [`Rows`] is the sink that collects them as strings;
+/// [`Database::query_into`] and [`Database::join_into`] take any other —
+/// the wire server's writes reply bytes straight into its output buffer.
+/// A join's fetched tuples are folded flat first (see
+/// [`Database::join`]), so each joined row is built once.
+///
 /// ## Locks
 ///
 /// Three pieces of state sit behind locks, and **no two of them are ever
@@ -187,9 +197,12 @@ impl Names {
 ///   `Arc` for another, so a poisoned lock is recovered (`into_inner`).
 /// * **Names** (`Mutex` over the pool and its durable log): O(row) hash
 ///   lookups, plus on a durable database the log append for a never-seen
-///   string.  Poison **propagates** as a panic: a thread that died
-///   mid-intern may have assigned a value whose name never reached the
-///   log, and writing tuples against it would alias them after a crash.
+///   string.  A read holds it twice, briefly: to plan, and while the row
+///   visitor renders the shipped rows into its sink — which renders into
+///   memory only; no socket write runs under it.  Poison **propagates**
+///   as a panic: a thread that died mid-intern may have assigned a value
+///   whose name never reached the log, and writing tuples against it
+///   would alias them after a crash.
 /// * **Engine**: the store's own per-relation locks on the sharded
 ///   engine; the one engine mutex on the others, whose poison
 ///   propagates as well (a half-applied write is not a state to serve).
@@ -662,20 +675,35 @@ impl Database {
         }
     }
 
-    /// Executes a string-level query in one call — what a built
-    /// [`Query`] runs, and what a front-end holding already-parsed
-    /// filters (the wire server) calls directly: resolve names once,
-    /// push the predicate down, render only the shipped tuples.
-    /// `select` picks output columns (`None` = declaration order).  The
-    /// engine round trip runs between two short name-lock sections
-    /// (plan, then render) — tuples are shipped and filtered with no
-    /// lock of the database's held.
+    /// Executes a string-level query in one call and collects the
+    /// [`Rows`] — what a built [`Query`] runs: [`Database::query_into`]
+    /// with [`Rows`] as the sink.
     pub fn run_query(
         &self,
         relation: &str,
         filters: &[(String, Cond)],
         select: Option<Vec<String>>,
     ) -> Result<Rows, Error> {
+        let mut rows = Rows::default();
+        self.query_into(relation, filters, select, &mut rows)?;
+        Ok(rows)
+    }
+
+    /// Executes a string-level query and hands the result to `sink` —
+    /// what a front end holding already-parsed filters (the wire server)
+    /// calls to render straight into its reply: resolve names once, push
+    /// the predicate down, render only the shipped tuples.  `select`
+    /// picks output columns (`None` = declaration order).  The engine
+    /// round trip runs between two short name-lock sections (plan, then
+    /// render) — tuples are shipped and filtered with no lock of the
+    /// database's held.  On an error the sink is not called at all.
+    pub fn query_into<S: RowSink>(
+        &self,
+        relation: &str,
+        filters: &[(String, Cond)],
+        select: Option<Vec<String>>,
+        sink: &mut S,
+    ) -> Result<(), Error> {
         let schema = self.schema();
         let plan = plan_query(&schema, &self.names().pool, relation, filters, select)?;
         let tuples = if plan.satisfiable {
@@ -683,7 +711,35 @@ impl Database {
         } else {
             Vec::new()
         };
-        Ok(render_rows(&schema, &self.names().pool, &plan, &tuples))
+        let rows = tuples.iter().map(|t| &t[..]);
+        self.render_into(&plan.columns, &plan.positions, rows, sink);
+        Ok(())
+    }
+
+    /// The one renderer every string-level read shares: hands `sink` the
+    /// output `columns`, then each row's values — picked by `positions`,
+    /// one per column — as names borrowed from the pool.  One name-lock
+    /// section covers it all, and the sink renders into memory only.  A
+    /// raw value that was never interned renders as its decimal id,
+    /// exactly as [`Database::render`] prints it.
+    fn render_into<'r, S: RowSink>(
+        &self,
+        columns: &[String],
+        positions: &[usize],
+        rows: impl ExactSizeIterator<Item = &'r [Value]>,
+        sink: &mut S,
+    ) {
+        let names = self.names();
+        sink.start(columns, rows.len());
+        for row in rows {
+            sink.row();
+            for &p in positions {
+                match names.pool.name(row[p]) {
+                    Some(name) => sink.value(name),
+                    None => sink.value(&row[p].0.to_string()),
+                }
+            }
+        }
     }
 
     /// Executes a built [`Query`]'s count: same planning as
@@ -748,9 +804,12 @@ impl Database {
     /// pairwise chain and star) run through the Yannakakis-style
     /// planner: per-relation filters are pushed down, relations ship
     /// distinct join-*keys* to narrow their join-tree neighbors before
-    /// any tuples move, and the (already-reduced) tuples are assembled
-    /// client-side in tree order.  Cyclic sets fall back to the naive
-    /// fold over one filtered read per distinct relation.  Use
+    /// any tuples move, and the (already-reduced) tuples are folded
+    /// client-side in tree order — one hash join per tree edge into one
+    /// flat buffer, rows parent-major in fetch order, with no
+    /// de-duplication needed (every read ships a set).  Cyclic sets fall
+    /// back to the same fold over one filtered read per distinct
+    /// relation, left to right.  Use
     /// [`Database::join_query`] to attach per-relation filters and to
     /// observe the planner's [`crate::JoinReport`].
     ///
@@ -803,32 +862,46 @@ impl Database {
         }
     }
 
-    /// Executes a built [`JoinQuery`]: compile the per-relation filters,
-    /// run the planner, render under the declared-layout column
-    /// contract.  The planner's engine round trips all run with no name
-    /// lock held.
+    /// Executes a built [`JoinQuery`], collecting the [`Rows`]:
+    /// [`Database::join_into`] with [`Rows`] as the sink.
     pub(crate) fn run_join(
         &self,
         relations: &[String],
         filters: &[(String, String, Cond)],
     ) -> Result<(Rows, JoinReport), Error> {
+        let mut rows = Rows::default();
+        let report = self.join_into(relations, filters, &mut rows)?;
+        Ok((rows, report))
+    }
+
+    /// Executes a join — [`Database::join_query`]'s relations and
+    /// per-relation filters — and hands the joined rows to `sink`, under
+    /// the column contract of [`Database::join`]: compile the filters,
+    /// run the planner, render.  The planner's engine round trips all run
+    /// with no name lock held, and its flat fold builds no row twice; the
+    /// rows reach the sink as pool names, in the fold's order.  On an
+    /// error the sink is not called at all.
+    pub fn join_into<S: RowSink>(
+        &self,
+        relations: &[String],
+        filters: &[(String, String, Cond)],
+        sink: &mut S,
+    ) -> Result<JoinReport, Error> {
         let schema = self.schema();
         let plan = plan_join(&schema, &self.names().pool, relations, filters)?;
-        let (joined, report) = if plan.satisfiable {
-            self.engine
-                .with(|engine| execute_join(engine, &plan.ids, &plan.attrs, &plan.preds))?
-        } else {
+        if !plan.satisfiable {
             // Some filter names a never-interned value: nothing stored
             // can match, so no engine is consulted — but the output
             // columns still follow the contract.
-            let attrs = plan
-                .attrs
-                .iter()
-                .fold(AttrSet::new(), |acc, a| acc.union(*a));
-            (Relation::new(attrs), JoinReport::default())
-        };
-        let rows = render_join_rows(&schema, &self.names().pool, &plan.ids, &joined);
-        Ok((rows, report))
+            self.render_into(&plan.columns, &[], std::iter::empty(), sink);
+            return Ok(JoinReport::default());
+        }
+        let (joined, report) = self
+            .engine
+            .with(|engine| execute_join(engine, &plan.ids, &plan.attrs, &plan.preds))?;
+        let positions: Vec<usize> = plan.order.iter().map(|&a| joined.attrs().rank(a)).collect();
+        self.render_into(&plan.columns, &positions, joined.rows(), sink);
+        Ok(report)
     }
 
     /// Reads one relation without a global barrier, as raw typed data.
@@ -836,8 +909,11 @@ impl Database {
         let schema = self.schema();
         let id = schema.scheme_id(relation)?;
         let all = ReadPlan::tuples(Predicate::new());
-        let tuples = self.engine.read(id, &all)?.rows;
-        crate::planner::relation_of(schema.definition.attrs(id), tuples)
+        let mut rel = Relation::new(schema.definition.attrs(id));
+        for t in self.engine.read(id, &all)?.rows {
+            rel.insert(t.into_vec())?;
+        }
+        Ok(rel)
     }
 
     /// Number of rows currently in a relation (barrier-free, and cheap:
@@ -880,9 +956,9 @@ impl Database {
 }
 
 /// A compiled string-level query: the pushed-down predicate plus the
-/// projection and output columns for rendering — everything that needs
-/// the pool, computed up front, so the engine round trip itself can run
-/// without holding any name state.
+/// output columns and where each one sits in a shipped tuple —
+/// everything that needs the pool, computed up front, so the engine
+/// round trip itself can run without holding any name state.
 struct QueryPlan {
     id: SchemeId,
     /// What the engine is asked: the filters as a typed predicate, in
@@ -891,8 +967,9 @@ struct QueryPlan {
     /// False when a filter names a value this database never interned:
     /// nothing stored can match, so the engine is not consulted at all.
     satisfiable: bool,
-    projection: Projection,
-    columns: Arc<[String]>,
+    columns: Vec<String>,
+    /// Per output column, its position in a tuple of the relation.
+    positions: Vec<usize>,
 }
 
 /// Compiles a string-level query against the schema and pool — the
@@ -934,36 +1011,17 @@ fn plan_query(
         Some(cols) => cols,
         None => layout.columns.clone(),
     };
-    let mut selected = Vec::with_capacity(columns.len());
+    let mut positions = Vec::with_capacity(columns.len());
     for c in &columns {
-        selected.push(attr_of(c)?);
+        positions.push(attrs.rank(attr_of(c)?));
     }
     Ok(QueryPlan {
         id,
         read: ReadPlan::tuples(predicate),
         satisfiable,
-        projection: Projection::Columns(selected),
-        columns: columns.into(),
+        columns,
+        positions,
     })
-}
-
-/// Renders engine-shipped tuples through a compiled plan — the other
-/// half of [`Database::run_query`].
-fn render_rows(schema: &Schema, pool: &ValuePool, plan: &QueryPlan, tuples: &[Tuple]) -> Rows {
-    let attrs = schema.definition.attrs(plan.id);
-    let rows = tuples
-        .iter()
-        .map(|t| Row {
-            columns: plan.columns.clone(),
-            values: plan
-                .projection
-                .apply(attrs, t)
-                .into_iter()
-                .map(|v| pool.render(v))
-                .collect(),
-        })
-        .collect();
-    Rows::new(plan.columns.clone(), rows)
 }
 
 /// Compiles one string-level condition onto a typed predicate.
@@ -1028,7 +1086,10 @@ fn apply_cond(
 
 /// A compiled multi-relation join: the deduped relations (first mention
 /// wins — the self-join contract), their attribute sets, and the
-/// pushed-down per-relation predicates, aligned by index.
+/// pushed-down per-relation predicates, aligned by index; plus the
+/// output columns under the declared-layout contract of
+/// [`Database::join`] — relations in listed (deduped) order, each in its
+/// declared column order, attributes already emitted skipped.
 struct JoinPlan {
     ids: Vec<SchemeId>,
     attrs: Vec<AttrSet>,
@@ -1036,6 +1097,9 @@ struct JoinPlan {
     /// False when some filter names a value this database never
     /// interned: the join is empty without consulting any engine.
     satisfiable: bool,
+    columns: Vec<String>,
+    /// The attribute behind each of `columns`.
+    order: Vec<AttrId>,
 }
 
 /// Compiles a string-level join against the schema and pool — the
@@ -1085,50 +1149,28 @@ fn plan_join(
             &mut satisfiable,
         );
     }
+    let mut seen = AttrSet::new();
+    let mut columns: Vec<String> = Vec::new();
+    let mut order: Vec<AttrId> = Vec::new();
+    for (&id, &scheme) in ids.iter().zip(&attrs) {
+        let layout = schema.layout(id);
+        let attr_ids: Vec<AttrId> = scheme.iter().collect();
+        for (j, col) in layout.columns.iter().enumerate() {
+            let attr = attr_ids[layout.perm[j]];
+            if seen.insert(attr) {
+                columns.push(col.clone());
+                order.push(attr);
+            }
+        }
+    }
     Ok(JoinPlan {
         ids,
         attrs,
         preds,
         satisfiable,
+        columns,
+        order,
     })
-}
-
-/// Renders a joined relation under the declared-layout column contract
-/// of [`Database::join`]: relations in listed (deduped) order, each in
-/// its declared column order, attributes already emitted skipped.
-fn render_join_rows(
-    schema: &Schema,
-    pool: &ValuePool,
-    ids: &[SchemeId],
-    joined: &Relation,
-) -> Rows {
-    let mut seen = AttrSet::new();
-    let mut names: Vec<String> = Vec::new();
-    let mut order: Vec<AttrId> = Vec::new();
-    for &id in ids {
-        let layout = schema.layout(id);
-        let attr_ids: Vec<AttrId> = schema.definition.attrs(id).iter().collect();
-        for (j, col) in layout.columns.iter().enumerate() {
-            let attr = attr_ids[layout.perm[j]];
-            if seen.insert(attr) {
-                names.push(col.clone());
-                order.push(attr);
-            }
-        }
-    }
-    let columns: Arc<[String]> = names.into();
-    let jattrs = joined.attrs();
-    let rows = joined
-        .iter()
-        .map(|t| Row {
-            columns: columns.clone(),
-            values: order
-                .iter()
-                .map(|&a| pool.render(t[jattrs.rank(a)]))
-                .collect(),
-        })
-        .collect();
-    Rows::new(columns, rows)
 }
 
 #[cfg(test)]

@@ -56,6 +56,9 @@
 //!   sharded engine: the owning shard, O(1) for key point lookups), with
 //!   range/inequality/membership conditions ([`Cond`]), ordering and
 //!   limits, and pushed-down aggregates (`count`/`min`/`max`/`sum`).
+//!   [`RowSink`] is the one row visitor underneath: [`Rows`] collects
+//!   from it, and a front end that writes bytes (the wire server) renders
+//!   through it without building a `String` per value.
 //! * [`Database::join`] + [`JoinQuery`]: natural joins from independent
 //!   barrier-free reads — sound because `LSAT = WSAT` makes every
 //!   per-relation cut part of a globally satisfying state.  Acyclic
@@ -85,7 +88,7 @@ pub use database::Database;
 pub use engine::{Engine, EngineKind};
 pub use error::Error;
 pub use query::{
-    between, eq, ge, gt, le, lt, ne, one_of, Cond, JoinQuery, JoinReport, Query, Row, Rows,
+    between, eq, ge, gt, le, lt, ne, one_of, Cond, JoinQuery, JoinReport, Query, Row, RowSink, Rows,
 };
 pub use schema::{Alter, Schema, SchemaBuilder};
 pub use shared::SharedDatabase;

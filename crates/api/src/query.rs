@@ -326,6 +326,49 @@ pub struct JoinReport {
     pub keys_shipped: usize,
 }
 
+/// A consumer of a read's result, one rendered value at a time — what
+/// [`crate::Database::query_into`] and [`crate::Database::join_into`]
+/// feed.
+///
+/// A successful read calls [`RowSink::start`] exactly once, then for each
+/// row [`RowSink::row`] followed by one [`RowSink::value`] per column; a
+/// failed read calls nothing.  The values are borrowed from the
+/// database's value pool, and every call is made while the database
+/// holds its name lock — so a sink renders into memory and does no I/O.
+/// [`Rows`] is the sink the string-level API collects into; the wire
+/// server's sink writes reply bytes instead, so a row is never built as
+/// `String`s on its way to a socket.
+pub trait RowSink {
+    /// The output column names, and how many rows follow.
+    fn start(&mut self, columns: &[String], rows: usize);
+    /// Opens the next row; `columns.len()` values follow.
+    fn row(&mut self);
+    /// The next value of the open row, rendered.
+    fn value(&mut self, value: &str);
+}
+
+/// Collects the rows as owned strings — the sink behind [`Query::run`]
+/// and [`JoinQuery::run`].
+impl RowSink for Rows {
+    fn start(&mut self, columns: &[String], rows: usize) {
+        self.columns = columns.into();
+        self.rows = Vec::with_capacity(rows);
+    }
+
+    fn row(&mut self) {
+        self.rows.push(Row {
+            columns: self.columns.clone(),
+            values: Vec::with_capacity(self.columns.len()),
+        });
+    }
+
+    fn value(&mut self, value: &str) {
+        if let Some(row) = self.rows.last_mut() {
+            row.values.push(value.to_owned());
+        }
+    }
+}
+
 /// The result of a query or join: named columns plus matching [`Row`]s,
 /// in the relation's insertion order.
 ///
@@ -333,7 +376,7 @@ pub struct JoinReport {
 /// only the matches — never a whole-relation clone for a filtered
 /// query).  Iterate with [`Rows::iter`] / `IntoIterator`, or flatten to
 /// plain string matrices with [`Rows::into_string_rows`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 #[must_use = "query results carry the matching rows"]
 pub struct Rows {
     pub(crate) columns: Arc<[String]>,
@@ -341,10 +384,6 @@ pub struct Rows {
 }
 
 impl Rows {
-    pub(crate) fn new(columns: Arc<[String]>, rows: Vec<Row>) -> Self {
-        Rows { columns, rows }
-    }
-
     /// The output column names, in select (or declaration) order.
     pub fn columns(&self) -> &[String] {
         &self.columns
@@ -465,7 +504,7 @@ mod tests {
                 values: vec!["CS500".into(), "Curie".into()],
             },
         ];
-        Rows::new(columns, rows)
+        Rows { columns, rows }
     }
 
     #[test]

@@ -35,6 +35,13 @@ impl Encoder {
         Self::default()
     }
 
+    /// An encoder that appends after the bytes already in `buf` — so a
+    /// caller can encode into a buffer it reuses, then take it back with
+    /// [`Encoder::into_bytes`].
+    pub fn from_bytes(buf: Vec<u8>) -> Self {
+        Encoder { buf }
+    }
+
     /// Consumes the encoder, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

@@ -121,12 +121,17 @@ impl ValuePool {
             .map(|(i, n)| (n.as_str(), Value(i as u64)))
     }
 
-    /// Renders a value: its interned name when known, otherwise the raw id.
+    /// The interned name of a value, borrowed from the pool — `None` for
+    /// a value that was never interned (a fresh value, or a raw id).
+    pub fn name(&self, v: Value) -> Option<&str> {
+        let i = usize::try_from(v.0).ok()?;
+        self.names.get(i).map(String::as_str)
+    }
+
+    /// Renders a value: its interned name when known, otherwise the raw
+    /// id in decimal.
     pub fn render(&self, v: Value) -> String {
-        match self.names.get(v.0 as usize) {
-            Some(n) if (v.0 as usize) < self.names.len() => n.clone(),
-            _ => format!("{}", v.0),
-        }
+        self.name(v).map_or_else(|| v.0.to_string(), str::to_owned)
     }
 }
 
@@ -155,5 +160,8 @@ mod tests {
         assert_ne!(f1, f2);
         assert_ne!(f1, named);
         assert_eq!(p.render(f1), format!("{}", f1.0));
+        assert_eq!(p.name(named), Some("x"));
+        assert_eq!(p.name(f1), None);
+        assert_eq!(p.name(Value(1)), None, "one past the last interned name");
     }
 }

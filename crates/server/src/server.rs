@@ -25,9 +25,13 @@
 //!   **shed** with a typed [`WireError::Overloaded`] — a bound on unread
 //!   input, not a queue.  Handshake and malformed payloads are answered
 //!   in place and count against nothing.
-//! * **Reply.**  Every reply is appended to one buffer, in **request
-//!   order** (sheds included; ids are still echoed), and written when
-//!   the buffered input is drained or the buffer passes 64 KiB.
+//! * **Reply.**  Every reply is encoded straight into one buffer, in
+//!   **request order** (sheds included; ids are still echoed), its frame
+//!   sealed where it lies, and the buffer written when the buffered
+//!   input is drained or it passes 64 KiB.  `Query` and `Join` rows go
+//!   from the value pool into that buffer through
+//!   [`crate::wire::RowsWriter`]: no `Reply` and no `String` per value is
+//!   built for them.
 //!
 //! ## The flow-control contract
 //!
@@ -61,8 +65,8 @@ use ids_store::{Store, StoreError};
 use ids_wal::{Cursor, FollowPoll, Follower, Shipment, WalDir, WalError};
 
 use crate::wire::{
-    decode_request, encode_reply, AlterOp, FrameError, FrameReader, Reply, Request, Tagged,
-    WireError, WireOutcome, MAX_FRAME_PAYLOAD, POOL_STREAM, WIRE_VERSION,
+    append_reply, decode_request, AlterOp, FrameError, FrameReader, Reply, Request, RowsWriter,
+    Tagged, WireError, WireOutcome, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD, POOL_STREAM, WIRE_VERSION,
 };
 
 /// Replies are written once this many bytes are pending, even with
@@ -340,21 +344,50 @@ impl<'a> Session<'a> {
         frame
     }
 
-    /// Appends one reply to the buffer, writing it out past
-    /// [`FLUSH_BYTES`].
+    /// Encodes one reply straight into the buffer.
     fn reply(&mut self, id: u64, reply: &Reply) -> Result<(), FrameError> {
-        let mut framed = encode_reply(id, reply);
-        // The peer's `read_frame` takes an oversize frame for corruption
-        // and drops the connection: refuse at write time, as the WAL
-        // does.  (8 = the frame header, `[len: u32][crc: u32]`.)
-        let payload = framed.len() - 8;
+        let start = self.out.len();
+        append_reply(&mut self.out, id, reply);
+        self.appended(id, start)
+    }
+
+    /// Streams a `Rows` reply into the buffer: `read` runs the database
+    /// read with a [`RowsWriter`] as its sink, so each value goes from
+    /// the pool into the reply bytes with no `String` between.  A failed
+    /// read wrote nothing the peer may see: the frame is cut back and the
+    /// typed error written in its place.
+    fn reply_rows(
+        &mut self,
+        id: u64,
+        read: impl FnOnce(&Database, &mut RowsWriter<'_>) -> Result<(), Error>,
+    ) -> Result<(), FrameError> {
+        let start = self.out.len();
+        let db = self.db;
+        let mut rows = RowsWriter::new(&mut self.out, id);
+        match read(db, &mut rows) {
+            Ok(()) => rows.finish(),
+            Err(e) => {
+                self.out.truncate(start);
+                append_reply(&mut self.out, id, &Reply::Error(wire_error(e)));
+            }
+        }
+        self.appended(id, start)
+    }
+
+    /// Bounds the frame just appended at `start`, then writes the buffer
+    /// out past [`FLUSH_BYTES`].  The peer's `read_frame` takes an
+    /// oversize frame for corruption and drops the connection, so one is
+    /// refused at write time, as the WAL does: cut back, and replaced by
+    /// a typed error.
+    fn appended(&mut self, id: u64, start: usize) -> Result<(), FrameError> {
+        let payload = self.out.len() - start - FRAME_HEADER_LEN;
         if payload > MAX_FRAME_PAYLOAD as usize {
+            self.out.truncate(start);
             let err = WireError::Internal(format!(
                 "reply of {payload} bytes exceeds the 64 MiB frame bound"
             ));
-            framed = encode_reply(id, &Reply::Error(err));
+            append_reply(&mut self.out, id, &Reply::Error(err));
         }
-        self.out.extend_from_slice(&framed);
         if self.out.len() > FLUSH_BYTES {
             self.flush()?;
         }
@@ -384,58 +417,44 @@ impl<'a> Session<'a> {
             let mut next = Some(first);
             while let Some(payload) = next {
                 let mut refused = false;
-                let (id, reply) = match decode_request(&payload) {
+                match decode_request(&payload) {
                     Ok((id, Request::Hello { version })) if version != WIRE_VERSION => {
                         refused = true;
                         let err = WireError::UnsupportedVersion {
                             server: WIRE_VERSION,
                             client: version,
                         };
-                        (id, Reply::Error(err))
+                        self.reply(id, &Reply::Error(err))?;
                     }
                     Ok((id, hello @ Request::Hello { .. })) => {
                         greeted = true;
                         self.obs.executed(&hello).inc();
-                        (id, hello_reply(self.db))
+                        self.reply(id, &hello_reply(self.db))?;
                     }
                     Ok((id, _)) if !greeted => {
                         refused = true;
-                        (id, Reply::Error(WireError::HandshakeRequired))
+                        self.reply(id, &Reply::Error(WireError::HandshakeRequired))?;
                     }
                     Ok((id, _)) if admitted == depth => {
                         self.obs.shed.inc();
                         self.obs.registry.events().record(Event::OverloadShed {
                             connection: self.conn_id,
                         });
-                        (id, Reply::Error(WireError::Overloaded))
+                        self.reply(id, &Reply::Error(WireError::Overloaded))?;
                     }
                     Ok((id, req)) => {
                         admitted += 1;
                         self.obs.executed(&req).inc();
-                        match req {
-                            // A subscribe turns this connection into a
-                            // replication stream until the client
-                            // disconnects (or the stream hits a typed
-                            // error, after which ordinary requests are
-                            // served again).
-                            Request::Subscribe { cursors, names } => {
-                                match self.subscribe(id, cursors, names) {
-                                    Err(StreamEnd::Refused(err)) => (id, Reply::Error(err)),
-                                    Err(StreamEnd::Hangup(e)) => return Err(e),
-                                }
-                            }
-                            req => (id, execute(self.db, self.obs, req)),
-                        }
+                        self.serve(id, req)?;
                     }
                     // The frame was intact, so the stream is still in
                     // sync: answer the malformed payload and keep
                     // serving.
                     Err((id, err)) => {
                         self.obs.malformed.inc();
-                        (id, Reply::Error(err))
+                        self.reply(id, &Reply::Error(err))?;
                     }
-                };
-                self.reply(id, &reply)?;
+                }
                 if refused {
                     return self.flush();
                 }
@@ -444,6 +463,40 @@ impl<'a> Session<'a> {
             self.flush()?;
         }
         Ok(())
+    }
+
+    /// Runs one admitted request and writes its reply.  Rows replies
+    /// stream from the database's row visitor into the buffer; every
+    /// other request is one [`execute`]d [`Reply`].
+    fn serve(&mut self, id: u64, req: Request) -> Result<(), FrameError> {
+        match req {
+            // A subscribe turns this connection into a replication
+            // stream until the client disconnects (or the stream hits a
+            // typed error, after which ordinary requests are served
+            // again).
+            Request::Subscribe { cursors, names } => match self.subscribe(id, cursors, names) {
+                Err(StreamEnd::Refused(err)) => self.reply(id, &Reply::Error(err)),
+                Err(StreamEnd::Hangup(e)) => Err(e),
+            },
+            Request::Query {
+                relation,
+                filters,
+                select,
+            } => {
+                let filters: Vec<(String, Cond)> =
+                    filters.into_iter().map(|(c, v)| (c, eq(v))).collect();
+                self.reply_rows(id, |db, rows| {
+                    db.query_into(&relation, &filters, select, rows)
+                })
+            }
+            Request::Join { relations } => {
+                self.reply_rows(id, |db, rows| db.join_into(&relations, &[], rows).map(drop))
+            }
+            req => {
+                let reply = execute(self.db, self.obs, req);
+                self.reply(id, &reply)
+            }
+        }
     }
 
     /// One read that gives up instead of blocking — at once, or after
@@ -674,28 +727,6 @@ fn execute(db: &Database, obs: &ServerObs, req: Request) -> Reply {
             Ok(present) => Reply::Remove(present),
             Err(e) => Reply::Error(wire_error(e)),
         },
-        Request::Query {
-            relation,
-            filters,
-            select,
-        } => {
-            let filters: Vec<(String, Cond)> =
-                filters.into_iter().map(|(c, v)| (c, eq(v))).collect();
-            match db.run_query(&relation, &filters, select) {
-                Ok(rows) => Reply::Rows {
-                    columns: rows.columns().to_vec(),
-                    rows: rows.into_string_rows(),
-                },
-                Err(e) => Reply::Error(wire_error(e)),
-            }
-        }
-        Request::Join { relations } => match db.join(&relations) {
-            Ok(rows) => Reply::Rows {
-                columns: rows.columns().to_vec(),
-                rows: rows.into_string_rows(),
-            },
-            Err(e) => Reply::Error(wire_error(e)),
-        },
         Request::Count { relation } => match db.count(&relation) {
             Ok(n) => Reply::Count(n as u64),
             Err(e) => Reply::Error(wire_error(e)),
@@ -728,11 +759,12 @@ fn execute(db: &Database, obs: &ServerObs, req: Request) -> Reply {
             snap.merge(obs.registry.snapshot());
             Reply::Stats(snap)
         }
-        // Intercepted in `Session::run` (a stream needs the socket, not
-        // one reply); reaching this arm would be a dispatch bug.
-        Request::Subscribe { .. } => Reply::Error(WireError::Internal(
-            "subscribe must be handled by the session loop".into(),
-        )),
+        // Intercepted in `Session::serve` (a stream needs the socket, and
+        // rows stream into the session's buffer, not one `Reply`);
+        // reaching this arm would be a dispatch bug.
+        Request::Subscribe { .. } | Request::Query { .. } | Request::Join { .. } => Reply::Error(
+            WireError::Internal("request must be served by the session loop".into()),
+        ),
         Request::Alter { op } => {
             let op = match op {
                 AlterOp::AddRelation { name, columns } => Alter::AddRelation { name, columns },

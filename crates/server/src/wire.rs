@@ -62,14 +62,20 @@
 //! 5. one entry **appended** to the canonical lists in
 //!    `tests/golden_wire.rs`, then `regenerate_fixtures` — the old
 //!    fixture bytes must stay a strict prefix.
+//!
+//! One layout is stated twice on purpose: [`Reply::Rows`], which the
+//! server streams through [`RowsWriter`] straight from the database's
+//! row visitor instead of building the reply's strings.  Change the
+//! `Rows` line of the table and the writer together.
 
 use std::time::Duration;
 
+use ids_api::RowSink;
 use ids_obs::{Event, EventRecord, HistogramSnapshot, MetricsSnapshot};
 use ids_relational::codec::{Decoder, Encoder};
 use ids_relational::RelationalError;
-use ids_wal::format::frame;
-pub use ids_wal::format::{read_frame, FrameOutcome, MAX_FRAME_PAYLOAD};
+use ids_wal::format::seal_frame;
+pub use ids_wal::format::{read_frame, FrameOutcome, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD};
 
 /// Version of the wire protocol; negotiated by the Hello handshake.
 pub const WIRE_VERSION: u16 = 1;
@@ -720,12 +726,31 @@ wire_enum! { Event, "event tag" {
     11 => BackfillCompleted { relation, tuples, duration },
 }}
 
-/// One message as one ready-to-write CRC frame: `[id][message]`.
-fn encode<T: Wire>(id: u64, message: &T) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.put_u64(id);
+/// Opens a frame at the end of `out`: the header reserved for
+/// [`seal_frame`], then the payload's request id.  Returns where the
+/// frame starts.
+fn open_frame(out: &mut Vec<u8>, id: u64) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    out.extend_from_slice(&id.to_le_bytes());
+    start
+}
+
+/// Appends one message to `out` as one complete CRC frame,
+/// `[id][message]`, encoded in place and sealed where it lies.
+fn encode_into<T: Wire>(out: &mut Vec<u8>, id: u64, message: &T) {
+    let start = open_frame(out, id);
+    let mut e = Encoder::from_bytes(std::mem::take(out));
     message.put(&mut e);
-    frame(&e.into_bytes())
+    *out = e.into_bytes();
+    seal_frame(&mut out[start..]);
+}
+
+/// One message as one ready-to-write CRC frame.
+fn encode<T: Wire>(id: u64, message: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_into(&mut out, id, message);
+    out
 }
 
 /// One frame payload back into `(id, message)`; `what` names the
@@ -750,6 +775,87 @@ pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
 /// Encodes a reply as one ready-to-write CRC frame.
 pub fn encode_reply(id: u64, reply: &Reply) -> Vec<u8> {
     encode(id, reply)
+}
+
+/// Appends a reply to `out` as one complete CRC frame — the bytes of
+/// [`encode_reply`], encoded where they will be written from.
+pub fn append_reply(out: &mut Vec<u8>, id: u64, reply: &Reply) {
+    encode_into(out, id, reply);
+}
+
+/// Streams a [`Reply::Rows`] into a buffer as the rows are rendered —
+/// the bytes `encode_reply(id, &Reply::Rows { columns, rows })` would
+/// frame, with no `String` built per value.  [`RowsWriter::new`] reserves
+/// the frame header and writes the id and the reply tag; the database
+/// drives it as its [`RowSink`] (`ids_api::Database::query_into`,
+/// `join_into`); [`RowsWriter::finish`] seals the frame in place.
+///
+/// This is the second statement of the `Rows` layout — the `Reply`
+/// table's `Rows { columns, rows }` line is the first: a `u32` count and
+/// length-prefixed strings for the columns, then a `u32` row count, then
+/// per row a `u32` value count and its length-prefixed strings.  The
+/// golden fixtures and the streamed-reply proptest pin the two equal.
+pub struct RowsWriter<'a> {
+    out: &'a mut Vec<u8>,
+    /// Where this frame's header starts in `out`.
+    start: usize,
+    /// Values per row, from [`RowSink::start`].
+    width: u32,
+}
+
+impl<'a> RowsWriter<'a> {
+    /// Opens a `Rows` reply to request `id` at the end of `out`.
+    pub fn new(out: &'a mut Vec<u8>, id: u64) -> Self {
+        let start = open_frame(out, id);
+        let empty = Reply::Rows {
+            columns: Vec::new(),
+            rows: Vec::new(),
+        };
+        out.push(empty.tag());
+        RowsWriter {
+            out,
+            start,
+            width: 0,
+        }
+    }
+
+    /// Seals the frame.  Call once the database has fed the writer —
+    /// after a successful read, which started it exactly once.
+    pub fn finish(self) {
+        seal_frame(&mut self.out[self.start..]);
+    }
+
+    /// `Encoder::put_u32`, into the borrowed buffer.
+    fn put_u32(&mut self, n: u32) {
+        self.out.extend_from_slice(&n.to_le_bytes());
+    }
+
+    /// `Encoder::put_str`, into the borrowed buffer.
+    fn put_str(&mut self, s: &str) {
+        self.put_u32(s.len() as u32);
+        self.out.extend_from_slice(s.as_bytes());
+    }
+}
+
+impl RowSink for RowsWriter<'_> {
+    fn start(&mut self, columns: &[String], rows: usize) {
+        // The counts cannot truncate: a reply past 64 MiB is refused
+        // before it is written, and every entry takes at least a byte.
+        self.width = columns.len() as u32;
+        self.put_u32(self.width);
+        for column in columns {
+            self.put_str(column);
+        }
+        self.put_u32(rows as u32);
+    }
+
+    fn row(&mut self) {
+        self.put_u32(self.width);
+    }
+
+    fn value(&mut self, value: &str) {
+        self.put_str(value);
+    }
 }
 
 /// Decodes one frame payload into `(request_id, Request)`.

@@ -1045,3 +1045,31 @@ fn a_subscribe_with_the_wrong_cursor_count_is_the_callers_error() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// A row written through `insert_raw` with a value that was never
+/// interned comes back over the wire — from a query and from a join —
+/// exactly as `Database::render` prints it: the streamed reply renders
+/// the raw id in decimal, as the pool does.
+#[test]
+fn a_never_interned_raw_value_crosses_the_wire_as_render_prints_it() {
+    let mut db = Database::open(schema(), EngineKind::Sharded(StoreConfig::default())).unwrap();
+    let ct = db.schema().scheme_id("CT").unwrap();
+    let course = db.intern("CS402").unwrap();
+    let raw = ids_relational::Value(u64::MAX - 7);
+    db.insert_raw(ct, vec![course, raw]).unwrap();
+    db.insert("CS", ["CS402", "Riley"]).unwrap();
+    let rendered = db.render(raw);
+    assert_eq!(rendered, (u64::MAX - 7).to_string());
+    let server = serve(Arc::new(db.into_shared().unwrap()));
+    let mut client = Client::connect(server.local_addr()).unwrap();
+
+    let rows = client.query("CT", &[("course", "CS402")], None).unwrap();
+    assert_eq!(rows.rows, vec![vec!["CS402".to_string(), rendered.clone()]]);
+    let joined = client.join(["CT", "CS"]).unwrap();
+    assert_eq!(
+        joined.rows,
+        vec![vec!["CS402".to_string(), rendered, "Riley".to_string()]]
+    );
+
+    server.shutdown();
+}

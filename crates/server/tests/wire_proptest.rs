@@ -3,9 +3,10 @@
 //! outcome.  Never a panic, and never an allocation beyond the input's
 //! own size (a hostile length prefix must not balloon memory).
 
+use ids_api::RowSink;
 use ids_server::wire::{
     decode_reply, decode_request, encode_reply, encode_request, read_frame, FrameOutcome, Reply,
-    Request, WireError, WireOutcome, WIRE_VERSION,
+    Request, RowsWriter, WireError, WireOutcome, WIRE_VERSION,
 };
 
 use proptest::prelude::*;
@@ -287,8 +288,59 @@ fn receive(bytes: &[u8]) {
     }
 }
 
+/// Short strings over ASCII and multi-byte UTF-8 (2-, 3- and 4-byte
+/// characters), the empty string included.
+fn text() -> impl Strategy<Value = String> {
+    let chars = vec!['a', 'Z', '0', ' ', '\0', 'é', 'ß', '日', '本', '🦀'];
+    proptest::collection::vec(proptest::sample::select(chars), 0..6)
+        .prop_map(|chars| chars.into_iter().collect())
+}
+
+/// A request id, then the columns and rows of a `Rows` reply: zero to
+/// three columns, zero to four rows, every row as wide as the columns.
+fn rows_reply() -> impl Strategy<Value = (u64, Vec<String>, Vec<Vec<String>>)> {
+    (0u64..u64::MAX, 0usize..4, 0usize..5).prop_flat_map(|(id, width, len)| {
+        (
+            Just(id),
+            proptest::collection::vec(text(), width),
+            proptest::collection::vec(proptest::collection::vec(text(), width), len),
+        )
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The server streams `Query`/`Join` rows through `RowsWriter`, a
+    /// second statement of the `Rows` layout: fed the rows as the
+    /// database's row visitor feeds it, after bytes already in the
+    /// buffer, it writes exactly the frame `encode_reply` builds from the
+    /// same `Reply::Rows` — and that frame decodes back to it.
+    #[test]
+    fn streamed_rows_are_the_encoded_reply_byte_for_byte(
+        (id, columns, rows) in rows_reply()
+    ) {
+        let earlier = b"an earlier reply".to_vec();
+        let mut out = earlier.clone();
+        let mut writer = RowsWriter::new(&mut out, id);
+        writer.start(&columns, rows.len());
+        for row in &rows {
+            writer.row();
+            for value in row {
+                writer.value(value);
+            }
+        }
+        writer.finish();
+        prop_assert_eq!(&out[..earlier.len()], &earlier[..]);
+        let streamed = &out[earlier.len()..];
+        let reply = Reply::Rows { columns, rows };
+        prop_assert_eq!(streamed, &encode_reply(id, &reply)[..]);
+        let FrameOutcome::Complete { payload, rest } = read_frame(streamed) else {
+            panic!("a streamed reply must be one complete frame");
+        };
+        prop_assert!(rest.is_empty());
+        prop_assert_eq!(decode_reply(payload).unwrap(), (id, reply));
+    }
 
     /// Pure noise never panics the receive path.
     #[test]

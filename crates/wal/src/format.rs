@@ -65,8 +65,16 @@ pub const POOL_MAGIC: [u8; 4] = *b"IDSP";
 /// corruption of the length itself, not a big payload.
 pub const MAX_FRAME_PAYLOAD: u32 = 64 << 20;
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Bytes of the frame header, `[len: u32][crc: u32]`, before the payload.
+pub const FRAME_HEADER_LEN: usize = 8;
+
+/// The slice-by-8 tables: `CRC_TABLES[0]` is the classic bytewise table
+/// (the CRC of one byte), and `CRC_TABLES[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes — so eight table lookups fold eight input
+/// bytes at once.  Built at compile time; `static`, so the loop indexes
+/// one copy instead of materialising a constant.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -79,15 +87,40 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
+/// Folds `data` into a running (pre-inverted) CRC: eight bytes per step
+/// through [`CRC_TABLES`], then the bytewise tail.
 fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
-    for &b in data {
-        crc = CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let t = &CRC_TABLES;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc
 }
@@ -105,13 +138,26 @@ fn frame_crc(len_bytes: [u8; 4], payload: &[u8]) -> u32 {
     !crc32_update(crc32_update(!0u32, &len_bytes), payload)
 }
 
-/// Wraps a payload in a frame: `[len][crc(len ‖ payload)][payload]`.
-pub fn frame(payload: &[u8]) -> Vec<u8> {
+/// Seals a frame built in place: `frame` is [`FRAME_HEADER_LEN`]
+/// reserved bytes followed by the payload, and this writes the header —
+/// the payload's length and the CRC over length and payload.  A writer
+/// that encodes straight into its output buffer reserves the header,
+/// appends the payload, and calls this on `&mut buf[start..]`; nothing
+/// is copied.  The caller bounds the payload by [`MAX_FRAME_PAYLOAD`].
+pub fn seal_frame(frame: &mut [u8]) {
+    let (header, payload) = frame.split_at_mut(FRAME_HEADER_LEN);
     let len_bytes = (payload.len() as u32).to_le_bytes();
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&len_bytes);
-    out.extend_from_slice(&frame_crc(len_bytes, payload).to_le_bytes());
+    header[..4].copy_from_slice(&len_bytes);
+    header[4..].copy_from_slice(&frame_crc(len_bytes, payload).to_le_bytes());
+}
+
+/// Wraps a payload in a frame: `[len][crc(len ‖ payload)][payload]` —
+/// one copy of the payload, then [`seal_frame`].
+pub fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+    out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
     out.extend_from_slice(payload);
+    seal_frame(&mut out);
     out
 }
 
@@ -169,6 +215,57 @@ mod tests {
         // The classic IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The one-table, one-byte-per-step CRC the slice-by-8 loop replaces.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc = CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        !crc
+    }
+
+    /// `len` bytes of splitmix64 output from `seed`.
+    fn seeded_bytes(mut seed: u64, len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len + 8);
+        while out.len() < len {
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (seed ^ (seed >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            out.extend_from_slice(&(z ^ (z >> 31)).to_le_bytes());
+        }
+        out.truncate(len);
+        out
+    }
+
+    #[test]
+    fn slice_by_8_agrees_with_the_bytewise_crc() {
+        // Every length 0..=64 at every start offset 0..8: the eight-byte
+        // steps, the tail, and a step straddling any alignment.
+        let buf = seeded_bytes(7, 64 + 8);
+        for start in 0..8 {
+            for len in 0..=64 {
+                let data = &buf[start..start + len];
+                assert_eq!(crc32(data), crc32_bytewise(data), "len {len} at {start}");
+            }
+        }
+        let big = seeded_bytes(0x1D5, 1 << 20);
+        assert_eq!(crc32(&big), crc32_bytewise(&big));
+        // A running CRC may be split anywhere, as `frame_crc` splits it.
+        let split = !crc32_update(crc32_update(!0, &big[..1001]), &big[1001..]);
+        assert_eq!(split, crc32(&big));
+    }
+
+    #[test]
+    fn a_frame_sealed_in_place_equals_frame() {
+        let mut buf = b"prefix".to_vec();
+        let start = buf.len();
+        buf.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+        buf.extend_from_slice(b"payload");
+        seal_frame(&mut buf[start..]);
+        assert_eq!(&buf[..start], b"prefix");
+        assert_eq!(&buf[start..], &frame(b"payload")[..]);
     }
 
     #[test]
