@@ -96,11 +96,13 @@ impl Names {
     /// Interns a name, writing it through the durable name log first when
     /// one exists: the name must be stable *before* any operation that
     /// references its value can be logged, otherwise a crash could re-assign
-    /// the id to a different string and alias stored tuples.
+    /// the id to a different string and alias stored tuples.  A name the
+    /// pool's arena has no room for is refused before the log sees it.
     fn intern(&mut self, name: &str) -> Result<Value, Error> {
         if let Some(v) = self.pool.get(name) {
             return Ok(v);
         }
+        self.pool.room_for(name)?;
         if let Some(log) = self.log.as_mut() {
             log.append(name)?;
         }
@@ -372,6 +374,7 @@ impl Database {
         let (pool_log, names) = NameLog::open(&pool_path, fingerprint)?;
         let mut pool = ValuePool::new();
         for name in names {
+            pool.room_for(&name)?;
             pool.value(name);
         }
         let engine = EngineBox::Sharded(Box::new(store));
@@ -436,13 +439,32 @@ impl Database {
     }
 
     /// A typed snapshot of the engine's metric families, event ring, and
-    /// preserved poison reason — see [`Store::metrics`].  Purely
+    /// preserved poison reason — see [`Store::metrics`] — plus two
+    /// gauges of the name pool, `api.names.count` (interned names) and
+    /// `api.names.bytes` (their arena bytes), read under the name lock
+    /// here rather than kept on the intern path.  Names are never
+    /// reclaimed, so these show strings orphaned by removes.  Purely
     /// read-side: no relation is locked, works even after a poison.
-    /// Empty on the sequential engines, which have no instrumented
-    /// runtime (they exist for differential baselines, not production
-    /// serving).
+    /// The sequential engines, which have no instrumented runtime (they
+    /// exist for differential baselines, not production serving), report
+    /// the two gauges alone.
     pub fn metrics(&self) -> ids_obs::MetricsSnapshot {
-        self.store().map(Store::metrics).unwrap_or_default()
+        let mut snapshot = self.store().map(Store::metrics).unwrap_or_default();
+        let (count, bytes) = {
+            // Two lengths are safe to read from a pool a panicking
+            // thread left behind; the stats poll must still answer.
+            let names = self.names.lock().unwrap_or_else(|e| e.into_inner());
+            (names.pool.len(), names.pool.name_bytes())
+        };
+        let gauge = |n: usize| i64::try_from(n).unwrap_or(i64::MAX);
+        snapshot.merge(ids_obs::MetricsSnapshot {
+            gauges: vec![
+                ("api.names.bytes".to_string(), gauge(bytes)),
+                ("api.names.count".to_string(), gauge(count)),
+            ],
+            ..ids_obs::MetricsSnapshot::default()
+        });
+        snapshot
     }
 
     /// Opens a database on a caller-supplied [`Engine`] implementation.

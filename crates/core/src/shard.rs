@@ -19,31 +19,52 @@
 //! shards) and with a worker-owned `Relation` (concurrent store: each
 //! worker owns its relations outright).
 //!
-//! The relation is also where the tuples stay: an opt-in ordered
-//! secondary index keeps one `(value, slot)` pair per tuple — no tuple
-//! copy and no sequence stamp, because [`Relation`]'s slots already
-//! ascend in insertion order — so a remove is `O(|Fi|)` hash operations
-//! plus one `O(log n)` BTree deletion per index, and a scan reads the
-//! tuples back through [`Relation::get`].
+//! The relation is also where the tuples stay, and **no index holds a
+//! copy of a row**.  An FD index keeps one `(slot, count)` entry per
+//! distinct lhs image: the slot of one row carrying that image (its
+//! *representative*) and how many rows carry it.  It hashes and compares
+//! lhs images by reading them through [`Relation::slot_values`], and
+//! reads the rhs image the same way.  An opt-in ordered secondary index
+//! keeps one `(value, slot)` pair per tuple, with no sequence stamp,
+//! because [`Relation`]'s slots already ascend in insertion order.  So an
+//! insert or a remove is `O(|Fi|)` slot-table operations plus one
+//! `O(log n)` BTree operation per ordered index, none of which allocates
+//! past table growth, and a scan reads the tuples back through
+//! [`Relation::get`].
+//!
+//! Slots hold only within a relation epoch.  Every write compares
+//! [`Relation::epoch`] before and after it touches the relation, and when
+//! the epoch has advanced (a compaction renumbered the slots) it
+//! re-derives every index from the live rows.  That costs O(relation),
+//! amortised over the removes that caused the compaction.
 
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::ops::Bound;
 
 use ids_deps::{Fd, FdSet};
 use ids_relational::{
     AttrId, DatabaseSchema, Guard, Predicate, ReadPlan, ReadReply, Relation, RelationalError,
-    SchemeId, Tuple, Value,
+    SchemeId, SlotTable, Tuple, Value,
 };
 
 use crate::maintenance::{InsertOutcome, MaintenanceError};
 
-/// Per-FD hash index: lhs projection → (rhs projection, tuple count).
-type FdIndex = HashMap<Tuple, (Tuple, u32)>;
+/// Per-FD hash index over the relation's rows: one entry per distinct lhs
+/// image, `(representative slot, count of rows with that image)`.
+///
+/// **Any supporter is a valid representative**: every row with the lhs
+/// image agrees on the rhs image too (that is the FD), so whichever row
+/// the entry names yields both images.  The entry keeps the slot it was
+/// created with until the count drops to zero, even after that row is
+/// removed: a tombstoned slot's values stay readable until the relation
+/// compacts (see [`Relation`]), and a compaction re-derives every entry
+/// from live rows.
+type FdIndex = SlotTable<u32>;
 
 /// An opt-in ordered secondary index on one column: one `(value, slot)`
 /// entry per tuple of the relation, the slot being the tuple's position
-/// in [`Relation`]'s slot vector.  The index holds no tuple copies and
+/// in [`Relation`]'s slab.  The index holds no tuple copies and
 /// no sequence stamps: a scan reads the tuples back through
 /// [`Relation::get`], and because slots ascend in insertion order, the
 /// entries of one value are already in the order
@@ -89,13 +110,16 @@ pub struct RelationShard {
     enforcement: FdSet,
     /// One index per FD of `Fi`, aligned with `enforcement.iter()`.
     indexes: Vec<FdIndex>,
+    /// The relation epoch the slots in `indexes` belong to.
+    epoch: u32,
     /// Column positions (scheme ranks) of each FD's lhs, precomputed.
     lhs_pos: Vec<Box<[usize]>>,
     /// Column positions of each FD's rhs, precomputed.
     rhs_pos: Vec<Box<[usize]>>,
-    /// Per-op scratch: the (key, value) projections computed by the probe
-    /// pass, reused by the commit pass so nothing is projected twice.
-    scratch: Vec<(Tuple, Tuple)>,
+    /// Per-op scratch, `|Fi|` long once built: each FD's lhs hash from the
+    /// probe pass, and whether the image was indexed, reused by the commit
+    /// pass.
+    probed: Vec<(u64, bool)>,
     /// Opt-in ordered secondary indexes (see [`OrderedIndex`]).
     ordered: Vec<OrderedIndex>,
 }
@@ -115,9 +139,10 @@ impl RelationShard {
         RelationShard {
             schema: schema.clone(),
             indexes: fi.iter().map(|_| FdIndex::new()).collect(),
+            epoch: 0,
             lhs_pos,
             rhs_pos,
-            scratch: Vec::with_capacity(fi.len()),
+            probed: Vec::with_capacity(fi.len()),
             enforcement: fi,
             id,
             ordered: Vec::new(),
@@ -135,8 +160,9 @@ impl RelationShard {
         rel: &Relation,
     ) -> Result<Self, MaintenanceError> {
         let mut shard = Self::new(schema, id, fi);
-        for t in rel.iter() {
-            if let Some(violated) = shard.index_tuple(t) {
+        shard.epoch = rel.epoch();
+        for (slot, row) in rel.iter_slots() {
+            if let Some(violated) = shard.index_row(rel, slot, row) {
                 return Err(MaintenanceError::BaseStateViolation {
                     scheme: id,
                     violated,
@@ -226,28 +252,45 @@ impl RelationShard {
         Ok(())
     }
 
-    /// Records a tuple in every FD index, returning the violated FD when
-    /// its projections contradict an already-indexed image.
-    fn index_tuple(&mut self, tuple: &[Value]) -> Option<Fd> {
+    /// Counts `row`, held in `slot` of `rel`, in every FD index, returning
+    /// the violated FD when its rhs image contradicts the representative
+    /// of its lhs image.
+    fn index_row(&mut self, rel: &Relation, slot: u32, row: &[Value]) -> Option<Fd> {
         for (k, fd) in self.enforcement.iter().enumerate() {
-            let key: Tuple = self.lhs_pos[k].iter().map(|&p| tuple[p]).collect();
-            let val: Tuple = self.rhs_pos[k].iter().map(|&p| tuple[p]).collect();
-            if let Some((existing, n)) = self.indexes[k].get_mut(&key) {
-                if *existing != val {
-                    return Some(*fd);
-                }
-                *n += 1;
-            } else {
-                self.indexes[k].insert(key, (val, 1));
+            let (lhs, rhs) = (&self.lhs_pos[k], &self.rhs_pos[k]);
+            let index = &mut self.indexes[k];
+            let hash = image_hash(index, lhs.iter().map(|&p| row[p]));
+            match index.get_mut(hash, agrees(rel, row, lhs)) {
+                Some((rep, _)) if !agrees(rel, row, rhs)(rep) => return Some(*fd),
+                Some((_, count)) => *count += 1,
+                None => index.insert(hash, slot, 1),
             }
         }
         None
     }
 
+    /// Re-derives every FD index, and every ordered index whose epoch is
+    /// not `rel`'s, from the live rows of `rel` — after a compaction
+    /// renumbered the slots they hold.
+    fn reindex(&mut self, rel: &Relation) {
+        if self.epoch != rel.epoch() {
+            self.epoch = rel.epoch();
+            self.indexes.iter_mut().for_each(FdIndex::clear);
+            for (slot, row) in rel.iter_slots() {
+                let violated = self.index_row(rel, slot, row);
+                debug_assert!(violated.is_none(), "a stored row violates Fi");
+            }
+        }
+        for ix in self.ordered.iter_mut().filter(|ix| ix.epoch != rel.epoch()) {
+            ix.rebuild(rel);
+        }
+    }
+
     /// Attempts to insert `tuple` (scheme order) into `rel`, probing every
-    /// FD of `Fi` before committing anything.  Each lhs/rhs projection is
-    /// computed exactly once: the probe pass parks them in scratch and the
-    /// commit pass moves them into the indexes.
+    /// FD of `Fi` before committing anything.  Each lhs image is hashed
+    /// exactly once: the probe pass parks the hashes in scratch and the
+    /// commit pass reuses them, probing again only to count a row under
+    /// an image already indexed.  Nothing is allocated but table growth.
     pub fn insert(
         &mut self,
         rel: &mut Relation,
@@ -260,38 +303,47 @@ impl RelationShard {
             }
             .into());
         }
-        // Probe pass: project once per FD, check against the index.  (A
-        // duplicate agrees with its own images and passes; the relation
-        // reports it at the commit.)
-        self.scratch.clear();
+        self.reindex(rel);
+        // Probe pass: check each FD's rhs image against the representative
+        // of the tuple's lhs image.  (A duplicate agrees with its own
+        // images and passes; the relation reports it at the commit.)
+        self.probed.clear();
         for (k, fd) in self.enforcement.iter().enumerate() {
-            let key: Tuple = self.lhs_pos[k].iter().map(|&p| tuple[p]).collect();
-            let val: Tuple = self.rhs_pos[k].iter().map(|&p| tuple[p]).collect();
-            if let Some((existing, _)) = self.indexes[k].get(&key) {
-                if *existing != val {
-                    return Ok(InsertOutcome::Rejected {
-                        violated: Some(*fd),
-                    });
-                }
+            let (lhs, rhs) = (&self.lhs_pos[k], &self.rhs_pos[k]);
+            let hash = image_hash(&self.indexes[k], lhs.iter().map(|&p| tuple[p]));
+            let found = self.indexes[k].get(hash, agrees(rel, &tuple, lhs));
+            if found.is_some_and(|(rep, _)| !agrees(rel, &tuple, rhs)(rep)) {
+                return Ok(InsertOutcome::Rejected {
+                    violated: Some(*fd),
+                });
             }
-            self.scratch.push((key, val));
+            self.probed.push((hash, found.is_some()));
         }
         // Commit: the relation first (it can still fail on a mismatched
         // or full `rel`, and the indexes must never record a tuple the
-        // relation refused), then move the parked projections into the
-        // indexes.
+        // relation refused), then count the new row in every index.
+        let epoch = rel.epoch();
         let Some(slot) = rel.insert_slot(tuple)? else {
             return Ok(InsertOutcome::Duplicate);
         };
-        for (k, (key, val)) in self.scratch.drain(..).enumerate() {
-            self.indexes[k].entry(key).or_insert((val, 0)).1 += 1;
+        if rel.epoch() != epoch {
+            // Out of slots, the relation compacted: re-derive everything,
+            // the new row included.
+            self.reindex(rel);
+            return Ok(InsertOutcome::Accepted);
+        }
+        let row = rel.get(slot).expect("the slot just inserted is live");
+        for (k, &(hash, found)) in self.probed.iter().enumerate() {
+            let index = &mut self.indexes[k];
+            if !found {
+                index.insert(hash, slot, 1);
+            } else if let Some((_, count)) = index.get_mut(hash, agrees(rel, row, &self.lhs_pos[k]))
+            {
+                *count += 1;
+            }
         }
         for ix in &mut self.ordered {
-            if ix.epoch != rel.epoch() {
-                ix.rebuild(rel);
-            } else if let Some(t) = rel.get(slot) {
-                ix.entries.insert((t[ix.pos], slot));
-            }
+            ix.entries.insert((row[ix.pos], slot));
         }
         Ok(InsertOutcome::Accepted)
     }
@@ -304,9 +356,10 @@ impl RelationShard {
     /// attributes span the whole scheme — i.e. the FD's left-hand side is
     /// a *key* of the relation — the lookup is answered in O(1) from the
     /// hash index the shard already maintains for enforcement: the key's
-    /// index entry stores the right-hand-side image, and key ∪ image *is*
-    /// the unique matching tuple, reconstructed without touching `rel` at
-    /// all.  Every other predicate falls back to one linear pass.
+    /// index entry names the slot of the unique matching tuple, which is
+    /// read straight out of `rel`.  A predicate on a column with an
+    /// ordered index reads the candidate slots from it; every other
+    /// predicate falls back to one linear pass.
     ///
     /// The indexes are maintained by the write path for free, so the
     /// point-lookup fast path adds zero cost to inserts and removes.
@@ -337,32 +390,35 @@ impl RelationShard {
         let pinned: ids_relational::AttrSet = pred.conjuncts().iter().map(|&(a, _)| a).collect();
         for (k, fd) in self.enforcement.iter().enumerate() {
             // Key FD: lhs ∪ rhs covers the scheme (so lhs determines the
-            // whole tuple) and the predicate pins all of lhs.
-            if self.lhs_pos[k].len() + self.rhs_pos[k].len() != attrs.len()
+            // whole tuple) and the predicate pins all of lhs.  Slots of
+            // another epoch name other tuples: no index of a relation
+            // changed behind the shard's back is read.
+            if self.epoch != rel.epoch()
+                || self.lhs_pos[k].len() + self.rhs_pos[k].len() != attrs.len()
                 || !fd.lhs.is_subset(pinned)
             {
                 continue;
             }
-            let key: Vec<Value> = fd
-                .lhs
-                .iter()
-                .map(|a| pred.value_of(a).expect("lhs ⊆ pinned"))
-                .collect();
-            let Some((image, _)) = self.indexes[k].get(&key[..]) else {
+            let key = || {
+                fd.lhs
+                    .iter()
+                    .map(|a| pred.value_of(a).expect("lhs ⊆ pinned"))
+            };
+            let index = &self.indexes[k];
+            let pinned_key = |s: u32| {
+                let held = rel.slot_values(s);
+                held.is_some_and(|t| self.lhs_pos[k].iter().zip(key()).all(|(&p, v)| t[p] == v))
+            };
+            let Some((slot, _)) = index.get(image_hash(index, key()), pinned_key) else {
                 return Vec::new();
             };
-            let mut t = vec![Value::int(0); attrs.len()];
-            for (&p, &v) in self.lhs_pos[k].iter().zip(key.iter()) {
-                t[p] = v;
-            }
-            for (&p, &v) in self.rhs_pos[k].iter().zip(image.iter()) {
-                t[p] = v;
-            }
-            // The remaining conjuncts (pins outside lhs, or contradictory
-            // duplicates) and any guards still apply to the reconstructed
-            // tuple.
-            return if pred.matches(attrs, &t) {
-                vec![t.into_boxed_slice()]
+            // Every supporter of a key image is the one tuple carrying it,
+            // so the representative is live.  The remaining conjuncts (pins
+            // outside lhs, or contradictory duplicates) and any guards
+            // still apply to it.
+            let t = rel.get(slot).expect("a key FD's representative is live");
+            return if pred.matches(attrs, t) {
+                vec![Tuple::from(t)]
             } else {
                 Vec::new()
             };
@@ -379,7 +435,7 @@ impl RelationShard {
     /// [`Relation::filter_tuples`] pass.  `None` when no index applies.
     fn scan_ordered(&self, rel: &Relation, pred: &Predicate) -> Option<Vec<Tuple>> {
         use Bound::{Excluded, Included, Unbounded};
-        for ix in &self.ordered {
+        for ix in self.ordered.iter().filter(|ix| ix.epoch == rel.epoch()) {
             let run = |lo, hi| ix.entries.range((lo, hi)).map(|&(_, slot)| slot);
             let of = |v: Value| run(Included((v, 0)), Included((v, u32::MAX)));
             // An equality pin is the most selective handle, and one
@@ -433,26 +489,51 @@ impl RelationShard {
             }
             .into());
         }
+        self.reindex(rel);
+        let epoch = rel.epoch();
         let Some(slot) = rel.remove_slot(tuple) else {
             return Ok(false);
         };
-        for k in 0..self.enforcement.len() {
-            let key: Tuple = self.lhs_pos[k].iter().map(|&p| tuple[p]).collect();
-            if let Entry::Occupied(mut e) = self.indexes[k].entry(key) {
-                e.get_mut().1 -= 1;
-                if e.get().1 == 0 {
-                    e.remove();
+        if rel.epoch() != epoch {
+            // The remove compacted: re-derive everything from the
+            // survivors, which no longer include `tuple`.
+            self.reindex(rel);
+            return Ok(true);
+        }
+        // The removed row's values stay in the slab until the next
+        // compaction, so an entry whose representative it was still reads
+        // the right images while other supporters keep it alive.
+        for (lhs, index) in self.lhs_pos.iter().zip(&mut self.indexes) {
+            let hash = image_hash(index, lhs.iter().map(|&p| tuple[p]));
+            let image = agrees(rel, tuple, lhs);
+            if let Some((_, count)) = index.get_mut(hash, &image) {
+                *count -= 1;
+                if *count == 0 {
+                    index.remove(hash, &image);
                 }
             }
         }
         for ix in &mut self.ordered {
-            if ix.epoch != rel.epoch() {
-                ix.rebuild(rel);
-            } else {
-                ix.entries.remove(&(tuple[ix.pos], slot));
-            }
+            ix.entries.remove(&(tuple[ix.pos], slot));
         }
         Ok(true)
+    }
+}
+
+/// The hash `index` files an lhs image under: the image's values in
+/// lhs order, so a row's projection and a predicate's pinned key agree.
+fn image_hash(index: &FdIndex, image: impl Iterator<Item = Value>) -> u64 {
+    let mut h = index.hasher().build_hasher();
+    image.for_each(|v| v.hash(&mut h));
+    h.finish()
+}
+
+/// Whether the row in a slot of `rel` — live, or removed since the last
+/// compaction — agrees with `row` on the columns `pos`.
+fn agrees<'a>(rel: &'a Relation, row: &'a [Value], pos: &'a [usize]) -> impl Fn(u32) -> bool + 'a {
+    move |s| {
+        rel.slot_values(s)
+            .is_some_and(|held| pos.iter().all(|&p| held[p] == row[p]))
     }
 }
 
@@ -463,7 +544,7 @@ fn fetch(rel: &Relation, pred: &Predicate, slots: impl Iterator<Item = u32>) -> 
     slots
         .filter_map(|slot| rel.get(slot))
         .filter(|t| pred.matches(attrs, t))
-        .cloned()
+        .map(Tuple::from)
         .collect()
 }
 
@@ -480,6 +561,14 @@ mod tests {
 
     fn v(n: u64) -> Value {
         Value::int(n)
+    }
+
+    /// splitmix64, the seeded generator of the churn test.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (*state ^ (*state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
     }
 
     /// Every path out of the shard — `scan`, and `read` in each shape —
@@ -732,6 +821,142 @@ mod tests {
         }
         assert!(shard.remove(&mut rel, &row(101)).unwrap());
         check(&shard, &rel);
+    }
+
+    /// How many live lhs images of the shard's first FD, `A → B` over
+    /// `ABC`, have a tombstoned representative.
+    fn tombstoned_representatives(shard: &RelationShard, rel: &Relation) -> usize {
+        let (lhs, index) = (&shard.lhs_pos[0], &shard.indexes[0]);
+        let mut images: Vec<Value> = rel.iter().map(|t| t[lhs[0]]).collect();
+        images.sort_unstable();
+        images.dedup();
+        let reps = images.iter().map(|&a| {
+            let probe = [a, Value::int(0), Value::int(0)];
+            let found = index.get(image_hash(index, [a].into_iter()), agrees(rel, &probe, lhs));
+            found.expect("every live image is indexed").0
+        });
+        reps.filter(|&rep| rel.get(rep).is_none()).count()
+    }
+
+    #[test]
+    fn fd_representatives_survive_removal_and_compaction() {
+        // ABC with A→B (not a key, so an image has many supporters) and
+        // C→AB (a key, so `C = c` takes the point path).  Removes favour
+        // each group's oldest row, the one its entry names, and the mix
+        // alternates growing and draining so the relation compacts again
+        // and again — with representatives tombstoned at the time.
+        let u = Universe::from_names(["A", "B", "C"]).unwrap();
+        let schema = DatabaseSchema::parse(u, &[("ABC", "ABC")]).unwrap();
+        let fds = FdSet::parse(schema.universe(), &["A -> B", "C -> AB"]).unwrap();
+        let id = SchemeId(0);
+        let a = schema.universe().attr("A").unwrap();
+        let c = schema.universe().attr("C").unwrap();
+        let mut shard = RelationShard::new(&schema, id, fds.clone());
+        let mut rel = Relation::new(schema.attrs(id));
+        shard.add_ordered_index(a, &rel).unwrap();
+        const GROUPS: usize = 12;
+        // Per group: its B image and its live rows' C values, oldest first.
+        let mut b_of: Vec<u64> = (0..GROUPS as u64).collect();
+        type Live = std::collections::VecDeque<u64>;
+        let mut live: Vec<Live> = vec![Live::new(); GROUPS];
+        let row = |g: usize, b: u64, c: u64| vec![v(g as u64), v(b), v(c)];
+        // Every group's image still refuses a different B, on `shard` and
+        // on any other shard over the same rows.
+        let assert_enforced =
+            |shard: &mut RelationShard, rel: &mut Relation, live: &[Live], b_of: &[u64]| {
+                for g in (0..GROUPS).filter(|&g| !live[g].is_empty()) {
+                    let outcome = shard.insert(rel, row(g, b_of[g] + 1, 1 << 40)).unwrap();
+                    assert!(
+                        matches!(outcome, InsertOutcome::Rejected { .. }),
+                        "group {g}"
+                    );
+                }
+            };
+        let mut state = 0x5EED_u64;
+        let mut next_c = 0;
+        let mut dead_rep_compactions = 0;
+        let mut snapshots = Vec::new();
+        for step in 0..4_000 {
+            let x = splitmix(&mut state);
+            let g = (x >> 8) as usize % GROUPS;
+            let drain = (step / 400) % 2 == 1;
+            match x % 100 {
+                p if p < if drain { 25 } else { 55 } => {
+                    next_c += 1;
+                    let outcome = shard.insert(&mut rel, row(g, b_of[g], next_c)).unwrap();
+                    assert_eq!(outcome, InsertOutcome::Accepted);
+                    live[g].push_back(next_c);
+                }
+                p if p < 92 => {
+                    let Some(&oldest) = live[g].front() else {
+                        continue;
+                    };
+                    let dead_reps = tombstoned_representatives(&shard, &rel);
+                    let epoch = rel.epoch();
+                    // Mostly the oldest row, sometimes the newest.
+                    let cc = if p < 85 {
+                        oldest
+                    } else {
+                        *live[g].back().unwrap()
+                    };
+                    assert!(shard.remove(&mut rel, &row(g, b_of[g], cc)).unwrap());
+                    live[g].retain(|&l| l != cc);
+                    if rel.epoch() != epoch && dead_reps > 0 {
+                        dead_rep_compactions += 1;
+                        assert_eq!(tombstoned_representatives(&shard, &rel), 0);
+                    }
+                }
+                _ => {
+                    // A different B: refused while the image has any
+                    // supporter, accepted once the last one is gone.
+                    next_c += 1;
+                    let outcome = shard.insert(&mut rel, row(g, b_of[g] + 1, next_c)).unwrap();
+                    if live[g].is_empty() {
+                        assert_eq!(outcome, InsertOutcome::Accepted);
+                        b_of[g] += 1;
+                        live[g].push_back(next_c);
+                    } else {
+                        assert!(matches!(outcome, InsertOutcome::Rejected { .. }));
+                    }
+                }
+            }
+            if step % 97 == 0 {
+                assert_enforced(&mut shard, &mut rel, &live, &b_of);
+                let some_c = live.iter().flatten().next().copied().unwrap_or(0);
+                for pred in [
+                    Predicate::new(),
+                    Predicate::new().and_eq(a, v(g as u64)),
+                    Predicate::new().and_eq(c, v(some_c)),
+                    Predicate::new().and_eq(c, v(next_c + 1)),
+                    Predicate::new().and_range(a, v(2), v(7)),
+                ] {
+                    assert_reads_agree(&shard, &rel, &pred, a);
+                }
+                assert!(fds.iter().all(|fd| rel.satisfies_fd(fd.lhs, fd.rhs)));
+            }
+            if step % 1_000 == 500 {
+                snapshots.push((rel.clone(), live.clone(), b_of.clone()));
+            }
+        }
+        assert!(rel.epoch() >= 2, "only {} compactions", rel.epoch());
+        assert!(
+            dead_rep_compactions >= 2,
+            "only {dead_rep_compactions} compactions met a tombstoned representative"
+        );
+        // Shards built over a relation that still holds tombstones — the
+        // clones taken mid-churn, and the live relation — enforce the
+        // same images and answer the same reads.
+        snapshots.push((rel.clone(), live.clone(), b_of.clone()));
+        for (mut copy, live, b_of) in snapshots {
+            let holds_tombstones = (0..).map_while(|s| copy.slot_values(s)).count() > copy.len();
+            assert!(holds_tombstones);
+            let mut rebuilt =
+                RelationShard::with_relation(&schema, id, fds.clone(), &copy).unwrap();
+            for pred in [Predicate::new(), Predicate::new().and_eq(a, v(3))] {
+                assert_reads_agree(&rebuilt, &copy, &pred, a);
+            }
+            assert_enforced(&mut rebuilt, &mut copy, &live, &b_of);
+        }
     }
 
     #[test]

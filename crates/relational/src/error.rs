@@ -33,6 +33,10 @@ pub enum RelationalError {
     /// A relation already holds the most tuples it can address
     /// (`u32::MAX`).
     RelationFull,
+    /// A value pool's name arena already holds the most bytes its `u32`
+    /// offsets address (4 GiB); the name that would overflow it is
+    /// refused.
+    PoolFull,
     /// An operation mixed objects from different universes or schemas.
     SchemaMismatch(&'static str),
     /// A binary payload could not be decoded (see [`crate::codec`]).
@@ -59,6 +63,7 @@ impl fmt::Display for RelationalError {
                 )
             }
             Self::RelationFull => write!(f, "relation is full (max 2^32 - 1 tuples)"),
+            Self::PoolFull => write!(f, "value pool is full (max 4 GiB of names)"),
             Self::SchemaMismatch(what) => write!(f, "objects belong to different {what}"),
             Self::Codec(what) => write!(f, "malformed binary payload: {what}"),
         }

@@ -14,6 +14,9 @@
 //!   semijoin and per-instance FD checking;
 //! * [`DatabaseState`] — states `p`, join consistency, dangling tuples;
 //! * [`Value`] / [`ValuePool`] — opaque domain values with optional names;
+//! * [`SlotTable`] — the key-less hash table of `u32` slots that indexes
+//!   a relation's rows, a shard's FD images and the pool's names, each
+//!   stored once elsewhere;
 //! * [`Predicate`] / [`Projection`] / [`ReadPlan`] — the query-pushdown
 //!   primitives higher layers ship to whatever owns a relation's tuples.
 //!
@@ -31,6 +34,7 @@ mod error;
 mod query;
 mod relation;
 mod scheme;
+mod slot_table;
 mod state;
 mod universe;
 mod value;
@@ -41,6 +45,7 @@ pub use error::RelationalError;
 pub use query::{Guard, Predicate, Projection, ReadPlan, ReadReply, ReadShape};
 pub use relation::{join_all, Relation, Tuple};
 pub use scheme::{DatabaseSchema, RelationScheme, SchemeId};
+pub use slot_table::SlotTable;
 pub use state::DatabaseState;
 pub use universe::Universe;
 pub use value::{Value, ValuePool};

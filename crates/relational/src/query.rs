@@ -376,7 +376,7 @@ impl Relation {
         let attrs = self.attrs();
         self.iter()
             .filter(|t| pred.matches(attrs, t))
-            .cloned()
+            .map(Tuple::from)
             .collect()
     }
 

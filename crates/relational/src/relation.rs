@@ -1,35 +1,59 @@
 //! Relation instances.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use std::hash::BuildHasher;
 
 use crate::attr::AttrId;
 use crate::attrset::AttrSet;
 use crate::error::RelationalError;
+use crate::slot_table::SlotTable;
 use crate::value::Value;
 
 /// A tuple of a relation scheme: values laid out in ascending attribute-id
-/// order of the scheme.
+/// order of the scheme.  The owned form of a row copied out of a
+/// [`Relation`], which itself lends rows as `&[Value]`.
 pub type Tuple = Box<[Value]>;
 
 /// An instance of a relation scheme: a duplicate-free set of tuples.
 ///
-/// Tuples live in a **slot vector** in insertion order (deterministic
-/// iteration for reproducible tests and benchmarks) beside a hash map
-/// from each tuple to its slot, so membership, insertion *and removal*
-/// are O(1): a remove takes the tuple out of the map and leaves a
-/// **tombstone** (`None`) in its slot, which iteration skips.  When
-/// tombstones outnumber live tuples the vector is compacted in place —
-/// order preserved, every surviving tuple renumbered — and
-/// [`Relation::epoch`] advances.  A slot therefore names its tuple only
-/// **within one epoch**: anything that remembers slots (the shard's
-/// ordered indexes) compares epochs and rebuilds when they differ.
+/// Every row's values are stored **once**, in a row-major slab
+/// (`Vec<Value>`, `arity` values per row) addressed by a `u32` **slot**.
+/// Rows take slots in insertion order (deterministic iteration for
+/// reproducible tests and benchmarks).  Membership is a [`SlotTable`] of
+/// slots hashed by row content and compared through the slab, so it owns
+/// no copy of any row; membership, insertion *and removal* are O(1).
+///
+/// A remove takes the slot out of the table and sets its bit in a
+/// **tombstone** bitset; iteration skips tombstones.  When tombstones
+/// outnumber live rows the slab is compacted in place, order preserved
+/// and every surviving row renumbered, and [`Relation::epoch`] advances.
+/// A slot therefore names its row only **within one epoch**: anything
+/// that remembers slots (the shard's indexes) compares epochs and
+/// re-derives its slots when they differ.
+///
+/// **A removed row stays readable until the next compaction**, through
+/// [`Relation::slot_values`]: compaction is the only thing that drops a
+/// tombstone's values.  The shard's FD indexes rely on this.  An FD entry
+/// keeps one representative slot among the rows that share its
+/// left-hand side, and removing that row while others still support the
+/// entry leaves the entry pointing at the tombstone.  Its values are
+/// still the image every supporter agrees on, and the next compaction
+/// advances the epoch, which makes the shard pick live representatives
+/// again.
 #[derive(Clone, Debug, Default)]
 pub struct Relation {
     attrs: AttrSet,
-    /// Insertion order; `None` marks a removed tuple.
-    slots: Vec<Option<Tuple>>,
-    /// Tuple → its index in `slots`.
-    present: HashMap<Tuple, u32>,
+    /// `attrs.len()`, the slab's stride, counted once.
+    arity: usize,
+    /// Row-major: slot `s` holds `values[s·arity .. (s+1)·arity]`, live or
+    /// tombstoned.
+    values: Vec<Value>,
+    /// Slots handed out since the last compaction (`0..slots`).
+    slots: u32,
+    /// Bit `s % 64` of word `s / 64` is set once slot `s` is removed.
+    dead: Vec<u64>,
+    /// Live rows by content.
+    present: SlotTable,
     /// Number of compactions so far (wrapping).
     epoch: u32,
 }
@@ -39,6 +63,7 @@ impl Relation {
     pub fn new(attrs: AttrSet) -> Self {
         Relation {
             attrs,
+            arity: attrs.len(),
             ..Relation::default()
         }
     }
@@ -50,7 +75,7 @@ impl Relation {
 
     /// Scheme width (number of attributes).
     pub fn arity(&self) -> usize {
-        self.attrs.len()
+        self.arity
     }
 
     /// Number of tuples.
@@ -80,13 +105,17 @@ impl Relation {
                 found: tuple.len(),
             });
         }
-        let t: Tuple = tuple.into_boxed_slice();
-        if self.present.contains_key(&t) {
+        let hash = self.hash_row(&tuple);
+        if self.find(hash, &tuple).is_some() {
             return Ok(None);
         }
         let slot = self.next_slot(u32::MAX - 1)?;
-        self.present.insert(t.clone(), slot);
-        self.slots.push(Some(t));
+        self.values.extend_from_slice(&tuple);
+        if slot % 64 == 0 {
+            self.dead.push(0);
+        }
+        self.slots += 1;
+        self.present.insert(hash, slot, ());
         Ok(Some(slot))
     }
 
@@ -94,11 +123,13 @@ impl Relation {
     /// slots run out the tombstones are compacted away first, so only a
     /// relation whose every slot is live is full.
     fn next_slot(&mut self, last: u32) -> Result<u32, RelationalError> {
-        let fits = |len: usize| u32::try_from(len).ok().filter(|&slot| slot <= last);
-        if fits(self.slots.len()).is_none() {
+        if self.slots > last {
             self.compact();
         }
-        fits(self.slots.len()).ok_or(RelationalError::RelationFull)
+        if self.slots > last {
+            return Err(RelationalError::RelationFull);
+        }
+        Ok(self.slots)
     }
 
     /// Inserts a tuple described by a value function over the scheme's
@@ -120,35 +151,70 @@ impl Relation {
     /// in the epoch before the call; compare [`Relation::epoch`] around
     /// it to learn whether the remove compacted.
     pub fn remove_slot(&mut self, tuple: &[Value]) -> Option<u32> {
-        let slot = self.present.remove(tuple)?;
-        self.slots[slot as usize] = None;
-        if self.slots.len() - self.present.len() > self.present.len() {
+        let hash = self.hash_row(tuple);
+        let (values, arity) = (&self.values, self.arity);
+        let (slot, ()) = self
+            .present
+            .remove(hash, |s| row(values, arity, s) == tuple)?;
+        self.dead[slot as usize / 64] |= 1 << (slot % 64);
+        if self.slots as usize - self.len() > self.len() {
             self.compact();
         }
         Some(slot)
     }
 
     /// Drops every tombstone, keeping the survivors' order, renumbers
-    /// them and advances the epoch.
+    /// them and advances the epoch.  The membership table keeps its
+    /// hashes; only its slots are renamed.
     fn compact(&mut self) {
-        self.slots.retain(Option::is_some);
-        for (slot, t) in (0..=u32::MAX).zip(self.slots.iter().flatten()) {
-            if let Some(s) = self.present.get_mut(t) {
-                *s = slot;
-            }
+        // A survivor's new slot is the number of survivors before it: the
+        // survivors of the words before its word, plus those below it in
+        // its own word.
+        let mut before = Vec::with_capacity(self.dead.len());
+        let mut live = 0usize;
+        for word in &self.dead {
+            before.push(live);
+            live += word.count_zeros() as usize;
         }
+        let dead = &self.dead;
+        self.present.remap(|s| {
+            let word = s as usize / 64;
+            let below = !dead[word] & ((1u64 << (s % 64)) - 1);
+            (before[word] + below.count_ones() as usize) as u32
+        });
+        let arity = self.arity;
+        let mut next = 0;
+        for s in 0..self.slots {
+            if self.is_dead(s) {
+                continue;
+            }
+            let from = s as usize * arity;
+            self.values.copy_within(from..from + arity, next * arity);
+            next += 1;
+        }
+        self.values.truncate(next * arity);
+        self.slots = next as u32;
+        self.dead.clear();
+        self.dead.resize(next.div_ceil(64), 0);
         self.epoch = self.epoch.wrapping_add(1);
     }
 
     /// The slot holding `tuple`, if present.  Slots ascend along
     /// [`Relation::iter`] and stay put until the epoch advances.
     pub fn slot_of(&self, tuple: &[Value]) -> Option<u32> {
-        self.present.get(tuple).copied()
+        self.find(self.hash_row(tuple), tuple)
     }
 
     /// The tuple in `slot`; `None` for a tombstone or an unused slot.
-    pub fn get(&self, slot: u32) -> Option<&Tuple> {
-        self.slots.get(slot as usize)?.as_ref()
+    pub fn get(&self, slot: u32) -> Option<&[Value]> {
+        (slot < self.slots && !self.is_dead(slot)).then(|| self.row(slot))
+    }
+
+    /// The values in `slot`, live **or removed since the last
+    /// compaction** (see the type docs); `None` only for a slot never
+    /// handed out in this epoch.
+    pub fn slot_values(&self, slot: u32) -> Option<&[Value]> {
+        (slot < self.slots).then(|| self.row(slot))
     }
 
     /// How many times the slots have been renumbered.
@@ -158,19 +224,40 @@ impl Relation {
 
     /// Membership test for a tuple in scheme order.
     pub fn contains(&self, tuple: &[Value]) -> bool {
-        self.present.contains_key(tuple)
+        self.slot_of(tuple).is_some()
     }
 
     /// Iterates over tuples in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.slots.iter().flatten()
+    pub fn iter(&self) -> impl Iterator<Item = &[Value]> {
+        self.iter_slots().map(|(_, t)| t)
     }
 
     /// [`Relation::iter`] with each tuple's slot beside it.
-    pub fn iter_slots(&self) -> impl Iterator<Item = (u32, &Tuple)> {
-        (0..=u32::MAX)
-            .zip(&self.slots)
-            .filter_map(|(slot, t)| Some((slot, t.as_ref()?)))
+    pub fn iter_slots(&self) -> impl Iterator<Item = (u32, &[Value])> {
+        (0..self.slots)
+            .filter(|&s| !self.is_dead(s))
+            .map(|s| (s, self.row(s)))
+    }
+
+    /// The hash the membership table files `row` under.
+    fn hash_row(&self, row: &[Value]) -> u64 {
+        self.present.hasher().hash_one(row)
+    }
+
+    /// The live slot holding `tuple`, which hashes to `hash`.
+    fn find(&self, hash: u64, tuple: &[Value]) -> Option<u32> {
+        let (values, arity) = (&self.values, self.arity);
+        let found = self.present.get(hash, |s| row(values, arity, s) == tuple);
+        found.map(|(slot, ())| slot)
+    }
+
+    /// The values of a slot below `self.slots`.
+    fn row(&self, slot: u32) -> &[Value] {
+        row(&self.values, self.arity, slot)
+    }
+
+    fn is_dead(&self, slot: u32) -> bool {
+        self.dead[slot as usize / 64] & (1 << (slot % 64)) != 0
     }
 
     /// The value of `tuple` at `attr` (which must belong to the scheme).
@@ -204,7 +291,7 @@ impl Relation {
         let mut out = Relation::new(out_attrs);
 
         // Index `other` by its projection onto the common attributes.
-        let mut index: std::collections::HashMap<Vec<Value>, Vec<&Tuple>> =
+        let mut index: std::collections::HashMap<Vec<Value>, Vec<&[Value]>> =
             std::collections::HashMap::new();
         for t in other.iter() {
             index
@@ -289,6 +376,12 @@ impl Relation {
     }
 }
 
+/// The `arity` values of `slot` in a row-major slab.
+fn row(values: &[Value], arity: usize, slot: u32) -> &[Value] {
+    let start = slot as usize * arity;
+    &values[start..start + arity]
+}
+
 /// Joins a non-empty sequence of relations left to right: `r1 ⋈ r2 ⋈ … ⋈ rn`.
 ///
 /// Returns `None` for an empty input (the natural join has no neutral
@@ -363,10 +456,10 @@ mod tests {
     fn assert_agrees_with_model(r: &Relation, model: &[Vec<Value>]) {
         assert_eq!(r.len(), model.len());
         assert_eq!(r.is_empty(), model.is_empty());
-        assert!(r.iter().map(|t| &t[..]).eq(model.iter().map(|t| &t[..])));
+        assert!(r.iter().eq(model.iter().map(|t| &t[..])));
         let mut last = None;
         for ((slot, t), m) in r.iter_slots().zip(model) {
-            assert_eq!(&t[..], &m[..]);
+            assert_eq!(t, &m[..]);
             assert!(r.contains(m));
             assert_eq!(r.slot_of(m), Some(slot));
             assert_eq!(r.get(slot), Some(t));

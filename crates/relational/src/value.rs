@@ -1,10 +1,11 @@
 //! Domain values.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasher;
 
 use crate::codec::{Decoder, Encoder};
 use crate::error::RelationalError;
+use crate::slot_table::SlotTable;
 
 /// A domain value.
 ///
@@ -41,38 +42,95 @@ impl fmt::Display for Value {
 ///
 /// Named values are allocated from the bottom of the id space; anonymous
 /// fresh values from the top, so the two never collide in practice.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// Every name is stored **once**, in an arena: one `String` holding the
+/// names concatenated in interning order, beside one end offset per
+/// name, so value `n` names `arena[ends[n-1]..ends[n]]`.  Lookup by name
+/// is a [`SlotTable`] of value ids hashed by the name's bytes and
+/// compared through the arena.  Offsets are `u32`, so the arena holds at
+/// most `u32::MAX` bytes of names; [`ValuePool::room_for`] says whether a
+/// name still fits.
+#[derive(Clone, Debug, Default)]
 pub struct ValuePool {
-    names: Vec<String>,
-    by_name: HashMap<String, Value>,
+    /// Every interned name, concatenated in interning order.
+    arena: String,
+    /// `ends[i]`: where name `i` ends in `arena` (it starts where name
+    /// `i - 1` ends).
+    ends: Vec<u32>,
+    /// Value ids by name.
+    by_name: SlotTable,
     next_fresh: u64,
 }
+
+/// Two pools are equal when they hold the same names under the same ids
+/// and would hand out the same fresh values; the lookup table's layout
+/// and hash keys are not compared.
+impl PartialEq for ValuePool {
+    fn eq(&self, other: &Self) -> bool {
+        self.arena == other.arena && self.ends == other.ends && self.next_fresh == other.next_fresh
+    }
+}
+
+impl Eq for ValuePool {}
 
 impl ValuePool {
     /// Creates an empty pool.
     pub fn new() -> Self {
         ValuePool {
-            names: Vec::new(),
-            by_name: HashMap::new(),
             next_fresh: u64::MAX,
+            ..ValuePool::default()
         }
     }
 
     /// Interns a name, returning a stable value.
+    ///
+    /// # Panics
+    ///
+    /// When the name does not fit the arena (see [`ValuePool::room_for`]);
+    /// a caller interning names from outside the program checks first.
     pub fn value(&mut self, name: impl AsRef<str>) -> Value {
         let name = name.as_ref();
-        if let Some(v) = self.by_name.get(name) {
-            return *v;
+        let hash = self.by_name.hasher().hash_one(name);
+        if let Some(v) = self.find(hash, name) {
+            return v;
         }
-        let v = Value(self.names.len() as u64);
-        self.names.push(name.to_string());
-        self.by_name.insert(name.to_string(), v);
-        v
+        let end = self
+            .end_after(name)
+            .expect("value pool arena full: check room_for before interning");
+        let id = u32::try_from(self.ends.len()).expect("fewer names than arena bytes");
+        self.arena.push_str(name);
+        self.ends.push(end);
+        self.by_name.insert(hash, id, ());
+        Value(u64::from(id))
+    }
+
+    /// `Ok` when the arena has room for `name`'s bytes, which is all
+    /// [`ValuePool::value`] needs to intern a name it has not seen;
+    /// otherwise [`RelationalError::PoolFull`].
+    pub fn room_for(&self, name: &str) -> Result<(), RelationalError> {
+        self.end_after(name)
+            .map(drop)
+            .ok_or(RelationalError::PoolFull)
     }
 
     /// Returns an already-interned value by name.
     pub fn get(&self, name: &str) -> Option<Value> {
-        self.by_name.get(name).copied()
+        self.find(self.by_name.hasher().hash_one(name), name)
+    }
+
+    /// Number of interned names.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when no name is interned.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Bytes of interned names held in the arena.
+    pub fn name_bytes(&self) -> usize {
+        self.arena.len()
     }
 
     /// Allocates a fresh anonymous value, distinct from every value handed
@@ -87,8 +145,8 @@ impl ValuePool {
     /// then the next-fresh counter.  Interning order *is* the value
     /// assignment, so decoding reproduces identical `Value` ids.
     pub fn encode(&self, e: &mut Encoder) {
-        e.put_u32(self.names.len() as u32);
-        for n in &self.names {
+        e.put_u32(self.ends.len() as u32);
+        for (n, _) in self.iter() {
             e.put_str(n);
         }
         e.put_u64(self.next_fresh);
@@ -100,8 +158,11 @@ impl ValuePool {
         let mut pool = ValuePool::new();
         for _ in 0..n {
             let name = d.get_str()?;
-            if pool.by_name.contains_key(&name) {
+            if pool.get(&name).is_some() {
                 return Err(RelationalError::Codec("duplicate name in value pool"));
+            }
+            if pool.end_after(&name).is_none() {
+                return Err(RelationalError::Codec("value pool names exceed 4 GiB"));
             }
             pool.value(name);
         }
@@ -115,23 +176,39 @@ impl ValuePool {
     /// explicit value sets shards understand: enumerate the pool once
     /// client-side, ship a compact `In` set down.
     pub fn iter(&self) -> impl Iterator<Item = (&str, Value)> + '_ {
-        self.names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.as_str(), Value(i as u64)))
+        (0..self.ends.len()).map(|i| (self.name_at(i), Value(i as u64)))
     }
 
     /// The interned name of a value, borrowed from the pool — `None` for
     /// a value that was never interned (a fresh value, or a raw id).
     pub fn name(&self, v: Value) -> Option<&str> {
         let i = usize::try_from(v.0).ok()?;
-        self.names.get(i).map(String::as_str)
+        (i < self.ends.len()).then(|| self.name_at(i))
     }
 
     /// Renders a value: its interned name when known, otherwise the raw
     /// id in decimal.
     pub fn render(&self, v: Value) -> String {
         self.name(v).map_or_else(|| v.0.to_string(), str::to_owned)
+    }
+
+    /// Name `i`, which must be below `self.ends.len()`.
+    fn name_at(&self, i: usize) -> &str {
+        let start = i.checked_sub(1).map_or(0, |p| self.ends[p]);
+        &self.arena[start as usize..self.ends[i] as usize]
+    }
+
+    /// The value of `name`, which hashes to `hash`, if interned.
+    fn find(&self, hash: u64, name: &str) -> Option<Value> {
+        let found = self
+            .by_name
+            .get(hash, |id| self.name_at(id as usize) == name);
+        found.map(|(id, ())| Value(u64::from(id)))
+    }
+
+    /// Where `name` would end in the arena, if it fits a `u32` offset.
+    fn end_after(&self, name: &str) -> Option<u32> {
+        u32::try_from(self.arena.len().checked_add(name.len())?).ok()
     }
 }
 
@@ -149,6 +226,21 @@ mod tests {
         assert_eq!(p.render(a), "Smith");
         assert_eq!(p.get("Jones"), Some(b));
         assert_eq!(p.get("nobody"), None);
+        // Names are sliced out of one arena: an empty name and multi-byte
+        // characters keep their boundaries.
+        let (empty, accented) = (p.value(""), p.value("Brontë"));
+        assert_eq!(
+            (p.name(empty), p.name(accented)),
+            (Some(""), Some("Brontë"))
+        );
+        assert_eq!(p.get("Jones"), Some(b));
+        assert_eq!((p.len(), p.name_bytes()), (4, "SmithJonesBrontë".len()));
+        // Equality is by names, ids and fresh counter, not table layout.
+        let mut q = ValuePool::new();
+        for (name, _) in p.iter() {
+            q.value(name);
+        }
+        assert_eq!(p, q);
     }
 
     #[test]

@@ -421,6 +421,12 @@ fn metrics_conserve_the_overload_burst_and_count_every_byte() {
         snap.gauge("server.connections"),
         Some((SESSIONS + 1) as i64)
     );
+    // The name pool's gauges ride along: 2000 rows of two fresh names.
+    let name_bytes: usize = (0..2000).map(|i| format!("CS{i}S{i}").len()).sum();
+    assert_eq!(
+        (snap.gauge("api.names.count"), snap.gauge("api.names.bytes")),
+        (Some(4000), Some(name_bytes as i64))
+    );
 
     // Close the burst sessions and wait for their close events: every
     // session moved real bytes in both directions.

@@ -500,14 +500,15 @@ fn violating_pair(schema: &DatabaseSchema, id: SchemeId, rel: &Relation, fd: Fd)
     let attrs = schema.attrs(id);
     let lhs: Vec<usize> = fd.lhs.iter().map(|a| attrs.rank(a)).collect();
     let rhs: Vec<usize> = fd.rhs.iter().map(|a| attrs.rank(a)).collect();
-    let mut seen: std::collections::HashMap<Vec<Value>, &Tuple> = std::collections::HashMap::new();
+    let mut seen: std::collections::HashMap<Vec<Value>, &[Value]> =
+        std::collections::HashMap::new();
     for t in rel.iter() {
         let key: Vec<Value> = lhs.iter().map(|&p| t[p]).collect();
         match seen.entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => {
                 let prev = *e.get();
                 if rhs.iter().any(|&p| prev[p] != t[p]) {
-                    return vec![prev.clone(), t.clone()];
+                    return vec![prev.into(), t.into()];
                 }
             }
             std::collections::hash_map::Entry::Vacant(v) => {
