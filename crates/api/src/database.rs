@@ -4,83 +4,34 @@
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
-use ids_chase::ChaseConfig;
-use ids_core::{ChaseMaintainer, FdOnlyMaintainer, InsertOutcome, LocalMaintainer};
+use ids_core::InsertOutcome;
 use ids_relational::{
     AttrId, AttrSet, DatabaseState, Predicate, ReadPlan, ReadReply, ReadShape, Relation,
     RelationalError, SchemeId, Tuple, Value, ValuePool,
 };
-use ids_store::{DurableConfig, OpOutcome, Store, StoreError, StoreOp};
+use ids_store::{DurableConfig, OpOutcome, Store, StoreConfig, StoreError, StoreOp};
 use ids_wal::NameLog;
 
-use crate::engine::{Engine, EngineKind};
 use crate::error::Error;
 use crate::planner::execute_join;
 use crate::query::{Cond, JoinQuery, JoinReport, Query, RowSink, Rows};
 use crate::schema::{Alter, Schema};
 
-/// The engine a database runs on.  The concurrent [`Store`] is `Sync`
-/// and is driven through its inherent `&self` methods — no lock of ours
-/// and no trait object between a caller and the relation's own lock.
-/// Every other engine (the sequential maintainers, a replica's engine,
-/// anything handed to [`Database::with_engine`]) is a `&mut`
-/// [`Engine`] behind one mutex, taken once per public operation.
-enum EngineBox {
-    Sharded(Box<Store>),
-    Sequential(Mutex<Box<dyn Engine>>),
-}
-
-impl EngineBox {
-    fn sequential(engine: Box<dyn Engine>) -> Self {
-        EngineBox::Sequential(Mutex::new(engine))
-    }
-
-    /// Locks a sequential engine.  Poison propagates: a panic mid-write
-    /// may have left the maintainer's state and its FD indexes out of
-    /// step, and serving from that would be a silent fork.
-    fn lock(engine: &Mutex<Box<dyn Engine>>) -> MutexGuard<'_, Box<dyn Engine>> {
-        engine
-            .lock()
-            .expect("engine mutex poisoned: a thread panicked inside a sequential engine")
-    }
-
-    fn insert(&self, id: SchemeId, tuple: Vec<Value>) -> Result<InsertOutcome, Error> {
-        match self {
-            EngineBox::Sharded(store) => store.insert(id, tuple).map_err(Into::into),
-            EngineBox::Sequential(engine) => Self::lock(engine).insert(id, tuple),
-        }
-    }
-
-    fn remove(&self, id: SchemeId, tuple: Vec<Value>) -> Result<bool, Error> {
-        match self {
-            EngineBox::Sharded(store) => store.remove(id, tuple).map_err(Into::into),
-            EngineBox::Sequential(engine) => Self::lock(engine).remove(id, &tuple),
-        }
-    }
-
-    fn apply_batch(&self, ops: Vec<StoreOp>) -> Result<Vec<OpOutcome>, Error> {
-        match self {
-            EngineBox::Sharded(store) => store.apply_batch(ops).map_err(Into::into),
-            EngineBox::Sequential(engine) => Self::lock(engine).apply_batch(ops),
-        }
-    }
-
-    fn read(&self, id: SchemeId, plan: &ReadPlan) -> Result<ReadReply, Error> {
-        match self {
-            EngineBox::Sharded(store) => store.read(id, plan).map_err(Into::into),
-            EngineBox::Sequential(engine) => Self::lock(engine).read(id, plan),
-        }
-    }
-
-    /// Runs a multi-read `body` (a join, a snapshot) against the engine.
-    /// A sequential engine is locked once for all of it, so what `body`
-    /// reads is one cut; the store arm is barrier-free per relation.
-    fn with<R>(&self, body: impl FnOnce(&dyn Engine) -> R) -> R {
-        match self {
-            EngineBox::Sharded(store) => body(store.as_ref()),
-            EngineBox::Sequential(engine) => body(Self::lock(engine).as_ref()),
-        }
-    }
+/// The store configuration [`Database::open`] starts from.  Both
+/// variants open the one engine, the concurrent [`Store`]; `Local` is
+/// [`StoreConfig::default()`].  A shim kept for the pinned callers of
+/// the old engine selector — it goes with [`crate::SharedDatabase`]
+/// (ROADMAP item 1(a)).  The paper's baselines, which also serve
+/// dependent schemas, are the maintainers in `ids-core`
+/// ([`ids_core::ChaseMaintainer`], [`ids_core::FdOnlyMaintainer`],
+/// [`ids_core::LocalMaintainer`]), driven directly.
+#[derive(Debug, Default)]
+pub enum EngineKind {
+    /// The store with the default configuration.
+    #[default]
+    Local,
+    /// The store with this configuration.
+    Sharded(StoreConfig),
 }
 
 /// The name state guarded by one mutex: the interning pool and, on a
@@ -110,9 +61,10 @@ impl Names {
     }
 }
 
-/// A running database: one [`Schema`] handle, one engine, and the
-/// interning [`ValuePool`] owned internally — callers speak relation
-/// names and string values, never [`SchemeId`]s, [`Value`]s or pools.
+/// A running database: one [`Schema`] handle, the concurrent [`Store`]
+/// that enforces it, and the interning [`ValuePool`] owned internally —
+/// callers speak relation names and string values, never [`SchemeId`]s,
+/// [`Value`]s or pools.
 ///
 /// ```
 /// use ids_api::{Database, EngineKind, Schema};
@@ -132,10 +84,9 @@ impl Names {
 ///
 /// ## One handle, shared
 ///
-/// Every operation takes `&self` and the type is `Send + Sync` on every
-/// engine, so one `Database` (behind a reference or an `Arc`) serves as
-/// many threads as you like — a network server's connection threads
-/// included:
+/// Every operation takes `&self` and the type is `Send + Sync`, so one
+/// `Database` (behind a reference or an `Arc`) serves as many threads
+/// as you like — a network server's connection threads included:
 ///
 /// ```
 /// use ids_api::{Database, EngineKind, Schema};
@@ -158,18 +109,17 @@ impl Names {
 /// # Ok::<(), ids_api::Error>(())
 /// ```
 ///
-/// On the sharded engine two callers writing different relations share
-/// no enforcement state (Theorem 3) and never wait on each other past
-/// name resolution.  The sequential engines ([`EngineKind::Local`],
-/// [`EngineKind::Chase`], [`EngineKind::FdOnly`], anything given to
-/// [`Database::with_engine`]) are shareable too, but serialize: they sit
-/// behind one mutex taken once per operation.
+/// Two callers on different relations share no enforcement state
+/// (Theorem 3) and never wait on each other past name resolution.  The
+/// schema must therefore be independent: a dependent one (from
+/// [`crate::SchemaBuilder::build_any`]) is served by the chase
+/// maintainers in `ids-core`, not by a `Database`.
 ///
 /// ## Reading: `rows` vs `snapshot`
 ///
 /// [`Database::rows`] / [`Database::read`] consult **one** relation
-/// without a global barrier — on the sharded engine only that
-/// relation's lock is taken, every other keeps streaming.  Per relation the
+/// without a global barrier — only that relation's lock is taken, every
+/// other keeps streaming.  Per relation the
 /// result is exactly as fresh as a snapshot (operations that returned
 /// before the read started are visible); what it does *not* give you is a
 /// cross-relation cut: two `rows` calls may observe states no single
@@ -177,7 +127,7 @@ impl Names {
 /// one globally-satisfying [`DatabaseState`] across all relations.
 ///
 /// Every string-level read — [`Database::query`], [`Database::join`],
-/// [`Database::rows`] — ends in one row visitor: the engine copies the
+/// [`Database::rows`] — ends in one row visitor: the store copies the
 /// matching tuples out of the relation once, and the visitor hands each
 /// row's values, as names borrowed from the pool, to a [`RowSink`].
 /// [`Rows`] is the sink that collects them as strings;
@@ -190,7 +140,7 @@ impl Names {
 ///
 /// Three pieces of state sit behind locks, and **no two of them are ever
 /// held together**: an operation captures the schema, resolves its names,
-/// releases, runs the engine, releases, renders.
+/// releases, runs the store, releases, renders.
 ///
 /// * **Schema** (`RwLock<Arc<Schema>>`): an operation clones the `Arc`
 ///   once and runs wholly under the schema it captured, so one racing
@@ -205,22 +155,20 @@ impl Names {
 ///   as a panic: a thread that died mid-intern may have assigned a value
 ///   whose name never reached the log, and writing tuples against it
 ///   would alias them after a crash.
-/// * **Engine**: the store's own per-relation locks on the sharded
-///   engine; the one engine mutex on the others, whose poison
-///   propagates as well (a half-applied write is not a state to serve).
+/// * **Relations**: the store's own per-relation locks.
 ///
 /// Only the private lock that serializes [`Database::alter`] callers
 /// spans any of these; it guards no data, so its poison is recovered.
 ///
 /// ## What `&mut` still means
 ///
-/// [`Database::intern`] and [`Database::adopt_engine`] need exclusive
+/// [`Database::intern`] and [`Database::replace_store`] need exclusive
 /// ownership.  Interning order *is* value assignment (value `n` names
 /// the `n`-th interned string), so a replication follower feeds the
 /// primary's names in through `intern` on the handle it owns and lends
-/// readers only `&Database` — which can read, and whose writes the
-/// follower's engine refuses **before** they intern anything
-/// ([`Engine::read_only`]).
+/// readers only `&Database` — which can read, and whose writes a
+/// follower's handle ([`Database::follower`]) refuses **before** they
+/// intern anything.
 pub struct Database {
     schema: RwLock<Arc<Schema>>,
     names: Mutex<Names>,
@@ -228,62 +176,58 @@ pub struct Database {
     /// → backfill → switch), so two concurrent alters cannot both
     /// derive their target from the same stale schema.
     alter_lock: Mutex<()>,
-    engine: EngineBox,
-    /// [`Engine::read_only`], asked once when the engine is installed.
+    store: Arc<Store>,
+    /// Set on a follower's handle: every write is refused with
+    /// [`Error::ReplicaReadOnly`].
     read_only: bool,
 }
 
 impl Database {
-    fn assemble(schema: Schema, engine: EngineBox, pool: ValuePool, log: Option<NameLog>) -> Self {
-        let read_only = engine.with(|engine| engine.read_only());
+    fn assemble(schema: Schema, store: Arc<Store>, pool: ValuePool, log: Option<NameLog>) -> Self {
         Database {
             schema: RwLock::new(Arc::new(schema)),
             names: Mutex::new(Names { pool, log }),
             alter_lock: Mutex::new(()),
-            engine,
-            read_only,
+            store,
+            read_only: false,
         }
     }
 
-    /// Opens a database over a built [`Schema`] on the selected engine.
+    /// Opens an in-memory database over a built [`Schema`].
     ///
     /// No analysis runs here: the handle carries the verdict from build
-    /// time.  Engines that require independence ([`EngineKind::Local`],
-    /// [`EngineKind::Sharded`]) refuse a dependent handle (reachable via
-    /// [`crate::SchemaBuilder::build_any`]) with
+    /// time.  A dependent handle (reachable via
+    /// [`crate::SchemaBuilder::build_any`]) is refused with
     /// [`Error::NotIndependent`].
     pub fn open(schema: Schema, kind: EngineKind) -> Result<Self, Error> {
-        let empty = DatabaseState::empty(&schema.definition);
-        let engine =
-            match kind {
-                EngineKind::Local => EngineBox::sequential(Box::new(
-                    LocalMaintainer::from_analysis(&schema.definition, &schema.analysis, empty)?,
-                )),
-                EngineKind::Chase => EngineBox::sequential(Box::new(ChaseMaintainer::new(
-                    &schema.definition,
-                    &schema.fds,
-                    empty,
-                    ChaseConfig::default(),
-                ))),
-                EngineKind::FdOnly => EngineBox::sequential(Box::new(FdOnlyMaintainer::new(
-                    &schema.definition,
-                    &schema.fds,
-                    empty,
-                ))),
-                EngineKind::Sharded(mut config) => {
-                    // Indexes declared on the schema ride along with any the
-                    // caller already configured (re-declares are no-ops).
-                    config
-                        .ordered_indexes
-                        .extend(schema.ordered_indexes.iter().copied());
-                    EngineBox::Sharded(Box::new(Store::from_analysis(
-                        &schema.definition,
-                        &schema.analysis,
-                        config,
-                    )?))
-                }
-            };
-        Ok(Self::assemble(schema, engine, ValuePool::new(), None))
+        let mut config = match kind {
+            EngineKind::Local => StoreConfig::default(),
+            EngineKind::Sharded(config) => config,
+        };
+        // Indexes declared on the schema ride along with any the caller
+        // already configured (re-declares are no-ops).
+        config
+            .ordered_indexes
+            .extend(schema.ordered_indexes.iter().copied());
+        let store = Store::from_analysis(&schema.definition, &schema.analysis, config)?;
+        Ok(Self::assemble(
+            schema,
+            Arc::new(store),
+            ValuePool::new(),
+            None,
+        ))
+    }
+
+    /// A replication follower's handle over the `store` it applies the
+    /// primary's log to: reads are served from it, every write through
+    /// the handle is refused with [`Error::ReplicaReadOnly`], and the
+    /// pool starts empty — the follower feeds it the primary's names, in
+    /// order, through [`Database::intern`].
+    pub fn follower(schema: Schema, store: Arc<Store>) -> Self {
+        Database {
+            read_only: true,
+            ..Self::assemble(schema, store, ValuePool::new(), None)
+        }
     }
 
     /// Opens (or reopens) a **durable** database at `path`, always on
@@ -377,22 +321,25 @@ impl Database {
             pool.room_for(&name)?;
             pool.value(name);
         }
-        let engine = EngineBox::Sharded(Box::new(store));
-        Ok(Self::assemble(schema, engine, pool, Some(pool_log)))
+        Ok(Self::assemble(
+            schema,
+            Arc::new(store),
+            pool,
+            Some(pool_log),
+        ))
     }
 
     /// Checkpoints a durable database: seals every relation's log
     /// segment, writes one snapshot, and truncates the covered log —
     /// see [`Store::checkpoint`].  A typed error
-    /// ([`ids_store::StoreError::NotDurable`]) on in-memory engines.
+    /// ([`ids_store::StoreError::NotDurable`]) on an in-memory database.
     pub fn checkpoint(&self) -> Result<(), Error> {
-        let store = self.store().ok_or(StoreError::NotDurable)?;
-        store.checkpoint().map_err(Into::into)
+        self.store.checkpoint().map_err(Into::into)
     }
 
     /// True when this database persists through a write-ahead log.
     pub fn is_durable(&self) -> bool {
-        self.store().is_some_and(Store::is_durable)
+        self.store.is_durable()
     }
 
     /// Applies one `ALTER`-class schema transition to a **running**
@@ -423,12 +370,11 @@ impl Database {
     /// acknowledged write.  Concurrent traffic on unaffected relations
     /// keeps flowing throughout; concurrent `alter` calls serialize.
     /// Requires a log to append the generation to:
-    /// [`ids_store::StoreError::NotDurable`] on every in-memory engine.
+    /// [`ids_store::StoreError::NotDurable`] on an in-memory database.
     pub fn alter(&self, op: &Alter) -> Result<u64, Error> {
-        let store = self.store().ok_or(StoreError::NotDurable)?;
         let _serialized = self.alter_lock.lock().unwrap_or_else(|e| e.into_inner());
         let (next, _stats) = self.schema().evolved(op)?;
-        let generation = store.apply_transition(
+        let generation = self.store.apply_transition(
             &next.definition,
             &next.fds,
             &next.analysis,
@@ -438,18 +384,15 @@ impl Database {
         Ok(generation)
     }
 
-    /// A typed snapshot of the engine's metric families, event ring, and
+    /// A typed snapshot of the store's metric families, event ring, and
     /// preserved poison reason — see [`Store::metrics`] — plus two
     /// gauges of the name pool, `api.names.count` (interned names) and
     /// `api.names.bytes` (their arena bytes), read under the name lock
     /// here rather than kept on the intern path.  Names are never
     /// reclaimed, so these show strings orphaned by removes.  Purely
     /// read-side: no relation is locked, works even after a poison.
-    /// The sequential engines, which have no instrumented runtime (they
-    /// exist for differential baselines, not production serving), report
-    /// the two gauges alone.
     pub fn metrics(&self) -> ids_obs::MetricsSnapshot {
-        let mut snapshot = self.store().map(Store::metrics).unwrap_or_default();
+        let mut snapshot = self.store.metrics();
         let (count, bytes) = {
             // Two lengths are safe to read from a pool a panicking
             // thread left behind; the stats poll must still answer.
@@ -467,26 +410,18 @@ impl Database {
         snapshot
     }
 
-    /// Opens a database on a caller-supplied [`Engine`] implementation.
-    pub fn with_engine(schema: Schema, engine: Box<dyn Engine>) -> Self {
-        let engine = EngineBox::sequential(engine);
-        Self::assemble(schema, engine, ValuePool::new(), None)
-    }
-
-    /// Replaces the schema and engine **in place**, keeping the
-    /// interning pool (and name log) exactly as they are.
+    /// Replaces the schema and store **in place**, keeping the interning
+    /// pool (and name log) exactly as they are.
     ///
     /// This is the swap a replication follower performs when it applies
     /// a streamed schema transition: the pool's insertion order *is* the
     /// value assignment (value `n` names the `n`-th interned string), so
-    /// rebuilding the handle with [`Database::with_engine`] would sever
-    /// every already-interned value from its name.  The caller owns the
-    /// invariant that `engine` holds state expressed in this pool's
-    /// values.
-    pub fn adopt_engine(&mut self, schema: Schema, engine: Box<dyn Engine>) {
+    /// rebuilding the handle would sever every already-interned value
+    /// from its name.  The caller owns the invariant that `store` holds
+    /// state expressed in this pool's values.
+    pub fn replace_store(&mut self, schema: Schema, store: Arc<Store>) {
         *self.schema.get_mut().unwrap_or_else(|e| e.into_inner()) = Arc::new(schema);
-        self.read_only = engine.read_only();
-        self.engine = EngineBox::sequential(engine);
+        self.store = store;
     }
 
     /// The schema handle the database **currently** serves.  Cheap (one
@@ -558,14 +493,20 @@ impl Database {
             .intern(value.as_ref())
     }
 
-    /// The underlying concurrent [`Store`], when the database runs on
-    /// [`EngineKind::Sharded`] or is durable — for typed-level callers
+    /// The underlying concurrent [`Store`] — for typed-level callers
     /// (batch submission, raw predicates) that bypass the name layer.
-    pub fn store(&self) -> Option<&Store> {
-        match &self.engine {
-            EngineBox::Sharded(store) => Some(store),
-            EngineBox::Sequential(_) => None,
+    /// On a follower's handle it is the applied state: a write through it
+    /// bypasses the handle's read-only refusal and forks the follower.
+    pub fn store(&self) -> &Store {
+        &self.store
+    }
+
+    /// The store, for a write: refused on a follower's handle.
+    fn writable(&self) -> Result<&Store, Error> {
+        if self.read_only {
+            return Err(Error::ReplicaReadOnly);
         }
+        Ok(&self.store)
     }
 
     /// Resolves a relation name and a declaration-order value row into
@@ -580,13 +521,10 @@ impl Database {
         values: impl IntoIterator<Item = S>,
         intern: bool,
     ) -> Result<(SchemeId, Option<Vec<Value>>), Error> {
-        // A read-only engine (a replication follower's) refuses the write
-        // anyway; refusing here, first, keeps the refusal from interning:
-        // one stray name would shift every later streamed name onto a
-        // different `Value` — a silent fork from the primary.
-        if self.read_only {
-            return Err(Error::ReplicaReadOnly);
-        }
+        // Refusing a follower's write here, first, keeps the refusal from
+        // interning: one stray name would shift every later streamed name
+        // onto a different `Value` — a silent fork from the primary.
+        self.writable()?;
         let schema = self.schema();
         let id = schema.scheme_id(relation)?;
         let layout = schema.layout(id);
@@ -631,7 +569,7 @@ impl Database {
         let (id, tuple) = self.resolve_row(relation, values, true)?;
         // `resolve_row` yields `None` only for a value it may not intern.
         let tuple = tuple.expect("interning resolves every value");
-        self.engine.insert(id, tuple)
+        self.store.insert(id, tuple).map_err(Into::into)
     }
 
     /// Removes a row; `Ok(true)` when it was present.  A row mentioning
@@ -648,7 +586,7 @@ impl Database {
         values: impl IntoIterator<Item = S>,
     ) -> Result<bool, Error> {
         match self.resolve_row(relation, values, false)? {
-            (id, Some(tuple)) => self.engine.remove(id, tuple),
+            (id, Some(tuple)) => self.store.remove(id, tuple).map_err(Into::into),
             (_, None) => Ok(false),
         }
     }
@@ -680,8 +618,8 @@ impl Database {
     /// ```
     ///
     /// Execution is **pushed down**: the filters become a typed
-    /// [`Predicate`] the engine evaluates where the tuples live.  On the
-    /// sharded engine only the owning shard runs it — a filter pinning a
+    /// [`Predicate`] the store evaluates where the tuples live: only the
+    /// owning relation's shard runs it — a filter pinning a
     /// key column (an enforcement FD's left-hand side) is answered in
     /// O(1) from the hash index the shard already maintains, and only
     /// matching tuples are copied out.  Same barrier-free
@@ -715,7 +653,7 @@ impl Database {
     /// what a front end holding already-parsed filters (the wire server)
     /// calls to render straight into its reply: resolve names once, push
     /// the predicate down, render only the shipped tuples.  `select`
-    /// picks output columns (`None` = declaration order).  The engine
+    /// picks output columns (`None` = declaration order).  The store
     /// round trip runs between two short name-lock sections (plan, then
     /// render) — tuples are shipped and filtered with no lock of the
     /// database's held.  On an error the sink is not called at all.
@@ -729,7 +667,7 @@ impl Database {
         let schema = self.schema();
         let plan = plan_query(&schema, &self.names().pool, relation, filters, select)?;
         let tuples = if plan.satisfiable {
-            self.engine.read(plan.id, &plan.read)?.rows
+            self.store.read(plan.id, &plan.read)?.rows
         } else {
             Vec::new()
         };
@@ -777,14 +715,14 @@ impl Database {
             return Ok(0);
         }
         plan.read.shape = ReadShape::Count;
-        Ok(self.engine.read(plan.id, &plan.read)?.count)
+        Ok(self.store.read(plan.id, &plan.read)?.count)
     }
 
     /// Typed-level read for callers holding a canonical [`ReadPlan`] —
     /// the raw counterpart of [`Database::query`], returning the reply
-    /// exactly as the engine shipped it.
+    /// exactly as the store shipped it.
     pub fn query_raw(&self, id: SchemeId, plan: &ReadPlan) -> Result<ReadReply, Error> {
-        self.engine.read(id, plan)
+        self.store.read(id, plan).map_err(Into::into)
     }
 
     /// The natural join of the named relations, computed from
@@ -807,8 +745,7 @@ impl Database {
     /// skew — relation `A` read after a client's insert, relation `B`
     /// from before it — i.e. the cut may be one no single barrier
     /// [`Database::snapshot`] took; use the snapshot when you need one
-    /// global moment.  (A sequential engine is locked once for the whole
-    /// join, so there the cut *is* one moment.)
+    /// global moment.
     ///
     /// ## Self-joins: one relation, one cut
     ///
@@ -899,7 +836,7 @@ impl Database {
     /// Executes a join — [`Database::join_query`]'s relations and
     /// per-relation filters — and hands the joined rows to `sink`, under
     /// the column contract of [`Database::join`]: compile the filters,
-    /// run the planner, render.  The planner's engine round trips all run
+    /// run the planner, render.  The planner's store round trips all run
     /// with no name lock held, and its flat fold builds no row twice; the
     /// rows reach the sink as pool names, in the fold's order.  On an
     /// error the sink is not called at all.
@@ -913,14 +850,12 @@ impl Database {
         let plan = plan_join(&schema, &self.names().pool, relations, filters)?;
         if !plan.satisfiable {
             // Some filter names a never-interned value: nothing stored
-            // can match, so no engine is consulted — but the output
+            // can match, so the store is not consulted — but the output
             // columns still follow the contract.
             self.render_into(&plan.columns, &[], std::iter::empty(), sink);
             return Ok(JoinReport::default());
         }
-        let (joined, report) = self
-            .engine
-            .with(|engine| execute_join(engine, &plan.ids, &plan.attrs, &plan.preds))?;
+        let (joined, report) = execute_join(&self.store, &plan.ids, &plan.attrs, &plan.preds)?;
         let positions: Vec<usize> = plan.order.iter().map(|&a| joined.attrs().rank(a)).collect();
         self.render_into(&plan.columns, &positions, joined.rows(), sink);
         Ok(report)
@@ -932,24 +867,24 @@ impl Database {
         let id = schema.scheme_id(relation)?;
         let all = ReadPlan::tuples(Predicate::new());
         let mut rel = Relation::new(schema.definition.attrs(id));
-        for t in self.engine.read(id, &all)?.rows {
+        for t in self.store.read(id, &all)?.rows {
             rel.insert(t.into_vec())?;
         }
         Ok(rel)
     }
 
     /// Number of rows currently in a relation (barrier-free, and cheap:
-    /// no name lock, and no engine ships tuples to answer it).
+    /// no name lock, and no tuple is shipped to answer it).
     pub fn count(&self, relation: &str) -> Result<usize, Error> {
         let id = self.schema().scheme_id(relation)?;
         let all = ReadPlan::count(Predicate::new());
-        Ok(self.engine.read(id, &all)?.count)
+        Ok(self.store.read(id, &all)?.count)
     }
 
     /// A consistent cut of the whole database — the barrier read.  On an
     /// independent schema the result is globally satisfying.
     pub fn snapshot(&self) -> Result<DatabaseState, Error> {
-        self.engine.with(|engine| engine.snapshot())
+        self.store.snapshot().map_err(Into::into)
     }
 
     /// Typed-level insert for callers that already hold canonical
@@ -957,19 +892,19 @@ impl Database {
     /// addressable by the string-level API, obtain the values through
     /// [`Database::intern`].
     pub fn insert_raw(&self, id: SchemeId, tuple: Vec<Value>) -> Result<InsertOutcome, Error> {
-        self.engine.insert(id, tuple)
+        self.writable()?.insert(id, tuple).map_err(Into::into)
     }
 
     /// Typed-level batch application; outcomes align with the input and
-    /// a *malformed* batch (bad scheme id or arity) mutates nothing, on
-    /// every engine.  See [`Engine::apply_batch`] for the behavior on
-    /// engine-level errors mid-batch — batches are not transactions.
+    /// a *malformed* batch (bad scheme id or arity) mutates nothing.  See
+    /// [`Store::apply_batch`] for the behavior on store-level errors
+    /// mid-batch — batches are not transactions.
     pub fn apply_batch(&self, ops: Vec<StoreOp>) -> Result<Vec<OpOutcome>, Error> {
-        self.engine.apply_batch(ops)
+        self.writable()?.apply_batch(ops).map_err(Into::into)
     }
 
     /// Wraps this database in the [`crate::SharedDatabase`] shim — a
-    /// move, infallible on every engine.  New code shares `&Database`
+    /// move, infallible.  New code shares `&Database`
     /// (or an `Arc<Database>`) directly; this survives only until the
     /// pinned callers of the old name are gone.
     pub fn into_shared(self) -> Result<crate::SharedDatabase, Error> {
@@ -979,15 +914,15 @@ impl Database {
 
 /// A compiled string-level query: the pushed-down predicate plus the
 /// output columns and where each one sits in a shipped tuple —
-/// everything that needs the pool, computed up front, so the engine
+/// everything that needs the pool, computed up front, so the store
 /// round trip itself can run without holding any name state.
 struct QueryPlan {
     id: SchemeId,
-    /// What the engine is asked: the filters as a typed predicate, in
+    /// What the store is asked: the filters as a typed predicate, in
     /// the tuples shape (a count flips the shape, nothing else).
     read: ReadPlan,
     /// False when a filter names a value this database never interned:
-    /// nothing stored can match, so the engine is not consulted at all.
+    /// nothing stored can match, so the store is not consulted at all.
     satisfiable: bool,
     columns: Vec<String>,
     /// Per output column, its position in a tuple of the relation.
@@ -1048,14 +983,14 @@ fn plan_query(
 
 /// Compiles one string-level condition onto a typed predicate.
 ///
-/// Conditions compare the *rendered* strings, but the engines compare
+/// Conditions compare the *rendered* strings, but the store compares
 /// typed values — so each condition is compiled against the pool.
 /// Equality and membership on a never-interned value are unsatisfiable
 /// (nothing stored can match); inequality on one is vacuously true.
 /// Order conditions ([`Cond::Lt`] .. [`Cond::Range`]) enumerate the
 /// pool once: the interned names satisfying the string comparison *are*
 /// exactly the stored values the condition can admit, and become an
-/// `In` guard the engines (and their ordered indexes) understand.
+/// `In` guard the store (and its ordered indexes) understands.
 fn apply_cond(
     pool: &ValuePool,
     predicate: Predicate,
@@ -1117,7 +1052,7 @@ struct JoinPlan {
     attrs: Vec<AttrSet>,
     preds: Vec<Predicate>,
     /// False when some filter names a value this database never
-    /// interned: the join is empty without consulting any engine.
+    /// interned: the join is empty without consulting the store.
     satisfiable: bool,
     columns: Vec<String>,
     /// The attribute behind each of `columns`.
@@ -1199,7 +1134,8 @@ fn plan_join(
 mod tests {
     use super::*;
     use crate::eq;
-    use ids_store::StoreConfig;
+    use ids_chase::ChaseConfig;
+    use ids_core::ChaseMaintainer;
 
     fn example2() -> Schema {
         Schema::builder()
@@ -1212,11 +1148,10 @@ mod tests {
             .unwrap()
     }
 
+    /// Both variants of the selector shim; each opens the store.
     fn all_kinds() -> Vec<EngineKind> {
         vec![
             EngineKind::Local,
-            EngineKind::Chase,
-            EngineKind::FdOnly,
             EngineKind::Sharded(StoreConfig::default()),
         ]
     }
@@ -1347,14 +1282,24 @@ mod tests {
             Database::open(schema.clone(), EngineKind::Sharded(StoreConfig::default())),
             Err(Error::NotIndependent { .. })
         ));
-        // The chase engine serves it — and catches the cross-relation
-        // contradiction no local check can see (the paper's Example 1).
-        let db = Database::open(schema, EngineKind::Chase).unwrap();
-        db.insert("CD", ["CS402", "CS"]).unwrap();
-        db.insert("CT", ["CS402", "Jones"]).unwrap();
-        let out = db.insert("TD", ["Jones", "EE"]).unwrap();
+        // The chase maintainer serves it directly — and catches the
+        // cross-relation contradiction no local check can see (the
+        // paper's Example 1).
+        let definition = schema.definition();
+        let mut chase = ChaseMaintainer::new(
+            definition,
+            schema.fds(),
+            DatabaseState::empty(definition),
+            ChaseConfig::default(),
+        );
+        let id = |name| definition.scheme_by_name(name).unwrap();
+        let (cs402, cs, jones, ee) = (Value(0), Value(1), Value(2), Value(3));
+        // Tuples in canonical order; the universe is course, dept, teacher.
+        chase.insert(id("CD"), vec![cs402, cs]).unwrap();
+        chase.insert(id("CT"), vec![cs402, jones]).unwrap();
+        let out = chase.insert(id("TD"), vec![ee, jones]).unwrap();
         assert!(matches!(out, InsertOutcome::Rejected { .. }));
-        assert_eq!(db.snapshot().unwrap().total_tuples(), 2);
+        assert_eq!(chase.state().total_tuples(), 2);
     }
 
     #[test]
@@ -1705,18 +1650,109 @@ mod tests {
 
     #[test]
     fn sharded_store_stays_reachable_for_concurrent_clients() {
-        let schema = example2();
-        let db = Database::open(schema, EngineKind::Sharded(StoreConfig::default())).unwrap();
-        db.insert("CT", ["CS402", "Jones"]).unwrap();
-        let store = db.store().expect("sharded engine exposes its store");
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                assert_eq!(store.snapshot().unwrap().total_tuples(), 1);
+        for kind in all_kinds() {
+            let db = Database::open(example2(), kind).unwrap();
+            db.insert("CT", ["CS402", "Jones"]).unwrap();
+            let store = db.store();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    assert_eq!(store.snapshot().unwrap().total_tuples(), 1);
+                });
             });
-        });
-        assert!(db.store().is_some());
-        let local = Database::open(example2(), EngineKind::Local).unwrap();
-        assert!(local.store().is_none());
-        local.insert("CT", ["a", "b"]).unwrap();
+            assert!(!db.is_durable());
+        }
+    }
+
+    /// One mistake, one typed error at the raw boundary: a bogus id, a
+    /// foreign predicate attribute, a foreign projection column.
+    #[test]
+    fn raw_reads_and_writes_check_ids_and_attributes() {
+        let db = Database::open(example2(), EngineKind::default()).unwrap();
+        let schema = db.schema();
+        let ct = schema.scheme_id("CT").unwrap();
+        let u = schema.definition().universe();
+        let (course, student) = (u.attr("course").unwrap(), u.attr("student").unwrap());
+        let bogus = SchemeId(99);
+        assert!(matches!(
+            db.query_raw(bogus, &ReadPlan::count(Predicate::new())),
+            Err(Error::UnknownScheme(id)) if id == bogus
+        ));
+        assert!(matches!(
+            db.insert_raw(bogus, vec![Value(1)]),
+            Err(Error::UnknownScheme(id)) if id == bogus
+        ));
+        for plan in [
+            ReadPlan::tuples(Predicate::new().and_eq(student, Value(0))),
+            ReadPlan::distinct_columns(Predicate::new(), vec![course, student]),
+        ] {
+            assert!(
+                matches!(
+                    db.query_raw(ct, &plan),
+                    Err(Error::Relational(RelationalError::SchemaMismatch(_)))
+                ),
+                "{plan:?}"
+            );
+        }
+    }
+
+    /// A malformed batch is validated whole before anything applies.
+    #[test]
+    fn malformed_batches_mutate_nothing() {
+        let db = Database::open(example2(), EngineKind::default()).unwrap();
+        let ct = db.schema().scheme_id("CT").unwrap();
+        let err = db
+            .apply_batch(vec![
+                StoreOp::Insert {
+                    scheme: ct,
+                    tuple: vec![Value(1), Value(10)],
+                },
+                StoreOp::Remove {
+                    scheme: ct,
+                    tuple: vec![Value(2)], // arity error — the whole batch is refused
+                },
+            ])
+            .unwrap_err();
+        assert!(matches!(err, Error::Relational(_)), "got {err}");
+        assert_eq!(db.snapshot().unwrap().total_tuples(), 0);
+    }
+
+    /// A follower's handle refuses every write path with the typed error,
+    /// before interning anything, and still reads its store.
+    #[test]
+    fn a_follower_handle_refuses_every_write() {
+        let primary = Database::open(example2(), EngineKind::default()).unwrap();
+        primary.insert("CT", ["CS402", "Jones"]).unwrap();
+        let state = primary.snapshot().unwrap();
+        let schema = example2();
+        let config = StoreConfig {
+            initial_state: Some(state),
+            ..StoreConfig::default()
+        };
+        let store = Store::from_analysis(&schema.definition, &schema.analysis, config).unwrap();
+        let mut follower = Database::follower(schema, Arc::new(store));
+        let ct = follower.schema().scheme_id("CT").unwrap();
+        let refused = |r: Result<(), Error>| matches!(r, Err(Error::ReplicaReadOnly));
+        assert!(refused(follower.insert("CT", ["CS500", "Curie"]).map(drop)));
+        assert!(refused(follower.remove("CT", ["CS402", "Jones"]).map(drop)));
+        let tuple = vec![Value(0), Value(1)];
+        assert!(refused(follower.insert_raw(ct, tuple).map(drop)));
+        // Even an empty batch is refused: batches exist to mutate.
+        assert!(refused(follower.apply_batch(vec![]).map(drop)));
+        assert_eq!(
+            follower.lookup("CS500"),
+            None,
+            "a refused write interned nothing"
+        );
+        // The follower's own name feed renders the stored values.
+        follower.intern("CS402").unwrap();
+        follower.intern("Jones").unwrap();
+        assert_eq!(
+            follower.rows("CT").unwrap(),
+            vec![vec!["CS402".to_string(), "Jones".to_string()]]
+        );
+        assert!(matches!(
+            follower.query_raw(SchemeId(7), &ReadPlan::count(Predicate::new())),
+            Err(Error::UnknownScheme(_))
+        ));
     }
 }

@@ -12,7 +12,7 @@ use ids_wal::WalError;
 /// The four underlying crate error types convert in via `From`, so `?`
 /// works across every layer; the one cross-cutting failure — *the schema
 /// is not independent* — is normalized into its own variant no matter
-/// which engine surfaced it, always carrying the decision procedure's
+/// which layer surfaced it, always carrying the decision procedure's
 /// diagnosis and its machine-checkable `LSAT ∖ WSAT` counterexample.
 ///
 /// Marked `#[non_exhaustive]`: downstream matches must keep a wildcard
@@ -44,10 +44,10 @@ pub enum Error {
     /// A relation name that is not part of the schema.
     UnknownRelation(String),
     /// A typed-level operation named a [`SchemeId`] outside the schema —
-    /// one variant, whichever engine surfaced it.
+    /// one variant, whichever layer surfaced it.
     UnknownScheme(SchemeId),
     /// A column name that is not part of the named relation — surfaced by
-    /// the query builder before anything is pushed to an engine.
+    /// the query builder before anything is pushed to the store.
     UnknownColumn {
         /// The relation the query targeted.
         relation: String,
@@ -57,8 +57,9 @@ pub enum Error {
     /// [`crate::Database::join`] was called with an empty relation list
     /// (the natural join has no neutral element over an unknown scheme).
     EmptyJoin,
-    /// A write (insert or remove) was attempted against a read-only
-    /// replica engine.  Replicas apply state only by re-running the
+    /// A write (insert, remove or batch) was attempted through a
+    /// replication follower's read-only [`crate::Database`] handle.
+    /// Replicas apply state only by re-running the
     /// primary's shipped log records; direct writes would fork the
     /// replica from the log it follows.
     ReplicaReadOnly,

@@ -1,6 +1,6 @@
 //! # ids-api
 //!
-//! One typed `Database` front-end over every maintenance engine — one
+//! One typed `Database` front-end over the concurrent store — one
 //! `&self`, `Send + Sync` handle that an embedding thread, a fleet of
 //! threads and a network server all share.
 //!
@@ -8,10 +8,12 @@
 //! maintained through one uniform local interface; this crate is that
 //! statement as an API.  Callers declare a schema fluently, the builder
 //! runs the independence analysis **exactly once**, and the resulting
-//! [`Database`] speaks relation names and string values over whichever
-//! engine fits — the O(1) local fast path, the honest chase baseline,
-//! the FD-only middle ground, or the concurrent sharded store — all
-//! behind the one [`Engine`] trait with uniform, fallible signatures.
+//! [`Database`] speaks relation names and string values over the
+//! sharded [`ids_store::Store`], where each relation checks only its own
+//! cover under its own lock (Theorem 3 is the store's correctness
+//! condition).  The paper's baselines — the chase and FD-only
+//! maintainers in `ids-core`, which also serve dependent schemas — are
+//! driven directly, as oracles, not through a `Database`.
 //!
 //! ```
 //! use ids_api::{Database, EngineKind, Schema};
@@ -26,7 +28,7 @@
 //!     .fd("course hour -> room")
 //!     .build()?;                       // refused, with witness, if dependent
 //!
-//! // Open on any engine — here the independent-schema fast path.
+//! // Open the store with its default configuration.
 //! let db = Database::open(schema, EngineKind::Local)?;
 //! db.insert("CT", ["CS402", "Jones"])?;
 //! assert!(db.insert("CT", ["CS402", "Smith"])?.is_rejected());   // course → teacher
@@ -39,21 +41,18 @@
 //! * [`SchemaBuilder`] → [`Schema`]: fluent declaration, automatic
 //!   universe, one analysis run, `LSAT ∖ WSAT` witness on refusal
 //!   ([`Error::witness`]).  [`SchemaBuilder::build_any`] keeps dependent
-//!   schemas serveable by the chase engines.
-//! * [`Engine`] + [`EngineKind`]: the unified interface all four engines
-//!   implement — `insert` / `remove` / `apply_batch` / `read` /
-//!   `snapshot`, all fallible, FD violations always *outcomes*.
-//! * [`Database`]: owns the interning `ValuePool`; string values in,
-//!   rendered rows out; `rows`/`read` are barrier-free per-relation
-//!   reads, `snapshot` is the consistent cross-relation barrier.  Every
-//!   operation is `&self` on every engine (the store is driven directly,
-//!   a sequential engine behind one mutex); its type-level docs state the
-//!   lock discipline once.  [`SharedDatabase`] is its old second name,
-//!   kept as a `Deref` shim for pinned callers.
+//!   schemas available to the chase maintainers.
+//! * [`Database`]: owns the store and the interning `ValuePool`; string
+//!   values in, rendered rows out, FD violations always *outcomes*;
+//!   `rows`/`read` are barrier-free per-relation reads, `snapshot` is the
+//!   consistent cross-relation barrier.  Every operation is `&self`; its
+//!   type-level docs state the lock discipline once.  [`SharedDatabase`]
+//!   is its old second name and [`EngineKind`] its old engine selector,
+//!   both kept as shims for pinned callers.
 //! * [`Query`] + [`Rows`]/[`Row`]: the fluent read side —
 //!   `db.query("CT").filter("course", eq("CS402")).select(["teacher"]).run()`
-//!   pushes a typed predicate down to whatever owns the tuples (on the
-//!   sharded engine: the owning shard, O(1) for key point lookups), with
+//!   pushes a typed predicate down to the shard that owns the tuples
+//!   (O(1) for key point lookups), with
 //!   range/inequality/membership conditions ([`Cond`]), ordering and
 //!   limits, and pushed-down aggregates (`count`/`min`/`max`/`sum`).
 //!   [`RowSink`] is the one row visitor underneath: [`Rows`] collects
@@ -77,15 +76,13 @@
 #![warn(missing_docs)]
 
 mod database;
-mod engine;
 mod error;
 mod planner;
 mod query;
 mod schema;
 mod shared;
 
-pub use database::Database;
-pub use engine::{Engine, EngineKind};
+pub use database::{Database, EngineKind};
 pub use error::Error;
 pub use query::{
     between, eq, ge, gt, le, lt, ne, one_of, Cond, JoinQuery, JoinReport, Query, Row, RowSink, Rows,

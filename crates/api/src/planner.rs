@@ -39,7 +39,7 @@
 //!
 //! ## Consistency
 //!
-//! Every engine round trip is the barrier-free per-relation read of
+//! Every store round trip is the barrier-free per-relation read of
 //! [`crate::Database::rows`]: a cut of that relation's own history.
 //! The planner issues **at most two** reads per relation (reduction
 //! keys, then the fetch), and each relation's tuples in the result come
@@ -54,8 +54,8 @@ use std::collections::hash_map::{Entry, HashMap};
 
 use ids_acyclic::join_tree;
 use ids_relational::{AttrId, AttrSet, Predicate, ReadPlan, ReadShape, SchemeId, Tuple, Value};
+use ids_store::Store;
 
-use crate::engine::Engine;
 use crate::error::Error;
 use crate::query::JoinReport;
 
@@ -184,7 +184,7 @@ impl Joined {
 /// self-join contract: one relation, one cut, however often it is
 /// listed.  Returns the joined rows plus the execution report.
 pub(crate) fn execute_join(
-    engine: &dyn Engine,
+    store: &Store,
     ids: &[SchemeId],
     attrs: &[AttrSet],
     filters: &[Predicate],
@@ -199,7 +199,7 @@ pub(crate) fn execute_join(
     // flips from join keys (pass 1) to tuples (the fetch).
     let mut plans: Vec<ReadPlan> = filters.iter().cloned().map(ReadPlan::tuples).collect();
     let fetch = |plan: &ReadPlan, i: usize, report: &mut JoinReport| -> Result<Joined, Error> {
-        let tuples = engine.read(ids[i], plan)?.rows;
+        let tuples = store.read(ids[i], plan)?.rows;
         report.tuples_shipped += tuples.len();
         Ok(Joined::of(attrs[i], &tuples))
     };
@@ -231,7 +231,7 @@ pub(crate) fn execute_join(
             continue;
         }
         plans[i].shape = ReadShape::Distinct(shared.clone());
-        let keys = engine.read(ids[i], &plans[i])?.rows;
+        let keys = store.read(ids[i], &plans[i])?.rows;
         report.keys_shipped += keys.len();
         for (k, &attr) in shared.iter().enumerate() {
             let vals: Vec<Value> = keys.iter().map(|row| row[k]).collect();
@@ -282,24 +282,21 @@ mod tests {
     use std::collections::BTreeSet;
 
     use super::*;
-    use ids_core::{analyze, LocalMaintainer, Maintainer};
+    use ids_core::analyze;
     use ids_deps::FdSet;
-    use ids_relational::{join_all, DatabaseSchema, DatabaseState, Universe};
+    use ids_relational::{join_all, DatabaseSchema, Universe};
+    use ids_store::StoreConfig;
 
     fn v(n: u64) -> Value {
         Value::int(n)
     }
 
-    fn maintainer(schema: &DatabaseSchema) -> LocalMaintainer {
-        let analysis = analyze(schema, &FdSet::new());
-        LocalMaintainer::from_analysis(schema, &analysis, DatabaseState::empty(schema)).unwrap()
-    }
-
     fn setup(
         schema: &DatabaseSchema,
         rows: &[(&str, &[(u64, u64)])],
-    ) -> (Vec<SchemeId>, Vec<AttrSet>, LocalMaintainer) {
-        let mut m = maintainer(schema);
+    ) -> (Vec<SchemeId>, Vec<AttrSet>, Store) {
+        let analysis = analyze(schema, &FdSet::new());
+        let store = Store::from_analysis(schema, &analysis, StoreConfig::default()).unwrap();
         let mut ids = Vec::new();
         let mut attrs = Vec::new();
         for (name, tuples) in rows {
@@ -307,10 +304,10 @@ mod tests {
             ids.push(id);
             attrs.push(schema.attrs(id));
             for &(a, b) in *tuples {
-                Maintainer::insert(&mut m, id, vec![v(a), v(b)]).unwrap();
+                store.insert(id, vec![v(a), v(b)]).unwrap();
             }
         }
-        (ids, attrs, m)
+        (ids, attrs, store)
     }
 
     /// The flat rows as a set — asserting on the way that the fold
@@ -329,7 +326,7 @@ mod tests {
     fn planned_acyclic_join_matches_the_naive_fold_and_ships_less() {
         let u = Universe::from_names(["A", "B", "C", "D"]).unwrap();
         let schema = DatabaseSchema::parse(u, &[("R1", "AB"), ("R2", "BC"), ("R3", "CD")]).unwrap();
-        let (ids, attrs, m) = setup(
+        let (ids, attrs, store) = setup(
             &schema,
             &[
                 ("R1", &[(1, 10), (2, 20), (3, 30)]),
@@ -337,27 +334,27 @@ mod tests {
                 ("R3", &[(100, 7), (200, 8), (999, 9)]),
             ],
         );
-        let engine: &dyn Engine = &m;
         let a = schema.universe().attr("A").unwrap();
 
         // Unfiltered: planner result ≡ whole-relation fold.
         let empty = vec![Predicate::new(); 3];
-        let (planned, report) = execute_join(engine, &ids, &attrs, &empty).unwrap();
+        let (planned, report) = execute_join(&store, &ids, &attrs, &empty).unwrap();
         assert!(report.planned);
-        let naive = join_all(ids.iter().map(|&id| m.state().relation(id))).unwrap();
+        let state = store.snapshot().unwrap();
+        let naive = join_all(ids.iter().map(|&id| state.relation(id))).unwrap();
         assert_eq!(planned.attrs(), naive.attrs());
         let naive: BTreeSet<Vec<Value>> = naive.iter().map(|t| t.to_vec()).collect();
         assert_eq!(row_set(&planned), naive);
         assert_eq!(planned.rows().len(), 2);
 
         // Filtered on R1.A: one row survives, and only matching tuples
-        // ever crossed the engine boundary (1 per relation here).
+        // ever crossed the store boundary (1 per relation here).
         let filters = vec![
             Predicate::new().and_eq(a, v(1)),
             Predicate::new(),
             Predicate::new(),
         ];
-        let (filtered, report) = execute_join(engine, &ids, &attrs, &filters).unwrap();
+        let (filtered, report) = execute_join(&store, &ids, &attrs, &filters).unwrap();
         assert!(report.planned);
         let filtered = row_set(&filtered);
         assert_eq!(filtered.len(), 1);
@@ -371,7 +368,7 @@ mod tests {
     fn cyclic_sets_fall_back_to_the_naive_fold() {
         let u = Universe::from_names(["A", "B", "C"]).unwrap();
         let schema = DatabaseSchema::parse(u, &[("AB", "AB"), ("BC", "BC"), ("CA", "AC")]).unwrap();
-        let (ids, attrs, m) = setup(
+        let (ids, attrs, store) = setup(
             &schema,
             &[
                 ("AB", &[(1, 2), (5, 6)]),
@@ -380,9 +377,8 @@ mod tests {
                 ("CA", &[(1, 3)]),
             ],
         );
-        let engine: &dyn Engine = &m;
         let empty = vec![Predicate::new(); 3];
-        let (joined, report) = execute_join(engine, &ids, &attrs, &empty).unwrap();
+        let (joined, report) = execute_join(&store, &ids, &attrs, &empty).unwrap();
         assert!(!report.planned);
         let joined = row_set(&joined);
         assert_eq!(joined.len(), 1);
@@ -396,13 +392,12 @@ mod tests {
     fn degenerate_shapes() {
         let u = Universe::from_names(["A", "B"]).unwrap();
         let schema = DatabaseSchema::parse(u, &[("R", "AB")]).unwrap();
-        let (ids, attrs, m) = setup(&schema, &[("R", &[(1, 2), (3, 4)])]);
-        let engine: &dyn Engine = &m;
+        let (ids, attrs, store) = setup(&schema, &[("R", &[(1, 2), (3, 4)])]);
         assert!(matches!(
-            execute_join(engine, &[], &[], &[]),
+            execute_join(&store, &[], &[], &[]),
             Err(Error::EmptyJoin)
         ));
-        let (rel, report) = execute_join(engine, &ids, &attrs, &[Predicate::new()]).unwrap();
+        let (rel, report) = execute_join(&store, &ids, &attrs, &[Predicate::new()]).unwrap();
         assert!(!report.planned);
         assert_eq!(rel.rows().len(), 2);
     }

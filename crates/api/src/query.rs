@@ -19,8 +19,8 @@
 //! ```
 //!
 //! Execution is pushed down, not emulated: the builder resolves names
-//! once, hands the engine a typed [`ids_relational::Predicate`], and on
-//! the sharded engine only the owning shard evaluates it — a point
+//! once, hands the store a typed [`ids_relational::Predicate`], and
+//! only the owning shard evaluates it — a point
 //! lookup on a key column is O(1) against the enforcement hash index,
 //! and only matching tuples are ever copied out.  See
 //! [`crate::Database::query`] for the consistency model.
@@ -114,7 +114,7 @@ where
 /// Name resolution (relation, columns, values) happens once, in `run`,
 /// against the schema's O(1) lookup tables; unknown names are typed
 /// errors ([`Error::UnknownRelation`], [`Error::UnknownColumn`]) before
-/// any engine is consulted.
+/// the store is consulted.
 #[must_use = "a query does nothing until `.run()`"]
 pub struct Query<'a> {
     pub(crate) db: &'a crate::Database,
@@ -208,9 +208,8 @@ impl Query<'_> {
     }
 
     /// Number of matching rows, counted where the tuples live — no row
-    /// is shipped or rendered to answer it (on the sharded engine the
-    /// count is taken under the owning shard's lock and only the integer
-    /// leaves it).
+    /// is shipped or rendered to answer it (the count is taken under the
+    /// owning shard's lock and only the integer leaves it).
     pub fn count(self) -> Result<usize, Error> {
         self.db.run_count(&self.relation, &self.filters)
     }
@@ -279,8 +278,8 @@ impl fmt::Debug for JoinQuery<'_> {
 impl JoinQuery<'_> {
     /// Adds a filter on one column of one joined relation; multiple
     /// filters conjoin.  The relation must be part of the join and the
-    /// column part of that relation — typed errors otherwise, before any
-    /// engine is consulted.
+    /// column part of that relation — typed errors otherwise, before the
+    /// store is consulted.
     pub fn filter(
         mut self,
         relation: impl Into<String>,
@@ -299,7 +298,7 @@ impl JoinQuery<'_> {
     }
 
     /// [`JoinQuery::run`] plus the planner's [`JoinReport`] — how the
-    /// join was executed and how much crossed the engine boundary.
+    /// join was executed and how much crossed the store boundary.
     pub fn run_with_report(self) -> Result<(Rows, JoinReport), Error> {
         self.db.run_join(&self.relations, &self.filters)
     }
@@ -307,9 +306,9 @@ impl JoinQuery<'_> {
 
 /// How a join was executed: whether the Yannakakis-style planner ran
 /// (acyclic relation sets) or the naive whole-relation fold did
-/// (cyclic), and how much data crossed the engine boundary either way.
+/// (cyclic), and how much data crossed the store boundary either way.
 ///
-/// `tuples_shipped` counts full tuples fetched from the engine;
+/// `tuples_shipped` counts full tuples fetched from the store;
 /// `keys_shipped` counts semijoin-reducer values (distinct join-key rows
 /// shipped up, `In`-set values shipped down).  The planner's win
 /// condition is shipping *keys* instead of *tuples* wherever a filter or
@@ -319,7 +318,7 @@ pub struct JoinReport {
     /// True when the acyclic planner executed the join (false: naive
     /// per-relation fold).
     pub planned: bool,
-    /// Full tuples fetched from the engine across all relations.
+    /// Full tuples fetched from the store across all relations.
     pub tuples_shipped: usize,
     /// Semijoin-reducer values shipped (join-key rows up, `In` values
     /// down).
@@ -372,9 +371,8 @@ impl RowSink for Rows {
 /// The result of a query or join: named columns plus matching [`Row`]s,
 /// in the relation's insertion order.
 ///
-/// Holds exactly the tuples the engine shipped (on the sharded engine:
-/// only the matches — never a whole-relation clone for a filtered
-/// query).  Iterate with [`Rows::iter`] / `IntoIterator`, or flatten to
+/// Holds exactly the tuples the store shipped (only the matches —
+/// never a whole-relation clone for a filtered query).  Iterate with [`Rows::iter`] / `IntoIterator`, or flatten to
 /// plain string matrices with [`Rows::into_string_rows`].
 #[derive(Clone, Debug, Default)]
 #[must_use = "query results carry the matching rows"]

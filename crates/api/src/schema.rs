@@ -17,7 +17,7 @@ use crate::error::Error;
 /// The two orders differ as soon as a relation mentions attributes first
 /// introduced by different relations — the layout is what lets
 /// [`crate::Database`] accept and render tuples in the order the user
-/// wrote, while every engine below sees canonical scheme order.
+/// wrote, while the store below sees canonical scheme order.
 #[derive(Clone, Debug)]
 pub(crate) struct RelationLayout {
     /// Column names, in declaration order.
@@ -82,7 +82,7 @@ impl std::fmt::Display for Alter {
 
 /// A validated schema handle: the declared relations and dependencies,
 /// with the independence analysis already run — **exactly once**, at
-/// build time.  Every engine opened from this handle reuses the stored
+/// build time.  Every store opened from this handle reuses the stored
 /// verdict and enforcement covers instead of re-deciding.
 ///
 /// Cheap to clone (the underlying [`DatabaseSchema`] is reference
@@ -95,7 +95,7 @@ pub struct Schema {
     pub(crate) layouts: Vec<RelationLayout>,
     /// Ordered secondary indexes declared with [`SchemaBuilder::index`],
     /// resolved to `(scheme, attribute)` at build time.  Threaded into
-    /// every sharded engine's [`ids_store::StoreConfig`] so range and
+    /// every store's [`ids_store::StoreConfig`] so range and
     /// set-membership filters on these columns are answered from a BTree
     /// instead of a linear scan.
     pub(crate) ordered_indexes: Vec<(SchemeId, AttrId)>,
@@ -465,14 +465,12 @@ impl SchemaBuilder {
     }
 
     /// Declares an **ordered secondary index** on one column of one
-    /// relation.  On the sharded engine the owning shard then maintains
-    /// a BTree over that column, so range, set-membership and
-    /// non-key-equality filters on it are answered from the index
-    /// instead of a linear scan — the write path pays one extra ordered
-    /// insert per accepted tuple.  Sequential engines ignore the
-    /// declaration (they have no scan path to accelerate); durable
-    /// databases persist it in the manifest and rebuild the index on
-    /// recovery.  Unknown names are typed errors at build time.
+    /// relation.  The owning shard then maintains a BTree over that
+    /// column, so range, set-membership and non-key-equality filters on
+    /// it are answered from the index instead of a linear scan — the
+    /// write path pays one extra ordered insert per accepted tuple.
+    /// Durable databases persist it in the manifest and rebuild the
+    /// index on recovery.  Unknown names are typed errors at build time.
     pub fn index(mut self, relation: impl Into<String>, column: impl Into<String>) -> Self {
         self.indexes.push((relation.into(), column.into()));
         self
@@ -482,9 +480,8 @@ impl SchemaBuilder {
     /// error carries the decision procedure's diagnosis and its
     /// `LSAT ∖ WSAT` counterexample ([`Error::witness`]).
     ///
-    /// This is the front door: a handle from `build` can open every
-    /// engine, including the local fast path and the sharded store whose
-    /// soundness independence underwrites.
+    /// This is the front door: a handle from `build` opens a
+    /// [`crate::Database`], whose sharded store independence makes sound.
     pub fn build(self) -> Result<Schema, Error> {
         let schema = self.assemble()?;
         match &schema.analysis.verdict {
@@ -497,10 +494,13 @@ impl SchemaBuilder {
     }
 
     /// Builds the schema **without** the independence gate: the verdict
-    /// (and witness, if any) stays available on the handle, and engines
-    /// that do not rely on independence — [`crate::EngineKind::Chase`],
-    /// [`crate::EngineKind::FdOnly`] — can still serve it.  Opening the
-    /// local or sharded engine on a dependent handle is a typed error.
+    /// (and witness, if any) stays available on the handle.  A dependent
+    /// schema is served by the maintainers that do not rely on
+    /// independence, driven directly over [`Schema::definition`] and
+    /// [`Schema::fds`]: [`ids_core::ChaseMaintainer`] (complete) and
+    /// [`ids_core::FdOnlyMaintainer`] (sound, incomplete).  Opening a
+    /// [`crate::Database`] on a dependent handle is a typed
+    /// [`Error::NotIndependent`].
     pub fn build_any(self) -> Result<Schema, Error> {
         self.assemble()
     }

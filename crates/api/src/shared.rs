@@ -7,7 +7,7 @@
 //! `SharedDatabase` name (through `Server::serve`'s parameter) and the
 //! three-argument [`SharedDatabase::query`], whose name collides with the
 //! [`Database::query`] builder.  It is listed for deletion with those
-//! pins (ROADMAP item 6(a)); new code names [`Database`].
+//! pins (ROADMAP item 1(a)); new code names [`Database`].
 
 use crate::database::Database;
 use crate::error::Error;

@@ -1,19 +1,18 @@
 //! Differential testing of the typed `Database` facade — the correctness
 //! anchor of the API redesign.
 //!
-//! The facade adds three translation layers over the engines (name →
-//! id, string → interned value, declaration order → canonical order),
-//! and each is a place outcomes could silently diverge.  So: replay
-//! random interleaved traces through the **string-level** `Database` on
-//! *every* `EngineKind`, and through a **raw** sequential
-//! [`LocalMaintainer`] on the original typed schema, and demand
+//! The facade adds three translation layers over the store (name → id,
+//! string → interned value, declaration order → canonical order), and
+//! each is a place outcomes could silently diverge.  So: replay random
+//! interleaved traces through the **string-level** `Database`, and
+//! through a **raw** sequential [`LocalMaintainer`] — the oracle — on
+//! the original typed schema, and demand
 //! identical per-op outcomes and identical final states — compared as
 //! rendered rows, i.e. through the same surface a user reads.
 
 use ids_api::{Database, EngineKind, Error, Schema};
 use ids_core::{InsertOutcome, LocalMaintainer};
 use ids_relational::{DatabaseState, SchemeId, Value};
-use ids_store::StoreConfig;
 use ids_workloads::families::{key_chain, key_star, FamilyInstance};
 use ids_workloads::traces::{interleaved_trace, TraceKind, TraceOp, TraceParams};
 
@@ -111,22 +110,17 @@ fn raw_rows(state: &DatabaseState, id: SchemeId) -> Vec<Vec<String>> {
     rows
 }
 
-fn engine_kinds() -> Vec<EngineKind> {
-    vec![
-        EngineKind::Local,
-        EngineKind::Chase,
-        EngineKind::FdOnly,
-        EngineKind::Sharded(StoreConfig::default()),
-    ]
+fn open(inst: &FamilyInstance) -> Database {
+    Database::open(schema_via_builder(inst), EngineKind::default()).unwrap()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The string-level facade agrees with the raw sequential replay —
-    /// per-op outcomes and final rendered rows — on every engine kind.
+    /// per-op outcomes and final rendered rows.
     #[test]
-    fn database_matches_raw_replay_on_every_engine(
+    fn database_matches_raw_replay(
         pick in 0usize..2,
         size in 0usize..3,
         seed in 0u64..1_000_000,
@@ -142,32 +136,29 @@ proptest! {
         );
         let (expected_outcomes, expected_state) = raw_replay(&inst, &trace);
 
-        for kind in engine_kinds() {
-            let label = format!("{kind:?} (seed {seed})");
-            let db = Database::open(schema_via_builder(&inst), kind).unwrap();
-            let got = facade_replay(&inst, &db, &trace);
-            prop_assert_eq!(&got, &expected_outcomes, "outcomes diverge on {}", label);
-            // Final states, compared through the reading surface: both
-            // the barrier-free per-relation path and the snapshot.
-            let snapshot = db.snapshot().unwrap();
-            for (id, scheme) in inst.schema.iter() {
-                let expected = raw_rows(&expected_state, id);
-                let mut via_rows = db.rows(&scheme.name).unwrap();
-                via_rows.sort();
-                prop_assert_eq!(&via_rows, &expected, "rows diverge on {}", label);
-                let facade_id = db.schema().scheme_id(&scheme.name).unwrap();
-                prop_assert_eq!(
-                    snapshot.relation(facade_id).len(),
-                    expected.len(),
-                    "snapshot diverges on {}",
-                    label
-                );
-            }
+        let db = open(&inst);
+        let got = facade_replay(&inst, &db, &trace);
+        prop_assert_eq!(&got, &expected_outcomes, "outcomes diverge (seed {})", seed);
+        // Final states, compared through the reading surface: both the
+        // barrier-free per-relation path and the snapshot.
+        let snapshot = db.snapshot().unwrap();
+        for (id, scheme) in inst.schema.iter() {
+            let expected = raw_rows(&expected_state, id);
+            let mut via_rows = db.rows(&scheme.name).unwrap();
+            via_rows.sort();
+            prop_assert_eq!(&via_rows, &expected, "rows diverge (seed {})", seed);
+            let facade_id = db.schema().scheme_id(&scheme.name).unwrap();
+            prop_assert_eq!(
+                snapshot.relation(facade_id).len(),
+                expected.len(),
+                "snapshot diverges (seed {})",
+                seed
+            );
         }
     }
 }
 
-/// One `&Database`, four threads, every engine: each thread replays the
+/// One `&Database`, four threads: each thread replays the
 /// trace's operations on its own relations (scheme index mod 4), in
 /// trace order.  Relations of an independent schema share no enforcement
 /// state, so however the threads interleave, every operation must get
@@ -176,7 +167,7 @@ proptest! {
 /// (Interning order — which `Value` a string gets — does depend on the
 /// interleaving; everything is compared as rendered rows.)
 #[test]
-fn four_threads_share_one_database_on_every_engine() {
+fn four_threads_share_one_database() {
     const THREADS: usize = 4;
     for (inst, seed) in [(key_chain(5), 7u64), (key_star(4), 11)] {
         let trace = interleaved_trace(
@@ -194,79 +185,64 @@ fn four_threads_share_one_database_on_every_engine() {
             (trace.iter().zip(&expected_outcomes))
                 .filter(move |(op, _)| op.scheme.index() % THREADS == t)
         };
-        for kind in engine_kinds() {
-            let label = format!("{} on {kind:?}", inst.name);
-            let db = Database::open(schema_via_builder(&inst), kind).unwrap();
-            let start = std::sync::Barrier::new(THREADS);
-            std::thread::scope(|s| {
-                for t in 0..THREADS {
-                    let (db, inst, start, label) = (&db, &inst, &start, &label);
-                    s.spawn(move || {
-                        start.wait();
-                        let got = facade_replay(inst, db, slice(t).map(|(op, _)| op));
-                        let expected: Vec<_> = slice(t).map(|(_, outcome)| *outcome).collect();
-                        assert_eq!(got, expected, "thread {t} diverges: {label}");
-                    });
-                }
-            });
-            let schema = db.schema();
-            let snapshot = db.snapshot().unwrap();
-            for (id, scheme) in inst.schema.iter() {
-                let expected = raw_rows(&expected_state, id);
-                let mut rows = db.rows(&scheme.name).unwrap();
-                rows.sort();
-                assert_eq!(rows, expected, "rows diverge: {label}");
-                let facade_id = schema.scheme_id(&scheme.name).unwrap();
-                assert_eq!(
-                    snapshot.relation(facade_id).len(),
-                    expected.len(),
-                    "snapshot diverges: {label}"
-                );
+        let label = &inst.name;
+        let db = open(&inst);
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (db, inst, start) = (&db, &inst, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let got = facade_replay(inst, db, slice(t).map(|(op, _)| op));
+                    let expected: Vec<_> = slice(t).map(|(_, outcome)| *outcome).collect();
+                    assert_eq!(got, expected, "thread {t} diverges: {label}");
+                });
             }
-            let verdict = ids_chase::satisfies(
-                schema.definition(),
-                schema.fds(),
-                &snapshot,
-                &ids_chase::ChaseConfig::default(),
-            )
-            .unwrap();
-            assert!(verdict.is_satisfying(), "chase refuses: {label}");
+        });
+        let schema = db.schema();
+        let snapshot = db.snapshot().unwrap();
+        for (id, scheme) in inst.schema.iter() {
+            let expected = raw_rows(&expected_state, id);
+            let mut rows = db.rows(&scheme.name).unwrap();
+            rows.sort();
+            assert_eq!(rows, expected, "rows diverge: {label}");
+            let facade_id = schema.scheme_id(&scheme.name).unwrap();
+            assert_eq!(
+                snapshot.relation(facade_id).len(),
+                expected.len(),
+                "snapshot diverges: {label}"
+            );
         }
+        let verdict = ids_chase::satisfies(
+            schema.definition(),
+            schema.fds(),
+            &snapshot,
+            &ids_chase::ChaseConfig::default(),
+        )
+        .unwrap();
+        assert!(verdict.is_satisfying(), "chase refuses: {label}");
     }
 }
 
-/// Error paths through the integration surface, on every engine kind:
-/// unknown names, bad arities, and the independence gate.
+/// Error paths through the integration surface: unknown names, bad
+/// arities, and the independence gate.
 #[test]
 fn facade_error_paths() {
-    for kind in engine_kinds() {
-        let label = format!("{kind:?}");
-        let inst = key_chain(3);
-        let db = Database::open(schema_via_builder(&inst), kind).unwrap();
-        assert!(
-            matches!(
-                db.insert("R99", ["0", "1"]),
-                Err(Error::UnknownRelation(n)) if n == "R99"
-            ),
-            "{label}"
-        );
-        assert!(
-            matches!(db.rows("R99"), Err(Error::UnknownRelation(_))),
-            "{label}"
-        );
-        assert!(
-            matches!(db.insert("R0", ["0"]), Err(Error::Relational(_))),
-            "{label}"
-        );
-        assert!(
-            matches!(db.remove("R0", ["0", "1", "2"]), Err(Error::Relational(_))),
-            "{label}"
-        );
-        assert_eq!(db.snapshot().unwrap().total_tuples(), 0, "{label}");
-    }
+    let db = open(&key_chain(3));
+    assert!(matches!(
+        db.insert("R99", ["0", "1"]),
+        Err(Error::UnknownRelation(n)) if n == "R99"
+    ));
+    assert!(matches!(db.rows("R99"), Err(Error::UnknownRelation(_))));
+    assert!(matches!(db.insert("R0", ["0"]), Err(Error::Relational(_))));
+    assert!(matches!(
+        db.remove("R0", ["0", "1", "2"]),
+        Err(Error::Relational(_))
+    ));
+    assert_eq!(db.snapshot().unwrap().total_tuples(), 0);
 
     // The builder's independence gate: Example 1 is refused with a
-    // witness; `build_any` + Chase still serves it.
+    // witness (`build_any` keeps it for the chase maintainers).
     let refused = Schema::builder()
         .relation("CD", ["course", "dept"])
         .relation("CT", ["course", "teacher"])

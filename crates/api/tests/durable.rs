@@ -168,7 +168,7 @@ fn refused_rows_append_nothing_to_the_name_log() {
         .into_shared()
         .unwrap();
     shared.insert("CT", ["CS402", "Jones"]).unwrap();
-    let log = shared.store().unwrap().pool_log_path().unwrap();
+    let log = shared.store().pool_log_path().unwrap();
     let before = std::fs::metadata(&log).unwrap().len();
     assert!(before > 0, "the accepted row's names were logged");
     for row in [&["too-short"][..], &["too", "long", "row"][..]] {
@@ -184,9 +184,8 @@ fn refused_rows_append_nothing_to_the_name_log() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// `checkpoint()` on an in-memory engine is a typed error, and
-/// durable databases default to the sharded engine with a reachable
-/// store handle.
+/// `checkpoint()` on an in-memory database is a typed error, and a
+/// durable database's store handle reports itself durable.
 #[test]
 fn durability_misuse_is_typed() {
     let db = Database::open(example2(), ids_api::EngineKind::Local).unwrap();
@@ -207,7 +206,7 @@ fn durability_misuse_is_typed() {
         },
     )
     .unwrap();
-    assert!(db.store().is_some(), "durable engine is the sharded store");
+    assert!(db.is_durable() && db.store().is_durable());
     drop(db);
     let _ = std::fs::remove_dir_all(&root);
 }

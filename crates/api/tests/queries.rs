@@ -6,9 +6,8 @@
 //! rendering), and each is a place results could silently diverge from
 //! the semantics they claim: *filtering/projecting a consistent
 //! snapshot*.  So: replay random interleaved traces through the
-//! string-level `Database` on **every** `EngineKind` (including the
-//! sharded store), through a durable-recovered store **and** through a
-//! file-tail replica, then demand
+//! string-level `Database` in memory, through a durable-recovered store
+//! **and** through a file-tail replica, then demand
 //!
 //! * `query(pred, proj)` ≡ filtering + projecting the relation of a full
 //!   `snapshot()`, compared through the rendered-string surface,
@@ -97,8 +96,8 @@ fn oracle_rows(
     out
 }
 
-/// Every engine kind under test, including the durable store and the
-/// replica markers.
+/// Every way of building a database under test: in memory, durable
+/// and recovered, and a replica following a durable primary.
 enum Kind {
     Mem(EngineKind),
     Durable,
@@ -122,9 +121,6 @@ impl Built {
 
 fn kinds() -> Vec<(String, Kind)> {
     vec![
-        ("Local".into(), Kind::Mem(EngineKind::Local)),
-        ("Chase".into(), Kind::Mem(EngineKind::Chase)),
-        ("FdOnly".into(), Kind::Mem(EngineKind::FdOnly)),
         (
             "Sharded".into(),
             Kind::Mem(EngineKind::Sharded(StoreConfig::default())),
@@ -149,7 +145,7 @@ fn scratch_dir() -> std::path::PathBuf {
 /// durable case writes a WAL, drops the handle (clean shutdown), and
 /// recovers from the directory alone; the replica case bootstraps a
 /// file-tail follower from half the trace and tails the rest — both must
-/// answer queries exactly like every in-memory engine.
+/// answer queries exactly like the in-memory database.
 fn build_db(
     inst: &FamilyInstance,
     trace: &[TraceOp],
@@ -186,13 +182,13 @@ fn build_db(
 }
 
 proptest! {
-    // Enough cases for the guard × shape grid to meet every engine kind.
+    // Enough cases for the guard × shape grid to meet every kind.
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// query(pred, proj) ≡ filter/project of a snapshot, join ≡ the
     /// natural join of snapshot relations, and the typed read under a
-    /// generated guard and shape ≡ `Relation::read` on the snapshot — on
-    /// every engine kind, a durable-recovered store and a replica.
+    /// generated guard and shape ≡ `Relation::read` on the snapshot — in
+    /// memory, on a durable-recovered store and on a replica.
     #[test]
     fn query_and_join_match_the_snapshot_oracle(
         pick in 0usize..2,

@@ -44,21 +44,21 @@
 //!   golden-fixture byte stability.
 //!
 //! The replica exposes the **read surface only** — `read` / `query` /
-//! `rows` / `count` / `join` through [`ids_api::Database`].  Its
-//! engine is [`ids_api::Engine::read_only`], so the database refuses
-//! every write with [`ids_api::Error::ReplicaReadOnly`] before interning
-//! a single string: the pool's insertion order stays the primary's, fed
-//! only by the apply loop that owns the handle.  Per-relation lag (`(gen,
+//! `rows` / `count` / `join` through [`ids_api::Database`], a
+//! follower's handle over the replica's own store
+//! ([`ids_api::Database::follower`]).  Reads take only their relation's
+//! lock, exactly as on the primary.  The handle refuses every write with
+//! [`ids_api::Error::ReplicaReadOnly`] before interning a single string:
+//! the pool's insertion order stays the primary's, fed only by the apply
+//! loop that owns the handle.  Per-relation lag (`(gen,
 //! seq)` delta), apply counters, and a staleness gauge are reported
 //! through [`ids_obs`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod engine;
 mod replica;
 
-pub use engine::ReplicaEngine;
 pub use replica::{Replica, ReplicaLag, ReplicaProgress};
 
 /// Everything that can go wrong while following a primary.

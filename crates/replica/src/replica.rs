@@ -19,7 +19,6 @@ use ids_wal::{
     WalError, WalOp, WalRecord,
 };
 
-use crate::engine::ReplicaEngine;
 use crate::ReplicaError;
 
 /// Interned (pool-referenced) values live in the bottom half of the id
@@ -174,7 +173,6 @@ pub struct ReplicaLag {
 /// Everything the bootstrap produces.
 struct Bootstrap {
     db: Database,
-    store: Arc<Store>,
     dir: WalDir,
     cursors: Vec<Cursor>,
     names_applied: u64,
@@ -193,18 +191,17 @@ struct Bootstrap {
 /// [`Replica::wait_caught_up`] to poll until quiescent).  Reads go
 /// through [`Replica::database`].  That handle's write methods take
 /// `&self` too, so what keeps a follower from forking is not the
-/// borrow: its engine answers [`ids_api::Engine::read_only`], and the
-/// database refuses every write with the typed
+/// borrow: it is a follower's handle ([`Database::follower`]), which
+/// refuses every write with the typed
 /// [`ids_api::Error::ReplicaReadOnly`] *before* interning any of its
 /// strings — the name pool, whose insertion order is the primary's
 /// value assignment, is fed only by the apply loop, which owns the
-/// handle.
+/// handle.  Reads take only their relation's lock, as on the primary.
 pub struct Replica {
+    /// The read surface over the applied state — the primary's own store
+    /// type, recovered from the directory by the store's replay and
+    /// advanced by its `insert`/`remove`.
     db: Database,
-    /// The applied state: the primary's own store type, recovered from
-    /// the directory by the store's replay and advanced by its
-    /// `insert`/`remove` — shared with the read-only engine behind `db`.
-    store: Arc<Store>,
     transport: Transport,
     /// Applied position per relation.
     cursors: Vec<Cursor>,
@@ -273,7 +270,6 @@ impl Replica {
     fn assemble(boot: Bootstrap, transport: Transport) -> Replica {
         let mut replica = Replica {
             db: boot.db,
-            store: boot.store,
             transport,
             tips: boot.cursors.iter().map(|c| c.seq).collect(),
             tip_gens: boot.cursors.iter().map(|c| c.gen).collect(),
@@ -498,8 +494,8 @@ impl Replica {
         Ok(current.iter().position(|n| n == name))
     }
 
-    /// Applies one schema transition: rebuilds the replica's store,
-    /// engine, and per-relation bookkeeping under the new manifest's
+    /// Applies one schema transition: rebuilds the replica's store and
+    /// per-relation bookkeeping under the new manifest's
     /// schema, remapping by relation name — the follower's mirror of the
     /// primary's [`Store::apply_transition`], driven by the shipped
     /// manifest instead of a live `alter` call.
@@ -512,9 +508,11 @@ impl Replica {
     /// added relations start empty, with cursors at `(gen, 0)`.
     ///
     /// The survivors are copied out of the old store (its
-    /// [`Store::snapshot`]; the database's engine shares it, so it
-    /// cannot be taken apart), so a shipped transition briefly holds
-    /// every relation twice — a cold path, once per transition.
+    /// [`Store::snapshot`]; readers may still hold it, so it cannot be
+    /// taken apart), so a shipped transition briefly holds every
+    /// relation twice — a cold path, once per transition.  The new store
+    /// is swapped in under the database's own pool
+    /// ([`Database::replace_store`]).
     fn apply_manifest(&mut self, gen: u64, manifest: &Manifest) -> Result<(), ReplicaError> {
         if gen <= self.eras.last().map_or(0, |(g, _)| *g) {
             // A re-shipped transition (reconnect replays): already applied.
@@ -522,7 +520,7 @@ impl Replica {
         }
         let schema = Schema::from_manifest(manifest)?;
         let definition = schema.definition();
-        let current = self.store.schema();
+        let current = self.db.store().schema();
         // `new index j → old index` by name and unchanged attributes — a
         // same-name relation with different columns is a different
         // incarnation and starts empty.
@@ -533,7 +531,7 @@ impl Replica {
                     .map(SchemeId::index)
             })
             .collect();
-        let mut old: Vec<Option<Relation>> = (self.store.snapshot()?.into_relations())
+        let mut old: Vec<Option<Relation>> = (self.db.store().snapshot()?.into_relations())
             .into_iter()
             .map(Some)
             .collect();
@@ -559,9 +557,7 @@ impl Replica {
                 e => e.into(),
             })?;
         let names = relation_names(definition);
-        self.store = Arc::new(store);
-        let engine = ReplicaEngine(Arc::clone(&self.store));
-        self.db.adopt_engine(schema, Box::new(engine));
+        self.db.replace_store(schema, Arc::new(store));
         // Remap the per-relation bookkeeping by the same name map.
         // Added relations: their log starts at the transition, cursor
         // `(gen, 0)`.  Dropped relations' pending records are released —
@@ -640,10 +636,10 @@ impl Replica {
                 detail: format!("sequence gap: record {seq} after {}", cursor.seq),
             });
         }
-        let id = SchemeId::from_index(i);
+        let (id, store) = (SchemeId::from_index(i), self.db.store());
         let reapplied = match record.op {
-            WalOp::Insert(t) => matches!(self.store.insert(id, t), Ok(InsertOutcome::Accepted)),
-            WalOp::Remove(t) => matches!(self.store.remove(id, t), Ok(true)),
+            WalOp::Insert(t) => matches!(store.insert(id, t), Ok(InsertOutcome::Accepted)),
+            WalOp::Remove(t) => matches!(store.remove(id, t), Ok(true)),
         };
         if !reapplied {
             return Err(ReplicaError::Diverged {
@@ -700,8 +696,7 @@ fn bootstrap(root: &Path) -> Result<Bootstrap, ReplicaError> {
     let eras = (dir.manifests().iter())
         .map(|(g, m)| (*g, relation_names(&m.schema)))
         .collect();
-    let store = Arc::new(store);
-    let mut db = Database::with_engine(schema, Box::new(ReplicaEngine(Arc::clone(&store))));
+    let mut db = Database::follower(schema, Arc::new(store));
     // Replay the name log in interning order — order *is* the value
     // assignment, so the replica's pool renders the primary's values
     // identically.  A `NameTailer` (not `NameLog::open`) because the
@@ -713,7 +708,6 @@ fn bootstrap(root: &Path) -> Result<Bootstrap, ReplicaError> {
     }
     Ok(Bootstrap {
         db,
-        store,
         dir,
         cursors,
         names_applied,

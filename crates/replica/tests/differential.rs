@@ -11,7 +11,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ids_api::{Database, EngineKind, Schema};
+use ids_api::{Database, Schema};
+use ids_core::LocalMaintainer;
+use ids_relational::{DatabaseState, ValuePool};
 use ids_replica::{Replica, ReplicaError};
 use ids_server::Server;
 use ids_store::DurableConfig;
@@ -84,21 +86,28 @@ fn tuple(key: u8, val: u8) -> [String; 2] {
 type Effective = Vec<Vec<(bool, [String; 2])>>;
 
 /// The differential oracle: replays the acknowledged ops sequentially
-/// through a fresh in-memory engine and returns sorted string rows per
+/// through a fresh [`LocalMaintainer`] and returns sorted string rows per
 /// relation.  Every effective op must re-accept — anything else means
-/// the log itself is not a valid sequential history.
+/// the log itself is not a valid sequential history.  Both relations
+/// declare their columns in canonical order, so rows go in as written.
 fn oracle_rows(effective: &Effective) -> Vec<Vec<Vec<String>>> {
-    let db = Database::open(schema(), EngineKind::Local).unwrap();
+    let schema = schema();
+    let definition = schema.definition();
+    let empty = DatabaseState::empty(definition);
+    let mut m = LocalMaintainer::from_analysis(definition, schema.analysis(), empty).unwrap();
+    let mut pool = ValuePool::new();
+    let id = |r: &str| definition.scheme_by_name(r).unwrap();
     for (i, ops) in effective.iter().enumerate() {
         for (insert, t) in ops {
+            let t: Vec<_> = t.iter().map(|v| pool.value(v)).collect();
             if *insert {
                 assert!(
-                    db.insert(RELS[i], t.clone()).unwrap().is_accepted(),
+                    m.insert(id(RELS[i]), t).unwrap().is_accepted(),
                     "acknowledged insert must re-accept in sequential replay"
                 );
             } else {
                 assert!(
-                    db.remove(RELS[i], t.clone()).unwrap(),
+                    m.remove(id(RELS[i]), &t).unwrap(),
                     "acknowledged remove must re-apply in sequential replay"
                 );
             }
@@ -106,7 +115,9 @@ fn oracle_rows(effective: &Effective) -> Vec<Vec<Vec<String>>> {
     }
     RELS.iter()
         .map(|r| {
-            let mut rows = db.rows(r).unwrap();
+            let mut rows: Vec<Vec<String>> = (m.state().relation(id(r)).iter())
+                .map(|t| t.iter().map(|&v| pool.render(v)).collect())
+                .collect();
             rows.sort();
             rows
         })

@@ -20,11 +20,10 @@
 //!   inside the touched relation's lock in the store; nothing between
 //!   the socket and that lock is shared but name resolution, so
 //!   connections working on different relations never wait on each other
-//!   past it (a sequential engine serializes behind its one mutex).
-//!   The rest are
-//!   **shed** with a typed [`WireError::Overloaded`] — a bound on unread
-//!   input, not a queue.  Handshake and malformed payloads are answered
-//!   in place and count against nothing.
+//!   past it.  The rest are **shed** with a typed
+//!   [`WireError::Overloaded`] — a bound on unread input, not a queue.
+//!   Handshake and malformed payloads are answered in place and count
+//!   against nothing.
 //! * **Reply.**  Every reply is encoded straight into one buffer, in
 //!   **request order** (sheds included; ids are still echoed), its frame
 //!   sealed where it lies, and the buffer written when the buffered
@@ -61,7 +60,7 @@ use ids_api::{eq, Alter, Cond, Database, Error, SharedDatabase};
 use ids_core::InsertOutcome;
 use ids_obs::{Counter, Event, Gauge, MetricsSnapshot, Registry};
 use ids_relational::RelationalError;
-use ids_store::{Store, StoreError};
+use ids_store::StoreError;
 use ids_wal::{Cursor, FollowPoll, Follower, Shipment, WalDir, WalError};
 
 use crate::wire::{
@@ -162,7 +161,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// A running TCP server over one [`Database`] — any engine; alter,
+/// A running TCP server over one [`Database`], in memory or durable; alter,
 /// checkpoint and subscribe need a durable one and are otherwise refused
 /// with a typed [`WireError::NotDurable`].
 ///
@@ -597,7 +596,10 @@ impl<'a> Session<'a> {
         cursors: Vec<(u64, u64)>,
         names: u64,
     ) -> Result<Infallible, StreamEnd> {
-        let root = (self.db.store().and_then(Store::wal_root))
+        let root = self
+            .db
+            .store()
+            .wal_root()
             .ok_or(StreamEnd::Refused(WireError::NotDurable))?;
         let cursors: Vec<Cursor> = (cursors.into_iter())
             .map(|(gen, seq)| Cursor { gen, seq })

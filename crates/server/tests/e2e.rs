@@ -167,12 +167,10 @@ fn joins_cross_the_wire_with_typed_errors() {
     server.shutdown();
 }
 
-/// The server serves whatever engine the database runs on: the same
-/// script against the sequential local engine and the sharded store
-/// draws the same replies, frame for frame, and the operations that need
-/// a log are typed `NotDurable` on both — never `Internal`.
+/// An in-memory database serves a mixed script over the wire, and the
+/// operations that need a log are typed `NotDurable` — never `Internal`.
 #[test]
-fn any_engine_serves_the_same_replies() {
+fn in_memory_database_types_the_log_operations() {
     let relation = |r: &str| r.to_string();
     let row = |a: &str, b: &str| vec![a.to_string(), b.to_string()];
     let insert = |r: &str, a: &str, b: &str| Request::Insert {
@@ -214,42 +212,32 @@ fn any_engine_serves_the_same_replies() {
     ];
     let no_log = Reply::Error(WireError::NotDurable);
 
-    let mut transcripts = Vec::new();
-    for kind in [
-        EngineKind::Local,
-        EngineKind::Sharded(StoreConfig::default()),
-    ] {
-        let label = format!("{kind:?}");
-        let db = Database::open(schema(), kind).unwrap();
-        let server = serve(Arc::new(db.into_shared().unwrap()));
-        let mut client = Client::connect(server.local_addr()).unwrap();
-        let replies: Vec<Reply> = script
-            .iter()
-            .map(|req| {
-                let id = client.send(req.clone()).unwrap();
-                client.recv(id).unwrap()
-            })
-            .collect();
-        assert_eq!(
-            replies[replies.len() - 2..],
-            [no_log.clone(), no_log.clone()]
-        );
-        assert!(client.stats().is_ok(), "{label}: Stats answers");
-        let mut stream = client.subscribe(vec![(0, 0), (0, 0)], 0).unwrap();
-        assert!(
-            matches!(
-                stream.next_frames(),
-                Err(ClientError::Server(WireError::NotDurable))
-            ),
-            "{label}: Subscribe needs a log"
-        );
-        server.shutdown();
-        transcripts.push(replies);
-    }
-    assert_eq!(transcripts[0], transcripts[1]);
-    // The script did what its comments say (on both, by the line above).
+    let server = serve(shared());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let replies: Vec<Reply> = script
+        .iter()
+        .map(|req| {
+            let id = client.send(req.clone()).unwrap();
+            client.recv(id).unwrap()
+        })
+        .collect();
     assert_eq!(
-        transcripts[0][..3],
+        replies[replies.len() - 2..],
+        [no_log.clone(), no_log.clone()]
+    );
+    assert!(client.stats().is_ok(), "Stats answers");
+    let mut stream = client.subscribe(vec![(0, 0), (0, 0)], 0).unwrap();
+    assert!(
+        matches!(
+            stream.next_frames(),
+            Err(ClientError::Server(WireError::NotDurable))
+        ),
+        "Subscribe needs a log"
+    );
+    server.shutdown();
+    // The script did what its comments say.
+    assert_eq!(
+        replies[..3],
         [
             Reply::Insert(WireOutcome::Accepted),
             Reply::Insert(WireOutcome::Duplicate),
@@ -258,7 +246,7 @@ fn any_engine_serves_the_same_replies() {
             }),
         ]
     );
-    assert_eq!(transcripts[0][11], Reply::Count(2));
+    assert_eq!(replies[11], Reply::Count(2));
 }
 
 #[test]

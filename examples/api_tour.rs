@@ -1,6 +1,7 @@
-//! A tour of the typed `Database` API: one schema declaration, four
-//! engines behind one interface, two read paths, and the independence
-//! gate with its machine-checkable counterexample.
+//! A tour of the typed `Database` API: one schema declaration, the
+//! store behind it checked against the paper's maintainers, two read
+//! paths, and the independence gate with its machine-checkable
+//! counterexample.
 //!
 //! Run with: `cargo run --example api_tour`
 
@@ -33,24 +34,65 @@ fn main() {
             .collect::<Vec<_>>()
     );
 
-    // ── 2. One script, four engines, identical outcomes. ─────────────
-    let kinds = || {
-        vec![
-            ("local", EngineKind::Local),
-            ("chase", EngineKind::Chase),
-            ("fd-only", EngineKind::FdOnly),
-            ("sharded", EngineKind::Sharded(StoreConfig::default())),
-        ]
+    // ── 2. One script: the store and the paper's three maintainers. ──
+    // The `Database` speaks names; the maintainers, the oracles, take
+    // the same rows as interned values in canonical order.
+    let db = Database::open(declare().build().unwrap(), EngineKind::default()).unwrap();
+    let script: [(&str, &[&str]); 4] = [
+        ("CT", &["CS402", "Jones"]),
+        ("CT", &["CS402", "Jones"]), // duplicate
+        ("CT", &["CS402", "Smith"]), // violates course → teacher
+        ("CHR", &["CS402", "9am", "R128"]),
+    ];
+    // Decisions, not outcomes: the maintainers name a violated FD (or
+    // not) each in their own way.
+    let decision = |o: InsertOutcome| match o {
+        InsertOutcome::Accepted => "accepted",
+        InsertOutcome::Duplicate => "duplicate",
+        InsertOutcome::Rejected { .. } => "rejected",
     };
-    for (name, kind) in kinds() {
-        let db = Database::open(declare().build().unwrap(), kind).unwrap();
-        let a = db.insert("CT", ["CS402", "Jones"]).unwrap();
-        let b = db.insert("CT", ["CS402", "Jones"]).unwrap(); // duplicate
-        let c = db.insert("CT", ["CS402", "Smith"]).unwrap(); // violates course → teacher
-        let d = db.insert("CHR", ["CS402", "9am", "R128"]).unwrap();
-        println!("{name:>8}: insert={a:?}  again={b:?}  conflicting={c:?}  chr={d:?}");
-        assert!(a.is_accepted() && b.is_duplicate() && c.is_rejected() && d.is_accepted());
+    let store: Vec<&str> = (script.iter())
+        .map(|&(rel, row)| decision(db.insert(rel, row).unwrap()))
+        .collect();
+    println!("{:>8}: {store:?}", "store");
+    assert_eq!(store, ["accepted", "duplicate", "rejected", "accepted"]);
+    let (definition, fds) = (schema.definition(), schema.fds());
+    let empty = || DatabaseState::empty(definition);
+    let oracles: Vec<(&str, Box<dyn Maintainer>)> = vec![
+        (
+            "local",
+            Box::new(
+                LocalMaintainer::from_analysis(definition, schema.analysis(), empty()).unwrap(),
+            ),
+        ),
+        (
+            "chase",
+            Box::new(ChaseMaintainer::new(
+                definition,
+                fds,
+                empty(),
+                ChaseConfig::default(),
+            )),
+        ),
+        (
+            "fd-only",
+            Box::new(FdOnlyMaintainer::new(definition, fds, empty())),
+        ),
+    ];
+    let mut pool = ValuePool::new();
+    for (name, mut oracle) in oracles {
+        let decisions: Vec<&str> = (script.iter())
+            .map(|&(rel, row)| {
+                let id = definition.scheme_by_name(rel).unwrap();
+                // Declared order is canonical for CT and CHR.
+                let tuple = row.iter().map(|v| pool.value(v)).collect();
+                decision(oracle.insert(id, tuple).unwrap())
+            })
+            .collect();
+        println!("{name:>8}: {decisions:?}");
+        assert_eq!(decisions, store);
     }
+    println!("store and maintainers agree on every decision: true");
 
     // ── 3. Reading: barrier-free rows vs snapshot barrier. ───────────
     let db = Database::open(schema, EngineKind::Sharded(StoreConfig::default())).unwrap();
@@ -103,11 +145,21 @@ fn main() {
     .unwrap());
     println!("witness machine-checked (LSAT \\ WSAT): true");
 
-    // Dependent schemas still get the honest engines.
-    let dependent = Database::open(extended, EngineKind::Chase).unwrap();
-    dependent.insert("CHR", ["CS402", "9am", "R128"]).unwrap();
+    // A `Database` refuses it; the chase maintainer still serves it.
+    let refused = Database::open(extended.clone(), EngineKind::default());
+    assert!(matches!(refused, Err(ApiError::NotIndependent { .. })));
+    let definition = extended.definition();
+    let mut dependent = ChaseMaintainer::new(
+        definition,
+        extended.fds(),
+        DatabaseState::empty(definition),
+        ChaseConfig::default(),
+    );
+    let chr = definition.scheme_by_name("CHR").unwrap();
+    let row = ["CS402", "9am", "R128"].map(|v| pool.value(v));
+    dependent.insert(chr, row.to_vec()).unwrap();
     println!(
-        "chase engine serves the dependent schema: {} tuple(s)",
-        dependent.snapshot().unwrap().total_tuples()
+        "chase maintainer serves the dependent schema: {} tuple(s)",
+        dependent.state().total_tuples()
     );
 }

@@ -5,8 +5,9 @@
 //! independence analysis explains why local checking was never going to be
 //! enough for this schema.  No manual `Universe`, `ValuePool` or
 //! `SchemeId` juggling: the builder collects the universe from the
-//! columns, runs the analysis exactly once, and the `Database` speaks
-//! relation names and string values.
+//! columns and runs the analysis exactly once.  A dependent schema is
+//! not something a `Database` serves: the paper's chase baseline,
+//! `ChaseMaintainer`, is driven directly.
 //!
 //! Run with: `cargo run --example quickstart`
 
@@ -31,7 +32,7 @@ fn main() {
     println!("build() refused: {err}\n");
 
     // Keep the handle anyway (verdict and witness included) to inspect
-    // the diagnosis and serve the schema on an engine that can handle it.
+    // the diagnosis and serve the schema with a maintainer that can.
     let schema = declare().build_any().unwrap();
     println!("{}", schema.definition());
     println!(
@@ -52,25 +53,41 @@ fn main() {
     .unwrap();
     println!("\nwitness machine-checked (LSAT \\ WSAT): {ok}\n");
 
-    // Serve it on the honest whole-state chase engine.  The paper's
-    // state: CS402 is a CS course, taught by Jones… and each relation
-    // alone stays consistent.
-    let db = Database::open(schema, EngineKind::Chase).unwrap();
-    db.insert("CD", ["CS402", "CS"]).unwrap();
-    db.insert("CT", ["CS402", "Jones"]).unwrap();
+    // Serve it with the honest whole-state chase maintainer.  The
+    // paper's state: CS402 is a CS course, taught by Jones… and each
+    // relation alone stays consistent.  Every relation here is declared
+    // in canonical (universe) order, so rows go in as written.
+    let definition = schema.definition();
+    let mut chase = ChaseMaintainer::new(
+        definition,
+        schema.fds(),
+        DatabaseState::empty(definition),
+        ChaseConfig::default(),
+    );
+    let mut pool = ValuePool::new();
+    let mut insert = |name: &str, row: [&str; 2]| {
+        let id = definition.scheme_by_name(name).unwrap();
+        let tuple = row.iter().map(|v| pool.value(v)).collect();
+        chase.insert(id, tuple).unwrap()
+    };
+    insert("CD", ["CS402", "CS"]);
+    insert("CT", ["CS402", "Jones"]);
 
     // …but "Jones belongs to EE" contradicts the first two rows through
     // C→T and T→D: the chase catches at insert time what no per-relation
     // check could see.
-    let out = db.insert("TD", ["EE", "Jones"]).unwrap();
+    let out = insert("TD", ["EE", "Jones"]);
     println!("insert TD(EE, Jones): {out:?}");
     println!("  (C→T and T→D force CS402's department to EE, contradicting CS)\n");
 
-    for name in ["CD", "CT", "TD"] {
-        println!("{name}: {:?}", db.rows(name).unwrap());
+    for (id, scheme) in definition.iter() {
+        let rows: Vec<Vec<String>> = (chase.state().relation(id).iter())
+            .map(|t| t.iter().map(|&v| pool.render(v)).collect())
+            .collect();
+        println!("{}: {rows:?}", scheme.name);
     }
     println!(
         "\nfinal state: {} rows — the contradictory row was rolled back",
-        db.snapshot().unwrap().total_tuples()
+        chase.state().total_tuples()
     );
 }

@@ -12,7 +12,7 @@
 //! substrate it rests on: the relational algebra, FD/JD dependency theory,
 //! the chase, acyclicity tooling, constructive counterexamples, the
 //! maintenance engines and the Theorem 1 hardness gadget — and one typed
-//! [`Database`](prelude::Database) front-end over all of it.
+//! [`Database`](prelude::Database) front-end over the concurrent store.
 //!
 //! ## Quickstart
 //!
@@ -31,7 +31,8 @@
 //!     .fd("course hour -> room")
 //!     .build()?;
 //!
-//! // Independent ⇒ every engine is sound; pick the O(1) local path.
+//! // Independent ⇒ the sharded store is sound: each relation checks only
+//! // its own cover, in O(1), under its own lock.
 //! let db = Database::open(schema, EngineKind::Local)?;
 //! db.insert("CT", ["CS402", "Jones"])?;
 //! assert!(db.insert("CT", ["CS402", "Smith"])?.is_rejected()); // course → teacher
@@ -69,7 +70,7 @@
 //! | [`obs`] | zero-cost metrics: relaxed-atomic counters/gauges, log₂ latency histograms, bounded event ring, typed snapshots |
 //! | [`wal`] | per-relation write-ahead log + snapshot checkpoints (independence ⇒ no cross-log ordering) |
 //! | [`store`] | sharded concurrent maintenance store (independence ⇒ parallelism), durable via [`wal`] |
-//! | [`api`] | `Schema` builder + typed `Database` over every engine; fluent queries, typed rows, barrier-free joins; durable via `open_at`/`recover`; one `&self` handle, `Send + Sync` on every engine, shared by any number of threads |
+//! | [`api`] | `Schema` builder + typed `Database` over the sharded store; fluent queries, typed rows, barrier-free joins; durable via `open_at`/`recover`; one `&self` handle, `Send + Sync`, shared by any number of threads |
 //! | [`server`] | TCP front-end: CRC-framed pipelined wire protocol, sessions, typed errors, bounded-queue backpressure |
 //! | [`client`] | blocking client for the wire protocol, with explicit pipelining |
 //! | [`replica`] | read replicas via per-relation log shipping: file-tail and wire-stream followers, lag-aware reads |
@@ -93,7 +94,7 @@ pub use ids_workloads as workloads;
 /// The common imports for working with the library.
 pub mod prelude {
     pub use ids_api::{
-        between, eq, ge, gt, le, lt, ne, one_of, Alter, Cond, Database, Engine, EngineKind,
+        between, eq, ge, gt, le, lt, ne, one_of, Alter, Cond, Database, EngineKind,
         Error as ApiError, JoinQuery, JoinReport, Query, Row, Rows, Schema, SchemaBuilder,
         SharedDatabase,
     };

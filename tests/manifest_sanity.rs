@@ -12,8 +12,8 @@
 use independent_schemas::prelude::{
     analyze, eq, is_independent, locally_satisfies, render_analysis, satisfies, verify_witness,
     ApiError, AttrId, AttrSet, ChaseConfig, ChaseError, ChaseMaintainer, Client, ClientError, Cond,
-    Database, DatabaseSchema, DatabaseState, DurableConfig, Engine, EngineKind, Event, EventRecord,
-    Fd, FdOnlyMaintainer, FdSet, FrameError, FrameReader, HistogramSnapshot, IndependenceAnalysis,
+    Database, DatabaseSchema, DatabaseState, DurableConfig, EngineKind, Event, EventRecord, Fd,
+    FdOnlyMaintainer, FdSet, FrameError, FrameReader, HistogramSnapshot, IndependenceAnalysis,
     InsertOutcome, JoinDependency, LocalMaintainer, Maintainer, MaintenanceError, MetricsSnapshot,
     NotIndependentReason, OpOutcome, Predicate, Projection, Query, ReadPlan, ReadReply, ReadShape,
     Relation, RelationScheme, RelationShard, Reply, Request, Row, RowSet, Rows, Satisfaction,
@@ -74,13 +74,16 @@ fn entry_point_signatures_are_stable() {
         &IndependenceAnalysis,
         DatabaseState,
     ) -> Result<LocalMaintainer, MaintenanceError> = LocalMaintainer::from_analysis;
-    // The ids-api surface: builder, database, unified engine selection.
+    // The ids-api surface: builder, database over the store, and the
+    // follower's handle over a shared store.
     let _builder: fn() -> SchemaBuilder = Schema::builder;
     let _build: fn(SchemaBuilder) -> Result<Schema, ApiError> = SchemaBuilder::build;
     let _build_any: fn(SchemaBuilder) -> Result<Schema, ApiError> = SchemaBuilder::build_any;
     let _open: fn(Schema, EngineKind) -> Result<Database, ApiError> = Database::open;
-    let _with_engine: fn(Schema, Box<dyn Engine>) -> Database = Database::with_engine;
-    // Uniform fallibility: remove surfaces errors on every engine, and
+    let _follower: fn(Schema, std::sync::Arc<Store>) -> Database = Database::follower;
+    let _replace_store: fn(&mut Database, Schema, std::sync::Arc<Store>) = Database::replace_store;
+    let _db_store: fn(&Database) -> &Store = Database::store;
+    // Uniform fallibility: remove surfaces errors on every layer, and
     // the store's per-relation read is part of the contract.
     let _remove: fn(&mut LocalMaintainer, SchemeId, &[Value]) -> Result<bool, MaintenanceError> =
         LocalMaintainer::remove;
@@ -102,8 +105,7 @@ fn entry_point_signatures_are_stable() {
         SchemeId,
         &ReadPlan,
     ) -> Result<ReadReply, MaintenanceError> = <LocalMaintainer as Maintainer>::read;
-    let _engine_read: fn(&Store, SchemeId, &ReadPlan) -> Result<ReadReply, ApiError> =
-        <Store as Engine>::read;
+    let _db_read: fn(&Database, &str) -> Result<Relation, ApiError> = Database::read;
     let _store_query: fn(&Store, SchemeId, &Predicate) -> Result<Vec<Tuple>, StoreError> =
         Store::query;
     let _db_query_raw: fn(&Database, SchemeId, &ReadPlan) -> Result<ReadReply, ApiError> =
@@ -153,7 +155,7 @@ fn entry_point_signatures_are_stable() {
         <SharedDatabase as std::ops::Deref>::deref;
     let _db_count: fn(&Database, &str) -> Result<usize, ApiError> = Database::count;
     let _db_snapshot: fn(&Database) -> Result<DatabaseState, ApiError> = Database::snapshot;
-    // One handle, shared: every engine's database crosses threads.
+    // One handle, shared: the database crosses threads.
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Database>();
     assert_send_sync::<SharedDatabase>();
