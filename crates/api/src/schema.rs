@@ -96,8 +96,8 @@ pub struct Schema {
     /// Ordered secondary indexes declared with [`SchemaBuilder::index`],
     /// resolved to `(scheme, attribute)` at build time.  Threaded into
     /// every store's [`ids_store::StoreConfig`] so range and
-    /// set-membership filters on these columns are answered from a BTree
-    /// instead of a linear scan.
+    /// set-membership filters on these columns are answered from the
+    /// index's per-value slot chains instead of a linear scan.
     pub(crate) ordered_indexes: Vec<(SchemeId, AttrId)>,
     /// name → id, precomputed: every string-level operation resolves its
     /// relation through this map, so the per-op cost is one hash lookup,
@@ -465,10 +465,11 @@ impl SchemaBuilder {
     }
 
     /// Declares an **ordered secondary index** on one column of one
-    /// relation.  The owning shard then maintains a BTree over that
-    /// column, so range, set-membership and non-key-equality filters on
-    /// it are answered from the index instead of a linear scan — the
-    /// write path pays one extra ordered insert per accepted tuple.
+    /// relation.  The owning shard then chains the rows of each distinct
+    /// value of that column in insertion order, so range, set-membership
+    /// and non-key-equality filters on it are answered from the index
+    /// instead of a linear scan — the write path pays one lookup among
+    /// the distinct values and an `O(1)` link per accepted tuple.
     /// Durable databases persist it in the manifest and rebuild the
     /// index on recovery.  Unknown names are typed errors at build time.
     pub fn index(mut self, relation: impl Into<String>, column: impl Into<String>) -> Self {

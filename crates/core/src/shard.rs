@@ -25,12 +25,15 @@
 //! *representative*) and how many rows carry it.  It hashes and compares
 //! lhs images by reading them through [`Relation::slot_values`], and
 //! reads the rhs image the same way.  An opt-in ordered secondary index
-//! keeps one `(value, slot)` pair per tuple, with no sequence stamp,
-//! because [`Relation`]'s slots already ascend in insertion order.  So an
-//! insert or a remove is `O(|Fi|)` slot-table operations plus one
-//! `O(log n)` BTree operation per ordered index, none of which allocates
-//! past table growth, and a scan reads the tuples back through
-//! [`Relation::get`].
+//! keeps one entry per *distinct* value, the two ends of that value's
+//! chain of slots, and threads the chains through one `[prev, next]`
+//! pair per slot beside the slab; [`Relation`]'s slots ascend in
+//! insertion order, so appending keeps every chain in that order.  So an
+//! insert is `O(|Fi|)` slot-table operations plus one `O(log d)` lookup
+//! among `d` distinct values per ordered index, a remove `O(|Fi|)`
+//! slot-table operations plus an `O(1)` unlink, none of which allocates
+//! past table growth or a new distinct value, and a scan reads the
+//! tuples back through [`Relation::get`].
 //!
 //! Slots hold only within a relation epoch.  Every write compares
 //! [`Relation::epoch`] before and after it touches the relation, and when
@@ -38,7 +41,7 @@
 //! re-derives every index from the live rows.  That costs O(relation),
 //! amortised over the removes that caused the compaction.
 
-use std::collections::BTreeSet;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::ops::Bound;
 
@@ -62,37 +65,113 @@ use crate::maintenance::{InsertOutcome, MaintenanceError};
 /// from live rows.
 type FdIndex = SlotTable<u32>;
 
-/// An opt-in ordered secondary index on one column: one `(value, slot)`
-/// entry per tuple of the relation, the slot being the tuple's position
-/// in [`Relation`]'s slab.  The index holds no tuple copies and
-/// no sequence stamps: a scan reads the tuples back through
-/// [`Relation::get`], and because slots ascend in insertion order, the
-/// entries of one value are already in the order
-/// [`Relation::filter_tuples`] produces (differential tests compare the
-/// two paths tuple-for-tuple).  A remove deletes one entry in
-/// `O(log n)`.  Slots are stable only within a relation epoch, so every
-/// write checks [`Relation::epoch`] and rebuilds the entries when the
-/// relation has compacted — amortised over the removes that caused it.
+/// The end of a chain: no previous or next slot.
+const NIL: u32 = u32::MAX;
+
+/// An opt-in ordered secondary index on one column: the slots of the
+/// rows carrying each value, chained in ascending slot order.  `chains`
+/// maps every *distinct* value of the column to the first and last slot
+/// of its chain, and `links[slot]` is the `[prev, next]` pair of the
+/// row in that slot of [`Relation`]'s slab.  The index holds no tuple
+/// copies and no sequence stamps: a scan reads the tuples back through
+/// [`Relation::get`].  Within an epoch the relation hands out slots in
+/// ascending insertion order, so appending a new row at its value's
+/// `last` keeps each chain in the order [`Relation::filter_tuples`]
+/// produces (differential tests compare the two paths tuple-for-tuple).
+/// An insert is one map lookup and an `O(1)` link; a remove is an
+/// `O(1)` unlink that touches the map only at a chain's ends, dropping
+/// the value's entry with its last row.  Slots are stable only within a
+/// relation epoch, so every write checks [`Relation::epoch`] and rebuilds
+/// the chains when the relation has compacted — amortised over the
+/// removes that caused it.
 #[derive(Debug)]
 struct OrderedIndex {
     /// The indexed attribute.
     attr: AttrId,
     /// Its column position (scheme rank), precomputed.
     pos: usize,
-    /// The relation epoch the slots in `entries` belong to.
+    /// The relation epoch the slots in `chains` and `links` belong to.
     epoch: u32,
-    /// `(column value, slot)` of every tuple.
-    entries: BTreeSet<(Value, u32)>,
+    /// `(first, last)` slot of each distinct value's chain; never empty.
+    chains: BTreeMap<Value, (u32, u32)>,
+    /// `[prev, next]` per slot, [`NIL`] at a chain's ends; the pair of a
+    /// slot no chain holds is `[NIL, NIL]`.
+    links: Vec<[u32; 2]>,
 }
 
 impl OrderedIndex {
-    /// Reads every entry afresh from `rel`.
+    /// Reads every chain afresh from `rel`.
     fn rebuild(&mut self, rel: &Relation) {
         self.epoch = rel.epoch();
-        self.entries = rel
-            .iter_slots()
-            .map(|(slot, t)| (t[self.pos], slot))
-            .collect();
+        self.chains.clear();
+        self.links.clear();
+        for (slot, t) in rel.iter_slots() {
+            self.link(t[self.pos], slot);
+        }
+    }
+
+    /// Appends `slot`, the highest slot handed out so far, to the chain
+    /// of `value`.
+    fn link(&mut self, value: Value, slot: u32) {
+        let s = slot as usize;
+        if self.links.len() <= s {
+            self.links.resize(s + 1, [NIL; 2]);
+        }
+        match self.chains.entry(value) {
+            Entry::Vacant(e) => {
+                e.insert((slot, slot));
+                self.links[s] = [NIL; 2];
+            }
+            Entry::Occupied(mut e) => {
+                let last = &mut e.get_mut().1;
+                debug_assert!(*last < slot, "slots ascend within an epoch");
+                self.links[*last as usize][1] = slot;
+                self.links[s] = [*last, NIL];
+                *last = slot;
+            }
+        }
+    }
+
+    /// Takes `slot` off the chain of `value`.
+    fn unlink(&mut self, value: Value, slot: u32) {
+        let [prev, next] = std::mem::replace(&mut self.links[slot as usize], [NIL; 2]);
+        if prev != NIL {
+            self.links[prev as usize][1] = next;
+        }
+        if next != NIL {
+            self.links[next as usize][0] = prev;
+        }
+        // The map records only a chain's ends.
+        match (prev, next) {
+            (NIL, NIL) => {
+                self.chains.remove(&value);
+            }
+            (NIL, next) => {
+                if let Some(ends) = self.chains.get_mut(&value) {
+                    ends.0 = next;
+                }
+            }
+            (prev, NIL) => {
+                if let Some(ends) = self.chains.get_mut(&value) {
+                    ends.1 = prev;
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// The slots of the chain starting at `first`, ascending.
+    fn walk(&self, first: u32) -> impl Iterator<Item = u32> + '_ {
+        std::iter::successors(Some(first), |&s| {
+            let next = self.links[s as usize][1];
+            (next != NIL).then_some(next)
+        })
+    }
+
+    /// The slots holding `value`, ascending.
+    fn slots_of(&self, value: Value) -> impl Iterator<Item = u32> + '_ {
+        let first = self.chains.get(&value).map(|&(first, _)| first);
+        first.into_iter().flat_map(|first| self.walk(first))
     }
 }
 
@@ -187,8 +266,9 @@ impl RelationShard {
         &self.schema
     }
 
-    /// Declares an ordered (BTree) secondary index on `attr` and builds
-    /// it from the current contents of `rel`.  From
+    /// Declares an ordered secondary index on `attr` — per-value chains
+    /// of slots, in insertion order — and builds it from the current
+    /// contents of `rel`, which may hold tombstones.  From
     /// then on the index is maintained by the same probe→commit write
     /// path as the FD hash indexes, and [`RelationShard::scan`] answers
     /// equality, `In` and range predicates on `attr` from it without a
@@ -213,7 +293,8 @@ impl RelationShard {
             attr,
             pos: attrs.rank(attr),
             epoch: 0,
-            entries: BTreeSet::new(),
+            chains: BTreeMap::new(),
+            links: Vec::new(),
         };
         ix.rebuild(rel);
         self.ordered.push(ix);
@@ -343,7 +424,7 @@ impl RelationShard {
             }
         }
         for ix in &mut self.ordered {
-            ix.entries.insert((row[ix.pos], slot));
+            ix.link(row[ix.pos], slot);
         }
         Ok(InsertOutcome::Accepted)
     }
@@ -429,23 +510,27 @@ impl RelationShard {
 
     /// The ordered-index scan path: when the predicate constrains an
     /// indexed column by equality, set membership or a range, take the
-    /// candidate slots from the BTree in slot order — which is insertion
-    /// order — read each tuple back from `rel` and apply the *full*
-    /// predicate: exactly the result (and order) of a linear
-    /// [`Relation::filter_tuples`] pass.  `None` when no index applies.
+    /// candidate slots from the admitted values' chains in slot order —
+    /// which is insertion order — read each tuple back from `rel` and
+    /// apply the *full* predicate: exactly the result (and order) of a
+    /// linear [`Relation::filter_tuples`] pass.  `None` when no index
+    /// applies.
     fn scan_ordered(&self, rel: &Relation, pred: &Predicate) -> Option<Vec<Tuple>> {
         use Bound::{Excluded, Included, Unbounded};
         for ix in self.ordered.iter().filter(|ix| ix.epoch == rel.epoch()) {
-            let run = |lo, hi| ix.entries.range((lo, hi)).map(|&(_, slot)| slot);
-            let of = |v: Value| run(Included((v, 0)), Included((v, u32::MAX)));
+            let run = |lo: Bound<Value>, hi: Bound<Value>| {
+                let chains = ix.chains.range((lo, hi));
+                chains.flat_map(|(_, &(first, _))| ix.walk(first))
+            };
             // An equality pin is the most selective handle, and one
-            // value's slots already ascend: no buffer, no sort.
+            // value's chain already ascends: no buffer, no sort.
             if let Some(v) = pred.value_of(ix.attr) {
-                return Some(fetch(rel, pred, of(v)));
+                return Some(fetch(rel, pred, ix.slots_of(v)));
             }
             // Otherwise the first usable guard on the column decides
-            // the BTree range (Ne excludes almost nothing — no help;
-            // an unconstrained column tries the next index).
+            // the values whose chains are walked (Ne excludes almost
+            // nothing — no help; an unconstrained column tries the next
+            // index).
             let Some((_, guard)) = pred
                 .guards()
                 .iter()
@@ -453,19 +538,17 @@ impl RelationShard {
             else {
                 continue;
             };
-            let mut slots: Vec<u32> = match guard {
-                Guard::In(set) => set.iter().flat_map(|&v| of(v)).collect(),
-                Guard::Lt(x) => run(Unbounded, Excluded((*x, 0))).collect(),
-                Guard::Le(x) => run(Unbounded, Included((*x, u32::MAX))).collect(),
-                Guard::Gt(x) => run(Excluded((*x, u32::MAX)), Unbounded).collect(),
-                Guard::Ge(x) => run(Included((*x, 0)), Unbounded).collect(),
+            let mut slots: Vec<u32> = match *guard {
+                Guard::In(ref set) => set.iter().flat_map(|&v| ix.slots_of(v)).collect(),
+                Guard::Lt(x) => run(Unbounded, Excluded(x)).collect(),
+                Guard::Le(x) => run(Unbounded, Included(x)).collect(),
+                Guard::Gt(x) => run(Excluded(x), Unbounded).collect(),
+                Guard::Ge(x) => run(Included(x), Unbounded).collect(),
                 Guard::Range(lo, hi) if lo > hi => Vec::new(),
-                Guard::Range(lo, hi) => {
-                    run(Included((*lo, 0)), Included((*hi, u32::MAX))).collect()
-                }
+                Guard::Range(lo, hi) => run(Included(lo), Included(hi)).collect(),
                 Guard::Ne(_) => unreachable!("filtered above"),
             };
-            // Several values' runs interleave in the relation.
+            // Several values' chains interleave in the relation.
             slots.sort_unstable();
             return Some(fetch(rel, pred, slots.into_iter()));
         }
@@ -514,7 +597,7 @@ impl RelationShard {
             }
         }
         for ix in &mut self.ordered {
-            ix.entries.remove(&(tuple[ix.pos], slot));
+            ix.unlink(tuple[ix.pos], slot);
         }
         Ok(true)
     }
@@ -821,6 +904,136 @@ mod tests {
         }
         assert!(shard.remove(&mut rel, &row(101)).unwrap());
         check(&shard, &rel);
+    }
+
+    /// The chain invariant of every ordered index current with `rel`:
+    /// `prev` and `next` mirror each other, every chain ascends from a
+    /// first slot with no `prev` to its recorded `last`, every live row
+    /// sits on exactly one chain — its value's — so no map entry has an
+    /// empty chain, and a slot on no chain has no links.
+    fn assert_chains(shard: &RelationShard, rel: &Relation) {
+        for ix in shard.ordered.iter().filter(|ix| ix.epoch == rel.epoch()) {
+            let mut chained = Vec::new();
+            for (&value, &(first, last)) in &ix.chains {
+                assert_eq!(
+                    ix.links[first as usize][0], NIL,
+                    "{value:?} starts at {first}"
+                );
+                let chain: Vec<u32> = ix.walk(first).take(ix.links.len() + 1).collect();
+                assert!(chain.len() <= ix.links.len(), "{value:?}'s chain loops");
+                assert_eq!(
+                    chain.last(),
+                    Some(&last),
+                    "{value:?}'s chain ends at its last"
+                );
+                for pair in chain.windows(2) {
+                    assert!(pair[0] < pair[1], "{value:?}'s chain ascends: {chain:?}");
+                    assert_eq!(ix.links[pair[1] as usize][0], pair[0], "prev mirrors next");
+                }
+                for &s in &chain {
+                    let held = rel.get(s).map(|t| t[ix.pos]);
+                    assert_eq!(held, Some(value), "slot {s} on {value:?}'s chain");
+                }
+                chained.extend(chain);
+            }
+            chained.sort_unstable();
+            let live: Vec<u32> = rel.iter_slots().map(|(s, _)| s).collect();
+            assert_eq!(chained, live, "every live row on exactly one chain");
+            for s in (0..ix.links.len() as u32).filter(|s| live.binary_search(s).is_err()) {
+                assert_eq!(ix.links[s as usize], [NIL; 2], "slot {s} is on no chain");
+            }
+        }
+    }
+
+    #[test]
+    fn ordered_index_chains_keep_their_invariant_through_every_edge_case() {
+        // ABC with A→B and an ordered index on C, declared over a relation
+        // that already holds tombstones.  Rows are `(i, i, c)`; the script
+        // removes a value's first, middle, last and only row, empties
+        // values and refills them, and compacts mid-sequence.  After every
+        // step the chains must hold their invariant and every read —
+        // guards naming emptied values included — must agree with the
+        // linear filter.
+        let u = Universe::from_names(["A", "B", "C"]).unwrap();
+        let schema = DatabaseSchema::parse(u, &[("ABC", "ABC")]).unwrap();
+        let fds = FdSet::parse(schema.universe(), &["A -> B"]).unwrap();
+        let id = SchemeId(0);
+        let a = schema.universe().attr("A").unwrap();
+        let c = schema.universe().attr("C").unwrap();
+        let mut shard = RelationShard::new(&schema, id, fds);
+        let mut rel = Relation::new(schema.attrs(id));
+        let row = |i: u64, cv: u64| vec![v(i), v(i), v(cv)];
+        let check = |shard: &RelationShard, rel: &Relation| {
+            assert_chains(shard, rel);
+            for pred in [
+                Predicate::new().and_eq(c, v(1)),
+                Predicate::new().and_eq(c, v(2)),
+                Predicate::new().and_in(c, vec![v(1), v(2), v(4)]),
+                Predicate::new().and_in(c, vec![v(2)]),
+                Predicate::new().and_lt(c, v(2)),
+                Predicate::new().and_le(c, v(2)),
+                Predicate::new().and_gt(c, v(2)),
+                Predicate::new().and_ge(c, v(2)),
+                Predicate::new().and_ge(c, v(1)),
+                Predicate::new().and_range(c, v(2), v(2)),
+                Predicate::new().and_range(c, v(1), v(3)),
+                Predicate::new().and_eq(c, v(1)).and_gt(a, v(4)),
+            ] {
+                assert_reads_agree(shard, rel, &pred, a);
+            }
+        };
+        let step = |shard: &mut RelationShard, rel: &mut Relation, insert: bool, i, cv| {
+            if insert {
+                let outcome = shard.insert(rel, row(i, cv)).unwrap();
+                assert_eq!(outcome, InsertOutcome::Accepted, "insert ({i}, {cv})");
+            } else {
+                assert!(
+                    shard.remove(rel, &row(i, cv)).unwrap(),
+                    "remove ({i}, {cv})"
+                );
+            }
+            check(shard, rel);
+        };
+        // Slot i holds row i: C = 1 in slots 0, 3, 6, 9 and 12, C = 2 in
+        // slot 1 alone.  Slot 5 and the last slot, 13, are tombstones
+        // when the index is declared.
+        let cs = [1, 2, 3, 1, 4, 3, 1, 0, 3, 1, 4, 3, 1, 5];
+        for (i, &cv) in cs.iter().enumerate() {
+            shard.insert(&mut rel, row(i as u64, cv)).unwrap();
+        }
+        shard.remove(&mut rel, &row(5, 3)).unwrap();
+        shard.remove(&mut rel, &row(13, 5)).unwrap();
+        assert!(rel.get(13).is_none() && rel.slot_values(13).is_some());
+        shard.add_ordered_index(c, &rel).unwrap();
+        check(&shard, &rel);
+        // C = 1's first, middle and last row, then C = 2's only row.
+        for (i, cv) in [(0, 1), (6, 1), (12, 1), (1, 2)] {
+            step(&mut shard, &mut rel, false, i, cv);
+        }
+        assert!(!shard.ordered[0].chains.contains_key(&v(2)));
+        // C = 2 refilled past the trailing tombstone, in the same epoch.
+        step(&mut shard, &mut rel, true, 20, 2);
+        assert_eq!(rel.epoch(), 0);
+        // Emptying C = 1 compacts the relation; C = 1 is refilled after.
+        step(&mut shard, &mut rel, false, 3, 1);
+        step(&mut shard, &mut rel, false, 9, 1);
+        assert_eq!(rel.epoch(), 1);
+        for (i, cv) in [(21, 1), (22, 3), (23, 1)] {
+            step(&mut shard, &mut rel, true, i, cv);
+        }
+        // C = 3 is now 2, 8, 11, 22: drop a middle row and the last,
+        // then append behind the new last; C = 1 loses its first row.
+        for (insert, i, cv) in [
+            (false, 8, 3),
+            (false, 22, 3),
+            (true, 24, 3),
+            (false, 21, 1),
+            (false, 23, 1),
+            (true, 25, 1),
+        ] {
+            step(&mut shard, &mut rel, insert, i, cv);
+        }
+        assert_eq!(rel.epoch(), 1);
     }
 
     /// How many live lhs images of the shard's first FD, `A → B` over

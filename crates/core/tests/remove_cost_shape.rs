@@ -2,12 +2,12 @@
 //!
 //! Theorem 3 prices maintenance at `O(|Fi|)` probes of the touched
 //! relation, whatever its size: a remove is a hash removal, a tombstone
-//! and one `O(log n)` BTree deletion per ordered index.  Anything that
-//! scans — the relation for the tuple, or an index for its entry — costs
-//! ≈ 100× more at 200k rows than at 2k and keeps growing.  The test
-//! holds the *ratio* of the two per-remove times under 10× — a shape,
-//! not a speed: no absolute time is asserted, and an order of magnitude
-//! separates the bound from a linear remove.
+//! and one `O(1)` unlink from its value's slot chain per ordered index.
+//! Anything that scans — the relation for the tuple, or an index for its
+//! entry — costs ≈ 100× more at 200k rows than at 2k and keeps growing.
+//! The test holds the *ratio* of the two per-remove times under 10× — a
+//! shape, not a speed: no absolute time is asserted, and an order of
+//! magnitude separates the bound from a linear remove.
 
 use std::time::{Duration, Instant};
 
@@ -19,7 +19,7 @@ const REMOVES: u64 = 2_000;
 
 /// Loads `rows` rows `(i, i mod 97)` into a shard of `R(A, B)` under
 /// `A → B` with an ordered index on `B` — the benchmark's shape: 97
-/// recurring values, so each value's run of index entries grows with the
+/// recurring values, so each value's chain of slots grows with the
 /// relation — then times `REMOVES` removes of rows spread over the whole
 /// relation.
 fn time_removes(rows: u64) -> Duration {

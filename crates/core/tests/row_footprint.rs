@@ -3,9 +3,11 @@
 //! A relation stores each row's values once, in a row-major slab; its
 //! membership table, a shard's FD index and the value pool's name table
 //! are `u32` slot tables that read keys back through the slab or the
-//! pool's arena instead of owning copies.  A counting allocator measures
-//! what 100k two-column rows under one key FD, and 100k interned names,
-//! actually hold, and how many allocation calls the write path makes.
+//! pool's arena instead of owning copies; an ordered index chains slots
+//! per distinct value.  A counting allocator measures what 100k
+//! two-column rows under one key FD, an ordered index over them, and 100k
+//! interned names actually hold, and how many allocation calls the write
+//! path makes.
 //! Bytes are the sizes requested from the allocator, capacity included,
 //! as the benchmark's `mem_bytes_per_row` counts them.  Run with
 //! `--nocapture` to see the exact figures.
@@ -135,12 +137,65 @@ fn a_row_is_held_once_and_its_fd_image_as_one_slot() {
     drop((shard, rel));
 }
 
+/// The heap bytes per row an ordered index on `B` holds once 100k rows
+/// `(i, b(i))` are inserted through a shard: relation, FD index and
+/// ordered index, less the same rows without the ordered index.
+fn ordered_index_bytes(b: fn(u64) -> u64) -> f64 {
+    let (schema, fds) = schema();
+    let id = SchemeId(0);
+    let fill = |indexed: bool| {
+        bytes_kept(|| {
+            let mut shard = RelationShard::new(&schema, id, fds.clone());
+            let mut rel = Relation::new(schema.attrs(id));
+            if indexed {
+                let b_attr = schema.universe().attr("B").unwrap();
+                shard.add_ordered_index(b_attr, &rel).unwrap();
+            }
+            for i in 0..ROWS {
+                let tuple = vec![Value::int(i), Value::int(b(i))];
+                assert!(shard.insert(&mut rel, tuple).unwrap().is_accepted());
+            }
+            (shard, rel)
+        })
+    };
+    let (plain, plain_bytes) = fill(false);
+    drop(plain);
+    let (indexed, indexed_bytes) = fill(true);
+    drop(indexed);
+    per(indexed_bytes - plain_bytes, ROWS)
+}
+
 #[test]
-fn inserts_allocate_only_to_grow_and_removes_not_at_all() {
+fn an_ordered_index_holds_a_link_pair_per_row_and_an_entry_per_value() {
+    let hundred_per_value = ordered_index_bytes(|i| i / 100);
+    let recurring = ordered_index_bytes(|i| i % 97);
+    let unique = ordered_index_bytes(|i| i);
+    println!(
+        "ordered index: {hundred_per_value:.2} B/row at 100 rows per value, \
+         {recurring:.2} B/row over 97 values, {unique:.2} B/row on a unique column"
+    );
+    // An 8-byte `[prev, next]` pair per row in a doubling vector, plus a
+    // map entry per distinct value.
+    assert!(hundred_per_value <= 12.0, "{hundred_per_value:.2} B/row");
+    assert!(recurring <= 12.0, "{recurring:.2} B/row");
+    // The trade-off: a unique column pays the pair *and* a map entry per
+    // row — more than one `(value, slot)` entry per row would cost.
+    assert!(unique <= 46.0, "{unique:.2} B/row");
+}
+
+/// Allocation calls a shard over `R(A, B)` makes for 100k inserts of
+/// `(i, i mod 97)`, then for one refused insert, one duplicate insert and
+/// 14 286 removes spread over the relation — with an ordered index on `B`
+/// when `indexed`.
+fn write_path_calls(indexed: bool) -> [u64; 4] {
     let (schema, fds) = schema();
     let id = SchemeId(0);
     let mut shard = RelationShard::new(&schema, id, fds);
     let mut rel = Relation::new(schema.attrs(id));
+    if indexed {
+        let b = schema.universe().attr("B").unwrap();
+        shard.add_ordered_index(b, &rel).unwrap();
+    }
     let mut insert_calls = 0;
     for i in 0..ROWS {
         // The tuple is the caller's allocation, made outside the count.
@@ -163,14 +218,30 @@ fn inserts_allocate_only_to_grow_and_removes_not_at_all() {
         remove_calls += calls;
     }
     assert_eq!(rel.epoch(), 0, "no remove compacted");
+    let index = if indexed { "with" } else { "without" };
     println!(
-        "{ROWS} inserts: {insert_calls} allocation calls; refused: {refused_calls}; \
-         duplicate: {duplicate_calls}; {} removes: {remove_calls}",
+        "{ROWS} inserts {index} an ordered index: {insert_calls} allocation calls; \
+         refused: {refused_calls}; duplicate: {duplicate_calls}; {} removes: {remove_calls}",
         ROWS.div_ceil(7)
     );
+    [insert_calls, refused_calls, duplicate_calls, remove_calls]
+}
+
+#[test]
+fn inserts_allocate_only_to_grow_and_removes_not_at_all() {
+    let [insert_calls, rest @ ..] = write_path_calls(false);
     // Slab, tombstone bits and two tables, each doubling ≈ 15–17 times.
     assert!(insert_calls <= 64, "{insert_calls} allocation calls");
-    assert_eq!((refused_calls, duplicate_calls, remove_calls), (0, 0, 0));
+    assert_eq!(rest, [0; 3]);
+}
+
+#[test]
+fn an_ordered_index_allocates_only_to_grow_and_for_new_values() {
+    let [insert_calls, rest @ ..] = write_path_calls(true);
+    // The same, plus the doubling link vector and the map's nodes for 97
+    // values.
+    assert!(insert_calls <= 100, "{insert_calls} allocation calls");
+    assert_eq!(rest, [0; 3]);
 }
 
 #[test]

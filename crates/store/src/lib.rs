@@ -270,7 +270,7 @@ pub struct StoreConfig {
     pub shards: usize,
     /// Initial state to load; every relation must satisfy its cover.
     pub initial_state: Option<DatabaseState>,
-    /// Ordered (BTree) secondary indexes to build, one `(relation,
+    /// Ordered secondary indexes to build, one `(relation,
     /// column)` pair each — the shard-side structures behind range, set-
     /// membership and non-key equality pushdown.  Maintained on the same
     /// probe→commit write path as the FD hash indexes; a pair naming a
