@@ -13,6 +13,7 @@
 use ids_api::{Alter, Database, EngineKind, Error, Schema};
 use ids_store::{DurableConfig, StoreConfig, StoreError, SyncPolicy};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 
 use proptest::prelude::*;
 
@@ -301,6 +302,83 @@ fn a_switch_failing_after_the_durability_point_poisons_instead_of_forking() {
     );
     assert_eq!(db.count("CS").unwrap(), 0);
     db.insert("SR", ["Ann", "R128"]).unwrap();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Transitions on other relations never cost a relation its writes: a
+/// writer streams inserts into HOT while this thread cycles add-FD
+/// (with a real backfill over the preloaded WARM), drop-FD,
+/// add-relation and drop-relation.  Every HOT insert lands, WARM keeps
+/// its rows, the schema ends where it started, and the metrics count
+/// the same transitions the loop made.
+#[test]
+fn hot_writes_land_while_alters_churn_other_relations() {
+    const HOT: u64 = 1_000;
+    const WARM: u64 = 200;
+    let root = tmp_dir("churn");
+    let schema = Schema::builder()
+        .relation("HOT", ["key", "val"])
+        .relation("WARM", ["wkey", "wval"])
+        .fd("key -> val")
+        .build()
+        .unwrap();
+    let db = Database::open_at(&root, schema, DurableConfig::default()).unwrap();
+    for k in 0..WARM {
+        db.insert("WARM", [format!("w{k}"), format!("x{k}")])
+            .unwrap();
+    }
+    let mut warm_before = db.rows("WARM").unwrap();
+    warm_before.sort();
+    // The churn cycle.  Every step is accepted: the FD is embedded in
+    // WARM (whose distinct keys satisfy it), and TMP reuses WARM's
+    // columns, since a dropped relation must leave every attribute
+    // covered elsewhere.
+    let cycle = |n: u64| match n % 4 {
+        0 => Alter::AddFd {
+            spec: "wkey -> wval".into(),
+        },
+        1 => Alter::DropFd {
+            spec: "wkey -> wval".into(),
+        },
+        2 => Alter::AddRelation {
+            name: "TMP".into(),
+            columns: vec!["wkey".into(), "wval".into()],
+        },
+        _ => Alter::DropRelation { name: "TMP".into() },
+    };
+
+    let done = AtomicBool::new(false);
+    let alters = std::thread::scope(|s| {
+        s.spawn(|| {
+            for k in 0..HOT {
+                let outcome = db.insert("HOT", [format!("k{k}"), format!("v{k}")]);
+                assert!(outcome.unwrap().is_accepted(), "HOT insert {k}");
+            }
+            done.store(true, SeqCst);
+        });
+        // At least one whole cycle, then whole cycles until the writer
+        // finishes, so the schema ends where it started.
+        let mut alters = 0u64;
+        while !(alters >= 4 && alters.is_multiple_of(4) && done.load(SeqCst)) {
+            db.alter(&cycle(alters)).unwrap();
+            alters += 1;
+        }
+        alters
+    });
+
+    assert_eq!(db.count("HOT").unwrap() as u64, HOT);
+    let mut warm_after = db.rows("WARM").unwrap();
+    warm_after.sort();
+    assert_eq!(warm_after, warm_before);
+    assert_eq!(db.schema().relation_names().count(), 2);
+    let snap = db.metrics();
+    assert_eq!(snap.counter("evolve.alters"), Some(alters));
+    let backfills = snap
+        .events
+        .iter()
+        .filter(|r| matches!(r.event, ids_obs::Event::BackfillCompleted { .. }))
+        .count();
+    assert!(backfills >= 1, "every add-FD backfills WARM");
     let _ = std::fs::remove_dir_all(&root);
 }
 

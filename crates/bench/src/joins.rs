@@ -1,9 +1,8 @@
 //! E14 kernel: planned acyclic joins (Yannakakis semijoin reduction in
 //! the `ids-api` planner) vs whole-relation reads + a client-side fold.
 //!
-//! Shared by the `experiments e14` section, the Criterion bench
-//! `benches/joins.rs` and the `--smoke` gate in `tests/smoke.rs`, so
-//! the reported numbers come from one code path.
+//! Shared by the `experiments e14` section and the Criterion bench
+//! `benches/joins.rs`, so the reported numbers come from one code path.
 //!
 //! The claim under measurement is the read-side payoff of wiring
 //! `ids-acyclic` into the query path: on an acyclic relation set a
@@ -31,7 +30,7 @@ pub struct JoinBench {
 
 /// Zero-pads a value so lexicographic order equals numeric order — the
 /// planner's range conditions compare strings.
-pub fn pad(v: usize) -> String {
+fn pad(v: usize) -> String {
     format!("{v:06}")
 }
 
@@ -151,7 +150,7 @@ pub struct JoinRow {
 
 /// Measures one configuration: planned vs fold at `n` tuples per
 /// relation with a `k`-row answer.
-pub fn planned_vs_fold(n: usize, k: usize, reps: usize) -> JoinRow {
+fn planned_vs_fold(n: usize, k: usize, reps: usize) -> JoinRow {
     let JoinBench { db, .. } = build(n);
 
     let (rows, report) = planned_join(&db, k); // warmup + report
@@ -209,8 +208,8 @@ pub fn sweep(smoke: bool) -> Vec<JoinRow> {
 mod tests {
     use super::*;
 
-    // The sweep itself is gated once, in `tests/smoke.rs`; here only
-    // the correctness property the timings rest on: both strategies
+    // The claims are asserted by `experiments e14`; here only the
+    // correctness property the timings rest on: both strategies
     // compute the same join.
     #[test]
     fn planned_join_matches_the_client_side_fold() {

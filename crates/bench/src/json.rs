@@ -1,35 +1,35 @@
-//! Minimal JSON emission for `experiments --json` — machine-readable
-//! `BENCH_E*.json` result files for perf-trajectory tracking.
+//! The section reporter: prints each table for people and, with
+//! `experiments --json`, mirrors it into `BENCH_<section>.json`.
 //!
-//! The vendor set has no serde (this repository builds offline), and the
-//! data is just tables of strings, so a ~60-line writer is the whole
-//! dependency: every experiment section serializes as
+//! The vendor set has no serde (this repository builds offline), so a
+//! small writer is the whole dependency.  Every section serializes as
 //!
 //! ```json
 //! {
 //!   "experiment": "E10",
-//!   "tables": [{"title": "...", "headers": ["..."], "rows": [["..."]]}],
-//!   "notes": ["host CPUs: 4"]
+//!   "tables": [{"title": "...", "headers": ["..."],
+//!               "rows": [["16", {"value": 412, "unit": "ns"}]]}],
+//!   "notes": ["host CPUs: 2; section elapsed: 1.58ms"]
 //! }
 //! ```
+//!
+//! A text cell is a JSON string; a numeric [`Cell`] is an object with a
+//! number `value` and its `unit` (`ns`, `count`, `ratio` or `1/s`).
 
-use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 
-/// One printed table, as captured by the experiments reporter.
-#[derive(Clone, Debug)]
-pub struct JsonTable {
-    /// The table title (as printed above it).
-    pub title: String,
-    /// Column headers.
-    pub headers: Vec<String>,
-    /// Row-major cells, already rendered.
-    pub rows: Vec<Vec<String>>,
+use crate::Cell;
+
+/// One printed table, as captured for JSON.
+struct Table {
+    title: String,
+    headers: Vec<String>,
+    rows: Vec<Vec<Cell>>,
 }
 
 /// Escapes a string for a JSON string literal.
-pub fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -50,8 +50,24 @@ fn string_array(items: &[String]) -> String {
     format!("[{}]", quoted.join(", "))
 }
 
+/// A cell as JSON.  Numbers keep three decimals; a non-finite value
+/// (never produced on purpose) is `null`, which the CI check rejects.
+fn cell_json(cell: &Cell) -> String {
+    match cell {
+        Cell::Text(s) => format!("\"{}\"", escape(s)),
+        Cell::Value(v, unit) => {
+            let value = if v.is_finite() {
+                format!("{}", (v * 1e3).round() / 1e3)
+            } else {
+                "null".to_string()
+            };
+            format!("{{\"value\": {value}, \"unit\": \"{}\"}}", unit.name())
+        }
+    }
+}
+
 /// Renders one experiment's JSON document.
-pub fn render_experiment(experiment: &str, tables: &[JsonTable], notes: &[String]) -> String {
+fn render_experiment(experiment: &str, tables: &[Table], notes: &[String]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"experiment\": \"{}\",\n", escape(experiment)));
@@ -65,9 +81,10 @@ pub fn render_experiment(experiment: &str, tables: &[JsonTable], notes: &[String
         ));
         out.push_str("      \"rows\": [\n");
         for (j, row) in t.rows.iter().enumerate() {
+            let cells: Vec<String> = row.iter().map(cell_json).collect();
             out.push_str(&format!(
-                "        {}{}\n",
-                string_array(row),
+                "        [{}]{}\n",
+                cells.join(", "),
                 if j + 1 < t.rows.len() { "," } else { "" }
             ));
         }
@@ -83,18 +100,43 @@ pub fn render_experiment(experiment: &str, tables: &[JsonTable], notes: &[String
     out
 }
 
+/// Prints an experiment table (markdown-style, aligned).
+fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
+    println!("\n### {title}\n");
+    let hs: Vec<String> = headers.iter().map(|s| s.to_string()).collect();
+    let mut widths: Vec<usize> = hs.iter().map(|h| h.chars().count()).collect();
+    for row in rows {
+        for (i, c) in row.iter().enumerate() {
+            if i < widths.len() {
+                widths[i] = widths[i].max(c.chars().count());
+            }
+        }
+    }
+    let line = |cells: &[String]| {
+        let padded: Vec<String> = cells
+            .iter()
+            .enumerate()
+            .map(|(i, c)| format!("{:<w$}", c, w = widths.get(i).copied().unwrap_or(0)))
+            .collect();
+        println!("| {} |", padded.join(" | "));
+    };
+    line(&hs);
+    let sep: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
+    line(&sep);
+    for row in rows {
+        line(row);
+    }
+}
+
 /// Collects what an experiment section prints — tables and note lines —
 /// so `--json` mode can mirror it into `BENCH_<section>.json`.  Without
 /// JSON capture it only prints.
 ///
-/// Every flushed document gets a uniform provenance note stamped into
-/// its `notes`: the host CPU count (the ceiling on shard overlap, so a
-/// tracked number is interpretable across machines) and the section's
-/// wall-clock elapsed time (so trajectory tooling can see when a
-/// section's own cost regresses, not just its measured kernels).
+/// Every flushed document gets a provenance note: the host CPU count
+/// and the section's wall-clock elapsed time.
 pub struct Reporter {
     json_dir: Option<PathBuf>,
-    tables: Vec<JsonTable>,
+    tables: Vec<Table>,
     notes: Vec<String>,
     section_started: Instant,
 }
@@ -112,13 +154,17 @@ impl Reporter {
     }
 
     /// Prints a table (and captures it when JSON capture is on).
-    pub fn table(&mut self, title: &str, headers: &[&str], rows: &[Vec<String>]) {
-        crate::print_table(title, headers, rows);
+    pub fn table(&mut self, title: &str, headers: &[&str], rows: Vec<Vec<Cell>>) {
+        let printed: Vec<Vec<String>> = rows
+            .iter()
+            .map(|row| row.iter().map(Cell::to_string).collect())
+            .collect();
+        print_table(title, headers, &printed);
         if self.json_dir.is_some() {
-            self.tables.push(JsonTable {
+            self.tables.push(Table {
                 title: title.to_string(),
                 headers: headers.iter().map(|h| h.to_string()).collect(),
-                rows: rows.to_vec(),
+                rows,
             });
         }
     }
@@ -132,18 +178,18 @@ impl Reporter {
     }
 
     /// Ends a section: writes `BENCH_<section>.json` (when capturing)
-    /// with the provenance stamp appended, then clears the capture and
+    /// with the provenance note appended, then clears the capture and
     /// restarts the section clock either way.
     pub fn flush(&mut self, section: &str) {
         if let Some(dir) = &self.json_dir {
-            let mut notes = self.notes.clone();
-            notes.push(format!(
+            self.notes.push(format!(
                 "host CPUs: {}; section elapsed: {}",
-                crate::throughput::available_cpus(),
+                crate::available_cpus(),
                 crate::fmt_duration(self.section_started.elapsed()),
             ));
-            write_experiment(dir, section, &self.tables, &notes)
-                .unwrap_or_else(|e| panic!("writing BENCH_{section}.json: {e}"));
+            let path = dir.join(format!("BENCH_{section}.json"));
+            std::fs::write(&path, render_experiment(section, &self.tables, &self.notes))
+                .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
         }
         self.tables.clear();
         self.notes.clear();
@@ -151,21 +197,10 @@ impl Reporter {
     }
 }
 
-/// Writes `BENCH_{experiment}.json` into `dir`, returning the path.
-pub fn write_experiment(
-    dir: &Path,
-    experiment: &str,
-    tables: &[JsonTable],
-    notes: &[String],
-) -> io::Result<PathBuf> {
-    let path = dir.join(format!("BENCH_{experiment}.json"));
-    std::fs::write(&path, render_experiment(experiment, tables, notes))?;
-    Ok(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Unit;
 
     #[test]
     fn escaping_covers_the_json_specials() {
@@ -178,20 +213,38 @@ mod tests {
     }
 
     #[test]
+    fn numeric_cells_are_numbers_with_units() {
+        assert_eq!(
+            cell_json(&Cell::count(30)),
+            r#"{"value": 30, "unit": "count"}"#
+        );
+        assert_eq!(
+            cell_json(&Cell::ratio(24.61234)),
+            r#"{"value": 24.612, "unit": "ratio"}"#
+        );
+        assert_eq!(
+            cell_json(&Cell::Value(f64::NAN, Unit::Ns)),
+            r#"{"value": null, "unit": "ns"}"#
+        );
+        assert_eq!(cell_json(&Cell::from("yes")), r#""yes""#);
+    }
+
+    #[test]
     fn rendered_document_has_the_expected_shape() {
-        let tables = vec![JsonTable {
+        let tables = vec![Table {
             title: "T — demo".into(),
             headers: vec!["a".into(), "b".into()],
             rows: vec![
-                vec!["1".into(), "2µs".into()],
-                vec!["3".into(), "4µs".into()],
+                vec!["1".into(), Cell::ns(std::time::Duration::from_micros(2))],
+                vec!["3".into(), Cell::count(4)],
             ],
         }];
         let notes = vec!["host CPUs: 1".to_string()];
         let doc = render_experiment("E10", &tables, &notes);
         assert!(doc.contains("\"experiment\": \"E10\""));
         assert!(doc.contains("\"title\": \"T — demo\""));
-        assert!(doc.contains("[\"1\", \"2µs\"]"));
+        assert!(doc.contains(r#"["1", {"value": 2000, "unit": "ns"}]"#));
+        assert!(doc.contains(r#"["3", {"value": 4, "unit": "count"}]"#));
         assert!(doc.contains("\"notes\": [\"host CPUs: 1\"]"));
         // Balanced braces/brackets (cheap well-formedness check).
         for (open, close) in [('{', '}'), ('[', ']')] {
@@ -200,17 +253,5 @@ mod tests {
                 doc.chars().filter(|&c| c == close).count()
             );
         }
-    }
-
-    #[test]
-    fn write_lands_the_file_under_the_bench_name() {
-        let dir = std::env::temp_dir().join(format!("ids-json-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = write_experiment(&dir, "E1", &[], &[]).unwrap();
-        assert!(path.ends_with("BENCH_E1.json"));
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.contains("\"experiment\": \"E1\""));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

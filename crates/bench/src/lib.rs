@@ -1,28 +1,27 @@
-//! Shared harness utilities for the experiment suite: wall-clock timing
-//! with warmup and median-of-N, aligned table output matching the
-//! EXPERIMENTS.md format, machine-readable result emission ([`json`]),
-//! the E7 store-throughput kernel ([`throughput`]), the E8
-//! read-vs-snapshot kernel ([`reads`]), the E9 durability-overhead +
-//! recovery kernel ([`durability`]), the E10 query-pushdown kernel
-//! ([`queries`]), the E11 network front-end kernel ([`net`]), the E12
-//! observability-overhead + conservation kernel ([`obs`]), the E13
-//! read-replica scaling kernel ([`replica`]), the E14 planned-join
-//! kernel ([`joins`]) and the E15 online-schema-evolution kernel
-//! ([`evolve`]).
+//! The paper's reproduction, asserted.  The `experiments` binary runs
+//! the worked examples (X1–X3) and the claims built on Theorem 3
+//! (E1–E14), and every section `assert!`s its claim, so
+//! `tests/smoke.rs` fails when one regresses.  This crate holds what
+//! those sections share: wall-clock timing with warmup and median-of-N,
+//! table [`Cell`]s with units, the reporter that prints them and mirrors
+//! them to `BENCH_<section>.json` ([`json`]), and the kernels too large
+//! to inline: E8 read vs snapshot ([`reads`]), E10 query pushdown
+//! ([`queries`]), E12 metrics on/off ([`obs`]), E13 read replicas
+//! ([`replica`]) and E14 planned joins ([`joins`]).
+//!
+//! Absolute store, wire and durable throughput are measured by the
+//! separate `benchmark/` package, not here.
 
 #![warn(missing_docs)]
 
-pub mod durability;
-pub mod evolve;
 pub mod joins;
 pub mod json;
-pub mod net;
 pub mod obs;
 pub mod queries;
 pub mod reads;
 pub mod replica;
-pub mod throughput;
 
+use std::fmt;
 use std::time::{Duration, Instant};
 
 /// Runs `f` once for warmup, then `reps` times, returning the median
@@ -41,7 +40,7 @@ pub fn time_median<F: FnMut()>(reps: usize, mut f: F) -> Duration {
 }
 
 /// Formats a duration compactly (µs/ms/s).
-pub fn fmt_duration(d: Duration) -> String {
+pub(crate) fn fmt_duration(d: Duration) -> String {
     let us = d.as_secs_f64() * 1e6;
     if us < 1_000.0 {
         format!("{us:.1}µs")
@@ -52,34 +51,6 @@ pub fn fmt_duration(d: Duration) -> String {
     }
 }
 
-/// Prints an experiment table (markdown-style, aligned).
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n### {title}\n");
-    let hs: Vec<String> = headers.iter().map(|s| s.to_string()).collect();
-    let mut widths: Vec<usize> = hs.iter().map(|h| h.chars().count()).collect();
-    for row in rows {
-        for (i, c) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(c.chars().count());
-            }
-        }
-    }
-    let line = |cells: &[String]| {
-        let padded: Vec<String> = cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:<w$}", c, w = widths.get(i).copied().unwrap_or(0)))
-            .collect();
-        println!("| {} |", padded.join(" | "));
-    };
-    line(&hs);
-    let sep: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
-    line(&sep);
-    for row in rows {
-        line(row);
-    }
-}
-
 /// Growth-ratio helper: consecutive ratios of a series (for judging
 /// polynomial vs. exponential shapes in the tables).
 pub fn growth_ratios(series: &[f64]) -> Vec<f64> {
@@ -87,6 +58,103 @@ pub fn growth_ratios(series: &[f64]) -> Vec<f64> {
         .windows(2)
         .map(|w| if w[0] > 0.0 { w[1] / w[0] } else { f64::NAN })
         .collect()
+}
+
+/// CPUs the host exposes, stamped on every section's JSON.
+pub(crate) fn available_cpus() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// The unit of a numeric [`Cell`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Unit {
+    /// A duration in nanoseconds.
+    Ns,
+    /// A count of things (tuples, rows, keys, ops); a mean may be
+    /// fractional.
+    Count,
+    /// A dimensionless ratio.
+    Ratio,
+    /// A rate per second.
+    PerSec,
+}
+
+impl Unit {
+    /// The unit's name in `BENCH_*.json`.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Unit::Ns => "ns",
+            Unit::Count => "count",
+            Unit::Ratio => "ratio",
+            Unit::PerSec => "1/s",
+        }
+    }
+}
+
+/// One table cell: text, or a number with its unit.  Printed for
+/// people (`2.6µs`, `24.6x`), written to JSON as
+/// `{"value": n, "unit": "…"}`.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Cell {
+    /// A label or a verdict.
+    Text(String),
+    /// A measured or counted number.
+    Value(f64, Unit),
+}
+
+impl Cell {
+    /// A duration.
+    pub fn ns(d: Duration) -> Cell {
+        Cell::Value(d.as_nanos() as f64, Unit::Ns)
+    }
+
+    /// An exact count.
+    pub fn count(n: usize) -> Cell {
+        Cell::Value(n as f64, Unit::Count)
+    }
+
+    /// A ratio.
+    pub fn ratio(r: f64) -> Cell {
+        Cell::Value(r, Unit::Ratio)
+    }
+
+    /// A rate per second.
+    pub fn per_sec(r: f64) -> Cell {
+        Cell::Value(r, Unit::PerSec)
+    }
+
+    /// `yes` or `no`.
+    pub fn yn(b: bool) -> Cell {
+        Cell::from(if b { "yes" } else { "no" })
+    }
+}
+
+impl From<&str> for Cell {
+    fn from(s: &str) -> Cell {
+        Cell::Text(s.to_string())
+    }
+}
+
+impl From<String> for Cell {
+    fn from(s: String) -> Cell {
+        Cell::Text(s)
+    }
+}
+
+impl fmt::Display for Cell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Cell::Text(ref s) => f.write_str(s),
+            Cell::Value(v, Unit::Ns) => f.write_str(&fmt_duration(Duration::from_nanos(v as u64))),
+            Cell::Value(v, Unit::Count) if v.fract() == 0.0 => write!(f, "{v:.0}"),
+            Cell::Value(v, Unit::Count) => write!(f, "{v:.2}"),
+            Cell::Value(v, Unit::Ratio) => write!(f, "{v:.1}x"),
+            Cell::Value(v, Unit::PerSec) if v >= 1e6 => write!(f, "{:.2} Mops/s", v / 1e6),
+            Cell::Value(v, Unit::PerSec) => write!(f, "{v:.0}"),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -112,5 +180,16 @@ mod tests {
     fn ratios() {
         let r = growth_ratios(&[1.0, 2.0, 8.0]);
         assert_eq!(r, vec![2.0, 4.0]);
+    }
+
+    #[test]
+    fn cells_print_as_the_tables_always_have() {
+        assert_eq!(Cell::ns(Duration::from_nanos(2_600)).to_string(), "2.6µs");
+        assert_eq!(Cell::count(2374).to_string(), "2374");
+        assert_eq!(Cell::Value(0.82, Unit::Count).to_string(), "0.82");
+        assert_eq!(Cell::ratio(24.63).to_string(), "24.6x");
+        assert_eq!(Cell::per_sec(6_910_000.0).to_string(), "6.91 Mops/s");
+        assert_eq!(Cell::per_sec(8343.2).to_string(), "8343");
+        assert_eq!(Cell::yn(true).to_string(), "yes");
     }
 }

@@ -3,36 +3,20 @@
 //! The claim under measurement is the `ids-obs` design premise: because
 //! every hot-path tally is a per-shard relaxed atomic touched a handful
 //! of times per *batch* (the workers count into plain locals and flush
-//! once), instrumentation adds no measurable cost to the E7 insert
-//! kernel — recording on must land within noise of recording off.
+//! once), instrumentation adds no measurable cost to a batched insert
+//! stream — recording on must land within noise of recording off.
 //!
-//! Two invariants ride along, asserted inside the kernels themselves:
-//!
-//! * **Store conservation** — after a mixed insert/remove trace has
-//!   quiesced, the per-shard counter totals equal the acknowledged
-//!   outcomes exactly: `accepted + duplicate + rejected` counts insert
-//!   acks and `removed` counts successful removes.  The counters are
-//!   not parallel bookkeeping that can drift; they are the same events.
-//! * **Server conservation** — under an E11-style overload burst, the
-//!   server's own `server.requests.query` + `server.shed` counters
-//!   partition the burst exactly (checked by
-//!   [`crate::net::overload_burst`], whose row carries both ends).
-//!
-//! Shared by `experiments e12` and the `--smoke` gate in
-//! `tests/smoke.rs`.  Note the kernel flips the global recording
-//! switch; it always restores it to *on*, but concurrent tests that
-//! assert on live counters should not overlap the off-window — the
-//! smoke test therefore exercises only the conservation path, and the
-//! on/off measurement runs in the sequential `experiments` binary.
+//! The kernel flips the global recording switch, so it runs only in the
+//! sequential `experiments` binary, never beside tests that assert on
+//! live counters.  Counter conservation (totals == acknowledged
+//! outcomes) is checked exactly by the store and server test suites.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use ids_core::InsertOutcome;
-use ids_store::{OpOutcome, Store, StoreOp};
-use ids_workloads::families::key_chain;
-use ids_workloads::traces::{interleaved_trace, TraceKind, TraceParams};
-
-use crate::throughput::{build_workload, run_store, workload_sizes};
+use ids_relational::DatabaseState;
+use ids_store::{Store, StoreConfig, StoreOp};
+use ids_workloads::families::{key_chain, FamilyInstance};
+use ids_workloads::states::{insert_stream, random_satisfying_state};
 
 /// One measured mode of the E12 overhead comparison.
 pub struct OverheadRow {
@@ -46,7 +30,58 @@ pub struct OverheadRow {
     pub ops_per_sec: f64,
 }
 
-/// Runs the E7 insert kernel with recording on and off (best of `reps`
+/// The insert workload: `key-chain(relations)` preloaded with a
+/// satisfying state, and a multi-relation insert stream in batches.
+struct Workload {
+    inst: FamilyInstance,
+    base: DatabaseState,
+    batches: Vec<Vec<StoreOp>>,
+    ops: usize,
+}
+
+impl Workload {
+    fn build(smoke: bool) -> Workload {
+        let (relations, preload, n_ops, batch) = if smoke {
+            (8, 64, 2_000, 256)
+        } else {
+            (16, 2_000, 200_000, 4_096)
+        };
+        let inst = key_chain(relations);
+        let base = random_satisfying_state(&inst.schema, &inst.fds, preload, 64, 1);
+        let ops: Vec<StoreOp> = insert_stream(&inst.schema, n_ops, 64, 2)
+            .into_iter()
+            .map(|op| StoreOp::Insert {
+                scheme: op.scheme,
+                tuple: op.tuple,
+            })
+            .collect();
+        Workload {
+            inst,
+            base,
+            batches: ops.chunks(batch).map(<[StoreOp]>::to_vec).collect(),
+            ops: ops.len(),
+        }
+    }
+
+    /// Applies every batch to a fresh preloaded store; returns the time
+    /// of the apply loop alone (open, op cloning and drop excluded).
+    fn run(&self) -> Duration {
+        let config = StoreConfig {
+            initial_state: Some(self.base.clone()),
+            ..Default::default()
+        };
+        let store = Store::open_with(&self.inst.schema, &self.inst.fds, config)
+            .expect("key-chain is independent");
+        let batches = self.batches.clone();
+        let t = Instant::now();
+        for batch in batches {
+            let _ = std::hint::black_box(store.apply_batch(batch).unwrap());
+        }
+        t.elapsed()
+    }
+}
+
+/// Runs the insert kernel with recording on and off (best of `reps`
 /// runs each, interleaved to even out drift), restores the switch to
 /// on, and returns `(on, off, on/off ratio)`.
 ///
@@ -61,137 +96,35 @@ pub fn overhead_sweep(
     attempts: usize,
     target: f64,
 ) -> (OverheadRow, OverheadRow, f64) {
-    let (relations, preload, n_ops) = workload_sizes(smoke);
-    let w = build_workload(relations, preload, n_ops);
-    let batch = if smoke { 256 } else { 4_096 };
-
+    let w = Workload::build(smoke);
+    let ratio = |(on, off): (Duration, Duration)| on.as_secs_f64() / off.as_secs_f64();
     let mut best: Option<(Duration, Duration)> = None;
     for _ in 0..attempts.max(1) {
         let (mut on, mut off) = (Duration::MAX, Duration::MAX);
         for _ in 0..reps.max(1) {
             ids_obs::set_recording(true);
-            on = on.min(run_store(&w, 1, batch));
+            on = on.min(w.run());
             ids_obs::set_recording(false);
-            off = off.min(run_store(&w, 1, batch));
+            off = off.min(w.run());
         }
         ids_obs::set_recording(true);
-        let better = match &best {
-            Some((b_on, b_off)) => {
-                on.as_secs_f64() / off.as_secs_f64() < b_on.as_secs_f64() / b_off.as_secs_f64()
-            }
-            None => true,
-        };
-        if better {
+        if best.is_none_or(|b| ratio((on, off)) < ratio(b)) {
             best = Some((on, off));
         }
-        let (b_on, b_off) = best.as_ref().unwrap();
-        if b_on.as_secs_f64() / b_off.as_secs_f64() <= target {
+        if best.is_some_and(|b| ratio(b) <= target) {
             break;
         }
     }
     let (on, off) = best.expect("at least one attempt ran");
-    let ratio = on.as_secs_f64() / off.as_secs_f64();
-    let n = w.ops.len();
     let row = |mode: &'static str, d: Duration| OverheadRow {
         mode,
-        ops: n,
+        ops: w.ops,
         elapsed: d,
-        ops_per_sec: n as f64 / d.as_secs_f64(),
+        ops_per_sec: w.ops as f64 / d.as_secs_f64(),
     };
-    (row("recording on", on), row("recording off", off), ratio)
-}
-
-/// The store-side conservation report: acknowledged outcomes vs the
-/// quiesced counter totals.
-pub struct ConservationReport {
-    /// Operations in the trace.
-    pub ops: usize,
-    /// Relations (one `store.shard{i}` metric family each) the totals
-    /// are summed over.
-    pub relations: usize,
-    /// Inserts acknowledged `Accepted`.
-    pub accepted: u64,
-    /// Inserts acknowledged `Duplicate`.
-    pub duplicate: u64,
-    /// Inserts acknowledged `Rejected`.
-    pub rejected: u64,
-    /// Removes acknowledged present.
-    pub removed: u64,
-}
-
-/// Pushes a mixed insert/remove trace through a sharded store, tallies
-/// the *acknowledged* outcomes, and asserts the quiesced per-relation
-/// counter totals equal them exactly — conservation, in the kernel
-/// itself so every caller inherits the check.
-pub fn conservation_check(smoke: bool) -> ConservationReport {
-    let inst = key_chain(6);
-    let trace = interleaved_trace(
-        &inst.schema,
-        TraceParams {
-            clients: 4,
-            ops_per_client: if smoke { 50 } else { 500 },
-            domain: 6,
-            remove_percent: 25,
-        },
-        0xE12,
-    );
-    let store = Store::open(&inst.schema, &inst.fds).expect("key-chain is independent");
-    let ops: Vec<StoreOp> = trace
-        .iter()
-        .map(|op| match op.kind {
-            TraceKind::Insert => StoreOp::Insert {
-                scheme: op.scheme,
-                tuple: op.tuple.clone(),
-            },
-            TraceKind::Remove => StoreOp::Remove {
-                scheme: op.scheme,
-                tuple: op.tuple.clone(),
-            },
-        })
-        .collect();
-    let n = ops.len();
-    let outcomes = store.apply_batch(ops).expect("healthy store");
-
-    let (mut accepted, mut duplicate, mut rejected, mut removed) = (0u64, 0u64, 0u64, 0u64);
-    for o in &outcomes {
-        match o {
-            OpOutcome::Insert(InsertOutcome::Accepted) => accepted += 1,
-            OpOutcome::Insert(InsertOutcome::Duplicate) => duplicate += 1,
-            OpOutcome::Insert(InsertOutcome::Rejected { .. }) => rejected += 1,
-            OpOutcome::Remove(true) => removed += 1,
-            OpOutcome::Remove(false) => {}
-        }
-    }
-    let snap = store.metrics();
-    assert_eq!(
-        (
-            snap.counter_sum("accepted"),
-            snap.counter_sum("duplicate"),
-            snap.counter_sum("rejected"),
-            snap.counter_sum("removed"),
-        ),
-        (accepted, duplicate, rejected, removed),
-        "counter totals must equal the acknowledged outcomes"
-    );
-    store.shutdown().expect("clean shutdown");
-    ConservationReport {
-        ops: n,
-        relations: inst.schema.len(),
-        accepted,
-        duplicate,
-        rejected,
-        removed,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn conservation_holds_on_the_smoke_trace() {
-        let report = conservation_check(true);
-        assert!(report.accepted > 0, "the trace must accept something");
-        assert_eq!(report.ops, 200);
-    }
+    (
+        row("recording on", on),
+        row("recording off", off),
+        ratio((on, off)),
+    )
 }

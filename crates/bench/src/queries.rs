@@ -1,23 +1,19 @@
 //! E10 kernel: pushed-down filtered queries vs `read` + client-side
 //! filter vs the full `snapshot` barrier.
 //!
-//! Shared by the `experiments e10` section, the Criterion bench
-//! `benches/queries.rs` and the `--smoke` gate in `tests/smoke.rs`, so
-//! the reported numbers come from one code path.
-//!
-//! The claim under measurement is the read-side payoff of independence
-//! *plus* pushdown: a filtered read needs no barrier (E8 already shows
-//! that), and pushing the predicate into the owning shard means
+//! The claim is the read-side payoff of independence *plus* pushdown: a
+//! filtered read needs no barrier (E8 already shows that), and pushing
+//! the predicate into the owning shard means
 //!
 //! 1. a point lookup on a key FD's left-hand side is answered in O(1)
 //!    from the enforcement hash index the shard maintains anyway —
-//!    instead of cloning the whole relation and filtering client-side —
+//!    instead of copying the whole relation and filtering client-side —
 //!    and
-//! 2. only *matching* tuples cross the shard channel, so the bytes
-//!    shipped per query drop from the relation's size to the answer's.
+//! 2. only *matching* tuples ship: at most one per probe on a key,
+//!    against the whole relation for `read` + filter.
 //!
-//! Like E8 the advantage does not depend on CPU count: it comes from
-//! touching 1 index entry instead of n tuples.
+//! The shipped counts are exact and asserted by `experiments e10`; the
+//! speedup is asserted at full size only.
 
 use std::time::{Duration, Instant};
 
@@ -28,61 +24,59 @@ use ids_workloads::states::{lookup_stream, LookupOp};
 
 /// A prepared query workload: a key-chain store preloaded with an exact
 /// per-relation tuple count, plus a read-heavy probe stream.
-pub struct QueryBench {
-    /// The running store.
-    pub store: Store,
-    /// Its schema handle.
-    pub schema: DatabaseSchema,
+struct QueryBench {
+    store: Store,
+    schema: DatabaseSchema,
     /// Point probes, ~80% hitting stored keys.
-    pub lookups: Vec<LookupOp>,
+    lookups: Vec<LookupOp>,
 }
 
 /// The equality predicate of one probe.
-pub fn probe_predicate(op: &LookupOp) -> Predicate {
+fn probe_predicate(op: &LookupOp) -> Predicate {
     Predicate::new().and_eq(op.attr, op.value)
 }
 
 impl QueryBench {
+    /// Builds a `key-chain(relations)` store with exactly
+    /// `per_relation` tuples in every relation (`Ri` gets `(v, v)` for
+    /// `v < per_relation`, trivially satisfying `Ai → Ai+1` and globally
+    /// consistent), plus `probes` point lookups from the read-heavy
+    /// generator.
+    fn build(relations: usize, per_relation: usize, probes: usize) -> QueryBench {
+        let inst = key_chain(relations);
+        let mut state = DatabaseState::empty(&inst.schema);
+        for id in inst.schema.ids() {
+            for v in 0..per_relation as u64 {
+                state
+                    .insert(id, vec![Value::int(v), Value::int(v)])
+                    .expect("key-chain schemes are binary");
+            }
+        }
+        let lookups = lookup_stream(&inst.schema, &state, probes, 80, 11);
+        let store = Store::open_with(
+            &inst.schema,
+            &inst.fds,
+            StoreConfig {
+                initial_state: Some(state),
+                ..Default::default()
+            },
+        )
+        .expect("key-chain is independent");
+        QueryBench {
+            store,
+            schema: inst.schema,
+            lookups,
+        }
+    }
+
     /// The client-side path for one probe: ship the whole relation, then
     /// filter here.  Returns the tuples shipped and the matches.
-    pub fn read_then_filter(&self, op: &LookupOp, pred: &Predicate) -> (usize, Vec<Tuple>) {
+    fn read_then_filter(&self, op: &LookupOp, pred: &Predicate) -> (usize, Vec<Tuple>) {
         let whole = self.store.query(op.scheme, &Predicate::new()).unwrap();
         let attrs = self.schema.attrs(op.scheme);
         let shipped = whole.len();
         let hits = whole.into_iter().filter(|t| pred.matches(attrs, t));
         (shipped, hits.collect())
-    }
-}
-
-/// Builds a `key-chain(relations)` store with exactly
-/// `per_relation` tuples in every relation (`Ri` gets `(v, v)` for
-/// `v < per_relation`, trivially satisfying `Ai → Ai+1` and globally
-/// consistent), plus `probes` point lookups from the read-heavy
-/// generator.
-pub fn build(relations: usize, per_relation: usize, probes: usize) -> QueryBench {
-    let inst = key_chain(relations);
-    let mut state = DatabaseState::empty(&inst.schema);
-    for id in inst.schema.ids() {
-        for v in 0..per_relation as u64 {
-            state
-                .insert(id, vec![Value::int(v), Value::int(v)])
-                .expect("key-chain schemes are binary");
-        }
-    }
-    let lookups = lookup_stream(&inst.schema, &state, probes, 80, 11);
-    let store = Store::open_with(
-        &inst.schema,
-        &inst.fds,
-        StoreConfig {
-            initial_state: Some(state),
-            ..Default::default()
-        },
-    )
-    .expect("key-chain is independent");
-    QueryBench {
-        store,
-        schema: inst.schema,
-        lookups,
     }
 }
 
@@ -102,18 +96,20 @@ pub struct QueryRow {
     pub speedup: f64,
     /// Mean tuples shipped per pushed-down query (≈ hit rate).
     pub shipped_pushed: f64,
+    /// Most tuples any one pushed-down query shipped.
+    pub max_shipped_pushed: usize,
     /// Mean tuples shipped per whole-relation read (= per_relation).
     pub shipped_read: f64,
 }
 
 /// Measures one configuration.
-pub fn query_vs_read(relations: usize, per_relation: usize, probes: usize) -> QueryRow {
-    let bench = build(relations, per_relation, probes);
+fn query_vs_read(relations: usize, per_relation: usize, probes: usize) -> QueryRow {
+    let bench = QueryBench::build(relations, per_relation, probes);
     let QueryBench { store, lookups, .. } = &bench;
 
     // Pushed-down path: the shard evaluates, only matches come back.
     let mut pushed_times = Vec::with_capacity(lookups.len());
-    let mut shipped_pushed = 0usize;
+    let (mut shipped_pushed, mut max_shipped_pushed) = (0usize, 0usize);
     let _ = store
         .query(lookups[0].scheme, &probe_predicate(&lookups[0]))
         .unwrap(); // warmup
@@ -123,6 +119,7 @@ pub fn query_vs_read(relations: usize, per_relation: usize, probes: usize) -> Qu
         let hits = store.query(op.scheme, &pred).unwrap();
         pushed_times.push(t.elapsed());
         shipped_pushed += hits.len();
+        max_shipped_pushed = max_shipped_pushed.max(hits.len());
         std::hint::black_box(hits);
     }
     pushed_times.sort();
@@ -165,6 +162,7 @@ pub fn query_vs_read(relations: usize, per_relation: usize, probes: usize) -> Qu
         snapshot_filter,
         speedup: read_filter.as_secs_f64() / pushed.as_secs_f64().max(1e-12),
         shipped_pushed: shipped_pushed as f64 / lookups.len() as f64,
+        max_shipped_pushed,
         shipped_read: shipped_read as f64 / lookups.len() as f64,
     }
 }
@@ -193,11 +191,11 @@ pub fn sweep(smoke: bool) -> Vec<QueryRow> {
 mod tests {
     use super::*;
 
-    // The sweep itself is gated once, in `tests/smoke.rs` (the E7/E9
-    // pattern); here only the correctness property the timings rest on.
+    // The claims are asserted by `experiments e10`; here only the
+    // correctness property the timings rest on.
     #[test]
     fn pushed_down_results_match_the_client_side_filter() {
-        let bench = build(4, 100, 32);
+        let bench = QueryBench::build(4, 100, 32);
         for op in &bench.lookups {
             let pred = probe_predicate(op);
             let pushed = bench.store.query(op.scheme, &pred).unwrap();

@@ -1,22 +1,17 @@
 //! E8 kernel: one-relation [`Store::read`] vs the whole-store
 //! [`Store::snapshot`].
 //!
-//! Shared by the `experiments e8` section and the `--smoke` gate in
-//! `tests/smoke.rs`, so the reported numbers come from one code path.
+//! The claim is the API-design payoff of independence: a per-relation
+//! read locks **one** shard and ships **one** relation's tuples, while
+//! a snapshot locks every shard and copies the whole database.  On an
+//! independent schema the cheap read is still *sound* (the relation it
+//! returns is one some snapshot also contains) — a dependent schema
+//! would offer no such shortcut, since global consistency there is not
+//! a per-relation property.
 //!
-//! The claim under measurement is the API-design payoff of independence:
-//! a per-relation read locks **one** shard and copies **one**
-//! relation's tuples, so its latency is flat in the number of relations, while a
-//! snapshot locks every shard and copies the whole
-//! database.  On an independent schema the cheap read is still *sound*
-//! (the relation it returns is one some snapshot also contains)
-//! — a dependent schema would offer no such shortcut, since global
-//! consistency there is not a per-relation property.
-//!
-//! Unlike E7's caller overlap, the read advantage does **not** depend
-//! on parallelism — it comes from touching `1/n` of the data and `1` of
-//! `n` locks — so the gap shows even on a single-CPU host.  CPUs are
-//! printed alongside for interpretability.
+//! The shipped-tuple counts are exact and asserted by `experiments e8`:
+//! a read returns `|R|`, a snapshot `Σ|R|`.  The latencies are reported
+//! beside them.
 
 use std::time::{Duration, Instant};
 
@@ -25,28 +20,38 @@ use ids_store::{Store, StoreConfig};
 use ids_workloads::families::key_chain;
 use ids_workloads::states::random_satisfying_state;
 
-/// One row of the E8 sweep: read and snapshot latency on one store.
+/// One row of the E8 sweep: read and snapshot on one store.
 pub struct ReadRow {
     /// Relations in the schema.
     pub relations: usize,
-    /// Tuples preloaded across the whole store.
-    pub preloaded: usize,
+    /// Tuples stored across the whole store (`Σ|R|`).
+    pub stored: usize,
     /// Median latency of one barrier-free per-relation read.
     pub read: Duration,
     /// Median latency of one full snapshot barrier.
     pub snapshot: Duration,
-    /// `snapshot / read` — how much the barrier costs over the shortcut.
+    /// `snapshot / read`.
     pub snapshot_over_read: f64,
+    /// Reads timed.
+    pub reads: usize,
+    /// Tuples those reads returned.
+    pub read_tuples: usize,
+    /// `Σ |R|` over the relations those reads named — what they should
+    /// have returned.
+    pub read_expected: usize,
+    /// Tuples one snapshot returned.
+    pub snapshot_tuples: usize,
 }
 
 /// Measures one configuration: a `key-chain(relations)` store preloaded
 /// with a satisfying state, reads cycling round-robin over relations.
-pub fn read_vs_snapshot(relations: usize, preloaded: usize, reps: usize) -> ReadRow {
+fn read_vs_snapshot(relations: usize, preloaded: usize, reps: usize) -> ReadRow {
     let inst = key_chain(relations);
     // Key FDs cap each relation at ~domain distinct tuples; scale the
     // domain with the requested preload so the state actually grows.
     let domain = ((2 * preloaded / relations.max(1)) as u64).max(64);
     let base = random_satisfying_state(&inst.schema, &inst.fds, preloaded, domain, 5);
+    let sizes: Vec<usize> = base.iter().map(|(_, rel)| rel.len()).collect();
     let store = Store::open_with(
         &inst.schema,
         &inst.fds,
@@ -61,18 +66,21 @@ pub fn read_vs_snapshot(relations: usize, preloaded: usize, reps: usize) -> Read
     let whole = ReadPlan::tuples(Predicate::new());
     let _ = store.read(SchemeId(0), &whole).unwrap(); // warmup
     let mut reads = Vec::with_capacity(reps);
+    let (mut read_tuples, mut read_expected) = (0, 0);
     for i in 0..reps {
         let id = SchemeId::from_index(i % n);
         let t = Instant::now();
         let rel = store.read(id, &whole).unwrap();
         reads.push(t.elapsed());
+        read_tuples += rel.rows.len();
+        read_expected += sizes[id.index()];
         std::hint::black_box(rel);
     }
     reads.sort();
     let read = reads[reads.len() / 2];
 
     let snap_reps = (reps / 8).clamp(3, 32);
-    let _ = store.snapshot().unwrap(); // warmup
+    let snapshot_tuples = store.snapshot().unwrap().total_tuples(); // warmup
     let mut snaps = Vec::with_capacity(snap_reps);
     for _ in 0..snap_reps {
         let t = Instant::now();
@@ -85,15 +93,18 @@ pub fn read_vs_snapshot(relations: usize, preloaded: usize, reps: usize) -> Read
 
     ReadRow {
         relations,
-        preloaded,
+        stored: sizes.iter().sum(),
         read,
         snapshot,
         snapshot_over_read: snapshot.as_secs_f64() / read.as_secs_f64().max(1e-12),
+        reads: reps,
+        read_tuples,
+        read_expected,
+        snapshot_tuples,
     }
 }
 
-/// The full sweep: read latency should stay flat while snapshot latency
-/// grows with the database.
+/// The full sweep over growing stores.
 pub fn sweep(smoke: bool) -> Vec<ReadRow> {
     let configs: &[(usize, usize, usize)] = if smoke {
         &[(8, 200, 64)]
@@ -109,20 +120,4 @@ pub fn sweep(smoke: bool) -> Vec<ReadRow> {
         .iter()
         .map(|&(relations, preloaded, reps)| read_vs_snapshot(relations, preloaded, reps))
         .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kernel_produces_sane_rows() {
-        let rows = sweep(true);
-        assert_eq!(rows.len(), 1);
-        let row = &rows[0];
-        assert_eq!(row.relations, 8);
-        assert!(row.read > Duration::ZERO);
-        assert!(row.snapshot > Duration::ZERO);
-        assert!(row.snapshot_over_read > 0.0);
-    }
 }

@@ -1,30 +1,14 @@
 //! Traffic shapes: mixed read/write request streams with a tunable
-//! read fraction and key skew — the access patterns replication and
-//! caching experiments are judged under.
+//! read fraction — the access pattern replication is judged under.
 //!
 //! Where [`crate::traces`] generates *write* histories for differential
 //! testing, a shape generates what a front-end actually sees: mostly
-//! point reads, a trickle of writes, and a key popularity that is
-//! rarely uniform.  The two stock presets are [`read_mostly`] (the
-//! read-replica scenario driving experiment E13) and [`zipf_skewed`]
-//! (hot-key traffic, where a handful of keys absorb most reads).
+//! point reads and a trickle of writes over a uniform key domain.  The
+//! stock preset is [`read_mostly`] (the read-replica scenario driving
+//! experiment E13).
 
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
-
-/// How a shape draws its keys from `0..keys`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum KeyDist {
-    /// Every key equally likely.
-    Uniform,
-    /// Zipf-skewed: key `k` drawn with probability ∝ `1/(k+1)^exponent`
-    /// — key 0 is the hottest.  `exponent` around `1.0` is the classic
-    /// web-traffic skew; larger is hotter.
-    Zipf {
-        /// The skew exponent `s` in `1/(k+1)^s`.
-        exponent: f64,
-    },
-}
+use rand::{Rng, SeedableRng};
 
 /// One step of a traffic shape, against a `(key, payload)` relation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,8 +34,6 @@ pub struct ShapeParams {
     pub keys: u64,
     /// Out of 100: how often a step is a [`ShapeOp::Read`].
     pub read_percent: u32,
-    /// Key popularity distribution.
-    pub dist: KeyDist,
 }
 
 /// The read-replica scenario: 95% point reads over a uniform key
@@ -62,75 +44,15 @@ pub fn read_mostly(ops: usize, keys: u64) -> ShapeParams {
         ops,
         keys,
         read_percent: 95,
-        dist: KeyDist::Uniform,
-    }
-}
-
-/// Hot-key traffic: 90% reads, Zipf-skewed with exponent 1.1 — a small
-/// prefix of the key space absorbs most of the reads.
-pub fn zipf_skewed(ops: usize, keys: u64) -> ShapeParams {
-    ShapeParams {
-        ops,
-        keys,
-        read_percent: 90,
-        dist: KeyDist::Zipf { exponent: 1.1 },
-    }
-}
-
-/// Draws keys `0..keys` with probability ∝ `1/(k+1)^s`, by inverse-CDF
-/// lookup on a precomputed cumulative table (binary search per draw).
-pub struct ZipfSampler {
-    cdf: Vec<f64>,
-}
-
-impl ZipfSampler {
-    /// Precomputes the cumulative distribution for `keys` keys.
-    pub fn new(keys: u64, exponent: f64) -> ZipfSampler {
-        assert!(keys > 0, "a sampler needs at least one key");
-        let mut cdf = Vec::with_capacity(keys as usize);
-        let mut total = 0.0f64;
-        for k in 0..keys {
-            total += 1.0 / ((k + 1) as f64).powf(exponent);
-            cdf.push(total);
-        }
-        for c in &mut cdf {
-            *c /= total;
-        }
-        ZipfSampler { cdf }
-    }
-
-    /// Draws one key.
-    pub fn sample(&self, rng: &mut StdRng) -> u64 {
-        // Uniform in [0, 1): 53 mantissa bits of the next draw.
-        let u = ((rng.next_u64() >> 11) as f64) * (1.0 / (1u64 << 53) as f64);
-        // First entry with cdf >= u.
-        let mut lo = 0usize;
-        let mut hi = self.cdf.len() - 1;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.cdf[mid] < u {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo as u64
     }
 }
 
 /// Generates a deterministic traffic stream for the given shape.
 pub fn traffic(params: ShapeParams, seed: u64) -> Vec<ShapeOp> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let zipf = match params.dist {
-        KeyDist::Zipf { exponent } => Some(ZipfSampler::new(params.keys, exponent)),
-        KeyDist::Uniform => None,
-    };
     (0..params.ops)
         .map(|_| {
-            let key = match &zipf {
-                Some(z) => z.sample(&mut rng),
-                None => rng.gen_range(0..params.keys),
-            };
+            let key = rng.gen_range(0..params.keys);
             if rng.gen_range(0u32..100) < params.read_percent {
                 ShapeOp::Read { key }
             } else {
@@ -170,46 +92,5 @@ mod tests {
             "read fraction off: {reads}/{}",
             ops.len()
         );
-    }
-
-    #[test]
-    fn zipf_concentrates_on_the_head() {
-        let ops = traffic(zipf_skewed(4000, 256), 5);
-        let head = ops
-            .iter()
-            .filter(|op| {
-                let (ShapeOp::Read { key } | ShapeOp::Write { key }) = op;
-                *key < 8
-            })
-            .count();
-        // Uniform would put 8/256 ≈ 3% of traffic on the first 8 keys;
-        // Zipf(1.1) puts the majority there.
-        assert!(
-            head as f64 / ops.len() as f64 > 0.4,
-            "zipf head too cold: {head}/{}",
-            ops.len()
-        );
-    }
-
-    #[test]
-    fn zipf_cdf_is_monotone_and_normalized() {
-        let z = ZipfSampler::new(100, 1.1);
-        for w in z.cdf.windows(2) {
-            assert!(w[1] >= w[0]);
-        }
-        let last = *z.cdf.last().unwrap();
-        assert!((last - 1.0).abs() < 1e-12, "cdf must end at 1, got {last}");
-    }
-
-    #[test]
-    fn zipf_rank_order_matches_probability_order() {
-        let z = ZipfSampler::new(16, 1.0);
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut counts = [0usize; 16];
-        for _ in 0..20_000 {
-            counts[z.sample(&mut rng) as usize] += 1;
-        }
-        assert!(counts[0] > counts[4]);
-        assert!(counts[4] > counts[15]);
     }
 }
