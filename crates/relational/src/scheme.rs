@@ -177,6 +177,21 @@ impl DatabaseSchema {
             .map(SchemeId::from_index)
     }
 
+    /// The relation identity rule across a schema transition: relation
+    /// `j` of `self` *is* relation `i` of `old` when both carry the same
+    /// name and the same attribute set (a same-name relation over other
+    /// attributes is a new relation).  Returns, per relation of `self` in
+    /// scheme order, its index in `old`, or `None` for a relation `old`
+    /// does not hold.
+    pub fn remap_from(&self, old: &DatabaseSchema) -> Vec<Option<SchemeId>> {
+        (self.inner.schemes.iter())
+            .map(|s| {
+                old.scheme_by_name(&s.name)
+                    .filter(|&i| old.attrs(i) == s.attrs)
+            })
+            .collect()
+    }
+
     /// The components of the schema's join dependency `*D`.
     pub fn join_dependency_components(&self) -> Vec<AttrSet> {
         self.inner.schemes.iter().map(|s| s.attrs).collect()
@@ -295,5 +310,22 @@ mod tests {
         // same attribute set are legal.
         let d = DatabaseSchema::parse(cthr_universe(), &[("A1", "CTHR"), ("A2", "CTHR")]).unwrap();
         assert_eq!(d.len(), 2);
+    }
+
+    #[test]
+    fn remap_from_matches_name_and_attributes() {
+        let old = DatabaseSchema::parse(cthr_universe(), &[("CT", "CT"), ("CHR", "CHR")]).unwrap();
+        // CHR survives renumbered, CT is re-declared over other
+        // attributes (a new relation), HR is added.
+        let new = DatabaseSchema::parse(
+            cthr_universe(),
+            &[("CHR", "CHR"), ("CT", "CTH"), ("HR", "HR")],
+        )
+        .unwrap();
+        assert_eq!(new.remap_from(&old), vec![Some(SchemeId(1)), None, None]);
+        assert_eq!(
+            old.remap_from(&old),
+            vec![Some(SchemeId(0)), Some(SchemeId(1))]
+        );
     }
 }

@@ -521,15 +521,11 @@ impl Replica {
         let schema = Schema::from_manifest(manifest)?;
         let definition = schema.definition();
         let current = self.db.store().schema();
-        // `new index j → old index` by name and unchanged attributes — a
+        // `new index j → old index` by the relation identity rule — a
         // same-name relation with different columns is a different
         // incarnation and starts empty.
-        let remap: Vec<Option<usize>> = (definition.iter())
-            .map(|(jid, s)| {
-                (current.scheme_by_name(&s.name))
-                    .filter(|&i| current.attrs(i) == definition.attrs(jid))
-                    .map(SchemeId::index)
-            })
+        let remap: Vec<Option<usize>> = (definition.remap_from(&current).into_iter())
+            .map(|i| i.map(SchemeId::index))
             .collect();
         let mut old: Vec<Option<Relation>> = (self.db.store().snapshot()?.into_relations())
             .into_iter()

@@ -821,7 +821,8 @@ impl Store {
     /// construction.
     ///
     /// Each tail record is tagged with the **era** it was written in — the
-    /// index of the generation manifest governing its segment — and replays
+    /// index of the generation manifest governing its segment, beside the
+    /// relation's index there (`Recovered::eras`) — and replays
     /// under that era's schema and enforcement covers, so a record accepted
     /// before an `ALTER` is re-judged by exactly the rules that accepted
     /// it.  Era covers come from re-running the independence analysis on
@@ -853,56 +854,46 @@ impl Store {
         let mut relations = Vec::with_capacity(schema.len());
         let mut shards = Vec::with_capacity(schema.len());
         let mut replayed = vec![0u64; schema.len()];
-        for ((id, mut rel), records) in schema.ids().zip(base).zip(recovered.tail) {
-            let name = schema.scheme(id).name.clone();
+        let tails = recovered.tail.into_iter().zip(recovered.eras);
+        for ((id, mut rel), (records, eras)) in schema.ids().zip(base).zip(tails) {
+            let mut records = records.into_iter().peekable();
             let mut cur: Option<(usize, RelationShard)> = None;
-            for (era, record) in records {
-                let shard = match &mut cur {
-                    Some((e, shard)) if *e == era => shard,
-                    stale => {
-                        let shard = if era == last_era {
-                            let cover = enforcement[id.index()].clone();
-                            RelationShard::with_relation(schema, id, cover, &rel)?
-                        } else {
-                            let m = &chain[era].1;
-                            let eid = m.schema.scheme_by_name(&name).ok_or_else(|| {
-                                StoreError::Wal(WalError::Corrupt {
-                                    path: root.to_path_buf(),
-                                    detail: format!(
-                                        "records of {name:?} map to a generation whose schema lacks it"
-                                    ),
-                                })
-                            })?;
-                            let covers = match &mut era_enf[era] {
-                                Some(covers) => covers,
-                                unfilled => {
-                                    let analysis = ids_core::analyze(&m.schema, &m.fds);
-                                    unfilled.insert(extract_enforcement(&m.schema, &analysis)?)
-                                }
-                            };
-                            let cover = covers[eid.index()].clone();
-                            RelationShard::with_relation(&m.schema, eid, cover, &rel)?
-                        };
-                        &mut stale.insert((era, shard)).1
-                    }
+            for (era, eid) in eras {
+                let mut shard = if era == last_era {
+                    let cover = enforcement[id.index()].clone();
+                    RelationShard::with_relation(schema, id, cover, &rel)?
+                } else {
+                    let m = &chain[era].1;
+                    let covers = match &mut era_enf[era] {
+                        Some(covers) => covers,
+                        unfilled => {
+                            let analysis = ids_core::analyze(&m.schema, &m.fds);
+                            unfilled.insert(extract_enforcement(&m.schema, &analysis)?)
+                        }
+                    };
+                    let cover = covers[eid.index()].clone();
+                    RelationShard::with_relation(&m.schema, eid, cover, &rel)?
                 };
-                let seq = record.seq;
-                replayed[id.index()] += 1;
-                let reapplied = match record.op {
-                    WalOp::Insert(t) => {
-                        matches!(shard.insert(&mut rel, t), Ok(InsertOutcome::Accepted))
+                while let Some((_, record)) = records.next_if(|(e, _)| *e == era) {
+                    let seq = record.seq;
+                    replayed[id.index()] += 1;
+                    let reapplied = match record.op {
+                        WalOp::Insert(t) => {
+                            matches!(shard.insert(&mut rel, t), Ok(InsertOutcome::Accepted))
+                        }
+                        WalOp::Remove(t) => matches!(shard.remove(&mut rel, &t), Ok(true)),
+                    };
+                    if !reapplied {
+                        return Err(WalError::Corrupt {
+                            path: root.to_path_buf(),
+                            detail: format!(
+                                "logged op did not replay cleanly (relation {id:?}, seq {seq})"
+                            ),
+                        }
+                        .into());
                     }
-                    WalOp::Remove(t) => matches!(shard.remove(&mut rel, &t), Ok(true)),
-                };
-                if !reapplied {
-                    return Err(WalError::Corrupt {
-                        path: root.to_path_buf(),
-                        detail: format!(
-                            "logged op did not replay cleanly (relation {id:?}, seq {seq})"
-                        ),
-                    }
-                    .into());
                 }
+                cur = Some((era, shard));
             }
             // The live shard runs under the final schema and cover; reuse
             // the last era's shard when it already is that.
@@ -1423,8 +1414,8 @@ impl Store {
             .map_err(|_| (0, StoreError::Disconnected))?;
         for (slot, nid) in std::mem::take(&mut topo.slots).into_iter().zip(remap) {
             // Releasing a dropped relation's slot drops its writer, which
-            // syncs the tail.  Its segments stay on disk; recovery skips
-            // them by name.
+            // syncs the tail.  Its segments stay on disk; the follow loop
+            // recovery runs drops the relation at the manifest.
             if let Some(nid) = *nid {
                 placed.push((nid, slot));
             }

@@ -6,10 +6,11 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use ids_deps::FdSet;
-use ids_relational::{DatabaseSchema, DatabaseState, SchemeId};
+use ids_relational::{DatabaseSchema, DatabaseState, Relation, SchemeId};
 
-use crate::format::{frame, read_frame, FrameOutcome};
-use crate::records::{Manifest, SegmentHeader, Snapshot, WalRecord};
+use crate::format::{frame, next_frame, FRAME_HEADER_LEN};
+use crate::records::{Manifest, Snapshot, WalRecord};
+use crate::tail::{Cursor, FollowPoll, Follower, Shipment};
 use crate::writer::{parse_segment_file_name, WalWriter};
 use crate::{corrupt, io_err, WalError};
 
@@ -60,18 +61,19 @@ pub struct WalDir {
 /// relation, the log tail to replay through the normal probe/commit
 /// path.
 ///
-/// Everything is expressed in terms of the **latest** manifest's schema:
-/// recovery walks the manifest chain, maps each segment's scheme index
-/// through the manifest governing its generation, and stitches every
-/// relation's segments back together *by name*.  Relations the latest
-/// manifest dropped are skipped; relations it added recover from an
-/// empty base.  Each tail record is tagged with the chain index of its
-/// governing manifest, so replay can re-run it under the enforcement
-/// covers of the schema epoch it was accepted in.
+/// Everything is expressed in terms of the **latest** manifest's schema.
+/// The follow loop carries each relation across every manifest by the
+/// relation identity rule ([`DatabaseSchema::remap_from`]: same name,
+/// same attributes), and so does the snapshot base: relations the latest
+/// manifest dropped are gone, relations it added — or re-declared over
+/// other attributes — recover from an empty base.  Each tail record is
+/// tagged with the chain index of its governing manifest, so replay can
+/// re-run it under the enforcement covers of the schema epoch it was
+/// accepted in.
 #[derive(Debug)]
 pub struct Recovered {
     /// State restored from the snapshot (empty when none was taken),
-    /// mapped by name into the latest manifest's schema.
+    /// carried into the latest manifest's schema.
     pub base: DatabaseState,
     /// Per-relation last sequence number folded into `base`.
     pub base_seqs: Vec<u64>,
@@ -81,6 +83,9 @@ pub struct Recovered {
     /// through each relation's shard *is* recovery; no cross-relation
     /// ordering exists or is needed.
     pub tail: Vec<Vec<(usize, WalRecord)>>,
+    /// Per relation, each chain index its tail is tagged with, in order,
+    /// beside the relation's scheme index under that manifest.
+    pub eras: Vec<Vec<(usize, SchemeId)>>,
     /// Generation the snapshot covers (0 when none was taken).
     pub covered_gen: u64,
     /// Generation fresh segments should be opened at.
@@ -144,32 +149,17 @@ impl WalDir {
     /// Opens an existing durable directory by reading its base manifest
     /// and every generation manifest a schema transition appended.
     pub fn open(root: &Path) -> Result<Self, WalError> {
-        let base = read_manifest_file(&root.join(MANIFEST_FILE))?;
-        let fingerprint = base.fingerprint();
-        let mut chain = vec![(0u64, base)];
-        for entry in std::fs::read_dir(root).map_err(|e| io_err(root, e))? {
-            let entry = entry.map_err(|e| io_err(root, e))?;
-            let name = entry.file_name();
-            let Some(gen) = name.to_str().and_then(parse_generation_manifest_name) else {
-                continue;
-            };
-            if gen == 0 {
-                return Err(corrupt(
-                    &entry.path(),
-                    "generation manifest at generation 0",
-                ));
-            }
-            chain.push((gen, read_manifest_file(&entry.path())?));
-        }
-        chain.sort_by_key(|(gen, _)| *gen);
-        if chain.windows(2).any(|w| w[0].0 == w[1].0) {
-            return Err(corrupt(root, "duplicate generation manifest"));
-        }
-        Ok(WalDir {
+        let path = root.join(MANIFEST_FILE);
+        let base = Manifest::decode(&path, &read_sealed(&path, "manifest")?)?;
+        let mut dir = WalDir {
             root: root.to_path_buf(),
-            chain,
-            fingerprint,
-        })
+            fingerprint: base.fingerprint(),
+            chain: vec![(0, base)],
+        };
+        let later = dir.generation_manifests_after(0)?;
+        dir.chain
+            .extend(later.into_iter().map(|(gen, m, _)| (gen, m)));
+        Ok(dir)
     }
 
     /// The directory root.
@@ -230,40 +220,28 @@ impl WalDir {
         &self,
         after: u64,
     ) -> Result<Vec<(u64, Manifest, Vec<u8>)>, WalError> {
-        let mut found = Vec::new();
-        for entry in std::fs::read_dir(&self.root).map_err(|e| io_err(&self.root, e))? {
-            let entry = entry.map_err(|e| io_err(&self.root, e))?;
-            let name = entry.file_name();
-            let Some(gen) = name.to_str().and_then(parse_generation_manifest_name) else {
-                continue;
-            };
-            if gen <= after {
-                continue;
-            }
-            let path = entry.path();
-            let bytes = match std::fs::read(&path) {
-                Ok(b) => b,
-                // Raced a concurrent rename; the retry is the next poll.
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(io_err(&path, e)),
-            };
-            let payload = match read_frame(&bytes) {
-                FrameOutcome::Complete { payload, rest } => {
-                    if !rest.is_empty() {
-                        return Err(corrupt(&path, "trailing bytes after manifest frame"));
-                    }
-                    payload
-                }
-                FrameOutcome::Torn => return Err(corrupt(&path, "manifest frame truncated")),
-                FrameOutcome::CrcMismatch => {
-                    return Err(corrupt(&path, "manifest checksum mismatch"))
-                }
-                FrameOutcome::Oversize => return Err(corrupt(&path, "manifest length corrupted")),
-            };
-            let manifest = Manifest::decode(&path, payload)?;
-            found.push((gen, manifest, payload.to_vec()));
+        let mut gens = list(&self.root, parse_generation_manifest_name)?;
+        gens.sort_unstable();
+        if gens.first() == Some(&0) {
+            return Err(corrupt(&self.root, "generation manifest at generation 0"));
         }
-        found.sort_by_key(|(gen, _, _)| *gen);
+        if gens.windows(2).any(|w| w[0] == w[1]) {
+            return Err(corrupt(&self.root, "duplicate generation manifest"));
+        }
+        let mut found = Vec::new();
+        for gen in gens.into_iter().filter(|&gen| gen > after) {
+            let path = self.root.join(generation_manifest_name(gen));
+            let payload = match read_sealed(&path, "manifest") {
+                // Raced a concurrent rename; the retry is the next poll.
+                Err(WalError::Io { source, .. })
+                    if source.kind() == std::io::ErrorKind::NotFound =>
+                {
+                    continue
+                }
+                read => read?,
+            };
+            found.push((gen, Manifest::decode(&path, &payload)?, payload));
+        }
         Ok(found)
     }
 
@@ -301,24 +279,6 @@ impl WalDir {
             .iter()
             .rposition(|(gen, _)| *gen <= g)
             .unwrap_or(0)
-    }
-
-    /// The generation a relation of the latest schema was (re)born at:
-    /// the effective generation of the earliest manifest of the final
-    /// contiguous chain suffix that contains `name` with its latest
-    /// attribute set.  Absence — or presence under *different*
-    /// attributes — in an earlier manifest is an incarnation boundary:
-    /// segments older than the birth belong to a previous relation that
-    /// happened to share the name, and must not replay into this one.
-    fn birth_gen(&self, name: &str, attrs: ids_relational::AttrSet) -> u64 {
-        let mut birth = self.chain[self.chain.len() - 1].0;
-        for (gen, manifest) in self.chain.iter().rev() {
-            match manifest.schema.scheme_by_name(name) {
-                Some(id) if manifest.schema.attrs(id) == attrs => birth = *gen,
-                _ => break,
-            }
-        }
-        birth
     }
 
     /// Opens a fresh log segment for one relation at `gen`, continuing
@@ -376,14 +336,10 @@ impl WalDir {
     /// removes.
     pub fn prune_segments(&self, covered_gen: u64) -> Result<(), WalError> {
         let wal = self.root.join(WAL_SUBDIR);
-        for entry in std::fs::read_dir(&wal).map_err(|e| io_err(&wal, e))? {
-            let entry = entry.map_err(|e| io_err(&wal, e))?;
-            let name = entry.file_name();
-            let Some((_, gen)) = name.to_str().and_then(parse_segment_file_name) else {
-                continue;
-            };
+        for (scheme, gen) in list(&wal, parse_segment_file_name)? {
             if gen <= covered_gen {
-                std::fs::remove_file(entry.path()).map_err(|e| io_err(&entry.path(), e))?;
+                let path = wal.join(crate::segment_file_name(scheme, gen));
+                std::fs::remove_file(&path).map_err(|e| io_err(&path, e))?;
             }
         }
         sync_dir(&wal);
@@ -394,245 +350,132 @@ impl WalDir {
     /// [`Recovered`]: the base state plus per-relation tails, expressed
     /// in the **latest** manifest's schema.
     ///
-    /// Recovery walks the manifest chain: each segment of generation
-    /// `g` is interpreted under the manifest governing `g`, its scheme
-    /// index mapped through that manifest *by name* into the latest
-    /// schema, and its records tagged with the governing chain index so
-    /// replay can re-run them under the enforcement covers of the epoch
-    /// they were accepted in.  Segments of relations the latest schema
-    /// dropped (or of an earlier incarnation of a re-added name — see
-    /// `birth_gen`) are skipped; their files remain until checkpoint
-    /// pruning.  The snapshot is decoded under the manifest governing
-    /// `covered_gen + 1` (the schema live writers held when it was
-    /// taken) and carried forward per relation by name.
+    /// Recovery *is* the follow loop ([`Follower`]), run once over a
+    /// directory nobody is writing to: it starts from the snapshot's
+    /// cursors and reads every relation's log to its end, so a segment
+    /// reads the same here as it does to a replica.  Each shipped batch
+    /// is tagged with the chain index of the manifest governing its
+    /// generation and carried, like the snapshot base, into the latest
+    /// schema by the relation identity rule.  The snapshot is decoded
+    /// under the manifest governing `covered_gen + 1` (the schema live
+    /// writers held when it was taken).
     ///
-    /// Torn tails (a frame cut short) end a segment cleanly at the
-    /// acknowledged-and-synced prefix — including a non-final segment,
-    /// whose leftover torn bytes a previous crash-recovery cycle may
-    /// have left behind: per-relation sequence numbers are contiguous
-    /// across segments (rotation carries the counter even when the
-    /// scheme index changes), so a benign torn tail is distinguished
-    /// from genuine mid-stream loss by the *next* segment's header (it
-    /// continues from the clean prefix; anything else is a sequence
-    /// gap).  Everything else that is malformed — checksum mismatch,
-    /// sequence gaps, bad magic — is a typed [`WalError::Corrupt`].
+    /// A torn frame — a segment header included — ends a segment cleanly
+    /// at the acknowledged-and-synced prefix, whether it is the last
+    /// segment or one a previous crash left behind: per-relation sequence
+    /// numbers are contiguous across segments (rotation carries the
+    /// counter even when the scheme index changes), so the next
+    /// segment's header tells a benign torn tail from lost records.
+    /// Everything else that is malformed — checksum mismatch, sequence
+    /// gaps, bad magic, a log that does not continue from the snapshot —
+    /// is a typed [`WalError::Corrupt`].
     pub fn recover(&self) -> Result<Recovered, WalError> {
-        let schema = &self.latest_manifest().schema;
-        let k = schema.len();
-
-        // 1. Snapshot, if any — decoded under the manifest that governed
-        // the generation live writers held when it was taken.  (Alters
-        // and checkpoints are serialized over one generation counter, so
-        // a manifest effective at exactly `covered_gen + 1` cannot
-        // exist: the snapshot's own schema always governs it.)
+        let last = self.chain.len() - 1;
         let snap_path = self.root.join(SNAPSHOT_FILE);
         let has_snapshot = snap_path.exists();
-        let (snap_state, snap_seqs, covered_gen, snap_era) = if has_snapshot {
-            let bytes = std::fs::read(&snap_path).map_err(|e| io_err(&snap_path, e))?;
-            let payload = match read_frame(&bytes) {
-                FrameOutcome::Complete { payload, rest } => {
-                    if !rest.is_empty() {
-                        return Err(corrupt(&snap_path, "trailing bytes after snapshot frame"));
-                    }
-                    payload
-                }
-                // The snapshot is written atomically (temp + rename), so a
-                // short or mangled frame is corruption, not a crash artifact.
-                FrameOutcome::Torn => return Err(corrupt(&snap_path, "snapshot frame truncated")),
-                FrameOutcome::CrcMismatch => {
-                    return Err(corrupt(&snap_path, "snapshot checksum mismatch"))
-                }
-                FrameOutcome::Oversize => {
-                    return Err(corrupt(&snap_path, "snapshot length corrupted"))
-                }
-            };
-            // The covered generation sits at a fixed offset after the
-            // fingerprint; decode needs the right schema, so peek it
-            // first via a cheap two-field decode.
-            let covered = Snapshot::peek_covered_gen(&snap_path, payload, self.fingerprint)?;
-            let era = self.governing(covered + 1);
-            let snap = Snapshot::decode(&snap_path, payload, &self.chain[era].1.schema)?;
-            if snap.fingerprint != self.fingerprint {
-                return Err(WalError::SchemaMismatch {
-                    detail: "schema/FD set (snapshot fingerprint)",
-                });
-            }
-            (snap.state, snap.last_seqs, snap.covered_gen, era)
-        } else {
-            // No snapshot: an empty base under the *base* manifest's
-            // schema (era 0), mapped forward like any other.
-            let base_schema = &self.chain[0].1.schema;
-            (
-                DatabaseState::empty(base_schema),
-                vec![0; base_schema.len()],
-                0,
-                0,
-            )
+        let payload = (has_snapshot)
+            .then(|| read_sealed(&snap_path, "snapshot"))
+            .transpose()?;
+        let covered_gen = match &payload {
+            Some(p) => Snapshot::peek_covered_gen(&snap_path, p, self.fingerprint)?,
+            None => 0,
         };
-        let snap_schema = &self.chain[snap_era].1.schema;
-        let snap_gen = self.chain[snap_era].0;
+        // The manifest live writers held when the snapshot was taken.
+        // (Alters and checkpoints share one generation counter, so no
+        // manifest takes effect at exactly `covered_gen + 1`.)
+        let era0 = self.governing(covered_gen + 1);
+        let schema0 = &self.chain[era0].1.schema;
+        let (state, seqs) = match payload {
+            Some(p) => {
+                let snap = Snapshot::decode(&snap_path, &p, schema0)?;
+                (snap.state, snap.last_seqs)
+            }
+            None => (DatabaseState::empty(schema0), vec![0; schema0.len()]),
+        };
 
-        // 2. Map the snapshot into the latest schema by name.  A
-        // relation carries its snapshot state iff it was already born
-        // (same name, same attributes, contiguously to the latest
-        // manifest) when the snapshot was taken; otherwise it recovers
-        // from empty.
-        let births: Vec<u64> = schema
-            .iter()
-            .map(|(id, s)| self.birth_gen(&s.name, schema.attrs(id)))
+        // `to_latest[era - era0][i]`: where relation `i` of that era sits
+        // in the latest schema, carried one manifest at a time — so a
+        // relation dropped and later re-added is a new relation.
+        let latest = &self.chain[last].1.schema;
+        let mut to_latest = vec![(0..latest.len()).map(Some).collect::<Vec<_>>()];
+        for era in (era0..last).rev() {
+            let (old, new) = (&self.chain[era].1.schema, &self.chain[era + 1].1.schema);
+            let mut map = vec![None; old.len()];
+            for (from, &to) in new.remap_from(old).into_iter().zip(&to_latest[0]) {
+                if let Some(i) = from {
+                    map[i.index()] = to;
+                }
+            }
+            to_latest.insert(0, map);
+        }
+        let mut base: Vec<Relation> = latest.iter().map(|(_, s)| Relation::new(s.attrs)).collect();
+        let mut base_seqs = vec![0; latest.len()];
+        for ((rel, &seq), to) in state
+            .into_relations()
+            .into_iter()
+            .zip(&seqs)
+            .zip(&to_latest[0])
+        {
+            if let Some(i) = *to {
+                (base[i], base_seqs[i]) = (rel, seq);
+            }
+        }
+
+        let cursors: Vec<Cursor> = (seqs.iter())
+            .map(|&seq| Cursor {
+                gen: covered_gen + 1,
+                seq,
+            })
             .collect();
-        let snap_rels = snap_state.into_relations();
-        let mut carried: Vec<Option<ids_relational::Relation>> =
-            snap_rels.into_iter().map(Some).collect();
-        let mut base_rels = Vec::with_capacity(k);
-        let mut base_seqs = Vec::with_capacity(k);
-        for (id, s) in schema.iter() {
-            let from = (births[id.index()] <= snap_gen)
-                .then(|| snap_schema.scheme_by_name(&s.name))
-                .flatten();
-            match from {
-                Some(old) => {
-                    base_rels.push(carried[old.index()].take().expect("names are unique"));
-                    base_seqs.push(snap_seqs[old.index()]);
+        let (mut tail, mut eras) = (
+            vec![Vec::new(); latest.len()],
+            vec![Vec::new(); latest.len()],
+        );
+        // A manifest committed after this handle opened governs a schema
+        // the recovered state is not expressed in: what it governs stays
+        // unread.
+        let mut horizon = u64::MAX;
+        let polled = Follower::replaying(self, &cursors)?.poll(|shipment| {
+            match shipment {
+                Shipment::Manifest { gen, .. } if gen > self.chain[last].0 => {
+                    horizon = horizon.min(gen);
                 }
-                None => {
-                    base_rels.push(ids_relational::Relation::new(schema.attrs(id)));
-                    base_seqs.push(0);
+                Shipment::Records {
+                    relation,
+                    gen,
+                    records,
+                    ..
+                } if gen < horizon => {
+                    let era = self.governing(gen);
+                    if let Some(i) = to_latest[era - era0][relation as usize] {
+                        if eras[i].last().map(|&(e, _)| e) != Some(era) {
+                            eras[i].push((era, SchemeId::from_index(relation as usize)));
+                        }
+                        tail[i].extend(records.into_iter().map(|r| (era, r.record)));
+                    }
                 }
+                _ => {}
             }
-        }
-        let base =
-            DatabaseState::from_relations(schema, base_rels).map_err(WalError::Relational)?;
-
-        // 3. Discover live segments and map each to a latest-schema
-        // relation by name through its governing manifest.
+            Ok::<_, WalError>(())
+        })?;
         let wal = self.root.join(WAL_SUBDIR);
-        let mut segments: Vec<Vec<(u64, usize, u16, PathBuf)>> = vec![Vec::new(); k];
-        let mut max_gen = covered_gen.max(self.chain[self.chain.len() - 1].0);
-        if wal.exists() {
-            for entry in std::fs::read_dir(&wal).map_err(|e| io_err(&wal, e))? {
-                let entry = entry.map_err(|e| io_err(&wal, e))?;
-                let name = entry.file_name();
-                let Some((scheme, gen)) = name.to_str().and_then(parse_segment_file_name) else {
-                    continue;
-                };
-                max_gen = max_gen.max(gen);
-                if gen <= covered_gen {
-                    continue;
-                }
-                let era = self.governing(gen);
-                let era_schema = &self.chain[era].1.schema;
-                if scheme as usize >= era_schema.len() {
-                    return Err(corrupt(
-                        &entry.path(),
-                        format!("segment for unknown relation index {scheme}"),
-                    ));
-                }
-                let era_name = &era_schema
-                    .scheme(SchemeId::from_index(scheme as usize))
-                    .name;
-                let Some(id) = schema.scheme_by_name(era_name) else {
-                    // Dropped relation: residual segments are dead.
-                    continue;
-                };
-                if era_schema.attrs(SchemeId::from_index(scheme as usize)) != schema.attrs(id)
-                    || gen < births[id.index()]
-                {
-                    // Earlier incarnation of a re-used name.
-                    continue;
-                }
-                segments[id.index()].push((gen, era, scheme, entry.path()));
-            }
+        if polled == FollowPoll::Behind {
+            return Err(corrupt(
+                &wal,
+                "a relation's log does not continue from the snapshot",
+            ));
         }
-
-        // 4. Replay each relation's segments independently, oldest
-        // generation first.
-        let mut tail: Vec<Vec<(usize, WalRecord)>> = Vec::with_capacity(k);
-        for (i, mut segs) in segments.into_iter().enumerate() {
-            segs.sort();
-            let mut records = Vec::new();
-            let mut last_seq = base_seqs[i];
-            for (gen, era, scheme, path) in segs {
-                let bytes = std::fs::read(&path).map_err(|e| io_err(&path, e))?;
-                let mut rest = bytes.as_slice();
-                // Header frame.  A torn header is a crash between
-                // segment creation and the header write landing: the
-                // segment is empty.  The torn bytes are left in place
-                // (recovery never writes) — a later segment after a
-                // torn one is fine, because its own header must
-                // continue the sequence from the clean prefix; genuine
-                // mid-stream loss surfaces as a sequence gap below.
-                match read_frame(rest) {
-                    FrameOutcome::Complete { payload, rest: r } => {
-                        let header = SegmentHeader::decode(&path, payload)?;
-                        if header.fingerprint != self.fingerprint {
-                            return Err(WalError::SchemaMismatch {
-                                detail: "schema/FD set (segment fingerprint)",
-                            });
-                        }
-                        if header.scheme != scheme || header.gen != gen {
-                            return Err(corrupt(&path, "segment header disagrees with file name"));
-                        }
-                        if header.start_seq != last_seq + 1 {
-                            return Err(corrupt(
-                                &path,
-                                format!(
-                                    "sequence gap: segment starts at {} after {}",
-                                    header.start_seq, last_seq
-                                ),
-                            ));
-                        }
-                        rest = r;
-                    }
-                    FrameOutcome::Torn => continue,
-                    FrameOutcome::CrcMismatch => {
-                        return Err(corrupt(&path, "segment header checksum mismatch"))
-                    }
-                    FrameOutcome::Oversize => {
-                        return Err(corrupt(&path, "segment header length corrupted"))
-                    }
-                }
-                // Record frames.  A torn record ends this segment at
-                // the acknowledged-and-synced prefix; if records were
-                // really lost mid-stream (not just a torn append), the
-                // next segment's header start_seq exposes it as a
-                // sequence gap.
-                loop {
-                    match read_frame(rest) {
-                        FrameOutcome::Complete { payload, rest: r } => {
-                            let record = WalRecord::decode(&path, payload)?;
-                            if record.seq != last_seq + 1 {
-                                return Err(corrupt(
-                                    &path,
-                                    format!(
-                                        "sequence gap: record {} after {}",
-                                        record.seq, last_seq
-                                    ),
-                                ));
-                            }
-                            last_seq = record.seq;
-                            records.push((era, record));
-                            rest = r;
-                        }
-                        FrameOutcome::Torn => break,
-                        FrameOutcome::CrcMismatch => {
-                            return Err(corrupt(&path, "record checksum mismatch"))
-                        }
-                        FrameOutcome::Oversize => {
-                            return Err(corrupt(&path, "record length corrupted"))
-                        }
-                    }
-                }
-            }
-            tail.push(records);
-        }
-
+        let newest = list(&wal, parse_segment_file_name)?
+            .into_iter()
+            .map(|(_, gen)| gen)
+            .max();
         Ok(Recovered {
-            base,
+            base: DatabaseState::from_relations(latest, base)?,
             base_seqs,
             tail,
+            eras,
             covered_gen,
-            next_gen: max_gen + 1,
+            next_gen: newest.unwrap_or(0).max(covered_gen).max(self.chain[last].0) + 1,
             has_snapshot,
         })
     }
@@ -657,20 +500,35 @@ fn write_manifest_file(root: &Path, name: &str, manifest: &Manifest) -> Result<(
     Ok(())
 }
 
-/// Reads one complete manifest frame back.
-fn read_manifest_file(path: &Path) -> Result<Manifest, WalError> {
-    let bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
-    match read_frame(&bytes) {
-        FrameOutcome::Complete { payload, rest } => {
-            if !rest.is_empty() {
-                return Err(corrupt(path, "trailing bytes after manifest frame"));
-            }
-            Manifest::decode(path, payload)
-        }
-        FrameOutcome::Torn => Err(corrupt(path, "manifest frame truncated")),
-        FrameOutcome::CrcMismatch => Err(corrupt(path, "manifest checksum mismatch")),
-        FrameOutcome::Oversize => Err(corrupt(path, "manifest length corrupted")),
+/// Reads a file that holds exactly one frame — a manifest or the
+/// snapshot — and returns its payload.  Those files are staged and
+/// renamed into place whole, so a torn frame or trailing bytes is
+/// corruption, not a crash artifact.
+fn read_sealed(path: &Path, what: &str) -> Result<Vec<u8>, WalError> {
+    let mut bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
+    match next_frame(path, &bytes, what)? {
+        Some((_, [])) => {}
+        Some(_) => return Err(corrupt(path, format!("trailing bytes after {what} frame"))),
+        None => return Err(corrupt(path, format!("{what} frame truncated"))),
     }
+    bytes.drain(..FRAME_HEADER_LEN);
+    Ok(bytes)
+}
+
+/// The names of the files in `dir` that `parse` accepts, parsed; an
+/// absent directory holds none.
+pub(crate) fn list<T>(dir: &Path, parse: fn(&str) -> Option<T>) -> Result<Vec<T>, WalError> {
+    let entries = match std::fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(io_err(dir, e)),
+    };
+    let mut found = Vec::new();
+    for entry in entries {
+        let name = entry.map_err(|e| io_err(dir, e))?.file_name();
+        found.extend(name.to_str().and_then(parse));
+    }
+    Ok(found)
 }
 
 /// Best-effort directory fsync (makes creates/renames durable on

@@ -45,6 +45,10 @@
 //! log, and the cross-segment sequence-contiguity check still exposes
 //! the loss as soon as a later segment exists.
 
+use std::path::Path;
+
+use crate::{corrupt, WalError};
+
 /// Version written into every file header; readers refuse others.
 pub const FORMAT_VERSION: u16 = 1;
 
@@ -203,6 +207,25 @@ pub fn read_frame(buf: &[u8]) -> FrameOutcome<'_> {
     FrameOutcome::Complete {
         payload,
         rest: &buf[8 + len..],
+    }
+}
+
+/// A complete frame's payload and the bytes after the frame.
+pub(crate) type Split<'a> = (&'a [u8], &'a [u8]);
+
+/// [`read_frame`] as every reader in this crate takes it: a complete
+/// frame is `Some((payload, rest))`, a torn one `None`, and a lying
+/// checksum or length a typed [`WalError::Corrupt`] naming `what`.
+pub(crate) fn next_frame<'a>(
+    path: &Path,
+    buf: &'a [u8],
+    what: &str,
+) -> Result<Option<Split<'a>>, WalError> {
+    match read_frame(buf) {
+        FrameOutcome::Complete { payload, rest } => Ok(Some((payload, rest))),
+        FrameOutcome::Torn => Ok(None),
+        FrameOutcome::CrcMismatch => Err(corrupt(path, format!("{what} checksum mismatch"))),
+        FrameOutcome::Oversize => Err(corrupt(path, format!("{what} length corrupted"))),
     }
 }
 

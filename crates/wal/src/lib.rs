@@ -40,6 +40,8 @@
 //!
 //! * A frame cut short by a crash (**torn write**) ends replay of that
 //!   log cleanly: recovery returns the acknowledged-and-synced prefix.
+//!   Recovery reads the logs through the replication follow loop
+//!   ([`Follower`]), so a log reads the same to both.
 //! * A complete frame whose CRC does not match is **corruption** and
 //!   surfaces as a typed [`WalError::Corrupt`], never a panic and never
 //!   a silently shortened log.
@@ -89,8 +91,9 @@ pub enum SyncPolicy {
 }
 
 impl Default for SyncPolicy {
-    /// `Batch(4096)` — the group-commit cadence the E9 benchmark holds
-    /// to its ≤ 2× overhead target.
+    /// `Batch(4096)` — group commit: a relation's log pays one fsync per
+    /// 4096 records rather than one per acknowledgement, and a power
+    /// loss costs at most its last 4095 unsynced records.
     fn default() -> Self {
         SyncPolicy::Batch(4096)
     }

@@ -23,10 +23,11 @@ use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use ids_relational::codec::{Decoder, Encoder};
+use ids_relational::codec::Encoder;
 
-use crate::format::{frame, read_frame, FrameOutcome, FORMAT_VERSION, POOL_MAGIC};
-use crate::{corrupt, io_err, WalError};
+use crate::format::{frame, FORMAT_VERSION, POOL_MAGIC};
+use crate::tail::{decode_name, NameTailer};
+use crate::{io_err, WalError};
 
 /// The durable name log backing a `ValuePool`.
 #[derive(Debug)]
@@ -37,96 +38,32 @@ pub struct NameLog {
 
 impl NameLog {
     /// Opens (or creates) the log at `path` and replays its names in
-    /// append order.  `fingerprint` ties the log to its database; a log
-    /// carrying a different fingerprint is a typed
-    /// [`WalError::SchemaMismatch`].
+    /// append order, through the [`NameTailer`] followers use, then
+    /// truncates the torn tail it stopped at.  `fingerprint` ties the
+    /// log to its database; a log carrying a different fingerprint is a
+    /// typed [`WalError::SchemaMismatch`].
     pub fn open(path: &Path, fingerprint: u32) -> Result<(Self, Vec<String>), WalError> {
+        let mut tailer = NameTailer::new(path, fingerprint, 0);
         let mut names = Vec::new();
-        if path.exists() {
-            let bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
-            let mut rest = bytes.as_slice();
-            // Header frame.
-            match read_frame(rest) {
-                FrameOutcome::Complete { payload, rest: r } => {
-                    let mut d = Decoder::new(payload);
-                    let mut magic = [0u8; 4];
-                    for b in &mut magic {
-                        *b = d
-                            .get_u8()
-                            .map_err(|_| corrupt(path, "truncated pool header"))?;
-                    }
-                    if magic != POOL_MAGIC {
-                        return Err(corrupt(path, format!("bad pool magic {magic:?}")));
-                    }
-                    let version = d
-                        .get_u16()
-                        .map_err(|_| corrupt(path, "truncated pool version"))?;
-                    if version != FORMAT_VERSION {
-                        return Err(WalError::UnsupportedVersion {
-                            path: path.to_path_buf(),
-                            found: version,
-                        });
-                    }
-                    let found = d
-                        .get_u32()
-                        .map_err(|_| corrupt(path, "truncated pool fingerprint"))?;
-                    if found != fingerprint {
-                        return Err(WalError::SchemaMismatch {
-                            detail: "schema/FD set (pool log fingerprint)",
-                        });
-                    }
-                    rest = r;
-                }
-                FrameOutcome::Torn => {
-                    // Crash during creation: nothing was ever acknowledged
-                    // against this log, start over.
-                    return Self::create(path, fingerprint).map(|l| (l, Vec::new()));
-                }
-                FrameOutcome::CrcMismatch => {
-                    return Err(corrupt(path, "pool header checksum mismatch"))
-                }
-                FrameOutcome::Oversize => {
-                    return Err(corrupt(path, "pool header length corrupted"))
-                }
-            }
-            // Name frames until the (possibly torn) tail.
-            loop {
-                match read_frame(rest) {
-                    FrameOutcome::Complete { payload, rest: r } => {
-                        let mut d = Decoder::new(payload);
-                        let name = d
-                            .get_str()
-                            .map_err(|e| corrupt(path, format!("bad pool record: {e}")))?;
-                        names.push(name);
-                        rest = r;
-                    }
-                    FrameOutcome::Torn => break,
-                    FrameOutcome::CrcMismatch => {
-                        return Err(corrupt(path, "pool record checksum mismatch"))
-                    }
-                    FrameOutcome::Oversize => {
-                        return Err(corrupt(path, "pool record length corrupted"))
-                    }
-                }
-            }
-            let file = OpenOptions::new()
-                .append(true)
-                .open(path)
-                .map_err(|e| io_err(path, e))?;
-            // Drop any torn tail so the next append starts on a frame
-            // boundary.
-            let keep = (bytes.len() - rest.len()) as u64;
-            file.set_len(keep).map_err(|e| io_err(path, e))?;
-            Ok((
-                NameLog {
-                    path: path.to_path_buf(),
-                    file,
-                },
-                names,
-            ))
-        } else {
-            Self::create(path, fingerprint).map(|l| (l, names))
+        tailer.each_name(|path, payload| {
+            names.push(decode_name(path, payload)?);
+            Ok(())
+        })?;
+        if tailer.offset() == 0 {
+            // Absent, or a crash during creation: nothing was ever
+            // acknowledged against this log, start over.
+            return Self::create(path, fingerprint).map(|l| (l, names));
         }
+        let file = OpenOptions::new()
+            .append(true)
+            .open(path)
+            .map_err(|e| io_err(path, e))?;
+        // Drop any torn tail so the next append starts on a frame
+        // boundary.
+        file.set_len(tailer.offset() as u64)
+            .map_err(|e| io_err(path, e))?;
+        let path = path.to_path_buf();
+        Ok((NameLog { path, file }, names))
     }
 
     fn create(path: &Path, fingerprint: u32) -> Result<Self, WalError> {

@@ -1,20 +1,20 @@
-//! Read-only, incremental following of a live durable directory — the
-//! one follow loop every replication transport consumes.
+//! Read-only, incremental following of a durable directory — the one
+//! follow loop every reader of a relation's log consumes.
 //!
-//! Recovery ([`crate::WalDir::recover`]) reads the whole log once; a
-//! *follower* needs to keep reading it while the primary appends.
-//! [`Follower`] is that loop, and both transports are thin shells over
-//! it: the server's subscribe stream maps each [`Shipment`] to a wire
-//! reply, the replica's file transport applies it directly.  One
-//! [`Follower::poll`] hands everything new to its caller's sink, in
-//! protocol order:
+//! [`Follower`] keeps reading the logs while the primary appends, and
+//! every consumer is a thin shell over it: crash recovery
+//! ([`crate::WalDir::recover`]) runs it once, from the snapshot's
+//! cursors to the end of the directory; the server's subscribe stream
+//! maps each [`Shipment`] to a wire reply; the replica's file transport
+//! applies it directly.  One [`Follower::poll`] hands everything new to
+//! its caller's sink, in protocol order:
 //!
 //! 1. every generation manifest committed since the last poll
 //!    ([`Shipment::Manifest`]) — a transition before any record written
 //!    under it.  The follower remaps its per-relation tailers onto each
-//!    new schema by relation (name + attributes): survivors follow
-//!    their log to its new scheme index, dropped relations fall away,
-//!    added ones start at `(gen, 0)`;
+//!    new schema by relation ([`DatabaseSchema::remap_from`]: name +
+//!    attributes): survivors follow their log to its new scheme index,
+//!    dropped relations fall away, added ones start at `(gen, 0)`;
 //! 2. new value-pool names ([`Shipment::Names`]) — the primary fsyncs a
 //!    name before any record referencing its value, and a follower
 //!    needs the same order;
@@ -23,37 +23,48 @@
 //!    checkpoint rotation or a renumbering keeps cursors — and the
 //!    era mapping of each record — exact.
 //!
-//! Underneath, a private per-relation tailer follows one segment chain
-//! with recovery's sequence-contiguity rules (it advances to the next
-//! generation only when that segment's header proves the current one
-//! fully consumed, and never past a manifest boundary nobody has
-//! explained to it), and [`NameTailer`] follows the name log
-//! ([`crate::NameLog`]) without ever writing to it (the owning
-//! `NameLog` truncates torn tails on open; a follower must not).
+//! Underneath, a private per-relation tailer is the only code that
+//! decodes a segment header or a log record.  It follows one segment
+//! chain by sequence contiguity, with no separate rules for recovery:
 //!
-//! Everything is pull-based and crash-consistent by construction: a
-//! torn frame at the tail is "nothing new yet" (retried on the next
-//! poll, when the primary's append may have completed), while a
-//! checksum-valid-but-wrong frame is a typed [`WalError::Corrupt`].
-//! Because the primary only ever *appends* to segments and the pool
-//! log (truncation happens only on the primary's own crash-recovery,
-//! and only of torn bytes no tailer has consumed), a byte offset past
-//! the last complete frame is always a stable resume point.
+//! * a torn frame at the tail — a segment header included — is "nothing
+//!   new yet" (retried on the next poll, when the primary's append may
+//!   have completed), and ends the segment only once the next segment's
+//!   header continues the sequence from it — so a segment a crash left
+//!   empty is crossed, never waited on;
+//! * a next segment whose header starts past the cursor while the
+//!   current segment is still on disk is a race with rotation (records
+//!   sealed into the current segment since it was read): the tailer
+//!   re-reads it once, and a gap that survives that is lost records,
+//!   a typed [`WalError::Corrupt`];
+//! * it never advances past a manifest boundary nobody has explained to
+//!   it, since a renumbered relation may have inherited its old index.
+//!
+//! [`NameTailer`] follows the name log ([`crate::NameLog`]) the same way
+//! without ever writing to it (the owning `NameLog` replays through it
+//! and truncates the torn tail; a follower must not).  A checksum-valid
+//! but wrong frame is a typed [`WalError::Corrupt`].  Because the
+//! primary only ever *appends* to segments and the pool log (truncation
+//! happens only on the primary's own crash-recovery, and only of torn
+//! bytes no tailer has consumed), a byte offset past the last complete
+//! frame is always a stable resume point.
 //!
 //! A follower can also discover it is **behind**: the primary
 //! checkpointed and pruned segments it had not consumed yet.  That is
 //! not corruption — the missing records are folded into the snapshot —
 //! so [`Follower::poll`] reports it as [`FollowPoll::Behind`] and the
 //! follower re-bootstraps from the snapshot, which is still a
-//! per-relation prefix of the primary's history.
+//! per-relation prefix of the primary's history.  (Recovery starts at
+//! the snapshot, so there it means the log does not continue from it:
+//! corruption.)
 
 use std::path::{Path, PathBuf};
 
 use ids_relational::codec::Decoder;
 use ids_relational::DatabaseSchema;
 
-use crate::dir::{parse_generation_manifest_name, WalDir, WAL_SUBDIR};
-use crate::format::{read_frame, FrameOutcome, FORMAT_VERSION, POOL_MAGIC};
+use crate::dir::{list, parse_generation_manifest_name, WalDir, WAL_SUBDIR};
+use crate::format::{next_frame, FORMAT_VERSION, FRAME_HEADER_LEN, POOL_MAGIC};
 use crate::records::{Manifest, SegmentHeader, WalRecord};
 use crate::writer::{parse_segment_file_name, segment_file_name};
 use crate::{corrupt, io_err, WalError};
@@ -82,7 +93,8 @@ pub struct TailedRecord {
     pub scheme: u16,
     /// The decoded record.
     pub record: WalRecord,
-    /// The raw frame payload, exactly as stored on disk.
+    /// The raw frame payload, exactly as stored on disk (empty when
+    /// recovery, which forwards nothing, read the record).
     pub payload: Vec<u8>,
 }
 
@@ -151,7 +163,10 @@ pub struct Follower {
     /// ships on the next poll.
     manifest_gen: u64,
     tailers: Vec<RelationTailer>,
-    names: NameTailer,
+    /// The name log's tailer.  Recovery follows the relation logs
+    /// alone, and its records carry no payloads (only a shipper forwards
+    /// them).
+    names: Option<NameTailer>,
 }
 
 impl Follower {
@@ -162,6 +177,21 @@ impl Follower {
     /// already in hand.  A cursor count that does not match that
     /// manifest's schema is a typed [`WalError::CursorCount`].
     pub fn new(dir: &WalDir, cursors: &[Cursor], names_applied: u64) -> Result<Self, WalError> {
+        let names = NameTailer::new(&dir.pool_log_path(), dir.fingerprint(), names_applied);
+        Self::start(dir, cursors, Some(names))
+    }
+
+    /// The follower [`WalDir::recover`] runs: the relation logs alone,
+    /// records without their payload bytes.
+    pub(crate) fn replaying(dir: &WalDir, cursors: &[Cursor]) -> Result<Self, WalError> {
+        Self::start(dir, cursors, None)
+    }
+
+    fn start(
+        dir: &WalDir,
+        cursors: &[Cursor],
+        names: Option<NameTailer>,
+    ) -> Result<Self, WalError> {
         let start = cursors.iter().map(|c| c.gen).max().unwrap_or(0);
         let (manifest_gen, manifest) = &dir.manifests()[dir.governing(start)];
         if cursors.len() != manifest.schema.len() {
@@ -170,14 +200,16 @@ impl Follower {
                 relations: manifest.schema.len(),
             });
         }
-        let tailers = (0..)
-            .zip(cursors)
-            .map(|(i, &cursor)| RelationTailer::new(dir.root(), dir.fingerprint(), i, cursor));
+        let payloads = names.is_some();
+        let tailers = (0..).zip(cursors).map(|(i, &cursor)| RelationTailer {
+            payloads,
+            ..RelationTailer::new(dir.root(), dir.fingerprint(), i, cursor)
+        });
         Ok(Follower {
             era: manifest.schema.clone(),
             manifest_gen: *manifest_gen,
             tailers: tailers.collect(),
-            names: NameTailer::new(&dir.pool_log_path(), dir.fingerprint(), names_applied),
+            names,
             dir: dir.clone(),
         })
     }
@@ -206,67 +238,70 @@ impl Follower {
                 payload,
             })?;
         }
-        let names = self.names.poll()?;
-        if !names.is_empty() {
-            let tip = self.names.emitted();
-            shipped += 1;
-            ship(Shipment::Names { names, tip })?;
+        if let Some(tailer) = &mut self.names {
+            let names = tailer.poll()?;
+            if !names.is_empty() {
+                let tip = tailer.emitted();
+                shipped += 1;
+                ship(Shipment::Names { names, tip })?;
+            }
         }
+        let view = DirView::read(self.dir.root())?;
         for tailer in &mut self.tailers {
-            let RelationPoll::Records(records) = tailer.poll()? else {
+            let RelationPoll::Records(mut records) = tailer.poll_in(&view)? else {
                 return Ok(FollowPoll::Behind);
             };
             let tip = tailer.cursor().seq;
-            let mut records = records.into_iter().peekable();
-            while let Some(first) = records.next() {
+            while let Some(first) = records.first() {
                 let (gen, relation) = (first.gen, first.scheme);
-                let mut batch = vec![first];
-                while let Some(r) = records.next_if(|r| (r.gen, r.scheme) == (gen, relation)) {
-                    batch.push(r);
-                }
+                let n = (records.iter())
+                    .take_while(|r| (r.gen, r.scheme) == (gen, relation))
+                    .count();
+                // The usual poll is one batch, shipped without a copy.
+                let rest = records.split_off(n);
                 shipped += 1;
                 ship(Shipment::Records {
                     relation,
                     gen,
                     tip,
-                    records: batch,
+                    records: std::mem::replace(&mut records, rest),
                 })?;
             }
         }
         Ok(FollowPoll::Shipped(shipped))
     }
 
-    /// Remaps the tailers onto the manifest committed at `gen`, by
-    /// relation (name + attributes — a same-name relation with other
-    /// columns is a new incarnation): survivors are retargeted to their
-    /// new index, dropped relations' tailers fall away, added relations
-    /// start tailing at `(gen, 0)`, where their logs begin.
+    /// Remaps the tailers onto the manifest committed at `gen`, by the
+    /// relation identity rule ([`DatabaseSchema::remap_from`]):
+    /// survivors are retargeted to their new index, dropped relations'
+    /// tailers fall away, added relations start tailing at `(gen, 0)`,
+    /// where their logs begin.
     fn retarget(&mut self, gen: u64, next: &DatabaseSchema) {
         let mut old: Vec<Option<RelationTailer>> = self.tailers.drain(..).map(Some).collect();
-        for (jid, scheme) in next.iter() {
-            let j = jid.index() as u16;
-            let prev = (self.era.scheme_by_name(&scheme.name))
-                .filter(|&i| self.era.attrs(i) == next.attrs(jid))
-                .and_then(|i| old[i.index()].take());
-            self.tailers.push(match prev {
-                Some(mut tailer) => {
-                    tailer.retarget(gen, j);
-                    tailer
-                }
-                None => RelationTailer::new(
-                    self.dir.root(),
-                    self.dir.fingerprint(),
-                    j,
-                    Cursor { gen, seq: 0 },
-                ),
-            });
+        for (j, from) in (0..).zip(next.remap_from(&self.era)) {
+            self.tailers
+                .push(match from.and_then(|i| old[i.index()].take()) {
+                    Some(mut tailer) => {
+                        tailer.retarget(gen, j);
+                        tailer
+                    }
+                    None => RelationTailer {
+                        payloads: self.names.is_some(),
+                        ..RelationTailer::new(
+                            self.dir.root(),
+                            self.dir.fingerprint(),
+                            j,
+                            Cursor { gen, seq: 0 },
+                        )
+                    },
+                });
         }
         self.era = next.clone();
         self.manifest_gen = gen;
     }
 }
 
-/// What one [`RelationTailer::poll`] found.
+/// What one [`RelationTailer::poll_in`] found.
 #[derive(Debug)]
 pub(crate) enum RelationPoll {
     /// Records appended since the previous poll (possibly none).
@@ -290,8 +325,6 @@ pub(crate) enum RelationPoll {
 /// old index.
 #[derive(Debug)]
 pub(crate) struct RelationTailer {
-    /// The directory root (where generation manifests live).
-    root: PathBuf,
     wal_dir: PathBuf,
     fingerprint: u32,
     /// Scheme index of the relation in the generation currently read.
@@ -310,6 +343,8 @@ pub(crate) struct RelationTailer {
     offset: usize,
     /// Whether the current segment's header frame has been validated.
     header_done: bool,
+    /// Whether each record keeps its frame payload.
+    payloads: bool,
 }
 
 impl RelationTailer {
@@ -322,7 +357,6 @@ impl RelationTailer {
     /// index under the manifest governing `cursor.gen`.
     pub(crate) fn new(root: &Path, fingerprint: u32, scheme: u16, cursor: Cursor) -> Self {
         RelationTailer {
-            root: root.to_path_buf(),
             wal_dir: root.join(WAL_SUBDIR),
             fingerprint,
             scheme,
@@ -331,6 +365,7 @@ impl RelationTailer {
             last_seq: cursor.seq,
             offset: 0,
             header_done: false,
+            payloads: true,
         }
     }
 
@@ -372,147 +407,146 @@ impl RelationTailer {
             .map_or(self.scheme, |(_, s)| *s)
     }
 
-    /// True when a generation manifest with effective generation in
-    /// `(self.gen, upto]` exists on disk that no retarget has explained:
-    /// the primary committed a schema transition the managing loop has
-    /// not told this tailer about yet, so advancing past it could read a
-    /// renumbered *foreign* relation's segments.
-    fn unexplained_boundary(&self, upto: u64) -> Result<bool, WalError> {
-        let entries = match std::fs::read_dir(&self.root) {
-            Ok(e) => e,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
-            Err(e) => return Err(io_err(&self.root, e)),
-        };
-        for entry in entries {
-            let entry = entry.map_err(|e| io_err(&self.root, e))?;
-            let name = entry.file_name();
-            let Some(g) = name.to_str().and_then(parse_generation_manifest_name) else {
-                continue;
-            };
-            if g > self.gen && g <= upto && !self.retargets.iter().any(|&(rg, _)| rg == g) {
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-
-    /// Reads everything appended since the previous poll.
+    /// Reads everything appended since the previous poll, against
+    /// `view`, the directory as this poll of the [`Follower`] lists it.
     ///
     /// Returns [`RelationPoll::Records`] (possibly empty — nothing new
     /// is not an error), [`RelationPoll::Behind`] when the cursor's
     /// segments were pruned before they were consumed, or a typed
     /// [`WalError`] on corruption.
-    pub(crate) fn poll(&mut self) -> Result<RelationPoll, WalError> {
+    fn poll_in(&mut self, view: &DirView) -> Result<RelationPoll, WalError> {
         let mut out = Vec::new();
+        // Set once the next segment's header started past the cursor:
+        // the current segment gets one more read before that is a gap.
+        let mut gap = false;
+        // The segment just advanced to, as read to check its header.
+        let mut next_bytes = None;
         loop {
             let path = self.wal_dir.join(segment_file_name(self.scheme, self.gen));
-            let bytes = match std::fs::read(&path) {
-                Ok(b) => b,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                    // The cursor's segment is gone (pruned) or not yet
-                    // created.  The next generation's header decides.
-                    match self.peek_next_gen()? {
-                        NextGen::None => return Ok(RelationPoll::Records(out)),
-                        NextGen::NotReady => return Ok(RelationPoll::Records(out)),
-                        NextGen::Ready { gen, start_seq } => {
-                            if start_seq > self.last_seq + 1 {
-                                // Records between our cursor and the next
-                                // segment lived in pruned generations.
-                                return Ok(RelationPoll::Behind);
-                            }
-                            self.advance_to(gen);
-                            continue;
-                        }
+            let found = match next_bytes.take().map_or_else(|| std::fs::read(&path), Ok) {
+                Ok(bytes) => {
+                    if !self.read_segment(&path, &bytes, &mut out)? {
+                        return Ok(RelationPoll::Behind);
                     }
+                    true
                 }
+                // Pruned, or not created yet: the next segment decides.
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => false,
                 Err(e) => return Err(io_err(&path, e)),
             };
-            if self.offset > bytes.len() {
-                // Segments are append-only; a shrinking one is not a
-                // crash artifact we know how to resume from.
-                return Err(corrupt(&path, "segment shrank under the tailer"));
-            }
-            let mut rest = &bytes[self.offset..];
-
-            // Header frame (validated once per segment, exactly as in
-            // recovery — except a sequence gap here means "behind", not
-            // corruption: the gap's records were checkpointed away).
-            if !self.header_done {
-                match read_frame(rest) {
-                    FrameOutcome::Complete { payload, rest: r } => {
-                        let header = SegmentHeader::decode(&path, payload)?;
-                        self.check_header(&path, &header)?;
-                        if header.start_seq > self.last_seq + 1 {
-                            return Ok(RelationPoll::Behind);
-                        }
-                        self.offset += 8 + payload.len();
-                        self.header_done = true;
-                        rest = r;
-                    }
-                    // The primary created the file but the header write
-                    // has not landed yet; nothing to read.
-                    FrameOutcome::Torn => return Ok(RelationPoll::Records(out)),
-                    FrameOutcome::CrcMismatch => {
-                        return Err(corrupt(&path, "segment header checksum mismatch"))
-                    }
-                    FrameOutcome::Oversize => {
-                        return Err(corrupt(&path, "segment header length corrupted"))
-                    }
-                }
-            }
-
-            // Record frames until the (possibly torn) tail.
-            loop {
-                match read_frame(rest) {
-                    FrameOutcome::Complete { payload, rest: r } => {
-                        let record = WalRecord::decode(&path, payload)?;
-                        if record.seq <= self.last_seq {
-                            // Catch-up within the cursor's segment:
-                            // already applied, skip.
-                        } else if record.seq != self.last_seq + 1 {
-                            return Err(corrupt(
-                                &path,
-                                format!(
-                                    "sequence gap: record {} after {}",
-                                    record.seq, self.last_seq
-                                ),
-                            ));
-                        } else {
-                            self.last_seq = record.seq;
-                            out.push(TailedRecord {
-                                gen: self.gen,
-                                scheme: self.scheme,
-                                record,
-                                payload: payload.to_vec(),
-                            });
-                        }
-                        self.offset += 8 + payload.len();
-                        rest = r;
-                    }
-                    FrameOutcome::Torn => break,
-                    FrameOutcome::CrcMismatch => {
-                        return Err(corrupt(&path, "record checksum mismatch"))
-                    }
-                    FrameOutcome::Oversize => {
-                        return Err(corrupt(&path, "record length corrupted"))
-                    }
-                }
-            }
-
-            // End of what is on disk for this segment.  Advance to the
-            // next generation only when its header *proves* the current
-            // segment was fully consumed (start_seq continues our
-            // sequence); otherwise wait — the torn tail here may still
-            // be completed by the primary, and rotation always seals
-            // the old segment before the new file appears.
-            match self.peek_next_gen()? {
-                NextGen::Ready { gen, start_seq } if start_seq <= self.last_seq + 1 => {
-                    self.advance_to(gen);
-                    continue;
-                }
-                _ => return Ok(RelationPoll::Records(out)),
+            // End of what is on disk for this segment.  Advance only when
+            // the next segment's header *proves* this one fully consumed
+            // (its start_seq continues our sequence); otherwise the torn
+            // tail here may still be completed by the primary.
+            let Some((gen, start_seq, bytes)) = self.next_segment(view)? else {
+                return Ok(RelationPoll::Records(out));
+            };
+            if start_seq <= self.last_seq + 1 {
+                self.advance_to(gen);
+                next_bytes = Some(bytes);
+                gap = false;
+            } else if !found {
+                // Records between our cursor and the next segment lived
+                // in pruned generations.
+                return Ok(RelationPoll::Behind);
+            } else if gap {
+                return Err(corrupt(
+                    &path,
+                    format!(
+                        "sequence gap: the next segment starts at {start_seq} after {}",
+                        self.last_seq
+                    ),
+                ));
+            } else {
+                // Rotation seals a segment before its successor exists,
+                // so one more read of this one sees everything it holds.
+                gap = true;
             }
         }
+    }
+
+    /// Consumes the current segment's `bytes` past the tailer's offset:
+    /// the header once, then every complete record (a torn header reads
+    /// as nothing yet).  Returns false when the header starts past the
+    /// cursor — the records between were checkpointed away.
+    fn read_segment(
+        &mut self,
+        path: &Path,
+        bytes: &[u8],
+        out: &mut Vec<TailedRecord>,
+    ) -> Result<bool, WalError> {
+        let Some(mut rest) = bytes.get(self.offset..) else {
+            // Segments are append-only; a shrinking one is not a crash
+            // artifact we know how to resume from.
+            return Err(corrupt(path, "segment shrank under the tailer"));
+        };
+        if !self.header_done {
+            let Some((header, r)) = self.read_header(path, rest)? else {
+                return Ok(true);
+            };
+            if header.start_seq > self.last_seq + 1 {
+                return Ok(false);
+            }
+            self.offset += rest.len() - r.len();
+            self.header_done = true;
+            rest = r;
+        }
+        while let Some((payload, r)) = next_frame(path, rest, "record")? {
+            let record = WalRecord::decode(path, payload)?;
+            // At or below the cursor: catch-up within the cursor's
+            // segment, already applied.
+            if record.seq > self.last_seq {
+                if record.seq != self.last_seq + 1 {
+                    return Err(corrupt(
+                        path,
+                        format!(
+                            "sequence gap: record {} after {}",
+                            record.seq, self.last_seq
+                        ),
+                    ));
+                }
+                self.last_seq = record.seq;
+                out.push(TailedRecord {
+                    gen: self.gen,
+                    scheme: self.scheme,
+                    record,
+                    payload: if self.payloads {
+                        payload.to_vec()
+                    } else {
+                        Vec::new()
+                    },
+                });
+            }
+            self.offset += FRAME_HEADER_LEN + payload.len();
+            rest = r;
+        }
+        Ok(true)
+    }
+
+    /// The header frame at the head of a segment's `bytes`, checked
+    /// against the directory's fingerprint and the file's name, with the
+    /// bytes after it; `None` while it is torn.
+    fn read_header<'a>(
+        &self,
+        path: &Path,
+        bytes: &'a [u8],
+    ) -> Result<Option<(SegmentHeader, &'a [u8])>, WalError> {
+        let Some((payload, rest)) = next_frame(path, bytes, "segment header")? else {
+            return Ok(None);
+        };
+        let header = SegmentHeader::decode(path, payload)?;
+        if header.fingerprint != self.fingerprint {
+            return Err(WalError::SchemaMismatch {
+                detail: "schema/FD set (segment fingerprint)",
+            });
+        }
+        let named = (path.file_name())
+            .and_then(|n| n.to_str())
+            .and_then(parse_segment_file_name);
+        if named != Some((header.scheme, header.gen)) {
+            return Err(corrupt(path, "segment header disagrees with file name"));
+        }
+        Ok(Some((header, rest)))
     }
 
     fn advance_to(&mut self, gen: u64) {
@@ -523,95 +557,64 @@ impl RelationTailer {
         self.header_done = false;
     }
 
-    fn check_header(&self, path: &Path, header: &SegmentHeader) -> Result<(), WalError> {
-        if header.fingerprint != self.fingerprint {
-            return Err(WalError::SchemaMismatch {
-                detail: "schema/FD set (segment fingerprint)",
-            });
-        }
-        let named = parse_segment_file_name(
-            path.file_name()
-                .and_then(|n| n.to_str())
-                .unwrap_or_default(),
-        );
-        if named != Some((header.scheme, header.gen)) {
-            return Err(corrupt(path, "segment header disagrees with file name"));
-        }
-        Ok(())
-    }
-
-    /// Looks for the smallest on-disk generation above the current one
-    /// whose segment carries *this relation's* index for that generation
-    /// and, if present, validates its header far enough to learn its
-    /// `start_seq`.  Refuses to look past an unexplained manifest
-    /// boundary: the rename that commits a generation manifest
-    /// happens-before any segment of that generation exists, so a
-    /// candidate segment past an unexplained manifest is never
+    /// The next segment of this relation in `view` — the smallest
+    /// generation above the current one carrying *this relation's* index
+    /// for it — whose header is readable, as `(gen, start_seq, the
+    /// segment's bytes)`.  A segment whose header is torn is passed over
+    /// when a later one has a header: a crash right after creating it
+    /// left it empty (it is only ever the newest file of a relation
+    /// while being written).  Stops at an unexplained manifest boundary:
+    /// the rename that commits a generation manifest happens-before any
+    /// segment of that generation exists, so a segment past one is never
     /// mistakenly consumed — the managing loop retargets first, the next
     /// poll advances.
-    fn peek_next_gen(&self) -> Result<NextGen, WalError> {
-        let entries = match std::fs::read_dir(&self.wal_dir) {
-            Ok(e) => e,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(NextGen::None),
-            Err(e) => return Err(io_err(&self.wal_dir, e)),
-        };
-        let mut next: Option<(u64, u16)> = None;
-        for entry in entries {
-            let entry = entry.map_err(|e| io_err(&self.wal_dir, e))?;
-            let name = entry.file_name();
-            let Some((scheme, gen)) = name.to_str().and_then(parse_segment_file_name) else {
+    fn next_segment(&self, view: &DirView) -> Result<Option<(u64, u64, Vec<u8>)>, WalError> {
+        let boundary = (view.manifests.iter().copied())
+            .filter(|&g| g > self.gen && !self.retargets.iter().any(|&(rg, _)| rg == g))
+            .min();
+        let later = &view.segments[view.segments.partition_point(|&(g, _)| g <= self.gen)..];
+        for &(gen, scheme) in later {
+            if boundary.is_some_and(|b| b <= gen) {
+                break;
+            }
+            if scheme != self.scheme_at(gen) {
                 continue;
+            }
+            let path = self.wal_dir.join(segment_file_name(scheme, gen));
+            let bytes = match std::fs::read(&path) {
+                Ok(bytes) => bytes,
+                // Pruned since the listing; the next poll sees what is left.
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => break,
+                Err(e) => return Err(io_err(&path, e)),
             };
-            if gen > self.gen && scheme == self.scheme_at(gen) && next.is_none_or(|(n, _)| gen < n)
-            {
-                next = Some((gen, scheme));
+            if let Some((header, _)) = self.read_header(&path, &bytes)? {
+                return Ok(Some((gen, header.start_seq, bytes)));
             }
         }
-        let Some((gen, scheme)) = next else {
-            // No candidate segment — but an unexplained transition may
-            // both renumber this relation and already hold records for
-            // it under the new index; hold position until retargeted.
-            return Ok(NextGen::None);
-        };
-        if self.unexplained_boundary(gen)? {
-            return Ok(NextGen::NotReady);
-        }
-        let path = self.wal_dir.join(segment_file_name(scheme, gen));
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            // Pruned between listing and reading; retry next poll.
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(NextGen::NotReady),
-            Err(e) => return Err(io_err(&path, e)),
-        };
-        match read_frame(&bytes) {
-            FrameOutcome::Complete { payload, .. } => {
-                let header = SegmentHeader::decode(&path, payload)?;
-                self.check_header(&path, &header)?;
-                Ok(NextGen::Ready {
-                    gen,
-                    start_seq: header.start_seq,
-                })
-            }
-            FrameOutcome::Torn => Ok(NextGen::NotReady),
-            FrameOutcome::CrcMismatch => Err(corrupt(&path, "segment header checksum mismatch")),
-            FrameOutcome::Oversize => Err(corrupt(&path, "segment header length corrupted")),
-        }
+        Ok(None)
     }
 }
 
-/// Outcome of peeking the next on-disk generation.
-enum NextGen {
-    /// No higher generation exists for this relation.
-    None,
-    /// A higher generation exists but its header is not readable yet.
-    NotReady,
-    /// A higher generation with a validated header.
-    Ready {
-        /// The generation found.
-        gen: u64,
-        /// Its header's `start_seq`.
-        start_seq: u64,
-    },
+/// A durable directory as one poll lists it: what appears later is the
+/// next poll's.
+struct DirView {
+    /// Every segment as `(gen, scheme)`, sorted.
+    segments: Vec<(u64, u16)>,
+    /// The effective generation of every generation manifest.
+    manifests: Vec<u64>,
+}
+
+impl DirView {
+    fn read(root: &Path) -> Result<Self, WalError> {
+        let segments = list(&root.join(WAL_SUBDIR), parse_segment_file_name)?;
+        let mut segments: Vec<(u64, u16)> = segments.into_iter().map(|(s, g)| (g, s)).collect();
+        segments.sort_unstable();
+        let manifests = list(root, parse_generation_manifest_name)?;
+        Ok(DirView {
+            segments,
+            manifests,
+        })
+    }
 }
 
 /// One name a [`NameTailer`] produced: the decoded string and the exact
@@ -628,17 +631,22 @@ impl TailedName {
     /// Decodes one name-log frame payload read from `path` (a file, or
     /// a stream that shipped it verbatim).
     pub fn decode(path: &Path, payload: Vec<u8>) -> Result<Self, WalError> {
-        let name = (Decoder::new(&payload).get_str())
-            .map_err(|e| corrupt(path, format!("bad pool record: {e}")))?;
+        let name = decode_name(path, &payload)?;
         Ok(TailedName { name, payload })
     }
 }
 
+/// The string a name-log frame payload holds.
+pub(crate) fn decode_name(path: &Path, payload: &[u8]) -> Result<String, WalError> {
+    (Decoder::new(payload).get_str()).map_err(|e| corrupt(path, format!("bad pool record: {e}")))
+}
+
 /// Follows the value-pool name log read-only.
 ///
-/// Unlike [`crate::NameLog::open`], a `NameTailer` never truncates the
-/// file — it belongs to the primary.  A torn tail is "nothing new yet";
-/// it is retried on the next poll.
+/// A `NameTailer` never truncates the file — it belongs to the primary.
+/// A torn tail is "nothing new yet"; it is retried on the next poll.
+/// [`crate::NameLog::open`] replays through one and truncates the
+/// torn tail itself.
 #[derive(Debug)]
 pub struct NameTailer {
     path: PathBuf,
@@ -673,60 +681,58 @@ impl NameTailer {
         self.emitted
     }
 
+    /// The end of the last complete frame read — 0 while the header has
+    /// not been read whole.
+    pub(crate) fn offset(&self) -> usize {
+        self.offset
+    }
+
     /// Reads the names appended since the previous poll, in pool order.
     /// An absent file means the primary has not attached a pool log
     /// yet — that is "nothing new", not an error.
     pub fn poll(&mut self) -> Result<Vec<TailedName>, WalError> {
+        let mut out = Vec::new();
+        self.each_name(|path, payload| {
+            out.push(TailedName::decode(path, payload.to_vec())?);
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// [`NameTailer::poll`], handing each new name's frame payload to `f`
+    /// instead of collecting copies.
+    pub(crate) fn each_name(
+        &mut self,
+        mut f: impl FnMut(&Path, &[u8]) -> Result<(), WalError>,
+    ) -> Result<(), WalError> {
         let bytes = match std::fs::read(&self.path) {
             Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
             Err(e) => return Err(io_err(&self.path, e)),
         };
-        if self.offset > bytes.len() {
+        let Some(mut rest) = bytes.get(self.offset..) else {
             return Err(corrupt(&self.path, "pool log shrank under the tailer"));
-        }
-        let mut rest = &bytes[self.offset..];
+        };
         if !self.header_done {
-            match read_frame(rest) {
-                FrameOutcome::Complete { payload, rest: r } => {
-                    self.check_header(payload)?;
-                    self.offset += 8 + payload.len();
-                    self.header_done = true;
-                    rest = r;
-                }
-                FrameOutcome::Torn => return Ok(Vec::new()),
-                FrameOutcome::CrcMismatch => {
-                    return Err(corrupt(&self.path, "pool header checksum mismatch"))
-                }
-                FrameOutcome::Oversize => {
-                    return Err(corrupt(&self.path, "pool header length corrupted"))
-                }
-            }
+            let Some((payload, r)) = next_frame(&self.path, rest, "pool header")? else {
+                return Ok(());
+            };
+            self.check_header(payload)?;
+            self.offset += FRAME_HEADER_LEN + payload.len();
+            self.header_done = true;
+            rest = r;
         }
-        let mut out = Vec::new();
-        loop {
-            match read_frame(rest) {
-                FrameOutcome::Complete { payload, rest: r } => {
-                    let name = TailedName::decode(&self.path, payload.to_vec())?;
-                    if self.skip > 0 {
-                        self.skip -= 1;
-                    } else {
-                        out.push(name);
-                        self.emitted += 1;
-                    }
-                    self.offset += 8 + payload.len();
-                    rest = r;
-                }
-                FrameOutcome::Torn => break,
-                FrameOutcome::CrcMismatch => {
-                    return Err(corrupt(&self.path, "pool record checksum mismatch"))
-                }
-                FrameOutcome::Oversize => {
-                    return Err(corrupt(&self.path, "pool record length corrupted"))
-                }
+        while let Some((payload, r)) = next_frame(&self.path, rest, "pool record")? {
+            if self.skip > 0 {
+                self.skip -= 1;
+            } else {
+                f(&self.path, payload)?;
+                self.emitted += 1;
             }
+            self.offset += FRAME_HEADER_LEN + payload.len();
+            rest = r;
         }
-        Ok(out)
+        Ok(())
     }
 
     fn check_header(&self, payload: &[u8]) -> Result<(), WalError> {
@@ -781,6 +787,14 @@ mod tests {
         let schema = DatabaseSchema::parse(u, &[("CT", "CT"), ("CS", "CS")]).unwrap();
         let fds = FdSet::parse(schema.universe(), &["C -> T"]).unwrap();
         (schema, fds)
+    }
+
+    impl RelationTailer {
+        /// One poll against the directory as it is now.
+        fn poll(&mut self) -> Result<RelationPoll, WalError> {
+            let root = self.wal_dir.parent().expect("the wal directory has a root");
+            self.poll_in(&DirView::read(root)?)
+        }
     }
 
     fn seqs(poll: &RelationPoll) -> Vec<u64> {
@@ -1324,6 +1338,63 @@ mod tests {
         });
         assert!(matches!(polled, Err(WalError::SchemaMismatch { .. })));
         assert_eq!(seen, 1, "CS's batch is never read once CT's failed to ship");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A later segment whose header skips records no segment holds is
+    /// lost records: the current segment is read once more (a rotation
+    /// may have sealed more into it), then the gap is typed corruption —
+    /// to recovery and to a follower alike.
+    #[test]
+    fn a_gap_between_segments_is_corrupt_after_one_more_read() {
+        let root = tmp("segment-gap");
+        let (schema, fds) = setup();
+        let dir = WalDir::create(&root, &schema, &fds, Vec::new()).unwrap();
+        let mut w = dir.segment_writer(0, 1, 0).unwrap();
+        insert(&mut w, 1, 10);
+        insert(&mut w, 2, 20);
+        drop(w);
+        // Records 3 and 4 never landed anywhere.
+        drop(dir.segment_writer(0, 2, 4).unwrap());
+        assert!(matches!(dir.recover(), Err(WalError::Corrupt { .. })));
+        let mut f = Follower::new(&dir, &[Cursor::default(); 2], 0).unwrap();
+        match f.poll(|_| Ok::<_, WalError>(())) {
+            Err(WalError::Corrupt { detail, .. }) => assert!(detail.contains("sequence gap")),
+            other => panic!("expected corruption, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A crash right after a segment's `create_new` leaves it empty: a
+    /// torn header.  Recovery crosses it and the next session opens one
+    /// generation later; a follower crosses it too — from a cursor
+    /// before it and from one inside it — and ships every record before
+    /// it reports nothing new.
+    #[test]
+    fn follower_crosses_a_segment_a_crash_left_empty() {
+        let root = tmp("follow-empty");
+        let (schema, fds) = setup();
+        let dir = WalDir::create(&root, &schema, &fds, Vec::new()).unwrap();
+        let mut w = dir.segment_writer(0, 1, 0).unwrap();
+        for i in 1..=3 {
+            insert(&mut w, i, 10 * i);
+        }
+        drop(w);
+        std::fs::write(root.join("wal").join(segment_file_name(0, 2)), b"").unwrap();
+
+        let r = WalDir::open(&root).unwrap().recover().unwrap();
+        assert_eq!((r.next_gen, r.last_seqs()), (3, vec![3, 0]));
+        let mut w = dir.segment_writer(0, r.next_gen, 3).unwrap();
+        insert(&mut w, 4, 40);
+        insert(&mut w, 5, 50);
+
+        let mut f = Follower::new(&dir, &[Cursor { gen: 1, seq: 0 }; 2], 0).unwrap();
+        assert_eq!(follow(&mut f), ["R0@1[1,2,3]^5", "R0@3[4,5]^5"]);
+        assert!(follow(&mut f).is_empty());
+        let inside = [Cursor { gen: 2, seq: 3 }, Cursor { gen: 2, seq: 0 }];
+        let mut f = Follower::new(&dir, &inside, 0).unwrap();
+        assert_eq!(follow(&mut f), ["R0@3[4,5]^5"]);
+        assert!(follow(&mut f).is_empty());
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -231,9 +231,9 @@ impl WalWriter {
     /// (possibly different) scheme index — the per-relation half of a
     /// schema transition, where a surviving relation may be renumbered.
     /// The sequence counter continues across the rename: a relation's
-    /// log is one contiguous stream however its index moves, and
-    /// recovery stitches the segments back together *by name* through
-    /// each generation's governing manifest.
+    /// log is one contiguous stream however its index moves, and the
+    /// follow loop stitches the segments back together by relation
+    /// (name and attributes) across each manifest.
     pub fn rotate_as(&mut self, new_scheme: u16, new_gen: u64) -> Result<u64, WalError> {
         self.sync()?;
         let mut next = WalWriter::create(

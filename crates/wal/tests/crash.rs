@@ -15,13 +15,18 @@
 //! **truncate one relation's live log segment at an arbitrary byte
 //! offset** — the torn write.  Recovery must produce, relation by
 //! relation, the state of a sequential `LocalMaintainer` replay of the
-//! acknowledged-and-synced prefix the truncation left behind.
+//! acknowledged-and-synced prefix the truncation left behind.  Half the
+//! cases cut inside the segment's header, as a crash right after the
+//! file's creation does.  Then the store lives on: a follow loop started
+//! from the snapshot must read back exactly what recovery reads, across
+//! the torn segment.
 
 use ids_chase::{satisfies, ChaseConfig};
 use ids_core::{InsertOutcome, LocalMaintainer};
-use ids_relational::{DatabaseState, SchemeId};
+use ids_relational::{DatabaseState, SchemeId, Value};
 use ids_store::{DurableConfig, Store, StoreOp, SyncPolicy};
-use ids_wal::WalDir;
+use ids_wal::format::{read_frame, FrameOutcome};
+use ids_wal::{Cursor, FollowPoll, Follower, Shipment, WalDir, WalRecord};
 use ids_workloads::families::{bcnf_tree, key_chain, key_star, FamilyInstance};
 use ids_workloads::traces::{
     effective_ops_per_relation, interleaved_trace, TraceKind, TraceOp, TraceParams,
@@ -107,6 +112,7 @@ proptest! {
         checkpoint_mid in 0u8..2,
         victim_pick in 0usize..64,
         cut_millis in 0u32..1000,
+        in_header in 0u8..2,
     ) {
         let inst = family_instance(pick, size);
         let trace = interleaved_trace(
@@ -117,7 +123,9 @@ proptest! {
         let effective = effective_ops_per_relation(&inst.schema, &inst.fds, &trace).unwrap();
         let totals: Vec<u64> = effective.iter().map(|v| v.len() as u64).collect();
 
-        let root = unique_root(&format!("{pick}-{size}-{seed}-{checkpoint_mid}-{victim_pick}-{cut_millis}"));
+        let root = unique_root(&format!(
+            "{pick}-{size}-{seed}-{checkpoint_mid}-{victim_pick}-{cut_millis}-{in_header}"
+        ));
         // Run the trace durably; Always-sync makes ack ⇒ on disk.
         {
             let store = Store::open_durable_with(
@@ -155,7 +163,14 @@ proptest! {
         victim_segments.sort();
         let seg = victim_segments.last().expect("every relation has a live segment");
         let bytes = std::fs::read(seg).unwrap();
-        let cut = (bytes.len() as u64 * cut_millis as u64 / 1000) as usize;
+        let FrameOutcome::Complete { rest, .. } = read_frame(&bytes) else {
+            panic!("the live segment's header frame is whole before the tear");
+        };
+        let header_len = bytes.len() - rest.len();
+        let cut = match in_header {
+            1 => cut_millis as usize % header_len,
+            _ => (bytes.len() as u64 * cut_millis as u64 / 1000) as usize,
+        };
         std::fs::write(seg, &bytes[..cut]).unwrap();
 
         // What survived, per the format: read back through WalDir.
@@ -202,6 +217,45 @@ proptest! {
                 .is_satisfying(),
             "recovered state not globally satisfying (seed {})", seed
         );
+
+        // A second life: k more accepted ops per relation (values no
+        // trace uses, so every FD accepts them), then the follow loop
+        // from the snapshot's cursors — zero cursors when no checkpoint
+        // was taken — ships each relation exactly recovery's tail.
+        let store = Store::open_durable(&root, &inst.schema, &inst.fds).unwrap();
+        for (id, scheme) in inst.schema.iter() {
+            for j in 0..3u64 {
+                let arity = scheme.attrs.len() as u64;
+                let tuple = (0..arity).map(|c| Value(1_000_000 + 10 * j + c)).collect();
+                prop_assert_eq!(store.insert(id, tuple).unwrap(), InsertOutcome::Accepted);
+            }
+        }
+        store.shutdown().unwrap();
+        let dir = WalDir::open(&root).unwrap();
+        let recovered = dir.recover().unwrap();
+        let cursors: Vec<Cursor> = (recovered.base_seqs.iter())
+            .map(|&seq| Cursor { gen: recovered.covered_gen, seq })
+            .collect();
+        let mut follower = Follower::new(&dir, &cursors, 0).unwrap();
+        let mut shipped: Vec<Vec<WalRecord>> = vec![Vec::new(); inst.schema.len()];
+        let mut polls = 0;
+        while follower
+            .poll(|shipment| {
+                if let Shipment::Records { relation, records, .. } = shipment {
+                    shipped[relation as usize].extend(records.into_iter().map(|r| r.record));
+                }
+                Ok::<_, ids_wal::WalError>(())
+            })
+            .unwrap()
+            != FollowPoll::Shipped(0)
+        {
+            polls += 1;
+            prop_assert!(polls < 8, "the follow loop never drained");
+        }
+        for (i, tail) in recovered.tail.into_iter().enumerate() {
+            let tail: Vec<WalRecord> = tail.into_iter().map(|(_, r)| r).collect();
+            prop_assert_eq!(&shipped[i], &tail, "relation {} ships other records", i);
+        }
         let _ = std::fs::remove_dir_all(&root);
     }
 }
