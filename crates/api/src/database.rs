@@ -2,7 +2,7 @@
 //! rows out — the interning [`ValuePool`] lives inside.
 
 use std::path::Path;
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use ids_core::InsertOutcome;
 use ids_relational::{
@@ -12,10 +12,9 @@ use ids_relational::{
 use ids_store::{DurableConfig, OpOutcome, Store, StoreConfig, StoreError, StoreOp};
 use ids_wal::NameLog;
 
-use crate::error::Error;
 use crate::planner::execute_join;
 use crate::query::{Cond, JoinQuery, JoinReport, Query, RowSink, Rows};
-use crate::schema::{Alter, Schema};
+use crate::{Alter, Error, Schema};
 
 /// The store configuration [`Database::open`] starts from.  Both
 /// variants open the one engine, the concurrent [`Store`]; `Local` is
@@ -61,8 +60,8 @@ impl Names {
     }
 }
 
-/// A running database: one [`Schema`] handle, the concurrent [`Store`]
-/// that enforces it, and the interning [`ValuePool`] owned internally —
+/// A running database: the concurrent [`Store`], whose live [`Schema`]
+/// it serves, and the interning [`ValuePool`] owned internally —
 /// callers speak relation names and string values, never [`SchemeId`]s,
 /// [`Value`]s or pools.
 ///
@@ -138,27 +137,38 @@ impl Names {
 ///
 /// ## Locks
 ///
-/// Three pieces of state sit behind locks, and **no two of them are ever
-/// held together**: an operation captures the schema, resolves its names,
-/// releases, runs the store, releases, renders.
+/// Two pieces of shared state sit behind locks, always taken in this
+/// order: the store's **topology** (read), then the **names**.  The
+/// database keeps no schema of its own — [`Database::schema`] is the
+/// store's live handle.
 ///
-/// * **Schema** (`RwLock<Arc<Schema>>`): an operation clones the `Arc`
-///   once and runs wholly under the schema it captured, so one racing
+/// * **Topology** (the store's read-write lock, read side): every
+///   name-addressed operation takes it exactly **once**, as one
+///   [`ids_store::Era`], and inside it resolves name → [`SchemeId`] →
+///   declared layout → slot, interns, and runs its slot operations; it is
+///   released before anything is rendered.  So the name, layout, cover
+///   and slot always come from one schema era, and one racing
 ///   [`Database::alter`] behaves exactly as if submitted before or after
-///   the transition.  The lock only ever guards swapping one complete
-///   `Arc` for another, so a poisoned lock is recovered (`into_inner`).
+///   the operation: the alter's switch waits for the era to end.  No
+///   operation takes the guard a second time while holding it — std
+///   readers queue behind a waiting writer, so a nested read would
+///   deadlock against a pending switch.
 /// * **Names** (`Mutex` over the pool and its durable log): O(row) hash
 ///   lookups, plus on a durable database the log append for a never-seen
-///   string.  A read holds it twice, briefly: to plan, and while the row
-///   visitor renders the shipped rows into its sink — which renders into
-///   memory only; no socket write runs under it.  Poison **propagates**
-///   as a panic: a thread that died mid-intern may have assigned a value
-///   whose name never reached the log, and writing tuples against it
-///   would alias them after a crash.
-/// * **Relations**: the store's own per-relation locks.
+///   string.  Taken inside the era and released before the slot is
+///   locked.  A read holds it twice, briefly: to plan, and — after the
+///   era has ended — while the row visitor renders the shipped rows into
+///   its sink, which renders into memory only; no socket write runs
+///   under it.  Poison **propagates** as a panic: a thread that died
+///   mid-intern may have assigned a value whose name never reached the
+///   log, and writing tuples against it would alias them after a crash.
+/// * **Relations**: the store's own per-relation locks, one at a time.
 ///
-/// Only the private lock that serializes [`Database::alter`] callers
-/// spans any of these; it guards no data, so its poison is recovered.
+/// A string insert or remove therefore takes the topology guard once plus
+/// `names`; a query or count takes one topology guard; a join takes one
+/// topology guard for all of its relation reads.  Only the private lock
+/// that serializes [`Database::alter`] callers spans any of these; it
+/// guards no data, so its poison is recovered.
 ///
 /// ## What `&mut` still means
 ///
@@ -170,7 +180,6 @@ impl Names {
 /// follower's handle ([`Database::follower`]) refuses **before** they
 /// intern anything.
 pub struct Database {
-    schema: RwLock<Arc<Schema>>,
     names: Mutex<Names>,
     /// Serializes [`Database::alter`] callers end to end (build target
     /// → backfill → switch), so two concurrent alters cannot both
@@ -183,9 +192,8 @@ pub struct Database {
 }
 
 impl Database {
-    fn assemble(schema: Schema, store: Arc<Store>, pool: ValuePool, log: Option<NameLog>) -> Self {
+    fn assemble(store: Arc<Store>, pool: ValuePool, log: Option<NameLog>) -> Self {
         Database {
-            schema: RwLock::new(Arc::new(schema)),
             names: Mutex::new(Names { pool, log }),
             alter_lock: Mutex::new(()),
             store,
@@ -200,22 +208,14 @@ impl Database {
     /// [`crate::SchemaBuilder::build_any`]) is refused with
     /// [`Error::NotIndependent`].
     pub fn open(schema: Schema, kind: EngineKind) -> Result<Self, Error> {
-        let mut config = match kind {
+        let config = match kind {
             EngineKind::Local => StoreConfig::default(),
             EngineKind::Sharded(config) => config,
         };
-        // Indexes declared on the schema ride along with any the caller
-        // already configured (re-declares are no-ops).
-        config
-            .ordered_indexes
-            .extend(schema.ordered_indexes.iter().copied());
-        let store = Store::from_analysis(&schema.definition, &schema.analysis, config)?;
-        Ok(Self::assemble(
-            schema,
-            Arc::new(store),
-            ValuePool::new(),
-            None,
-        ))
+        // The handle becomes the store's live schema; the indexes it
+        // declares ride along with any the caller already configured.
+        let store = Store::from_schema(schema, config)?;
+        Ok(Self::assemble(Arc::new(store), ValuePool::new(), None))
     }
 
     /// A replication follower's handle over the `store` it applies the
@@ -223,10 +223,20 @@ impl Database {
     /// the handle is refused with [`Error::ReplicaReadOnly`], and the
     /// pool starts empty — the follower feeds it the primary's names, in
     /// order, through [`Database::intern`].
+    ///
+    /// `schema` must be the schema `store` was built from (e.g. with
+    /// [`Store::from_schema`] or [`Store::recover_from`]); the handle
+    /// keeps no copy of it and serves the store's own.
+    ///
+    /// # Panics
+    ///
+    /// When the store serves a schema not equal to `schema` (other
+    /// relations, declared columns, dependencies or indexes).
     pub fn follower(schema: Schema, store: Arc<Store>) -> Self {
+        assert_serves(&store, &schema);
         Database {
             read_only: true,
-            ..Self::assemble(schema, store, ValuePool::new(), None)
+            ..Self::assemble(store, ValuePool::new(), None)
         }
     }
 
@@ -247,25 +257,10 @@ impl Database {
         schema: Schema,
         config: DurableConfig,
     ) -> Result<Self, Error> {
-        let path = path.as_ref();
-        let mut config = DurableConfig {
-            // The manifest app blob carries the declared column order
-            // and index declarations; it is only consulted at creation.
-            app: schema.encode_layouts(),
-            ..config
-        };
-        config
-            .store
-            .ordered_indexes
-            .extend(schema.ordered_indexes.iter().copied());
-        let store = Store::open_durable_from_analysis(
-            path,
-            &schema.definition,
-            &schema.fds,
-            &schema.analysis,
-            config,
-        )?;
-        Self::attach_pool_log(schema, store)
+        // A created manifest records the schema's declared column order
+        // and index declarations.
+        let store = Store::open_durable_schema(path, schema, config)?;
+        Self::attach_pool_log(store)
     }
 
     /// Recovers a durable database from `path` alone: the schema (and
@@ -278,35 +273,22 @@ impl Database {
     }
 
     /// [`Database::recover`] with an explicit store/sync configuration.
-    pub fn recover_with(path: impl AsRef<Path>, mut config: DurableConfig) -> Result<Self, Error> {
+    pub fn recover_with(path: impl AsRef<Path>, config: DurableConfig) -> Result<Self, Error> {
         let dir = ids_wal::WalDir::open(path.as_ref())?;
         // The *latest* generation manifest is the schema the database
-        // runs under after recovery; older entries in the chain only
-        // direct per-era replay inside the store.
-        let manifest = dir.latest_manifest();
-        let schema =
-            Schema::from_recovered(manifest.schema.clone(), manifest.fds.clone(), &manifest.app)?;
-        // Index declarations persisted in the manifest are rebuilt after
-        // replay, exactly as at creation.
-        config
-            .store
-            .ordered_indexes
-            .extend(schema.ordered_indexes.iter().copied());
+        // runs under after recovery, its declared layouts and indexes
+        // included; older entries in the chain only direct per-era
+        // replay inside the store.
+        let schema = Schema::from_manifest(dir.latest_manifest())?;
         // The open directory handle is passed straight down, so the
         // manifest is read and decoded exactly once per recover.
-        let store = Store::recover_durable_from_analysis(
-            dir,
-            &schema.definition,
-            &schema.fds,
-            &schema.analysis,
-            config,
-        )?;
-        Self::attach_pool_log(schema, store)
+        let store = Store::recover_durable(dir, schema, config)?;
+        Self::attach_pool_log(store)
     }
 
     /// Shared tail of the durable constructors: replay the name log
     /// into a fresh pool and assemble the handle.
-    fn attach_pool_log(schema: Schema, store: Store) -> Result<Self, Error> {
+    fn attach_pool_log(store: Store) -> Result<Self, Error> {
         // The name log carries the *directory's* fingerprint — the base
         // manifest's, fixed for the directory's whole life.  Recomputing
         // from the current schema would diverge after the first schema
@@ -321,12 +303,7 @@ impl Database {
             pool.room_for(&name)?;
             pool.value(name);
         }
-        Ok(Self::assemble(
-            schema,
-            Arc::new(store),
-            pool,
-            Some(pool_log),
-        ))
+        Ok(Self::assemble(Arc::new(store), pool, Some(pool_log)))
     }
 
     /// Checkpoints a durable database: seals every relation's log
@@ -374,14 +351,7 @@ impl Database {
     pub fn alter(&self, op: &Alter) -> Result<u64, Error> {
         let _serialized = self.alter_lock.lock().unwrap_or_else(|e| e.into_inner());
         let (next, _stats) = self.schema().evolved(op)?;
-        let generation = self.store.apply_transition(
-            &next.definition,
-            &next.fds,
-            &next.analysis,
-            next.encode_layouts(),
-        )?;
-        *self.schema.write().unwrap_or_else(|e| e.into_inner()) = Arc::new(next);
-        Ok(generation)
+        Ok(self.store.apply_transition(next)?)
     }
 
     /// A typed snapshot of the store's metric families, event ring, and
@@ -410,29 +380,33 @@ impl Database {
         snapshot
     }
 
-    /// Replaces the schema and store **in place**, keeping the interning
-    /// pool (and name log) exactly as they are.
+    /// Replaces the store — and with it the schema served — **in
+    /// place**, keeping the interning pool (and name log) exactly as
+    /// they are.
     ///
     /// This is the swap a replication follower performs when it applies
     /// a streamed schema transition: the pool's insertion order *is* the
     /// value assignment (value `n` names the `n`-th interned string), so
     /// rebuilding the handle would sever every already-interned value
     /// from its name.  The caller owns the invariant that `store` holds
-    /// state expressed in this pool's values.
+    /// state expressed in this pool's values.  `schema` must be the
+    /// schema `store` was built from, as for [`Database::follower`]; the
+    /// handle serves the store's own.
+    ///
+    /// # Panics
+    ///
+    /// When the store serves a schema not equal to `schema`.
     pub fn replace_store(&mut self, schema: Schema, store: Arc<Store>) {
-        *self.schema.get_mut().unwrap_or_else(|e| e.into_inner()) = Arc::new(schema);
+        assert_serves(&store, &schema);
         self.store = store;
     }
 
-    /// The schema handle the database **currently** serves.  Cheap (one
-    /// read lock, one `Arc` clone); the returned handle is a consistent
-    /// view that stays valid — and stale — across any concurrent
-    /// [`Database::alter`].
+    /// The schema handle the database **currently** serves — the store's
+    /// live one ([`Store::schema`]).  Cheap (one read lock, one `Arc`
+    /// clone); the returned handle is a consistent view that stays valid
+    /// — and stale — across any concurrent [`Database::alter`].
     pub fn schema(&self) -> Arc<Schema> {
-        self.schema
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        self.store.schema()
     }
 
     /// Locks the name state (see the type-level docs for why a poisoned
@@ -510,22 +484,19 @@ impl Database {
     }
 
     /// Resolves a relation name and a declaration-order value row into
-    /// `(id, canonical tuple)` under the schema it captures.  With
-    /// `intern: true` unknown values are added to the pool (writes) and
-    /// the tuple is always `Some`; with `intern: false` a row mentioning
-    /// a never-seen value resolves to `None` (it cannot name a stored
-    /// tuple, so a remove of it is vacuously absent).
+    /// `(id, canonical tuple)` under `schema` — the schema of the era the
+    /// write then runs in.  With `intern: true` unknown values are added
+    /// to the pool (writes) and the tuple is always `Some`; with `intern:
+    /// false` a row mentioning a never-seen value resolves to `None` (it
+    /// cannot name a stored tuple, so a remove of it is vacuously
+    /// absent).
     fn resolve_row<S: AsRef<str>>(
         &self,
+        schema: &Schema,
         relation: &str,
         values: impl IntoIterator<Item = S>,
         intern: bool,
     ) -> Result<(SchemeId, Option<Vec<Value>>), Error> {
-        // Refusing a follower's write here, first, keeps the refusal from
-        // interning: one stray name would shift every later streamed name
-        // onto a different `Value` — a silent fork from the primary.
-        self.writable()?;
-        let schema = self.schema();
         let id = schema.scheme_id(relation)?;
         let layout = schema.layout(id);
         let arity = layout.columns.len();
@@ -558,18 +529,23 @@ impl Database {
 
     /// Inserts a row into a relation, values in the column order the
     /// relation was declared with.  FD violations are outcomes
-    /// ([`InsertOutcome::Rejected`]), not errors.  Names are interned
-    /// under the name lock; the FD probe and commit run after it is
-    /// released.
+    /// ([`InsertOutcome::Rejected`]), not errors.  The relation is
+    /// resolved and the row written in one era of the store's schema;
+    /// names are interned under the name lock, and the FD probe and
+    /// commit run after it is released.
     pub fn insert<S: AsRef<str>>(
         &self,
         relation: &str,
         values: impl IntoIterator<Item = S>,
     ) -> Result<InsertOutcome, Error> {
-        let (id, tuple) = self.resolve_row(relation, values, true)?;
+        // Refusing a follower's write here, first, keeps the refusal from
+        // interning: one stray name would shift every later streamed name
+        // onto a different `Value` — a silent fork from the primary.
+        let era = self.writable()?.era()?;
+        let (id, tuple) = self.resolve_row(era.schema(), relation, values, true)?;
         // `resolve_row` yields `None` only for a value it may not intern.
         let tuple = tuple.expect("interning resolves every value");
-        self.store.insert(id, tuple).map_err(Into::into)
+        era.insert(id, tuple).map_err(Into::into)
     }
 
     /// Removes a row; `Ok(true)` when it was present.  A row mentioning
@@ -585,8 +561,9 @@ impl Database {
         relation: &str,
         values: impl IntoIterator<Item = S>,
     ) -> Result<bool, Error> {
-        match self.resolve_row(relation, values, false)? {
-            (id, Some(tuple)) => self.store.remove(id, tuple).map_err(Into::into),
+        let era = self.writable()?.era()?;
+        match self.resolve_row(era.schema(), relation, values, false)? {
+            (id, Some(tuple)) => era.remove(id, tuple).map_err(Into::into),
             (_, None) => Ok(false),
         }
     }
@@ -653,10 +630,12 @@ impl Database {
     /// what a front end holding already-parsed filters (the wire server)
     /// calls to render straight into its reply: resolve names once, push
     /// the predicate down, render only the shipped tuples.  `select`
-    /// picks output columns (`None` = declaration order).  The store
-    /// round trip runs between two short name-lock sections (plan, then
-    /// render) — tuples are shipped and filtered with no lock of the
-    /// database's held.  On an error the sink is not called at all.
+    /// picks output columns (`None` = declaration order).  Planning and
+    /// the store round trip run in one era of the store's schema, the
+    /// round trip between two short name-lock sections (plan, then
+    /// render, after the era) — tuples are shipped and filtered with no
+    /// lock of the database's held.  On an error the sink is not called
+    /// at all.
     pub fn query_into<S: RowSink>(
         &self,
         relation: &str,
@@ -664,13 +643,14 @@ impl Database {
         select: Option<Vec<String>>,
         sink: &mut S,
     ) -> Result<(), Error> {
-        let schema = self.schema();
-        let plan = plan_query(&schema, &self.names().pool, relation, filters, select)?;
+        let era = self.store.era()?;
+        let plan = plan_query(era.schema(), &self.names().pool, relation, filters, select)?;
         let tuples = if plan.satisfiable {
-            self.store.read(plan.id, &plan.read)?.rows
+            era.read(plan.id, &plan.read)?.rows
         } else {
             Vec::new()
         };
+        drop(era);
         let rows = tuples.iter().map(|t| &t[..]);
         self.render_into(&plan.columns, &plan.positions, rows, sink);
         Ok(())
@@ -709,18 +689,21 @@ impl Database {
         relation: &str,
         filters: &[(String, Cond)],
     ) -> Result<usize, Error> {
-        let schema = self.schema();
-        let mut plan = plan_query(&schema, &self.names().pool, relation, filters, None)?;
+        let era = self.store.era()?;
+        let mut plan = plan_query(era.schema(), &self.names().pool, relation, filters, None)?;
         if !plan.satisfiable {
             return Ok(0);
         }
         plan.read.shape = ReadShape::Count;
-        Ok(self.store.read(plan.id, &plan.read)?.count)
+        Ok(era.read(plan.id, &plan.read)?.count)
     }
 
     /// Typed-level read for callers holding a canonical [`ReadPlan`] —
     /// the raw counterpart of [`Database::query`], returning the reply
-    /// exactly as the store shipped it.
+    /// exactly as the store shipped it.  `id` is a position in the schema
+    /// current when the call runs: a caller holding one across an
+    /// [`Database::alter`] must re-resolve it by name
+    /// ([`Schema::scheme_id`] on a fresh [`Database::schema`]).
     pub fn query_raw(&self, id: SchemeId, plan: &ReadPlan) -> Result<ReadReply, Error> {
         self.store.read(id, plan).map_err(Into::into)
     }
@@ -836,26 +819,29 @@ impl Database {
     /// Executes a join — [`Database::join_query`]'s relations and
     /// per-relation filters — and hands the joined rows to `sink`, under
     /// the column contract of [`Database::join`]: compile the filters,
-    /// run the planner, render.  The planner's store round trips all run
-    /// with no name lock held, and its flat fold builds no row twice; the
-    /// rows reach the sink as pool names, in the fold's order.  On an
-    /// error the sink is not called at all.
+    /// run the planner, render.  Compiling and every one of the planner's
+    /// store round trips run in one era of the store's schema, the round
+    /// trips with no name lock held; the flat fold builds no row twice,
+    /// and the rows reach the sink as pool names, in the fold's order,
+    /// after the era.  On an error the sink is not called at all.
     pub fn join_into<S: RowSink>(
         &self,
         relations: &[String],
         filters: &[(String, String, Cond)],
         sink: &mut S,
     ) -> Result<JoinReport, Error> {
-        let schema = self.schema();
-        let plan = plan_join(&schema, &self.names().pool, relations, filters)?;
+        let era = self.store.era()?;
+        let plan = plan_join(era.schema(), &self.names().pool, relations, filters)?;
         if !plan.satisfiable {
             // Some filter names a never-interned value: nothing stored
             // can match, so the store is not consulted — but the output
             // columns still follow the contract.
+            drop(era);
             self.render_into(&plan.columns, &[], std::iter::empty(), sink);
             return Ok(JoinReport::default());
         }
-        let (joined, report) = execute_join(&self.store, &plan.ids, &plan.attrs, &plan.preds)?;
+        let (joined, report) = execute_join(&era, &plan.ids, &plan.attrs, &plan.preds)?;
+        drop(era);
         let positions: Vec<usize> = plan.order.iter().map(|&a| joined.attrs().rank(a)).collect();
         self.render_into(&plan.columns, &positions, joined.rows(), sink);
         Ok(report)
@@ -863,11 +849,12 @@ impl Database {
 
     /// Reads one relation without a global barrier, as raw typed data.
     pub fn read(&self, relation: &str) -> Result<Relation, Error> {
-        let schema = self.schema();
-        let id = schema.scheme_id(relation)?;
-        let all = ReadPlan::tuples(Predicate::new());
-        let mut rel = Relation::new(schema.definition.attrs(id));
-        for t in self.store.read(id, &all)?.rows {
+        let era = self.store.era()?;
+        let id = era.schema().scheme_id(relation)?;
+        let mut rel = Relation::new(era.schema().definition().attrs(id));
+        let rows = era.read(id, &ReadPlan::tuples(Predicate::new()))?.rows;
+        drop(era);
+        for t in rows {
             rel.insert(t.into_vec())?;
         }
         Ok(rel)
@@ -876,9 +863,9 @@ impl Database {
     /// Number of rows currently in a relation (barrier-free, and cheap:
     /// no name lock, and no tuple is shipped to answer it).
     pub fn count(&self, relation: &str) -> Result<usize, Error> {
-        let id = self.schema().scheme_id(relation)?;
-        let all = ReadPlan::count(Predicate::new());
-        Ok(self.store.read(id, &all)?.count)
+        let era = self.store.era()?;
+        let id = era.schema().scheme_id(relation)?;
+        Ok(era.read(id, &ReadPlan::count(Predicate::new()))?.count)
     }
 
     /// A consistent cut of the whole database — the barrier read.  On an
@@ -890,7 +877,9 @@ impl Database {
     /// Typed-level insert for callers that already hold canonical
     /// tuples (trace replay, migration tools).  To keep such rows
     /// addressable by the string-level API, obtain the values through
-    /// [`Database::intern`].
+    /// [`Database::intern`].  `id` is positional, as for
+    /// [`Database::query_raw`]: re-resolve it by name after an
+    /// [`Database::alter`].
     pub fn insert_raw(&self, id: SchemeId, tuple: Vec<Value>) -> Result<InsertOutcome, Error> {
         self.writable()?.insert(id, tuple).map_err(Into::into)
     }
@@ -898,7 +887,8 @@ impl Database {
     /// Typed-level batch application; outcomes align with the input and
     /// a *malformed* batch (bad scheme id or arity) mutates nothing.  See
     /// [`Store::apply_batch`] for the behavior on store-level errors
-    /// mid-batch — batches are not transactions.
+    /// mid-batch — batches are not transactions.  Scheme ids are
+    /// positional, as for [`Database::insert_raw`].
     pub fn apply_batch(&self, ops: Vec<StoreOp>) -> Result<Vec<OpOutcome>, Error> {
         self.writable()?.apply_batch(ops).map_err(Into::into)
     }
@@ -910,6 +900,16 @@ impl Database {
     pub fn into_shared(self) -> Result<crate::SharedDatabase, Error> {
         Ok(crate::SharedDatabase(self))
     }
+}
+
+/// Refuses to pair a handle with a store serving another schema: the
+/// agreement [`Database::follower`] and [`Database::replace_store`]
+/// promise, checked once per call.
+fn assert_serves(store: &Store, schema: &Schema) {
+    assert!(
+        *store.schema() == *schema,
+        "the store serves a different schema than the one handed in with it"
+    );
 }
 
 /// A compiled string-level query: the pushed-down predicate plus the
@@ -940,7 +940,7 @@ fn plan_query(
 ) -> Result<QueryPlan, Error> {
     let id = schema.scheme_id(relation)?;
     let layout = schema.layout(id);
-    let attrs = schema.definition.attrs(id);
+    let attrs = schema.definition().attrs(id);
     let attr_ids: Vec<AttrId> = attrs.iter().collect();
     // Declared column name → canonical attribute, via the layout.
     let attr_of = |column: &str| -> Result<AttrId, Error> {
@@ -1078,7 +1078,10 @@ fn plan_join(
             ids.push(id);
         }
     }
-    let attrs: Vec<AttrSet> = ids.iter().map(|&id| schema.definition.attrs(id)).collect();
+    let attrs: Vec<AttrSet> = ids
+        .iter()
+        .map(|&id| schema.definition().attrs(id))
+        .collect();
     let mut preds = vec![Predicate::new(); ids.len()];
     let mut satisfiable = true;
     for (relation, column, cond) in filters {
@@ -1728,7 +1731,7 @@ mod tests {
             initial_state: Some(state),
             ..StoreConfig::default()
         };
-        let store = Store::from_analysis(&schema.definition, &schema.analysis, config).unwrap();
+        let store = Store::from_schema(schema.clone(), config).unwrap();
         let mut follower = Database::follower(schema, Arc::new(store));
         let ct = follower.schema().scheme_id("CT").unwrap();
         let refused = |r: Result<(), Error>| matches!(r, Err(Error::ReplicaReadOnly));
@@ -1754,5 +1757,21 @@ mod tests {
             follower.query_raw(SchemeId(7), &ReadPlan::count(Predicate::new())),
             Err(Error::UnknownScheme(_))
         ));
+    }
+
+    /// The handle keeps no schema of its own, so it refuses to pair with
+    /// a store that serves another one.
+    #[test]
+    #[should_panic(expected = "serves a different schema")]
+    fn a_follower_refuses_a_store_built_from_another_schema() {
+        let store = Store::from_schema(example2(), StoreConfig::default()).unwrap();
+        let other = Schema::builder()
+            .relation("CT", ["course", "teacher"])
+            .relation("CS", ["course", "student"])
+            .relation("CHR", ["course", "hour", "room"])
+            .fd("course -> teacher")
+            .build()
+            .unwrap();
+        let _ = Database::follower(other, Arc::new(store));
     }
 }

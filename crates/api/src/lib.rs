@@ -76,16 +76,13 @@
 #![warn(missing_docs)]
 
 mod database;
-mod error;
 mod planner;
 mod query;
-mod schema;
 mod shared;
 
 pub use database::{Database, EngineKind};
-pub use error::Error;
+pub use ids_store::{Alter, Error, Schema, SchemaBuilder};
 pub use query::{
     between, eq, ge, gt, le, lt, ne, one_of, Cond, JoinQuery, JoinReport, Query, Row, RowSink, Rows,
 };
-pub use schema::{Alter, Schema, SchemaBuilder};
 pub use shared::SharedDatabase;

@@ -40,7 +40,10 @@
 //! ## Consistency
 //!
 //! Every store round trip is the barrier-free per-relation read of
-//! [`crate::Database::rows`]: a cut of that relation's own history.
+//! [`crate::Database::rows`]: a cut of that relation's own history.  All
+//! of one join's round trips run in the one [`Era`] its caller resolved
+//! the relation names in, so a concurrent alter cannot move a relation
+//! between two of them.
 //! The planner issues **at most two** reads per relation (reduction
 //! keys, then the fetch), and each relation's tuples in the result come
 //! entirely from its single fetch cut — so every returned row is a
@@ -54,10 +57,10 @@ use std::collections::hash_map::{Entry, HashMap};
 
 use ids_acyclic::join_tree;
 use ids_relational::{AttrId, AttrSet, Predicate, ReadPlan, ReadShape, SchemeId, Tuple, Value};
-use ids_store::Store;
+use ids_store::Era;
 
-use crate::error::Error;
 use crate::query::JoinReport;
+use crate::Error;
 
 /// End of a match chain in [`Joined::join`].
 const NO_MATCH: usize = usize::MAX;
@@ -184,7 +187,7 @@ impl Joined {
 /// self-join contract: one relation, one cut, however often it is
 /// listed.  Returns the joined rows plus the execution report.
 pub(crate) fn execute_join(
-    store: &Store,
+    era: &Era<'_>,
     ids: &[SchemeId],
     attrs: &[AttrSet],
     filters: &[Predicate],
@@ -199,7 +202,7 @@ pub(crate) fn execute_join(
     // flips from join keys (pass 1) to tuples (the fetch).
     let mut plans: Vec<ReadPlan> = filters.iter().cloned().map(ReadPlan::tuples).collect();
     let fetch = |plan: &ReadPlan, i: usize, report: &mut JoinReport| -> Result<Joined, Error> {
-        let tuples = store.read(ids[i], plan)?.rows;
+        let tuples = era.read(ids[i], plan)?.rows;
         report.tuples_shipped += tuples.len();
         Ok(Joined::of(attrs[i], &tuples))
     };
@@ -231,7 +234,7 @@ pub(crate) fn execute_join(
             continue;
         }
         plans[i].shape = ReadShape::Distinct(shared.clone());
-        let keys = store.read(ids[i], &plans[i])?.rows;
+        let keys = era.read(ids[i], &plans[i])?.rows;
         report.keys_shipped += keys.len();
         for (k, &attr) in shared.iter().enumerate() {
             let vals: Vec<Value> = keys.iter().map(|row| row[k]).collect();
@@ -285,7 +288,7 @@ mod tests {
     use ids_core::analyze;
     use ids_deps::FdSet;
     use ids_relational::{join_all, DatabaseSchema, Universe};
-    use ids_store::StoreConfig;
+    use ids_store::{Store, StoreConfig};
 
     fn v(n: u64) -> Value {
         Value::int(n)
@@ -338,7 +341,7 @@ mod tests {
 
         // Unfiltered: planner result ≡ whole-relation fold.
         let empty = vec![Predicate::new(); 3];
-        let (planned, report) = execute_join(&store, &ids, &attrs, &empty).unwrap();
+        let (planned, report) = execute_join(&store.era().unwrap(), &ids, &attrs, &empty).unwrap();
         assert!(report.planned);
         let state = store.snapshot().unwrap();
         let naive = join_all(ids.iter().map(|&id| state.relation(id))).unwrap();
@@ -354,7 +357,8 @@ mod tests {
             Predicate::new(),
             Predicate::new(),
         ];
-        let (filtered, report) = execute_join(&store, &ids, &attrs, &filters).unwrap();
+        let (filtered, report) =
+            execute_join(&store.era().unwrap(), &ids, &attrs, &filters).unwrap();
         assert!(report.planned);
         let filtered = row_set(&filtered);
         assert_eq!(filtered.len(), 1);
@@ -378,7 +382,7 @@ mod tests {
             ],
         );
         let empty = vec![Predicate::new(); 3];
-        let (joined, report) = execute_join(&store, &ids, &attrs, &empty).unwrap();
+        let (joined, report) = execute_join(&store.era().unwrap(), &ids, &attrs, &empty).unwrap();
         assert!(!report.planned);
         let joined = row_set(&joined);
         assert_eq!(joined.len(), 1);
@@ -394,10 +398,11 @@ mod tests {
         let schema = DatabaseSchema::parse(u, &[("R", "AB")]).unwrap();
         let (ids, attrs, store) = setup(&schema, &[("R", &[(1, 2), (3, 4)])]);
         assert!(matches!(
-            execute_join(&store, &[], &[], &[]),
+            execute_join(&store.era().unwrap(), &[], &[], &[]),
             Err(Error::EmptyJoin)
         ));
-        let (rel, report) = execute_join(&store, &ids, &attrs, &[Predicate::new()]).unwrap();
+        let (rel, report) =
+            execute_join(&store.era().unwrap(), &ids, &attrs, &[Predicate::new()]).unwrap();
         assert!(!report.planned);
         assert_eq!(rel.rows().len(), 2);
     }

@@ -28,7 +28,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::error::Error;
+use crate::Error;
 
 /// A filter condition on one column.  Constructed with [`eq`], [`ne`],
 /// [`lt`], [`le`], [`gt`], [`ge`], [`between`] or [`one_of`]; carried by

@@ -10,8 +10,8 @@
 //! pins (ROADMAP item 1(a)); new code names [`Database`].
 
 use crate::database::Database;
-use crate::error::Error;
 use crate::query::{Cond, Rows};
+use crate::Error;
 
 /// A [`Database`] under its old shared-front-end name: every method of
 /// [`Database`] through `Deref`, plus the one whose name differs.

@@ -306,17 +306,21 @@ fn a_switch_failing_after_the_durability_point_poisons_instead_of_forking() {
 }
 
 /// Transitions on other relations never cost a relation its writes: a
-/// writer streams inserts into HOT while this thread cycles add-FD
-/// (with a real backfill over the preloaded WARM), drop-FD,
-/// add-relation and drop-relation.  Every HOT insert lands, WARM keeps
-/// its rows, the schema ends where it started, and the metrics count
-/// the same transitions the loop made.
+/// writer streams inserts into HOT while this thread cycles drop-relation
+/// of PRE (declared *before* HOT, so the drop moves HOT and WARM down a
+/// position), add-FD (with a real backfill over the preloaded WARM),
+/// drop-FD, add-relation, drop-relation and the re-add of PRE, and a
+/// reader counts HOT throughout.  Every HOT insert lands in HOT, every
+/// count answers and never goes down, WARM keeps its rows, the schema
+/// ends with the relations it started with, and the metrics count the
+/// same transitions the loop made.
 #[test]
 fn hot_writes_land_while_alters_churn_other_relations() {
     const HOT: u64 = 1_000;
     const WARM: u64 = 200;
     let root = tmp_dir("churn");
     let schema = Schema::builder()
+        .relation("PRE", ["wkey", "wval"])
         .relation("HOT", ["key", "val"])
         .relation("WARM", ["wkey", "wval"])
         .fd("key -> val")
@@ -329,48 +333,75 @@ fn hot_writes_land_while_alters_churn_other_relations() {
     }
     let mut warm_before = db.rows("WARM").unwrap();
     warm_before.sort();
-    // The churn cycle.  Every step is accepted: the FD is embedded in
-    // WARM (whose distinct keys satisfy it), and TMP reuses WARM's
-    // columns, since a dropped relation must leave every attribute
-    // covered elsewhere.
-    let cycle = |n: u64| match n % 4 {
-        0 => Alter::AddFd {
+    // The churn cycle.  Every step is accepted: PRE is gone while the FD
+    // is declared (two relations over `wkey wval` would make it
+    // dependent), the FD is embedded in WARM (whose distinct keys satisfy
+    // it), and TMP and PRE reuse WARM's columns, since a dropped relation
+    // must leave every attribute covered elsewhere.
+    let wcols = || vec!["wkey".to_string(), "wval".to_string()];
+    let cycle = |n: u64| match n % 6 {
+        0 => Alter::DropRelation { name: "PRE".into() },
+        1 => Alter::AddFd {
             spec: "wkey -> wval".into(),
         },
-        1 => Alter::DropFd {
+        2 => Alter::DropFd {
             spec: "wkey -> wval".into(),
         },
-        2 => Alter::AddRelation {
+        3 => Alter::AddRelation {
             name: "TMP".into(),
-            columns: vec!["wkey".into(), "wval".into()],
+            columns: wcols(),
         },
-        _ => Alter::DropRelation { name: "TMP".into() },
+        4 => Alter::DropRelation { name: "TMP".into() },
+        _ => Alter::AddRelation {
+            name: "PRE".into(),
+            columns: wcols(),
+        },
     };
 
+    // The writer and the reader report a miss instead of panicking, so
+    // the alter loop below still sees `done` and the test fails, not
+    // hangs.
     let done = AtomicBool::new(false);
-    let alters = std::thread::scope(|s| {
-        s.spawn(|| {
-            for k in 0..HOT {
-                let outcome = db.insert("HOT", [format!("k{k}"), format!("v{k}")]);
-                assert!(outcome.unwrap().is_accepted(), "HOT insert {k}");
-            }
+    let (alters, written, counted) = std::thread::scope(|s| {
+        let writer = s.spawn(|| {
+            let written = (0..HOT).try_for_each(|k| {
+                match db.insert("HOT", [format!("k{k}"), format!("v{k}")]) {
+                    Ok(outcome) if outcome.is_accepted() => Ok(()),
+                    other => Err(format!("HOT insert {k}: {other:?}")),
+                }
+            });
             done.store(true, SeqCst);
+            written
+        });
+        // HOT's count only grows, whatever position HOT holds in the
+        // schema a count runs under.
+        let reader = s.spawn(|| {
+            let mut last = 0;
+            while !done.load(SeqCst) {
+                match db.count("HOT") {
+                    Ok(n) if n >= last => last = n,
+                    other => return Err(format!("count(HOT) after {last}: {other:?}")),
+                }
+            }
+            Ok(())
         });
         // At least one whole cycle, then whole cycles until the writer
         // finishes, so the schema ends where it started.
         let mut alters = 0u64;
-        while !(alters >= 4 && alters.is_multiple_of(4) && done.load(SeqCst)) {
+        while !(alters >= 6 && alters.is_multiple_of(6) && done.load(SeqCst)) {
             db.alter(&cycle(alters)).unwrap();
             alters += 1;
         }
-        alters
+        (alters, writer.join().unwrap(), reader.join().unwrap())
     });
+    written.unwrap();
+    counted.unwrap();
 
     assert_eq!(db.count("HOT").unwrap() as u64, HOT);
     let mut warm_after = db.rows("WARM").unwrap();
     warm_after.sort();
     assert_eq!(warm_after, warm_before);
-    assert_eq!(db.schema().relation_names().count(), 2);
+    assert_eq!(db.schema().relation_names().count(), 3);
     let snap = db.metrics();
     assert_eq!(snap.counter("evolve.alters"), Some(alters));
     let backfills = snap

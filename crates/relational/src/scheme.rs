@@ -8,7 +8,14 @@ use crate::codec::{Decoder, Encoder};
 use crate::error::RelationalError;
 use crate::universe::Universe;
 
-/// Index of a relation scheme within its [`DatabaseSchema`].
+/// Index of a relation scheme within its [`DatabaseSchema`] — a
+/// position in one schema value, not a lasting identity.  A schema
+/// transition that drops a relation moves every relation declared after
+/// it down one position, so a `SchemeId` means "the relation at this
+/// position of the schema current when the id is used": a caller that
+/// holds one across a transition must re-resolve it by name
+/// ([`DatabaseSchema::scheme_by_name`]; [`DatabaseSchema::remap_from`]
+/// maps a whole schema's ids across one).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SchemeId(pub u16);
 

@@ -27,8 +27,8 @@
 //!   operation on the primary, so it must re-accept on the replica —
 //!   anything else is a typed [`ReplicaError::Diverged`], never a
 //!   silent patch.  A shipped schema transition rebuilds the store
-//!   under the new manifest ([`ids_store::Store::from_analysis`] over
-//!   the surviving relations).
+//!   under the new manifest's full schema, declared layouts included
+//!   ([`ids_store::Store::from_schema`] over the surviving relations).
 //! * **One follow loop.**  [`ids_wal::Follower`] decides what ships and
 //!   in which order — manifests before the records written under them,
 //!   names before the records that use them, records batched per

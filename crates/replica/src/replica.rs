@@ -501,11 +501,12 @@ impl Replica {
     /// manifest instead of a live `alter` call.
     ///
     /// Survivor relations keep their tuples: the new store is opened
-    /// over them with [`Store::from_analysis`], which re-validates each
-    /// under its new enforcement cover (a shipped transition was
-    /// accepted on the primary, so a cover its data violates is
-    /// [`ReplicaError::Diverged`]); dropped relations are released;
-    /// added relations start empty, with cursors at `(gen, 0)`.
+    /// over them with [`Store::from_schema`] — serving the manifest's
+    /// full [`Schema`], declared layouts and indexes included — which
+    /// re-validates each under its new enforcement cover (a shipped
+    /// transition was accepted on the primary, so a cover its data
+    /// violates is [`ReplicaError::Diverged`]); dropped relations are
+    /// released; added relations start empty, with cursors at `(gen, 0)`.
     ///
     /// The survivors are copied out of the old store (its
     /// [`Store::snapshot`]; readers may still hold it, so it cannot be
@@ -520,11 +521,11 @@ impl Replica {
         }
         let schema = Schema::from_manifest(manifest)?;
         let definition = schema.definition();
-        let current = self.db.store().schema();
+        let current = self.db.schema();
         // `new index j → old index` by the relation identity rule — a
         // same-name relation with different columns is a different
         // incarnation and starts empty.
-        let remap: Vec<Option<usize>> = (definition.remap_from(&current).into_iter())
+        let remap: Vec<Option<usize>> = (definition.remap_from(current.definition()).into_iter())
             .map(|i| i.map(SchemeId::index))
             .collect();
         let mut old: Vec<Option<Relation>> = (self.db.store().snapshot()?.into_relations())
@@ -543,16 +544,15 @@ impl Replica {
             initial_state: Some(state),
             ..StoreConfig::default()
         };
-        let store =
-            Store::from_analysis(definition, schema.analysis(), config).map_err(|e| match e {
-                StoreError::InvalidBaseState { scheme, violated } => ReplicaError::Diverged {
-                    relation: scheme.index() as u16,
-                    seq: 0,
-                    detail: format!("shipped transition does not re-shard cleanly: {violated:?}"),
-                },
-                e => e.into(),
-            })?;
         let names = relation_names(definition);
+        let store = Store::from_schema(schema.clone(), config).map_err(|e| match e {
+            StoreError::InvalidBaseState { scheme, violated } => ReplicaError::Diverged {
+                relation: scheme.index() as u16,
+                seq: 0,
+                detail: format!("shipped transition does not re-shard cleanly: {violated:?}"),
+            },
+            e => e.into(),
+        })?;
         self.db.replace_store(schema, Arc::new(store));
         // Remap the per-relation bookkeeping by the same name map.
         // Added relations: their log starts at the transition, cursor
@@ -676,8 +676,7 @@ fn bootstrap(root: &Path) -> Result<Bootstrap, ReplicaError> {
     // The *latest* manifest is the schema the replica serves; older
     // chain entries only direct the store's per-era replay.
     let schema = Schema::from_manifest(dir.latest_manifest())?;
-    let (store, cursors) =
-        Store::recover_from(&dir, schema.definition(), schema.fds(), schema.analysis())?;
+    let (store, cursors) = Store::recover_from(&dir, schema.clone())?;
     // The bootstrap replay lands in the same per-relation family the
     // primary's recovery uses, so one dashboard query covers both sides
     // of the ship.

@@ -1,13 +1,13 @@
 //! The one error type of the typed front-end.
 
+use crate::StoreError;
 use ids_chase::ChaseError;
 use ids_core::{MaintenanceError, NotIndependentReason, Witness};
 use ids_evolve::EvolveError;
 use ids_relational::{RelationalError, SchemeId};
-use ids_store::StoreError;
 use ids_wal::WalError;
 
-/// Everything that can go wrong behind the [`crate::Database`] facade.
+/// Everything that can go wrong behind the `ids_api::Database` facade.
 ///
 /// The four underlying crate error types convert in via `From`, so `?`
 /// works across every layer; the one cross-cutting failure — *the schema
@@ -54,16 +54,16 @@ pub enum Error {
         /// The column name that does not belong to it.
         column: String,
     },
-    /// [`crate::Database::join`] was called with an empty relation list
+    /// `ids_api::Database::join` was called with an empty relation list
     /// (the natural join has no neutral element over an unknown scheme).
     EmptyJoin,
     /// A write (insert, remove or batch) was attempted through a
-    /// replication follower's read-only [`crate::Database`] handle.
+    /// replication follower's read-only `ids_api::Database` handle.
     /// Replicas apply state only by re-running the
     /// primary's shipped log records; direct writes would fork the
     /// replica from the log it follows.
     ReplicaReadOnly,
-    /// A numeric aggregate ([`crate::Query::sum`]) met a stored value
+    /// A numeric aggregate (`ids_api::Query::sum`) met a stored value
     /// that does not parse as an integer.  Carries the column and the
     /// offending rendered value, so the caller can point at the exact
     /// row-level culprit.
@@ -73,13 +73,13 @@ pub enum Error {
         /// The stored value that failed to parse.
         value: String,
     },
-    /// A schema transition ([`crate::Database::alter`]) was refused for
+    /// A schema transition (`ids_api::Database::alter`) was refused for
     /// a reason other than independence: duplicate/unknown relation or
     /// dependency names, or a drop that would leave universe attributes
     /// covered by no relation.  (A *dependent* target schema surfaces as
     /// [`Error::NotIndependent`] like every other independence refusal,
     /// and existing data violating a new FD surfaces as
-    /// [`ids_store::StoreError::BackfillViolation`] under
+    /// [`crate::StoreError::BackfillViolation`] under
     /// [`Error::Store`] with the witness tuples attached.)
     Evolve(EvolveError),
     /// A functional-dependency spec handed to
@@ -247,7 +247,7 @@ mod tests {
         .unwrap_err()
         .into();
         let from_store: Error =
-            ids_store::Store::from_analysis(&schema, &analysis, ids_store::StoreConfig::default())
+            crate::Store::from_analysis(&schema, &analysis, crate::StoreConfig::default())
                 .unwrap_err()
                 .into();
         for err in [from_local, from_store] {

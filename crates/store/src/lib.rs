@@ -70,15 +70,32 @@
 //!   cuts no single snapshot contains — that is the (only) consistency
 //!   you trade for not stopping the world.
 //!
+//! ## The live schema
+//!
+//! The validated [`Schema`] handle — definition, dependencies, the one
+//! independence analysis, the declared column layouts and indexes —
+//! lives in this crate, with its [`SchemaBuilder`], the [`Alter`]
+//! transitions and the front end's [`Error`] (`ids-api` re-exports all
+//! four).  A store's topology holds exactly one handle, the schema it
+//! serves: its covers are what the slots enforce, its layouts what the
+//! manifest records, and [`Store::apply_transition`] swaps it for the
+//! next one.  There is no second copy to fall out of step.
+//!
 //! ## Lock order
 //!
 //! Generation mutex (checkpoints and schema transitions) → topology
-//! guard (read for every operation, write only for a transition's
-//! switch) → slot mutexes in ascending scheme id.  No slot lock is ever
-//! held while taking another, except in [`Store::snapshot`], which takes
-//! them all in that order.  Every operation holds the topology read
-//! guard for its whole duration, so the write guard is a barrier: when a
-//! transition holds it, no operation is in flight.
+//! guard → slot mutexes in ascending scheme id.  Every operation takes
+//! the topology guard for reading **once** — an [`Era`] — and holds it
+//! for its whole duration; only a transition's switch takes it for
+//! writing.  So the write guard is a barrier: when a transition holds
+//! it, no operation is in flight, and each operation finds its relation's
+//! id, declared layout, cover and slot in the one [`Schema`] of its era.
+//! No operation path takes the read guard a second time while holding
+//! it: std readers queue behind a waiting writer, so a nested read would
+//! deadlock against a pending switch.  A lock a caller layers on top
+//! (the `ids-api` name pool) is taken inside the era and released before
+//! the slot is locked.  No slot lock is ever held while taking another,
+//! except in [`Store::snapshot`], which takes them all in that order.
 //!
 //! ## Durability
 //!
@@ -106,11 +123,17 @@
 
 #![warn(missing_docs)]
 
+mod error;
+mod schema;
+
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 use std::time::Instant;
 
-use ids_core::{InsertOutcome, MaintenanceError, NotIndependentReason, RelationShard, Witness};
+use ids_core::{
+    IndependenceAnalysis, InsertOutcome, MaintenanceError, NotIndependentReason, RelationShard,
+    Witness,
+};
 use ids_deps::{Fd, FdSet};
 use ids_obs::{Counter, Event, LatencyHistogram, MetricsSnapshot, Registry};
 use ids_relational::{
@@ -119,7 +142,9 @@ use ids_relational::{
 };
 use ids_wal::{Cursor, Manifest, WalDir, WalError, WalMetrics, WalOp, WalWriter};
 
+pub use error::Error;
 pub use ids_wal::SyncPolicy;
+pub use schema::{Alter, RelationLayout, Schema, SchemaBuilder};
 
 /// One operation of a store workload, run inside its relation's slot.
 #[derive(Clone, Debug)]
@@ -289,9 +314,6 @@ pub struct DurableConfig {
     pub store: StoreConfig,
     /// When acknowledged records reach stable storage.
     pub sync: SyncPolicy,
-    /// Opaque application bytes stored in the manifest at creation
-    /// (the `ids-api` layer keeps its column layouts here).
-    pub app: Vec<u8>,
     /// Fault injection for poisoning tests (not part of the stable API):
     /// every relation's log writer fails its appends after this many
     /// successful ones, as if the disk went bad mid-workload.
@@ -527,7 +549,7 @@ fn violating_pair(schema: &DatabaseSchema, id: SchemeId, rel: &Relation, fd: Fd)
 /// concurrently.  See the crate docs for the consistency model.
 #[derive(Debug)]
 pub struct Store {
-    /// The state an operation consults: schema, covers, and the slots
+    /// The state an operation consults: the schema and the slots
     /// themselves.  Behind a read-write lock so
     /// [`Store::apply_transition`] can swap the whole set atomically
     /// while normal traffic takes cheap, uncontended read guards.
@@ -551,8 +573,9 @@ pub struct Store {
 /// every question consistently.
 #[derive(Debug)]
 struct Topology {
-    schema: Arc<DatabaseSchema>,
-    enforcement: Arc<Vec<FdSet>>,
+    /// The one live schema: names, declared layouts, covers (each slot's
+    /// shard enforces its relation's cover from here).
+    schema: Arc<Schema>,
     /// One slot per relation, indexed by scheme.
     slots: Vec<Mutex<Slot>>,
     /// Metric families minted so far; a relation added by a transition
@@ -615,24 +638,57 @@ impl Store {
         fds: &FdSet,
         config: StoreConfig,
     ) -> Result<Self, StoreError> {
-        Self::from_analysis(schema, &ids_core::analyze(schema, fds), config)
+        let analysis = ids_core::analyze(schema, fds);
+        Self::from_schema(
+            Schema::canonical(schema.clone(), fds.clone(), analysis),
+            config,
+        )
     }
 
     /// Opens a store from an already-computed independence analysis,
-    /// without re-running the decision procedure — the path the `ids-api`
-    /// facade takes, where the builder analyzed the schema exactly once.
+    /// without re-running the decision procedure.  The analysis does not
+    /// name the dependencies it was computed from, so the store's
+    /// [`Schema`] records the union of its enforcement covers — the
+    /// dependencies the store enforces — in their place.
     pub fn from_analysis(
         schema: &DatabaseSchema,
-        analysis: &ids_core::IndependenceAnalysis,
+        analysis: &IndependenceAnalysis,
         config: StoreConfig,
     ) -> Result<Self, StoreError> {
-        let enforcement = extract_enforcement(schema, analysis)?;
-        Self::build(
-            schema,
-            enforcement,
-            config.initial_state,
-            &config.ordered_indexes,
-        )
+        let fds = covers(schema, analysis)?.iter().flat_map(FdSet::iter);
+        let schema = Schema::canonical(schema.clone(), fds.copied().collect(), analysis.clone());
+        Self::from_schema(schema, config)
+    }
+
+    /// Opens an in-memory store serving `schema` — the path the `ids-api`
+    /// facade takes, where the builder analyzed the schema exactly once.
+    /// The handle becomes the store's live schema ([`Store::schema`]),
+    /// so the declared column layouts travel with it; the ordered
+    /// indexes it declares are built beside any in `config`.
+    ///
+    /// A preload (`config.initial_state`) is roundtripped through
+    /// `from_relations` to revalidate its full shape — it may come from a
+    /// different schema handle, and a mismatched relation must be a typed
+    /// error — and every relation is indexed and validated against its
+    /// cover.
+    pub fn from_schema(schema: Schema, config: StoreConfig) -> Result<Self, StoreError> {
+        let definition = &schema.definition;
+        let covers = schema.covers()?;
+        let relations: Vec<Relation> = match config.initial_state {
+            Some(state) => {
+                DatabaseState::from_relations(definition, state.into_relations())?.into_relations()
+            }
+            None => (definition.ids())
+                .map(|id| Relation::new(definition.attrs(id)))
+                .collect(),
+        };
+        let mut shards = Vec::with_capacity(definition.len());
+        for (id, rel) in definition.ids().zip(relations.iter()) {
+            let fi = covers[id.index()].clone();
+            shards.push(RelationShard::with_relation(definition, id, fi, rel)?);
+        }
+        apply_ordered_indexes(&schema, &mut shards, &relations, &config.ordered_indexes)?;
+        Ok(Self::assemble(schema, relations, shards))
     }
 
     /// Opens a durable store at `path` with the default configuration:
@@ -658,49 +714,56 @@ impl Store {
         Self::open_durable_from_analysis(path, schema, fds, &ids_core::analyze(schema, fds), config)
     }
 
-    /// Durable open from an already-computed independence analysis —
-    /// the path the `ids-api` facade takes.  `fds` must be the set the
-    /// analysis was computed from; it is pinned in the manifest so a
-    /// later open under different dependencies is refused.
+    /// Durable open from an already-computed independence analysis.
+    /// `fds` must be the set the analysis was computed from; it is
+    /// pinned in the manifest so a later open under different
+    /// dependencies is refused.
     pub fn open_durable_from_analysis(
         path: impl AsRef<Path>,
         schema: &DatabaseSchema,
         fds: &FdSet,
-        analysis: &ids_core::IndependenceAnalysis,
+        analysis: &IndependenceAnalysis,
+        config: DurableConfig,
+    ) -> Result<Self, StoreError> {
+        let schema = Schema::canonical(schema.clone(), fds.clone(), analysis.clone());
+        Self::open_durable_schema(path, schema, config)
+    }
+
+    /// Durable open serving `schema` — the path the `ids-api` facade
+    /// takes.  The first open creates the directory, whose manifest
+    /// records the schema with its declared column layouts and indexes;
+    /// every later open recovers, as [`Store::recover_durable`].
+    pub fn open_durable_schema(
+        path: impl AsRef<Path>,
+        schema: Schema,
         config: DurableConfig,
     ) -> Result<Self, StoreError> {
         let path = path.as_ref();
         if WalDir::exists(path) {
-            return Self::recover_durable_from_analysis(
-                WalDir::open(path)?,
-                schema,
-                fds,
-                analysis,
-                config,
-            );
+            return Self::recover_durable(WalDir::open(path)?, schema, config);
         }
-        let enforcement = extract_enforcement(schema, analysis)?;
-        let dir = WalDir::create(path, schema, fds, config.app)?;
-        let store = Self::preload(&dir, schema, enforcement, config.store)?;
-        let last_seqs = vec![0; schema.len()];
+        schema.covers()?;
+        let app = schema.encode_layouts();
+        let dir = WalDir::create(path, &schema.definition, &schema.fds, app)?;
+        let last_seqs = vec![0; schema.definition.len()];
+        let store = Self::preload(&dir, schema, config.store)?;
         store.attach_writers(dir, 1, &last_seqs, config.sync, config.fail_appends_after)
     }
 
     /// Durable reopen over an **already-open** directory handle — the
     /// entry point `Database::recover` uses after reading the manifest,
     /// so the manifest is decoded exactly once per open.  Refuses a
-    /// handle whose manifest disagrees with `schema`/`fds`, then
-    /// recovers exactly as [`Store::recover_from`] does and attaches one
-    /// log writer per relation on a fresh generation.
-    pub fn recover_durable_from_analysis(
+    /// handle whose manifest disagrees with `schema`'s relations and
+    /// dependencies, then recovers exactly as [`Store::recover_from`]
+    /// does and attaches one log writer per relation on a fresh
+    /// generation.
+    pub fn recover_durable(
         dir: WalDir,
-        schema: &DatabaseSchema,
-        fds: &FdSet,
-        analysis: &ids_core::IndependenceAnalysis,
+        schema: Schema,
         config: DurableConfig,
     ) -> Result<Self, StoreError> {
-        let enforcement = extract_enforcement(schema, analysis)?;
-        dir.check_identity(schema, fds)?;
+        schema.covers()?;
+        dir.check_identity(&schema.definition, &schema.fds)?;
         let recovered = dir.recover()?;
         let next_gen = recovered.next_gen;
         let (store, last_seqs) = if config.store.initial_state.is_some() {
@@ -716,11 +779,11 @@ impl Store {
                     RelationalError::SchemaMismatch("initial state for an existing log").into(),
                 );
             }
-            let store = Self::preload(&dir, schema, enforcement, config.store)?;
-            (store, vec![0; schema.len()])
+            let last_seqs = vec![0; schema.definition.len()];
+            (Self::preload(&dir, schema, config.store)?, last_seqs)
         } else {
             let indexes = &config.store.ordered_indexes;
-            Self::replay(&dir, schema, enforcement, recovered, indexes)?
+            Self::replay(&dir, schema, recovered, indexes)?
         };
         store.attach_writers(
             dir,
@@ -731,81 +794,39 @@ impl Store {
         )
     }
 
-    /// Recovers the durable directory `dir` into an **in-memory** store:
-    /// snapshot plus per-relation log tails, replayed through the normal
-    /// probe/commit machinery by the one replay a durable reopen runs
-    /// too (which then attaches its log writers).  Read-only: no writer
-    /// is opened and no file is created or modified, so it may run
-    /// against a directory a live primary keeps appending to — a
-    /// replication follower's bootstrap.  `schema`/`fds` must be the
-    /// directory's latest manifest (a typed [`WalError::SchemaMismatch`]
-    /// otherwise).  The store declares no ordered indexes.
+    /// Recovers the durable directory `dir` into an **in-memory** store
+    /// serving `schema`: snapshot plus per-relation log tails, replayed
+    /// through the normal probe/commit machinery by the one replay a
+    /// durable reopen runs too (which then attaches its log writers).
+    /// Read-only: no writer is opened and no file is created or
+    /// modified, so it may run against a directory a live primary keeps
+    /// appending to — a replication follower's bootstrap.  `schema` must
+    /// be the directory's latest manifest (a typed
+    /// [`WalError::SchemaMismatch`] otherwise); build it with
+    /// [`Schema::from_manifest`] so its declared layouts and indexes
+    /// come along.
     ///
     /// Returns the store and, per relation in scheme order, the `(gen,
     /// seq)` the replay reached — where a follower resumes tailing.
-    pub fn recover_from(
-        dir: &WalDir,
-        schema: &DatabaseSchema,
-        fds: &FdSet,
-        analysis: &ids_core::IndependenceAnalysis,
-    ) -> Result<(Self, Vec<Cursor>), StoreError> {
-        let enforcement = extract_enforcement(schema, analysis)?;
-        dir.check_identity(schema, fds)?;
+    pub fn recover_from(dir: &WalDir, schema: Schema) -> Result<(Self, Vec<Cursor>), StoreError> {
+        schema.covers()?;
+        dir.check_identity(&schema.definition, &schema.fds)?;
         let recovered = dir.recover()?;
         let gen = recovered.next_gen - 1;
-        let (store, last_seqs) = Self::replay(dir, schema, enforcement, recovered, &[])?;
+        let (store, last_seqs) = Self::replay(dir, schema, recovered, &[])?;
         let cursors = last_seqs.into_iter().map(|seq| Cursor { gen, seq });
         Ok((store, cursors.collect()))
     }
 
-    /// An in-memory store over an optional preload: the state is
-    /// roundtripped through `from_relations` to revalidate its full
-    /// shape — it may come from a different schema handle, and a
-    /// mismatched relation must be a typed error — and every relation is
-    /// indexed and validated against its cover.
-    fn build(
-        schema: &DatabaseSchema,
-        enforcement: Vec<FdSet>,
-        initial_state: Option<DatabaseState>,
-        ordered_indexes: &[(SchemeId, AttrId)],
-    ) -> Result<Self, StoreError> {
-        let relations: Vec<Relation> = match initial_state {
-            Some(state) => {
-                DatabaseState::from_relations(schema, state.into_relations())?.into_relations()
-            }
-            None => schema
-                .ids()
-                .map(|id| Relation::new(schema.attrs(id)))
-                .collect(),
-        };
-        let mut shards = Vec::with_capacity(schema.len());
-        for (id, rel) in schema.ids().zip(relations.iter()) {
-            let fi = enforcement[id.index()].clone();
-            shards.push(RelationShard::with_relation(schema, id, fi, rel)?);
-        }
-        apply_ordered_indexes(schema, &mut shards, &relations, ordered_indexes)?;
-        Ok(Self::assemble(schema, enforcement, relations, shards))
-    }
-
-    /// [`Store::build`] for a durable store: a nonempty preload — which
-    /// lives in no log — is pinned in an initial snapshot so recovery
-    /// starts from it.  Shared by the fresh-create path and the repeat
-    /// of a create that crashed before its snapshot landed.
-    fn preload(
-        dir: &WalDir,
-        schema: &DatabaseSchema,
-        enforcement: Vec<FdSet>,
-        config: StoreConfig,
-    ) -> Result<Self, StoreError> {
-        let store = Self::build(
-            schema,
-            enforcement,
-            config.initial_state,
-            &config.ordered_indexes,
-        )?;
+    /// [`Store::from_schema`] for a durable store: a nonempty preload —
+    /// which lives in no log — is pinned in an initial snapshot so
+    /// recovery starts from it.  Shared by the fresh-create path and the
+    /// repeat of a create that crashed before its snapshot landed.
+    fn preload(dir: &WalDir, schema: Schema, config: StoreConfig) -> Result<Self, StoreError> {
+        let store = Self::from_schema(schema, config)?;
         let state = store.snapshot()?;
         if state.total_tuples() > 0 {
-            dir.write_snapshot(&state, &vec![0; schema.len()], 0)?;
+            dir.write_snapshot(&state, &vec![0; state.len()], 0)?;
         }
         Ok(store)
     }
@@ -827,8 +848,8 @@ impl Store {
     /// before an `ALTER` is re-judged by exactly the rules that accepted
     /// it.  Era covers come from re-running the independence analysis on
     /// the era manifest (a cold path, memoized per era); the final era
-    /// reuses the caller's already-extracted covers.  With a single-entry
-    /// manifest chain this degenerates to plain single-schema replay.
+    /// reuses `schema`'s covers.  With a single-entry manifest chain this
+    /// degenerates to plain single-schema replay.
     ///
     /// Returns the in-memory store and each relation's last sequence
     /// number; replay progress lands in the store's registry as the
@@ -837,8 +858,7 @@ impl Store {
     /// `wal.recovered_records` and one [`Event::RecoveryReplayed`].
     fn replay(
         dir: &WalDir,
-        schema: &DatabaseSchema,
-        enforcement: Vec<FdSet>,
+        schema: Schema,
         recovered: ids_wal::Recovered,
         ordered_indexes: &[(SchemeId, AttrId)],
     ) -> Result<(Self, Vec<u64>), StoreError> {
@@ -849,26 +869,27 @@ impl Store {
         let chain = dir.manifests();
         let last_era = chain.len() - 1;
         let root = dir.root();
+        let (definition, enforcement) = (&schema.definition, schema.covers()?);
         let mut era_enf: Vec<Option<Vec<FdSet>>> = vec![None; chain.len()];
         let base = recovered.base.into_relations();
-        let mut relations = Vec::with_capacity(schema.len());
-        let mut shards = Vec::with_capacity(schema.len());
-        let mut replayed = vec![0u64; schema.len()];
+        let mut relations = Vec::with_capacity(definition.len());
+        let mut shards = Vec::with_capacity(definition.len());
+        let mut replayed = vec![0u64; definition.len()];
         let tails = recovered.tail.into_iter().zip(recovered.eras);
-        for ((id, mut rel), (records, eras)) in schema.ids().zip(base).zip(tails) {
+        for ((id, mut rel), (records, eras)) in definition.ids().zip(base).zip(tails) {
             let mut records = records.into_iter().peekable();
             let mut cur: Option<(usize, RelationShard)> = None;
             for (era, eid) in eras {
                 let mut shard = if era == last_era {
                     let cover = enforcement[id.index()].clone();
-                    RelationShard::with_relation(schema, id, cover, &rel)?
+                    RelationShard::with_relation(definition, id, cover, &rel)?
                 } else {
                     let m = &chain[era].1;
                     let covers = match &mut era_enf[era] {
                         Some(covers) => covers,
                         unfilled => {
                             let analysis = ids_core::analyze(&m.schema, &m.fds);
-                            unfilled.insert(extract_enforcement(&m.schema, &analysis)?)
+                            unfilled.insert(covers(&m.schema, &analysis)?.to_vec())
                         }
                     };
                     let cover = covers[eid.index()].clone();
@@ -900,7 +921,8 @@ impl Store {
             let shard = match cur {
                 Some((era, shard)) if era == last_era => shard,
                 _ => {
-                    RelationShard::with_relation(schema, id, enforcement[id.index()].clone(), &rel)?
+                    let cover = enforcement[id.index()].clone();
+                    RelationShard::with_relation(definition, id, cover, &rel)?
                 }
             };
             relations.push(rel);
@@ -908,9 +930,9 @@ impl Store {
         }
         // Indexes are declared only after replay, so they absorb the final
         // recovered relations in their (replayed) insertion order.
-        apply_ordered_indexes(schema, &mut shards, &relations, ordered_indexes)?;
+        apply_ordered_indexes(&schema, &mut shards, &relations, ordered_indexes)?;
         let duration = start.elapsed();
-        let store = Self::assemble(schema, enforcement, relations, shards);
+        let store = Self::assemble(schema, relations, shards);
         let registry = &store.obs.registry;
         for (i, n) in replayed.iter().enumerate() {
             registry
@@ -924,15 +946,11 @@ impl Store {
     }
 
     /// Wraps each relation's tuples and shard (scheme order) in its slot:
-    /// an in-memory store.  [`Store::attach_writers`] makes it durable.
-    fn assemble(
-        schema: &DatabaseSchema,
-        enforcement: Vec<FdSet>,
-        relations: Vec<Relation>,
-        shards: Vec<RelationShard>,
-    ) -> Store {
+    /// an in-memory store serving `schema`.  [`Store::attach_writers`]
+    /// makes it durable.
+    fn assemble(schema: Schema, relations: Vec<Relation>, shards: Vec<RelationShard>) -> Store {
         let registry = Arc::new(Registry::new());
-        let slots = (schema.ids().zip(relations).zip(shards))
+        let slots = (schema.definition.ids().zip(relations).zip(shards))
             .map(|((id, rel), shard)| {
                 let metrics = ShardMetrics::new(&registry, id.index());
                 Mutex::new(Slot::new(id, shard, rel, None, metrics))
@@ -940,10 +958,9 @@ impl Store {
             .collect();
         Store {
             topology: RwLock::new(Topology {
-                schema: Arc::new(schema.clone()),
-                enforcement: Arc::new(enforcement),
+                families: schema.definition.len(),
+                schema: Arc::new(schema),
                 slots,
-                families: schema.len(),
             }),
             poison: OnceLock::new(),
             durability: None,
@@ -995,6 +1012,14 @@ impl Store {
     /// be served from that.
     fn topology(&self) -> Result<RwLockReadGuard<'_, Topology>, StoreError> {
         self.topology.read().map_err(|_| StoreError::Disconnected)
+    }
+
+    /// Pins the current topology era for one operation: see [`Era`].
+    pub fn era(&self) -> Result<Era<'_>, StoreError> {
+        Ok(Era {
+            store: self,
+            topo: self.topology()?,
+        })
     }
 
     /// Locks relation `id`'s slot, refusing a dead one with the preserved
@@ -1068,24 +1093,15 @@ impl Store {
         self.poison.get().map(String::as_str)
     }
 
-    /// The schema the store currently serves.  A schema transition
-    /// swaps the shared handle; holders of a previous `Arc` keep a
-    /// consistent (if stale) view.
-    pub fn schema(&self) -> Arc<DatabaseSchema> {
-        Arc::clone(&self.routing().schema)
-    }
-
-    /// The per-scheme enforcement covers `Fi` the slots probe, aligned
-    /// with the current schema.
-    pub fn enforcement(&self) -> Arc<Vec<FdSet>> {
-        Arc::clone(&self.routing().enforcement)
-    }
-
-    /// The topology for the two infallible handle getters, surviving
-    /// lock poisoning: a switch assigns schema and covers together in its
-    /// last, panic-free step, so the pair is always consistent.
-    fn routing(&self) -> RwLockReadGuard<'_, Topology> {
-        self.topology.read().unwrap_or_else(PoisonError::into_inner)
+    /// The schema the store currently serves — its one live schema,
+    /// covers and declared layouts included.  Cheap (one read lock, one
+    /// `Arc` clone).  A schema transition swaps the handle; holders of a
+    /// previous `Arc` keep a consistent (if stale) view.  Survives lock
+    /// poisoning: a switch assigns the handle in its last, panic-free
+    /// step.
+    pub fn schema(&self) -> Arc<Schema> {
+        let topo = self.topology.read().unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(&topo.schema)
     }
 
     /// True when the store was opened with a write-ahead log.
@@ -1146,9 +1162,10 @@ impl Store {
         self.obs.registry.events().record(Event::CheckpointStarted {
             generation: new_gen,
         });
-        let mut relations = Vec::with_capacity(topo.schema.len());
-        let mut seqs = Vec::with_capacity(topo.schema.len());
-        for id in topo.schema.ids() {
+        let definition = &topo.schema.definition;
+        let mut relations = Vec::with_capacity(definition.len());
+        let mut seqs = Vec::with_capacity(definition.len());
+        for id in definition.ids() {
             let mut slot = self.lock(&topo, id)?;
             let wal = slot.wal.as_mut().ok_or(StoreError::NotDurable)?;
             match wal.rotate(new_gen) {
@@ -1164,7 +1181,7 @@ impl Store {
         // failed attempt left behind) instead of colliding with the
         // already-created segment files.
         *gen = new_gen;
-        let state = DatabaseState::from_relations(&topo.schema, relations)?;
+        let state = DatabaseState::from_relations(definition, relations)?;
         d.dir.write_snapshot(&state, &seqs, old_gen)?;
         d.dir.prune_segments(old_gen)?;
         let duration = start.map(|t| t.elapsed()).unwrap_or_default();
@@ -1187,12 +1204,18 @@ impl Store {
     /// any change whose target schema the caller has already built.
     /// Returns the new segment generation on success.
     ///
-    /// `analysis` must be the independence analysis of `(new_schema,
-    /// new_fds)`; a dependent target is refused with
+    /// `next` is the complete target handle (`ids-api` builds it with
+    /// [`Schema::evolved`]): a dependent target is refused with
     /// [`StoreError::NotIndependent`] (carrying the `LSAT ∖ WSAT`
-    /// witness) and the current schema keeps serving.  `app` becomes the
-    /// new manifest's application bytes (the `ids-api` layer keeps its
-    /// column layouts there).
+    /// witness) and the current schema keeps serving.  The new manifest
+    /// records `next` with its declared column layouts and indexes, and
+    /// after the switch `next` is the store's live schema.
+    ///
+    /// A relation survives the transition when the target holds one of
+    /// the same name over the same attributes
+    /// ([`DatabaseSchema::remap_from`], the rule recovery and replication
+    /// apply to the manifest chain); a same-name relation over other
+    /// attributes is refused with a typed [`RelationalError::SchemaMismatch`].
     ///
     /// The transition runs in three phases on the calling thread,
     /// serialized with checkpoints on the generation mutex:
@@ -1221,24 +1244,18 @@ impl Store {
     ///    happens there, so a relation waits for its own log only.  Then,
     ///    under the topology **write lock**, dropped slots are released
     ///    and the topology is swapped — memory only.  Every operation
-    ///    holds the read guard for its duration, so none is in flight:
-    ///    the write lock cleanly splits old-schema from new-schema
-    ///    operations.  Finally a relation still enforcing a union (or
-    ///    otherwise stale) cover is rebuilt under its exact new cover,
-    ///    again inside its own slot's lock, so untouched relations keep
-    ///    serving through every O(rows) step.  An error in the switch
+    ///    holds its [`Era`]'s read guard for its duration, so none is in
+    ///    flight: the write lock cleanly splits old-schema from
+    ///    new-schema operations.  Finally a relation still enforcing a
+    ///    union (or otherwise stale) cover is rebuilt under its exact new
+    ///    cover, again inside its own slot's lock, so untouched relations
+    ///    keep serving through every O(rows) step.  An error in the switch
     ///    cannot be returned with the old schema still serving —
     ///    recovery would load the new one — so it **poisons the whole
     ///    store**: every slot is marked dead and the failing call, like
     ///    every later operation, reports [`StoreError::ShardPoisoned`]
     ///    with the reason.
-    pub fn apply_transition(
-        &self,
-        new_schema: &DatabaseSchema,
-        new_fds: &FdSet,
-        analysis: &ids_core::IndependenceAnalysis,
-        app: Vec<u8>,
-    ) -> Result<u64, StoreError> {
+    pub fn apply_transition(&self, next: Schema) -> Result<u64, StoreError> {
         let d = self.durability.as_ref().ok_or(StoreError::NotDurable)?;
         let reject = |e: StoreError| {
             self.obs.registry.counter("evolve.rejected").inc();
@@ -1247,7 +1264,7 @@ impl Store {
             });
             e
         };
-        let new_enforcement = extract_enforcement(new_schema, analysis).map_err(reject)?;
+        let new_covers = next.covers().map_err(reject)?;
         // Serialize with checkpoints and other transitions.
         let mut gen = d.gen.lock().map_err(|_| StoreError::Disconnected)?;
         self.healthy()?;
@@ -1256,19 +1273,21 @@ impl Store {
         // Phase 1: remap + backfill under a topology *read* lock.
         let remap = {
             let topo = self.topology()?;
-            let mut remap: Vec<Option<SchemeId>> = Vec::with_capacity(topo.schema.len());
-            for id in topo.schema.ids() {
-                let name = &topo.schema.scheme(id).name;
-                let nid = new_schema.scheme_by_name(name);
-                if let Some(nid) = nid {
-                    if new_schema.attrs(nid) != topo.schema.attrs(id) {
+            let (old, old_covers) = (&topo.schema.definition, topo.schema.covers()?);
+            // `old index → new index` for the survivors.
+            let mut remap: Vec<Option<SchemeId>> = vec![None; old.len()];
+            let from = next.definition.remap_from(old);
+            for ((nid, scheme), at) in next.definition.iter().zip(from) {
+                match at {
+                    Some(id) => remap[id.index()] = Some(nid),
+                    None if old.scheme_by_name(&scheme.name).is_some() => {
                         return Err(RelationalError::SchemaMismatch(
                             "a surviving relation changed its attribute set",
                         )
-                        .into());
+                        .into())
                     }
+                    None => {}
                 }
-                remap.push(nid);
             }
             // Which survivors need a backfill: those whose old cover
             // does not already imply every FD of the new one.
@@ -1278,8 +1297,7 @@ impl Store {
             for (i, nid) in remap.iter().enumerate() {
                 let Some(nid) = nid else { continue };
                 let old_id = SchemeId::from_index(i);
-                let old = &topo.enforcement[i];
-                let new = &new_enforcement[nid.index()];
+                let (old, new) = (&old_covers[i], &new_covers[nid.index()]);
                 if old.implies_all(new) {
                     continue;
                 }
@@ -1303,7 +1321,7 @@ impl Store {
                 // exact old covers (which re-validate the data they
                 // accepted); the store keeps serving the old schema.
                 for &(old_id, _) in &prepared {
-                    let old = topo.enforcement[old_id.index()].clone();
+                    let old = old_covers[old_id.index()].clone();
                     self.lock(&topo, old_id)?.install_cover(old)?;
                 }
                 return Err(reject(e));
@@ -1330,14 +1348,14 @@ impl Store {
         d.dir.append_generation_manifest(
             new_gen,
             &Manifest {
-                schema: new_schema.clone(),
-                fds: new_fds.clone(),
-                app,
+                schema: next.definition.clone(),
+                fds: next.fds.clone(),
+                app: next.encode_layouts(),
             },
         )?;
 
         // Phase 3: switch, then settle the covers.
-        if let Err((shard, e)) = self.switch(d, new_schema, new_enforcement, &remap, new_gen) {
+        if let Err((shard, e)) = self.switch(d, next, &remap, new_gen) {
             // Memory must not go on acknowledging writes under a schema
             // recovery will no longer load.
             let err = self.record_poison(shard, &format_args!("schema switch failed: {e}"));
@@ -1350,7 +1368,7 @@ impl Store {
         }
         *gen = new_gen;
         let topo = self.topology()?;
-        for (slot, cover) in topo.slots.iter().zip(topo.enforcement.iter()) {
+        for (slot, cover) in topo.slots.iter().zip(topo.schema.covers()?) {
             // A slot lost to a panicking caller has nothing to settle.
             let Ok(mut slot) = slot.lock() else { continue };
             if !slot.shard.enforcement().same_fds(cover) {
@@ -1362,7 +1380,7 @@ impl Store {
         self.obs.registry.counter("evolve.alters").inc();
         self.obs.registry.events().record(Event::SchemaAltered {
             generation: new_gen,
-            relations: topo.schema.len() as u64,
+            relations: topo.schema.definition.len() as u64,
         });
         Ok(new_gen)
     }
@@ -1373,33 +1391,33 @@ impl Store {
     fn switch(
         &self,
         d: &Durability,
-        new_schema: &DatabaseSchema,
-        new_enforcement: Vec<FdSet>,
+        next: Schema,
         remap: &[Option<SchemeId>],
         new_gen: u64,
     ) -> Result<(), (u64, StoreError)> {
+        let (definition, covers) = (&next.definition, next.covers().map_err(|e| (0, e))?);
         // Survivors, one slot lock at a time: this is where the I/O is.
         let topo = self.topology().map_err(|e| (0, e))?;
-        for (id, nid) in topo.schema.ids().zip(remap) {
+        for (id, nid) in topo.schema.definition.ids().zip(remap) {
             let Some(nid) = *nid else { continue };
             let mut slot = self.lock(&topo, id).map_err(|e| (id.index() as u64, e))?;
             let shard = slot.metrics.index;
-            slot.retarget(new_schema, nid, new_gen)
+            slot.retarget(definition, nid, new_gen)
                 .map_err(|e| (shard, e))?;
         }
         // An added relation: a fresh, empty slot with a metric family of
         // its own.
         let mut families = topo.families;
         drop(topo);
-        let mut placed = Vec::with_capacity(new_schema.len());
-        for id in new_schema.ids().filter(|id| !remap.contains(&Some(*id))) {
+        let mut placed = Vec::with_capacity(definition.len());
+        for id in definition.ids().filter(|id| !remap.contains(&Some(*id))) {
             let writer = d
                 .writer(id, new_gen, 0)
                 .map_err(|e| (families as u64, e.into()))?;
             let slot = Slot::new(
                 id,
-                RelationShard::new(new_schema, id, new_enforcement[id.index()].clone()),
-                Relation::new(new_schema.attrs(id)),
+                RelationShard::new(definition, id, covers[id.index()].clone()),
+                Relation::new(definition.attrs(id)),
                 Some(writer),
                 ShardMetrics::new(&self.obs.registry, families),
             );
@@ -1422,8 +1440,7 @@ impl Store {
         }
         placed.sort_by_key(|(id, _)| *id);
         *topo = Topology {
-            schema: Arc::new(new_schema.clone()),
-            enforcement: Arc::new(new_enforcement),
+            schema: Arc::new(next),
             slots: placed.into_iter().map(|(_, slot)| slot).collect(),
             families,
         };
@@ -1451,7 +1468,7 @@ impl Store {
     /// Delegates to [`ids_core::validate_op`] — the one validation
     /// contract every engine shares.
     fn validate(topo: &Topology, id: SchemeId, tuple: &[Value]) -> Result<(), StoreError> {
-        ids_core::validate_op(&topo.schema, id, tuple).map_err(Into::into)
+        ids_core::validate_op(&topo.schema.definition, id, tuple).map_err(Into::into)
     }
 
     /// The one write scope: lock relation `id`, run `body` against its
@@ -1492,18 +1509,22 @@ impl Store {
 
     /// Attempts to insert `tuple` (scheme order) into relation `id`, on
     /// the calling thread, inside the relation's lock.
+    ///
+    /// `id` is a position in the schema that is current when the call
+    /// runs ([`Store::schema`]).  A schema transition may move a relation
+    /// to another position ([`Alter::DropRelation`]), so a caller holding
+    /// an id across one must re-resolve it by name — or resolve and
+    /// insert inside one [`Era`], as the name-addressed `ids-api`
+    /// operations do.
     pub fn insert(&self, id: SchemeId, tuple: Vec<Value>) -> Result<InsertOutcome, StoreError> {
-        let topo = self.topology()?;
-        Self::validate(&topo, id, &tuple)?;
-        self.write(&topo, id, |slot, tally| slot.insert(tuple, tally))
+        self.era()?.insert(id, tuple)
     }
 
     /// Removes a tuple from relation `id`; `true` when it was present.
     /// Always satisfaction-preserving under weak-instance semantics.
+    /// `id` is positional, as for [`Store::insert`].
     pub fn remove(&self, id: SchemeId, tuple: Vec<Value>) -> Result<bool, StoreError> {
-        let topo = self.topology()?;
-        Self::validate(&topo, id, &tuple)?;
-        self.write(&topo, id, |slot, tally| slot.remove(tuple, tally))
+        self.era()?.remove(id, tuple)
     }
 
     /// Applies a batch of operations: the batch is partitioned by
@@ -1515,7 +1536,8 @@ impl Store {
     /// The whole batch is validated (scheme + arity) before any slot is
     /// locked, so a malformed batch mutates nothing.  Per-relation order
     /// within the batch is preserved; FD violations are *outcomes*
-    /// ([`InsertOutcome::Rejected`]), not errors.
+    /// ([`InsertOutcome::Rejected`]), not errors.  The whole batch runs
+    /// in one [`Era`], against positional ids as for [`Store::insert`].
     pub fn apply_batch(&self, mut ops: Vec<StoreOp>) -> Result<Vec<OpOutcome>, StoreError> {
         let topo = self.topology()?;
         for op in &ops {
@@ -1585,16 +1607,10 @@ impl Store {
     ///
     /// The id and the plan are validated here, before the slot is
     /// locked, so a foreign scheme, predicate attribute or projection
-    /// column is a typed error.
+    /// column is a typed error.  `id` is positional, as for
+    /// [`Store::insert`].
     pub fn read(&self, id: SchemeId, plan: &ReadPlan) -> Result<ReadReply, StoreError> {
-        let topo = self.topology()?;
-        let scheme = topo
-            .schema
-            .get_scheme(id)
-            .ok_or(StoreError::UnknownScheme(id))?;
-        plan.validate_against(scheme.attrs)?;
-        let slot = self.lock(&topo, id)?;
-        Ok(slot.shard.read(&slot.rel, plan)?)
+        self.era()?.read(id, plan)
     }
 
     /// The tuples of one relation matching `predicate` — [`Store::read`]
@@ -1612,14 +1628,13 @@ impl Store {
     /// relation enforced its `Fi`, and `LSAT = WSAT` does the rest.
     pub fn snapshot(&self) -> Result<DatabaseState, StoreError> {
         let topo = self.topology()?;
-        let slots = topo
-            .schema
-            .ids()
+        let definition = &topo.schema.definition;
+        let slots = (definition.ids())
             .map(|id| self.lock(&topo, id))
             .collect::<Result<Vec<_>, _>>()?;
         let relations = slots.iter().map(|slot| slot.rel.clone()).collect();
         drop(slots);
-        DatabaseState::from_relations(&topo.schema, relations).map_err(Into::into)
+        DatabaseState::from_relations(definition, relations).map_err(Into::into)
     }
 
     /// Shuts the store down and hands back the final state.  Dropping a
@@ -1638,22 +1653,77 @@ impl Store {
         for slot in topo.slots {
             relations.push(slot.into_inner().map_err(|_| StoreError::Disconnected)?.rel);
         }
-        DatabaseState::from_relations(&topo.schema, relations).map_err(Into::into)
+        DatabaseState::from_relations(&topo.schema.definition, relations).map_err(Into::into)
     }
 }
 
-/// Builds the configured ordered secondary indexes on freshly
-/// constructed shards, each absorbing its relation's current tuples.  A
-/// spec naming a foreign scheme or column is a typed error at open, not
-/// a silently missing index.
+/// One topology era of a [`Store`], pinned for one operation: the
+/// [`Schema`] the store serves and the slots that enforce it, under one
+/// topology read guard ([`Store::era`]).
+///
+/// A name-addressed operation does all its work in one era — resolve
+/// the name ([`Schema::scheme_id`]), read the declared layout
+/// ([`Schema::layout`]), run its slot operations — so the name, layout,
+/// cover and slot always come from the same schema, however a concurrent
+/// [`Store::apply_transition`] races it: the transition's switch waits
+/// for every era to end, and an era that starts after it sees only the
+/// new schema.  One racing transition therefore behaves exactly as if
+/// submitted before or after the operation.
+///
+/// Hold an era for one operation only: a pending switch blocks new eras,
+/// and with them every operation, until the held ones end.  Never take a
+/// second era — nor call a [`Store`] method, which takes its own — while
+/// holding one: std readers queue behind a waiting writer, so a switch
+/// arriving between the two would deadlock them.
+pub struct Era<'s> {
+    store: &'s Store,
+    topo: RwLockReadGuard<'s, Topology>,
+}
+
+impl Era<'_> {
+    /// The schema of this era.
+    pub fn schema(&self) -> &Schema {
+        &self.topo.schema
+    }
+
+    /// [`Store::insert`] in this era: `id` is a position in
+    /// [`Era::schema`].
+    pub fn insert(&self, id: SchemeId, tuple: Vec<Value>) -> Result<InsertOutcome, StoreError> {
+        Store::validate(&self.topo, id, &tuple)?;
+        (self.store).write(&self.topo, id, |slot, tally| slot.insert(tuple, tally))
+    }
+
+    /// [`Store::remove`] in this era.
+    pub fn remove(&self, id: SchemeId, tuple: Vec<Value>) -> Result<bool, StoreError> {
+        Store::validate(&self.topo, id, &tuple)?;
+        (self.store).write(&self.topo, id, |slot, tally| slot.remove(tuple, tally))
+    }
+
+    /// [`Store::read`] in this era.
+    pub fn read(&self, id: SchemeId, plan: &ReadPlan) -> Result<ReadReply, StoreError> {
+        let definition = &self.topo.schema.definition;
+        let scheme = definition
+            .get_scheme(id)
+            .ok_or(StoreError::UnknownScheme(id))?;
+        plan.validate_against(scheme.attrs)?;
+        let slot = self.store.lock(&self.topo, id)?;
+        Ok(slot.shard.read(&slot.rel, plan)?)
+    }
+}
+
+/// Builds a schema's ordered secondary indexes, plus the `extra` ones a
+/// [`StoreConfig`] asks for, on freshly constructed shards, each
+/// absorbing its relation's current tuples.  A spec naming a foreign
+/// scheme or column is a typed error at open, not a silently missing
+/// index; a repeated spec is a no-op.
 fn apply_ordered_indexes(
-    schema: &DatabaseSchema,
+    schema: &Schema,
     shards: &mut [RelationShard],
     relations: &[Relation],
-    specs: &[(SchemeId, AttrId)],
+    extra: &[(SchemeId, AttrId)],
 ) -> Result<(), StoreError> {
-    for &(id, attr) in specs {
-        if schema.get_scheme(id).is_none() {
+    for &(id, attr) in schema.ordered_indexes.iter().chain(extra) {
+        if schema.definition.get_scheme(id).is_none() {
             return Err(StoreError::UnknownScheme(id));
         }
         shards[id.index()].add_ordered_index(attr, &relations[id.index()])?;
@@ -1661,16 +1731,16 @@ fn apply_ordered_indexes(
     Ok(())
 }
 
-/// Pulls the per-scheme enforcement covers out of an analysis verdict:
-/// a dependent schema is refused with its witness, and an analysis of a
+/// The per-scheme enforcement covers `Fi` of an analysis verdict: a
+/// dependent schema is refused with its witness, and an analysis of a
 /// *different* schema is a typed error, not an index panic while
 /// distributing covers (same guard as `LocalMaintainer::new`).
-fn extract_enforcement(
+fn covers<'a>(
     schema: &DatabaseSchema,
-    analysis: &ids_core::IndependenceAnalysis,
-) -> Result<Vec<FdSet>, StoreError> {
+    analysis: &'a IndependenceAnalysis,
+) -> Result<&'a [FdSet], StoreError> {
     let enforcement = match &analysis.verdict {
-        ids_core::Verdict::Independent { enforcement } => enforcement.clone(),
+        ids_core::Verdict::Independent { enforcement } => enforcement,
         ids_core::Verdict::NotIndependent { reason, witness } => {
             return Err(StoreError::NotIndependent {
                 reason: reason.clone(),
@@ -2291,7 +2361,6 @@ mod tests {
                         ..Default::default()
                     },
                     sync: SyncPolicy::Always,
-                    app: Vec::new(),
                     ..Default::default()
                 },
             )

@@ -16,10 +16,10 @@ use crate::error::Error;
 ///
 /// The two orders differ as soon as a relation mentions attributes first
 /// introduced by different relations — the layout is what lets
-/// [`crate::Database`] accept and render tuples in the order the user
+/// `ids_api::Database` accept and render tuples in the order the user
 /// wrote, while the store below sees canonical scheme order.
-#[derive(Clone, Debug)]
-pub(crate) struct RelationLayout {
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RelationLayout {
     /// Column names, in declaration order.
     pub columns: Vec<String>,
     /// `perm[j]` = position in the canonical tuple of declared column `j`.
@@ -27,7 +27,7 @@ pub(crate) struct RelationLayout {
 }
 
 /// One `ALTER`-class schema transition, as accepted by
-/// [`crate::Database::alter`].
+/// `ids_api::Database::alter`.
 ///
 /// Each operation names its target at the string level — relation and
 /// column names, FD specs in the same `"lhs -> rhs"` syntax as
@@ -45,9 +45,13 @@ pub enum Alter {
         /// Its column names, in declaration order.
         columns: Vec<String>,
     },
-    /// Drop a relation (and any ordered indexes declared on it).  Later
-    /// relations renumber down by one; refused if the drop would leave
-    /// universe attributes covered by no relation.
+    /// Drop a relation (and any ordered indexes declared on it); refused
+    /// if the drop would leave universe attributes covered by no
+    /// relation.  The relations declared after it move down one
+    /// position, so their [`SchemeId`]s change: a name-addressed
+    /// operation resolves its relation in the era it runs in and never
+    /// notices, but a caller holding a `SchemeId` across the drop must
+    /// re-resolve it by name ([`Schema::scheme_id`]).
     DropRelation {
         /// The relation to drop.
         name: String,
@@ -85,8 +89,15 @@ impl std::fmt::Display for Alter {
 /// build time.  Every store opened from this handle reuses the stored
 /// verdict and enforcement covers instead of re-deciding.
 ///
+/// It is also the one live schema of a running [`crate::Store`]: the
+/// store's topology holds the handle of the era it serves, and every
+/// name-addressed operation resolves its relation, declared layout and
+/// slot through that one handle ([`crate::Era`]).
+///
 /// Cheap to clone (the underlying [`DatabaseSchema`] is reference
-/// counted; dependencies and analysis are small).
+/// counted; dependencies and analysis are small).  Two handles compare
+/// equal when they declare the same relations, columns, dependencies and
+/// indexes.
 #[derive(Clone, Debug)]
 pub struct Schema {
     pub(crate) definition: DatabaseSchema,
@@ -94,10 +105,10 @@ pub struct Schema {
     pub(crate) analysis: IndependenceAnalysis,
     pub(crate) layouts: Vec<RelationLayout>,
     /// Ordered secondary indexes declared with [`SchemaBuilder::index`],
-    /// resolved to `(scheme, attribute)` at build time.  Threaded into
-    /// every store's [`ids_store::StoreConfig`] so range and
-    /// set-membership filters on these columns are answered from the
-    /// index's per-value slot chains instead of a linear scan.
+    /// resolved to `(scheme, attribute)` at build time.  Every store
+    /// opened from this handle builds them, so range and set-membership
+    /// filters on these columns are answered from the index's per-value
+    /// slot chains instead of a linear scan.
     pub(crate) ordered_indexes: Vec<(SchemeId, AttrId)>,
     /// name → id, precomputed: every string-level operation resolves its
     /// relation through this map, so the per-op cost is one hash lookup,
@@ -105,7 +116,57 @@ pub struct Schema {
     pub(crate) by_name: HashMap<String, SchemeId>,
 }
 
+impl PartialEq for Schema {
+    fn eq(&self, other: &Self) -> bool {
+        // The analysis is a function of the definition and dependencies.
+        self.definition == other.definition
+            && self.fds.same_fds(&other.fds)
+            && self.layouts == other.layouts
+            && self.ordered_indexes == other.ordered_indexes
+    }
+}
+
 impl Schema {
+    /// Assembles a handle, deriving its name map.
+    fn new(
+        definition: DatabaseSchema,
+        fds: FdSet,
+        analysis: IndependenceAnalysis,
+        layouts: Vec<RelationLayout>,
+        ordered_indexes: Vec<(SchemeId, AttrId)>,
+    ) -> Schema {
+        let by_name = (definition.iter())
+            .map(|(id, s)| (s.name.clone(), id))
+            .collect();
+        Schema {
+            definition,
+            fds,
+            analysis,
+            layouts,
+            ordered_indexes,
+            by_name,
+        }
+    }
+
+    /// The handle of a schema declared below the string layer: every
+    /// relation's columns in canonical order, no ordered index.  What a
+    /// store opened from a bare [`DatabaseSchema`] serves.
+    pub(crate) fn canonical(
+        definition: DatabaseSchema,
+        fds: FdSet,
+        analysis: IndependenceAnalysis,
+    ) -> Schema {
+        let layouts = (definition.iter())
+            .map(|(_, s)| RelationLayout {
+                columns: (s.attrs.iter())
+                    .map(|a| definition.universe().name(a).to_string())
+                    .collect(),
+                perm: (0..s.attrs.len()).collect(),
+            })
+            .collect();
+        Schema::new(definition, fds, analysis, layouts, Vec::new())
+    }
+
     /// Starts a fluent builder.
     pub fn builder() -> SchemaBuilder {
         SchemaBuilder::default()
@@ -145,6 +206,12 @@ impl Schema {
         }
     }
 
+    /// The per-scheme enforcement covers a store serving this handle
+    /// probes — a typed refusal on a dependent handle.
+    pub(crate) fn covers(&self) -> Result<&[FdSet], crate::StoreError> {
+        crate::covers(&self.definition, &self.analysis)
+    }
+
     /// Resolves a relation name to its id — O(1), via the name map built
     /// at `build` time.
     pub fn scheme_id(&self, relation: &str) -> Result<SchemeId, Error> {
@@ -165,7 +232,13 @@ impl Schema {
         self.definition.iter().map(|(_, s)| s.name.as_str())
     }
 
-    pub(crate) fn layout(&self, id: SchemeId) -> &RelationLayout {
+    /// How relation `id` was declared: its column names in declaration
+    /// order and where each sits in a canonical tuple.
+    ///
+    /// # Panics
+    ///
+    /// When `id` is not a relation of this schema.
+    pub fn layout(&self, id: SchemeId) -> &RelationLayout {
         &self.layouts[id.index()]
     }
 
@@ -188,8 +261,9 @@ impl Schema {
     }
 
     /// Serializes the declaration-order column layouts — the manifest
-    /// `app` blob a durable database stores so [`crate::Database::recover`]
-    /// can rebuild the string-level surface exactly as declared.  An
+    /// `app` blob a durable store writes with every manifest (at creation
+    /// and at each schema transition), so recovery and followers rebuild
+    /// the string-level surface exactly as declared.  An
     /// index section (declared ordered secondary indexes, by name) is
     /// appended after the layouts; old blobs simply end before it, so
     /// the format stays append-only compatible in both directions.
@@ -218,91 +292,71 @@ impl Schema {
     }
 
     /// Rebuilds a `Schema` from a durable manifest: the decoded
-    /// definition + FDs, plus the layouts blob written at creation.  An
-    /// empty blob (a directory created below the api layer) falls back
-    /// to canonical column order.  The independence analysis runs here —
-    /// once, exactly like [`SchemaBuilder::build_any`].
+    /// definition + FDs, plus the layouts blob written with them.  An
+    /// empty blob (a manifest written before stores recorded their
+    /// layouts) falls back to canonical column order.  The independence
+    /// analysis runs here — once, exactly like
+    /// [`SchemaBuilder::build_any`].
     pub(crate) fn from_recovered(
         definition: DatabaseSchema,
         fds: FdSet,
         app: &[u8],
     ) -> Result<Schema, Error> {
-        let mut ordered_indexes = Vec::new();
-        let layouts = if app.is_empty() {
-            definition
-                .iter()
-                .map(|(_, s)| RelationLayout {
-                    columns: s
-                        .attrs
-                        .iter()
-                        .map(|a| definition.universe().name(a).to_string())
-                        .collect(),
-                    perm: (0..s.attrs.len()).collect(),
-                })
-                .collect()
-        } else {
-            let mut d = ids_relational::codec::Decoder::new(app);
-            let bad = || RelationalError::Codec("manifest layout blob");
-            let n = d.get_u16()? as usize;
-            if n != definition.len() {
+        let analysis = analyze(&definition, &fds);
+        let mut schema = Schema::canonical(definition, fds, analysis);
+        if app.is_empty() {
+            return Ok(schema);
+        }
+        let definition = &schema.definition;
+        let mut d = ids_relational::codec::Decoder::new(app);
+        let bad = || RelationalError::Codec("manifest layout blob");
+        let n = d.get_u16()? as usize;
+        if n != definition.len() {
+            return Err(bad().into());
+        }
+        let mut layouts = Vec::with_capacity(n);
+        for (id, scheme) in definition.iter() {
+            let cols = d.get_u16()? as usize;
+            if cols != scheme.attrs.len() {
                 return Err(bad().into());
             }
-            let mut layouts = Vec::with_capacity(n);
-            for (id, scheme) in definition.iter() {
-                let cols = d.get_u16()? as usize;
-                if cols != scheme.attrs.len() {
+            let mut columns = Vec::with_capacity(cols);
+            let mut perm = Vec::with_capacity(cols);
+            let mut seen = ids_relational::AttrSet::new();
+            for _ in 0..cols {
+                let name = d.get_str()?;
+                let attr = definition.universe().require(&name)?;
+                if !scheme.attrs.contains(attr) || !seen.insert(attr) {
                     return Err(bad().into());
                 }
-                let mut columns = Vec::with_capacity(cols);
-                let mut perm = Vec::with_capacity(cols);
-                let mut seen = ids_relational::AttrSet::new();
-                for _ in 0..cols {
-                    let name = d.get_str()?;
-                    let attr = definition.universe().require(&name)?;
-                    if !scheme.attrs.contains(attr) || !seen.insert(attr) {
-                        return Err(bad().into());
-                    }
-                    perm.push(definition.attrs(id).rank(attr));
-                    columns.push(name);
-                }
-                layouts.push(RelationLayout { columns, perm });
+                perm.push(definition.attrs(id).rank(attr));
+                columns.push(name);
             }
-            // Optional index section: blobs written before ordered
-            // indexes existed simply end here (append-only format).
+            layouts.push(RelationLayout { columns, perm });
+        }
+        // Optional index section: blobs written before ordered
+        // indexes existed simply end here (append-only format).
+        if !d.is_done() {
+            let n = d.get_u16()? as usize;
+            for _ in 0..n {
+                let rel = d.get_str()?;
+                let col = d.get_str()?;
+                let (id, scheme) = definition
+                    .iter()
+                    .find(|(_, s)| s.name == rel)
+                    .ok_or_else(bad)?;
+                let attr = definition.universe().require(&col)?;
+                if !scheme.attrs.contains(attr) {
+                    return Err(bad().into());
+                }
+                schema.ordered_indexes.push((id, attr));
+            }
             if !d.is_done() {
-                let n = d.get_u16()? as usize;
-                for _ in 0..n {
-                    let rel = d.get_str()?;
-                    let col = d.get_str()?;
-                    let (id, scheme) = definition
-                        .iter()
-                        .find(|(_, s)| s.name == rel)
-                        .ok_or_else(bad)?;
-                    let attr = definition.universe().require(&col)?;
-                    if !scheme.attrs.contains(attr) {
-                        return Err(bad().into());
-                    }
-                    ordered_indexes.push((id, attr));
-                }
-                if !d.is_done() {
-                    return Err(bad().into());
-                }
+                return Err(bad().into());
             }
-            layouts
-        };
-        let by_name = definition
-            .iter()
-            .map(|(id, s)| (s.name.clone(), id))
-            .collect();
-        let analysis = analyze(&definition, &fds);
-        Ok(Schema {
-            definition,
-            fds,
-            analysis,
-            layouts,
-            ordered_indexes,
-            by_name,
-        })
+        }
+        schema.layouts = layouts;
+        Ok(schema)
     }
 
     /// Rebuilds a `Schema` from a durable manifest
@@ -310,7 +364,7 @@ impl Schema {
     /// for embedders that open the log directory themselves (a
     /// replication follower bootstrapping from a primary's directory,
     /// a manifest inspection tool).  Identical to what
-    /// [`crate::Database::recover`] does internally, including the one
+    /// `ids_api::Database::recover` does internally, including the one
     /// independence analysis.
     pub fn from_manifest(manifest: &ids_wal::Manifest) -> Result<Schema, Error> {
         Self::from_recovered(manifest.schema.clone(), manifest.fds.clone(), &manifest.app)
@@ -394,21 +448,8 @@ impl Schema {
         };
         let (analysis, stats) =
             ids_evolve::check_transition(&self.definition, &self.analysis, &definition, &fds)?;
-        let by_name = definition
-            .iter()
-            .map(|(id, s)| (s.name.clone(), id))
-            .collect();
-        Ok((
-            Schema {
-                definition,
-                fds,
-                analysis,
-                layouts,
-                ordered_indexes,
-                by_name,
-            },
-            stats,
-        ))
+        let next = Schema::new(definition, fds, analysis, layouts, ordered_indexes);
+        Ok((next, stats))
     }
 }
 
@@ -420,7 +461,7 @@ impl Schema {
 /// — no separate [`Universe`] bookkeeping, no positional ids.
 ///
 /// ```
-/// use ids_api::Schema;
+/// use ids_store::Schema;
 ///
 /// let schema = Schema::builder()
 ///     .relation("CT", ["course", "teacher"])
@@ -441,7 +482,7 @@ pub struct SchemaBuilder {
 
 impl SchemaBuilder {
     /// Declares a relation with its column names, in the order tuples
-    /// will be written and read through the [`crate::Database`].
+    /// will be written and read through the `ids_api::Database`.
     pub fn relation<N, C, S>(mut self, name: N, columns: C) -> Self
     where
         N: Into<String>,
@@ -482,7 +523,7 @@ impl SchemaBuilder {
     /// `LSAT ∖ WSAT` counterexample ([`Error::witness`]).
     ///
     /// This is the front door: a handle from `build` opens a
-    /// [`crate::Database`], whose sharded store independence makes sound.
+    /// `ids_api::Database`, whose sharded store independence makes sound.
     pub fn build(self) -> Result<Schema, Error> {
         let schema = self.assemble()?;
         match &schema.analysis.verdict {
@@ -500,7 +541,7 @@ impl SchemaBuilder {
     /// independence, driven directly over [`Schema::definition`] and
     /// [`Schema::fds`]: [`ids_core::ChaseMaintainer`] (complete) and
     /// [`ids_core::FdOnlyMaintainer`] (sound, incomplete).  Opening a
-    /// [`crate::Database`] on a dependent handle is a typed
+    /// `ids_api::Database` on a dependent handle is a typed
     /// [`Error::NotIndependent`].
     pub fn build_any(self) -> Result<Schema, Error> {
         self.assemble()
@@ -546,16 +587,11 @@ impl SchemaBuilder {
         for spec in &self.fds {
             fds.insert(parse_fd_spec(&definition, spec)?);
         }
-        let by_name: HashMap<String, SchemeId> = definition
-            .iter()
-            .map(|(id, s)| (s.name.clone(), id))
-            .collect();
         // Resolve declared ordered indexes against the built schemes.
         let mut ordered_indexes = Vec::with_capacity(self.indexes.len());
         for (relation, column) in &self.indexes {
-            let id = by_name
-                .get(relation)
-                .copied()
+            let id = definition
+                .scheme_by_name(relation)
                 .ok_or_else(|| Error::UnknownRelation(relation.clone()))?;
             let attr = definition
                 .universe()
@@ -569,14 +605,13 @@ impl SchemaBuilder {
         }
         // The one and only run of the decision procedure for this handle.
         let analysis = analyze(&definition, &fds);
-        Ok(Schema {
+        Ok(Schema::new(
             definition,
             fds,
             analysis,
             layouts,
             ordered_indexes,
-            by_name,
-        })
+        ))
     }
 }
 
