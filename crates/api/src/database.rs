@@ -9,8 +9,7 @@ use ids_relational::{
     AttrId, AttrSet, DatabaseState, Predicate, ReadPlan, ReadReply, ReadShape, Relation,
     RelationalError, SchemeId, Tuple, Value, ValuePool,
 };
-use ids_store::{DurableConfig, OpOutcome, Store, StoreConfig, StoreError, StoreOp};
-use ids_wal::NameLog;
+use ids_store::{DurableConfig, OpOutcome, Store, StoreConfig, StoreOp};
 
 use crate::planner::execute_join;
 use crate::query::{Cond, JoinQuery, JoinReport, Query, RowSink, Rows};
@@ -33,31 +32,13 @@ pub enum EngineKind {
     Sharded(StoreConfig),
 }
 
-/// The name state guarded by one mutex: the interning pool and, on a
-/// durable database, the log that makes it crash-safe (names are
-/// fsync'd *before* any tuple referencing their values, see
-/// `ids_wal::NameLog`).
-struct Names {
-    pool: ValuePool,
-    log: Option<NameLog>,
-}
-
-impl Names {
-    /// Interns a name, writing it through the durable name log first when
-    /// one exists: the name must be stable *before* any operation that
-    /// references its value can be logged, otherwise a crash could re-assign
-    /// the id to a different string and alias stored tuples.  A name the
-    /// pool's arena has no room for is refused before the log sees it.
-    fn intern(&mut self, name: &str) -> Result<Value, Error> {
-        if let Some(v) = self.pool.get(name) {
-            return Ok(v);
-        }
-        self.pool.room_for(name)?;
-        if let Some(log) = self.log.as_mut() {
-            log.append(name)?;
-        }
-        Ok(self.pool.value(name))
+/// Interns a name; one the pool's arena has no room for is refused.
+fn intern(pool: &mut ValuePool, name: &str) -> Result<Value, Error> {
+    if let Some(v) = pool.get(name) {
+        return Ok(v);
     }
+    pool.room_for(name)?;
+    Ok(pool.value(name))
 }
 
 /// A running database: the concurrent [`Store`], whose live [`Schema`]
@@ -137,10 +118,10 @@ impl Names {
 ///
 /// ## Locks
 ///
-/// Two pieces of shared state sit behind locks, always taken in this
-/// order: the store's **topology** (read), then the **names**.  The
-/// database keeps no schema of its own — [`Database::schema`] is the
-/// store's live handle.
+/// Three pieces of shared state sit behind locks, always taken in this
+/// order: the store's **topology** (read), a **relation**'s slot, then
+/// the **names**.  The database keeps no schema of its own —
+/// [`Database::schema`] is the store's live handle.
 ///
 /// * **Topology** (the store's read-write lock, read side): every
 ///   name-addressed operation takes it exactly **once**, as one
@@ -153,16 +134,18 @@ impl Names {
 ///   operation takes the guard a second time while holding it — std
 ///   readers queue behind a waiting writer, so a nested read would
 ///   deadlock against a pending switch.
-/// * **Names** (`Mutex` over the pool and its durable log): O(row) hash
-///   lookups, plus on a durable database the log append for a never-seen
-///   string.  Taken inside the era and released before the slot is
-///   locked.  A read holds it twice, briefly: to plan, and — after the
-///   era has ended — while the row visitor renders the shipped rows into
-///   its sink, which renders into memory only; no socket write runs
-///   under it.  Poison **propagates** as a panic: a thread that died
-///   mid-intern may have assigned a value whose name never reached the
-///   log, and writing tuples against it would alias them after a crash.
 /// * **Relations**: the store's own per-relation locks, one at a time.
+/// * **Names** (a `Mutex` over the in-memory pool, shared with a durable
+///   store's log writers): O(row) hash lookups, no I/O.  An operation
+///   takes it inside the era and releases it before the slot is locked.
+///   A durable slot takes it *inside* its own lock, and only to read the
+///   names of values its current log segment has not defined yet, which
+///   the record it appends then carries.  A read holds it twice,
+///   briefly: to plan, and — after the era has ended — while the row
+///   visitor renders the shipped rows into its sink, which renders into
+///   memory only; no socket write runs under it.  Poison **propagates**
+///   as a panic: a thread that died mid-intern may have left the arena
+///   and its index out of step.
 ///
 /// A string insert or remove therefore takes the topology guard once plus
 /// `names`; a query or count takes one topology guard; a join takes one
@@ -172,15 +155,16 @@ impl Names {
 ///
 /// ## What `&mut` still means
 ///
-/// [`Database::intern`] and [`Database::replace_store`] need exclusive
-/// ownership.  Interning order *is* value assignment (value `n` names
-/// the `n`-th interned string), so a replication follower feeds the
-/// primary's names in through `intern` on the handle it owns and lends
-/// readers only `&Database` — which can read, and whose writes a
-/// follower's handle ([`Database::follower`]) refuses **before** they
-/// intern anything.
+/// [`Database::intern`], [`Database::define`] and
+/// [`Database::replace_store`] need exclusive ownership.  A replication
+/// follower's pool must hold exactly the primary's `value ↦ name` pairs:
+/// it learns them from the shipped records through `define` on the
+/// handle it owns, and lends readers only `&Database` — which can read,
+/// and whose writes a follower's handle ([`Database::follower`]) refuses
+/// **before** they intern anything.
 pub struct Database {
-    names: Mutex<Names>,
+    /// The one value pool; a durable store's log writers share it.
+    names: Arc<Mutex<ValuePool>>,
     /// Serializes [`Database::alter`] callers end to end (build target
     /// → backfill → switch), so two concurrent alters cannot both
     /// derive their target from the same stale schema.
@@ -192,9 +176,12 @@ pub struct Database {
 }
 
 impl Database {
-    fn assemble(store: Arc<Store>, pool: ValuePool, log: Option<NameLog>) -> Self {
+    /// The handle over `store`, interning into the pool the store brings
+    /// — the one a durable or recovered store's logs name their values
+    /// from ([`Store::names`]) — or into a fresh one.
+    fn assemble(store: Arc<Store>) -> Self {
         Database {
-            names: Mutex::new(Names { pool, log }),
+            names: (store.names()).unwrap_or_else(|| Arc::new(Mutex::new(ValuePool::new()))),
             alter_lock: Mutex::new(()),
             store,
             read_only: false,
@@ -215,14 +202,15 @@ impl Database {
         // The handle becomes the store's live schema; the indexes it
         // declares ride along with any the caller already configured.
         let store = Store::from_schema(schema, config)?;
-        Ok(Self::assemble(Arc::new(store), ValuePool::new(), None))
+        Ok(Self::assemble(Arc::new(store)))
     }
 
     /// A replication follower's handle over the `store` it applies the
     /// primary's log to: reads are served from it, every write through
     /// the handle is refused with [`Error::ReplicaReadOnly`], and the
-    /// pool starts empty — the follower feeds it the primary's names, in
-    /// order, through [`Database::intern`].
+    /// pool starts as the one the store recovered ([`Store::names`]),
+    /// or empty — the follower feeds it the primary's names through
+    /// [`Database::define`].
     ///
     /// `schema` must be the schema `store` was built from (e.g. with
     /// [`Store::from_schema`] or [`Store::recover_from`]); the handle
@@ -236,7 +224,7 @@ impl Database {
         assert_serves(&store, &schema);
         Database {
             read_only: true,
-            ..Self::assemble(store, ValuePool::new(), None)
+            ..Self::assemble(store)
         }
     }
 
@@ -244,14 +232,19 @@ impl Database {
     /// the sharded store with a write-ahead log underneath.
     ///
     /// First open creates the directory: manifest (schema + FDs +
-    /// declaration-order layouts), one log per relation, and the name
-    /// log that makes the interning pool crash-safe.  Every later open
-    /// *recovers*: snapshot + log tails replay through the normal
+    /// declaration-order layouts) and one log per relation.  Each log is
+    /// self-defining: the first record of a segment that uses a string
+    /// carries the string, so a name is as durable as the record that
+    /// carries it, under the same [`ids_wal::SyncPolicy`].  Every later
+    /// open *recovers*: snapshot + log tails replay through the normal
     /// probe/commit path (so the recovered state provably satisfies
-    /// every relation's cover), and the pool replays its name log — the
-    /// string-level surface comes back exactly as it was.  Reopening
-    /// under a different schema or FD set is a typed
-    /// [`Error::Wal`]`(`[`ids_wal::WalError::SchemaMismatch`]`)`.
+    /// every relation's cover), and the pool is rebuilt from the
+    /// snapshot's and the records' definitions — the string-level
+    /// surface comes back exactly as it was.  Reopening under a
+    /// different schema or FD set is a typed
+    /// [`Error::Wal`]`(`[`ids_wal::WalError::SchemaMismatch`]`)`, and a
+    /// directory of the older format with a global `pool.log` is
+    /// [`ids_wal::WalError::LegacyNameLog`].
     pub fn open_at(
         path: impl AsRef<Path>,
         schema: Schema,
@@ -260,7 +253,7 @@ impl Database {
         // A created manifest records the schema's declared column order
         // and index declarations.
         let store = Store::open_durable_schema(path, schema, config)?;
-        Self::attach_pool_log(store)
+        Ok(Self::assemble(Arc::new(store)))
     }
 
     /// Recovers a durable database from `path` alone: the schema (and
@@ -283,27 +276,7 @@ impl Database {
         // The open directory handle is passed straight down, so the
         // manifest is read and decoded exactly once per recover.
         let store = Store::recover_durable(dir, schema, config)?;
-        Self::attach_pool_log(store)
-    }
-
-    /// Shared tail of the durable constructors: replay the name log
-    /// into a fresh pool and assemble the handle.
-    fn attach_pool_log(store: Store) -> Result<Self, Error> {
-        // The name log carries the *directory's* fingerprint — the base
-        // manifest's, fixed for the directory's whole life.  Recomputing
-        // from the current schema would diverge after the first schema
-        // transition bumps the manifest chain.
-        let (Some(pool_path), Some(fingerprint)) = (store.pool_log_path(), store.wal_fingerprint())
-        else {
-            return Err(StoreError::NotDurable.into());
-        };
-        let (pool_log, names) = NameLog::open(&pool_path, fingerprint)?;
-        let mut pool = ValuePool::new();
-        for name in names {
-            pool.room_for(&name)?;
-            pool.value(name);
-        }
-        Ok(Self::assemble(Arc::new(store), pool, Some(pool_log)))
+        Ok(Self::assemble(Arc::new(store)))
     }
 
     /// Checkpoints a durable database: seals every relation's log
@@ -366,8 +339,8 @@ impl Database {
         let (count, bytes) = {
             // Two lengths are safe to read from a pool a panicking
             // thread left behind; the stats poll must still answer.
-            let names = self.names.lock().unwrap_or_else(|e| e.into_inner());
-            (names.pool.len(), names.pool.name_bytes())
+            let pool = self.names.lock().unwrap_or_else(|e| e.into_inner());
+            (pool.len(), pool.name_bytes())
         };
         let gauge = |n: usize| i64::try_from(n).unwrap_or(i64::MAX);
         snapshot.merge(ids_obs::MetricsSnapshot {
@@ -381,23 +354,28 @@ impl Database {
     }
 
     /// Replaces the store — and with it the schema served — **in
-    /// place**, keeping the interning pool (and name log) exactly as
-    /// they are.
+    /// place**, keeping the value pool exactly as it is.
     ///
     /// This is the swap a replication follower performs when it applies
-    /// a streamed schema transition: the pool's insertion order *is* the
-    /// value assignment (value `n` names the `n`-th interned string), so
-    /// rebuilding the handle would sever every already-interned value
-    /// from its name.  The caller owns the invariant that `store` holds
-    /// state expressed in this pool's values.  `schema` must be the
+    /// a streamed schema transition: rebuilding the handle would sever
+    /// every already-defined value from its name.  The caller owns the
+    /// invariant that `store` holds state expressed in this pool's
+    /// values.  `schema` must be the
     /// schema `store` was built from, as for [`Database::follower`]; the
     /// handle serves the store's own.
     ///
     /// # Panics
     ///
-    /// When the store serves a schema not equal to `schema`.
+    /// When the store serves a schema not equal to `schema`, or brings a
+    /// value pool of its own ([`Store::names`]) that is not this handle's
+    /// — its log writers would define values from a pool the handle
+    /// never interns into.
     pub fn replace_store(&mut self, schema: Schema, store: Arc<Store>) {
         assert_serves(&store, &schema);
+        assert!(
+            (store.names()).is_none_or(|pool| Arc::ptr_eq(&pool, &self.names)),
+            "replace_store: the store logs its values from another value pool"
+        );
         self.store = store;
     }
 
@@ -409,9 +387,9 @@ impl Database {
         self.store.schema()
     }
 
-    /// Locks the name state (see the type-level docs for why a poisoned
+    /// Locks the value pool (see the type-level docs for why a poisoned
     /// lock propagates).
-    fn names(&self) -> MutexGuard<'_, Names> {
+    fn names(&self) -> MutexGuard<'_, ValuePool> {
         self.names
             .lock()
             .expect("name-state mutex poisoned: a thread panicked while interning")
@@ -425,13 +403,13 @@ impl Database {
     /// [`Database::remove`].  Code that mixes the raw and string APIs on
     /// one database should obtain its values via [`Database::intern`].
     pub fn render(&self, value: Value) -> String {
-        self.names().pool.render(value)
+        self.names().render(value)
     }
 
     /// The [`Value`] a string was interned as, if it ever was — the
     /// read-only half of [`Database::intern`].
     pub fn lookup(&self, name: &str) -> Option<Value> {
-        self.names().pool.get(name)
+        self.names().get(name)
     }
 
     /// Renders interned tuples back through the live value pool — e.g.
@@ -442,7 +420,7 @@ impl Database {
         tuples
             .iter()
             .map(|t| {
-                let vals: Vec<String> = t.iter().map(|&v| names.pool.render(v)).collect();
+                let vals: Vec<String> = t.iter().map(|&v| names.render(v)).collect();
                 format!("({})", vals.join(", "))
             })
             .collect()
@@ -453,18 +431,22 @@ impl Database {
     /// raw paths ([`Database::insert_raw`], [`Database::apply_batch`],
     /// [`Database::store`]) with string-level reads and removes.
     ///
-    /// Fallible because on a durable database a never-seen name is
-    /// appended to the on-disk name log (and fsync'd) before its value
-    /// exists anywhere — the order that keeps values from being
-    /// re-assigned to different strings after a crash.  Takes `&mut
-    /// self` because interning assigns values: whoever may intern at
-    /// will decides what every later string is numbered (see the
-    /// type-level docs).
+    /// Fallible because a name the pool's arena has no room for is
+    /// refused.  Nothing is written: on a durable database the name
+    /// reaches the log with the first record that uses its value.  Takes
+    /// `&mut self` because interning assigns values (see the type-level
+    /// docs).
     pub fn intern(&mut self, value: impl AsRef<str>) -> Result<Value, Error> {
-        self.names
-            .get_mut()
-            .expect("name-state mutex poisoned: a thread panicked while interning")
-            .intern(value.as_ref())
+        intern(&mut self.names(), value.as_ref())
+    }
+
+    /// Names `value` `name` in the pool, as a record shipped from a
+    /// primary defined it — how a follower learns the primary's names
+    /// under the primary's ids.  Idempotent; a definition that disagrees
+    /// with the pool is a typed
+    /// [`ids_relational::RelationalError::NameConflict`].
+    pub fn define(&mut self, value: Value, name: &str) -> Result<(), Error> {
+        Ok(self.names().define(value, name)?)
     }
 
     /// The underlying concurrent [`Store`] — for typed-level callers
@@ -500,8 +482,8 @@ impl Database {
         let id = schema.scheme_id(relation)?;
         let layout = schema.layout(id);
         let arity = layout.columns.len();
-        // Arity before anything else: a refused row must not intern — and on
-        // a durable database append and fsync — a single name.
+        // Arity before anything else: a refused row must not intern a
+        // single name.
         let values: Vec<S> = values.into_iter().collect();
         if values.len() != arity {
             return Err(RelationalError::ArityMismatch {
@@ -512,12 +494,12 @@ impl Database {
         }
         let mut tuple = vec![Value::int(0); arity];
         let mut all_known = true;
-        let names = &mut *self.names();
+        let pool = &mut *self.names();
         for (j, value) in values.iter().enumerate() {
             let resolved = if intern {
-                Some(names.intern(value.as_ref())?)
+                Some(self::intern(pool, value.as_ref())?)
             } else {
-                names.pool.get(value.as_ref())
+                pool.get(value.as_ref())
             };
             match resolved {
                 Some(v) => tuple[layout.perm[j]] = v,
@@ -644,7 +626,7 @@ impl Database {
         sink: &mut S,
     ) -> Result<(), Error> {
         let era = self.store.era()?;
-        let plan = plan_query(era.schema(), &self.names().pool, relation, filters, select)?;
+        let plan = plan_query(era.schema(), &self.names(), relation, filters, select)?;
         let tuples = if plan.satisfiable {
             era.read(plan.id, &plan.read)?.rows
         } else {
@@ -674,7 +656,7 @@ impl Database {
         for row in rows {
             sink.row();
             for &p in positions {
-                match names.pool.name(row[p]) {
+                match names.name(row[p]) {
                     Some(name) => sink.value(name),
                     None => sink.value(&row[p].0.to_string()),
                 }
@@ -690,7 +672,7 @@ impl Database {
         filters: &[(String, Cond)],
     ) -> Result<usize, Error> {
         let era = self.store.era()?;
-        let mut plan = plan_query(era.schema(), &self.names().pool, relation, filters, None)?;
+        let mut plan = plan_query(era.schema(), &self.names(), relation, filters, None)?;
         if !plan.satisfiable {
             return Ok(0);
         }
@@ -831,7 +813,7 @@ impl Database {
         sink: &mut S,
     ) -> Result<JoinReport, Error> {
         let era = self.store.era()?;
-        let plan = plan_join(era.schema(), &self.names().pool, relations, filters)?;
+        let plan = plan_join(era.schema(), &self.names(), relations, filters)?;
         if !plan.satisfiable {
             // Some filter names a never-interned value: nothing stored
             // can match, so the store is not consulted — but the output
@@ -1773,5 +1755,19 @@ mod tests {
             .build()
             .unwrap();
         let _ = Database::follower(other, Arc::new(store));
+    }
+
+    /// A durable store names its values from the pool it brought; a
+    /// handle that swapped it in would intern into another one, and the
+    /// logs would carry no names for its strings.
+    #[test]
+    #[should_panic(expected = "another value pool")]
+    fn replace_store_refuses_a_store_with_its_own_pool() {
+        let root = std::env::temp_dir().join(format!("ids-api-swap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let store = Store::open_durable_schema(&root, example2(), DurableConfig::default());
+        let _ = std::fs::remove_dir_all(&root);
+        let mut db = Database::open(example2(), EngineKind::default()).unwrap();
+        db.replace_store(example2(), Arc::new(store.unwrap()));
     }
 }

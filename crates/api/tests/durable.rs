@@ -157,20 +157,50 @@ fn double_checkpoint_and_clean_shutdown_recovery_are_noops() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// A refused row leaves the durable name log untouched: arity is checked
-/// before the first name is interned (and fsync'd) — reachable by any
-/// wire client through `SharedDatabase::insert`.
+/// Every file under `root` with its length, sorted by path.
+fn file_sizes(root: &std::path::Path) -> Vec<(std::path::PathBuf, u64)> {
+    let mut found = Vec::new();
+    for entry in std::fs::read_dir(root).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            found.extend(file_sizes(&path));
+        } else {
+            found.push((path.clone(), std::fs::metadata(&path).unwrap().len()));
+        }
+    }
+    found.sort();
+    found
+}
+
+/// A refused row writes no byte: arity is checked before the first name
+/// is interned — reachable by any wire client through
+/// `SharedDatabase::insert` — and the names of the accepted row went
+/// into its relation's segment, the only file that grew.
 #[test]
-fn refused_rows_append_nothing_to_the_name_log() {
+fn refused_rows_append_nothing_to_the_relation_log() {
     let root = tmp_dir("refused-row");
     let shared = Database::open_at(&root, example2(), DurableConfig::default())
         .unwrap()
         .into_shared()
         .unwrap();
+    let empty = file_sizes(&root);
     shared.insert("CT", ["CS402", "Jones"]).unwrap();
-    let log = shared.store().pool_log_path().unwrap();
-    let before = std::fs::metadata(&log).unwrap().len();
-    assert!(before > 0, "the accepted row's names were logged");
+    let before = file_sizes(&root);
+    let segment = root.join("wal").join("r00000-g0000000001.log");
+    let grown: Vec<_> = (before.iter())
+        .filter(|entry| !empty.contains(entry))
+        .map(|(path, _)| path.clone())
+        .collect();
+    assert_eq!(
+        grown,
+        std::slice::from_ref(&segment),
+        "only CT's segment grew"
+    );
+    let bytes = std::fs::read(&segment).unwrap();
+    assert!(
+        bytes.windows(5).any(|w| w == b"CS402") && bytes.windows(5).any(|w| w == b"Jones"),
+        "the accepted row's names are in its relation's segment"
+    );
     for row in [&["too-short"][..], &["too", "long", "row"][..]] {
         assert!(matches!(
             shared.insert("CT", row),
@@ -179,7 +209,7 @@ fn refused_rows_append_nothing_to_the_name_log() {
             ))
         ));
     }
-    assert_eq!(std::fs::metadata(&log).unwrap().len(), before);
+    assert_eq!(file_sizes(&root), before);
     drop(shared);
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -17,7 +17,7 @@
 //!
 //! How much lag builds up while the readers run depends on thread
 //! timing, so it is not reported; the structural claims (every point
-//! read hits its row, shipped == applied + pending, lag drains to zero)
+//! read hits its row, shipped == applied, lag drains to zero)
 //! hold anywhere, and `experiments e13` asserts them at every size.
 
 use std::path::{Path, PathBuf};
@@ -92,7 +92,7 @@ fn copy_dir(from: &Path, to: &Path) {
 /// Structural invariants asserted inside the kernel: every point read
 /// returns exactly its preloaded row (followers bootstrap the full key
 /// domain from the seed, so staleness never loses a read), and every
-/// follower's counters obey `shipped == applied + pending`.
+/// follower's counters obey `shipped == applied`.
 fn read_scaling(replicas: usize, ops_per_reader: usize, keys: u64) -> ReplicaRow {
     let readers = replicas.max(1);
     let schema = Schema::builder()
@@ -256,11 +256,9 @@ fn read_scaling(replicas: usize, ops_per_reader: usize, keys: u64) -> ReplicaRow
             .count() as u64;
         let shipped = snap.counter("replica.r0.shipped").unwrap_or(0);
         let applied = snap.counter("replica.r0.applied").unwrap_or(0);
-        let pending = snap.gauge("replica.r0.pending").unwrap_or(0);
         assert_eq!(
-            shipped,
-            applied + pending as u64,
-            "follower conservation: shipped == applied + pending"
+            shipped, applied,
+            "follower conservation: shipped == applied"
         );
     }
     server.shutdown();

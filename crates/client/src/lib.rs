@@ -419,15 +419,11 @@ impl Client {
     ///
     /// `cursors[i] = (gen, seq)` is the follower's position in relation
     /// `i`'s log (one entry per schema relation, `(0, 0)` for "from the
-    /// start of generation 0"); `names` is how many pool names the
-    /// follower has already applied.  The server resumes each stream
-    /// exactly after those positions.
-    pub fn subscribe(
-        mut self,
-        cursors: Vec<(u64, u64)>,
-        names: u64,
-    ) -> Result<Subscription, ClientError> {
-        let id = self.send(Request::Subscribe { cursors, names })?;
+    /// start of generation 0").  The server resumes each stream exactly
+    /// after those positions; the records carry the names they use.
+    pub fn subscribe(mut self, cursors: Vec<(u64, u64)>) -> Result<Subscription, ClientError> {
+        // `names` is retired: the server ignores it.
+        let id = self.send(Request::Subscribe { cursors, names: 0 })?;
         Ok(Subscription { client: self, id })
     }
 }
@@ -444,23 +440,22 @@ impl Drop for Client {
 }
 
 /// One shipped batch from a [`Subscription`]: frame payloads of one
-/// relation's log (or the name pool, when `relation` is
-/// [`ids_server::wire::POOL_STREAM`]), exactly as the primary stored
-/// them on disk.
+/// relation's log, exactly as the primary stored them on disk — the
+/// names the records use included.
 ///
 /// `tip` is the last durable sequence number the primary's shipper had
 /// seen when it sent the batch — the follower's lag is `tip` minus what
-/// it has applied.  On the pool stream it counts names shipped since
-/// the subscription's starting point (`names` in
-/// [`Client::subscribe`]), not the primary's total.  An **empty**
-/// pool-stream batch is the server's idle heartbeat: every stream was
-/// fully shipped when it was sent, so a follower that has drained the
+/// it has applied.  An **empty** batch is the server's idle heartbeat
+/// (labelled [`ids_server::wire::POOL_STREAM`]): every stream was fully
+/// shipped when it was sent, so a follower that has drained the
 /// connection up to it is caught up.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FrameBatch {
-    /// Relation index the frames belong to, or `POOL_STREAM`.
+    /// Relation index the frames belong to (`POOL_STREAM` on the
+    /// heartbeat).
     pub relation: u16,
-    /// Generation of the segment the frames came from (0 for the pool).
+    /// Generation of the segment the frames came from (0 on the
+    /// heartbeat).
     pub gen: u64,
     /// The shipper's last durable sequence number for this stream.
     pub tip: u64,

@@ -37,6 +37,10 @@ pub enum RelationalError {
     /// offsets address (4 GiB); the name that would overflow it is
     /// refused.
     PoolFull,
+    /// A value pool was told a value's name that disagrees with what it
+    /// holds: the value names another string, or the string is another
+    /// value.
+    NameConflict(u64),
     /// An operation mixed objects from different universes or schemas.
     SchemaMismatch(&'static str),
     /// A binary payload could not be decoded (see [`crate::codec`]).
@@ -64,6 +68,9 @@ impl fmt::Display for RelationalError {
             }
             Self::RelationFull => write!(f, "relation is full (max 2^32 - 1 tuples)"),
             Self::PoolFull => write!(f, "value pool is full (max 4 GiB of names)"),
+            Self::NameConflict(id) => {
+                write!(f, "conflicting definitions of value {id} in the value pool")
+            }
             Self::SchemaMismatch(what) => write!(f, "objects belong to different {what}"),
             Self::Codec(what) => write!(f, "malformed binary payload: {what}"),
         }

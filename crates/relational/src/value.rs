@@ -1,9 +1,9 @@
 //! Domain values.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::BuildHasher;
 
-use crate::codec::{Decoder, Encoder};
 use crate::error::RelationalError;
 use crate::slot_table::SlotTable;
 
@@ -50,6 +50,11 @@ impl fmt::Display for Value {
 /// compared through the arena.  Offsets are `u32`, so the arena holds at
 /// most `u32::MAX` bytes of names; [`ValuePool::room_for`] says whether a
 /// name still fits.
+///
+/// A pool rebuilt from a log ([`ValuePool::define`]) learns names under
+/// explicit ids, in any order.  An id below [`ValuePool::len`] that no
+/// definition named is a **hole**: it renders as its decimal id, is
+/// skipped by [`ValuePool::iter`], and is never handed out again.
 #[derive(Clone, Debug, Default)]
 pub struct ValuePool {
     /// Every interned name, concatenated in interning order.
@@ -59,6 +64,10 @@ pub struct ValuePool {
     ends: Vec<u32>,
     /// Value ids by name.
     by_name: SlotTable,
+    /// The names whose spans are empty: the empty name, and names
+    /// defined after a higher id was (the arena only grows at its end).
+    /// An empty span not listed here is a hole.
+    late: BTreeMap<u32, Box<str>>,
     next_fresh: u64,
 }
 
@@ -67,7 +76,10 @@ pub struct ValuePool {
 /// and hash keys are not compared.
 impl PartialEq for ValuePool {
     fn eq(&self, other: &Self) -> bool {
-        self.arena == other.arena && self.ends == other.ends && self.next_fresh == other.next_fresh
+        self.arena == other.arena
+            && self.ends == other.ends
+            && self.late == other.late
+            && self.next_fresh == other.next_fresh
     }
 }
 
@@ -98,10 +110,55 @@ impl ValuePool {
             .end_after(name)
             .expect("value pool arena full: check room_for before interning");
         let id = u32::try_from(self.ends.len()).expect("fewer names than arena bytes");
+        if name.is_empty() {
+            self.late.insert(id, "".into());
+        }
         self.arena.push_str(name);
         self.ends.push(end);
         self.by_name.insert(hash, id, ());
         Value(u64::from(id))
+    }
+
+    /// Names value `v` `name`, as a log that interned it elsewhere
+    /// recorded — ids below `v` nobody named yet become holes.
+    /// Idempotent; a definition that disagrees with the pool (`v` names
+    /// another string, or `name` is another value) is
+    /// [`RelationalError::NameConflict`], and a name the arena has no
+    /// room for is [`RelationalError::PoolFull`].
+    pub fn define(&mut self, v: Value, name: &str) -> Result<(), RelationalError> {
+        let conflict = RelationalError::NameConflict(v.0);
+        let hash = self.by_name.hasher().hash_one(name);
+        if let Some(have) = self.find(hash, name) {
+            return if have == v { Ok(()) } else { Err(conflict) };
+        }
+        let id = u32::try_from(v.0)
+            .ok()
+            .filter(|&id| id < u32::MAX)
+            .ok_or(conflict.clone())?;
+        let below = (id as usize) < self.ends.len();
+        if below && self.name_at(id as usize).is_some() {
+            // Only a hole may take a name below the end.
+            return Err(conflict);
+        }
+        if !below {
+            self.room_for(name)?;
+            self.reserve(v.0);
+            self.arena.push_str(name);
+            self.ends.push(self.arena.len() as u32);
+        }
+        if below || name.is_empty() {
+            self.late.insert(id, name.into());
+        }
+        self.by_name.insert(hash, id, ());
+        Ok(())
+    }
+
+    /// Makes every id below `next` unavailable to [`ValuePool::value`]:
+    /// those not handed out yet become holes.
+    pub fn reserve(&mut self, next: u64) {
+        let end = self.ends.last().copied().unwrap_or(0);
+        let next = next.min(u64::from(u32::MAX)) as usize;
+        self.ends.resize(self.ends.len().max(next), end);
     }
 
     /// `Ok` when the arena has room for `name`'s bytes, which is all
@@ -118,12 +175,12 @@ impl ValuePool {
         self.find(self.by_name.hasher().hash_one(name), name)
     }
 
-    /// Number of interned names.
+    /// Number of ids handed out: the names, plus any holes below them.
     pub fn len(&self) -> usize {
         self.ends.len()
     }
 
-    /// True when no name is interned.
+    /// True when no id has been handed out.
     pub fn is_empty(&self) -> bool {
         self.ends.is_empty()
     }
@@ -141,49 +198,21 @@ impl ValuePool {
         v
     }
 
-    /// Serializes the pool: `u32` count + names in interning order,
-    /// then the next-fresh counter.  Interning order *is* the value
-    /// assignment, so decoding reproduces identical `Value` ids.
-    pub fn encode(&self, e: &mut Encoder) {
-        e.put_u32(self.ends.len() as u32);
-        for (n, _) in self.iter() {
-            e.put_str(n);
-        }
-        e.put_u64(self.next_fresh);
-    }
-
-    /// Deserializes a pool written by [`ValuePool::encode`].
-    pub fn decode(d: &mut Decoder<'_>) -> Result<Self, RelationalError> {
-        let n = d.get_u32()? as usize;
-        let mut pool = ValuePool::new();
-        for _ in 0..n {
-            let name = d.get_str()?;
-            if pool.get(&name).is_some() {
-                return Err(RelationalError::Codec("duplicate name in value pool"));
-            }
-            if pool.end_after(&name).is_none() {
-                return Err(RelationalError::Codec("value pool names exceed 4 GiB"));
-            }
-            pool.value(name);
-        }
-        pool.next_fresh = d.get_u64()?;
-        Ok(pool)
-    }
-
     /// Iterates the interned names with their values, in interning
     /// order.  Query planners use this to compile *string-level*
     /// comparisons (lexicographic ranges, prefix filters) into the
     /// explicit value sets shards understand: enumerate the pool once
     /// client-side, ship a compact `In` set down.
     pub fn iter(&self) -> impl Iterator<Item = (&str, Value)> + '_ {
-        (0..self.ends.len()).map(|i| (self.name_at(i), Value(i as u64)))
+        (0..self.ends.len()).filter_map(|i| Some((self.name_at(i)?, Value(i as u64))))
     }
 
     /// The interned name of a value, borrowed from the pool — `None` for
-    /// a value that was never interned (a fresh value, or a raw id).
+    /// a value that was never interned (a fresh value, a raw id, or a
+    /// hole).
     pub fn name(&self, v: Value) -> Option<&str> {
         let i = usize::try_from(v.0).ok()?;
-        (i < self.ends.len()).then(|| self.name_at(i))
+        (i < self.ends.len()).then(|| self.name_at(i)).flatten()
     }
 
     /// Renders a value: its interned name when known, otherwise the raw
@@ -192,17 +221,22 @@ impl ValuePool {
         self.name(v).map_or_else(|| v.0.to_string(), str::to_owned)
     }
 
-    /// Name `i`, which must be below `self.ends.len()`.
-    fn name_at(&self, i: usize) -> &str {
-        let start = i.checked_sub(1).map_or(0, |p| self.ends[p]);
-        &self.arena[start as usize..self.ends[i] as usize]
+    /// Name `i`, which must be below `self.ends.len()`; `None` for a
+    /// hole.
+    fn name_at(&self, i: usize) -> Option<&str> {
+        let (start, end) = (i.checked_sub(1).map_or(0, |p| self.ends[p]), self.ends[i]);
+        if start == end {
+            // A hole, the empty name, or a name defined late.
+            return self.late.get(&(i as u32)).map(|name| &**name);
+        }
+        Some(&self.arena[start as usize..end as usize])
     }
 
     /// The value of `name`, which hashes to `hash`, if interned.
     fn find(&self, hash: u64, name: &str) -> Option<Value> {
         let found = self
             .by_name
-            .get(hash, |id| self.name_at(id as usize) == name);
+            .get(hash, |id| self.name_at(id as usize) == Some(name));
         found.map(|(id, ())| Value(u64::from(id)))
     }
 
@@ -255,5 +289,44 @@ mod tests {
         assert_eq!(p.name(named), Some("x"));
         assert_eq!(p.name(f1), None);
         assert_eq!(p.name(Value(1)), None, "one past the last interned name");
+    }
+
+    #[test]
+    fn explicit_ids_leave_holes_that_are_never_reissued() {
+        let mut p = ValuePool::new();
+        // Defined out of order, as two relations' logs deliver them.
+        p.define(Value(3), "c").unwrap();
+        p.define(Value(1), "a").unwrap();
+        p.define(Value(1), "a").unwrap(); // idempotent
+        assert_eq!(p.len(), 4);
+        assert_eq!((p.name(Value(1)), p.name(Value(3))), (Some("a"), Some("c")));
+        assert_eq!((p.get("a"), p.get("c")), (Some(Value(1)), Some(Value(3))));
+        // Ids 0 and 2 are holes: decimal, skipped, never handed out.
+        assert_eq!(
+            (p.name(Value(0)), p.render(Value(2))),
+            (None, "2".to_string())
+        );
+        assert_eq!(
+            p.iter().collect::<Vec<_>>(),
+            vec![("a", Value(1)), ("c", Value(3))]
+        );
+        assert_eq!(p.value("d"), Value(4));
+        p.reserve(7);
+        assert_eq!(
+            (p.value("e"), p.render(Value(6))),
+            (Value(7), "6".to_string())
+        );
+        // A hole still takes its name, the empty one included.
+        p.define(Value(2), "").unwrap();
+        assert_eq!((p.name(Value(2)), p.get("")), (Some(""), Some(Value(2))));
+        // Disagreeing redefinitions are refused and change nothing.
+        let before = p.clone();
+        for (v, name) in [(1, "z"), (8, "a"), (4, "c"), (u64::MAX, "far")] {
+            assert_eq!(
+                p.define(Value(v), name),
+                Err(RelationalError::NameConflict(v))
+            );
+        }
+        assert_eq!(p, before);
     }
 }

@@ -31,9 +31,12 @@
 //!   ([`ids_store::Store::from_schema`] over the surviving relations).
 //! * **One follow loop.**  [`ids_wal::Follower`] decides what ships and
 //!   in which order — manifests before the records written under them,
-//!   names before the records that use them, records batched per
-//!   `(generation, scheme index)` — and remaps its tailers at every
-//!   transition.
+//!   records batched per `(generation, scheme index)` — and remaps its
+//!   tailers at every transition.  Names ride in the records: a
+//!   relation's log is self-defining (the first record of a segment that
+//!   uses a value carries its name), so the follower defines each name
+//!   in its pool under the primary's id as the record arrives, and no
+//!   record ever waits for a name from another stream.
 //! * **Two transports** over it.  **file-tail** ([`Replica::open`]):
 //!   primary and follower share a directory and the replica runs the
 //!   follow loop itself, read-only.  **wire-stream**
@@ -49,10 +52,10 @@
 //! ([`ids_api::Database::follower`]).  Reads take only their relation's
 //! lock, exactly as on the primary.  The handle refuses every write with
 //! [`ids_api::Error::ReplicaReadOnly`] before interning a single string:
-//! the pool's insertion order stays the primary's, fed only by the apply
-//! loop that owns the handle.  Per-relation lag (`(gen,
-//! seq)` delta), apply counters, and a staleness gauge are reported
-//! through [`ids_obs`].
+//! the pool holds exactly the primary's `value ↦ name` pairs, fed only by
+//! the apply loop that owns the handle.  Per-relation lag (`(gen, seq)`
+//! delta), apply counters, and a staleness gauge are reported through
+//! [`ids_obs`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -85,8 +88,8 @@ pub enum ReplicaError {
     /// or a fresh seed copy + [`Replica::connect`]).
     Behind,
     /// A shipped record did not re-apply cleanly: the store's
-    /// `insert`/`remove` did not re-accept it, or its sequence number
-    /// left a gap.  The logs and the replica's state contradict each
+    /// `insert`/`remove` did not re-accept it, its sequence number left
+    /// a gap, or a name it defines disagrees with the follower's pool.  The logs and the replica's state contradict each
     /// other, so the follower refuses to continue.
     Diverged {
         /// Relation index of the offending stream.

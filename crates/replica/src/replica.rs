@@ -1,7 +1,6 @@
 //! The [`Replica`] itself: bootstrap, the two transports, the apply
 //! loop, and the lag/staleness observability surface.
 
-use std::collections::VecDeque;
 use std::net::ToSocketAddrs;
 use std::path::Path;
 use std::sync::Arc;
@@ -12,21 +11,13 @@ use ids_client::{Client, FrameBatch, StreamEvent, Subscription};
 use ids_core::InsertOutcome;
 use ids_obs::{Counter, Event, Gauge, MetricsSnapshot, Registry};
 use ids_relational::{DatabaseSchema, DatabaseState, Relation, SchemeId};
-use ids_server::wire::POOL_STREAM;
 use ids_store::{Store, StoreConfig, StoreError};
 use ids_wal::{
-    Cursor, FollowPoll, Follower, Manifest, NameTailer, Shipment, TailedName, TailedRecord, WalDir,
-    WalError, WalOp, WalRecord,
+    Cursor, FollowPoll, Follower, Manifest, Shipment, TailedRecord, WalDir, WalError, WalOp,
+    WalRecord,
 };
 
 use crate::ReplicaError;
-
-/// Interned (pool-referenced) values live in the bottom half of the id
-/// space; fresh anonymous values are allocated from the top
-/// ([`ids_relational::ValuePool::fresh`]).  A shipped record's value
-/// below this floor references a pool name, so it can only be applied
-/// once that name has arrived.
-const FRESH_FLOOR: u64 = 1 << 63;
 
 /// How the replica receives the primary's log.  Both transports yield
 /// the one follow loop's [`Shipment`]s, in its order.
@@ -114,17 +105,6 @@ impl Transport {
                 return Ok((Vec::new(), false));
             }
             StreamEvent::Frames(FrameBatch {
-                relation: POOL_STREAM,
-                tip,
-                frames,
-                ..
-            }) => Shipment::Names {
-                names: (frames.into_iter())
-                    .map(|payload| TailedName::decode(wire, payload))
-                    .collect::<Result<_, _>>()?,
-                tip,
-            },
-            StreamEvent::Frames(FrameBatch {
                 relation,
                 gen,
                 tip,
@@ -156,7 +136,7 @@ pub struct ReplicaProgress {
     /// Records applied by this poll (across all relations).
     pub applied: u64,
     /// Whether the replica is caught up with everything the transport
-    /// could see: a quiescent poll with no deferred records pending.
+    /// could see: a quiescent poll.
     pub caught_up: bool,
 }
 
@@ -175,7 +155,6 @@ struct Bootstrap {
     db: Database,
     dir: WalDir,
     cursors: Vec<Cursor>,
-    names_applied: u64,
     /// The manifest chain as known at bootstrap: `(first governed
     /// generation, relation names in scheme order)` per era.
     eras: Vec<(u64, Vec<String>)>,
@@ -194,8 +173,8 @@ struct Bootstrap {
 /// borrow: it is a follower's handle ([`Database::follower`]), which
 /// refuses every write with the typed
 /// [`ids_api::Error::ReplicaReadOnly`] *before* interning any of its
-/// strings — the name pool, whose insertion order is the primary's
-/// value assignment, is fed only by the apply loop, which owns the
+/// strings — the name pool, which must hold exactly the primary's
+/// `value ↦ name` pairs, is fed only by the apply loop, which owns the
 /// handle.  Reads take only their relation's lock, as on the primary.
 pub struct Replica {
     /// The read surface over the applied state — the primary's own store
@@ -208,11 +187,6 @@ pub struct Replica {
     /// Last known primary tip per relation (seq, and max gen seen).
     tips: Vec<u64>,
     tip_gens: Vec<u64>,
-    names_applied: u64,
-    /// Records shipped but not yet applicable: their pool names have
-    /// not arrived.  Per relation, in log order — the "in-flight" term
-    /// of the conservation law `shipped == applied + pending`.
-    pending: Vec<VecDeque<(u64, WalRecord)>>,
     /// The schema-era chain: `(first governed generation, relation
     /// names in that era's scheme order)`.  Shipped records are labeled
     /// with their own era's scheme index; this chain maps `(index,
@@ -223,7 +197,6 @@ pub struct Replica {
     shipped_counters: Vec<Arc<Counter>>,
     applied_counters: Vec<Arc<Counter>>,
     lag_gauges: Vec<Arc<Gauge>>,
-    pending_gauges: Vec<Arc<Gauge>>,
     staleness: Arc<Gauge>,
     /// Instant of the last poll that applied something or proved
     /// quiescence — what the staleness gauge measures from.
@@ -239,13 +212,13 @@ impl Replica {
     /// the primary's files from the recovered cursors.
     pub fn open(root: impl AsRef<Path>) -> Result<Replica, ReplicaError> {
         let boot = bootstrap(root.as_ref())?;
-        let follower = Follower::new(&boot.dir, &boot.cursors, boot.names_applied)?;
+        let follower = Follower::new(&boot.dir, &boot.cursors)?;
         Ok(Replica::assemble(boot, Transport::File(follower)))
     }
 
     /// A **wire-stream** follower: bootstraps from the seed directory
-    /// at `seed` (a copy of the primary's durable directory — manifest,
-    /// snapshot, name log, segments; a base backup), then subscribes to
+    /// at `seed` (a copy of the primary's durable directory — manifests,
+    /// snapshot, segments; a base backup), then subscribes to
     /// the `ids-server` at `addr` from the recovered cursors.  The
     /// server ships every later frame verbatim.
     ///
@@ -260,7 +233,7 @@ impl Replica {
         let boot = bootstrap(seed.as_ref())?;
         let client = Client::connect(addr)?;
         let cursors = boot.cursors.iter().map(|c| (c.gen, c.seq)).collect();
-        let sub = client.subscribe(cursors, boot.names_applied)?;
+        let sub = client.subscribe(cursors)?;
         Ok(Replica::assemble(
             boot,
             Transport::Wire { sub, barrier: None },
@@ -273,14 +246,11 @@ impl Replica {
             transport,
             tips: boot.cursors.iter().map(|c| c.seq).collect(),
             tip_gens: boot.cursors.iter().map(|c| c.gen).collect(),
-            names_applied: boot.names_applied,
-            pending: vec![VecDeque::new(); boot.cursors.len()],
             cursors: boot.cursors,
             eras: boot.eras,
             shipped_counters: Vec::new(),
             applied_counters: Vec::new(),
             lag_gauges: Vec::new(),
-            pending_gauges: Vec::new(),
             staleness: boot.registry.gauge("replica.staleness_ms"),
             registry: boot.registry,
             fresh_at: Instant::now(),
@@ -293,8 +263,7 @@ impl Replica {
     /// (Re)fetches the per-relation metric handles for the current
     /// relations.  Handles are positional (`replica.r{i}.*`): after a
     /// transition a survivor that changed index continues in its new
-    /// slot's family, so per-slot histories blend across it; the
-    /// pending gauges are corrected to the true queue lengths here.
+    /// slot's family, so per-slot histories blend across it.
     fn bind_families(&mut self) {
         let n = self.cursors.len();
         let registry = &self.registry;
@@ -311,10 +280,6 @@ impl Replica {
         self.shipped_counters = counters("shipped");
         self.applied_counters = counters("applied");
         self.lag_gauges = gauges("lag");
-        self.pending_gauges = gauges("pending");
-        for (gauge, queue) in self.pending_gauges.iter().zip(&self.pending) {
-            gauge.add(queue.len() as i64 - gauge.get());
-        }
     }
 
     /// The read surface: `read` / `query` / `rows` / `count` / `join`
@@ -333,8 +298,9 @@ impl Replica {
     }
 
     /// Ingests everything the transport can currently see, in the
-    /// follow loop's order — transitions, names, then each relation's
-    /// new records through the store's `insert`/`remove`.  Returns how
+    /// follow loop's order — transitions, then each relation's new
+    /// records: their definitions into the pool, their operations
+    /// through the store's `insert`/`remove`.  Returns how
     /// much was applied and whether the replica is now caught up; typed
     /// errors for corruption ([`ReplicaError::Wal`]), divergence
     /// ([`ReplicaError::Diverged`]), and pruned-past cursors
@@ -344,21 +310,12 @@ impl Replica {
     /// or idle heartbeat (at most tens of milliseconds); on the file
     /// transport it returns immediately.
     pub fn poll(&mut self) -> Result<ReplicaProgress, ReplicaError> {
-        let (shipments, quiescent) = self.transport.poll()?;
+        // Caught up: the poll was quiescent, and every record it shipped
+        // has been applied below.
+        let (shipments, caught_up) = self.transport.poll()?;
         let mut applied = 0u64;
         for shipment in shipments {
             match shipment {
-                Shipment::Names { names, .. } => {
-                    for name in names {
-                        // Interning order is value assignment: feeding
-                        // the streamed names in pool order reproduces
-                        // the primary's exact `Value` ids.
-                        self.db.intern(&name.name)?;
-                        self.names_applied += 1;
-                    }
-                    // New names may unblock deferred records.
-                    applied += self.drain_pending()?;
-                }
                 Shipment::Manifest { gen, manifest, .. } => {
                     self.apply_manifest(gen, &manifest)?;
                 }
@@ -380,19 +337,11 @@ impl Replica {
                     self.tip_gens[i] = self.tip_gens[i].max(gen);
                     self.shipped_counters[i].add(records.len() as u64);
                     for TailedRecord { record, .. } in records {
-                        if !self.pending[i].is_empty() || self.needs_names(&record) {
-                            self.pending[i].push_back((gen, record));
-                            self.pending_gauges[i].inc();
-                        } else {
-                            self.apply(i, gen, record)?;
-                            applied += 1;
-                        }
+                        applied += u64::from(self.apply(i, gen, record)?);
                     }
                 }
             }
         }
-        let pending_total: usize = self.pending.iter().map(VecDeque::len).sum();
-        let caught_up = quiescent && pending_total == 0;
         self.refresh_gauges(applied > 0 || caught_up);
         if caught_up && !self.caught_up {
             // Fires once per transition, so "the replica caught up
@@ -452,18 +401,10 @@ impl Replica {
         &self.cursors
     }
 
-    /// Records shipped but deferred because their pool names have not
-    /// arrived yet — the "in-flight" term of the conservation law
-    /// `shipped == applied + pending` (assertable from
-    /// [`Replica::metrics`] alone: `replica.r{i}.shipped` ==
-    /// `replica.r{i}.applied` + `replica.r{i}.pending`).
-    pub fn pending(&self) -> usize {
-        self.pending.iter().map(VecDeque::len).sum()
-    }
-
     /// A snapshot of the replica's metric families: per-relation
-    /// `replica.r{i}.shipped` / `.applied` counters, `.lag` /
-    /// `.pending` gauges, the `replica.staleness_ms` gauge, the
+    /// `replica.r{i}.shipped` / `.applied` counters (every shipped
+    /// record is applied at once, so they agree after each poll), the
+    /// `.lag` gauges, the `replica.staleness_ms` gauge, the
     /// bootstrap's `wal.r{i}.recovered_records` family, and the event
     /// log (with its [`Event::ReplicaCaughtUp`] transitions).
     pub fn metrics(&self) -> MetricsSnapshot {
@@ -556,8 +497,7 @@ impl Replica {
         self.db.replace_store(schema, Arc::new(store));
         // Remap the per-relation bookkeeping by the same name map.
         // Added relations: their log starts at the transition, cursor
-        // `(gen, 0)`.  Dropped relations' pending records are released —
-        // the transition supersedes them.
+        // `(gen, 0)`.
         self.cursors = (remap.iter())
             .map(|m| m.map_or(Cursor { gen, seq: 0 }, |i| self.cursors[i]))
             .collect();
@@ -568,14 +508,6 @@ impl Replica {
         self.tip_gens = (remap.iter())
             .map(|m| m.map_or(gen, |i| self.tip_gens[i]))
             .collect();
-        let mut old_pending: Vec<Option<VecDeque<(u64, WalRecord)>>> =
-            std::mem::take(&mut self.pending)
-                .into_iter()
-                .map(Some)
-                .collect();
-        self.pending = (remap.iter())
-            .map(|m| m.and_then(|i| old_pending[i].take()).unwrap_or_default())
-            .collect();
         self.bind_families();
         self.registry.events().record(Event::SchemaAltered {
             generation: gen,
@@ -585,45 +517,20 @@ impl Replica {
         Ok(())
     }
 
-    /// True when every value the record references is already interned.
-    fn needs_names(&self, record: &WalRecord) -> bool {
-        let (WalOp::Insert(tuple) | WalOp::Remove(tuple)) = &record.op;
-        tuple
-            .iter()
-            .any(|v| v.0 < FRESH_FLOOR && v.0 >= self.names_applied)
-    }
-
-    /// Re-runs deferred records whose names have arrived, in log order
-    /// per relation.
-    fn drain_pending(&mut self) -> Result<u64, ReplicaError> {
-        let mut applied = 0u64;
-        for i in 0..self.pending.len() {
-            while let Some((gen, record)) = self.pending[i].front() {
-                if self.needs_names(record) {
-                    break;
-                }
-                let gen = *gen;
-                let record = self.pending[i].pop_front().expect("front just existed").1;
-                self.pending_gauges[i].dec();
-                self.apply(i, gen, record)?;
-                applied += 1;
-            }
-        }
-        Ok(applied)
-    }
-
-    /// Applies one record of relation `i` through the replica's store —
-    /// the same slot probe/commit as the primary and as crash recovery.
-    /// The record was an accepted, effective operation on the primary,
-    /// so it must re-accept here; anything else is
-    /// [`ReplicaError::Diverged`].
-    fn apply(&mut self, i: usize, gen: u64, record: WalRecord) -> Result<(), ReplicaError> {
+    /// Applies one record of relation `i`: its definitions into the
+    /// pool, then its operation through the replica's store — the same
+    /// slot probe/commit as the primary and as crash recovery.  The
+    /// record was an accepted, effective operation on the primary, so
+    /// it must re-accept here, and its names must agree with the pool's;
+    /// anything else is [`ReplicaError::Diverged`].  Returns whether the
+    /// record was new.
+    fn apply(&mut self, i: usize, gen: u64, record: WalRecord) -> Result<bool, ReplicaError> {
         let (relation, seq) = (i as u16, record.seq);
         let cursor = self.cursors[i];
         if seq <= cursor.seq {
             // Already applied (a re-shipped prefix after reconnect).
             self.cursors[i].gen = cursor.gen.max(gen);
-            return Ok(());
+            return Ok(false);
         }
         if seq != cursor.seq + 1 {
             return Err(ReplicaError::Diverged {
@@ -631,6 +538,15 @@ impl Replica {
                 seq,
                 detail: format!("sequence gap: record {seq} after {}", cursor.seq),
             });
+        }
+        for (v, name) in &record.defs {
+            if let Err(e) = self.db.define(*v, name) {
+                return Err(ReplicaError::Diverged {
+                    relation,
+                    seq,
+                    detail: format!("shipped definition does not fit the pool: {e}"),
+                });
+            }
         }
         let (id, store) = (SchemeId::from_index(i), self.db.store());
         let reapplied = match record.op {
@@ -646,7 +562,7 @@ impl Replica {
         }
         self.cursors[i] = Cursor { gen, seq };
         self.applied_counters[i].inc();
-        Ok(())
+        Ok(true)
     }
 
     /// Updates the lag gauges from cursors/tips, and the staleness
@@ -669,8 +585,8 @@ impl Replica {
 /// read-only: manifest → schema (with the one independence analysis),
 /// then the store's own recovery ([`Store::recover_from`]: snapshot +
 /// per-relation tails through the era-tagged replay a durable reopen
-/// runs, writing nothing), then the name log → the database's value
-/// pool in interning order.
+/// runs, writing nothing, the value pool rebuilt from their
+/// definitions — the follower's handle starts from that pool).
 fn bootstrap(root: &Path) -> Result<Bootstrap, ReplicaError> {
     let dir = WalDir::open(root)?;
     // The *latest* manifest is the schema the replica serves; older
@@ -691,21 +607,11 @@ fn bootstrap(root: &Path) -> Result<Bootstrap, ReplicaError> {
     let eras = (dir.manifests().iter())
         .map(|(g, m)| (*g, relation_names(&m.schema)))
         .collect();
-    let mut db = Database::follower(schema, Arc::new(store));
-    // Replay the name log in interning order — order *is* the value
-    // assignment, so the replica's pool renders the primary's values
-    // identically.  A `NameTailer` (not `NameLog::open`) because the
-    // primary may be live: its log must never be truncated by us.
-    let mut names_applied = 0u64;
-    for tailed in NameTailer::new(&dir.pool_log_path(), dir.fingerprint(), 0).poll()? {
-        db.intern(&tailed.name)?;
-        names_applied += 1;
-    }
+    let db = Database::follower(schema, Arc::new(store));
     Ok(Bootstrap {
         db,
         dir,
         cursors,
-        names_applied,
         eras,
         registry,
     })

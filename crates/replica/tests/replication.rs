@@ -136,6 +136,37 @@ fn file_follower_survives_a_checkpoint_rotation() {
     assert!(replica.cursors()[0].gen >= 1);
 }
 
+/// A checkpoint prunes the only records that named a removed row's
+/// string, but its snapshot carries the whole pool: a primary that
+/// reopens keeps the id a follower tailing through the restart already
+/// holds, instead of reissuing the name under a new one.
+#[test]
+fn file_follower_keeps_a_removed_name_across_a_primary_reopen() {
+    let root = tmp_dir("file-reopen");
+    let wait = Duration::from_secs(5);
+    let mut replica = {
+        let db = primary(&root);
+        db.insert("CT", ["k", "gone"]).unwrap();
+        let mut replica = Replica::open(&root).unwrap();
+        assert!(replica.wait_caught_up(wait).unwrap());
+        assert!(db.remove("CT", ["k", "gone"]).unwrap());
+        assert!(replica.wait_caught_up(wait).unwrap());
+        db.checkpoint().unwrap();
+        assert!(replica.wait_caught_up(wait).unwrap());
+        replica
+    };
+    let db = primary(&root);
+    db.insert("CT", ["k2", "gone"]).unwrap();
+    assert!(replica.wait_caught_up(wait).unwrap());
+    assert_converged(&db, &replica);
+    assert_eq!(
+        replica.database().lookup("gone"),
+        db.lookup("gone"),
+        "the name kept its id"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// A follower lends `&Database`, whose writes take `&self`: each is
 /// refused typed, and — the part that matters — **before** it interns.
 /// One stray name in the follower's pool would shift every later
@@ -306,7 +337,7 @@ fn a_non_durable_server_refuses_subscriptions() {
     let server = Server::serve(shared, "127.0.0.1:0").unwrap();
 
     let client = ids_client::Client::connect(server.local_addr()).unwrap();
-    let mut sub = client.subscribe(vec![(0, 0), (0, 0)], 0).unwrap();
+    let mut sub = client.subscribe(vec![(0, 0), (0, 0)]).unwrap();
     let err = sub.next_frames().unwrap_err();
     assert!(
         matches!(

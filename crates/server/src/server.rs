@@ -473,7 +473,8 @@ impl<'a> Session<'a> {
             // stream until the client disconnects (or the stream hits a
             // typed error, after which ordinary requests are served
             // again).
-            Request::Subscribe { cursors, names } => match self.subscribe(id, cursors, names) {
+            // `names` is retired (see `Request::Subscribe`): ignored.
+            Request::Subscribe { cursors, .. } => match self.subscribe(id, cursors) {
                 Err(StreamEnd::Refused(err)) => self.reply(id, &Reply::Error(err)),
                 Err(StreamEnd::Hangup(e)) => Err(e),
             },
@@ -522,10 +523,10 @@ impl<'a> Session<'a> {
     }
 
     /// Maps one [`Shipment`] of the follow loop to its reply: a manifest
-    /// verbatim, names and records as [`Reply::Frames`] of their verbatim
-    /// payloads (recorded in the event log).
+    /// verbatim, records as [`Reply::Frames`] of their verbatim payloads
+    /// (recorded in the event log).
     fn ship(&mut self, id: u64, shipment: Shipment) -> Result<(), FrameError> {
-        let (relation, gen, tip, frames): (u16, u64, u64, Vec<Vec<u8>>) = match shipment {
+        let (relation, gen, tip, records) = match shipment {
             Shipment::Manifest { gen, payload, .. } => {
                 let manifest = Reply::Manifest {
                     generation: gen,
@@ -533,24 +534,14 @@ impl<'a> Session<'a> {
                 };
                 return self.reply(id, &manifest);
             }
-            Shipment::Names { names, tip } => (
-                POOL_STREAM,
-                0,
-                tip,
-                names.into_iter().map(|n| n.payload).collect(),
-            ),
             Shipment::Records {
                 relation,
                 gen,
                 tip,
                 records,
-            } => (
-                relation,
-                gen,
-                tip,
-                records.into_iter().map(|r| r.payload).collect(),
-            ),
+            } => (relation, gen, tip, records),
         };
+        let frames: Vec<Vec<u8>> = records.into_iter().map(|r| r.payload).collect();
         self.obs.registry.events().record(Event::SegmentShipped {
             relation,
             generation: gen,
@@ -568,8 +559,9 @@ impl<'a> Session<'a> {
     /// The replication ship loop behind [`Request::Subscribe`].
     ///
     /// An [`ids_wal::Follower`] over the primary's own directory does the
-    /// following — manifests, then names, then records batched per
-    /// `(generation, scheme index)`, every tailer retargeted at every
+    /// following — manifests, then records batched per `(generation,
+    /// scheme index)`, each carrying the names it is the first in its
+    /// segment to use, every tailer retargeted at every
     /// manifest — and this loop forwards each [`Shipment`] as the
     /// follower hands it over (one relation's backlog at a time),
     /// payloads **verbatim**: the bytes a
@@ -578,8 +570,9 @@ impl<'a> Session<'a> {
     /// stability.  One thread writes the socket in program order, so a
     /// manifest reaches the follower before any frame written under it.
     ///
-    /// When a round ships nothing, one empty `POOL_STREAM` reply is sent
-    /// as a heartbeat: it tells the follower "you have everything I can
+    /// When a round ships nothing, one empty `POOL_STREAM` batch is sent
+    /// as a heartbeat — the only use left of that retired label: it
+    /// tells the follower "you have everything I can
     /// see" (frames are ordered in-channel, so an empty round after
     /// everything shipped means caught-up).  The round then waits for a
     /// ping in a timed read of [`IDLE_WAIT`], so a barrier ping ends the
@@ -590,12 +583,7 @@ impl<'a> Session<'a> {
     /// `Pong` is a sync barrier — every record durable before the ping was
     /// sent has been shipped by the time the follower sees the answer.
     /// Any other request on a replication stream gets a typed error.
-    fn subscribe(
-        &mut self,
-        id: u64,
-        cursors: Vec<(u64, u64)>,
-        names: u64,
-    ) -> Result<Infallible, StreamEnd> {
+    fn subscribe(&mut self, id: u64, cursors: Vec<(u64, u64)>) -> Result<Infallible, StreamEnd> {
         let root = self
             .db
             .store()
@@ -604,9 +592,7 @@ impl<'a> Session<'a> {
         let cursors: Vec<Cursor> = (cursors.into_iter())
             .map(|(gen, seq)| Cursor { gen, seq })
             .collect();
-        let mut follower = Follower::new(&WalDir::open(&root)?, &cursors, names)?;
-        // The heartbeat's tip: the names tip last shipped.
-        let mut names_tip = 0;
+        let mut follower = Follower::new(&WalDir::open(&root)?, &cursors)?;
         // How long this round's first read may wait: after an idle round,
         // [`IDLE_WAIT`]; otherwise not at all.
         let mut wait = None;
@@ -630,12 +616,7 @@ impl<'a> Session<'a> {
                     }
                 }
             }
-            let polled = follower.poll(|shipment| {
-                if let Shipment::Names { tip, .. } = &shipment {
-                    names_tip = *tip;
-                }
-                Ok::<_, StreamEnd>(self.ship(id, shipment)?)
-            })?;
+            let polled = follower.poll(|shipment| Ok::<_, StreamEnd>(self.ship(id, shipment)?))?;
             let FollowPoll::Shipped(shipped) = polled else {
                 return Err(StreamEnd::Refused(WireError::Durability(
                     "subscribe cursor is behind pruned segments: \
@@ -650,7 +631,7 @@ impl<'a> Session<'a> {
                 let heartbeat = Reply::Frames {
                     relation: POOL_STREAM,
                     gen: 0,
-                    tip: names_tip,
+                    tip: 0,
                     frames: Vec::new(),
                 };
                 self.reply(id, &heartbeat)?;
@@ -733,21 +714,18 @@ fn execute(db: &Database, obs: &ServerObs, req: Request) -> Reply {
             Ok(n) => Reply::Count(n as u64),
             Err(e) => Reply::Error(wire_error(e)),
         },
-        Request::Snapshot => match db.snapshot() {
-            Ok(state) => {
-                let schema = db.schema();
-                let counts = schema
-                    .relation_names()
-                    .map(|name| {
-                        let id = schema
-                            .scheme_id(name)
-                            .expect("catalog names come from the schema itself");
-                        (name.to_string(), state.relation(id).len() as u64)
-                    })
-                    .collect();
-                Reply::Snapshot { counts }
-            }
-            Err(e) => Reply::Error(wire_error(e)),
+        // The cut and the names that label it come from one era, so an
+        // alter racing the request can change neither under the other.
+        Request::Snapshot => match db.store().era().and_then(|era| {
+            let state = era.snapshot()?;
+            let definition = era.schema().definition();
+            let counts = (definition.iter())
+                .map(|(id, s)| (s.name.clone(), state.relation(id).len() as u64))
+                .collect();
+            Ok(counts)
+        }) {
+            Ok(counts) => Reply::Snapshot { counts },
+            Err(e) => Reply::Error(wire_error(e.into())),
         },
         Request::Checkpoint => match db.checkpoint() {
             Ok(()) => Reply::Checkpointed,

@@ -144,8 +144,9 @@ pub enum Request {
         /// Per-relation resume positions, one `(generation, seq)` pair
         /// per relation in schema order.
         cursors: Vec<(u64, u64)>,
-        /// Number of value-pool names the follower already has (its
-        /// resume position in the name log).
+        /// Retired: the resume position in the global name log of the
+        /// older format.  Relation logs now carry the names their
+        /// records use, so the server ignores it; clients send 0.
         names: u64,
     },
     /// Natural join over named relations, answered with
@@ -243,21 +244,18 @@ pub enum Reply {
     /// log frames of a single relation, shipped verbatim from the
     /// primary's segment files.
     Frames {
-        /// Relation index the frames belong to, or [`POOL_STREAM`] for
-        /// value-pool name-log frames.
+        /// Relation index the frames belong to ([`POOL_STREAM`] on the
+        /// empty idle heartbeat).
         relation: u16,
-        /// Checkpoint generation the frames came from (0 for the name
-        /// stream, which has no generations).
+        /// Checkpoint generation the frames came from (0 on the
+        /// heartbeat).
         gen: u64,
         /// The primary's current tip for this stream when the batch
-        /// was cut: the last appended sequence number (for
-        /// [`POOL_STREAM`], the names shipped since the subscription's
-        /// starting point — [`ids_wal::Shipment::Names`]).  `tip` minus
-        /// the last frame's sequence number is the follower's lag.
+        /// was cut: the last appended sequence number.  `tip` minus the
+        /// last frame's sequence number is the follower's lag.
         tip: u64,
-        /// Raw frame payloads, exactly as stored on disk —
-        /// [`ids_wal::WalRecord`] payloads, or name-log payloads for
-        /// [`POOL_STREAM`].
+        /// Raw frame payloads, exactly as stored on disk:
+        /// [`ids_wal::WalRecord`] payloads, names included.
         frames: Vec<Vec<u8>>,
     },
     /// Answer to an accepted [`Request::Alter`]: the generation the
@@ -282,10 +280,11 @@ pub enum Reply {
     Error(WireError),
 }
 
-/// The `relation` value of a [`Reply::Frames`] batch that carries
-/// value-pool name-log frames instead of a relation's log records.
-/// Relation indices are `u16` but schemas are far smaller, so the
-/// sentinel cannot collide.
+/// The `relation` value of the older format's name-stream batches,
+/// retired with its global name log: a server sends no names under it,
+/// and labels with it only the **empty** [`Reply::Frames`] heartbeat of
+/// an idle stream.  Relation indices are `u16` but schemas are far
+/// smaller, so the sentinel cannot collide.
 pub const POOL_STREAM: u16 = u16::MAX;
 
 /// The FD-maintenance verdict of an insert, rendered for the wire.

@@ -226,7 +226,7 @@ fn in_memory_database_types_the_log_operations() {
         [no_log.clone(), no_log.clone()]
     );
     assert!(client.stats().is_ok(), "Stats answers");
-    let mut stream = client.subscribe(vec![(0, 0), (0, 0)], 0).unwrap();
+    let mut stream = client.subscribe(vec![(0, 0), (0, 0)]).unwrap();
     assert!(
         matches!(
             stream.next_frames(),
@@ -788,6 +788,60 @@ fn durable_checkpoint_roundtrips() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A `Snapshot` request answers from one schema era: racing add and
+/// drop alters over the wire can neither panic the connection nor label
+/// the cut with another era's relations.  Every reply names exactly the
+/// relations of its cut, with their counts.
+#[test]
+fn snapshots_racing_alters_name_exactly_the_relations_of_their_cut() {
+    let root = std::env::temp_dir().join(format!("ids-server-snap-race-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let db = Database::open_at(&root, schema(), DurableConfig::default()).unwrap();
+    db.insert("CT", ["CS402", "Jones"]).unwrap();
+    db.insert("CS", ["CS402", "Riley"]).unwrap();
+    let server = serve(Arc::new(db.into_shared().unwrap()));
+    let addr = server.local_addr();
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let snapshots = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let mut client = Client::connect(addr).unwrap();
+            let mut seen = Vec::new();
+            while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                seen.push(
+                    client
+                        .snapshot()
+                        .expect("the connection survives every race"),
+                );
+            }
+            seen
+        });
+        // TMP reuses CS's columns: a dropped relation must leave every
+        // attribute covered elsewhere.
+        let mut client = Client::connect(addr).unwrap();
+        let churned = (0..60).try_for_each(|_| {
+            client.alter(AlterOp::AddRelation {
+                name: "TMP".into(),
+                columns: vec!["course".into(), "student".into()],
+            })?;
+            client.alter(AlterOp::DropRelation { name: "TMP".into() })?;
+            Ok::<_, ClientError>(())
+        });
+        // Set before any unwrap, so a failed alter fails the test rather
+        // than hanging it.
+        done.store(true, std::sync::atomic::Ordering::Relaxed);
+        churned.unwrap();
+        reader.join().unwrap()
+    });
+    let base = vec![("CT".to_string(), 1), ("CS".to_string(), 1)];
+    let grown = [base.clone(), vec![("TMP".to_string(), 0)]].concat();
+    assert!(!snapshots.is_empty());
+    for counts in &snapshots {
+        assert!(*counts == base || *counts == grown, "{counts:?}");
+    }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn alters_cross_the_wire_with_witnessed_refusals() {
     let root = std::env::temp_dir().join(format!("ids-server-alter-{}", std::process::id()));
@@ -998,7 +1052,7 @@ fn a_barrier_ping_on_an_idle_stream_does_not_wait_out_a_sleep() {
     let server = serve(Arc::new(db.into_shared().unwrap()));
 
     let client = Client::connect(server.local_addr()).unwrap();
-    let mut stream = client.subscribe(vec![(0, 0)], 0).unwrap();
+    let mut stream = client.subscribe(vec![(0, 0)]).unwrap();
     // The first heartbeat: nothing to ship, the stream is idle.
     while !stream.next_frames().unwrap().frames.is_empty() {}
 
@@ -1026,7 +1080,7 @@ fn a_subscribe_with_the_wrong_cursor_count_is_the_callers_error() {
     let server = serve(Arc::new(db.into_shared().unwrap()));
 
     let client = Client::connect(server.local_addr()).unwrap();
-    let mut stream = client.subscribe(vec![(0, 0); 3], 0).unwrap();
+    let mut stream = client.subscribe(vec![(0, 0); 3]).unwrap();
     match stream.next_event() {
         Err(ClientError::Server(WireError::Internal(msg))) => assert_eq!(
             msg,

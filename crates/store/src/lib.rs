@@ -84,7 +84,8 @@
 //! ## Lock order
 //!
 //! Generation mutex (checkpoints and schema transitions) → topology
-//! guard → slot mutexes in ascending scheme id.  Every operation takes
+//! guard → slot mutexes in ascending scheme id → the value pool
+//! ([`Store::names`]).  Every operation takes
 //! the topology guard for reading **once** — an [`Era`] — and holds it
 //! for its whole duration; only a transition's switch takes it for
 //! writing.  So the write guard is a barrier: when a transition holds
@@ -92,10 +93,14 @@
 //! id, declared layout, cover and slot in the one [`Schema`] of its era.
 //! No operation path takes the read guard a second time while holding
 //! it: std readers queue behind a waiting writer, so a nested read would
-//! deadlock against a pending switch.  A lock a caller layers on top
-//! (the `ids-api` name pool) is taken inside the era and released before
-//! the slot is locked.  No slot lock is ever held while taking another,
-//! except in [`Store::snapshot`], which takes them all in that order.
+//! deadlock against a pending switch.  The `ids-api` front end interns
+//! into the value pool inside the era and releases it before the slot
+//! is locked; a durable slot locks the pool *inside* its own lock, and
+//! only to read the names of values its current log segment has not
+//! defined yet.  A checkpoint locks it, to copy it, after the slots are
+//! released.
+//! No slot lock is ever held while taking another, except in
+//! [`Store::snapshot`], which takes them all in that order.
 //!
 //! ## Durability
 //!
@@ -105,13 +110,19 @@
 //! append-only log with its own sequence numbers and **no ordering
 //! between logs** — a lock scope appends the ops it accepted,
 //! group-fsyncs them per the [`SyncPolicy`] before anything is
-//! acknowledged, and never touches another relation's log.  A log
+//! acknowledged, and never touches another relation's log.  The logs
+//! are self-defining: the first record of a segment that uses a value of
+//! the store's value pool ([`Store::names`]) carries the value's name,
+//! so names share their records' file, fsync and policy, and no file is
+//! shared between relations.  A log
 //! failure poisons *that relation only*: the failing call and every later
 //! operation on it report [`StoreError::ShardPoisoned`] with the first
 //! failure's reason, as does every store-wide operation, while the other
 //! relations keep serving.  [`Store::checkpoint`] rotates every log onto
-//! a fresh generation, writes one snapshot, and truncates the covered
-//! generations.  Reopening the same path replays snapshot + log tails
+//! a fresh generation, writes one snapshot — carrying every name of the
+//! pool and its next id — and truncates the covered generations.
+//! Reopening the same path rebuilds the value pool from the snapshot's
+//! and the records' definitions and replays snapshot + log tails
 //! through the same [`RelationShard`] probe/commit machinery the live
 //! store runs — replay is per-relation, embarrassingly parallel in
 //! principle, and doubles as an integrity check (every logged op must
@@ -138,7 +149,7 @@ use ids_deps::{Fd, FdSet};
 use ids_obs::{Counter, Event, LatencyHistogram, MetricsSnapshot, Registry};
 use ids_relational::{
     AttrId, DatabaseSchema, DatabaseState, Predicate, ReadPlan, ReadReply, Relation,
-    RelationalError, SchemeId, Tuple, Value,
+    RelationalError, SchemeId, Tuple, Value, ValuePool,
 };
 use ids_wal::{Cursor, Manifest, WalDir, WalError, WalMetrics, WalOp, WalWriter};
 
@@ -565,6 +576,10 @@ pub struct Store {
     /// The store's observability surface: the registry every layer's
     /// metric families are interned in.
     obs: StoreObs,
+    /// The value pool the logs name their values from: rebuilt by
+    /// recovery, shared with every log writer, read by checkpoints.
+    /// `None` for a store built in memory.
+    names: Option<Arc<Mutex<ValuePool>>>,
 }
 
 /// The serving state of a [`Store`], swapped wholesale by a schema
@@ -611,13 +626,20 @@ struct Durability {
 impl Durability {
     /// Opens relation `id`'s log segment at `gen`, continuing its
     /// sequence numbering from `last_seq`, wired to the store's fault
-    /// injection and WAL metric family.
-    fn writer(&self, id: SchemeId, gen: u64, last_seq: u64) -> Result<WalWriter, WalError> {
+    /// injection, WAL metric family and value pool `names`.
+    fn writer(
+        &self,
+        id: SchemeId,
+        gen: u64,
+        last_seq: u64,
+        names: &Arc<Mutex<ValuePool>>,
+    ) -> Result<WalWriter, WalError> {
         let mut writer = self.dir.segment_writer(id.index() as u16, gen, last_seq)?;
         if let Some(n) = self.fail_appends_after {
             writer.fail_appends_after(n);
         }
         writer.set_metrics(self.wal_metrics.clone());
+        writer.set_names(Arc::clone(names));
         Ok(writer)
     }
 }
@@ -826,7 +848,7 @@ impl Store {
         let store = Self::from_schema(schema, config)?;
         let state = store.snapshot()?;
         if state.total_tuples() > 0 {
-            dir.write_snapshot(&state, &vec![0; state.len()], 0)?;
+            dir.write_snapshot(&state, &vec![0; state.len()], 0, Vec::new(), 0)?;
         }
         Ok(store)
     }
@@ -850,6 +872,8 @@ impl Store {
     /// the era manifest (a cold path, memoized per era); the final era
     /// reuses `schema`'s covers.  With a single-entry manifest chain this
     /// degenerates to plain single-schema replay.
+    ///
+    /// The store keeps the value pool recovery rebuilt ([`Store::names`]).
     ///
     /// Returns the in-memory store and each relation's last sequence
     /// number; replay progress lands in the store's registry as the
@@ -932,7 +956,10 @@ impl Store {
         // recovered relations in their (replayed) insertion order.
         apply_ordered_indexes(&schema, &mut shards, &relations, ordered_indexes)?;
         let duration = start.elapsed();
-        let store = Self::assemble(schema, relations, shards);
+        let store = Store {
+            names: Some(Arc::new(Mutex::new(recovered.names))),
+            ..Self::assemble(schema, relations, shards)
+        };
         let registry = &store.obs.registry;
         for (i, n) in replayed.iter().enumerate() {
             registry
@@ -965,13 +992,15 @@ impl Store {
             poison: OnceLock::new(),
             durability: None,
             obs: StoreObs { registry },
+            names: None,
         }
     }
 
     /// Makes an in-memory store durable over `dir`: one segment writer
     /// per relation on generation `next_gen`, continuing its sequence
     /// numbering from `last_seqs`, all wired to the store-wide WAL
-    /// metric family.
+    /// metric family and to the value pool (a fresh one unless recovery
+    /// rebuilt it).
     fn attach_writers(
         mut self,
         dir: WalDir,
@@ -994,13 +1023,14 @@ impl Store {
             fail_appends_after,
             wal_metrics,
         };
+        let names = (self.names).get_or_insert_with(|| Arc::new(Mutex::new(ValuePool::new())));
         let topo = self
             .topology
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner);
         for (slot, &last_seq) in topo.slots.iter_mut().zip(last_seqs) {
             let slot = slot.get_mut().unwrap_or_else(PoisonError::into_inner);
-            slot.wal = Some(durability.writer(slot.id, next_gen, last_seq)?);
+            slot.wal = Some(durability.writer(slot.id, next_gen, last_seq, names)?);
         }
         self.durability = Some(durability);
         Ok(self)
@@ -1109,24 +1139,19 @@ impl Store {
         self.durability.is_some()
     }
 
-    /// Where a durable store's optional value-pool name log lives (the
-    /// `ids-api` layer writes it; the store itself never touches it).
-    pub fn pool_log_path(&self) -> Option<std::path::PathBuf> {
-        self.durability.as_ref().map(|d| d.dir.pool_log_path())
+    /// The value pool the store's logs name their values from — what a
+    /// durable open or a recovery ([`Store::recover_from`] included)
+    /// rebuilt from the directory's definitions, and every log writer
+    /// and checkpoint reads.  `None` for a store built in memory.  The
+    /// `ids-api` front end interns into this same pool.
+    pub fn names(&self) -> Option<Arc<Mutex<ValuePool>>> {
+        self.names.clone()
     }
 
     /// Root of a durable store's log directory — what a replication
     /// follower (or the server's subscribe path) tails read-only.
     pub fn wal_root(&self) -> Option<std::path::PathBuf> {
         self.durability.as_ref().map(|d| d.dir.root().to_path_buf())
-    }
-
-    /// The directory's identity fingerprint — the one from the **base**
-    /// manifest, which every segment, snapshot, and the name log carry
-    /// for the directory's whole life (schema transitions append
-    /// generation manifests; they do not re-fingerprint the directory).
-    pub fn wal_fingerprint(&self) -> Option<u32> {
-        self.durability.as_ref().map(|d| d.dir.fingerprint())
     }
 
     /// The current schema generation of a durable store: 0 at creation,
@@ -1182,7 +1207,9 @@ impl Store {
         // already-created segment files.
         *gen = new_gen;
         let state = DatabaseState::from_relations(definition, relations)?;
-        d.dir.write_snapshot(&state, &seqs, old_gen)?;
+        let (names, next_id) = self.pool_names()?;
+        d.dir
+            .write_snapshot(&state, &seqs, old_gen, names, next_id)?;
         d.dir.prune_segments(old_gen)?;
         let duration = start.map(|t| t.elapsed()).unwrap_or_default();
         self.obs
@@ -1197,6 +1224,21 @@ impl Store {
                 duration,
             });
         Ok(())
+    }
+
+    /// The `(value, name)` of every name in the pool, and the pool's
+    /// next id: what a snapshot must define, since the segments that did
+    /// are the ones it lets a checkpoint prune.  The whole pool, not just
+    /// the names the rows use — a name whose rows are all gone keeps its
+    /// id, as any follower that saw it does.  The pool is locked only to
+    /// copy it.
+    fn pool_names(&self) -> Result<(Vec<(Value, String)>, u64), StoreError> {
+        let Some(names) = &self.names else {
+            return Ok((Vec::new(), 0));
+        };
+        let pool = names.lock().map_err(|_| StoreError::Disconnected)?.clone();
+        let defs = pool.iter().map(|(name, v)| (v, name.to_owned())).collect();
+        Ok((defs, pool.len() as u64))
     }
 
     /// Applies an `ALTER`-class schema transition to the **running**
@@ -1411,8 +1453,12 @@ impl Store {
         drop(topo);
         let mut placed = Vec::with_capacity(definition.len());
         for id in definition.ids().filter(|id| !remap.contains(&Some(*id))) {
+            let names = self
+                .names
+                .as_ref()
+                .expect("a durable store has a value pool");
             let writer = d
-                .writer(id, new_gen, 0)
+                .writer(id, new_gen, 0, names)
                 .map_err(|e| (families as u64, e.into()))?;
             let slot = Slot::new(
                 id,
@@ -1627,14 +1673,7 @@ impl Store {
     /// On an independent schema the snapshot is globally satisfying — each
     /// relation enforced its `Fi`, and `LSAT = WSAT` does the rest.
     pub fn snapshot(&self) -> Result<DatabaseState, StoreError> {
-        let topo = self.topology()?;
-        let definition = &topo.schema.definition;
-        let slots = (definition.ids())
-            .map(|id| self.lock(&topo, id))
-            .collect::<Result<Vec<_>, _>>()?;
-        let relations = slots.iter().map(|slot| slot.rel.clone()).collect();
-        drop(slots);
-        DatabaseState::from_relations(definition, relations).map_err(Into::into)
+        self.era()?.snapshot()
     }
 
     /// Shuts the store down and hands back the final state.  Dropping a
@@ -1697,6 +1736,18 @@ impl Era<'_> {
     pub fn remove(&self, id: SchemeId, tuple: Vec<Value>) -> Result<bool, StoreError> {
         Store::validate(&self.topo, id, &tuple)?;
         (self.store).write(&self.topo, id, |slot, tally| slot.remove(tuple, tally))
+    }
+
+    /// [`Store::snapshot`] in this era: a cut of exactly the relations
+    /// of [`Era::schema`].
+    pub fn snapshot(&self) -> Result<DatabaseState, StoreError> {
+        let definition = &self.topo.schema.definition;
+        let slots = (definition.ids())
+            .map(|id| self.store.lock(&self.topo, id))
+            .collect::<Result<Vec<_>, _>>()?;
+        let relations = slots.iter().map(|slot| slot.rel.clone()).collect();
+        drop(slots);
+        DatabaseState::from_relations(definition, relations).map_err(Into::into)
     }
 
     /// [`Store::read`] in this era.

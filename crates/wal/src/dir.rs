@@ -6,9 +6,9 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use ids_deps::FdSet;
-use ids_relational::{DatabaseSchema, DatabaseState, Relation, SchemeId};
+use ids_relational::{DatabaseSchema, DatabaseState, Relation, SchemeId, Value, ValuePool};
 
-use crate::format::{frame, next_frame, FRAME_HEADER_LEN};
+use crate::format::{frame, next_frame, MAX_FRAME_PAYLOAD};
 use crate::records::{Manifest, Snapshot, WalRecord};
 use crate::tail::{Cursor, FollowPoll, Follower, Shipment};
 use crate::writer::{parse_segment_file_name, WalWriter};
@@ -37,8 +37,9 @@ const SNAPSHOT_FILE: &str = "snapshot.ids";
 const SNAPSHOT_TMP_FILE: &str = "snapshot.tmp";
 /// Subdirectory holding the per-relation log segments.
 pub(crate) const WAL_SUBDIR: &str = "wal";
-/// Name of the optional value-pool log (see [`crate::NameLog`]).
-const POOL_FILE: &str = "pool.log";
+/// The global name log of the format before self-defining logs: a
+/// directory holding one is refused ([`WalError::LegacyNameLog`]).
+const LEGACY_POOL_FILE: &str = "pool.log";
 
 /// Handle to a durable database directory.
 ///
@@ -93,6 +94,11 @@ pub struct Recovered {
     /// Whether a snapshot file existed (distinguishes "no snapshot yet"
     /// from "snapshot of an empty state").
     pub has_snapshot: bool,
+    /// The value pool the snapshot's and the records' definitions
+    /// rebuild, each name under its logged id; an id below the highest
+    /// defined one, or below the snapshot's next id, that nothing names
+    /// is a hole, never handed out again.
+    pub names: ValuePool,
 }
 
 impl Recovered {
@@ -147,8 +153,15 @@ impl WalDir {
     }
 
     /// Opens an existing durable directory by reading its base manifest
-    /// and every generation manifest a schema transition appended.
+    /// and every generation manifest a schema transition appended.  A
+    /// directory that still holds the global `pool.log` of the older
+    /// format is refused with [`WalError::LegacyNameLog`]: its logs do
+    /// not carry the names their records use.
     pub fn open(root: &Path) -> Result<Self, WalError> {
+        let legacy = root.join(LEGACY_POOL_FILE);
+        if legacy.exists() {
+            return Err(WalError::LegacyNameLog { path: legacy });
+        }
         let path = root.join(MANIFEST_FILE);
         let base = Manifest::decode(&path, &read_sealed(&path, "manifest")?)?;
         let mut dir = WalDir {
@@ -250,11 +263,6 @@ impl WalDir {
         self.fingerprint
     }
 
-    /// Where the optional value-pool name log lives.
-    pub fn pool_log_path(&self) -> PathBuf {
-        self.root.join(POOL_FILE)
-    }
-
     /// Checks that a caller-supplied schema + FD set is the one the
     /// directory currently serves (the *latest* manifest of the chain);
     /// a disagreement is the typed [`WalError::SchemaMismatch`]
@@ -301,27 +309,34 @@ impl WalDir {
     /// Atomically replaces the snapshot: write to a temp file, fsync,
     /// rename over `snapshot.ids`, fsync the directory.  Readers only
     /// ever see the old complete snapshot or the new complete one.
+    /// `names` defines the pool's values, and `next_id` is the pool's
+    /// first unused id: the segments that defined them are the ones the
+    /// snapshot lets a checkpoint prune.
     pub fn write_snapshot(
         &self,
         state: &DatabaseState,
         last_seqs: &[u64],
         covered_gen: u64,
+        names: Vec<(Value, String)>,
+        next_id: u64,
     ) -> Result<(), WalError> {
         let snap = Snapshot {
             fingerprint: self.fingerprint,
             covered_gen,
             last_seqs: last_seqs.to_vec(),
             state: state.clone(),
+            names,
+            next_id,
         };
         let tmp = self.root.join(SNAPSHOT_TMP_FILE);
         let dst = self.root.join(SNAPSHOT_FILE);
         let payload = snap.encode();
-        // An unreadable-by-construction snapshot must fail the
-        // *checkpoint* (log intact) rather than the next recovery
-        // (log already pruned).
-        crate::check_frame_size(&dst, payload.len())?;
         let mut f = File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-        f.write_all(&frame(&payload)).map_err(|e| io_err(&tmp, e))?;
+        // A payload past the frame bound — a large state with its names —
+        // is split over consecutive frames; one frame otherwise.
+        for chunk in payload.chunks(MAX_FRAME_PAYLOAD as usize) {
+            f.write_all(&frame(chunk)).map_err(|e| io_err(&tmp, e))?;
+        }
         f.sync_all().map_err(|e| io_err(&tmp, e))?;
         drop(f);
         std::fs::rename(&tmp, &dst).map_err(|e| io_err(&dst, e))?;
@@ -368,7 +383,10 @@ impl WalDir {
     /// segment's header tells a benign torn tail from lost records.
     /// Everything else that is malformed — checksum mismatch, sequence
     /// gaps, bad magic, a log that does not continue from the snapshot —
-    /// is a typed [`WalError::Corrupt`].
+    /// is a typed [`WalError::Corrupt`] — so are two definitions of one
+    /// value that name different strings.  Definitions are collected
+    /// from every record read, a dropped relation's included, so a
+    /// recovered pool never hands out an id a log already named.
     pub fn recover(&self) -> Result<Recovered, WalError> {
         let last = self.chain.len() - 1;
         let snap_path = self.root.join(SNAPSHOT_FILE);
@@ -385,9 +403,13 @@ impl WalDir {
         // manifest takes effect at exactly `covered_gen + 1`.)
         let era0 = self.governing(covered_gen + 1);
         let schema0 = &self.chain[era0].1.schema;
+        // Every definition the snapshot and the records hold, and the
+        // snapshot's next id.
+        let (mut defs, mut next_id) = (Vec::new(), 0);
         let (state, seqs) = match payload {
             Some(p) => {
                 let snap = Snapshot::decode(&snap_path, &p, schema0)?;
+                (defs, next_id) = (snap.names, snap.next_id);
                 (snap.state, snap.last_seqs)
             }
             None => (DatabaseState::empty(schema0), vec![0; schema0.len()]),
@@ -435,6 +457,7 @@ impl WalDir {
         // the recovered state is not expressed in: what it governs stays
         // unread.
         let mut horizon = u64::MAX;
+        let wal = self.root.join(WAL_SUBDIR);
         let polled = Follower::replaying(self, &cursors)?.poll(|shipment| {
             match shipment {
                 Shipment::Manifest { gen, .. } if gen > self.chain[last].0 => {
@@ -443,9 +466,15 @@ impl WalDir {
                 Shipment::Records {
                     relation,
                     gen,
-                    records,
+                    mut records,
                     ..
-                } if gen < horizon => {
+                } => {
+                    for r in &mut records {
+                        defs.append(&mut r.record.defs);
+                    }
+                    if gen >= horizon {
+                        return Ok(());
+                    }
                     let era = self.governing(gen);
                     if let Some(i) = to_latest[era - era0][relation as usize] {
                         if eras[i].last().map(|&(e, _)| e) != Some(era) {
@@ -458,13 +487,22 @@ impl WalDir {
             }
             Ok::<_, WalError>(())
         })?;
-        let wal = self.root.join(WAL_SUBDIR);
         if polled == FollowPoll::Behind {
             return Err(corrupt(
                 &wal,
                 "a relation's log does not continue from the snapshot",
             ));
         }
+        // The pool, built in id order; definitions no pool can hold — two
+        // names for one value, one name for two — are corruption.
+        defs.sort_unstable();
+        defs.dedup();
+        let mut names = ValuePool::new();
+        for (v, name) in defs {
+            (names.define(v, &name))
+                .map_err(|e| corrupt(&wal, format!("bad value definitions: {e}")))?;
+        }
+        names.reserve(next_id);
         let newest = list(&wal, parse_segment_file_name)?
             .into_iter()
             .map(|(_, gen)| gen)
@@ -477,6 +515,7 @@ impl WalDir {
             covered_gen,
             next_gen: newest.unwrap_or(0).max(covered_gen).max(self.chain[last].0) + 1,
             has_snapshot,
+            names,
         })
     }
 }
@@ -500,19 +539,23 @@ fn write_manifest_file(root: &Path, name: &str, manifest: &Manifest) -> Result<(
     Ok(())
 }
 
-/// Reads a file that holds exactly one frame — a manifest or the
-/// snapshot — and returns its payload.  Those files are staged and
-/// renamed into place whole, so a torn frame or trailing bytes is
-/// corruption, not a crash artifact.
+/// Reads a file that holds one payload — a manifest or the snapshot —
+/// in one frame, or in several when it outgrew the frame bound, and
+/// returns the payload.  Those files are staged and renamed into place
+/// whole, so a torn frame is corruption, not a crash artifact.
 fn read_sealed(path: &Path, what: &str) -> Result<Vec<u8>, WalError> {
-    let mut bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
-    match next_frame(path, &bytes, what)? {
-        Some((_, [])) => {}
-        Some(_) => return Err(corrupt(path, format!("trailing bytes after {what} frame"))),
-        None => return Err(corrupt(path, format!("{what} frame truncated"))),
+    let bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
+    let (mut payload, mut rest) = (Vec::new(), &bytes[..]);
+    loop {
+        let Some((chunk, r)) = next_frame(path, rest, what)? else {
+            return Err(corrupt(path, format!("{what} frame truncated")));
+        };
+        payload.extend_from_slice(chunk);
+        if r.is_empty() {
+            return Ok(payload);
+        }
+        rest = r;
     }
-    bytes.drain(..FRAME_HEADER_LEN);
-    Ok(bytes)
 }
 
 /// The names of the files in `dir` that `parse` accepts, parsed; an
@@ -609,7 +652,8 @@ mod tests {
         state
             .insert(SchemeId(1), vec![Value(1), Value(50)])
             .unwrap();
-        dir.write_snapshot(&state, &[2, 1], 1).unwrap();
+        dir.write_snapshot(&state, &[2, 1], 1, Vec::new(), 0)
+            .unwrap();
         dir.prune_segments(1).unwrap();
 
         // Post-checkpoint records land in gen 2.
@@ -810,6 +854,99 @@ mod tests {
         let n = flipped.len();
         flipped[n - 1] ^= 0x80;
         std::fs::write(&seg, &flipped).unwrap();
+        assert!(matches!(dir.recover(), Err(WalError::Corrupt { .. })));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A writer whose segments define their values from `names`.
+    fn named_writer(dir: &WalDir, scheme: u16, names: &[&str]) -> WalWriter {
+        let mut pool = ids_relational::ValuePool::new();
+        for name in names {
+            pool.value(name);
+        }
+        let mut w = dir.segment_writer(scheme, 1, 0).unwrap();
+        w.set_names(std::sync::Arc::new(std::sync::Mutex::new(pool)));
+        w
+    }
+
+    /// Recovery gathers every definition — the snapshot's, and each
+    /// relation's records' — and refuses two that rename one value.
+    #[test]
+    fn recovery_unions_definitions_and_types_a_conflict_as_corrupt() {
+        let root = tmp("definitions");
+        let (schema, fds) = setup();
+        let dir = WalDir::create(&root, &schema, &fds, Vec::new()).unwrap();
+        let snap = DatabaseState::empty(&schema);
+        dir.write_snapshot(&snap, &[0, 0], 0, vec![(Value(4), "old".into())], 6)
+            .unwrap();
+        let mut w0 = named_writer(&dir, 0, &["a", "b", "c"]);
+        let mut w1 = named_writer(&dir, 1, &["a", "b", "c"]);
+        w0.append(WalOp::Insert(vec![Value(0), Value(2)])).unwrap();
+        w1.append(WalOp::Insert(vec![Value(0), Value(1)])).unwrap();
+        // A value with no name in the pool is not defined.
+        w1.append(WalOp::Insert(vec![Value(9), Value(1)])).unwrap();
+        drop((w0, w1));
+        let r = dir.recover().unwrap();
+        let names: Vec<(&str, u64)> = r.names.iter().map(|(n, v)| (n, v.0)).collect();
+        assert_eq!(names, [("a", 0), ("b", 1), ("c", 2), ("old", 4)]);
+        assert_eq!(r.names.len(), 6);
+
+        // Relation 1's next segment names value 2 differently.
+        let mut w1 = dir.segment_writer(1, 2, 2).unwrap();
+        let mut pool = ids_relational::ValuePool::new();
+        pool.define(Value(2), "not c").unwrap();
+        w1.set_names(std::sync::Arc::new(std::sync::Mutex::new(pool)));
+        w1.append(WalOp::Insert(vec![Value(2), Value(2)])).unwrap();
+        match dir.recover() {
+            Err(WalError::Corrupt { detail, .. }) => {
+                assert!(
+                    detail.contains("conflicting definitions of value 2"),
+                    "{detail}"
+                )
+            }
+            other => panic!("expected corruption, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A directory of the format with a global name log is refused with a
+    /// typed error, before anything is read.
+    #[test]
+    fn a_directory_with_a_pool_log_is_refused() {
+        let root = tmp("legacy");
+        let (schema, fds) = setup();
+        WalDir::create(&root, &schema, &fds, Vec::new()).unwrap();
+        std::fs::write(root.join("pool.log"), b"").unwrap();
+        assert!(matches!(
+            WalDir::open(&root),
+            Err(WalError::LegacyNameLog { path }) if path == root.join("pool.log")
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A snapshot whose payload outgrew the frame bound is written over
+    /// consecutive frames; recovery reads them as one payload, and a torn
+    /// last frame is corruption.
+    #[test]
+    fn a_snapshot_split_over_frames_reads_as_one() {
+        let root = tmp("split-snapshot");
+        let (schema, fds) = setup();
+        let dir = WalDir::create(&root, &schema, &fds, Vec::new()).unwrap();
+        let mut state = DatabaseState::empty(&schema);
+        state.insert(SchemeId(0), vec![Value(0), Value(1)]).unwrap();
+        let names = vec![(Value(0), "a".to_string()), (Value(1), "b".into())];
+        dir.write_snapshot(&state, &[0, 0], 0, names, 2).unwrap();
+        let path = root.join(SNAPSHOT_FILE);
+        let bytes = std::fs::read(&path).unwrap();
+        let (payload, []) = next_frame(&path, &bytes, "snapshot").unwrap().unwrap() else {
+            panic!("a small snapshot is one frame");
+        };
+        let split = [frame(&payload[..20]), frame(&payload[20..])].concat();
+        std::fs::write(&path, &split).unwrap();
+        let r = dir.recover().unwrap();
+        assert_eq!(r.base.total_tuples(), 1);
+        assert_eq!((r.names.name(Value(1)), r.names.len()), (Some("b"), 2));
+        std::fs::write(&path, &split[..split.len() - 1]).unwrap();
         assert!(matches!(dir.recover(), Err(WalError::Corrupt { .. })));
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -9,8 +9,7 @@
 //! ## The frame
 //!
 //! Every self-contained payload on disk — manifest, snapshot, segment
-//! header, each log record, each pool-log name — is wrapped in one
-//! frame:
+//! header, each log record — is wrapped in one frame:
 //!
 //! ```text
 //! offset  size  field
@@ -22,7 +21,8 @@
 //! The CRC covers the **length field too**, so a corrupted length that
 //! still points inside the buffer is caught as corruption rather than
 //! re-framing the log; lengths above [`MAX_FRAME_PAYLOAD`] are rejected
-//! outright (no real payload is that large — only corruption is).
+//! outright (no frame is written that large — a snapshot past it is
+//! split over consecutive frames — so only corruption is).
 //!
 //! Reading distinguishes four outcomes ([`FrameOutcome`]):
 //!
@@ -61,12 +61,13 @@ pub const SEGMENT_MAGIC: [u8; 4] = *b"IDSW";
 /// Magic prefix of the `snapshot.ids` payload.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"IDSS";
 
-/// Magic prefix of the `pool.log` header payload.
+/// Magic prefix of a [`crate::NameLog`] header payload.
 pub const POOL_MAGIC: [u8; 4] = *b"IDSP";
 
 /// Hard upper bound on a frame payload (64 MiB).  Far above any real
-/// manifest, snapshot or record; a length field claiming more is
-/// corruption of the length itself, not a big payload.
+/// manifest or record, and a snapshot past it takes several frames; a
+/// length field claiming more is corruption of the length itself, not a
+/// big payload.
 pub const MAX_FRAME_PAYLOAD: u32 = 64 << 20;
 
 /// Bytes of the frame header, `[len: u32][crc: u32]`, before the payload.

@@ -20,13 +20,24 @@
 //! ```text
 //! <root>/
 //!   MANIFEST          one CRC frame: schema + FDs + app blob (written once)
-//!   snapshot.ids      one CRC frame: checkpointed state + per-relation seqnos
-//!   pool.log          optional name log (see NameLog; used by ids-api)
+//!   MANIFEST-g{n}     one CRC frame: the schema a transition made current at generation n
+//!   snapshot.ids      CRC frame(s): checkpointed state + per-relation seqnos
+//!                     + every name of the value pool and its next id
 //!   wal/
 //!     r00000-g0000000001.log     relation 0, generation 1
 //!     r00001-g0000000001.log     relation 1, generation 1
 //!     ...
 //! ```
+//!
+//! There is no global name log.  Each segment is **self-defining**: the
+//! first record in it that uses a value of the embedding application's
+//! value pool carries that value's `(id, name)` ([`WalRecord::defs`]),
+//! so a name is written to the file of its first use, before it, under
+//! the same fsync and the same [`SyncPolicy`].  Recovery and
+//! [`Follower`] take the names from that one record stream; two
+//! definitions of one value that disagree are [`WalError::Corrupt`].  A
+//! directory still holding the `pool.log` of the older format is refused
+//! with [`WalError::LegacyNameLog`].
 //!
 //! Every file is built from the same **frame**: `[len: u32 LE]`
 //! `[crc32(len ‖ payload): u32 LE]` `[payload]` (see [`mod@format`]).  A log
@@ -65,7 +76,7 @@ mod dir;
 pub use dir::{generation_manifest_name, parse_generation_manifest_name, Recovered, WalDir};
 pub use names::NameLog;
 pub use records::{fingerprint, Manifest, SegmentHeader, Snapshot, WalOp, WalRecord};
-pub use tail::{Cursor, FollowPoll, Follower, NameTailer, Shipment, TailedName, TailedRecord};
+pub use tail::{Cursor, FollowPoll, Follower, Shipment, TailedRecord};
 pub use writer::{parse_segment_file_name, segment_file_name, WalMetrics, WalWriter};
 
 use std::path::PathBuf;
@@ -127,10 +138,10 @@ pub enum WalError {
         /// The version the file declares.
         found: u16,
     },
-    /// A payload that would exceed the frame bound
-    /// ([`format::MAX_FRAME_PAYLOAD`]) was refused at *write* time —
-    /// before anything lands on disk, so the log is never truncated
-    /// against a snapshot that could not be read back.
+    /// A log record or manifest payload that would exceed the frame
+    /// bound ([`format::MAX_FRAME_PAYLOAD`]) was refused at *write*
+    /// time, before anything lands on disk.  (A snapshot that large is
+    /// written over several frames instead.)
     FrameTooLarge {
         /// The file the payload was destined for.
         path: PathBuf,
@@ -152,6 +163,13 @@ pub enum WalError {
         cursors: usize,
         /// Relations of the schema governing the cursors' generation.
         relations: usize,
+    },
+    /// The directory holds the global `pool.log` of the format before
+    /// self-defining logs: its segments do not carry the names their
+    /// records use, so opening it would lose every string.
+    LegacyNameLog {
+        /// The name log found.
+        path: PathBuf,
     },
     /// A relational-substrate error while decoding or rebuilding state.
     Relational(RelationalError),
@@ -180,6 +198,11 @@ impl std::fmt::Display for WalError {
             Self::CursorCount { cursors, relations } => write!(
                 f,
                 "{cursors} follower cursors but the schema has {relations} relations"
+            ),
+            Self::LegacyNameLog { path } => write!(
+                f,
+                "{} is a name log of an older directory format, which this version does not open",
+                path.display()
             ),
             Self::Relational(e) => write!(f, "{e}"),
         }

@@ -1,35 +1,25 @@
-//! A tiny append-only string log, used by the `ids-api` layer to make
-//! its interning `ValuePool` durable.
+//! A tiny append-only string log: a shim kept only for the pinned
+//! benchmark probe, which times [`NameLog::append`] on a bare file.  The
+//! product no longer writes it: a relation's log carries the names its
+//! records use ([`crate::WalRecord::defs`]), and [`crate::WalDir::open`]
+//! refuses a directory that still holds a `pool.log`.
 //!
-//! Interning order *is* the value assignment, so replaying the names in
-//! append order reproduces identical `Value` ids.  The log is framed
-//! like every other durability file: a header frame (magic, version,
-//! fingerprint) followed by one frame per name.  A torn tail is a clean
-//! end; a checksum-valid prefix is always a prefix of the appended
-//! names.
-//!
-//! Appends are fsync'd unconditionally, regardless of the store's
-//! [`crate::SyncPolicy`]: a name must be stable *before* any WAL record
-//! referencing its value, otherwise a crash could re-assign the id to a
-//! different string and silently alias stored tuples.  That is one
-//! `sync_data` per *new* string, which is free only for a workload that
-//! keeps reusing a warm vocabulary: a keyed workload brings a fresh
-//! name with almost every insert (the benchmark's write mix reads
-//! `wal.fsyncs_per_kop` 848.6), and there the name log, not the
-//! relation's WAL, sets the durable write rate.  ROADMAP item 2
-//! (self-defining relation logs) retires this file for that reason.
+//! The log is framed like every other durability file: a header frame
+//! (magic, version, fingerprint) followed by one frame per name,
+//! replayed in append order.  A torn tail is a clean end.  Appends are
+//! fsync'd unconditionally.
 
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use ids_relational::codec::Encoder;
+use ids_relational::codec::{Decoder, Encoder};
 
-use crate::format::{frame, FORMAT_VERSION, POOL_MAGIC};
-use crate::tail::{decode_name, NameTailer};
-use crate::{io_err, WalError};
+use crate::format::{frame, next_frame, FORMAT_VERSION, POOL_MAGIC};
+use crate::records::check_magic_version;
+use crate::{corrupt, io_err, WalError};
 
-/// The durable name log backing a `ValuePool`.
+/// An append-only, fsync-per-name string log (see the module docs).
 #[derive(Debug)]
 pub struct NameLog {
     path: PathBuf,
@@ -38,21 +28,31 @@ pub struct NameLog {
 
 impl NameLog {
     /// Opens (or creates) the log at `path` and replays its names in
-    /// append order, through the [`NameTailer`] followers use, then
-    /// truncates the torn tail it stopped at.  `fingerprint` ties the
-    /// log to its database; a log carrying a different fingerprint is a
-    /// typed [`WalError::SchemaMismatch`].
+    /// append order, then truncates the torn tail it stopped at.
+    /// `fingerprint` ties the log to its owner; a log carrying a
+    /// different fingerprint is a typed [`WalError::SchemaMismatch`].
     pub fn open(path: &Path, fingerprint: u32) -> Result<(Self, Vec<String>), WalError> {
-        let mut tailer = NameTailer::new(path, fingerprint, 0);
+        let bytes = match std::fs::read(path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(io_err(path, e)),
+        };
+        let Some((header, mut rest)) = next_frame(path, &bytes, "pool header")? else {
+            // Absent, or a crash during creation: start over.
+            return Self::create(path, fingerprint).map(|l| (l, Vec::new()));
+        };
+        let mut d = Decoder::new(header);
+        check_magic_version(path, &mut d, POOL_MAGIC, "pool")?;
+        if d.get_u32().ok() != Some(fingerprint) {
+            return Err(WalError::SchemaMismatch {
+                detail: "schema/FD set (pool log fingerprint)",
+            });
+        }
         let mut names = Vec::new();
-        tailer.each_name(|path, payload| {
-            names.push(decode_name(path, payload)?);
-            Ok(())
-        })?;
-        if tailer.offset() == 0 {
-            // Absent, or a crash during creation: nothing was ever
-            // acknowledged against this log, start over.
-            return Self::create(path, fingerprint).map(|l| (l, names));
+        while let Some((payload, r)) = next_frame(path, rest, "pool record")? {
+            let name = Decoder::new(payload).get_str();
+            names.push(name.map_err(|e| corrupt(path, format!("bad pool record: {e}")))?);
+            rest = r;
         }
         let file = OpenOptions::new()
             .append(true)
@@ -60,7 +60,7 @@ impl NameLog {
             .map_err(|e| io_err(path, e))?;
         // Drop any torn tail so the next append starts on a frame
         // boundary.
-        file.set_len(tailer.offset() as u64)
+        file.set_len((bytes.len() - rest.len()) as u64)
             .map_err(|e| io_err(path, e))?;
         let path = path.to_path_buf();
         Ok((NameLog { path, file }, names))
@@ -82,9 +82,8 @@ impl NameLog {
         file.write_all(&frame(&e.into_bytes()))
             .map_err(|e| io_err(path, e))?;
         file.sync_data().map_err(|e| io_err(path, e))?;
-        // Persist the directory entry too: losing pool.log wholesale
-        // after names were fsync'd into it would let recovery re-assign
-        // their value ids to different strings.
+        // Persist the directory entry too, so a power loss cannot drop
+        // the file its fsync'd names live in.
         if let Some(parent) = path.parent() {
             crate::dir::sync_dir(parent);
         }
@@ -94,8 +93,7 @@ impl NameLog {
         })
     }
 
-    /// Appends one name and fsyncs it (see the module docs for why the
-    /// sync is unconditional).
+    /// Appends one name and fsyncs it.
     pub fn append(&mut self, name: &str) -> Result<(), WalError> {
         crate::check_frame_size(&self.path, name.len() + 4)?;
         let mut e = Encoder::new();
@@ -156,7 +154,7 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_mismatch_is_typed() {
+    fn fingerprint_mismatch_and_corruption_are_typed() {
         let p = tmp("fp");
         {
             let (mut log, _) = NameLog::open(&p, 7).unwrap();
@@ -165,6 +163,14 @@ mod tests {
         assert!(matches!(
             NameLog::open(&p, 8),
             Err(WalError::SchemaMismatch { .. })
+        ));
+        let mut bytes = std::fs::read(&p).unwrap();
+        let n = bytes.len();
+        bytes[n - 1] ^= 0x01;
+        std::fs::write(&p, &bytes).unwrap();
+        assert!(matches!(
+            NameLog::open(&p, 7),
+            Err(WalError::Corrupt { .. })
         ));
         let _ = std::fs::remove_file(&p);
     }

@@ -38,8 +38,9 @@ impl WalOp {
     }
 }
 
-/// One record of a relation's log: a per-relation sequence number and
-/// the operation.
+/// One record of a relation's log: a per-relation sequence number, the
+/// operation, and the names of the values it is the first in its
+/// segment to use.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WalRecord {
     /// Per-relation sequence number; contiguous from the segment
@@ -47,14 +48,23 @@ pub struct WalRecord {
     pub seq: u64,
     /// The state change.
     pub op: WalOp,
+    /// `(value, name)` for each pool value of the tuple no earlier
+    /// record of the segment defined — what makes a segment readable on
+    /// its own.  Empty for most records.
+    pub defs: Vec<(Value, String)>,
 }
 
 const KIND_INSERT: u8 = 0;
 const KIND_REMOVE: u8 = 1;
+/// The two kinds above, followed by definitions.
+const KIND_INSERT_DEFINING: u8 = 2;
+const KIND_REMOVE_DEFINING: u8 = 3;
 
 impl WalRecord {
     /// Encodes the record payload:
-    /// `[seq u64][kind u8][arity u16][values u64 × arity]`.
+    /// `[seq u64][kind u8][arity u16][values u64 × arity]`, then, for
+    /// the defining kinds (a record with `defs`), the definitions
+    /// `[n u32][(value u64, name str) × n]`.
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new();
         e.put_u64(self.seq);
@@ -62,10 +72,18 @@ impl WalRecord {
             WalOp::Insert(t) => (KIND_INSERT, t),
             WalOp::Remove(t) => (KIND_REMOVE, t),
         };
-        e.put_u8(kind);
+        let defining = !self.defs.is_empty();
+        e.put_u8(if defining {
+            kind + KIND_INSERT_DEFINING
+        } else {
+            kind
+        });
         e.put_u16(tuple.len() as u16);
         for v in tuple {
             e.put_u64(v.0);
+        }
+        if defining {
+            put_defs(&mut e, &self.defs);
         }
         e.into_bytes()
     }
@@ -82,14 +100,19 @@ impl WalRecord {
                 tuple.push(Value(d.get_u64()?));
             }
             let op = match kind {
-                KIND_INSERT => WalOp::Insert(tuple),
-                KIND_REMOVE => WalOp::Remove(tuple),
+                KIND_INSERT | KIND_INSERT_DEFINING => WalOp::Insert(tuple),
+                KIND_REMOVE | KIND_REMOVE_DEFINING => WalOp::Remove(tuple),
                 _ => return Err(RelationalError::Codec("unknown record kind")),
+            };
+            let defs = if kind >= KIND_INSERT_DEFINING {
+                get_defs(&mut d)?
+            } else {
+                Vec::new()
             };
             if !d.is_done() {
                 return Err(RelationalError::Codec("trailing bytes in record"));
             }
-            Ok(WalRecord { seq, op })
+            Ok(WalRecord { seq, op, defs })
         })();
         inner.map_err(|e| corrupt(path, format!("bad log record: {e}")))
     }
@@ -161,12 +184,18 @@ pub struct Snapshot {
     pub last_seqs: Vec<u64>,
     /// The checkpointed database state.
     pub state: DatabaseState,
+    /// `(value, name)` for every name of the value pool.
+    pub names: Vec<(Value, String)>,
+    /// The first value id the pool had not handed out.
+    pub next_id: u64,
 }
 
 impl Snapshot {
     /// Encodes the snapshot payload:
     /// `[magic "IDSS"][version u16][fingerprint u32][covered_gen u64]`
-    /// `[k u16][last_seqs u64 × k][state]`.
+    /// `[k u16][last_seqs u64 × k][state]`, then — unless there are no
+    /// names and `next_id` is 0 — `[next_id u64][n u32][(value u64,
+    /// name str) × n]`.
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new();
         for b in SNAPSHOT_MAGIC {
@@ -180,6 +209,10 @@ impl Snapshot {
             e.put_u64(*s);
         }
         self.state.encode(&mut e);
+        if !self.names.is_empty() || self.next_id != 0 {
+            e.put_u64(self.next_id);
+            put_defs(&mut e, &self.names);
+        }
         e.into_bytes()
     }
 
@@ -221,6 +254,11 @@ impl Snapshot {
                 last_seqs.push(d.get_u64()?);
             }
             let state = DatabaseState::decode(&mut d, schema)?;
+            let (next_id, names) = if d.is_done() {
+                (0, Vec::new())
+            } else {
+                (d.get_u64()?, get_defs(&mut d)?)
+            };
             if !d.is_done() {
                 return Err(RelationalError::Codec("trailing bytes in snapshot"));
             }
@@ -229,6 +267,8 @@ impl Snapshot {
                 covered_gen,
                 last_seqs,
                 state,
+                names,
+                next_id,
             })
         })();
         inner.map_err(|e| corrupt(path, format!("bad snapshot: {e}")))
@@ -285,7 +325,7 @@ impl Manifest {
     }
 }
 
-/// The 32-bit identity every segment, snapshot and pool log carries: a
+/// The 32-bit identity every segment and snapshot carries: a
 /// CRC over the canonically encoded schema and the *sorted* FD list
 /// (so two textually reordered but identical FD sets agree).  Cheap and
 /// collision-tolerant by design — the fingerprint is a fast first gate;
@@ -304,8 +344,29 @@ pub fn fingerprint(schema: &DatabaseSchema, fds: &FdSet) -> u32 {
     crate::format::crc32(&e.into_bytes())
 }
 
+/// Writes value definitions: `[n u32][(value u64, name str) × n]`.
+fn put_defs(e: &mut Encoder, defs: &[(Value, String)]) {
+    e.put_u32(defs.len() as u32);
+    for (v, name) in defs {
+        e.put_u64(v.0);
+        e.put_str(name);
+    }
+}
+
+/// Reads what [`put_defs`] wrote.
+fn get_defs(d: &mut Decoder<'_>) -> Result<Vec<(Value, String)>, RelationalError> {
+    let n = d.get_u32()?;
+    // Each definition takes at least 12 bytes; a count promising more
+    // than remain is corruption, not a reason to allocate.
+    let mut defs = Vec::with_capacity((n as usize).min(d.remaining() / 12));
+    for _ in 0..n {
+        defs.push((Value(d.get_u64()?), d.get_str()?));
+    }
+    Ok(defs)
+}
+
 /// Shared magic + version gate for the typed payload decoders.
-fn check_magic_version(
+pub(crate) fn check_magic_version(
     path: &Path,
     d: &mut Decoder<'_>,
     magic: [u8; 4],
@@ -352,13 +413,18 @@ mod tests {
             WalOp::Remove(vec![Value(7)]),
             WalOp::Insert(vec![]),
         ] {
-            let r = WalRecord { seq: 42, op };
+            let r = WalRecord {
+                seq: 42,
+                op,
+                defs: Vec::new(),
+            };
             let bytes = r.encode();
             assert_eq!(WalRecord::decode(p, &bytes).unwrap(), r);
         }
         let mut bytes = WalRecord {
             seq: 1,
             op: WalOp::Insert(vec![]),
+            defs: Vec::new(),
         }
         .encode();
         bytes[8] = 9; // unknown kind
@@ -366,6 +432,40 @@ mod tests {
             WalRecord::decode(p, &bytes),
             Err(WalError::Corrupt { .. })
         ));
+    }
+
+    /// A record that defines values is its plain layout, kind + 2,
+    /// followed by `[n u32][(value u64, name str) × n]`.
+    #[test]
+    fn defining_records_append_their_definitions() {
+        let p = Path::new("test.log");
+        for (op, kind) in [
+            (WalOp::Insert(vec![Value(5), Value(7)]), 2),
+            (WalOp::Remove(vec![Value(5), Value(7)]), 3),
+        ] {
+            let plain = WalRecord {
+                seq: 3,
+                op,
+                defs: Vec::new(),
+            };
+            let r = WalRecord {
+                defs: vec![(Value(7), "Jones".into())],
+                ..plain.clone()
+            };
+            let bytes = r.encode();
+            let mut expected = plain.encode();
+            expected[8] = kind;
+            expected.extend_from_slice(&1u32.to_le_bytes());
+            expected.extend_from_slice(&7u64.to_le_bytes());
+            expected.extend_from_slice(&5u32.to_le_bytes());
+            expected.extend_from_slice(b"Jones");
+            assert_eq!(bytes, expected);
+            assert_eq!(WalRecord::decode(p, &bytes).unwrap(), r);
+            assert!(matches!(
+                WalRecord::decode(p, &bytes[..bytes.len() - 1]),
+                Err(WalError::Corrupt { .. })
+            ));
+        }
     }
 
     #[test]
@@ -384,16 +484,28 @@ mod tests {
         state
             .insert(ids_relational::SchemeId(0), vec![Value(1), Value(2)])
             .unwrap();
-        let snap = Snapshot {
+        let mut snap = Snapshot {
             fingerprint: h.fingerprint,
             covered_gen: 2,
             last_seqs: vec![5, 0],
             state,
+            names: Vec::new(),
+            next_id: 0,
         };
-        let back = Snapshot::decode(p, &snap.encode(), &schema).unwrap();
+        let bytes = snap.encode();
+        let back = Snapshot::decode(p, &bytes, &schema).unwrap();
         assert_eq!(back.covered_gen, 2);
         assert_eq!(back.last_seqs, vec![5, 0]);
         assert_eq!(back.state.total_tuples(), 1);
+        assert_eq!((back.names, back.next_id), (Vec::new(), 0));
+        // The names section follows the state, so a snapshot without one
+        // is its exact prefix.
+        snap.names = vec![(Value(1), "Jones".into()), (Value(2), String::new())];
+        snap.next_id = 9;
+        let named = snap.encode();
+        assert_eq!(named[..bytes.len()], bytes[..]);
+        let back = Snapshot::decode(p, &named, &schema).unwrap();
+        assert_eq!((back.names, back.next_id), (snap.names, 9));
 
         let m = Manifest {
             schema: schema.clone(),

@@ -15,13 +15,17 @@
 //!    new schema by relation ([`DatabaseSchema::remap_from`]: name +
 //!    attributes): survivors follow their log to its new scheme index,
 //!    dropped relations fall away, added ones start at `(gen, 0)`;
-//! 2. new value-pool names ([`Shipment::Names`]) — the primary fsyncs a
-//!    name before any record referencing its value, and a follower
-//!    needs the same order;
-//! 3. each relation's new records ([`Shipment::Records`]), split into
+//! 2. each relation's new records ([`Shipment::Records`]), split into
 //!    batches of one `(generation, scheme index)` so a poll crossing a
 //!    checkpoint rotation or a renumbering keeps cursors — and the
 //!    era mapping of each record — exact.
+//!
+//! Names need no step of their own: a segment is self-defining, the
+//! first record in it that uses a pool value carrying the value's name
+//! ([`crate::WalRecord::defs`]), so a relation's records arrive with
+//! every name they use, in one stream.  A follower resuming from a
+//! cursor inside a segment already holds what the records it skips
+//! defined: it applied them.
 //!
 //! Underneath, a private per-relation tailer is the only code that
 //! decodes a segment header or a log record.  It follows one segment
@@ -40,14 +44,9 @@
 //! * it never advances past a manifest boundary nobody has explained to
 //!   it, since a renumbered relation may have inherited its old index.
 //!
-//! [`NameTailer`] follows the name log ([`crate::NameLog`]) the same way
-//! without ever writing to it (the owning `NameLog` replays through it
-//! and truncates the torn tail; a follower must not).  A checksum-valid
-//! but wrong frame is a typed [`WalError::Corrupt`].  Because the
-//! primary only ever *appends* to segments and the pool log (truncation
-//! happens only on the primary's own crash-recovery, and only of torn
-//! bytes no tailer has consumed), a byte offset past the last complete
-//! frame is always a stable resume point.
+//! A checksum-valid but wrong frame is a typed [`WalError::Corrupt`].
+//! Because the primary only ever *appends* to segments, a byte offset
+//! past the last complete frame is always a stable resume point.
 //!
 //! A follower can also discover it is **behind**: the primary
 //! checkpointed and pruned segments it had not consumed yet.  That is
@@ -60,11 +59,10 @@
 
 use std::path::{Path, PathBuf};
 
-use ids_relational::codec::Decoder;
 use ids_relational::DatabaseSchema;
 
 use crate::dir::{list, parse_generation_manifest_name, WalDir, WAL_SUBDIR};
-use crate::format::{next_frame, FORMAT_VERSION, FRAME_HEADER_LEN, POOL_MAGIC};
+use crate::format::{next_frame, FRAME_HEADER_LEN};
 use crate::records::{Manifest, SegmentHeader, WalRecord};
 use crate::writer::{parse_segment_file_name, segment_file_name};
 use crate::{corrupt, io_err, WalError};
@@ -112,16 +110,6 @@ pub enum Shipment {
         /// Its committed frame payload, verbatim.
         payload: Vec<u8>,
     },
-    /// New value-pool names, in interning order.  Precedes every
-    /// record that references them.
-    Names {
-        /// The names, each with its verbatim frame payload.
-        names: Vec<TailedName>,
-        /// [`NameTailer::emitted`]: names shipped since the follower's
-        /// starting point — **not** the primary's total name count,
-        /// which also counts the names the follower started with.
-        tip: u64,
-    },
     /// New records of one relation, all from one segment.
     Records {
         /// The relation's scheme index under the manifest governing
@@ -150,9 +138,9 @@ pub enum FollowPoll {
     Behind,
 }
 
-/// The one follow loop: follows every relation's log, the name log and
-/// the generation manifests of a live durable directory, in protocol
-/// order (see the module docs).
+/// The one follow loop: follows every relation's log and the generation
+/// manifests of a live durable directory, in protocol order (see the
+/// module docs).
 #[derive(Debug)]
 pub struct Follower {
     dir: WalDir,
@@ -163,35 +151,28 @@ pub struct Follower {
     /// ships on the next poll.
     manifest_gen: u64,
     tailers: Vec<RelationTailer>,
-    /// The name log's tailer.  Recovery follows the relation logs
-    /// alone, and its records carry no payloads (only a shipper forwards
-    /// them).
-    names: Option<NameTailer>,
+    /// Whether records keep their frame payloads: recovery forwards
+    /// nothing, only a shipper does.
+    payloads: bool,
 }
 
 impl Follower {
     /// A follower of `dir` resuming exactly after `cursors` — one per
     /// relation, indexed by the manifest governing the newest cursor
     /// generation (what a recovery of the follower's own copy of the
-    /// directory reports) — with the first `names_applied` pool names
-    /// already in hand.  A cursor count that does not match that
+    /// directory reports).  A cursor count that does not match that
     /// manifest's schema is a typed [`WalError::CursorCount`].
-    pub fn new(dir: &WalDir, cursors: &[Cursor], names_applied: u64) -> Result<Self, WalError> {
-        let names = NameTailer::new(&dir.pool_log_path(), dir.fingerprint(), names_applied);
-        Self::start(dir, cursors, Some(names))
+    pub fn new(dir: &WalDir, cursors: &[Cursor]) -> Result<Self, WalError> {
+        Self::start(dir, cursors, true)
     }
 
-    /// The follower [`WalDir::recover`] runs: the relation logs alone,
-    /// records without their payload bytes.
+    /// The follower [`WalDir::recover`] runs: records without their
+    /// payload bytes.
     pub(crate) fn replaying(dir: &WalDir, cursors: &[Cursor]) -> Result<Self, WalError> {
-        Self::start(dir, cursors, None)
+        Self::start(dir, cursors, false)
     }
 
-    fn start(
-        dir: &WalDir,
-        cursors: &[Cursor],
-        names: Option<NameTailer>,
-    ) -> Result<Self, WalError> {
+    fn start(dir: &WalDir, cursors: &[Cursor], payloads: bool) -> Result<Self, WalError> {
         let start = cursors.iter().map(|c| c.gen).max().unwrap_or(0);
         let (manifest_gen, manifest) = &dir.manifests()[dir.governing(start)];
         if cursors.len() != manifest.schema.len() {
@@ -200,7 +181,6 @@ impl Follower {
                 relations: manifest.schema.len(),
             });
         }
-        let payloads = names.is_some();
         let tailers = (0..).zip(cursors).map(|(i, &cursor)| RelationTailer {
             payloads,
             ..RelationTailer::new(dir.root(), dir.fingerprint(), i, cursor)
@@ -209,14 +189,14 @@ impl Follower {
             era: manifest.schema.clone(),
             manifest_gen: *manifest_gen,
             tailers: tailers.collect(),
-            names,
+            payloads,
             dir: dir.clone(),
         })
     }
 
     /// Reads everything committed since the previous poll and hands it
-    /// to `ship` as it goes, in protocol order: manifests, then names,
-    /// then each relation's record batches (see the module docs).  A
+    /// to `ship` as it goes, in protocol order: manifests, then each
+    /// relation's record batches (see the module docs).  A
     /// relation's records are released once shipped, so a catch-up
     /// round holds at most one relation's backlog.
     ///
@@ -237,14 +217,6 @@ impl Follower {
                 manifest,
                 payload,
             })?;
-        }
-        if let Some(tailer) = &mut self.names {
-            let names = tailer.poll()?;
-            if !names.is_empty() {
-                let tip = tailer.emitted();
-                shipped += 1;
-                ship(Shipment::Names { names, tip })?;
-            }
         }
         let view = DirView::read(self.dir.root())?;
         for tailer in &mut self.tailers {
@@ -286,7 +258,7 @@ impl Follower {
                         tailer
                     }
                     None => RelationTailer {
-                        payloads: self.names.is_some(),
+                        payloads: self.payloads,
                         ..RelationTailer::new(
                             self.dir.root(),
                             self.dir.fingerprint(),
@@ -617,164 +589,15 @@ impl DirView {
     }
 }
 
-/// One name a [`NameTailer`] produced: the decoded string and the exact
-/// frame payload bytes (for verbatim shipping).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TailedName {
-    /// The interned name, in pool order.
-    pub name: String,
-    /// The raw frame payload, exactly as stored on disk.
-    pub payload: Vec<u8>,
-}
-
-impl TailedName {
-    /// Decodes one name-log frame payload read from `path` (a file, or
-    /// a stream that shipped it verbatim).
-    pub fn decode(path: &Path, payload: Vec<u8>) -> Result<Self, WalError> {
-        let name = decode_name(path, &payload)?;
-        Ok(TailedName { name, payload })
-    }
-}
-
-/// The string a name-log frame payload holds.
-pub(crate) fn decode_name(path: &Path, payload: &[u8]) -> Result<String, WalError> {
-    (Decoder::new(payload).get_str()).map_err(|e| corrupt(path, format!("bad pool record: {e}")))
-}
-
-/// Follows the value-pool name log read-only.
-///
-/// A `NameTailer` never truncates the file — it belongs to the primary.
-/// A torn tail is "nothing new yet"; it is retried on the next poll.
-/// [`crate::NameLog::open`] replays through one and truncates the
-/// torn tail itself.
-#[derive(Debug)]
-pub struct NameTailer {
-    path: PathBuf,
-    fingerprint: u32,
-    offset: usize,
-    header_done: bool,
-    /// Names still to suppress because the follower already has them.
-    skip: u64,
-    /// Names emitted so far (after skipping).
-    emitted: u64,
-}
-
-impl NameTailer {
-    /// A tailer for the name log at `path` (see
-    /// [`crate::WalDir::pool_log_path`]), suppressing the first
-    /// `already_applied` names (the follower got those from its own
-    /// pool-log replay at bootstrap).
-    pub fn new(path: &Path, fingerprint: u32, already_applied: u64) -> Self {
-        NameTailer {
-            path: path.to_path_buf(),
-            fingerprint,
-            offset: 0,
-            header_done: false,
-            skip: already_applied,
-            emitted: 0,
-        }
-    }
-
-    /// Names delivered so far, counted from the follower's starting
-    /// point (the skipped `already_applied` prefix is not included).
-    pub fn emitted(&self) -> u64 {
-        self.emitted
-    }
-
-    /// The end of the last complete frame read — 0 while the header has
-    /// not been read whole.
-    pub(crate) fn offset(&self) -> usize {
-        self.offset
-    }
-
-    /// Reads the names appended since the previous poll, in pool order.
-    /// An absent file means the primary has not attached a pool log
-    /// yet — that is "nothing new", not an error.
-    pub fn poll(&mut self) -> Result<Vec<TailedName>, WalError> {
-        let mut out = Vec::new();
-        self.each_name(|path, payload| {
-            out.push(TailedName::decode(path, payload.to_vec())?);
-            Ok(())
-        })?;
-        Ok(out)
-    }
-
-    /// [`NameTailer::poll`], handing each new name's frame payload to `f`
-    /// instead of collecting copies.
-    pub(crate) fn each_name(
-        &mut self,
-        mut f: impl FnMut(&Path, &[u8]) -> Result<(), WalError>,
-    ) -> Result<(), WalError> {
-        let bytes = match std::fs::read(&self.path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-            Err(e) => return Err(io_err(&self.path, e)),
-        };
-        let Some(mut rest) = bytes.get(self.offset..) else {
-            return Err(corrupt(&self.path, "pool log shrank under the tailer"));
-        };
-        if !self.header_done {
-            let Some((payload, r)) = next_frame(&self.path, rest, "pool header")? else {
-                return Ok(());
-            };
-            self.check_header(payload)?;
-            self.offset += FRAME_HEADER_LEN + payload.len();
-            self.header_done = true;
-            rest = r;
-        }
-        while let Some((payload, r)) = next_frame(&self.path, rest, "pool record")? {
-            if self.skip > 0 {
-                self.skip -= 1;
-            } else {
-                f(&self.path, payload)?;
-                self.emitted += 1;
-            }
-            self.offset += FRAME_HEADER_LEN + payload.len();
-            rest = r;
-        }
-        Ok(())
-    }
-
-    fn check_header(&self, payload: &[u8]) -> Result<(), WalError> {
-        let mut d = Decoder::new(payload);
-        let mut magic = [0u8; 4];
-        for b in &mut magic {
-            *b = d
-                .get_u8()
-                .map_err(|_| corrupt(&self.path, "truncated pool header"))?;
-        }
-        if magic != POOL_MAGIC {
-            return Err(corrupt(&self.path, format!("bad pool magic {magic:?}")));
-        }
-        let version = d
-            .get_u16()
-            .map_err(|_| corrupt(&self.path, "truncated pool version"))?;
-        if version != FORMAT_VERSION {
-            return Err(WalError::UnsupportedVersion {
-                path: self.path.clone(),
-                found: version,
-            });
-        }
-        let found = d
-            .get_u32()
-            .map_err(|_| corrupt(&self.path, "truncated pool fingerprint"))?;
-        if found != self.fingerprint {
-            return Err(WalError::SchemaMismatch {
-                detail: "schema/FD set (pool log fingerprint)",
-            });
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::format::frame;
     use crate::records::WalOp;
-    use crate::{NameLog, WalDir};
+    use crate::WalDir;
     use ids_deps::FdSet;
-    use ids_relational::{DatabaseSchema, Universe, Value};
+    use ids_relational::{DatabaseSchema, Universe, Value, ValuePool};
+    use std::sync::{Arc, Mutex};
 
     fn tmp(name: &str) -> PathBuf {
         let p = std::env::temp_dir().join(format!("ids-wal-tail-{}-{name}", std::process::id()));
@@ -891,7 +714,8 @@ mod tests {
         state
             .insert(ids_relational::SchemeId(0), vec![Value(1), Value(10)])
             .unwrap();
-        dir.write_snapshot(&state, &[2, 0], 1).unwrap();
+        dir.write_snapshot(&state, &[2, 0], 1, Vec::new(), 0)
+            .unwrap();
         dir.prune_segments(1).unwrap();
 
         // A follower still at gen 1, seq 0 lost records 1..=2 to the
@@ -943,6 +767,7 @@ mod tests {
             let r = WalRecord {
                 seq,
                 op: WalOp::Insert(vec![Value(seq), Value(seq)]),
+                defs: Vec::new(),
             };
             bytes.extend_from_slice(&frame(&r.encode()));
         }
@@ -952,64 +777,6 @@ mod tests {
             Err(WalError::Corrupt { detail, .. }) => assert!(detail.contains("sequence gap")),
             other => panic!("expected corruption, got {other:?}"),
         }
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn name_tailer_follows_without_truncating() {
-        let root = tmp("names");
-        std::fs::create_dir_all(&root).unwrap();
-        let pool = root.join("pool.log");
-        let (mut log, _) = NameLog::open(&pool, 7).unwrap();
-        log.append("alpha").unwrap();
-        log.append("beta").unwrap();
-
-        let mut t = NameTailer::new(&pool, 7, 0);
-        let names: Vec<_> = t.poll().unwrap().into_iter().map(|n| n.name).collect();
-        assert_eq!(names, vec!["alpha", "beta"]);
-        assert!(t.poll().unwrap().is_empty());
-
-        log.append("gamma").unwrap();
-        let batch = t.poll().unwrap();
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].name, "gamma");
-        assert_eq!(t.emitted(), 3);
-
-        // A torn tail is "nothing yet" and must NOT be truncated.
-        let full = std::fs::read(&pool).unwrap();
-        let mut torn = full.clone();
-        torn.extend_from_slice(&frame(b"\x05\x00\x00\x00delta")[..6]);
-        std::fs::write(&pool, &torn).unwrap();
-        assert!(t.poll().unwrap().is_empty());
-        assert_eq!(std::fs::read(&pool).unwrap(), torn);
-
-        // A skip-ahead tailer suppresses the already-applied prefix.
-        std::fs::write(&pool, &full).unwrap();
-        let mut t2 = NameTailer::new(&pool, 7, 2);
-        let names: Vec<_> = t2.poll().unwrap().into_iter().map(|n| n.name).collect();
-        assert_eq!(names, vec!["gamma"]);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn name_tailer_fingerprint_and_corruption_are_typed() {
-        let root = tmp("namefp");
-        std::fs::create_dir_all(&root).unwrap();
-        let pool = root.join("pool.log");
-        let (mut log, _) = NameLog::open(&pool, 7).unwrap();
-        log.append("x").unwrap();
-        assert!(matches!(
-            NameTailer::new(&pool, 8, 0).poll(),
-            Err(WalError::SchemaMismatch { .. })
-        ));
-        let mut bytes = std::fs::read(&pool).unwrap();
-        let n = bytes.len();
-        bytes[n - 1] ^= 0x01;
-        std::fs::write(&pool, &bytes).unwrap();
-        assert!(matches!(
-            NameTailer::new(&pool, 7, 0).poll(),
-            Err(WalError::Corrupt { .. })
-        ));
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -1124,15 +891,13 @@ mod tests {
         let dir = WalDir::create(&root, &schema, &fds, Vec::new()).unwrap();
         let mut t = RelationTailer::new(&root, dir.fingerprint(), 0, Cursor { gen: 1, seq: 0 });
         assert_eq!(seqs(&t.poll().unwrap()), Vec::<u64>::new());
-        let mut n = NameTailer::new(&dir.pool_log_path(), dir.fingerprint(), 0);
-        assert!(n.poll().unwrap().is_empty());
         let _ = std::fs::remove_dir_all(&root);
     }
 
     /// One poll, rendered compactly: `M{gen}` for a manifest,
-    /// `N[names]^{tip}` for names, `R{relation}@{gen}[seqs]^{tip}` for a
-    /// record batch — so one `assert_eq!` pins the order, the batch
-    /// splits and every label.
+    /// `R{relation}@{gen}[seqs]^{tip}` for a record batch, a record that
+    /// defines values as `seq{value=name,..}` — so one `assert_eq!` pins
+    /// the order, the batch splits, the definitions and every label.
     fn follow(f: &mut Follower) -> Vec<String> {
         let mut shipments = Vec::new();
         let polled = f.poll(|s| {
@@ -1150,16 +915,13 @@ mod tests {
                     assert_eq!(*payload, manifest.encode(), "manifest payload is verbatim");
                     format!("M{gen}")
                 }
-                Shipment::Names { names, tip } => {
-                    let names: Vec<&str> = names.iter().map(|n| n.name.as_str()).collect();
-                    format!("N[{}]^{tip}", names.join(","))
-                }
                 Shipment::Records {
                     relation,
                     gen,
                     tip,
                     records,
                 } => {
+                    let mut seqs = Vec::new();
                     for r in records {
                         assert_eq!(
                             (r.gen, r.scheme),
@@ -1167,9 +929,15 @@ mod tests {
                             "one segment per batch"
                         );
                         assert_eq!(r.payload, r.record.encode(), "record payload is verbatim");
+                        let defs: Vec<String> = (r.record.defs.iter())
+                            .map(|(v, name)| format!("{}={name}", v.0))
+                            .collect();
+                        seqs.push(if defs.is_empty() {
+                            r.record.seq.to_string()
+                        } else {
+                            format!("{}{{{}}}", r.record.seq, defs.join(","))
+                        });
                     }
-                    let seqs: Vec<String> =
-                        records.iter().map(|r| r.record.seq.to_string()).collect();
                     format!("R{relation}@{gen}[{}]^{tip}", seqs.join(","))
                 }
             })
@@ -1185,9 +953,9 @@ mod tests {
     }
 
     /// The follow loop alone, through writes, a checkpoint, an added
-    /// relation, a drop that renumbers a survivor and a torn name-log
-    /// tail: manifests ship before every record of their generation,
-    /// names before the records that use them, batches split on
+    /// relation, a drop that renumbers a survivor and a torn record:
+    /// manifests ship before every record of their generation, each
+    /// segment's first use of a value carries its name, batches split on
     /// `(gen, scheme)`, and cursors land exactly on what was shipped.
     #[test]
     fn follower_ships_in_protocol_order_through_every_transition() {
@@ -1195,42 +963,52 @@ mod tests {
         let root = tmp("follow-loop");
         let (schema, fds) = setup();
         let dir = WalDir::create(&root, &schema, &fds, Vec::new()).unwrap();
-        let pool = dir.pool_log_path();
-        let (mut names, _) = NameLog::open(&pool, dir.fingerprint()).unwrap();
-        let mut w_ct = dir.segment_writer(0, 1, 0).unwrap();
-        let mut w_cs = dir.segment_writer(1, 1, 0).unwrap();
-        let mut f = Follower::new(&dir, &[Cursor::default(); 2], 0).unwrap();
+        let pool = Arc::new(Mutex::new(ValuePool::new()));
+        for name in ["alpha", "beta", "gamma", "delta"] {
+            pool.lock().unwrap().value(name);
+        }
+        let writer = |scheme, gen| {
+            let mut w = dir.segment_writer(scheme, gen, 0).unwrap();
+            w.set_names(Arc::clone(&pool));
+            w
+        };
+        let mut w_ct = writer(0, 1);
+        let mut w_cs = writer(1, 1);
+        let mut f = Follower::new(&dir, &[Cursor::default(); 2]).unwrap();
         assert!(follow(&mut f).is_empty());
 
-        // 1. Writes: the names first, then each relation's records.
-        names.append("alpha").unwrap();
-        names.append("beta").unwrap();
+        // 1. Writes: each relation's records, each segment defining a
+        // value in the first record that uses it.
         insert(&mut w_ct, 0, 1);
         insert(&mut w_cs, 0, 1);
         insert(&mut w_ct, 1, 1);
         assert_eq!(
             follow(&mut f),
-            ["N[alpha,beta]^2", "R0@1[1,2]^2", "R1@1[1]^1"]
+            ["R0@1[1{0=alpha,1=beta},2]^2", "R1@1[1{0=alpha,1=beta}]^1"]
         );
         assert_eq!(cursors(&f), [(1, 2), (1, 1)]);
 
         // 2. A checkpoint rotation inside one poll: CT's records split at
-        // the generation, both batches carrying the relation's tip; then
-        // the covered generation is pruned and nothing is lost.
+        // the generation, both batches carrying the relation's tip, and
+        // the new segment defines again what it uses; then the covered
+        // generation is pruned and nothing is lost.
         insert(&mut w_ct, 2, 1);
         w_ct.rotate(2).unwrap();
         w_cs.rotate(2).unwrap();
         insert(&mut w_ct, 3, 1);
-        assert_eq!(follow(&mut f), ["R0@1[3]^4", "R0@2[4]^4"]);
-        dir.write_snapshot(&ids_relational::DatabaseState::empty(&schema), &[4, 1], 1)
+        assert_eq!(
+            follow(&mut f),
+            ["R0@1[3{2=gamma}]^4", "R0@2[4{3=delta,1=beta}]^4"]
+        );
+        let empty = ids_relational::DatabaseState::empty(&schema);
+        dir.write_snapshot(&empty, &[4, 1], 1, Vec::new(), 4)
             .unwrap();
         dir.prune_segments(1).unwrap();
         assert!(follow(&mut f).is_empty());
         assert_eq!(cursors(&f), [(2, 4), (2, 1)]);
 
-        // 3. add_relation SR at generation 3: the manifest first, then the
-        // name SR's record uses, then records of the new era — SR tailed
-        // from (3, 0).
+        // 3. add_relation SR at generation 3: the manifest first, then
+        // records of the new era — SR tailed from (3, 0).
         let u = Universe::from_names(["C", "T", "S", "R"]).unwrap();
         let s3 =
             DatabaseSchema::parse(u.clone(), &[("CT", "CT"), ("CS", "CS"), ("SR", "SR")]).unwrap();
@@ -1243,13 +1021,16 @@ mod tests {
         dir.append_generation_manifest(3, &m3).unwrap();
         w_ct.rotate_as(0, 3).unwrap();
         w_cs.rotate_as(1, 3).unwrap();
-        let mut w_sr = dir.segment_writer(2, 3, 0).unwrap();
-        names.append("gamma").unwrap();
+        let mut w_sr = writer(2, 3);
         insert(&mut w_cs, 1, 0);
         insert(&mut w_sr, 0, 2);
         assert_eq!(
             follow(&mut f),
-            ["M3", "N[gamma]^3", "R1@3[2]^2", "R2@3[1]^1"]
+            [
+                "M3",
+                "R1@3[2{1=beta,0=alpha}]^2",
+                "R2@3[1{0=alpha,2=gamma}]^1"
+            ]
         );
         assert_eq!(cursors(&f), [(3, 4), (3, 2), (3, 1)]);
 
@@ -1268,19 +1049,18 @@ mod tests {
         w_cs.rotate_as(0, 4).unwrap();
         w_sr.rotate_as(1, 4).unwrap();
         insert(&mut w_cs, 2, 0);
-        assert_eq!(follow(&mut f), ["M4", "R0@4[3]^3"]);
+        assert_eq!(follow(&mut f), ["M4", "R0@4[3{2=gamma,0=alpha}]^3"]);
         assert_eq!(cursors(&f), [(4, 3), (4, 1), (4, 0)]);
 
-        // 5. A torn name-log tail is "nothing yet", even with the
-        // writer's tail complete; the completed frame ships before the
-        // record that uses it.
-        names.append("delta").unwrap();
-        let full = std::fs::read(&pool).unwrap();
-        std::fs::write(&pool, &full[..full.len() - 2]).unwrap();
+        // 5. A torn record is "nothing yet"; once complete it ships with
+        // its definition (one, though the tuple uses the value twice).
+        insert(&mut w_sr, 3, 3);
+        let seg = root.join("wal").join(segment_file_name(1, 4));
+        let full = std::fs::read(&seg).unwrap();
+        std::fs::write(&seg, &full[..full.len() - 2]).unwrap();
         assert!(follow(&mut f).is_empty());
-        std::fs::write(&pool, &full).unwrap();
-        insert(&mut w_sr, 2, 3);
-        assert_eq!(follow(&mut f), ["N[delta]^4", "R1@4[2]^2"]);
+        std::fs::write(&seg, &full).unwrap();
+        assert_eq!(follow(&mut f), ["R1@4[2{3=delta}]^2"]);
         assert_eq!(cursors(&f), [(4, 3), (4, 2), (4, 0)]);
         assert!(follow(&mut f).is_empty());
         let _ = std::fs::remove_dir_all(&root);
@@ -1293,14 +1073,15 @@ mod tests {
         let dir = WalDir::create(&root, &schema, &fds, Vec::new()).unwrap();
         let mut w = dir.segment_writer(0, 1, 0).unwrap();
         insert(&mut w, 1, 10);
-        let mut f = Follower::new(&dir, &[Cursor::default(); 2], 0).unwrap();
+        let mut f = Follower::new(&dir, &[Cursor::default(); 2]).unwrap();
         assert_eq!(follow(&mut f), ["R0@1[1]^1"]);
 
         // Record 2 is checkpointed away before the follower looked.
         insert(&mut w, 2, 20);
         w.rotate(2).unwrap();
         let state = ids_relational::DatabaseState::empty(&schema);
-        dir.write_snapshot(&state, &[2, 0], 1).unwrap();
+        dir.write_snapshot(&state, &[2, 0], 1, Vec::new(), 0)
+            .unwrap();
         dir.prune_segments(1).unwrap();
         let mut shipped = 0;
         let polled = f.poll(|_| {
@@ -1312,7 +1093,7 @@ mod tests {
         // Cursors from another schema are refused up front, with both
         // counts.
         assert!(matches!(
-            Follower::new(&dir, &[Cursor::default(); 3], 0),
+            Follower::new(&dir, &[Cursor::default(); 3]),
             Err(WalError::CursorCount {
                 cursors: 3,
                 relations: 2
@@ -1330,7 +1111,7 @@ mod tests {
         let mut w_cs = dir.segment_writer(1, 1, 0).unwrap();
         insert(&mut w_ct, 1, 10);
         insert(&mut w_cs, 1, 10);
-        let mut f = Follower::new(&dir, &[Cursor::default(); 2], 0).unwrap();
+        let mut f = Follower::new(&dir, &[Cursor::default(); 2]).unwrap();
         let mut seen = 0;
         let polled = f.poll(|_| {
             seen += 1;
@@ -1357,7 +1138,7 @@ mod tests {
         // Records 3 and 4 never landed anywhere.
         drop(dir.segment_writer(0, 2, 4).unwrap());
         assert!(matches!(dir.recover(), Err(WalError::Corrupt { .. })));
-        let mut f = Follower::new(&dir, &[Cursor::default(); 2], 0).unwrap();
+        let mut f = Follower::new(&dir, &[Cursor::default(); 2]).unwrap();
         match f.poll(|_| Ok::<_, WalError>(())) {
             Err(WalError::Corrupt { detail, .. }) => assert!(detail.contains("sequence gap")),
             other => panic!("expected corruption, got {other:?}"),
@@ -1388,11 +1169,11 @@ mod tests {
         insert(&mut w, 4, 40);
         insert(&mut w, 5, 50);
 
-        let mut f = Follower::new(&dir, &[Cursor { gen: 1, seq: 0 }; 2], 0).unwrap();
+        let mut f = Follower::new(&dir, &[Cursor { gen: 1, seq: 0 }; 2]).unwrap();
         assert_eq!(follow(&mut f), ["R0@1[1,2,3]^5", "R0@3[4,5]^5"]);
         assert!(follow(&mut f).is_empty());
         let inside = [Cursor { gen: 2, seq: 3 }, Cursor { gen: 2, seq: 0 }];
-        let mut f = Follower::new(&dir, &inside, 0).unwrap();
+        let mut f = Follower::new(&dir, &inside).unwrap();
         assert_eq!(follow(&mut f), ["R0@3[4,5]^5"]);
         assert!(follow(&mut f).is_empty());
         let _ = std::fs::remove_dir_all(&root);

@@ -3,10 +3,11 @@
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use ids_obs::{Counter, LatencyHistogram};
+use ids_relational::{Value, ValuePool};
 
 use crate::format::frame;
 use crate::records::{SegmentHeader, WalOp, WalRecord};
@@ -60,6 +61,11 @@ pub fn parse_segment_file_name(name: &str) -> Option<(u16, u64)> {
 /// loses nothing); [`WalWriter::maybe_sync`] applies the caller's
 /// [`SyncPolicy`] for power-loss durability, and
 /// [`WalWriter::rotate`] closes the segment for a checkpoint.
+///
+/// A writer given the value pool ([`WalWriter::set_names`]) makes its
+/// segment **self-defining**: the first record of the segment that uses
+/// a pool value carries the value's name ([`WalRecord::defs`]), in the
+/// same frame, so the name is written and synced with its first use.
 #[derive(Debug)]
 pub struct WalWriter {
     wal_dir: PathBuf,
@@ -79,6 +85,19 @@ pub struct WalWriter {
     appended_total: u64,
     /// Optional metric family this writer records into.
     metrics: Option<WalMetrics>,
+    /// Present when records define their values.  Boxed: a relation slot
+    /// holds an `Option<WalWriter>` inline, logged or not.
+    names: Option<Box<SegmentNames>>,
+}
+
+/// What a self-defining writer keeps: the value pool its names come
+/// from, and which pool ids its current segment has defined (or found no
+/// name for) — one bit per id, never longer than the pool, reset by
+/// every rotation.
+#[derive(Debug)]
+struct SegmentNames {
+    pool: Arc<Mutex<ValuePool>>,
+    defined: Vec<u64>,
 }
 
 impl WalWriter {
@@ -121,7 +140,16 @@ impl WalWriter {
             fail_after: None,
             appended_total: 0,
             metrics: None,
+            names: None,
         })
+    }
+
+    /// Makes the segments self-defining against `pool` (see the type
+    /// docs).  Survives [`WalWriter::rotate`].  An append locks the pool
+    /// only when its tuple holds a value the segment has not defined.
+    pub fn set_names(&mut self, pool: Arc<Mutex<ValuePool>>) {
+        let defined = Vec::new();
+        self.names = Some(Box::new(SegmentNames { pool, defined }));
     }
 
     /// Attaches a metric family: subsequent appends, fsyncs, and
@@ -175,12 +203,26 @@ impl WalWriter {
             }
         }
         let seq = self.last_seq + 1;
-        let record = WalRecord { seq, op };
+        let (defs, pool_len) = match &self.names {
+            Some(names) if op.tuple().iter().any(|&v| names.undefined(v)) => {
+                (names.definitions(op.tuple())).map_err(|()| {
+                    io_err(
+                        &self.path,
+                        std::io::Error::other("value pool lock poisoned"),
+                    )
+                })?
+            }
+            _ => (Vec::new(), 0),
+        };
+        let record = WalRecord { seq, op, defs };
         let payload = record.encode();
         crate::check_frame_size(&self.path, payload.len())?;
         self.file
             .write_all(&frame(&payload))
             .map_err(|e| io_err(&self.path, e))?;
+        if let Some(names) = &mut self.names {
+            names.mark(record.op.tuple(), pool_len);
+        }
         self.last_seq = seq;
         self.unsynced += 1;
         self.appended_in_segment += 1;
@@ -248,12 +290,55 @@ impl WalWriter {
         next.fail_after = self.fail_after;
         next.appended_total = self.appended_total;
         next.metrics = self.metrics.clone();
+        next.names = self.names.take().map(|mut names| {
+            names.defined.clear();
+            names
+        });
         if let Some(m) = &self.metrics {
             m.rotations.inc();
         }
         let sealed_at = self.last_seq;
         *self = next;
         Ok(sealed_at)
+    }
+}
+
+impl SegmentNames {
+    /// Whether `v` is a pool id the segment has not defined.  Ids past
+    /// `u32` are never pool ids: fresh or raw values, with no name.
+    fn undefined(&self, v: Value) -> bool {
+        u32::try_from(v.0).is_ok_and(|i| {
+            (self.defined.get(i as usize / 64)).is_none_or(|word| word >> (i % 64) & 1 == 0)
+        })
+    }
+
+    /// The names of `tuple`'s values the segment has not defined, read
+    /// from the pool under its lock, and the pool's length then; `Err`
+    /// when a thread panicked holding the lock.  A value the pool has no
+    /// name for (a hole, a raw or fresh value) is not defined at all.
+    fn definitions(&self, tuple: &[Value]) -> Result<(Vec<(Value, String)>, usize), ()> {
+        let pool = self.pool.lock().map_err(drop)?;
+        let mut defs: Vec<(Value, String)> = Vec::new();
+        for &v in tuple {
+            if self.undefined(v) && defs.iter().all(|(d, _)| *d != v) {
+                defs.extend(pool.name(v).map(|name| (v, name.to_owned())));
+            }
+        }
+        Ok((defs, pool.len()))
+    }
+
+    /// Marks `tuple`'s values below `pool_len` — those whose name, or
+    /// lack of one, the segment now holds — as defined.  A value the
+    /// pool had not handed out yet stays undefined: it may be interned
+    /// later.
+    fn mark(&mut self, tuple: &[Value], pool_len: usize) {
+        for &v in tuple.iter().filter(|v| v.0 < pool_len as u64) {
+            let i = v.0 as usize;
+            if self.defined.len() <= i / 64 {
+                self.defined.resize(i / 64 + 1, 0);
+            }
+            self.defined[i / 64] |= 1 << (i % 64);
+        }
     }
 }
 

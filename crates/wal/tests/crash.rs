@@ -236,7 +236,7 @@ proptest! {
         let cursors: Vec<Cursor> = (recovered.base_seqs.iter())
             .map(|&seq| Cursor { gen: recovered.covered_gen, seq })
             .collect();
-        let mut follower = Follower::new(&dir, &cursors, 0).unwrap();
+        let mut follower = Follower::new(&dir, &cursors).unwrap();
         let mut shipped: Vec<Vec<WalRecord>> = vec![Vec::new(); inst.schema.len()];
         let mut polls = 0;
         while follower

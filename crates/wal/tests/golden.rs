@@ -43,6 +43,7 @@ fn build_segment_bytes() -> Vec<u8> {
         &WalRecord {
             seq: 1,
             op: WalOp::Insert(vec![Value(1), Value(10)]),
+            defs: Vec::new(),
         }
         .encode(),
     ));
@@ -50,6 +51,7 @@ fn build_segment_bytes() -> Vec<u8> {
         &WalRecord {
             seq: 2,
             op: WalOp::Remove(vec![Value(1), Value(10)]),
+            defs: Vec::new(),
         }
         .encode(),
     ));
@@ -69,6 +71,8 @@ fn build_snapshot_bytes() -> Vec<u8> {
             covered_gen: 1,
             last_seqs: vec![2, 1],
             state,
+            names: Vec::new(),
+            next_id: 0,
         }
         .encode(),
     )

@@ -1,47 +1,17 @@
 //! Round-trip property tests for the compact serializers the
-//! durability format is built on: arbitrary `ValuePool`s,
-//! `DatabaseState`s, schemas and FD sets must survive
-//! encode → bytes → decode as the identity — including the awkward
-//! citizens: empty relations, empty-string names, non-ASCII names, and
+//! durability format is built on: arbitrary `DatabaseState`s, schemas
+//! and FD sets must survive encode → bytes → decode as the identity —
+//! including the awkward citizens: empty relations, non-ASCII names, and
 //! extreme `u64` values.
 
 use ids_deps::FdSet;
 use ids_relational::codec::{Decoder, Encoder};
-use ids_relational::{DatabaseSchema, DatabaseState, Universe, Value, ValuePool};
+use ids_relational::{DatabaseSchema, DatabaseState, Universe, Value};
 use ids_workloads::generators::{random_embedded_fds, random_schema, SchemaParams};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Name alphabet deliberately heavy on edge cases: empty string,
-/// whitespace, non-ASCII scripts, combining characters, emoji.
-const NAMES: &[&str] = &[
-    "",
-    " ",
-    "Jones",
-    "CS402",
-    "日本語",
-    "ヴァリュー",
-    "é̂",
-    "🦀",
-    "zero\u{0}byte",
-    "line\nbreak",
-];
-
-fn roundtrip_pool(pool: &ValuePool) {
-    let mut e = Encoder::new();
-    pool.encode(&mut e);
-    let bytes = e.into_bytes();
-    let mut d = Decoder::new(&bytes);
-    let back = ValuePool::decode(&mut d).expect("pool decodes");
-    assert!(d.is_done());
-    assert_eq!(&back, pool, "pool round trip must be the identity");
-    // Re-encoding is byte-stable (canonical encoding).
-    let mut e2 = Encoder::new();
-    back.encode(&mut e2);
-    assert_eq!(e2.into_bytes(), bytes);
-}
 
 fn roundtrip_state(schema: &DatabaseSchema, state: &DatabaseState) {
     let mut e = Encoder::new();
@@ -65,23 +35,6 @@ fn roundtrip_state(schema: &DatabaseSchema, state: &DatabaseState) {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// ValuePool: arbitrary interning sequences (duplicates included —
-    /// interning dedups) plus fresh allocations.
-    #[test]
-    fn value_pool_round_trips(
-        picks in proptest::collection::vec((0usize..NAMES.len(), 0u8..2), 0..24),
-    ) {
-        let mut pool = ValuePool::new();
-        for (pick, fresh) in picks {
-            if fresh == 1 {
-                pool.fresh();
-            } else {
-                pool.value(NAMES[pick]);
-            }
-        }
-        roundtrip_pool(&pool);
-    }
 
     /// DatabaseState over random schemas: random tuples, extreme
     /// values, and (often) some completely empty relations.
@@ -137,25 +90,9 @@ proptest! {
 }
 
 /// The named edge cases, spelled out so a regression is immediately
-/// legible: empty pool, empty-string name, non-ASCII names, fresh-only
-/// pools, empty state, state whose relations are all empty.
+/// legible: non-ASCII names, a state whose relations are all empty.
 #[test]
 fn edge_cases_round_trip() {
-    roundtrip_pool(&ValuePool::new());
-
-    let mut pool = ValuePool::new();
-    pool.value("");
-    pool.value("日本語");
-    pool.value("🦀");
-    let f = pool.fresh();
-    assert_eq!(pool.render(f), format!("{}", f.0));
-    roundtrip_pool(&pool);
-
-    let mut fresh_only = ValuePool::new();
-    fresh_only.fresh();
-    fresh_only.fresh();
-    roundtrip_pool(&fresh_only);
-
     // Universe with non-ASCII attribute names round trips too.
     let u = Universe::from_names(["課程", "教師", "学生"]).unwrap();
     let schema = DatabaseSchema::parse(u, &[("課教", "課程 教師"), ("課学", "課程 学生")]).unwrap();

@@ -53,7 +53,8 @@ fn main() -> Result<(), ApiError> {
 
     // Session 2: recover from the directory alone — schema, declared
     // column order and interned strings all come back from the manifest,
-    // snapshot, per-relation log tails and name log.
+    // the snapshot and the per-relation log tails, which carry the names
+    // their rows use.
     let db = Database::recover(&root)?;
     println!("\nsession 2: recovered from {}", root.display());
     for relation in ["CT", "CS", "CHR"] {
