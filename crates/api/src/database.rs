@@ -32,15 +32,6 @@ pub enum EngineKind {
     Sharded(StoreConfig),
 }
 
-/// Interns a name; one the pool's arena has no room for is refused.
-fn intern(pool: &mut ValuePool, name: &str) -> Result<Value, Error> {
-    if let Some(v) = pool.get(name) {
-        return Ok(v);
-    }
-    pool.room_for(name)?;
-    Ok(pool.value(name))
-}
-
 /// A running database: the concurrent [`Store`], whose live [`Schema`]
 /// it serves, and the interning [`ValuePool`] owned internally —
 /// callers speak relation names and string values, never [`SchemeId`]s,
@@ -437,7 +428,7 @@ impl Database {
     /// `&mut self` because interning assigns values (see the type-level
     /// docs).
     pub fn intern(&mut self, value: impl AsRef<str>) -> Result<Value, Error> {
-        intern(&mut self.names(), value.as_ref())
+        Ok(self.names().intern(value.as_ref())?)
     }
 
     /// Names `value` `name` in the pool, as a record shipped from a
@@ -497,7 +488,7 @@ impl Database {
         let pool = &mut *self.names();
         for (j, value) in values.iter().enumerate() {
             let resolved = if intern {
-                Some(self::intern(pool, value.as_ref())?)
+                Some(pool.intern(value.as_ref())?)
             } else {
                 pool.get(value.as_ref())
             };

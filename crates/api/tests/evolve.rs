@@ -11,9 +11,11 @@
 //! the end — schema, rows and enforcement.
 
 use ids_api::{Alter, Database, EngineKind, Error, Schema};
+use ids_relational::{DatabaseState, Value};
 use ids_store::{DurableConfig, StoreConfig, StoreError, SyncPolicy};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
@@ -184,6 +186,142 @@ fn violating_backfill_is_refused_with_witness_tuples() {
     db.alter(&op).unwrap();
     assert!(db.insert("CT", ["CS402", "Smith"]).unwrap().is_rejected());
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The relation's membership table is its key index, so an alter that
+/// drops and re-adds the key FD re-files it: after the drop two rows may
+/// share `a`, the refused re-add leaves both served, and once accepted
+/// the key probe refuses a conflict and answers the point read.
+#[test]
+fn dropping_and_re_adding_a_key_fd_rekeys_the_relation() {
+    let root = tmp_dir("rekey");
+    let schema = Schema::builder()
+        .relation("R", ["a", "b"])
+        .fd("a -> b")
+        .build()
+        .unwrap();
+    let db = Database::open_at(&root, schema, DurableConfig::default()).unwrap();
+    let fd = || "a -> b".to_string();
+    db.alter(&Alter::DropFd { spec: fd() }).unwrap();
+    assert!(db.insert("R", ["x", "1"]).unwrap().is_accepted());
+    assert!(db.insert("R", ["x", "2"]).unwrap().is_accepted());
+
+    let err = db.alter(&Alter::AddFd { spec: fd() }).unwrap_err();
+    match &err {
+        Error::Store(StoreError::BackfillViolation { witness, .. }) => {
+            assert_eq!(witness.len(), 2, "the violating pair is the witness");
+        }
+        other => panic!("expected BackfillViolation, got {other}"),
+    }
+    let both = vec![
+        vec!["x".to_string(), "1".into()],
+        vec!["x".into(), "2".into()],
+    ];
+    let mut rows = db.rows("R").unwrap();
+    rows.sort();
+    assert_eq!(rows, both);
+
+    assert!(db.remove("R", ["x", "2"]).unwrap());
+    db.alter(&Alter::AddFd { spec: fd() }).unwrap();
+    assert!(db.insert("R", ["x", "3"]).unwrap().is_rejected());
+    let read = db.query("R").filter("a", ids_api::eq("x")).run().unwrap();
+    assert_eq!(read.into_string_rows(), vec![both[0].clone()]);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A refused backfill that would have keyed the relation by `a` leaves it
+/// filed under its old key, every column, and the serving cover still
+/// refuses its own conflicts.
+#[test]
+fn a_refused_backfill_leaves_the_relation_keyed_and_enforced() {
+    let root = tmp_dir("refused-rekey");
+    let schema = Schema::builder()
+        .relation("R", ["a", "b", "c"])
+        .fd("b -> c")
+        .build()
+        .unwrap();
+    let db = Database::open_at(&root, schema, DurableConfig::default()).unwrap();
+    let id = db.schema().scheme_id("R").unwrap();
+    db.insert("R", ["x", "1", "1"]).unwrap();
+    db.insert("R", ["x", "2", "2"]).unwrap();
+    let key = |db: &Database| db.snapshot().unwrap().relation(id).key().to_vec();
+    assert_eq!(key(&db), [0, 1, 2]);
+
+    // `a -> b` would make `a` the key; the two `x` rows refuse it.
+    let err = db
+        .alter(&Alter::AddFd {
+            spec: "a -> b".into(),
+        })
+        .unwrap_err();
+    assert!(
+        matches!(err, Error::Store(StoreError::BackfillViolation { .. })),
+        "got {err}"
+    );
+    assert_eq!(key(&db), [0, 1, 2]);
+    assert!(db.insert("R", ["y", "1", "9"]).unwrap().is_rejected());
+    assert!(db.insert("R", ["x", "1", "1"]).unwrap().is_duplicate());
+    let read = (db.query("R"))
+        .filter("a", ids_api::eq("x"))
+        .filter("b", ids_api::eq("2"))
+        .filter("c", ids_api::eq("2"))
+        .run()
+        .unwrap();
+    assert_eq!(read.len(), 1);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A refused `AddFd` costs no more than an accepted one, however many
+/// rows share the new key.  The backfill checks the new cover before it
+/// files the relation under the new key: filed first, the rows sharing
+/// `a` would form one probe run of the membership table, and the refusal
+/// below would take O(rows²) probes — minutes — holding the relation.
+#[test]
+fn a_refused_key_backfill_costs_no_more_than_an_accepted_one() {
+    const ROWS: u64 = 100_000;
+    // `AddFd a -> b` on `R(a, b)` holding `(a_of(i), i)` for each i < ROWS.
+    let time_add_fd = |name: &str, a_of: fn(u64) -> u64| {
+        let root = tmp_dir(name);
+        let schema = Schema::builder().relation("R", ["a", "b"]).build().unwrap();
+        let id = schema.scheme_id("R").unwrap();
+        let mut state = DatabaseState::empty(schema.definition());
+        for i in 0..ROWS {
+            state
+                .insert(id, vec![Value::int(a_of(i)), Value::int(i)])
+                .unwrap();
+        }
+        let config = DurableConfig {
+            store: StoreConfig {
+                initial_state: Some(state),
+                ..Default::default()
+            },
+            sync: SyncPolicy::Never,
+            ..Default::default()
+        };
+        let db = Database::open_at(&root, schema, config).unwrap();
+        let started = Instant::now();
+        let outcome = db.alter(&Alter::AddFd {
+            spec: "a -> b".into(),
+        });
+        let elapsed = started.elapsed();
+        assert_eq!(db.count("R").unwrap(), ROWS as usize);
+        drop(db);
+        let _ = std::fs::remove_dir_all(&root);
+        (outcome, elapsed)
+    };
+    let (accepted, accept_time) = time_add_fd("backfill-accepted", |i| i);
+    accepted.unwrap();
+    let (refused, refuse_time) = time_add_fd("backfill-refused", |_| 0);
+    assert!(
+        matches!(
+            refused,
+            Err(Error::Store(StoreError::BackfillViolation { .. }))
+        ),
+        "got {refused:?}"
+    );
+    assert!(
+        refuse_time <= accept_time * 4 + Duration::from_millis(50),
+        "refused in {refuse_time:?}, accepted in {accept_time:?}"
+    );
 }
 
 /// Alter requires a log to append the generation to: an in-memory

@@ -178,15 +178,13 @@ impl LocalMaintainer {
     pub fn new(
         schema: &DatabaseSchema,
         enforcement: Vec<FdSet>,
-        state: DatabaseState,
+        mut state: DatabaseState,
     ) -> Result<Self, MaintenanceError> {
         if enforcement.len() != schema.len() {
             return Err(RelationalError::SchemaMismatch("enforcement covers").into());
         }
-        let shards = schema
-            .ids()
-            .zip(enforcement)
-            .map(|(id, fi)| RelationShard::with_relation(schema, id, fi, state.relation(id)))
+        let shards = (schema.ids().zip(enforcement))
+            .map(|(id, fi)| RelationShard::with_relation(schema, id, fi, state.relation_mut(id)))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(LocalMaintainer {
             schema: schema.clone(),

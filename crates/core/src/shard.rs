@@ -10,8 +10,9 @@
 //! concurrent `ids-store` workers drive the exact same code.
 //!
 //! A shard owns a cheap [`DatabaseSchema`] handle (schemas are internally
-//! reference counted), its scheme's enforcement cover `Fi`, one hash index
-//! per FD of `Fi`, and the precomputed column positions of every FD's
+//! reference counted), its scheme's enforcement cover `Fi`, the
+//! relation's **key** `K`, one hash index per FD of `Fi` whose left-hand
+//! side is not `K`, and the precomputed column positions of every FD's
 //! lhs/rhs projection.  It is `Send`: workers can own one per relation.
 //! The relation's tuples themselves are passed in by the caller
 //! ([`ids_relational::Relation`]), so a shard composes both with a
@@ -19,27 +20,39 @@
 //! shards) and with a worker-owned `Relation` (concurrent store: each
 //! worker owns its relations outright).
 //!
+//! **A keyed relation is its own key index.**  `K` is the left-hand side
+//! of the first FD of `Fi` whose closure under `Fi` covers the scheme
+//! (every column when there is none), and the shard files the relation's
+//! membership table under `K` ([`Relation::rekey`]).  A tuple agrees on
+//! `K` with at most one stored row, so one probe of that table by the
+//! tuple's `K` image checks every FD `K → Y` of `Fi`, finds the
+//! duplicate, and answers a point read that pins `K`; those FDs have no
+//! index of their own.
+//!
 //! The relation is also where the tuples stay, and **no index holds a
-//! copy of a row**.  An FD index keeps one `(slot, count)` entry per
-//! distinct lhs image: the slot of one row carrying that image (its
-//! *representative*) and how many rows carry it.  It hashes and compares
-//! lhs images by reading them through [`Relation::slot_values`], and
-//! reads the rhs image the same way.  An opt-in ordered secondary index
-//! keeps one entry per *distinct* value, the two ends of that value's
-//! chain of slots, and threads the chains through one `[prev, next]`
-//! pair per slot beside the slab; [`Relation`]'s slots ascend in
-//! insertion order, so appending keeps every chain in that order.  So an
-//! insert is `O(|Fi|)` slot-table operations plus one `O(log d)` lookup
-//! among `d` distinct values per ordered index, a remove `O(|Fi|)`
-//! slot-table operations plus an `O(1)` unlink, none of which allocates
-//! past table growth or a new distinct value, and a scan reads the
-//! tuples back through [`Relation::get`].
+//! copy of a row**.  The index of an FD whose lhs is not `K` keeps one
+//! `(slot, count)` entry per distinct lhs image: the slot of one row
+//! carrying that image (its *representative*) and how many rows carry
+//! it.  It hashes and compares lhs images by reading them through
+//! [`Relation::slot_values`], and reads the rhs image the same way.  An
+//! opt-in ordered secondary index keeps one entry per *distinct* value,
+//! the two ends of that value's chain of slots, and threads the chains
+//! through one `[prev, next]` pair per slot beside the slab;
+//! [`Relation`]'s slots ascend in insertion order, so appending keeps
+//! every chain in that order.  So an insert is one key probe plus
+//! `O(|Fi|)` slot-table operations and one `O(log d)` lookup among `d`
+//! distinct values per ordered index, a remove `O(|Fi|)` slot-table
+//! operations plus an `O(1)` unlink, none of which allocates past table
+//! growth or a new distinct value, and a scan reads the tuples back
+//! through [`Relation::get`].
 //!
 //! Slots hold only within a relation epoch.  Every write compares
 //! [`Relation::epoch`] before and after it touches the relation, and when
 //! the epoch has advanced (a compaction renumbered the slots) it
-//! re-derives every index from the live rows.  That costs O(relation),
-//! amortised over the removes that caused the compaction.
+//! re-derives every FD and ordered index from the live rows.  That costs
+//! O(relation), amortised over the removes that caused the compaction.
+//! The relation's own table renames its slots as it compacts, so the key
+//! needs no re-derivation.
 
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::hash::{BuildHasher, Hash, Hasher};
@@ -47,14 +60,16 @@ use std::ops::Bound;
 
 use ids_deps::{Fd, FdSet};
 use ids_relational::{
-    AttrId, DatabaseSchema, Guard, Predicate, ReadPlan, ReadReply, Relation, RelationalError,
-    SchemeId, SlotTable, Tuple, Value,
+    AttrId, AttrSet, DatabaseSchema, Guard, Predicate, ReadPlan, ReadReply, Relation,
+    RelationalError, SchemeId, SlotTable, Tuple, Value,
 };
 
 use crate::maintenance::{InsertOutcome, MaintenanceError};
 
 /// Per-FD hash index over the relation's rows: one entry per distinct lhs
-/// image, `(representative slot, count of rows with that image)`.
+/// image, `(representative slot, count of rows with that image)`.  Only
+/// an FD whose lhs is not the relation's key has one: the relation's
+/// membership table, filed under the key, indexes the others.
 ///
 /// **Any supporter is a valid representative**: every row with the lhs
 /// image agrees on the rhs image too (that is the FD), so whichever row
@@ -187,17 +202,23 @@ pub struct RelationShard {
     schema: DatabaseSchema,
     id: SchemeId,
     enforcement: FdSet,
-    /// One index per FD of `Fi`, aligned with `enforcement.iter()`.
-    indexes: Vec<FdIndex>,
+    /// Column positions of the relation's key `K`, which its membership
+    /// table is filed under (see the module docs).
+    key: Box<[usize]>,
+    /// The attributes of `K`.
+    key_attrs: AttrSet,
+    /// One index per FD of `Fi`, aligned with `enforcement.iter()`;
+    /// `None` for an FD whose lhs is `K`.
+    indexes: Vec<Option<FdIndex>>,
     /// The relation epoch the slots in `indexes` belong to.
     epoch: u32,
     /// Column positions (scheme ranks) of each FD's lhs, precomputed.
     lhs_pos: Vec<Box<[usize]>>,
     /// Column positions of each FD's rhs, precomputed.
     rhs_pos: Vec<Box<[usize]>>,
-    /// Per-op scratch, `|Fi|` long once built: each FD's lhs hash from the
-    /// probe pass, and whether the image was indexed, reused by the commit
-    /// pass.
+    /// Per-op scratch, `|Fi|` long once built: each indexed FD's lhs hash
+    /// from the probe pass, and whether the image was indexed, reused by
+    /// the commit pass.
     probed: Vec<(u64, bool)>,
     /// Opt-in ordered secondary indexes (see [`OrderedIndex`]).
     ordered: Vec<OrderedIndex>,
@@ -210,14 +231,20 @@ impl RelationShard {
     /// keeps it so callers never re-supply scheme metadata per operation.
     pub fn new(schema: &DatabaseSchema, id: SchemeId, fi: FdSet) -> Self {
         let attrs = schema.attrs(id);
-        let positions = |set: ids_relational::AttrSet| -> Box<[usize]> {
-            set.iter().map(|a| attrs.rank(a)).collect()
-        };
+        let positions =
+            |set: AttrSet| -> Box<[usize]> { set.iter().map(|a| attrs.rank(a)).collect() };
         let lhs_pos = fi.iter().map(|fd| positions(fd.lhs)).collect();
         let rhs_pos = fi.iter().map(|fd| positions(fd.rhs)).collect();
+        let key_attrs = (fi.iter())
+            .map(|fd| fd.lhs)
+            .find(|&lhs| attrs.is_subset(fi.closure(lhs)))
+            .unwrap_or(attrs);
+        let indexes = fi.iter().map(|fd| (fd.lhs != key_attrs).then(FdIndex::new));
         RelationShard {
             schema: schema.clone(),
-            indexes: fi.iter().map(|_| FdIndex::new()).collect(),
+            key: positions(key_attrs),
+            key_attrs,
+            indexes: indexes.collect(),
             epoch: 0,
             lhs_pos,
             rhs_pos,
@@ -228,17 +255,28 @@ impl RelationShard {
         }
     }
 
-    /// Builds a shard over an existing relation instance, indexing every
-    /// tuple.  Fails with [`MaintenanceError::BaseStateViolation`] when
-    /// the instance does not satisfy `fi` — a base state the local engine
-    /// must refuse rather than silently under-enforce.
+    /// Builds a shard over an existing relation instance: indexes every
+    /// tuple, then keys `rel` by the shard's key.  Fails with
+    /// [`MaintenanceError::BaseStateViolation`] when the instance does
+    /// not satisfy `fi` — a base state the local engine must refuse
+    /// rather than silently under-enforce — and then leaves `rel` keyed
+    /// as it was, so a shard already serving it keeps its lookups.
+    ///
+    /// The check comes first, with an `FdIndex` for every FD of `fi`,
+    /// those on the key included: it costs O(rows) whatever the rows, and
+    /// a relation that passes has at most one row per key image, so the
+    /// re-keying after it stays O(rows) too.  The key FDs' indexes are
+    /// dropped before the shard is handed out.
     pub fn with_relation(
         schema: &DatabaseSchema,
         id: SchemeId,
         fi: FdSet,
-        rel: &Relation,
+        rel: &mut Relation,
     ) -> Result<Self, MaintenanceError> {
         let mut shard = Self::new(schema, id, fi);
+        for index in &mut shard.indexes {
+            index.get_or_insert_with(FdIndex::new);
+        }
         shard.epoch = rel.epoch();
         for (slot, row) in rel.iter_slots() {
             if let Some(violated) = shard.index_row(rel, slot, row) {
@@ -248,6 +286,12 @@ impl RelationShard {
                 });
             }
         }
+        for (index, fd) in shard.indexes.iter_mut().zip(shard.enforcement.iter()) {
+            if fd.lhs == shard.key_attrs {
+                *index = None;
+            }
+        }
+        rel.rekey(&shard.key);
         Ok(shard)
     }
 
@@ -338,8 +382,10 @@ impl RelationShard {
     /// of its lhs image.
     fn index_row(&mut self, rel: &Relation, slot: u32, row: &[Value]) -> Option<Fd> {
         for (k, fd) in self.enforcement.iter().enumerate() {
+            let Some(index) = &mut self.indexes[k] else {
+                continue;
+            };
             let (lhs, rhs) = (&self.lhs_pos[k], &self.rhs_pos[k]);
-            let index = &mut self.indexes[k];
             let hash = image_hash(index, lhs.iter().map(|&p| row[p]));
             match index.get_mut(hash, agrees(rel, row, lhs)) {
                 Some((rep, _)) if !agrees(rel, row, rhs)(rep) => return Some(*fd),
@@ -350,13 +396,21 @@ impl RelationShard {
         None
     }
 
+    /// Readies `rel` for a write: files it under the shard's key if it is
+    /// keyed otherwise (an empty relation, or one handed over from
+    /// elsewhere), and re-derives indexes a compaction left behind.
+    fn prepare(&mut self, rel: &mut Relation) {
+        rel.rekey(&self.key);
+        self.reindex(rel);
+    }
+
     /// Re-derives every FD index, and every ordered index whose epoch is
     /// not `rel`'s, from the live rows of `rel` — after a compaction
     /// renumbered the slots they hold.
     fn reindex(&mut self, rel: &Relation) {
         if self.epoch != rel.epoch() {
             self.epoch = rel.epoch();
-            self.indexes.iter_mut().for_each(FdIndex::clear);
+            self.indexes.iter_mut().flatten().for_each(FdIndex::clear);
             for (slot, row) in rel.iter_slots() {
                 let violated = self.index_row(rel, slot, row);
                 debug_assert!(violated.is_none(), "a stored row violates Fi");
@@ -368,10 +422,12 @@ impl RelationShard {
     }
 
     /// Attempts to insert `tuple` (scheme order) into `rel`, probing every
-    /// FD of `Fi` before committing anything.  Each lhs image is hashed
-    /// exactly once: the probe pass parks the hashes in scratch and the
-    /// commit pass reuses them, probing again only to count a row under
-    /// an image already indexed.  Nothing is allocated but table growth.
+    /// FD of `Fi` before committing anything.  Each image is hashed
+    /// exactly once: the key image's hash serves the key probe and the
+    /// relation's commit, and the probe pass parks every other FD's hash
+    /// in scratch for the commit pass, which probes again only to count
+    /// a row under an image already indexed.  Nothing is allocated but
+    /// table growth.
     pub fn insert(
         &mut self,
         rel: &mut Relation,
@@ -384,27 +440,38 @@ impl RelationShard {
             }
             .into());
         }
-        self.reindex(rel);
+        self.prepare(rel);
+        // The one row that agrees with the tuple on the key.  When it is
+        // the tuple, every probe would pass: a duplicate.
+        let (key_hash, keyed) = rel.find_key(self.key.iter().map(|&p| tuple[p]));
+        if keyed.is_some_and(|s| rel.get(s) == Some(&tuple[..])) {
+            return Ok(InsertOutcome::Duplicate);
+        }
         // Probe pass: check each FD's rhs image against the representative
-        // of the tuple's lhs image.  (A duplicate agrees with its own
-        // images and passes; the relation reports it at the commit.)
+        // of the tuple's lhs image — for an FD on the key, the keyed row.
         self.probed.clear();
         for (k, fd) in self.enforcement.iter().enumerate() {
             let (lhs, rhs) = (&self.lhs_pos[k], &self.rhs_pos[k]);
-            let hash = image_hash(&self.indexes[k], lhs.iter().map(|&p| tuple[p]));
-            let found = self.indexes[k].get(hash, agrees(rel, &tuple, lhs));
-            if found.is_some_and(|(rep, _)| !agrees(rel, &tuple, rhs)(rep)) {
+            let (rep, probed) = match &self.indexes[k] {
+                None => (keyed, (0, false)),
+                Some(index) => {
+                    let hash = image_hash(index, lhs.iter().map(|&p| tuple[p]));
+                    let found = index.get(hash, agrees(rel, &tuple, lhs));
+                    (found.map(|(rep, _)| rep), (hash, found.is_some()))
+                }
+            };
+            if rep.is_some_and(|rep| !agrees(rel, &tuple, rhs)(rep)) {
                 return Ok(InsertOutcome::Rejected {
                     violated: Some(*fd),
                 });
             }
-            self.probed.push((hash, found.is_some()));
+            self.probed.push(probed);
         }
-        // Commit: the relation first (it can still fail on a mismatched
-        // or full `rel`, and the indexes must never record a tuple the
-        // relation refused), then count the new row in every index.
+        // Commit: the relation first (it can still fail on a full `rel`,
+        // and the indexes must never record a tuple the relation
+        // refused), then count the new row in every index.
         let epoch = rel.epoch();
-        let Some(slot) = rel.insert_slot(tuple)? else {
+        let Some(slot) = rel.insert_hashed(key_hash, tuple)? else {
             return Ok(InsertOutcome::Duplicate);
         };
         if rel.epoch() != epoch {
@@ -415,7 +482,9 @@ impl RelationShard {
         }
         let row = rel.get(slot).expect("the slot just inserted is live");
         for (k, &(hash, found)) in self.probed.iter().enumerate() {
-            let index = &mut self.indexes[k];
+            let Some(index) = &mut self.indexes[k] else {
+                continue;
+            };
             if !found {
                 index.insert(hash, slot, 1);
             } else if let Some((_, count)) = index.get_mut(hash, agrees(rel, row, &self.lhs_pos[k]))
@@ -433,16 +502,15 @@ impl RelationShard {
     /// matching tuples in insertion order — the shard-side half of query
     /// pushdown: only matching tuples ever leave the owner.
     ///
-    /// When the predicate pins every column of some FD of `Fi` whose
-    /// attributes span the whole scheme — i.e. the FD's left-hand side is
-    /// a *key* of the relation — the lookup is answered in O(1) from the
-    /// hash index the shard already maintains for enforcement: the key's
-    /// index entry names the slot of the unique matching tuple, which is
-    /// read straight out of `rel`.  A predicate on a column with an
-    /// ordered index reads the candidate slots from it; every other
-    /// predicate falls back to one linear pass.
+    /// When the predicate pins every column of the relation's key `K`,
+    /// the lookup is answered in O(1) from the relation's own membership
+    /// table, filed under `K`: one probe by the pinned image finds the
+    /// unique matching tuple.  A predicate on a column with an ordered
+    /// index reads the candidate slots from it; every other predicate,
+    /// and every read of a relation not keyed by `K`, falls back to one
+    /// linear pass.
     ///
-    /// The indexes are maintained by the write path for free, so the
+    /// The table is the one the write path keeps anyway, so the
     /// point-lookup fast path adds zero cost to inserts and removes.
     pub fn scan(&self, rel: &Relation, pred: &Predicate) -> Result<Vec<Tuple>, MaintenanceError> {
         pred.validate_against(self.schema.attrs(self.id))?;
@@ -466,38 +534,20 @@ impl RelationShard {
     /// the scheme.
     fn scan_valid(&self, rel: &Relation, pred: &Predicate) -> Vec<Tuple> {
         let attrs = self.schema.attrs(self.id);
-        // Only *equality* conjuncts pin a value the hash index can be
-        // probed with — guards constrain without pinning.
-        let pinned: ids_relational::AttrSet = pred.conjuncts().iter().map(|&(a, _)| a).collect();
-        for (k, fd) in self.enforcement.iter().enumerate() {
-            // Key FD: lhs ∪ rhs covers the scheme (so lhs determines the
-            // whole tuple) and the predicate pins all of lhs.  Slots of
-            // another epoch name other tuples: no index of a relation
-            // changed behind the shard's back is read.
-            if self.epoch != rel.epoch()
-                || self.lhs_pos[k].len() + self.rhs_pos[k].len() != attrs.len()
-                || !fd.lhs.is_subset(pinned)
-            {
-                continue;
-            }
-            let key = || {
-                fd.lhs
-                    .iter()
-                    .map(|a| pred.value_of(a).expect("lhs ⊆ pinned"))
-            };
-            let index = &self.indexes[k];
-            let pinned_key = |s: u32| {
-                let held = rel.slot_values(s);
-                held.is_some_and(|t| self.lhs_pos[k].iter().zip(key()).all(|(&p, v)| t[p] == v))
-            };
-            let Some((slot, _)) = index.get(image_hash(index, key()), pinned_key) else {
+        // Only *equality* conjuncts pin a value the key can be probed
+        // with — guards constrain without pinning.  The relation's table
+        // is current after every write, so unlike the slot-holding
+        // indexes it needs no epoch check; a relation keyed otherwise
+        // (handed over, not yet written through this shard) is not
+        // probed.
+        let pinned: AttrSet = pred.conjuncts().iter().map(|&(a, _)| a).collect();
+        if rel.key() == &*self.key && self.key_attrs.is_subset(pinned) {
+            let image = (self.key_attrs.iter()).map(|a| pred.value_of(a).expect("K ⊆ pinned"));
+            let Some(t) = rel.find_key(image).1.and_then(|slot| rel.get(slot)) else {
                 return Vec::new();
             };
-            // Every supporter of a key image is the one tuple carrying it,
-            // so the representative is live.  The remaining conjuncts (pins
-            // outside lhs, or contradictory duplicates) and any guards
-            // still apply to it.
-            let t = rel.get(slot).expect("a key FD's representative is live");
+            // The remaining conjuncts (pins outside K, or contradictory
+            // duplicates) and any guards still apply to the one tuple.
             return if pred.matches(attrs, t) {
                 vec![Tuple::from(t)]
             } else {
@@ -572,7 +622,7 @@ impl RelationShard {
             }
             .into());
         }
-        self.reindex(rel);
+        self.prepare(rel);
         let epoch = rel.epoch();
         let Some(slot) = rel.remove_slot(tuple) else {
             return Ok(false);
@@ -587,6 +637,7 @@ impl RelationShard {
         // compaction, so an entry whose representative it was still reads
         // the right images while other supporters keep it alive.
         for (lhs, index) in self.lhs_pos.iter().zip(&mut self.indexes) {
+            let Some(index) = index else { continue };
             let hash = image_hash(index, lhs.iter().map(|&p| tuple[p]));
             let image = agrees(rel, tuple, lhs);
             if let Some((_, count)) = index.get_mut(hash, &image) {
@@ -710,7 +761,7 @@ mod tests {
         let id = SchemeId(0);
         let mut rel = Relation::new(schema.attrs(id));
         rel.insert(vec![v(7), v(70)]).unwrap();
-        let mut shard = RelationShard::with_relation(&schema, id, fds, &rel).unwrap();
+        let mut shard = RelationShard::with_relation(&schema, id, fds, &mut rel).unwrap();
         assert!(matches!(
             shard.insert(&mut rel, vec![v(7), v(71)]).unwrap(),
             InsertOutcome::Rejected { .. }
@@ -1036,10 +1087,11 @@ mod tests {
         assert_eq!(rel.epoch(), 1);
     }
 
-    /// How many live lhs images of the shard's first FD, `A → B` over
-    /// `ABC`, have a tombstoned representative.
+    /// How many live lhs images of the shard's FD `A → B` over `ABC`, the
+    /// one FD with an index, have a tombstoned representative.
     fn tombstoned_representatives(shard: &RelationShard, rel: &Relation) -> usize {
-        let (lhs, index) = (&shard.lhs_pos[0], &shard.indexes[0]);
+        let k = shard.indexes.iter().position(Option::is_some).unwrap();
+        let (lhs, index) = (&shard.lhs_pos[k], shard.indexes[k].as_ref().unwrap());
         let mut images: Vec<Value> = rel.iter().map(|t| t[lhs[0]]).collect();
         images.sort_unstable();
         images.dedup();
@@ -1053,18 +1105,33 @@ mod tests {
 
     #[test]
     fn fd_representatives_survive_removal_and_compaction() {
-        // ABC with A→B (not a key, so an image has many supporters) and
-        // C→AB (a key, so `C = c` takes the point path).  Removes favour
-        // each group's oldest row, the one its entry names, and the mix
-        // alternates growing and draining so the relation compacts again
-        // and again — with representatives tombstoned at the time.
+        // ABC with A→B (not a key, so an image has many supporters) and C
+        // a key, so `C = c` takes the point path through the relation's
+        // table: C→AB, the split C→A, C→B, and the transitive C→A with
+        // A→B.  Only A→B has an index.
+        for cover in [
+            &["A -> B", "C -> AB"][..],
+            &["A -> B", "C -> A", "C -> B"],
+            &["C -> A", "A -> B"],
+        ] {
+            representatives_survive_removal_and_compaction(cover);
+        }
+    }
+
+    /// Removes favour each group's oldest row, the one its `A → B` entry
+    /// names, and the mix alternates growing and draining so the relation
+    /// compacts again and again — with representatives tombstoned at the
+    /// time.
+    fn representatives_survive_removal_and_compaction(cover: &[&str]) {
         let u = Universe::from_names(["A", "B", "C"]).unwrap();
         let schema = DatabaseSchema::parse(u, &[("ABC", "ABC")]).unwrap();
-        let fds = FdSet::parse(schema.universe(), &["A -> B", "C -> AB"]).unwrap();
+        let fds = FdSet::parse(schema.universe(), cover).unwrap();
         let id = SchemeId(0);
         let a = schema.universe().attr("A").unwrap();
         let c = schema.universe().attr("C").unwrap();
         let mut shard = RelationShard::new(&schema, id, fds.clone());
+        assert_eq!(*shard.key, [2], "{cover:?}");
+        assert_eq!(shard.indexes.iter().flatten().count(), 1, "{cover:?}");
         let mut rel = Relation::new(schema.attrs(id));
         shard.add_ordered_index(a, &rel).unwrap();
         const GROUPS: usize = 12;
@@ -1164,7 +1231,7 @@ mod tests {
             let holds_tombstones = (0..).map_while(|s| copy.slot_values(s)).count() > copy.len();
             assert!(holds_tombstones);
             let mut rebuilt =
-                RelationShard::with_relation(&schema, id, fds.clone(), &copy).unwrap();
+                RelationShard::with_relation(&schema, id, fds.clone(), &mut copy).unwrap();
             for pred in [Predicate::new(), Predicate::new().and_eq(a, v(3))] {
                 assert_reads_agree(&rebuilt, &copy, &pred, a);
             }

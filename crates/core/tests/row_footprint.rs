@@ -4,10 +4,13 @@
 //! membership table, a shard's FD index and the value pool's name table
 //! are `u32` slot tables that read keys back through the slab or the
 //! pool's arena instead of owning copies; an ordered index chains slots
-//! per distinct value.  A counting allocator measures what 100k
-//! two-column rows under one key FD, an ordered index over them, and 100k
-//! interned names actually hold, and how many allocation calls the write
-//! path makes.
+//! per distinct value.  A keyed relation is its own key index: the shard
+//! files the membership table under the key FD's left-hand side, so an
+//! FD on the key costs no table of its own, and only an FD whose
+//! left-hand side is not a key keeps an FD index.  A counting allocator
+//! measures what 100k rows under a key FD, a split key cover and a
+//! non-key FD, an ordered index over them, and 100k interned names
+//! actually hold, and how many allocation calls the write path makes.
 //! Bytes are the sizes requested from the allocator, capacity included,
 //! as the benchmark's `mem_bytes_per_row` counts them.  Run with
 //! `--nocapture` to see the exact figures.
@@ -103,9 +106,14 @@ fn per(bytes: i64, n: u64) -> f64 {
     bytes as f64 / n as f64
 }
 
-#[test]
-fn a_row_is_held_once_and_its_fd_image_as_one_slot() {
-    let (schema, fds) = schema();
+/// The heap bytes per row a relation over `attrs` holds once the 100k
+/// rows `row(i)` are inserted through its own insert, and the bytes per
+/// row a shard enforcing `fds` adds when the same rows go through it.
+fn relation_and_index_bytes(attrs: &str, fds: &[&str], row: fn(u64) -> Vec<Value>) -> (f64, f64) {
+    let names: Vec<String> = attrs.chars().map(String::from).collect();
+    let u = Universe::from_names(names).unwrap();
+    let schema = DatabaseSchema::parse(u, &[("R", attrs)]).unwrap();
+    let fds = FdSet::parse(schema.universe(), fds).unwrap();
     let id = SchemeId(0);
     // The relation alone, filled through its own insert.
     let (rel, rel_bytes) = bytes_kept(|| {
@@ -116,7 +124,7 @@ fn a_row_is_held_once_and_its_fd_image_as_one_slot() {
         rel
     });
     drop(rel);
-    // The same rows through a shard: relation + the `A → B` index.
+    // The same rows through a shard: relation + whatever the shard keeps.
     let ((shard, rel), both_bytes) = bytes_kept(|| {
         let mut shard = RelationShard::new(&schema, id, fds);
         let mut rel = Relation::new(schema.attrs(id));
@@ -126,15 +134,32 @@ fn a_row_is_held_once_and_its_fd_image_as_one_slot() {
         (shard, rel)
     });
     assert_eq!(rel.len(), ROWS as usize);
-    let relation = per(rel_bytes, ROWS);
-    let fd_index = per(both_bytes - rel_bytes, ROWS);
-    println!("Relation: {relation:.2} B/row; FD index: {fd_index:.2} B/row");
+    drop((shard, rel));
+    (per(rel_bytes, ROWS), per(both_bytes - rel_bytes, ROWS))
+}
+
+#[test]
+fn a_row_is_held_once_and_a_key_fd_costs_no_index() {
+    let (relation, key_fd) = relation_and_index_bytes("AB", &["A -> B"], row);
+    let abc = |i: u64| vec![Value::int(i), Value::int(i % 97), Value::int(i % 89)];
+    let (_, split_key) = relation_and_index_bytes("ABC", &["A -> B", "A -> C"], abc);
+    let (_, non_key) = relation_and_index_bytes("ABC", &["A -> B"], abc);
+    println!(
+        "Relation: {relation:.2} B/row; key FD A → B: {key_fd:.4} B/row; \
+         split key A → B, A → C: {split_key:.4} B/row; non-key A → B on ABC: {non_key:.2} B/row"
+    );
     // 16 bytes of values per row in a doubling slab, plus an 8-byte
     // bucket per row in a ≤ 7/8-full power-of-two table.
     assert!(relation <= 34.0, "Relation holds {relation:.2} B/row");
+    // The relation's table, filed under the key, is the key's index: the
+    // shard adds a few fixed-size fields, nothing per row.
+    assert!(key_fd <= 0.01, "the key FD costs {key_fd:.4} B/row");
+    assert!(
+        split_key <= 0.01,
+        "the split key costs {split_key:.4} B/row"
+    );
     // A 12-byte (tag, slot, count) bucket per distinct image.
-    assert!(fd_index <= 20.0, "the FD index holds {fd_index:.2} B/row");
-    drop((shard, rel));
+    assert!(non_key <= 20.0, "the FD index holds {non_key:.2} B/row");
 }
 
 /// The heap bytes per row an ordered index on `B` holds once 100k rows
@@ -230,7 +255,8 @@ fn write_path_calls(indexed: bool) -> [u64; 4] {
 #[test]
 fn inserts_allocate_only_to_grow_and_removes_not_at_all() {
     let [insert_calls, rest @ ..] = write_path_calls(false);
-    // Slab, tombstone bits and two tables, each doubling ≈ 15–17 times.
+    // Slab, tombstone bits and the membership table, each doubling ≈
+    // 15–17 times.
     assert!(insert_calls <= 64, "{insert_calls} allocation calls");
     assert_eq!(rest, [0; 3]);
 }

@@ -202,6 +202,7 @@ impl Extend<AttrId> for AttrSet {
 }
 
 /// Iterator over the members of an [`AttrSet`] in increasing order.
+#[derive(Clone)]
 pub struct AttrSetIter {
     set: AttrSet,
     word: usize,

@@ -43,7 +43,7 @@ pub use attr::AttrId;
 pub use attrset::{AttrSet, AttrSetIter, MAX_ATTRS};
 pub use error::RelationalError;
 pub use query::{Guard, Predicate, Projection, ReadPlan, ReadReply, ReadShape};
-pub use relation::{join_all, Relation, Tuple};
+pub use relation::{join_all, KeyHash, Relation, Tuple};
 pub use scheme::{DatabaseSchema, RelationScheme, SchemeId};
 pub use slot_table::SlotTable;
 pub use state::DatabaseState;

@@ -1,7 +1,7 @@
 //! Relation instances.
 
 use std::collections::HashSet;
-use std::hash::BuildHasher;
+use std::hash::{BuildHasher, Hash, Hasher};
 
 use crate::attr::AttrId;
 use crate::attrset::AttrSet;
@@ -20,8 +20,17 @@ pub type Tuple = Box<[Value]>;
 /// (`Vec<Value>`, `arity` values per row) addressed by a `u32` **slot**.
 /// Rows take slots in insertion order (deterministic iteration for
 /// reproducible tests and benchmarks).  Membership is a [`SlotTable`] of
-/// slots hashed by row content and compared through the slab, so it owns
-/// no copy of any row; membership, insertion *and removal* are O(1).
+/// slots hashed by the row's **key** and compared through the slab, so it
+/// owns no copy of any row; membership, insertion *and removal* are O(1).
+///
+/// The key is a list of column positions, every column by default.  A
+/// shard that enforces a key FD `K → …` files the table under `K`
+/// ([`Relation::rekey`]) and the table becomes that FD's index: one
+/// probe by `K`'s image ([`Relation::find_key`]) finds the only row that
+/// can conflict with a new tuple, the row a point read on `K` returns,
+/// and, when it equals the tuple, the duplicate.  Membership still
+/// compares whole rows, so the table is correct under any key; only its
+/// probe runs grow when many rows share a key image.
 ///
 /// A remove takes the slot out of the table and sets its bit in a
 /// **tombstone** bitset; iteration skips tombstones.  When tombstones
@@ -52,11 +61,19 @@ pub struct Relation {
     slots: u32,
     /// Bit `s % 64` of word `s / 64` is set once slot `s` is removed.
     dead: Vec<u64>,
-    /// Live rows by content.
+    /// Live rows, filed under the hash of their `key` image.
     present: SlotTable,
+    /// The column positions `present` hashes, in key order.
+    key: Box<[usize]>,
     /// Number of compactions so far (wrapping).
     epoch: u32,
 }
+
+/// The hash a [`Relation`]'s membership table files a key image under,
+/// as [`Relation::find_key`] computed it.  Nothing else makes one, so
+/// [`Relation::insert_hashed`] is never handed an arbitrary number.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct KeyHash(u64);
 
 impl Relation {
     /// Creates an empty instance over the given scheme attributes.
@@ -64,8 +81,67 @@ impl Relation {
         Relation {
             attrs,
             arity: attrs.len(),
+            key: (0..attrs.len()).collect(),
             ..Relation::default()
         }
+    }
+
+    /// The column positions the membership table files rows under, in
+    /// key order: every column unless [`Relation::rekey`] chose others.
+    pub fn key(&self) -> &[usize] {
+        &self.key
+    }
+
+    /// Files every row under the column positions `key` instead, a no-op
+    /// when `key` is the current key.  Slots and the epoch stay as they
+    /// are.  O(rows) when no two rows share a key image; `g` rows that
+    /// share one form one probe run and cost O(g²), so a caller checks
+    /// that `key` is a key first.
+    ///
+    /// # Panics
+    ///
+    /// When a position is not below the arity.
+    pub fn rekey(&mut self, key: &[usize]) {
+        if *self.key == *key {
+            return;
+        }
+        assert!(
+            key.iter().all(|&p| p < self.arity),
+            "key column outside the scheme"
+        );
+        self.key = key.into();
+        self.present.clear();
+        for s in 0..self.slots {
+            if !self.is_dead(s) {
+                let hash = self.row_hash(self.row(s));
+                self.present.insert(hash, s, ());
+            }
+        }
+    }
+
+    /// The hash the membership table files a key image under: the
+    /// table's keyed SipHash over `image`, the values in key order.
+    fn key_hash(&self, image: impl IntoIterator<Item = Value>) -> u64 {
+        let mut h = self.present.hasher().build_hasher();
+        image.into_iter().for_each(|v| v.hash(&mut h));
+        h.finish()
+    }
+
+    /// The key hash of `image` (values in key order), and the slot of a
+    /// live row whose key columns hold `image`.  Under a key no two rows
+    /// share, that row is the only one.
+    pub fn find_key<I>(&self, image: I) -> (KeyHash, Option<u32>)
+    where
+        I: IntoIterator<Item = Value> + Clone,
+    {
+        let hash = self.key_hash(image.clone());
+        let (values, arity, key) = (&self.values, self.arity, &self.key);
+        let holds = |s: u32| {
+            let r = row(values, arity, s);
+            key.iter().zip(image.clone()).all(|(&p, v)| r[p] == v)
+        };
+        let found = self.present.get(hash, holds).map(|(slot, ())| slot);
+        (KeyHash(hash), found)
     }
 
     /// The scheme attributes.
@@ -99,13 +175,22 @@ impl Relation {
     /// [`RelationalError::RelationFull`], so a count of a relation's
     /// tuples always fits a `u32`.
     pub fn insert_slot(&mut self, tuple: Vec<Value>) -> Result<Option<u32>, RelationalError> {
-        if tuple.len() != self.arity() {
-            return Err(RelationalError::ArityMismatch {
-                expected: self.arity(),
-                found: tuple.len(),
-            });
-        }
-        let hash = self.hash_row(&tuple);
+        self.check_arity(&tuple)?;
+        self.insert_hashed(KeyHash(self.row_hash(&tuple)), tuple)
+    }
+
+    /// [`Relation::insert_slot`] for a tuple whose key image
+    /// [`Relation::find_key`] has just hashed to `hash`, so a caller that
+    /// probed the key hashes the tuple once.  The hash must be that of
+    /// this tuple's image under this relation's current key: only
+    /// `find_key` makes a [`KeyHash`], and debug builds check it.
+    pub fn insert_hashed(
+        &mut self,
+        KeyHash(hash): KeyHash,
+        tuple: Vec<Value>,
+    ) -> Result<Option<u32>, RelationalError> {
+        self.check_arity(&tuple)?;
+        debug_assert_eq!(hash, self.row_hash(&tuple), "the tuple's key hash");
         if self.find(hash, &tuple).is_some() {
             return Ok(None);
         }
@@ -117,6 +202,16 @@ impl Relation {
         self.slots += 1;
         self.present.insert(hash, slot, ());
         Ok(Some(slot))
+    }
+
+    fn check_arity(&self, tuple: &[Value]) -> Result<(), RelationalError> {
+        if tuple.len() != self.arity {
+            return Err(RelationalError::ArityMismatch {
+                expected: self.arity,
+                found: tuple.len(),
+            });
+        }
+        Ok(())
     }
 
     /// The slot the next pushed tuple takes, none above `last`.  When the
@@ -151,7 +246,10 @@ impl Relation {
     /// in the epoch before the call; compare [`Relation::epoch`] around
     /// it to learn whether the remove compacted.
     pub fn remove_slot(&mut self, tuple: &[Value]) -> Option<u32> {
-        let hash = self.hash_row(tuple);
+        if tuple.len() != self.arity {
+            return None;
+        }
+        let hash = self.row_hash(tuple);
         let (values, arity) = (&self.values, self.arity);
         let (slot, ()) = self
             .present
@@ -202,7 +300,10 @@ impl Relation {
     /// The slot holding `tuple`, if present.  Slots ascend along
     /// [`Relation::iter`] and stay put until the epoch advances.
     pub fn slot_of(&self, tuple: &[Value]) -> Option<u32> {
-        self.find(self.hash_row(tuple), tuple)
+        if tuple.len() != self.arity {
+            return None;
+        }
+        self.find(self.row_hash(tuple), tuple)
     }
 
     /// The tuple in `slot`; `None` for a tombstone or an unused slot.
@@ -239,9 +340,9 @@ impl Relation {
             .map(|s| (s, self.row(s)))
     }
 
-    /// The hash the membership table files `row` under.
-    fn hash_row(&self, row: &[Value]) -> u64 {
-        self.present.hasher().hash_one(row)
+    /// The hash the membership table files `row` under: its key image's.
+    fn row_hash(&self, row: &[Value]) -> u64 {
+        self.key_hash(self.key.iter().map(|&p| row[p]))
     }
 
     /// The live slot holding `tuple`, which hashes to `hash`.
@@ -470,6 +571,14 @@ mod tests {
         let absent = [v(u64::MAX), v(0)];
         assert!(!r.contains(&absent));
         assert_eq!(r.slot_of(&absent), None);
+        // A key image finds a row carrying it exactly when one exists.
+        for m in model.iter().take(50).chain([&absent.to_vec()]) {
+            let image = r.key().iter().map(|&p| m[p]);
+            let found = r.find_key(image.clone()).1.and_then(|s| r.get(s));
+            let carrier = model.iter().find(|t| r.key().iter().all(|&p| t[p] == m[p]));
+            assert_eq!(found.is_some(), carrier.is_some(), "{m:?}");
+            assert!(found.is_none_or(|t| r.key().iter().all(|&p| t[p] == m[p])));
+        }
     }
 
     #[test]
@@ -499,6 +608,14 @@ mod tests {
             }
             if step % 500 == 499 {
                 assert_agrees_with_model(&r, &model);
+            }
+            // Re-filed under a shared column, the columns reversed, and
+            // back: a key many rows share is slower, never wrong.
+            match step {
+                2_500 => r.rekey(&[0]),
+                5_000 => r.rekey(&[1, 0]),
+                7_500 => r.rekey(&[0, 1]),
+                _ => {}
             }
             if step == 5_250 {
                 let copy = r.clone();

@@ -99,16 +99,23 @@ impl ValuePool {
     /// # Panics
     ///
     /// When the name does not fit the arena (see [`ValuePool::room_for`]);
-    /// a caller interning names from outside the program checks first.
+    /// a caller interning names from outside the program uses
+    /// [`ValuePool::intern`].
     pub fn value(&mut self, name: impl AsRef<str>) -> Value {
-        let name = name.as_ref();
+        self.intern(name.as_ref())
+            .expect("value pool arena full: intern names from outside the program")
+    }
+
+    /// Interns a name, returning a stable value: the name is hashed and
+    /// looked up once, and a fresh one is appended.  A fresh name the
+    /// arena has no room for is [`RelationalError::PoolFull`], and the
+    /// pool is left as it was.
+    pub fn intern(&mut self, name: &str) -> Result<Value, RelationalError> {
         let hash = self.by_name.hasher().hash_one(name);
         if let Some(v) = self.find(hash, name) {
-            return v;
+            return Ok(v);
         }
-        let end = self
-            .end_after(name)
-            .expect("value pool arena full: check room_for before interning");
+        let end = self.end_after(name).ok_or(RelationalError::PoolFull)?;
         let id = u32::try_from(self.ends.len()).expect("fewer names than arena bytes");
         if name.is_empty() {
             self.late.insert(id, "".into());
@@ -116,7 +123,7 @@ impl ValuePool {
         self.arena.push_str(name);
         self.ends.push(end);
         self.by_name.insert(hash, id, ());
-        Value(u64::from(id))
+        Ok(Value(u64::from(id)))
     }
 
     /// Names value `v` `name`, as a log that interned it elsewhere
@@ -162,7 +169,7 @@ impl ValuePool {
     }
 
     /// `Ok` when the arena has room for `name`'s bytes, which is all
-    /// [`ValuePool::value`] needs to intern a name it has not seen;
+    /// [`ValuePool::intern`] needs to intern a name it has not seen;
     /// otherwise [`RelationalError::PoolFull`].
     pub fn room_for(&self, name: &str) -> Result<(), RelationalError> {
         self.end_after(name)

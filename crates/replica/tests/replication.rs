@@ -61,6 +61,37 @@ fn assert_converged(primary: &Database, replica: &Replica) {
     }
 }
 
+/// A follower's relations are filed under their keys — `course` for
+/// `CT` under `course -> teacher`, every column for `CS` — both as the
+/// bootstrap recovers them from a checkpoint and as it tails later
+/// writes, so its point reads probe the key rather than pass over every
+/// row.
+#[test]
+fn file_follower_relations_are_filed_under_their_keys() {
+    let root = tmp_dir("keys");
+    let db = primary(&root);
+    db.insert("CT", ["CS402", "Jones"]).unwrap();
+    db.insert("CS", ["CS402", "Riley"]).unwrap();
+    db.checkpoint().unwrap();
+    let mut replica = Replica::open(&root).unwrap();
+    let keys = |replica: &Replica| {
+        let state = replica.database().snapshot().unwrap();
+        let schema = replica.schema();
+        ["CT", "CS"].map(|name| {
+            let id = schema.scheme_id(name).unwrap();
+            (state.relation(id).len(), state.relation(id).key().to_vec())
+        })
+    };
+    assert!(replica.wait_caught_up(Duration::from_secs(5)).unwrap());
+    assert_eq!(keys(&replica), [(1, vec![0]), (1, vec![0, 1])]);
+    db.insert("CT", ["CS101", "Reed"]).unwrap();
+    db.insert("CS", ["CS101", "Ann"]).unwrap();
+    assert!(replica.wait_caught_up(Duration::from_secs(5)).unwrap());
+    assert_eq!(keys(&replica), [(2, vec![0]), (2, vec![0, 1])]);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn file_follower_bootstraps_and_tails_a_live_primary() {
     let root = tmp_dir("file-tail");

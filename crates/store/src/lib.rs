@@ -479,11 +479,12 @@ impl Slot {
     /// alter the cover is first the union of the old and new covers, so
     /// traffic accepted between the backfill and the switch satisfies
     /// both schemas, and then the exact new cover; during a rollback it
-    /// is the exact old cover.  On violation nothing is installed and the
-    /// error carries the violated FD plus a violating pair of tuples.
+    /// is the exact old cover.  On violation nothing is installed, the
+    /// relation stays filed under the serving shard's key, and the error
+    /// carries the violated FD plus a violating pair of tuples.
     fn install_cover(&mut self, cover: FdSet) -> Result<u64, StoreError> {
         let schema = self.shard.schema().clone();
-        match RelationShard::with_relation(&schema, self.id, cover, &self.rel) {
+        match RelationShard::with_relation(&schema, self.id, cover, &mut self.rel) {
             Ok(mut shard) => {
                 // The rebuilt shard revalidated the relation under the
                 // candidate cover; carry the ordered secondary indexes
@@ -696,7 +697,7 @@ impl Store {
     pub fn from_schema(schema: Schema, config: StoreConfig) -> Result<Self, StoreError> {
         let definition = &schema.definition;
         let covers = schema.covers()?;
-        let relations: Vec<Relation> = match config.initial_state {
+        let mut relations: Vec<Relation> = match config.initial_state {
             Some(state) => {
                 DatabaseState::from_relations(definition, state.into_relations())?.into_relations()
             }
@@ -705,7 +706,7 @@ impl Store {
                 .collect(),
         };
         let mut shards = Vec::with_capacity(definition.len());
-        for (id, rel) in definition.ids().zip(relations.iter()) {
+        for (id, rel) in definition.ids().zip(relations.iter_mut()) {
             let fi = covers[id.index()].clone();
             shards.push(RelationShard::with_relation(definition, id, fi, rel)?);
         }
@@ -906,7 +907,7 @@ impl Store {
             for (era, eid) in eras {
                 let mut shard = if era == last_era {
                     let cover = enforcement[id.index()].clone();
-                    RelationShard::with_relation(definition, id, cover, &rel)?
+                    RelationShard::with_relation(definition, id, cover, &mut rel)?
                 } else {
                     let m = &chain[era].1;
                     let covers = match &mut era_enf[era] {
@@ -917,7 +918,7 @@ impl Store {
                         }
                     };
                     let cover = covers[eid.index()].clone();
-                    RelationShard::with_relation(&m.schema, eid, cover, &rel)?
+                    RelationShard::with_relation(&m.schema, eid, cover, &mut rel)?
                 };
                 while let Some((_, record)) = records.next_if(|(e, _)| *e == era) {
                     let seq = record.seq;
@@ -946,7 +947,7 @@ impl Store {
                 Some((era, shard)) if era == last_era => shard,
                 _ => {
                     let cover = enforcement[id.index()].clone();
-                    RelationShard::with_relation(definition, id, cover, &rel)?
+                    RelationShard::with_relation(definition, id, cover, &mut rel)?
                 }
             };
             relations.push(rel);
@@ -2307,6 +2308,41 @@ mod tests {
             assert!(state.relation(ct).contains(&[v(1), v(12)]));
             assert_eq!(state.relation(cs).len(), 2);
         }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A recovered relation is filed under its shard's key — the lhs of
+    /// its key FD, every column when it has none — so its point reads
+    /// probe the key rather than pass over every row.
+    #[test]
+    fn recovered_relations_are_filed_under_their_keys() {
+        let root = tmp_dir("keys");
+        let (schema, fds) = independent_setup();
+        let ids = ["CT", "CS", "CHR"].map(|name| schema.scheme_by_name(name).unwrap());
+        let keys: [&[usize]; 3] = [&[0], &[0, 1], &[0, 1]];
+        {
+            let store = Store::open_durable(&root, &schema, &fds).unwrap();
+            for (i, id) in ids.into_iter().enumerate() {
+                let arity = schema.attrs(id).len() as u64;
+                store
+                    .insert(id, (0..arity).map(|c| v(c + i as u64)).collect())
+                    .unwrap();
+            }
+            store.checkpoint().unwrap();
+        }
+        let canonical = Schema::canonical(
+            schema.clone(),
+            fds.clone(),
+            ids_core::analyze(&schema, &fds),
+        );
+        let dir = WalDir::open(&root).unwrap();
+        let store = Store::recover_durable(dir, canonical, DurableConfig::default()).unwrap();
+        let state = store.snapshot().unwrap();
+        for (id, key) in ids.into_iter().zip(keys) {
+            assert_eq!(state.relation(id).len(), 1);
+            assert_eq!(state.relation(id).key(), key, "{id:?}");
+        }
+        drop(store);
         let _ = std::fs::remove_dir_all(&root);
     }
 
