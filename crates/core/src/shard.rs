@@ -60,7 +60,7 @@ use std::ops::Bound;
 
 use ids_deps::{Fd, FdSet};
 use ids_relational::{
-    AttrId, AttrSet, DatabaseSchema, Guard, Predicate, ReadPlan, ReadReply, Relation,
+    AttrId, AttrSet, Chunked, DatabaseSchema, Guard, Predicate, ReadPlan, ReadReply, Relation,
     RelationalError, SchemeId, SlotTable, Tuple, Value,
 };
 
@@ -87,12 +87,14 @@ const NIL: u32 = u32::MAX;
 /// rows carrying each value, chained in ascending slot order.  `chains`
 /// maps every *distinct* value of the column to the first and last slot
 /// of its chain, and `links[slot]` is the `[prev, next]` pair of the
-/// row in that slot of [`Relation`]'s slab.  The index holds no tuple
-/// copies and no sequence stamps: a scan reads the tuples back through
-/// [`Relation::get`].  Within an epoch the relation hands out slots in
-/// ascending insertion order, so appending a new row at its value's
-/// `last` keeps each chain in the order [`Relation::filter_tuples`]
-/// produces (differential tests compare the two paths tuple-for-tuple).
+/// row in that slot of [`Relation`]'s slab: one [`Chunked`] record per
+/// slot, so the links grow a chunk at a time, as the slab does.  The
+/// index holds no tuple copies and no sequence stamps: a scan reads the
+/// tuples back through [`Relation::get`].  Within an epoch the relation
+/// hands out slots in ascending insertion order, so appending a new row
+/// at its value's `last` keeps each chain in the order
+/// [`Relation::filter_tuples`] produces (differential tests compare the
+/// two paths tuple-for-tuple).
 /// An insert is one map lookup and an `O(1)` link; a remove is an
 /// `O(1)` unlink that touches the map only at a chain's ends, dropping
 /// the value's entry with its last row.  Slots are stable only within a
@@ -111,7 +113,7 @@ struct OrderedIndex {
     chains: BTreeMap<Value, (u32, u32)>,
     /// `[prev, next]` per slot, [`NIL`] at a chain's ends; the pair of a
     /// slot no chain holds is `[NIL, NIL]`.
-    links: Vec<[u32; 2]>,
+    links: Chunked<u32>,
 }
 
 impl OrderedIndex {
@@ -129,19 +131,19 @@ impl OrderedIndex {
     /// of `value`.
     fn link(&mut self, value: Value, slot: u32) {
         let s = slot as usize;
-        if self.links.len() <= s {
-            self.links.resize(s + 1, [NIL; 2]);
+        while self.links.len() <= s {
+            self.links.push(&[NIL; 2]);
         }
         match self.chains.entry(value) {
             Entry::Vacant(e) => {
                 e.insert((slot, slot));
-                self.links[s] = [NIL; 2];
+                self.links[s].fill(NIL);
             }
             Entry::Occupied(mut e) => {
                 let last = &mut e.get_mut().1;
                 debug_assert!(*last < slot, "slots ascend within an epoch");
                 self.links[*last as usize][1] = slot;
-                self.links[s] = [*last, NIL];
+                self.links[s].copy_from_slice(&[*last, NIL]);
                 *last = slot;
             }
         }
@@ -149,7 +151,9 @@ impl OrderedIndex {
 
     /// Takes `slot` off the chain of `value`.
     fn unlink(&mut self, value: Value, slot: u32) {
-        let [prev, next] = std::mem::replace(&mut self.links[slot as usize], [NIL; 2]);
+        let pair = &mut self.links[slot as usize];
+        let (prev, next) = (pair[0], pair[1]);
+        pair.fill(NIL);
         if prev != NIL {
             self.links[prev as usize][1] = next;
         }
@@ -338,7 +342,7 @@ impl RelationShard {
             pos: attrs.rank(attr),
             epoch: 0,
             chains: BTreeMap::new(),
-            links: Vec::new(),
+            links: Chunked::new(2),
         };
         ix.rebuild(rel);
         self.ordered.push(ix);
@@ -897,7 +901,9 @@ mod tests {
     fn ordered_index_scans_agree_with_linear_filters_across_compactions() {
         // Same relation as above, driven until the relation compacts —
         // twice — so the indexes are rebuilt from renumbered slots; a
-        // second index is declared on already-compacted slots.
+        // second index is declared on already-compacted slots.  Rows
+        // come in units of `n`, so the slots span three chunks of links
+        // and every compaction moves rows across chunk boundaries.
         let u = Universe::from_names(["A", "B", "C"]).unwrap();
         let schema = DatabaseSchema::parse(u, &[("ABC", "ABC")]).unwrap();
         let fds = FdSet::parse(schema.universe(), &["A -> B"]).unwrap();
@@ -907,8 +913,11 @@ mod tests {
         let a = schema.universe().attr("A").unwrap();
         let c = schema.universe().attr("C").unwrap();
         shard.add_ordered_index(c, &rel).unwrap();
+        let per_chunk = Chunked::<u32>::new(2).per_chunk() as u64;
+        let n = per_chunk / 25;
         let row = |i: u64| vec![v(i), v(i), v(i % 5)];
         let check = |shard: &RelationShard, rel: &Relation| {
+            assert_chains(shard, rel);
             for pred in [
                 Predicate::new().and_eq(c, v(2)),
                 Predicate::new().and_eq(c, v(7)), // absent value
@@ -921,39 +930,40 @@ mod tests {
                 Predicate::new().and_ge(c, v(3)),
                 Predicate::new().and_range(c, v(1), v(3)),
                 Predicate::new().and_range(c, v(3), v(1)), // inverted: empty
-                Predicate::new().and_eq(c, v(1)).and_gt(a, v(40)), // index + residual
-                Predicate::new().and_range(a, v(30), v(90)), // the later index
-                Predicate::new().and_in(a, vec![v(95), v(41), v(2)]),
-                Predicate::new().and_ge(a, v(50)).and_eq(c, v(0)),
+                Predicate::new().and_eq(c, v(1)).and_gt(a, v(40 * n)), // index + residual
+                Predicate::new().and_range(a, v(30 * n), v(90 * n)), // the later index
+                Predicate::new().and_in(a, vec![v(95 * n), v(41 * n + 3), v(2)]),
+                Predicate::new().and_ge(a, v(50 * n)).and_eq(c, v(0)),
             ] {
                 assert_reads_agree(shard, rel, &pred, a);
             }
         };
-        for i in 0..60 {
+        for i in 0..60 * n {
             shard.insert(&mut rel, row(i)).unwrap();
         }
+        assert!(60 * n > 2 * per_chunk, "the slots span three chunks");
         // Remove from the front and the middle, out of order, past the
         // point where tombstones outnumber the live tuples.
-        for i in (0..60).filter(|i| i % 4 != 3).rev() {
+        for i in (0..60 * n).filter(|i| i % 4 != 3).rev() {
             assert!(shard.remove(&mut rel, &row(i)).unwrap());
         }
         assert_eq!(rel.epoch(), 1);
         check(&shard, &rel);
         shard.add_ordered_index(a, &rel).unwrap();
-        for i in 60..100 {
+        for i in 60 * n..100 * n {
             shard.insert(&mut rel, row(i)).unwrap();
         }
         check(&shard, &rel);
-        for i in (0..100).filter(|i| i % 3 != 0) {
+        for i in (0..100 * n).filter(|i| i % 3 != 0) {
             shard.remove(&mut rel, &row(i)).unwrap();
         }
         assert!(rel.epoch() >= 2);
         check(&shard, &rel);
         // The rebuilt indexes keep absorbing writes.
-        for i in 100..130 {
+        for i in 100 * n..130 * n {
             shard.insert(&mut rel, row(i)).unwrap();
         }
-        assert!(shard.remove(&mut rel, &row(101)).unwrap());
+        assert!(shard.remove(&mut rel, &row(100 * n + 1)).unwrap());
         check(&shard, &rel);
     }
 

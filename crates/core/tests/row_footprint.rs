@@ -4,13 +4,17 @@
 //! membership table, a shard's FD index and the value pool's name table
 //! are `u32` slot tables that read keys back through the slab or the
 //! pool's arena instead of owning copies; an ordered index chains slots
-//! per distinct value.  A keyed relation is its own key index: the shard
+//! per distinct value.  The slab, the chains' links and the pool's arena
+//! and end offsets grow in fixed-size chunks (`CHUNK_BYTES`), not by
+//! doubling: they hold at most one chunk of slack, and no growth copies
+//! more than one chunk.  A keyed relation is its own key index: the shard
 //! files the membership table under the key FD's left-hand side, so an
 //! FD on the key costs no table of its own, and only an FD whose
 //! left-hand side is not a key keeps an FD index.  A counting allocator
 //! measures what 100k rows under a key FD, a split key cover and a
 //! non-key FD, an ordered index over them, and 100k interned names
-//! actually hold, and how many allocation calls the write path makes.
+//! actually hold, how many allocation calls the write path makes, and
+//! the largest `realloc` it makes.
 //! Bytes are the sizes requested from the allocator, capacity included,
 //! as the benchmark's `mem_bytes_per_row` counts them.  Run with
 //! `--nocapture` to see the exact figures.
@@ -20,7 +24,7 @@ use std::cell::Cell;
 
 use ids_core::RelationShard;
 use ids_deps::FdSet;
-use ids_relational::{DatabaseSchema, Relation, SchemeId, Universe, Value, ValuePool};
+use ids_relational::{DatabaseSchema, Relation, SchemeId, Universe, Value, ValuePool, CHUNK_BYTES};
 
 thread_local! {
     /// Bytes this thread holds allocated.
@@ -28,10 +32,14 @@ thread_local! {
     /// Allocation calls on this thread since it was set to `Some(0)`;
     /// `None` = this thread is not counting calls.
     static CALLS: Cell<Option<u64>> = const { Cell::new(None) };
+    /// The largest size a `realloc` on this thread asked for since it was
+    /// set to `Some(0)`; `None` = this thread is not watching.
+    static LARGEST_REALLOC: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// The system allocator, keeping each thread's live bytes and counting
-/// `alloc` and `realloc` calls on a counting thread.
+/// The system allocator, keeping each thread's live bytes, counting
+/// `alloc` and `realloc` calls on a counting thread, and keeping the
+/// largest `realloc` on a watching thread.
 struct Counting;
 
 fn note(grown: i64, call: bool) {
@@ -66,6 +74,11 @@ unsafe impl GlobalAlloc for Counting {
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note(size(new_size) - size(layout.size()), true);
+        let _ = LARGEST_REALLOC.try_with(|largest| {
+            if let Some(seen) = largest.get() {
+                largest.set(Some(seen.max(new_size)));
+            }
+        });
         // SAFETY: see the impl.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -86,6 +99,13 @@ fn calls_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     CALLS.with(|n| n.set(Some(0)));
     let result = f();
     (result, CALLS.with(Cell::take).expect("counting"))
+}
+
+/// Runs `f`, returning its result and the largest `realloc` it made.
+fn largest_realloc_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST_REALLOC.with(|n| n.set(Some(0)));
+    let result = f();
+    (result, LARGEST_REALLOC.with(Cell::take).expect("watching"))
 }
 
 const ROWS: u64 = 100_000;
@@ -148,9 +168,10 @@ fn a_row_is_held_once_and_a_key_fd_costs_no_index() {
         "Relation: {relation:.2} B/row; key FD A → B: {key_fd:.4} B/row; \
          split key A → B, A → C: {split_key:.4} B/row; non-key A → B on ABC: {non_key:.2} B/row"
     );
-    // 16 bytes of values per row in a doubling slab, plus an 8-byte
-    // bucket per row in a ≤ 7/8-full power-of-two table.
-    assert!(relation <= 34.0, "Relation holds {relation:.2} B/row");
+    // 16 bytes of values per row in a chunked slab (at most one chunk of
+    // slack), plus an 8-byte bucket per row in a ≤ 7/8-full power-of-two
+    // table.
+    assert!(relation <= 29.0, "Relation holds {relation:.2} B/row");
     // The relation's table, filed under the key, is the key's index: the
     // shard adds a few fixed-size fields, nothing per row.
     assert!(key_fd <= 0.01, "the key FD costs {key_fd:.4} B/row");
@@ -199,13 +220,13 @@ fn an_ordered_index_holds_a_link_pair_per_row_and_an_entry_per_value() {
         "ordered index: {hundred_per_value:.2} B/row at 100 rows per value, \
          {recurring:.2} B/row over 97 values, {unique:.2} B/row on a unique column"
     );
-    // An 8-byte `[prev, next]` pair per row in a doubling vector, plus a
-    // map entry per distinct value.
-    assert!(hundred_per_value <= 12.0, "{hundred_per_value:.2} B/row");
-    assert!(recurring <= 12.0, "{recurring:.2} B/row");
+    // An 8-byte `[prev, next]` pair per row in chunks, plus a map entry
+    // per distinct value.
+    assert!(hundred_per_value <= 10.0, "{hundred_per_value:.2} B/row");
+    assert!(recurring <= 10.0, "{recurring:.2} B/row");
     // The trade-off: a unique column pays the pair *and* a map entry per
     // row — more than one `(value, slot)` entry per row would cost.
-    assert!(unique <= 46.0, "{unique:.2} B/row");
+    assert!(unique <= 45.0, "{unique:.2} B/row");
 }
 
 /// Allocation calls a shard over `R(A, B)` makes for 100k inserts of
@@ -255,8 +276,9 @@ fn write_path_calls(indexed: bool) -> [u64; 4] {
 #[test]
 fn inserts_allocate_only_to_grow_and_removes_not_at_all() {
     let [insert_calls, rest @ ..] = write_path_calls(false);
-    // Slab, tombstone bits and the membership table, each doubling ≈
-    // 15–17 times.
+    // The slab's first chunk doubling 12 times and its 12 later chunks,
+    // each allocated whole; the tombstone bits and the membership table,
+    // each doubling ≈ 10–15 times.
     assert!(insert_calls <= 64, "{insert_calls} allocation calls");
     assert_eq!(rest, [0; 3]);
 }
@@ -264,8 +286,8 @@ fn inserts_allocate_only_to_grow_and_removes_not_at_all() {
 #[test]
 fn an_ordered_index_allocates_only_to_grow_and_for_new_values() {
     let [insert_calls, rest @ ..] = write_path_calls(true);
-    // The same, plus the doubling link vector and the map's nodes for 97
-    // values.
+    // The same, plus the links' chunks (the first doubling up to one
+    // chunk) and the map's nodes for 97 values.
     assert!(insert_calls <= 100, "{insert_calls} allocation calls");
     assert_eq!(rest, [0; 3]);
 }
@@ -288,7 +310,32 @@ fn a_name_is_interned_once() {
     }
     let per_name = per(bytes, ROWS);
     println!("ValuePool: {per_name:.2} B/name ({name_bytes} name bytes)");
-    // ≈ 5.9 bytes of name in a doubling arena, a 4-byte end offset and
-    // an 8-byte bucket per name.
-    assert!(per_name <= 34.0, "the pool holds {per_name:.2} B/name");
+    // ≈ 5.9 bytes of name in a chunked arena, a 4-byte end offset in
+    // chunks and an 8-byte bucket per name.
+    assert!(per_name <= 24.0, "the pool holds {per_name:.2} B/name");
+}
+
+#[test]
+fn no_growth_copies_more_than_a_chunk() {
+    let (schema, fds) = schema();
+    let id = SchemeId(0);
+    let names: Vec<String> = (0..ROWS).map(|n| format!("p{n}")).collect();
+    let rows: Vec<Vec<Value>> = (0..ROWS).map(row).collect();
+    let ((), largest) = largest_realloc_during(|| {
+        let mut shard = RelationShard::new(&schema, id, fds);
+        let mut rel = Relation::new(schema.attrs(id));
+        let b = schema.universe().attr("B").unwrap();
+        shard.add_ordered_index(b, &rel).unwrap();
+        for tuple in rows {
+            assert!(shard.insert(&mut rel, tuple).unwrap().is_accepted());
+        }
+        let mut pool = ValuePool::new();
+        for name in &names {
+            pool.value(name);
+        }
+    });
+    println!("largest realloc: {largest} bytes (a chunk is {CHUNK_BYTES})");
+    // The slab, the links, the arena and the end offsets move at most
+    // their first chunk; the slot tables grow into fresh buckets.
+    assert!(largest <= CHUNK_BYTES, "a {largest}-byte realloc");
 }

@@ -14,6 +14,9 @@
 //!   semijoin and per-instance FD checking;
 //! * [`DatabaseState`] — states `p`, join consistency, dangling tuples;
 //! * [`Value`] / [`ValuePool`] — opaque domain values with optional names;
+//! * [`Chunked`] — fixed-width records in fixed-size chunks, the storage
+//!   of every per-row array (a relation's slab, an ordered index's links,
+//!   the pool's names and offsets);
 //! * [`SlotTable`] — the key-less hash table of `u32` slots that indexes
 //!   a relation's rows, a shard's FD images and the pool's names, each
 //!   stored once elsewhere;
@@ -28,6 +31,7 @@
 
 mod attr;
 mod attrset;
+mod chunked;
 pub mod codec;
 pub mod display;
 mod error;
@@ -41,6 +45,7 @@ mod value;
 
 pub use attr::AttrId;
 pub use attrset::{AttrSet, AttrSetIter, MAX_ATTRS};
+pub use chunked::{Chunked, CHUNK_BYTES};
 pub use error::RelationalError;
 pub use query::{Guard, Predicate, Projection, ReadPlan, ReadReply, ReadShape};
 pub use relation::{join_all, KeyHash, Relation, Tuple};

@@ -5,6 +5,7 @@ use std::hash::{BuildHasher, Hash, Hasher};
 
 use crate::attr::AttrId;
 use crate::attrset::AttrSet;
+use crate::chunked::Chunked;
 use crate::error::RelationalError;
 use crate::slot_table::SlotTable;
 use crate::value::Value;
@@ -16,8 +17,10 @@ pub type Tuple = Box<[Value]>;
 
 /// An instance of a relation scheme: a duplicate-free set of tuples.
 ///
-/// Every row's values are stored **once**, in a row-major slab
-/// (`Vec<Value>`, `arity` values per row) addressed by a `u32` **slot**.
+/// Every row's values are stored **once**, in a row-major slab (a
+/// [`Chunked`] array of `arity` values per record, in fixed-size chunks
+/// that never reserve more than one chunk of slack) addressed by a `u32`
+/// **slot**.
 /// Rows take slots in insertion order (deterministic iteration for
 /// reproducible tests and benchmarks).  Membership is a [`SlotTable`] of
 /// slots hashed by the row's **key** and compared through the slab, so it
@@ -35,7 +38,8 @@ pub type Tuple = Box<[Value]>;
 /// A remove takes the slot out of the table and sets its bit in a
 /// **tombstone** bitset; iteration skips tombstones.  When tombstones
 /// outnumber live rows the slab is compacted in place, order preserved
-/// and every surviving row renumbered, and [`Relation::epoch`] advances.
+/// and every surviving row renumbered, the chunks past the survivors are
+/// dropped, and [`Relation::epoch`] advances.
 /// A slot therefore names its row only **within one epoch**: anything
 /// that remembers slots (the shard's indexes) compares epochs and
 /// re-derives its slots when they differ.
@@ -49,14 +53,14 @@ pub type Tuple = Box<[Value]>;
 /// still the image every supporter agrees on, and the next compaction
 /// advances the epoch, which makes the shard pick live representatives
 /// again.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Relation {
     attrs: AttrSet,
     /// `attrs.len()`, the slab's stride, counted once.
     arity: usize,
-    /// Row-major: slot `s` holds `values[s·arity .. (s+1)·arity]`, live or
+    /// Slot `s` holds record `values[s]`, its `arity` values, live or
     /// tombstoned.
-    values: Vec<Value>,
+    values: Chunked<Value>,
     /// Slots handed out since the last compaction (`0..slots`).
     slots: u32,
     /// Bit `s % 64` of word `s / 64` is set once slot `s` is removed.
@@ -75,14 +79,25 @@ pub struct Relation {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KeyHash(u64);
 
+/// The instance over the empty scheme, holding no tuple.
+impl Default for Relation {
+    fn default() -> Self {
+        Relation::new(AttrSet::EMPTY)
+    }
+}
+
 impl Relation {
     /// Creates an empty instance over the given scheme attributes.
     pub fn new(attrs: AttrSet) -> Self {
         Relation {
             attrs,
             arity: attrs.len(),
+            values: Chunked::new(attrs.len()),
+            slots: 0,
+            dead: Vec::new(),
+            present: SlotTable::default(),
             key: (0..attrs.len()).collect(),
-            ..Relation::default()
+            epoch: 0,
         }
     }
 
@@ -135,9 +150,9 @@ impl Relation {
         I: IntoIterator<Item = Value> + Clone,
     {
         let hash = self.key_hash(image.clone());
-        let (values, arity, key) = (&self.values, self.arity, &self.key);
+        let (values, key) = (&self.values, &self.key);
         let holds = |s: u32| {
-            let r = row(values, arity, s);
+            let r = &values[s as usize];
             key.iter().zip(image.clone()).all(|(&p, v)| r[p] == v)
         };
         let found = self.present.get(hash, holds).map(|(slot, ())| slot);
@@ -195,7 +210,7 @@ impl Relation {
             return Ok(None);
         }
         let slot = self.next_slot(u32::MAX - 1)?;
-        self.values.extend_from_slice(&tuple);
+        self.values.push(&tuple);
         if slot % 64 == 0 {
             self.dead.push(0);
         }
@@ -250,10 +265,10 @@ impl Relation {
             return None;
         }
         let hash = self.row_hash(tuple);
-        let (values, arity) = (&self.values, self.arity);
+        let values = &self.values;
         let (slot, ()) = self
             .present
-            .remove(hash, |s| row(values, arity, s) == tuple)?;
+            .remove(hash, |s| &values[s as usize] == tuple)?;
         self.dead[slot as usize / 64] |= 1 << (slot % 64);
         if self.slots as usize - self.len() > self.len() {
             self.compact();
@@ -280,17 +295,15 @@ impl Relation {
             let below = !dead[word] & ((1u64 << (s % 64)) - 1);
             (before[word] + below.count_ones() as usize) as u32
         });
-        let arity = self.arity;
         let mut next = 0;
         for s in 0..self.slots {
             if self.is_dead(s) {
                 continue;
             }
-            let from = s as usize * arity;
-            self.values.copy_within(from..from + arity, next * arity);
+            self.values.copy_back(s as usize, next);
             next += 1;
         }
-        self.values.truncate(next * arity);
+        self.values.truncate(next);
         self.slots = next as u32;
         self.dead.clear();
         self.dead.resize(next.div_ceil(64), 0);
@@ -347,14 +360,14 @@ impl Relation {
 
     /// The live slot holding `tuple`, which hashes to `hash`.
     fn find(&self, hash: u64, tuple: &[Value]) -> Option<u32> {
-        let (values, arity) = (&self.values, self.arity);
-        let found = self.present.get(hash, |s| row(values, arity, s) == tuple);
+        let values = &self.values;
+        let found = self.present.get(hash, |s| &values[s as usize] == tuple);
         found.map(|(slot, ())| slot)
     }
 
     /// The values of a slot below `self.slots`.
     fn row(&self, slot: u32) -> &[Value] {
-        row(&self.values, self.arity, slot)
+        &self.values[slot as usize]
     }
 
     fn is_dead(&self, slot: u32) -> bool {
@@ -477,12 +490,6 @@ impl Relation {
     }
 }
 
-/// The `arity` values of `slot` in a row-major slab.
-fn row(values: &[Value], arity: usize, slot: u32) -> &[Value] {
-    let start = slot as usize * arity;
-    &values[start..start + arity]
-}
-
 /// Joins a non-empty sequence of relations left to right: `r1 ⋈ r2 ⋈ … ⋈ rn`.
 ///
 /// Returns `None` for an empty input (the natural join has no neutral
@@ -585,45 +592,69 @@ mod tests {
     fn slots_and_tombstones_agree_with_a_naive_vec_under_churn() {
         let (_, a, b, _) = abc();
         let mut r = Relation::new(a.union(b));
+        // Rows per chunk of the slab.  The relation grows past three
+        // chunks, and compactions move rows across chunk boundaries.
+        let per_chunk = Chunked::<Value>::new(2).per_chunk();
         let mut model: Vec<Vec<Value>> = Vec::new();
+        let mut members = HashSet::new();
         let mut seed = 0x1D5;
         let mut mid_churn = None;
-        for step in 0..10_000 {
+        let (mut slots, mut moved_across) = (0, 0);
+        for step in 0..70_000 {
             let x = splitmix(&mut seed);
-            // Every other thousand steps drains: removes outnumber
-            // inserts three to one, so tombstones overtake the live
-            // tuples again and again.
-            let remove_percent = if (step / 1000) % 2 == 1 { 75 } else { 30 };
+            // Fill for 20k steps, then drain for 15k: removes outnumber
+            // inserts four to one, so tombstones overtake the live tuples
+            // again and again.
+            let remove_percent = if step % 35_000 < 20_000 { 10 } else { 80 };
             if x % 100 < remove_percent && !model.is_empty() {
                 let t = model.remove((x >> 8) as usize % model.len());
+                members.remove(&t);
+                // Where the last row sits before and after the remove.
+                let last = |r: &Relation, model: &[Vec<Value>]| {
+                    (model.last()).map(|m| (r.epoch(), r.slot_of(m).unwrap() as usize))
+                };
+                let before = last(&r, &model);
                 assert!(r.remove(&t));
+                if let (Some((epoch, from)), Some((now, to))) = (before, last(&r, &model)) {
+                    moved_across += usize::from(epoch != now && from / per_chunk != to / per_chunk);
+                }
                 assert!(!r.remove(&t));
             } else {
-                let t = vec![v((x >> 8) % 500), v((x >> 40) % 3)];
-                let fresh = !model.contains(&t);
-                assert_eq!(r.insert(t.clone()).unwrap(), fresh);
-                if fresh {
+                let t = vec![v((x >> 8) % 1_000_000), v((x >> 40) % 3)];
+                let fresh = members.insert(t.clone());
+                let slot = r.insert_slot(t.clone()).unwrap();
+                assert_eq!(slot.is_some(), fresh);
+                if let Some(slot) = slot {
+                    slots = slots.max(slot as usize + 1);
                     model.push(t);
                 }
             }
-            if step % 500 == 499 {
+            if step % 1000 == 999 {
                 assert_agrees_with_model(&r, &model);
             }
             // Re-filed under a shared column, the columns reversed, and
             // back: a key many rows share is slower, never wrong.
             match step {
-                2_500 => r.rekey(&[0]),
-                5_000 => r.rekey(&[1, 0]),
-                7_500 => r.rekey(&[0, 1]),
+                17_500 => r.rekey(&[0]),
+                35_000 => r.rekey(&[1, 0]),
+                52_500 => r.rekey(&[0, 1]),
                 _ => {}
             }
-            if step == 5_250 {
+            if step == 36_750 {
                 let copy = r.clone();
                 assert!(copy.iter_slots().eq(r.iter_slots()));
                 mid_churn = Some((copy, model.clone()));
             }
         }
         assert!(r.epoch() >= 2, "only {} compactions", r.epoch());
+        assert!(
+            slots > 2 * per_chunk,
+            "{slots} slots span under three chunks"
+        );
+        assert!(
+            moved_across >= 2,
+            "{moved_across} compactions moved a row across chunks"
+        );
         // The clone kept its own slots while the original churned on.
         let (copy, model_then) = mid_churn.unwrap();
         assert_agrees_with_model(&copy, &model_then);

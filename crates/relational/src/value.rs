@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::BuildHasher;
 
+use crate::chunked::Chunked;
 use crate::error::RelationalError;
 use crate::slot_table::SlotTable;
 
@@ -43,13 +44,19 @@ impl fmt::Display for Value {
 /// Named values are allocated from the bottom of the id space; anonymous
 /// fresh values from the top, so the two never collide in practice.
 ///
-/// Every name is stored **once**, in an arena: one `String` holding the
-/// names concatenated in interning order, beside one end offset per
-/// name, so value `n` names `arena[ends[n-1]..ends[n]]`.  Lookup by name
-/// is a [`SlotTable`] of value ids hashed by the name's bytes and
-/// compared through the arena.  Offsets are `u32`, so the arena holds at
-/// most `u32::MAX` bytes of names; [`ValuePool::room_for`] says whether a
-/// name still fits.
+/// Every name is stored **once**, in an arena: the names' bytes
+/// concatenated in interning order, in [`Chunked`] byte chunks (only the
+/// first ever moves, while it doubles up to a full chunk), beside one end
+/// offset per name, chunked too.  A name that would straddle a chunk boundary starts the
+/// next chunk, so value `n` names `arena[start..ends[n]]`, where `start`
+/// is the later of `ends[n-1]` and the start of the chunk holding the
+/// name's last byte: no start offsets are stored.  A name longer than a
+/// chunk is held on its own, as the empty name is.  Lookup by name is a
+/// [`SlotTable`] of value ids hashed by the name's bytes and compared
+/// through the arena.  Offsets are `u32` positions in the arena, the
+/// skipped ends of chunks included, so the arena spans at most
+/// `u32::MAX` bytes; [`ValuePool::room_for`] says whether a name still
+/// fits.
 ///
 /// A pool rebuilt from a log ([`ValuePool::define`]) learns names under
 /// explicit ids, in any order.  An id below [`ValuePool::len`] that no
@@ -57,16 +64,19 @@ impl fmt::Display for Value {
 /// skipped by [`ValuePool::iter`], and is never handed out again.
 #[derive(Clone, Debug, Default)]
 pub struct ValuePool {
-    /// Every interned name, concatenated in interning order.
-    arena: String,
+    /// Every interned name's bytes, concatenated in interning order; a
+    /// name never straddles two chunks.  Written only by `push_name`, a
+    /// whole name at a time: `name_at` relies on it to skip UTF-8
+    /// validation.
+    arena: Chunked<u8>,
     /// `ends[i]`: where name `i` ends in `arena` (it starts where name
-    /// `i - 1` ends).
-    ends: Vec<u32>,
+    /// `i - 1` ends, or at the start of its chunk).
+    ends: Chunked<u32>,
     /// Value ids by name.
     by_name: SlotTable,
-    /// The names whose spans are empty: the empty name, and names
-    /// defined after a higher id was (the arena only grows at its end).
-    /// An empty span not listed here is a hole.
+    /// The names whose spans are empty: the empty name, names longer
+    /// than a chunk, and names defined after a higher id was (the arena
+    /// only grows at its end).  An empty span not listed here is a hole.
     late: BTreeMap<u32, Box<str>>,
     next_fresh: u64,
 }
@@ -116,14 +126,22 @@ impl ValuePool {
             return Ok(v);
         }
         let end = self.end_after(name).ok_or(RelationalError::PoolFull)?;
-        let id = u32::try_from(self.ends.len()).expect("fewer names than arena bytes");
-        if name.is_empty() {
-            self.late.insert(id, "".into());
-        }
-        self.arena.push_str(name);
-        self.ends.push(end);
+        let id = self.push_name(name, end);
         self.by_name.insert(hash, id, ());
         Ok(Value(u64::from(id)))
+    }
+
+    /// Names the next id `name`, which ends at `end` ([`ValuePool::end_after`]),
+    /// and returns the id.
+    fn push_name(&mut self, name: &str, end: u32) -> u32 {
+        let id = u32::try_from(self.ends.len()).expect("fewer names than arena bytes");
+        if self.in_arena(name) {
+            self.arena.push_run(name.as_bytes());
+        } else {
+            self.late.insert(id, name.into());
+        }
+        self.ends.push(&[end]);
+        id
     }
 
     /// Names value `v` `name`, as a log that interned it elsewhere
@@ -147,14 +165,12 @@ impl ValuePool {
             // Only a hole may take a name below the end.
             return Err(conflict);
         }
-        if !below {
-            self.room_for(name)?;
-            self.reserve(v.0);
-            self.arena.push_str(name);
-            self.ends.push(self.arena.len() as u32);
-        }
-        if below || name.is_empty() {
+        if below {
             self.late.insert(id, name.into());
+        } else {
+            let end = self.end_after(name).ok_or(RelationalError::PoolFull)?;
+            self.reserve(v.0);
+            self.push_name(name, end);
         }
         self.by_name.insert(hash, id, ());
         Ok(())
@@ -163,12 +179,16 @@ impl ValuePool {
     /// Makes every id below `next` unavailable to [`ValuePool::value`]:
     /// those not handed out yet become holes.
     pub fn reserve(&mut self, next: u64) {
-        let end = self.ends.last().copied().unwrap_or(0);
+        // Every end offset so far is at most the arena's end.
+        let end = self.arena.len() as u32;
         let next = next.min(u64::from(u32::MAX)) as usize;
-        self.ends.resize(self.ends.len().max(next), end);
+        while self.ends.len() < next {
+            self.ends.push(&[end]);
+        }
     }
 
-    /// `Ok` when the arena has room for `name`'s bytes, which is all
+    /// `Ok` when the arena has room for `name`'s bytes (a name it does not
+    /// hold always has room), which is all
     /// [`ValuePool::intern`] needs to intern a name it has not seen;
     /// otherwise [`RelationalError::PoolFull`].
     pub fn room_for(&self, name: &str) -> Result<(), RelationalError> {
@@ -194,7 +214,7 @@ impl ValuePool {
 
     /// Bytes of interned names held in the arena.
     pub fn name_bytes(&self) -> usize {
-        self.arena.len()
+        self.arena.stored()
     }
 
     /// Allocates a fresh anonymous value, distinct from every value handed
@@ -231,12 +251,28 @@ impl ValuePool {
     /// Name `i`, which must be below `self.ends.len()`; `None` for a
     /// hole.
     fn name_at(&self, i: usize) -> Option<&str> {
-        let (start, end) = (i.checked_sub(1).map_or(0, |p| self.ends[p]), self.ends[i]);
-        if start == end {
-            // A hole, the empty name, or a name defined late.
+        let prev = i.checked_sub(1).map_or(0, |p| self.ends[p][0] as usize);
+        let end = self.ends[i][0] as usize;
+        if prev == end {
+            // A hole, the empty name, a name longer than a chunk, or a
+            // name defined late.
             return self.late.get(&(i as u32)).map(|name| &**name);
         }
-        Some(&self.arena[start as usize..end as usize])
+        // A name that would have straddled a chunk boundary starts the
+        // chunk holding its last byte.
+        let start = prev.max(self.arena.chunk_start(end - 1));
+        let bytes = self.arena.run(start..end);
+        debug_assert!(std::str::from_utf8(bytes).is_ok(), "name {i} is whole");
+        // SAFETY: `bytes` are exactly the bytes of one `&str` that
+        // `push_name` appended, so they are valid UTF-8.  Only
+        // `push_name` writes `arena`, one whole name per `push_run`, and
+        // it records the name's end in `ends[i]`.  The name starts at
+        // `ends[i - 1]` (holes and names the arena does not hold record
+        // the arena's end as theirs) unless it would have straddled a
+        // chunk, in which case `push_run` moved it to the start of the
+        // next chunk, the one holding its last byte; `start` is the later
+        // of the two.  Validating here made a name ≈ 3× slower to render.
+        Some(unsafe { std::str::from_utf8_unchecked(bytes) })
     }
 
     /// The value of `name`, which hashes to `hash`, if interned.
@@ -247,15 +283,28 @@ impl ValuePool {
         found.map(|(id, ())| Value(u64::from(id)))
     }
 
-    /// Where `name` would end in the arena, if it fits a `u32` offset.
+    /// True when the arena holds `name`: it is not empty and fits a chunk.
+    fn in_arena(&self, name: &str) -> bool {
+        !name.is_empty() && name.len() <= self.arena.per_chunk()
+    }
+
+    /// Where `name` would end in the arena, if it fits a `u32` offset: past
+    /// the start of the next chunk when it would straddle a boundary, and
+    /// at the arena's end when the arena does not hold it.
     fn end_after(&self, name: &str) -> Option<u32> {
-        u32::try_from(self.arena.len().checked_add(name.len())?).ok()
+        let end = if self.in_arena(name) {
+            self.arena.next_start(name.len()) + name.len()
+        } else {
+            self.arena.len()
+        };
+        u32::try_from(end).ok()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunked::CHUNK_BYTES;
 
     #[test]
     fn interning_is_stable() {
@@ -296,6 +345,102 @@ mod tests {
         assert_eq!(p.name(named), Some("x"));
         assert_eq!(p.name(f1), None);
         assert_eq!(p.name(Value(1)), None, "one past the last interned name");
+    }
+
+    #[test]
+    fn a_name_never_straddles_a_chunk() {
+        let mut p = ValuePool::new();
+        let filler = "f".repeat(CHUNK_BYTES - 3);
+        let full = "c".repeat(CHUNK_BYTES);
+        let long = "l".repeat(CHUNK_BYTES + 1);
+        let names = [
+            filler.as_str(),
+            "abcd", // three bytes short of room: starts the second chunk
+            "xy",
+            &long, // longer than a chunk: held on its own
+            &full, // exactly a chunk: starts, and fills, the third
+            "z",   // starts the fourth, no padding before it
+            "",
+            "Brontë",
+        ];
+        let values: Vec<Value> = names.iter().map(|name| p.value(name)).collect();
+        assert_eq!(values, (0..8).map(Value).collect::<Vec<_>>());
+        for (name, &v) in names.iter().zip(&values) {
+            assert_eq!((p.name(v), p.get(name)), (Some(*name), Some(v)));
+            assert_eq!(p.value(name), v, "interned once");
+        }
+        assert!(p.iter().map(|(name, _)| name).eq(names));
+        // The ends are logical offsets: the skipped bytes count, the long
+        // and empty names take none.
+        let ends: Vec<u32> = (0..8).map(|i| p.ends[i][0]).collect();
+        let c = CHUNK_BYTES as u32;
+        assert_eq!(
+            ends,
+            [
+                c - 3,
+                c + 4,
+                c + 6,
+                c + 6,
+                3 * c,
+                3 * c + 1,
+                3 * c + 1,
+                3 * c + 8
+            ]
+        );
+        // Name bytes count what the arena holds, skipped bytes excluded.
+        let held = names.iter().filter(|n| n.len() <= CHUNK_BYTES);
+        assert_eq!(p.name_bytes(), held.map(|n| n.len()).sum::<usize>());
+        // Equal pools, however they were filled.
+        let (mut interned, mut defined) = (ValuePool::new(), ValuePool::new());
+        for (name, v) in p.iter() {
+            interned.value(name);
+            defined.define(v, name).unwrap();
+        }
+        assert_eq!((&interned, &defined), (&p, &p));
+        interned.value("one more");
+        assert_ne!(interned, p);
+    }
+
+    #[test]
+    fn ids_defined_and_reserved_past_a_chunk_of_ends() {
+        let mut p = ValuePool::new();
+        let per_chunk = Chunked::<u32>::default().per_chunk() as u64;
+        let a = p.value("a");
+        // Defined beyond the end: the holes below fill past a chunk of
+        // end offsets.
+        let far = Value(per_chunk + 10);
+        p.define(far, "far").unwrap();
+        assert_eq!(p.len() as u64, per_chunk + 11);
+        assert_eq!((p.name(far), p.get("far")), (Some("far"), Some(far)));
+        assert_eq!(
+            (p.name(Value(per_chunk)), p.render(Value(per_chunk))),
+            (None, per_chunk.to_string())
+        );
+        assert_eq!(p.value("next"), Value(per_chunk + 11));
+        // Reserved holes past the next chunk boundary.
+        p.reserve(2 * per_chunk + 5);
+        assert_eq!(p.value("later"), Value(2 * per_chunk + 5));
+        // A hole on either side of a boundary still takes a name.
+        for (id, name) in [(per_chunk - 1, "below"), (2 * per_chunk, "above")] {
+            p.define(Value(id), name).unwrap();
+            assert_eq!(
+                (p.name(Value(id)), p.get(name)),
+                (Some(name), Some(Value(id)))
+            );
+        }
+        let named: Vec<(&str, Value)> = p.iter().collect();
+        assert_eq!(
+            named,
+            [
+                ("a", a),
+                ("below", Value(per_chunk - 1)),
+                ("far", far),
+                ("next", Value(per_chunk + 11)),
+                ("above", Value(2 * per_chunk)),
+                ("later", Value(2 * per_chunk + 5)),
+            ]
+        );
+        assert_eq!(p.name_bytes(), "afarnextlater".len());
     }
 
     #[test]

@@ -717,10 +717,10 @@ fn execute(db: &Database, obs: &ServerObs, req: Request) -> Reply {
         // The cut and the names that label it come from one era, so an
         // alter racing the request can change neither under the other.
         Request::Snapshot => match db.store().era().and_then(|era| {
-            let state = era.snapshot()?;
+            let lens = era.lens()?;
             let definition = era.schema().definition();
-            let counts = (definition.iter())
-                .map(|(id, s)| (s.name.clone(), state.relation(id).len() as u64))
+            let counts = (definition.iter().zip(lens))
+                .map(|((_, s), len)| (s.name.clone(), len as u64))
                 .collect();
             Ok(counts)
         }) {

@@ -1742,13 +1742,24 @@ impl Era<'_> {
     /// [`Store::snapshot`] in this era: a cut of exactly the relations
     /// of [`Era::schema`].
     pub fn snapshot(&self) -> Result<DatabaseState, StoreError> {
-        let definition = &self.topo.schema.definition;
-        let slots = (definition.ids())
+        let relations = self.cut(|slot| slot.rel.clone())?;
+        DatabaseState::from_relations(&self.topo.schema.definition, relations).map_err(Into::into)
+    }
+
+    /// The tuple count of every relation of [`Era::schema`], in scheme
+    /// order: the counts of the cut [`Era::snapshot`] would copy, taken
+    /// under the same locks without copying a relation.
+    pub fn lens(&self) -> Result<Vec<usize>, StoreError> {
+        self.cut(|slot| slot.rel.len())
+    }
+
+    /// `read` of every slot of this era, all locked at once in ascending
+    /// scheme order: a true cut.
+    fn cut<T>(&self, read: impl Fn(&Slot) -> T) -> Result<Vec<T>, StoreError> {
+        let slots = (self.topo.schema.definition.ids())
             .map(|id| self.store.lock(&self.topo, id))
             .collect::<Result<Vec<_>, _>>()?;
-        let relations = slots.iter().map(|slot| slot.rel.clone()).collect();
-        drop(slots);
-        DatabaseState::from_relations(definition, relations).map_err(Into::into)
+        Ok(slots.iter().map(|slot| read(slot)).collect())
     }
 
     /// [`Store::read`] in this era.
