@@ -146,13 +146,12 @@ pub enum EngineKind {
 ///
 /// ## What `&mut` still means
 ///
-/// [`Database::intern`], [`Database::define`] and
-/// [`Database::replace_store`] need exclusive ownership.  A replication
+/// Only [`Database::intern`] needs exclusive ownership.  A replication
 /// follower's pool must hold exactly the primary's `value ↦ name` pairs:
-/// it learns them from the shipped records through `define` on the
-/// handle it owns, and lends readers only `&Database` — which can read,
-/// and whose writes a follower's handle ([`Database::follower`]) refuses
-/// **before** they intern anything.
+/// its store defines them from the shipped records
+/// ([`Store::follow`]), and the follower lends readers only `&Database`
+/// — which can read, and whose writes a follower's handle
+/// ([`Database::follower`]) refuses **before** they intern anything.
 pub struct Database {
     /// The one value pool; a durable store's log writers share it.
     names: Arc<Mutex<ValuePool>>,
@@ -199,9 +198,9 @@ impl Database {
     /// A replication follower's handle over the `store` it applies the
     /// primary's log to: reads are served from it, every write through
     /// the handle is refused with [`Error::ReplicaReadOnly`], and the
-    /// pool starts as the one the store recovered ([`Store::names`]),
-    /// or empty — the follower feeds it the primary's names through
-    /// [`Database::define`].
+    /// pool is the one the store recovered ([`Store::names`]), or empty
+    /// — the store's replay ([`Store::follow`]) feeds it the primary's
+    /// names.
     ///
     /// `schema` must be the schema `store` was built from (e.g. with
     /// [`Store::from_schema`] or [`Store::recover_from`]); the handle
@@ -261,8 +260,7 @@ impl Database {
         let dir = ids_wal::WalDir::open(path.as_ref())?;
         // The *latest* generation manifest is the schema the database
         // runs under after recovery, its declared layouts and indexes
-        // included; older entries in the chain only direct per-era
-        // replay inside the store.
+        // included: the store's replay ends in it.
         let schema = Schema::from_manifest(dir.latest_manifest())?;
         // The open directory handle is passed straight down, so the
         // manifest is read and decoded exactly once per recover.
@@ -344,32 +342,6 @@ impl Database {
         snapshot
     }
 
-    /// Replaces the store — and with it the schema served — **in
-    /// place**, keeping the value pool exactly as it is.
-    ///
-    /// This is the swap a replication follower performs when it applies
-    /// a streamed schema transition: rebuilding the handle would sever
-    /// every already-defined value from its name.  The caller owns the
-    /// invariant that `store` holds state expressed in this pool's
-    /// values.  `schema` must be the
-    /// schema `store` was built from, as for [`Database::follower`]; the
-    /// handle serves the store's own.
-    ///
-    /// # Panics
-    ///
-    /// When the store serves a schema not equal to `schema`, or brings a
-    /// value pool of its own ([`Store::names`]) that is not this handle's
-    /// — its log writers would define values from a pool the handle
-    /// never interns into.
-    pub fn replace_store(&mut self, schema: Schema, store: Arc<Store>) {
-        assert_serves(&store, &schema);
-        assert!(
-            (store.names()).is_none_or(|pool| Arc::ptr_eq(&pool, &self.names)),
-            "replace_store: the store logs its values from another value pool"
-        );
-        self.store = store;
-    }
-
     /// The schema handle the database **currently** serves — the store's
     /// live one ([`Store::schema`]).  Cheap (one read lock, one `Arc`
     /// clone); the returned handle is a consistent view that stays valid
@@ -429,15 +401,6 @@ impl Database {
     /// docs).
     pub fn intern(&mut self, value: impl AsRef<str>) -> Result<Value, Error> {
         Ok(self.names().intern(value.as_ref())?)
-    }
-
-    /// Names `value` `name` in the pool, as a record shipped from a
-    /// primary defined it — how a follower learns the primary's names
-    /// under the primary's ids.  Idempotent; a definition that disagrees
-    /// with the pool is a typed
-    /// [`ids_relational::RelationalError::NameConflict`].
-    pub fn define(&mut self, value: Value, name: &str) -> Result<(), Error> {
-        Ok(self.names().define(value, name)?)
     }
 
     /// The underlying concurrent [`Store`] — for typed-level callers
@@ -876,8 +839,7 @@ impl Database {
 }
 
 /// Refuses to pair a handle with a store serving another schema: the
-/// agreement [`Database::follower`] and [`Database::replace_store`]
-/// promise, checked once per call.
+/// agreement [`Database::follower`] promises, checked once per call.
 fn assert_serves(store: &Store, schema: &Schema) {
     assert!(
         *store.schema() == *schema,
@@ -1746,19 +1708,5 @@ mod tests {
             .build()
             .unwrap();
         let _ = Database::follower(other, Arc::new(store));
-    }
-
-    /// A durable store names its values from the pool it brought; a
-    /// handle that swapped it in would intern into another one, and the
-    /// logs would carry no names for its strings.
-    #[test]
-    #[should_panic(expected = "another value pool")]
-    fn replace_store_refuses_a_store_with_its_own_pool() {
-        let root = std::env::temp_dir().join(format!("ids-api-swap-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let store = Store::open_durable_schema(&root, example2(), DurableConfig::default());
-        let _ = std::fs::remove_dir_all(&root);
-        let mut db = Database::open(example2(), EngineKind::default()).unwrap();
-        db.replace_store(example2(), Arc::new(store.unwrap()));
     }
 }

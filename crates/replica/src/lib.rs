@@ -17,26 +17,31 @@
 //! Replication reuses the primary's machinery end to end — **two
 //! transports, one follow loop, one store**:
 //!
-//! * **One store.**  A follower *is* an [`ids_store::Store`]: bootstrap
-//!   is the store's own crash recovery ([`ids_store::Store::recover_from`]
-//!   — snapshot + per-relation log tails through the era-tagged replay
-//!   a durable reopen runs, opening no writer and writing no file), and
-//!   every shipped record is applied with the store's `insert`/`remove`,
-//!   i.e. the same slot and [`ids_core::RelationShard`] probe/commit as
-//!   the primary.  Every shipped record was an accepted, effective
-//!   operation on the primary, so it must re-accept on the replica —
-//!   anything else is a typed [`ReplicaError::Diverged`], never a
-//!   silent patch.  A shipped schema transition rebuilds the store
-//!   under the new manifest's full schema, declared layouts included
-//!   ([`ids_store::Store::from_schema`] over the surviving relations).
+//! * **One store, one replay.**  A follower *is* an
+//!   [`ids_store::Store`], and everything it applies goes through the
+//!   store's one replay, [`ids_store::Store::follow`] — the entry point
+//!   crash recovery runs too.  Bootstrap is the store's own crash
+//!   recovery ([`ids_store::Store::recover_from`]: the snapshot, then
+//!   every later record and manifest, opening no writer and writing no
+//!   file); after it, each shipped record re-runs through the same slot
+//!   and [`ids_core::RelationShard`] probe/commit as on the primary, and
+//!   each shipped transition switches the store in place, as the
+//!   primary's own switch does.  Every shipped record was an accepted,
+//!   effective operation on the primary, so it must re-accept on the
+//!   replica — anything else is a typed [`ReplicaError::Diverged`],
+//!   never a silent patch.
 //! * **One follow loop.**  [`ids_wal::Follower`] decides what ships and
-//!   in which order — manifests before the records written under them,
-//!   records batched per `(generation, scheme index)` — and remaps its
-//!   tailers at every transition.  Names ride in the records: a
-//!   relation's log is self-defining (the first record of a segment that
-//!   uses a value carries its name), so the follower defines each name
-//!   in its pool under the primary's id as the record arrives, and no
-//!   record ever waits for a name from another stream.
+//!   in which order — generation order: each relation's records up to a
+//!   manifest, then the manifest, so every record is applied under the
+//!   schema it was written in — and remaps its tailers at every
+//!   transition.  A batch is labeled with its relation's index under the
+//!   last manifest shipped, so the follower keeps no history of the
+//!   schema: only the generation of the last manifest it applied, to
+//!   skip one shipped again.  Names ride in the records: a relation's
+//!   log is self-defining (the first record of a segment that uses a
+//!   value carries its name), so the store defines each name in the
+//!   follower's pool under the primary's id as the record arrives, and
+//!   no record ever waits for a name from another stream.
 //! * **Two transports** over it.  **file-tail** ([`Replica::open`]):
 //!   primary and follower share a directory and the replica runs the
 //!   follow loop itself, read-only.  **wire-stream**
@@ -53,7 +58,7 @@
 //! lock, exactly as on the primary.  The handle refuses every write with
 //! [`ids_api::Error::ReplicaReadOnly`] before interning a single string:
 //! the pool holds exactly the primary's `value ↦ name` pairs, fed only by
-//! the apply loop that owns the handle.  Per-relation lag (`(gen, seq)`
+//! the store's replay.  Per-relation lag (`(gen, seq)`
 //! delta), apply counters, and a staleness gauge are reported through
 //! [`ids_obs`].
 
@@ -87,10 +92,12 @@ pub enum ReplicaError {
     /// from the primary's current snapshot (a fresh [`Replica::open`],
     /// or a fresh seed copy + [`Replica::connect`]).
     Behind,
-    /// A shipped record did not re-apply cleanly: the store's
-    /// `insert`/`remove` did not re-accept it, its sequence number left
-    /// a gap, or a name it defines disagrees with the follower's pool.  The logs and the replica's state contradict each
-    /// other, so the follower refuses to continue.
+    /// A shipment did not re-apply cleanly: the store's replay did not
+    /// re-accept a record, or a name it defines disagrees with the
+    /// follower's pool; a record's sequence number left a gap; or a
+    /// transition's cover does not hold on the follower's rows.  The logs
+    /// and the replica's state contradict each other, so the follower
+    /// refuses to continue.
     Diverged {
         /// Relation index of the offending stream.
         relation: u16,

@@ -8,13 +8,10 @@ use std::time::{Duration, Instant};
 
 use ids_api::{Database, Schema};
 use ids_client::{Client, FrameBatch, StreamEvent, Subscription};
-use ids_core::InsertOutcome;
 use ids_obs::{Counter, Event, Gauge, MetricsSnapshot, Registry};
-use ids_relational::{DatabaseSchema, DatabaseState, Relation, SchemeId};
-use ids_store::{Store, StoreConfig, StoreError};
+use ids_store::{Store, StoreError};
 use ids_wal::{
-    Cursor, FollowPoll, Follower, Manifest, Shipment, TailedRecord, WalDir, WalError, WalOp,
-    WalRecord,
+    Cursor, FollowPoll, Follower, Manifest, Shipment, TailedRecord, WalDir, WalError, WalRecord,
 };
 
 use crate::ReplicaError;
@@ -116,12 +113,7 @@ impl Transport {
                 records: (frames.into_iter())
                     .map(|payload| {
                         let record = WalRecord::decode(wire, &payload)?;
-                        Ok(TailedRecord {
-                            gen,
-                            scheme: relation,
-                            record,
-                            payload,
-                        })
+                        Ok(TailedRecord { record, payload })
                     })
                     .collect::<Result<_, WalError>>()?,
             },
@@ -155,9 +147,8 @@ struct Bootstrap {
     db: Database,
     dir: WalDir,
     cursors: Vec<Cursor>,
-    /// The manifest chain as known at bootstrap: `(first governed
-    /// generation, relation names in scheme order)` per era.
-    eras: Vec<(u64, Vec<String>)>,
+    /// Generation of the last manifest the bootstrap's replay applied.
+    manifest_gen: u64,
     registry: Registry,
 }
 
@@ -174,12 +165,13 @@ struct Bootstrap {
 /// refuses every write with the typed
 /// [`ids_api::Error::ReplicaReadOnly`] *before* interning any of its
 /// strings — the name pool, which must hold exactly the primary's
-/// `value ↦ name` pairs, is fed only by the apply loop, which owns the
-/// handle.  Reads take only their relation's lock, as on the primary.
+/// `value ↦ name` pairs, is fed only by the store's replay the apply
+/// loop drives.  Reads take only their relation's lock, as on the
+/// primary.
 pub struct Replica {
     /// The read surface over the applied state — the primary's own store
     /// type, recovered from the directory by the store's replay and
-    /// advanced by its `insert`/`remove`.
+    /// advanced by the same replay ([`Store::follow`]).
     db: Database,
     transport: Transport,
     /// Applied position per relation.
@@ -187,12 +179,9 @@ pub struct Replica {
     /// Last known primary tip per relation (seq, and max gen seen).
     tips: Vec<u64>,
     tip_gens: Vec<u64>,
-    /// The schema-era chain: `(first governed generation, relation
-    /// names in that era's scheme order)`.  Shipped records are labeled
-    /// with their own era's scheme index; this chain maps `(index,
-    /// generation)` → name → index under the **current** (last) era.
-    /// Grows by one entry per applied [`Shipment::Manifest`].
-    eras: Vec<(u64, Vec<String>)>,
+    /// Generation of the last manifest applied: one shipped again (a
+    /// reconnect replays) is skipped.
+    manifest_gen: u64,
     registry: Registry,
     shipped_counters: Vec<Arc<Counter>>,
     applied_counters: Vec<Arc<Counter>>,
@@ -247,7 +236,7 @@ impl Replica {
             tips: boot.cursors.iter().map(|c| c.seq).collect(),
             tip_gens: boot.cursors.iter().map(|c| c.gen).collect(),
             cursors: boot.cursors,
-            eras: boot.eras,
+            manifest_gen: boot.manifest_gen,
             shipped_counters: Vec::new(),
             applied_counters: Vec::new(),
             lag_gauges: Vec::new(),
@@ -298,13 +287,14 @@ impl Replica {
     }
 
     /// Ingests everything the transport can currently see, in the
-    /// follow loop's order — transitions, then each relation's new
-    /// records: their definitions into the pool, their operations
-    /// through the store's `insert`/`remove`.  Returns how
-    /// much was applied and whether the replica is now caught up; typed
-    /// errors for corruption ([`ReplicaError::Wal`]), divergence
-    /// ([`ReplicaError::Diverged`]), and pruned-past cursors
-    /// ([`ReplicaError::Behind`]).
+    /// follow loop's order — each relation's records, each transition
+    /// after the records written before it — through the store's one
+    /// replay ([`Store::follow`]): definitions into the pool, operations
+    /// re-accepted through the relation's slot, manifests switched in
+    /// place.  Returns how much was applied and whether the replica is
+    /// now caught up; typed errors for corruption
+    /// ([`ReplicaError::Wal`]), divergence ([`ReplicaError::Diverged`]),
+    /// and pruned-past cursors ([`ReplicaError::Behind`]).
     ///
     /// On the wire transport this blocks until the server's next batch
     /// or idle heartbeat (at most tens of milliseconds); on the file
@@ -316,30 +306,14 @@ impl Replica {
         let mut applied = 0u64;
         for shipment in shipments {
             match shipment {
-                Shipment::Manifest { gen, manifest, .. } => {
-                    self.apply_manifest(gen, &manifest)?;
-                }
+                Shipment::Manifest { gen, .. } if gen <= self.manifest_gen => {}
+                Shipment::Manifest { gen, .. } => self.apply_manifest(gen, shipment)?,
                 Shipment::Records {
                     relation,
                     gen,
                     tip,
                     records,
-                } => {
-                    // Map the record label — the scheme index under the
-                    // manifest governing `gen` — to the current schema.
-                    // `None` means the relation was since dropped:
-                    // stragglers of an old era with nothing under the
-                    // current schema to apply them to.
-                    let Some(i) = self.resolve_relation(relation, gen)? else {
-                        continue;
-                    };
-                    self.tips[i] = self.tips[i].max(tip);
-                    self.tip_gens[i] = self.tip_gens[i].max(gen);
-                    self.shipped_counters[i].add(records.len() as u64);
-                    for TailedRecord { record, .. } in records {
-                        applied += u64::from(self.apply(i, gen, record)?);
-                    }
-                }
+                } => applied += self.apply_records(relation, gen, tip, records)?,
             }
         }
         self.refresh_gauges(applied > 0 || caught_up);
@@ -411,158 +385,90 @@ impl Replica {
         self.registry.snapshot()
     }
 
-    /// Maps a shipped record label `(scheme index, generation)` —
-    /// scheme indexes are per-manifest — to the relation's index under
-    /// the schema currently applied.  `Ok(None)` means the relation was
-    /// since dropped; an index outside its own era's schema is
-    /// divergence.
-    fn resolve_relation(&self, relation: u16, gen: u64) -> Result<Option<usize>, ReplicaError> {
-        let (_, era_names) = self
-            .eras
-            .iter()
-            .rev()
-            .find(|(g, _)| *g <= gen)
-            .or_else(|| self.eras.first())
-            .expect("era chain always holds the base manifest");
-        let Some(name) = era_names.get(relation as usize) else {
-            return Err(ReplicaError::Diverged {
-                relation,
-                seq: 0,
-                detail: "shipped records for a relation outside the schema of their era".into(),
-            });
+    /// Applies one schema transition through the store's in-place
+    /// switch — the follower's mirror of the primary's
+    /// [`Store::apply_transition`], driven by the shipped manifest — and
+    /// remaps the per-relation bookkeeping by the same relation identity
+    /// rule.  Added relations start with cursors at `(gen, 0)`, where
+    /// their logs begin.  A shipped transition was accepted on the
+    /// primary, so a cover the follower's rows violate is
+    /// [`ReplicaError::Diverged`].
+    fn apply_manifest(&mut self, gen: u64, shipment: Shipment) -> Result<(), ReplicaError> {
+        let before = self.db.schema();
+        self.db.store().follow([shipment]).map_err(diverged)?;
+        let schema = self.db.schema();
+        let remap = schema.definition().remap_from(before.definition());
+        let carry = |of: &[u64], added: u64| -> Vec<u64> {
+            (remap.iter())
+                .map(|m| m.map_or(added, |i| of[i.index()]))
+                .collect()
         };
-        let (_, current) = self.eras.last().expect("era chain never empty");
-        Ok(current.iter().position(|n| n == name))
-    }
-
-    /// Applies one schema transition: rebuilds the replica's store and
-    /// per-relation bookkeeping under the new manifest's
-    /// schema, remapping by relation name — the follower's mirror of the
-    /// primary's [`Store::apply_transition`], driven by the shipped
-    /// manifest instead of a live `alter` call.
-    ///
-    /// Survivor relations keep their tuples: the new store is opened
-    /// over them with [`Store::from_schema`] — serving the manifest's
-    /// full [`Schema`], declared layouts and indexes included — which
-    /// re-validates each under its new enforcement cover (a shipped
-    /// transition was accepted on the primary, so a cover its data
-    /// violates is [`ReplicaError::Diverged`]); dropped relations are
-    /// released; added relations start empty, with cursors at `(gen, 0)`.
-    ///
-    /// The survivors are copied out of the old store (its
-    /// [`Store::snapshot`]; readers may still hold it, so it cannot be
-    /// taken apart), so a shipped transition briefly holds every
-    /// relation twice — a cold path, once per transition.  The new store
-    /// is swapped in under the database's own pool
-    /// ([`Database::replace_store`]).
-    fn apply_manifest(&mut self, gen: u64, manifest: &Manifest) -> Result<(), ReplicaError> {
-        if gen <= self.eras.last().map_or(0, |(g, _)| *g) {
-            // A re-shipped transition (reconnect replays): already applied.
-            return Ok(());
-        }
-        let schema = Schema::from_manifest(manifest)?;
-        let definition = schema.definition();
-        let current = self.db.schema();
-        // `new index j → old index` by the relation identity rule — a
-        // same-name relation with different columns is a different
-        // incarnation and starts empty.
-        let remap: Vec<Option<usize>> = (definition.remap_from(current.definition()).into_iter())
-            .map(|i| i.map(SchemeId::index))
-            .collect();
-        let mut old: Vec<Option<Relation>> = (self.db.store().snapshot()?.into_relations())
-            .into_iter()
-            .map(Some)
-            .collect();
-        let relations = (definition.iter().zip(&remap))
-            .map(|((_, s), m)| {
-                m.and_then(|i| old[i].take())
-                    .unwrap_or_else(|| Relation::new(s.attrs))
-            })
-            .collect();
-        let state =
-            DatabaseState::from_relations(definition, relations).map_err(StoreError::from)?;
-        let config = StoreConfig {
-            initial_state: Some(state),
-            ..StoreConfig::default()
-        };
-        let names = relation_names(definition);
-        let store = Store::from_schema(schema.clone(), config).map_err(|e| match e {
-            StoreError::InvalidBaseState { scheme, violated } => ReplicaError::Diverged {
-                relation: scheme.index() as u16,
-                seq: 0,
-                detail: format!("shipped transition does not re-shard cleanly: {violated:?}"),
-            },
-            e => e.into(),
-        })?;
-        self.db.replace_store(schema, Arc::new(store));
-        // Remap the per-relation bookkeeping by the same name map.
-        // Added relations: their log starts at the transition, cursor
-        // `(gen, 0)`.
+        self.tips = carry(&self.tips, 0);
+        self.tip_gens = carry(&self.tip_gens, gen);
         self.cursors = (remap.iter())
-            .map(|m| m.map_or(Cursor { gen, seq: 0 }, |i| self.cursors[i]))
+            .map(|m| m.map_or(Cursor { gen, seq: 0 }, |i| self.cursors[i.index()]))
             .collect();
-        self.tips = remap
-            .iter()
-            .map(|m| m.map_or(0, |i| self.tips[i]))
-            .collect();
-        self.tip_gens = (remap.iter())
-            .map(|m| m.map_or(gen, |i| self.tip_gens[i]))
-            .collect();
+        self.manifest_gen = gen;
         self.bind_families();
         self.registry.events().record(Event::SchemaAltered {
             generation: gen,
-            relations: names.len() as u64,
+            relations: remap.len() as u64,
         });
-        self.eras.push((gen, names));
         Ok(())
     }
 
-    /// Applies one record of relation `i`: its definitions into the
-    /// pool, then its operation through the replica's store — the same
-    /// slot probe/commit as the primary and as crash recovery.  The
-    /// record was an accepted, effective operation on the primary, so
-    /// it must re-accept here, and its names must agree with the pool's;
-    /// anything else is [`ReplicaError::Diverged`].  Returns whether the
-    /// record was new.
-    fn apply(&mut self, i: usize, gen: u64, record: WalRecord) -> Result<bool, ReplicaError> {
-        let (relation, seq) = (i as u16, record.seq);
+    /// Applies one relation's shipped records through the store's one
+    /// replay ([`Store::follow`]), after dropping those already applied
+    /// (a re-shipped prefix after a reconnect) and checking that the rest
+    /// continue the relation's sequence.  The batch is labeled with the
+    /// relation's index under the last manifest shipped, which is the
+    /// schema the store serves.  Returns how many records were new.
+    fn apply_records(
+        &mut self,
+        relation: u16,
+        gen: u64,
+        tip: u64,
+        mut records: Vec<TailedRecord>,
+    ) -> Result<u64, ReplicaError> {
+        let i = relation as usize;
+        let refuse = |seq: u64, detail: String| ReplicaError::Diverged {
+            relation,
+            seq,
+            detail,
+        };
+        if i >= self.cursors.len() {
+            return Err(refuse(
+                0,
+                "shipped records for a relation outside the schema".into(),
+            ));
+        }
+        self.tips[i] = self.tips[i].max(tip);
+        self.tip_gens[i] = self.tip_gens[i].max(gen);
+        self.shipped_counters[i].add(records.len() as u64);
         let cursor = self.cursors[i];
-        if seq <= cursor.seq {
-            // Already applied (a re-shipped prefix after reconnect).
-            self.cursors[i].gen = cursor.gen.max(gen);
-            return Ok(false);
-        }
-        if seq != cursor.seq + 1 {
-            return Err(ReplicaError::Diverged {
-                relation,
-                seq,
-                detail: format!("sequence gap: record {seq} after {}", cursor.seq),
-            });
-        }
-        for (v, name) in &record.defs {
-            if let Err(e) = self.db.define(*v, name) {
-                return Err(ReplicaError::Diverged {
-                    relation,
-                    seq,
-                    detail: format!("shipped definition does not fit the pool: {e}"),
-                });
+        records.retain(|r| r.record.seq > cursor.seq);
+        for (next, r) in (cursor.seq + 1..).zip(&records) {
+            if r.record.seq != next {
+                let detail = format!("sequence gap: record {} after {}", r.record.seq, next - 1);
+                return Err(refuse(r.record.seq, detail));
             }
         }
-        let (id, store) = (SchemeId::from_index(i), self.db.store());
-        let reapplied = match record.op {
-            WalOp::Insert(t) => matches!(store.insert(id, t), Ok(InsertOutcome::Accepted)),
-            WalOp::Remove(t) => matches!(store.remove(id, t), Ok(true)),
-        };
-        if !reapplied {
-            return Err(ReplicaError::Diverged {
+        let (n, seq) = (records.len() as u64, cursor.seq + records.len() as u64);
+        if n > 0 {
+            let batch = Shipment::Records {
                 relation,
-                seq,
-                detail: "shipped record did not re-accept through the relation's store slot".into(),
-            });
+                gen,
+                tip,
+                records,
+            };
+            self.db.store().follow([batch]).map_err(diverged)?;
         }
-        self.cursors[i] = Cursor { gen, seq };
-        self.applied_counters[i].inc();
-        Ok(true)
+        self.cursors[i] = Cursor {
+            gen: cursor.gen.max(gen),
+            seq,
+        };
+        self.applied_counters[i].add(n);
+        Ok(n)
     }
 
     /// Updates the lag gauges from cursors/tips, and the staleness
@@ -581,16 +487,42 @@ impl Replica {
     }
 }
 
+/// A shipment the store's replay refused: the primary's log and the
+/// follower's state contradict each other.
+fn diverged(e: StoreError) -> ReplicaError {
+    match e {
+        StoreError::Replay {
+            scheme,
+            seq,
+            detail,
+        } => ReplicaError::Diverged {
+            relation: scheme.index() as u16,
+            seq,
+            detail,
+        },
+        StoreError::BackfillViolation {
+            scheme, violated, ..
+        } => ReplicaError::Diverged {
+            relation: scheme.index() as u16,
+            seq: 0,
+            detail: format!(
+                "shipped transition does not hold on the follower's rows: {violated:?}"
+            ),
+        },
+        e => e.into(),
+    }
+}
+
 /// Rebuilds a replica's applied state from a durable directory,
 /// read-only: manifest → schema (with the one independence analysis),
-/// then the store's own recovery ([`Store::recover_from`]: snapshot +
-/// per-relation tails through the era-tagged replay a durable reopen
-/// runs, writing nothing, the value pool rebuilt from their
-/// definitions — the follower's handle starts from that pool).
+/// then the store's own recovery ([`Store::recover_from`]: the snapshot,
+/// then every later record and manifest through the one replay a
+/// durable reopen runs, writing nothing, the value pool rebuilt from
+/// their definitions — the follower's handle starts from that pool).
 fn bootstrap(root: &Path) -> Result<Bootstrap, ReplicaError> {
     let dir = WalDir::open(root)?;
-    // The *latest* manifest is the schema the replica serves; older
-    // chain entries only direct the store's per-era replay.
+    // The *latest* manifest is the schema the replica serves: the
+    // store's replay ends in it.
     let schema = Schema::from_manifest(dir.latest_manifest())?;
     let (store, cursors) = Store::recover_from(&dir, schema.clone())?;
     // The bootstrap replay lands in the same per-relation family the
@@ -604,20 +536,13 @@ fn bootstrap(root: &Path) -> Result<Bootstrap, ReplicaError> {
             .counter(&family)
             .add(replayed.counter(&family).unwrap_or(0));
     }
-    let eras = (dir.manifests().iter())
-        .map(|(g, m)| (*g, relation_names(&m.schema)))
-        .collect();
+    let manifest_gen = dir.manifests()[dir.manifests().len() - 1].0;
     let db = Database::follower(schema, Arc::new(store));
     Ok(Bootstrap {
         db,
         dir,
         cursors,
-        eras,
+        manifest_gen,
         registry,
     })
-}
-
-/// A schema's relation names, in scheme order.
-fn relation_names(schema: &DatabaseSchema) -> Vec<String> {
-    schema.iter().map(|(_, s)| s.name.clone()).collect()
 }

@@ -267,3 +267,146 @@ fn file_and_wire_followers_agree_over_one_trace() {
     let _ = std::fs::remove_dir_all(&root);
     let _ = std::fs::remove_dir_all(&seed);
 }
+
+/// Starts a primary over `schema` with one CT row, plus both kinds of
+/// follower, caught up: a file-tail follower of the live directory and
+/// a wire-stream follower seeded from a copy taken now.  Returns the
+/// served primary, its server and the two followers.
+fn live_followers(
+    name: &str,
+    schema: Schema,
+) -> (
+    std::path::PathBuf,
+    Arc<ids_api::SharedDatabase>,
+    Server,
+    Replica,
+    Replica,
+) {
+    let root = tmp_dir(name);
+    let seed = tmp_dir(&format!("{name}-seed"));
+    let db = Database::open_at(&root, schema, DurableConfig::default()).unwrap();
+    db.insert("CT", ["CS402", "Jones"]).unwrap();
+    copy_dir(&root, &seed);
+    let shared = Arc::new(db.into_shared().unwrap());
+    let server = Server::serve(Arc::clone(&shared), "127.0.0.1:0").unwrap();
+    let mut file = Replica::open(&root).unwrap();
+    let mut wire = Replica::connect(&seed, server.local_addr()).unwrap();
+    for replica in [&mut file, &mut wire] {
+        assert!(replica.wait_caught_up(Duration::from_secs(5)).unwrap());
+    }
+    (root, shared, server, file, wire)
+}
+
+/// Every relation in `names` renders the same rows on the primary, on
+/// both followers and on a `Database::recover` of a copy of the
+/// primary's directory.
+fn assert_all_agree(names: &[&str], root: &Path, shared: &Database, followers: [&Replica; 2]) {
+    let copy = root.with_extension("recovered");
+    let _ = std::fs::remove_dir_all(&copy);
+    copy_dir(root, &copy);
+    let recovered = Database::recover(&copy).unwrap();
+    for relation in names {
+        let want = sorted(shared.rows(relation).unwrap());
+        assert_eq!(
+            sorted(recovered.rows(relation).unwrap()),
+            want,
+            "recovered {relation}"
+        );
+        for replica in followers {
+            assert_eq!(
+                sorted(replica.database().rows(relation).unwrap()),
+                want,
+                "follower's {relation}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&copy);
+}
+
+/// Records written before an `ALTER` re-accept under the cover of their
+/// own era, on both transports: `SR` holds `Riley` in two rooms before
+/// `student -> room` exists (one removed again before the alter), and a
+/// follower that applied the new cover first would refuse the second.
+#[test]
+fn records_written_before_an_alter_apply_under_their_own_era() {
+    let schema = Schema::builder()
+        .relation("CT", ["course", "teacher"])
+        .relation("SR", ["student", "room"])
+        .fd("course -> teacher")
+        .build()
+        .unwrap();
+    let (root, shared, server, mut file, mut wire) = live_followers("era", schema);
+    shared.insert("SR", ["Riley", "R1"]).unwrap();
+    shared.insert("SR", ["Riley", "R2"]).unwrap();
+    shared.remove("SR", ["Riley", "R1"]).unwrap();
+    shared
+        .alter(&Alter::AddFd {
+            spec: "student -> room".into(),
+        })
+        .unwrap();
+    shared.insert("SR", ["Quinn", "R3"]).unwrap();
+
+    // One poll of the file follower ships the whole era change.
+    let polled = file.poll().map(|p| p.applied);
+    let streamed = wire.wait_caught_up(Duration::from_secs(5));
+    assert!(
+        matches!((&polled, &streamed), (Ok(4), Ok(true))),
+        "file follower: {polled:?}; wire follower: {streamed:?}"
+    );
+    assert!(file.wait_caught_up(Duration::from_secs(5)).unwrap());
+    assert_eq!(
+        sorted(shared.rows("SR").unwrap()),
+        [["Quinn", "R3"], ["Riley", "R2"]]
+    );
+    assert_all_agree(&["CT", "SR"], &root, &shared, [&file, &wire]);
+    server.shutdown();
+}
+
+/// Dropping a relation declared before a survivor renumbers the
+/// survivor; its records from both sides of the drop, shipped in one
+/// poll, land in the survivor and nowhere else.  `SR` also changes its
+/// cover after the drop, over a row it rewrote before it.
+#[test]
+fn a_survivor_renumbered_by_a_drop_keeps_its_records_across_one_poll() {
+    let schema = Schema::builder()
+        .relation("CS", ["course", "student"])
+        .relation("CT", ["course", "teacher"])
+        .relation("SR", ["student", "room"])
+        .fd("course -> teacher")
+        .build()
+        .unwrap();
+    let (root, shared, server, mut file, mut wire) = live_followers("renumber", schema);
+    shared.insert("CS", ["CS402", "Riley"]).unwrap();
+    shared.insert("CT", ["CS101", "Smith"]).unwrap();
+    shared.insert("SR", ["Riley", "R1"]).unwrap();
+    shared.insert("SR", ["Riley", "R2"]).unwrap();
+    shared.remove("SR", ["Riley", "R1"]).unwrap();
+    shared
+        .alter(&Alter::DropRelation { name: "CS".into() })
+        .unwrap();
+    shared.insert("CT", ["CS301", "Lee"]).unwrap();
+    shared
+        .alter(&Alter::AddFd {
+            spec: "student -> room".into(),
+        })
+        .unwrap();
+    shared.insert("SR", ["Quinn", "R3"]).unwrap();
+
+    let polled = file.poll().map(|p| p.applied);
+    let streamed = wire.wait_caught_up(Duration::from_secs(5));
+    assert!(
+        matches!((&polled, &streamed), (Ok(7), Ok(true))),
+        "file follower: {polled:?}; wire follower: {streamed:?}"
+    );
+    for replica in [&mut file, &mut wire] {
+        assert!(replica.wait_caught_up(Duration::from_secs(5)).unwrap());
+        let schema = replica.schema();
+        assert_eq!(schema.relation_names().collect::<Vec<_>>(), ["CT", "SR"]);
+    }
+    assert_eq!(
+        sorted(shared.rows("CT").unwrap()),
+        [["CS101", "Smith"], ["CS301", "Lee"], ["CS402", "Jones"]]
+    );
+    assert_all_agree(&["CT", "SR"], &root, &shared, [&file, &wire]);
+    server.shutdown();
+}

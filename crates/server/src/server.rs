@@ -559,16 +559,18 @@ impl<'a> Session<'a> {
     /// The replication ship loop behind [`Request::Subscribe`].
     ///
     /// An [`ids_wal::Follower`] over the primary's own directory does the
-    /// following — manifests, then records batched per `(generation,
-    /// scheme index)`, each carrying the names it is the first in its
-    /// segment to use, every tailer retargeted at every
-    /// manifest — and this loop forwards each [`Shipment`] as the
+    /// following — in generation order: each relation's records up to a
+    /// manifest, then the manifest, every tailer retargeted at it; each
+    /// batch labeled with its relation's index under the last manifest
+    /// shipped, and each record carrying the names it is the first in its
+    /// segment to use — and this loop forwards each [`Shipment`] as the
     /// follower hands it over (one relation's backlog at a time),
     /// payloads **verbatim**: the bytes a
     /// follower applies are the bytes the primary made durable, so
     /// replication inherits the on-disk format's golden-fixture byte
-    /// stability.  One thread writes the socket in program order, so a
-    /// manifest reaches the follower before any frame written under it.
+    /// stability.  One thread writes the socket in program order, so the
+    /// follower receives every record after the manifests that precede
+    /// it and before those that follow it.
     ///
     /// When a round ships nothing, one empty `POOL_STREAM` batch is sent
     /// as a heartbeat — the only use left of that retired label: it

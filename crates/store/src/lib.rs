@@ -121,16 +121,20 @@
 //! relations keep serving.  [`Store::checkpoint`] rotates every log onto
 //! a fresh generation, writes one snapshot — carrying every name of the
 //! pool and its next id — and truncates the covered generations.
-//! Reopening the same path rebuilds the value pool from the snapshot's
-//! and the records' definitions and replays snapshot + log tails
-//! through the same [`RelationShard`] probe/commit machinery the live
-//! store runs — replay is per-relation, embarrassingly parallel in
-//! principle, and doubles as an integrity check (every logged op must
-//! re-accept).  A log written under a different schema or FD set is
-//! refused with a typed [`WalError::SchemaMismatch`].  That replay is
-//! one step and attaching the log writers another: [`Store::recover_from`]
-//! runs the replay alone, into an in-memory store that touches no file —
-//! which is how a replication follower (`ids-replica`) bootstraps.
+//! Reopening the same path rebuilds the store from the snapshot and
+//! replays the log after it through [`Store::follow`], the one replay:
+//! records re-run through the same [`RelationShard`] probe/commit
+//! machinery the live store runs, their definitions rebuild the value
+//! pool, and each schema transition switches the store in place, so
+//! every record is judged under the covers of its own era.  Replay is
+//! per-relation, embarrassingly parallel in principle, and doubles as an
+//! integrity check (every logged op must re-accept).  A log written
+//! under a different schema or FD set is refused with a typed
+//! [`WalError::SchemaMismatch`].  That replay is one step and attaching
+//! the log writers another: [`Store::recover_from`] runs the replay
+//! alone, into an in-memory store that touches no file — which is how a
+//! replication follower (`ids-replica`) bootstraps, before it applies
+//! the primary's stream through the same [`Store::follow`].
 
 #![warn(missing_docs)]
 
@@ -151,7 +155,9 @@ use ids_relational::{
     AttrId, DatabaseSchema, DatabaseState, Predicate, ReadPlan, ReadReply, Relation,
     RelationalError, SchemeId, Tuple, Value, ValuePool,
 };
-use ids_wal::{Cursor, Manifest, WalDir, WalError, WalMetrics, WalOp, WalWriter};
+use ids_wal::{
+    Cursor, Manifest, Shipment, TailedRecord, WalDir, WalError, WalMetrics, WalOp, WalWriter,
+};
 
 pub use error::Error;
 pub use ids_wal::SyncPolicy;
@@ -238,10 +244,23 @@ pub enum StoreError {
     /// [`Store::checkpoint`] or [`Store::apply_transition`] was called
     /// on a store opened without a write-ahead log.
     NotDurable,
+    /// A record [`Store::follow`] applied does not re-apply through its
+    /// relation's slot: an insert not accepted, a remove of an absent
+    /// tuple, or a name the value pool already gives another value.  The
+    /// log and the state it is applied to contradict each other.
+    Replay {
+        /// The relation, in the schema the store serves.
+        scheme: SchemeId,
+        /// The record's sequence number.
+        seq: u64,
+        /// What did not fit.
+        detail: String,
+    },
     /// An [`Store::apply_transition`] backfill found existing tuples
     /// that violate a functional dependency the transition would start
     /// enforcing.  The current schema keeps serving; nothing durable
-    /// changed.
+    /// changed.  (From [`Store::follow`]: the manifest it applied gives a
+    /// relation a cover the relation's rows violate.)
     BackfillViolation {
         /// The relation (under the **current** schema) whose data
         /// violates the new cover.
@@ -273,6 +292,11 @@ impl std::fmt::Display for StoreError {
             }
             Self::Wal(e) => write!(f, "{e}"),
             Self::NotDurable => write!(f, "store was opened without a write-ahead log"),
+            Self::Replay {
+                scheme,
+                seq,
+                detail,
+            } => write!(f, "record {seq} of {scheme:?} does not re-apply: {detail}"),
             Self::BackfillViolation {
                 scheme, violated, ..
             } => write!(
@@ -695,9 +719,18 @@ impl Store {
     /// error — and every relation is indexed and validated against its
     /// cover.
     pub fn from_schema(schema: Schema, config: StoreConfig) -> Result<Self, StoreError> {
+        let mut store = Self::with_state(schema, config.initial_state)?;
+        store.add_ordered_indexes(&config.ordered_indexes)?;
+        Ok(store)
+    }
+
+    /// An in-memory store serving `schema` from `state` (empty when
+    /// `None`), each relation indexed and validated against its cover,
+    /// with no ordered index yet.
+    fn with_state(schema: Schema, state: Option<DatabaseState>) -> Result<Self, StoreError> {
         let definition = &schema.definition;
         let covers = schema.covers()?;
-        let mut relations: Vec<Relation> = match config.initial_state {
+        let relations: Vec<Relation> = match state {
             Some(state) => {
                 DatabaseState::from_relations(definition, state.into_relations())?.into_relations()
             }
@@ -705,13 +738,40 @@ impl Store {
                 .map(|id| Relation::new(definition.attrs(id)))
                 .collect(),
         };
-        let mut shards = Vec::with_capacity(definition.len());
-        for (id, rel) in definition.ids().zip(relations.iter_mut()) {
+        let registry = Arc::new(Registry::new());
+        let mut slots = Vec::with_capacity(definition.len());
+        for (id, mut rel) in definition.ids().zip(relations) {
             let fi = covers[id.index()].clone();
-            shards.push(RelationShard::with_relation(definition, id, fi, rel)?);
+            let shard = RelationShard::with_relation(definition, id, fi, &mut rel)?;
+            let metrics = ShardMetrics::new(&registry, id.index());
+            slots.push(Mutex::new(Slot::new(id, shard, rel, None, metrics)));
         }
-        apply_ordered_indexes(&schema, &mut shards, &relations, &config.ordered_indexes)?;
-        Ok(Self::assemble(schema, relations, shards))
+        Ok(Store {
+            topology: RwLock::new(Topology {
+                families: definition.len(),
+                schema: Arc::new(schema),
+                slots,
+            }),
+            poison: OnceLock::new(),
+            durability: None,
+            obs: StoreObs { registry },
+            names: None,
+        })
+    }
+
+    /// Builds the ordered secondary indexes the served schema declares,
+    /// plus the `extra` ones a [`StoreConfig`] asks for, each absorbing
+    /// its relation's current tuples.  A spec naming a foreign scheme or
+    /// column is a typed error at open, not a silently missing index; a
+    /// repeated spec is a no-op.
+    fn add_ordered_indexes(&mut self, extra: &[(SchemeId, AttrId)]) -> Result<(), StoreError> {
+        let topo = (self.topology.get_mut()).unwrap_or_else(PoisonError::into_inner);
+        for &(id, attr) in topo.schema.ordered_indexes.iter().chain(extra) {
+            let slot = (topo.slots.get_mut(id.index())).ok_or(StoreError::UnknownScheme(id))?;
+            let slot = slot.get_mut().unwrap_or_else(PoisonError::into_inner);
+            slot.shard.add_ordered_index(attr, &slot.rel)?;
+        }
+        Ok(())
     }
 
     /// Opens a durable store at `path` with the default configuration:
@@ -787,30 +847,24 @@ impl Store {
     ) -> Result<Self, StoreError> {
         schema.covers()?;
         dir.check_identity(&schema.definition, &schema.fds)?;
-        let recovered = dir.recover()?;
-        let next_gen = recovered.next_gen;
-        let (store, last_seqs) = if config.store.initial_state.is_some() {
+        let indexes = &config.store.ordered_indexes;
+        let (mut store, replayed) = Self::replay(&dir, schema.clone(), indexes)?;
+        if config.store.initial_state.is_some() {
             // The log *is* the state, so a preload is only accepted on a
             // directory with no history — which makes a create that
             // crashed between the manifest and the preload snapshot
             // repeatable, instead of silently forking or losing data.
-            let virgin = !recovered.has_snapshot
-                && recovered.tail.iter().all(|t| t.is_empty())
-                && recovered.base_seqs.iter().all(|&s| s == 0);
-            if !virgin {
+            if replayed.history {
                 return Err(
                     RelationalError::SchemaMismatch("initial state for an existing log").into(),
                 );
             }
-            let last_seqs = vec![0; schema.definition.len()];
-            (Self::preload(&dir, schema, config.store)?, last_seqs)
-        } else {
-            let indexes = &config.store.ordered_indexes;
-            Self::replay(&dir, schema, recovered, indexes)?
-        };
+            store = Self::preload(&dir, schema, config.store)?;
+        }
+        let last_seqs: Vec<u64> = replayed.cursors.iter().map(|c| c.seq).collect();
         store.attach_writers(
             dir,
-            next_gen,
+            replayed.next_gen,
             &last_seqs,
             config.sync,
             config.fail_appends_after,
@@ -818,9 +872,9 @@ impl Store {
     }
 
     /// Recovers the durable directory `dir` into an **in-memory** store
-    /// serving `schema`: snapshot plus per-relation log tails, replayed
-    /// through the normal probe/commit machinery by the one replay a
-    /// durable reopen runs too (which then attaches its log writers).
+    /// serving `schema`: the snapshot, then every later record and
+    /// manifest through [`Store::follow`] — the one replay a durable
+    /// reopen runs too (which then attaches its log writers).
     /// Read-only: no writer is opened and no file is created or
     /// modified, so it may run against a directory a live primary keeps
     /// appending to — a replication follower's bootstrap.  `schema` must
@@ -829,16 +883,14 @@ impl Store {
     /// [`Schema::from_manifest`] so its declared layouts and indexes
     /// come along.
     ///
-    /// Returns the store and, per relation in scheme order, the `(gen,
-    /// seq)` the replay reached — where a follower resumes tailing.
+    /// Returns the store and, per relation in scheme order, the cursor
+    /// the replay reached ([`ids_wal::Follower::cursors`]) — where a
+    /// follower resumes tailing.
     pub fn recover_from(dir: &WalDir, schema: Schema) -> Result<(Self, Vec<Cursor>), StoreError> {
         schema.covers()?;
         dir.check_identity(&schema.definition, &schema.fds)?;
-        let recovered = dir.recover()?;
-        let gen = recovered.next_gen - 1;
-        let (store, last_seqs) = Self::replay(dir, schema, recovered, &[])?;
-        let cursors = last_seqs.into_iter().map(|seq| Cursor { gen, seq });
-        Ok((store, cursors.collect()))
+        let (store, replayed) = Self::replay(dir, schema, &[])?;
+        Ok((store, replayed.cursors))
     }
 
     /// [`Store::from_schema`] for a durable store: a nonempty preload —
@@ -854,113 +906,71 @@ impl Store {
         Ok(store)
     }
 
-    /// Replays a recovery result through the normal probe/commit machinery:
-    /// the snapshot base builds each relation's shard (which validates it
-    /// against the enforcement cover `Fi`), then the relation's log tail
-    /// re-runs through the shard.  Every logged record was an accepted,
-    /// effective operation, so replay must re-accept each one — anything
-    /// else means the files contradict themselves and is reported as
-    /// corruption, never silently patched.  One relation never consults
-    /// another: recovery of an independent schema is per-relation by
-    /// construction.
+    /// Crash recovery: the snapshot builds an in-memory store under the
+    /// schema of its era (each relation's shard validates it against its
+    /// cover `Fi`), and every later record and manifest the follow loop
+    /// ([`ids_wal::Recovered::log`]) reads is applied to it, as one batch,
+    /// through [`Store::follow`] — the same entry point a replica applies
+    /// its stream with; one batch, so the names all the relations' logs
+    /// define land in the pool in id order.  So each record re-runs under
+    /// the cover of the era that accepted it, each manifest switches the
+    /// store in place, and
+    /// one relation never consults another: recovery of an independent
+    /// schema is per-relation by construction.  A record that does not
+    /// re-accept, or a cover the replayed rows violate, means the files
+    /// contradict themselves and is reported as
+    /// [`WalError::Corrupt`], never silently patched.
     ///
-    /// Each tail record is tagged with the **era** it was written in — the
-    /// index of the generation manifest governing its segment, beside the
-    /// relation's index there (`Recovered::eras`) — and replays
-    /// under that era's schema and enforcement covers, so a record accepted
-    /// before an `ALTER` is re-judged by exactly the rules that accepted
-    /// it.  Era covers come from re-running the independence analysis on
-    /// the era manifest (a cold path, memoized per era); the final era
-    /// reuses `schema`'s covers.  With a single-entry manifest chain this
-    /// degenerates to plain single-schema replay.
-    ///
-    /// The store keeps the value pool recovery rebuilt ([`Store::names`]).
-    ///
-    /// Returns the in-memory store and each relation's last sequence
-    /// number; replay progress lands in the store's registry as the
-    /// `wal.r{i}.recovered_records` family (the per-relation fact —
-    /// replicas reuse the names for their bootstrap), the aggregate
-    /// `wal.recovered_records` and one [`Event::RecoveryReplayed`].
+    /// The replay ends under the directory's latest manifest; the store
+    /// then serves the caller's `schema` handle and builds its ordered
+    /// indexes, plus `ordered_indexes`, over the recovered relations.
+    /// The store keeps the value pool the snapshot and the records
+    /// define ([`Store::names`]).  Replay progress lands in the store's
+    /// registry as the `wal.r{i}.recovered_records` family (the
+    /// per-relation fact — replicas reuse the names for their
+    /// bootstrap), the aggregate `wal.recovered_records` and one
+    /// [`Event::RecoveryReplayed`].
     fn replay(
         dir: &WalDir,
         schema: Schema,
-        recovered: ids_wal::Recovered,
         ordered_indexes: &[(SchemeId, AttrId)],
-    ) -> Result<(Self, Vec<u64>), StoreError> {
-        let last_seqs = recovered.last_seqs();
+    ) -> Result<(Self, Replayed), StoreError> {
         // Replay is a cold path: time it unconditionally so the summary
         // event carries a real duration even if recording was toggled.
         let start = Instant::now();
-        let chain = dir.manifests();
-        let last_era = chain.len() - 1;
-        let root = dir.root();
-        let (definition, enforcement) = (&schema.definition, schema.covers()?);
-        let mut era_enf: Vec<Option<Vec<FdSet>>> = vec![None; chain.len()];
-        let base = recovered.base.into_relations();
-        let mut relations = Vec::with_capacity(definition.len());
-        let mut shards = Vec::with_capacity(definition.len());
-        let mut replayed = vec![0u64; definition.len()];
-        let tails = recovered.tail.into_iter().zip(recovered.eras);
-        for ((id, mut rel), (records, eras)) in definition.ids().zip(base).zip(tails) {
-            let mut records = records.into_iter().peekable();
-            let mut cur: Option<(usize, RelationShard)> = None;
-            for (era, eid) in eras {
-                let mut shard = if era == last_era {
-                    let cover = enforcement[id.index()].clone();
-                    RelationShard::with_relation(definition, id, cover, &mut rel)?
-                } else {
-                    let m = &chain[era].1;
-                    let covers = match &mut era_enf[era] {
-                        Some(covers) => covers,
-                        unfilled => {
-                            let analysis = ids_core::analyze(&m.schema, &m.fds);
-                            unfilled.insert(covers(&m.schema, &analysis)?.to_vec())
-                        }
-                    };
-                    let cover = covers[eid.index()].clone();
-                    RelationShard::with_relation(&m.schema, eid, cover, &mut rel)?
-                };
-                while let Some((_, record)) = records.next_if(|(e, _)| *e == era) {
-                    let seq = record.seq;
-                    replayed[id.index()] += 1;
-                    let reapplied = match record.op {
-                        WalOp::Insert(t) => {
-                            matches!(shard.insert(&mut rel, t), Ok(InsertOutcome::Accepted))
-                        }
-                        WalOp::Remove(t) => matches!(shard.remove(&mut rel, &t), Ok(true)),
-                    };
-                    if !reapplied {
-                        return Err(WalError::Corrupt {
-                            path: root.to_path_buf(),
-                            detail: format!(
-                                "logged op did not replay cleanly (relation {id:?}, seq {seq})"
-                            ),
-                        }
-                        .into());
-                    }
-                }
-                cur = Some((era, shard));
-            }
-            // The live shard runs under the final schema and cover; reuse
-            // the last era's shard when it already is that.
-            let shard = match cur {
-                Some((era, shard)) if era == last_era => shard,
-                _ => {
-                    let cover = enforcement[id.index()].clone();
-                    RelationShard::with_relation(definition, id, cover, &mut rel)?
-                }
-            };
-            relations.push(rel);
-            shards.push(shard);
-        }
-        // Indexes are declared only after replay, so they absorb the final
-        // recovered relations in their (replayed) insertion order.
-        apply_ordered_indexes(&schema, &mut shards, &relations, ordered_indexes)?;
-        let duration = start.elapsed();
-        let store = Store {
-            names: Some(Arc::new(Mutex::new(recovered.names))),
-            ..Self::assemble(schema, relations, shards)
+        let recovered = dir.recover()?;
+        let (chain, root) = (dir.manifests(), dir.root());
+        let era = match &chain[recovered.era].1 {
+            // No transition since the snapshot: the caller's handle.
+            _ if recovered.era + 1 == chain.len() => schema.clone(),
+            m => Schema::from_recovered(m.schema.clone(), m.fds.clone(), &m.app)?,
         };
+        let mut store = Self::with_state(era, Some(recovered.base))?;
+        store.names = Some(Arc::new(Mutex::new(recovered.names)));
+        // Each relation's records, counted under the schema they ship in.
+        let (mut replayed, mut shipped) = (vec![0u64; recovered.base_seqs.len()], Vec::new());
+        let mut relations = store.schema().definition.clone();
+        let mut log = recovered.log;
+        log.replay(|shipment| {
+            match &shipment {
+                Shipment::Manifest { manifest, .. } => {
+                    let from = manifest.schema.remap_from(&relations);
+                    replayed = (from.into_iter())
+                        .map(|i| i.map_or(0, |i| replayed[i.index()]))
+                        .collect();
+                    relations = manifest.schema.clone();
+                }
+                Shipment::Records {
+                    relation, records, ..
+                } => replayed[*relation as usize] += records.len() as u64,
+            }
+            shipped.push(shipment);
+            Ok::<_, StoreError>(())
+        })?;
+        store.follow(shipped).map_err(|e| corrupt(root, e))?;
+        let history = recovered.has_snapshot || log.cursors().iter().any(|c| c.seq > 0);
+        store.serve(schema, ordered_indexes)?;
+        let duration = start.elapsed();
         let registry = &store.obs.registry;
         for (i, n) in replayed.iter().enumerate() {
             registry
@@ -970,31 +980,29 @@ impl Store {
         let records = replayed.iter().sum();
         registry.counter("wal.recovered_records").add(records);
         (registry.events()).record(Event::RecoveryReplayed { records, duration });
-        Ok((store, last_seqs))
+        let cursors = log.cursors();
+        let next_gen = recovered.next_gen;
+        Ok((
+            store,
+            Replayed {
+                cursors,
+                next_gen,
+                history,
+            },
+        ))
     }
 
-    /// Wraps each relation's tuples and shard (scheme order) in its slot:
-    /// an in-memory store serving `schema`.  [`Store::attach_writers`]
-    /// makes it durable.
-    fn assemble(schema: Schema, relations: Vec<Relation>, shards: Vec<RelationShard>) -> Store {
-        let registry = Arc::new(Registry::new());
-        let slots = (schema.definition.ids().zip(relations).zip(shards))
-            .map(|((id, rel), shard)| {
-                let metrics = ShardMetrics::new(&registry, id.index());
-                Mutex::new(Slot::new(id, shard, rel, None, metrics))
-            })
-            .collect();
-        Store {
-            topology: RwLock::new(Topology {
-                families: schema.definition.len(),
-                schema: Arc::new(schema),
-                slots,
-            }),
-            poison: OnceLock::new(),
-            durability: None,
-            obs: StoreObs { registry },
-            names: None,
+    /// The end of a replay: the store serves `schema`, the caller's
+    /// handle of the schema the replay ended in, with its exact covers
+    /// and its ordered indexes plus `extra`.
+    fn serve(&mut self, schema: Schema, extra: &[(SchemeId, AttrId)]) -> Result<(), StoreError> {
+        let topo = (self.topology.get_mut()).unwrap_or_else(PoisonError::into_inner);
+        if topo.schema.definition != schema.definition {
+            return Err(RelationalError::SchemaMismatch("the replayed schema").into());
         }
+        topo.schema = Arc::new(schema);
+        self.settle()?;
+        self.add_ordered_indexes(extra)
     }
 
     /// Makes an in-memory store durable over `dir`: one segment writer
@@ -1317,20 +1325,15 @@ impl Store {
         let remap = {
             let topo = self.topology()?;
             let (old, old_covers) = (&topo.schema.definition, topo.schema.covers()?);
-            // `old index → new index` for the survivors.
-            let mut remap: Vec<Option<SchemeId>> = vec![None; old.len()];
-            let from = next.definition.remap_from(old);
-            for ((nid, scheme), at) in next.definition.iter().zip(from) {
-                match at {
-                    Some(id) => remap[id.index()] = Some(nid),
-                    None if old.scheme_by_name(&scheme.name).is_some() => {
-                        return Err(RelationalError::SchemaMismatch(
-                            "a surviving relation changed its attribute set",
-                        )
-                        .into())
-                    }
-                    None => {}
-                }
+            let remap = survivors(old, &next.definition);
+            let renamed = (next.definition.iter()).any(|(nid, s)| {
+                !remap.contains(&Some(nid)) && old.scheme_by_name(&s.name).is_some()
+            });
+            if renamed {
+                return Err(RelationalError::SchemaMismatch(
+                    "a surviving relation changed its attribute set",
+                )
+                .into());
             }
             // Which survivors need a backfill: those whose old cover
             // does not already imply every FD of the new one.
@@ -1398,7 +1401,7 @@ impl Store {
         )?;
 
         // Phase 3: switch, then settle the covers.
-        if let Err((shard, e)) = self.switch(d, next, &remap, new_gen) {
+        if let Err((shard, e)) = self.switch(Some(d), next, &remap, new_gen) {
             // Memory must not go on acknowledging writes under a schema
             // recovery will no longer load.
             let err = self.record_poison(shard, &format_args!("schema switch failed: {e}"));
@@ -1410,30 +1413,149 @@ impl Store {
             return Err(err);
         }
         *gen = new_gen;
+        // Cannot be refused: since its backfill each relation has
+        // enforced a superset of its new cover.
+        self.settle()?;
+        self.obs.registry.counter("evolve.alters").inc();
+        self.obs.registry.events().record(Event::SchemaAltered {
+            generation: new_gen,
+            relations: self.schema().definition.len() as u64,
+        });
+        Ok(new_gen)
+    }
+
+    /// Applies shipments of the follow loop ([`ids_wal::Follower`]), in
+    /// order, to an in-memory store — the one replay crash recovery and
+    /// both replica transports run, so a relation's log means the same
+    /// to each of them.
+    ///
+    /// * Every name the shipments' records carry goes into the value pool
+    ///   ([`Store::names`]) first, in id order, so a pool rebuilt from
+    ///   several relations' logs read one after another keeps its names
+    ///   packed in its arena.  A name the pool already gives another
+    ///   value is [`StoreError::Replay`].
+    /// * A manifest switches the store in place, exactly as the switch of
+    ///   [`Store::apply_transition`] does on the primary — survivors
+    ///   (by [`DatabaseSchema::remap_from`]) are renumbered with their
+    ///   rows, dropped relations released, added ones start empty — and
+    ///   then installs each relation's exact new cover.  No backfill, no
+    ///   manifest write and no log rotation: the primary did those.  A
+    ///   cover the relation's rows violate is
+    ///   [`StoreError::BackfillViolation`].
+    /// * Records are applied to the relation the batch names, by its
+    ///   index in the schema the store serves, under one slot lock: each
+    ///   operation must re-accept under the slot's current cover.  Every
+    ///   logged record was an accepted, effective operation, so anything
+    ///   else is [`StoreError::Replay`].
+    ///
+    /// The follow loop ships each record before any manifest written
+    /// after it, so each record is judged by the rules of its own era.
+    /// Call it on a store with no log writer: what it applies is logged
+    /// already.
+    pub fn follow(&self, shipments: impl IntoIterator<Item = Shipment>) -> Result<(), StoreError> {
+        let shipments: Vec<Shipment> = shipments.into_iter().collect();
+        self.define(&shipments)?;
+        for shipment in shipments {
+            let (relation, records) = match shipment {
+                Shipment::Manifest { gen, manifest, .. } => {
+                    let Manifest { schema, fds, app } = manifest;
+                    let next = Schema::from_recovered(schema, fds, &app)?;
+                    next.covers()?;
+                    let remap = survivors(&self.schema().definition, &next.definition);
+                    self.switch(None, next, &remap, gen).map_err(|(_, e)| e)?;
+                    self.settle()?;
+                    continue;
+                }
+                Shipment::Records {
+                    relation, records, ..
+                } => (SchemeId::from_index(relation as usize), records),
+            };
+            let topo = self.topology()?;
+            if relation.index() >= topo.slots.len() {
+                return Err(StoreError::UnknownScheme(relation));
+            }
+            let mut slot = self.lock(&topo, relation)?;
+            let Slot { shard, rel, .. } = &mut *slot;
+            for TailedRecord { record, .. } in records {
+                let reapplied = match record.op {
+                    WalOp::Insert(t) => {
+                        matches!(shard.insert(rel, t), Ok(InsertOutcome::Accepted))
+                    }
+                    WalOp::Remove(t) => matches!(shard.remove(rel, &t), Ok(true)),
+                };
+                if !reapplied {
+                    return Err(StoreError::Replay {
+                        scheme: relation,
+                        seq: record.seq,
+                        detail: "not accepted by the relation's slot".into(),
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The first step of [`Store::follow`]: every name the records of
+    /// `shipments` define, into the value pool in id order.
+    fn define(&self, shipments: &[Shipment]) -> Result<(), StoreError> {
+        let mut defs = Vec::new();
+        for shipment in shipments {
+            if let Shipment::Records {
+                relation, records, ..
+            } = shipment
+            {
+                for TailedRecord { record, .. } in records {
+                    for (v, name) in &record.defs {
+                        defs.push((*v, *relation, record.seq, name.as_str()));
+                    }
+                }
+            }
+        }
+        defs.sort_unstable_by_key(|&(v, ..)| v);
+        let refused = |relation: u16, seq, detail| StoreError::Replay {
+            scheme: SchemeId::from_index(relation as usize),
+            seq,
+            detail,
+        };
+        let Some(&(_, relation, seq, _)) = defs.first() else {
+            return Ok(());
+        };
+        let names =
+            (self.names.as_ref()).ok_or_else(|| refused(relation, seq, "no value pool".into()))?;
+        let mut pool = names.lock().map_err(|_| StoreError::Disconnected)?;
+        for (v, relation, seq, name) in defs {
+            (pool.define(v, name))
+                .map_err(|e| refused(relation, seq, format!("bad value definitions: {e}")))?;
+        }
+        Ok(())
+    }
+
+    /// The last step of a switch: each relation whose shard enforces
+    /// another cover than the served schema gives it — a union left by
+    /// a backfill, or the old era's — installs its exact cover, inside
+    /// its own slot's lock, so untouched relations keep serving.  A
+    /// cover the relation's rows violate is
+    /// [`StoreError::BackfillViolation`].
+    fn settle(&self) -> Result<(), StoreError> {
         let topo = self.topology()?;
         for (slot, cover) in topo.slots.iter().zip(topo.schema.covers()?) {
             // A slot lost to a panicking caller has nothing to settle.
             let Ok(mut slot) = slot.lock() else { continue };
             if !slot.shard.enforcement().same_fds(cover) {
-                // Cannot be refused: since its backfill the relation has
-                // enforced a superset of this cover.
                 slot.install_cover(cover.clone())?;
             }
         }
-        self.obs.registry.counter("evolve.alters").inc();
-        self.obs.registry.events().record(Event::SchemaAltered {
-            generation: new_gen,
-            relations: topo.schema.definition.len() as u64,
-        });
-        Ok(new_gen)
+        Ok(())
     }
 
-    /// Phase 3 of [`Store::apply_transition`].  On error the caller
-    /// poisons the store; the error names the metric family of the
-    /// relation that failed.
+    /// The switch of a schema transition: survivors renumbered in their
+    /// own slots (and, on a durable store `d`, their logs rotated onto
+    /// `new_gen`), added relations given fresh slots, then the topology
+    /// swapped.  On error the primary poisons the store; the error names
+    /// the metric family of the relation that failed.
     fn switch(
         &self,
-        d: &Durability,
+        d: Option<&Durability>,
         next: Schema,
         remap: &[Option<SchemeId>],
         new_gen: u64,
@@ -1454,18 +1576,23 @@ impl Store {
         drop(topo);
         let mut placed = Vec::with_capacity(definition.len());
         for id in definition.ids().filter(|id| !remap.contains(&Some(*id))) {
-            let names = self
-                .names
-                .as_ref()
-                .expect("a durable store has a value pool");
-            let writer = d
-                .writer(id, new_gen, 0, names)
+            let writer = d.map(|d| {
+                let names = self.names.as_ref();
+                d.writer(
+                    id,
+                    new_gen,
+                    0,
+                    names.expect("a durable store has a value pool"),
+                )
+            });
+            let writer = writer
+                .transpose()
                 .map_err(|e| (families as u64, e.into()))?;
             let slot = Slot::new(
                 id,
                 RelationShard::new(definition, id, covers[id.index()].clone()),
                 Relation::new(definition.attrs(id)),
-                Some(writer),
+                writer,
                 ShardMetrics::new(&self.obs.registry, families),
             );
             placed.push((id, Mutex::new(slot)));
@@ -1774,24 +1901,39 @@ impl Era<'_> {
     }
 }
 
-/// Builds a schema's ordered secondary indexes, plus the `extra` ones a
-/// [`StoreConfig`] asks for, on freshly constructed shards, each
-/// absorbing its relation's current tuples.  A spec naming a foreign
-/// scheme or column is a typed error at open, not a silently missing
-/// index; a repeated spec is a no-op.
-fn apply_ordered_indexes(
-    schema: &Schema,
-    shards: &mut [RelationShard],
-    relations: &[Relation],
-    extra: &[(SchemeId, AttrId)],
-) -> Result<(), StoreError> {
-    for &(id, attr) in schema.ordered_indexes.iter().chain(extra) {
-        if schema.definition.get_scheme(id).is_none() {
-            return Err(StoreError::UnknownScheme(id));
+/// What a replay reached: each relation's cursor, the generation fresh
+/// segments open at, and whether the directory held any history (a
+/// snapshot or a record).
+struct Replayed {
+    cursors: Vec<Cursor>,
+    next_gen: u64,
+    history: bool,
+}
+
+/// Recovery's reading of a [`Store::follow`] refusal: the files
+/// contradict themselves — a typed [`WalError::Corrupt`] on `root`.
+fn corrupt(root: &Path, e: StoreError) -> StoreError {
+    match e {
+        StoreError::Replay { .. } | StoreError::BackfillViolation { .. } => WalError::Corrupt {
+            path: root.to_path_buf(),
+            detail: format!("the log does not replay cleanly: {e}"),
         }
-        shards[id.index()].add_ordered_index(attr, &relations[id.index()])?;
+        .into(),
+        e => e,
     }
-    Ok(())
+}
+
+/// Where each relation of `old` sits in `next` — `old index → new id` —
+/// by the relation identity rule ([`DatabaseSchema::remap_from`]);
+/// `None` for a relation `next` drops.
+fn survivors(old: &DatabaseSchema, next: &DatabaseSchema) -> Vec<Option<SchemeId>> {
+    let mut remap = vec![None; old.len()];
+    for (nid, from) in next.ids().zip(next.remap_from(old)) {
+        if let Some(i) = from {
+            remap[i.index()] = Some(nid);
+        }
+    }
+    remap
 }
 
 /// The per-scheme enforcement covers `Fi` of an analysis verdict: a
@@ -2325,6 +2467,64 @@ mod tests {
     /// A recovered relation is filed under its shard's key — the lhs of
     /// its key FD, every column when it has none — so its point reads
     /// probe the key rather than pass over every row.
+    /// Recovery defines every name the snapshot and each relation's
+    /// records carry into the store's pool, and refuses two that rename
+    /// one value as corruption.
+    #[test]
+    fn recovery_unions_definitions_and_types_a_conflict_as_corrupt() {
+        let root = tmp_dir("definitions");
+        let u = ids_relational::Universe::from_names(["C", "T", "S"]).unwrap();
+        let schema = DatabaseSchema::parse(u, &[("CT", "CT"), ("CS", "CS")]).unwrap();
+        let fds = FdSet::parse(schema.universe(), &["C -> T"]).unwrap();
+        let handle = || {
+            Schema::canonical(
+                schema.clone(),
+                fds.clone(),
+                ids_core::analyze(&schema, &fds),
+            )
+        };
+        let dir = WalDir::create(&root, &schema, &fds, Vec::new()).unwrap();
+        let snap = DatabaseState::empty(&schema);
+        dir.write_snapshot(&snap, &[0, 0], 0, vec![(v(4), "old".into())], 6)
+            .unwrap();
+        let writer = |scheme: u16, gen: u64, last_seq: u64, names: &[(u64, &str)]| {
+            let mut pool = ValuePool::new();
+            for &(id, name) in names {
+                pool.define(v(id), name).unwrap();
+            }
+            let mut w = dir.segment_writer(scheme, gen, last_seq).unwrap();
+            w.set_names(Arc::new(Mutex::new(pool)));
+            w
+        };
+        let abc = [(0, "a"), (1, "b"), (2, "c")];
+        let (mut w0, mut w1) = (writer(0, 1, 0, &abc), writer(1, 1, 0, &abc));
+        w0.append(WalOp::Insert(vec![v(0), v(2)])).unwrap();
+        w1.append(WalOp::Insert(vec![v(0), v(1)])).unwrap();
+        // A value with no name in the pool is not defined.
+        w1.append(WalOp::Insert(vec![v(9), v(1)])).unwrap();
+        drop((w0, w1));
+        let (store, _) = Store::recover_from(&dir, handle()).unwrap();
+        let pool = store.names().unwrap();
+        let pool = pool.lock().unwrap();
+        let names: Vec<(&str, u64)> = pool.iter().map(|(n, v)| (n, v.0)).collect();
+        assert_eq!(names, [("a", 0), ("b", 1), ("c", 2), ("old", 4)]);
+        assert_eq!(pool.len(), 6);
+
+        // Relation 1's next segment names value 2 differently.
+        let mut w1 = writer(1, 2, 2, &[(2, "not c")]);
+        w1.append(WalOp::Insert(vec![v(2), v(2)])).unwrap();
+        match Store::recover_from(&dir, handle()) {
+            Err(StoreError::Wal(WalError::Corrupt { detail, .. })) => {
+                assert!(
+                    detail.contains("conflicting definitions of value 2"),
+                    "{detail}"
+                )
+            }
+            other => panic!("expected corruption, got {:?}", other.map(|_| ())),
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
     #[test]
     fn recovered_relations_are_filed_under_their_keys() {
         let root = tmp_dir("keys");

@@ -301,7 +301,7 @@ impl Schema {
         definition: DatabaseSchema,
         fds: FdSet,
         app: &[u8],
-    ) -> Result<Schema, Error> {
+    ) -> Result<Schema, RelationalError> {
         let analysis = analyze(&definition, &fds);
         let mut schema = Schema::canonical(definition, fds, analysis);
         if app.is_empty() {
@@ -312,13 +312,13 @@ impl Schema {
         let bad = || RelationalError::Codec("manifest layout blob");
         let n = d.get_u16()? as usize;
         if n != definition.len() {
-            return Err(bad().into());
+            return Err(bad());
         }
         let mut layouts = Vec::with_capacity(n);
         for (id, scheme) in definition.iter() {
             let cols = d.get_u16()? as usize;
             if cols != scheme.attrs.len() {
-                return Err(bad().into());
+                return Err(bad());
             }
             let mut columns = Vec::with_capacity(cols);
             let mut perm = Vec::with_capacity(cols);
@@ -327,7 +327,7 @@ impl Schema {
                 let name = d.get_str()?;
                 let attr = definition.universe().require(&name)?;
                 if !scheme.attrs.contains(attr) || !seen.insert(attr) {
-                    return Err(bad().into());
+                    return Err(bad());
                 }
                 perm.push(definition.attrs(id).rank(attr));
                 columns.push(name);
@@ -347,12 +347,12 @@ impl Schema {
                     .ok_or_else(bad)?;
                 let attr = definition.universe().require(&col)?;
                 if !scheme.attrs.contains(attr) {
-                    return Err(bad().into());
+                    return Err(bad());
                 }
                 schema.ordered_indexes.push((id, attr));
             }
             if !d.is_done() {
-                return Err(bad().into());
+                return Err(bad());
             }
         }
         schema.layouts = layouts;
@@ -367,7 +367,11 @@ impl Schema {
     /// `ids_api::Database::recover` does internally, including the one
     /// independence analysis.
     pub fn from_manifest(manifest: &ids_wal::Manifest) -> Result<Schema, Error> {
-        Self::from_recovered(manifest.schema.clone(), manifest.fds.clone(), &manifest.app)
+        Ok(Self::from_recovered(
+            manifest.schema.clone(),
+            manifest.fds.clone(),
+            &manifest.app,
+        )?)
     }
 
     /// Builds the **target** schema handle for one [`Alter`] operation —

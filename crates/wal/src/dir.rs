@@ -6,11 +6,11 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use ids_deps::FdSet;
-use ids_relational::{DatabaseSchema, DatabaseState, Relation, SchemeId, Value, ValuePool};
+use ids_relational::{DatabaseSchema, DatabaseState, Value, ValuePool};
 
 use crate::format::{frame, next_frame, MAX_FRAME_PAYLOAD};
-use crate::records::{Manifest, Snapshot, WalRecord};
-use crate::tail::{Cursor, FollowPoll, Follower, Shipment};
+use crate::records::{Manifest, Snapshot};
+use crate::tail::{Cursor, Follower};
 use crate::writer::{parse_segment_file_name, WalWriter};
 use crate::{corrupt, io_err, WalError};
 
@@ -58,35 +58,23 @@ pub struct WalDir {
     fingerprint: u32,
 }
 
-/// What [`WalDir::recover`] found: the snapshot base plus, per
-/// relation, the log tail to replay through the normal probe/commit
-/// path.
+/// What [`WalDir::recover`] found: the snapshot, and the follow loop
+/// positioned right after it.
 ///
-/// Everything is expressed in terms of the **latest** manifest's schema.
-/// The follow loop carries each relation across every manifest by the
-/// relation identity rule ([`DatabaseSchema::remap_from`]: same name,
-/// same attributes), and so does the snapshot base: relations the latest
-/// manifest dropped are gone, relations it added — or re-declared over
-/// other attributes — recover from an empty base.  Each tail record is
-/// tagged with the chain index of its governing manifest, so replay can
-/// re-run it under the enforcement covers of the schema epoch it was
-/// accepted in.
+/// The base is expressed in the schema of the manifest governing the
+/// snapshot's generation ([`Recovered::era`]); replaying [`Recovered::log`]
+/// carries it through every later manifest of the chain in order, each
+/// record under the schema it was written in.
 #[derive(Debug)]
 pub struct Recovered {
-    /// State restored from the snapshot (empty when none was taken),
-    /// carried into the latest manifest's schema.
+    /// Chain index ([`WalDir::manifests`]) of the manifest `base` is
+    /// expressed in: the one live writers held when the snapshot was
+    /// taken.
+    pub era: usize,
+    /// State restored from the snapshot (empty when none was taken).
     pub base: DatabaseState,
     /// Per-relation last sequence number folded into `base`.
     pub base_seqs: Vec<u64>,
-    /// Per-relation records appended after the snapshot, in order, each
-    /// tagged with the chain index ([`WalDir::manifests`]) of the
-    /// manifest governing the segment it came from.  Replaying them
-    /// through each relation's shard *is* recovery; no cross-relation
-    /// ordering exists or is needed.
-    pub tail: Vec<Vec<(usize, WalRecord)>>,
-    /// Per relation, each chain index its tail is tagged with, in order,
-    /// beside the relation's scheme index under that manifest.
-    pub eras: Vec<Vec<(usize, SchemeId)>>,
     /// Generation the snapshot covers (0 when none was taken).
     pub covered_gen: u64,
     /// Generation fresh segments should be opened at.
@@ -94,23 +82,18 @@ pub struct Recovered {
     /// Whether a snapshot file existed (distinguishes "no snapshot yet"
     /// from "snapshot of an empty state").
     pub has_snapshot: bool,
-    /// The value pool the snapshot's and the records' definitions
-    /// rebuild, each name under its logged id; an id below the highest
-    /// defined one, or below the snapshot's next id, that nothing names
-    /// is a hole, never handed out again.
+    /// The value pool the snapshot defines, each name under its id; an
+    /// id below the snapshot's next id that nothing names is a hole,
+    /// never handed out again.  The records' own definitions arrive with
+    /// them, through `log`.
     pub names: ValuePool,
-}
-
-impl Recovered {
-    /// Per-relation last durable sequence number after replaying the
-    /// tail.
-    pub fn last_seqs(&self) -> Vec<u64> {
-        self.base_seqs
-            .iter()
-            .zip(&self.tail)
-            .map(|(base, tail)| tail.last().map_or(*base, |(_, r)| r.seq))
-            .collect()
-    }
+    /// The follow loop from the snapshot's cursors, carrying no record
+    /// payloads and no manifest past the chain this handle opened with:
+    /// [`Follower::replay`] ships every record after the snapshot and
+    /// every manifest after its era, in generation order.  Replaying
+    /// them into `base` *is* recovery; no cross-relation ordering exists
+    /// or is needed.
+    pub log: Follower,
 }
 
 impl WalDir {
@@ -361,19 +344,15 @@ impl WalDir {
         Ok(())
     }
 
-    /// Reads the snapshot and every live segment back into a
-    /// [`Recovered`]: the base state plus per-relation tails, expressed
-    /// in the **latest** manifest's schema.
+    /// Reads the snapshot back into a [`Recovered`], with the follow
+    /// loop that replays every live segment after it.
     ///
     /// Recovery *is* the follow loop ([`Follower`]), run once over a
     /// directory nobody is writing to: it starts from the snapshot's
     /// cursors and reads every relation's log to its end, so a segment
-    /// reads the same here as it does to a replica.  Each shipped batch
-    /// is tagged with the chain index of the manifest governing its
-    /// generation and carried, like the snapshot base, into the latest
-    /// schema by the relation identity rule.  The snapshot is decoded
-    /// under the manifest governing `covered_gen + 1` (the schema live
-    /// writers held when it was taken).
+    /// reads the same here as it does to a replica.  The snapshot is
+    /// decoded under the manifest governing `covered_gen + 1` (the
+    /// schema live writers held when it was taken).
     ///
     /// A torn frame — a segment header included — ends a segment cleanly
     /// at the acknowledged-and-synced prefix, whether it is the last
@@ -383,12 +362,9 @@ impl WalDir {
     /// segment's header tells a benign torn tail from lost records.
     /// Everything else that is malformed — checksum mismatch, sequence
     /// gaps, bad magic, a log that does not continue from the snapshot —
-    /// is a typed [`WalError::Corrupt`] — so are two definitions of one
-    /// value that name different strings.  Definitions are collected
-    /// from every record read, a dropped relation's included, so a
-    /// recovered pool never hands out an id a log already named.
+    /// is a typed [`WalError::Corrupt`], and so are two names the
+    /// snapshot gives one value.
     pub fn recover(&self) -> Result<Recovered, WalError> {
-        let last = self.chain.len() - 1;
         let snap_path = self.root.join(SNAPSHOT_FILE);
         let has_snapshot = snap_path.exists();
         let payload = (has_snapshot)
@@ -401,121 +377,45 @@ impl WalDir {
         // The manifest live writers held when the snapshot was taken.
         // (Alters and checkpoints share one generation counter, so no
         // manifest takes effect at exactly `covered_gen + 1`.)
-        let era0 = self.governing(covered_gen + 1);
-        let schema0 = &self.chain[era0].1.schema;
-        // Every definition the snapshot and the records hold, and the
-        // snapshot's next id.
-        let (mut defs, mut next_id) = (Vec::new(), 0);
-        let (state, seqs) = match payload {
+        let era = self.governing(covered_gen + 1);
+        let schema = &self.chain[era].1.schema;
+        let mut names = ValuePool::new();
+        let (base, base_seqs) = match payload {
             Some(p) => {
-                let snap = Snapshot::decode(&snap_path, &p, schema0)?;
-                (defs, next_id) = (snap.names, snap.next_id);
+                let snap = Snapshot::decode(&snap_path, &p, schema)?;
+                let mut defs = snap.names;
+                defs.sort_unstable();
+                // Two names for one value, one name for two: corruption.
+                for (v, name) in defs {
+                    (names.define(v, &name))
+                        .map_err(|e| corrupt(&snap_path, format!("bad value definitions: {e}")))?;
+                }
+                names.reserve(snap.next_id);
                 (snap.state, snap.last_seqs)
             }
-            None => (DatabaseState::empty(schema0), vec![0; schema0.len()]),
+            None => (DatabaseState::empty(schema), vec![0; schema.len()]),
         };
-
-        // `to_latest[era - era0][i]`: where relation `i` of that era sits
-        // in the latest schema, carried one manifest at a time — so a
-        // relation dropped and later re-added is a new relation.
-        let latest = &self.chain[last].1.schema;
-        let mut to_latest = vec![(0..latest.len()).map(Some).collect::<Vec<_>>()];
-        for era in (era0..last).rev() {
-            let (old, new) = (&self.chain[era].1.schema, &self.chain[era + 1].1.schema);
-            let mut map = vec![None; old.len()];
-            for (from, &to) in new.remap_from(old).into_iter().zip(&to_latest[0]) {
-                if let Some(i) = from {
-                    map[i.index()] = to;
-                }
-            }
-            to_latest.insert(0, map);
-        }
-        let mut base: Vec<Relation> = latest.iter().map(|(_, s)| Relation::new(s.attrs)).collect();
-        let mut base_seqs = vec![0; latest.len()];
-        for ((rel, &seq), to) in state
-            .into_relations()
-            .into_iter()
-            .zip(&seqs)
-            .zip(&to_latest[0])
-        {
-            if let Some(i) = *to {
-                (base[i], base_seqs[i]) = (rel, seq);
-            }
-        }
-
-        let cursors: Vec<Cursor> = (seqs.iter())
+        let cursors: Vec<Cursor> = (base_seqs.iter())
             .map(|&seq| Cursor {
                 gen: covered_gen + 1,
                 seq,
             })
             .collect();
-        let (mut tail, mut eras) = (
-            vec![Vec::new(); latest.len()],
-            vec![Vec::new(); latest.len()],
-        );
-        // A manifest committed after this handle opened governs a schema
-        // the recovered state is not expressed in: what it governs stays
-        // unread.
-        let mut horizon = u64::MAX;
-        let wal = self.root.join(WAL_SUBDIR);
-        let polled = Follower::replaying(self, &cursors)?.poll(|shipment| {
-            match shipment {
-                Shipment::Manifest { gen, .. } if gen > self.chain[last].0 => {
-                    horizon = horizon.min(gen);
-                }
-                Shipment::Records {
-                    relation,
-                    gen,
-                    mut records,
-                    ..
-                } => {
-                    for r in &mut records {
-                        defs.append(&mut r.record.defs);
-                    }
-                    if gen >= horizon {
-                        return Ok(());
-                    }
-                    let era = self.governing(gen);
-                    if let Some(i) = to_latest[era - era0][relation as usize] {
-                        if eras[i].last().map(|&(e, _)| e) != Some(era) {
-                            eras[i].push((era, SchemeId::from_index(relation as usize)));
-                        }
-                        tail[i].extend(records.into_iter().map(|r| (era, r.record)));
-                    }
-                }
-                _ => {}
-            }
-            Ok::<_, WalError>(())
-        })?;
-        if polled == FollowPoll::Behind {
-            return Err(corrupt(
-                &wal,
-                "a relation's log does not continue from the snapshot",
-            ));
-        }
-        // The pool, built in id order; definitions no pool can hold — two
-        // names for one value, one name for two — are corruption.
-        defs.sort_unstable();
-        defs.dedup();
-        let mut names = ValuePool::new();
-        for (v, name) in defs {
-            (names.define(v, &name))
-                .map_err(|e| corrupt(&wal, format!("bad value definitions: {e}")))?;
-        }
-        names.reserve(next_id);
-        let newest = list(&wal, parse_segment_file_name)?
+        let log = Follower::replaying(self, &cursors)?;
+        let newest = list(&self.root.join(WAL_SUBDIR), parse_segment_file_name)?
             .into_iter()
             .map(|(_, gen)| gen)
             .max();
+        let last = self.chain[self.chain.len() - 1].0;
         Ok(Recovered {
-            base: DatabaseState::from_relations(latest, base)?,
+            era,
+            base,
             base_seqs,
-            tail,
-            eras,
             covered_gen,
-            next_gen: newest.unwrap_or(0).max(covered_gen).max(self.chain[last].0) + 1,
+            next_gen: newest.unwrap_or(0).max(covered_gen).max(last) + 1,
             has_snapshot,
             names,
+            log,
         })
     }
 }
@@ -588,6 +488,7 @@ pub(crate) fn sync_dir(path: &Path) {
 mod tests {
     use super::*;
     use crate::records::WalOp;
+    use crate::Shipment;
     use ids_relational::{SchemeId, Universe, Value};
 
     fn tmp(name: &str) -> PathBuf {
@@ -601,6 +502,35 @@ mod tests {
         let schema = DatabaseSchema::parse(u, &[("CT", "CT"), ("CS", "CS")]).unwrap();
         let fds = FdSet::parse(schema.universe(), &["C -> T"]).unwrap();
         (schema, fds)
+    }
+
+    /// Recovers `dir` and replays its log, rendering the stream in
+    /// shipping order: `M{gen}` per manifest, `R{relation}@{gen}[seqs]`
+    /// per record batch.
+    fn replay(dir: &WalDir) -> Result<(Recovered, Vec<String>), WalError> {
+        let mut r = dir.recover()?;
+        let mut stream = Vec::new();
+        r.log.replay(|shipment| {
+            stream.push(match shipment {
+                Shipment::Manifest { gen, .. } => format!("M{gen}"),
+                Shipment::Records {
+                    relation,
+                    gen,
+                    records,
+                    ..
+                } => {
+                    let seqs: Vec<String> =
+                        records.iter().map(|r| r.record.seq.to_string()).collect();
+                    format!("R{relation}@{gen}[{}]", seqs.join(","))
+                }
+            });
+            Ok::<_, WalError>(())
+        })?;
+        Ok((r, stream))
+    }
+
+    fn seqs(r: &Recovered) -> Vec<u64> {
+        r.log.cursors().iter().map(|c| c.seq).collect()
     }
 
     #[test]
@@ -637,13 +567,12 @@ mod tests {
         w0.sync().unwrap();
         w1.sync().unwrap();
 
-        let r = dir.recover().unwrap();
+        let (r, stream) = replay(&dir).unwrap();
         assert_eq!(r.covered_gen, 0);
         assert_eq!(r.next_gen, 2);
         assert_eq!(r.base.total_tuples(), 0);
-        assert_eq!(r.tail[0].len(), 2);
-        assert_eq!(r.tail[1].len(), 1);
-        assert_eq!(r.last_seqs(), vec![2, 1]);
+        assert_eq!(stream, ["R0@1[1,2]", "R1@1[1]"]);
+        assert_eq!(seqs(&r), vec![2, 1]);
 
         // Checkpoint: rotate both writers to gen 2, snapshot, prune.
         w0.rotate(2).unwrap();
@@ -660,15 +589,13 @@ mod tests {
         w1.append(WalOp::Insert(vec![Value(2), Value(60)])).unwrap();
         w1.sync().unwrap();
 
-        let r = dir.recover().unwrap();
+        let (r, stream) = replay(&dir).unwrap();
         assert_eq!(r.covered_gen, 1);
         assert_eq!(r.next_gen, 3);
         assert_eq!(r.base.total_tuples(), 1);
         assert_eq!(r.base_seqs, vec![2, 1]);
-        assert!(r.tail[0].is_empty());
-        assert_eq!(r.tail[1].len(), 1);
-        assert_eq!(r.tail[1][0].1.seq, 2);
-        assert_eq!(r.last_seqs(), vec![2, 2]);
+        assert_eq!(stream, ["R1@2[2]"]);
+        assert_eq!(seqs(&r), vec![2, 2]);
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -746,9 +673,11 @@ mod tests {
         w_cs.sync().unwrap();
         w_sr.sync().unwrap();
 
-        // A reopened handle sees the whole chain and recovers under the
-        // latest schema, stitching SR's segments by name and skipping
-        // the dropped CS entirely.
+        // A reopened handle sees the whole chain.  Recovery ships each
+        // era's records before the manifest that ends it, each batch
+        // labeled with the relation's index in the schema shipped last:
+        // SR's segments are stitched by name across its renumbering, and
+        // the dropped CS's records ship only before its drop.
         let dir = WalDir::open(&root).unwrap();
         assert_eq!(dir.manifests().len(), 3);
         assert_eq!(dir.latest_manifest().schema, schema3);
@@ -758,27 +687,22 @@ mod tests {
             Err(WalError::SchemaMismatch { .. })
         ));
 
-        let r = dir.recover().unwrap();
+        let (r, stream) = replay(&dir).unwrap();
         assert_eq!(r.next_gen, 4);
-        assert_eq!(r.tail.len(), 2);
-        // CT: its single gen-1 record, tagged with the base era.
         assert_eq!(
-            r.tail[0]
-                .iter()
-                .map(|(era, rec)| (*era, rec.seq))
-                .collect::<Vec<_>>(),
-            vec![(0, 1)]
+            stream,
+            [
+                "R0@1[1]",
+                "R1@1[1,2]",
+                "M2",
+                "R1@2[3]",
+                "R2@2[1]",
+                "M3",
+                "R1@3[2]"
+            ]
         );
-        // SR: born at gen 2 (era 1), renumbered at gen 3 (era 2),
-        // sequence numbers contiguous across the rename.
-        assert_eq!(
-            r.tail[1]
-                .iter()
-                .map(|(era, rec)| (*era, rec.seq))
-                .collect::<Vec<_>>(),
-            vec![(1, 1), (2, 2)]
-        );
-        assert_eq!(r.last_seqs(), vec![1, 2]);
+        // SR's sequence numbers are contiguous across the rename.
+        assert_eq!(seqs(&r), vec![1, 2]);
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -818,17 +742,12 @@ mod tests {
         w_cs2.sync().unwrap();
         w_ct.sync().unwrap();
 
+        // The old incarnation's record ships before the manifest that
+        // drops it; the new one's log starts after it, its sequence
+        // numbering restarted because the relation is new.
         let dir = WalDir::open(&root).unwrap();
-        let r = dir.recover().unwrap();
-        // Only the new incarnation's record survives; its sequence
-        // numbering restarts because the relation is new.
-        assert_eq!(
-            r.tail[1]
-                .iter()
-                .map(|(era, rec)| (*era, rec.seq))
-                .collect::<Vec<_>>(),
-            vec![(1, 1)]
-        );
+        let (_, stream) = replay(&dir).unwrap();
+        assert_eq!(stream, ["R1@1[1]", "M2", "R1@2[1]"]);
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -846,66 +765,14 @@ mod tests {
 
         // Truncating the last record (torn write) keeps the prefix.
         std::fs::write(&seg, &bytes[..bytes.len() - 5]).unwrap();
-        let r = dir.recover().unwrap();
-        assert_eq!(r.tail[0].len(), 1);
+        assert_eq!(replay(&dir).unwrap().1, ["R0@1[1]"]);
 
         // Flipping a bit inside a record is corruption, not truncation.
         let mut flipped = bytes.clone();
         let n = flipped.len();
         flipped[n - 1] ^= 0x80;
         std::fs::write(&seg, &flipped).unwrap();
-        assert!(matches!(dir.recover(), Err(WalError::Corrupt { .. })));
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    /// A writer whose segments define their values from `names`.
-    fn named_writer(dir: &WalDir, scheme: u16, names: &[&str]) -> WalWriter {
-        let mut pool = ids_relational::ValuePool::new();
-        for name in names {
-            pool.value(name);
-        }
-        let mut w = dir.segment_writer(scheme, 1, 0).unwrap();
-        w.set_names(std::sync::Arc::new(std::sync::Mutex::new(pool)));
-        w
-    }
-
-    /// Recovery gathers every definition — the snapshot's, and each
-    /// relation's records' — and refuses two that rename one value.
-    #[test]
-    fn recovery_unions_definitions_and_types_a_conflict_as_corrupt() {
-        let root = tmp("definitions");
-        let (schema, fds) = setup();
-        let dir = WalDir::create(&root, &schema, &fds, Vec::new()).unwrap();
-        let snap = DatabaseState::empty(&schema);
-        dir.write_snapshot(&snap, &[0, 0], 0, vec![(Value(4), "old".into())], 6)
-            .unwrap();
-        let mut w0 = named_writer(&dir, 0, &["a", "b", "c"]);
-        let mut w1 = named_writer(&dir, 1, &["a", "b", "c"]);
-        w0.append(WalOp::Insert(vec![Value(0), Value(2)])).unwrap();
-        w1.append(WalOp::Insert(vec![Value(0), Value(1)])).unwrap();
-        // A value with no name in the pool is not defined.
-        w1.append(WalOp::Insert(vec![Value(9), Value(1)])).unwrap();
-        drop((w0, w1));
-        let r = dir.recover().unwrap();
-        let names: Vec<(&str, u64)> = r.names.iter().map(|(n, v)| (n, v.0)).collect();
-        assert_eq!(names, [("a", 0), ("b", 1), ("c", 2), ("old", 4)]);
-        assert_eq!(r.names.len(), 6);
-
-        // Relation 1's next segment names value 2 differently.
-        let mut w1 = dir.segment_writer(1, 2, 2).unwrap();
-        let mut pool = ids_relational::ValuePool::new();
-        pool.define(Value(2), "not c").unwrap();
-        w1.set_names(std::sync::Arc::new(std::sync::Mutex::new(pool)));
-        w1.append(WalOp::Insert(vec![Value(2), Value(2)])).unwrap();
-        match dir.recover() {
-            Err(WalError::Corrupt { detail, .. }) => {
-                assert!(
-                    detail.contains("conflicting definitions of value 2"),
-                    "{detail}"
-                )
-            }
-            other => panic!("expected corruption, got {other:?}"),
-        }
+        assert!(matches!(replay(&dir), Err(WalError::Corrupt { .. })));
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -2,23 +2,34 @@
 //! follow loop every reader of a relation's log consumes.
 //!
 //! [`Follower`] keeps reading the logs while the primary appends, and
-//! every consumer is a thin shell over it: crash recovery
-//! ([`crate::WalDir::recover`]) runs it once, from the snapshot's
-//! cursors to the end of the directory; the server's subscribe stream
-//! maps each [`Shipment`] to a wire reply; the replica's file transport
-//! applies it directly.  One [`Follower::poll`] hands everything new to
-//! its caller's sink, in protocol order:
+//! every consumer is a thin shell over it: crash recovery runs it once
+//! ([`crate::Recovered::log`]), from the snapshot's cursors to the end of
+//! the directory; the server's subscribe stream maps each [`Shipment`] to
+//! a wire reply; the replica's file transport applies it directly.
+//! Recovery and both replica transports apply what it ships through one
+//! entry point of the store (`ids_store::Store::follow`).  One
+//! [`Follower::poll`] hands everything new to its caller's sink, in
+//! generation order:
 //!
-//! 1. every generation manifest committed since the last poll
-//!    ([`Shipment::Manifest`]) — a transition before any record written
-//!    under it.  The follower remaps its per-relation tailers onto each
-//!    new schema by relation ([`DatabaseSchema::remap_from`]: name +
+//! 1. for each generation manifest committed since the last poll, every
+//!    relation's records written under the era it ends
+//!    ([`Shipment::Records`]), then the manifest ([`Shipment::Manifest`]).
+//!    The follower then remaps its per-relation tailers onto the new
+//!    schema by relation ([`DatabaseSchema::remap_from`]: name +
 //!    attributes): survivors follow their log to its new scheme index,
 //!    dropped relations fall away, added ones start at `(gen, 0)`;
-//! 2. each relation's new records ([`Shipment::Records`]), split into
-//!    batches of one `(generation, scheme index)` so a poll crossing a
-//!    checkpoint rotation or a renumbering keeps cursors — and the
-//!    era mapping of each record — exact.
+//! 2. then each relation's records written since.
+//!
+//! So a consumer applies every record under the schema it was written
+//! in, and needs no history of the schema: a [`Shipment::Records`] is
+//! labeled with the relation's index under the **last shipped manifest**.
+//! The manifests are listed before any segment is read, and the primary
+//! appends a record with one `write` and no user-space buffer, so every
+//! record appended before a manifest's rename is read before the
+//! manifest ships.  A record a surviving relation appends to its old
+//! segment after the rename — before its log rotates — ships after the
+//! manifest, under the new label; the primary accepted it under the
+//! union of both eras' covers, so it holds under the new one.
 //!
 //! Names need no step of their own: a segment is self-defining, the
 //! first record in it that uses a pool value carrying the value's name
@@ -77,18 +88,11 @@ pub struct Cursor {
     pub seq: u64,
 }
 
-/// One record a follower read: the decoded record, the exact frame
-/// payload bytes it was decoded from (so a shipper can forward them
-/// verbatim, byte for byte), and the segment it came from.
+/// One record a follower read: the decoded record and the exact frame
+/// payload bytes it was decoded from, so a shipper can forward them
+/// verbatim, byte for byte.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TailedRecord {
-    /// Generation of the segment the record was read from.
-    pub gen: u64,
-    /// Scheme index of the segment the record was read from — the
-    /// relation's index *under the manifest governing `gen`*.  Constant
-    /// within one generation; a schema transition that renumbers the
-    /// relation changes it at the generation boundary.
-    pub scheme: u16,
     /// The decoded record.
     pub record: WalRecord,
     /// The raw frame payload, exactly as stored on disk (empty when
@@ -100,8 +104,8 @@ pub struct TailedRecord {
 /// server's subscribe stream.
 #[derive(Debug)]
 pub enum Shipment {
-    /// A schema transition the primary committed.  Precedes every
-    /// record of a generation `≥ gen`.
+    /// A schema transition the primary committed.  Follows every record
+    /// of a generation `< gen` the poll ships, precedes every later one.
     Manifest {
         /// The generation the manifest governs from.
         gen: u64,
@@ -110,15 +114,16 @@ pub enum Shipment {
         /// Its committed frame payload, verbatim.
         payload: Vec<u8>,
     },
-    /// New records of one relation, all from one segment.
+    /// New records of one relation, in log order.
     Records {
-        /// The relation's scheme index under the manifest governing
-        /// `gen` (the records' own label).
+        /// The relation's scheme index under the last manifest shipped
+        /// before the batch (the one the follower started under, if
+        /// none was).
         relation: u16,
-        /// Generation of the segment the records came from.
+        /// The relation's cursor after the batch: the generation of the
+        /// segment it reads, and (`tip`) its last sequence number read.
         gen: u64,
-        /// The relation's last sequence number read by this poll —
-        /// the same on every batch one poll split.
+        /// See `gen`.
         tip: u64,
         /// The records, in log order.
         records: Vec<TailedRecord>,
@@ -139,17 +144,21 @@ pub enum FollowPoll {
 }
 
 /// The one follow loop: follows every relation's log and the generation
-/// manifests of a live durable directory, in protocol order (see the
+/// manifests of a live durable directory, in generation order (see the
 /// module docs).
 #[derive(Debug)]
 pub struct Follower {
     dir: WalDir,
-    /// The schema the tailers are indexed by: the manifest governing
-    /// the newest generation the follower knows.
+    /// The schema the tailers are indexed by: the last manifest shipped,
+    /// or the one governing the follower's start.
     era: DatabaseSchema,
     /// Effective generation of that manifest; anything newer on disk
     /// ships on the next poll.
     manifest_gen: u64,
+    /// The newest manifest this follower ships: recovery's stops at the
+    /// chain its directory handle opened with, so the state it rebuilds
+    /// is in the schema the caller read from that handle.
+    horizon: u64,
     tailers: Vec<RelationTailer>,
     /// Whether records keep their frame payloads: recovery forwards
     /// nothing, only a shipper does.
@@ -159,20 +168,26 @@ pub struct Follower {
 impl Follower {
     /// A follower of `dir` resuming exactly after `cursors` — one per
     /// relation, indexed by the manifest governing the newest cursor
-    /// generation (what a recovery of the follower's own copy of the
-    /// directory reports).  A cursor count that does not match that
+    /// generation (what [`Follower::cursors`] of a follower of the same
+    /// files reports).  A cursor count that does not match that
     /// manifest's schema is a typed [`WalError::CursorCount`].
     pub fn new(dir: &WalDir, cursors: &[Cursor]) -> Result<Self, WalError> {
-        Self::start(dir, cursors, true)
+        Self::start(dir, cursors, true, u64::MAX)
     }
 
-    /// The follower [`WalDir::recover`] runs: records without their
-    /// payload bytes.
+    /// The follower recovery runs: records without their payload bytes,
+    /// and no manifest past those `dir` opened with.
     pub(crate) fn replaying(dir: &WalDir, cursors: &[Cursor]) -> Result<Self, WalError> {
-        Self::start(dir, cursors, false)
+        let horizon = dir.manifests()[dir.manifests().len() - 1].0;
+        Self::start(dir, cursors, false, horizon)
     }
 
-    fn start(dir: &WalDir, cursors: &[Cursor], payloads: bool) -> Result<Self, WalError> {
+    fn start(
+        dir: &WalDir,
+        cursors: &[Cursor],
+        payloads: bool,
+        horizon: u64,
+    ) -> Result<Self, WalError> {
         let start = cursors.iter().map(|c| c.gen).max().unwrap_or(0);
         let (manifest_gen, manifest) = &dir.manifests()[dir.governing(start)];
         if cursors.len() != manifest.schema.len() {
@@ -188,59 +203,112 @@ impl Follower {
         Ok(Follower {
             era: manifest.schema.clone(),
             manifest_gen: *manifest_gen,
+            horizon,
             tailers: tailers.collect(),
             payloads,
             dir: dir.clone(),
         })
     }
 
+    /// Each relation's position, indexed by the last manifest shipped:
+    /// where [`Follower::new`] resumes a follower of the same files.  A
+    /// relation whose log has not reached that manifest's generation yet
+    /// is reported at it, since a cursor names its segment by the
+    /// relation's index in one schema.
+    pub fn cursors(&self) -> Vec<Cursor> {
+        (self.tailers.iter())
+            .map(|t| Cursor {
+                gen: t.gen.max(self.manifest_gen),
+                ..t.cursor()
+            })
+            .collect()
+    }
+
     /// Reads everything committed since the previous poll and hands it
-    /// to `ship` as it goes, in protocol order: manifests, then each
-    /// relation's record batches (see the module docs).  A
-    /// relation's records are released once shipped, so a catch-up
-    /// round holds at most one relation's backlog.
+    /// to `ship` as it goes, in generation order: for each new manifest,
+    /// every relation's records up to it and then the manifest; then the
+    /// records written since (see the module docs).  A relation's records
+    /// are released once shipped, so a catch-up round holds at most one
+    /// relation's backlog.
     ///
     /// Corruption is a typed [`WalError`]; a cursor the primary pruned
     /// past is [`FollowPoll::Behind`] (after the relations polled before
-    /// it shipped).  An error from `ship` ends the poll with this
-    /// follower already past the shipment that failed: discard it.
+    /// it shipped).  An error from `ship` ends the poll: a manifest that
+    /// failed to ship ships again on the next poll, but records that did
+    /// are consumed — discard the follower.
     pub fn poll<E: From<WalError>>(
         &mut self,
         mut ship: impl FnMut(Shipment) -> Result<(), E>,
     ) -> Result<FollowPoll, E> {
         let mut shipped = 0;
-        for (gen, manifest, payload) in self.dir.generation_manifests_after(self.manifest_gen)? {
-            self.retarget(gen, &manifest.schema);
+        // Listed before any segment is read: see the module docs.
+        let manifests = self.dir.generation_manifests_after(self.manifest_gen)?;
+        for (gen, manifest, payload) in manifests {
+            if gen > self.horizon {
+                break;
+            }
+            if !self.drain(&mut ship, &mut shipped)? {
+                return Ok(FollowPoll::Behind);
+            }
+            let next = manifest.schema.clone();
             shipped += 1;
             ship(Shipment::Manifest {
                 gen,
                 manifest,
                 payload,
             })?;
+            self.retarget(gen, &next);
         }
-        let view = DirView::read(self.dir.root())?;
-        for tailer in &mut self.tailers {
-            let RelationPoll::Records(mut records) = tailer.poll_in(&view)? else {
-                return Ok(FollowPoll::Behind);
-            };
-            let tip = tailer.cursor().seq;
-            while let Some(first) = records.first() {
-                let (gen, relation) = (first.gen, first.scheme);
-                let n = (records.iter())
-                    .take_while(|r| (r.gen, r.scheme) == (gen, relation))
-                    .count();
-                // The usual poll is one batch, shipped without a copy.
-                let rest = records.split_off(n);
-                shipped += 1;
-                ship(Shipment::Records {
-                    relation,
-                    gen,
-                    tip,
-                    records: std::mem::replace(&mut records, rest),
-                })?;
-            }
+        if !self.drain(&mut ship, &mut shipped)? {
+            return Ok(FollowPoll::Behind);
         }
         Ok(FollowPoll::Shipped(shipped))
+    }
+
+    /// [`Follower::poll`] once, as recovery runs it: everything from the
+    /// snapshot's cursors to the end of a directory nobody writes to.
+    /// A cursor the primary pruned past is [`WalError::Corrupt`] here —
+    /// the log does not continue from the snapshot.
+    pub fn replay<E: From<WalError>>(
+        &mut self,
+        ship: impl FnMut(Shipment) -> Result<(), E>,
+    ) -> Result<(), E> {
+        match self.poll(ship)? {
+            FollowPoll::Shipped(_) => Ok(()),
+            FollowPoll::Behind => Err(corrupt(
+                &self.dir.root().join(WAL_SUBDIR),
+                "a relation's log does not continue from the snapshot",
+            )
+            .into()),
+        }
+    }
+
+    /// Ships each relation's new records up to the first manifest
+    /// boundary nobody has explained to its tailer, one batch per
+    /// relation; false when a relation is behind.
+    fn drain<E: From<WalError>>(
+        &mut self,
+        ship: &mut impl FnMut(Shipment) -> Result<(), E>,
+        shipped: &mut usize,
+    ) -> Result<bool, E> {
+        let view = DirView::read(self.dir.root())?;
+        for (relation, tailer) in (0..).zip(&mut self.tailers) {
+            let RelationPoll::Records(records) = tailer.poll_in(&view)? else {
+                return Ok(false);
+            };
+            if records.is_empty() {
+                continue;
+            }
+            let Cursor { gen, seq: tip } = tailer.cursor();
+            *shipped += 1;
+            ship(Shipment::Records {
+                relation,
+                gen,
+                tip,
+                records,
+            })?;
+        }
+        Ok(true)
     }
 
     /// Remaps the tailers onto the manifest committed at `gen`, by the
@@ -323,10 +391,10 @@ impl RelationTailer {
     /// A tailer for relation `scheme` of the durable directory at
     /// `root`, resuming from `cursor` (see [`Cursor`]).  Records with
     /// sequence numbers at or below `cursor.seq` found in the cursor's
-    /// segment are silently skipped, so a cursor taken from a recovery
-    /// pass ([`crate::Recovered::last_seqs`] and `next_gen - 1`) resumes
-    /// exactly after the recovered prefix.  `scheme` is the relation's
-    /// index under the manifest governing `cursor.gen`.
+    /// segment are silently skipped, so a cursor a recovery pass reached
+    /// ([`Follower::cursors`]) resumes exactly after the recovered
+    /// prefix.  `scheme` is the relation's index under the manifest
+    /// governing `cursor.gen`.
     pub(crate) fn new(root: &Path, fingerprint: u32, scheme: u16, cursor: Cursor) -> Self {
         RelationTailer {
             wal_dir: root.join(WAL_SUBDIR),
@@ -479,8 +547,6 @@ impl RelationTailer {
                 }
                 self.last_seq = record.seq;
                 out.push(TailedRecord {
-                    gen: self.gen,
-                    scheme: self.scheme,
                     record,
                     payload: if self.payloads {
                         payload.to_vec()
@@ -650,7 +716,7 @@ mod tests {
             panic!("behind");
         };
         assert_eq!(rs.len(), 1);
-        assert_eq!(rs[0].gen, 1);
+        assert_eq!(t.cursor(), Cursor { gen: 1, seq: 3 });
         assert_eq!(rs[0].payload, rs[0].record.encode());
 
         // Rotation: the tailer follows into the new generation.
@@ -835,19 +901,9 @@ mod tests {
         assert_eq!(seqs(&t_cs.poll().unwrap()), Vec::<u64>::new());
         assert_eq!(t_cs.cursor(), Cursor { gen: 1, seq: 2 });
 
-        // Retargeted, the survivor follows its log across the rename,
-        // and each record reports the scheme index of its segment.
+        // Retargeted, the survivor follows its log across the rename.
         t_cs.retarget(2, 0);
-        let poll = t_cs.poll().unwrap();
-        let RelationPoll::Records(rs) = &poll else {
-            panic!("behind");
-        };
-        assert_eq!(
-            rs.iter()
-                .map(|r| (r.gen, r.scheme, r.record.seq))
-                .collect::<Vec<_>>(),
-            vec![(2, 0, 3)]
-        );
+        assert_eq!(seqs(&t_cs.poll().unwrap()), vec![3]);
         assert_eq!(t_cs.scheme, 0);
         assert_eq!(t_cs.cursor(), Cursor { gen: 2, seq: 3 });
         let _ = std::fs::remove_dir_all(&root);
@@ -923,11 +979,6 @@ mod tests {
                 } => {
                     let mut seqs = Vec::new();
                     for r in records {
-                        assert_eq!(
-                            (r.gen, r.scheme),
-                            (*gen, *relation),
-                            "one segment per batch"
-                        );
                         assert_eq!(r.payload, r.record.encode(), "record payload is verbatim");
                         let defs: Vec<String> = (r.record.defs.iter())
                             .map(|(v, name)| format!("{}={name}", v.0))
@@ -953,12 +1004,13 @@ mod tests {
     }
 
     /// The follow loop alone, through writes, a checkpoint, an added
-    /// relation, a drop that renumbers a survivor and a torn record:
-    /// manifests ship before every record of their generation, each
-    /// segment's first use of a value carries its name, batches split on
-    /// `(gen, scheme)`, and cursors land exactly on what was shipped.
+    /// relation, a drop that renumbers a survivor, a straggler and a torn
+    /// record: each era's records ship before the manifest that ends it,
+    /// every batch is labeled with the relation's index under the last
+    /// manifest shipped, each segment's first use of a value carries its
+    /// name, and cursors land exactly on what was shipped.
     #[test]
-    fn follower_ships_in_protocol_order_through_every_transition() {
+    fn follower_ships_in_generation_order_through_every_transition() {
         use crate::Manifest;
         let root = tmp("follow-loop");
         let (schema, fds) = setup();
@@ -988,18 +1040,15 @@ mod tests {
         );
         assert_eq!(cursors(&f), [(1, 2), (1, 1)]);
 
-        // 2. A checkpoint rotation inside one poll: CT's records split at
-        // the generation, both batches carrying the relation's tip, and
-        // the new segment defines again what it uses; then the covered
+        // 2. A checkpoint rotation inside one poll: CT's records from
+        // both segments ship as one batch at its new cursor, the new
+        // segment defining again what it uses; then the covered
         // generation is pruned and nothing is lost.
         insert(&mut w_ct, 2, 1);
         w_ct.rotate(2).unwrap();
         w_cs.rotate(2).unwrap();
         insert(&mut w_ct, 3, 1);
-        assert_eq!(
-            follow(&mut f),
-            ["R0@1[3{2=gamma}]^4", "R0@2[4{3=delta,1=beta}]^4"]
-        );
+        assert_eq!(follow(&mut f), ["R0@2[3{2=gamma},4{3=delta,1=beta}]^4"]);
         let empty = ids_relational::DatabaseState::empty(&schema);
         dir.write_snapshot(&empty, &[4, 1], 1, Vec::new(), 4)
             .unwrap();
@@ -1007,8 +1056,11 @@ mod tests {
         assert!(follow(&mut f).is_empty());
         assert_eq!(cursors(&f), [(2, 4), (2, 1)]);
 
-        // 3. add_relation SR at generation 3: the manifest first, then
-        // records of the new era — SR tailed from (3, 0).
+        // 3. add_relation SR at generation 3, in one poll with a record
+        // written before it: that record first, under generation 2's
+        // schema, then the manifest, then the new era's records — SR
+        // tailed from (3, 0).
+        insert(&mut w_cs, 1, 0);
         let u = Universe::from_names(["C", "T", "S", "R"]).unwrap();
         let s3 =
             DatabaseSchema::parse(u.clone(), &[("CT", "CT"), ("CS", "CS"), ("SR", "SR")]).unwrap();
@@ -1022,22 +1074,25 @@ mod tests {
         w_ct.rotate_as(0, 3).unwrap();
         w_cs.rotate_as(1, 3).unwrap();
         let mut w_sr = writer(2, 3);
-        insert(&mut w_cs, 1, 0);
+        insert(&mut w_cs, 2, 0);
         insert(&mut w_sr, 0, 2);
         assert_eq!(
             follow(&mut f),
             [
+                "R1@2[2{1=beta,0=alpha}]^2",
                 "M3",
-                "R1@3[2{1=beta,0=alpha}]^2",
+                "R1@3[3{2=gamma,0=alpha}]^3",
                 "R2@3[1{0=alpha,2=gamma}]^1"
             ]
         );
-        assert_eq!(cursors(&f), [(3, 4), (3, 2), (3, 1)]);
+        assert_eq!(cursors(&f), [(3, 4), (3, 3), (3, 1)]);
 
         // 4. Dropping CT at generation 4 (TR keeps T covered): CS is
-        // renumbered 1 -> 0 and SR 2 -> 1.  CS's new segment is r0 — CT's
-        // old index — and the follower reads it as CS's, under its new
-        // label; TR is tailed from (4, 0).
+        // renumbered 1 -> 0 and SR 2 -> 1, TR tailed from (4, 0).  CS
+        // appends one more record to its old segment after the manifest,
+        // before its log rotates: it ships labeled with CS's new index,
+        // in one batch with what CS writes to its new segment r0 — CT's
+        // old index.
         let s4 = DatabaseSchema::parse(u, &[("CS", "CS"), ("SR", "SR"), ("TR", "TR")]).unwrap();
         let m4 = Manifest {
             schema: s4,
@@ -1045,12 +1100,14 @@ mod tests {
             app: Vec::new(),
         };
         dir.append_generation_manifest(4, &m4).unwrap();
+        assert_eq!(follow(&mut f), ["M4"]);
+        insert(&mut w_cs, 3, 0);
         drop(w_ct);
         w_cs.rotate_as(0, 4).unwrap();
         w_sr.rotate_as(1, 4).unwrap();
         insert(&mut w_cs, 2, 0);
-        assert_eq!(follow(&mut f), ["M4", "R0@4[3{2=gamma,0=alpha}]^3"]);
-        assert_eq!(cursors(&f), [(4, 3), (4, 1), (4, 0)]);
+        assert_eq!(follow(&mut f), ["R0@4[4{3=delta},5{2=gamma,0=alpha}]^5"]);
+        assert_eq!(cursors(&f), [(4, 5), (4, 1), (4, 0)]);
 
         // 5. A torn record is "nothing yet"; once complete it ships with
         // its definition (one, though the tuple uses the value twice).
@@ -1061,7 +1118,7 @@ mod tests {
         assert!(follow(&mut f).is_empty());
         std::fs::write(&seg, &full).unwrap();
         assert_eq!(follow(&mut f), ["R1@4[2{3=delta}]^2"]);
-        assert_eq!(cursors(&f), [(4, 3), (4, 2), (4, 0)]);
+        assert_eq!(cursors(&f), [(4, 5), (4, 2), (4, 0)]);
         assert!(follow(&mut f).is_empty());
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -1137,7 +1194,11 @@ mod tests {
         drop(w);
         // Records 3 and 4 never landed anywhere.
         drop(dir.segment_writer(0, 2, 4).unwrap());
-        assert!(matches!(dir.recover(), Err(WalError::Corrupt { .. })));
+        let mut replay = dir.recover().unwrap().log;
+        assert!(matches!(
+            replay.replay(|_| Ok::<_, WalError>(())),
+            Err(WalError::Corrupt { .. })
+        ));
         let mut f = Follower::new(&dir, &[Cursor::default(); 2]).unwrap();
         match f.poll(|_| Ok::<_, WalError>(())) {
             Err(WalError::Corrupt { detail, .. }) => assert!(detail.contains("sequence gap")),
@@ -1163,14 +1224,16 @@ mod tests {
         drop(w);
         std::fs::write(root.join("wal").join(segment_file_name(0, 2)), b"").unwrap();
 
-        let r = WalDir::open(&root).unwrap().recover().unwrap();
-        assert_eq!((r.next_gen, r.last_seqs()), (3, vec![3, 0]));
+        let mut r = WalDir::open(&root).unwrap().recover().unwrap();
+        r.log.replay(|_| Ok::<_, WalError>(())).unwrap();
+        let seqs: Vec<u64> = r.log.cursors().iter().map(|c| c.seq).collect();
+        assert_eq!((r.next_gen, seqs), (3, vec![3, 0]));
         let mut w = dir.segment_writer(0, r.next_gen, 3).unwrap();
         insert(&mut w, 4, 40);
         insert(&mut w, 5, 50);
 
         let mut f = Follower::new(&dir, &[Cursor { gen: 1, seq: 0 }; 2]).unwrap();
-        assert_eq!(follow(&mut f), ["R0@1[1,2,3]^5", "R0@3[4,5]^5"]);
+        assert_eq!(follow(&mut f), ["R0@3[1,2,3,4,5]^5"]);
         assert!(follow(&mut f).is_empty());
         let inside = [Cursor { gen: 2, seq: 3 }, Cursor { gen: 2, seq: 0 }];
         let mut f = Follower::new(&dir, &inside).unwrap();

@@ -41,7 +41,7 @@ use independent_schemas::{
     wal::{
         fingerprint,
         format::{crc32, frame, read_frame},
-        Manifest, NameLog, Recovered, SegmentHeader, Snapshot, WalOp, WalRecord, WalWriter,
+        Manifest, NameLog, SegmentHeader, Snapshot, WalOp, WalRecord, WalWriter,
     },
     workloads::{
         examples::{example1, registrar},
@@ -81,7 +81,6 @@ fn entry_point_signatures_are_stable() {
     let _build_any: fn(SchemaBuilder) -> Result<Schema, ApiError> = SchemaBuilder::build_any;
     let _open: fn(Schema, EngineKind) -> Result<Database, ApiError> = Database::open;
     let _follower: fn(Schema, std::sync::Arc<Store>) -> Database = Database::follower;
-    let _replace_store: fn(&mut Database, Schema, std::sync::Arc<Store>) = Database::replace_store;
     let _db_store: fn(&Database) -> &Store = Database::store;
     // Uniform fallibility: remove surfaces errors on every layer, and
     // the store's per-relation read is part of the contract.
@@ -144,7 +143,6 @@ fn entry_point_signatures_are_stable() {
      -> Result<Database, ApiError> { Database::open_at(p, s, c) };
     let _db_recover = |p: &std::path::Path| -> Result<Database, ApiError> { Database::recover(p) };
     let _db_checkpoint: fn(&Database) -> Result<(), ApiError> = Database::checkpoint;
-    let _wal_recover: fn(&WalDir) -> Result<Recovered, WalError> = WalDir::recover;
     let _fingerprint: fn(&DatabaseSchema, &FdSet) -> u32 = fingerprint;
     let _sync_default: SyncPolicy = SyncPolicy::default();
     // The network surface: shared front-end, server lifecycle, blocking
