@@ -1,8 +1,8 @@
 //! The [`Database`] handle: relation names and string values in, rendered
-//! rows out — the interning [`ValuePool`] lives inside.
+//! rows out — through the store's interning [`ValuePool`].
 
 use std::path::Path;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, MutexGuard};
 
 use ids_core::InsertOutcome;
 use ids_relational::{
@@ -33,9 +33,8 @@ pub enum EngineKind {
 }
 
 /// A running database: the concurrent [`Store`], whose live [`Schema`]
-/// it serves, and the interning [`ValuePool`] owned internally —
-/// callers speak relation names and string values, never [`SchemeId`]s,
-/// [`Value`]s or pools.
+/// and interning [`ValuePool`] it serves — callers speak relation names
+/// and string values, never [`SchemeId`]s, [`Value`]s or pools.
 ///
 /// ```
 /// use ids_api::{Database, EngineKind, Schema};
@@ -126,9 +125,10 @@ pub enum EngineKind {
 ///   readers queue behind a waiting writer, so a nested read would
 ///   deadlock against a pending switch.
 /// * **Relations**: the store's own per-relation locks, one at a time.
-/// * **Names** (a `Mutex` over the in-memory pool, shared with a durable
-///   store's log writers): O(row) hash lookups, no I/O.  An operation
-///   takes it inside the era and releases it before the slot is locked.
+/// * **Names** (the store's `Mutex` over its in-memory pool,
+///   [`Store::names`], shared with a durable store's log writers):
+///   O(row) hash lookups, no I/O.  An operation takes it inside the era
+///   and releases it before the slot is locked.
 ///   A durable slot takes it *inside* its own lock, and only to read the
 ///   names of values its current log segment has not defined yet, which
 ///   the record it appends then carries.  A read holds it twice,
@@ -140,9 +140,7 @@ pub enum EngineKind {
 ///
 /// A string insert or remove therefore takes the topology guard once plus
 /// `names`; a query or count takes one topology guard; a join takes one
-/// topology guard for all of its relation reads.  Only the private lock
-/// that serializes [`Database::alter`] callers spans any of these; it
-/// guards no data, so its poison is recovered.
+/// topology guard for all of its relation reads.
 ///
 /// ## What `&mut` still means
 ///
@@ -153,12 +151,7 @@ pub enum EngineKind {
 /// — which can read, and whose writes a follower's handle
 /// ([`Database::follower`]) refuses **before** they intern anything.
 pub struct Database {
-    /// The one value pool; a durable store's log writers share it.
-    names: Arc<Mutex<ValuePool>>,
-    /// Serializes [`Database::alter`] callers end to end (build target
-    /// → backfill → switch), so two concurrent alters cannot both
-    /// derive their target from the same stale schema.
-    alter_lock: Mutex<()>,
+    /// The engine: its schema, its value pool, its relations.
     store: Arc<Store>,
     /// Set on a follower's handle: every write is refused with
     /// [`Error::ReplicaReadOnly`].
@@ -166,14 +159,10 @@ pub struct Database {
 }
 
 impl Database {
-    /// The handle over `store`, interning into the pool the store brings
-    /// — the one a durable or recovered store's logs name their values
-    /// from ([`Store::names`]) — or into a fresh one.
-    fn assemble(store: Arc<Store>) -> Self {
+    /// The writable handle over `store`.
+    fn over(store: Store) -> Self {
         Database {
-            names: (store.names()).unwrap_or_else(|| Arc::new(Mutex::new(ValuePool::new()))),
-            alter_lock: Mutex::new(()),
-            store,
+            store: Arc::new(store),
             read_only: false,
         }
     }
@@ -189,32 +178,19 @@ impl Database {
             EngineKind::Local => StoreConfig::default(),
             EngineKind::Sharded(config) => config,
         };
-        // The handle becomes the store's live schema; the indexes it
-        // declares ride along with any the caller already configured.
-        let store = Store::from_schema(schema, config)?;
-        Ok(Self::assemble(Arc::new(store)))
+        Ok(Self::over(Store::open(schema, config)?))
     }
 
     /// A replication follower's handle over the `store` it applies the
-    /// primary's log to: reads are served from it, every write through
-    /// the handle is refused with [`Error::ReplicaReadOnly`], and the
-    /// pool is the one the store recovered ([`Store::names`]), or empty
-    /// — the store's replay ([`Store::follow`]) feeds it the primary's
-    /// names.
-    ///
-    /// `schema` must be the schema `store` was built from (e.g. with
-    /// [`Store::from_schema`] or [`Store::recover_from`]); the handle
-    /// keeps no copy of it and serves the store's own.
-    ///
-    /// # Panics
-    ///
-    /// When the store serves a schema not equal to `schema` (other
-    /// relations, declared columns, dependencies or indexes).
-    pub fn follower(schema: Schema, store: Arc<Store>) -> Self {
-        assert_serves(&store, &schema);
+    /// primary's log to: reads are served from it, with the store's own
+    /// schema and value pool ([`Store::names`]) — the store's replay
+    /// ([`Store::follow`]) feeds it the primary's names — and every
+    /// write through the handle is refused with
+    /// [`Error::ReplicaReadOnly`].
+    pub fn follower(store: Arc<Store>) -> Self {
         Database {
+            store,
             read_only: true,
-            ..Self::assemble(store)
         }
     }
 
@@ -234,38 +210,28 @@ impl Database {
     /// different schema or FD set is a typed
     /// [`Error::Wal`]`(`[`ids_wal::WalError::SchemaMismatch`]`)`, and a
     /// directory of the older format with a global `pool.log` is
-    /// [`ids_wal::WalError::LegacyNameLog`].
+    /// [`ids_wal::WalError::LegacyNameLog`].  See [`Store::open_at`].
     pub fn open_at(
         path: impl AsRef<Path>,
         schema: Schema,
         config: DurableConfig,
     ) -> Result<Self, Error> {
-        // A created manifest records the schema's declared column order
-        // and index declarations.
-        let store = Store::open_durable_schema(path, schema, config)?;
-        Ok(Self::assemble(Arc::new(store)))
+        Ok(Self::over(Store::open_at(path, schema, config)?))
     }
 
     /// Recovers a durable database from `path` alone: the schema (and
     /// its declared column order) is rebuilt from the manifest, then
     /// the store recovers as in [`Database::open_at`].  Use this when
     /// the caller has nothing but the directory — after a crash, on a
-    /// fresh process, on another machine.
+    /// fresh process, on another machine.  A configured reopen is
+    /// [`Database::open_at`] with the schema this rebuilds.
     pub fn recover(path: impl AsRef<Path>) -> Result<Self, Error> {
-        Self::recover_with(path, DurableConfig::default())
-    }
-
-    /// [`Database::recover`] with an explicit store/sync configuration.
-    pub fn recover_with(path: impl AsRef<Path>, config: DurableConfig) -> Result<Self, Error> {
-        let dir = ids_wal::WalDir::open(path.as_ref())?;
         // The *latest* generation manifest is the schema the database
         // runs under after recovery, its declared layouts and indexes
         // included: the store's replay ends in it.
+        let dir = ids_wal::WalDir::open(path.as_ref())?;
         let schema = Schema::from_manifest(dir.latest_manifest())?;
-        // The open directory handle is passed straight down, so the
-        // manifest is read and decoded exactly once per recover.
-        let store = Store::recover_durable(dir, schema, config)?;
-        Ok(Self::assemble(Arc::new(store)))
+        Self::open_at(path, schema, DurableConfig::default())
     }
 
     /// Checkpoints a durable database: seals every relation's log
@@ -307,13 +273,13 @@ impl Database {
     /// report [`ids_store::StoreError::ShardPoisoned`] with the reason,
     /// and [`Database::recover`] lands on the new schema with every
     /// acknowledged write.  Concurrent traffic on unaffected relations
-    /// keeps flowing throughout; concurrent `alter` calls serialize.
-    /// Requires a log to append the generation to:
+    /// keeps flowing throughout; concurrent `alter` calls serialize in
+    /// the store, each deriving its target from the schema the one
+    /// before it left ([`Store::alter`]), and every refusal counts in
+    /// `evolve.rejected`.  Requires a log to append the generation to:
     /// [`ids_store::StoreError::NotDurable`] on an in-memory database.
     pub fn alter(&self, op: &Alter) -> Result<u64, Error> {
-        let _serialized = self.alter_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let (next, _stats) = self.schema().evolved(op)?;
-        Ok(self.store.apply_transition(next)?)
+        self.store.alter(op)
     }
 
     /// A typed snapshot of the store's metric families, event ring, and
@@ -328,7 +294,7 @@ impl Database {
         let (count, bytes) = {
             // Two lengths are safe to read from a pool a panicking
             // thread left behind; the stats poll must still answer.
-            let pool = self.names.lock().unwrap_or_else(|e| e.into_inner());
+            let pool = (self.store.names().lock()).unwrap_or_else(|e| e.into_inner());
             (pool.len(), pool.name_bytes())
         };
         let gauge = |n: usize| i64::try_from(n).unwrap_or(i64::MAX);
@@ -353,8 +319,7 @@ impl Database {
     /// Locks the value pool (see the type-level docs for why a poisoned
     /// lock propagates).
     fn names(&self) -> MutexGuard<'_, ValuePool> {
-        self.names
-            .lock()
+        (self.store.names().lock())
             .expect("name-state mutex poisoned: a thread panicked while interning")
     }
 
@@ -836,15 +801,6 @@ impl Database {
     pub fn into_shared(self) -> Result<crate::SharedDatabase, Error> {
         Ok(crate::SharedDatabase(self))
     }
-}
-
-/// Refuses to pair a handle with a store serving another schema: the
-/// agreement [`Database::follower`] promises, checked once per call.
-fn assert_serves(store: &Store, schema: &Schema) {
-    assert!(
-        *store.schema() == *schema,
-        "the store serves a different schema than the one handed in with it"
-    );
 }
 
 /// A compiled string-level query: the pushed-down predicate plus the
@@ -1666,8 +1622,8 @@ mod tests {
             initial_state: Some(state),
             ..StoreConfig::default()
         };
-        let store = Store::from_schema(schema.clone(), config).unwrap();
-        let mut follower = Database::follower(schema, Arc::new(store));
+        let store = Store::open(schema, config).unwrap();
+        let mut follower = Database::follower(Arc::new(store));
         let ct = follower.schema().scheme_id("CT").unwrap();
         let refused = |r: Result<(), Error>| matches!(r, Err(Error::ReplicaReadOnly));
         assert!(refused(follower.insert("CT", ["CS500", "Curie"]).map(drop)));
@@ -1692,21 +1648,5 @@ mod tests {
             follower.query_raw(SchemeId(7), &ReadPlan::count(Predicate::new())),
             Err(Error::UnknownScheme(_))
         ));
-    }
-
-    /// The handle keeps no schema of its own, so it refuses to pair with
-    /// a store that serves another one.
-    #[test]
-    #[should_panic(expected = "serves a different schema")]
-    fn a_follower_refuses_a_store_built_from_another_schema() {
-        let store = Store::from_schema(example2(), StoreConfig::default()).unwrap();
-        let other = Schema::builder()
-            .relation("CT", ["course", "teacher"])
-            .relation("CS", ["course", "student"])
-            .relation("CHR", ["course", "hour", "room"])
-            .fd("course -> teacher")
-            .build()
-            .unwrap();
-        let _ = Database::follower(other, Arc::new(store));
     }
 }

@@ -285,10 +285,9 @@ mod tests {
     use std::collections::BTreeSet;
 
     use super::*;
-    use ids_core::analyze;
     use ids_deps::FdSet;
     use ids_relational::{join_all, DatabaseSchema, Universe};
-    use ids_store::{Store, StoreConfig};
+    use ids_store::{Schema, Store, StoreConfig};
 
     fn v(n: u64) -> Value {
         Value::int(n)
@@ -298,8 +297,8 @@ mod tests {
         schema: &DatabaseSchema,
         rows: &[(&str, &[(u64, u64)])],
     ) -> (Vec<SchemeId>, Vec<AttrSet>, Store) {
-        let analysis = analyze(schema, &FdSet::new());
-        let store = Store::from_analysis(schema, &analysis, StoreConfig::default()).unwrap();
+        let handle = Schema::canonical(schema, &FdSet::new());
+        let store = Store::open(handle, StoreConfig::default()).unwrap();
         let mut ids = Vec::new();
         let mut attrs = Vec::new();
         for (name, tuples) in rows {

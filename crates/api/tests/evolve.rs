@@ -324,6 +324,107 @@ fn a_refused_key_backfill_costs_no_more_than_an_accepted_one() {
     );
 }
 
+/// Every refused alter is counted where the alter runs, in the store:
+/// a dependent target, an unknown relation and an FD spec that does not
+/// parse each raise `evolve.rejected` by exactly one and record exactly
+/// one `AlterRejected` event, like a refused backfill — and an accepted
+/// alter raises neither.
+#[test]
+fn every_refused_alter_is_counted_once() {
+    let root = tmp_dir("refusals-counted");
+    let db = Database::open_at(&root, example2(), DurableConfig::default()).unwrap();
+    let tallies = |db: &Database| {
+        let snap = db.metrics();
+        let events = (snap.events.iter())
+            .filter(|r| matches!(r.event, ids_obs::Event::AlterRejected { .. }))
+            .count();
+        (snap.counter("evolve.rejected").unwrap_or(0), events)
+    };
+    assert_eq!(tallies(&db), (0, 0));
+    let err = db
+        .alter(&Alter::AddFd {
+            spec: "student hour -> room".into(),
+        })
+        .unwrap_err();
+    assert!(matches!(err, Error::NotIndependent { .. }), "got {err}");
+    assert_eq!(tallies(&db), (1, 1), "a dependent target is one refusal");
+    let err = db
+        .alter(&Alter::DropRelation {
+            name: "NOPE".into(),
+        })
+        .unwrap_err();
+    assert!(matches!(err, Error::UnknownRelation(_)), "got {err}");
+    assert_eq!(tallies(&db), (2, 2));
+    let err = db
+        .alter(&Alter::AddFd {
+            spec: "course teacher".into(),
+        })
+        .unwrap_err();
+    assert!(matches!(err, Error::FdParse { .. }), "got {err}");
+    assert_eq!(tallies(&db), (3, 3));
+    db.alter(&add_sr()).unwrap();
+    assert_eq!(tallies(&db), (3, 3), "an accepted alter is no refusal");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Alters serialize in the store: two threads each cycle their own
+/// relation through add → insert → drop, fifty times, on one durable
+/// database, then add it once more.  Each alter derives its target
+/// from the schema the one before it left, so every alter is accepted,
+/// the schema ends with exactly both relations beside the base one, and
+/// the directory recovers to the live state.
+#[test]
+fn concurrent_alters_serialize_in_the_store() {
+    const CYCLES: usize = 50;
+    let root = tmp_dir("concurrent-alters");
+    let schema = Schema::builder()
+        .relation("BASE", ["a", "b", "c", "d"])
+        .build()
+        .unwrap();
+    let db = Database::open_at(&root, schema, DurableConfig::default()).unwrap();
+    // A dropped relation must leave its columns covered: BASE covers
+    // both threads' columns.
+    let churn = |name: &str, columns: [&str; 2]| -> Result<(), String> {
+        let add = Alter::AddRelation {
+            name: name.into(),
+            columns: columns.map(String::from).to_vec(),
+        };
+        let drop = Alter::DropRelation { name: name.into() };
+        for i in 0..=CYCLES {
+            db.alter(&add)
+                .map_err(|e| format!("{name}: add {i}: {e}"))?;
+            let row = [format!("{name}{i}"), format!("v{i}")];
+            match db.insert(name, row) {
+                Ok(outcome) if outcome.is_accepted() => {}
+                other => return Err(format!("{name}: insert {i}: {other:?}")),
+            }
+            if i < CYCLES {
+                db.alter(&drop)
+                    .map_err(|e| format!("{name}: drop {i}: {e}"))?;
+            }
+        }
+        Ok(())
+    };
+    let (one, two) = std::thread::scope(|s| {
+        let one = s.spawn(|| churn("T1", ["a", "b"]));
+        let two = s.spawn(|| churn("T2", ["c", "d"]));
+        (one.join().unwrap(), two.join().unwrap())
+    });
+    one.unwrap();
+    two.unwrap();
+
+    let mut names: Vec<String> = db.schema().relation_names().map(String::from).collect();
+    names.sort();
+    assert_eq!(names, ["BASE", "T1", "T2"]);
+    let last = |name: &str| vec![vec![format!("{name}{CYCLES}"), format!("v{CYCLES}")]];
+    assert_eq!(db.rows("T1").unwrap(), last("T1"));
+    assert_eq!(db.rows("T2").unwrap(), last("T2"));
+    let alters = 2 * (2 * CYCLES as u64 + 1);
+    assert_eq!(db.metrics().counter("evolve.alters"), Some(alters));
+    assert_recovers_to(&root, &db, "after the concurrent alters");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// Alter requires a log to append the generation to: an in-memory
 /// database, opened through either selector variant, gets `NotDurable`
 /// — typed, the schema unchanged, and the database keeps working.

@@ -14,7 +14,7 @@
 use std::time::{Duration, Instant};
 
 use ids_relational::DatabaseState;
-use ids_store::{Store, StoreConfig, StoreOp};
+use ids_store::{Schema, Store, StoreConfig, StoreOp};
 use ids_workloads::families::{key_chain, FamilyInstance};
 use ids_workloads::states::{insert_stream, random_satisfying_state};
 
@@ -70,7 +70,7 @@ impl Workload {
             initial_state: Some(self.base.clone()),
             ..Default::default()
         };
-        let store = Store::open_with(&self.inst.schema, &self.inst.fds, config)
+        let store = Store::open(Schema::canonical(&self.inst.schema, &self.inst.fds), config)
             .expect("key-chain is independent");
         let batches = self.batches.clone();
         let t = Instant::now();

@@ -18,7 +18,7 @@
 use std::time::{Duration, Instant};
 
 use ids_relational::{DatabaseSchema, DatabaseState, Predicate, Tuple, Value};
-use ids_store::{Store, StoreConfig};
+use ids_store::{Schema, Store, StoreConfig};
 use ids_workloads::families::key_chain;
 use ids_workloads::states::{lookup_stream, LookupOp};
 
@@ -53,9 +53,8 @@ impl QueryBench {
             }
         }
         let lookups = lookup_stream(&inst.schema, &state, probes, 80, 11);
-        let store = Store::open_with(
-            &inst.schema,
-            &inst.fds,
+        let store = Store::open(
+            Schema::canonical(&inst.schema, &inst.fds),
             StoreConfig {
                 initial_state: Some(state),
                 ..Default::default()

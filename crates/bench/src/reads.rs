@@ -16,7 +16,7 @@
 use std::time::{Duration, Instant};
 
 use ids_relational::{Predicate, ReadPlan, SchemeId};
-use ids_store::{Store, StoreConfig};
+use ids_store::{Schema, Store, StoreConfig};
 use ids_workloads::families::key_chain;
 use ids_workloads::states::random_satisfying_state;
 
@@ -52,9 +52,8 @@ fn read_vs_snapshot(relations: usize, preloaded: usize, reps: usize) -> ReadRow 
     let domain = ((2 * preloaded / relations.max(1)) as u64).max(64);
     let base = random_satisfying_state(&inst.schema, &inst.fds, preloaded, domain, 5);
     let sizes: Vec<usize> = base.iter().map(|(_, rel)| rel.len()).collect();
-    let store = Store::open_with(
-        &inst.schema,
-        &inst.fds,
+    let store = Store::open(
+        Schema::canonical(&inst.schema, &inst.fds),
         StoreConfig {
             initial_state: Some(base),
             ..Default::default()

@@ -350,11 +350,6 @@ impl Replica {
         }
     }
 
-    /// Whether the last [`Replica::poll`] proved the replica caught up.
-    pub fn is_caught_up(&self) -> bool {
-        self.caught_up
-    }
-
     /// Per-relation replication lag, in scheme order: the `(gen, seq)`
     /// delta between the last tip the transport reported and the
     /// replica's applied cursor.
@@ -386,10 +381,9 @@ impl Replica {
     }
 
     /// Applies one schema transition through the store's in-place
-    /// switch — the follower's mirror of the primary's
-    /// [`Store::apply_transition`], driven by the shipped manifest — and
-    /// remaps the per-relation bookkeeping by the same relation identity
-    /// rule.  Added relations start with cursors at `(gen, 0)`, where
+    /// switch — the follower's mirror of the primary's [`Store::alter`],
+    /// driven by the shipped manifest — and remaps the per-relation
+    /// bookkeeping by the same relation identity rule.  Added relations start with cursors at `(gen, 0)`, where
     /// their logs begin.  A shipped transition was accepted on the
     /// primary, so a cover the follower's rows violate is
     /// [`ReplicaError::Diverged`].
@@ -524,7 +518,7 @@ fn bootstrap(root: &Path) -> Result<Bootstrap, ReplicaError> {
     // The *latest* manifest is the schema the replica serves: the
     // store's replay ends in it.
     let schema = Schema::from_manifest(dir.latest_manifest())?;
-    let (store, cursors) = Store::recover_from(&dir, schema.clone())?;
+    let (store, cursors) = Store::recover_from(&dir, schema)?;
     // The bootstrap replay lands in the same per-relation family the
     // primary's recovery uses, so one dashboard query covers both sides
     // of the ship.
@@ -537,7 +531,7 @@ fn bootstrap(root: &Path) -> Result<Bootstrap, ReplicaError> {
             .add(replayed.counter(&family).unwrap_or(0));
     }
     let manifest_gen = dir.manifests()[dir.manifests().len() - 1].0;
-    let db = Database::follower(schema, Arc::new(store));
+    let db = Database::follower(Arc::new(store));
     Ok(Bootstrap {
         db,
         dir,

@@ -246,10 +246,10 @@ mod tests {
         )
         .unwrap_err()
         .into();
-        let from_store: Error =
-            crate::Store::from_analysis(&schema, &analysis, crate::StoreConfig::default())
-                .unwrap_err()
-                .into();
+        let handle = crate::Schema::canonical(&schema, &fds);
+        let from_store: Error = crate::Store::open(handle, crate::StoreConfig::default())
+            .unwrap_err()
+            .into();
         for err in [from_local, from_store] {
             assert!(matches!(err, Error::NotIndependent { .. }), "got {err}");
             assert!(err.witness().is_some());

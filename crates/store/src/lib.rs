@@ -78,14 +78,31 @@
 //! transitions and the front end's [`Error`] (`ids-api` re-exports all
 //! four).  A store's topology holds exactly one handle, the schema it
 //! serves: its covers are what the slots enforce, its layouts what the
-//! manifest records, and [`Store::apply_transition`] swaps it for the
-//! next one.  There is no second copy to fall out of step.
+//! manifest records, and [`Store::alter`] swaps it for the next one,
+//! which it derives from it.  There is no second copy to fall out of
+//! step.
+//!
+//! ## One way in
+//!
+//! A store opens one way per mode, and owns what it serves — the
+//! schema handle, its ordered indexes, the value pool and the alters:
+//!
+//! * [`Store::open`] — in memory, from a [`Schema`] handle (a typed-level
+//!   caller builds one with [`Schema::canonical`]) and a [`StoreConfig`],
+//!   whose ordered indexes join the handle's own at open;
+//! * [`Store::open_at`] — durable, creating the log directory or
+//!   recovering it;
+//! * [`Store::recover_from`] — an open directory replayed into memory,
+//!   writing nothing: a replication follower's bootstrap.
 //!
 //! ## Lock order
 //!
 //! Generation mutex (checkpoints and schema transitions) → topology
 //! guard → slot mutexes in ascending scheme id → the value pool
-//! ([`Store::names`]).  Every operation takes
+//! ([`Store::names`]).  An alter holds the generation mutex from end
+//! to end — it derives its target from the served schema, backfills,
+//! writes the manifest and switches under it — so alters serialize on
+//! it, and with checkpoints.  Every operation takes
 //! the topology guard for reading **once** — an [`Era`] — and holds it
 //! for its whole duration; only a transition's switch takes it for
 //! writing.  So the write guard is a barrier: when a transition holds
@@ -104,7 +121,7 @@
 //!
 //! ## Durability
 //!
-//! [`Store::open_durable`] adds a write-ahead log (`ids-wal`) *inside*
+//! [`Store::open_at`] adds a write-ahead log (`ids-wal`) *inside*
 //! each slot: Theorem 3 makes every accepted operation a local decision
 //! of one relation's cover `Fi`, so each relation gets its own
 //! append-only log with its own sequence numbers and **no ordering
@@ -212,7 +229,7 @@ pub enum StoreError {
         /// A locally-satisfying, globally-unsatisfying state.
         witness: Box<Witness>,
     },
-    /// The initial state handed to [`Store::open_with`] violates a
+    /// The initial state handed to [`Store::open`] violates a
     /// relation's enforcement cover.
     InvalidBaseState {
         /// The offending relation.
@@ -241,8 +258,8 @@ pub enum StoreError {
     /// A durability-layer failure (I/O, corruption, or a log written
     /// under a different schema/FD set).
     Wal(WalError),
-    /// [`Store::checkpoint`] or [`Store::apply_transition`] was called
-    /// on a store opened without a write-ahead log.
+    /// [`Store::checkpoint`] or [`Store::alter`] was called on a store
+    /// opened without a write-ahead log.
     NotDurable,
     /// A record [`Store::follow`] applied does not re-apply through its
     /// relation's slot: an insert not accepted, a remove of an absent
@@ -256,7 +273,7 @@ pub enum StoreError {
         /// What did not fit.
         detail: String,
     },
-    /// An [`Store::apply_transition`] backfill found existing tuples
+    /// A [`Store::alter`] backfill found existing tuples
     /// that violate a functional dependency the transition would start
     /// enforcing.  The current schema keeps serving; nothing durable
     /// changed.  (From [`Store::follow`]: the manifest it applied gives a
@@ -321,7 +338,7 @@ impl From<WalError> for StoreError {
     }
 }
 
-/// Configuration of [`Store::open_with`].
+/// Configuration of [`Store::open`].
 #[derive(Debug, Default)]
 pub struct StoreConfig {
     /// Inert: every relation is its own slot, run by its caller, so
@@ -332,13 +349,15 @@ pub struct StoreConfig {
     pub initial_state: Option<DatabaseState>,
     /// Ordered secondary indexes to build, one `(relation,
     /// column)` pair each — the shard-side structures behind range, set-
-    /// membership and non-key equality pushdown.  Maintained on the same
-    /// probe→commit write path as the FD hash indexes; a pair naming a
-    /// foreign scheme or column is a typed error at open.
+    /// membership and non-key equality pushdown.  Added at open to the
+    /// ones the [`Schema`] handle declares, so the store's schema (and a
+    /// durable store's manifest) carries them from then on.  Maintained
+    /// on the same probe→commit write path as the FD hash indexes; a
+    /// pair naming a foreign scheme or column is a typed error at open.
     pub ordered_indexes: Vec<(SchemeId, AttrId)>,
 }
 
-/// Configuration of [`Store::open_durable_with`].
+/// Configuration of [`Store::open_at`].
 #[derive(Debug, Default)]
 pub struct DurableConfig {
     /// The in-memory store configuration.  `initial_state` only applies
@@ -586,8 +605,8 @@ fn violating_pair(schema: &DatabaseSchema, id: SchemeId, rel: &Relation, fd: Fd)
 #[derive(Debug)]
 pub struct Store {
     /// The state an operation consults: the schema and the slots
-    /// themselves.  Behind a read-write lock so
-    /// [`Store::apply_transition`] can swap the whole set atomically
+    /// themselves.  Behind a read-write lock so [`Store::alter`] can
+    /// swap the whole set atomically
     /// while normal traffic takes cheap, uncontended read guards.
     topology: RwLock<Topology>,
     /// The first durability failure's reason.  Set exactly once, before
@@ -601,10 +620,9 @@ pub struct Store {
     /// The store's observability surface: the registry every layer's
     /// metric families are interned in.
     obs: StoreObs,
-    /// The value pool the logs name their values from: rebuilt by
+    /// The one value pool: interned into by the front end, rebuilt by
     /// recovery, shared with every log writer, read by checkpoints.
-    /// `None` for a store built in memory.
-    names: Option<Arc<Mutex<ValuePool>>>,
+    names: Arc<Mutex<ValuePool>>,
 }
 
 /// The serving state of a [`Store`], swapped wholesale by a schema
@@ -670,63 +688,44 @@ impl Durability {
 }
 
 impl Store {
-    /// Opens a store over `schema`, enforcing `fds ∪ {*D}`, with one
-    /// slot per relation, starting from the empty state.
+    /// Opens an in-memory store serving `schema`, with one slot per
+    /// relation, from `config.initial_state` (empty when `None`).
     ///
-    /// Runs the full independence analysis first and refuses
-    /// non-independent schemas with [`StoreError::NotIndependent`].
-    pub fn open(schema: &DatabaseSchema, fds: &FdSet) -> Result<Self, StoreError> {
-        Self::open_with(schema, fds, StoreConfig::default())
+    /// The handle carries its independence analysis, so none runs here;
+    /// a dependent handle is refused with [`StoreError::NotIndependent`]
+    /// (and its witness).  The handle becomes the store's live schema
+    /// ([`Store::schema`]), its declared column layouts with it, and
+    /// `config.ordered_indexes` join the indexes it declares.  A typed-
+    /// level caller builds the handle with [`Schema::canonical`].
+    ///
+    /// A preload is roundtripped through `from_relations` to revalidate
+    /// its full shape — it may come from a different schema handle, and
+    /// a mismatched relation must be a typed error — and every relation
+    /// is indexed and validated against its cover.
+    pub fn open(schema: Schema, config: StoreConfig) -> Result<Self, StoreError> {
+        let schema = schema.with_ordered_indexes(&config.ordered_indexes)?;
+        let mut store = Self::with_state(schema, config.initial_state)?;
+        store.add_ordered_indexes()?;
+        Ok(store)
     }
 
-    /// Opens a store with an explicit initial state and/or ordered indexes.
-    pub fn open_with(
-        schema: &DatabaseSchema,
-        fds: &FdSet,
-        config: StoreConfig,
-    ) -> Result<Self, StoreError> {
-        let analysis = ids_core::analyze(schema, fds);
-        Self::from_schema(
-            Schema::canonical(schema.clone(), fds.clone(), analysis),
-            config,
-        )
-    }
-
-    /// Opens a store from an already-computed independence analysis,
-    /// without re-running the decision procedure.  The analysis does not
-    /// name the dependencies it was computed from, so the store's
-    /// [`Schema`] records the union of its enforcement covers — the
-    /// dependencies the store enforces — in their place.
+    /// [`Store::open`] from an already-computed independence analysis.
+    /// The analysis does not name the dependencies it was computed from,
+    /// so the store's [`Schema`] records the union of its enforcement
+    /// covers — the dependencies the store enforces — in their place.
     pub fn from_analysis(
         schema: &DatabaseSchema,
         analysis: &IndependenceAnalysis,
         config: StoreConfig,
     ) -> Result<Self, StoreError> {
         let fds = covers(schema, analysis)?.iter().flat_map(FdSet::iter);
-        let schema = Schema::canonical(schema.clone(), fds.copied().collect(), analysis.clone());
-        Self::from_schema(schema, config)
-    }
-
-    /// Opens an in-memory store serving `schema` — the path the `ids-api`
-    /// facade takes, where the builder analyzed the schema exactly once.
-    /// The handle becomes the store's live schema ([`Store::schema`]),
-    /// so the declared column layouts travel with it; the ordered
-    /// indexes it declares are built beside any in `config`.
-    ///
-    /// A preload (`config.initial_state`) is roundtripped through
-    /// `from_relations` to revalidate its full shape — it may come from a
-    /// different schema handle, and a mismatched relation must be a typed
-    /// error — and every relation is indexed and validated against its
-    /// cover.
-    pub fn from_schema(schema: Schema, config: StoreConfig) -> Result<Self, StoreError> {
-        let mut store = Self::with_state(schema, config.initial_state)?;
-        store.add_ordered_indexes(&config.ordered_indexes)?;
-        Ok(store)
+        let schema = Schema::analyzed(schema.clone(), fds.copied().collect(), analysis.clone());
+        Self::open(schema, config)
     }
 
     /// An in-memory store serving `schema` from `state` (empty when
     /// `None`), each relation indexed and validated against its cover,
-    /// with no ordered index yet.
+    /// with no ordered index yet and an empty value pool.
     fn with_state(schema: Schema, state: Option<DatabaseState>) -> Result<Self, StoreError> {
         let definition = &schema.definition;
         let covers = schema.covers()?;
@@ -755,18 +754,16 @@ impl Store {
             poison: OnceLock::new(),
             durability: None,
             obs: StoreObs { registry },
-            names: None,
+            names: Arc::new(Mutex::new(ValuePool::new())),
         })
     }
 
     /// Builds the ordered secondary indexes the served schema declares,
-    /// plus the `extra` ones a [`StoreConfig`] asks for, each absorbing
-    /// its relation's current tuples.  A spec naming a foreign scheme or
-    /// column is a typed error at open, not a silently missing index; a
-    /// repeated spec is a no-op.
-    fn add_ordered_indexes(&mut self, extra: &[(SchemeId, AttrId)]) -> Result<(), StoreError> {
+    /// each absorbing its relation's current tuples; one already built
+    /// is a no-op.
+    fn add_ordered_indexes(&mut self) -> Result<(), StoreError> {
         let topo = (self.topology.get_mut()).unwrap_or_else(PoisonError::into_inner);
-        for &(id, attr) in topo.schema.ordered_indexes.iter().chain(extra) {
+        for &(id, attr) in &topo.schema.ordered_indexes {
             let slot = (topo.slots.get_mut(id.index())).ok_or(StoreError::UnknownScheme(id))?;
             let slot = slot.get_mut().unwrap_or_else(PoisonError::into_inner);
             slot.shard.add_ordered_index(attr, &slot.rel)?;
@@ -774,30 +771,58 @@ impl Store {
         Ok(())
     }
 
-    /// Opens a durable store at `path` with the default configuration:
-    /// creates the write-ahead log directory on first open, recovers
-    /// (snapshot + log-tail replay through the normal probe/commit
-    /// path) on every later open.  See the crate docs' *Durability*
-    /// section.
-    pub fn open_durable(
+    /// Opens a **durable** store serving `schema` at `path`: the first
+    /// open creates the write-ahead log directory, whose manifest records
+    /// the schema with its declared column layouts and indexes; every
+    /// later open recovers — the snapshot, then the log after it through
+    /// [`Store::follow`], as [`Store::recover_from`] does — and attaches
+    /// one log writer per relation on a fresh generation.  See the crate
+    /// docs' *Durability* section.
+    ///
+    /// A directory whose manifest disagrees with `schema`'s relations or
+    /// dependencies is refused with [`WalError::SchemaMismatch`].
+    /// `config.store.initial_state` applies only to a directory with no
+    /// history (see [`DurableConfig::store`]); its ordered indexes join
+    /// the schema's, as for [`Store::open`].
+    pub fn open_at(
         path: impl AsRef<Path>,
-        schema: &DatabaseSchema,
-        fds: &FdSet,
-    ) -> Result<Self, StoreError> {
-        Self::open_durable_with(path, schema, fds, DurableConfig::default())
-    }
-
-    /// Opens a durable store with an explicit configuration.
-    pub fn open_durable_with(
-        path: impl AsRef<Path>,
-        schema: &DatabaseSchema,
-        fds: &FdSet,
+        schema: Schema,
         config: DurableConfig,
     ) -> Result<Self, StoreError> {
-        Self::open_durable_from_analysis(path, schema, fds, &ids_core::analyze(schema, fds), config)
+        let path = path.as_ref();
+        let DurableConfig {
+            store: config,
+            sync,
+            fail_appends_after,
+        } = config;
+        let schema = schema.with_ordered_indexes(&config.ordered_indexes)?;
+        if !WalDir::exists(path) {
+            schema.covers()?;
+            let app = schema.encode_layouts();
+            let dir = WalDir::create(path, &schema.definition, &schema.fds, app)?;
+            let last_seqs = vec![0; schema.definition.len()];
+            let store = Self::preload(&dir, schema, config)?;
+            return store.attach_writers(dir, 1, &last_seqs, sync, fail_appends_after);
+        }
+        let dir = WalDir::open(path)?;
+        let (mut store, replayed) = Self::replay(&dir, schema.clone())?;
+        if config.initial_state.is_some() {
+            // The log *is* the state, so a preload is only accepted on a
+            // directory with no history — which makes a create that
+            // crashed between the manifest and the preload snapshot
+            // repeatable, instead of silently forking or losing data.
+            if replayed.history {
+                return Err(
+                    RelationalError::SchemaMismatch("initial state for an existing log").into(),
+                );
+            }
+            store = Self::preload(&dir, schema, config)?;
+        }
+        let last_seqs: Vec<u64> = replayed.cursors.iter().map(|c| c.seq).collect();
+        store.attach_writers(dir, replayed.next_gen, &last_seqs, sync, fail_appends_after)
     }
 
-    /// Durable open from an already-computed independence analysis.
+    /// [`Store::open_at`] from an already-computed independence analysis.
     /// `fds` must be the set the analysis was computed from; it is
     /// pinned in the manifest so a later open under different
     /// dependencies is refused.
@@ -808,67 +833,8 @@ impl Store {
         analysis: &IndependenceAnalysis,
         config: DurableConfig,
     ) -> Result<Self, StoreError> {
-        let schema = Schema::canonical(schema.clone(), fds.clone(), analysis.clone());
-        Self::open_durable_schema(path, schema, config)
-    }
-
-    /// Durable open serving `schema` — the path the `ids-api` facade
-    /// takes.  The first open creates the directory, whose manifest
-    /// records the schema with its declared column layouts and indexes;
-    /// every later open recovers, as [`Store::recover_durable`].
-    pub fn open_durable_schema(
-        path: impl AsRef<Path>,
-        schema: Schema,
-        config: DurableConfig,
-    ) -> Result<Self, StoreError> {
-        let path = path.as_ref();
-        if WalDir::exists(path) {
-            return Self::recover_durable(WalDir::open(path)?, schema, config);
-        }
-        schema.covers()?;
-        let app = schema.encode_layouts();
-        let dir = WalDir::create(path, &schema.definition, &schema.fds, app)?;
-        let last_seqs = vec![0; schema.definition.len()];
-        let store = Self::preload(&dir, schema, config.store)?;
-        store.attach_writers(dir, 1, &last_seqs, config.sync, config.fail_appends_after)
-    }
-
-    /// Durable reopen over an **already-open** directory handle — the
-    /// entry point `Database::recover` uses after reading the manifest,
-    /// so the manifest is decoded exactly once per open.  Refuses a
-    /// handle whose manifest disagrees with `schema`'s relations and
-    /// dependencies, then recovers exactly as [`Store::recover_from`]
-    /// does and attaches one log writer per relation on a fresh
-    /// generation.
-    pub fn recover_durable(
-        dir: WalDir,
-        schema: Schema,
-        config: DurableConfig,
-    ) -> Result<Self, StoreError> {
-        schema.covers()?;
-        dir.check_identity(&schema.definition, &schema.fds)?;
-        let indexes = &config.store.ordered_indexes;
-        let (mut store, replayed) = Self::replay(&dir, schema.clone(), indexes)?;
-        if config.store.initial_state.is_some() {
-            // The log *is* the state, so a preload is only accepted on a
-            // directory with no history — which makes a create that
-            // crashed between the manifest and the preload snapshot
-            // repeatable, instead of silently forking or losing data.
-            if replayed.history {
-                return Err(
-                    RelationalError::SchemaMismatch("initial state for an existing log").into(),
-                );
-            }
-            store = Self::preload(&dir, schema, config.store)?;
-        }
-        let last_seqs: Vec<u64> = replayed.cursors.iter().map(|c| c.seq).collect();
-        store.attach_writers(
-            dir,
-            replayed.next_gen,
-            &last_seqs,
-            config.sync,
-            config.fail_appends_after,
-        )
+        let schema = Schema::analyzed(schema.clone(), fds.clone(), analysis.clone());
+        Self::open_at(path, schema, config)
     }
 
     /// Recovers the durable directory `dir` into an **in-memory** store
@@ -887,18 +853,16 @@ impl Store {
     /// the replay reached ([`ids_wal::Follower::cursors`]) — where a
     /// follower resumes tailing.
     pub fn recover_from(dir: &WalDir, schema: Schema) -> Result<(Self, Vec<Cursor>), StoreError> {
-        schema.covers()?;
-        dir.check_identity(&schema.definition, &schema.fds)?;
-        let (store, replayed) = Self::replay(dir, schema, &[])?;
+        let (store, replayed) = Self::replay(dir, schema)?;
         Ok((store, replayed.cursors))
     }
 
-    /// [`Store::from_schema`] for a durable store: a nonempty preload —
-    /// which lives in no log — is pinned in an initial snapshot so
-    /// recovery starts from it.  Shared by the fresh-create path and the
-    /// repeat of a create that crashed before its snapshot landed.
+    /// [`Store::open`] for a durable create: a nonempty preload — which
+    /// lives in no log — is pinned in an initial snapshot so recovery
+    /// starts from it.  Shared by the fresh-create path and the repeat of
+    /// a create that crashed before its snapshot landed.
     fn preload(dir: &WalDir, schema: Schema, config: StoreConfig) -> Result<Self, StoreError> {
-        let store = Self::from_schema(schema, config)?;
+        let store = Self::open(schema, config)?;
         let state = store.snapshot()?;
         if state.total_tuples() > 0 {
             dir.write_snapshot(&state, &vec![0; state.len()], 0, Vec::new(), 0)?;
@@ -921,20 +885,19 @@ impl Store {
     /// contradict themselves and is reported as
     /// [`WalError::Corrupt`], never silently patched.
     ///
-    /// The replay ends under the directory's latest manifest; the store
-    /// then serves the caller's `schema` handle and builds its ordered
-    /// indexes, plus `ordered_indexes`, over the recovered relations.
-    /// The store keeps the value pool the snapshot and the records
-    /// define ([`Store::names`]).  Replay progress lands in the store's
-    /// registry as the `wal.r{i}.recovered_records` family (the
-    /// per-relation fact — replicas reuse the names for their
-    /// bootstrap), the aggregate `wal.recovered_records` and one
+    /// `schema` must be the directory's latest manifest (a typed
+    /// [`WalError::SchemaMismatch`] otherwise) and independent.  The
+    /// replay ends under that manifest; the store then serves the
+    /// caller's `schema` handle and builds its ordered indexes over the
+    /// recovered relations.  The store keeps the value pool the snapshot
+    /// and the records define ([`Store::names`]).  Replay progress lands
+    /// in the store's registry as the `wal.r{i}.recovered_records`
+    /// family (the per-relation fact — replicas reuse the names for
+    /// their bootstrap), the aggregate `wal.recovered_records` and one
     /// [`Event::RecoveryReplayed`].
-    fn replay(
-        dir: &WalDir,
-        schema: Schema,
-        ordered_indexes: &[(SchemeId, AttrId)],
-    ) -> Result<(Self, Replayed), StoreError> {
+    fn replay(dir: &WalDir, schema: Schema) -> Result<(Self, Replayed), StoreError> {
+        schema.covers()?;
+        dir.check_identity(&schema.definition, &schema.fds)?;
         // Replay is a cold path: time it unconditionally so the summary
         // event carries a real duration even if recording was toggled.
         let start = Instant::now();
@@ -946,7 +909,7 @@ impl Store {
             m => Schema::from_recovered(m.schema.clone(), m.fds.clone(), &m.app)?,
         };
         let mut store = Self::with_state(era, Some(recovered.base))?;
-        store.names = Some(Arc::new(Mutex::new(recovered.names)));
+        store.names = Arc::new(Mutex::new(recovered.names));
         // Each relation's records, counted under the schema they ship in.
         let (mut replayed, mut shipped) = (vec![0u64; recovered.base_seqs.len()], Vec::new());
         let mut relations = store.schema().definition.clone();
@@ -969,7 +932,7 @@ impl Store {
         })?;
         store.follow(shipped).map_err(|e| corrupt(root, e))?;
         let history = recovered.has_snapshot || log.cursors().iter().any(|c| c.seq > 0);
-        store.serve(schema, ordered_indexes)?;
+        store.serve(schema)?;
         let duration = start.elapsed();
         let registry = &store.obs.registry;
         for (i, n) in replayed.iter().enumerate() {
@@ -994,22 +957,21 @@ impl Store {
 
     /// The end of a replay: the store serves `schema`, the caller's
     /// handle of the schema the replay ended in, with its exact covers
-    /// and its ordered indexes plus `extra`.
-    fn serve(&mut self, schema: Schema, extra: &[(SchemeId, AttrId)]) -> Result<(), StoreError> {
+    /// and its ordered indexes.
+    fn serve(&mut self, schema: Schema) -> Result<(), StoreError> {
         let topo = (self.topology.get_mut()).unwrap_or_else(PoisonError::into_inner);
         if topo.schema.definition != schema.definition {
             return Err(RelationalError::SchemaMismatch("the replayed schema").into());
         }
         topo.schema = Arc::new(schema);
         self.settle()?;
-        self.add_ordered_indexes(extra)
+        self.add_ordered_indexes()
     }
 
     /// Makes an in-memory store durable over `dir`: one segment writer
     /// per relation on generation `next_gen`, continuing its sequence
     /// numbering from `last_seqs`, all wired to the store-wide WAL
-    /// metric family and to the value pool (a fresh one unless recovery
-    /// rebuilt it).
+    /// metric family and to the store's value pool.
     fn attach_writers(
         mut self,
         dir: WalDir,
@@ -1032,14 +994,13 @@ impl Store {
             fail_appends_after,
             wal_metrics,
         };
-        let names = (self.names).get_or_insert_with(|| Arc::new(Mutex::new(ValuePool::new())));
         let topo = self
             .topology
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner);
         for (slot, &last_seq) in topo.slots.iter_mut().zip(last_seqs) {
             let slot = slot.get_mut().unwrap_or_else(PoisonError::into_inner);
-            slot.wal = Some(durability.writer(slot.id, next_gen, last_seq, names)?);
+            slot.wal = Some(durability.writer(slot.id, next_gen, last_seq, &self.names)?);
         }
         self.durability = Some(durability);
         Ok(self)
@@ -1123,15 +1084,6 @@ impl Store {
         err
     }
 
-    /// The preserved reason of the first durability failure, when one has
-    /// poisoned this store.  Relations whose logs did not fail keep
-    /// serving; every operation that *does* touch the poisoned relation
-    /// (and any store-wide operation) reports
-    /// [`StoreError::ShardPoisoned`] with this reason.
-    pub fn poison_reason(&self) -> Option<&str> {
-        self.poison.get().map(String::as_str)
-    }
-
     /// The schema the store currently serves — its one live schema,
     /// covers and declared layouts included.  Cheap (one read lock, one
     /// `Arc` clone).  A schema transition swaps the handle; holders of a
@@ -1148,13 +1100,12 @@ impl Store {
         self.durability.is_some()
     }
 
-    /// The value pool the store's logs name their values from — what a
-    /// durable open or a recovery ([`Store::recover_from`] included)
-    /// rebuilt from the directory's definitions, and every log writer
-    /// and checkpoint reads.  `None` for a store built in memory.  The
-    /// `ids-api` front end interns into this same pool.
-    pub fn names(&self) -> Option<Arc<Mutex<ValuePool>>> {
-        self.names.clone()
+    /// The store's value pool: what the `ids-api` front end interns
+    /// into and renders from, every log writer and checkpoint reads, and
+    /// a recovery ([`Store::recover_from`] included) rebuilt from the
+    /// directory's definitions.  Empty for a store opened in memory.
+    pub fn names(&self) -> &Mutex<ValuePool> {
+        &self.names
     }
 
     /// Root of a durable store's log directory — what a replication
@@ -1164,8 +1115,7 @@ impl Store {
     }
 
     /// The current schema generation of a durable store: 0 at creation,
-    /// bumped by every checkpoint and every accepted
-    /// [`Store::apply_transition`].
+    /// bumped by every checkpoint and every accepted [`Store::alter`].
     pub fn generation(&self) -> Option<u64> {
         self.durability
             .as_ref()
@@ -1242,31 +1192,31 @@ impl Store {
     /// id, as any follower that saw it does.  The pool is locked only to
     /// copy it.
     fn pool_names(&self) -> Result<(Vec<(Value, String)>, u64), StoreError> {
-        let Some(names) = &self.names else {
-            return Ok((Vec::new(), 0));
-        };
-        let pool = names.lock().map_err(|_| StoreError::Disconnected)?.clone();
+        let pool = (self.names.lock()).map_err(|_| StoreError::Disconnected)?;
+        let pool = pool.clone();
         let defs = pool.iter().map(|(name, v)| (v, name.to_owned())).collect();
         Ok((defs, pool.len() as u64))
     }
 
-    /// Applies an `ALTER`-class schema transition to the **running**
-    /// store: add/drop a relation, add/drop a functional dependency —
-    /// any change whose target schema the caller has already built.
-    /// Returns the new segment generation on success.
+    /// Applies one `ALTER`-class schema transition to the **running**
+    /// store — add/drop a relation, add/drop a functional dependency —
+    /// as an operator on the schema it serves.  Returns the new segment
+    /// generation on success.
     ///
-    /// `next` is the complete target handle (`ids-api` builds it with
-    /// [`Schema::evolved`]): a dependent target is refused with
-    /// [`StoreError::NotIndependent`] (carrying the `LSAT ∖ WSAT`
-    /// witness) and the current schema keeps serving.  The new manifest
-    /// records `next` with its declared column layouts and indexes, and
-    /// after the switch `next` is the store's live schema.
-    ///
-    /// A relation survives the transition when the target holds one of
-    /// the same name over the same attributes
-    /// ([`DatabaseSchema::remap_from`], the rule recovery and replication
-    /// apply to the manifest chain); a same-name relation over other
-    /// attributes is refused with a typed [`RelationalError::SchemaMismatch`].
+    /// The target is derived from the served schema ([`Schema::evolved`])
+    /// under the generation mutex, which the alter holds to its end, so
+    /// two concurrent alters never derive from the same schema.  Every
+    /// refusal — a dependent target ([`Error::NotIndependent`], with the
+    /// `LSAT ∖ WSAT` witness), a name error ([`Error::Evolve`],
+    /// [`Error::UnknownRelation`], [`Error::FdParse`]) or a backfill
+    /// violation — leaves the current schema serving, bumps the
+    /// `evolve.rejected` counter and records one [`Event::AlterRejected`].
+    /// The new manifest records the target with its declared column
+    /// layouts and indexes, and after the switch the target is the
+    /// store's live schema.  A relation survives when the target holds
+    /// one of the same name over the same attributes
+    /// ([`DatabaseSchema::remap_from`], the rule recovery and
+    /// replication apply to the manifest chain).
     ///
     /// The transition runs in three phases on the calling thread,
     /// serialized with checkpoints on the generation mutex:
@@ -1306,19 +1256,23 @@ impl Store {
     ///    store**: every slot is marked dead and the failing call, like
     ///    every later operation, reports [`StoreError::ShardPoisoned`]
     ///    with the reason.
-    pub fn apply_transition(&self, next: Schema) -> Result<u64, StoreError> {
+    ///
+    /// An in-memory store has no log to append the generation to:
+    /// [`StoreError::NotDurable`].
+    pub fn alter(&self, op: &Alter) -> Result<u64, Error> {
         let d = self.durability.as_ref().ok_or(StoreError::NotDurable)?;
-        let reject = |e: StoreError| {
+        // Serialize with checkpoints and other transitions.
+        let mut gen = d.gen.lock().map_err(|_| StoreError::Disconnected)?;
+        self.healthy()?;
+        let reject = |e: Error| {
             self.obs.registry.counter("evolve.rejected").inc();
             self.obs.registry.events().record(Event::AlterRejected {
                 reason: e.to_string(),
             });
             e
         };
-        let new_covers = next.covers().map_err(reject)?;
-        // Serialize with checkpoints and other transitions.
-        let mut gen = d.gen.lock().map_err(|_| StoreError::Disconnected)?;
-        self.healthy()?;
+        let (next, _reuse) = self.schema().evolved(op).map_err(reject)?;
+        let new_covers = next.covers().map_err(|e| reject(e.into()))?;
         let new_gen = *gen + 1;
 
         // Phase 1: remap + backfill under a topology *read* lock.
@@ -1326,15 +1280,6 @@ impl Store {
             let topo = self.topology()?;
             let (old, old_covers) = (&topo.schema.definition, topo.schema.covers()?);
             let remap = survivors(old, &next.definition);
-            let renamed = (next.definition.iter()).any(|(nid, s)| {
-                !remap.contains(&Some(nid)) && old.scheme_by_name(&s.name).is_some()
-            });
-            if renamed {
-                return Err(RelationalError::SchemaMismatch(
-                    "a surviving relation changed its attribute set",
-                )
-                .into());
-            }
             // Which survivors need a backfill: those whose old cover
             // does not already imply every FD of the new one.
             let mut prepared: Vec<(SchemeId, u64)> = Vec::new();
@@ -1370,7 +1315,7 @@ impl Store {
                     let old = old_covers[old_id.index()].clone();
                     self.lock(&topo, old_id)?.install_cover(old)?;
                 }
-                return Err(reject(e));
+                return Err(reject(e.into()));
             }
             if !prepared.is_empty() {
                 let duration = backfill_start.elapsed();
@@ -1410,7 +1355,7 @@ impl Store {
                     slot.dead = true;
                 }
             }
-            return Err(err);
+            return Err(err.into());
         }
         *gen = new_gen;
         // Cannot be refused: since its backfill each relation has
@@ -1435,7 +1380,7 @@ impl Store {
     ///   packed in its arena.  A name the pool already gives another
     ///   value is [`StoreError::Replay`].
     /// * A manifest switches the store in place, exactly as the switch of
-    ///   [`Store::apply_transition`] does on the primary — survivors
+    ///   [`Store::alter`] does on the primary — survivors
     ///   (by [`DatabaseSchema::remap_from`]) are renumbered with their
     ///   rows, dropped relations released, added ones start empty — and
     ///   then installs each relation's exact new cover.  No backfill, no
@@ -1512,20 +1457,13 @@ impl Store {
             }
         }
         defs.sort_unstable_by_key(|&(v, ..)| v);
-        let refused = |relation: u16, seq, detail| StoreError::Replay {
-            scheme: SchemeId::from_index(relation as usize),
-            seq,
-            detail,
-        };
-        let Some(&(_, relation, seq, _)) = defs.first() else {
-            return Ok(());
-        };
-        let names =
-            (self.names.as_ref()).ok_or_else(|| refused(relation, seq, "no value pool".into()))?;
-        let mut pool = names.lock().map_err(|_| StoreError::Disconnected)?;
+        let mut pool = self.names.lock().map_err(|_| StoreError::Disconnected)?;
         for (v, relation, seq, name) in defs {
-            (pool.define(v, name))
-                .map_err(|e| refused(relation, seq, format!("bad value definitions: {e}")))?;
+            pool.define(v, name).map_err(|e| StoreError::Replay {
+                scheme: SchemeId::from_index(relation as usize),
+                seq,
+                detail: format!("bad value definitions: {e}"),
+            })?;
         }
         Ok(())
     }
@@ -1576,15 +1514,7 @@ impl Store {
         drop(topo);
         let mut placed = Vec::with_capacity(definition.len());
         for id in definition.ids().filter(|id| !remap.contains(&Some(*id))) {
-            let writer = d.map(|d| {
-                let names = self.names.as_ref();
-                d.writer(
-                    id,
-                    new_gen,
-                    0,
-                    names.expect("a durable store has a value pool"),
-                )
-            });
+            let writer = d.map(|d| d.writer(id, new_gen, 0, &self.names));
             let writer = writer
                 .transpose()
                 .map_err(|e| (families as u64, e.into()))?;
@@ -1832,7 +1762,7 @@ impl Store {
 /// the name ([`Schema::scheme_id`]), read the declared layout
 /// ([`Schema::layout`]), run its slot operations — so the name, layout,
 /// cover and slot always come from the same schema, however a concurrent
-/// [`Store::apply_transition`] races it: the transition's switch waits
+/// [`Store::alter`] races it: the transition's switch waits
 /// for every era to end, and an era that starts after it sees only the
 /// new schema.  One racing transition therefore behaves exactly as if
 /// submitted before or after the operation.
@@ -1989,7 +1919,8 @@ mod tests {
         let u = Universe::from_names(["C", "D", "T"]).unwrap();
         let schema = DatabaseSchema::parse(u, &[("CD", "CD"), ("CT", "CT"), ("TD", "TD")]).unwrap();
         let fds = FdSet::parse(schema.universe(), &["C -> D", "C -> T", "T -> D"]).unwrap();
-        let err = Store::open(&schema, &fds).unwrap_err();
+        let err =
+            Store::open(Schema::canonical(&schema, &fds), StoreConfig::default()).unwrap_err();
         let StoreError::NotIndependent { witness, .. } = err else {
             panic!("expected NotIndependent, got {err}");
         };
@@ -2005,7 +1936,7 @@ mod tests {
     #[test]
     fn insert_remove_roundtrip_and_fd_enforcement() {
         let (schema, fds) = independent_setup();
-        let store = Store::open(&schema, &fds).unwrap();
+        let store = Store::open(Schema::canonical(&schema, &fds), StoreConfig::default()).unwrap();
         let ct = schema.scheme_by_name("CT").unwrap();
         assert_eq!(
             store.insert(ct, vec![v(1), v(10)]).unwrap(),
@@ -2033,7 +1964,7 @@ mod tests {
     #[test]
     fn batch_outcomes_align_with_input_across_relations() {
         let (schema, fds) = independent_setup();
-        let store = Store::open(&schema, &fds).unwrap();
+        let store = Store::open(Schema::canonical(&schema, &fds), StoreConfig::default()).unwrap();
         let ct = schema.scheme_by_name("CT").unwrap();
         let cs = schema.scheme_by_name("CS").unwrap();
         let chr = schema.scheme_by_name("CHR").unwrap();
@@ -2085,7 +2016,7 @@ mod tests {
     #[test]
     fn malformed_batches_mutate_nothing() {
         let (schema, fds) = independent_setup();
-        let store = Store::open(&schema, &fds).unwrap();
+        let store = Store::open(Schema::canonical(&schema, &fds), StoreConfig::default()).unwrap();
         let ct = schema.scheme_by_name("CT").unwrap();
         let err = store
             .apply_batch(vec![
@@ -2113,7 +2044,7 @@ mod tests {
     #[test]
     fn snapshot_is_a_barrier_over_prior_batches() {
         let (schema, fds) = independent_setup();
-        let store = Store::open(&schema, &fds).unwrap();
+        let store = Store::open(Schema::canonical(&schema, &fds), StoreConfig::default()).unwrap();
         let ct = schema.scheme_by_name("CT").unwrap();
         let chr = schema.scheme_by_name("CHR").unwrap();
         store
@@ -2139,7 +2070,7 @@ mod tests {
     #[test]
     fn barrier_free_read_sees_prior_writes_on_its_relation() {
         let (schema, fds) = independent_setup();
-        let store = Store::open(&schema, &fds).unwrap();
+        let store = Store::open(Schema::canonical(&schema, &fds), StoreConfig::default()).unwrap();
         let ct = schema.scheme_by_name("CT").unwrap();
         let cs = schema.scheme_by_name("CS").unwrap();
         store.insert(ct, vec![v(1), v(10)]).unwrap();
@@ -2175,7 +2106,7 @@ mod tests {
         let (c, t, s) = (attr("C"), attr("T"), attr("S"));
         let ct = schema.scheme_by_name("CT").unwrap();
         let cs = schema.scheme_by_name("CS").unwrap();
-        let store = Store::open(&schema, &fds).unwrap();
+        let store = Store::open(Schema::canonical(&schema, &fds), StoreConfig::default()).unwrap();
         // CT is keyed by C; CS holds many students per course, so
         // distinct courses ≪ tuples.
         for i in 0..20u64 {
@@ -2238,9 +2169,8 @@ mod tests {
         let s = schema.universe().attr("S").unwrap();
         let specs = vec![(cs, s)];
         // In-memory: the indexed path must agree with a linear filter.
-        let store = Store::open_with(
-            &schema,
-            &fds,
+        let store = Store::open(
+            Schema::canonical(&schema, &fds),
             StoreConfig {
                 initial_state: None,
                 ordered_indexes: specs.clone(),
@@ -2248,6 +2178,11 @@ mod tests {
             },
         )
         .unwrap();
+        // The configured index is part of the schema the store serves.
+        let indexed: Vec<(String, String)> = (store.schema().indexed_columns())
+            .map(|(r, c)| (r.to_string(), c.to_string()))
+            .collect();
+        assert_eq!(indexed, [("CS".to_string(), "S".to_string())]);
         for i in 0..30u64 {
             store.insert(cs, vec![v(i % 3), v(i)]).unwrap();
         }
@@ -2261,9 +2196,8 @@ mod tests {
 
         // A spec naming a foreign column is refused at open.
         let x_free = schema.universe().attr("H").unwrap();
-        assert!(Store::open_with(
-            &schema,
-            &fds,
+        assert!(Store::open(
+            Schema::canonical(&schema, &fds),
             StoreConfig {
                 initial_state: None,
                 ordered_indexes: vec![(cs, x_free)],
@@ -2275,10 +2209,9 @@ mod tests {
         // Durable: the index is rebuilt by recovery and still agrees.
         let root = tmp_dir("ordered-index");
         {
-            let store = Store::open_durable_with(
+            let store = Store::open_at(
                 &root,
-                &schema,
-                &fds,
+                Schema::canonical(&schema, &fds),
                 DurableConfig {
                     store: StoreConfig {
                         initial_state: None,
@@ -2294,10 +2227,9 @@ mod tests {
             }
             store.shutdown().unwrap();
         }
-        let store = Store::open_durable_with(
+        let store = Store::open_at(
             &root,
-            &schema,
-            &fds,
+            Schema::canonical(&schema, &fds),
             DurableConfig {
                 store: StoreConfig {
                     initial_state: None,
@@ -2357,9 +2289,8 @@ mod tests {
         let ct = schema.scheme_by_name("CT").unwrap();
         let mut base = DatabaseState::empty(&schema);
         base.insert(ct, vec![v(9), v(90)]).unwrap();
-        let store = Store::open_with(
-            &schema,
-            &fds,
+        let store = Store::open(
+            Schema::canonical(&schema, &fds),
             StoreConfig {
                 initial_state: Some(base.clone()),
                 ordered_indexes: Vec::new(),
@@ -2374,9 +2305,8 @@ mod tests {
         drop(store);
 
         base.insert(ct, vec![v(9), v(91)]).unwrap(); // violates C→T
-        let err = Store::open_with(
-            &schema,
-            &fds,
+        let err = Store::open(
+            Schema::canonical(&schema, &fds),
             StoreConfig {
                 initial_state: Some(base),
                 ordered_indexes: Vec::new(),
@@ -2399,9 +2329,8 @@ mod tests {
         let other = DatabaseSchema::parse(u2, &[("AB", "AB"), ("BC", "BC"), ("AC", "AC")]).unwrap();
         let mut foreign = DatabaseState::empty(&other);
         foreign.insert(SchemeId(0), vec![v(1), v(2)]).unwrap();
-        let err = Store::open_with(
-            &schema,
-            &fds,
+        let err = Store::open(
+            Schema::canonical(&schema, &fds),
             StoreConfig {
                 initial_state: Some(foreign),
                 ordered_indexes: Vec::new(),
@@ -2427,7 +2356,12 @@ mod tests {
 
         // Session 1: a few ops, checkpoint mid-stream, more ops.
         {
-            let store = Store::open_durable(&root, &schema, &fds).unwrap();
+            let store = Store::open_at(
+                &root,
+                Schema::canonical(&schema, &fds),
+                DurableConfig::default(),
+            )
+            .unwrap();
             assert!(store.is_durable());
             store.insert(ct, vec![v(1), v(10)]).unwrap();
             store.insert(cs, vec![v(1), v(50)]).unwrap();
@@ -2441,7 +2375,12 @@ mod tests {
         }
         // Session 2: recover, verify, extend, clean-shutdown again.
         {
-            let store = Store::open_durable(&root, &schema, &fds).unwrap();
+            let store = Store::open_at(
+                &root,
+                Schema::canonical(&schema, &fds),
+                DurableConfig::default(),
+            )
+            .unwrap();
             let state = store.snapshot().unwrap();
             assert_eq!(state.relation(ct).len(), 0);
             assert_eq!(state.relation(cs).len(), 2);
@@ -2455,7 +2394,12 @@ mod tests {
         }
         // Session 3: recover after clean shutdown is the identity.
         {
-            let store = Store::open_durable(&root, &schema, &fds).unwrap();
+            let store = Store::open_at(
+                &root,
+                Schema::canonical(&schema, &fds),
+                DurableConfig::default(),
+            )
+            .unwrap();
             let state = store.shutdown().unwrap();
             assert_eq!(state.relation(ct).len(), 1);
             assert!(state.relation(ct).contains(&[v(1), v(12)]));
@@ -2476,13 +2420,7 @@ mod tests {
         let u = ids_relational::Universe::from_names(["C", "T", "S"]).unwrap();
         let schema = DatabaseSchema::parse(u, &[("CT", "CT"), ("CS", "CS")]).unwrap();
         let fds = FdSet::parse(schema.universe(), &["C -> T"]).unwrap();
-        let handle = || {
-            Schema::canonical(
-                schema.clone(),
-                fds.clone(),
-                ids_core::analyze(&schema, &fds),
-            )
-        };
+        let handle = || Schema::canonical(&schema, &fds);
         let dir = WalDir::create(&root, &schema, &fds, Vec::new()).unwrap();
         let snap = DatabaseState::empty(&schema);
         dir.write_snapshot(&snap, &[0, 0], 0, vec![(v(4), "old".into())], 6)
@@ -2504,8 +2442,7 @@ mod tests {
         w1.append(WalOp::Insert(vec![v(9), v(1)])).unwrap();
         drop((w0, w1));
         let (store, _) = Store::recover_from(&dir, handle()).unwrap();
-        let pool = store.names().unwrap();
-        let pool = pool.lock().unwrap();
+        let pool = store.names().lock().unwrap();
         let names: Vec<(&str, u64)> = pool.iter().map(|(n, v)| (n, v.0)).collect();
         assert_eq!(names, [("a", 0), ("b", 1), ("c", 2), ("old", 4)]);
         assert_eq!(pool.len(), 6);
@@ -2532,7 +2469,12 @@ mod tests {
         let ids = ["CT", "CS", "CHR"].map(|name| schema.scheme_by_name(name).unwrap());
         let keys: [&[usize]; 3] = [&[0], &[0, 1], &[0, 1]];
         {
-            let store = Store::open_durable(&root, &schema, &fds).unwrap();
+            let store = Store::open_at(
+                &root,
+                Schema::canonical(&schema, &fds),
+                DurableConfig::default(),
+            )
+            .unwrap();
             for (i, id) in ids.into_iter().enumerate() {
                 let arity = schema.attrs(id).len() as u64;
                 store
@@ -2541,13 +2483,8 @@ mod tests {
             }
             store.checkpoint().unwrap();
         }
-        let canonical = Schema::canonical(
-            schema.clone(),
-            fds.clone(),
-            ids_core::analyze(&schema, &fds),
-        );
-        let dir = WalDir::open(&root).unwrap();
-        let store = Store::recover_durable(dir, canonical, DurableConfig::default()).unwrap();
+        let canonical = Schema::canonical(&schema, &fds);
+        let store = Store::open_at(&root, canonical, DurableConfig::default()).unwrap();
         let state = store.snapshot().unwrap();
         for (id, key) in ids.into_iter().zip(keys) {
             assert_eq!(state.relation(id).len(), 1);
@@ -2562,7 +2499,12 @@ mod tests {
         let root = tmp_dir("mismatch");
         let (schema, fds) = independent_setup();
         {
-            let store = Store::open_durable(&root, &schema, &fds).unwrap();
+            let store = Store::open_at(
+                &root,
+                Schema::canonical(&schema, &fds),
+                DurableConfig::default(),
+            )
+            .unwrap();
             store
                 .insert(schema.scheme_by_name("CT").unwrap(), vec![v(1), v(10)])
                 .unwrap();
@@ -2571,7 +2513,11 @@ mod tests {
         // Different FD set: typed mismatch, no replay.
         let other_fds = FdSet::parse(schema.universe(), &["C -> T"]).unwrap();
         assert!(matches!(
-            Store::open_durable(&root, &schema, &other_fds),
+            Store::open_at(
+                &root,
+                Schema::canonical(&schema, &other_fds),
+                DurableConfig::default()
+            ),
             Err(StoreError::Wal(ids_wal::WalError::SchemaMismatch { .. }))
         ));
         // Different schema: same refusal.
@@ -2579,14 +2525,17 @@ mod tests {
         let schema2 =
             DatabaseSchema::parse(u2, &[("CT", "CT"), ("CS", "CS"), ("CHRS", "CHRS")]).unwrap();
         assert!(matches!(
-            Store::open_durable(&root, &schema2, &fds),
+            Store::open_at(
+                &root,
+                Schema::canonical(&schema2, &fds),
+                DurableConfig::default()
+            ),
             Err(StoreError::Wal(ids_wal::WalError::SchemaMismatch { .. }))
         ));
         // Preloading an existing log is refused.
-        assert!(Store::open_durable_with(
+        assert!(Store::open_at(
             &root,
-            &schema,
-            &fds,
+            Schema::canonical(&schema, &fds),
             DurableConfig {
                 store: StoreConfig {
                     initial_state: Some(DatabaseState::empty(&schema)),
@@ -2598,7 +2547,7 @@ mod tests {
         )
         .is_err());
         // Checkpoint on an in-memory store is a typed error.
-        let mem = Store::open(&schema, &fds).unwrap();
+        let mem = Store::open(Schema::canonical(&schema, &fds), StoreConfig::default()).unwrap();
         assert!(!mem.is_durable());
         assert!(matches!(mem.checkpoint(), Err(StoreError::NotDurable)));
         let _ = std::fs::remove_dir_all(&root);
@@ -2618,10 +2567,9 @@ mod tests {
         let mut base = DatabaseState::empty(&schema);
         base.insert(ct, vec![v(9), v(90)]).unwrap();
         let preloaded_open = || {
-            Store::open_durable_with(
+            Store::open_at(
                 &root,
-                &schema,
-                &fds,
+                Schema::canonical(&schema, &fds),
                 DurableConfig {
                     store: StoreConfig {
                         initial_state: Some(base.clone()),
@@ -2648,10 +2596,9 @@ mod tests {
         let mut base = DatabaseState::empty(&schema);
         base.insert(ct, vec![v(9), v(90)]).unwrap();
         {
-            let store = Store::open_durable_with(
+            let store = Store::open_at(
                 &root,
-                &schema,
-                &fds,
+                Schema::canonical(&schema, &fds),
                 DurableConfig {
                     store: StoreConfig {
                         initial_state: Some(base),
@@ -2666,7 +2613,12 @@ mod tests {
             store.insert(ct, vec![v(8), v(80)]).unwrap();
             store.shutdown().unwrap();
         }
-        let store = Store::open_durable(&root, &schema, &fds).unwrap();
+        let store = Store::open_at(
+            &root,
+            Schema::canonical(&schema, &fds),
+            DurableConfig::default(),
+        )
+        .unwrap();
         let state = store.shutdown().unwrap();
         assert_eq!(state.relation(ct).len(), 2);
         assert!(state.relation(ct).contains(&[v(9), v(90)]));
@@ -2681,7 +2633,11 @@ mod tests {
     fn a_store_spawns_no_threads() {
         let inst = ids_workloads::families::key_chain(8);
         assert_eq!(inst.schema.len(), 8);
-        let store = Store::open(&inst.schema, &inst.fds).unwrap();
+        let store = Store::open(
+            Schema::canonical(&inst.schema, &inst.fds),
+            StoreConfig::default(),
+        )
+        .unwrap();
         for id in inst.schema.ids() {
             store.insert(id, vec![v(1), v(2)]).unwrap();
         }
@@ -2697,7 +2653,7 @@ mod tests {
     #[test]
     fn concurrent_clients_on_disjoint_relations_are_deterministic() {
         let (schema, fds) = independent_setup();
-        let store = Store::open(&schema, &fds).unwrap();
+        let store = Store::open(Schema::canonical(&schema, &fds), StoreConfig::default()).unwrap();
         let ct = schema.scheme_by_name("CT").unwrap();
         let cs = schema.scheme_by_name("CS").unwrap();
         std::thread::scope(|s| {

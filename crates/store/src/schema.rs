@@ -149,9 +149,17 @@ impl Schema {
     }
 
     /// The handle of a schema declared below the string layer: every
-    /// relation's columns in canonical order, no ordered index.  What a
-    /// store opened from a bare [`DatabaseSchema`] serves.
-    pub(crate) fn canonical(
+    /// relation's columns in canonical order, no ordered index, and the
+    /// independence analysis run once, here.  What a typed-level caller
+    /// opens a [`crate::Store`] with; a dependent schema is refused at
+    /// open, with its witness.
+    pub fn canonical(definition: &DatabaseSchema, fds: &FdSet) -> Schema {
+        let analysis = analyze(definition, fds);
+        Schema::analyzed(definition.clone(), fds.clone(), analysis)
+    }
+
+    /// [`Schema::canonical`] with the analysis already computed.
+    pub(crate) fn analyzed(
         definition: DatabaseSchema,
         fds: FdSet,
         analysis: IndependenceAnalysis,
@@ -210,6 +218,30 @@ impl Schema {
     /// probes — a typed refusal on a dependent handle.
     pub(crate) fn covers(&self) -> Result<&[FdSet], crate::StoreError> {
         crate::covers(&self.definition, &self.analysis)
+    }
+
+    /// This handle with the ordered indexes a [`crate::StoreConfig`]
+    /// asks for added to the ones it declares — the one place a store
+    /// takes them in, at open.  A pair naming a foreign scheme or column
+    /// is a typed error; a repeated pair is a no-op.
+    pub(crate) fn with_ordered_indexes(
+        mut self,
+        extra: &[(SchemeId, AttrId)],
+    ) -> Result<Schema, crate::StoreError> {
+        for &(id, attr) in extra {
+            let scheme =
+                (self.definition.get_scheme(id)).ok_or(crate::StoreError::UnknownScheme(id))?;
+            if !scheme.attrs.contains(attr) {
+                return Err(RelationalError::SchemaMismatch(
+                    "secondary index column outside the relation scheme",
+                )
+                .into());
+            }
+            if !self.ordered_indexes.contains(&(id, attr)) {
+                self.ordered_indexes.push((id, attr));
+            }
+        }
+        Ok(self)
     }
 
     /// Resolves a relation name to its id — O(1), via the name map built
@@ -303,7 +335,7 @@ impl Schema {
         app: &[u8],
     ) -> Result<Schema, RelationalError> {
         let analysis = analyze(&definition, &fds);
-        let mut schema = Schema::canonical(definition, fds, analysis);
+        let mut schema = Schema::analyzed(definition, fds, analysis);
         if app.is_empty() {
             return Ok(schema);
         }

@@ -22,7 +22,7 @@ use ids_chase::{satisfies, ChaseConfig};
 use ids_core::{ChaseMaintainer, LocalMaintainer};
 use ids_deps::FdSet;
 use ids_relational::{DatabaseSchema, DatabaseState};
-use ids_store::{DurableConfig, OpOutcome, Store, StoreOp, SyncPolicy};
+use ids_store::{DurableConfig, OpOutcome, Schema, Store, StoreConfig, StoreOp, SyncPolicy};
 use ids_workloads::families::{bcnf_tree, key_chain, key_star};
 use ids_workloads::generators::{random_independent_instance, SchemaParams};
 use ids_workloads::traces::{interleaved_trace, TraceKind, TraceOp, TraceParams};
@@ -147,7 +147,7 @@ proptest! {
         let (expected_outcomes, expected_state) =
             sequential_replay(&inst.schema, &inst.fds, &trace);
 
-        let store = Store::open(&inst.schema, &inst.fds).unwrap();
+        let store = Store::open(Schema::canonical(&inst.schema, &inst.fds), StoreConfig::default()).unwrap();
         let got = submit_from_callers(&store, &to_store_ops(&trace), callers, usize::MAX);
         prop_assert_eq!(&got, &expected_outcomes);
         let final_state = store.shutdown().unwrap();
@@ -174,7 +174,7 @@ proptest! {
         );
         let (expected_outcomes, expected_state) = sequential_replay(&schema, &fds, &trace);
 
-        let store = Store::open(&schema, &fds).unwrap();
+        let store = Store::open(Schema::canonical(&schema, &fds), StoreConfig::default()).unwrap();
         let ops = to_store_ops(&trace);
         let mut got = Vec::new();
         let mid = ops.len() / 2;
@@ -266,7 +266,11 @@ fn writers_racing_on_one_relation(store: Store, schema: &DatabaseSchema, fds: &F
 #[test]
 fn writers_racing_on_one_relation_in_memory() {
     let inst = ids_workloads::examples::example2();
-    let store = Store::open(&inst.schema, &inst.fds).unwrap();
+    let store = Store::open(
+        Schema::canonical(&inst.schema, &inst.fds),
+        StoreConfig::default(),
+    )
+    .unwrap();
     writers_racing_on_one_relation(store, &inst.schema, &inst.fds);
 }
 
@@ -279,11 +283,16 @@ fn writers_racing_on_one_relation_durable_always() {
         sync: SyncPolicy::Always,
         ..DurableConfig::default()
     };
-    let store = Store::open_durable_with(&root, &inst.schema, &inst.fds, config).unwrap();
+    let store = Store::open_at(&root, Schema::canonical(&inst.schema, &inst.fds), config).unwrap();
     writers_racing_on_one_relation(store, &inst.schema, &inst.fds);
     // Exactly the accepted inserts were logged: recovery lands on them.
     let ct = inst.schema.scheme_by_name("CT").unwrap();
-    let store = Store::open_durable(&root, &inst.schema, &inst.fds).unwrap();
+    let store = Store::open_at(
+        &root,
+        Schema::canonical(&inst.schema, &inst.fds),
+        DurableConfig::default(),
+    )
+    .unwrap();
     assert_eq!(store.shutdown().unwrap().relation(ct).len(), 48);
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -319,7 +328,11 @@ fn metric_counter_totals_match_the_sequential_oracle() {
         }
     }
 
-    let store = Store::open(&inst.schema, &inst.fds).unwrap();
+    let store = Store::open(
+        Schema::canonical(&inst.schema, &inst.fds),
+        StoreConfig::default(),
+    )
+    .unwrap();
     let got = store.apply_batch(to_store_ops(&trace)).unwrap();
     assert_eq!(got, expected_outcomes);
 
@@ -347,7 +360,11 @@ fn store_agrees_with_full_chase_on_example2() {
         },
         42,
     );
-    let store = Store::open(&inst.schema, &inst.fds).unwrap();
+    let store = Store::open(
+        Schema::canonical(&inst.schema, &inst.fds),
+        StoreConfig::default(),
+    )
+    .unwrap();
     let got = store.apply_batch(to_store_ops(&trace)).unwrap();
 
     let mut chase = ChaseMaintainer::new(

@@ -9,7 +9,7 @@
 
 use ids_deps::FdSet;
 use ids_relational::{DatabaseSchema, Predicate, ReadPlan, Universe, Value};
-use ids_store::{DurableConfig, Store, StoreError, SyncPolicy};
+use ids_store::{DurableConfig, Schema, Store, StoreConfig, StoreError, SyncPolicy};
 
 fn v(n: u64) -> Value {
     Value::int(n)
@@ -36,10 +36,9 @@ fn durable_with_fault(
     fds: &FdSet,
     fail_appends_after: Option<u64>,
 ) -> Store {
-    Store::open_durable_with(
+    Store::open_at(
         root,
-        schema,
-        fds,
+        Schema::canonical(schema, fds),
         DurableConfig {
             sync: SyncPolicy::Always,
             fail_appends_after,
@@ -72,7 +71,7 @@ fn injected_append_failure_surfaces_reason_on_the_failing_call() {
     assert!(reason.contains(INJECTED), "reason lost: {reason}");
     // The rendered error carries the reason too.
     assert!(err.to_string().contains(INJECTED), "display lost: {err}");
-    assert_eq!(store.poison_reason(), Some(reason.as_str()));
+    assert_eq!(store.metrics().poisoned.as_deref(), Some(reason.as_str()));
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -170,7 +169,7 @@ fn organic_rotate_failure_poisons_the_checkpoint() {
         !reason.is_empty(),
         "rotate failure must preserve its reason"
     );
-    assert!(store.poison_reason().is_some());
+    assert!(store.metrics().poisoned.is_some());
     // The store stays poisoned for later callers.
     assert!(matches!(
         store.insert(ct, vec![v(2), v(20)]),
@@ -190,9 +189,8 @@ fn a_stats_poll_discovers_the_poison_without_mutating() {
         store.insert(ct, vec![v(1), v(10)]),
         Err(StoreError::ShardPoisoned { .. })
     ));
-    // `poison_reason()` used to be the only way to the reason, and the
-    // failure itself was only discoverable by issuing a failing op.  The
-    // metrics snapshot is pure read-side: no slot is locked, yet it
+    // The failure must be discoverable without issuing a failing op.
+    // The metrics snapshot is pure read-side: no slot is locked, yet it
     // carries the preserved reason...
     let snap = store.metrics();
     let reason = snap
@@ -220,9 +218,9 @@ fn in_memory_stores_never_poison() {
     // The poison path is durability-only: an in-memory store has no WAL
     // to fail, and a full workload leaves the cell untouched.
     let (schema, fds) = setup();
-    let store = Store::open(&schema, &fds).unwrap();
+    let store = Store::open(Schema::canonical(&schema, &fds), StoreConfig::default()).unwrap();
     let ct = schema.scheme_by_name("CT").unwrap();
     store.insert(ct, vec![v(1), v(10)]).unwrap();
-    assert_eq!(store.poison_reason(), None);
+    assert_eq!(store.metrics().poisoned, None);
     store.shutdown().unwrap();
 }

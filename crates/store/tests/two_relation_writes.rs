@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use ids_deps::FdSet;
 use ids_relational::{DatabaseSchema, DatabaseState, Predicate, ReadPlan, Universe, Value};
-use ids_store::{Store, StoreConfig};
+use ids_store::{Schema, Store, StoreConfig};
 
 /// Rows preloaded into `R0`: enough that one scan of it takes far
 /// longer than one insert.
@@ -42,9 +42,8 @@ fn an_insert_into_one_relation_does_not_wait_for_a_scan_of_another() {
             .insert(r0, vec![Value::int(i), Value::int(i)])
             .unwrap();
     }
-    let store = Store::open_with(
-        &schema,
-        &fds,
+    let store = Store::open(
+        Schema::canonical(&schema, &fds),
         StoreConfig {
             initial_state: Some(state),
             ..Default::default()

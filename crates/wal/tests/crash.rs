@@ -24,7 +24,7 @@
 use ids_chase::{satisfies, ChaseConfig};
 use ids_core::{InsertOutcome, LocalMaintainer};
 use ids_relational::{DatabaseState, SchemeId, Value};
-use ids_store::{DurableConfig, Store, StoreOp, SyncPolicy};
+use ids_store::{DurableConfig, Schema, Store, StoreOp, SyncPolicy};
 use ids_wal::format::{read_frame, FrameOutcome};
 use ids_wal::{Cursor, FollowPoll, Follower, Shipment, WalDir, WalRecord};
 use ids_workloads::families::{bcnf_tree, key_chain, key_star, FamilyInstance};
@@ -128,10 +128,7 @@ proptest! {
         ));
         // Run the trace durably; Always-sync makes ack ⇒ on disk.
         {
-            let store = Store::open_durable_with(
-                &root,
-                &inst.schema,
-                &inst.fds,
+            let store = Store::open_at(&root, Schema::canonical(&inst.schema, &inst.fds),
                 DurableConfig {
                     sync: SyncPolicy::Always,
                     ..Default::default()
@@ -193,10 +190,7 @@ proptest! {
         // probe/commit path equals the sequential replay of exactly the
         // surviving prefixes...
         let expected = replay_prefixes(&inst.schema, &inst.fds, &effective, &recovered_seqs);
-        let store = Store::open_durable_with(
-            &root,
-            &inst.schema,
-            &inst.fds,
+        let store = Store::open_at(&root, Schema::canonical(&inst.schema, &inst.fds),
             DurableConfig {
                 sync: SyncPolicy::Always,
                 ..Default::default()
@@ -224,7 +218,7 @@ proptest! {
         // trace uses, so every FD accepts them), then the follow loop
         // from the snapshot's cursors — zero cursors when no checkpoint
         // was taken — ships each relation exactly recovery's tail.
-        let store = Store::open_durable(&root, &inst.schema, &inst.fds).unwrap();
+        let store = Store::open_at(&root, Schema::canonical(&inst.schema, &inst.fds), DurableConfig::default()).unwrap();
         for (id, scheme) in inst.schema.iter() {
             for j in 0..3u64 {
                 let arity = scheme.attrs.len() as u64;
@@ -279,10 +273,9 @@ fn recovery_after_recovery_from_a_torn_tail_keeps_working() {
     let root = unique_root("re-reopen");
     let r0 = SchemeId::from_index(0);
     let open = |root: &std::path::Path| {
-        Store::open_durable_with(
+        Store::open_at(
             root,
-            &inst.schema,
-            &inst.fds,
+            Schema::canonical(&inst.schema, &inst.fds),
             DurableConfig {
                 sync: SyncPolicy::Always,
                 ..Default::default()
@@ -347,7 +340,12 @@ fn recovery_after_recovery_from_a_torn_tail_keeps_working() {
 fn repeated_checkpoints_never_collide_on_generations() {
     let inst = family_instance(0, 1);
     let root = unique_root("ckpt-gen");
-    let store = Store::open_durable(&root, &inst.schema, &inst.fds).unwrap();
+    let store = Store::open_at(
+        &root,
+        Schema::canonical(&inst.schema, &inst.fds),
+        DurableConfig::default(),
+    )
+    .unwrap();
     let r0 = SchemeId::from_index(0);
     for i in 0..4u64 {
         store
@@ -361,7 +359,12 @@ fn repeated_checkpoints_never_collide_on_generations() {
     }
     let state = store.shutdown().unwrap();
     assert_eq!(state.relation(r0).len(), 4);
-    let reopened = Store::open_durable(&root, &inst.schema, &inst.fds).unwrap();
+    let reopened = Store::open_at(
+        &root,
+        Schema::canonical(&inst.schema, &inst.fds),
+        DurableConfig::default(),
+    )
+    .unwrap();
     assert_eq!(reopened.shutdown().unwrap().relation(r0).len(), 4);
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -386,10 +389,9 @@ fn acknowledged_ops_survive_an_unclean_drop() {
     let effective = effective_ops_per_relation(&inst.schema, &inst.fds, &trace).unwrap();
     let totals: Vec<u64> = effective.iter().map(|v| v.len() as u64).collect();
     {
-        let store = Store::open_durable_with(
+        let store = Store::open_at(
             &root,
-            &inst.schema,
-            &inst.fds,
+            Schema::canonical(&inst.schema, &inst.fds),
             DurableConfig {
                 sync: SyncPolicy::Always,
                 ..Default::default()
@@ -406,7 +408,12 @@ fn acknowledged_ops_survive_an_unclean_drop() {
         // every op).
         drop(store);
     }
-    let store = Store::open_durable(&root, &inst.schema, &inst.fds).unwrap();
+    let store = Store::open_at(
+        &root,
+        Schema::canonical(&inst.schema, &inst.fds),
+        DurableConfig::default(),
+    )
+    .unwrap();
     let recovered = store.shutdown().unwrap();
     let expected = replay_prefixes(&inst.schema, &inst.fds, &effective, &totals);
     for (id, rel) in expected.iter() {
@@ -445,7 +452,12 @@ fn a_remove_heavy_trace_recovers_row_for_row_across_compactions() {
 
     for checkpoint_mid in [false, true] {
         let root = unique_root(&format!("remove-heavy-{checkpoint_mid}"));
-        let store = Store::open_durable(&root, &inst.schema, &inst.fds).unwrap();
+        let store = Store::open_at(
+            &root,
+            Schema::canonical(&inst.schema, &inst.fds),
+            DurableConfig::default(),
+        )
+        .unwrap();
         let ops = to_store_ops(&trace);
         let mid = ops.len() / 2;
         store.apply_batch(ops[..mid].to_vec()).unwrap();
@@ -458,10 +470,14 @@ fn a_remove_heavy_trace_recovers_row_for_row_across_compactions() {
             assert!(rel.epoch() >= 2, "{id:?} compacted {} times", rel.epoch());
         }
 
-        let recovered = Store::open_durable(&root, &inst.schema, &inst.fds)
-            .unwrap()
-            .shutdown()
-            .unwrap();
+        let recovered = Store::open_at(
+            &root,
+            Schema::canonical(&inst.schema, &inst.fds),
+            DurableConfig::default(),
+        )
+        .unwrap()
+        .shutdown()
+        .unwrap();
         for (id, rel) in live.iter() {
             assert!(
                 rel.iter().eq(recovered.relation(id).iter()),

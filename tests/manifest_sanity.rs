@@ -66,9 +66,10 @@ fn entry_point_signatures_are_stable() {
         &DatabaseState,
         &ChaseConfig,
     ) -> Result<bool, ChaseError> = verify_witness;
-    let _open: fn(&DatabaseSchema, &FdSet) -> Result<Store, StoreError> = Store::open;
-    let _open_with: fn(&DatabaseSchema, &FdSet, StoreConfig) -> Result<Store, StoreError> =
-        Store::open_with;
+    // One way in per mode: a typed-level caller builds the handle, and
+    // the store opens from it.
+    let _canonical: fn(&DatabaseSchema, &FdSet) -> Schema = Schema::canonical;
+    let _open: fn(Schema, StoreConfig) -> Result<Store, StoreError> = Store::open;
     let _from_analysis: fn(
         &DatabaseSchema,
         &IndependenceAnalysis,
@@ -80,7 +81,7 @@ fn entry_point_signatures_are_stable() {
     let _build: fn(SchemaBuilder) -> Result<Schema, ApiError> = SchemaBuilder::build;
     let _build_any: fn(SchemaBuilder) -> Result<Schema, ApiError> = SchemaBuilder::build_any;
     let _open: fn(Schema, EngineKind) -> Result<Database, ApiError> = Database::open;
-    let _follower: fn(Schema, std::sync::Arc<Store>) -> Database = Database::follower;
+    let _follower: fn(std::sync::Arc<Store>) -> Database = Database::follower;
     let _db_store: fn(&Database) -> &Store = Database::store;
     // Uniform fallibility: remove surfaces errors on every layer, and
     // the store's per-relation read is part of the contract.
@@ -122,20 +123,19 @@ fn entry_point_signatures_are_stable() {
         DatabaseSchema::get_scheme;
     let _get_relation: fn(&DatabaseState, SchemeId) -> Option<&Relation> =
         DatabaseState::get_relation;
-    // The durability surface: store-level WAL opens + checkpoint, and
-    // the api-level durable constructors.  The path-taking entry points
-    // use `impl AsRef<Path>` (no fn-pointer coercion), so typed
-    // closures pin their shapes instead.
-    let _open_durable = |p: &std::path::Path,
-                         s: &DatabaseSchema,
-                         f: &FdSet|
-     -> Result<Store, StoreError> { Store::open_durable(p, s, f) };
-    let _open_durable_with =
-        |p: &std::path::Path,
-         s: &DatabaseSchema,
-         f: &FdSet,
-         c: DurableConfig|
-         -> Result<Store, StoreError> { Store::open_durable_with(p, s, f, c) };
+    // The durability surface: the store's one durable open, its replay
+    // into memory, checkpoint and alter, and the api-level durable
+    // constructors.  The path-taking entry points use `impl AsRef<Path>`
+    // (no fn-pointer coercion), so typed closures pin their shapes
+    // instead.
+    let _open_at = |p: &std::path::Path,
+                    s: Schema,
+                    c: DurableConfig|
+     -> Result<Store, StoreError> { Store::open_at(p, s, c) };
+    use independent_schemas::{api::Alter, wal::Cursor};
+    let _recover_from: fn(&WalDir, Schema) -> Result<(Store, Vec<Cursor>), StoreError> =
+        Store::recover_from;
+    let _alter: fn(&Store, &Alter) -> Result<u64, ApiError> = Store::alter;
     let _checkpoint: fn(&Store) -> Result<(), StoreError> = Store::checkpoint;
     let _db_open_at = |p: &std::path::Path,
                        s: Schema,
