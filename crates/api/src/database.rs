@@ -237,9 +237,9 @@ impl Database {
     /// Checkpoints a durable database: seals every relation's log
     /// segment, writes one snapshot, and truncates the covered log —
     /// see [`Store::checkpoint`].  A typed error
-    /// ([`ids_store::StoreError::NotDurable`]) on an in-memory database.
+    /// ([`Error::NotDurable`]) on an in-memory database.
     pub fn checkpoint(&self) -> Result<(), Error> {
-        self.store.checkpoint().map_err(Into::into)
+        self.store.checkpoint()
     }
 
     /// True when this database persists through a write-ahead log.
@@ -260,24 +260,24 @@ impl Database {
     ///    are [`Error::Evolve`].
     /// 2. For [`Alter::AddFd`], existing tuples are backfill-validated
     ///    through the same probe path recovery uses; a violation is
-    ///    [`ids_store::StoreError::BackfillViolation`] (under
-    ///    [`Error::Store`]) carrying a witness pair of tuples.
+    ///    [`Error::BackfillViolation`] carrying a witness pair of tuples.
     /// 3. Only then is a generation manifest appended to the log — the
     ///    durability point — and the live topology switched.
     ///
     /// On any error *before* the durability point the current schema
-    /// keeps serving, untouched.  A failure after it (an I/O error while
-    /// the relations' logs switch onto the new generation) cannot be
-    /// undone — recovery will load the new schema — so it poisons the
-    /// store instead of forking it: the alter and every later operation
-    /// report [`ids_store::StoreError::ShardPoisoned`] with the reason,
-    /// and [`Database::recover`] lands on the new schema with every
-    /// acknowledged write.  Concurrent traffic on unaffected relations
+    /// keeps serving, untouched.  A failure at or after it (a manifest
+    /// write that fails, possibly once the manifest is in place, or an
+    /// I/O error while the relations' logs switch onto the new
+    /// generation) cannot be undone — recovery may load the new schema
+    /// — so it poisons the store instead of forking it: the alter and
+    /// every later operation report [`Error::ShardPoisoned`] with the
+    /// reason, and [`Database::recover`] lands on the new schema with
+    /// every acknowledged write.  Concurrent traffic on unaffected relations
     /// keeps flowing throughout; concurrent `alter` calls serialize in
     /// the store, each deriving its target from the schema the one
     /// before it left ([`Store::alter`]), and every refusal counts in
     /// `evolve.rejected`.  Requires a log to append the generation to:
-    /// [`ids_store::StoreError::NotDurable`] on an in-memory database.
+    /// [`Error::NotDurable`] on an in-memory database.
     pub fn alter(&self, op: &Alter) -> Result<u64, Error> {
         self.store.alter(op)
     }
@@ -446,7 +446,7 @@ impl Database {
         let (id, tuple) = self.resolve_row(era.schema(), relation, values, true)?;
         // `resolve_row` yields `None` only for a value it may not intern.
         let tuple = tuple.expect("interning resolves every value");
-        era.insert(id, tuple).map_err(Into::into)
+        era.insert(id, tuple)
     }
 
     /// Removes a row; `Ok(true)` when it was present.  A row mentioning
@@ -464,7 +464,7 @@ impl Database {
     ) -> Result<bool, Error> {
         let era = self.writable()?.era()?;
         match self.resolve_row(era.schema(), relation, values, false)? {
-            (id, Some(tuple)) => era.remove(id, tuple).map_err(Into::into),
+            (id, Some(tuple)) => era.remove(id, tuple),
             (_, None) => Ok(false),
         }
     }
@@ -606,7 +606,7 @@ impl Database {
     /// [`Database::alter`] must re-resolve it by name
     /// ([`Schema::scheme_id`] on a fresh [`Database::schema`]).
     pub fn query_raw(&self, id: SchemeId, plan: &ReadPlan) -> Result<ReadReply, Error> {
-        self.store.read(id, plan).map_err(Into::into)
+        self.store.read(id, plan)
     }
 
     /// The natural join of the named relations, computed from
@@ -772,7 +772,7 @@ impl Database {
     /// A consistent cut of the whole database — the barrier read.  On an
     /// independent schema the result is globally satisfying.
     pub fn snapshot(&self) -> Result<DatabaseState, Error> {
-        self.store.snapshot().map_err(Into::into)
+        self.store.snapshot()
     }
 
     /// Typed-level insert for callers that already hold canonical
@@ -782,7 +782,7 @@ impl Database {
     /// [`Database::query_raw`]: re-resolve it by name after an
     /// [`Database::alter`].
     pub fn insert_raw(&self, id: SchemeId, tuple: Vec<Value>) -> Result<InsertOutcome, Error> {
-        self.writable()?.insert(id, tuple).map_err(Into::into)
+        self.writable()?.insert(id, tuple)
     }
 
     /// Typed-level batch application; outcomes align with the input and
@@ -791,7 +791,7 @@ impl Database {
     /// mid-batch — batches are not transactions.  Scheme ids are
     /// positional, as for [`Database::insert_raw`].
     pub fn apply_batch(&self, ops: Vec<StoreOp>) -> Result<Vec<OpOutcome>, Error> {
-        self.writable()?.apply_batch(ops).map_err(Into::into)
+        self.writable()?.apply_batch(ops)
     }
 
     /// Wraps this database in the [`crate::SharedDatabase`] shim — a

@@ -3,9 +3,10 @@
 //! *error paths*: a log written under a different schema or FD set must
 //! be a typed mismatch, never a silent misreplay.
 
-use ids_api::{Database, Schema};
+use ids_api::{Alter, Database, EngineKind, Error, Schema};
 use ids_chase::{satisfies, ChaseConfig};
-use ids_store::{DurableConfig, StoreError, SyncPolicy};
+use ids_relational::Value;
+use ids_store::{DurableConfig, Store, StoreConfig, SyncPolicy};
 use ids_wal::WalError;
 
 fn tmp_dir(name: &str) -> std::path::PathBuf {
@@ -220,10 +221,7 @@ fn refused_rows_append_nothing_to_the_relation_log() {
 fn durability_misuse_is_typed() {
     let db = Database::open(example2(), ids_api::EngineKind::Local).unwrap();
     assert!(!db.is_durable());
-    assert!(matches!(
-        db.checkpoint(),
-        Err(ids_api::Error::Store(StoreError::NotDurable))
-    ));
+    assert!(matches!(db.checkpoint(), Err(ids_api::Error::NotDurable)));
     db.insert("CT", ["a", "b"]).unwrap();
 
     let root = tmp_dir("store-handle");
@@ -239,4 +237,91 @@ fn durability_misuse_is_typed() {
     assert!(db.is_durable() && db.store().is_durable());
     drop(db);
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A store refusal is one [`Error`] variant with one rendering, whether
+/// the store surfaced it or the `Database` over it did: `NotDurable`
+/// from `checkpoint` and `alter` in memory, `ShardPoisoned` after a log
+/// failure, `BackfillViolation` from an `AddFd` the rows violate.  The
+/// durable cases run the two layers in turn at one path, because a
+/// poison reason names the failing segment.
+#[test]
+fn a_store_refusal_reads_the_same_through_the_store_and_the_database() {
+    fn same(from_store: Error, from_db: Error) -> Error {
+        assert_eq!(
+            std::mem::discriminant(&from_store),
+            std::mem::discriminant(&from_db),
+            "{from_store} vs {from_db}"
+        );
+        assert_eq!(from_store.to_string(), from_db.to_string());
+        from_store
+    }
+    // One relation, no dependency yet: two teachers for one course
+    // violate the FD the alter adds.
+    let ct = || {
+        Schema::builder()
+            .relation("CT", ["course", "teacher"])
+            .build()
+            .unwrap()
+    };
+    let add_fd = Alter::AddFd {
+        spec: "course -> teacher".into(),
+    };
+    let rows = [["CS402", "Jones"], ["CS402", "Smith"]];
+
+    let store = Store::open(ct(), StoreConfig::default()).unwrap();
+    let db = Database::open(ct(), EngineKind::Local).unwrap();
+    let err = same(
+        store.checkpoint().unwrap_err(),
+        db.checkpoint().unwrap_err(),
+    );
+    assert!(matches!(err, Error::NotDurable), "got {err}");
+    let err = same(
+        store.alter(&add_fd).unwrap_err(),
+        db.alter(&add_fd).unwrap_err(),
+    );
+    assert!(matches!(err, Error::NotDurable), "got {err}");
+
+    let root = tmp_dir("one-refusal");
+    let failing = || DurableConfig {
+        fail_appends_after: Some(0),
+        ..DurableConfig::default()
+    };
+    let from_store = {
+        let store = Store::open_at(&root, ct(), failing()).unwrap();
+        let id = store.schema().scheme_id("CT").unwrap();
+        store
+            .insert(id, vec![Value::int(0), Value::int(1)])
+            .unwrap_err()
+    };
+    std::fs::remove_dir_all(&root).unwrap();
+    let from_db = {
+        let db = Database::open_at(&root, ct(), failing()).unwrap();
+        db.insert("CT", rows[0]).unwrap_err()
+    };
+    std::fs::remove_dir_all(&root).unwrap();
+    let err = same(from_store, from_db);
+    assert!(matches!(err, Error::ShardPoisoned { .. }), "got {err}");
+
+    let from_store = {
+        let store = Store::open_at(&root, ct(), DurableConfig::default()).unwrap();
+        let id = store.schema().scheme_id("CT").unwrap();
+        for n in [1, 2] {
+            store
+                .insert(id, vec![Value::int(0), Value::int(n)])
+                .unwrap();
+        }
+        store.alter(&add_fd).unwrap_err()
+    };
+    std::fs::remove_dir_all(&root).unwrap();
+    let from_db = {
+        let db = Database::open_at(&root, ct(), DurableConfig::default()).unwrap();
+        for row in rows {
+            db.insert("CT", row).unwrap();
+        }
+        db.alter(&add_fd).unwrap_err()
+    };
+    let _ = std::fs::remove_dir_all(&root);
+    let err = same(from_store, from_db);
+    assert!(matches!(err, Error::BackfillViolation { .. }), "got {err}");
 }

@@ -12,7 +12,7 @@
 
 use ids_api::{Alter, Database, EngineKind, Error, Schema};
 use ids_relational::{DatabaseState, Value};
-use ids_store::{DurableConfig, StoreConfig, StoreError, SyncPolicy};
+use ids_store::{DurableConfig, StoreConfig, SyncPolicy};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::time::{Duration, Instant};
@@ -172,7 +172,7 @@ fn violating_backfill_is_refused_with_witness_tuples() {
     };
     let err = db.alter(&op).unwrap_err();
     match &err {
-        Error::Store(StoreError::BackfillViolation { witness, .. }) => {
+        Error::BackfillViolation { witness, .. } => {
             assert_eq!(witness.len(), 2, "the violating pair is the witness");
         }
         other => panic!("expected BackfillViolation, got {other}"),
@@ -208,7 +208,7 @@ fn dropping_and_re_adding_a_key_fd_rekeys_the_relation() {
 
     let err = db.alter(&Alter::AddFd { spec: fd() }).unwrap_err();
     match &err {
-        Error::Store(StoreError::BackfillViolation { witness, .. }) => {
+        Error::BackfillViolation { witness, .. } => {
             assert_eq!(witness.len(), 2, "the violating pair is the witness");
         }
         other => panic!("expected BackfillViolation, got {other}"),
@@ -253,10 +253,7 @@ fn a_refused_backfill_leaves_the_relation_keyed_and_enforced() {
             spec: "a -> b".into(),
         })
         .unwrap_err();
-    assert!(
-        matches!(err, Error::Store(StoreError::BackfillViolation { .. })),
-        "got {err}"
-    );
+    assert!(matches!(err, Error::BackfillViolation { .. }), "got {err}");
     assert_eq!(key(&db), [0, 1, 2]);
     assert!(db.insert("R", ["y", "1", "9"]).unwrap().is_rejected());
     assert!(db.insert("R", ["x", "1", "1"]).unwrap().is_duplicate());
@@ -312,10 +309,7 @@ fn a_refused_key_backfill_costs_no_more_than_an_accepted_one() {
     accepted.unwrap();
     let (refused, refuse_time) = time_add_fd("backfill-refused", |_| 0);
     assert!(
-        matches!(
-            refused,
-            Err(Error::Store(StoreError::BackfillViolation { .. }))
-        ),
+        matches!(refused, Err(Error::BackfillViolation { .. })),
         "got {refused:?}"
     );
     assert!(
@@ -436,10 +430,7 @@ fn alter_on_an_in_memory_database_is_typed() {
     ] {
         let db = Database::open(example2(), kind).unwrap();
         let err = db.alter(&add_sr()).unwrap_err();
-        assert!(
-            matches!(err, Error::Store(StoreError::NotDurable)),
-            "got {err}"
-        );
+        assert!(matches!(err, Error::NotDurable), "got {err}");
         assert!(db.schema().scheme_id("SR").is_err());
         db.insert("CT", ["a", "b"]).unwrap();
     }
@@ -516,7 +507,7 @@ fn a_switch_failing_after_the_durability_point_poisons_instead_of_forking() {
     std::fs::create_dir(&squatter).unwrap();
 
     let is_poisoned = |e: Error| match e {
-        Error::Store(StoreError::ShardPoisoned { reason }) => {
+        Error::ShardPoisoned { reason } => {
             assert!(reason.contains("r00003-g"), "not the I/O reason: {reason}");
         }
         other => panic!("expected ShardPoisoned, got {other}"),
@@ -542,6 +533,56 @@ fn a_switch_failing_after_the_durability_point_poisons_instead_of_forking() {
     assert_eq!(db.count("CS").unwrap(), 0);
     db.insert("SR", ["Ann", "R128"]).unwrap();
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The manifest write is the durability point, and it can fail with the
+/// manifest already in place: its last step, the directory fsync, runs
+/// after the rename.  Here the target generation's manifest is on disk
+/// before the alter writes it — the state such a failure leaves — so the
+/// write is refused while recovery would load the manifest.  The alter
+/// must poison the store rather than keep serving the old schema, and
+/// recovery lands on the new schema with every acknowledged row.
+#[test]
+fn a_manifest_write_failing_with_the_manifest_in_place_poisons_instead_of_forking() {
+    let root = tmp_dir("manifest-in-place");
+    let db = Database::open_at(&root, example2(), DurableConfig::default()).unwrap();
+    db.insert("CT", ["CS402", "Jones"]).unwrap();
+    let next_gen = db.store().generation().unwrap() + 1;
+    // The same alter's manifest, written by a twin database.
+    let twin_root = tmp_dir("manifest-in-place-twin");
+    let twin = Database::open_at(&twin_root, example2(), DurableConfig::default()).unwrap();
+    let twin_gen = twin.alter(&add_sr()).unwrap();
+    drop(twin);
+    std::fs::copy(
+        twin_root.join(ids_wal::generation_manifest_name(twin_gen)),
+        root.join(ids_wal::generation_manifest_name(next_gen)),
+    )
+    .unwrap();
+
+    let is_poisoned = |e: Error| match e {
+        Error::ShardPoisoned { reason } => {
+            assert!(
+                reason.contains("would not extend"),
+                "not the manifest reason: {reason}"
+            );
+        }
+        other => panic!("expected ShardPoisoned, got {other}"),
+    };
+    is_poisoned(db.alter(&add_sr()).unwrap_err());
+    is_poisoned(db.insert("CT", ["CS101", "Reed"]).unwrap_err());
+    is_poisoned(db.count("CHR").unwrap_err());
+    is_poisoned(db.alter(&add_sr()).unwrap_err());
+    drop(db);
+
+    let db = Database::recover(&root).unwrap();
+    assert_eq!(db.schema().columns("SR").unwrap(), ["student", "room"]);
+    assert_eq!(
+        db.rows("CT").unwrap(),
+        vec![vec!["CS402".to_string(), "Jones".to_string()]]
+    );
+    db.insert("SR", ["Ann", "R128"]).unwrap();
+    let _ = std::fs::remove_dir_all(&root);
+    let _ = std::fs::remove_dir_all(&twin_root);
 }
 
 /// Transitions on other relations never cost a relation its writes: a
@@ -706,8 +747,12 @@ fn apply(db: &mut Database, op: &Op) -> String {
 fn err_kind(e: &Error) -> &'static str {
     match e {
         Error::NotIndependent { .. } => "not-independent",
-        Error::Store(StoreError::BackfillViolation { .. }) => "backfill",
-        Error::Store(_) => "store",
+        Error::BackfillViolation { .. } => "backfill",
+        Error::InvalidBaseState { .. }
+        | Error::Disconnected
+        | Error::ShardPoisoned { .. }
+        | Error::NotDurable
+        | Error::Replay { .. } => "store",
         Error::Evolve(_) => "evolve",
         Error::UnknownRelation(_) => "unknown-relation",
         Error::Relational(_) => "relational",

@@ -147,20 +147,14 @@ impl From<ids_wal::WalError> for ReplicaError {
     }
 }
 
-impl From<ids_store::StoreError> for ReplicaError {
-    fn from(e: ids_store::StoreError) -> Self {
+impl From<ids_api::Error> for ReplicaError {
+    fn from(e: ids_api::Error) -> Self {
         match e {
             // The follower's store recovery met bad files: keep the
             // durability layer's own typed error.
-            ids_store::StoreError::Wal(e) => ReplicaError::Wal(e),
-            other => ReplicaError::Api(other.into()),
+            ids_api::Error::Wal(e) => ReplicaError::Wal(e),
+            other => ReplicaError::Api(other),
         }
-    }
-}
-
-impl From<ids_api::Error> for ReplicaError {
-    fn from(e: ids_api::Error) -> Self {
-        ReplicaError::Api(e)
     }
 }
 

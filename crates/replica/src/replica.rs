@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use ids_api::{Database, Schema};
 use ids_client::{Client, FrameBatch, StreamEvent, Subscription};
 use ids_obs::{Counter, Event, Gauge, MetricsSnapshot, Registry};
-use ids_store::{Store, StoreError};
+use ids_store::{Error, Store};
 use ids_wal::{
     Cursor, FollowPoll, Follower, Manifest, Shipment, TailedRecord, WalDir, WalError, WalRecord,
 };
@@ -483,9 +483,9 @@ impl Replica {
 
 /// A shipment the store's replay refused: the primary's log and the
 /// follower's state contradict each other.
-fn diverged(e: StoreError) -> ReplicaError {
+fn diverged(e: Error) -> ReplicaError {
     match e {
-        StoreError::Replay {
+        Error::Replay {
             scheme,
             seq,
             detail,
@@ -494,7 +494,7 @@ fn diverged(e: StoreError) -> ReplicaError {
             seq,
             detail,
         },
-        StoreError::BackfillViolation {
+        Error::BackfillViolation {
             scheme, violated, ..
         } => ReplicaError::Diverged {
             relation: scheme.index() as u16,

@@ -60,7 +60,6 @@ use ids_api::{eq, Alter, Cond, Database, Error, SharedDatabase};
 use ids_core::InsertOutcome;
 use ids_obs::{Counter, Event, Gauge, MetricsSnapshot, Registry};
 use ids_relational::RelationalError;
-use ids_store::StoreError;
 use ids_wal::{Cursor, FollowPoll, Follower, Shipment, WalDir, WalError};
 
 use crate::wire::{
@@ -75,23 +74,6 @@ const FLUSH_BYTES: usize = 64 * 1024;
 /// How long an idle replication stream waits for a ping before it
 /// polls the logs again.
 const IDLE_WAIT: Duration = Duration::from_millis(10);
-
-/// Metric names of the request kinds, **indexed by wire tag** (the
-/// `Request` table in `wire.rs`): a new request appends its name here.
-const REQUEST_KINDS: [&str; 12] = [
-    "hello",
-    "ping",
-    "insert",
-    "remove",
-    "query",
-    "count",
-    "snapshot",
-    "checkpoint",
-    "stats",
-    "subscribe",
-    "join",
-    "alter",
-];
 
 /// The connection layer's metric families, interned under `server.*`
 /// names in their own [`Registry`] — merged with the database's
@@ -110,9 +92,10 @@ struct ServerObs {
     bytes_in: Arc<Counter>,
     /// Bytes written to peers, across all connections.
     bytes_out: Arc<Counter>,
-    /// `server.requests.{kind}`, one handle per [`REQUEST_KINDS`] entry
-    /// — interned here so executing a request takes no registry lock.
-    requests: [Arc<Counter>; 12],
+    /// `server.requests.{kind}`, one handle per [`Request`] variant, in
+    /// its table's order — interned here so executing a request takes
+    /// no registry lock.
+    requests: [Arc<Counter>; Request::KINDS.len()],
 }
 
 impl ServerObs {
@@ -125,19 +108,23 @@ impl ServerObs {
             malformed: registry.counter("server.malformed"),
             bytes_in: registry.counter("server.bytes_in"),
             bytes_out: registry.counter("server.bytes_out"),
-            requests: REQUEST_KINDS
-                .map(|kind| registry.counter(&format!("server.requests.{kind}"))),
+            requests: std::array::from_fn(|line| {
+                let kind = Request::KINDS[line].1.to_lowercase();
+                registry.counter(&format!("server.requests.{kind}"))
+            }),
             registry,
         }
     }
 
-    /// The per-kind **executed**-request counter, indexed by the
+    /// The per-kind **executed**-request counter, found by the
     /// request's wire tag.  Executed means the session ran it: shed,
     /// refused and malformed requests are counted by their own families
     /// (or not at all), which is what makes `served + shed == sent`
     /// conservation checkable from counters alone.
     fn executed(&self, req: &Request) -> &Counter {
-        &self.requests[usize::from(req.tag())]
+        let tag = req.tag();
+        let line = Request::KINDS.iter().position(|&(t, _)| t == tag);
+        &self.requests[line.expect("every request kind has a line in its table")]
     }
 }
 
@@ -727,7 +714,7 @@ fn execute(db: &Database, obs: &ServerObs, req: Request) -> Reply {
             Ok(counts)
         }) {
             Ok(counts) => Reply::Snapshot { counts },
-            Err(e) => Reply::Error(wire_error(e.into())),
+            Err(e) => Reply::Error(wire_error(e)),
         },
         Request::Checkpoint => match db.checkpoint() {
             Ok(()) => Reply::Checkpointed,
@@ -774,11 +761,11 @@ fn alter_wire_error(db: &Database, e: Error) -> WireError {
             reason: format!("target schema is not independent: {reason:?}"),
             witness: Some(format!("{:?}", witness.kind)),
         },
-        Error::Store(StoreError::BackfillViolation {
+        Error::BackfillViolation {
             scheme,
             violated,
             witness,
-        }) => {
+        } => {
             let schema = db.schema();
             let universe = schema.definition().universe();
             let relation = schema
@@ -814,9 +801,9 @@ fn wire_error(e: Error) -> WireError {
                 found: found as u32,
             }
         }
-        Error::Store(StoreError::ShardPoisoned { reason }) => WireError::ShardPoisoned { reason },
-        Error::Store(StoreError::Disconnected) => WireError::Disconnected,
-        Error::Store(StoreError::NotDurable) => WireError::NotDurable,
+        Error::ShardPoisoned { reason } => WireError::ShardPoisoned { reason },
+        Error::Disconnected => WireError::Disconnected,
+        Error::NotDurable => WireError::NotDurable,
         Error::EmptyJoin => WireError::EmptyJoin,
         Error::Wal(e) => WireError::Durability(e.to_string()),
         other => WireError::Internal(other.to_string()),

@@ -56,8 +56,9 @@
 //! 2. one line in that enum's table, under the next free tag (the
 //!    append-never-renumber rule is stated there) — forgetting it is a
 //!    compile error;
-//! 3. for a request: an `execute` arm in `server.rs`, and its metric
-//!    name appended to `REQUEST_KINDS` (indexed by tag);
+//! 3. for a request: an `execute` arm in `server.rs` (its
+//!    `server.requests.{kind}` counter is named from the table line:
+//!    the variant name, lowercased);
 //! 4. a typed method on `ids-client`'s `Client`;
 //! 5. one entry **appended** to the canonical lists in
 //!    `tests/golden_wire.rs`, then `regenerate_fixtures` — the old
@@ -324,13 +325,13 @@ pub enum WireError {
     },
     /// A relation's write hit a durability failure; the first failure's
     /// reason is preserved and reported verbatim (see
-    /// `ids_store::StoreError::ShardPoisoned`).
+    /// `ids_store::Error::ShardPoisoned`).
     ShardPoisoned {
         /// Rendered reason of the first durability failure.
         reason: String,
     },
     /// A store lock was poisoned by a panicking thread; no reason was
-    /// recorded (see `ids_store::StoreError::Disconnected`).
+    /// recorded (see `ids_store::Error::Disconnected`).
     Disconnected,
     /// A rendered durability-layer error (I/O, corruption, schema
     /// mismatch).
@@ -445,9 +446,12 @@ trait Wire: Sized {
     fn get(d: &mut Decoder<'_>) -> Result<Self, Bad>;
 }
 
-/// An enum's tag byte — its line in its table.  What `put` writes
-/// first, and what the server's per-kind request counters index by.
+/// An enum's tag byte — the number on its line in its table.  What
+/// `put` writes first, and what the server's per-kind request counters
+/// are found by.
 pub(crate) trait Tagged {
+    /// Each variant's tag and name, in table order.
+    const KINDS: &'static [(u8, &'static str)];
     fn tag(&self) -> u8;
 }
 
@@ -612,6 +616,7 @@ macro_rules! wire_enum {
         $($tag:literal => $variant:ident $({ $($field:ident),* })? $(( $inner:ident ))?,)*
     }) => {
         impl Tagged for $ty {
+            const KINDS: &'static [(u8, &'static str)] = &[$(($tag, stringify!($variant))),*];
             fn tag(&self) -> u8 {
                 match self {
                     $(Self::$variant { .. } => $tag,)*

@@ -1,15 +1,17 @@
-//! The one error type of the typed front-end.
+//! The one error type of the store and of the typed front-end.
 
-use crate::StoreError;
 use ids_chase::ChaseError;
 use ids_core::{MaintenanceError, NotIndependentReason, Witness};
+use ids_deps::Fd;
 use ids_evolve::EvolveError;
-use ids_relational::{RelationalError, SchemeId};
+use ids_relational::{RelationalError, SchemeId, Tuple};
 use ids_wal::WalError;
 
-/// Everything that can go wrong behind the `ids_api::Database` facade.
+/// Everything that can go wrong in a [`crate::Store`] or behind the
+/// `ids_api::Database` facade — one type for both layers, so a refusal
+/// reads the same whichever of them surfaced it.
 ///
-/// The four underlying crate error types convert in via `From`, so `?`
+/// The underlying crate error types convert in via `From`, so `?`
 /// works across every layer; the one cross-cutting failure — *the schema
 /// is not independent* — is normalized into its own variant no matter
 /// which layer surfaced it, always carrying the decision procedure's
@@ -24,10 +26,6 @@ pub enum Error {
     Relational(RelationalError),
     /// The chase baseline exceeded its budget.
     Chase(ChaseError),
-    /// A sequential maintenance engine error (other than independence).
-    Maintenance(MaintenanceError),
-    /// A concurrent store error (other than independence).
-    Store(StoreError),
     /// A durability-layer error: I/O, on-disk corruption, or a log
     /// written under a different schema/FD set
     /// ([`WalError::SchemaMismatch`]) — normalized into this one
@@ -40,6 +38,59 @@ pub enum Error {
         reason: NotIndependentReason,
         /// A locally-satisfying, globally-unsatisfying state.
         witness: Box<Witness>,
+    },
+    /// The initial state handed to [`crate::Store::open`] (or to a
+    /// sequential engine) violates a relation's enforcement cover.
+    InvalidBaseState {
+        /// The offending relation.
+        scheme: SchemeId,
+        /// The violated FD of its cover `Fi`.
+        violated: Fd,
+    },
+    /// A lock guarding the store's state is poisoned: a thread panicked
+    /// while holding it, so what it guards can no longer be trusted.
+    Disconnected,
+    /// A relation's log hit a durability failure (WAL append, sync or
+    /// rotate): the failing call was not acknowledged and the relation
+    /// serves nothing any more.  The first failure's reason is preserved
+    /// in a poison cell and reported — verbatim — by every later
+    /// operation on that relation and every store-wide one.  A schema
+    /// transition that fails at or after its durability point (the
+    /// manifest write or the switch) poisons every relation this way.
+    ShardPoisoned {
+        /// Rendered reason of the first durability failure.
+        reason: String,
+    },
+    /// [`crate::Store::checkpoint`] or [`crate::Store::alter`] was
+    /// called on a store opened without a write-ahead log.
+    NotDurable,
+    /// A record [`crate::Store::follow`] applied does not re-apply
+    /// through its relation's slot: an insert not accepted, a remove of
+    /// an absent tuple, or a name the value pool already gives another
+    /// value.  The log and the state it is applied to contradict each
+    /// other.
+    Replay {
+        /// The relation, in the schema the store serves.
+        scheme: SchemeId,
+        /// The record's sequence number.
+        seq: u64,
+        /// What did not fit.
+        detail: String,
+    },
+    /// A [`crate::Store::alter`] backfill found existing tuples that
+    /// violate a functional dependency the transition would start
+    /// enforcing.  The current schema keeps serving; nothing durable
+    /// changed.  (From [`crate::Store::follow`]: the manifest it applied
+    /// gives a relation a cover the relation's rows violate.)
+    BackfillViolation {
+        /// The relation (under the **current** schema) whose data
+        /// violates the new cover.
+        scheme: SchemeId,
+        /// The violated FD of the would-be enforcement cover.
+        violated: Fd,
+        /// A violating pair of tuples (same LHS projection, different
+        /// RHS), shipped back as the machine-checkable witness.
+        witness: Vec<Tuple>,
     },
     /// A relation name that is not part of the schema.
     UnknownRelation(String),
@@ -79,8 +130,7 @@ pub enum Error {
     /// covered by no relation.  (A *dependent* target schema surfaces as
     /// [`Error::NotIndependent`] like every other independence refusal,
     /// and existing data violating a new FD surfaces as
-    /// [`crate::StoreError::BackfillViolation`] under
-    /// [`Error::Store`] with the witness tuples attached.)
+    /// [`Error::BackfillViolation`] with the witness tuples attached.)
     Evolve(EvolveError),
     /// A functional-dependency spec handed to
     /// [`crate::SchemaBuilder::fd`] did not parse against the declared
@@ -113,12 +163,30 @@ impl std::fmt::Display for Error {
         match self {
             Error::Relational(e) => write!(f, "{e}"),
             Error::Chase(e) => write!(f, "{e}"),
-            Error::Maintenance(e) => write!(f, "{e}"),
-            Error::Store(e) => write!(f, "{e}"),
             Error::Wal(e) => write!(f, "{e}"),
             Error::NotIndependent { reason, .. } => write!(
                 f,
                 "schema is not independent (refused, with counterexample): {reason:?}"
+            ),
+            Error::InvalidBaseState { scheme, violated } => write!(
+                f,
+                "initial state violates the enforcement cover of {scheme:?} (FD {violated:?})"
+            ),
+            Error::Disconnected => write!(f, "a store lock was poisoned by a panicking thread"),
+            Error::ShardPoisoned { reason } => {
+                write!(f, "shard poisoned by a durability failure: {reason}")
+            }
+            Error::NotDurable => write!(f, "store was opened without a write-ahead log"),
+            Error::Replay {
+                scheme,
+                seq,
+                detail,
+            } => write!(f, "record {seq} of {scheme:?} does not re-apply: {detail}"),
+            Error::BackfillViolation {
+                scheme, violated, ..
+            } => write!(
+                f,
+                "existing tuples of {scheme:?} violate {violated:?}; transition refused"
             ),
             Error::UnknownRelation(name) => write!(f, "unknown relation `{name}`"),
             Error::UnknownScheme(id) => write!(f, "operation references unknown scheme {id:?}"),
@@ -149,8 +217,6 @@ impl std::error::Error for Error {
         match self {
             Error::Relational(e) => Some(e),
             Error::Chase(e) => Some(e),
-            Error::Maintenance(e) => Some(e),
-            Error::Store(e) => Some(e),
             Error::Wal(e) => Some(e),
             Error::Evolve(e) => Some(e),
             _ => None,
@@ -181,23 +247,9 @@ impl From<MaintenanceError> for Error {
             MaintenanceError::Relational(e) => Error::Relational(e),
             MaintenanceError::UnknownScheme(id) => Error::UnknownScheme(id),
             MaintenanceError::Chase(e) => Error::Chase(e),
-            other => Error::Maintenance(other),
-        }
-    }
-}
-
-impl From<StoreError> for Error {
-    fn from(e: StoreError) -> Self {
-        match e {
-            StoreError::NotIndependent { reason, witness } => {
-                Error::NotIndependent { reason, witness }
+            MaintenanceError::BaseStateViolation { scheme, violated } => {
+                Error::InvalidBaseState { scheme, violated }
             }
-            StoreError::Relational(e) => Error::Relational(e),
-            StoreError::UnknownScheme(id) => Error::UnknownScheme(id),
-            // Durability failures normalize to the one canonical
-            // variant no matter which layer surfaced them.
-            StoreError::Wal(e) => Error::Wal(e),
-            other => Error::Store(other),
         }
     }
 }
@@ -217,10 +269,7 @@ impl From<EvolveError> for Error {
 
 impl From<WalError> for Error {
     fn from(e: WalError) -> Self {
-        match e {
-            WalError::Relational(e) => Error::Relational(e),
-            other => Error::Wal(other),
-        }
+        Error::Wal(e)
     }
 }
 
@@ -247,12 +296,19 @@ mod tests {
         .unwrap_err()
         .into();
         let handle = crate::Schema::canonical(&schema, &fds);
-        let from_store: Error = crate::Store::open(handle, crate::StoreConfig::default())
-            .unwrap_err()
-            .into();
+        let from_store = crate::Store::open(handle, crate::StoreConfig::default()).unwrap_err();
         for err in [from_local, from_store] {
             assert!(matches!(err, Error::NotIndependent { .. }), "got {err}");
             assert!(err.witness().is_some());
         }
+    }
+
+    /// The store's variants live in the one enum without making it
+    /// larger than the largest variant it already had: a `Result`
+    /// carrying it costs what it did.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn the_one_error_is_no_larger() {
+        assert!(std::mem::size_of::<Error>() <= 120);
     }
 }

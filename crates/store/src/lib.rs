@@ -75,8 +75,10 @@
 //! The validated [`Schema`] handle — definition, dependencies, the one
 //! independence analysis, the declared column layouts and indexes —
 //! lives in this crate, with its [`SchemaBuilder`], the [`Alter`]
-//! transitions and the front end's [`Error`] (`ids-api` re-exports all
-//! four).  A store's topology holds exactly one handle, the schema it
+//! transitions and [`Error`] — the one error type of the store and of
+//! the front end, so a refusal has one variant and one rendering
+//! whichever layer surfaced it (`ids-api` re-exports all four).  A
+//! store's topology holds exactly one handle, the schema it
 //! serves: its covers are what the slots enforce, its layouts what the
 //! manifest records, and [`Store::alter`] swaps it for the next one,
 //! which it derives from it.  There is no second copy to fall out of
@@ -133,7 +135,7 @@
 //! so names share their records' file, fsync and policy, and no file is
 //! shared between relations.  A log
 //! failure poisons *that relation only*: the failing call and every later
-//! operation on it report [`StoreError::ShardPoisoned`] with the first
+//! operation on it report [`Error::ShardPoisoned`] with the first
 //! failure's reason, as does every store-wide operation, while the other
 //! relations keep serving.  [`Store::checkpoint`] rotates every log onto
 //! a fresh generation, writes one snapshot — carrying every name of the
@@ -162,10 +164,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 use std::time::Instant;
 
-use ids_core::{
-    IndependenceAnalysis, InsertOutcome, MaintenanceError, NotIndependentReason, RelationShard,
-    Witness,
-};
+use ids_core::{IndependenceAnalysis, InsertOutcome, MaintenanceError, RelationShard};
 use ids_deps::{Fd, FdSet};
 use ids_obs::{Counter, Event, LatencyHistogram, MetricsSnapshot, Registry};
 use ids_relational::{
@@ -217,127 +216,6 @@ pub enum OpOutcome {
     Remove(bool),
 }
 
-/// Errors of the concurrent store.
-#[derive(Debug)]
-pub enum StoreError {
-    /// The schema is not independent: sharded enforcement would be
-    /// unsound.  Carries the decision procedure's diagnosis and its
-    /// machine-checkable `LSAT ∖ WSAT` counterexample.
-    NotIndependent {
-        /// Which condition of the decision procedure failed.
-        reason: NotIndependentReason,
-        /// A locally-satisfying, globally-unsatisfying state.
-        witness: Box<Witness>,
-    },
-    /// The initial state handed to [`Store::open`] violates a
-    /// relation's enforcement cover.
-    InvalidBaseState {
-        /// The offending relation.
-        scheme: SchemeId,
-        /// The violated FD of its cover `Fi`.
-        violated: Fd,
-    },
-    /// An operation referenced a scheme outside the schema.
-    UnknownScheme(SchemeId),
-    /// An operation's tuple arity does not match its scheme.
-    Relational(RelationalError),
-    /// A lock guarding the store's state is poisoned: a thread panicked
-    /// while holding it, so what it guards can no longer be trusted.
-    Disconnected,
-    /// A relation's log hit a durability failure (WAL append, sync or
-    /// rotate): the failing call was not acknowledged and the relation
-    /// serves nothing any more.  The first failure's reason is preserved
-    /// in a poison cell and reported — verbatim — by every later
-    /// operation on that relation and every store-wide one.  A schema
-    /// switch that fails after its durability point poisons every
-    /// relation this way.
-    ShardPoisoned {
-        /// Rendered reason of the first durability failure.
-        reason: String,
-    },
-    /// A durability-layer failure (I/O, corruption, or a log written
-    /// under a different schema/FD set).
-    Wal(WalError),
-    /// [`Store::checkpoint`] or [`Store::alter`] was called on a store
-    /// opened without a write-ahead log.
-    NotDurable,
-    /// A record [`Store::follow`] applied does not re-apply through its
-    /// relation's slot: an insert not accepted, a remove of an absent
-    /// tuple, or a name the value pool already gives another value.  The
-    /// log and the state it is applied to contradict each other.
-    Replay {
-        /// The relation, in the schema the store serves.
-        scheme: SchemeId,
-        /// The record's sequence number.
-        seq: u64,
-        /// What did not fit.
-        detail: String,
-    },
-    /// A [`Store::alter`] backfill found existing tuples
-    /// that violate a functional dependency the transition would start
-    /// enforcing.  The current schema keeps serving; nothing durable
-    /// changed.  (From [`Store::follow`]: the manifest it applied gives a
-    /// relation a cover the relation's rows violate.)
-    BackfillViolation {
-        /// The relation (under the **current** schema) whose data
-        /// violates the new cover.
-        scheme: SchemeId,
-        /// The violated FD of the would-be enforcement cover.
-        violated: Fd,
-        /// A violating pair of tuples (same LHS projection, different
-        /// RHS), shipped back as the machine-checkable witness.
-        witness: Vec<Tuple>,
-    },
-}
-
-impl std::fmt::Display for StoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::NotIndependent { reason, .. } => write!(
-                f,
-                "schema is not independent (sharded enforcement unsound): {reason:?}"
-            ),
-            Self::InvalidBaseState { scheme, violated } => write!(
-                f,
-                "initial state violates the enforcement cover of {scheme:?} (FD {violated:?})"
-            ),
-            Self::UnknownScheme(id) => write!(f, "operation references unknown scheme {id:?}"),
-            Self::Relational(e) => write!(f, "{e}"),
-            Self::Disconnected => write!(f, "a store lock was poisoned by a panicking thread"),
-            Self::ShardPoisoned { reason } => {
-                write!(f, "shard poisoned by a durability failure: {reason}")
-            }
-            Self::Wal(e) => write!(f, "{e}"),
-            Self::NotDurable => write!(f, "store was opened without a write-ahead log"),
-            Self::Replay {
-                scheme,
-                seq,
-                detail,
-            } => write!(f, "record {seq} of {scheme:?} does not re-apply: {detail}"),
-            Self::BackfillViolation {
-                scheme, violated, ..
-            } => write!(
-                f,
-                "existing tuples of {scheme:?} violate {violated:?}; transition refused"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for StoreError {}
-
-impl From<RelationalError> for StoreError {
-    fn from(e: RelationalError) -> Self {
-        Self::Relational(e)
-    }
-}
-
-impl From<WalError> for StoreError {
-    fn from(e: WalError) -> Self {
-        Self::Wal(e)
-    }
-}
-
 /// Configuration of [`Store::open`].
 #[derive(Debug, Default)]
 pub struct StoreConfig {
@@ -375,25 +253,6 @@ pub struct DurableConfig {
     pub fail_appends_after: Option<u64>,
 }
 
-/// The one mapping from the enforcement kernel's errors to the store's.
-impl From<MaintenanceError> for StoreError {
-    fn from(e: MaintenanceError) -> Self {
-        match e {
-            MaintenanceError::Relational(e) => Self::Relational(e),
-            MaintenanceError::UnknownScheme(id) => Self::UnknownScheme(id),
-            MaintenanceError::BaseStateViolation { scheme, violated } => {
-                Self::InvalidBaseState { scheme, violated }
-            }
-            MaintenanceError::NotIndependent { reason, witness } => {
-                Self::NotIndependent { reason, witness }
-            }
-            // Only the whole-state `ChaseMaintainer` runs the chase; the
-            // store calls `validate_op` and `RelationShard`, which never do.
-            MaintenanceError::Chase(e) => unreachable!("a relation shard ran the chase: {e}"),
-        }
-    }
-}
-
 /// One relation of the store: its enforcement shard, its tuples, its
 /// metric family and — on a durable store — its write-ahead log writer.
 /// Lives behind its own mutex in [`Topology::slots`]; whoever holds the
@@ -406,8 +265,9 @@ struct Slot {
     wal: Option<WalWriter>,
     metrics: ShardMetrics,
     /// Set by a durability failure on this relation's log (or by a schema
-    /// switch that failed after its durability point): the slot serves
-    /// nothing any more, and [`Store::poison`] holds the reason.
+    /// transition that failed at or after its durability point): the
+    /// slot serves nothing any more, and [`Store::poison`] holds the
+    /// reason.
     dead: bool,
 }
 
@@ -482,11 +342,7 @@ impl Slot {
     /// Probes and commits one insert, logging it when accepted.  An op
     /// the slot cannot log must not be acknowledged: the `Wal` error
     /// ends the lock scope, which poisons the slot (see [`Store::write`]).
-    fn insert(
-        &mut self,
-        tuple: Vec<Value>,
-        tally: &mut Tally,
-    ) -> Result<InsertOutcome, StoreError> {
+    fn insert(&mut self, tuple: Vec<Value>, tally: &mut Tally) -> Result<InsertOutcome, Error> {
         // Clone for the log only when there is one: the in-memory fast
         // path stays allocation-free per op.
         let to_log = self.wal.is_some().then(|| tuple.clone());
@@ -505,7 +361,7 @@ impl Slot {
     }
 
     /// Removes one tuple, logging the remove when it was present.
-    fn remove(&mut self, tuple: Vec<Value>, tally: &mut Tally) -> Result<bool, StoreError> {
+    fn remove(&mut self, tuple: Vec<Value>, tally: &mut Tally) -> Result<bool, Error> {
         let present = self.shard.remove(&mut self.rel, &tuple)?;
         if present {
             tally.removed += 1;
@@ -525,7 +381,7 @@ impl Slot {
     /// is the exact old cover.  On violation nothing is installed, the
     /// relation stays filed under the serving shard's key, and the error
     /// carries the violated FD plus a violating pair of tuples.
-    fn install_cover(&mut self, cover: FdSet) -> Result<u64, StoreError> {
+    fn install_cover(&mut self, cover: FdSet) -> Result<u64, Error> {
         let schema = self.shard.schema().clone();
         match RelationShard::with_relation(&schema, self.id, cover, &mut self.rel) {
             Ok(mut shard) => {
@@ -540,7 +396,7 @@ impl Slot {
                 Ok(self.rel.len() as u64)
             }
             Err(MaintenanceError::BaseStateViolation { violated, .. }) => {
-                Err(StoreError::BackfillViolation {
+                Err(Error::BackfillViolation {
                     scheme: self.id,
                     violated,
                     witness: violating_pair(&schema, self.id, &self.rel, violated),
@@ -560,7 +416,7 @@ impl Slot {
         schema: &DatabaseSchema,
         id: SchemeId,
         new_gen: u64,
-    ) -> Result<(), StoreError> {
+    ) -> Result<(), Error> {
         self.shard.retarget(schema, id)?;
         if let Some(w) = &mut self.wal {
             w.rotate_as(id.index() as u16, new_gen)?;
@@ -572,7 +428,7 @@ impl Slot {
 
 /// Finds a pair of tuples witnessing a relation's violation of `fd`:
 /// equal on the FD's left-hand side, different on its right — the
-/// concrete evidence shipped inside [`StoreError::BackfillViolation`].
+/// concrete evidence shipped inside [`Error::BackfillViolation`].
 fn violating_pair(schema: &DatabaseSchema, id: SchemeId, rel: &Relation, fd: Fd) -> Vec<Tuple> {
     let attrs = schema.attrs(id);
     let lhs: Vec<usize> = fd.lhs.iter().map(|a| attrs.rank(a)).collect();
@@ -692,7 +548,7 @@ impl Store {
     /// relation, from `config.initial_state` (empty when `None`).
     ///
     /// The handle carries its independence analysis, so none runs here;
-    /// a dependent handle is refused with [`StoreError::NotIndependent`]
+    /// a dependent handle is refused with [`Error::NotIndependent`]
     /// (and its witness).  The handle becomes the store's live schema
     /// ([`Store::schema`]), its declared column layouts with it, and
     /// `config.ordered_indexes` join the indexes it declares.  A typed-
@@ -702,7 +558,7 @@ impl Store {
     /// its full shape — it may come from a different schema handle, and
     /// a mismatched relation must be a typed error — and every relation
     /// is indexed and validated against its cover.
-    pub fn open(schema: Schema, config: StoreConfig) -> Result<Self, StoreError> {
+    pub fn open(schema: Schema, config: StoreConfig) -> Result<Self, Error> {
         let schema = schema.with_ordered_indexes(&config.ordered_indexes)?;
         let mut store = Self::with_state(schema, config.initial_state)?;
         store.add_ordered_indexes()?;
@@ -717,7 +573,7 @@ impl Store {
         schema: &DatabaseSchema,
         analysis: &IndependenceAnalysis,
         config: StoreConfig,
-    ) -> Result<Self, StoreError> {
+    ) -> Result<Self, Error> {
         let fds = covers(schema, analysis)?.iter().flat_map(FdSet::iter);
         let schema = Schema::analyzed(schema.clone(), fds.copied().collect(), analysis.clone());
         Self::open(schema, config)
@@ -726,7 +582,7 @@ impl Store {
     /// An in-memory store serving `schema` from `state` (empty when
     /// `None`), each relation indexed and validated against its cover,
     /// with no ordered index yet and an empty value pool.
-    fn with_state(schema: Schema, state: Option<DatabaseState>) -> Result<Self, StoreError> {
+    fn with_state(schema: Schema, state: Option<DatabaseState>) -> Result<Self, Error> {
         let definition = &schema.definition;
         let covers = schema.covers()?;
         let relations: Vec<Relation> = match state {
@@ -761,10 +617,10 @@ impl Store {
     /// Builds the ordered secondary indexes the served schema declares,
     /// each absorbing its relation's current tuples; one already built
     /// is a no-op.
-    fn add_ordered_indexes(&mut self) -> Result<(), StoreError> {
+    fn add_ordered_indexes(&mut self) -> Result<(), Error> {
         let topo = (self.topology.get_mut()).unwrap_or_else(PoisonError::into_inner);
         for &(id, attr) in &topo.schema.ordered_indexes {
-            let slot = (topo.slots.get_mut(id.index())).ok_or(StoreError::UnknownScheme(id))?;
+            let slot = (topo.slots.get_mut(id.index())).ok_or(Error::UnknownScheme(id))?;
             let slot = slot.get_mut().unwrap_or_else(PoisonError::into_inner);
             slot.shard.add_ordered_index(attr, &slot.rel)?;
         }
@@ -788,7 +644,7 @@ impl Store {
         path: impl AsRef<Path>,
         schema: Schema,
         config: DurableConfig,
-    ) -> Result<Self, StoreError> {
+    ) -> Result<Self, Error> {
         let path = path.as_ref();
         let DurableConfig {
             store: config,
@@ -832,7 +688,7 @@ impl Store {
         fds: &FdSet,
         analysis: &IndependenceAnalysis,
         config: DurableConfig,
-    ) -> Result<Self, StoreError> {
+    ) -> Result<Self, Error> {
         let schema = Schema::analyzed(schema.clone(), fds.clone(), analysis.clone());
         Self::open_at(path, schema, config)
     }
@@ -852,7 +708,7 @@ impl Store {
     /// Returns the store and, per relation in scheme order, the cursor
     /// the replay reached ([`ids_wal::Follower::cursors`]) — where a
     /// follower resumes tailing.
-    pub fn recover_from(dir: &WalDir, schema: Schema) -> Result<(Self, Vec<Cursor>), StoreError> {
+    pub fn recover_from(dir: &WalDir, schema: Schema) -> Result<(Self, Vec<Cursor>), Error> {
         let (store, replayed) = Self::replay(dir, schema)?;
         Ok((store, replayed.cursors))
     }
@@ -861,7 +717,7 @@ impl Store {
     /// lives in no log — is pinned in an initial snapshot so recovery
     /// starts from it.  Shared by the fresh-create path and the repeat of
     /// a create that crashed before its snapshot landed.
-    fn preload(dir: &WalDir, schema: Schema, config: StoreConfig) -> Result<Self, StoreError> {
+    fn preload(dir: &WalDir, schema: Schema, config: StoreConfig) -> Result<Self, Error> {
         let store = Self::open(schema, config)?;
         let state = store.snapshot()?;
         if state.total_tuples() > 0 {
@@ -895,7 +751,7 @@ impl Store {
     /// family (the per-relation fact — replicas reuse the names for
     /// their bootstrap), the aggregate `wal.recovered_records` and one
     /// [`Event::RecoveryReplayed`].
-    fn replay(dir: &WalDir, schema: Schema) -> Result<(Self, Replayed), StoreError> {
+    fn replay(dir: &WalDir, schema: Schema) -> Result<(Self, Replayed), Error> {
         schema.covers()?;
         dir.check_identity(&schema.definition, &schema.fds)?;
         // Replay is a cold path: time it unconditionally so the summary
@@ -928,7 +784,7 @@ impl Store {
                 } => replayed[*relation as usize] += records.len() as u64,
             }
             shipped.push(shipment);
-            Ok::<_, StoreError>(())
+            Ok::<_, Error>(())
         })?;
         store.follow(shipped).map_err(|e| corrupt(root, e))?;
         let history = recovered.has_snapshot || log.cursors().iter().any(|c| c.seq > 0);
@@ -958,7 +814,7 @@ impl Store {
     /// The end of a replay: the store serves `schema`, the caller's
     /// handle of the schema the replay ended in, with its exact covers
     /// and its ordered indexes.
-    fn serve(&mut self, schema: Schema) -> Result<(), StoreError> {
+    fn serve(&mut self, schema: Schema) -> Result<(), Error> {
         let topo = (self.topology.get_mut()).unwrap_or_else(PoisonError::into_inner);
         if topo.schema.definition != schema.definition {
             return Err(RelationalError::SchemaMismatch("the replayed schema").into());
@@ -979,7 +835,7 @@ impl Store {
         last_seqs: &[u64],
         sync: SyncPolicy,
         fail_appends_after: Option<u64>,
-    ) -> Result<Self, StoreError> {
+    ) -> Result<Self, Error> {
         let wal_metrics = WalMetrics::new();
         let registry = &self.obs.registry;
         registry.register_counter("wal.appends", Arc::clone(&wal_metrics.appends));
@@ -1010,12 +866,12 @@ impl Store {
     /// duration.  The lock is poisoned only by a panic inside a schema
     /// switch, which may have left the slots half-switched: nothing can
     /// be served from that.
-    fn topology(&self) -> Result<RwLockReadGuard<'_, Topology>, StoreError> {
-        self.topology.read().map_err(|_| StoreError::Disconnected)
+    fn topology(&self) -> Result<RwLockReadGuard<'_, Topology>, Error> {
+        self.topology.read().map_err(|_| Error::Disconnected)
     }
 
     /// Pins the current topology era for one operation: see [`Era`].
-    pub fn era(&self) -> Result<Era<'_>, StoreError> {
+    pub fn era(&self) -> Result<Era<'_>, Error> {
         Ok(Era {
             store: self,
             topo: self.topology()?,
@@ -1024,14 +880,10 @@ impl Store {
 
     /// Locks relation `id`'s slot, refusing a dead one with the preserved
     /// reason.  `id` must have been validated against `topo.schema`.
-    fn lock<'t>(
-        &self,
-        topo: &'t Topology,
-        id: SchemeId,
-    ) -> Result<MutexGuard<'t, Slot>, StoreError> {
+    fn lock<'t>(&self, topo: &'t Topology, id: SchemeId) -> Result<MutexGuard<'t, Slot>, Error> {
         let slot = topo.slots[id.index()]
             .lock()
-            .map_err(|_| StoreError::Disconnected)?;
+            .map_err(|_| Error::Disconnected)?;
         if slot.dead {
             return Err(self.poisoned());
         }
@@ -1042,15 +894,15 @@ impl Store {
     /// preserved reason of the first durability failure.  (A slot is
     /// marked dead only after the cell is set, so the default is never
     /// seen.)
-    fn poisoned(&self) -> StoreError {
-        StoreError::ShardPoisoned {
+    fn poisoned(&self) -> Error {
+        Error::ShardPoisoned {
             reason: self.poison.get().cloned().unwrap_or_default(),
         }
     }
 
     /// Refuses a store-wide operation on a poisoned store up front, so it
     /// cannot leave the healthy relations half-way through it.
-    fn healthy(&self) -> Result<(), StoreError> {
+    fn healthy(&self) -> Result<(), Error> {
         match self.poison.get() {
             Some(_) => Err(self.poisoned()),
             None => Ok(()),
@@ -1065,7 +917,7 @@ impl Store {
     /// *after* this returns and before it releases the slot's lock, so
     /// no operation can find a dead slot without the reason being
     /// readable.
-    fn record_poison(&self, shard: u64, e: &dyn std::fmt::Display) -> StoreError {
+    fn record_poison(&self, shard: u64, e: &dyn std::fmt::Display) -> Error {
         let reason = e.to_string();
         if self.poison.set(reason.clone()).is_ok() {
             self.obs
@@ -1078,7 +930,7 @@ impl Store {
 
     /// A relation's log failed inside a lock scope: record the reason and
     /// mark the slot dead.  Nothing the scope did is acknowledged.
-    fn poison_slot(&self, slot: &mut Slot, e: WalError) -> StoreError {
+    fn poison_slot(&self, slot: &mut Slot, e: WalError) -> Error {
         let err = self.record_poison(slot.metrics.index, &e);
         slot.dead = true;
         err
@@ -1114,8 +966,11 @@ impl Store {
         self.durability.as_ref().map(|d| d.dir.root().to_path_buf())
     }
 
-    /// The current schema generation of a durable store: 0 at creation,
-    /// bumped by every checkpoint and every accepted [`Store::alter`].
+    /// The generation a durable store's log segments are on (`None` in
+    /// memory): 1 after the [`Store::open_at`] that creates the
+    /// directory, the next one after every checkpoint and every accepted
+    /// [`Store::alter`], and a fresh one past every generation on disk
+    /// after a reopen.
     pub fn generation(&self) -> Option<u64> {
         self.durability
             .as_ref()
@@ -1135,9 +990,9 @@ impl Store {
     /// concurrently (checkpoints serialize on an internal lock).  A crash
     /// between the snapshot write and the pruning leaves only covered
     /// segments behind, which recovery skips.
-    pub fn checkpoint(&self) -> Result<(), StoreError> {
-        let d = self.durability.as_ref().ok_or(StoreError::NotDurable)?;
-        let mut gen = d.gen.lock().map_err(|_| StoreError::Disconnected)?;
+    pub fn checkpoint(&self) -> Result<(), Error> {
+        let d = self.durability.as_ref().ok_or(Error::NotDurable)?;
+        let mut gen = d.gen.lock().map_err(|_| Error::Disconnected)?;
         self.healthy()?;
         let topo = self.topology()?;
         let old_gen = *gen;
@@ -1151,7 +1006,7 @@ impl Store {
         let mut seqs = Vec::with_capacity(definition.len());
         for id in definition.ids() {
             let mut slot = self.lock(&topo, id)?;
-            let wal = slot.wal.as_mut().ok_or(StoreError::NotDurable)?;
+            let wal = slot.wal.as_mut().ok_or(Error::NotDurable)?;
             match wal.rotate(new_gen) {
                 Ok(sealed) => seqs.push(sealed),
                 Err(e) => return Err(self.poison_slot(&mut slot, e)),
@@ -1191,8 +1046,8 @@ impl Store {
     /// the names the rows use — a name whose rows are all gone keeps its
     /// id, as any follower that saw it does.  The pool is locked only to
     /// copy it.
-    fn pool_names(&self) -> Result<(Vec<(Value, String)>, u64), StoreError> {
-        let pool = (self.names.lock()).map_err(|_| StoreError::Disconnected)?;
+    fn pool_names(&self) -> Result<(Vec<(Value, String)>, u64), Error> {
+        let pool = (self.names.lock()).map_err(|_| Error::Disconnected)?;
         let pool = pool.clone();
         let defs = pool.iter().map(|(name, v)| (v, name.to_owned())).collect();
         Ok((defs, pool.len() as u64))
@@ -1227,7 +1082,7 @@ impl Store {
     ///    *union* of both covers, inside its own slot's lock, and
     ///    installs the union on success.  A violation rolls the
     ///    already-prepared relations back to their exact old covers and
-    ///    refuses the transition with [`StoreError::BackfillViolation`] —
+    ///    refuses the transition with [`Error::BackfillViolation`] —
     ///    violated FD plus a violating pair of tuples.  Traffic accepted
     ///    between backfill and switch satisfies both schemas, which is
     ///    what makes the crash window sound in both directions.
@@ -1235,7 +1090,11 @@ impl Store {
     ///    (`MANIFEST-g{n}`) is staged and renamed into the log
     ///    directory.  From here the transition *will* be in effect
     ///    after any crash; until here a crash recovers the old schema,
-    ///    and any error leaves the current schema serving, untouched.
+    ///    and any error before this step leaves the current schema
+    ///    serving, untouched.  An error *from* this step may come after
+    ///    the rename (the directory fsync), with the new manifest
+    ///    already in place, so it poisons the store like an error in
+    ///    the switch.
     /// 3. **Switch**: each surviving relation, inside its own slot's
     ///    lock, is retargeted to its new scheme id (O(1): same attribute
     ///    set) and its log rotated onto the new generation — sound ahead
@@ -1251,18 +1110,19 @@ impl Store {
     ///    union (or otherwise stale) cover is rebuilt under its exact new
     ///    cover, again inside its own slot's lock, so untouched relations
     ///    keep serving through every O(rows) step.  An error in the switch
-    ///    cannot be returned with the old schema still serving —
+    ///    (or in the manifest write) cannot be returned with the old
+    ///    schema still serving —
     ///    recovery would load the new one — so it **poisons the whole
     ///    store**: every slot is marked dead and the failing call, like
-    ///    every later operation, reports [`StoreError::ShardPoisoned`]
+    ///    every later operation, reports [`Error::ShardPoisoned`]
     ///    with the reason.
     ///
     /// An in-memory store has no log to append the generation to:
-    /// [`StoreError::NotDurable`].
+    /// [`Error::NotDurable`].
     pub fn alter(&self, op: &Alter) -> Result<u64, Error> {
-        let d = self.durability.as_ref().ok_or(StoreError::NotDurable)?;
+        let d = self.durability.as_ref().ok_or(Error::NotDurable)?;
         // Serialize with checkpoints and other transitions.
-        let mut gen = d.gen.lock().map_err(|_| StoreError::Disconnected)?;
+        let mut gen = d.gen.lock().map_err(|_| Error::Disconnected)?;
         self.healthy()?;
         let reject = |e: Error| {
             self.obs.registry.counter("evolve.rejected").inc();
@@ -1272,7 +1132,7 @@ impl Store {
             e
         };
         let (next, _reuse) = self.schema().evolved(op).map_err(reject)?;
-        let new_covers = next.covers().map_err(|e| reject(e.into()))?;
+        let new_covers = next.covers().map_err(reject)?;
         let new_gen = *gen + 1;
 
         // Phase 1: remap + backfill under a topology *read* lock.
@@ -1284,7 +1144,7 @@ impl Store {
             // does not already imply every FD of the new one.
             let mut prepared: Vec<(SchemeId, u64)> = Vec::new();
             let backfill_start = Instant::now();
-            let mut refusal: Option<StoreError> = None;
+            let mut refusal: Option<Error> = None;
             for (i, nid) in remap.iter().enumerate() {
                 let Some(nid) = nid else { continue };
                 let old_id = SchemeId::from_index(i);
@@ -1315,7 +1175,7 @@ impl Store {
                     let old = old_covers[old_id.index()].clone();
                     self.lock(&topo, old_id)?.install_cover(old)?;
                 }
-                return Err(reject(e.into()));
+                return Err(reject(e));
             }
             if !prepared.is_empty() {
                 let duration = backfill_start.elapsed();
@@ -1335,27 +1195,29 @@ impl Store {
         };
 
         // Phase 2: the durability point.  The manifest must be on disk
-        // before any segment of the new generation can exist.
-        d.dir.append_generation_manifest(
-            new_gen,
-            &Manifest {
-                schema: next.definition.clone(),
-                fds: next.fds.clone(),
-                app: next.encode_layouts(),
-            },
-        )?;
-
-        // Phase 3: switch, then settle the covers.
-        if let Err((shard, e)) = self.switch(Some(d), next, &remap, new_gen) {
-            // Memory must not go on acknowledging writes under a schema
-            // recovery will no longer load.
+        // before any segment of the new generation can exist.  Phase 3:
+        // switch, then settle the covers.
+        let manifest = Manifest {
+            schema: next.definition.clone(),
+            fds: next.fds.clone(),
+            app: next.encode_layouts(),
+        };
+        let mut shard = 0;
+        let switched = (d.dir.append_generation_manifest(new_gen, &manifest))
+            .map_err(Error::from)
+            .and_then(|()| self.switch(Some(d), next, &remap, new_gen, &mut shard));
+        if let Err(e) = switched {
+            // A failed manifest write may have renamed the manifest into
+            // place already.  Either way memory must not go on
+            // acknowledging writes under a schema recovery may no longer
+            // load.
             let err = self.record_poison(shard, &format_args!("schema switch failed: {e}"));
             for slot in &self.topology()?.slots {
                 if let Ok(mut slot) = slot.lock() {
                     slot.dead = true;
                 }
             }
-            return Err(err.into());
+            return Err(err);
         }
         *gen = new_gen;
         // Cannot be refused: since its backfill each relation has
@@ -1378,7 +1240,7 @@ impl Store {
     ///   ([`Store::names`]) first, in id order, so a pool rebuilt from
     ///   several relations' logs read one after another keeps its names
     ///   packed in its arena.  A name the pool already gives another
-    ///   value is [`StoreError::Replay`].
+    ///   value is [`Error::Replay`].
     /// * A manifest switches the store in place, exactly as the switch of
     ///   [`Store::alter`] does on the primary — survivors
     ///   (by [`DatabaseSchema::remap_from`]) are renumbered with their
@@ -1386,18 +1248,18 @@ impl Store {
     ///   then installs each relation's exact new cover.  No backfill, no
     ///   manifest write and no log rotation: the primary did those.  A
     ///   cover the relation's rows violate is
-    ///   [`StoreError::BackfillViolation`].
+    ///   [`Error::BackfillViolation`].
     /// * Records are applied to the relation the batch names, by its
     ///   index in the schema the store serves, under one slot lock: each
     ///   operation must re-accept under the slot's current cover.  Every
     ///   logged record was an accepted, effective operation, so anything
-    ///   else is [`StoreError::Replay`].
+    ///   else is [`Error::Replay`].
     ///
     /// The follow loop ships each record before any manifest written
     /// after it, so each record is judged by the rules of its own era.
     /// Call it on a store with no log writer: what it applies is logged
     /// already.
-    pub fn follow(&self, shipments: impl IntoIterator<Item = Shipment>) -> Result<(), StoreError> {
+    pub fn follow(&self, shipments: impl IntoIterator<Item = Shipment>) -> Result<(), Error> {
         let shipments: Vec<Shipment> = shipments.into_iter().collect();
         self.define(&shipments)?;
         for shipment in shipments {
@@ -1407,7 +1269,7 @@ impl Store {
                     let next = Schema::from_recovered(schema, fds, &app)?;
                     next.covers()?;
                     let remap = survivors(&self.schema().definition, &next.definition);
-                    self.switch(None, next, &remap, gen).map_err(|(_, e)| e)?;
+                    self.switch(None, next, &remap, gen, &mut 0)?;
                     self.settle()?;
                     continue;
                 }
@@ -1417,7 +1279,7 @@ impl Store {
             };
             let topo = self.topology()?;
             if relation.index() >= topo.slots.len() {
-                return Err(StoreError::UnknownScheme(relation));
+                return Err(Error::UnknownScheme(relation));
             }
             let mut slot = self.lock(&topo, relation)?;
             let Slot { shard, rel, .. } = &mut *slot;
@@ -1429,7 +1291,7 @@ impl Store {
                     WalOp::Remove(t) => matches!(shard.remove(rel, &t), Ok(true)),
                 };
                 if !reapplied {
-                    return Err(StoreError::Replay {
+                    return Err(Error::Replay {
                         scheme: relation,
                         seq: record.seq,
                         detail: "not accepted by the relation's slot".into(),
@@ -1442,7 +1304,7 @@ impl Store {
 
     /// The first step of [`Store::follow`]: every name the records of
     /// `shipments` define, into the value pool in id order.
-    fn define(&self, shipments: &[Shipment]) -> Result<(), StoreError> {
+    fn define(&self, shipments: &[Shipment]) -> Result<(), Error> {
         let mut defs = Vec::new();
         for shipment in shipments {
             if let Shipment::Records {
@@ -1457,9 +1319,9 @@ impl Store {
             }
         }
         defs.sort_unstable_by_key(|&(v, ..)| v);
-        let mut pool = self.names.lock().map_err(|_| StoreError::Disconnected)?;
+        let mut pool = self.names.lock().map_err(|_| Error::Disconnected)?;
         for (v, relation, seq, name) in defs {
-            pool.define(v, name).map_err(|e| StoreError::Replay {
+            pool.define(v, name).map_err(|e| Error::Replay {
                 scheme: SchemeId::from_index(relation as usize),
                 seq,
                 detail: format!("bad value definitions: {e}"),
@@ -1473,8 +1335,8 @@ impl Store {
     /// a backfill, or the old era's — installs its exact cover, inside
     /// its own slot's lock, so untouched relations keep serving.  A
     /// cover the relation's rows violate is
-    /// [`StoreError::BackfillViolation`].
-    fn settle(&self) -> Result<(), StoreError> {
+    /// [`Error::BackfillViolation`].
+    fn settle(&self) -> Result<(), Error> {
         let topo = self.topology()?;
         for (slot, cover) in topo.slots.iter().zip(topo.schema.covers()?) {
             // A slot lost to a panicking caller has nothing to settle.
@@ -1489,24 +1351,25 @@ impl Store {
     /// The switch of a schema transition: survivors renumbered in their
     /// own slots (and, on a durable store `d`, their logs rotated onto
     /// `new_gen`), added relations given fresh slots, then the topology
-    /// swapped.  On error the primary poisons the store; the error names
-    /// the metric family of the relation that failed.
+    /// swapped.  On error the primary poisons the store; `failed` is
+    /// then the metric family of the relation that failed.
     fn switch(
         &self,
         d: Option<&Durability>,
         next: Schema,
         remap: &[Option<SchemeId>],
         new_gen: u64,
-    ) -> Result<(), (u64, StoreError)> {
-        let (definition, covers) = (&next.definition, next.covers().map_err(|e| (0, e))?);
+        failed: &mut u64,
+    ) -> Result<(), Error> {
+        let (definition, covers) = (&next.definition, next.covers()?);
         // Survivors, one slot lock at a time: this is where the I/O is.
-        let topo = self.topology().map_err(|e| (0, e))?;
+        let topo = self.topology()?;
         for (id, nid) in topo.schema.definition.ids().zip(remap) {
             let Some(nid) = *nid else { continue };
-            let mut slot = self.lock(&topo, id).map_err(|e| (id.index() as u64, e))?;
-            let shard = slot.metrics.index;
-            slot.retarget(definition, nid, new_gen)
-                .map_err(|e| (shard, e))?;
+            *failed = id.index() as u64;
+            let mut slot = self.lock(&topo, id)?;
+            *failed = slot.metrics.index;
+            slot.retarget(definition, nid, new_gen)?;
         }
         // An added relation: a fresh, empty slot with a metric family of
         // its own.
@@ -1515,9 +1378,8 @@ impl Store {
         let mut placed = Vec::with_capacity(definition.len());
         for id in definition.ids().filter(|id| !remap.contains(&Some(*id))) {
             let writer = d.map(|d| d.writer(id, new_gen, 0, &self.names));
-            let writer = writer
-                .transpose()
-                .map_err(|e| (families as u64, e.into()))?;
+            *failed = families as u64;
+            let writer = writer.transpose()?;
             let slot = Slot::new(
                 id,
                 RelationShard::new(definition, id, covers[id.index()].clone()),
@@ -1530,10 +1392,8 @@ impl Store {
         }
         // The swap: memory only, nothing can fail.  The mutexes move as
         // they are, so one a panicking caller poisoned stays poisoned.
-        let mut topo = self
-            .topology
-            .write()
-            .map_err(|_| (0, StoreError::Disconnected))?;
+        *failed = 0;
+        let mut topo = self.topology.write().map_err(|_| Error::Disconnected)?;
         for (slot, nid) in std::mem::take(&mut topo.slots).into_iter().zip(remap) {
             // Releasing a dropped relation's slot drops its writer, which
             // syncs the tail.  Its segments stay on disk; the follow loop
@@ -1571,7 +1431,7 @@ impl Store {
     /// store's boundary rather than an index panic under a lock.
     /// Delegates to [`ids_core::validate_op`] — the one validation
     /// contract every engine shares.
-    fn validate(topo: &Topology, id: SchemeId, tuple: &[Value]) -> Result<(), StoreError> {
+    fn validate(topo: &Topology, id: SchemeId, tuple: &[Value]) -> Result<(), Error> {
         ids_core::validate_op(&topo.schema.definition, id, tuple).map_err(Into::into)
     }
 
@@ -1583,8 +1443,8 @@ impl Store {
         &self,
         topo: &Topology,
         id: SchemeId,
-        body: impl FnOnce(&mut Slot, &mut Tally) -> Result<T, StoreError>,
-    ) -> Result<T, StoreError> {
+        body: impl FnOnce(&mut Slot, &mut Tally) -> Result<T, Error>,
+    ) -> Result<T, Error> {
         let mut slot = self.lock(topo, id)?;
         let start = ids_obs::recording().then(Instant::now);
         let mut tally = Tally::default();
@@ -1606,7 +1466,7 @@ impl Store {
                 }
                 Ok(out)
             }
-            Err(StoreError::Wal(e)) => Err(self.poison_slot(&mut slot, e)),
+            Err(Error::Wal(e)) => Err(self.poison_slot(&mut slot, e)),
             Err(e) => Err(e),
         }
     }
@@ -1620,14 +1480,14 @@ impl Store {
     /// an id across one must re-resolve it by name — or resolve and
     /// insert inside one [`Era`], as the name-addressed `ids-api`
     /// operations do.
-    pub fn insert(&self, id: SchemeId, tuple: Vec<Value>) -> Result<InsertOutcome, StoreError> {
+    pub fn insert(&self, id: SchemeId, tuple: Vec<Value>) -> Result<InsertOutcome, Error> {
         self.era()?.insert(id, tuple)
     }
 
     /// Removes a tuple from relation `id`; `true` when it was present.
     /// Always satisfaction-preserving under weak-instance semantics.
     /// `id` is positional, as for [`Store::insert`].
-    pub fn remove(&self, id: SchemeId, tuple: Vec<Value>) -> Result<bool, StoreError> {
+    pub fn remove(&self, id: SchemeId, tuple: Vec<Value>) -> Result<bool, Error> {
         self.era()?.remove(id, tuple)
     }
 
@@ -1642,7 +1502,7 @@ impl Store {
     /// within the batch is preserved; FD violations are *outcomes*
     /// ([`InsertOutcome::Rejected`]), not errors.  The whole batch runs
     /// in one [`Era`], against positional ids as for [`Store::insert`].
-    pub fn apply_batch(&self, mut ops: Vec<StoreOp>) -> Result<Vec<OpOutcome>, StoreError> {
+    pub fn apply_batch(&self, mut ops: Vec<StoreOp>) -> Result<Vec<OpOutcome>, Error> {
         let topo = self.topology()?;
         for op in &ops {
             let (StoreOp::Insert { scheme, tuple } | StoreOp::Remove { scheme, tuple }) = op;
@@ -1713,13 +1573,13 @@ impl Store {
     /// locked, so a foreign scheme, predicate attribute or projection
     /// column is a typed error.  `id` is positional, as for
     /// [`Store::insert`].
-    pub fn read(&self, id: SchemeId, plan: &ReadPlan) -> Result<ReadReply, StoreError> {
+    pub fn read(&self, id: SchemeId, plan: &ReadPlan) -> Result<ReadReply, Error> {
         self.era()?.read(id, plan)
     }
 
     /// The tuples of one relation matching `predicate` — [`Store::read`]
     /// with the tuples shape.
-    pub fn query(&self, id: SchemeId, predicate: &Predicate) -> Result<Vec<Tuple>, StoreError> {
+    pub fn query(&self, id: SchemeId, predicate: &Predicate) -> Result<Vec<Tuple>, Error> {
         Ok(self.read(id, &ReadPlan::tuples(predicate.clone()))?.rows)
     }
 
@@ -1730,7 +1590,7 @@ impl Store {
     ///
     /// On an independent schema the snapshot is globally satisfying — each
     /// relation enforced its `Fi`, and `LSAT = WSAT` does the rest.
-    pub fn snapshot(&self) -> Result<DatabaseState, StoreError> {
+    pub fn snapshot(&self) -> Result<DatabaseState, Error> {
         self.era()?.snapshot()
     }
 
@@ -1740,15 +1600,15 @@ impl Store {
     /// holds operations that were applied but never acknowledged, so
     /// its final state is not the callers' view, and shutdown reports
     /// the preserved reason instead.
-    pub fn shutdown(self) -> Result<DatabaseState, StoreError> {
+    pub fn shutdown(self) -> Result<DatabaseState, Error> {
         self.healthy()?;
         let topo = self
             .topology
             .into_inner()
-            .map_err(|_| StoreError::Disconnected)?;
+            .map_err(|_| Error::Disconnected)?;
         let mut relations = Vec::with_capacity(topo.slots.len());
         for slot in topo.slots {
-            relations.push(slot.into_inner().map_err(|_| StoreError::Disconnected)?.rel);
+            relations.push(slot.into_inner().map_err(|_| Error::Disconnected)?.rel);
         }
         DatabaseState::from_relations(&topo.schema.definition, relations).map_err(Into::into)
     }
@@ -1785,20 +1645,20 @@ impl Era<'_> {
 
     /// [`Store::insert`] in this era: `id` is a position in
     /// [`Era::schema`].
-    pub fn insert(&self, id: SchemeId, tuple: Vec<Value>) -> Result<InsertOutcome, StoreError> {
+    pub fn insert(&self, id: SchemeId, tuple: Vec<Value>) -> Result<InsertOutcome, Error> {
         Store::validate(&self.topo, id, &tuple)?;
         (self.store).write(&self.topo, id, |slot, tally| slot.insert(tuple, tally))
     }
 
     /// [`Store::remove`] in this era.
-    pub fn remove(&self, id: SchemeId, tuple: Vec<Value>) -> Result<bool, StoreError> {
+    pub fn remove(&self, id: SchemeId, tuple: Vec<Value>) -> Result<bool, Error> {
         Store::validate(&self.topo, id, &tuple)?;
         (self.store).write(&self.topo, id, |slot, tally| slot.remove(tuple, tally))
     }
 
     /// [`Store::snapshot`] in this era: a cut of exactly the relations
     /// of [`Era::schema`].
-    pub fn snapshot(&self) -> Result<DatabaseState, StoreError> {
+    pub fn snapshot(&self) -> Result<DatabaseState, Error> {
         let relations = self.cut(|slot| slot.rel.clone())?;
         DatabaseState::from_relations(&self.topo.schema.definition, relations).map_err(Into::into)
     }
@@ -1806,13 +1666,13 @@ impl Era<'_> {
     /// The tuple count of every relation of [`Era::schema`], in scheme
     /// order: the counts of the cut [`Era::snapshot`] would copy, taken
     /// under the same locks without copying a relation.
-    pub fn lens(&self) -> Result<Vec<usize>, StoreError> {
+    pub fn lens(&self) -> Result<Vec<usize>, Error> {
         self.cut(|slot| slot.rel.len())
     }
 
     /// `read` of every slot of this era, all locked at once in ascending
     /// scheme order: a true cut.
-    fn cut<T>(&self, read: impl Fn(&Slot) -> T) -> Result<Vec<T>, StoreError> {
+    fn cut<T>(&self, read: impl Fn(&Slot) -> T) -> Result<Vec<T>, Error> {
         let slots = (self.topo.schema.definition.ids())
             .map(|id| self.store.lock(&self.topo, id))
             .collect::<Result<Vec<_>, _>>()?;
@@ -1820,11 +1680,9 @@ impl Era<'_> {
     }
 
     /// [`Store::read`] in this era.
-    pub fn read(&self, id: SchemeId, plan: &ReadPlan) -> Result<ReadReply, StoreError> {
+    pub fn read(&self, id: SchemeId, plan: &ReadPlan) -> Result<ReadReply, Error> {
         let definition = &self.topo.schema.definition;
-        let scheme = definition
-            .get_scheme(id)
-            .ok_or(StoreError::UnknownScheme(id))?;
+        let scheme = definition.get_scheme(id).ok_or(Error::UnknownScheme(id))?;
         plan.validate_against(scheme.attrs)?;
         let slot = self.store.lock(&self.topo, id)?;
         Ok(slot.shard.read(&slot.rel, plan)?)
@@ -1842,9 +1700,9 @@ struct Replayed {
 
 /// Recovery's reading of a [`Store::follow`] refusal: the files
 /// contradict themselves — a typed [`WalError::Corrupt`] on `root`.
-fn corrupt(root: &Path, e: StoreError) -> StoreError {
+fn corrupt(root: &Path, e: Error) -> Error {
     match e {
-        StoreError::Replay { .. } | StoreError::BackfillViolation { .. } => WalError::Corrupt {
+        Error::Replay { .. } | Error::BackfillViolation { .. } => WalError::Corrupt {
             path: root.to_path_buf(),
             detail: format!("the log does not replay cleanly: {e}"),
         }
@@ -1873,11 +1731,11 @@ fn survivors(old: &DatabaseSchema, next: &DatabaseSchema) -> Vec<Option<SchemeId
 fn covers<'a>(
     schema: &DatabaseSchema,
     analysis: &'a IndependenceAnalysis,
-) -> Result<&'a [FdSet], StoreError> {
+) -> Result<&'a [FdSet], Error> {
     let enforcement = match &analysis.verdict {
         ids_core::Verdict::Independent { enforcement } => enforcement,
         ids_core::Verdict::NotIndependent { reason, witness } => {
-            return Err(StoreError::NotIndependent {
+            return Err(Error::NotIndependent {
                 reason: reason.clone(),
                 witness: Box::new(witness.clone()),
             })
@@ -1921,7 +1779,7 @@ mod tests {
         let fds = FdSet::parse(schema.universe(), &["C -> D", "C -> T", "T -> D"]).unwrap();
         let err =
             Store::open(Schema::canonical(&schema, &fds), StoreConfig::default()).unwrap_err();
-        let StoreError::NotIndependent { witness, .. } = err else {
+        let Error::NotIndependent { witness, .. } = err else {
             panic!("expected NotIndependent, got {err}");
         };
         assert!(ids_chase::locally_satisfies(
@@ -2030,14 +1888,14 @@ mod tests {
                 },
             ])
             .unwrap_err();
-        assert!(matches!(err, StoreError::Relational(_)));
+        assert!(matches!(err, Error::Relational(_)));
         let err = store
             .apply_batch(vec![StoreOp::Insert {
                 scheme: SchemeId(99),
                 tuple: vec![v(1)],
             }])
             .unwrap_err();
-        assert!(matches!(err, StoreError::UnknownScheme(_)));
+        assert!(matches!(err, Error::UnknownScheme(_)));
         assert_eq!(store.snapshot().unwrap().total_tuples(), 0);
     }
 
@@ -2147,7 +2005,7 @@ mod tests {
         ] {
             assert!(matches!(
                 store.read(SchemeId(99), &plan),
-                Err(StoreError::UnknownScheme(_))
+                Err(Error::UnknownScheme(_))
             ));
         }
         for plan in [
@@ -2157,7 +2015,7 @@ mod tests {
         ] {
             assert!(matches!(
                 store.read(cs, &plan),
-                Err(StoreError::Relational(RelationalError::SchemaMismatch(_)))
+                Err(Error::Relational(RelationalError::SchemaMismatch(_)))
             ));
         }
     }
@@ -2269,7 +2127,7 @@ mod tests {
         let other_analysis = ids_core::analyze(&other, &FdSet::new());
         assert!(matches!(
             Store::from_analysis(&schema, &other_analysis, StoreConfig::default()),
-            Err(StoreError::Relational(RelationalError::SchemaMismatch(_)))
+            Err(Error::Relational(RelationalError::SchemaMismatch(_)))
         ));
 
         // A dependent schema's stored verdict is surfaced unchanged.
@@ -2279,7 +2137,7 @@ mod tests {
         let dep_analysis = ids_core::analyze(&dep, &dep_fds);
         assert!(matches!(
             Store::from_analysis(&dep, &dep_analysis, StoreConfig::default()),
-            Err(StoreError::NotIndependent { .. })
+            Err(Error::NotIndependent { .. })
         ));
     }
 
@@ -2316,7 +2174,7 @@ mod tests {
         .unwrap_err();
         assert!(matches!(
             err,
-            StoreError::InvalidBaseState { scheme, .. } if scheme == ct
+            Error::InvalidBaseState { scheme, .. } if scheme == ct
         ));
     }
 
@@ -2338,7 +2196,7 @@ mod tests {
             },
         )
         .unwrap_err();
-        assert!(matches!(err, StoreError::Relational(_)), "got {err}");
+        assert!(matches!(err, Error::Relational(_)), "got {err}");
     }
 
     fn tmp_dir(name: &str) -> std::path::PathBuf {
@@ -2451,7 +2309,7 @@ mod tests {
         let mut w1 = writer(1, 2, 2, &[(2, "not c")]);
         w1.append(WalOp::Insert(vec![v(2), v(2)])).unwrap();
         match Store::recover_from(&dir, handle()) {
-            Err(StoreError::Wal(WalError::Corrupt { detail, .. })) => {
+            Err(Error::Wal(WalError::Corrupt { detail, .. })) => {
                 assert!(
                     detail.contains("conflicting definitions of value 2"),
                     "{detail}"
@@ -2518,7 +2376,7 @@ mod tests {
                 Schema::canonical(&schema, &other_fds),
                 DurableConfig::default()
             ),
-            Err(StoreError::Wal(ids_wal::WalError::SchemaMismatch { .. }))
+            Err(Error::Wal(ids_wal::WalError::SchemaMismatch { .. }))
         ));
         // Different schema: same refusal.
         let u2 = Universe::from_names(["C", "T", "H", "R", "S"]).unwrap();
@@ -2530,7 +2388,7 @@ mod tests {
                 Schema::canonical(&schema2, &fds),
                 DurableConfig::default()
             ),
-            Err(StoreError::Wal(ids_wal::WalError::SchemaMismatch { .. }))
+            Err(Error::Wal(ids_wal::WalError::SchemaMismatch { .. }))
         ));
         // Preloading an existing log is refused.
         assert!(Store::open_at(
@@ -2549,7 +2407,26 @@ mod tests {
         // Checkpoint on an in-memory store is a typed error.
         let mem = Store::open(Schema::canonical(&schema, &fds), StoreConfig::default()).unwrap();
         assert!(!mem.is_durable());
-        assert!(matches!(mem.checkpoint(), Err(StoreError::NotDurable)));
+        assert!(matches!(mem.checkpoint(), Err(Error::NotDurable)));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn generation_starts_at_one_and_moves_on_checkpoint_and_reopen() {
+        let root = tmp_dir("generation");
+        let (schema, fds) = independent_setup();
+        let open = || {
+            let schema = Schema::canonical(&schema, &fds);
+            Store::open_at(&root, schema, DurableConfig::default()).unwrap()
+        };
+        let store = open();
+        assert_eq!(store.generation(), Some(1));
+        store.checkpoint().unwrap();
+        assert_eq!(store.generation(), Some(2));
+        drop(store);
+        assert_eq!(open().generation(), Some(3));
+        let mem = Store::open(Schema::canonical(&schema, &fds), StoreConfig::default()).unwrap();
+        assert_eq!(mem.generation(), None);
         let _ = std::fs::remove_dir_all(&root);
     }
 

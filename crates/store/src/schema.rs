@@ -216,7 +216,7 @@ impl Schema {
 
     /// The per-scheme enforcement covers a store serving this handle
     /// probes — a typed refusal on a dependent handle.
-    pub(crate) fn covers(&self) -> Result<&[FdSet], crate::StoreError> {
+    pub(crate) fn covers(&self) -> Result<&[FdSet], crate::Error> {
         crate::covers(&self.definition, &self.analysis)
     }
 
@@ -227,10 +227,9 @@ impl Schema {
     pub(crate) fn with_ordered_indexes(
         mut self,
         extra: &[(SchemeId, AttrId)],
-    ) -> Result<Schema, crate::StoreError> {
+    ) -> Result<Schema, crate::Error> {
         for &(id, attr) in extra {
-            let scheme =
-                (self.definition.get_scheme(id)).ok_or(crate::StoreError::UnknownScheme(id))?;
+            let scheme = (self.definition.get_scheme(id)).ok_or(crate::Error::UnknownScheme(id))?;
             if !scheme.attrs.contains(attr) {
                 return Err(RelationalError::SchemaMismatch(
                     "secondary index column outside the relation scheme",

@@ -1,7 +1,7 @@
 //! Regression suite for the poison cell: a WAL failure inside a
 //! relation's lock scope is never acknowledged and never a panic.  The
 //! first failure's reason is captured in the store's poison cell and
-//! surfaced as a typed [`StoreError::ShardPoisoned`] — on the failing
+//! surfaced as a typed [`Error::ShardPoisoned`] — on the failing
 //! call, on every later op touching that relation, on store-wide
 //! operations, and at shutdown — while relations whose logs did not
 //! fail keep serving, whatever the configuration: failure isolation is
@@ -9,7 +9,7 @@
 
 use ids_deps::FdSet;
 use ids_relational::{DatabaseSchema, Predicate, ReadPlan, Universe, Value};
-use ids_store::{DurableConfig, Schema, Store, StoreConfig, StoreError, SyncPolicy};
+use ids_store::{DurableConfig, Error, Schema, Store, StoreConfig, SyncPolicy};
 
 fn v(n: u64) -> Value {
     Value::int(n)
@@ -65,7 +65,7 @@ fn injected_append_failure_surfaces_reason_on_the_failing_call() {
     // and the reason must be readable immediately — not after some
     // later call, and never as an opaque disconnect.
     let err = store.insert(ct, vec![v(3), v(30)]).unwrap_err();
-    let StoreError::ShardPoisoned { reason } = &err else {
+    let Error::ShardPoisoned { reason } = &err else {
         panic!("expected ShardPoisoned, got {err}");
     };
     assert!(reason.contains(INJECTED), "reason lost: {reason}");
@@ -84,7 +84,7 @@ fn every_later_op_and_the_shutdown_report_the_preserved_reason() {
     // CT's first logged op poisons CT.
     assert!(matches!(
         store.insert(ct, vec![v(1), v(10)]),
-        Err(StoreError::ShardPoisoned { .. })
+        Err(Error::ShardPoisoned { .. })
     ));
     // Everything that touches CT afterwards — writes, reads in any
     // shape — and every store-wide operation — the snapshot, the
@@ -99,7 +99,7 @@ fn every_later_op_and_the_shutdown_report_the_preserved_reason() {
         store.snapshot().unwrap_err(),
         store.checkpoint().unwrap_err(),
     ] {
-        let StoreError::ShardPoisoned { reason } = &err else {
+        let Error::ShardPoisoned { reason } = &err else {
             panic!("expected ShardPoisoned, got {err}");
         };
         assert!(reason.contains(INJECTED), "reason lost: {reason}");
@@ -108,7 +108,7 @@ fn every_later_op_and_the_shutdown_report_the_preserved_reason() {
     // acknowledged — same typed error, same reason.
     let err = store.shutdown().unwrap_err();
     assert!(
-        matches!(&err, StoreError::ShardPoisoned { reason } if reason.contains(INJECTED)),
+        matches!(&err, Error::ShardPoisoned { reason } if reason.contains(INJECTED)),
         "shutdown lost the reason: {err}"
     );
     let _ = std::fs::remove_dir_all(&root);
@@ -127,7 +127,7 @@ fn healthy_shards_keep_serving_after_one_poisons() {
     store.insert(ct, vec![v(2), v(20)]).unwrap();
     assert!(matches!(
         store.insert(ct, vec![v(3), v(30)]),
-        Err(StoreError::ShardPoisoned { .. })
+        Err(Error::ShardPoisoned { .. })
     ));
     // Theorem 3's graceful degradation: relations share no enforcement
     // state — and no thread, queue or log — so the healthy relation
@@ -140,12 +140,9 @@ fn healthy_shards_keep_serving_after_one_poisons() {
     // store-wide snapshot — reports the preserved reason.
     assert!(matches!(
         store.query(ct, &Predicate::new()),
-        Err(StoreError::ShardPoisoned { .. })
+        Err(Error::ShardPoisoned { .. })
     ));
-    assert!(matches!(
-        store.snapshot(),
-        Err(StoreError::ShardPoisoned { .. })
-    ));
+    assert!(matches!(store.snapshot(), Err(Error::ShardPoisoned { .. })));
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -162,7 +159,7 @@ fn organic_rotate_failure_poisons_the_checkpoint() {
     // this is a real I/O failure through the real code path.
     std::fs::remove_dir_all(&root).unwrap();
     let err = store.checkpoint().unwrap_err();
-    let StoreError::ShardPoisoned { reason } = &err else {
+    let Error::ShardPoisoned { reason } = &err else {
         panic!("expected ShardPoisoned, got {err}");
     };
     assert!(
@@ -173,7 +170,7 @@ fn organic_rotate_failure_poisons_the_checkpoint() {
     // The store stays poisoned for later callers.
     assert!(matches!(
         store.insert(ct, vec![v(2), v(20)]),
-        Err(StoreError::ShardPoisoned { .. })
+        Err(Error::ShardPoisoned { .. })
     ));
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -187,7 +184,7 @@ fn a_stats_poll_discovers_the_poison_without_mutating() {
     assert!(store.metrics().poisoned.is_none());
     assert!(matches!(
         store.insert(ct, vec![v(1), v(10)]),
-        Err(StoreError::ShardPoisoned { .. })
+        Err(Error::ShardPoisoned { .. })
     ));
     // The failure must be discoverable without issuing a failing op.
     // The metrics snapshot is pure read-side: no slot is locked, yet it

@@ -2,7 +2,7 @@
 //! per-relation log segments, and crash recovery.
 
 use std::fs::File;
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 
 use ids_deps::FdSet;
@@ -323,8 +323,7 @@ impl WalDir {
         f.sync_all().map_err(|e| io_err(&tmp, e))?;
         drop(f);
         std::fs::rename(&tmp, &dst).map_err(|e| io_err(&dst, e))?;
-        sync_dir(&self.root);
-        Ok(())
+        sync_dir(&self.root).map_err(|e| io_err(&self.root, e))
     }
 
     /// Deletes every segment of a covered generation — the log
@@ -334,13 +333,17 @@ impl WalDir {
     /// removes.
     pub fn prune_segments(&self, covered_gen: u64) -> Result<(), WalError> {
         let wal = self.root.join(WAL_SUBDIR);
+        let mut removed = false;
         for (scheme, gen) in list(&wal, parse_segment_file_name)? {
             if gen <= covered_gen {
                 let path = wal.join(crate::segment_file_name(scheme, gen));
                 std::fs::remove_file(&path).map_err(|e| io_err(&path, e))?;
+                removed = true;
             }
         }
-        sync_dir(&wal);
+        if removed {
+            sync_dir(&wal).map_err(|e| io_err(&wal, e))?;
+        }
         Ok(())
     }
 
@@ -435,8 +438,7 @@ fn write_manifest_file(root: &Path, name: &str, manifest: &Manifest) -> Result<(
     f.sync_all().map_err(|e| io_err(&tmp, e))?;
     drop(f);
     std::fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
-    sync_dir(root);
-    Ok(())
+    sync_dir(root).map_err(|e| io_err(root, e))
 }
 
 /// Reads a file that holds one payload — a manifest or the snapshot —
@@ -474,13 +476,17 @@ pub(crate) fn list<T>(dir: &Path, parse: fn(&str) -> Option<T>) -> Result<Vec<T>
     Ok(found)
 }
 
-/// Best-effort directory fsync (makes creates/renames durable on
-/// filesystems that need it; ignored where unsupported).  Also called
-/// after every segment / name-log creation, so a power loss cannot
-/// erase a file whose contents were already fsync'd.
-pub(crate) fn sync_dir(path: &Path) {
-    if let Ok(f) = File::open(path) {
-        let _ = f.sync_all();
+/// Fsyncs a directory, which makes the creates and renames in it
+/// durable on filesystems that need it.  Called after every rename into
+/// place and every segment / name-log creation, so a power loss cannot
+/// erase a file whose contents were already fsync'd; a failure is
+/// returned, since the entry it was to make durable may not be.  A
+/// filesystem that cannot sync a directory (`EINVAL`, `Unsupported`)
+/// has nothing more to make durable.
+pub(crate) fn sync_dir(path: &Path) -> std::io::Result<()> {
+    match File::open(path).and_then(|f| f.sync_all()) {
+        Err(e) if matches!(e.kind(), ErrorKind::InvalidInput | ErrorKind::Unsupported) => Ok(()),
+        synced => synced,
     }
 }
 
@@ -531,6 +537,15 @@ mod tests {
 
     fn seqs(r: &Recovered) -> Vec<u64> {
         r.log.cursors().iter().map(|c| c.seq).collect()
+    }
+
+    #[test]
+    fn sync_dir_reports_a_directory_it_cannot_sync() {
+        let root = tmp("sync-dir");
+        std::fs::create_dir_all(&root).unwrap();
+        assert!(sync_dir(&root).is_ok());
+        std::fs::remove_dir_all(&root).unwrap();
+        assert!(sync_dir(&root).is_err());
     }
 
     #[test]

@@ -81,8 +81,6 @@ pub use writer::{parse_segment_file_name, segment_file_name, WalMetrics, WalWrit
 
 use std::path::PathBuf;
 
-use ids_relational::RelationalError;
-
 /// When a log writer pushes appended records to stable storage.
 ///
 /// Appends are always *written* to the file immediately (so a clean
@@ -171,8 +169,6 @@ pub enum WalError {
         /// The name log found.
         path: PathBuf,
     },
-    /// A relational-substrate error while decoding or rebuilding state.
-    Relational(RelationalError),
 }
 
 impl std::fmt::Display for WalError {
@@ -204,7 +200,6 @@ impl std::fmt::Display for WalError {
                 "{} is a name log of an older directory format, which this version does not open",
                 path.display()
             ),
-            Self::Relational(e) => write!(f, "{e}"),
         }
     }
 }
@@ -213,15 +208,8 @@ impl std::error::Error for WalError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Io { source, .. } => Some(source),
-            Self::Relational(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<RelationalError> for WalError {
-    fn from(e: RelationalError) -> Self {
-        Self::Relational(e)
     }
 }
 

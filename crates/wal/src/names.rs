@@ -85,7 +85,7 @@ impl NameLog {
         // Persist the directory entry too, so a power loss cannot drop
         // the file its fsync'd names live in.
         if let Some(parent) = path.parent() {
-            crate::dir::sync_dir(parent);
+            crate::dir::sync_dir(parent).map_err(|e| io_err(parent, e))?;
         }
         Ok(NameLog {
             path: path.to_path_buf(),

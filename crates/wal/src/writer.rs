@@ -126,7 +126,7 @@ impl WalWriter {
             .map_err(|e| io_err(&path, e))?;
         // Persist the directory entry: a record fsync'd into this file
         // must not be erasable by losing the file itself on power loss.
-        crate::dir::sync_dir(wal_dir);
+        crate::dir::sync_dir(wal_dir).map_err(|e| io_err(wal_dir, e))?;
         Ok(WalWriter {
             wal_dir: wal_dir.to_path_buf(),
             path,

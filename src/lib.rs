@@ -117,8 +117,6 @@ pub mod prelude {
         FrameError, FrameReader, Reply, Request, WireError, WireOutcome, WIRE_VERSION,
     };
     pub use ids_server::{Server, ServerConfig};
-    pub use ids_store::{
-        DurableConfig, OpOutcome, Store, StoreConfig, StoreError, StoreOp, SyncPolicy,
-    };
+    pub use ids_store::{DurableConfig, OpOutcome, Store, StoreConfig, StoreOp, SyncPolicy};
     pub use ids_wal::{WalDir, WalError};
 }

@@ -18,8 +18,8 @@ use independent_schemas::prelude::{
     NotIndependentReason, OpOutcome, Predicate, Projection, Query, ReadPlan, ReadReply, ReadShape,
     Relation, RelationScheme, RelationShard, Reply, Request, Row, RowSet, Rows, Satisfaction,
     Schema, SchemaBuilder, SchemeId, Server, ServerConfig, SharedDatabase, Store, StoreConfig,
-    StoreError, StoreOp, SyncPolicy, Tuple, Universe, Value, ValuePool, Verdict, WalDir, WalError,
-    WireError, WireOutcome, Witness, WIRE_VERSION,
+    StoreOp, SyncPolicy, Tuple, Universe, Value, ValuePool, Verdict, WalDir, WalError, WireError,
+    WireOutcome, Witness, WIRE_VERSION,
 };
 
 // Crate-module paths the test files reach around the prelude for.
@@ -69,7 +69,7 @@ fn entry_point_signatures_are_stable() {
     // One way in per mode: a typed-level caller builds the handle, and
     // the store opens from it.
     let _canonical: fn(&DatabaseSchema, &FdSet) -> Schema = Schema::canonical;
-    let _open: fn(Schema, StoreConfig) -> Result<Store, StoreError> = Store::open;
+    let _open: fn(Schema, StoreConfig) -> Result<Store, ApiError> = Store::open;
     let _from_analysis: fn(
         &DatabaseSchema,
         &IndependenceAnalysis,
@@ -87,7 +87,7 @@ fn entry_point_signatures_are_stable() {
     // the store's per-relation read is part of the contract.
     let _remove: fn(&mut LocalMaintainer, SchemeId, &[Value]) -> Result<bool, MaintenanceError> =
         LocalMaintainer::remove;
-    let _read: fn(&Store, SchemeId, &ReadPlan) -> Result<ReadReply, StoreError> = Store::read;
+    let _read: fn(&Store, SchemeId, &ReadPlan) -> Result<ReadReply, ApiError> = Store::read;
     // The one read plan: a predicate plus a shape, pushed down through
     // every layer and answered by one entry per layer.
     let _plan: fn(Predicate) -> ReadPlan = ReadPlan::tuples;
@@ -106,7 +106,7 @@ fn entry_point_signatures_are_stable() {
         &ReadPlan,
     ) -> Result<ReadReply, MaintenanceError> = <LocalMaintainer as Maintainer>::read;
     let _db_read: fn(&Database, &str) -> Result<Relation, ApiError> = Database::read;
-    let _store_query: fn(&Store, SchemeId, &Predicate) -> Result<Vec<Tuple>, StoreError> =
+    let _store_query: fn(&Store, SchemeId, &Predicate) -> Result<Vec<Tuple>, ApiError> =
         Store::query;
     let _db_query_raw: fn(&Database, SchemeId, &ReadPlan) -> Result<ReadReply, ApiError> =
         Database::query_raw;
@@ -117,7 +117,7 @@ fn entry_point_signatures_are_stable() {
         &DatabaseSchema,
         &IndependenceAnalysis,
         StoreConfig,
-    ) -> Result<Store, StoreError> = Store::from_analysis;
+    ) -> Result<Store, ApiError> = Store::from_analysis;
     // Non-panicking boundary lookups.
     let _get_scheme: fn(&DatabaseSchema, SchemeId) -> Option<&RelationScheme> =
         DatabaseSchema::get_scheme;
@@ -128,15 +128,14 @@ fn entry_point_signatures_are_stable() {
     // constructors.  The path-taking entry points use `impl AsRef<Path>`
     // (no fn-pointer coercion), so typed closures pin their shapes
     // instead.
-    let _open_at = |p: &std::path::Path,
-                    s: Schema,
-                    c: DurableConfig|
-     -> Result<Store, StoreError> { Store::open_at(p, s, c) };
+    let _open_at = |p: &std::path::Path, s: Schema, c: DurableConfig| -> Result<Store, ApiError> {
+        Store::open_at(p, s, c)
+    };
     use independent_schemas::{api::Alter, wal::Cursor};
-    let _recover_from: fn(&WalDir, Schema) -> Result<(Store, Vec<Cursor>), StoreError> =
+    let _recover_from: fn(&WalDir, Schema) -> Result<(Store, Vec<Cursor>), ApiError> =
         Store::recover_from;
     let _alter: fn(&Store, &Alter) -> Result<u64, ApiError> = Store::alter;
-    let _checkpoint: fn(&Store) -> Result<(), StoreError> = Store::checkpoint;
+    let _checkpoint: fn(&Store) -> Result<(), ApiError> = Store::checkpoint;
     let _db_open_at = |p: &std::path::Path,
                        s: Schema,
                        c: DurableConfig|
