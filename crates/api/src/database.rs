@@ -6,8 +6,8 @@ use std::sync::{Arc, MutexGuard};
 
 use ids_core::InsertOutcome;
 use ids_relational::{
-    AttrId, AttrSet, DatabaseState, Predicate, ReadPlan, ReadReply, ReadShape, Relation,
-    RelationalError, SchemeId, Tuple, Value, ValuePool,
+    AttrId, AttrSet, DatabaseState, Predicate, ReadPlan, ReadReply, Relation, RelationalError,
+    SchemeId, Tuple, Value, ValuePool,
 };
 use ids_store::{DurableConfig, OpOutcome, Store, StoreConfig, StoreOp};
 
@@ -96,15 +96,18 @@ pub enum EngineKind {
 /// moment contained.  [`Database::snapshot`] is the barrier that does —
 /// one globally-satisfying [`DatabaseState`] across all relations.
 ///
-/// Every string-level read — [`Database::query`], [`Database::join`],
-/// [`Database::rows`] — ends in one row visitor: the store copies the
-/// matching tuples out of the relation once, and the visitor hands each
-/// row's values, as names borrowed from the pool, to a [`RowSink`].
+/// Every string-level read — [`Database::query`] with its aggregates,
+/// [`Database::join`], [`Database::rows`] — is one planner and one
+/// executor: a query is the one-relation case of the join.  The planner
+/// resolves the relations, pushes each relation's filters down as a
+/// typed predicate, and picks the output columns; the executor reads
+/// one relation with one filtered read and renders its tuples as the
+/// store shipped them, and folds several flat first (see
+/// [`Database::join`]), so each row is built once.  A row visitor hands
+/// each row's values, as names borrowed from the pool, to a [`RowSink`].
 /// [`Rows`] is the sink that collects them as strings;
 /// [`Database::query_into`] and [`Database::join_into`] take any other —
 /// the wire server's writes reply bytes straight into its output buffer.
-/// A join's fetched tuples are folded flat first (see
-/// [`Database::join`]), so each joined row is built once.
 ///
 /// ## Locks
 ///
@@ -139,8 +142,10 @@ pub enum EngineKind {
 ///   and its index out of step.
 ///
 /// A string insert or remove therefore takes the topology guard once plus
-/// `names`; a query or count takes one topology guard; a join takes one
-/// topology guard for all of its relation reads.
+/// `names`.  A query and a join run the one planner and executor, so they
+/// share one footprint: one topology guard for all of the read's relation
+/// reads, and `names` twice, to plan and to render.  A [`Query::count`]
+/// takes `names` only to plan; [`Database::count`] takes no name lock.
 ///
 /// ## What `&mut` still means
 ///
@@ -513,30 +518,12 @@ impl Database {
         }
     }
 
-    /// Executes a string-level query in one call and collects the
-    /// [`Rows`] — what a built [`Query`] runs: [`Database::query_into`]
-    /// with [`Rows`] as the sink.
-    pub fn run_query(
-        &self,
-        relation: &str,
-        filters: &[(String, Cond)],
-        select: Option<Vec<String>>,
-    ) -> Result<Rows, Error> {
-        let mut rows = Rows::default();
-        self.query_into(relation, filters, select, &mut rows)?;
-        Ok(rows)
-    }
-
     /// Executes a string-level query and hands the result to `sink` —
     /// what a front end holding already-parsed filters (the wire server)
-    /// calls to render straight into its reply: resolve names once, push
-    /// the predicate down, render only the shipped tuples.  `select`
-    /// picks output columns (`None` = declaration order).  Planning and
-    /// the store round trip run in one era of the store's schema, the
-    /// round trip between two short name-lock sections (plan, then
-    /// render, after the era) — tuples are shipped and filtered with no
-    /// lock of the database's held.  On an error the sink is not called
-    /// at all.
+    /// calls to render straight into its reply.  `select` picks output
+    /// columns (`None` = declaration order).  The one-relation case of
+    /// [`Database::join_into`]: the same planner, one filtered read, no
+    /// fold.  On an error the sink is not called at all.
     pub fn query_into<S: RowSink>(
         &self,
         relation: &str,
@@ -544,17 +531,10 @@ impl Database {
         select: Option<Vec<String>>,
         sink: &mut S,
     ) -> Result<(), Error> {
-        let era = self.store.era()?;
-        let plan = plan_query(era.schema(), &self.names(), relation, filters, select)?;
-        let tuples = if plan.satisfiable {
-            era.read(plan.id, &plan.read)?.rows
-        } else {
-            Vec::new()
-        };
-        drop(era);
-        let rows = tuples.iter().map(|t| &t[..]);
-        self.render_into(&plan.columns, &plan.positions, rows, sink);
-        Ok(())
+        let filters = filters
+            .iter()
+            .map(|(column, cond)| (relation, &column[..], cond));
+        self.read_into(&[relation], filters, select, sink).map(drop)
     }
 
     /// The one renderer every string-level read shares: hands `sink` the
@@ -583,20 +563,25 @@ impl Database {
         }
     }
 
-    /// Executes a built [`Query`]'s count: same planning as
-    /// [`Database::run_query`], but only the integer comes back.
+    /// Counts a built [`Query`]'s matches: planned as
+    /// [`Database::query_into`] plans it, then counted where the tuples
+    /// live — no tuple is shipped.
     pub(crate) fn run_count(
         &self,
         relation: &str,
         filters: &[(String, Cond)],
     ) -> Result<usize, Error> {
         let era = self.store.era()?;
-        let mut plan = plan_query(era.schema(), &self.names(), relation, filters, None)?;
-        if !plan.satisfiable {
-            return Ok(0);
+        let filters = filters
+            .iter()
+            .map(|(column, cond)| (relation, &column[..], cond));
+        let mut plan = plan(era.schema(), &self.names(), &[relation], filters, None)?;
+        match plan.reads.pop() {
+            Some((id, _, predicate)) if plan.satisfiable => {
+                Ok(era.read(id, &ReadPlan::count(predicate))?.count)
+            }
+            _ => Ok(0),
         }
-        plan.read.shape = ReadShape::Count;
-        Ok(era.read(plan.id, &plan.read)?.count)
     }
 
     /// Typed-level read for callers holding a canonical [`ReadPlan`] —
@@ -705,46 +690,68 @@ impl Database {
         }
     }
 
-    /// Executes a built [`JoinQuery`], collecting the [`Rows`]:
-    /// [`Database::join_into`] with [`Rows`] as the sink.
-    pub(crate) fn run_join(
-        &self,
-        relations: &[String],
-        filters: &[(String, String, Cond)],
-    ) -> Result<(Rows, JoinReport), Error> {
-        let mut rows = Rows::default();
-        let report = self.join_into(relations, filters, &mut rows)?;
-        Ok((rows, report))
-    }
-
     /// Executes a join — [`Database::join_query`]'s relations and
     /// per-relation filters — and hands the joined rows to `sink`, under
-    /// the column contract of [`Database::join`]: compile the filters,
-    /// run the planner, render.  Compiling and every one of the planner's
-    /// store round trips run in one era of the store's schema, the round
-    /// trips with no name lock held; the flat fold builds no row twice,
-    /// and the rows reach the sink as pool names, in the fold's order,
-    /// after the era.  On an error the sink is not called at all.
+    /// the column contract of [`Database::join`].  On an error the sink
+    /// is not called at all.
     pub fn join_into<S: RowSink>(
         &self,
         relations: &[String],
         filters: &[(String, String, Cond)],
         sink: &mut S,
     ) -> Result<JoinReport, Error> {
+        let filters = filters
+            .iter()
+            .map(|(r, column, cond)| (&r[..], &column[..], cond));
+        self.read_into(relations, filters, None, sink)
+    }
+
+    /// The one string-level read behind [`Database::query_into`] and
+    /// [`Database::join_into`]: [`plan`] the relations, their filters
+    /// and the select list, run the plan, render the rows into `sink`.
+    /// Planning and every store round trip run in one era of the store's
+    /// schema, the round trips with no name lock held; the rows reach the
+    /// sink as pool names after the era.  One relation is the trivial
+    /// join tree: its one filtered read renders as shipped, with no flat
+    /// copy.  Several go through the join planner ([`execute_join`]),
+    /// whose flat fold builds no row twice.  On an error the sink is not
+    /// called at all.
+    fn read_into<'f, R: AsRef<str>, S: RowSink>(
+        &self,
+        relations: &[R],
+        filters: impl IntoIterator<Item = (&'f str, &'f str, &'f Cond)>,
+        select: Option<Vec<String>>,
+        sink: &mut S,
+    ) -> Result<JoinReport, Error> {
         let era = self.store.era()?;
-        let plan = plan_join(era.schema(), &self.names(), relations, filters)?;
+        let mut plan = plan(era.schema(), &self.names(), relations, filters, select)?;
+        let mut report = JoinReport::default();
         if !plan.satisfiable {
-            // Some filter names a never-interned value: nothing stored
-            // can match, so the store is not consulted — but the output
-            // columns still follow the contract.
+            // Nothing stored can match, so the store is not consulted —
+            // but the output columns still follow the contract.
             drop(era);
             self.render_into(&plan.columns, &[], std::iter::empty(), sink);
-            return Ok(JoinReport::default());
+        } else if let [(id, _, predicate)] = &mut plan.reads[..] {
+            let tuples = era.read(*id, &ReadPlan::tuples(std::mem::take(predicate)))?;
+            drop(era);
+            report.tuples_shipped = tuples.rows.len();
+            let rows = tuples.rows.iter().map(|t| &t[..]);
+            self.render_into(&plan.columns, &plan.positions, rows, sink);
+        } else {
+            let ids: Vec<SchemeId> = plan.reads.iter().map(|r| r.0).collect();
+            let attrs: Vec<AttrSet> = plan.reads.iter().map(|r| r.1).collect();
+            let preds: Vec<Predicate> = plan.reads.into_iter().map(|r| r.2).collect();
+            let joined;
+            (joined, report) = execute_join(&era, &ids, &attrs, &preds)?;
+            drop(era);
+            // The fold's rows are tuples over every read's attributes:
+            // the layout the plan's positions index.
+            debug_assert_eq!(
+                joined.attrs(),
+                attrs.iter().fold(AttrSet::new(), |u, a| u.union(*a))
+            );
+            self.render_into(&plan.columns, &plan.positions, joined.rows(), sink);
         }
-        let (joined, report) = execute_join(&era, &plan.ids, &plan.attrs, &plan.preds)?;
-        drop(era);
-        let positions: Vec<usize> = plan.order.iter().map(|&a| joined.attrs().rank(a)).collect();
-        self.render_into(&plan.columns, &positions, joined.rows(), sink);
         Ok(report)
     }
 
@@ -803,73 +810,114 @@ impl Database {
     }
 }
 
-/// A compiled string-level query: the pushed-down predicate plus the
-/// output columns and where each one sits in a shipped tuple —
-/// everything that needs the pool, computed up front, so the store
-/// round trip itself can run without holding any name state.
-struct QueryPlan {
-    id: SchemeId,
-    /// What the store is asked: the filters as a typed predicate, in
-    /// the tuples shape (a count flips the shape, nothing else).
-    read: ReadPlan,
-    /// False when a filter names a value this database never interned:
-    /// nothing stored can match, so the store is not consulted at all.
+/// A compiled string-level read: one read per distinct relation, the
+/// output columns, and where each column sits in a result row —
+/// everything that needs the pool, computed up front, so the store round
+/// trips run without holding any name state.
+struct Plan {
+    /// Per distinct relation, first mention first (the self-join
+    /// contract): its id, its attributes and its filters as a typed
+    /// predicate.
+    reads: Vec<(SchemeId, AttrSet, Predicate)>,
+    /// False when some filter names a value this database never
+    /// interned: nothing stored can match.
     satisfiable: bool,
     columns: Vec<String>,
-    /// Per output column, its position in a tuple of the relation.
+    /// Per output column, its position in a result row: a tuple over the
+    /// union of the reads' attributes.
     positions: Vec<usize>,
 }
 
-/// Compiles a string-level query against the schema and pool — the
-/// planning half of [`Database::run_query`].
-fn plan_query(
+/// Compiles a string-level read against the schema and pool — the
+/// planning half of [`Database::read_into`].  `relations` are joined
+/// (one relation is itself); `filters` are `(relation, column,
+/// condition)`; `select` picks the output columns among the first listed
+/// relation's (a query's one relation), else they follow the listed
+/// relations, each in declared column order, an attribute already emitted
+/// skipped.  Every name is checked before the store is consulted:
+/// an empty list is [`Error::EmptyJoin`], an unknown relation or a filter
+/// on one not listed [`Error::UnknownRelation`], and a column no such
+/// relation declares [`Error::UnknownColumn`].
+fn plan<'f, R: AsRef<str>>(
     schema: &Schema,
     pool: &ValuePool,
-    relation: &str,
-    filters: &[(String, Cond)],
+    relations: &[R],
+    filters: impl IntoIterator<Item = (&'f str, &'f str, &'f Cond)>,
     select: Option<Vec<String>>,
-) -> Result<QueryPlan, Error> {
-    let id = schema.scheme_id(relation)?;
-    let layout = schema.layout(id);
-    let attrs = schema.definition().attrs(id);
-    let attr_ids: Vec<AttrId> = attrs.iter().collect();
-    // Declared column name → canonical attribute, via the layout.
-    let attr_of = |column: &str| -> Result<AttrId, Error> {
-        layout
-            .columns
-            .iter()
-            .position(|c| c == column)
-            .map(|j| attr_ids[layout.perm[j]])
-            .ok_or_else(|| Error::UnknownColumn {
-                relation: relation.to_string(),
-                column: column.to_string(),
-            })
+) -> Result<Plan, Error> {
+    if relations.is_empty() {
+        return Err(Error::EmptyJoin);
+    }
+    let mut reads: Vec<(SchemeId, AttrSet, Predicate)> = Vec::with_capacity(relations.len());
+    let mut all = AttrSet::new();
+    for name in relations {
+        let id = schema.scheme_id(name.as_ref())?;
+        if reads.iter().all(|r| r.0 != id) {
+            let attrs = schema.definition().attrs(id);
+            all = all.union(attrs);
+            reads.push((id, attrs, Predicate::new()));
+        }
+    }
+    let unknown = |relation: &str, column: &str| Error::UnknownColumn {
+        relation: relation.to_string(),
+        column: column.to_string(),
     };
-    // Filters → typed predicate.  A value this database never
-    // interned cannot equal any stored value, so the query is
-    // unsatisfiable — but names are still validated first.
-    let mut predicate = Predicate::new();
     let mut satisfiable = true;
-    for (column, cond) in filters {
-        let attr = attr_of(column)?;
-        predicate = apply_cond(pool, predicate, attr, cond, &mut satisfiable);
+    for (relation, column, cond) in filters {
+        let id = schema.scheme_id(relation)?;
+        let Some(read) = reads.iter_mut().find(|r| r.0 == id) else {
+            return Err(Error::UnknownRelation(relation.to_string()));
+        };
+        let attr = attr_of(schema, id, column).ok_or_else(|| unknown(relation, column))?;
+        read.2 = apply_cond(
+            pool,
+            std::mem::take(&mut read.2),
+            attr,
+            cond,
+            &mut satisfiable,
+        );
     }
-    // Select list → projection (declaration order when omitted).
-    let columns: Vec<String> = match select {
-        Some(cols) => cols,
-        None => layout.columns.clone(),
+    let mut positions = Vec::with_capacity(select.as_ref().map_or(all.len(), Vec::len));
+    let columns = match select {
+        Some(columns) => {
+            let first = relations[0].as_ref();
+            for column in &columns {
+                let attr =
+                    attr_of(schema, reads[0].0, column).ok_or_else(|| unknown(first, column))?;
+                positions.push(all.rank(attr));
+            }
+            columns
+        }
+        None => {
+            let mut columns = Vec::with_capacity(all.len());
+            let mut seen = AttrSet::new();
+            for &(id, ..) in &reads {
+                for column in &schema.layout(id).columns {
+                    let attr = attr_of(schema, id, column).expect("a declared column");
+                    if seen.insert(attr) {
+                        columns.push(column.clone());
+                        positions.push(all.rank(attr));
+                    }
+                }
+            }
+            columns
+        }
     };
-    let mut positions = Vec::with_capacity(columns.len());
-    for c in &columns {
-        positions.push(attrs.rank(attr_of(c)?));
-    }
-    Ok(QueryPlan {
-        id,
-        read: ReadPlan::tuples(predicate),
+    Ok(Plan {
+        reads,
         satisfiable,
         columns,
         positions,
     })
+}
+
+/// The attribute behind relation `id`'s declared `column`, through the
+/// relation's layout — the one column → attribute resolution of the
+/// string surface.
+fn attr_of(schema: &Schema, id: SchemeId, column: &str) -> Option<AttrId> {
+    let layout = schema.layout(id);
+    let j = layout.columns.iter().position(|c| c == column)?;
+    schema.definition().attrs(id).iter().nth(layout.perm[j])
 }
 
 /// Compiles one string-level condition onto a typed predicate.
@@ -930,98 +978,6 @@ fn apply_cond(
         Cond::Ge(lo) => by_names(&|n| n >= lo.as_str(), predicate),
         Cond::Range(lo, hi) => by_names(&|n| lo.as_str() <= n && n <= hi.as_str(), predicate),
     }
-}
-
-/// A compiled multi-relation join: the deduped relations (first mention
-/// wins — the self-join contract), their attribute sets, and the
-/// pushed-down per-relation predicates, aligned by index; plus the
-/// output columns under the declared-layout contract of
-/// [`Database::join`] — relations in listed (deduped) order, each in its
-/// declared column order, attributes already emitted skipped.
-struct JoinPlan {
-    ids: Vec<SchemeId>,
-    attrs: Vec<AttrSet>,
-    preds: Vec<Predicate>,
-    /// False when some filter names a value this database never
-    /// interned: the join is empty without consulting the store.
-    satisfiable: bool,
-    columns: Vec<String>,
-    /// The attribute behind each of `columns`.
-    order: Vec<AttrId>,
-}
-
-/// Compiles a string-level join against the schema and pool — the
-/// planning half of [`Database::run_join`].  A filter naming a relation that is not
-/// part of the join is [`Error::UnknownRelation`].
-fn plan_join(
-    schema: &Schema,
-    pool: &ValuePool,
-    relations: &[String],
-    filters: &[(String, String, Cond)],
-) -> Result<JoinPlan, Error> {
-    if relations.is_empty() {
-        return Err(Error::EmptyJoin);
-    }
-    let mut ids: Vec<SchemeId> = Vec::new();
-    for name in relations {
-        let id = schema.scheme_id(name)?;
-        if !ids.contains(&id) {
-            ids.push(id);
-        }
-    }
-    let attrs: Vec<AttrSet> = ids
-        .iter()
-        .map(|&id| schema.definition().attrs(id))
-        .collect();
-    let mut preds = vec![Predicate::new(); ids.len()];
-    let mut satisfiable = true;
-    for (relation, column, cond) in filters {
-        let id = schema.scheme_id(relation)?;
-        let slot = ids
-            .iter()
-            .position(|&i| i == id)
-            .ok_or_else(|| Error::UnknownRelation(relation.clone()))?;
-        let layout = schema.layout(id);
-        let attr_ids: Vec<AttrId> = attrs[slot].iter().collect();
-        let attr = layout
-            .columns
-            .iter()
-            .position(|c| c == column)
-            .map(|j| attr_ids[layout.perm[j]])
-            .ok_or_else(|| Error::UnknownColumn {
-                relation: relation.clone(),
-                column: column.clone(),
-            })?;
-        preds[slot] = apply_cond(
-            pool,
-            std::mem::take(&mut preds[slot]),
-            attr,
-            cond,
-            &mut satisfiable,
-        );
-    }
-    let mut seen = AttrSet::new();
-    let mut columns: Vec<String> = Vec::new();
-    let mut order: Vec<AttrId> = Vec::new();
-    for (&id, &scheme) in ids.iter().zip(&attrs) {
-        let layout = schema.layout(id);
-        let attr_ids: Vec<AttrId> = scheme.iter().collect();
-        for (j, col) in layout.columns.iter().enumerate() {
-            let attr = attr_ids[layout.perm[j]];
-            if seen.insert(attr) {
-                columns.push(col.clone());
-                order.push(attr);
-            }
-        }
-    }
-    Ok(JoinPlan {
-        ids,
-        attrs,
-        preds,
-        satisfiable,
-        columns,
-        order,
-    })
 }
 
 #[cfg(test)]
@@ -1517,6 +1473,25 @@ mod tests {
                 db.query("CT").filter("course", eq("nope")).count().unwrap(),
                 0,
                 "{label}: unsatisfiable count is 0 without an engine trip"
+            );
+            // Aggregates cover every match, as count does: an ordering
+            // (even by a column the aggregate does not ship) and a limit
+            // leave them alone.
+            assert_eq!(
+                db.query("CT").order_by("course").max("teacher").unwrap(),
+                Some("Curie".to_string()),
+                "{label}"
+            );
+            let top = || db.query("CT").order_by_desc("course").limit(1);
+            assert_eq!(top().count().unwrap(), 3, "{label}");
+            assert_eq!(top().min("course").unwrap().as_deref(), Some("101"));
+            assert_eq!(
+                db.query("CT").limit(1).max("teacher").unwrap().as_deref(),
+                Some("Curie")
+            );
+            assert_eq!(
+                db.query("CT").limit(1).sum("course").unwrap(),
+                101 + 205 + 309
             );
         }
     }

@@ -206,13 +206,9 @@ pub(crate) fn execute_join(
         report.tuples_shipped += tuples.len();
         Ok(Joined::of(attrs[i], &tuples))
     };
-    if ids.len() == 1 {
-        // A single relation needs no plan: one filtered read is the join.
-        let rel = fetch(&plans[0], 0, &mut report)?;
-        return Ok((rel, report));
-    }
-    let Some(tree) = join_tree(attrs) else {
-        // Cyclic: one filtered read per relation, folded left to right.
+    let Some(tree) = join_tree(attrs).filter(|_| ids.len() > 1) else {
+        // Cyclic, or one relation (no tree to reduce): one filtered read
+        // per relation, folded left to right.
         let mut joined = fetch(&plans[0], 0, &mut report)?;
         for (i, plan) in plans.iter().enumerate().skip(1) {
             joined = joined.join(&fetch(plan, i, &mut report)?);

@@ -181,10 +181,9 @@ impl Query<'_> {
     }
 
     /// Executes the query and returns the matching [`Rows`].
-    pub fn run(self) -> Result<Rows, Error> {
-        let mut rows = self
-            .db
-            .run_query(&self.relation, &self.filters, self.select)?;
+    pub fn run(mut self) -> Result<Rows, Error> {
+        let select = self.select.take();
+        let mut rows = self.matches(select)?;
         if let Some((column, desc)) = &self.order {
             let Some(pos) = rows.columns().iter().position(|c| c == column) else {
                 return Err(Error::UnknownColumn {
@@ -209,7 +208,9 @@ impl Query<'_> {
 
     /// Number of matching rows, counted where the tuples live — no row
     /// is shipped or rendered to answer it (the count is taken under the
-    /// owning shard's lock and only the integer leaves it).
+    /// owning shard's lock and only the integer leaves it).  Like every
+    /// aggregate it covers all the matches: an ordering or a limit does
+    /// not apply.
     pub fn count(self) -> Result<usize, Error> {
         self.db.run_count(&self.relation, &self.filters)
     }
@@ -242,12 +243,20 @@ impl Query<'_> {
         Ok(total)
     }
 
-    /// Shared tail of the single-column aggregates: run with a one-column
-    /// select (overriding any caller select) and flatten.
-    fn column_values(mut self, column: impl Into<String>) -> Result<Vec<String>, Error> {
-        self.select = Some(vec![column.into()]);
-        let rows = self.run()?;
+    /// Shared tail of the single-column aggregates: every match's value
+    /// of `column`, whatever the select, ordering or limit.
+    fn column_values(self, column: impl Into<String>) -> Result<Vec<String>, Error> {
+        let rows = self.matches(Some(vec![column.into()]))?;
         Ok(rows.rows.into_iter().flat_map(|r| r.values).collect())
+    }
+
+    /// Every match, collected into [`Rows`] under `select`, in the order
+    /// the store shipped them: [`crate::Database::query_into`].
+    fn matches(&self, select: Option<Vec<String>>) -> Result<Rows, Error> {
+        let mut rows = Rows::default();
+        self.db
+            .query_into(&self.relation, &self.filters, select, &mut rows)?;
+        Ok(rows)
     }
 }
 
@@ -294,13 +303,17 @@ impl JoinQuery<'_> {
     /// [`crate::Database::join`] for the column-order contract and the
     /// consistency model.
     pub fn run(self) -> Result<Rows, Error> {
-        Ok(self.db.run_join(&self.relations, &self.filters)?.0)
+        Ok(self.run_with_report()?.0)
     }
 
     /// [`JoinQuery::run`] plus the planner's [`JoinReport`] — how the
     /// join was executed and how much crossed the store boundary.
     pub fn run_with_report(self) -> Result<(Rows, JoinReport), Error> {
-        self.db.run_join(&self.relations, &self.filters)
+        let mut rows = Rows::default();
+        let report = self
+            .db
+            .join_into(&self.relations, &self.filters, &mut rows)?;
+        Ok((rows, report))
     }
 }
 
@@ -326,8 +339,9 @@ pub struct JoinReport {
 }
 
 /// A consumer of a read's result, one rendered value at a time — what
-/// [`crate::Database::query_into`] and [`crate::Database::join_into`]
-/// feed.
+/// the one string-level read feeds, through
+/// [`crate::Database::query_into`] (its one-relation case) and
+/// [`crate::Database::join_into`].
 ///
 /// A successful read calls [`RowSink::start`] exactly once, then for each
 /// row [`RowSink::row`] followed by one [`RowSink::value`] per column; a

@@ -26,14 +26,17 @@ impl std::ops::Deref for SharedDatabase {
 }
 
 impl SharedDatabase {
-    /// [`Database::run_query`] under the name the old front end gave it
-    /// (shadowing the [`Database::query`] builder on this type).
+    /// [`Database::query_into`] collecting [`Rows`], under the name the
+    /// old front end gave it (shadowing the [`Database::query`] builder
+    /// on this type).
     pub fn query(
         &self,
         relation: &str,
         filters: &[(String, Cond)],
         select: Option<Vec<String>>,
     ) -> Result<Rows, Error> {
-        self.0.run_query(relation, filters, select)
+        let mut rows = Rows::default();
+        self.0.query_into(relation, filters, select, &mut rows)?;
+        Ok(rows)
     }
 }

@@ -263,6 +263,42 @@ proptest! {
                     &oracle_rows(db, &snapshot, id, &[(width - 1, &probe_s)], &rev),
                     "projected query diverges on {} / {} (seed {})", label, name, seed
                 );
+
+                // (f) A query is the one-relation case of the join: each
+                // query above, run again as `join_query([R])` with its
+                // filters given per relation, returns the same columns and
+                // the same rows in the same order — projected onto the
+                // select list where the query has one.
+                let rev_cols: Vec<String> = rev.iter().map(|&i| columns[i].to_string()).collect();
+                let generated = [
+                    (None, None),
+                    (Some((columns[0], probe_s.as_str())), None),
+                    (Some((columns[0], "never-interned")), None),
+                    (Some((columns[width - 1], probe_s.as_str())), Some(rev_cols)),
+                ];
+                for (filter, select) in generated {
+                    let (mut query, mut join) = (db.query(name), db.join_query([name]));
+                    if let Some((column, value)) = filter {
+                        query = query.filter(column, eq(value));
+                        join = join.filter(name, column, eq(value));
+                    }
+                    if let Some(select) = &select {
+                        query = query.select(select);
+                    }
+                    let (query, joined) = (query.run().unwrap(), join.run().unwrap());
+                    let select = select.unwrap_or_else(|| joined.columns().to_vec());
+                    let projected: Vec<Vec<String>> = joined.iter()
+                        .map(|row| select.iter().map(|c| row.get(c).unwrap().to_string()).collect())
+                        .collect();
+                    prop_assert_eq!(
+                        query.columns(), &select[..],
+                        "query vs join columns on {} / {} (seed {})", label, name, seed
+                    );
+                    prop_assert_eq!(
+                        query.into_string_rows(), projected,
+                        "query vs join rows on {} / {} (seed {})", label, name, seed
+                    );
+                }
             }
 
             // (d) The typed level: one read entry, the generated guard

@@ -483,11 +483,6 @@ impl Relation {
             && self.len() == other.len()
             && self.iter().all(|t| other.contains(t))
     }
-
-    /// True when every tuple of `self` appears in `other` (same scheme).
-    pub fn is_subinstance_of(&self, other: &Relation) -> bool {
-        self.attrs == other.attrs && self.iter().all(|t| other.contains(t))
-    }
 }
 
 /// Joins a non-empty sequence of relations left to right: `r1 ⋈ r2 ⋈ … ⋈ rn`.
@@ -777,107 +772,5 @@ mod tests {
         let j = ab.natural_join(&bc);
         assert!(r.iter().all(|t| j.contains(t)));
         assert_eq!(j.len(), 4); // strictly lossy here
-    }
-}
-
-impl Relation {
-    /// Set union of two instances over the same scheme.
-    pub fn union_rel(&self, other: &Relation) -> Relation {
-        debug_assert_eq!(self.attrs, other.attrs);
-        let mut out = self.clone();
-        for t in other.iter() {
-            out.insert(t.to_vec()).expect("same scheme");
-        }
-        out
-    }
-
-    /// Set intersection of two instances over the same scheme.
-    pub fn intersect_rel(&self, other: &Relation) -> Relation {
-        debug_assert_eq!(self.attrs, other.attrs);
-        let mut out = Relation::new(self.attrs);
-        for t in self.iter() {
-            if other.contains(t) {
-                out.insert(t.to_vec()).expect("same scheme");
-            }
-        }
-        out
-    }
-
-    /// Set difference `self − other` over the same scheme.
-    pub fn difference_rel(&self, other: &Relation) -> Relation {
-        debug_assert_eq!(self.attrs, other.attrs);
-        let mut out = Relation::new(self.attrs);
-        for t in self.iter() {
-            if !other.contains(t) {
-                out.insert(t.to_vec()).expect("same scheme");
-            }
-        }
-        out
-    }
-
-    /// Selection `σ_{attr = value}(r)`.
-    pub fn select_eq(&self, attr: AttrId, value: Value) -> Relation {
-        debug_assert!(self.attrs.contains(attr));
-        let pos = self.attrs.rank(attr);
-        let mut out = Relation::new(self.attrs);
-        for t in self.iter() {
-            if t[pos] == value {
-                out.insert(t.to_vec()).expect("same scheme");
-            }
-        }
-        out
-    }
-
-    /// The active domain of one attribute: the distinct values it takes.
-    pub fn active_domain(&self, attr: AttrId) -> Vec<Value> {
-        let pos = self.attrs.rank(attr);
-        let mut vals: Vec<Value> = self.iter().map(|t| t[pos]).collect();
-        vals.sort();
-        vals.dedup();
-        vals
-    }
-}
-
-#[cfg(test)]
-mod algebra_tests {
-    use super::*;
-    use crate::universe::Universe;
-
-    fn v(n: u64) -> Value {
-        Value::int(n)
-    }
-
-    fn two_rels() -> (Relation, Relation) {
-        let u = Universe::from_names(["A", "B"]).unwrap();
-        let mut r = Relation::new(u.all());
-        r.insert(vec![v(1), v(2)]).unwrap();
-        r.insert(vec![v(3), v(4)]).unwrap();
-        let mut s = Relation::new(u.all());
-        s.insert(vec![v(3), v(4)]).unwrap();
-        s.insert(vec![v(5), v(6)]).unwrap();
-        (r, s)
-    }
-
-    #[test]
-    fn union_intersection_difference() {
-        let (r, s) = two_rels();
-        assert_eq!(r.union_rel(&s).len(), 3);
-        let i = r.intersect_rel(&s);
-        assert_eq!(i.len(), 1);
-        assert!(i.contains(&[v(3), v(4)]));
-        let d = r.difference_rel(&s);
-        assert_eq!(d.len(), 1);
-        assert!(d.contains(&[v(1), v(2)]));
-        // r = (r − s) ∪ (r ∩ s).
-        assert!(r.set_eq(&d.union_rel(&i)));
-    }
-
-    #[test]
-    fn selection_and_active_domain() {
-        let (r, _) = two_rels();
-        let a = AttrId::from_index(0);
-        let sel = r.select_eq(a, v(1));
-        assert_eq!(sel.len(), 1);
-        assert_eq!(r.active_domain(a), vec![v(1), v(3)]);
     }
 }

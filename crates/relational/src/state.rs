@@ -1,6 +1,5 @@
 //! Database states.
 
-use crate::attrset::AttrSet;
 use crate::codec::{Decoder, Encoder};
 use crate::error::RelationalError;
 use crate::relation::{join_all, Relation};
@@ -191,16 +190,6 @@ impl DatabaseState {
             }
         }
         Ok(state)
-    }
-
-    /// Per-relation local FD check: `true` when for every supplied pair
-    /// `(id, fds)` the instance of `id` satisfies all FDs in the list.
-    pub fn satisfies_local_fds(
-        &self,
-        fds: impl IntoIterator<Item = (SchemeId, AttrSet, AttrSet)>,
-    ) -> bool {
-        fds.into_iter()
-            .all(|(id, lhs, rhs)| self.relations[id.index()].satisfies_fd(lhs, rhs))
     }
 }
 

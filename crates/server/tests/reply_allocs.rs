@@ -1,4 +1,4 @@
-//! Allocations per joined row, counted rather than timed.
+//! Allocations per read, counted rather than timed.
 //!
 //! A 1000-row join shaped like the benchmark's `D1 ⋈ D2` (1000 tuples
 //! joined to 50 through a key chain) is read twice: through
@@ -9,11 +9,17 @@
 //! of its relation once (one allocation per fetched tuple, 1.05 per
 //! output row here); after that the planner's flat fold allocates per
 //! edge, not per row, and only the `String` rows allocate per value.
+//!
+//! A single-relation read is the join of one relation, rendered as the
+//! store shipped it: a point read and a 100-row group read through
+//! `Database::query_into` are counted the same two ways, each held to the
+//! exact count it made before queries and joins shared one planner — so
+//! the one-relation path never gains a flat copy of its rows.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use ids_api::{Database, EngineKind, Schema};
+use ids_api::{eq, Cond, Database, EngineKind, Rows, Schema};
 use ids_server::wire::{encode_reply, Reply, RowsWriter};
 use ids_store::StoreConfig;
 
@@ -130,4 +136,69 @@ fn a_streamed_join_reply_makes_at_most_one_and_a_half_allocations_per_row() {
         rows: rows.into_string_rows(),
     };
     assert_eq!(out, encode_reply(7, &reply));
+}
+
+/// `G(k g)` with 1000 rows under `k -> g`, an ordered index on `g`, and
+/// 100 rows in each of 10 groups.
+fn grouped() -> Database {
+    let schema = Schema::builder()
+        .relation("G", ["k", "g"])
+        .fd("k -> g")
+        .index("G", "g")
+        .build()
+        .unwrap();
+    let db = Database::open(schema, EngineKind::Sharded(StoreConfig::default())).unwrap();
+    for i in 0..1000 {
+        db.insert("G", [format!("k{i}"), format!("g{}", i % 10)])
+            .unwrap();
+    }
+    db
+}
+
+/// One `Database::query_into` of `G`, streamed into a reused reply
+/// buffer and collected into `Rows`: the allocation calls of each, and
+/// the rows.
+fn counted_query(db: &Database, filters: &[(String, Cond)]) -> (u64, u64, Rows) {
+    let stream = |out: &mut Vec<u8>| {
+        let mut rows = RowsWriter::new(out, 7);
+        db.query_into("G", filters, None, &mut rows).unwrap();
+        rows.finish();
+    };
+    let mut out = Vec::new();
+    stream(&mut out);
+    out.clear();
+    let ((), streamed) = allocs_during(|| stream(&mut out));
+    let (rows, collected) = allocs_during(|| {
+        let mut rows = Rows::default();
+        db.query_into("G", filters, None, &mut rows).unwrap();
+        rows
+    });
+    // The bytes are the reply the `Rows` table encodes.
+    let reply = Reply::Rows {
+        columns: rows.columns().to_vec(),
+        rows: rows.clone().into_string_rows(),
+    };
+    assert_eq!(out, encode_reply(7, &reply));
+    (streamed, collected, rows)
+}
+
+#[test]
+fn single_relation_reads_allocate_no_more_than_before_the_shared_planner() {
+    let db = grouped();
+    // (filter, rows, streamed bound, collected bound): the bounds are the
+    // counts measured when queries had a planner of their own.
+    let cases = [(("k", "k7"), 1, 8, 15), (("g", "g3"), 100, 112, 416)];
+    for ((column, value), len, streamed_max, collected_max) in cases {
+        let filters = [(column.to_string(), eq(value))];
+        let (streamed, collected, rows) = counted_query(&db, &filters);
+        assert_eq!(rows.len(), len);
+        eprintln!(
+            "{len}-row query on {column}: {streamed} allocations streamed, {collected} into Rows"
+        );
+        assert!(streamed <= streamed_max, "{streamed} allocations streamed");
+        assert!(
+            collected <= collected_max,
+            "{collected} allocations into Rows"
+        );
+    }
 }
