@@ -11,7 +11,7 @@ use ids_relational::{
 };
 use ids_store::{DurableConfig, OpOutcome, Store, StoreConfig, StoreOp};
 
-use crate::planner::execute_join;
+use crate::planner::{execute_join, Joined};
 use crate::query::{Cond, JoinQuery, JoinReport, Query, RowSink, Rows};
 use crate::{Alter, Error, Schema};
 
@@ -101,10 +101,12 @@ pub enum EngineKind {
 /// executor: a query is the one-relation case of the join.  The planner
 /// resolves the relations, pushes each relation's filters down as a
 /// typed predicate, and picks the output columns; the executor reads
-/// one relation with one filtered read and renders its tuples as the
-/// store shipped them, and folds several flat first (see
-/// [`Database::join`]), so each row is built once.  A row visitor hands
-/// each row's values, as names borrowed from the pool, to a [`RowSink`].
+/// each relation with one filtered read, whose matching tuples are not
+/// copied out one by one: their values are gathered into one buffer per
+/// read, under that relation's lock.  One relation renders from its
+/// buffer, several fold flat first (see [`Database::join`]), so each row
+/// is built once.  A row visitor hands each row's values, as names
+/// borrowed from the pool, to a [`RowSink`].
 /// [`Rows`] is the sink that collects them as strings;
 /// [`Database::query_into`] and [`Database::join_into`] take any other —
 /// the wire server's writes reply bytes straight into its output buffer.
@@ -505,7 +507,8 @@ impl Database {
     /// owning relation's shard runs it — a filter pinning a
     /// key column (an enforcement FD's left-hand side) is answered in
     /// O(1) from the hash index the shard already maintains, and only
-    /// matching tuples are copied out.  Same barrier-free
+    /// the matching tuples' values are gathered, into one buffer per
+    /// read.  Same barrier-free
     /// consistency model as [`Database::rows`].
     pub fn query(&self, relation: impl Into<String>) -> Query<'_> {
         Query {
@@ -711,10 +714,11 @@ impl Database {
     /// and the select list, run the plan, render the rows into `sink`.
     /// Planning and every store round trip run in one era of the store's
     /// schema, the round trips with no name lock held; the rows reach the
-    /// sink as pool names after the era.  One relation is the trivial
-    /// join tree: its one filtered read renders as shipped, with no flat
-    /// copy.  Several go through the join planner ([`execute_join`]),
-    /// whose flat fold builds no row twice.  On an error the sink is not
+    /// sink as pool names after the era.  Every read goes through the
+    /// join planner ([`execute_join`]): each relation's matching rows are
+    /// gathered into one flat buffer, one relation is the trivial join
+    /// tree and renders from its buffer as gathered, and several fold
+    /// flat, so no row is built twice.  On an error the sink is not
     /// called at all.
     fn read_into<'f, R: AsRef<str>, S: RowSink>(
         &self,
@@ -724,46 +728,36 @@ impl Database {
         sink: &mut S,
     ) -> Result<JoinReport, Error> {
         let era = self.store.era()?;
-        let mut plan = plan(era.schema(), &self.names(), relations, filters, select)?;
-        let mut report = JoinReport::default();
+        let plan = plan(era.schema(), &self.names(), relations, filters, select)?;
         if !plan.satisfiable {
             // Nothing stored can match, so the store is not consulted —
             // but the output columns still follow the contract.
             drop(era);
             self.render_into(&plan.columns, &[], std::iter::empty(), sink);
-        } else if let [(id, _, predicate)] = &mut plan.reads[..] {
-            let tuples = era.read(*id, &ReadPlan::tuples(std::mem::take(predicate)))?;
-            drop(era);
-            report.tuples_shipped = tuples.rows.len();
-            let rows = tuples.rows.iter().map(|t| &t[..]);
-            self.render_into(&plan.columns, &plan.positions, rows, sink);
-        } else {
-            let ids: Vec<SchemeId> = plan.reads.iter().map(|r| r.0).collect();
-            let attrs: Vec<AttrSet> = plan.reads.iter().map(|r| r.1).collect();
-            let preds: Vec<Predicate> = plan.reads.into_iter().map(|r| r.2).collect();
-            let joined;
-            (joined, report) = execute_join(&era, &ids, &attrs, &preds)?;
-            drop(era);
-            // The fold's rows are tuples over every read's attributes:
-            // the layout the plan's positions index.
-            debug_assert_eq!(
-                joined.attrs(),
-                attrs.iter().fold(AttrSet::new(), |u, a| u.union(*a))
-            );
-            self.render_into(&plan.columns, &plan.positions, joined.rows(), sink);
+            return Ok(JoinReport::default());
         }
+        // The fold's rows are tuples over every read's attributes: the
+        // layout the plan's positions index.
+        let all = (plan.reads.iter()).fold(AttrSet::new(), |all, r| all.union(r.1));
+        let (joined, report) = execute_join(&era, plan.reads)?;
+        drop(era);
+        debug_assert_eq!(joined.attrs(), all);
+        self.render_into(&plan.columns, &plan.positions, joined.rows(), sink);
         Ok(report)
     }
 
-    /// Reads one relation without a global barrier, as raw typed data.
+    /// Reads one relation without a global barrier, as raw typed data:
+    /// its rows gathered into one buffer under the relation's lock, then
+    /// inserted into a fresh [`Relation`] after it.
     pub fn read(&self, relation: &str) -> Result<Relation, Error> {
         let era = self.store.era()?;
         let id = era.schema().scheme_id(relation)?;
-        let mut rel = Relation::new(era.schema().definition().attrs(id));
-        let rows = era.read(id, &ReadPlan::tuples(Predicate::new()))?.rows;
+        let attrs = era.schema().definition().attrs(id);
+        let rows = Joined::gather(&era, id, attrs, &Predicate::new())?;
         drop(era);
-        for t in rows {
-            rel.insert(t.into_vec())?;
+        let mut rel = Relation::new(attrs);
+        for row in rows.rows() {
+            rel.insert(row.to_vec())?;
         }
         Ok(rel)
     }
@@ -1492,6 +1486,17 @@ mod tests {
             assert_eq!(
                 db.query("CT").limit(1).sum("course").unwrap(),
                 101 + 205 + 309
+            );
+            // A sum past i64 is a typed error naming the column, never a
+            // wrapped total or a panic.
+            db.insert("CT", [i64::MAX.to_string().as_str(), "Max"])
+                .unwrap();
+            assert!(
+                matches!(
+                    db.query("CT").sum("course"),
+                    Err(Error::SumOverflow { column }) if column == "course"
+                ),
+                "{label}"
             );
         }
     }

@@ -10,18 +10,25 @@
 //!    relation — one with a user filter, or with reducers already
 //!    received from its own children — ships the **distinct projection**
 //!    of its matching tuples onto the attributes it shares with its
-//!    parent.  Join keys, not tuples ([`ReadShape::Distinct`]); the keys
-//!    narrow the parent as per-column `In` guards.  Unconstrained
-//!    relations ship nothing in this pass.
-//! 2. **Top-down** (root first): each relation is fetched
-//!    ([`ReadShape::Tuples`]), children narrowed by `In` reducers computed
-//!    from their parent's already-fetched tuples.  The fetched tuples are
-//!    then folded **flat**: in elimination order each child is hash-joined
-//!    into its parent — one hash join per join-tree edge, straight into a
-//!    row-major `Vec<Value>` ([`Joined`]), with no `Relation` built and no
-//!    allocation per row.  Rows come out parent-major: the parent's
-//!    tuples in fetch order, each followed by its matches in the child's
-//!    fetch order.
+//!    parent.  Join keys, not tuples
+//!    ([`ids_relational::ReadShape::Distinct`]); the keys narrow the
+//!    parent as per-column `In` guards.  Unconstrained relations ship
+//!    nothing in this pass.
+//! 2. **Top-down** (root first): each relation is fetched, children
+//!    narrowed by `In` reducers computed from their parent's
+//!    already-fetched tuples.  A fetch is [`Era::gather`]: the store
+//!    visits the matching rows in its slab, under the relation's lock,
+//!    and appends their values to one row-major `Vec<Value>`
+//!    ([`Joined`]), so no tuple is boxed on its way out.  The fetched
+//!    rows are then folded **flat**: in elimination order each child is
+//!    hash-joined into its parent — one hash join per join-tree edge,
+//!    straight into another such buffer, with no `Relation` built and no
+//!    allocation per row.  The join's table is the crate's keyless
+//!    [`SlotTable`] over the child's row numbers, under its own keyed
+//!    SipHash (join keys are client data): each row's key is hashed once
+//!    and compared in place, never copied.  Rows come out parent-major:
+//!    the parent's tuples in fetch order, each followed by its matches in
+//!    the child's fetch order.
 //!
 //! The fold needs **no de-duplication**.  Every read ships a set (a
 //! relation holds each tuple once, and a read returns each match once),
@@ -53,40 +60,49 @@
 //! particular, in single-threaded use) the result is exactly the
 //! natural join of the fetch cuts.
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasher, Hash, Hasher};
 
 use ids_acyclic::join_tree;
-use ids_relational::{AttrId, AttrSet, Predicate, ReadPlan, ReadShape, SchemeId, Tuple, Value};
+use ids_relational::{
+    AttrId, AttrSet, Predicate, ReadPlan, RelationalError, SchemeId, SlotTable, Value,
+};
 use ids_store::Era;
 
 use crate::query::JoinReport;
 use crate::Error;
 
 /// End of a match chain in [`Joined::join`].
-const NO_MATCH: usize = usize::MAX;
+const NO_MATCH: u32 = u32::MAX;
 
-/// A join result, flat: `len` rows of `attrs.len()` values each, stored
+/// A join result, flat: `len` rows of `width` values each, stored
 /// row-major in one `Vec`, every row laid out in `attrs`' ascending
 /// attribute order (the layout of a tuple over `attrs`).
 #[derive(Debug)]
 pub(crate) struct Joined {
     attrs: AttrSet,
+    /// `attrs.len()`, counted once.
+    width: usize,
     len: usize,
     values: Vec<Value>,
 }
 
 impl Joined {
-    /// The tuples one read shipped, flattened.
-    fn of(attrs: AttrSet, tuples: &[Tuple]) -> Self {
-        let mut values = Vec::with_capacity(tuples.len() * attrs.len());
-        for t in tuples {
-            values.extend_from_slice(t);
-        }
-        Joined {
+    /// The rows of relation `id` (over `attrs`) matching `predicate`,
+    /// gathered by the store straight into one flat buffer.
+    pub(crate) fn gather(
+        era: &Era<'_>,
+        id: SchemeId,
+        attrs: AttrSet,
+        predicate: &Predicate,
+    ) -> Result<Self, Error> {
+        let mut values = Vec::new();
+        let len = era.gather(id, predicate, &mut values)?;
+        Ok(Joined {
             attrs,
-            len: tuples.len(),
+            width: attrs.len(),
+            len,
             values,
-        }
+        })
     }
 
     /// The attributes of every row, in row layout order.
@@ -96,8 +112,7 @@ impl Joined {
 
     /// Row `i`.
     fn row(&self, i: usize) -> &[Value] {
-        let width = self.attrs.len();
-        &self.values[i * width..(i + 1) * width]
+        &self.values[i * self.width..(i + 1) * self.width]
     }
 
     /// The rows, in order.
@@ -108,13 +123,19 @@ impl Joined {
     /// `self ⋈ other`: one hash join on the shared attributes.  `other`
     /// is indexed by its key — a chain of its rows per distinct key, in
     /// row order — and `self` probes it, so the output is `self`'s rows
-    /// in order, each followed by its matches in `other`'s order.  Keys
-    /// are slices of one gathered buffer and the output is one `Vec`:
-    /// no allocation per row.
-    fn join(&self, other: &Joined) -> Joined {
+    /// in order, each followed by its matches in `other`'s order.
+    ///
+    /// The index is a [`SlotTable`] over `other`'s row numbers: a
+    /// chain's first row is its slot and its last row the payload, and
+    /// keys are compared by reading them back out of the two buffers, so
+    /// no key is copied and each row's key is hashed once.  The output is
+    /// one `Vec`: no allocation per row.  Refused with
+    /// [`RelationalError::RelationFull`] when `other` holds more rows than
+    /// a slot addresses, as a relation would be.
+    fn join(&self, other: &Joined) -> Result<Joined, Error> {
         let common: Vec<AttrId> = self.attrs.intersect(other.attrs).iter().collect();
         let attrs = self.attrs.union(other.attrs);
-        let width = self.attrs.len();
+        let width = self.width;
         // Each output value's source: a column of the probing row, or —
         // offset by its width — a column of the match.
         let sources: Vec<usize> = attrs
@@ -127,45 +148,53 @@ impl Joined {
                 }
             })
             .collect();
-
         let other_key: Vec<usize> = common.iter().map(|&a| other.attrs.rank(a)).collect();
-        let k = other_key.len();
-        let mut keys: Vec<Value> = Vec::with_capacity(other.len * k);
-        for row in other.rows() {
-            keys.extend(other_key.iter().map(|&p| row[p]));
-        }
-        // Key → (first, last) row of its chain; `next` links the chain.
-        let mut chains: HashMap<&[Value], (usize, usize)> = HashMap::with_capacity(other.len);
+        let self_key: Vec<usize> = common.iter().map(|&a| self.attrs.rank(a)).collect();
+
+        // Each distinct key of `other`: its chain's first row as the
+        // slot, its last as the payload; `next` links the chain.
+        let rows = u32::try_from(other.len)
+            .ok()
+            .filter(|&n| n < NO_MATCH)
+            .ok_or(RelationalError::RelationFull)?;
+        let mut chains: SlotTable<u32> = SlotTable::new();
+        let hasher = chains.hasher().clone();
+        let hash = |row: &[Value], key: &[usize]| {
+            let mut h = hasher.build_hasher();
+            key.iter().for_each(|&p| row[p].hash(&mut h));
+            h.finish()
+        };
         let mut next = vec![NO_MATCH; other.len];
-        for j in 0..other.len {
-            match chains.entry(&keys[j * k..(j + 1) * k]) {
-                Entry::Occupied(mut chain) => {
-                    let (_, last) = chain.get_mut();
-                    next[*last] = j;
+        for j in 0..rows {
+            let row = other.row(j as usize);
+            let h = hash(row, &other_key);
+            let same = |s: u32| (other_key.iter()).all(|&p| other.row(s as usize)[p] == row[p]);
+            match chains.get_mut(h, same) {
+                Some((_, last)) => {
+                    next[*last as usize] = j;
                     *last = j;
                 }
-                Entry::Vacant(slot) => {
-                    slot.insert((j, j));
-                }
+                None => chains.insert(h, j, j),
             }
         }
 
-        let self_key: Vec<usize> = common.iter().map(|&a| self.attrs.rank(a)).collect();
-        let mut probe: Vec<Value> = Vec::with_capacity(k);
         let mut out = Joined {
             attrs,
+            width: attrs.len(),
             len: 0,
             values: Vec::with_capacity(self.len.max(other.len) * attrs.len()),
         };
         for row in self.rows() {
-            probe.clear();
-            probe.extend(self_key.iter().map(|&p| row[p]));
-            let Some(&(first, _)) = chains.get(&probe[..]) else {
+            let same = |s: u32| {
+                let held = other.row(s as usize);
+                (other_key.iter().zip(&self_key)).all(|(&o, &p)| held[o] == row[p])
+            };
+            let Some((first, _)) = chains.get(hash(row, &self_key), same) else {
                 continue;
             };
             let mut j = first;
             while j != NO_MATCH {
-                let matched = other.row(j);
+                let matched = other.row(j as usize);
                 out.values.extend(sources.iter().map(|&s| {
                     if s < width {
                         row[s]
@@ -174,89 +203,87 @@ impl Joined {
                     }
                 }));
                 out.len += 1;
-                j = next[j];
+                j = next[j as usize];
             }
         }
-        out
+        Ok(out)
     }
 }
 
-/// Executes a join over the **distinct** relations `ids` (attribute sets
-/// in `attrs`, pushed-down per-relation predicates in `filters`; all
-/// three aligned).  Callers dedup repeated relations first — that is the
-/// self-join contract: one relation, one cut, however often it is
-/// listed.  Returns the joined rows plus the execution report.
+/// Executes a join over the **distinct** relations of `reads` — each
+/// one's id, attribute set and pushed-down predicate.  Callers dedup
+/// repeated relations first — that is the self-join contract: one
+/// relation, one cut, however often it is listed.  Returns the joined
+/// rows plus the execution report.
 pub(crate) fn execute_join(
     era: &Era<'_>,
-    ids: &[SchemeId],
-    attrs: &[AttrSet],
-    filters: &[Predicate],
+    mut reads: Vec<(SchemeId, AttrSet, Predicate)>,
 ) -> Result<(Joined, JoinReport), Error> {
-    debug_assert_eq!(ids.len(), attrs.len());
-    debug_assert_eq!(ids.len(), filters.len());
     let mut report = JoinReport::default();
-    if ids.is_empty() {
-        return Err(Error::EmptyJoin);
-    }
-    // One plan per relation: its predicate only ever narrows, its shape
-    // flips from join keys (pass 1) to tuples (the fetch).
-    let mut plans: Vec<ReadPlan> = filters.iter().cloned().map(ReadPlan::tuples).collect();
-    let fetch = |plan: &ReadPlan, i: usize, report: &mut JoinReport| -> Result<Joined, Error> {
-        let tuples = era.read(ids[i], plan)?.rows;
-        report.tuples_shipped += tuples.len();
-        Ok(Joined::of(attrs[i], &tuples))
+    let fetch = |(id, attrs, predicate): &(SchemeId, AttrSet, Predicate),
+                 report: &mut JoinReport|
+     -> Result<Joined, Error> {
+        let joined = Joined::gather(era, *id, *attrs, predicate)?;
+        report.tuples_shipped += joined.len;
+        Ok(joined)
     };
-    let Some(tree) = join_tree(attrs).filter(|_| ids.len() > 1) else {
+    let tree = match &reads[..] {
+        [] => return Err(Error::EmptyJoin),
+        [_] => None,
+        _ => join_tree(&reads.iter().map(|r| r.1).collect::<Vec<_>>()),
+    };
+    let Some(tree) = tree else {
         // Cyclic, or one relation (no tree to reduce): one filtered read
         // per relation, folded left to right.
-        let mut joined = fetch(&plans[0], 0, &mut report)?;
-        for (i, plan) in plans.iter().enumerate().skip(1) {
-            joined = joined.join(&fetch(plan, i, &mut report)?);
+        let mut joined = fetch(&reads[0], &mut report)?;
+        for read in &reads[1..] {
+            joined = joined.join(&fetch(read, &mut report)?)?;
         }
         return Ok((joined, report));
     };
     report.planned = true;
 
     // Pass 1, bottom-up: constrained relations ship distinct join keys
-    // into their parents.
-    let mut constrained: Vec<bool> = plans.iter().map(|p| !p.predicate.is_true()).collect();
+    // into their parents.  A predicate only ever narrows: reducers are
+    // conjoined onto it as `In` guards.
+    let mut constrained: Vec<bool> = reads.iter().map(|r| !r.2.is_true()).collect();
     for &i in &tree.elimination_order {
         let Some(p) = tree.parent[i] else { continue };
         if !constrained[i] {
             continue;
         }
-        let shared: Vec<AttrId> = attrs[i].intersect(attrs[p]).iter().collect();
+        let shared: Vec<AttrId> = reads[i].1.intersect(reads[p].1).iter().collect();
         if shared.is_empty() {
             continue;
         }
-        plans[i].shape = ReadShape::Distinct(shared.clone());
-        let keys = era.read(ids[i], &plans[i])?.rows;
+        let plan = ReadPlan::distinct_columns(std::mem::take(&mut reads[i].2), shared.clone());
+        let keys = era.read(reads[i].0, &plan)?.rows;
+        reads[i].2 = plan.predicate;
         report.keys_shipped += keys.len();
         for (k, &attr) in shared.iter().enumerate() {
             let vals: Vec<Value> = keys.iter().map(|row| row[k]).collect();
-            plans[p].predicate = std::mem::take(&mut plans[p].predicate).and_in(attr, vals);
+            reads[p].2 = std::mem::take(&mut reads[p].2).and_in(attr, vals);
         }
         constrained[p] = true;
     }
 
     // Pass 2, top-down: fetch root-first, narrowing each child with
     // reducers projected from its parent's fetched tuples.
-    let mut fetched: Vec<Option<Joined>> = (0..ids.len()).map(|_| None).collect();
+    let mut fetched: Vec<Option<Joined>> = (0..reads.len()).map(|_| None).collect();
     for &i in tree.elimination_order.iter().rev() {
         if let Some(p) = tree.parent[i] {
             // Reversed elimination order visits a parent before its children.
             let parent = fetched[p].as_ref().expect("parents fetch first");
-            for attr in attrs[i].intersect(attrs[p]).iter() {
-                let pos = attrs[p].rank(attr);
+            for attr in reads[i].1.intersect(reads[p].1).iter() {
+                let pos = reads[p].1.rank(attr);
                 let mut vals: Vec<Value> = parent.rows().map(|t| t[pos]).collect();
                 vals.sort_unstable();
                 vals.dedup();
                 report.keys_shipped += vals.len();
-                plans[i].predicate = std::mem::take(&mut plans[i].predicate).and_in(attr, vals);
+                reads[i].2 = std::mem::take(&mut reads[i].2).and_in(attr, vals);
             }
         }
-        plans[i].shape = ReadShape::Tuples;
-        fetched[i] = Some(fetch(&plans[i], i, &mut report)?);
+        fetched[i] = Some(fetch(&reads[i], &mut report)?);
     }
 
     // Fold: hash-join each child into its parent in elimination order;
@@ -269,7 +296,7 @@ pub(crate) fn execute_join(
         let parent = fetched[p]
             .as_ref()
             .expect("parent folds after its children");
-        fetched[p] = Some(parent.join(&child));
+        fetched[p] = Some(parent.join(&child)?);
     }
     // The root has no parent, so no fold above took it.
     let joined = fetched[tree.root()].take().expect("root holds the join");
@@ -308,6 +335,16 @@ mod tests {
         (ids, attrs, store)
     }
 
+    /// The reads of `ids` (over `attrs`) under `filters`.
+    fn reads(
+        ids: &[SchemeId],
+        attrs: &[AttrSet],
+        filters: &[Predicate],
+    ) -> Vec<(SchemeId, AttrSet, Predicate)> {
+        let reads = ids.iter().zip(attrs).zip(filters);
+        reads.map(|((&id, &a), p)| (id, a, p.clone())).collect()
+    }
+
     /// The flat rows as a set — asserting on the way that the fold
     /// produced no duplicate.
     fn row_set(joined: &Joined) -> BTreeSet<Vec<Value>> {
@@ -336,7 +373,8 @@ mod tests {
 
         // Unfiltered: planner result ≡ whole-relation fold.
         let empty = vec![Predicate::new(); 3];
-        let (planned, report) = execute_join(&store.era().unwrap(), &ids, &attrs, &empty).unwrap();
+        let (planned, report) =
+            execute_join(&store.era().unwrap(), reads(&ids, &attrs, &empty)).unwrap();
         assert!(report.planned);
         let state = store.snapshot().unwrap();
         let naive = join_all(ids.iter().map(|&id| state.relation(id))).unwrap();
@@ -353,7 +391,7 @@ mod tests {
             Predicate::new(),
         ];
         let (filtered, report) =
-            execute_join(&store.era().unwrap(), &ids, &attrs, &filters).unwrap();
+            execute_join(&store.era().unwrap(), reads(&ids, &attrs, &filters)).unwrap();
         assert!(report.planned);
         let filtered = row_set(&filtered);
         assert_eq!(filtered.len(), 1);
@@ -377,7 +415,8 @@ mod tests {
             ],
         );
         let empty = vec![Predicate::new(); 3];
-        let (joined, report) = execute_join(&store.era().unwrap(), &ids, &attrs, &empty).unwrap();
+        let (joined, report) =
+            execute_join(&store.era().unwrap(), reads(&ids, &attrs, &empty)).unwrap();
         assert!(!report.planned);
         let joined = row_set(&joined);
         assert_eq!(joined.len(), 1);
@@ -393,34 +432,41 @@ mod tests {
         let schema = DatabaseSchema::parse(u, &[("R", "AB")]).unwrap();
         let (ids, attrs, store) = setup(&schema, &[("R", &[(1, 2), (3, 4)])]);
         assert!(matches!(
-            execute_join(&store.era().unwrap(), &[], &[], &[]),
+            execute_join(&store.era().unwrap(), Vec::new()),
             Err(Error::EmptyJoin)
         ));
-        let (rel, report) =
-            execute_join(&store.era().unwrap(), &ids, &attrs, &[Predicate::new()]).unwrap();
+        let (rel, report) = execute_join(
+            &store.era().unwrap(),
+            reads(&ids, &attrs, &[Predicate::new()]),
+        )
+        .unwrap();
         assert!(!report.planned);
         assert_eq!(rel.rows().len(), 2);
     }
 
     /// Row order is the parent's: its rows in fetch order, each followed
     /// by its matches in the child's fetch order — and a disjoint pair
-    /// is the cartesian product in that same order.
+    /// is the cartesian product in that same order.  The table's `eq`
+    /// must compare every column of a composite key, and a long chain of
+    /// rows sharing one key must come out whole and in order.
     #[test]
     fn the_fold_is_parent_major_in_fetch_order() {
         let u = Universe::from_names(["A", "B", "C", "D"]).unwrap();
         let ab = u.parse_set("A B").unwrap();
         let bc = u.parse_set("B C").unwrap();
         let d = u.parse_set("D").unwrap();
-        let rows = |attrs, tuples: &[&[u64]]| {
-            let tuples: Vec<Tuple> = tuples
+        let rows = |attrs: AttrSet, tuples: &[&[u64]]| Joined {
+            attrs,
+            width: attrs.len(),
+            len: tuples.len(),
+            values: tuples
                 .iter()
-                .map(|t| t.iter().map(|&n| v(n)).collect())
-                .collect();
-            Joined::of(attrs, &tuples)
+                .flat_map(|t| t.iter().map(|&n| v(n)))
+                .collect(),
         };
         let parent = rows(ab, &[&[1, 20], &[2, 10], &[3, 99]]);
         let child = rows(bc, &[&[10, 5], &[20, 6], &[10, 7]]);
-        let joined = parent.join(&child);
+        let joined = parent.join(&child).unwrap();
         assert_eq!(joined.attrs(), ab.union(bc));
         let got: Vec<&[Value]> = joined.rows().collect();
         let want: [&[Value]; 3] = [
@@ -430,7 +476,7 @@ mod tests {
         ];
         assert_eq!(got, want);
 
-        let product = rows(d, &[&[8], &[9]]).join(&parent);
+        let product = rows(d, &[&[8], &[9]]).join(&parent).unwrap();
         let got: Vec<Vec<u64>> = product
             .rows()
             .map(|r| r.iter().map(|x| x.0).collect())
@@ -446,5 +492,28 @@ mod tests {
                 [3, 99, 9]
             ]
         );
+
+        // A two-attribute key (A, B): rows agreeing on one column only
+        // must not match, and 300 child rows share the key (1, 1) — a
+        // chain interleaved with (1, 2) and (2, 1) rows.
+        let abc = u.parse_set("A B C").unwrap();
+        let abd = u.parse_set("A B D").unwrap();
+        let mut child: Vec<Vec<u64>> = Vec::new();
+        for i in 0..300 {
+            child.push(vec![1, 1, i]);
+            child.push(vec![1, 2, 1000 + i]);
+            child.push(vec![2, 1, 2000 + i]);
+        }
+        let child_rows: Vec<&[u64]> = child.iter().map(|t| &t[..]).collect();
+        let child = rows(abd, &child_rows);
+        let parent = rows(abc, &[&[1, 1, 50], &[2, 2, 51], &[2, 1, 52], &[1, 1, 53]]);
+        let got: Vec<Vec<u64>> = (parent.join(&child).unwrap().rows())
+            .map(|r| r.iter().map(|x| x.0).collect())
+            .collect();
+        let mut want = Vec::new();
+        for (a, b, c, offset) in [(1, 1, 50, 0), (2, 1, 52, 2000), (1, 1, 53, 0)] {
+            want.extend((0..300).map(|i| vec![a, b, c, offset + i]));
+        }
+        assert_eq!(got, want);
     }
 }

@@ -22,7 +22,8 @@
 //! once, hands the store a typed [`ids_relational::Predicate`], and
 //! only the owning shard evaluates it — a point
 //! lookup on a key column is O(1) against the enforcement hash index,
-//! and only matching tuples are ever copied out.  See
+//! and only the matching tuples' values are gathered, into one buffer
+//! per read.  See
 //! [`crate::Database::query`] for the consistency model.
 
 use std::fmt;
@@ -229,7 +230,9 @@ impl Query<'_> {
 
     /// Sums `column` over the matches, parsing each rendered value as an
     /// `i64`.  A non-numeric stored value is a typed
-    /// [`Error::NonNumeric`] naming the column and the offending value.
+    /// [`Error::NonNumeric`] naming the column and the offending value,
+    /// and a total outside `i64` is [`Error::SumOverflow`] naming the
+    /// column.
     pub fn sum(self, column: impl Into<String>) -> Result<i64, Error> {
         let column = column.into();
         let mut total = 0i64;
@@ -238,7 +241,11 @@ impl Query<'_> {
                 column: column.clone(),
                 value: value.clone(),
             })?;
-            total += parsed;
+            total = total
+                .checked_add(parsed)
+                .ok_or_else(|| Error::SumOverflow {
+                    column: column.clone(),
+                })?;
         }
         Ok(total)
     }

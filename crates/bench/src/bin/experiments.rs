@@ -774,13 +774,15 @@ fn e8_read_vs_snapshot(smoke: bool, rep: &mut Reporter) {
         ],
         rows,
     );
-    rep.note(
-        "the shipped counts are asserted (read = |R|, snapshot = Σ|R|); the time ratio is \
-         reported, not asserted: read copies each matching row into its own allocation while \
-         a snapshot copies whole relation slabs, so the latencies sit within a few x of each \
-         other until reads visit rows in place"
-            .into(),
-    );
+    let quarter = results
+        .iter()
+        .all(|r| r.snapshot_over_read >= r.relations as f64 / 4.0);
+    rep.note(format!(
+        "the shipped counts are asserted (read = |R|, snapshot = Σ|R|), and so is snapshot/read \
+         ≥ 1 at every size: a read gathers its relation's rows in place into one reused buffer, \
+         a snapshot clones every relation; snapshot/read ≥ relations/4 at every size here: {}",
+        yn(quarter)
+    ));
     for r in &results {
         assert_eq!(
             r.read_tuples, r.read_expected,
@@ -791,6 +793,12 @@ fn e8_read_vs_snapshot(smoke: bool, rep: &mut Reporter) {
             r.snapshot_tuples, r.stored,
             "E8: snapshot() must return Σ|R| tuples ({} relations)",
             r.relations
+        );
+        assert!(
+            r.snapshot_over_read >= 1.0,
+            "E8: a one-relation read must cost no more than the snapshot ({} relations: {:.3})",
+            r.relations,
+            r.snapshot_over_read
         );
     }
 }

@@ -1,5 +1,4 @@
-//! E8 kernel: one-relation [`Store::read`] vs the whole-store
-//! [`Store::snapshot`].
+//! E8 kernel: one-relation read vs the whole-store [`Store::snapshot`].
 //!
 //! The claim is the API-design payoff of independence: a per-relation
 //! read locks **one** shard and ships **one** relation's tuples, while
@@ -9,13 +8,16 @@
 //! would offer no such shortcut, since global consistency there is not
 //! a per-relation property.
 //!
-//! The shipped-tuple counts are exact and asserted by `experiments e8`:
-//! a read returns `|R|`, a snapshot `Σ|R|`.  The latencies are reported
-//! beside them.
+//! The read is timed on the path the string-level reads take:
+//! [`ids_store::Era::gather`], which visits the relation's rows in place under its
+//! lock and appends their values to one reused buffer, with no
+//! allocation per row.  The shipped-tuple counts are exact and asserted
+//! by `experiments e8`: a read returns `|R|`, a snapshot `Σ|R|`; so is
+//! the ordering of the latencies, a snapshot never cheaper than a read.
 
 use std::time::{Duration, Instant};
 
-use ids_relational::{Predicate, ReadPlan, SchemeId};
+use ids_relational::{Predicate, SchemeId, Value};
 use ids_store::{Schema, Store, StoreConfig};
 use ids_workloads::families::key_chain;
 use ids_workloads::states::random_satisfying_state;
@@ -26,7 +28,8 @@ pub struct ReadRow {
     pub relations: usize,
     /// Tuples stored across the whole store (`Σ|R|`).
     pub stored: usize,
-    /// Median latency of one barrier-free per-relation read.
+    /// Median latency of one barrier-free per-relation read, gathered
+    /// into a reused buffer.
     pub read: Duration,
     /// Median latency of one full snapshot barrier.
     pub snapshot: Duration,
@@ -62,18 +65,25 @@ fn read_vs_snapshot(relations: usize, preloaded: usize, reps: usize) -> ReadRow 
     .expect("key-chain is independent");
 
     let n = inst.schema.len();
-    let whole = ReadPlan::tuples(Predicate::new());
-    let _ = store.read(SchemeId(0), &whole).unwrap(); // warmup
+    let whole = Predicate::new();
+    // One read: relation `id` gathered into the reused buffer.
+    let read = |id: SchemeId, buf: &mut Vec<Value>| -> usize {
+        buf.clear();
+        store.era().unwrap().gather(id, &whole, buf).unwrap()
+    };
+    let mut buf = Vec::new();
+    for i in 0..n {
+        read(SchemeId::from_index(i), &mut buf); // warmup, and sizes the buffer
+    }
     let mut reads = Vec::with_capacity(reps);
     let (mut read_tuples, mut read_expected) = (0, 0);
     for i in 0..reps {
         let id = SchemeId::from_index(i % n);
         let t = Instant::now();
-        let rel = store.read(id, &whole).unwrap();
+        read_tuples += read(id, &mut buf);
         reads.push(t.elapsed());
-        read_tuples += rel.rows.len();
         read_expected += sizes[id.index()];
-        std::hint::black_box(rel);
+        std::hint::black_box(&buf);
     }
     reads.sort();
     let read = reads[reads.len() / 2];

@@ -60,8 +60,8 @@ use std::ops::Bound;
 
 use ids_deps::{Fd, FdSet};
 use ids_relational::{
-    AttrId, AttrSet, Chunked, DatabaseSchema, Guard, Predicate, ReadPlan, ReadReply, Relation,
-    RelationalError, SchemeId, SlotTable, Tuple, Value,
+    AttrId, AttrSet, Chunked, DatabaseSchema, Guard, Predicate, ReadPlan, ReadReply, ReadShape,
+    Relation, RelationalError, SchemeId, SlotTable, Tuple, Value,
 };
 
 use crate::maintenance::{InsertOutcome, MaintenanceError};
@@ -502,74 +502,112 @@ impl RelationShard {
         Ok(InsertOutcome::Accepted)
     }
 
-    /// Evaluates an equality predicate against `rel`, returning the
-    /// matching tuples in insertion order — the shard-side half of query
-    /// pushdown: only matching tuples ever leave the owner.
+    /// Evaluates `pred` against `rel`, returning the matching tuples in
+    /// insertion order — the shard-side half of query pushdown: only
+    /// matching tuples ever leave the owner.  One of three adapters over
+    /// the shard's one row visitor, with [`RelationShard::read`] and
+    /// [`RelationShard::gather`]; `gather` alone copies no match into an
+    /// allocation of its own.
     ///
-    /// When the predicate pins every column of the relation's key `K`,
-    /// the lookup is answered in O(1) from the relation's own membership
+    /// The visitor picks the rows to test by one of three paths.  When
+    /// the predicate pins every column of the relation's key `K`, the
+    /// lookup is answered in O(1) from the relation's own membership
     /// table, filed under `K`: one probe by the pinned image finds the
-    /// unique matching tuple.  A predicate on a column with an ordered
-    /// index reads the candidate slots from it; every other predicate,
-    /// and every read of a relation not keyed by `K`, falls back to one
-    /// linear pass.
+    /// unique candidate.  A predicate on a column with an ordered index
+    /// reads the candidate slots from it; every other predicate, and
+    /// every read of a relation not keyed by `K`, falls back to one
+    /// linear pass.  Whatever the path, each candidate is tested in the
+    /// slab — an index's or the linear pass's by the predicate compiled
+    /// once for the read ([`Predicate::compile`]), the key probe's one
+    /// candidate by [`Predicate::matches`] — and the rows come out in
+    /// insertion order, exactly as [`Relation::filter_tuples`] returns
+    /// them.
     ///
     /// The table is the one the write path keeps anyway, so the
     /// point-lookup fast path adds zero cost to inserts and removes.
     pub fn scan(&self, rel: &Relation, pred: &Predicate) -> Result<Vec<Tuple>, MaintenanceError> {
         pred.validate_against(self.schema.attrs(self.id))?;
-        Ok(self.scan_valid(rel, pred))
+        let mut tuples = Vec::new();
+        self.visit(rel, pred, |row| tuples.push(Tuple::from(row)));
+        Ok(tuples)
     }
 
-    /// Answers a [`ReadPlan`] against `rel`: the index-aware
-    /// [`RelationShard::scan`] plus the plan's shape, so only what the
-    /// shape promises leaves the owner.  The true predicate needs no
-    /// index and goes straight to [`Relation::read`] (an O(1) count).
+    /// Answers a [`ReadPlan`] against `rel`: the matches of the shard's
+    /// row visitor (see [`RelationShard::scan`]), shaped as they are
+    /// visited, so only what the shape promises leaves the owner.
+    /// Counting under the true predicate visits nothing (an O(1) count).
     pub fn read(&self, rel: &Relation, plan: &ReadPlan) -> Result<ReadReply, MaintenanceError> {
         let attrs = self.schema.attrs(self.id);
         plan.validate_against(attrs)?;
-        if plan.predicate.is_true() {
+        if plan.shape == ReadShape::Count && plan.predicate.is_true() {
             return Ok(rel.read(plan));
         }
-        Ok(plan.shape(attrs, self.scan_valid(rel, &plan.predicate)))
+        let mut shaper = plan.shaper(attrs);
+        self.visit(rel, &plan.predicate, |row| shaper.push(row));
+        Ok(shaper.finish())
     }
 
-    /// [`RelationShard::scan`] for a predicate already validated against
-    /// the scheme.
-    fn scan_valid(&self, rel: &Relation, pred: &Predicate) -> Vec<Tuple> {
+    /// Appends the values of every row of `rel` matching `pred` to
+    /// `out`, row after row in insertion order, and returns how many
+    /// rows matched: the matches of [`RelationShard::scan`] flattened,
+    /// read in place from the slab with no allocation per row.
+    pub fn gather(
+        &self,
+        rel: &Relation,
+        pred: &Predicate,
+        out: &mut Vec<Value>,
+    ) -> Result<usize, MaintenanceError> {
+        pred.validate_against(self.schema.attrs(self.id))?;
+        let mut matched = 0;
+        self.visit(rel, pred, |row| {
+            out.extend_from_slice(row);
+            matched += 1;
+        });
+        Ok(matched)
+    }
+
+    /// The one row visitor: hands `f` every row of `rel` satisfying
+    /// `pred` (already validated against the scheme), in insertion
+    /// order, by the path [`RelationShard::scan`] describes.
+    fn visit(&self, rel: &Relation, pred: &Predicate, mut f: impl FnMut(&[Value])) {
         let attrs = self.schema.attrs(self.id);
         // Only *equality* conjuncts pin a value the key can be probed
         // with — guards constrain without pinning.  The relation's table
         // is current after every write, so unlike the slot-holding
         // indexes it needs no epoch check; a relation keyed otherwise
         // (handed over, not yet written through this shard) is not
-        // probed.
+        // probed.  The one candidate is still tested — pins outside `K`,
+        // contradictory duplicates and guards apply to it — as it is:
+        // for one row, ranking the attributes costs what compiling would,
+        // without compiling's allocation.
         let pinned: AttrSet = pred.conjuncts().iter().map(|&(a, _)| a).collect();
         if rel.key() == &*self.key && self.key_attrs.is_subset(pinned) {
             let image = (self.key_attrs.iter()).map(|a| pred.value_of(a).expect("K ⊆ pinned"));
-            let Some(t) = rel.find_key(image).1.and_then(|slot| rel.get(slot)) else {
-                return Vec::new();
-            };
-            // The remaining conjuncts (pins outside K, or contradictory
-            // duplicates) and any guards still apply to the one tuple.
-            return if pred.matches(attrs, t) {
-                vec![Tuple::from(t)]
-            } else {
-                Vec::new()
-            };
+            let found = rel.find_key(image).1.and_then(|slot| rel.get(slot));
+            if let Some(row) = found.filter(|row| pred.matches(attrs, row)) {
+                f(row);
+            }
+            return;
         }
-        self.scan_ordered(rel, pred)
-            .unwrap_or_else(|| rel.filter_tuples(pred))
+        let test = pred.compile(attrs);
+        let emit = |slot| {
+            if let Some(row) = rel.get(slot).filter(|row| test.matches(row)) {
+                f(row);
+            }
+        };
+        if !self.visit_ordered(rel, pred, emit) {
+            for row in rel.iter().filter(|row| test.matches(row)) {
+                f(row);
+            }
+        }
     }
 
-    /// The ordered-index scan path: when the predicate constrains an
-    /// indexed column by equality, set membership or a range, take the
-    /// candidate slots from the admitted values' chains in slot order —
-    /// which is insertion order — read each tuple back from `rel` and
-    /// apply the *full* predicate: exactly the result (and order) of a
-    /// linear [`Relation::filter_tuples`] pass.  `None` when no index
-    /// applies.
-    fn scan_ordered(&self, rel: &Relation, pred: &Predicate) -> Option<Vec<Tuple>> {
+    /// The ordered-index path of [`RelationShard::visit`]: when the
+    /// predicate constrains an indexed column by equality, set
+    /// membership or a range, hands `emit` the candidate slots from the
+    /// admitted values' chains in slot order — which is insertion order.
+    /// `false` when no index applies.
+    fn visit_ordered(&self, rel: &Relation, pred: &Predicate, emit: impl FnMut(u32)) -> bool {
         use Bound::{Excluded, Included, Unbounded};
         for ix in self.ordered.iter().filter(|ix| ix.epoch == rel.epoch()) {
             let run = |lo: Bound<Value>, hi: Bound<Value>| {
@@ -579,7 +617,8 @@ impl RelationShard {
             // An equality pin is the most selective handle, and one
             // value's chain already ascends: no buffer, no sort.
             if let Some(v) = pred.value_of(ix.attr) {
-                return Some(fetch(rel, pred, ix.slots_of(v)));
+                ix.slots_of(v).for_each(emit);
+                return true;
             }
             // Otherwise the first usable guard on the column decides
             // the values whose chains are walked (Ne excludes almost
@@ -604,9 +643,10 @@ impl RelationShard {
             };
             // Several values' chains interleave in the relation.
             slots.sort_unstable();
-            return Some(fetch(rel, pred, slots.into_iter()));
+            slots.into_iter().for_each(emit);
+            return true;
         }
-        None
+        false
     }
 
     /// Removes a tuple from `rel`; always satisfaction-preserving under
@@ -675,17 +715,6 @@ fn agrees<'a>(rel: &'a Relation, row: &'a [Value], pos: &'a [usize]) -> impl Fn(
     }
 }
 
-/// Clones out of `rel` the tuples in `slots`, in the order given, that
-/// satisfy the whole of `pred`.
-fn fetch(rel: &Relation, pred: &Predicate, slots: impl Iterator<Item = u32>) -> Vec<Tuple> {
-    let attrs = rel.attrs();
-    slots
-        .filter_map(|slot| rel.get(slot))
-        .filter(|t| pred.matches(attrs, t))
-        .map(Tuple::from)
-        .collect()
-}
-
 // Compile-time guarantee that a shard can sit behind a lock any thread takes.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
@@ -709,14 +738,18 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// Every path out of the shard — `scan`, and `read` in each shape —
-    /// agrees with the linear reference on the relation itself.
+    /// Every path out of the shard — `scan`, `gather`, and `read` in
+    /// each shape — agrees with the linear reference on the relation
+    /// itself.
     fn assert_reads_agree(shard: &RelationShard, rel: &Relation, pred: &Predicate, col: AttrId) {
-        assert_eq!(
-            shard.scan(rel, pred).unwrap(),
-            rel.filter_tuples(pred),
-            "pred {pred:?}"
-        );
+        let scanned = shard.scan(rel, pred).unwrap();
+        assert_eq!(scanned, rel.filter_tuples(pred), "pred {pred:?}");
+        // Gathered after a stale prefix, which it must leave alone.
+        let mut gathered = vec![v(u64::MAX)];
+        let n = shard.gather(rel, pred, &mut gathered).unwrap();
+        assert_eq!(n, scanned.len(), "pred {pred:?}");
+        assert_eq!(gathered[0], v(u64::MAX));
+        assert_eq!(gathered[1..], scanned.concat(), "pred {pred:?}");
         for plan in [
             ReadPlan::tuples(pred.clone()),
             ReadPlan::distinct_columns(pred.clone(), vec![col]),

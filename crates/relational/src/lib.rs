@@ -47,7 +47,9 @@ pub use attr::AttrId;
 pub use attrset::{AttrSet, AttrSetIter, MAX_ATTRS};
 pub use chunked::{Chunked, CHUNK_BYTES};
 pub use error::RelationalError;
-pub use query::{Guard, Predicate, Projection, ReadPlan, ReadReply, ReadShape};
+pub use query::{
+    CompiledPredicate, Guard, Predicate, Projection, ReadPlan, ReadReply, ReadShape, Shaper,
+};
 pub use relation::{join_all, KeyHash, Relation, Tuple};
 pub use scheme::{DatabaseSchema, RelationScheme, SchemeId};
 pub use slot_table::SlotTable;

@@ -201,6 +201,10 @@ impl Predicate {
     /// Evaluates the predicate against a tuple laid out in the scheme
     /// order of `attrs` (ascending attribute id).  The predicate must be
     /// valid against `attrs` (see [`Predicate::validate_against`]).
+    ///
+    /// Ranks every constrained attribute afresh: the one-tuple check and
+    /// the linear reference.  A read that tests many rows compiles the
+    /// predicate once instead ([`Predicate::compile`]).
     pub fn matches(&self, attrs: AttrSet, tuple: &[Value]) -> bool {
         self.conjuncts
             .iter()
@@ -209,6 +213,46 @@ impl Predicate {
                 .guards
                 .iter()
                 .all(|(a, g)| g.admits(tuple[attrs.rank(*a)]))
+    }
+
+    /// The predicate over rows laid out in the scheme order of `attrs`,
+    /// every conjunct and guard paired with its column position: ranked
+    /// once here, not once per row.  The predicate must be valid against
+    /// `attrs` (see [`Predicate::validate_against`]).
+    pub fn compile(&self, attrs: AttrSet) -> CompiledPredicate<'_> {
+        let pins = self
+            .conjuncts
+            .iter()
+            .map(|&(a, v)| (attrs.rank(a), Test::Eq(v)));
+        let guards = (self.guards.iter()).map(|(a, g)| (attrs.rank(*a), Test::Guard(g)));
+        CompiledPredicate {
+            tests: pins.chain(guards).collect(),
+        }
+    }
+}
+
+/// A [`Predicate`] compiled against one scheme ([`Predicate::compile`]):
+/// its equalities first, then its guards, each with the column it tests.
+#[derive(Clone, Debug)]
+pub struct CompiledPredicate<'p> {
+    tests: Vec<(usize, Test<'p>)>,
+}
+
+/// One test of a [`CompiledPredicate`].
+#[derive(Clone, Copy, Debug)]
+enum Test<'p> {
+    Eq(Value),
+    Guard(&'p Guard),
+}
+
+impl CompiledPredicate<'_> {
+    /// Whether `row`, laid out as the scheme the predicate was compiled
+    /// against, satisfies it: [`Predicate::matches`] without the ranking.
+    pub fn matches(&self, row: &[Value]) -> bool {
+        self.tests.iter().all(|&(p, test)| match test {
+            Test::Eq(v) => row[p] == v,
+            Test::Guard(g) => g.admits(row[p]),
+        })
     }
 }
 
@@ -344,27 +388,55 @@ impl ReadPlan {
         }
     }
 
-    /// Shapes the tuples matching the predicate (laid out in the scheme
-    /// order of `attrs`) into the reply.
-    pub fn shape(&self, attrs: AttrSet, matches: Vec<Tuple>) -> ReadReply {
-        let count = matches.len();
-        let rows = match &self.shape {
-            ReadShape::Tuples => matches,
-            ReadShape::Distinct(cols) => {
-                let ranks: Vec<usize> = cols.iter().map(|&a| attrs.rank(a)).collect();
-                let mut seen = HashSet::new();
-                let mut rows = Vec::new();
-                for t in &matches {
-                    let row: Tuple = ranks.iter().map(|&p| t[p]).collect();
-                    if seen.insert(row.clone()) {
-                        rows.push(row);
-                    }
-                }
-                rows
-            }
-            ReadShape::Count => Vec::new(),
+    /// A [`Shaper`] that builds this plan's reply from the matches of
+    /// its predicate, pushed one row at a time in the scheme order of
+    /// `attrs`.
+    pub fn shaper(&self, attrs: AttrSet) -> Shaper<'_> {
+        let ranks = match &self.shape {
+            ReadShape::Distinct(cols) => cols.iter().map(|&a| attrs.rank(a)).collect(),
+            ReadShape::Tuples | ReadShape::Count => Vec::new(),
         };
-        ReadReply { rows, count }
+        Shaper {
+            shape: &self.shape,
+            ranks,
+            seen: HashSet::new(),
+            reply: ReadReply::default(),
+        }
+    }
+}
+
+/// Builds the [`ReadReply`] of one [`ReadPlan`] from its matches, one
+/// row at a time ([`ReadPlan::shaper`]): a row is copied only when the
+/// shape ships it.
+#[derive(Debug)]
+pub struct Shaper<'p> {
+    shape: &'p ReadShape,
+    /// The scheme positions of a `Distinct` shape's columns.
+    ranks: Vec<usize>,
+    /// The projections a `Distinct` shape has shipped.
+    seen: HashSet<Tuple>,
+    reply: ReadReply,
+}
+
+impl Shaper<'_> {
+    /// Takes the next match.
+    pub fn push(&mut self, row: &[Value]) {
+        self.reply.count += 1;
+        match self.shape {
+            ReadShape::Tuples => self.reply.rows.push(Tuple::from(row)),
+            ReadShape::Distinct(_) => {
+                let key: Tuple = self.ranks.iter().map(|&p| row[p]).collect();
+                if self.seen.insert(key.clone()) {
+                    self.reply.rows.push(key);
+                }
+            }
+            ReadShape::Count => {}
+        }
+    }
+
+    /// The reply to every match pushed, in push order.
+    pub fn finish(self) -> ReadReply {
+        self.reply
     }
 }
 
@@ -392,7 +464,12 @@ impl Relation {
                 count: self.len(),
             };
         }
-        plan.shape(self.attrs(), self.filter_tuples(&plan.predicate))
+        let attrs = self.attrs();
+        let mut shaper = plan.shaper(attrs);
+        for t in self.iter().filter(|t| plan.predicate.matches(attrs, t)) {
+            shaper.push(t);
+        }
+        shaper.finish()
     }
 }
 

@@ -124,6 +124,12 @@ pub enum Error {
         /// The stored value that failed to parse.
         value: String,
     },
+    /// A numeric aggregate (`ids_api::Query::sum`) over integers whose
+    /// total does not fit an `i64`.
+    SumOverflow {
+        /// The column the aggregate ran over.
+        column: String,
+    },
     /// A schema transition (`ids_api::Database::alter`) was refused for
     /// a reason other than independence: duplicate/unknown relation or
     /// dependency names, or a drop that would leave universe attributes
@@ -202,6 +208,9 @@ impl std::fmt::Display for Error {
                 f,
                 "column `{column}` holds non-numeric value `{value}` — numeric aggregates need integers"
             ),
+            Error::SumOverflow { column } => {
+                write!(f, "the sum of column `{column}` overflows a 64-bit integer")
+            }
             Error::Evolve(e) => write!(f, "{e}"),
             Error::FdParse { spec, span, reason } => write!(
                 f,

@@ -60,11 +60,12 @@
 //!   satisfying, because each relation enforced its `Fi` and
 //!   `LSAT = WSAT`.  Cost scales with the whole database and stalls every
 //!   writer for the copy.
-//! * [`Store::read`] — the *only* per-relation read: a [`ReadPlan`]
-//!   (predicate + shape of the answer) is evaluated under the one
-//!   relation's lock, where the tuples and indexes live, and only the
-//!   tuples, distinct join keys, or count the plan asked for are built;
-//!   no other relation notices.  Because independent relations share no
+//! * [`Store::read`] and [`Era::gather`] — the per-relation read: a
+//!   predicate is evaluated under the one relation's lock, where the
+//!   tuples and indexes live, by the shard's one row visitor.  `read`
+//!   builds only the tuples, distinct join keys, or count its
+//!   [`ReadPlan`] asked for; `gather` appends the matching rows' values
+//!   to the caller's buffer.  No other relation notices.  Because independent relations share no
 //!   enforcement state, the answer is one a snapshot could also have
 //!   produced.  Two reads of different relations, however, may observe
 //!   cuts no single snapshot contains — that is the (only) consistency
@@ -1687,6 +1688,26 @@ impl Era<'_> {
         let slot = self.store.lock(&self.topo, id)?;
         Ok(slot.shard.read(&slot.rel, plan)?)
     }
+
+    /// Appends the values of relation `id`'s rows matching `predicate`
+    /// to `out`, row after row, and returns how many rows matched: the
+    /// tuples of [`Era::read`], flattened into the caller's buffer under
+    /// the slot lock with no allocation per row (see
+    /// [`RelationShard::gather`]).  Validated and locked exactly as
+    /// [`Era::read`]: a foreign scheme or predicate attribute is a typed
+    /// error and a dead slot is refused, with `out` untouched.
+    pub fn gather(
+        &self,
+        id: SchemeId,
+        predicate: &Predicate,
+        out: &mut Vec<Value>,
+    ) -> Result<usize, Error> {
+        let definition = &self.topo.schema.definition;
+        let scheme = definition.get_scheme(id).ok_or(Error::UnknownScheme(id))?;
+        predicate.validate_against(scheme.attrs)?;
+        let slot = self.store.lock(&self.topo, id)?;
+        Ok(slot.shard.gather(&slot.rel, predicate, out)?)
+    }
 }
 
 /// What a replay reached: each relation's cursor, the generation fresh
@@ -1996,8 +2017,15 @@ mod tests {
                 assert_eq!(got, snap.relation(id).read(&plan), "{plan:?}");
                 assert_eq!((got.rows.len(), got.count), (shipped, matches), "{plan:?}");
             }
-            assert_eq!(store.query(id, &pred).unwrap().len(), matches);
+            let tuples = store.query(id, &pred).unwrap();
+            assert_eq!(tuples.len(), matches);
+            // The gathered read is the tuples, flattened.
+            let mut gathered = Vec::new();
+            let n = store.era().unwrap().gather(id, &pred, &mut gathered);
+            assert_eq!(n.unwrap(), matches);
+            assert_eq!(gathered, tuples.concat(), "{pred:?}");
         }
+        let mut untouched = Vec::new();
         for plan in [
             ReadPlan::tuples(Predicate::new()),
             ReadPlan::distinct_columns(Predicate::new(), vec![c]),
@@ -2008,6 +2036,10 @@ mod tests {
                 Err(Error::UnknownScheme(_))
             ));
         }
+        assert!(matches!(
+            (store.era().unwrap()).gather(SchemeId(99), &Predicate::new(), &mut untouched),
+            Err(Error::UnknownScheme(_))
+        ));
         for plan in [
             ReadPlan::tuples(Predicate::new().and_eq(t, v(0))),
             ReadPlan::count(Predicate::new().and_eq(t, v(0))),
@@ -2018,6 +2050,11 @@ mod tests {
                 Err(Error::Relational(RelationalError::SchemaMismatch(_)))
             ));
         }
+        assert!(matches!(
+            (store.era().unwrap()).gather(cs, &Predicate::new().and_eq(t, v(0)), &mut untouched),
+            Err(Error::Relational(RelationalError::SchemaMismatch(_)))
+        ));
+        assert!(untouched.is_empty());
     }
 
     #[test]

@@ -89,6 +89,10 @@ fn every_later_op_and_the_shutdown_report_the_preserved_reason() {
     // Everything that touches CT afterwards — writes, reads in any
     // shape — and every store-wide operation — the snapshot, the
     // checkpoint — reports the same preserved reason.
+    // An era's guard must end before the store-wide operations take theirs.
+    let gathered = (store.era().unwrap())
+        .gather(ct, &Predicate::new(), &mut Vec::new())
+        .unwrap_err();
     for err in [
         store.insert(ct, vec![v(2), v(20)]).unwrap_err(),
         store.remove(ct, vec![v(1), v(10)]).unwrap_err(),
@@ -96,6 +100,7 @@ fn every_later_op_and_the_shutdown_report_the_preserved_reason() {
             .read(ct, &ReadPlan::count(Predicate::new()))
             .unwrap_err(),
         store.query(ct, &Predicate::new()).unwrap_err(),
+        gathered,
         store.snapshot().unwrap_err(),
         store.checkpoint().unwrap_err(),
     ] {
