@@ -9,11 +9,15 @@ use ids_relational::{
     AttrId, AttrSet, DatabaseState, Predicate, ReadPlan, ReadReply, Relation, RelationalError,
     SchemeId, Tuple, Value, ValuePool,
 };
-use ids_store::{DurableConfig, OpOutcome, Store, StoreConfig, StoreOp};
+use ids_store::{DurableConfig, Era, OpOutcome, Store, StoreConfig, StoreOp};
 
 use crate::planner::{execute_join, Joined};
 use crate::query::{Cond, JoinQuery, JoinReport, Query, RowSink, Rows};
 use crate::{Alter, Error, Schema};
+
+/// Columns a string write resolves on the stack; a wider row spills to
+/// the heap (see [`Database::insert`]).
+const INLINE_ROW: usize = 8;
 
 /// The store configuration [`Database::open`] starts from.  Both
 /// variants open the one engine, the concurrent [`Store`]; `Local` is
@@ -391,48 +395,69 @@ impl Database {
         Ok(&self.store)
     }
 
-    /// Resolves a relation name and a declaration-order value row into
-    /// `(id, canonical tuple)` under `schema` — the schema of the era the
-    /// write then runs in.  With `intern: true` unknown values are added
-    /// to the pool (writes) and the tuple is always `Some`; with `intern:
-    /// false` a row mentioning a never-seen value resolves to `None` (it
-    /// cannot name a stored tuple, so a remove of it is vacuously
-    /// absent).
-    fn resolve_row<S: AsRef<str>>(
+    /// Resolves a relation name and a declaration-order value row under
+    /// `era`'s schema and runs `write` on the relation's id and the row
+    /// in scheme order — the one resolve step of [`Database::insert`] and
+    /// [`Database::remove`].  The values and the resolved row are held
+    /// on the stack (a row wider than [`INLINE_ROW`] spills to the heap),
+    /// so a write allocates nothing of its own here.
+    ///
+    /// With `intern: true` unknown values are added to the pool (writes);
+    /// with `intern: false` a row mentioning a never-seen value cannot
+    /// name a stored tuple, so `write` is not run and the result is
+    /// `None`.  The name lock is released before `write` runs.
+    fn with_row<S: AsRef<str>, T>(
         &self,
-        schema: &Schema,
+        era: &Era<'_>,
         relation: &str,
         values: impl IntoIterator<Item = S>,
         intern: bool,
-    ) -> Result<(SchemeId, Option<Vec<Value>>), Error> {
+        write: impl FnOnce(SchemeId, &[Value]) -> Result<T, Error>,
+    ) -> Result<Option<T>, Error> {
+        let schema = era.schema();
         let id = schema.scheme_id(relation)?;
         let layout = schema.layout(id);
         let arity = layout.columns.len();
         // Arity before anything else: a refused row must not intern a
-        // single name.
-        let values: Vec<S> = values.into_iter().collect();
-        if values.len() != arity {
+        // single name.  So the values are counted first, held meanwhile.
+        let mut head: [Option<S>; INLINE_ROW] = Default::default();
+        let mut rest = Vec::new();
+        let mut found = 0;
+        for value in values {
+            match head.get_mut(found) {
+                Some(held) => *held = Some(value),
+                None => rest.push(value),
+            }
+            found += 1;
+        }
+        if found != arity {
             return Err(RelationalError::ArityMismatch {
                 expected: arity,
-                found: values.len(),
+                found,
             }
             .into());
         }
-        let mut tuple = vec![Value::int(0); arity];
-        let mut all_known = true;
-        let pool = &mut *self.names();
-        for (j, value) in values.iter().enumerate() {
-            let resolved = if intern {
-                Some(pool.intern(value.as_ref())?)
-            } else {
-                pool.get(value.as_ref())
-            };
-            match resolved {
-                Some(v) => tuple[layout.perm[j]] = v,
-                None => all_known = false,
+        let (mut inline, mut spilled) = ([Value::int(0); INLINE_ROW], Vec::new());
+        let tuple = match inline.get_mut(..arity) {
+            Some(tuple) => tuple,
+            None => {
+                spilled.resize(arity, Value::int(0));
+                &mut spilled[..]
+            }
+        };
+        {
+            let pool = &mut *self.names();
+            for (j, value) in head.iter().flatten().chain(&rest).enumerate() {
+                let resolved = if intern {
+                    Some(pool.intern(value.as_ref())?)
+                } else {
+                    pool.get(value.as_ref())
+                };
+                let Some(v) = resolved else { return Ok(None) };
+                tuple[layout.perm[j]] = v;
             }
         }
-        Ok((id, all_known.then_some(tuple)))
+        write(id, tuple).map(Some)
     }
 
     /// Inserts a row into a relation, values in the column order the
@@ -440,7 +465,11 @@ impl Database {
     /// ([`InsertOutcome::Rejected`]), not errors.  The relation is
     /// resolved and the row written in one era of the store's schema;
     /// names are interned under the name lock, and the FD probe and
-    /// commit run after it is released.
+    /// commit run after it is released.  The row is resolved on the
+    /// stack and copied once, into the relation: an in-memory insert of
+    /// names already in the pool allocates nothing but table growth, so
+    /// `values` may borrow from anywhere (the server passes names still
+    /// in their request frame).
     pub fn insert<S: AsRef<str>>(
         &self,
         relation: &str,
@@ -450,10 +479,11 @@ impl Database {
         // interning: one stray name would shift every later streamed name
         // onto a different `Value` — a silent fork from the primary.
         let era = self.writable()?.era()?;
-        let (id, tuple) = self.resolve_row(era.schema(), relation, values, true)?;
-        // `resolve_row` yields `None` only for a value it may not intern.
-        let tuple = tuple.expect("interning resolves every value");
-        era.insert(id, tuple)
+        let outcome = self.with_row(&era, relation, values, true, |id, tuple| {
+            era.insert(id, tuple)
+        })?;
+        // `with_row` yields `None` only for a value it may not intern.
+        Ok(outcome.expect("interning resolves every value"))
     }
 
     /// Removes a row; `Ok(true)` when it was present.  A row mentioning
@@ -463,17 +493,18 @@ impl Database {
     /// hatches ([`Database::insert_raw`], [`Database::store`]) with
     /// values that were never interned are outside the string value
     /// space: remove them through the same raw paths (or bridge with
-    /// [`Database::intern`]).
+    /// [`Database::intern`]).  Resolved like [`Database::insert`]: an
+    /// in-memory remove allocates nothing.
     pub fn remove<S: AsRef<str>>(
         &self,
         relation: &str,
         values: impl IntoIterator<Item = S>,
     ) -> Result<bool, Error> {
         let era = self.writable()?.era()?;
-        match self.resolve_row(era.schema(), relation, values, false)? {
-            (id, Some(tuple)) => era.remove(id, tuple),
-            (_, None) => Ok(false),
-        }
+        let present = self.with_row(&era, relation, values, false, |id, tuple| {
+            era.remove(id, tuple)
+        })?;
+        Ok(present.unwrap_or(false))
     }
 
     /// Reads one relation's rows as strings, columns in declaration

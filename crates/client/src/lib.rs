@@ -40,8 +40,8 @@ use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 
 use ids_server::wire::{
-    decode_reply, encode_request, AlterOp, FrameError, FrameReader, Reply, Request, WireError,
-    WireOutcome, MAX_FRAME_PAYLOAD, WIRE_VERSION,
+    append_request, decode_reply, AlterOp, FrameError, FrameReader, Reply, Request, WireError,
+    WireOutcome, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD, WIRE_VERSION,
 };
 
 /// Everything that can go wrong on the client side of the wire.
@@ -168,23 +168,29 @@ impl Client {
 
     /// Queues one request without waiting, returning its id — the
     /// pipelining primitive.  Collect ids, then [`Client::recv`] each.
-    /// The bytes leave when a `recv` is about to block, once 64 KiB
-    /// are pending, or on [`Client::flush`].  A request too large for
-    /// one frame is refused here with [`ClientError::Protocol`], nothing
-    /// written, and the connection stays usable.
+    /// The request is encoded straight into the send buffer, where its
+    /// frame is sealed in place; the bytes leave when a `recv` is about
+    /// to block, once 64 KiB are pending, or on [`Client::flush`].  A
+    /// request too large for one frame is refused here with
+    /// [`ClientError::Protocol`]: its frame is cut back out of the
+    /// buffer before anything is written, and the connection stays
+    /// usable.
     pub fn send(&mut self, req: Request) -> Result<u64, ClientError> {
         let id = self.next_id;
-        let framed = encode_request(id, &req);
+        let start = self.out.len();
+        append_request(&mut self.out, id, &req);
         // The server's `read_frame` would take it for corruption and drop
-        // the connection.  (8 = the frame header, `[len: u32][crc: u32]`.)
-        let payload = framed.len() - 8;
+        // the connection.
+        let payload = self.out.len() - start - FRAME_HEADER_LEN;
         if payload > MAX_FRAME_PAYLOAD as usize {
+            self.out.truncate(start);
+            // Do not keep the refused frame's capacity for the session.
+            self.out.shrink_to(FLUSH_BYTES);
             return Err(ClientError::Protocol(format!(
                 "request of {payload} bytes exceeds the 64 MiB frame bound"
             )));
         }
         self.next_id += 1;
-        self.out.extend_from_slice(&framed);
         if self.out.len() > FLUSH_BYTES {
             self.flush()?;
         }
@@ -199,8 +205,9 @@ impl Client {
         Ok(())
     }
 
-    /// The next reply off the stream.  Queued requests are written
-    /// first if — and only if — this is about to block on the socket.
+    /// The next reply off the stream, decoded from the frame reader's
+    /// buffer.  Queued requests are written first if — and only if —
+    /// this is about to block on the socket.
     fn next_reply(&mut self) -> Result<(u64, Reply), ClientError> {
         let payload = match self.frames.next_buffered()? {
             Some(payload) => payload,
@@ -209,15 +216,19 @@ impl Client {
                 self.frames.next_payload()?.ok_or(ClientError::Closed)?
             }
         };
-        decode_reply(&payload).map_err(|(_, e)| ClientError::Corrupt(e.to_string()))
+        decode_reply(payload).map_err(|(_, e)| ClientError::Corrupt(e.to_string()))
     }
 
     /// Blocks until the reply for `id` arrives.  Replies for other
     /// in-flight ids encountered on the way are stashed and returned
     /// by their own `recv` calls — consuming out of order is fine.
     pub fn recv(&mut self, id: u64) -> Result<Reply, ClientError> {
-        if let Some(reply) = self.stash.remove(&id) {
-            return Ok(reply);
+        // Replies come back in request order, so the stash is almost
+        // always empty: do not hash the id to look into it then.
+        if !self.stash.is_empty() {
+            if let Some(reply) = self.stash.remove(&id) {
+                return Ok(reply);
+            }
         }
         loop {
             let (got, reply) = self.next_reply()?;

@@ -431,11 +431,22 @@ impl RelationShard {
     /// relation's commit, and the probe pass parks every other FD's hash
     /// in scratch for the commit pass, which probes again only to count
     /// a row under an image already indexed.  Nothing is allocated but
-    /// table growth.
+    /// table growth.  The owned form of [`RelationShard::insert_row`].
     pub fn insert(
         &mut self,
         rel: &mut Relation,
         tuple: Vec<Value>,
+    ) -> Result<InsertOutcome, MaintenanceError> {
+        self.insert_row(rel, &tuple)
+    }
+
+    /// [`RelationShard::insert`] of a borrowed row: the relation copies
+    /// the values into its slab, so the caller may keep the row anywhere
+    /// (the store's writes pass one resolved on the stack).
+    pub fn insert_row(
+        &mut self,
+        rel: &mut Relation,
+        tuple: &[Value],
     ) -> Result<InsertOutcome, MaintenanceError> {
         if tuple.len() != self.schema.attrs(self.id).len() {
             return Err(RelationalError::ArityMismatch {
@@ -448,7 +459,7 @@ impl RelationShard {
         // The one row that agrees with the tuple on the key.  When it is
         // the tuple, every probe would pass: a duplicate.
         let (key_hash, keyed) = rel.find_key(self.key.iter().map(|&p| tuple[p]));
-        if keyed.is_some_and(|s| rel.get(s) == Some(&tuple[..])) {
+        if keyed.is_some_and(|s| rel.get(s) == Some(tuple)) {
             return Ok(InsertOutcome::Duplicate);
         }
         // Probe pass: check each FD's rhs image against the representative
@@ -460,11 +471,11 @@ impl RelationShard {
                 None => (keyed, (0, false)),
                 Some(index) => {
                     let hash = image_hash(index, lhs.iter().map(|&p| tuple[p]));
-                    let found = index.get(hash, agrees(rel, &tuple, lhs));
+                    let found = index.get(hash, agrees(rel, tuple, lhs));
                     (found.map(|(rep, _)| rep), (hash, found.is_some()))
                 }
             };
-            if rep.is_some_and(|rep| !agrees(rel, &tuple, rhs)(rep)) {
+            if rep.is_some_and(|rep| !agrees(rel, tuple, rhs)(rep)) {
                 return Ok(InsertOutcome::Rejected {
                     violated: Some(*fd),
                 });

@@ -162,9 +162,15 @@ impl<'a> Decoder<'a> {
 
     /// Reads a `u32`-length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String, RelationalError> {
+        Ok(self.get_str_ref()?.to_owned())
+    }
+
+    /// [`Decoder::get_str`] in place: the string is borrowed from the
+    /// input, not copied out of it.
+    pub fn get_str_ref(&mut self) -> Result<&'a str, RelationalError> {
         let n = self.get_u32()? as usize;
         let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| RelationalError::Codec("invalid UTF-8"))
+        std::str::from_utf8(bytes).map_err(|_| RelationalError::Codec("invalid UTF-8"))
     }
 
     /// Reads a `u32`-length-prefixed opaque byte blob.

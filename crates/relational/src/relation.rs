@@ -181,7 +181,7 @@ impl Relation {
 
     /// Inserts a tuple given in scheme order; returns `true` when new.
     pub fn insert(&mut self, tuple: Vec<Value>) -> Result<bool, RelationalError> {
-        Ok(self.insert_slot(tuple)?.is_some())
+        Ok(self.insert_slot(&tuple)?.is_some())
     }
 
     /// [`Relation::insert`] that also says where the tuple went: the new
@@ -189,9 +189,9 @@ impl Relation {
     /// holding `u32::MAX` tuples refuses with
     /// [`RelationalError::RelationFull`], so a count of a relation's
     /// tuples always fits a `u32`.
-    pub fn insert_slot(&mut self, tuple: Vec<Value>) -> Result<Option<u32>, RelationalError> {
-        self.check_arity(&tuple)?;
-        self.insert_hashed(KeyHash(self.row_hash(&tuple)), tuple)
+    pub fn insert_slot(&mut self, tuple: &[Value]) -> Result<Option<u32>, RelationalError> {
+        self.check_arity(tuple)?;
+        self.insert_hashed(KeyHash(self.row_hash(tuple)), tuple)
     }
 
     /// [`Relation::insert_slot`] for a tuple whose key image
@@ -202,15 +202,15 @@ impl Relation {
     pub fn insert_hashed(
         &mut self,
         KeyHash(hash): KeyHash,
-        tuple: Vec<Value>,
+        tuple: &[Value],
     ) -> Result<Option<u32>, RelationalError> {
-        self.check_arity(&tuple)?;
-        debug_assert_eq!(hash, self.row_hash(&tuple), "the tuple's key hash");
-        if self.find(hash, &tuple).is_some() {
+        self.check_arity(tuple)?;
+        debug_assert_eq!(hash, self.row_hash(tuple), "the tuple's key hash");
+        if self.find(hash, tuple).is_some() {
             return Ok(None);
         }
         let slot = self.next_slot(u32::MAX - 1)?;
-        self.values.push(&tuple);
+        self.values.push(tuple);
         if slot % 64 == 0 {
             self.dead.push(0);
         }
@@ -617,7 +617,7 @@ mod tests {
             } else {
                 let t = vec![v((x >> 8) % 1_000_000), v((x >> 40) % 3)];
                 let fresh = members.insert(t.clone());
-                let slot = r.insert_slot(t.clone()).unwrap();
+                let slot = r.insert_slot(&t).unwrap();
                 assert_eq!(slot.is_some(), fresh);
                 if let Some(slot) = slot {
                     slots = slots.max(slot as usize + 1);

@@ -23,7 +23,10 @@
 //!   past it.  The rest are **shed** with a typed
 //!   [`WireError::Overloaded`] — a bound on unread input, not a queue.
 //!   Handshake and malformed payloads are answered in place and count
-//!   against nothing.
+//!   against nothing.  Each payload is decoded where it lies in the
+//!   frame reader's buffer, and a string `Insert` or `Remove` runs from
+//!   a [`WriteView`] of it — relation and values borrowed from the frame
+//!   — so a write builds no `Request` and no `String`.
 //! * **Reply.**  Every reply is encoded straight into one buffer, in
 //!   **request order** (sheds included; ids are still echoed), its frame
 //!   sealed where it lies, and the buffer written when the buffered
@@ -49,7 +52,7 @@
 //! dead connection (see `crates/server/tests/e2e.rs`).
 
 use std::convert::Infallible;
-use std::io::{ErrorKind, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -64,7 +67,8 @@ use ids_wal::{Cursor, FollowPoll, Follower, Shipment, WalDir, WalError};
 
 use crate::wire::{
     append_reply, decode_request, AlterOp, FrameError, FrameReader, Reply, Request, RowsWriter,
-    Tagged, WireError, WireOutcome, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD, POOL_STREAM, WIRE_VERSION,
+    Tagged, WireError, WireOutcome, WriteView, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD, POOL_STREAM,
+    WIRE_VERSION,
 };
 
 /// Replies are written once this many bytes are pending, even with
@@ -121,8 +125,7 @@ impl ServerObs {
     /// refused and malformed requests are counted by their own families
     /// (or not at all), which is what makes `served + shed == sent`
     /// conservation checkable from counters alone.
-    fn executed(&self, req: &Request) -> &Counter {
-        let tag = req.tag();
+    fn executed(&self, tag: u8) -> &Counter {
         let line = Request::KINDS.iter().position(|&(t, _)| t == tag);
         &self.requests[line.expect("every request kind has a line in its table")]
     }
@@ -271,11 +274,43 @@ impl Server {
     }
 }
 
+/// The session's socket as its [`FrameReader`] reads it: every read is
+/// tallied into `server.bytes_in` as it happens.
+struct Tallied<'a> {
+    stream: &'a TcpStream,
+    bytes_in: &'a Counter,
+}
+
+impl Read for Tallied<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.stream.read(buf)?;
+        self.bytes_in.add(n as u64);
+        Ok(n)
+    }
+}
+
+/// A request as the session loop holds it: a string write still in its
+/// frame, or any other request decoded.
+enum Incoming<'p> {
+    Write(WriteView<'p>),
+    Owned(Request),
+}
+
+impl Incoming<'_> {
+    /// The request's line in the `Request` table.
+    fn tag(&self) -> u8 {
+        match self {
+            Incoming::Write(write) => write.tag(),
+            Incoming::Owned(req) => req.tag(),
+        }
+    }
+}
+
 /// One connection, on its one thread: the socket, its input and reply
 /// buffers, and — as the `Drop` impl — its teardown.
 struct Session<'a> {
     stream: &'a TcpStream,
-    frames: FrameReader<&'a TcpStream>,
+    frames: FrameReader<Tallied<'a>>,
     /// Encoded replies not yet written, in request order.
     out: Vec<u8>,
     db: &'a Database,
@@ -312,22 +347,16 @@ impl<'a> Session<'a> {
         });
         Session {
             stream,
-            frames: FrameReader::new(stream),
+            frames: FrameReader::new(Tallied {
+                stream,
+                bytes_in: &obs.bytes_in,
+            }),
             out: Vec::new(),
             db,
             obs,
             conn_id,
             bytes_out: 0,
         }
-    }
-
-    /// Reads the next frame off the socket (in whatever blocking mode
-    /// it is in), tallying what the read moved.
-    fn read_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
-        let before = self.frames.bytes_read();
-        let frame = self.frames.next_payload();
-        self.obs.bytes_in.add(self.frames.bytes_read() - before);
-        frame
     }
 
     /// Encodes one reply straight into the buffer.
@@ -394,17 +423,27 @@ impl<'a> Session<'a> {
     /// order.  Returns on clean EOF or a refused handshake, and with the
     /// error on a corrupt frame (the stream cannot be trusted to be in
     /// sync, so there is nothing to reply to) or a dead socket.
+    ///
+    /// A string `Insert` or `Remove` runs from its [`WriteView`], its
+    /// names still in the frame; every other request, and every payload
+    /// the view refuses, is decoded by [`decode_request`].
     fn run(&mut self, depth: usize) -> Result<(), FrameError> {
         let mut greeted = false;
-        while let Some(first) = self.read_frame()? {
+        while let Some(first) = self.frames.next_payload()? {
             // Requests admitted from this backlog: the frame just read
             // plus every complete frame buffered behind it.
             let mut admitted = 0;
             let mut next = Some(first);
             while let Some(payload) = next {
+                let request = match WriteView::parse(payload) {
+                    Some(write) => Ok((write.id, Incoming::Write(write))),
+                    None => decode_request(payload).map(|(id, req)| (id, Incoming::Owned(req))),
+                };
                 let mut refused = false;
-                match decode_request(&payload) {
-                    Ok((id, Request::Hello { version })) if version != WIRE_VERSION => {
+                match request {
+                    Ok((id, Incoming::Owned(Request::Hello { version })))
+                        if version != WIRE_VERSION =>
+                    {
                         refused = true;
                         let err = WireError::UnsupportedVersion {
                             server: WIRE_VERSION,
@@ -412,9 +451,9 @@ impl<'a> Session<'a> {
                         };
                         self.reply(id, &Reply::Error(err))?;
                     }
-                    Ok((id, hello @ Request::Hello { .. })) => {
+                    Ok((id, Incoming::Owned(hello @ Request::Hello { .. }))) => {
                         greeted = true;
-                        self.obs.executed(&hello).inc();
+                        self.obs.executed(hello.tag()).inc();
                         self.reply(id, &hello_reply(self.db))?;
                     }
                     Ok((id, _)) if !greeted => {
@@ -428,10 +467,16 @@ impl<'a> Session<'a> {
                         });
                         self.reply(id, &Reply::Error(WireError::Overloaded))?;
                     }
-                    Ok((id, req)) => {
+                    Ok((id, incoming)) => {
                         admitted += 1;
-                        self.obs.executed(&req).inc();
-                        self.serve(id, req)?;
+                        self.obs.executed(incoming.tag()).inc();
+                        match incoming {
+                            Incoming::Write(w) => {
+                                let reply = write(self.db, w);
+                                self.reply(id, &reply)?;
+                            }
+                            Incoming::Owned(req) => self.serve(id, req)?,
+                        }
                     }
                     // The frame was intact, so the stream is still in
                     // sync: answer the malformed payload and keep
@@ -489,15 +534,16 @@ impl<'a> Session<'a> {
     /// One read that gives up instead of blocking — at once, or after
     /// `wait` — with `Ok(None)` for "nothing yet".  A partial frame stays
     /// buffered in `frames` across the give-up.
-    fn poll_frame(&mut self, wait: Option<Duration>) -> Result<Option<Vec<u8>>, FrameError> {
+    fn poll_frame(&mut self, wait: Option<Duration>) -> Result<Option<&[u8]>, FrameError> {
         // Both settings live on the socket, not on this borrow of it:
         // they are in force only around this read, so a flush always
         // blocks.
-        self.stream.set_nonblocking(wait.is_none())?;
-        self.stream.set_read_timeout(wait)?;
-        let frame = self.read_frame();
-        self.stream.set_nonblocking(false)?;
-        self.stream.set_read_timeout(None)?;
+        let stream = self.stream;
+        stream.set_nonblocking(wait.is_none())?;
+        stream.set_read_timeout(wait)?;
+        let frame = self.frames.next_payload();
+        stream.set_nonblocking(false)?;
+        stream.set_read_timeout(None)?;
         match frame {
             Ok(None) => Err(FrameError::Io(ErrorKind::UnexpectedEof.into())),
             Err(FrameError::Io(e))
@@ -591,7 +637,7 @@ impl<'a> Session<'a> {
             // below, so answering after it makes `Pong` a true barrier.
             let mut pings = Vec::new();
             while let Some(payload) = self.poll_frame(wait.take())? {
-                match decode_request(&payload) {
+                match decode_request(payload) {
                     Ok((rid, Request::Ping)) => pings.push(rid),
                     Ok((rid, _)) => {
                         let err = WireError::Internal(
@@ -683,22 +729,6 @@ fn execute(db: &Database, obs: &ServerObs, req: Request) -> Reply {
         // A repeated Hello is answered idempotently.
         Request::Hello { .. } => hello_reply(db),
         Request::Ping => Reply::Pong,
-        Request::Insert { relation, values } => match db.insert(&relation, values) {
-            Ok(InsertOutcome::Accepted) => Reply::Insert(WireOutcome::Accepted),
-            Ok(InsertOutcome::Duplicate) => Reply::Insert(WireOutcome::Duplicate),
-            Ok(InsertOutcome::Rejected { violated }) => {
-                let schema = db.schema();
-                let universe = schema.definition().universe();
-                Reply::Insert(WireOutcome::Rejected {
-                    violated: violated.map(|fd| fd.render(universe)),
-                })
-            }
-            Err(e) => Reply::Error(wire_error(e)),
-        },
-        Request::Remove { relation, values } => match db.remove(&relation, values) {
-            Ok(present) => Reply::Remove(present),
-            Err(e) => Reply::Error(wire_error(e)),
-        },
         Request::Count { relation } => match db.count(&relation) {
             Ok(n) => Reply::Count(n as u64),
             Err(e) => Reply::Error(wire_error(e)),
@@ -728,12 +758,17 @@ fn execute(db: &Database, obs: &ServerObs, req: Request) -> Reply {
             snap.merge(obs.registry.snapshot());
             Reply::Stats(snap)
         }
-        // Intercepted in `Session::serve` (a stream needs the socket, and
-        // rows stream into the session's buffer, not one `Reply`);
-        // reaching this arm would be a dispatch bug.
-        Request::Subscribe { .. } | Request::Query { .. } | Request::Join { .. } => Reply::Error(
-            WireError::Internal("request must be served by the session loop".into()),
-        ),
+        // Intercepted by the session loop: a string write runs from its
+        // `WriteView`, a stream needs the socket, and rows stream into
+        // the session's buffer, not one `Reply`.  Reaching this arm would
+        // be a dispatch bug.
+        Request::Insert { .. }
+        | Request::Remove { .. }
+        | Request::Subscribe { .. }
+        | Request::Query { .. }
+        | Request::Join { .. } => Reply::Error(WireError::Internal(
+            "request must be served by the session loop".into(),
+        )),
         Request::Alter { op } => {
             let op = match op {
                 AlterOp::AddRelation { name, columns } => Alter::AddRelation { name, columns },
@@ -746,6 +781,29 @@ fn execute(db: &Database, obs: &ServerObs, req: Request) -> Reply {
                 Err(e) => Reply::Error(alter_wire_error(db, e)),
             }
         }
+    }
+}
+
+/// Runs one string insert or remove from its frame and renders its
+/// reply: the names go to the database still borrowed from the payload.
+fn write(db: &Database, write: WriteView<'_>) -> Reply {
+    if write.remove {
+        return match db.remove(write.relation, write.values()) {
+            Ok(present) => Reply::Remove(present),
+            Err(e) => Reply::Error(wire_error(e)),
+        };
+    }
+    match db.insert(write.relation, write.values()) {
+        Ok(InsertOutcome::Accepted) => Reply::Insert(WireOutcome::Accepted),
+        Ok(InsertOutcome::Duplicate) => Reply::Insert(WireOutcome::Duplicate),
+        Ok(InsertOutcome::Rejected { violated }) => {
+            let schema = db.schema();
+            let universe = schema.definition().universe();
+            Reply::Insert(WireOutcome::Rejected {
+                violated: violated.map(|fd| fd.render(universe)),
+            })
+        }
+        Err(e) => Reply::Error(wire_error(e)),
     }
 }
 

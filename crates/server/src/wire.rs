@@ -49,8 +49,8 @@
 //!
 //! The byte layout of every message is declared once, in the tables
 //! near the end of this module (`tag => Variant { fields in wire
-//! order }`); encoding and decoding are both generated from them.  A
-//! new message is:
+//! order }`); encoding and decoding are both generated from them — with
+//! the two pinned restatements listed below.  A new message is:
 //!
 //! 1. the enum variant, with its doc comment;
 //! 2. one line in that enum's table, under the next free tag (the
@@ -64,10 +64,29 @@
 //!    `tests/golden_wire.rs`, then `regenerate_fixtures` — the old
 //!    fixture bytes must stay a strict prefix.
 //!
-//! One layout is stated twice on purpose: [`Reply::Rows`], which the
-//! server streams through [`RowsWriter`] straight from the database's
-//! row visitor instead of building the reply's strings.  Change the
-//! `Rows` line of the table and the writer together.
+//! Two layouts are stated twice on purpose, each so that a hot path
+//! builds no `String` per value:
+//!
+//! * [`Reply::Rows`], which the server streams through [`RowsWriter`]
+//!   straight from the database's row visitor instead of building the
+//!   reply's strings;
+//! * [`Request::Insert`] and [`Request::Remove`], which the server runs
+//!   from a [`WriteView`] of the frame — relation and values borrowed
+//!   from the payload — instead of decoding them into a `Request`.
+//!
+//! Change a table line and its restatement together: the golden
+//! fixtures and `wire_proptest.rs` pin each restatement to the table
+//! (byte for byte for the writer; same acceptance, id, relation and
+//! values for the view).
+//!
+//! ## Where the bytes lie
+//!
+//! Both ends encode in place and decode from where the bytes arrived:
+//! [`append_request`] and [`append_reply`] seal each frame in the
+//! sender's buffer, and [`FrameReader`] lends each payload out of its
+//! own read buffer.  A message is encoded once, into the buffer it is
+//! written from, and decoded from the buffer it was read into; no frame
+//! is copied between the two.
 
 use std::time::Duration;
 
@@ -771,9 +790,16 @@ fn decode<T: Wire>(payload: &[u8], what: &str) -> Result<(u64, T), (u64, WireErr
     Ok((id, message))
 }
 
-/// Encodes a request as one ready-to-write CRC frame.
+/// Encodes a request as one ready-to-write CRC frame: the bytes of
+/// [`append_request`], in a new buffer.
 pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
     encode(id, req)
+}
+
+/// Appends a request to `out` as one complete CRC frame — the bytes of
+/// [`encode_request`], encoded where they will be written from.
+pub fn append_request(out: &mut Vec<u8>, id: u64, req: &Request) {
+    encode_into(out, id, req);
 }
 
 /// Encodes a reply as one ready-to-write CRC frame.
@@ -878,11 +904,90 @@ pub fn decode_reply(payload: &[u8]) -> Result<(u64, Reply), (u64, WireError)> {
     decode(payload, "reply")
 }
 
+/// A string [`Request::Insert`] or [`Request::Remove`] read where it
+/// lies: the relation and the values borrow the payload they arrived
+/// in, so the server runs the write with no `String` built for it.
+///
+/// This is the second statement of the two layouts — the `Request`
+/// table's `Insert { relation, values }` and `Remove { relation, values
+/// }` lines are the first: after the id, the tag, the relation as a
+/// length-prefixed string, then a `u32` value count and the
+/// length-prefixed values.  [`WriteView::parse`] accepts exactly the
+/// payloads [`decode_request`] decodes to one of the two and yields the
+/// same id, relation and values; `wire_proptest.rs` pins the two equal.
+#[derive(Clone, Copy, Debug)]
+pub struct WriteView<'p> {
+    /// The request id.
+    pub id: u64,
+    /// `true` for a [`Request::Remove`], `false` for a
+    /// [`Request::Insert`].
+    pub remove: bool,
+    /// Target relation name.
+    pub relation: &'p str,
+    /// How many values `values` holds.
+    count: u32,
+    /// The values, each length-prefixed, every one already checked.
+    values: &'p [u8],
+}
+
+/// The `Request` table's tags of the two lines [`WriteView`] restates.
+const INSERT_TAG: u8 = 2;
+const REMOVE_TAG: u8 = 3;
+
+impl<'p> WriteView<'p> {
+    /// Views one frame payload: `None` for any payload that is not an
+    /// `Insert` or a `Remove`, or that [`decode_request`] would refuse.
+    /// Total, like the decoder, and allocation-free.
+    pub fn parse(payload: &'p [u8]) -> Option<Self> {
+        let mut d = Decoder::new(payload);
+        let id = d.get_u64().ok()?;
+        let remove = match d.get_u8().ok()? {
+            INSERT_TAG => false,
+            REMOVE_TAG => true,
+            _ => return None,
+        };
+        let relation = d.get_str_ref().ok()?;
+        let count = d.get_u32().ok()?;
+        let values = &payload[payload.len() - d.remaining()..];
+        for _ in 0..count {
+            d.get_str_ref().ok()?;
+        }
+        d.is_done().then_some(WriteView {
+            id,
+            remove,
+            relation,
+            count,
+            values,
+        })
+    }
+
+    /// The values, in the column order the relation was declared with.
+    pub fn values(&self) -> impl Iterator<Item = &'p str> {
+        let mut d = Decoder::new(self.values);
+        // `parse` read every value once already, so no read here fails.
+        (0..self.count).map_while(move |_| d.get_str_ref().ok())
+    }
+
+    /// The viewed request's tag, its line in the `Request` table.
+    pub(crate) fn tag(&self) -> u8 {
+        if self.remove {
+            REMOVE_TAG
+        } else {
+            INSERT_TAG
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Stream framing.
 
 /// Pulls CRC frames off a byte stream — the shared reading loop of the
 /// server's connection loop and the blocking client.
+///
+/// Each payload is **lent** out of the reader's buffer
+/// ([`FrameReader::next_payload`], [`FrameReader::next_buffered`]): it
+/// is decoded where it lies and is valid until the next call, so no
+/// frame is copied out on its way to the decoder.
 ///
 /// A torn buffer keeps reading; EOF on a frame boundary is a clean
 /// close (`Ok(None)`); EOF mid-frame, a CRC mismatch, or an oversize
@@ -892,7 +997,9 @@ pub fn decode_reply(payload: &[u8]) -> Result<(u64, Reply), (u64, WireError)> {
 ///
 /// An I/O error loses nothing: bytes already read stay buffered, so a
 /// stream in non-blocking or timed mode can return `WouldBlock` /
-/// `TimedOut` mid-frame and the next call resumes where it stopped.
+/// `TimedOut` mid-frame and the next call resumes where it stopped.  A
+/// read a signal interrupted (`Interrupted`) is retried in place, as
+/// `Read::read_exact` does, so a signal never ends a session.
 pub struct FrameReader<R> {
     inner: R,
     /// `buf[start..end]` is read but not yet returned; `buf[end..]` is
@@ -953,13 +1060,20 @@ impl<R: std::io::Read> FrameReader<R> {
 
     /// The next frame's payload if it is **already buffered** — never
     /// touches the stream, so it cannot block.  `Ok(None)` means the
-    /// buffer holds at most a partial frame.
-    pub fn next_buffered(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
-        match read_frame(&self.buf[self.start..self.end]) {
+    /// buffer holds at most a partial frame.  The payload is lent from
+    /// the reader's buffer, valid until the next call.
+    pub fn next_buffered(&mut self) -> Result<Option<&[u8]>, FrameError> {
+        Ok(self.buffered()?.map(|at| &self.buf[at]))
+    }
+
+    /// Where the next buffered frame's payload lies in `buf`, consumed.
+    fn buffered(&mut self) -> Result<Option<std::ops::Range<usize>>, FrameError> {
+        let pending = &self.buf[self.start..self.end];
+        match read_frame(pending) {
             FrameOutcome::Complete { payload, rest } => {
-                let payload = payload.to_vec();
+                let at = self.start + FRAME_HEADER_LEN;
                 self.start = self.end - rest.len();
-                Ok(Some(payload))
+                Ok(Some(at..at + payload.len()))
             }
             FrameOutcome::CrcMismatch => Err(FrameError::Corrupt("crc mismatch")),
             FrameOutcome::Oversize => Err(FrameError::Corrupt("oversize frame")),
@@ -968,11 +1082,13 @@ impl<R: std::io::Read> FrameReader<R> {
     }
 
     /// Reads the next complete frame's payload, `Ok(None)` on a clean
-    /// EOF at a frame boundary.
-    pub fn next_payload(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
+    /// EOF at a frame boundary.  Lent like [`FrameReader::next_buffered`]'s.
+    /// A read interrupted by a signal is retried; `WouldBlock` and
+    /// `TimedOut` are returned, with nothing lost.
+    pub fn next_payload(&mut self) -> Result<Option<&[u8]>, FrameError> {
         loop {
-            if let Some(payload) = self.next_buffered()? {
-                return Ok(Some(payload));
+            if let Some(at) = self.buffered()? {
+                return Ok(Some(&self.buf[at]));
             }
             // Out of room: slide the partial frame over the consumed
             // bytes, keeping memory proportional to in-flight data, and
@@ -985,7 +1101,10 @@ impl<R: std::io::Read> FrameReader<R> {
                     self.buf.resize((self.buf.len() * 2).max(READ_CHUNK), 0);
                 }
             }
-            let n = self.inner.read(&mut self.buf[self.end..])?;
+            let n = match self.inner.read(&mut self.buf[self.end..]) {
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                read => read?,
+            };
             if n == 0 {
                 return if self.start == self.end {
                     Ok(None)
@@ -1317,9 +1436,9 @@ mod tests {
         let script = bytes.iter().map(|&b| Ok(vec![b])).collect();
         let mut reader = FrameReader::new(Script(script));
         let first = reader.next_payload().unwrap().unwrap();
-        assert_eq!(decode_request(&first).unwrap().0, 1);
+        assert_eq!(decode_request(first).unwrap().0, 1);
         let second = reader.next_payload().unwrap().unwrap();
-        assert_eq!(decode_request(&second).unwrap().0, 2);
+        assert_eq!(decode_request(second).unwrap().0, 2);
         assert!(reader.next_payload().unwrap().is_none());
     }
 
@@ -1343,9 +1462,54 @@ mod tests {
         // The half already read is still there, and still only a half.
         assert!(reader.next_buffered().unwrap().is_none());
         let payload = reader.next_payload().unwrap().unwrap();
-        assert_eq!(decode_request(&payload).unwrap(), (9, req));
+        assert_eq!(decode_request(payload).unwrap(), (9, req));
         assert_eq!(reader.bytes_read(), framed.len() as u64);
         assert!(reader.next_payload().unwrap().is_none());
+    }
+
+    #[test]
+    fn a_signal_mid_frame_is_retried_not_returned() {
+        // Half a frame, then a read a signal interrupted, then the rest:
+        // a blocking caller must get the frame, not the interruption.
+        let req = Request::Count {
+            relation: "CT".into(),
+        };
+        let framed = encode_request(9, &req);
+        let (head, tail) = framed.split_at(framed.len() / 2);
+        let interrupted = std::io::ErrorKind::Interrupted;
+        let script = [
+            Ok(head.to_vec()),
+            Err(interrupted.into()),
+            Ok(tail.to_vec()),
+        ];
+        let mut reader = FrameReader::new(Script(script.into()));
+        let payload = reader.next_payload().unwrap().unwrap();
+        assert_eq!(decode_request(payload).unwrap(), (9, req));
+        assert_eq!(reader.bytes_read(), framed.len() as u64);
+        assert!(reader.next_payload().unwrap().is_none());
+    }
+
+    #[test]
+    fn the_write_view_restates_the_insert_and_remove_lines() {
+        let (relation, values) = ("CT".to_string(), vec!["CS402".to_string()]);
+        let insert = Request::Insert {
+            relation: relation.clone(),
+            values: values.clone(),
+        };
+        let remove = Request::Remove { relation, values };
+        assert_eq!((insert.tag(), remove.tag()), (INSERT_TAG, REMOVE_TAG));
+        for (req, is_remove) in [(insert, false), (remove, true)] {
+            let framed = encode_request(5, &req);
+            let view = WriteView::parse(&framed[FRAME_HEADER_LEN..]).unwrap();
+            assert_eq!(
+                (view.id, view.remove, view.tag()),
+                (5, is_remove, req.tag())
+            );
+            assert_eq!(view.relation, "CT");
+            assert_eq!(view.values().collect::<Vec<_>>(), ["CS402"]);
+        }
+        let ping = encode_request(6, &Request::Ping);
+        assert!(WriteView::parse(&ping[FRAME_HEADER_LEN..]).is_none());
     }
 
     #[test]

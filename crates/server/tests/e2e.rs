@@ -498,7 +498,7 @@ fn requests_before_hello_are_refused() {
     write.write_all(&encode_request(7, &Request::Ping)).unwrap();
     let payload = frames.next_payload().unwrap().unwrap();
     assert_eq!(
-        decode_reply(&payload).unwrap(),
+        decode_reply(payload).unwrap(),
         (7, Reply::Error(WireError::HandshakeRequired))
     );
     // The server hangs up after the refusal.
@@ -519,7 +519,7 @@ fn version_mismatch_is_a_typed_refusal() {
         .unwrap();
     let payload = frames.next_payload().unwrap().unwrap();
     assert_eq!(
-        decode_reply(&payload).unwrap(),
+        decode_reply(payload).unwrap(),
         (
             0,
             Reply::Error(WireError::UnsupportedVersion {
@@ -550,7 +550,7 @@ fn malformed_payloads_get_typed_replies_and_the_session_survives() {
         .unwrap();
     let payload = frames.next_payload().unwrap().unwrap();
     assert!(matches!(
-        decode_reply(&payload).unwrap(),
+        decode_reply(payload).unwrap(),
         (0, Reply::Hello { .. })
     ));
 
@@ -563,14 +563,14 @@ fn malformed_payloads_get_typed_replies_and_the_session_survives() {
         .write_all(&ids_wal::format::frame(&e.into_bytes()))
         .unwrap();
     let payload = frames.next_payload().unwrap().unwrap();
-    let (id, reply) = decode_reply(&payload).unwrap();
+    let (id, reply) = decode_reply(payload).unwrap();
     assert_eq!(id, 5);
     assert!(matches!(reply, Reply::Error(WireError::Malformed(_))));
 
     // Still serving.
     write.write_all(&encode_request(6, &Request::Ping)).unwrap();
     let payload = frames.next_payload().unwrap().unwrap();
-    assert_eq!(decode_reply(&payload).unwrap(), (6, Reply::Pong));
+    assert_eq!(decode_reply(payload).unwrap(), (6, Reply::Pong));
 
     server.shutdown();
 }
@@ -1026,12 +1026,12 @@ fn a_peer_that_does_not_read_cannot_make_the_server_buffer() {
     let mut frames = FrameReader::new(stream);
     let payload = frames.next_payload().unwrap().unwrap();
     assert!(matches!(
-        decode_reply(&payload).unwrap(),
+        decode_reply(payload).unwrap(),
         (0, Reply::Hello { .. })
     ));
     for id in 1..=SCANS {
         let payload = frames.next_payload().unwrap().unwrap();
-        match decode_reply(&payload).unwrap() {
+        match decode_reply(payload).unwrap() {
             (got, Reply::Rows { rows, .. }) => assert_eq!((got, rows.len()), (id, 20_000)),
             other => panic!("expected the rows of scan {id}, got {other:?}"),
         }

@@ -6,7 +6,7 @@
 use ids_api::RowSink;
 use ids_server::wire::{
     decode_reply, decode_request, encode_reply, encode_request, read_frame, FrameOutcome, Reply,
-    Request, RowsWriter, WireError, WireOutcome, WIRE_VERSION,
+    Request, RowsWriter, WireError, WireOutcome, WriteView, FRAME_HEADER_LEN, WIRE_VERSION,
 };
 
 use proptest::prelude::*;
@@ -296,6 +296,39 @@ fn text() -> impl Strategy<Value = String> {
         .prop_map(|chars| chars.into_iter().collect())
 }
 
+/// The server runs a string write from its [`WriteView`], a second
+/// statement of the `Insert` and `Remove` layouts: on `payload` the view
+/// must accept exactly what `decode_request` decodes to one of the two,
+/// with the same id, relation and values — and never panic.
+fn view_agrees_with_the_decoder(payload: &[u8]) {
+    let decoded = match decode_request(payload) {
+        Ok((id, Request::Insert { relation, values })) => Some((id, false, relation, values)),
+        Ok((id, Request::Remove { relation, values })) => Some((id, true, relation, values)),
+        _ => None,
+    };
+    let viewed = WriteView::parse(payload).map(|view| {
+        let values = view.values().map(str::to_string).collect::<Vec<_>>();
+        (view.id, view.remove, view.relation.to_string(), values)
+    });
+    assert_eq!(viewed, decoded, "payload {payload:?}");
+}
+
+/// One string write as a frame payload: an id, `Insert` or `Remove`, a
+/// relation name and zero to four values.
+fn write_payload() -> impl Strategy<Value = Vec<u8>> {
+    let values = proptest::collection::vec(text(), 0..5);
+    (0u64..u64::MAX, proptest::bool::ANY, text(), values).prop_map(
+        |(id, remove, relation, values)| {
+            let req = if remove {
+                Request::Remove { relation, values }
+            } else {
+                Request::Insert { relation, values }
+            };
+            encode_request(id, &req)[FRAME_HEADER_LEN..].to_vec()
+        },
+    )
+}
+
 /// A request id, then the columns and rows of a `Rows` reply: zero to
 /// three columns, zero to four rows, every row as wide as the columns.
 fn rows_reply() -> impl Strategy<Value = (u64, Vec<String>, Vec<Vec<String>>)> {
@@ -340,6 +373,38 @@ proptest! {
         };
         prop_assert!(rest.is_empty());
         prop_assert_eq!(decode_reply(payload).unwrap(), (id, reply));
+    }
+
+    /// The view and the decoder agree on every valid write, on every
+    /// truncation of it, and on every byte of it flipped by `flip`.
+    #[test]
+    fn the_write_view_is_pinned_to_the_decoder(
+        payload in write_payload(),
+        flip in 1u8..=255,
+    ) {
+        view_agrees_with_the_decoder(&payload);
+        for cut in 0..payload.len() {
+            view_agrees_with_the_decoder(&payload[..cut]);
+        }
+        for pos in 0..payload.len() {
+            let mut flipped = payload.clone();
+            flipped[pos] ^= flip;
+            view_agrees_with_the_decoder(&flipped);
+        }
+    }
+
+    /// ... and on arbitrary payloads, those that start like a write (an
+    /// id, then the `Insert` or `Remove` tag) among them.
+    #[test]
+    fn the_write_view_agrees_on_arbitrary_payloads(
+        body in proptest::collection::vec(0u8..=255, 0..64),
+        tag in 2u8..4,
+    ) {
+        view_agrees_with_the_decoder(&body);
+        let mut write = 7u64.to_le_bytes().to_vec();
+        write.push(tag);
+        write.extend(&body);
+        view_agrees_with_the_decoder(&write);
     }
 
     /// Pure noise never panics the receive path.

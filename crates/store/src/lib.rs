@@ -343,16 +343,15 @@ impl Slot {
     /// Probes and commits one insert, logging it when accepted.  An op
     /// the slot cannot log must not be acknowledged: the `Wal` error
     /// ends the lock scope, which poisons the slot (see [`Store::write`]).
-    fn insert(&mut self, tuple: Vec<Value>, tally: &mut Tally) -> Result<InsertOutcome, Error> {
-        // Clone for the log only when there is one: the in-memory fast
-        // path stays allocation-free per op.
-        let to_log = self.wal.is_some().then(|| tuple.clone());
-        let outcome = self.shard.insert(&mut self.rel, tuple)?;
+    fn insert(&mut self, tuple: &[Value], tally: &mut Tally) -> Result<InsertOutcome, Error> {
+        let outcome = self.shard.insert_row(&mut self.rel, tuple)?;
         match outcome {
             InsertOutcome::Accepted => {
                 tally.accepted += 1;
-                if let (Some(w), Some(t)) = (&mut self.wal, to_log) {
-                    w.append(WalOp::Insert(t))?;
+                // Copied for the log only when there is one: the
+                // in-memory path stays allocation-free per op.
+                if let Some(w) = &mut self.wal {
+                    w.append(WalOp::Insert(tuple.to_vec()))?;
                 }
             }
             InsertOutcome::Duplicate => tally.duplicate += 1,
@@ -362,12 +361,12 @@ impl Slot {
     }
 
     /// Removes one tuple, logging the remove when it was present.
-    fn remove(&mut self, tuple: Vec<Value>, tally: &mut Tally) -> Result<bool, Error> {
-        let present = self.shard.remove(&mut self.rel, &tuple)?;
+    fn remove(&mut self, tuple: &[Value], tally: &mut Tally) -> Result<bool, Error> {
+        let present = self.shard.remove(&mut self.rel, tuple)?;
         if present {
             tally.removed += 1;
             if let Some(w) = &mut self.wal {
-                w.append(WalOp::Remove(tuple))?;
+                w.append(WalOp::Remove(tuple.to_vec()))?;
             }
         }
         Ok(present)
@@ -1482,14 +1481,14 @@ impl Store {
     /// insert inside one [`Era`], as the name-addressed `ids-api`
     /// operations do.
     pub fn insert(&self, id: SchemeId, tuple: Vec<Value>) -> Result<InsertOutcome, Error> {
-        self.era()?.insert(id, tuple)
+        self.era()?.insert(id, &tuple)
     }
 
     /// Removes a tuple from relation `id`; `true` when it was present.
     /// Always satisfaction-preserving under weak-instance semantics.
     /// `id` is positional, as for [`Store::insert`].
     pub fn remove(&self, id: SchemeId, tuple: Vec<Value>) -> Result<bool, Error> {
-        self.era()?.remove(id, tuple)
+        self.era()?.remove(id, &tuple)
     }
 
     /// Applies a batch of operations: the batch is partitioned by
@@ -1503,7 +1502,7 @@ impl Store {
     /// within the batch is preserved; FD violations are *outcomes*
     /// ([`InsertOutcome::Rejected`]), not errors.  The whole batch runs
     /// in one [`Era`], against positional ids as for [`Store::insert`].
-    pub fn apply_batch(&self, mut ops: Vec<StoreOp>) -> Result<Vec<OpOutcome>, Error> {
+    pub fn apply_batch(&self, ops: Vec<StoreOp>) -> Result<Vec<OpOutcome>, Error> {
         let topo = self.topology()?;
         for op in &ops {
             let (StoreOp::Insert { scheme, tuple } | StoreOp::Remove { scheme, tuple }) = op;
@@ -1538,12 +1537,12 @@ impl Store {
             }
             self.write(&topo, SchemeId::from_index(scheme), |slot, tally| {
                 for &i in run {
-                    out[i] = match &mut ops[i] {
+                    out[i] = match &ops[i] {
                         StoreOp::Insert { tuple, .. } => {
-                            OpOutcome::Insert(slot.insert(std::mem::take(tuple), tally)?)
+                            OpOutcome::Insert(slot.insert(tuple, tally)?)
                         }
                         StoreOp::Remove { tuple, .. } => {
-                            OpOutcome::Remove(slot.remove(std::mem::take(tuple), tally)?)
+                            OpOutcome::Remove(slot.remove(tuple, tally)?)
                         }
                     };
                 }
@@ -1645,15 +1644,16 @@ impl Era<'_> {
     }
 
     /// [`Store::insert`] in this era: `id` is a position in
-    /// [`Era::schema`].
-    pub fn insert(&self, id: SchemeId, tuple: Vec<Value>) -> Result<InsertOutcome, Error> {
-        Store::validate(&self.topo, id, &tuple)?;
+    /// [`Era::schema`].  The row is borrowed: the relation copies it into
+    /// its slab, and the log (when there is one) into its record.
+    pub fn insert(&self, id: SchemeId, tuple: &[Value]) -> Result<InsertOutcome, Error> {
+        Store::validate(&self.topo, id, tuple)?;
         (self.store).write(&self.topo, id, |slot, tally| slot.insert(tuple, tally))
     }
 
-    /// [`Store::remove`] in this era.
-    pub fn remove(&self, id: SchemeId, tuple: Vec<Value>) -> Result<bool, Error> {
-        Store::validate(&self.topo, id, &tuple)?;
+    /// [`Store::remove`] in this era, of a borrowed row.
+    pub fn remove(&self, id: SchemeId, tuple: &[Value]) -> Result<bool, Error> {
+        Store::validate(&self.topo, id, tuple)?;
         (self.store).write(&self.topo, id, |slot, tally| slot.remove(tuple, tally))
     }
 
