@@ -12,7 +12,7 @@ use crate::gyo::JoinTree;
 
 /// The semijoin program of a join tree: a list of `(target, source)` pairs
 /// meaning `r_target := r_target ⋉ r_source`, bottom-up then top-down.
-pub fn semijoin_program(tree: &JoinTree) -> Vec<(usize, usize)> {
+pub(crate) fn semijoin_program(tree: &JoinTree) -> Vec<(usize, usize)> {
     let mut program = Vec::new();
     // Bottom-up: in elimination order, parent absorbs child filter.
     for &i in &tree.elimination_order {

@@ -15,6 +15,6 @@ mod consistency;
 mod gyo;
 mod yannakakis;
 
-pub use consistency::{full_reduce, is_pairwise_consistent, semijoin_program};
+pub use consistency::{full_reduce, is_pairwise_consistent};
 pub use gyo::{is_acyclic, join_tree, JoinTree};
-pub use yannakakis::{naive_join, naive_join_max_intermediate, yannakakis_join};
+pub use yannakakis::{naive_join, yannakakis_join};

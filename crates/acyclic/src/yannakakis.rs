@@ -6,8 +6,6 @@
 //! plus output (\[Y\]).  This is the constructive content of "acyclic
 //! schemes are easy" that the paper's Theorem 1 discussion points to.
 
-#[cfg(test)]
-use ids_relational::SchemeId;
 use ids_relational::{DatabaseState, Relation};
 
 use crate::consistency::full_reduce;
@@ -44,28 +42,28 @@ pub fn naive_join(state: &DatabaseState) -> Option<Relation> {
     ids_relational::join_all(state.iter().map(|(_, r)| r).collect::<Vec<_>>().into_iter())
 }
 
-/// Counts dangling-intermediate waste of the naive order: the largest
-/// intermediate size (for the E5-style comparison).
-pub fn naive_join_max_intermediate(state: &DatabaseState) -> usize {
-    let mut iter = state.iter().map(|(_, r)| r);
-    let Some(first) = iter.next() else { return 0 };
-    let mut acc = first.clone();
-    let mut max = acc.len();
-    for r in iter {
-        acc = acc.natural_join(r);
-        max = max.max(acc.len());
-    }
-    max
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gyo::join_tree;
-    use ids_relational::{DatabaseSchema, Universe, Value};
+    use ids_relational::{DatabaseSchema, SchemeId, Universe, Value};
 
     fn v(n: u64) -> Value {
         Value::int(n)
+    }
+
+    /// Counts dangling-intermediate waste of the naive order: the largest
+    /// intermediate size (for the E5-style comparison).
+    fn naive_join_max_intermediate(state: &DatabaseState) -> usize {
+        let mut iter = state.iter().map(|(_, r)| r);
+        let Some(first) = iter.next() else { return 0 };
+        let mut acc = first.clone();
+        let mut max = acc.len();
+        for r in iter {
+            acc = acc.natural_join(r);
+            max = max.max(acc.len());
+        }
+        max
     }
 
     fn chain4() -> DatabaseSchema {

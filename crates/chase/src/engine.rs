@@ -83,13 +83,6 @@ pub enum ChaseVerdict {
     Inconsistent(ContradictionInfo),
 }
 
-impl ChaseVerdict {
-    /// True for [`ChaseVerdict::Consistent`].
-    pub fn is_consistent(&self) -> bool {
-        matches!(self, ChaseVerdict::Consistent)
-    }
-}
-
 /// A chase tableau: rows of symbols over the columns of the universe.
 #[derive(Clone, Debug)]
 pub struct ChaseInstance {
@@ -123,7 +116,7 @@ impl ChaseInstance {
     }
 
     /// Interns a constant: the same [`Value`] always yields the same symbol.
-    pub fn const_sym(&mut self, v: Value) -> SymId {
+    fn const_sym(&mut self, v: Value) -> SymId {
         if let Some(s) = self.interned.get(&v) {
             return *s;
         }
@@ -136,7 +129,7 @@ impl ChaseInstance {
     /// Adds the padded universal row for a tuple of scheme `attrs` (values
     /// in scheme order): constants at the scheme's columns, fresh variables
     /// elsewhere — the `I(p)` construction of the paper.
-    pub fn add_padded_tuple(&mut self, attrs: AttrSet, values: &[Value]) {
+    pub(crate) fn add_padded_tuple(&mut self, attrs: AttrSet, values: &[Value]) {
         debug_assert_eq!(attrs.len(), values.len());
         let mut row = Vec::with_capacity(self.width);
         for col in 0..self.width {
@@ -151,13 +144,13 @@ impl ChaseInstance {
     }
 
     /// Adds a row of raw symbols (used by the implication chases).
-    pub fn add_raw_row(&mut self, row: Vec<SymId>) {
+    pub(crate) fn add_raw_row(&mut self, row: Vec<SymId>) {
         debug_assert_eq!(row.len(), self.width);
         self.rows.push(row.into_boxed_slice());
     }
 
     /// Allocates a fresh variable.
-    pub fn fresh_var(&mut self) -> SymId {
+    pub(crate) fn fresh_var(&mut self) -> SymId {
         self.symbols.fresh_var()
     }
 
@@ -167,13 +160,8 @@ impl ChaseInstance {
     }
 
     /// Canonical representative of a symbol.
-    pub fn resolve_sym(&mut self, s: SymId) -> SymId {
+    pub(crate) fn resolve_sym(&mut self, s: SymId) -> SymId {
         self.symbols.find(s)
-    }
-
-    /// True when the symbols at two positions are currently equal.
-    pub fn syms_equal(&mut self, a: (usize, usize), b: (usize, usize)) -> bool {
-        self.resolved(a.0, a.1) == self.resolved(b.0, b.1)
     }
 
     /// Equates two symbols directly (exposed for the implication chases).
@@ -239,7 +227,7 @@ impl ChaseInstance {
 
     /// Chases the FD-rules to fixpoint (the polynomial, JD-free chase of
     /// Honeyman / \[MMS\]).
-    pub fn fd_fixpoint(&mut self, fds: &[Fd]) -> Result<(), ContradictionInfo> {
+    pub(crate) fn fd_fixpoint(&mut self, fds: &[Fd]) -> Result<(), ContradictionInfo> {
         loop {
             let changed = self.apply_fds_once(fds)?;
             self.canonicalize();
@@ -252,7 +240,7 @@ impl ChaseInstance {
     /// One JD-rule round: adds every universal tuple composable from
     /// per-component projections (`T := T ∪ ⋈_i π_Si(T)`).  Returns whether
     /// any row was added.
-    pub fn jd_round(
+    pub(crate) fn jd_round(
         &mut self,
         jd: &JoinDependency,
         config: &ChaseConfig,
@@ -370,7 +358,7 @@ impl ChaseInstance {
     /// instantiating each variable class with a fresh, globally distinct
     /// value.  After a consistent chase this is a weak instance for the
     /// chased state.
-    pub fn to_relation(&mut self) -> Relation {
+    pub(crate) fn materialize(&mut self) -> Relation {
         self.canonicalize();
         let mut rel = Relation::new(AttrSet::first_n(self.width));
         let mut var_values: HashMap<SymId, Value> = HashMap::new();
@@ -450,8 +438,8 @@ mod tests {
         let verdict = inst
             .chase(&fds, Some(&jd), &ChaseConfig::default())
             .unwrap();
-        assert!(verdict.is_consistent());
-        let w = inst.to_relation();
+        assert!(matches!(verdict, ChaseVerdict::Consistent));
+        let w = inst.materialize();
         // The weak instance satisfies every FD.
         for fd in &fds {
             assert!(w.satisfies_fd(fd.lhs, fd.rhs));
@@ -513,7 +501,7 @@ mod tests {
         let mut inst = ChaseInstance::new(2);
         inst.add_padded_tuple(u.parse_set("A").unwrap(), &[v(7)]);
         inst.add_padded_tuple(u.parse_set("B").unwrap(), &[v(7)]);
-        let rel = inst.to_relation();
+        let rel = inst.materialize();
         assert_eq!(rel.len(), 2);
         let tuples: Vec<_> = rel.iter().collect();
         // The two padded variables must have received distinct fresh values,

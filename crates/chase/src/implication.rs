@@ -8,7 +8,7 @@
 //!   whether a set of FDs implies a join dependency (lossless join).
 
 use ids_deps::{Fd, FdSet, JoinDependency};
-use ids_relational::{AttrId, AttrSet};
+use ids_relational::AttrId;
 
 use crate::engine::{ChaseConfig, ChaseError, ChaseInstance};
 use crate::symbol::SymId;
@@ -98,14 +98,6 @@ pub fn jd_implied_by_fds(fds: &FdSet, jd: &JoinDependency, width: usize) -> bool
         .expect("no constants, no contradiction");
     let dv_roots: Vec<SymId> = dvs.iter().map(|s| inst.resolve_sym(*s)).collect();
     (0..inst.row_count()).any(|r| (0..width).all(|c| inst.resolved(r, c) == dv_roots[c]))
-}
-
-/// Classic corollary used as a sanity check: the decomposition of `U` into
-/// `{R1, R2}` is lossless under `fds` iff `fds ⊨ R1∩R2 → R1` or
-/// `fds ⊨ R1∩R2 → R2`.
-pub fn binary_lossless(fds: &FdSet, r1: AttrSet, r2: AttrSet) -> bool {
-    let common = r1.intersect(r2);
-    fds.implies(Fd::new(common, r1)) || fds.implies(Fd::new(common, r2))
 }
 
 #[cfg(test)]
@@ -199,10 +191,8 @@ mod tests {
         let f = FdSet::parse(&u, &["B -> C"]).unwrap();
         let r1 = u.parse_set("AB").unwrap();
         let r2 = u.parse_set("BC").unwrap();
-        assert!(binary_lossless(&f, r1, r2));
         assert!(jd_implied_by_fds(&f, &JoinDependency::new([r1, r2]), 3));
         let g = FdSet::new();
-        assert!(!binary_lossless(&g, r1, r2));
         assert!(!jd_implied_by_fds(&g, &JoinDependency::new([r1, r2]), 3));
     }
 

@@ -5,7 +5,7 @@
 //! \[MMS\], weak-instance (global) satisfaction `WSAT`, local satisfaction
 //! `LSAT`, dependency-implication chases (including the Aho–Beeri–Ullman
 //! lossless-join test), and the tagged tableaux of Section 4 with their
-//! weakness preorder and valuations.
+//! weakness preorder.
 //!
 //! Testing a state against `F ∪ {*D}` is NP-hard in general (\[Y\]); the
 //! engine is therefore *budgeted* ([`ChaseConfig`]) and reports budget
@@ -21,16 +21,10 @@ mod tagged;
 mod weak_instance;
 
 pub use engine::{ChaseConfig, ChaseError, ChaseInstance, ChaseVerdict, ContradictionInfo};
-pub use implication::{binary_lossless, fd_implied_explicit, jd_implied_by_fds};
-pub use local::{
-    locally_satisfies, locally_violating, relation_locally_satisfies, satisfies_projection_fds,
-};
+pub use implication::{fd_implied_explicit, jd_implied_by_fds};
+pub use local::locally_satisfies;
 pub use symbol::{Contradiction, SymId, SymbolTable};
-pub use tagged::{
-    collect_valuations, find_valuation, DvAssignment, GSym, GeneralTableau, TaggedRow,
-    TaggedTableau,
-};
+pub use tagged::{GSym, GeneralTableau, TaggedRow, TaggedTableau};
 pub use weak_instance::{
-    is_weak_instance, satisfies, satisfies_fds_only, satisfies_with, universal_tableau,
-    Satisfaction,
+    is_weak_instance, satisfies, satisfies_fds_only, universal_tableau, Satisfaction,
 };

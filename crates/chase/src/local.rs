@@ -13,7 +13,7 @@ use crate::engine::{ChaseConfig, ChaseError};
 use crate::weak_instance::satisfies;
 
 /// Tests whether a single relation satisfies its implied constraints `Σi`.
-pub fn relation_locally_satisfies(
+pub(crate) fn relation_locally_satisfies(
     schema: &DatabaseSchema,
     fds: &FdSet,
     id: SchemeId,
@@ -40,47 +40,6 @@ pub fn locally_satisfies(
         }
     }
     Ok(true)
-}
-
-/// The ids of locally *violating* relations (empty iff `state ∈ LSAT`).
-pub fn locally_violating(
-    schema: &DatabaseSchema,
-    fds: &FdSet,
-    state: &DatabaseState,
-    config: &ChaseConfig,
-) -> Result<Vec<SchemeId>, ChaseError> {
-    let mut out = Vec::new();
-    for (id, rel) in state.iter() {
-        if !relation_locally_satisfies(schema, fds, id, rel, config)? {
-            out.push(id);
-        }
-    }
-    Ok(out)
-}
-
-/// Polynomial check of Theorem 3's condition (3): `ri ⊨ F⁺|Ri`.
-///
-/// For each pair of tuples, the agreement set `X` must functionally force
-/// agreement on `cl_F(X) ∩ Ri`.  Quadratic in `|ri|`, no chase needed.
-pub fn satisfies_projection_fds(fds: &FdSet, rel: &Relation) -> bool {
-    let r = rel.attrs();
-    let tuples: Vec<_> = rel.iter().collect();
-    for i in 0..tuples.len() {
-        for j in (i + 1)..tuples.len() {
-            let (s, t) = (tuples[i], tuples[j]);
-            let mut agree = ids_relational::AttrSet::EMPTY;
-            for a in r {
-                if rel.value_at(s, a) == rel.value_at(t, a) {
-                    agree.insert(a);
-                }
-            }
-            let forced = fds.closure(agree).intersect(r);
-            if !forced.is_subset(agree) {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -114,7 +73,6 @@ mod tests {
         assert!(
             !relation_locally_satisfies(&schema, &fds, id, &rel, &ChaseConfig::default()).unwrap()
         );
-        assert!(!satisfies_projection_fds(&fds, &rel));
     }
 
     #[test]
@@ -127,7 +85,6 @@ mod tests {
         assert!(
             relation_locally_satisfies(&schema, &fds, id, &rel, &ChaseConfig::default()).unwrap()
         );
-        assert!(satisfies_projection_fds(&fds, &rel));
     }
 
     #[test]
@@ -142,20 +99,6 @@ mod tests {
         p.insert(SchemeId(2), vec![v(4), v(3)]).unwrap();
         let cfg = ChaseConfig::default();
         assert!(locally_satisfies(&schema, &fds, &p, &cfg).unwrap());
-        assert!(locally_violating(&schema, &fds, &p, &cfg)
-            .unwrap()
-            .is_empty());
         assert!(!satisfies(&schema, &fds, &p, &cfg).unwrap().is_satisfying());
-    }
-
-    #[test]
-    fn violating_relation_reported() {
-        let (schema, fds) = setup();
-        let id = schema.scheme_by_name("CT").unwrap();
-        let mut p = DatabaseState::empty(&schema);
-        p.insert(id, vec![v(1), v(2)]).unwrap();
-        p.insert(id, vec![v(1), v(3)]).unwrap(); // violates C→T
-        let bad = locally_violating(&schema, &fds, &p, &ChaseConfig::default()).unwrap();
-        assert_eq!(bad, vec![id]);
     }
 }

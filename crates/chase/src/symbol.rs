@@ -50,7 +50,7 @@ impl SymbolTable {
     }
 
     /// Allocates a fresh variable symbol.
-    pub fn fresh_var(&mut self) -> SymId {
+    pub(crate) fn fresh_var(&mut self) -> SymId {
         self.push(None)
     }
 
@@ -59,7 +59,7 @@ impl SymbolTable {
     /// Distinct calls with the same value produce distinct symbols; callers
     /// that want value-identified constants should intern (see
     /// [`crate::engine::ChaseInstance`]).
-    pub fn fresh_const(&mut self, v: Value) -> SymId {
+    pub(crate) fn fresh_const(&mut self, v: Value) -> SymId {
         self.push(Some(v))
     }
 
@@ -81,23 +81,10 @@ impl SymbolTable {
         s
     }
 
-    /// Find without path compression (for `&self` contexts).
-    pub fn find_immutable(&self, mut s: SymId) -> SymId {
-        while self.parent[s as usize] != s {
-            s = self.parent[s as usize];
-        }
-        s
-    }
-
     /// The constant carried by `s`'s class, if any.
-    pub fn constant_of(&mut self, s: SymId) -> Option<Value> {
+    pub(crate) fn constant_of(&mut self, s: SymId) -> Option<Value> {
         let r = self.find(s);
         self.constant[r as usize]
-    }
-
-    /// True when the class of `s` is a constant.
-    pub fn is_const(&mut self, s: SymId) -> bool {
-        self.constant_of(s).is_some()
     }
 
     /// Equates two symbols.
@@ -148,7 +135,6 @@ mod tests {
         let a = t.fresh_var();
         let b = t.fresh_var();
         assert_ne!(t.find(a), t.find(b));
-        assert!(!t.is_const(a));
     }
 
     #[test]
@@ -190,18 +176,5 @@ mod tests {
         // Now a different constant through any alias must contradict.
         let d = t.fresh_const(v(4));
         assert!(t.union(x, d).is_err());
-    }
-
-    #[test]
-    fn find_immutable_agrees_with_find() {
-        let mut t = SymbolTable::new();
-        let a = t.fresh_var();
-        let b = t.fresh_var();
-        let c = t.fresh_var();
-        t.union(a, b).unwrap();
-        t.union(b, c).unwrap();
-        let r = t.find(a);
-        assert_eq!(t.find_immutable(b), r);
-        assert_eq!(t.find_immutable(c), r);
     }
 }

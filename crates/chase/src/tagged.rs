@@ -6,18 +6,14 @@
 //! algorithm only ever builds rows whose dv columns form a locally closed
 //! set `Z*` and whose ndvs are fresh (the paper's Observation), so a row is
 //! fully described by `(tag, dv-set)` — that compact form lives here as
-//! [`TaggedRow`], together with:
-//!
-//! * the *weakness* preorder `T ≤ T'` (existence of a homomorphism fixing
-//!   dvs and tags), both as the paper's row-cover shortcut and as a general
-//!   backtracking homomorphism search used to validate the shortcut;
-//! * *valuations* from a tableau to a database state (mappings sending each
-//!   row into a tuple of its tagged relation), the semantic device behind
-//!   Lemma 10 and Theorem 5.
+//! [`TaggedRow`], together with the *weakness* preorder `T ≤ T'`
+//! (existence of a homomorphism fixing dvs and tags), both as the paper's
+//! row-cover shortcut and as a general backtracking homomorphism search
+//! used to validate the shortcut.
 
 use std::collections::HashMap;
 
-use ids_relational::{AttrId, AttrSet, DatabaseSchema, DatabaseState, SchemeId, Value};
+use ids_relational::{AttrId, AttrSet, SchemeId};
 
 /// A tableau row in the algorithm's canonical form: tag + dv columns
 /// (ndvs are implicit, unique to the row).
@@ -189,92 +185,6 @@ impl GeneralTableau {
     }
 }
 
-/// A valuation result: the values assigned to each column's distinguished
-/// variable (only columns where some row has a dv are bound).
-pub type DvAssignment = HashMap<AttrId, Value>;
-
-/// Searches for a valuation from `tableau` to `state` that agrees with the
-/// fixed dv values in `fixed` — the device of Lemma 10 / Theorem 5: every
-/// row tagged `Ri` must be sent into a tuple of `ri`, all rows sharing each
-/// column's dv consistently.
-///
-/// Returns the dv assignment of the first valuation found (backtracking in
-/// row order), or `None`.
-pub fn find_valuation(
-    schema: &DatabaseSchema,
-    state: &DatabaseState,
-    tableau: &TaggedTableau,
-    fixed: &DvAssignment,
-) -> Option<DvAssignment> {
-    let mut all = Vec::new();
-    collect_valuations(schema, state, tableau, fixed, 1, &mut all);
-    all.into_iter().next()
-}
-
-/// Collects up to `limit` distinct dv assignments of valuations from
-/// `tableau` to `state` agreeing with `fixed`.
-pub fn collect_valuations(
-    schema: &DatabaseSchema,
-    state: &DatabaseState,
-    tableau: &TaggedTableau,
-    fixed: &DvAssignment,
-    limit: usize,
-    out: &mut Vec<DvAssignment>,
-) {
-    fn go(
-        schema: &DatabaseSchema,
-        state: &DatabaseState,
-        rows: &[TaggedRow],
-        idx: usize,
-        binding: &mut DvAssignment,
-        limit: usize,
-        out: &mut Vec<DvAssignment>,
-    ) {
-        if out.len() >= limit {
-            return;
-        }
-        let Some(row) = rows.get(idx) else {
-            if !out.contains(binding) {
-                out.push(binding.clone());
-            }
-            return;
-        };
-        let rel = state.relation(row.tag);
-        let scheme_attrs = schema.attrs(row.tag);
-        'tuples: for t in rel.iter() {
-            let mut added: Vec<AttrId> = Vec::new();
-            for a in row.dvs {
-                debug_assert!(scheme_attrs.contains(a));
-                let val = rel.value_at(t, a);
-                match binding.get(&a) {
-                    Some(v) if *v != val => {
-                        for b in added {
-                            binding.remove(&b);
-                        }
-                        continue 'tuples;
-                    }
-                    Some(_) => {}
-                    None => {
-                        binding.insert(a, val);
-                        added.push(a);
-                    }
-                }
-            }
-            go(schema, state, rows, idx + 1, binding, limit, out);
-            for b in added {
-                binding.remove(&b);
-            }
-            if out.len() >= limit {
-                return;
-            }
-        }
-    }
-    let mut binding = fixed.clone();
-    go(schema, state, &tableau.rows, 0, &mut binding, limit, out);
-    // Strip the caller's fixed entries? No: keep full assignments — callers
-    // read the dv values directly.
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,75 +269,5 @@ mod tests {
                 assert_eq!(shortcut, general, "t={t:?} s={s:?}");
             }
         }
-    }
-
-    #[test]
-    fn valuation_binds_dvs_to_matching_tuples() {
-        let u = Universe::from_names(["A", "B", "C"]).unwrap();
-        let schema = DatabaseSchema::parse(u, &[("AB", "AB"), ("BC", "BC")]).unwrap();
-        let mut p = DatabaseState::empty(&schema);
-        let v = |n: u64| Value::int(n);
-        p.insert(SchemeId(0), vec![v(1), v(2)]).unwrap();
-        p.insert(SchemeId(1), vec![v(2), v(3)]).unwrap();
-        // Rows: (AB-tagged, dv at B) and (BC-tagged, dvs at B,C): they must
-        // agree on B = 2, giving C = 3.
-        let t = TaggedTableau::from_rows([
-            TaggedRow {
-                tag: SchemeId(0),
-                dvs: schema.universe().parse_set("B").unwrap(),
-            },
-            TaggedRow {
-                tag: SchemeId(1),
-                dvs: schema.universe().parse_set("BC").unwrap(),
-            },
-        ]);
-        let val = find_valuation(&schema, &p, &t, &HashMap::new()).unwrap();
-        let b = schema.universe().attr("B").unwrap();
-        let c = schema.universe().attr("C").unwrap();
-        assert_eq!(val.get(&b), Some(&v(2)));
-        assert_eq!(val.get(&c), Some(&v(3)));
-    }
-
-    #[test]
-    fn valuation_respects_fixed_agreement() {
-        let u = Universe::from_names(["A", "B"]).unwrap();
-        let schema = DatabaseSchema::parse(u, &[("AB", "AB")]).unwrap();
-        let mut p = DatabaseState::empty(&schema);
-        let v = |n: u64| Value::int(n);
-        p.insert(SchemeId(0), vec![v(1), v(2)]).unwrap();
-        p.insert(SchemeId(0), vec![v(5), v(6)]).unwrap();
-        let t = TaggedTableau::from_rows([TaggedRow {
-            tag: SchemeId(0),
-            dvs: schema.universe().parse_set("AB").unwrap(),
-        }]);
-        let a = schema.universe().attr("A").unwrap();
-        let b = schema.universe().attr("B").unwrap();
-        let mut fixed = HashMap::new();
-        fixed.insert(a, v(5));
-        let val = find_valuation(&schema, &p, &t, &fixed).unwrap();
-        assert_eq!(val.get(&b), Some(&v(6)));
-        // No tuple matches A = 9.
-        let mut none = HashMap::new();
-        none.insert(a, v(9));
-        assert!(find_valuation(&schema, &p, &t, &none).is_none());
-    }
-
-    #[test]
-    fn multiple_valuations_enumerated() {
-        let u = Universe::from_names(["A", "B"]).unwrap();
-        let schema = DatabaseSchema::parse(u, &[("AB", "AB")]).unwrap();
-        let mut p = DatabaseState::empty(&schema);
-        let v = |n: u64| Value::int(n);
-        p.insert(SchemeId(0), vec![v(1), v(2)]).unwrap();
-        p.insert(SchemeId(0), vec![v(1), v(3)]).unwrap();
-        let t = TaggedTableau::from_rows([TaggedRow {
-            tag: SchemeId(0),
-            dvs: schema.universe().parse_set("AB").unwrap(),
-        }]);
-        let mut out = Vec::new();
-        collect_valuations(&schema, &p, &t, &HashMap::new(), 10, &mut out);
-        // Two distinct dv assignments: B ↦ 2 and B ↦ 3 — the "two different
-        // calculations" phenomenon behind Theorem 4.
-        assert_eq!(out.len(), 2);
     }
 }

@@ -63,7 +63,7 @@ pub fn satisfies_fds_only(
 }
 
 /// General entry point: chase `I(p)` under `fds` and an optional JD.
-pub fn satisfies_with(
+pub(crate) fn satisfies_with(
     schema: &DatabaseSchema,
     fds: &[Fd],
     jd: Option<&JoinDependency>,
@@ -72,7 +72,7 @@ pub fn satisfies_with(
 ) -> Result<Satisfaction, ChaseError> {
     let mut inst = universal_tableau(schema, state);
     match inst.chase(fds, jd, config)? {
-        ChaseVerdict::Consistent => Ok(Satisfaction::Satisfying(Box::new(inst.to_relation()))),
+        ChaseVerdict::Consistent => Ok(Satisfaction::Satisfying(Box::new(inst.materialize()))),
         ChaseVerdict::Inconsistent(c) => Ok(Satisfaction::NotSatisfying(c)),
     }
 }

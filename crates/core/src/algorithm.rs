@@ -367,17 +367,12 @@ impl LoopRun<'_> {
     pub fn schema(&self) -> &DatabaseSchema {
         self.schema
     }
-
-    /// The scheme this run computes the closure of (for pickers).
-    pub fn run_for(&self) -> SchemeId {
-        self.run_for
-    }
 }
 
 /// Runs the Loop for **every** scheme; `Ok` means the algorithm accepts
 /// (`D` independent w.r.t. the embedded cover), `Err` carries the first
 /// rejection.
-pub fn run_all(
+pub(crate) fn run_all(
     schema: &DatabaseSchema,
     partition: &[FdSet],
 ) -> (Result<(), Box<RejectInfo>>, Vec<LoopTrace>) {

@@ -73,14 +73,6 @@ pub fn find_crossing(schema: &DatabaseSchema, partition: &[FdSet]) -> Option<Cro
     None
 }
 
-/// Convenience: the Lemma 7 corollary check — `Fi` covers `F⁺|Ri` for
-/// every scheme iff no crossing derivation exists **through that scheme's
-/// attributes**.  (Exact for detection; used in tests against
-/// `ids_deps::projection_cover` on small schemes.)
-pub fn partition_is_locally_complete(schema: &DatabaseSchema, partition: &[FdSet]) -> bool {
-    find_crossing(schema, partition).is_none()
-}
-
 /// All attributes of `x` as a set difference helper (tiny utility shared
 /// with the witness builder).
 pub fn without(x: AttrSet, a: AttrId) -> AttrSet {
@@ -115,7 +107,6 @@ mod tests {
         assert_eq!(crossing.attr, schema.universe().attr("D").unwrap());
         assert_eq!(crossing.derivation.steps.len(), 2);
         assert!(crossing.derivation.is_nonredundant());
-        assert!(!partition_is_locally_complete(&schema, &partition));
     }
 
     #[test]

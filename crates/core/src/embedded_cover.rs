@@ -33,7 +33,7 @@ pub struct ClosureStep {
 /// `cl_sigma` abstracts the Σ-closure so the same fixpoint serves both the
 /// paper's `Σ = F ∪ {*D}` (via [`closure_with_jd`]) and plain
 /// Beeri–Honeyman (`Σ = F`).
-pub fn closure_embedded_with<C>(
+fn closure_embedded_with<C>(
     schema: &DatabaseSchema,
     cl_sigma: C,
     x: AttrSet,
@@ -65,16 +65,6 @@ where
     (z, steps)
 }
 
-/// `cl_G1(x)` for `Σ = F ∪ {*D}` (the paper's case).
-pub fn closure_embedded(
-    schema: &DatabaseSchema,
-    fds: &FdSet,
-    x: AttrSet,
-) -> (AttrSet, Vec<ClosureStep>) {
-    let jd = JoinDependency::of_schema(schema);
-    closure_embedded_with(schema, |y| closure_with_jd(fds.as_slice(), &jd, y), x)
-}
-
 /// Result of the cover-embedding test.
 #[derive(Clone, Debug)]
 pub enum CoverEmbedding {
@@ -93,21 +83,6 @@ pub enum CoverEmbedding {
         /// counterexample instance agreeing exactly on this set).
         closed: AttrSet,
     },
-}
-
-impl CoverEmbedding {
-    /// True for the [`CoverEmbedding::Embedded`] case.
-    pub fn is_embedded(&self) -> bool {
-        matches!(self, CoverEmbedding::Embedded { .. })
-    }
-
-    /// The extracted cover as an [`FdSet`] (empty for `NotEmbedded`).
-    pub fn cover_fds(&self) -> FdSet {
-        match self {
-            CoverEmbedding::Embedded { cover } => cover.iter().map(|s| s.fd).collect(),
-            CoverEmbedding::NotEmbedded { .. } => FdSet::new(),
-        }
-    }
 }
 
 /// Tests condition (1) of Theorem 2 and extracts the embedded cover `H`.
@@ -140,29 +115,6 @@ pub fn test_cover_embedding(schema: &DatabaseSchema, fds: &FdSet) -> CoverEmbedd
     CoverEmbedding::Embedded { cover }
 }
 
-/// The Beeri–Honeyman variant: does `D` embed a cover of `F⁺` *without*
-/// help from the join dependency?  Provided for comparison — the paper's
-/// point is precisely that `*D` can strengthen the embedded consequences.
-pub fn test_cover_embedding_fds_only(schema: &DatabaseSchema, fds: &FdSet) -> CoverEmbedding {
-    let cl = |y: AttrSet| fds.closure(y);
-    let mut cover: Vec<ClosureStep> = Vec::new();
-    for fd in fds.iter() {
-        let (closed, steps) = closure_embedded_with(schema, cl, fd.lhs);
-        if !fd.rhs.is_subset(closed) {
-            return CoverEmbedding::NotEmbedded {
-                failing: *fd,
-                closed,
-            };
-        }
-        for step in steps {
-            if !cover.contains(&step) {
-                cover.push(step);
-            }
-        }
-    }
-    CoverEmbedding::Embedded { cover }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,15 +132,14 @@ mod tests {
     #[test]
     fn example2_embeds_its_fds() {
         let (schema, fds) = example2();
-        let res = test_cover_embedding(&schema, &fds);
-        assert!(res.is_embedded());
-        let h = res.cover_fds();
+        let CoverEmbedding::Embedded { cover } = test_cover_embedding(&schema, &fds) else {
+            panic!("example 2 embeds");
+        };
+        let h: FdSet = cover.iter().map(|s| s.fd).collect();
         assert!(h.implies_all(&fds));
         // Every cover FD is embedded in its recorded scheme.
-        if let CoverEmbedding::Embedded { cover } = &res {
-            for s in cover {
-                assert!(s.fd.embedded_in(schema.attrs(s.scheme)));
-            }
+        for s in &cover {
+            assert!(s.fd.embedded_in(schema.attrs(s.scheme)));
         }
     }
 
@@ -229,30 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn jd_strengthens_embedding_beyond_beeri_honeyman() {
-        // U = ABC, D = {AB, BC}, F = {A→C, B→C}.
-        // Without the JD: A→C is not derivable from embedded FDs (only B→C
-        // is embedded).  With *D: B→→A|C plus A→C gives B→C (already
-        // there), and cl_Σ(A): blocks of U−A are {B,C}? Components minus A:
-        // {B}, {BC}: block {B,C}; lhs A−E=∅... A→C: (lhs−E)=∅ disjoint from
-        // block(C) ⇒ C ∈ cl_Σ(A) — embedded consequence within... C in
-        // AB? no. Work through the fixpoint instead: the test asserts the
-        // two variants genuinely differ on this input.
-        let u = Universe::from_names(["A", "B", "C"]).unwrap();
-        let schema = DatabaseSchema::parse(u, &[("AB", "AB"), ("BC", "BC")]).unwrap();
-        let fds = FdSet::parse(schema.universe(), &["A -> C", "B -> C"]).unwrap();
-        let with_jd = test_cover_embedding(&schema, &fds);
-        let without = test_cover_embedding_fds_only(&schema, &fds);
-        assert!(!without.is_embedded());
-        // With the JD, cl_G1(A) ⊇ {A,B?}: A ∪ (AB ∩ cl_Σ(A)) ∪ ...
-        // — whether it embeds is decided by the algorithm; assert only
-        // consistency: if embedded, the cover implies F.
-        if let CoverEmbedding::Embedded { .. } = &with_jd {
-            assert!(with_jd.cover_fds().implies_all(&fds));
-        }
-    }
-
-    #[test]
     fn cover_size_bound() {
         let (schema, fds) = example2();
         if let CoverEmbedding::Embedded { cover } = test_cover_embedding(&schema, &fds) {
@@ -271,7 +198,8 @@ mod tests {
         let jd = JoinDependency::of_schema(&schema);
         for spec in ["C", "CH", "S", "CS"] {
             let x = schema.universe().parse_set(spec).unwrap();
-            let (z, _) = closure_embedded(&schema, &fds, x);
+            let cl = |y| closure_with_jd(fds.as_slice(), &jd, y);
+            let (z, _) = closure_embedded_with(&schema, cl, x);
             assert!(z.is_subset(closure_with_jd(fds.as_slice(), &jd, x)));
             assert!(x.is_subset(z));
         }

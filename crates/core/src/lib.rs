@@ -25,14 +25,13 @@ pub mod embedded_cover;
 pub mod independence;
 pub mod maintenance;
 pub mod np_hardness;
-pub mod oracle;
 pub mod report;
 pub mod shard;
 pub mod witness;
 
-pub use algorithm::{run_all, run_loop, LoopTrace, RejectInfo, RejectLine};
+pub use algorithm::{run_loop, LoopTrace, RejectInfo, RejectLine};
 pub use crossing::{find_crossing, CrossingDerivation};
-pub use embedded_cover::{test_cover_embedding, test_cover_embedding_fds_only, CoverEmbedding};
+pub use embedded_cover::{test_cover_embedding, CoverEmbedding};
 pub use independence::{
     analyze, is_independent, IndependenceAnalysis, NotIndependentReason, Verdict,
 };
@@ -41,12 +40,15 @@ pub use maintenance::{
     MaintenanceError,
 };
 pub use np_hardness::{
-    theorem1_reduction, tuple_in_projected_join, tuple_in_projected_join_materialized,
-    JoinMembershipInstance, MaintenanceGadget,
+    theorem1_reduction, tuple_in_projected_join, JoinMembershipInstance, MaintenanceGadget,
 };
-pub use oracle::{exhaustive_oracle, OracleOutcome};
 pub use report::{render_analysis, render_traces};
 pub use shard::RelationShard;
 pub use witness::{
     lemma3_witness, lemma7_witness, theorem4_witness, verify_witness, Witness, WitnessKind,
 };
+
+// The exhaustive LSAT ∖ WSAT search the decision procedure is tested
+// against on tiny schemas.
+#[cfg(test)]
+mod oracle;

@@ -82,16 +82,6 @@ fn search(
     false
 }
 
-/// Reference implementation: materialize the whole join (exponential
-/// memory) — used to validate the backtracking solver on small inputs.
-pub fn tuple_in_projected_join_materialized(inst: &JoinMembershipInstance) -> bool {
-    let projections: Vec<Relation> = inst.components.iter().map(|c| inst.r.project(*c)).collect();
-    let Some(join) = ids_relational::join_all(projections.iter()) else {
-        return false;
-    };
-    join.project(inst.x).contains(&inst.t)
-}
-
 /// The Theorem 1 gadget: a maintenance quadruple.
 #[derive(Debug)]
 pub struct MaintenanceGadget {
@@ -224,6 +214,17 @@ mod tests {
 
     fn v(n: u64) -> Value {
         Value::int(n)
+    }
+
+    /// Reference implementation: materialize the whole join (exponential
+    /// memory) — used to validate the backtracking solver on small inputs.
+    fn tuple_in_projected_join_materialized(inst: &JoinMembershipInstance) -> bool {
+        let projections: Vec<Relation> =
+            inst.components.iter().map(|c| inst.r.project(*c)).collect();
+        let Some(join) = ids_relational::join_all(projections.iter()) else {
+            return false;
+        };
+        join.project(inst.x).contains(&inst.t)
     }
 
     /// A small instance over U0 = {A,B,C}, components {AB, BC}, X = {A,C}.

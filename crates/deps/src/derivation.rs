@@ -25,7 +25,7 @@ pub struct Derivation {
 
 impl Derivation {
     /// True when the sequence is a valid derivation of `target`.
-    pub fn is_valid(&self) -> bool {
+    fn is_valid(&self) -> bool {
         let mut have = self.target.lhs;
         for (_, fd) in &self.steps {
             if !fd.lhs.is_subset(have) {

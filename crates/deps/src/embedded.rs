@@ -1,45 +1,8 @@
-//! Embedded FDs and projections of FD sets onto subschemes.
+//! Embedded FDs: partitioning an FD set among the schemes that embed it.
 
 use ids_relational::AttrSet;
 
-use crate::fd::Fd;
 use crate::fdset::FdSet;
-
-/// A cover of the projection `F⁺|R` — all FDs implied by `fds` whose
-/// attributes lie inside `r` — computed by closing every subset of `r`.
-///
-/// This is inherently exponential in `|R|` (projections of FD sets can
-/// require exponentially many left-hand sides); `max_scheme_size` guards
-/// against accidental blow-ups and returns `None` when `|R|` exceeds it.
-/// Used by tests and the Lemma 6 machinery on small schemes only — the
-/// polynomial independence pipeline never calls this.
-pub fn projection_cover(fds: &FdSet, r: AttrSet, max_scheme_size: usize) -> Option<FdSet> {
-    let n = r.len();
-    if n > max_scheme_size {
-        return None;
-    }
-    let attrs: Vec<_> = r.iter().collect();
-    let mut out = FdSet::new();
-    for mask in 0..(1u64 << n) {
-        let mut x = AttrSet::EMPTY;
-        for (i, a) in attrs.iter().enumerate() {
-            if mask >> i & 1 == 1 {
-                x.insert(*a);
-            }
-        }
-        let implied = fds.closure(x).intersect(r);
-        out.insert(Fd::new(x, implied));
-    }
-    Some(out.nonredundant_cover())
-}
-
-/// True when `x` is closed under `F⁺|R` — i.e. `cl_F(X) ∩ R ⊆ X` for
-/// `X ⊆ R`.  This is the polynomial primitive Lemma 6 needs (tuples with
-/// `0`s on a set closed under the embedded consequences).
-pub fn closed_under_projection(fds: &FdSet, r: AttrSet, x: AttrSet) -> bool {
-    debug_assert!(x.is_subset(r));
-    fds.closure(x).intersect(r).is_subset(x)
-}
 
 /// Partition of an embedded FD set into per-scheme lists `Fi` (Section 4's
 /// `F = F1 ∪ … ∪ Fk`): every FD is assigned to the **first** scheme that
@@ -60,42 +23,6 @@ mod tests {
 
     fn u() -> Universe {
         Universe::from_names(["C", "T", "H", "R"]).unwrap()
-    }
-
-    #[test]
-    fn projection_cover_finds_transitive_fd() {
-        let u = u();
-        // C→T, TH→R imply CH→R, embedded in CHR (paper, Section 2).
-        let f = FdSet::parse(&u, &["C -> T", "TH -> R"]).unwrap();
-        let chr = u.parse_set("CHR").unwrap();
-        let proj = projection_cover(&f, chr, 16).unwrap();
-        assert!(proj.implies(Fd::parse(&u, "CH -> R").unwrap()));
-        // Nothing in the projection mentions T.
-        assert!(proj.iter().all(|fd| fd.attrs().is_subset(chr)));
-    }
-
-    #[test]
-    fn projection_cover_respects_size_guard() {
-        let u = u();
-        let f = FdSet::parse(&u, &["C -> T"]).unwrap();
-        assert!(projection_cover(&f, u.all(), 2).is_none());
-    }
-
-    #[test]
-    fn closedness_under_projection() {
-        let u = u();
-        let f = FdSet::parse(&u, &["C -> T", "TH -> R"]).unwrap();
-        let chr = u.parse_set("CHR").unwrap();
-        // {C,H} is NOT closed under F⁺|CHR (CH → R).
-        assert!(!closed_under_projection(
-            &f,
-            chr,
-            u.parse_set("CH").unwrap()
-        ));
-        // {H} is closed.
-        assert!(closed_under_projection(&f, chr, u.parse_set("H").unwrap()));
-        // {C, H, R} is closed (it is all of CHR... minus nothing): CHR itself.
-        assert!(closed_under_projection(&f, chr, chr));
     }
 
     #[test]

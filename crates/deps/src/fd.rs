@@ -34,7 +34,7 @@ impl Fd {
     }
 
     /// True when the FD asserts nothing (`rhs ⊆ lhs` before normalization).
-    pub fn is_trivial(self) -> bool {
+    pub(crate) fn is_trivial(self) -> bool {
         self.rhs.is_empty()
     }
 

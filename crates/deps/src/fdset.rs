@@ -85,11 +85,6 @@ impl FdSet {
         closure_of(&self.fds, x)
     }
 
-    /// True when `x` is closed: `X⁺ = X`.
-    pub fn is_closed(&self, x: AttrSet) -> bool {
-        self.closure(x) == x
-    }
-
     /// True when this set implies `fd` (membership test via closure).
     pub fn implies(&self, fd: Fd) -> bool {
         fd.rhs.is_subset(self.closure(fd.lhs))
@@ -223,7 +218,6 @@ mod tests {
         assert!(x.is_subset(cx)); // extensive
         assert!(cx.is_subset(f.closure(y))); // monotone
         assert_eq!(f.closure(cx), cx); // idempotent
-        assert!(f.is_closed(cx));
     }
 
     #[test]
@@ -266,86 +260,5 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert!(s.iter().all(|fd| fd.rhs.len() == 1));
         assert!(s.equivalent(&f));
-    }
-}
-
-/// Linear-time closure (Beeri–Bernstein): per-FD counters of missing
-/// left-hand-side attributes and a worklist of newly acquired attributes.
-///
-/// Asymptotically `O(Σ |fd|)` versus the quadratic passes of
-/// [`closure_of`]; the two are property-tested to coincide and benchmarked
-/// against each other in the E6 ablations.
-pub fn closure_linear(fds: &[Fd], x: AttrSet) -> AttrSet {
-    use ids_relational::AttrId;
-    // attr → FDs whose lhs contains it.
-    let mut watchers: Vec<Vec<usize>> = vec![Vec::new(); ids_relational::MAX_ATTRS];
-    let mut missing: Vec<usize> = Vec::with_capacity(fds.len());
-    for (i, fd) in fds.iter().enumerate() {
-        missing.push(fd.lhs.difference(x).len());
-        for a in fd.lhs.difference(x) {
-            watchers[a.index()].push(i);
-        }
-    }
-    let mut closed = x;
-    let mut queue: Vec<AttrId> = Vec::new();
-    // FDs whose lhs is already inside x fire immediately.
-    for (i, fd) in fds.iter().enumerate() {
-        if missing[i] == 0 {
-            for b in fd.rhs {
-                if closed.insert(b) {
-                    queue.push(b);
-                }
-            }
-        }
-    }
-    while let Some(a) = queue.pop() {
-        for &i in &watchers[a.index()] {
-            missing[i] -= 1;
-            if missing[i] == 0 {
-                for b in fds[i].rhs {
-                    if closed.insert(b) {
-                        queue.push(b);
-                    }
-                }
-            }
-        }
-    }
-    closed
-}
-
-#[cfg(test)]
-mod linear_closure_tests {
-    use super::*;
-
-    #[test]
-    fn linear_matches_quadratic_on_chains_and_dags() {
-        let u = Universe::from_names(["A", "B", "C", "D", "E", "F"]).unwrap();
-        let sets = [
-            FdSet::parse(&u, &["A -> B", "B -> C", "C -> D", "D -> E"]).unwrap(),
-            FdSet::parse(&u, &["AB -> C", "C -> A", "CD -> EF", "E -> B"]).unwrap(),
-            FdSet::parse(&u, &["A -> BC", "BC -> DE", "DE -> F", "F -> A"]).unwrap(),
-            FdSet::new(),
-        ];
-        for f in &sets {
-            for spec in ["A", "B", "AB", "CD", "F", "ABCDEF", "E"] {
-                let x = u.parse_set(spec).unwrap();
-                assert_eq!(
-                    closure_linear(f.as_slice(), x),
-                    f.closure(x),
-                    "F={} X={spec}",
-                    f.render(&u)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn linear_closure_fires_duplicated_lhs_attrs_once() {
-        // An attribute occurring twice in the same lhs cannot exist with
-        // bitset lhs's, but two FDs sharing a watcher must both fire.
-        let u = Universe::from_names(["A", "B", "C"]).unwrap();
-        let f = FdSet::parse(&u, &["A -> B", "A -> C"]).unwrap();
-        let x = u.parse_set("A").unwrap();
-        assert_eq!(closure_linear(f.as_slice(), x), u.all());
     }
 }

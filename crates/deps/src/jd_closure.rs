@@ -78,14 +78,6 @@ pub fn jd_blocks(jd: &JoinDependency, e: AttrSet) -> Vec<AttrSet> {
     blocks.into_iter().map(|(_, s)| s).collect()
 }
 
-/// The block of `jd_blocks(jd, e)` containing `b`, if `b ∉ e`.
-pub fn block_of(jd: &JoinDependency, e: AttrSet, b: AttrId) -> Option<AttrSet> {
-    if e.contains(b) {
-        return None;
-    }
-    jd_blocks(jd, e).into_iter().find(|blk| blk.contains(b))
-}
-
 /// The closure `cl_Σ(x)` of `x` under `Σ = fds ∪ {jd}`: all attributes `A`
 /// with `Σ ⊨ X → A`.
 pub fn closure_with_jd(fds: &[Fd], jd: &JoinDependency, x: AttrSet) -> AttrSet {
@@ -122,13 +114,6 @@ pub fn closure_with_jd(fds: &[Fd], jd: &JoinDependency, x: AttrSet) -> AttrSet {
 /// True when `Σ = fds ∪ {jd}` implies the FD `fd`.
 pub fn implies_with_jd(fds: &[Fd], jd: &JoinDependency, fd: Fd) -> bool {
     fd.rhs.is_subset(closure_with_jd(fds, jd, fd.lhs))
-}
-
-/// The *dependency basis* of `e` with respect to the multivalued
-/// dependencies implied by the JD alone: the partition of `U − e` into
-/// blocks.  (`*D ⊨ e →→ W` for every union `W` of blocks.)
-pub fn dependency_basis(jd: &JoinDependency, e: AttrSet) -> Vec<AttrSet> {
-    jd_blocks(jd, e)
 }
 
 #[cfg(test)]

@@ -160,7 +160,7 @@ impl Gauge {
 /// Number of buckets in a [`LatencyHistogram`]: bucket `i` counts
 /// samples in `[2^i, 2^(i+1))` nanoseconds (bucket 0 also takes 0ns),
 /// the last bucket takes everything ≥ `2^39`ns (≈ 9 minutes).
-pub const HISTOGRAM_BUCKETS: usize = 40;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 40;
 
 /// A fixed-size log2-bucket latency histogram.
 ///
@@ -208,7 +208,7 @@ impl LatencyHistogram {
     /// Records one sample in nanoseconds (no-op while recording is
     /// off).
     #[inline]
-    pub fn record_ns(&self, ns: u64) {
+    fn record_ns(&self, ns: u64) {
         if recording() {
             self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
             self.count.fetch_add(1, Ordering::Relaxed);

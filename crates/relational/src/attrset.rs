@@ -121,15 +121,6 @@ impl AttrSet {
         AttrSet { words: w }
     }
 
-    /// Symmetric difference `self Δ other`.
-    pub fn symmetric_difference(self, other: Self) -> Self {
-        let mut w = self.words;
-        for (a, b) in w.iter_mut().zip(other.words) {
-            *a ^= b;
-        }
-        AttrSet { words: w }
-    }
-
     /// In-place union; returns `true` when `self` changed.
     pub fn union_in_place(&mut self, other: Self) -> bool {
         let before = self.words;
@@ -142,11 +133,6 @@ impl AttrSet {
     /// Subset test `self ⊆ other`.
     pub fn is_subset(self, other: Self) -> bool {
         self.words.iter().zip(other.words).all(|(a, b)| a & !b == 0)
-    }
-
-    /// Strict subset test `self ⊂ other`.
-    pub fn is_strict_subset(self, other: Self) -> bool {
-        self != other && self.is_subset(other)
     }
 
     /// True when `self ∩ other = ∅`.
@@ -292,7 +278,6 @@ mod tests {
         assert_eq!(x.union(y), set(&[1, 2, 3, 4, 70, 200]));
         assert_eq!(x.intersect(y), set(&[3, 70]));
         assert_eq!(x.difference(y), set(&[1, 2]));
-        assert_eq!(x.symmetric_difference(y), set(&[1, 2, 4, 200]));
     }
 
     #[test]
@@ -300,10 +285,8 @@ mod tests {
         let x = set(&[1, 2]);
         let y = set(&[1, 2, 3]);
         assert!(x.is_subset(y));
-        assert!(x.is_strict_subset(y));
         assert!(!y.is_subset(x));
         assert!(x.is_subset(x));
-        assert!(!x.is_strict_subset(x));
         assert!(x.is_disjoint(set(&[4, 5])));
         assert!(x.intersects(y));
     }

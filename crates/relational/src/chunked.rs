@@ -28,7 +28,7 @@ const MIN_ELEMS: usize = 4;
 /// stored in chunks of [`CHUNK_BYTES`].  Record `i` is the slice
 /// `chunked[i]`.
 ///
-/// [`Chunked::push`] appends one record.  [`Chunked::push_run`] appends a
+/// [`Chunked::push`] appends one record.  `Chunked::push_run` appends a
 /// run of whole records, and starts the next chunk first when the run
 /// would straddle a chunk boundary; the records it skips are
 /// **padding**: counted by [`Chunked::len`], never stored, and never to
@@ -87,14 +87,14 @@ impl<T> Chunked<T> {
     }
 
     /// The first record of the chunk holding record `i`.
-    pub fn chunk_start(&self, i: usize) -> usize {
+    pub(crate) fn chunk_start(&self, i: usize) -> usize {
         i >> self.shift << self.shift
     }
 
     /// Where [`Chunked::push_run`] would put a run of `records` records:
     /// [`Chunked::len`], or the start of the next chunk when the run would
     /// straddle a boundary.
-    pub fn next_start(&self, records: usize) -> usize {
+    pub(crate) fn next_start(&self, records: usize) -> usize {
         let room = self.per_chunk() - (self.len & (self.per_chunk() - 1));
         if records > room && room < self.per_chunk() {
             self.len + room
@@ -161,7 +161,7 @@ impl<T: Copy> Chunked<T> {
     ///
     /// When `run` is not one or more whole records, or is longer than a
     /// chunk.
-    pub fn push_run(&mut self, run: &[T]) -> usize {
+    pub(crate) fn push_run(&mut self, run: &[T]) -> usize {
         // A zero-width run is one record.
         let records = run.len().checked_div(self.width).unwrap_or(1);
         assert!(
@@ -192,7 +192,7 @@ impl<T: Copy> Chunked<T> {
 
     /// Copies record `from` over record `to`, an earlier one: the step
     /// of a compaction that moves survivors toward the front.
-    pub fn copy_back(&mut self, from: usize, to: usize) {
+    pub(crate) fn copy_back(&mut self, from: usize, to: usize) {
         debug_assert!(to <= from && from < self.len);
         let w = self.width;
         let mask = self.per_chunk() - 1;

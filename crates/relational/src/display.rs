@@ -6,7 +6,7 @@ use crate::relation::Relation;
 use crate::scheme::DatabaseSchema;
 use crate::state::DatabaseState;
 use crate::universe::Universe;
-use crate::value::{Value, ValuePool};
+use crate::value::ValuePool;
 
 /// Renders a relation as an aligned text table using attribute names from
 /// `universe` and value names from `pool` (pass a fresh pool for raw ids).
@@ -40,7 +40,7 @@ pub fn render_state(schema: &DatabaseSchema, pool: &ValuePool, state: &DatabaseS
 }
 
 /// Low-level aligned table renderer shared by relation and report output.
-pub fn render_table(title: &str, headers: &[String], rows: &[Vec<String>]) -> String {
+fn render_table(title: &str, headers: &[String], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.chars().count()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -70,12 +70,6 @@ pub fn render_table(title: &str, headers: &[String], rows: &[Vec<String>]) -> St
     out
 }
 
-/// Renders a single value list (a tuple) with a pool.
-pub fn render_tuple(pool: &ValuePool, tuple: &[Value]) -> String {
-    let cells: Vec<String> = tuple.iter().map(|v| pool.render(*v)).collect();
-    format!("({})", cells.join(", "))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,12 +91,5 @@ mod tests {
         assert!(text.contains("Smith"));
         // header separator present
         assert!(text.contains("---"));
-    }
-
-    #[test]
-    fn tuple_rendering() {
-        let mut pool = ValuePool::new();
-        let a = pool.value("x");
-        assert_eq!(render_tuple(&pool, &[a, Value::int(999)]), "(x, 999)");
     }
 }

@@ -143,7 +143,7 @@ impl Predicate {
     }
 
     /// Adds an arbitrary guard on `attr`.
-    pub fn and_guard(mut self, attr: AttrId, guard: Guard) -> Self {
+    fn and_guard(mut self, attr: AttrId, guard: Guard) -> Self {
         self.guards.push((attr, guard));
         self
     }

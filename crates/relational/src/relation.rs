@@ -189,12 +189,12 @@ impl Relation {
     /// holding `u32::MAX` tuples refuses with
     /// [`RelationalError::RelationFull`], so a count of a relation's
     /// tuples always fits a `u32`.
-    pub fn insert_slot(&mut self, tuple: &[Value]) -> Result<Option<u32>, RelationalError> {
+    fn insert_slot(&mut self, tuple: &[Value]) -> Result<Option<u32>, RelationalError> {
         self.check_arity(tuple)?;
         self.insert_hashed(KeyHash(self.row_hash(tuple)), tuple)
     }
 
-    /// [`Relation::insert_slot`] for a tuple whose key image
+    /// `Relation::insert_slot` for a tuple whose key image
     /// [`Relation::find_key`] has just hashed to `hash`, so a caller that
     /// probed the key hashes the tuple once.  The hash must be that of
     /// this tuple's image under this relation's current key: only
@@ -312,7 +312,7 @@ impl Relation {
 
     /// The slot holding `tuple`, if present.  Slots ascend along
     /// [`Relation::iter`] and stay put until the epoch advances.
-    pub fn slot_of(&self, tuple: &[Value]) -> Option<u32> {
+    fn slot_of(&self, tuple: &[Value]) -> Option<u32> {
         if tuple.len() != self.arity {
             return None;
         }
@@ -374,15 +374,9 @@ impl Relation {
         self.dead[slot as usize / 64] & (1 << (slot % 64)) != 0
     }
 
-    /// The value of `tuple` at `attr` (which must belong to the scheme).
-    pub fn value_at(&self, tuple: &[Value], attr: AttrId) -> Value {
-        debug_assert!(self.attrs.contains(attr));
-        tuple[self.attrs.rank(attr)]
-    }
-
     /// Projects a tuple of this relation onto `x ⊆ attrs`, in `x`'s scheme
     /// order.
-    pub fn project_tuple(&self, tuple: &[Value], x: AttrSet) -> Vec<Value> {
+    fn project_tuple(&self, tuple: &[Value], x: AttrSet) -> Vec<Value> {
         debug_assert!(x.is_subset(self.attrs));
         x.iter().map(|a| tuple[self.attrs.rank(a)]).collect()
     }

@@ -88,8 +88,7 @@ impl DatabaseState {
     /// Mutable access to the instance assigned to a scheme.
     ///
     /// # Panics
-    /// Panics when the id does not belong to this state's schema; use
-    /// [`DatabaseState::get_relation_mut`] at trust boundaries.
+    /// Panics when the id does not belong to this state's schema.
     pub fn relation_mut(&mut self, id: SchemeId) -> &mut Relation {
         &mut self.relations[id.index()]
     }
@@ -99,11 +98,6 @@ impl DatabaseState {
     /// boundary.
     pub fn get_relation(&self, id: SchemeId) -> Option<&Relation> {
         self.relations.get(id.index())
-    }
-
-    /// Mutable counterpart of [`DatabaseState::get_relation`].
-    pub fn get_relation_mut(&mut self, id: SchemeId) -> Option<&mut Relation> {
-        self.relations.get_mut(id.index())
     }
 
     /// Iterates over `(scheme id, instance)` pairs.
@@ -263,11 +257,7 @@ mod tests {
         p.insert(SchemeId(0), vec![v(1), v(2)]).unwrap();
         assert_eq!(p.get_relation(SchemeId(0)).unwrap().len(), 1);
         assert!(p.get_relation(SchemeId(2)).is_none());
-        assert!(p.get_relation_mut(SchemeId(2)).is_none());
-        p.get_relation_mut(SchemeId(1))
-            .unwrap()
-            .insert(vec![v(2), v(3)])
-            .unwrap();
+        p.insert(SchemeId(1), vec![v(2), v(3)]).unwrap();
         assert_eq!(p.total_tuples(), 2);
     }
 

@@ -55,7 +55,7 @@ impl fmt::Display for Value {
 /// [`SlotTable`] of value ids hashed by the name's bytes and compared
 /// through the arena.  Offsets are `u32` positions in the arena, the
 /// skipped ends of chunks included, so the arena spans at most
-/// `u32::MAX` bytes; [`ValuePool::room_for`] says whether a name still
+/// `u32::MAX` bytes; [`ValuePool::intern`] refuses a name that no longer
 /// fits.
 ///
 /// A pool rebuilt from a log ([`ValuePool::define`]) learns names under
@@ -108,9 +108,8 @@ impl ValuePool {
     ///
     /// # Panics
     ///
-    /// When the name does not fit the arena (see [`ValuePool::room_for`]);
-    /// a caller interning names from outside the program uses
-    /// [`ValuePool::intern`].
+    /// When the name does not fit the arena; a caller interning names
+    /// from outside the program uses [`ValuePool::intern`].
     pub fn value(&mut self, name: impl AsRef<str>) -> Value {
         self.intern(name.as_ref())
             .expect("value pool arena full: intern names from outside the program")
@@ -185,16 +184,6 @@ impl ValuePool {
         while self.ends.len() < next {
             self.ends.push(&[end]);
         }
-    }
-
-    /// `Ok` when the arena has room for `name`'s bytes (a name it does not
-    /// hold always has room), which is all
-    /// [`ValuePool::intern`] needs to intern a name it has not seen;
-    /// otherwise [`RelationalError::PoolFull`].
-    pub fn room_for(&self, name: &str) -> Result<(), RelationalError> {
-        self.end_after(name)
-            .map(drop)
-            .ok_or(RelationalError::PoolFull)
     }
 
     /// Returns an already-interned value by name.

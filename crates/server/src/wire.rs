@@ -82,7 +82,7 @@
 //! ## Where the bytes lie
 //!
 //! Both ends encode in place and decode from where the bytes arrived:
-//! [`append_request`] and [`append_reply`] seal each frame in the
+//! [`append_request`] and `append_reply` seal each frame in the
 //! sender's buffer, and [`FrameReader`] lends each payload out of its
 //! own read buffer.  A message is encoded once, into the buffer it is
 //! written from, and decoded from the buffer it was read into; no frame
@@ -809,7 +809,7 @@ pub fn encode_reply(id: u64, reply: &Reply) -> Vec<u8> {
 
 /// Appends a reply to `out` as one complete CRC frame — the bytes of
 /// [`encode_reply`], encoded where they will be written from.
-pub fn append_reply(out: &mut Vec<u8>, id: u64, reply: &Reply) {
+pub(crate) fn append_reply(out: &mut Vec<u8>, id: u64, reply: &Reply) {
     encode_into(out, id, reply);
 }
 
@@ -1054,7 +1054,7 @@ impl<R: std::io::Read> FrameReader<R> {
     }
 
     /// Total bytes read off the stream so far, returned or not.
-    pub fn bytes_read(&self) -> u64 {
+    pub(crate) fn bytes_read(&self) -> u64 {
         self.bytes_read
     }
 

@@ -18,6 +18,12 @@
 //!   before counting starts.  Before the client encoded in place, the
 //!   frame readers lent their payloads and the server viewed the frame,
 //!   this made 11 per write (11264 over 1024 writes).
+//! * A rejected insert (an existing key with another value) is counted
+//!   too, and pinned at its exact cost: 0 in memory, where the outcome
+//!   carries the violated FD by value, and 8 per write over the wire,
+//!   where the server renders that FD into each reply and the client
+//!   decodes it into a `String`.  A change that renders it once shows up
+//!   here as a lower number.
 //!
 //! The count is process-wide — the session runs on the server's thread —
 //! so this file holds one `#[test]`.  Release and debug builds count the
@@ -137,6 +143,25 @@ fn cycle(i: usize) -> [(Request, Reply); 4] {
     ]
 }
 
+/// The row the `i`th cycle gets rejected: an existing key with another
+/// recurring value, so `a -> b` refuses it.
+fn refused(i: usize) -> [String; 2] {
+    [format!("k{i}"), format!("v{}", (i + 1) % 10)]
+}
+
+/// The `i`th cycle's rejected insert and its reply.
+fn rejected(i: usize) -> [(Request, Reply); 1] {
+    [(
+        Request::Insert {
+            relation: "R".into(),
+            values: refused(i).to_vec(),
+        },
+        Reply::Insert(WireOutcome::Rejected {
+            violated: Some("a -> b".into()),
+        }),
+    )]
+}
+
 /// One round of `CYCLES` cycles straight into the database, returning
 /// the allocation calls it made.
 fn embedded_round(db: &Database) -> u64 {
@@ -157,11 +182,26 @@ fn embedded_round(db: &Database) -> u64 {
     allocs
 }
 
-/// One round of `CYCLES` cycles pipelined through `client`, `WINDOW`
-/// requests in flight, returning the allocation calls it made.
-fn wire_round(client: &mut Client) -> u64 {
+/// `CYCLES` rejected inserts straight into the database, returning the
+/// allocation calls they made.
+fn embedded_rejects(db: &Database) -> u64 {
+    let rows: Vec<[String; 2]> = (0..CYCLES).map(refused).collect();
+    let mut outcomes = Vec::with_capacity(CYCLES);
+    let ((), allocs) = allocs_during(|| {
+        for row in &rows {
+            let rejected = db.insert("R", row).unwrap();
+            outcomes.push(matches!(rejected, InsertOutcome::Rejected { .. }));
+        }
+    });
+    assert!(outcomes.iter().all(|&ok| ok));
+    allocs
+}
+
+/// One round of `CYCLES` cycles of `ops` pipelined through `client`,
+/// `WINDOW` requests in flight, returning the allocation calls it made.
+fn wire_round<const N: usize>(client: &mut Client, ops: fn(usize) -> [(Request, Reply); N]) -> u64 {
     // The requests are built before counting: they are the caller's.
-    let (requests, expected): (Vec<Request>, Vec<Reply>) = (0..CYCLES).flat_map(cycle).unzip();
+    let (requests, expected): (Vec<Request>, Vec<Reply>) = (0..CYCLES).flat_map(ops).unzip();
     let mut replies = Vec::with_capacity(requests.len());
     let mut ids = Vec::with_capacity(WINDOW);
     let ((), allocs) = allocs_during(|| {
@@ -193,24 +233,40 @@ fn a_string_write_allocates_nothing_from_client_to_store() {
     let db = database();
     embedded_round(&db);
     let embedded = embedded_round(&db);
+    embedded_rejects(&db);
+    let embedded_rejected = embedded_rejects(&db);
 
     // Over loopback: the first round sizes both ends' buffers too.
     let shared = Arc::new(database().into_shared().unwrap());
     let server = Server::serve(shared, "127.0.0.1:0").unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
-    wire_round(&mut client);
-    let wire = wire_round(&mut client);
+    wire_round(&mut client, cycle);
+    let wire = wire_round(&mut client, cycle);
+    wire_round(&mut client, rejected);
+    let wire_rejected = wire_round(&mut client, rejected);
     drop(client);
     server.shutdown();
 
     let writes = 4 * CYCLES as u64;
-    for (path, allocs) in [
-        ("Database::{insert, remove}", embedded),
-        ("Client → Server", wire),
+    let rejects = CYCLES as u64;
+    for (path, allocs, writes) in [
+        ("Database::{insert, remove}", embedded, writes),
+        ("Client → Server", wire, writes),
+        ("Database::insert, rejected", embedded_rejected, rejects),
+        ("Client → Server, rejected", wire_rejected, rejects),
     ] {
         let per_write = allocs as f64 / writes as f64;
         eprintln!("{path}: {allocs} allocations over {writes} writes, {per_write:.3} per write");
     }
     assert_eq!(embedded, 0, "Database::{{insert, remove}} allocated");
     assert_eq!(wire, 0, "the wire write path allocated");
+    assert_eq!(
+        embedded_rejected, 0,
+        "a rejected Database::insert allocated"
+    );
+    assert_eq!(
+        wire_rejected,
+        8 * rejects,
+        "a rejected insert over the wire: the violated FD rendered by the server, decoded by the client"
+    );
 }

@@ -1058,7 +1058,7 @@ impl Store {
     /// as an operator on the schema it serves.  Returns the new segment
     /// generation on success.
     ///
-    /// The target is derived from the served schema ([`Schema::evolved`])
+    /// The target is derived from the served schema (`Schema::evolved`)
     /// under the generation mutex, which the alter holds to its end, so
     /// two concurrent alters never derive from the same schema.  Every
     /// refusal — a dependent target ([`Error::NotIndependent`], with the
@@ -2074,10 +2074,7 @@ mod tests {
         )
         .unwrap();
         // The configured index is part of the schema the store serves.
-        let indexed: Vec<(String, String)> = (store.schema().indexed_columns())
-            .map(|(r, c)| (r.to_string(), c.to_string()))
-            .collect();
-        assert_eq!(indexed, [("CS".to_string(), "S".to_string())]);
+        assert_eq!(store.schema().ordered_indexes, [(cs, s)]);
         for i in 0..30u64 {
             store.insert(cs, vec![v(i % 3), v(i)]).unwrap();
         }

@@ -273,24 +273,6 @@ impl Schema {
         &self.layouts[id.index()]
     }
 
-    /// The ordered secondary indexes declared with
-    /// [`SchemaBuilder::index`], as `(relation, column)` name pairs in
-    /// declaration order.
-    pub fn indexed_columns(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.ordered_indexes.iter().map(|&(id, attr)| {
-            (
-                // Index ids are resolved against this definition by the
-                // builder, and renumbered with it by `evolved`.
-                self.definition
-                    .get_scheme(id)
-                    .expect("resolved at build")
-                    .name
-                    .as_str(),
-                self.definition.universe().name(attr),
-            )
-        })
-    }
-
     /// Serializes the declaration-order column layouts — the manifest
     /// `app` blob a durable store writes with every manifest (at creation
     /// and at each schema transition), so recovery and followers rebuild
@@ -310,7 +292,8 @@ impl Schema {
         e.put_u16(self.ordered_indexes.len() as u16);
         for &(id, attr) in &self.ordered_indexes {
             e.put_str(
-                // As in `indexed_columns`: ids follow the definition.
+                // Index ids are resolved against this definition by the
+                // builder, and renumbered with it by `evolved`.
                 &self
                     .definition
                     .get_scheme(id)
@@ -416,7 +399,7 @@ impl Schema {
     ///
     /// Returns the new handle and the reuse statistics.  `self` is
     /// untouched — on any error the current schema keeps serving.
-    pub fn evolved(&self, op: &Alter) -> Result<(Schema, ids_evolve::ReuseStats), Error> {
+    pub(crate) fn evolved(&self, op: &Alter) -> Result<(Schema, ids_evolve::ReuseStats), Error> {
         let (definition, fds, layouts, ordered_indexes) = match op {
             Alter::AddRelation { name, columns } => {
                 let def = ids_evolve::add_relation(&self.definition, name, columns)?;
@@ -790,10 +773,10 @@ mod tests {
             .index("CT", "teacher")
             .build()
             .unwrap();
-        assert_eq!(
-            schema.indexed_columns().collect::<Vec<_>>(),
-            [("CHR", "hour"), ("CT", "teacher")]
-        );
+        let (d, u) = (&schema.definition, schema.definition.universe());
+        let hour = (d.scheme_by_name("CHR").unwrap(), u.attr("hour").unwrap());
+        let teacher = (d.scheme_by_name("CT").unwrap(), u.attr("teacher").unwrap());
+        assert_eq!(schema.ordered_indexes, [hour, teacher]);
         // Unknown names are typed errors at build time.
         assert!(matches!(
             example2().index("nope", "hour").build(),

@@ -28,7 +28,7 @@ pub fn generation_manifest_name(gen: u64) -> String {
 
 /// Parses a generation-manifest file name back into its effective
 /// generation.
-pub fn parse_generation_manifest_name(name: &str) -> Option<u64> {
+pub(crate) fn parse_generation_manifest_name(name: &str) -> Option<u64> {
     name.strip_prefix(MANIFEST_GEN_PREFIX)?.parse().ok()
 }
 /// Name of the snapshot file inside the root.

@@ -53,16 +53,16 @@ use crate::{corrupt, WalError};
 pub const FORMAT_VERSION: u16 = 1;
 
 /// Magic prefix of the `MANIFEST` payload.
-pub const MANIFEST_MAGIC: [u8; 4] = *b"IDSM";
+pub(crate) const MANIFEST_MAGIC: [u8; 4] = *b"IDSM";
 
 /// Magic prefix of a log-segment header payload.
-pub const SEGMENT_MAGIC: [u8; 4] = *b"IDSW";
+pub(crate) const SEGMENT_MAGIC: [u8; 4] = *b"IDSW";
 
 /// Magic prefix of the `snapshot.ids` payload.
-pub const SNAPSHOT_MAGIC: [u8; 4] = *b"IDSS";
+pub(crate) const SNAPSHOT_MAGIC: [u8; 4] = *b"IDSS";
 
 /// Magic prefix of a [`crate::NameLog`] header payload.
-pub const POOL_MAGIC: [u8; 4] = *b"IDSP";
+pub(crate) const POOL_MAGIC: [u8; 4] = *b"IDSP";
 
 /// Hard upper bound on a frame payload (64 MiB).  Far above any real
 /// manifest or record, and a snapshot past it takes several frames; a

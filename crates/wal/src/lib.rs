@@ -73,7 +73,7 @@ mod writer;
 
 mod dir;
 
-pub use dir::{generation_manifest_name, parse_generation_manifest_name, Recovered, WalDir};
+pub use dir::{generation_manifest_name, Recovered, WalDir};
 pub use names::NameLog;
 pub use records::{fingerprint, Manifest, SegmentHeader, Snapshot, WalOp, WalRecord};
 pub use tail::{Cursor, FollowPoll, Follower, Shipment, TailedRecord};

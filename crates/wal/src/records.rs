@@ -220,7 +220,7 @@ impl Snapshot {
     /// the field recovery needs *before* it can pick the right schema
     /// (the manifest governing `covered_gen + 1`) to decode the rest
     /// under.  Verifies magic, version, and fingerprint on the way.
-    pub fn peek_covered_gen(
+    pub(crate) fn peek_covered_gen(
         path: &Path,
         payload: &[u8],
         fingerprint: u32,

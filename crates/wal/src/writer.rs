@@ -76,7 +76,6 @@ pub struct WalWriter {
     gen: u64,
     last_seq: u64,
     unsynced: u64,
-    appended_in_segment: u64,
     /// Fault injection (tests only, see [`WalWriter::fail_appends_after`]):
     /// appends beyond this many total successful ones fail with an
     /// injected I/O error.
@@ -136,7 +135,6 @@ impl WalWriter {
             gen,
             last_seq,
             unsynced: 0,
-            appended_in_segment: 0,
             fail_after: None,
             appended_total: 0,
             metrics: None,
@@ -182,16 +180,6 @@ impl WalWriter {
         self.last_seq
     }
 
-    /// Records appended to the current segment so far.
-    pub fn appended_in_segment(&self) -> u64 {
-        self.appended_in_segment
-    }
-
-    /// Records appended since the last fsync.
-    pub fn unsynced(&self) -> u64 {
-        self.unsynced
-    }
-
     /// Appends one effective operation, returning its sequence number.
     pub fn append(&mut self, op: WalOp) -> Result<u64, WalError> {
         if let Some(limit) = self.fail_after {
@@ -225,7 +213,6 @@ impl WalWriter {
         }
         self.last_seq = seq;
         self.unsynced += 1;
-        self.appended_in_segment += 1;
         self.appended_total += 1;
         if let Some(m) = &self.metrics {
             m.appends.inc();
