@@ -12,7 +12,8 @@ workspace, and exits non-zero if it finds either of:
   allow-list names it. `crates/bench` and `crates/workloads` (harness
   and test support) are not audited, but their references count.
   References are searched in `crates`, `src`, `tests`, `examples` and
-  `benchmark/src`; a comment line is not a reference. Whatever is
+  `benchmark/src`; a comment line or a string literal is not a
+  reference. Whatever is
   crate-private is rustc's `dead_code` lint's to catch.
 * a `[dependencies]` entry of a crate's `Cargo.toml` that its `src`
   never names (`ids-x` as `ids_x`). Here doc comments count: an
@@ -39,11 +40,30 @@ COMMENT = re.compile(r"^\s*//")
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # String and char literals, so a brace inside one does not count.
 STRING = re.compile(r'"(?:\\.|[^"\\])*"|\'(?:\\.|[^\'\\])\'')
+# What a file's text holds besides code, leftmost first: comments (kept
+# as they are, so a quote inside one opens nothing), then raw, byte and
+# plain string literals and char literals, which are blanked.
+LITERAL = re.compile(
+    r"//[^\n]*|/\*.*?\*/"
+    r'|(?<![A-Za-z0-9_])b?r(#*)".*?"\1'
+    r'|(?<![A-Za-z0-9_])b?"(?:\\.|[^"\\])*"'
+    r"|(?<![A-Za-z0-9_])b?'(?:\\.|[^'\\\n])'",
+    re.S,
+)
+
+
+def blank_literal(m):
+    """A literal's text as `""` plus the newlines it spanned; a comment as is."""
+    text = m.group(0)
+    if text.startswith("/"):
+        return text
+    return '""' + "\n" * text.count("\n")
 
 
 def code_lines(path):
-    """The file's lines with comment lines blanked (kept for numbering)."""
-    text = path.read_text(encoding="utf-8", errors="replace")
+    """The file's lines with string and char literals and comment lines
+    blanked (kept for numbering): a name inside a string is no caller."""
+    text = LITERAL.sub(blank_literal, path.read_text(encoding="utf-8", errors="replace"))
     return ["" if COMMENT.match(line) else line for line in text.splitlines()]
 
 

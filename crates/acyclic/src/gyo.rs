@@ -28,16 +28,6 @@ impl JoinTree {
             .expect("a join tree has a root")
     }
 
-    /// Children of an edge.
-    pub fn children(&self, i: usize) -> Vec<usize> {
-        self.parent
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| **p == Some(i))
-            .map(|(c, _)| c)
-            .collect()
-    }
-
     /// Verifies the running-intersection property (used by tests).
     pub fn has_running_intersection(&self) -> bool {
         let n = self.edges.len();
@@ -204,7 +194,6 @@ mod tests {
         let e = edges(&u, &["AB"]);
         let t = join_tree(&e).unwrap();
         assert_eq!(t.root(), 0);
-        assert!(t.children(0).is_empty());
     }
 
     #[test]

@@ -6,8 +6,8 @@ use std::sync::{Arc, MutexGuard};
 
 use ids_core::InsertOutcome;
 use ids_relational::{
-    AttrId, AttrSet, DatabaseState, Predicate, ReadPlan, ReadReply, Relation, RelationalError,
-    SchemeId, Tuple, Value, ValuePool,
+    AttrId, AttrSet, DatabaseState, Predicate, Relation, RelationalError, SchemeId, Tuple, Value,
+    ValuePool,
 };
 use ids_store::{DurableConfig, Era, OpOutcome, Store, StoreConfig, StoreOp};
 
@@ -611,21 +611,9 @@ impl Database {
             .map(|(column, cond)| (relation, &column[..], cond));
         let mut plan = plan(era.schema(), &self.names(), &[relation], filters, None)?;
         match plan.reads.pop() {
-            Some((id, _, predicate)) if plan.satisfiable => {
-                Ok(era.read(id, &ReadPlan::count(predicate))?.count)
-            }
+            Some((id, _, predicate)) if plan.satisfiable => era.count(id, &predicate),
             _ => Ok(0),
         }
-    }
-
-    /// Typed-level read for callers holding a canonical [`ReadPlan`] —
-    /// the raw counterpart of [`Database::query`], returning the reply
-    /// exactly as the store shipped it.  `id` is a position in the schema
-    /// current when the call runs: a caller holding one across an
-    /// [`Database::alter`] must re-resolve it by name
-    /// ([`Schema::scheme_id`] on a fresh [`Database::schema`]).
-    pub fn query_raw(&self, id: SchemeId, plan: &ReadPlan) -> Result<ReadReply, Error> {
-        self.store.read(id, plan)
     }
 
     /// The natural join of the named relations, computed from
@@ -798,7 +786,7 @@ impl Database {
     pub fn count(&self, relation: &str) -> Result<usize, Error> {
         let era = self.store.era()?;
         let id = era.schema().scheme_id(relation)?;
-        Ok(era.read(id, &ReadPlan::count(Predicate::new()))?.count)
+        era.count(id, &Predicate::new())
     }
 
     /// A consistent cut of the whole database — the barrier read.  On an
@@ -810,9 +798,10 @@ impl Database {
     /// Typed-level insert for callers that already hold canonical
     /// tuples (trace replay, migration tools).  To keep such rows
     /// addressable by the string-level API, obtain the values through
-    /// [`Database::intern`].  `id` is positional, as for
-    /// [`Database::query_raw`]: re-resolve it by name after an
-    /// [`Database::alter`].
+    /// [`Database::intern`].  `id` is a position in the schema current
+    /// when the call runs: a caller holding one across an
+    /// [`Database::alter`] must re-resolve it by name
+    /// ([`Schema::scheme_id`] on a fresh [`Database::schema`]).
     pub fn insert_raw(&self, id: SchemeId, tuple: Vec<Value>) -> Result<InsertOutcome, Error> {
         self.writable()?.insert(id, tuple)
     }
@@ -1533,16 +1522,15 @@ mod tests {
     }
 
     #[test]
-    fn query_raw_agrees_with_the_string_level_query() {
+    fn typed_reads_agree_with_the_string_level_query() {
         let mut db = Database::open(example2(), EngineKind::Local).unwrap();
         db.insert("CT", ["CS402", "Jones"]).unwrap();
         let ct = db.schema().scheme_id("CT").unwrap();
         let course = db.schema().definition().universe().attr("course").unwrap();
         let v = db.intern("CS402").unwrap();
         let pin = Predicate::new().and_eq(course, v);
-        let tuples = db.query_raw(ct, &ReadPlan::tuples(pin.clone())).unwrap();
-        assert_eq!(tuples.rows.len(), 1);
-        assert_eq!(db.query_raw(ct, &ReadPlan::count(pin)).unwrap().count, 1);
+        assert_eq!(db.store().query(ct, &pin).unwrap().len(), 1);
+        assert_eq!(db.store().era().unwrap().count(ct, &pin).unwrap(), 1);
         assert_eq!(
             db.query("CT")
                 .filter("course", crate::eq("CS402"))
@@ -1568,36 +1556,37 @@ mod tests {
         }
     }
 
-    /// One mistake, one typed error at the raw boundary: a bogus id, a
-    /// foreign predicate attribute, a foreign projection column.
+    /// One mistake, one typed error at the raw boundary: a bogus id or a
+    /// foreign predicate attribute, whether the read gathers or counts.
     #[test]
     fn raw_reads_and_writes_check_ids_and_attributes() {
         let db = Database::open(example2(), EngineKind::default()).unwrap();
         let schema = db.schema();
         let ct = schema.scheme_id("CT").unwrap();
-        let u = schema.definition().universe();
-        let (course, student) = (u.attr("course").unwrap(), u.attr("student").unwrap());
+        let student = schema.definition().universe().attr("student").unwrap();
         let bogus = SchemeId(99);
+        let store = db.store();
         assert!(matches!(
-            db.query_raw(bogus, &ReadPlan::count(Predicate::new())),
+            store.query(bogus, &Predicate::new()),
+            Err(Error::UnknownScheme(id)) if id == bogus
+        ));
+        assert!(matches!(
+            store.era().unwrap().count(bogus, &Predicate::new()),
             Err(Error::UnknownScheme(id)) if id == bogus
         ));
         assert!(matches!(
             db.insert_raw(bogus, vec![Value(1)]),
             Err(Error::UnknownScheme(id)) if id == bogus
         ));
-        for plan in [
-            ReadPlan::tuples(Predicate::new().and_eq(student, Value(0))),
-            ReadPlan::distinct_columns(Predicate::new(), vec![course, student]),
-        ] {
-            assert!(
-                matches!(
-                    db.query_raw(ct, &plan),
-                    Err(Error::Relational(RelationalError::SchemaMismatch(_)))
-                ),
-                "{plan:?}"
-            );
-        }
+        let foreign = Predicate::new().and_eq(student, Value(0));
+        assert!(matches!(
+            store.query(ct, &foreign),
+            Err(Error::Relational(RelationalError::SchemaMismatch(_)))
+        ));
+        assert!(matches!(
+            store.era().unwrap().count(ct, &foreign),
+            Err(Error::Relational(RelationalError::SchemaMismatch(_)))
+        ));
     }
 
     /// A malformed batch is validated whole before anything applies.
@@ -1656,7 +1645,7 @@ mod tests {
             vec![vec!["CS402".to_string(), "Jones".to_string()]]
         );
         assert!(matches!(
-            follower.query_raw(SchemeId(7), &ReadPlan::count(Predicate::new())),
+            follower.store().query(SchemeId(7), &Predicate::new()),
             Err(Error::UnknownScheme(_))
         ));
     }

@@ -8,14 +8,13 @@
 //!
 //! 1. **Bottom-up** (ear-elimination order): every *constrained*
 //!    relation — one with a user filter, or with reducers already
-//!    received from its own children — ships the **distinct projection**
-//!    of its matching tuples onto the attributes it shares with its
-//!    parent.  Join keys, not tuples
-//!    ([`ids_relational::ReadShape::Distinct`]); the keys narrow the
-//!    parent as per-column `In` guards.  Unconstrained relations ship
-//!    nothing in this pass.
+//!    received from its own children — is read by [`Era::gather`], and
+//!    each attribute it shares with its parent ships that column's
+//!    **distinct values** up.  Join keys, not tuples: the values narrow
+//!    the parent as per-column `In` guards ([`Joined::reduce`]).
+//!    Unconstrained relations ship nothing in this pass.
 //! 2. **Top-down** (root first): each relation is fetched, children
-//!    narrowed by `In` reducers computed from their parent's
+//!    narrowed by the same `In` reducers computed from their parent's
 //!    already-fetched tuples.  A fetch is [`Era::gather`]: the store
 //!    visits the matching rows in its slab, under the relation's lock,
 //!    and appends their values to one row-major `Vec<Value>`
@@ -63,9 +62,7 @@
 use std::hash::{BuildHasher, Hash, Hasher};
 
 use ids_acyclic::join_tree;
-use ids_relational::{
-    AttrId, AttrSet, Predicate, ReadPlan, RelationalError, SchemeId, SlotTable, Value,
-};
+use ids_relational::{AttrId, AttrSet, Predicate, RelationalError, SchemeId, SlotTable, Value};
 use ids_store::Era;
 
 use crate::query::JoinReport;
@@ -118,6 +115,21 @@ impl Joined {
     /// The rows, in order.
     pub(crate) fn rows(&self) -> impl ExactSizeIterator<Item = &[Value]> + '_ {
         (0..self.len).map(|i| self.row(i))
+    }
+
+    /// Narrows `pred`, a read of a relation over `onto`, to the rows
+    /// that can join one of these: one `In` reducer per shared
+    /// attribute, holding that column's distinct values sorted, each
+    /// value counted as one key shipped.
+    fn reduce(&self, pred: &mut Predicate, onto: AttrSet, report: &mut JoinReport) {
+        for attr in self.attrs.intersect(onto).iter() {
+            let pos = self.attrs.rank(attr);
+            let mut vals: Vec<Value> = self.rows().map(|row| row[pos]).collect();
+            vals.sort_unstable();
+            vals.dedup();
+            report.keys_shipped += vals.len();
+            *pred = std::mem::take(pred).and_in(attr, vals);
+        }
     }
 
     /// `self ⋈ other`: one hash join on the shared attributes.  `other`
@@ -249,21 +261,13 @@ pub(crate) fn execute_join(
     let mut constrained: Vec<bool> = reads.iter().map(|r| !r.2.is_true()).collect();
     for &i in &tree.elimination_order {
         let Some(p) = tree.parent[i] else { continue };
-        if !constrained[i] {
+        let onto = reads[p].1;
+        if !constrained[i] || reads[i].1.intersect(onto).is_empty() {
             continue;
         }
-        let shared: Vec<AttrId> = reads[i].1.intersect(reads[p].1).iter().collect();
-        if shared.is_empty() {
-            continue;
-        }
-        let plan = ReadPlan::distinct_columns(std::mem::take(&mut reads[i].2), shared.clone());
-        let keys = era.read(reads[i].0, &plan)?.rows;
-        reads[i].2 = plan.predicate;
-        report.keys_shipped += keys.len();
-        for (k, &attr) in shared.iter().enumerate() {
-            let vals: Vec<Value> = keys.iter().map(|row| row[k]).collect();
-            reads[p].2 = std::mem::take(&mut reads[p].2).and_in(attr, vals);
-        }
+        let (id, attrs, predicate) = &reads[i];
+        let child = Joined::gather(era, *id, *attrs, predicate)?;
+        child.reduce(&mut reads[p].2, onto, &mut report);
         constrained[p] = true;
     }
 
@@ -274,14 +278,8 @@ pub(crate) fn execute_join(
         if let Some(p) = tree.parent[i] {
             // Reversed elimination order visits a parent before its children.
             let parent = fetched[p].as_ref().expect("parents fetch first");
-            for attr in reads[i].1.intersect(reads[p].1).iter() {
-                let pos = reads[p].1.rank(attr);
-                let mut vals: Vec<Value> = parent.rows().map(|t| t[pos]).collect();
-                vals.sort_unstable();
-                vals.dedup();
-                report.keys_shipped += vals.len();
-                reads[i].2 = std::mem::take(&mut reads[i].2).and_in(attr, vals);
-            }
+            let onto = reads[i].1;
+            parent.reduce(&mut reads[i].2, onto, &mut report);
         }
         fetched[i] = Some(fetch(&reads[i], &mut report)?);
     }

@@ -328,9 +328,10 @@ impl JoinQuery<'_> {
 /// (acyclic relation sets) or the naive whole-relation fold did
 /// (cyclic), and how much data crossed the store boundary either way.
 ///
-/// `tuples_shipped` counts full tuples fetched from the store;
-/// `keys_shipped` counts semijoin-reducer values (distinct join-key rows
-/// shipped up, `In`-set values shipped down).  The planner's win
+/// `tuples_shipped` counts the tuples fetched for the fold;
+/// `keys_shipped` counts semijoin-reducer values: one per distinct value
+/// of a shared column, shipped up from a constrained relation's matches
+/// or down from a fetched parent.  The planner's win
 /// condition is shipping *keys* instead of *tuples* wherever a filter or
 /// a neighbor makes a relation selective.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -338,10 +339,9 @@ pub struct JoinReport {
     /// True when the acyclic planner executed the join (false: naive
     /// per-relation fold).
     pub planned: bool,
-    /// Full tuples fetched from the store across all relations.
+    /// Full tuples fetched from the store for the fold.
     pub tuples_shipped: usize,
-    /// Semijoin-reducer values shipped (join-key rows up, `In` values
-    /// down).
+    /// Semijoin-reducer values shipped (`In` values, up and down).
     pub keys_shipped: usize,
 }
 

@@ -11,10 +11,12 @@
 //!
 //! * `query(pred, proj)` ≡ filtering + projecting the relation of a full
 //!   `snapshot()`, compared through the rendered-string surface,
-//! * `join(relations)` ≡ the natural join of the snapshot's relations, and
-//! * at the typed level, the one read entry under a generated guard and
-//!   [`ids_relational::ReadShape`] ≡ `Relation::read` on the snapshot —
-//!   also on a replica following the durable store.
+//! * `join(relations)` ≡ the natural join of the snapshot's relations,
+//! * a join filtered on one relation ≡ that filter over the natural
+//!   join, and
+//! * at the typed level, the one read, gathering or counting, under a
+//!   generated guard ≡ `Relation::filter_tuples` on the snapshot — also
+//!   on a replica following the durable store.
 //!
 //! The comparison oracle re-implements filter/select at the string level
 //! with none of the pushed-down machinery, so an index bug, a stale
@@ -23,8 +25,8 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use ids_api::{eq, Database, EngineKind, Schema};
-use ids_relational::{AttrId, DatabaseState, Predicate, ReadPlan, SchemeId, Value};
+use ids_api::{eq, one_of, Database, EngineKind, Schema};
+use ids_relational::{AttrId, DatabaseState, Predicate, SchemeId, Value};
 use ids_replica::Replica;
 use ids_store::{DurableConfig, StoreConfig};
 use ids_workloads::families::{key_chain, key_star, FamilyInstance};
@@ -185,10 +187,11 @@ proptest! {
     // Enough cases for the guard × shape grid to meet every kind.
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// query(pred, proj) ≡ filter/project of a snapshot, join ≡ the
-    /// natural join of snapshot relations, and the typed read under a
-    /// generated guard and shape ≡ `Relation::read` on the snapshot — in
-    /// memory, on a durable-recovered store and on a replica.
+    /// query(pred, proj) ≡ filter/project of a snapshot, join (filtered
+    /// or not) ≡ the natural join of snapshot relations, and the typed
+    /// read under a generated guard, gathering or counting ≡
+    /// `Relation::filter_tuples` on the snapshot — in memory, on a
+    /// durable-recovered store and on a replica.
     #[test]
     fn query_and_join_match_the_snapshot_oracle(
         pick in 0usize..2,
@@ -301,13 +304,13 @@ proptest! {
                 }
             }
 
-            // (d) The typed level: one read entry, the generated guard
-            // (eq / In / range, by `Value` order) on the first column
-            // (hash-indexed key) and on the last (ordered-indexed on
-            // the first relation, unindexed elsewhere), in the generated
-            // shape.  Rows come back in insertion order and distinct
-            // keys first-occurrence first, exactly as the linear
-            // reference on the snapshot produces them.
+            // (d) The typed level: the one read, gathering or counting,
+            // under the generated guard (eq / In / range, by `Value`
+            // order) on the first column (hash-indexed key) and on the
+            // last (ordered-indexed on the first relation, unindexed
+            // elsewhere).  Gathered rows come back in insertion order,
+            // exactly as the linear reference on the snapshot filters
+            // them, and a count is that list's length.
             for (id, scheme) in inst.schema.iter() {
                 let attrs: Vec<AttrId> = db.schema().definition().attrs(id).iter().collect();
                 let (first, last) = (attrs[0], attrs[attrs.len() - 1]);
@@ -320,22 +323,22 @@ proptest! {
                         1 => Predicate::new().and_in(attr, vec![v, w]),
                         _ => Predicate::new().and_range(attr, v.min(w), v.max(w)),
                     };
-                    let plan = match shape {
-                        0 => ReadPlan::tuples(pred.clone()),
-                        1 => ReadPlan::distinct_columns(pred.clone(), vec![last, first]),
-                        _ => ReadPlan::count(pred.clone()),
-                    };
-                    let got = db.query_raw(id, &plan).unwrap();
-                    prop_assert_eq!(
-                        &got,
-                        &snapshot.relation(id).read(&plan),
-                        "typed read diverges on {} / {} / {:?} (seed {})",
-                        label, scheme.name, plan, seed
-                    );
-                    // The shapes agree with each other, not only with
-                    // the oracle: every count is the tuples shape's length.
-                    let tuples = db.query_raw(id, &ReadPlan::tuples(pred)).unwrap();
-                    prop_assert_eq!(got.count, tuples.rows.len());
+                    let expected = snapshot.relation(id).filter_tuples(&pred);
+                    if shape < 2 {
+                        prop_assert_eq!(
+                            db.store().query(id, &pred).unwrap(),
+                            expected,
+                            "typed read diverges on {} / {} / {:?} (seed {})",
+                            label, scheme.name, pred, seed
+                        );
+                    } else {
+                        prop_assert_eq!(
+                            db.store().era().unwrap().count(id, &pred).unwrap(),
+                            expected.len(),
+                            "typed count diverges on {} / {} / {:?} (seed {})",
+                            label, scheme.name, pred, seed
+                        );
+                    }
                 }
             }
 
@@ -361,6 +364,35 @@ proptest! {
                     "join diverges on {} / {:?} (seed {})", label, subset, seed
                 );
             }
+
+            // (g) A filtered acyclic join, which the planner reduces
+            // bottom-up before it fetches: all relations, the first one
+            // filtered on its last column by a set of probes ≡ the
+            // natural join of the snapshot, filtered the same way.  The
+            // column is resolved in the database's own universe, which
+            // the builder numbers afresh.
+            let first = &names[0];
+            let column = db.schema().columns(first).unwrap().last().unwrap().clone();
+            let attr = db.schema().definition().universe().attr(&column).unwrap();
+            let probes: Vec<String> = (probe..probe + 3).map(|n| n.to_string()).collect();
+            let mut got: Vec<Vec<String>> = db.join_query(&names)
+                .filter(first, &column, one_of(probes.clone()))
+                .run().unwrap()
+                .into_string_rows();
+            got.sort();
+            let expected_rel = ids_relational::join_all(
+                inst.schema.iter().map(|(id, _)| snapshot.relation(id))
+            ).unwrap();
+            let pos = expected_rel.attrs().rank(attr);
+            let mut expected: Vec<Vec<String>> = expected_rel.iter()
+                .map(|t| t.iter().map(|&v| db.render(v)).collect::<Vec<_>>())
+                .filter(|row| probes.contains(&row[pos]))
+                .collect();
+            expected.sort();
+            prop_assert_eq!(
+                got, expected,
+                "filtered join diverges on {} / {} (seed {})", label, column, seed
+            );
 
             if let Some(dir) = dir {
                 drop(built);

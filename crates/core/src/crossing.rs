@@ -14,7 +14,7 @@
 //! crossing derivation exists and `D` is not independent.
 
 use ids_deps::{closure_of, derive, Derivation, Fd, FdSet};
-use ids_relational::{AttrId, AttrSet, DatabaseSchema, SchemeId};
+use ids_relational::{AttrId, DatabaseSchema, SchemeId};
 
 /// A detected crossing derivation: `Ri − A → A` derivable entirely from
 /// FDs outside `Fi`.
@@ -71,14 +71,6 @@ pub fn find_crossing(schema: &DatabaseSchema, partition: &[FdSet]) -> Option<Cro
         }
     }
     None
-}
-
-/// All attributes of `x` as a set difference helper (tiny utility shared
-/// with the witness builder).
-pub fn without(x: AttrSet, a: AttrId) -> AttrSet {
-    let mut y = x;
-    y.remove(a);
-    y
 }
 
 #[cfg(test)]

@@ -15,9 +15,7 @@
 
 use ids_chase::{ChaseConfig, ChaseError};
 use ids_deps::FdSet;
-use ids_relational::{
-    DatabaseSchema, DatabaseState, ReadPlan, ReadReply, RelationalError, SchemeId, Value,
-};
+use ids_relational::{DatabaseSchema, DatabaseState, RelationalError, SchemeId, Value};
 
 use crate::shard::RelationShard;
 
@@ -55,8 +53,8 @@ impl InsertOutcome {
 /// Common interface of the sequential maintenance engines.
 ///
 /// Every operation is *uniformly fallible*: a tuple of the wrong arity
-/// or an id outside the schema is a typed error from `remove` and `read`
-/// exactly as it is from `insert` — no engine silently swallows a
+/// or an id outside the schema is a typed error from `remove` exactly
+/// as it is from `insert` — no engine silently swallows a
 /// malformed operation.  FD violations remain *outcomes*
 /// ([`InsertOutcome::Rejected`]), never errors.
 pub trait Maintainer {
@@ -76,20 +74,6 @@ pub trait Maintainer {
 
     /// The current state.
     fn state(&self) -> &DatabaseState;
-
-    /// Answers a [`ReadPlan`] against relation `id`.  A foreign id or a
-    /// plan naming attributes outside the scheme is a typed error.  The
-    /// default is one linear pass over the owned state (the whole-state
-    /// engines keep no per-relation indexes); [`LocalMaintainer`]
-    /// answers from its shards' indexes — see [`RelationShard::read`].
-    fn read(&self, id: SchemeId, plan: &ReadPlan) -> Result<ReadReply, MaintenanceError> {
-        let scheme = self
-            .schema()
-            .get_scheme(id)
-            .ok_or(MaintenanceError::UnknownScheme(id))?;
-        plan.validate_against(scheme.attrs)?;
-        Ok(self.state().relation(id).read(plan))
-    }
 }
 
 /// Errors of the maintenance engines.
@@ -274,14 +258,6 @@ impl Maintainer for LocalMaintainer {
     fn state(&self) -> &DatabaseState {
         LocalMaintainer::state(self)
     }
-
-    fn read(&self, id: SchemeId, plan: &ReadPlan) -> Result<ReadReply, MaintenanceError> {
-        let shard = self
-            .shards
-            .get(id.index())
-            .ok_or(MaintenanceError::UnknownScheme(id))?;
-        shard.read(self.state.relation(id), plan)
-    }
 }
 
 /// Validates an operation against a schema before an engine touches any
@@ -413,7 +389,7 @@ impl Maintainer for ChaseMaintainer {
 mod tests {
     use super::*;
     use crate::analyze;
-    use ids_relational::{Predicate, Universe};
+    use ids_relational::Universe;
 
     fn v(n: u64) -> Value {
         Value::int(n)
@@ -613,65 +589,6 @@ mod tests {
             }
         }
         assert!(errored, "budget of 1 row must starve the chase");
-    }
-
-    #[test]
-    fn read_agrees_across_engines_and_with_the_state() {
-        let (schema, fds) = independent_setup();
-        let analysis = analyze(&schema, &fds);
-        let mut local =
-            LocalMaintainer::from_analysis(&schema, &analysis, DatabaseState::empty(&schema))
-                .unwrap();
-        let mut chase = ChaseMaintainer::new(
-            &schema,
-            &fds,
-            DatabaseState::empty(&schema),
-            ChaseConfig::default(),
-        );
-        let mut fd_only = FdOnlyMaintainer::new(&schema, &fds, DatabaseState::empty(&schema));
-        let ct = schema.scheme_by_name("CT").unwrap();
-        let chr = schema.scheme_by_name("CHR").unwrap();
-        for (id, t) in [
-            (ct, vec![v(1), v(10)]),
-            (ct, vec![v(2), v(20)]),
-            (chr, vec![v(1), v(5), v(6)]),
-        ] {
-            local.insert(id, t.clone()).unwrap();
-            chase.insert(id, t.clone()).unwrap();
-            fd_only.insert(id, t).unwrap();
-        }
-        let c = schema.universe().attr("C").unwrap();
-        let s = schema.universe().attr("S").unwrap();
-        let engines: [&dyn Maintainer; 3] = [&local, &chase, &fd_only];
-        for m in engines {
-            for pred in [Predicate::new(), Predicate::new().and_eq(c, v(1))] {
-                for plan in [
-                    ReadPlan::tuples(pred.clone()),
-                    ReadPlan::distinct_columns(pred.clone(), vec![c]),
-                    ReadPlan::count(pred),
-                ] {
-                    let expected = local.state().relation(ct).read(&plan);
-                    assert_eq!(m.read(ct, &plan).unwrap(), expected, "{plan:?}");
-                }
-            }
-            // Foreign ids, predicate attributes and projection columns
-            // are typed errors.
-            assert!(matches!(
-                m.read(SchemeId(99), &ReadPlan::count(Predicate::new())),
-                Err(MaintenanceError::UnknownScheme(_))
-            ));
-            for plan in [
-                ReadPlan::tuples(Predicate::new().and_eq(s, v(0))),
-                ReadPlan::distinct_columns(Predicate::new(), vec![s]),
-            ] {
-                assert!(matches!(
-                    m.read(ct, &plan),
-                    Err(MaintenanceError::Relational(
-                        RelationalError::SchemaMismatch(_)
-                    ))
-                ));
-            }
-        }
     }
 
     #[test]

@@ -60,8 +60,8 @@ use std::ops::Bound;
 
 use ids_deps::{Fd, FdSet};
 use ids_relational::{
-    AttrId, AttrSet, Chunked, DatabaseSchema, Guard, Predicate, ReadPlan, ReadReply, ReadShape,
-    Relation, RelationalError, SchemeId, SlotTable, Tuple, Value,
+    AttrId, AttrSet, Chunked, DatabaseSchema, Guard, Predicate, Relation, RelationalError,
+    SchemeId, SlotTable, Tuple, Value,
 };
 
 use crate::maintenance::{InsertOutcome, MaintenanceError};
@@ -516,8 +516,8 @@ impl RelationShard {
     /// Evaluates `pred` against `rel`, returning the matching tuples in
     /// insertion order — the shard-side half of query pushdown: only
     /// matching tuples ever leave the owner.  One of three adapters over
-    /// the shard's one row visitor, with [`RelationShard::read`] and
-    /// [`RelationShard::gather`]; `gather` alone copies no match into an
+    /// the shard's one row visitor, with [`RelationShard::gather`] and
+    /// [`RelationShard::count`]; those two copy no match into an
     /// allocation of its own.
     ///
     /// The visitor picks the rows to test by one of three paths.  When
@@ -543,19 +543,17 @@ impl RelationShard {
         Ok(tuples)
     }
 
-    /// Answers a [`ReadPlan`] against `rel`: the matches of the shard's
-    /// row visitor (see [`RelationShard::scan`]), shaped as they are
-    /// visited, so only what the shape promises leaves the owner.
-    /// Counting under the true predicate visits nothing (an O(1) count).
-    pub fn read(&self, rel: &Relation, plan: &ReadPlan) -> Result<ReadReply, MaintenanceError> {
-        let attrs = self.schema.attrs(self.id);
-        plan.validate_against(attrs)?;
-        if plan.shape == ReadShape::Count && plan.predicate.is_true() {
-            return Ok(rel.read(plan));
+    /// How many rows of `rel` match `pred`: the shard's row visitor
+    /// counting the rows [`RelationShard::scan`] would copy.  Counting
+    /// under the true predicate visits nothing (an O(1) count).
+    pub fn count(&self, rel: &Relation, pred: &Predicate) -> Result<usize, MaintenanceError> {
+        pred.validate_against(self.schema.attrs(self.id))?;
+        if pred.is_true() {
+            return Ok(rel.len());
         }
-        let mut shaper = plan.shaper(attrs);
-        self.visit(rel, &plan.predicate, |row| shaper.push(row));
-        Ok(shaper.finish())
+        let mut matched = 0;
+        self.visit(rel, pred, |_| matched += 1);
+        Ok(matched)
     }
 
     /// Appends the values of every row of `rel` matching `pred` to
@@ -749,10 +747,9 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// Every path out of the shard — `scan`, `gather`, and `read` in
-    /// each shape — agrees with the linear reference on the relation
-    /// itself.
-    fn assert_reads_agree(shard: &RelationShard, rel: &Relation, pred: &Predicate, col: AttrId) {
+    /// Every path out of the shard — `scan`, `gather` and `count` —
+    /// agrees with the linear reference on the relation itself.
+    fn assert_reads_agree(shard: &RelationShard, rel: &Relation, pred: &Predicate) {
         let scanned = shard.scan(rel, pred).unwrap();
         assert_eq!(scanned, rel.filter_tuples(pred), "pred {pred:?}");
         // Gathered after a stale prefix, which it must leave alone.
@@ -761,13 +758,7 @@ mod tests {
         assert_eq!(n, scanned.len(), "pred {pred:?}");
         assert_eq!(gathered[0], v(u64::MAX));
         assert_eq!(gathered[1..], scanned.concat(), "pred {pred:?}");
-        for plan in [
-            ReadPlan::tuples(pred.clone()),
-            ReadPlan::distinct_columns(pred.clone(), vec![col]),
-            ReadPlan::count(pred.clone()),
-        ] {
-            assert_eq!(shard.read(rel, &plan).unwrap(), rel.read(&plan), "{plan:?}");
-        }
+        assert_eq!(shard.count(rel, pred).unwrap(), n, "pred {pred:?}");
     }
 
     fn setup() -> (DatabaseSchema, FdSet) {
@@ -859,7 +850,7 @@ mod tests {
             Predicate::new().and_eq(c, v(7)).and_eq(t, v(9)),   // indexed, extra pin fails
             Predicate::new().and_eq(c, v(7)).and_eq(c, v(8)),   // contradictory pins
         ] {
-            assert_reads_agree(&shard, &rel, &pred, t);
+            assert_reads_agree(&shard, &rel, &pred);
         }
         // Removes keep the index honest: a freed key stops matching.
         assert!(shard.remove(&mut rel, &[v(7), v(107)]).unwrap());
@@ -889,7 +880,7 @@ mod tests {
             Predicate::new().and_in(c, vec![v(1), v(4), v(99)]),
             Predicate::new().and_ge(c, v(15)),
         ] {
-            assert_reads_agree(&shard, &rel, &pred, c);
+            assert_reads_agree(&shard, &rel, &pred);
         }
     }
 
@@ -937,7 +928,7 @@ mod tests {
             Predicate::new().and_eq(c, v(1)).and_gt(a, v(10)), // index + residual
             Predicate::new().and_ne(c, v(1)),          // Ne: no index help, linear
         ] {
-            assert_reads_agree(&shard, &rel, &pred, a);
+            assert_reads_agree(&shard, &rel, &pred);
         }
     }
 
@@ -979,7 +970,7 @@ mod tests {
                 Predicate::new().and_in(a, vec![v(95 * n), v(41 * n + 3), v(2)]),
                 Predicate::new().and_ge(a, v(50 * n)).and_eq(c, v(0)),
             ] {
-                assert_reads_agree(shard, rel, &pred, a);
+                assert_reads_agree(shard, rel, &pred);
             }
         };
         for i in 0..60 * n {
@@ -1084,7 +1075,7 @@ mod tests {
                 Predicate::new().and_range(c, v(1), v(3)),
                 Predicate::new().and_eq(c, v(1)).and_gt(a, v(4)),
             ] {
-                assert_reads_agree(shard, rel, &pred, a);
+                assert_reads_agree(shard, rel, &pred);
             }
         };
         let step = |shard: &mut RelationShard, rel: &mut Relation, insert: bool, i, cv| {
@@ -1264,7 +1255,7 @@ mod tests {
                     Predicate::new().and_eq(c, v(next_c + 1)),
                     Predicate::new().and_range(a, v(2), v(7)),
                 ] {
-                    assert_reads_agree(&shard, &rel, &pred, a);
+                    assert_reads_agree(&shard, &rel, &pred);
                 }
                 assert!(fds.iter().all(|fd| rel.satisfies_fd(fd.lhs, fd.rhs)));
             }
@@ -1287,7 +1278,7 @@ mod tests {
             let mut rebuilt =
                 RelationShard::with_relation(&schema, id, fds.clone(), &mut copy).unwrap();
             for pred in [Predicate::new(), Predicate::new().and_eq(a, v(3))] {
-                assert_reads_agree(&rebuilt, &copy, &pred, a);
+                assert_reads_agree(&rebuilt, &copy, &pred);
             }
             assert_enforced(&mut rebuilt, &mut copy, &live, &b_of);
         }
@@ -1308,17 +1299,19 @@ mod tests {
                 RelationalError::SchemaMismatch(_)
             ))
         ));
-        for plan in [
-            ReadPlan::count(Predicate::new().and_eq(x, v(1))),
-            ReadPlan::distinct_columns(Predicate::new(), vec![x]),
-        ] {
-            assert!(matches!(
-                shard.read(&rel, &plan),
-                Err(MaintenanceError::Relational(
-                    RelationalError::SchemaMismatch(_)
-                ))
-            ));
-        }
+        let mut out = Vec::new();
+        assert!(matches!(
+            shard.gather(&rel, &Predicate::new().and_eq(x, v(1)), &mut out),
+            Err(MaintenanceError::Relational(
+                RelationalError::SchemaMismatch(_)
+            ))
+        ));
+        assert!(matches!(
+            shard.count(&rel, &Predicate::new().and_eq(x, v(1))),
+            Err(MaintenanceError::Relational(
+                RelationalError::SchemaMismatch(_)
+            ))
+        ));
     }
 
     #[test]

@@ -512,11 +512,6 @@ impl EventLog {
         slots.push_back(record);
     }
 
-    /// Events ever recorded (including ones the ring has dropped).
-    pub fn recorded(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
-    }
-
     /// An owned copy of the currently retained records, oldest first.
     pub fn snapshot(&self) -> Vec<EventRecord> {
         self.slots
@@ -829,7 +824,7 @@ mod tests {
         assert_eq!(h.count(), 0);
         let log = EventLog::new(4);
         log.record(Event::CheckpointStarted { generation: 1 });
-        assert_eq!(log.recorded(), 0);
+        assert!(log.snapshot().is_empty());
         set_recording(true);
         c.inc();
         assert_eq!(c.get(), 2);
@@ -892,7 +887,6 @@ mod tests {
         for generation in 0..5 {
             log.record(Event::CheckpointStarted { generation });
         }
-        assert_eq!(log.recorded(), 5);
         let tail = log.snapshot();
         assert_eq!(tail.len(), 2, "ring retains only the newest capacity");
         assert_eq!(tail[0].seq, 3);

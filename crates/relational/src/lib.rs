@@ -20,8 +20,9 @@
 //! * [`SlotTable`] — the key-less hash table of `u32` slots that indexes
 //!   a relation's rows, a shard's FD images and the pool's names, each
 //!   stored once elsewhere;
-//! * [`Predicate`] / [`Projection`] / [`ReadPlan`] — the query-pushdown
-//!   primitives higher layers ship to whatever owns a relation's tuples.
+//! * [`Predicate`] — the query-pushdown primitive higher layers ship to
+//!   whatever owns a relation's tuples, with [`Relation::filter_tuples`]
+//!   as its linear reference.
 //!
 //! Higher layers build dependency theory (`ids-deps`), the chase
 //! (`ids-chase`), acyclicity tooling (`ids-acyclic`) and the independence
@@ -47,9 +48,7 @@ pub use attr::AttrId;
 pub use attrset::{AttrSet, AttrSetIter, MAX_ATTRS};
 pub use chunked::{Chunked, CHUNK_BYTES};
 pub use error::RelationalError;
-pub use query::{
-    CompiledPredicate, Guard, Predicate, Projection, ReadPlan, ReadReply, ReadShape, Shaper,
-};
+pub use query::{CompiledPredicate, Guard, Predicate};
 pub use relation::{join_all, KeyHash, Relation, Tuple};
 pub use scheme::{DatabaseSchema, RelationScheme, SchemeId};
 pub use slot_table::SlotTable;

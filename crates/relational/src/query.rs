@@ -1,25 +1,20 @@
-//! Query pushdown primitives: predicates and projections over one scheme.
+//! Query pushdown primitives: predicates over one scheme.
 //!
 //! The paper's independence result is usually read as a *write-side*
 //! statement (per-relation enforcement suffices), but it is equally a
 //! *read-side* one: every per-relation read of an accepted state is part
 //! of some globally satisfying state, so filtered reads — and even
-//! multi-relation joins of independent reads — need no barrier.  The
-//! types here are the wire-level representation of such reads: a
-//! [`Predicate`] travels *down* to whatever owns the relation's tuples
-//! (a relation's lock holder, a sequential engine's state) so that only matching
-//! tuples travel back *up*, and a [`Projection`] names the columns the
-//! caller wants of them.  A [`ReadPlan`] pairs the predicate with the
-//! [`ReadShape`] of the answer (tuples, distinct join keys, or a count)
-//! — the one read every engine answers, validated and shaped here and
-//! nowhere else.
+//! multi-relation joins of independent reads — need no barrier.  A
+//! [`Predicate`] is the wire-level representation of such a read: it
+//! travels *down* to whatever owns the relation's tuples (a relation's
+//! lock holder, a sequential engine's state) so that only matching
+//! tuples travel back *up*.  [`Relation::filter_tuples`] is the linear
+//! reference every pushed-down read must agree with.
 //!
 //! The types are deliberately tiny and engine-agnostic: an equality
-//! conjunction plus a column list covers point lookups, filtered scans
-//! and select-lists, while staying cheap to evaluate per tuple and
+//! conjunction plus per-column guards covers point lookups, ranges and
+//! semijoin reducers, while staying cheap to evaluate per tuple and
 //! trivially safe to hand across threads.
-
-use std::collections::HashSet;
 
 use crate::attr::AttrId;
 use crate::attrset::AttrSet;
@@ -265,181 +260,6 @@ impl std::iter::FromIterator<(AttrId, Value)> for Predicate {
     }
 }
 
-/// Which columns of a matching tuple the caller wants back.
-///
-/// Unlike relational projection (`π`, which dedups), a `Projection` is a
-/// *select list*: column order is caller-chosen, duplicates are allowed,
-/// and applying it to a list of rows preserves the row count — the shape
-/// query surfaces need.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub enum Projection {
-    /// Every column, in scheme order.
-    #[default]
-    All,
-    /// The named columns, in the given order (duplicates allowed).
-    Columns(Vec<AttrId>),
-}
-
-impl Projection {
-    /// Checks that every selected column belongs to the scheme `attrs`.
-    pub fn validate_against(&self, attrs: AttrSet) -> Result<(), RelationalError> {
-        match self {
-            Projection::All => Ok(()),
-            Projection::Columns(cols) => validate_columns(cols, attrs),
-        }
-    }
-
-    /// Applies the select list to a tuple in the scheme order of `attrs`.
-    pub fn apply(&self, attrs: AttrSet, tuple: &[Value]) -> Vec<Value> {
-        match self {
-            Projection::All => tuple.to_vec(),
-            Projection::Columns(cols) => cols.iter().map(|&a| tuple[attrs.rank(a)]).collect(),
-        }
-    }
-
-    /// Output width against a scheme of the given attributes.
-    pub fn width(&self, attrs: AttrSet) -> usize {
-        match self {
-            Projection::All => attrs.len(),
-            Projection::Columns(cols) => cols.len(),
-        }
-    }
-}
-
-/// Checks that every selected column belongs to the scheme `attrs`.
-fn validate_columns(cols: &[AttrId], attrs: AttrSet) -> Result<(), RelationalError> {
-    if cols.iter().all(|&a| attrs.contains(a)) {
-        Ok(())
-    } else {
-        Err(RelationalError::SchemaMismatch(
-            "projection columns outside the relation scheme",
-        ))
-    }
-}
-
-/// What a read ships back of the tuples matching its predicate.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ReadShape {
-    /// The matching tuples themselves, in insertion order.
-    Tuples,
-    /// The distinct projections of the matching tuples onto the given
-    /// columns (select-list order), first occurrence first — the
-    /// semijoin-reducer shape: join keys travel, never whole tuples.
-    Distinct(Vec<AttrId>),
-    /// Only the number of matching tuples.
-    Count,
-}
-
-/// The one read every engine answers: evaluate `predicate` against one
-/// relation, wherever its tuples live, and ship back `shape` of the
-/// matches.  A whole-relation read is `Tuples` under the true predicate.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ReadPlan {
-    /// Which tuples match.
-    pub predicate: Predicate,
-    /// What travels back of them.
-    pub shape: ReadShape,
-}
-
-/// The reply to a [`ReadPlan`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ReadReply {
-    /// The shipped rows: the matches for [`ReadShape::Tuples`], their
-    /// distinct projections for [`ReadShape::Distinct`], nothing for
-    /// [`ReadShape::Count`].
-    pub rows: Vec<Tuple>,
-    /// How many tuples matched the predicate, whatever the shape.
-    pub count: usize,
-}
-
-impl ReadPlan {
-    /// The matching tuples.
-    pub fn tuples(predicate: Predicate) -> Self {
-        ReadPlan {
-            predicate,
-            shape: ReadShape::Tuples,
-        }
-    }
-
-    /// The distinct projections of the matching tuples onto `columns`.
-    pub fn distinct_columns(predicate: Predicate, columns: Vec<AttrId>) -> Self {
-        ReadPlan {
-            predicate,
-            shape: ReadShape::Distinct(columns),
-        }
-    }
-
-    /// The number of matching tuples.
-    pub fn count(predicate: Predicate) -> Self {
-        ReadPlan {
-            predicate,
-            shape: ReadShape::Count,
-        }
-    }
-
-    /// Checks the predicate's attributes and the shape's columns against
-    /// the scheme `attrs` — the one validation every engine applies at
-    /// its boundary before evaluating (or shipping) the plan.
-    pub fn validate_against(&self, attrs: AttrSet) -> Result<(), RelationalError> {
-        self.predicate.validate_against(attrs)?;
-        match &self.shape {
-            ReadShape::Distinct(cols) => validate_columns(cols, attrs),
-            ReadShape::Tuples | ReadShape::Count => Ok(()),
-        }
-    }
-
-    /// A [`Shaper`] that builds this plan's reply from the matches of
-    /// its predicate, pushed one row at a time in the scheme order of
-    /// `attrs`.
-    pub fn shaper(&self, attrs: AttrSet) -> Shaper<'_> {
-        let ranks = match &self.shape {
-            ReadShape::Distinct(cols) => cols.iter().map(|&a| attrs.rank(a)).collect(),
-            ReadShape::Tuples | ReadShape::Count => Vec::new(),
-        };
-        Shaper {
-            shape: &self.shape,
-            ranks,
-            seen: HashSet::new(),
-            reply: ReadReply::default(),
-        }
-    }
-}
-
-/// Builds the [`ReadReply`] of one [`ReadPlan`] from its matches, one
-/// row at a time ([`ReadPlan::shaper`]): a row is copied only when the
-/// shape ships it.
-#[derive(Debug)]
-pub struct Shaper<'p> {
-    shape: &'p ReadShape,
-    /// The scheme positions of a `Distinct` shape's columns.
-    ranks: Vec<usize>,
-    /// The projections a `Distinct` shape has shipped.
-    seen: HashSet<Tuple>,
-    reply: ReadReply,
-}
-
-impl Shaper<'_> {
-    /// Takes the next match.
-    pub fn push(&mut self, row: &[Value]) {
-        self.reply.count += 1;
-        match self.shape {
-            ReadShape::Tuples => self.reply.rows.push(Tuple::from(row)),
-            ReadShape::Distinct(_) => {
-                let key: Tuple = self.ranks.iter().map(|&p| row[p]).collect();
-                if self.seen.insert(key.clone()) {
-                    self.reply.rows.push(key);
-                }
-            }
-            ReadShape::Count => {}
-        }
-    }
-
-    /// The reply to every match pushed, in push order.
-    pub fn finish(self) -> ReadReply {
-        self.reply
-    }
-}
-
 impl Relation {
     /// The tuples of this instance matching `pred`, cloned in insertion
     /// order — the client-side evaluation every pushed-down path must
@@ -450,26 +270,6 @@ impl Relation {
             .filter(|t| pred.matches(attrs, t))
             .map(Tuple::from)
             .collect()
-    }
-
-    /// Answers a plan by one linear pass — the unindexed read path, and
-    /// the reference every engine's `read` must agree with.  The plan
-    /// must be valid against this relation's attributes (see
-    /// [`ReadPlan::validate_against`]).  Counting under the true
-    /// predicate is the O(1) cardinality.
-    pub fn read(&self, plan: &ReadPlan) -> ReadReply {
-        if plan.shape == ReadShape::Count && plan.predicate.is_true() {
-            return ReadReply {
-                rows: Vec::new(),
-                count: self.len(),
-            };
-        }
-        let attrs = self.attrs();
-        let mut shaper = plan.shaper(attrs);
-        for t in self.iter().filter(|t| plan.predicate.matches(attrs, t)) {
-            shaper.push(t);
-        }
-        shaper.finish()
     }
 }
 
@@ -534,11 +334,7 @@ mod tests {
             p.validate_against(ab),
             Err(RelationalError::SchemaMismatch(_))
         ));
-        assert!(matches!(
-            Projection::Columns(vec![c]).validate_against(ab),
-            Err(RelationalError::SchemaMismatch(_))
-        ));
-        assert!(Projection::All.validate_against(ab).is_ok());
+        assert!(p.validate_against(u.all()).is_ok());
     }
 
     #[test]
@@ -609,60 +405,5 @@ mod tests {
             p.validate_against(ab),
             Err(RelationalError::SchemaMismatch(_))
         ));
-    }
-
-    #[test]
-    fn read_plans_shape_the_matches_and_validate_both_halves() {
-        let (u, r) = setup();
-        let (a, b, c) = (
-            u.attr("A").unwrap(),
-            u.attr("B").unwrap(),
-            u.attr("C").unwrap(),
-        );
-        let a1 = Predicate::new().and_eq(a, v(1));
-        let tuples = r.read(&ReadPlan::tuples(a1.clone()));
-        assert_eq!(tuples.rows, r.filter_tuples(&a1));
-        assert_eq!(tuples.count, 2);
-        // Select-list order, first occurrence first; count is of matches.
-        let keys = r.read(&ReadPlan::distinct_columns(Predicate::new(), vec![b, a]));
-        let rows: Vec<&[Value]> = keys.rows.iter().map(|t| &**t).collect();
-        assert_eq!(
-            rows,
-            [&[v(10), v(1)][..], &[v(11), v(1)][..], &[v(10), v(2)][..]]
-        );
-        let by_b = r.read(&ReadPlan::distinct_columns(Predicate::new(), vec![b]));
-        assert_eq!((by_b.rows.len(), by_b.count), (2, 3));
-        for pred in [Predicate::new(), a1] {
-            let n = r.read(&ReadPlan::count(pred.clone()));
-            assert!(n.rows.is_empty());
-            assert_eq!(n.count, r.filter_tuples(&pred).len());
-        }
-        // A foreign attribute in either half is the same typed error.
-        let ab = u.parse_set("A B").unwrap();
-        for plan in [
-            ReadPlan::count(Predicate::new().and_eq(c, v(1))),
-            ReadPlan::distinct_columns(Predicate::new(), vec![a, c]),
-        ] {
-            assert!(matches!(
-                plan.validate_against(ab),
-                Err(RelationalError::SchemaMismatch(_))
-            ));
-            assert!(plan.validate_against(u.all()).is_ok());
-        }
-    }
-
-    #[test]
-    fn projection_is_a_select_list_not_relational_pi() {
-        let (u, _) = setup();
-        let a = u.attr("A").unwrap();
-        let c = u.attr("C").unwrap();
-        let all = u.all();
-        let t = [v(1), v(10), v(100)];
-        assert_eq!(Projection::All.apply(all, &t), t.to_vec());
-        // Caller-chosen order and duplicates both survive.
-        let sel = Projection::Columns(vec![c, a, a]);
-        assert_eq!(sel.apply(all, &t), vec![v(100), v(1), v(1)]);
-        assert_eq!(sel.width(all), 3);
-        assert_eq!(Projection::All.width(all), 3);
     }
 }

@@ -24,7 +24,7 @@
 //!   recovery ([`ids_store::Store::recover_from`]: the snapshot, then
 //!   every later record and manifest, opening no writer and writing no
 //!   file); after it, each shipped record re-runs through the same slot
-//!   and [`ids_core::RelationShard`] probe/commit as on the primary, and
+//!   and `RelationShard` probe/commit as on the primary, and
 //!   each shipped transition switches the store in place, as the
 //!   primary's own switch does.  Every shipped record was an accepted,
 //!   effective operation on the primary, so it must re-accept on the

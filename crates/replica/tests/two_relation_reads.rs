@@ -10,7 +10,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use ids_api::Schema;
-use ids_relational::{Predicate, ReadPlan, Value};
+use ids_relational::{Predicate, Value};
 use ids_replica::Replica;
 use ids_store::DurableConfig;
 
@@ -54,8 +54,8 @@ fn a_follower_reads_two_relations_without_a_common_lock() {
     // A condition no row meets, on a column no index covers: every scan
     // visits all of `R0` under its lock and ships only a count.
     let b = schema.definition().universe().attr("b").unwrap();
-    let scan = ReadPlan::count(Predicate::new().and_eq(b, Value(u64::MAX)));
-    let one = ReadPlan::count(Predicate::new());
+    let scan = Predicate::new().and_eq(b, Value(u64::MAX));
+    let one = Predicate::new();
 
     // Thread A scans `R0` back to back, raising `scanning` for each scan
     // and keeping the shortest one; thread B (this one) times an `R1`
@@ -67,7 +67,7 @@ fn a_follower_reads_two_relations_without_a_common_lock() {
             while !stop.load(SeqCst) {
                 scanning.store(true, SeqCst);
                 let started = Instant::now();
-                assert_eq!(db.query_raw(r0, &scan).unwrap().count, 0);
+                assert_eq!(db.store().era().unwrap().count(r0, &scan).unwrap(), 0);
                 let took = started.elapsed();
                 scanning.store(false, SeqCst);
                 let mut shortest = shortest_scan.lock().unwrap();
@@ -82,7 +82,7 @@ fn a_follower_reads_two_relations_without_a_common_lock() {
                 continue;
             }
             let started = Instant::now();
-            assert_eq!(db.query_raw(r1, &one).unwrap().count, 1);
+            assert_eq!(db.store().era().unwrap().count(r1, &one).unwrap(), 1);
             waits.push(started.elapsed());
         }
         stop.store(true, SeqCst);

@@ -60,12 +60,12 @@
 //!   satisfying, because each relation enforced its `Fi` and
 //!   `LSAT = WSAT`.  Cost scales with the whole database and stalls every
 //!   writer for the copy.
-//! * [`Store::read`] and [`Era::gather`] — the per-relation read: a
+//! * [`Era::gather`] and [`Era::count`] — the per-relation read: a
 //!   predicate is evaluated under the one relation's lock, where the
-//!   tuples and indexes live, by the shard's one row visitor.  `read`
-//!   builds only the tuples, distinct join keys, or count its
-//!   [`ReadPlan`] asked for; `gather` appends the matching rows' values
-//!   to the caller's buffer.  No other relation notices.  Because independent relations share no
+//!   tuples and indexes live, by the shard's one row visitor, which
+//!   either appends the matching rows' values to the caller's buffer or
+//!   counts them ([`Store::query`] is `gather` cut into tuples).  No
+//!   other relation notices.  Because independent relations share no
 //!   enforcement state, the answer is one a snapshot could also have
 //!   produced.  Two reads of different relations, however, may observe
 //!   cuts no single snapshot contains — that is the (only) consistency
@@ -169,8 +169,8 @@ use ids_core::{IndependenceAnalysis, InsertOutcome, MaintenanceError, RelationSh
 use ids_deps::{Fd, FdSet};
 use ids_obs::{Counter, Event, LatencyHistogram, MetricsSnapshot, Registry};
 use ids_relational::{
-    AttrId, DatabaseSchema, DatabaseState, Predicate, ReadPlan, ReadReply, Relation,
-    RelationalError, SchemeId, Tuple, Value, ValuePool,
+    AttrId, DatabaseSchema, DatabaseState, Predicate, Relation, RelationalError, SchemeId, Tuple,
+    Value, ValuePool,
 };
 use ids_wal::{
     Cursor, Manifest, Shipment, TailedRecord, WalDir, WalError, WalMetrics, WalOp, WalWriter,
@@ -1552,12 +1552,13 @@ impl Store {
         Ok(out)
     }
 
-    /// Answers a [`ReadPlan`] against one relation: only that relation's
-    /// slot is locked, so no other relation pauses or copies anything.
-    /// The predicate is evaluated where the tuples live — a point lookup
-    /// on a key FD's left-hand side is O(1) against the enforcement hash
-    /// index, see [`RelationShard::scan`] — and only the plan's shape of
-    /// the matches (tuples, distinct join keys, or a count) is built.
+    /// The tuples of one relation matching `predicate`, in insertion
+    /// order: [`Era::gather`] in an era of its own, the gathered values
+    /// then cut into one [`Tuple`] per row.  Only that relation's slot is
+    /// locked, so no other relation pauses or copies anything.  The
+    /// predicate is evaluated where the tuples live — a point lookup on
+    /// the relation's key is O(1) against its membership table, see
+    /// [`RelationShard::scan`].
     ///
     /// This is sound precisely because the schema is independent:
     /// relations share no enforcement state, so the cut "this relation
@@ -1565,22 +1566,18 @@ impl Store {
     /// serialization — the answer is computed from exactly what some
     /// snapshot would also contain for this scheme.  What you give up
     /// versus [`Store::snapshot`] is *cross-relation* consistency: two
-    /// `read` calls on different relations may observe cuts no single
-    /// snapshot contains.  Per relation the read is linearizable: it
-    /// sees every operation that returned before it started.
+    /// reads of different relations may observe cuts no single snapshot
+    /// contains.  Per relation the read is linearizable: it sees every
+    /// operation that returned before it started.
     ///
-    /// The id and the plan are validated here, before the slot is
-    /// locked, so a foreign scheme, predicate attribute or projection
-    /// column is a typed error.  `id` is positional, as for
-    /// [`Store::insert`].
-    pub fn read(&self, id: SchemeId, plan: &ReadPlan) -> Result<ReadReply, Error> {
-        self.era()?.read(id, plan)
-    }
-
-    /// The tuples of one relation matching `predicate` — [`Store::read`]
-    /// with the tuples shape.
+    /// A foreign scheme or predicate attribute is a typed error.  `id`
+    /// is positional, as for [`Store::insert`].
     pub fn query(&self, id: SchemeId, predicate: &Predicate) -> Result<Vec<Tuple>, Error> {
-        Ok(self.read(id, &ReadPlan::tuples(predicate.clone()))?.rows)
+        let era = self.era()?;
+        let mut values = Vec::new();
+        era.gather(id, predicate, &mut values)?;
+        let width = era.topo.schema.definition.attrs(id).len();
+        Ok(values.chunks_exact(width).map(Tuple::from).collect())
     }
 
     /// Takes a consistent snapshot: every slot is locked, in ascending
@@ -1680,33 +1677,44 @@ impl Era<'_> {
         Ok(slots.iter().map(|slot| read(slot)).collect())
     }
 
-    /// [`Store::read`] in this era.
-    pub fn read(&self, id: SchemeId, plan: &ReadPlan) -> Result<ReadReply, Error> {
-        let definition = &self.topo.schema.definition;
-        let scheme = definition.get_scheme(id).ok_or(Error::UnknownScheme(id))?;
-        plan.validate_against(scheme.attrs)?;
-        let slot = self.store.lock(&self.topo, id)?;
-        Ok(slot.shard.read(&slot.rel, plan)?)
-    }
-
     /// Appends the values of relation `id`'s rows matching `predicate`
     /// to `out`, row after row, and returns how many rows matched: the
-    /// tuples of [`Era::read`], flattened into the caller's buffer under
-    /// the slot lock with no allocation per row (see
-    /// [`RelationShard::gather`]).  Validated and locked exactly as
-    /// [`Era::read`]: a foreign scheme or predicate attribute is a typed
-    /// error and a dead slot is refused, with `out` untouched.
+    /// store's one per-relation read, flattened into the caller's buffer
+    /// under the slot lock with no allocation per row (see
+    /// [`RelationShard::gather`]).  A foreign scheme or predicate
+    /// attribute is a typed error and a dead slot is refused, with `out`
+    /// untouched.
     pub fn gather(
         &self,
         id: SchemeId,
         predicate: &Predicate,
         out: &mut Vec<Value>,
     ) -> Result<usize, Error> {
+        let slot = self.read_lock(id, predicate)?;
+        Ok(slot.shard.gather(&slot.rel, predicate, out)?)
+    }
+
+    /// How many of relation `id`'s rows match `predicate`: the rows
+    /// [`Era::gather`] would append, counted under the slot lock and
+    /// copied nowhere (see [`RelationShard::count`]; the true predicate
+    /// is the O(1) cardinality).  Validated and locked exactly as
+    /// [`Era::gather`].
+    pub fn count(&self, id: SchemeId, predicate: &Predicate) -> Result<usize, Error> {
+        let slot = self.read_lock(id, predicate)?;
+        Ok(slot.shard.count(&slot.rel, predicate)?)
+    }
+
+    /// Relation `id`'s slot, locked for a read under `predicate`, once
+    /// both are checked against this era's schema.
+    fn read_lock(
+        &self,
+        id: SchemeId,
+        predicate: &Predicate,
+    ) -> Result<MutexGuard<'_, Slot>, Error> {
         let definition = &self.topo.schema.definition;
         let scheme = definition.get_scheme(id).ok_or(Error::UnknownScheme(id))?;
         predicate.validate_against(scheme.attrs)?;
-        let slot = self.store.lock(&self.topo, id)?;
-        Ok(slot.shard.gather(&slot.rel, predicate, out)?)
+        self.store.lock(&self.topo, id)
     }
 }
 
@@ -1970,24 +1978,23 @@ mod tests {
             snap.relation(cs).filter_tuples(&all)
         );
         // The cardinality probe agrees without shipping tuples.
-        let count = |id| store.read(id, &ReadPlan::count(all.clone())).unwrap();
-        assert_eq!((count(ct).count, count(ct).rows.len()), (2, 0));
-        assert_eq!(count(cs).count, 1);
+        let count = |id| store.era().unwrap().count(id, &all).unwrap();
+        assert_eq!((count(ct), count(cs)), (2, 1));
     }
 
-    /// One read path, three shapes: each ships only what it promises,
-    /// agrees with the linear reference on a snapshot, and refuses foreign
-    /// ids, predicate attributes and projection columns at the router.
+    /// One read path, gathering or counting: the tuples agree with the
+    /// linear reference on a snapshot, the gathered values are those
+    /// tuples flattened, the count is theirs, and foreign ids and
+    /// predicate attributes are refused at the router, `out` untouched.
     #[test]
-    fn every_read_shape_ships_only_what_it_promises() {
+    fn every_read_gathers_or_counts_exactly_the_matches() {
         let (schema, fds) = independent_setup();
         let attr = |name| schema.universe().attr(name).unwrap();
         let (c, t, s) = (attr("C"), attr("T"), attr("S"));
         let ct = schema.scheme_by_name("CT").unwrap();
         let cs = schema.scheme_by_name("CS").unwrap();
         let store = Store::open(Schema::canonical(&schema, &fds), StoreConfig::default()).unwrap();
-        // CT is keyed by C; CS holds many students per course, so
-        // distinct courses ≪ tuples.
+        // CT is keyed by C; CS holds many students per course.
         for i in 0..20u64 {
             store.insert(ct, vec![v(i), v(100 + i)]).unwrap();
         }
@@ -1997,61 +2004,47 @@ mod tests {
             }
         }
         let snap = store.snapshot().unwrap();
-        // (relation, predicate, distinct column, matches, distinct rows)
+        // (relation, predicate, matches)
         let table = [
-            (ct, Predicate::new(), c, 20, 20),
-            (ct, Predicate::new().and_eq(c, v(7)), c, 1, 1), // key index hit
-            (ct, Predicate::new().and_eq(t, v(107)), c, 1, 1), // linear filter
-            (ct, Predicate::new().and_eq(c, v(999)), c, 0, 0), // miss
-            (cs, Predicate::new(), c, 50, 5),
-            (cs, Predicate::new().and_eq(s, v(103)), c, 5, 5),
-            (cs, Predicate::new().and_eq(c, v(2)), c, 10, 1),
+            (ct, Predicate::new(), 20),
+            (ct, Predicate::new().and_eq(c, v(7)), 1), // key index hit
+            (ct, Predicate::new().and_eq(t, v(107)), 1), // linear filter
+            (ct, Predicate::new().and_eq(c, v(999)), 0), // miss
+            (cs, Predicate::new(), 50),
+            (cs, Predicate::new().and_eq(s, v(103)), 5),
+            (cs, Predicate::new().and_eq(c, v(2)), 10),
         ];
-        for (id, pred, col, matches, keys) in table {
-            for (plan, shipped) in [
-                (ReadPlan::tuples(pred.clone()), matches),
-                (ReadPlan::distinct_columns(pred.clone(), vec![col]), keys),
-                (ReadPlan::count(pred.clone()), 0),
-            ] {
-                let got = store.read(id, &plan).unwrap();
-                assert_eq!(got, snap.relation(id).read(&plan), "{plan:?}");
-                assert_eq!((got.rows.len(), got.count), (shipped, matches), "{plan:?}");
-            }
+        for (id, pred, matches) in table {
             let tuples = store.query(id, &pred).unwrap();
+            assert_eq!(tuples, snap.relation(id).filter_tuples(&pred), "{pred:?}");
             assert_eq!(tuples.len(), matches);
-            // The gathered read is the tuples, flattened.
+            let era = store.era().unwrap();
+            assert_eq!(era.count(id, &pred).unwrap(), matches, "{pred:?}");
             let mut gathered = Vec::new();
-            let n = store.era().unwrap().gather(id, &pred, &mut gathered);
-            assert_eq!(n.unwrap(), matches);
+            assert_eq!(era.gather(id, &pred, &mut gathered).unwrap(), matches);
             assert_eq!(gathered, tuples.concat(), "{pred:?}");
         }
-        let mut untouched = Vec::new();
-        for plan in [
-            ReadPlan::tuples(Predicate::new()),
-            ReadPlan::distinct_columns(Predicate::new(), vec![c]),
-            ReadPlan::count(Predicate::new()),
-        ] {
-            assert!(matches!(
-                store.read(SchemeId(99), &plan),
-                Err(Error::UnknownScheme(_))
-            ));
-        }
         assert!(matches!(
-            (store.era().unwrap()).gather(SchemeId(99), &Predicate::new(), &mut untouched),
+            store.query(SchemeId(99), &Predicate::new()),
             Err(Error::UnknownScheme(_))
         ));
-        for plan in [
-            ReadPlan::tuples(Predicate::new().and_eq(t, v(0))),
-            ReadPlan::count(Predicate::new().and_eq(t, v(0))),
-            ReadPlan::distinct_columns(Predicate::new(), vec![c, t]),
-        ] {
-            assert!(matches!(
-                store.read(cs, &plan),
-                Err(Error::Relational(RelationalError::SchemaMismatch(_)))
-            ));
-        }
+        let era = store.era().unwrap();
+        let mut untouched = Vec::new();
+        let foreign = Predicate::new().and_eq(t, v(0));
         assert!(matches!(
-            (store.era().unwrap()).gather(cs, &Predicate::new().and_eq(t, v(0)), &mut untouched),
+            era.count(SchemeId(99), &Predicate::new()),
+            Err(Error::UnknownScheme(_))
+        ));
+        assert!(matches!(
+            era.gather(SchemeId(99), &Predicate::new(), &mut untouched),
+            Err(Error::UnknownScheme(_))
+        ));
+        assert!(matches!(
+            era.count(cs, &foreign),
+            Err(Error::Relational(RelationalError::SchemaMismatch(_)))
+        ));
+        assert!(matches!(
+            era.gather(cs, &foreign, &mut untouched),
             Err(Error::Relational(RelationalError::SchemaMismatch(_)))
         ));
         assert!(untouched.is_empty());

@@ -8,7 +8,7 @@
 //! per relation by construction.
 
 use ids_deps::FdSet;
-use ids_relational::{DatabaseSchema, Predicate, ReadPlan, Universe, Value};
+use ids_relational::{DatabaseSchema, Predicate, Universe, Value};
 use ids_store::{DurableConfig, Error, Schema, Store, StoreConfig, SyncPolicy};
 
 fn v(n: u64) -> Value {
@@ -93,14 +93,15 @@ fn every_later_op_and_the_shutdown_report_the_preserved_reason() {
     let gathered = (store.era().unwrap())
         .gather(ct, &Predicate::new(), &mut Vec::new())
         .unwrap_err();
+    let counted = (store.era().unwrap())
+        .count(ct, &Predicate::new())
+        .unwrap_err();
     for err in [
         store.insert(ct, vec![v(2), v(20)]).unwrap_err(),
         store.remove(ct, vec![v(1), v(10)]).unwrap_err(),
-        store
-            .read(ct, &ReadPlan::count(Predicate::new()))
-            .unwrap_err(),
         store.query(ct, &Predicate::new()).unwrap_err(),
         gathered,
+        counted,
         store.snapshot().unwrap_err(),
         store.checkpoint().unwrap_err(),
     ] {
@@ -139,8 +140,8 @@ fn healthy_shards_keep_serving_after_one_poisons() {
     // neither notices nor suffers.
     store.insert(cs, vec![v(1), v(50)]).unwrap();
     assert_eq!(store.query(cs, &Predicate::new()).unwrap().len(), 1);
-    let counted = store.read(cs, &ReadPlan::count(Predicate::new())).unwrap();
-    assert_eq!(counted.count, 1);
+    let counted = store.era().unwrap().count(cs, &Predicate::new()).unwrap();
+    assert_eq!(counted, 1);
     // But anything touching the poisoned relation — including the
     // store-wide snapshot — reports the preserved reason.
     assert!(matches!(

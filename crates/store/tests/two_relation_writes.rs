@@ -12,7 +12,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use ids_deps::FdSet;
-use ids_relational::{DatabaseSchema, DatabaseState, Predicate, ReadPlan, Universe, Value};
+use ids_relational::{DatabaseSchema, DatabaseState, Predicate, Universe, Value};
 use ids_store::{Schema, Store, StoreConfig};
 
 /// Rows preloaded into `R0`: enough that one scan of it takes far
@@ -53,13 +53,13 @@ fn an_insert_into_one_relation_does_not_wait_for_a_scan_of_another() {
     // A condition no row meets, on a column no index covers: every scan
     // visits all of `R0` under its lock and ships only a count.
     let b = schema.universe().attr("B").unwrap();
-    let scan = ReadPlan::count(Predicate::new().and_eq(b, Value(u64::MAX)));
+    let scan = Predicate::new().and_eq(b, Value(u64::MAX));
 
     // How long one scan takes with nothing else running.
     let solo = (0..3)
         .map(|_| {
             let started = Instant::now();
-            assert_eq!(store.read(r0, &scan).unwrap().count, 0);
+            assert_eq!(store.era().unwrap().count(r0, &scan).unwrap(), 0);
             started.elapsed()
         })
         .min()
@@ -80,7 +80,7 @@ fn an_insert_into_one_relation_does_not_wait_for_a_scan_of_another() {
                 }
                 in_flight.store(n, SeqCst);
                 let started = Instant::now();
-                assert_eq!(store.read(r0, &scan).unwrap().count, 0);
+                assert_eq!(store.era().unwrap().count(r0, &scan).unwrap(), 0);
                 let took = started.elapsed();
                 in_flight.store(0, SeqCst);
                 let mut shortest = shortest_scan.lock().unwrap();

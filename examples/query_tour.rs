@@ -81,10 +81,7 @@ fn main() {
     let course = db.schema().definition().universe().attr("course").unwrap();
     let key = db.intern("CS500").unwrap();
     let pred = Predicate::new().and_eq(course, key);
-    let pushed = db
-        .query_raw(ct, &ReadPlan::tuples(pred.clone()))
-        .unwrap()
-        .rows; // shard-side index hit
+    let pushed = db.store().query(ct, &pred).unwrap(); // shard-side index hit
     let via_read = db.read("CT").unwrap().filter_tuples(&pred); // clone + scan
     let via_snapshot = db.snapshot().unwrap().relation(ct).filter_tuples(&pred); // barrier
     assert_eq!(pushed, via_read);

@@ -109,8 +109,8 @@ pub mod prelude {
     pub use ids_evolve::{check_transition, incremental_analyze, EvolveError, ReuseStats};
     pub use ids_obs::{Event, EventRecord, HistogramSnapshot, MetricsSnapshot};
     pub use ids_relational::{
-        AttrId, AttrSet, DatabaseSchema, DatabaseState, Predicate, Projection, ReadPlan, ReadReply,
-        ReadShape, Relation, RelationScheme, SchemeId, Tuple, Universe, Value, ValuePool,
+        AttrId, AttrSet, DatabaseSchema, DatabaseState, Predicate, Relation, RelationScheme,
+        SchemeId, Tuple, Universe, Value, ValuePool,
     };
     pub use ids_replica::{Replica, ReplicaError, ReplicaLag, ReplicaProgress};
     pub use ids_server::wire::{

@@ -15,11 +15,10 @@ use independent_schemas::prelude::{
     Database, DatabaseSchema, DatabaseState, DurableConfig, EngineKind, Event, EventRecord, Fd,
     FdOnlyMaintainer, FdSet, FrameError, FrameReader, HistogramSnapshot, IndependenceAnalysis,
     InsertOutcome, JoinDependency, LocalMaintainer, Maintainer, MaintenanceError, MetricsSnapshot,
-    NotIndependentReason, OpOutcome, Predicate, Projection, Query, ReadPlan, ReadReply, ReadShape,
-    Relation, RelationScheme, RelationShard, Reply, Request, Row, RowSet, Rows, Satisfaction,
-    Schema, SchemaBuilder, SchemeId, Server, ServerConfig, SharedDatabase, Store, StoreConfig,
-    StoreOp, SyncPolicy, Tuple, Universe, Value, ValuePool, Verdict, WalDir, WalError, WireError,
-    WireOutcome, Witness, WIRE_VERSION,
+    NotIndependentReason, OpOutcome, Predicate, Query, Relation, RelationScheme, RelationShard,
+    Reply, Request, Row, RowSet, Rows, Satisfaction, Schema, SchemaBuilder, SchemeId, Server,
+    ServerConfig, SharedDatabase, Store, StoreConfig, StoreOp, SyncPolicy, Tuple, Universe, Value,
+    ValuePool, Verdict, WalDir, WalError, WireError, WireOutcome, Witness, WIRE_VERSION,
 };
 
 // Crate-module paths the test files reach around the prelude for.
@@ -83,36 +82,27 @@ fn entry_point_signatures_are_stable() {
     let _open: fn(Schema, EngineKind) -> Result<Database, ApiError> = Database::open;
     let _follower: fn(std::sync::Arc<Store>) -> Database = Database::follower;
     let _db_store: fn(&Database) -> &Store = Database::store;
-    // Uniform fallibility: remove surfaces errors on every layer, and
-    // the store's per-relation read is part of the contract.
+    // Uniform fallibility: remove surfaces errors on every layer.
     let _remove: fn(&mut LocalMaintainer, SchemeId, &[Value]) -> Result<bool, MaintenanceError> =
         LocalMaintainer::remove;
-    let _read: fn(&Store, SchemeId, &ReadPlan) -> Result<ReadReply, ApiError> = Store::read;
-    // The one read plan: a predicate plus a shape, pushed down through
-    // every layer and answered by one entry per layer.
-    let _plan: fn(Predicate) -> ReadPlan = ReadPlan::tuples;
-    let _shape: ReadShape = ReadPlan::count(Predicate::new()).shape;
-    let _rel_read: fn(&Relation, &ReadPlan) -> ReadReply = Relation::read;
+    // The one read: the shard's row visitor gathering or counting the
+    // matches of a predicate, on every layer that owns a relation.
+    let _filter: fn(&Relation, &Predicate) -> Vec<Tuple> = Relation::filter_tuples;
     let _scan: fn(&RelationShard, &Relation, &Predicate) -> Result<Vec<Tuple>, MaintenanceError> =
         RelationShard::scan;
-    let _shard_read: fn(
-        &RelationShard,
-        &Relation,
-        &ReadPlan,
-    ) -> Result<ReadReply, MaintenanceError> = RelationShard::read;
-    let _local_read: fn(
-        &LocalMaintainer,
+    let _shard_count: fn(&RelationShard, &Relation, &Predicate) -> Result<usize, MaintenanceError> =
+        RelationShard::count;
+    // An era's store lifetime belongs to its impl, not to the method.
+    let _era_count: fn(
+        &independent_schemas::store::Era<'static>,
         SchemeId,
-        &ReadPlan,
-    ) -> Result<ReadReply, MaintenanceError> = <LocalMaintainer as Maintainer>::read;
+        &Predicate,
+    ) -> Result<usize, ApiError> = independent_schemas::store::Era::count;
     let _db_read: fn(&Database, &str) -> Result<Relation, ApiError> = Database::read;
     let _store_query: fn(&Store, SchemeId, &Predicate) -> Result<Vec<Tuple>, ApiError> =
         Store::query;
-    let _db_query_raw: fn(&Database, SchemeId, &ReadPlan) -> Result<ReadReply, ApiError> =
-        Database::query_raw;
     let _eq = |v: &str| -> Cond { eq(v) };
     let _pred_matches: fn(&Predicate, AttrSet, &[Value]) -> bool = Predicate::matches;
-    let _proj_apply: fn(&Projection, AttrSet, &[Value]) -> Vec<Value> = Projection::apply;
     let _store_from_analysis: fn(
         &DatabaseSchema,
         &IndependenceAnalysis,
