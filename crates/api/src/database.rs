@@ -11,7 +11,7 @@ use ids_relational::{
 };
 use ids_store::{DurableConfig, Era, OpOutcome, Store, StoreConfig, StoreOp};
 
-use crate::planner::{execute_join, Joined};
+use crate::planner::{execute_join, Scratch};
 use crate::query::{Cond, JoinQuery, JoinReport, Query, RowSink, Rows};
 use crate::{Alter, Error, Schema};
 
@@ -112,8 +112,22 @@ pub enum EngineKind {
 /// is built once.  A row visitor hands each row's values, as names
 /// borrowed from the pool, to a [`RowSink`].
 /// [`Rows`] is the sink that collects them as strings;
-/// [`Database::query_into`] and [`Database::join_into`] take any other —
-/// the wire server's writes reply bytes straight into its output buffer.
+/// [`Database::query_into`], [`Database::query_eq_into`] and
+/// [`Database::join_into`] take any other — the wire server's writes
+/// reply bytes straight into its output buffer.
+///
+/// A read allocates per reply and per returned cell, nothing per field
+/// it touches on the way.  Its plan — the reads and their predicates,
+/// each output column's position — and every buffer it gathers or folds
+/// into live in a **per-thread scratch**, taken for the read and given
+/// back after it (a scratch grown past 64 KiB by a large join is freed
+/// instead), so a thread's reads reuse one set of buffers.  A
+/// one-relation read without a select list names its output columns by
+/// the relation's own shared layout, handed to the sink as one `Arc`.
+/// What is left is the sink's: into [`Rows`], a point read makes the row
+/// list, the row's value vector and one `String` per value; into the
+/// wire server's sink, nothing once its buffer is sized.  A join adds
+/// its tree, its columns' names and its reducers' key sets, per reply.
 ///
 /// ## Locks
 ///
@@ -152,6 +166,13 @@ pub enum EngineKind {
 /// share one footprint: one topology guard for all of the read's relation
 /// reads, and `names` twice, to plan and to render.  A [`Query::count`]
 /// takes `names` only to plan; [`Database::count`] takes no name lock.
+///
+/// The per-thread scratch is no lock: a read owns it while it runs, and
+/// holds it, not a borrow of it, while it feeds its sink.  A sink that
+/// reads again on the same thread — another database, or this one's
+/// [`Database::count`] and [`Database::read`] (a string-level read of
+/// this database would wait on the `names` its own render holds) — runs
+/// in a scratch of its own and sees correct rows.
 ///
 /// ## What `&mut` still means
 ///
@@ -565,10 +586,25 @@ impl Database {
         select: Option<Vec<String>>,
         sink: &mut S,
     ) -> Result<(), Error> {
-        let filters = filters
-            .iter()
-            .map(|(column, cond)| (relation, &column[..], cond));
-        self.read_into(&[relation], filters, select, sink).map(drop)
+        let filters =
+            (filters.iter()).map(|(column, cond)| (relation, &column[..], Filter::Cond(cond)));
+        self.read_into([relation], filters, select, sink).map(drop)
+    }
+
+    /// [`Database::query_into`] with `(column, value)` equality filters
+    /// and a select list borrowed from wherever they lie — what the wire
+    /// server runs a `Query` from, every name still in its request frame,
+    /// so the read allocates nothing of its own on the way in.
+    pub fn query_eq_into<'f, S: RowSink>(
+        &self,
+        relation: &'f str,
+        filters: impl IntoIterator<Item = (&'f str, &'f str)>,
+        select: Option<impl IntoIterator<Item = &'f str>>,
+        sink: &mut S,
+    ) -> Result<(), Error> {
+        let filters =
+            (filters.into_iter()).map(|(column, value)| (relation, column, Filter::Eq(value)));
+        self.read_into([relation], filters, select, sink).map(drop)
     }
 
     /// The one renderer every string-level read shares: hands `sink` the
@@ -579,7 +615,7 @@ impl Database {
     /// exactly as [`Database::render`] prints it.
     fn render_into<'r, S: RowSink>(
         &self,
-        columns: &[String],
+        columns: &Arc<[String]>,
         positions: &[usize],
         rows: impl ExactSizeIterator<Item = &'r [Value]>,
         sink: &mut S,
@@ -605,15 +641,25 @@ impl Database {
         relation: &str,
         filters: &[(String, Cond)],
     ) -> Result<usize, Error> {
-        let era = self.store.era()?;
-        let filters = filters
-            .iter()
-            .map(|(column, cond)| (relation, &column[..], cond));
-        let mut plan = plan(era.schema(), &self.names(), &[relation], filters, None)?;
-        match plan.reads.pop() {
-            Some((id, _, predicate)) if plan.satisfiable => era.count(id, &predicate),
-            _ => Ok(0),
-        }
+        Scratch::with(|scratch| {
+            let era = self.store.era()?;
+            let filters =
+                (filters.iter()).map(|(column, cond)| (relation, &column[..], Filter::Cond(cond)));
+            let names = self.names();
+            let planned = plan(
+                era.schema(),
+                &names,
+                scratch,
+                [relation],
+                filters,
+                NO_SELECT,
+            )?;
+            drop(names);
+            match &scratch.reads[..] {
+                [(id, _, predicate)] if planned.satisfiable => era.count(*id, predicate),
+                _ => Ok(0),
+            }
+        })
     }
 
     /// The natural join of the named relations, computed from
@@ -716,69 +762,81 @@ impl Database {
     /// per-relation filters — and hands the joined rows to `sink`, under
     /// the column contract of [`Database::join`].  On an error the sink
     /// is not called at all.
-    pub fn join_into<S: RowSink>(
+    pub fn join_into<R: AsRef<str>, S: RowSink>(
         &self,
-        relations: &[String],
+        relations: impl IntoIterator<Item = R>,
         filters: &[(String, String, Cond)],
         sink: &mut S,
     ) -> Result<JoinReport, Error> {
-        let filters = filters
-            .iter()
-            .map(|(r, column, cond)| (&r[..], &column[..], cond));
-        self.read_into(relations, filters, None, sink)
+        let filters =
+            (filters.iter()).map(|(r, column, cond)| (&r[..], &column[..], Filter::Cond(cond)));
+        self.read_into(relations, filters, NO_SELECT, sink)
     }
 
-    /// The one string-level read behind [`Database::query_into`] and
-    /// [`Database::join_into`]: [`plan`] the relations, their filters
-    /// and the select list, run the plan, render the rows into `sink`.
-    /// Planning and every store round trip run in one era of the store's
-    /// schema, the round trips with no name lock held; the rows reach the
-    /// sink as pool names after the era.  Every read goes through the
-    /// join planner ([`execute_join`]): each relation's matching rows are
-    /// gathered into one flat buffer, one relation is the trivial join
-    /// tree and renders from its buffer as gathered, and several fold
-    /// flat, so no row is built twice.  On an error the sink is not
-    /// called at all.
-    fn read_into<'f, R: AsRef<str>, S: RowSink>(
+    /// The one string-level read behind [`Database::query_into`],
+    /// [`Database::query_eq_into`] and [`Database::join_into`]: [`plan`]
+    /// the relations, their filters and the select list, run the plan,
+    /// render the rows into `sink`.  Planning and every store round trip
+    /// run in one era of the store's schema, the round trips with no name
+    /// lock held; the rows reach the sink as pool names after the era.
+    /// Every read goes through the join planner ([`execute_join`]): each
+    /// relation's matching rows are gathered into one flat buffer, one
+    /// relation is the trivial join tree and renders from its buffer as
+    /// gathered, and several fold flat, so no row is built twice.  The
+    /// plan, the predicates and the buffers live in this thread's
+    /// [`Scratch`], which the read holds — not borrows — while it feeds
+    /// the sink.  On an error the sink is not called at all.
+    fn read_into<'f, R: AsRef<str>, C: AsRef<str> + Into<String>, S: RowSink>(
         &self,
-        relations: &[R],
-        filters: impl IntoIterator<Item = (&'f str, &'f str, &'f Cond)>,
-        select: Option<Vec<String>>,
+        relations: impl IntoIterator<Item = R>,
+        filters: impl IntoIterator<Item = (&'f str, &'f str, Filter<'f>)>,
+        select: Option<impl IntoIterator<Item = C>>,
         sink: &mut S,
     ) -> Result<JoinReport, Error> {
-        let era = self.store.era()?;
-        let plan = plan(era.schema(), &self.names(), relations, filters, select)?;
-        if !plan.satisfiable {
-            // Nothing stored can match, so the store is not consulted —
-            // but the output columns still follow the contract.
+        Scratch::with(|scratch| {
+            let era = self.store.era()?;
+            let names = self.names();
+            let plan = plan(era.schema(), &names, scratch, relations, filters, select)?;
+            drop(names);
+            if !plan.satisfiable {
+                // Nothing stored can match, so the store is not consulted
+                // — but the output columns still follow the contract.
+                drop(era);
+                self.render_into(&plan.columns, &[], std::iter::empty(), sink);
+                return Ok(JoinReport::default());
+            }
+            // The fold's rows are tuples over every read's attributes: the
+            // layout the plan's positions index.
+            let all = (scratch.reads.iter()).fold(AttrSet::new(), |all, r| all.union(r.1));
+            let (joined, report) = execute_join(&era, scratch)?;
             drop(era);
-            self.render_into(&plan.columns, &[], std::iter::empty(), sink);
-            return Ok(JoinReport::default());
-        }
-        // The fold's rows are tuples over every read's attributes: the
-        // layout the plan's positions index.
-        let all = (plan.reads.iter()).fold(AttrSet::new(), |all, r| all.union(r.1));
-        let (joined, report) = execute_join(&era, plan.reads)?;
-        drop(era);
-        debug_assert_eq!(joined.attrs(), all);
-        self.render_into(&plan.columns, &plan.positions, joined.rows(), sink);
-        Ok(report)
+            debug_assert_eq!(joined.attrs(), all);
+            self.render_into(&plan.columns, &scratch.positions, joined.rows(), sink);
+            scratch.recycle(joined);
+            Ok(report)
+        })
     }
 
     /// Reads one relation without a global barrier, as raw typed data:
-    /// its rows gathered into one buffer under the relation's lock, then
-    /// inserted into a fresh [`Relation`] after it.
+    /// its rows gathered into one buffer under the relation's lock — this
+    /// thread's scratch buffer — then inserted into a fresh [`Relation`]
+    /// after it.
     pub fn read(&self, relation: &str) -> Result<Relation, Error> {
-        let era = self.store.era()?;
-        let id = era.schema().scheme_id(relation)?;
-        let attrs = era.schema().definition().attrs(id);
-        let rows = Joined::gather(&era, id, attrs, &Predicate::new())?;
-        drop(era);
-        let mut rel = Relation::new(attrs);
-        for row in rows.rows() {
-            rel.insert(row.to_vec())?;
-        }
-        Ok(rel)
+        Scratch::with(|scratch| {
+            let era = self.store.era()?;
+            let id = era.schema().scheme_id(relation)?;
+            let attrs = era.schema().definition().attrs(id);
+            scratch.push_read(id, attrs);
+            let (rows, _) = execute_join(&era, scratch)?;
+            drop(era);
+            let mut rel = Relation::new(attrs);
+            let inserted = rows
+                .rows()
+                .try_for_each(|row| rel.insert(row.to_vec()).map(drop));
+            scratch.recycle(rows);
+            inserted?;
+            Ok(rel)
+        })
     }
 
     /// Number of rows currently in a relation (barrier-free, and cheap:
@@ -824,89 +882,100 @@ impl Database {
     }
 }
 
-/// A compiled string-level read: one read per distinct relation, the
-/// output columns, and where each column sits in a result row —
-/// everything that needs the pool, computed up front, so the store round
-/// trips run without holding any name state.
+/// No select list: the output columns are the read's relations' own.
+const NO_SELECT: Option<[&str; 0]> = None;
+
+/// One pushed-down condition as the planner takes it: a caller's
+/// [`Cond`], or a wire equality still borrowed from its request frame.
+#[derive(Clone, Copy)]
+enum Filter<'f> {
+    Cond(&'f Cond),
+    Eq(&'f str),
+}
+
+/// A compiled string-level read: whether anything stored can match and
+/// the output columns.  Its reads (one per distinct relation) and where
+/// each column sits in a result row are in the [`Scratch`] it was
+/// planned in — everything that needs the pool, computed up front, so
+/// the store round trips run without holding any name state.
 struct Plan {
-    /// Per distinct relation, first mention first (the self-join
-    /// contract): its id, its attributes and its filters as a typed
-    /// predicate.
-    reads: Vec<(SchemeId, AttrSet, Predicate)>,
     /// False when some filter names a value this database never
     /// interned: nothing stored can match.
     satisfiable: bool,
-    columns: Vec<String>,
-    /// Per output column, its position in a result row: a tuple over the
-    /// union of the reads' attributes.
-    positions: Vec<usize>,
+    /// A one-relation read without a select list shares the relation's
+    /// layout columns: no name is cloned.
+    columns: Arc<[String]>,
 }
 
-/// Compiles a string-level read against the schema and pool — the
-/// planning half of [`Database::read_into`].  `relations` are joined
-/// (one relation is itself); `filters` are `(relation, column,
-/// condition)`; `select` picks the output columns among the first listed
-/// relation's (a query's one relation), else they follow the listed
-/// relations, each in declared column order, an attribute already emitted
-/// skipped.  Every name is checked before the store is consulted:
-/// an empty list is [`Error::EmptyJoin`], an unknown relation or a filter
-/// on one not listed [`Error::UnknownRelation`], and a column no such
-/// relation declares [`Error::UnknownColumn`].
-fn plan<'f, R: AsRef<str>>(
+/// Compiles a string-level read against the schema and pool into
+/// `scratch` (its reads and positions) — the planning half of
+/// [`Database::read_into`].  `relations` are joined (one relation is
+/// itself); `filters` are `(relation, column, condition)`; `select` picks
+/// the output columns among the first listed relation's (a query's one
+/// relation), else they follow the listed relations, each in declared
+/// column order, an attribute already emitted skipped.  Every name is
+/// checked before the store is consulted: an empty list is
+/// [`Error::EmptyJoin`], an unknown relation or a filter on one not
+/// listed [`Error::UnknownRelation`], and a column no such relation
+/// declares [`Error::UnknownColumn`].
+fn plan<'f, R: AsRef<str>, C: AsRef<str> + Into<String>>(
     schema: &Schema,
     pool: &ValuePool,
-    relations: &[R],
-    filters: impl IntoIterator<Item = (&'f str, &'f str, &'f Cond)>,
-    select: Option<Vec<String>>,
+    scratch: &mut Scratch,
+    relations: impl IntoIterator<Item = R>,
+    filters: impl IntoIterator<Item = (&'f str, &'f str, Filter<'f>)>,
+    select: Option<impl IntoIterator<Item = C>>,
 ) -> Result<Plan, Error> {
-    if relations.is_empty() {
-        return Err(Error::EmptyJoin);
-    }
-    let mut reads: Vec<(SchemeId, AttrSet, Predicate)> = Vec::with_capacity(relations.len());
     let mut all = AttrSet::new();
     for name in relations {
         let id = schema.scheme_id(name.as_ref())?;
-        if reads.iter().all(|r| r.0 != id) {
+        if scratch.reads.iter().all(|r| r.0 != id) {
             let attrs = schema.definition().attrs(id);
             all = all.union(attrs);
-            reads.push((id, attrs, Predicate::new()));
+            scratch.push_read(id, attrs);
         }
     }
-    let unknown = |relation: &str, column: &str| Error::UnknownColumn {
-        relation: relation.to_string(),
+    let Some(&(first, ..)) = scratch.reads.first() else {
+        return Err(Error::EmptyJoin);
+    };
+    let name = |id: SchemeId| &schema.definition().scheme(id).name[..];
+    let unknown = |id: SchemeId, column: &str| Error::UnknownColumn {
+        relation: name(id).to_string(),
         column: column.to_string(),
     };
     let mut satisfiable = true;
-    for (relation, column, cond) in filters {
-        let id = schema.scheme_id(relation)?;
-        let Some(read) = reads.iter_mut().find(|r| r.0 == id) else {
+    // A filter names one of the read's relations: found by name among
+    // them, without a second lookup in the schema.
+    for (relation, column, filter) in filters {
+        let Some(read) = scratch.reads.iter_mut().find(|r| name(r.0) == relation) else {
             return Err(Error::UnknownRelation(relation.to_string()));
         };
-        let attr = attr_of(schema, id, column).ok_or_else(|| unknown(relation, column))?;
-        read.2 = apply_cond(
-            pool,
-            std::mem::take(&mut read.2),
-            attr,
-            cond,
-            &mut satisfiable,
-        );
+        let id = read.0;
+        let attr = attr_of(schema, id, column).ok_or_else(|| unknown(id, column))?;
+        apply_filter(pool, &mut read.2, attr, filter, &mut satisfiable);
     }
-    let mut positions = Vec::with_capacity(select.as_ref().map_or(all.len(), Vec::len));
-    let columns = match select {
-        Some(columns) => {
-            let first = relations[0].as_ref();
+    let positions = &mut scratch.positions;
+    let columns = match (select, &scratch.reads[..]) {
+        (Some(select), _) => {
+            let columns: Vec<String> = select.into_iter().map(Into::into).collect();
             for column in &columns {
-                let attr =
-                    attr_of(schema, reads[0].0, column).ok_or_else(|| unknown(first, column))?;
+                let attr = attr_of(schema, first, column).ok_or_else(|| unknown(first, column))?;
                 positions.push(all.rank(attr));
             }
-            columns
+            columns.into()
         }
-        None => {
+        // One relation: its rows are laid out as its scheme, so declared
+        // column `j` sits at `perm[j]`.
+        (None, [_]) => {
+            let layout = schema.layout(first);
+            positions.extend_from_slice(&layout.perm);
+            Arc::clone(&layout.columns)
+        }
+        (None, reads) => {
             let mut columns = Vec::with_capacity(all.len());
             let mut seen = AttrSet::new();
-            for &(id, ..) in &reads {
-                for column in &schema.layout(id).columns {
+            for &(id, ..) in reads {
+                for column in schema.layout(id).columns.iter() {
                     let attr = attr_of(schema, id, column).expect("a declared column");
                     if seen.insert(attr) {
                         columns.push(column.clone());
@@ -914,14 +983,12 @@ fn plan<'f, R: AsRef<str>>(
                     }
                 }
             }
-            columns
+            columns.into()
         }
     };
     Ok(Plan {
-        reads,
         satisfiable,
         columns,
-        positions,
     })
 }
 
@@ -944,6 +1011,39 @@ fn attr_of(schema: &Schema, id: SchemeId, column: &str) -> Option<AttrId> {
 /// pool once: the interned names satisfying the string comparison *are*
 /// exactly the stored values the condition can admit, and become an
 /// `In` guard the store (and its ordered indexes) understands.
+fn apply_filter(
+    pool: &ValuePool,
+    predicate: &mut Predicate,
+    attr: AttrId,
+    filter: Filter<'_>,
+    satisfiable: &mut bool,
+) {
+    let taken = std::mem::take(predicate);
+    *predicate = match filter {
+        Filter::Eq(value) => and_eq(pool, taken, attr, value, satisfiable),
+        Filter::Cond(cond) => apply_cond(pool, taken, attr, cond, satisfiable),
+    };
+}
+
+/// `predicate ∧ attr = value`; unsatisfiable when `value` was never
+/// interned.
+fn and_eq(
+    pool: &ValuePool,
+    predicate: Predicate,
+    attr: AttrId,
+    value: &str,
+    satisfiable: &mut bool,
+) -> Predicate {
+    match pool.get(value) {
+        Some(v) => predicate.and_eq(attr, v),
+        None => {
+            *satisfiable = false;
+            predicate
+        }
+    }
+}
+
+/// [`apply_filter`] of a caller's [`Cond`].
 fn apply_cond(
     pool: &ValuePool,
     predicate: Predicate,
@@ -965,13 +1065,7 @@ fn apply_cond(
         }
     };
     match cond {
-        Cond::Eq(value) => match pool.get(value) {
-            Some(v) => predicate.and_eq(attr, v),
-            None => {
-                *satisfiable = false;
-                predicate
-            }
-        },
+        Cond::Eq(value) => and_eq(pool, predicate, attr, value, satisfiable),
         Cond::Ne(value) => match pool.get(value) {
             Some(v) => predicate.and_ne(attr, v),
             // A value never stored differs from every stored value.

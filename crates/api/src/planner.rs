@@ -43,6 +43,17 @@
 //! Cyclic relation sets fall back to the naive plan: one filtered read
 //! per distinct relation, folded left to right by the same hash join.
 //!
+//! ## Scratch
+//!
+//! A read's working memory — its reads and their predicates, the output
+//! positions, every gathered and folded buffer, the fold's table — is a
+//! per-thread [`Scratch`], taken out for one read and given back after
+//! it, so a steady stream of reads on one thread allocates none of it.
+//! The scratch is owned by the read while it runs, never borrowed from
+//! the thread: a sink that reads again, on this thread, finds no scratch
+//! to share and takes a fresh one.  One left holding more than
+//! [`SCRATCH_BYTES`] (a large join's buffers) is freed, not kept.
+//!
 //! ## Consistency
 //!
 //! Every store round trip is the barrier-free per-relation read of
@@ -59,10 +70,11 @@
 //! particular, in single-threaded use) the result is exactly the
 //! natural join of the fetch cuts.
 
+use std::cell::Cell;
 use std::hash::{BuildHasher, Hash, Hasher};
 
 use ids_acyclic::join_tree;
-use ids_relational::{AttrId, AttrSet, Predicate, RelationalError, SchemeId, SlotTable, Value};
+use ids_relational::{AttrSet, Predicate, RelationalError, SchemeId, SlotTable, Value};
 use ids_store::Era;
 
 use crate::query::JoinReport;
@@ -70,6 +82,141 @@ use crate::Error;
 
 /// End of a match chain in [`Joined::join`].
 const NO_MATCH: u32 = u32::MAX;
+
+/// The most heap a [`Scratch`] keeps for the next read on its thread.
+const SCRATCH_BYTES: usize = 64 * 1024;
+
+/// One relation of a read: its id, its attributes and its filters as a
+/// typed predicate.
+pub(crate) type Read = (SchemeId, AttrSet, Predicate);
+
+thread_local! {
+    /// This thread's [`Scratch`] between reads; empty while a read holds
+    /// it.  Boxed, so taking and giving it back moves a pointer.
+    static SCRATCH: Cell<Option<Box<Scratch>>> = const { Cell::new(None) };
+}
+
+/// The working memory of one read, reused by the next read on the same
+/// thread (see the module docs).
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// Per distinct relation, first mention first (the self-join
+    /// contract).
+    pub(crate) reads: Vec<Read>,
+    /// Per output column, its position in a result row: a tuple over the
+    /// union of the reads' attributes.
+    pub(crate) positions: Vec<usize>,
+    /// Cleared predicates, their buffers kept for the next reads.
+    predicates: Vec<Predicate>,
+    /// Empty value buffers for the next gathers and folds.
+    buffers: Vec<Vec<Value>>,
+    /// Pass 2's fetched relations, by read.
+    fetched: Vec<Option<Joined>>,
+    /// Pass 1's marks, by read: filtered, or narrowed by a child.
+    constrained: Vec<bool>,
+    fold: Fold,
+}
+
+impl Scratch {
+    /// Runs one read in this thread's scratch — or in a new one, when a
+    /// read on this thread already holds it — then hands the scratch
+    /// back, emptied, unless it has grown past [`SCRATCH_BYTES`].
+    pub(crate) fn with<T>(read: impl FnOnce(&mut Scratch) -> T) -> T {
+        let mut scratch: Box<Scratch> =
+            (SCRATCH.try_with(Cell::take).ok().flatten()).unwrap_or_default();
+        let result = read(&mut scratch);
+        scratch.clear();
+        if scratch.bytes() <= SCRATCH_BYTES {
+            let _ = SCRATCH.try_with(|cell| cell.set(Some(scratch)));
+        }
+        result
+    }
+
+    /// Adds relation `id` (over `attrs`) to the read, under the true
+    /// predicate.
+    pub(crate) fn push_read(&mut self, id: SchemeId, attrs: AttrSet) {
+        let predicate = self.predicates.pop().unwrap_or_default();
+        self.reads.push((id, attrs, predicate));
+    }
+
+    /// A read's rows are done with: their buffer serves the next read.
+    pub(crate) fn recycle(&mut self, joined: Joined) {
+        recycle(&mut self.buffers, joined);
+    }
+
+    /// Empties every part, keeping the buffers.  The predicates are
+    /// stacked last read first, so the next read's `i`th relation gets
+    /// this read's `i`th buffers back.
+    fn clear(&mut self) {
+        for (.., mut predicate) in self.reads.drain(..).rev() {
+            predicate.clear();
+            self.predicates.push(predicate);
+        }
+        self.positions.clear();
+        for joined in self.fetched.drain(..).flatten() {
+            recycle(&mut self.buffers, joined);
+        }
+        self.constrained.clear();
+    }
+
+    /// The heap this scratch holds, near enough: every buffer's capacity.
+    fn bytes(&self) -> usize {
+        fn of<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let predicates: usize = (self.predicates.iter())
+            .map(|p| p.conjuncts().len() * 16 + p.guards().len() * 32)
+            .sum();
+        let buffers: usize = self.buffers.iter().map(of).sum();
+        of(&self.reads)
+            + of(&self.positions)
+            + of(&self.predicates)
+            + predicates
+            + of(&self.buffers)
+            + buffers
+            + of(&self.fetched)
+            + of(&self.constrained)
+            + self.fold.bytes()
+    }
+}
+
+/// An empty buffer for the next gather or fold: a recycled one if any.
+fn buffer(buffers: &mut Vec<Vec<Value>>) -> Vec<Value> {
+    buffers.pop().unwrap_or_default()
+}
+
+/// Keeps `joined`'s buffer, emptied, for the next gather or fold.
+fn recycle(buffers: &mut Vec<Vec<Value>>, joined: Joined) {
+    let mut values = joined.values;
+    values.clear();
+    buffers.push(values);
+}
+
+/// The working memory of [`Joined::join`], kept across folds.
+#[derive(Debug, Default)]
+struct Fold {
+    /// Each distinct key of the indexed side: its chain's first row as
+    /// the slot, its last as the payload.
+    chains: SlotTable<u32>,
+    /// The chains' links, by row.
+    next: Vec<u32>,
+    /// Each output value's source: a column of the probing row, or —
+    /// offset by its width — a column of the match.
+    sources: Vec<usize>,
+    /// The shared columns' positions in the indexed rows, then in the
+    /// probing rows.
+    other_key: Vec<usize>,
+    self_key: Vec<usize>,
+}
+
+impl Fold {
+    /// The heap the fold's tables hold (a bucket is three `u32`s).
+    fn bytes(&self) -> usize {
+        (self.chains.capacity() * 12)
+            + self.next.capacity() * 4
+            + (self.sources.capacity() + self.other_key.capacity() + self.self_key.capacity()) * 8
+    }
+}
 
 /// A join result, flat: `len` rows of `width` values each, stored
 /// row-major in one `Vec`, every row laid out in `attrs`' ascending
@@ -85,14 +232,14 @@ pub(crate) struct Joined {
 
 impl Joined {
     /// The rows of relation `id` (over `attrs`) matching `predicate`,
-    /// gathered by the store straight into one flat buffer.
+    /// gathered by the store straight into `values`, an empty buffer.
     pub(crate) fn gather(
         era: &Era<'_>,
         id: SchemeId,
         attrs: AttrSet,
         predicate: &Predicate,
+        mut values: Vec<Value>,
     ) -> Result<Self, Error> {
-        let mut values = Vec::new();
         let len = era.gather(id, predicate, &mut values)?;
         Ok(Joined {
             attrs,
@@ -124,7 +271,8 @@ impl Joined {
     fn reduce(&self, pred: &mut Predicate, onto: AttrSet, report: &mut JoinReport) {
         for attr in self.attrs.intersect(onto).iter() {
             let pos = self.attrs.rank(attr);
-            let mut vals: Vec<Value> = self.rows().map(|row| row[pos]).collect();
+            let mut vals: Vec<Value> = Vec::with_capacity(self.len);
+            vals.extend(self.rows().map(|row| row[pos]));
             vals.sort_unstable();
             vals.dedup();
             report.keys_shipped += vals.len();
@@ -141,27 +289,34 @@ impl Joined {
     /// chain's first row is its slot and its last row the payload, and
     /// keys are compared by reading them back out of the two buffers, so
     /// no key is copied and each row's key is hashed once.  The output is
-    /// one `Vec`: no allocation per row.  Refused with
+    /// one buffer, `out` (empty): no allocation per row, and the fold's
+    /// own tables come from `fold`, reused across folds.  Refused with
     /// [`RelationalError::RelationFull`] when `other` holds more rows than
     /// a slot addresses, as a relation would be.
-    fn join(&self, other: &Joined) -> Result<Joined, Error> {
-        let common: Vec<AttrId> = self.attrs.intersect(other.attrs).iter().collect();
+    fn join(&self, other: &Joined, fold: &mut Fold, out: Vec<Value>) -> Result<Joined, Error> {
+        let common = self.attrs.intersect(other.attrs);
         let attrs = self.attrs.union(other.attrs);
         let width = self.width;
-        // Each output value's source: a column of the probing row, or —
-        // offset by its width — a column of the match.
-        let sources: Vec<usize> = attrs
-            .iter()
-            .map(|a| {
-                if self.attrs.contains(a) {
-                    self.attrs.rank(a)
-                } else {
-                    width + other.attrs.rank(a)
-                }
-            })
-            .collect();
-        let other_key: Vec<usize> = common.iter().map(|&a| other.attrs.rank(a)).collect();
-        let self_key: Vec<usize> = common.iter().map(|&a| self.attrs.rank(a)).collect();
+        let Fold {
+            chains,
+            next,
+            sources,
+            other_key,
+            self_key,
+        } = fold;
+        sources.clear();
+        sources.extend(attrs.iter().map(|a| {
+            if self.attrs.contains(a) {
+                self.attrs.rank(a)
+            } else {
+                width + other.attrs.rank(a)
+            }
+        }));
+        other_key.clear();
+        other_key.extend(common.iter().map(|a| other.attrs.rank(a)));
+        self_key.clear();
+        self_key.extend(common.iter().map(|a| self.attrs.rank(a)));
+        let (sources, other_key, self_key) = (&sources[..], &other_key[..], &self_key[..]);
 
         // Each distinct key of `other`: its chain's first row as the
         // slot, its last as the payload; `next` links the chain.
@@ -169,17 +324,18 @@ impl Joined {
             .ok()
             .filter(|&n| n < NO_MATCH)
             .ok_or(RelationalError::RelationFull)?;
-        let mut chains: SlotTable<u32> = SlotTable::new();
+        chains.clear();
         let hasher = chains.hasher().clone();
         let hash = |row: &[Value], key: &[usize]| {
             let mut h = hasher.build_hasher();
             key.iter().for_each(|&p| row[p].hash(&mut h));
             h.finish()
         };
-        let mut next = vec![NO_MATCH; other.len];
+        next.clear();
+        next.resize(other.len, NO_MATCH);
         for j in 0..rows {
             let row = other.row(j as usize);
-            let h = hash(row, &other_key);
+            let h = hash(row, other_key);
             let same = |s: u32| (other_key.iter()).all(|&p| other.row(s as usize)[p] == row[p]);
             match chains.get_mut(h, same) {
                 Some((_, last)) => {
@@ -194,14 +350,15 @@ impl Joined {
             attrs,
             width: attrs.len(),
             len: 0,
-            values: Vec::with_capacity(self.len.max(other.len) * attrs.len()),
+            values: out,
         };
+        out.values.reserve(self.len.max(other.len) * attrs.len());
         for row in self.rows() {
             let same = |s: u32| {
                 let held = other.row(s as usize);
-                (other_key.iter().zip(&self_key)).all(|(&o, &p)| held[o] == row[p])
+                (other_key.iter().zip(self_key)).all(|(&o, &p)| held[o] == row[p])
             };
-            let Some((first, _)) = chains.get(hash(row, &self_key), same) else {
+            let Some((first, _)) = chains.get(hash(row, self_key), same) else {
                 continue;
             };
             let mut j = first;
@@ -222,20 +379,30 @@ impl Joined {
     }
 }
 
-/// Executes a join over the **distinct** relations of `reads` — each
-/// one's id, attribute set and pushed-down predicate.  Callers dedup
-/// repeated relations first — that is the self-join contract: one
-/// relation, one cut, however often it is listed.  Returns the joined
-/// rows plus the execution report.
+/// Executes a join over the **distinct** relations of `scratch.reads`
+/// — each one's id, attribute set and pushed-down predicate, which the
+/// reducers narrow in place.  Callers dedup repeated relations first —
+/// that is the self-join contract: one relation, one cut, however often
+/// it is listed.  Returns the joined rows, in a buffer of the scratch's
+/// to hand back with [`Scratch::recycle`], plus the execution report.
 pub(crate) fn execute_join(
     era: &Era<'_>,
-    mut reads: Vec<(SchemeId, AttrSet, Predicate)>,
+    scratch: &mut Scratch,
 ) -> Result<(Joined, JoinReport), Error> {
+    let Scratch {
+        reads,
+        buffers,
+        fetched,
+        constrained,
+        fold,
+        ..
+    } = scratch;
     let mut report = JoinReport::default();
-    let fetch = |(id, attrs, predicate): &(SchemeId, AttrSet, Predicate),
+    let fetch = |(id, attrs, predicate): &Read,
+                 buffers: &mut Vec<Vec<Value>>,
                  report: &mut JoinReport|
      -> Result<Joined, Error> {
-        let joined = Joined::gather(era, *id, *attrs, predicate)?;
+        let joined = Joined::gather(era, *id, *attrs, predicate, buffer(buffers))?;
         report.tuples_shipped += joined.len;
         Ok(joined)
     };
@@ -247,9 +414,12 @@ pub(crate) fn execute_join(
     let Some(tree) = tree else {
         // Cyclic, or one relation (no tree to reduce): one filtered read
         // per relation, folded left to right.
-        let mut joined = fetch(&reads[0], &mut report)?;
+        let mut joined = fetch(&reads[0], buffers, &mut report)?;
         for read in &reads[1..] {
-            joined = joined.join(&fetch(read, &mut report)?)?;
+            let next = fetch(read, buffers, &mut report)?;
+            let folded = joined.join(&next, fold, buffer(buffers))?;
+            recycle(buffers, std::mem::replace(&mut joined, folded));
+            recycle(buffers, next);
         }
         return Ok((joined, report));
     };
@@ -257,23 +427,26 @@ pub(crate) fn execute_join(
 
     // Pass 1, bottom-up: constrained relations ship distinct join keys
     // into their parents.  A predicate only ever narrows: reducers are
-    // conjoined onto it as `In` guards.
-    let mut constrained: Vec<bool> = reads.iter().map(|r| !r.2.is_true()).collect();
+    // conjoined onto it as `In` guards.  The child's gathered tuples
+    // leave the store, so they count as shipped.
+    constrained.clear();
+    constrained.extend(reads.iter().map(|r| !r.2.is_true()));
     for &i in &tree.elimination_order {
         let Some(p) = tree.parent[i] else { continue };
         let onto = reads[p].1;
         if !constrained[i] || reads[i].1.intersect(onto).is_empty() {
             continue;
         }
-        let (id, attrs, predicate) = &reads[i];
-        let child = Joined::gather(era, *id, *attrs, predicate)?;
+        let child = fetch(&reads[i], buffers, &mut report)?;
         child.reduce(&mut reads[p].2, onto, &mut report);
+        recycle(buffers, child);
         constrained[p] = true;
     }
 
     // Pass 2, top-down: fetch root-first, narrowing each child with
     // reducers projected from its parent's fetched tuples.
-    let mut fetched: Vec<Option<Joined>> = (0..reads.len()).map(|_| None).collect();
+    fetched.clear();
+    fetched.resize_with(reads.len(), || None);
     for &i in tree.elimination_order.iter().rev() {
         if let Some(p) = tree.parent[i] {
             // Reversed elimination order visits a parent before its children.
@@ -281,7 +454,7 @@ pub(crate) fn execute_join(
             let onto = reads[i].1;
             parent.reduce(&mut reads[i].2, onto, &mut report);
         }
-        fetched[i] = Some(fetch(&reads[i], &mut report)?);
+        fetched[i] = Some(fetch(&reads[i], buffers, &mut report)?);
     }
 
     // Fold: hash-join each child into its parent in elimination order;
@@ -291,10 +464,10 @@ pub(crate) fn execute_join(
         // Pass 2 filled every slot; elimination order removes a node only
         // after all its children, and each node appears in it once.
         let child = fetched[i].take().expect("each edge folds exactly once");
-        let parent = fetched[p]
-            .as_ref()
-            .expect("parent folds after its children");
-        fetched[p] = Some(parent.join(&child)?);
+        let parent = fetched[p].take().expect("parent folds after its children");
+        fetched[p] = Some(parent.join(&child, fold, buffer(buffers))?);
+        recycle(buffers, parent);
+        recycle(buffers, child);
     }
     // The root has no parent, so no fold above took it.
     let joined = fetched[tree.root()].take().expect("root holds the join");
@@ -333,14 +506,21 @@ mod tests {
         (ids, attrs, store)
     }
 
-    /// The reads of `ids` (over `attrs`) under `filters`.
-    fn reads(
-        ids: &[SchemeId],
-        attrs: &[AttrSet],
-        filters: &[Predicate],
-    ) -> Vec<(SchemeId, AttrSet, Predicate)> {
+    /// A scratch holding the reads of `ids` (over `attrs`) under
+    /// `filters`.
+    fn reads(ids: &[SchemeId], attrs: &[AttrSet], filters: &[Predicate]) -> Scratch {
         let reads = ids.iter().zip(attrs).zip(filters);
-        reads.map(|((&id, &a), p)| (id, a, p.clone())).collect()
+        Scratch {
+            reads: reads.map(|((&id, &a), p)| (id, a, p.clone())).collect(),
+            ..Scratch::default()
+        }
+    }
+
+    /// `parent ⋈ child` through a fresh fold.
+    fn join(parent: &Joined, child: &Joined) -> Joined {
+        parent
+            .join(child, &mut Fold::default(), Vec::new())
+            .unwrap()
     }
 
     /// The flat rows as a set — asserting on the way that the fold
@@ -372,7 +552,7 @@ mod tests {
         // Unfiltered: planner result ≡ whole-relation fold.
         let empty = vec![Predicate::new(); 3];
         let (planned, report) =
-            execute_join(&store.era().unwrap(), reads(&ids, &attrs, &empty)).unwrap();
+            execute_join(&store.era().unwrap(), &mut reads(&ids, &attrs, &empty)).unwrap();
         assert!(report.planned);
         let state = store.snapshot().unwrap();
         let naive = join_all(ids.iter().map(|&id| state.relation(id))).unwrap();
@@ -382,19 +562,24 @@ mod tests {
         assert_eq!(planned.rows().len(), 2);
 
         // Filtered on R1.A: one row survives, and only matching tuples
-        // ever crossed the store boundary (1 per relation here).
+        // ever crossed the store boundary: R1's one match twice (pass 1
+        // gathers it to reduce R2, pass 2 fetches it), R2's one match
+        // twice (gathered to reduce R3, fetched), R3's once.
         let filters = vec![
             Predicate::new().and_eq(a, v(1)),
             Predicate::new(),
             Predicate::new(),
         ];
         let (filtered, report) =
-            execute_join(&store.era().unwrap(), reads(&ids, &attrs, &filters)).unwrap();
+            execute_join(&store.era().unwrap(), &mut reads(&ids, &attrs, &filters)).unwrap();
         assert!(report.planned);
         let filtered = row_set(&filtered);
         assert_eq!(filtered.len(), 1);
         assert!(filtered.contains(&[v(1), v(10), v(100), v(7)][..]));
-        assert_eq!(report.tuples_shipped, 3, "one matching tuple per relation");
+        assert_eq!(
+            report.tuples_shipped, 5,
+            "every gathered match, pass 1's too"
+        );
         assert!(report.keys_shipped > 0, "reducers were shipped");
     }
 
@@ -414,7 +599,7 @@ mod tests {
         );
         let empty = vec![Predicate::new(); 3];
         let (joined, report) =
-            execute_join(&store.era().unwrap(), reads(&ids, &attrs, &empty)).unwrap();
+            execute_join(&store.era().unwrap(), &mut reads(&ids, &attrs, &empty)).unwrap();
         assert!(!report.planned);
         let joined = row_set(&joined);
         assert_eq!(joined.len(), 1);
@@ -430,12 +615,12 @@ mod tests {
         let schema = DatabaseSchema::parse(u, &[("R", "AB")]).unwrap();
         let (ids, attrs, store) = setup(&schema, &[("R", &[(1, 2), (3, 4)])]);
         assert!(matches!(
-            execute_join(&store.era().unwrap(), Vec::new()),
+            execute_join(&store.era().unwrap(), &mut Scratch::default()),
             Err(Error::EmptyJoin)
         ));
         let (rel, report) = execute_join(
             &store.era().unwrap(),
-            reads(&ids, &attrs, &[Predicate::new()]),
+            &mut reads(&ids, &attrs, &[Predicate::new()]),
         )
         .unwrap();
         assert!(!report.planned);
@@ -464,7 +649,7 @@ mod tests {
         };
         let parent = rows(ab, &[&[1, 20], &[2, 10], &[3, 99]]);
         let child = rows(bc, &[&[10, 5], &[20, 6], &[10, 7]]);
-        let joined = parent.join(&child).unwrap();
+        let joined = join(&parent, &child);
         assert_eq!(joined.attrs(), ab.union(bc));
         let got: Vec<&[Value]> = joined.rows().collect();
         let want: [&[Value]; 3] = [
@@ -474,7 +659,7 @@ mod tests {
         ];
         assert_eq!(got, want);
 
-        let product = rows(d, &[&[8], &[9]]).join(&parent).unwrap();
+        let product = join(&rows(d, &[&[8], &[9]]), &parent);
         let got: Vec<Vec<u64>> = product
             .rows()
             .map(|r| r.iter().map(|x| x.0).collect())
@@ -505,7 +690,7 @@ mod tests {
         let child_rows: Vec<&[u64]> = child.iter().map(|t| &t[..]).collect();
         let child = rows(abd, &child_rows);
         let parent = rows(abc, &[&[1, 1, 50], &[2, 2, 51], &[2, 1, 52], &[1, 1, 53]]);
-        let got: Vec<Vec<u64>> = (parent.join(&child).unwrap().rows())
+        let got: Vec<Vec<u64>> = (join(&parent, &child).rows())
             .map(|r| r.iter().map(|x| x.0).collect())
             .collect();
         let mut want = Vec::new();

@@ -328,8 +328,10 @@ impl JoinQuery<'_> {
 /// (acyclic relation sets) or the naive whole-relation fold did
 /// (cyclic), and how much data crossed the store boundary either way.
 ///
-/// `tuples_shipped` counts the tuples fetched for the fold;
-/// `keys_shipped` counts semijoin-reducer values: one per distinct value
+/// `tuples_shipped` counts every tuple gathered out of the store: those
+/// fetched for the fold, and those a filtered relation's pass-1 read
+/// gathers to compute its reducers; `keys_shipped` counts
+/// semijoin-reducer values: one per distinct value
 /// of a shared column, shipped up from a constrained relation's matches
 /// or down from a fetched parent.  The planner's win
 /// condition is shipping *keys* instead of *tuples* wherever a filter or
@@ -339,7 +341,8 @@ pub struct JoinReport {
     /// True when the acyclic planner executed the join (false: naive
     /// per-relation fold).
     pub planned: bool,
-    /// Full tuples fetched from the store for the fold.
+    /// Full tuples gathered from the store: the fold's fetches plus pass
+    /// 1's reduction reads.
     pub tuples_shipped: usize,
     /// Semijoin-reducer values shipped (`In` values, up and down).
     pub keys_shipped: usize,
@@ -347,8 +350,8 @@ pub struct JoinReport {
 
 /// A consumer of a read's result, one rendered value at a time — what
 /// the one string-level read feeds, through
-/// [`crate::Database::query_into`] (its one-relation case) and
-/// [`crate::Database::join_into`].
+/// [`crate::Database::query_into`] (its one-relation case),
+/// [`crate::Database::query_eq_into`] and [`crate::Database::join_into`].
 ///
 /// A successful read calls [`RowSink::start`] exactly once, then for each
 /// row [`RowSink::row`] followed by one [`RowSink::value`] per column; a
@@ -358,9 +361,21 @@ pub struct JoinReport {
 /// [`Rows`] is the sink the string-level API collects into; the wire
 /// server's sink writes reply bytes instead, so a row is never built as
 /// `String`s on its way to a socket.
+///
+/// The read allocates per reply, not per value: its plan and buffers
+/// are this thread's scratch, and the columns of a one-relation read
+/// without a select list are the relation's own shared layout, handed
+/// to [`RowSink::start`] as the `Arc` it is — a sink keeps them with one
+/// reference count.  What a sink allocates is its own: [`Rows`] one
+/// vector per reply and per row and one `String` per value, the wire's
+/// sink nothing once its buffer is sized.  The read owns its scratch,
+/// taken out of the thread's slot, while it calls the sink, so a sink
+/// may itself read, in a scratch of its own — another
+/// [`crate::Database`], or this one's [`crate::Database::count`] and
+/// [`crate::Database::read`], which take no name lock.
 pub trait RowSink {
     /// The output column names, and how many rows follow.
-    fn start(&mut self, columns: &[String], rows: usize);
+    fn start(&mut self, columns: &Arc<[String]>, rows: usize);
     /// Opens the next row; `columns.len()` values follow.
     fn row(&mut self);
     /// The next value of the open row, rendered.
@@ -370,8 +385,8 @@ pub trait RowSink {
 /// Collects the rows as owned strings — the sink behind [`Query::run`]
 /// and [`JoinQuery::run`].
 impl RowSink for Rows {
-    fn start(&mut self, columns: &[String], rows: usize) {
-        self.columns = columns.into();
+    fn start(&mut self, columns: &Arc<[String]>, rows: usize) {
+        self.columns = Arc::clone(columns);
         self.rows = Vec::with_capacity(rows);
     }
 

@@ -138,7 +138,9 @@ pub struct JoinRow {
     pub naive: Duration,
     /// `naive / planned`.
     pub speedup: f64,
-    /// Full tuples the planner shipped from the engine.
+    /// Full tuples the planner shipped from the engine: pass 1's
+    /// gathers (`R1`'s and `R2`'s matches, `k` each) and pass 2's fetches
+    /// (`k` per relation), `5k` in all.
     pub shipped_planned: usize,
     /// Semijoin-reducer values the planner shipped.
     pub keys_planned: usize,

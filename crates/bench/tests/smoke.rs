@@ -67,9 +67,10 @@ fn experiments_smoke_asserts_every_claim_and_writes_numeric_json() {
             );
         }
     }
-    // The smoke E14 row ships 30 tuples and 40 keys against 900 folded.
+    // The smoke E14 row ships 50 tuples (pass 1's 20 gathered rows
+    // included) and 40 keys against 900 folded.
     let e14 = std::fs::read_to_string(dir.join("BENCH_E14.json")).unwrap();
-    for n in [30, 40, 900] {
+    for n in [50, 40, 900] {
         assert!(
             e14.contains(&format!("{{\"value\": {n}, \"unit\": \"count\"}}")),
             "BENCH_E14.json lacks the count {n}:\n{e14}"

@@ -143,6 +143,14 @@ impl Predicate {
         self
     }
 
+    /// Empties the predicate back to *true*, keeping its conjunct and
+    /// guard buffers for the next read built in it (an `In` guard's set
+    /// is freed with the guard).
+    pub fn clear(&mut self) {
+        self.conjuncts.clear();
+        self.guards.clear();
+    }
+
     /// True when the predicate has no conjuncts and no guards (matches
     /// everything).
     pub fn is_true(&self) -> bool {
@@ -213,24 +221,43 @@ impl Predicate {
     /// The predicate over rows laid out in the scheme order of `attrs`,
     /// every conjunct and guard paired with its column position: ranked
     /// once here, not once per row.  The predicate must be valid against
-    /// `attrs` (see [`Predicate::validate_against`]).
+    /// `attrs` (see [`Predicate::validate_against`]).  Up to four tests
+    /// are held inline, so compiling an ordinary read's filter allocates
+    /// nothing.
     pub fn compile(&self, attrs: AttrSet) -> CompiledPredicate<'_> {
         let pins = self
             .conjuncts
             .iter()
             .map(|&(a, v)| (attrs.rank(a), Test::Eq(v)));
         let guards = (self.guards.iter()).map(|(a, g)| (attrs.rank(*a), Test::Guard(g)));
-        CompiledPredicate {
-            tests: pins.chain(guards).collect(),
-        }
+        let mut tests = pins.chain(guards);
+        let n = self.conjuncts.len() + self.guards.len();
+        let tests = if n > INLINE_TESTS {
+            Tests::Spilled(tests.collect())
+        } else {
+            let unused = (0, Test::Eq(Value(0)));
+            Tests::Inline(n, std::array::from_fn(|_| tests.next().unwrap_or(unused)))
+        };
+        CompiledPredicate { tests }
     }
 }
+
+/// Tests a [`CompiledPredicate`] holds without allocating.
+const INLINE_TESTS: usize = 4;
 
 /// A [`Predicate`] compiled against one scheme ([`Predicate::compile`]):
 /// its equalities first, then its guards, each with the column it tests.
 #[derive(Clone, Debug)]
 pub struct CompiledPredicate<'p> {
-    tests: Vec<(usize, Test<'p>)>,
+    tests: Tests<'p>,
+}
+
+/// A [`CompiledPredicate`]'s tests, inline when they fit.
+#[derive(Clone, Debug)]
+enum Tests<'p> {
+    /// The first `.0` entries are the tests.
+    Inline(usize, [(usize, Test<'p>); INLINE_TESTS]),
+    Spilled(Vec<(usize, Test<'p>)>),
 }
 
 /// One test of a [`CompiledPredicate`].
@@ -244,7 +271,11 @@ impl CompiledPredicate<'_> {
     /// Whether `row`, laid out as the scheme the predicate was compiled
     /// against, satisfies it: [`Predicate::matches`] without the ranking.
     pub fn matches(&self, row: &[Value]) -> bool {
-        self.tests.iter().all(|&(p, test)| match test {
+        let tests = match &self.tests {
+            Tests::Inline(n, tests) => &tests[..*n],
+            Tests::Spilled(tests) => &tests[..],
+        };
+        tests.iter().all(|&(p, test)| match test {
             Test::Eq(v) => row[p] == v,
             Test::Guard(g) => g.admits(row[p]),
         })

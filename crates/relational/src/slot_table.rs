@@ -95,6 +95,12 @@ impl<V: Copy + Default> SlotTable<V> {
         self.len
     }
 
+    /// How many buckets the table has allocated; it grows once 7/8 of
+    /// them hold a slot.
+    pub fn capacity(&self) -> usize {
+        self.buckets.len()
+    }
+
     /// True when the table holds no slot.
     pub fn is_empty(&self) -> bool {
         self.len == 0

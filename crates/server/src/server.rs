@@ -24,16 +24,20 @@
 //!   [`WireError::Overloaded`] — a bound on unread input, not a queue.
 //!   Handshake and malformed payloads are answered in place and count
 //!   against nothing.  Each payload is decoded where it lies in the
-//!   frame reader's buffer, and a string `Insert` or `Remove` runs from
-//!   a [`WriteView`] of it — relation and values borrowed from the frame
-//!   — so a write builds no `Request` and no `String`.
+//!   frame reader's buffer: a string `Insert` or `Remove` runs from a
+//!   [`WriteView`] of it and a `Query`, `Count` or `Join` from a
+//!   [`ReadView`] — every name borrowed from the frame — so neither
+//!   builds a `Request` or a `String`.
 //! * **Reply.**  Every reply is encoded straight into one buffer, in
 //!   **request order** (sheds included; ids are still echoed), its frame
 //!   sealed where it lies, and the buffer written when the buffered
 //!   input is drained or it passes 64 KiB.  `Query` and `Join` rows go
 //!   from the value pool into that buffer through
 //!   [`crate::wire::RowsWriter`]: no `Reply` and no `String` per value is
-//!   built for them.
+//!   built for them.  A rejected insert's reply is written from the
+//!   violated FD's text as the schema rendered it once
+//!   ([`ids_api::Schema::fd_text`]).  So once the buffers are sized, a
+//!   write, a point or group read and a count allocate nothing here.
 //!
 //! ## The flow-control contract
 //!
@@ -59,16 +63,16 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ids_api::{eq, Alter, Cond, Database, Error, SharedDatabase};
+use ids_api::{Alter, Database, Error, SharedDatabase};
 use ids_core::InsertOutcome;
 use ids_obs::{Counter, Event, Gauge, MetricsSnapshot, Registry};
 use ids_relational::RelationalError;
 use ids_wal::{Cursor, FollowPoll, Follower, Shipment, WalDir, WalError};
 
 use crate::wire::{
-    append_reply, decode_request, AlterOp, FrameError, FrameReader, Reply, Request, RowsWriter,
-    Tagged, WireError, WireOutcome, WriteView, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD, POOL_STREAM,
-    WIRE_VERSION,
+    append_rejected, append_reply, decode_request, AlterOp, FrameError, FrameReader, ReadView,
+    Reply, Request, RowsWriter, Tagged, WireError, WireOutcome, WriteView, FRAME_HEADER_LEN,
+    MAX_FRAME_PAYLOAD, POOL_STREAM, WIRE_VERSION,
 };
 
 /// Replies are written once this many bytes are pending, even with
@@ -289,18 +293,32 @@ impl Read for Tallied<'_> {
     }
 }
 
-/// A request as the session loop holds it: a string write still in its
-/// frame, or any other request decoded.
+/// A request as the session loop holds it: a string write or read still
+/// in its frame, or any other request decoded.
 enum Incoming<'p> {
     Write(WriteView<'p>),
+    Read(ReadView<'p>),
     Owned(Request),
 }
 
-impl Incoming<'_> {
+impl<'p> Incoming<'p> {
+    /// Views or decodes one payload: the id and the request, or the id
+    /// and why the payload does not decode.
+    fn parse(payload: &'p [u8]) -> Result<(u64, Self), (u64, WireError)> {
+        if let Some(write) = WriteView::parse(payload) {
+            return Ok((write.id, Incoming::Write(write)));
+        }
+        if let Some((id, read)) = ReadView::parse(payload) {
+            return Ok((id, Incoming::Read(read)));
+        }
+        decode_request(payload).map(|(id, req)| (id, Incoming::Owned(req)))
+    }
+
     /// The request's line in the `Request` table.
     fn tag(&self) -> u8 {
         match self {
             Incoming::Write(write) => write.tag(),
+            Incoming::Read(read) => read.tag(),
             Incoming::Owned(req) => req.tag(),
         }
     }
@@ -366,29 +384,6 @@ impl<'a> Session<'a> {
         self.appended(id, start)
     }
 
-    /// Streams a `Rows` reply into the buffer: `read` runs the database
-    /// read with a [`RowsWriter`] as its sink, so each value goes from
-    /// the pool into the reply bytes with no `String` between.  A failed
-    /// read wrote nothing the peer may see: the frame is cut back and the
-    /// typed error written in its place.
-    fn reply_rows(
-        &mut self,
-        id: u64,
-        read: impl FnOnce(&Database, &mut RowsWriter<'_>) -> Result<(), Error>,
-    ) -> Result<(), FrameError> {
-        let start = self.out.len();
-        let db = self.db;
-        let mut rows = RowsWriter::new(&mut self.out, id);
-        match read(db, &mut rows) {
-            Ok(()) => rows.finish(),
-            Err(e) => {
-                self.out.truncate(start);
-                append_reply(&mut self.out, id, &Reply::Error(wire_error(e)));
-            }
-        }
-        self.appended(id, start)
-    }
-
     /// Bounds the frame just appended at `start`, then writes the buffer
     /// out past [`FLUSH_BYTES`].  The peer's `read_frame` takes an
     /// oversize frame for corruption and drops the connection, so one is
@@ -424,9 +419,10 @@ impl<'a> Session<'a> {
     /// error on a corrupt frame (the stream cannot be trusted to be in
     /// sync, so there is nothing to reply to) or a dead socket.
     ///
-    /// A string `Insert` or `Remove` runs from its [`WriteView`], its
-    /// names still in the frame; every other request, and every payload
-    /// the view refuses, is decoded by [`decode_request`].
+    /// A string `Insert` or `Remove` runs from its [`WriteView`] and a
+    /// `Query`, `Count` or `Join` from its [`ReadView`], their names
+    /// still in the frame; every other request, and every payload the
+    /// views refuse, is decoded by [`decode_request`].
     fn run(&mut self, depth: usize) -> Result<(), FrameError> {
         let mut greeted = false;
         while let Some(first) = self.frames.next_payload()? {
@@ -435,10 +431,7 @@ impl<'a> Session<'a> {
             let mut admitted = 0;
             let mut next = Some(first);
             while let Some(payload) = next {
-                let request = match WriteView::parse(payload) {
-                    Some(write) => Ok((write.id, Incoming::Write(write))),
-                    None => decode_request(payload).map(|(id, req)| (id, Incoming::Owned(req))),
-                };
+                let request = Incoming::parse(payload);
                 let mut refused = false;
                 match request {
                     Ok((id, Incoming::Owned(Request::Hello { version })))
@@ -470,10 +463,17 @@ impl<'a> Session<'a> {
                     Ok((id, incoming)) => {
                         admitted += 1;
                         self.obs.executed(incoming.tag()).inc();
+                        // A view borrows the frame reader, so its reply is
+                        // appended to the buffer field, then bounded.
+                        let start = self.out.len();
                         match incoming {
                             Incoming::Write(w) => {
-                                let reply = write(self.db, w);
-                                self.reply(id, &reply)?;
+                                write(&mut self.out, id, self.db, w);
+                                self.appended(id, start)?;
+                            }
+                            Incoming::Read(r) => {
+                                read(&mut self.out, id, self.db, r);
+                                self.appended(id, start)?;
                             }
                             Incoming::Owned(req) => self.serve(id, req)?,
                         }
@@ -496,9 +496,8 @@ impl<'a> Session<'a> {
         Ok(())
     }
 
-    /// Runs one admitted request and writes its reply.  Rows replies
-    /// stream from the database's row visitor into the buffer; every
-    /// other request is one [`execute`]d [`Reply`].
+    /// Runs one admitted decoded request and writes its reply: a
+    /// subscribe's stream, or one [`execute`]d [`Reply`].
     fn serve(&mut self, id: u64, req: Request) -> Result<(), FrameError> {
         match req {
             // A subscribe turns this connection into a replication
@@ -510,20 +509,6 @@ impl<'a> Session<'a> {
                 Err(StreamEnd::Refused(err)) => self.reply(id, &Reply::Error(err)),
                 Err(StreamEnd::Hangup(e)) => Err(e),
             },
-            Request::Query {
-                relation,
-                filters,
-                select,
-            } => {
-                let filters: Vec<(String, Cond)> =
-                    filters.into_iter().map(|(c, v)| (c, eq(v))).collect();
-                self.reply_rows(id, |db, rows| {
-                    db.query_into(&relation, &filters, select, rows)
-                })
-            }
-            Request::Join { relations } => {
-                self.reply_rows(id, |db, rows| db.join_into(&relations, &[], rows).map(drop))
-            }
             req => {
                 let reply = execute(self.db, self.obs, req);
                 self.reply(id, &reply)
@@ -729,10 +714,6 @@ fn execute(db: &Database, obs: &ServerObs, req: Request) -> Reply {
         // A repeated Hello is answered idempotently.
         Request::Hello { .. } => hello_reply(db),
         Request::Ping => Reply::Pong,
-        Request::Count { relation } => match db.count(&relation) {
-            Ok(n) => Reply::Count(n as u64),
-            Err(e) => Reply::Error(wire_error(e)),
-        },
         // The cut and the names that label it come from one era, so an
         // alter racing the request can change neither under the other.
         Request::Snapshot => match db.store().era().and_then(|era| {
@@ -758,17 +739,6 @@ fn execute(db: &Database, obs: &ServerObs, req: Request) -> Reply {
             snap.merge(obs.registry.snapshot());
             Reply::Stats(snap)
         }
-        // Intercepted by the session loop: a string write runs from its
-        // `WriteView`, a stream needs the socket, and rows stream into
-        // the session's buffer, not one `Reply`.  Reaching this arm would
-        // be a dispatch bug.
-        Request::Insert { .. }
-        | Request::Remove { .. }
-        | Request::Subscribe { .. }
-        | Request::Query { .. }
-        | Request::Join { .. } => Reply::Error(WireError::Internal(
-            "request must be served by the session loop".into(),
-        )),
         Request::Alter { op } => {
             let op = match op {
                 AlterOp::AddRelation { name, columns } => Alter::AddRelation { name, columns },
@@ -781,29 +751,96 @@ fn execute(db: &Database, obs: &ServerObs, req: Request) -> Reply {
                 Err(e) => Reply::Error(alter_wire_error(db, e)),
             }
         }
+        // Intercepted by the session loop: a string write or read runs
+        // from its view of the frame (a payload a view refuses does not
+        // decode either), a stream needs the socket.  Reaching this arm
+        // would be a dispatch bug.
+        _ => Reply::Error(WireError::Internal(
+            "request must be served by the session loop".into(),
+        )),
     }
 }
 
-/// Runs one string insert or remove from its frame and renders its
-/// reply: the names go to the database still borrowed from the payload.
-fn write(db: &Database, write: WriteView<'_>) -> Reply {
-    if write.remove {
-        return match db.remove(write.relation, write.values()) {
+/// Runs one string insert or remove from its frame and appends its reply
+/// to `out`: the names go to the database still borrowed from the
+/// payload, and a refusal names the violated FD by the text the schema
+/// rendered once.
+fn write(out: &mut Vec<u8>, id: u64, db: &Database, write: WriteView<'_>) {
+    let reply = if write.remove {
+        match db.remove(write.relation, write.values()) {
             Ok(present) => Reply::Remove(present),
             Err(e) => Reply::Error(wire_error(e)),
-        };
-    }
-    match db.insert(write.relation, write.values()) {
-        Ok(InsertOutcome::Accepted) => Reply::Insert(WireOutcome::Accepted),
-        Ok(InsertOutcome::Duplicate) => Reply::Insert(WireOutcome::Duplicate),
-        Ok(InsertOutcome::Rejected { violated }) => {
-            let schema = db.schema();
-            let universe = schema.definition().universe();
-            Reply::Insert(WireOutcome::Rejected {
-                violated: violated.map(|fd| fd.render(universe)),
-            })
         }
-        Err(e) => Reply::Error(wire_error(e)),
+    } else {
+        match db.insert(write.relation, write.values()) {
+            Ok(InsertOutcome::Accepted) => Reply::Insert(WireOutcome::Accepted),
+            Ok(InsertOutcome::Duplicate) => Reply::Insert(WireOutcome::Duplicate),
+            Ok(InsertOutcome::Rejected { violated: None }) => {
+                return append_rejected(out, id, None)
+            }
+            Ok(InsertOutcome::Rejected { violated: Some(fd) }) => {
+                let schema = db.schema();
+                // An FD outside this era's covers: an alter raced the
+                // insert, so it is rendered here instead.
+                let rendered;
+                let text = match schema.fd_text(fd) {
+                    Some(text) => text,
+                    None => {
+                        rendered = fd.render(schema.definition().universe());
+                        &rendered
+                    }
+                };
+                return append_rejected(out, id, Some(text));
+            }
+            Err(e) => Reply::Error(wire_error(e)),
+        }
+    };
+    append_reply(out, id, &reply);
+}
+
+/// Runs one string query, count or join from its frame and appends its
+/// reply to `out`: the names go to the database still borrowed from the
+/// payload.
+fn read(out: &mut Vec<u8>, id: u64, db: &Database, read: ReadView<'_>) {
+    match read {
+        ReadView::Count { relation } => {
+            let reply = match db.count(relation) {
+                Ok(n) => Reply::Count(n as u64),
+                Err(e) => Reply::Error(wire_error(e)),
+            };
+            append_reply(out, id, &reply);
+        }
+        ReadView::Query {
+            relation,
+            filters,
+            select,
+        } => stream_rows(out, id, |rows| {
+            db.query_eq_into(relation, filters.pairs(), select.map(|s| s.iter()), rows)
+        }),
+        ReadView::Join { relations } => stream_rows(out, id, |rows| {
+            db.join_into(relations.iter(), &[], rows).map(drop)
+        }),
+    }
+}
+
+/// Streams a `Rows` reply into `out`: `run` runs the database read with a
+/// [`RowsWriter`] as its sink, so each value goes from the pool into the
+/// reply bytes with no `String` between.  A failed read wrote nothing the
+/// peer may see: the frame is cut back and the typed error written in its
+/// place.
+fn stream_rows(
+    out: &mut Vec<u8>,
+    id: u64,
+    run: impl FnOnce(&mut RowsWriter<'_>) -> Result<(), Error>,
+) {
+    let start = out.len();
+    let mut rows = RowsWriter::new(out, id);
+    match run(&mut rows) {
+        Ok(()) => rows.finish(),
+        Err(e) => {
+            out.truncate(start);
+            append_reply(out, id, &Reply::Error(wire_error(e)));
+        }
     }
 }
 

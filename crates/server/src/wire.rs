@@ -64,20 +64,24 @@
 //!    `tests/golden_wire.rs`, then `regenerate_fixtures` — the old
 //!    fixture bytes must stay a strict prefix.
 //!
-//! Two layouts are stated twice on purpose, each so that a hot path
-//! builds no `String` per value:
+//! Some layouts are stated twice on purpose, each so that a hot path
+//! builds no `String`:
 //!
 //! * [`Reply::Rows`], which the server streams through [`RowsWriter`]
 //!   straight from the database's row visitor instead of building the
 //!   reply's strings;
 //! * [`Request::Insert`] and [`Request::Remove`], which the server runs
 //!   from a [`WriteView`] of the frame — relation and values borrowed
-//!   from the payload — instead of decoding them into a `Request`.
+//!   from the payload — instead of decoding them into a `Request`;
+//! * [`Request::Query`], [`Request::Count`] and [`Request::Join`], run
+//!   the same way from a [`ReadView`];
+//! * the `Reply::Insert(WireOutcome::Rejected { .. })` reply, written by
+//!   `append_rejected` from the violated FD's cached text.
 //!
 //! Change a table line and its restatement together: the golden
-//! fixtures and `wire_proptest.rs` pin each restatement to the table
-//! (byte for byte for the writer; same acceptance, id, relation and
-//! values for the view).
+//! fixtures, `wire_proptest.rs` and this module's tests pin each
+//! restatement to the table (byte for byte for the writers; same
+//! acceptance, id and names for the views).
 //!
 //! ## Where the bytes lie
 //!
@@ -88,6 +92,7 @@
 //! written from, and decoded from the buffer it was read into; no frame
 //! is copied between the two.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use ids_api::RowSink;
@@ -868,12 +873,12 @@ impl<'a> RowsWriter<'a> {
 }
 
 impl RowSink for RowsWriter<'_> {
-    fn start(&mut self, columns: &[String], rows: usize) {
+    fn start(&mut self, columns: &Arc<[String]>, rows: usize) {
         // The counts cannot truncate: a reply past 64 MiB is refused
         // before it is written, and every entry takes at least a byte.
         self.width = columns.len() as u32;
         self.put_u32(self.width);
-        for column in columns {
+        for column in columns.iter() {
             self.put_str(column);
         }
         self.put_u32(rows as u32);
@@ -976,6 +981,146 @@ impl<'p> WriteView<'p> {
             INSERT_TAG
         }
     }
+}
+
+/// A string [`Request::Query`], [`Request::Count`] or [`Request::Join`]
+/// read where it lies: every name borrows the payload it arrived in, so
+/// the server runs the read with no `String` or `Vec` built for its
+/// request.
+///
+/// The second statement of three layouts — the `Request` table's `Query
+/// { relation, filters, select }`, `Count { relation }` and `Join {
+/// relations }` lines are the first: after the id and the tag, a
+/// length-prefixed string per name, a `u32` count before each list (a
+/// filter is two strings, column then value), and a `0`/`1` byte before
+/// the optional select list.  [`ReadView::parse`] accepts exactly the
+/// payloads [`decode_request`] decodes to one of the three and yields
+/// the same id and names; `wire_proptest.rs` pins the two equal.
+#[derive(Clone, Copy, Debug)]
+pub enum ReadView<'p> {
+    /// A [`Request::Query`].
+    Query {
+        /// Target relation name.
+        relation: &'p str,
+        /// `(column, value)` equality filters, ANDed: read them with
+        /// [`Names::pairs`].
+        filters: Names<'p>,
+        /// Output columns; `None` = declaration order.
+        select: Option<Names<'p>>,
+    },
+    /// A [`Request::Count`].
+    Count {
+        /// Target relation name.
+        relation: &'p str,
+    },
+    /// A [`Request::Join`].
+    Join {
+        /// Relation names to join, in output-column order.
+        relations: Names<'p>,
+    },
+}
+
+/// The `Request` table's tags of the three lines [`ReadView`] restates.
+const QUERY_TAG: u8 = 4;
+const COUNT_TAG: u8 = 5;
+const JOIN_TAG: u8 = 10;
+
+impl<'p> ReadView<'p> {
+    /// Views one frame payload as `(id, read)`: `None` for any payload
+    /// that is not a `Query`, `Count` or `Join`, or that
+    /// [`decode_request`] would refuse.  Total, like the decoder, and
+    /// allocation-free.
+    pub fn parse(payload: &'p [u8]) -> Option<(u64, Self)> {
+        let mut d = Decoder::new(payload);
+        let id = d.get_u64().ok()?;
+        let view = match d.get_u8().ok()? {
+            QUERY_TAG => ReadView::Query {
+                relation: d.get_str_ref().ok()?,
+                filters: Names::parse(payload, &mut d, 2)?,
+                select: match d.get_u8().ok()? {
+                    0 => None,
+                    1 => Some(Names::parse(payload, &mut d, 1)?),
+                    _ => return None,
+                },
+            },
+            COUNT_TAG => ReadView::Count {
+                relation: d.get_str_ref().ok()?,
+            },
+            JOIN_TAG => ReadView::Join {
+                relations: Names::parse(payload, &mut d, 1)?,
+            },
+            _ => return None,
+        };
+        d.is_done().then_some((id, view))
+    }
+
+    /// The viewed request's tag, its line in the `Request` table.
+    pub(crate) fn tag(&self) -> u8 {
+        match self {
+            ReadView::Query { .. } => QUERY_TAG,
+            ReadView::Count { .. } => COUNT_TAG,
+            ReadView::Join { .. } => JOIN_TAG,
+        }
+    }
+}
+
+/// A list of names in a payload, as a [`ReadView`] lends it: the
+/// length-prefixed strings after the list's `u32` count, every one
+/// already checked.
+#[derive(Clone, Copy, Debug)]
+pub struct Names<'p> {
+    /// How many strings `bytes` holds.
+    strings: usize,
+    bytes: &'p [u8],
+}
+
+impl<'p> Names<'p> {
+    /// Reads a list's count, then `width` strings per entry, from `d`
+    /// reading `payload`.
+    fn parse(payload: &'p [u8], d: &mut Decoder<'p>, width: usize) -> Option<Self> {
+        let strings = d.get_u32().ok()? as usize * width;
+        let rest = &payload[payload.len() - d.remaining()..];
+        for _ in 0..strings {
+            d.get_str_ref().ok()?;
+        }
+        let bytes = &rest[..rest.len() - d.remaining()];
+        Some(Names { strings, bytes })
+    }
+
+    /// The names, in wire order.
+    pub fn iter(&self) -> impl Iterator<Item = &'p str> {
+        let mut d = Decoder::new(self.bytes);
+        // `parse` read every string once already, so no read here fails.
+        (0..self.strings).map_while(move |_| d.get_str_ref().ok())
+    }
+
+    /// The names two at a time: a list of `(column, value)` filters.
+    pub fn pairs(&self) -> impl Iterator<Item = (&'p str, &'p str)> {
+        let mut names = self.iter();
+        std::iter::from_fn(move || Some((names.next()?, names.next()?)))
+    }
+}
+
+/// Appends the reply to a rejected insert, `Reply::Insert(WireOutcome::
+/// Rejected { violated })`, as one complete CRC frame — the bytes of
+/// [`encode_reply`], written from the violated FD's text where it lies
+/// (the schema renders each FD once), with no `Reply` built around it.
+/// A second statement of that reply's layout, pinned to the `Reply` and
+/// `WireOutcome` tables by a unit test here.
+pub(crate) fn append_rejected(out: &mut Vec<u8>, id: u64, violated: Option<&str>) {
+    let start = open_frame(out, id);
+    let mut e = Encoder::from_bytes(std::mem::take(out));
+    e.put_u8(Reply::Insert(WireOutcome::Duplicate).tag());
+    e.put_u8(WireOutcome::Rejected { violated: None }.tag());
+    match violated {
+        None => e.put_u8(0),
+        Some(text) => {
+            e.put_u8(1);
+            e.put_str(text);
+        }
+    }
+    *out = e.into_bytes();
+    seal_frame(&mut out[start..]);
 }
 
 // ---------------------------------------------------------------------
@@ -1510,6 +1655,58 @@ mod tests {
         }
         let ping = encode_request(6, &Request::Ping);
         assert!(WriteView::parse(&ping[FRAME_HEADER_LEN..]).is_none());
+    }
+
+    #[test]
+    fn the_read_view_restates_the_query_count_and_join_lines() {
+        let query = Request::Query {
+            relation: "CT".into(),
+            filters: vec![("course".into(), "CS402".into())],
+            select: Some(vec!["teacher".into()]),
+        };
+        let count = Request::Count {
+            relation: "CT".into(),
+        };
+        let join = Request::Join {
+            relations: vec!["CT".into(), "CS".into()],
+        };
+        let tags = (query.tag(), count.tag(), join.tag());
+        assert_eq!(tags, (QUERY_TAG, COUNT_TAG, JOIN_TAG));
+        for req in [query, count, join] {
+            let framed = encode_request(5, &req);
+            let (id, view) = ReadView::parse(&framed[FRAME_HEADER_LEN..]).unwrap();
+            assert_eq!((id, view.tag()), (5, req.tag()));
+            match view {
+                ReadView::Query {
+                    relation,
+                    filters,
+                    select,
+                } => {
+                    assert_eq!(relation, "CT");
+                    assert_eq!(filters.pairs().collect::<Vec<_>>(), [("course", "CS402")]);
+                    assert_eq!(select.unwrap().iter().collect::<Vec<_>>(), ["teacher"]);
+                }
+                ReadView::Count { relation } => assert_eq!(relation, "CT"),
+                ReadView::Join { relations } => {
+                    assert_eq!(relations.iter().collect::<Vec<_>>(), ["CT", "CS"]);
+                }
+            }
+        }
+        let ping = encode_request(6, &Request::Ping);
+        assert!(ReadView::parse(&ping[FRAME_HEADER_LEN..]).is_none());
+    }
+
+    #[test]
+    fn a_rejection_is_written_as_the_reply_table_encodes_it() {
+        for violated in [None, Some("a -> b"), Some("")] {
+            let mut out = b"earlier".to_vec();
+            append_rejected(&mut out, 9, violated);
+            let reply = Reply::Insert(WireOutcome::Rejected {
+                violated: violated.map(str::to_string),
+            });
+            assert_eq!(&out[..7], b"earlier");
+            assert_eq!(out[7..], encode_reply(9, &reply)[..]);
+        }
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //!
 //! A single-relation read is the join of one relation, rendered from
 //! its gathered buffer: a point read and a 100-row group read through
-//! `Database::query_into` are counted the same two ways.
+//! `Database::query_into` are counted the same two ways.  The plan, its
+//! predicates and the gathered buffer are the thread's scratch, reused
+//! read after read, and the columns are the relation's shared layout:
+//! streamed, such a read allocates nothing.
 //!
 //! Every bound is the exact count the read makes today (release and
 //! debug builds agree): a change that allocates once more per read
@@ -104,10 +107,13 @@ fn relations() -> Vec<String> {
 }
 
 /// `Database::join`: four allocations per output row — the `Row`'s
-/// value vector and its three `String`s — and 52 per join.
-const JOIN_ALLOCS: u64 = 4052;
-/// The streamed join reply: per reply and per fold edge, none per row.
-const STREAMED_JOIN_ALLOCS: u64 = 45;
+/// value vector and its three `String`s — and 50 per join, counted on
+/// the thread's first read, which sizes its scratch (52 before).
+const JOIN_ALLOCS: u64 = 4050;
+/// The streamed join reply: per reply — the join tree, the joined
+/// columns' names, the reducer's key set — none per row and none per
+/// fold edge (45 before the fold's tables were the thread's scratch).
+const STREAMED_JOIN_ALLOCS: u64 = 16;
 
 #[test]
 fn database_join_allocates_only_for_its_string_rows() {
@@ -124,7 +130,7 @@ fn a_streamed_join_reply_allocates_per_reply_not_per_row() {
     let db = database();
     let stream = |out: &mut Vec<u8>| {
         let mut rows = RowsWriter::new(out, 7);
-        db.join_into(&relations(), &[], &mut rows).unwrap();
+        db.join_into(relations(), &[], &mut rows).unwrap();
         rows.finish();
     };
     // The session's buffer is reused across replies: the first one sizes
@@ -194,12 +200,13 @@ fn counted_query(db: &Database, filters: &[(String, Cond)]) -> (u64, u64, Rows) 
 #[test]
 fn single_relation_reads_allocate_per_read_not_per_row() {
     let db = grouped();
-    // (filter, rows, streamed bound, collected bound).  The point read
-    // gathers its one row into the read's buffer (8 / 15 when it boxed
-    // the row in a one-element reply); the group read's streamed count
-    // no longer grows with its rows (112 when each match was boxed), and
-    // into `Rows` only the `String` rows do (416 then).
-    let cases = [(("k", "k7"), 1, 7, 14), (("g", "g3"), 100, 14, 318)];
+    // (filter, rows, streamed bound, collected bound).  Streamed, neither
+    // read allocates (7 and 14 when each read built its own plan, copied
+    // the column names twice and gathered into a fresh buffer; 8 and 112
+    // when it boxed its matches).  Into `Rows` only the rows allocate:
+    // the row list, and per row its value vector and its `String`s (14
+    // and 318 before, 15 and 416 boxed).
+    let cases = [(("k", "k7"), 1, 0, 4), (("g", "g3"), 100, 0, 301)];
     for ((column, value), len, streamed_max, collected_max) in cases {
         let filters = [(column.to_string(), eq(value))];
         let (streamed, collected, rows) = counted_query(&db, &filters);

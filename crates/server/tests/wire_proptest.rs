@@ -5,8 +5,8 @@
 
 use ids_api::RowSink;
 use ids_server::wire::{
-    decode_reply, decode_request, encode_reply, encode_request, read_frame, FrameOutcome, Reply,
-    Request, RowsWriter, WireError, WireOutcome, WriteView, FRAME_HEADER_LEN, WIRE_VERSION,
+    decode_reply, decode_request, encode_reply, encode_request, read_frame, FrameOutcome, ReadView,
+    Reply, Request, RowsWriter, WireError, WireOutcome, WriteView, FRAME_HEADER_LEN, WIRE_VERSION,
 };
 
 use proptest::prelude::*;
@@ -329,6 +329,103 @@ fn write_payload() -> impl Strategy<Value = Vec<u8>> {
     )
 }
 
+/// The server runs a string `Query`, `Count` or `Join` from its
+/// [`ReadView`], a third statement of those layouts: on `payload` the
+/// view must accept exactly what `decode_request` decodes to one of the
+/// three, with the same id and names — and never panic.
+fn read_view_agrees_with_the_decoder(payload: &[u8]) {
+    let decoded = match decode_request(payload) {
+        Ok((id, req @ (Request::Query { .. } | Request::Count { .. } | Request::Join { .. }))) => {
+            Some((id, req))
+        }
+        _ => None,
+    };
+    let owned = |names: ids_server::wire::Names<'_>| names.iter().map(str::to_string).collect();
+    let viewed = ReadView::parse(payload).map(|(id, view)| {
+        let req = match view {
+            ReadView::Query {
+                relation,
+                filters,
+                select,
+            } => Request::Query {
+                relation: relation.to_string(),
+                filters: (filters.pairs())
+                    .map(|(c, v)| (c.to_string(), v.to_string()))
+                    .collect(),
+                select: select.map(owned),
+            },
+            ReadView::Count { relation } => Request::Count {
+                relation: relation.to_string(),
+            },
+            ReadView::Join { relations } => Request::Join {
+                relations: owned(relations),
+            },
+        };
+        (id, req)
+    });
+    assert_eq!(viewed, decoded, "payload {payload:?}");
+}
+
+/// One string read as a frame payload: an id, then a `Query` (zero to
+/// three filters, an optional select of zero to three columns), a
+/// `Count` or a `Join` of zero to three relations.
+fn read_payload() -> impl Strategy<Value = Vec<u8>> {
+    let names = || proptest::collection::vec(text(), 0..4);
+    let filters = proptest::collection::vec((text(), text()), 0..4);
+    let select = (proptest::bool::ANY, names());
+    (0u64..u64::MAX, 0u8..3, text(), filters, select).prop_map(
+        |(id, kind, relation, filters, (some, names))| {
+            let req = match kind {
+                0 => Request::Query {
+                    relation,
+                    filters,
+                    select: some.then_some(names),
+                },
+                1 => Request::Count { relation },
+                _ => Request::Join { relations: names },
+            };
+            encode_request(id, &req)[FRAME_HEADER_LEN..].to_vec()
+        },
+    )
+}
+
+/// Every single-byte substitution of a few fixed reads — each list
+/// empty and not, the select absent and present — is judged alike by
+/// the read view and the decoder: the view's tag and option bytes are
+/// pinned value by value, not only where a random flip lands.
+#[test]
+fn every_byte_value_of_sample_reads_is_pinned() {
+    let names = |n: &[&str]| n.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+    let reads = [
+        Request::Query {
+            relation: "R".into(),
+            filters: vec![("a".into(), "k7".into())],
+            select: None,
+        },
+        Request::Query {
+            relation: "R".into(),
+            filters: Vec::new(),
+            select: Some(names(&["b", "a"])),
+        },
+        Request::Count {
+            relation: "R".into(),
+        },
+        Request::Join {
+            relations: names(&["S", "T"]),
+        },
+    ];
+    for req in reads {
+        let payload = encode_request(3, &req)[FRAME_HEADER_LEN..].to_vec();
+        for pos in 0..payload.len() {
+            for byte in 0..=255u8 {
+                let mut changed = payload.clone();
+                changed[pos] = byte;
+                read_view_agrees_with_the_decoder(&changed);
+            }
+        }
+    }
+}
+
 /// A request id, then the columns and rows of a `Rows` reply: zero to
 /// three columns, zero to four rows, every row as wide as the columns.
 fn rows_reply() -> impl Strategy<Value = (u64, Vec<String>, Vec<Vec<String>>)> {
@@ -356,7 +453,7 @@ proptest! {
         let earlier = b"an earlier reply".to_vec();
         let mut out = earlier.clone();
         let mut writer = RowsWriter::new(&mut out, id);
-        writer.start(&columns, rows.len());
+        writer.start(&columns.clone().into(), rows.len());
         for row in &rows {
             writer.row();
             for value in row {
@@ -405,6 +502,38 @@ proptest! {
         write.push(tag);
         write.extend(&body);
         view_agrees_with_the_decoder(&write);
+    }
+
+    /// The read view and the decoder agree on every valid read, on
+    /// every truncation of it, and on every byte of it flipped by `flip`.
+    #[test]
+    fn the_read_view_is_pinned_to_the_decoder(
+        payload in read_payload(),
+        flip in 1u8..=255,
+    ) {
+        read_view_agrees_with_the_decoder(&payload);
+        for cut in 0..payload.len() {
+            read_view_agrees_with_the_decoder(&payload[..cut]);
+        }
+        for pos in 0..payload.len() {
+            let mut flipped = payload.clone();
+            flipped[pos] ^= flip;
+            read_view_agrees_with_the_decoder(&flipped);
+        }
+    }
+
+    /// ... and on arbitrary payloads, those that start like a read (an
+    /// id, then the `Query`, `Count` or `Join` tag) among them.
+    #[test]
+    fn the_read_view_agrees_on_arbitrary_payloads(
+        body in proptest::collection::vec(0u8..=255, 0..64),
+        tag in proptest::sample::select(vec![4u8, 5, 10]),
+    ) {
+        read_view_agrees_with_the_decoder(&body);
+        let mut read = 7u64.to_le_bytes().to_vec();
+        read.push(tag);
+        read.extend(&body);
+        read_view_agrees_with_the_decoder(&read);
     }
 
     /// Pure noise never panics the receive path.

@@ -1681,8 +1681,9 @@ impl Era<'_> {
     /// to `out`, row after row, and returns how many rows matched: the
     /// store's one per-relation read, flattened into the caller's buffer
     /// under the slot lock with no allocation per row (see
-    /// [`RelationShard::gather`]).  A foreign scheme or predicate
-    /// attribute is a typed error and a dead slot is refused, with `out`
+    /// [`RelationShard::gather`]).  A foreign scheme is a typed error
+    /// here, a foreign predicate attribute one from the shard's own check
+    /// (the read's only one), and a dead slot is refused, with `out`
     /// untouched.
     pub fn gather(
         &self,
@@ -1690,7 +1691,7 @@ impl Era<'_> {
         predicate: &Predicate,
         out: &mut Vec<Value>,
     ) -> Result<usize, Error> {
-        let slot = self.read_lock(id, predicate)?;
+        let slot = self.read_lock(id)?;
         Ok(slot.shard.gather(&slot.rel, predicate, out)?)
     }
 
@@ -1700,20 +1701,17 @@ impl Era<'_> {
     /// is the O(1) cardinality).  Validated and locked exactly as
     /// [`Era::gather`].
     pub fn count(&self, id: SchemeId, predicate: &Predicate) -> Result<usize, Error> {
-        let slot = self.read_lock(id, predicate)?;
+        let slot = self.read_lock(id)?;
         Ok(slot.shard.count(&slot.rel, predicate)?)
     }
 
-    /// Relation `id`'s slot, locked for a read under `predicate`, once
-    /// both are checked against this era's schema.
-    fn read_lock(
-        &self,
-        id: SchemeId,
-        predicate: &Predicate,
-    ) -> Result<MutexGuard<'_, Slot>, Error> {
+    /// Relation `id`'s slot, locked for a read, once `id` is checked
+    /// against this era's schema.  The predicate is the shard's to check:
+    /// [`RelationShard::gather`] and [`RelationShard::count`] refuse a
+    /// foreign attribute before they visit a row.
+    fn read_lock(&self, id: SchemeId) -> Result<MutexGuard<'_, Slot>, Error> {
         let definition = &self.topo.schema.definition;
-        let scheme = definition.get_scheme(id).ok_or(Error::UnknownScheme(id))?;
-        predicate.validate_against(scheme.attrs)?;
+        definition.get_scheme(id).ok_or(Error::UnknownScheme(id))?;
         self.store.lock(&self.topo, id)
     }
 }

@@ -1,6 +1,7 @@
 //! The fluent schema builder and the validated [`Schema`] handle.
 
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 use ids_core::{analyze, IndependenceAnalysis, Verdict, Witness};
 use ids_deps::{Fd, FdSet};
@@ -18,10 +19,14 @@ use crate::error::Error;
 /// introduced by different relations — the layout is what lets
 /// `ids_api::Database` accept and render tuples in the order the user
 /// wrote, while the store below sees canonical scheme order.
+///
+/// The columns are a shared slice: a read that renders a relation's
+/// columns in declared order hands out `columns` itself, one reference
+/// count, and no name is cloned per read.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RelationLayout {
     /// Column names, in declaration order.
-    pub columns: Vec<String>,
+    pub columns: Arc<[String]>,
     /// `perm[j]` = position in the canonical tuple of declared column `j`.
     pub perm: Vec<usize>,
 }
@@ -114,7 +119,14 @@ pub struct Schema {
     /// relation through this map, so the per-op cost is one hash lookup,
     /// not a linear scan of the scheme table.
     pub(crate) by_name: HashMap<String, SchemeId>,
+    /// Rendered once per handle, at the first refusal that asks, so a
+    /// schema nothing refuses holds no text.
+    fd_texts: OnceLock<FdTexts>,
 }
+
+/// Every enforcement FD and its text, sorted by FD: what a refused
+/// insert names ([`Schema::fd_text`]).
+type FdTexts = Box<[(Fd, Box<str>)]>;
 
 impl PartialEq for Schema {
     fn eq(&self, other: &Self) -> bool {
@@ -145,6 +157,7 @@ impl Schema {
             layouts,
             ordered_indexes,
             by_name,
+            fd_texts: OnceLock::new(),
         }
     }
 
@@ -263,6 +276,23 @@ impl Schema {
         self.definition.iter().map(|(_, s)| s.name.as_str())
     }
 
+    /// The text of `fd` as a refused insert names it (`"a -> b"`),
+    /// rendered once per handle for every enforcement FD: `None` for an
+    /// FD no relation's enforcement cover holds.
+    pub fn fd_text(&self, fd: Fd) -> Option<&str> {
+        let texts = self.fd_texts.get_or_init(|| {
+            let covers = self.enforcement().unwrap_or_default();
+            let mut texts: Vec<(Fd, Box<str>)> = (covers.iter().flat_map(FdSet::iter))
+                .map(|&fd| (fd, fd.render(self.definition.universe()).into()))
+                .collect();
+            texts.sort_unstable_by_key(|&(fd, _)| fd);
+            texts.dedup_by_key(|&mut (fd, _)| fd);
+            texts.into()
+        });
+        let i = texts.binary_search_by_key(&fd, |&(fd, _)| fd).ok()?;
+        Some(&texts[i].1)
+    }
+
     /// How relation `id` was declared: its column names in declaration
     /// order and where each sits in a canonical tuple.
     ///
@@ -285,7 +315,7 @@ impl Schema {
         e.put_u16(self.layouts.len() as u16);
         for layout in &self.layouts {
             e.put_u16(layout.columns.len() as u16);
-            for c in &layout.columns {
+            for c in layout.columns.iter() {
                 e.put_str(c);
             }
         }
@@ -346,7 +376,10 @@ impl Schema {
                 perm.push(definition.attrs(id).rank(attr));
                 columns.push(name);
             }
-            layouts.push(RelationLayout { columns, perm });
+            layouts.push(RelationLayout {
+                columns: columns.into(),
+                perm,
+            });
         }
         // Optional index section: blobs written before ordered
         // indexes existed simply end here (append-only format).
@@ -409,7 +442,7 @@ impl Schema {
                 let id = def.scheme_by_name(name).expect("just added");
                 let attrs = def.attrs(id);
                 layouts.push(RelationLayout {
-                    columns: columns.clone(),
+                    columns: columns.clone().into(),
                     perm: columns
                         .iter()
                         .map(|c| attrs.rank(def.universe().attr(c).expect("just added")))
@@ -589,7 +622,7 @@ impl SchemaBuilder {
                 }
             }
             layouts.push(RelationLayout {
-                columns: columns.clone(),
+                columns: columns.clone().into(),
                 perm: columns
                     .iter()
                     .map(|c| attrs.rank(universe.attr(c).expect("collected above")))
